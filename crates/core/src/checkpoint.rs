@@ -48,9 +48,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
-/// On-disk format version; bumped on incompatible layout changes.
-pub const CHECKPOINT_FORMAT: u32 = 1;
-
 /// A checkpoint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -177,62 +174,6 @@ impl ConfigFingerprint {
             return Some("retry seed");
         }
         None
-    }
-}
-
-/// Persistent state of a (possibly partial) pipeline run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScanCheckpoint {
-    /// On-disk format version ([`CHECKPOINT_FORMAT`]).
-    pub format: u32,
-    /// Fingerprint of the configuration that produced this checkpoint.
-    pub fingerprint: ConfigFingerprint,
-    /// Stage-I batches fully processed through stages II/III. Resume
-    /// continues at batch `batches_done`.
-    pub batches_done: u64,
-    /// Whether the run completed; a finished checkpoint resumes by
-    /// returning [`report`](Self::report) without touching the network.
-    pub finished: bool,
-    /// The report accumulated over the completed prefix.
-    pub report: ScanReport,
-    /// Telemetry recorded over the completed prefix (absorbed into the
-    /// resuming pipeline's registry).
-    pub telemetry: TelemetrySnapshot,
-}
-
-impl ScanCheckpoint {
-    /// Load and parse a checkpoint file.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
-        let cp: ScanCheckpoint =
-            serde_json::from_slice(&bytes).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        if cp.format != CHECKPOINT_FORMAT {
-            return Err(CheckpointError::FormatVersion {
-                found: cp.format,
-                expected: CHECKPOINT_FORMAT,
-            });
-        }
-        Ok(cp)
-    }
-
-    /// Write the checkpoint atomically: serialize to `<path>.tmp`, then
-    /// rename over `path`. A crash at any point leaves either the old
-    /// or the new checkpoint on disk, never a torn file.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = serde_json::to_vec(self).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes).map_err(|e| CheckpointError::Io(format!("{tmp:?}: {e}")))?;
-        std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))
-    }
-
-    /// Reject the checkpoint unless it was produced under `current`.
-    pub fn validate(&self, current: &ConfigFingerprint) -> Result<(), CheckpointError> {
-        match self.fingerprint.first_mismatch(current) {
-            None => Ok(()),
-            Some(knob) => Err(CheckpointError::ConfigMismatch(knob.to_string())),
-        }
     }
 }
 

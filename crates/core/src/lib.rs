@@ -17,11 +17,6 @@
 //! * **Telemetry** ([`telemetry`]): a lock-cheap metrics registry
 //!   threaded through every stage — counters, fixed-bucket histograms
 //!   and virtual-clock stage timings, snapshot as deterministic JSON.
-//! * **Scan-as-a-service** ([`jobs`]): a multi-tenant [`JobEngine`]
-//!   with token-bucket quotas, pause/resume backed by the checkpoint
-//!   machinery, streamed per-batch results, and recurring observer
-//!   jobs — plus the NDJSON wire protocol of the `nokeys-scand`
-//!   daemon.
 //!
 //! The pipeline is generic over the [`Transport`](nokeys_http::Transport)
 //! abstraction: the same code scans the simulated universe
@@ -32,7 +27,6 @@ pub mod ct;
 pub mod disclosure;
 pub mod fingerprint;
 pub mod htmlcheck;
-pub mod jobs;
 pub mod multipattern;
 pub mod observer;
 pub mod pattern;
@@ -50,8 +44,7 @@ pub mod shard;
 pub mod signatures;
 pub mod telemetry;
 
-pub use checkpoint::{CheckpointError, ConfigFingerprint, ScanCheckpoint};
-pub use jobs::{JobEngine, JobHandle, JobSpec, WorkerLaunch};
+pub use checkpoint::{CheckpointError, ConfigFingerprint};
 pub use multipattern::{MultiPattern, ViewUse};
 pub use pattern::{MatchMode, Pattern, PreparedBody};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineError};

@@ -236,15 +236,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Force stage I to probe every (address, port) pair one at a time
-    /// instead of the sparse block-sweep fast path. Reports and
-    /// telemetry are byte-identical either way; this is a
-    /// differential-testing oracle, not a tuning knob.
-    pub fn dense_sweep(mut self, dense: bool) -> Self {
-        self.portscan.dense_sweep = dense;
-        self
-    }
-
     /// /24 blocks handed to stages II/III per batch.
     pub fn blocks_per_batch(mut self, blocks: usize) -> Self {
         self.blocks_per_batch = blocks;
@@ -269,19 +260,6 @@ impl PipelineConfigBuilder {
         self.verify = enabled;
         self
     }
-
-    /// Maximum in-flight stage-II probes / stage-III verifications.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `0` — a zero-width pipeline can never make progress,
-    /// and silently clamping it would hide a configuration bug.
-    pub fn parallelism(mut self, parallelism: usize) -> Self {
-        assert!(parallelism > 0, "pipeline parallelism must be at least 1");
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Shard workers the batch sequence is split across. `1` (the
     /// default) keeps the single streaming pipeline; higher values run
     /// the [`shard`](crate::shard) orchestrator. Any value produces the
@@ -310,15 +288,6 @@ impl PipelineConfigBuilder {
         self.retry = retry;
         self
     }
-
-    /// Reuse per-worker scratch arenas across the stage II/III loops
-    /// (default `true`). Purely a performance setting: reports and
-    /// telemetry are byte-identical either way.
-    pub fn scratch_reuse(mut self, enabled: bool) -> Self {
-        self.scratch_reuse = enabled;
-        self
-    }
-
     /// Record pipeline metrics into a shared telemetry registry.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = Some(telemetry);
@@ -452,16 +421,6 @@ pub(crate) struct BatchProcessor {
     scratch_reuse: bool,
 }
 
-/// Shared state of one stage-III verify fan-out: hosts are claimed from
-/// an atomic cursor by persistent worker loops and each result is
-/// written to its host's slot, so the merge (by host index) is
-/// independent of completion order.
-struct VerifyQueue {
-    /// `Some(hits)` until the owning worker claims the host.
-    hosts: Vec<std::sync::Mutex<Option<Vec<PrefilterHit>>>>,
-    cursor: std::sync::atomic::AtomicUsize,
-    results: Vec<std::sync::OnceLock<Vec<HostFinding>>>,
-}
 
 /// The pipeline.
 pub struct Pipeline {
@@ -606,170 +565,6 @@ impl Pipeline {
         let checkpoint = ScanCheckpoint::load(path)?;
         checkpoint.validate(&ConfigFingerprint::of(&self.config))?;
         self.run_checkpointed(client, path, Some(checkpoint)).await
-    }
-
-    /// Effective stage II/III concurrency. The builder rejects `0`;
-    /// this clamp only guards direct mutation of the public field.
-    fn parallelism(&self) -> usize {
-        self.config.parallelism.max(1)
-    }
-
-    async fn run_inner<T>(&self, client: &Client<T>) -> Result<ScanReport, PipelineError>
-    where
-        T: Transport + Clone + 'static,
-    {
-        let mut report = ScanReport::default();
-        let parallelism = self.parallelism();
-
-        // Stage I: stream batches while the sweep continues. The channel
-        // bound keeps the sweep at most a few batches ahead of the
-        // verifier, limiting scan-vs-verify staleness and memory.
-        let (tx, mut rx) = tokio::sync::mpsc::channel(parallelism.max(2));
-        let scanner = self.scanner.clone();
-        let transport = client.transport().clone();
-        let blocks_per_batch = self.config.blocks_per_batch;
-        let sweep =
-            tokio::spawn(
-                async move { scanner.scan_stream(&transport, blocks_per_batch, tx).await },
-            );
-
-        // Stages II + III, in batch-sequence order (deterministic merge).
-        // Stage-I totals accumulate per batch (rather than from the
-        // sweep's end-of-run totals) so a checkpointed prefix of the
-        // same loop carries the same counts.
-        let mut next_seq = 0u64;
-        while let Some((seq, batch)) = rx.recv().await {
-            debug_assert_eq!(seq, next_seq, "batches must arrive in sweep order");
-            next_seq = seq + 1;
-            BatchProcessor::accumulate_sweep_counts(&mut report, &batch);
-            self.processor
-                .process_batch(client, batch, &mut report)
-                .await;
-        }
-
-        let totals = sweep
-            .await
-            .map_err(|e| PipelineError::SweepFailed(e.to_string()))?;
-        debug_assert_eq!(totals.probes_sent, report.probes_sent);
-        debug_assert_eq!(totals.addresses_probed, report.addresses_probed);
-        Ok(report)
-    }
-
-    /// [`run_inner`](Self::run_inner) with checkpoint persistence.
-    ///
-    /// Byte-identity across a kill/resume hinges on one invariant: when
-    /// a checkpoint is written, the main telemetry registry must hold
-    /// *exactly* the work of the batches processed so far — even though
-    /// the stage-I sweep task has raced a few batches ahead. The sweep
-    /// therefore records into a private staging registry (its scanner
-    /// metrics *and* its own [`RetryTransport`]) and attaches each
-    /// batch's telemetry delta to the batch message; the consumer
-    /// absorbs the delta only when it processes the batch. Telemetry
-    /// recorded after the final emitted batch (trailing all-reserved
-    /// blocks sweep counters, for example) arrives in a final
-    /// [`SweepMsg::Epilogue`].
-    async fn run_checkpointed<T>(
-        &self,
-        client: &Client<T>,
-        path: &Path,
-        prior: Option<ScanCheckpoint>,
-    ) -> Result<ScanReport, PipelineError>
-    where
-        T: Transport + Clone + 'static,
-    {
-        let fingerprint = ConfigFingerprint::of(&self.config);
-        let (mut report, first_batch) = match prior {
-            Some(checkpoint) if checkpoint.finished => {
-                // Warm resume: the stored prefix is the whole run.
-                self.telemetry.absorb(&checkpoint.telemetry);
-                return Ok(checkpoint.report);
-            }
-            Some(checkpoint) => {
-                self.telemetry.absorb(&checkpoint.telemetry);
-                (checkpoint.report, checkpoint.batches_done)
-            }
-            None => (ScanReport::default(), 0),
-        };
-        let parallelism = self.parallelism();
-
-        // Stages II/III record into the main registry as usual…
-        let retrying = client.with_transport(RetryTransport::new(
-            client.transport().clone(),
-            self.config.retry.clone(),
-            &self.telemetry,
-        ));
-        // …while the sweep gets the staging registry: a staged scanner
-        // plus a staging-bound retry transport (the probe retry lane is
-        // used by stage I only, so splitting the transports never splits
-        // a counter between registries).
-        let staging = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(self.config.portscan.clone(), &staging);
-        let sweep_transport = RetryTransport::new(
-            client.transport().clone(),
-            self.config.retry.clone(),
-            &staging,
-        );
-        let blocks_per_batch = self.config.blocks_per_batch;
-        let (tx, mut rx) = tokio::sync::mpsc::channel(parallelism.max(2));
-        let sweep_staging = staging.clone();
-        let sweep = tokio::spawn(async move {
-            scanner
-                .scan_stream_staged(
-                    &sweep_transport,
-                    blocks_per_batch,
-                    first_batch,
-                    &sweep_staging,
-                    tx,
-                )
-                .await
-        });
-
-        let every = self.config.checkpoint_every.max(1);
-        let mut batches_done = first_batch;
-        while let Some(msg) = rx.recv().await {
-            match msg {
-                SweepMsg::Batch { seq, batch, delta } => {
-                    debug_assert_eq!(seq, batches_done, "batches must arrive in sweep order");
-                    self.telemetry.absorb(&delta);
-                    BatchProcessor::accumulate_sweep_counts(&mut report, &batch);
-                    self.processor
-                        .process_batch(&retrying, batch, &mut report)
-                        .await;
-                    batches_done = seq + 1;
-                    if batches_done % every == 0 {
-                        // Synchronous write between awaits: an abort can
-                        // never leave a torn checkpoint behind.
-                        self.write_checkpoint(path, &fingerprint, batches_done, false, &report)?;
-                    }
-                }
-                SweepMsg::Epilogue { delta } => self.telemetry.absorb(&delta),
-            }
-        }
-        sweep
-            .await
-            .map_err(|e| PipelineError::SweepFailed(e.to_string()))?;
-        self.write_checkpoint(path, &fingerprint, batches_done, true, &report)?;
-        Ok(report)
-    }
-
-    fn write_checkpoint(
-        &self,
-        path: &Path,
-        fingerprint: &ConfigFingerprint,
-        batches_done: u64,
-        finished: bool,
-        report: &ScanReport,
-    ) -> Result<(), PipelineError> {
-        let checkpoint = ScanCheckpoint {
-            format: CHECKPOINT_FORMAT,
-            fingerprint: fingerprint.clone(),
-            batches_done,
-            finished,
-            report: report.clone(),
-            telemetry: self.telemetry.snapshot(),
-        };
-        checkpoint.save(path)?;
-        Ok(())
     }
 }
 
@@ -1095,12 +890,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parallelism must be at least 1")]
-    fn builder_rejects_zero_parallelism() {
-        let _ = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).parallelism(0);
-    }
-
-    #[test]
     #[should_panic(expected = "checkpoint_every must be at least 1")]
     fn builder_rejects_zero_checkpoint_cadence() {
         let _ = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).checkpoint_every(0);
@@ -1304,32 +1093,5 @@ mod tests {
             .map(|(_, v)| v)
             .sum();
         assert_eq!(confirmed, snap.counter("pipeline.mavs"));
-    }
-
-    /// Same seed, same parallelism, two runs: byte-identical reports.
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn concurrent_pipeline_is_deterministic() {
-        let a = run_tiny_parallel(42, 8).await;
-        let b = run_tiny_parallel(42, 8).await;
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "same-seed concurrent runs must serialize identically"
-        );
-    }
-
-    /// The concurrent report equals the sequential (`parallelism = 1`)
-    /// report, at several concurrency levels.
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn concurrent_report_equals_sequential_report() {
-        let sequential = serde_json::to_string(&run_tiny_parallel(42, 1).await).unwrap();
-        for parallelism in [2, 8, 32] {
-            let concurrent =
-                serde_json::to_string(&run_tiny_parallel(42, parallelism).await).unwrap();
-            assert_eq!(
-                concurrent, sequential,
-                "parallelism {parallelism} diverged from the sequential report"
-            );
-        }
     }
 }

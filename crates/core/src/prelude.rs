@@ -5,19 +5,11 @@
 //! ```
 //!
 //! Re-exports the user-facing surface: pipeline configuration and
-//! execution, reports and telemetry, checkpointing, pacing, and the
-//! [`jobs`](crate::jobs) engine with its spec/handle/event types.
+//! execution, reports and telemetry, checkpointing and pacing.
 //! Internal machinery (prefilter internals, shard segments, signature
 //! tables) stays behind its modules.
 
-pub use crate::checkpoint::{CheckpointError, ConfigFingerprint, ScanCheckpoint};
-pub use crate::jobs::process::WorkerSpec;
-pub use crate::jobs::wire::{Command, Reply, WorkerCommand, WorkerReply};
-pub use crate::jobs::{
-    CheckpointPolicy, EngineConfig, JobEngine, JobError, JobEvent, JobHandle, JobId, JobKind,
-    JobOutcome, JobResync, JobSpec, JobState, JobStatus, ObserveSpec, Recurrence, ScanSpec,
-    TenantConfig, WorkerLaunch,
-};
+pub use crate::checkpoint::{CheckpointError, ConfigFingerprint};
 pub use crate::observer::{
     observe, observe_incremental, observe_instrumented, LongevityStudy, ObserverConfig,
     RescanDelta,

@@ -139,15 +139,6 @@ impl Pacer {
 /// `shared_pacer_*` tests pin this). Handing out the lock during the
 /// sleep instead would let every waiter observe the same refill
 /// interval and overfeed the bucket.
-/// Pacers additionally **chain**: a pacer may name an upstream
-/// [`SharedPacer`], and every draw is charged to each level of the
-/// chain in turn (local bucket first, then upstream). The job engine
-/// uses this to build its two-level budget — a job's pacer chains into
-/// its tenant's bucket, which chains into the engine-wide bucket — so a
-/// probe is admitted only once *every* level has granted it, and a
-/// tenant's jobs cannot together exceed either the tenant quota or the
-/// global ceiling. A [`passthrough`](Self::passthrough) level has no
-/// bucket of its own and simply forwards to its upstream.
 #[derive(Debug, Clone, Default)]
 pub struct SharedPacer {
     inner: Option<std::sync::Arc<tokio::sync::Mutex<Pacer>>>,
@@ -164,38 +155,6 @@ impl SharedPacer {
             )))),
             upstream: None,
         }
-    }
-
-    /// A pacer with no bucket of its own: every draw is free locally
-    /// and only charged to the upstream chain (if any). An unlimited
-    /// tenant under a global ceiling, for instance.
-    pub fn passthrough() -> Self {
-        SharedPacer {
-            inner: None,
-            upstream: None,
-        }
-    }
-
-    /// Chain this pacer under `upstream`: every draw is charged to this
-    /// pacer's own bucket first, then to `upstream` (and transitively
-    /// to *its* upstream). The upstream handle is shared — clones of it
-    /// chained under many pacers all drain one bucket.
-    pub fn with_upstream(mut self, upstream: SharedPacer) -> Self {
-        self.upstream = Some(std::sync::Arc::new(upstream));
-        self
-    }
-
-    /// Whether any level of the chain actually holds a bucket (a pure
-    /// passthrough chain never waits and callers may skip it).
-    pub fn is_limiting(&self) -> bool {
-        let mut level = Some(self);
-        while let Some(p) = level {
-            if p.inner.is_some() {
-                return true;
-            }
-            level = p.upstream.as_deref();
-        }
-        false
     }
 
     /// Wait for and consume one token from every level of the chain.
@@ -453,89 +412,5 @@ mod tests {
         // 1 burst token + 20 refilled at 10/s = 2s of virtual time.
         assert!(elapsed >= Duration::from_millis(1_990), "{elapsed:?}");
         assert!(elapsed <= Duration::from_millis(2_200), "{elapsed:?}");
-    }
-
-    /// A passthrough pacer (no bucket, no upstream) never waits.
-    #[tokio::test(start_paused = true)]
-    async fn passthrough_is_free() {
-        let p = SharedPacer::passthrough();
-        assert!(!p.is_limiting());
-        let start = tokio::time::Instant::now();
-        p.acquire_many(1_000_000).await;
-        p.acquire().await;
-        assert_eq!(tokio::time::Instant::now() - start, Duration::ZERO);
-    }
-
-    /// A chained draw is charged to every level: with a generous local
-    /// bucket the upstream ceiling still binds, and vice versa — the
-    /// effective rate is the minimum over the chain.
-    #[tokio::test(start_paused = true)]
-    async fn chained_draws_pay_the_slowest_level() {
-        // Tight upstream (10/s), generous local (1000/s).
-        let global = SharedPacer::new(10.0, 1.0);
-        let tenant = SharedPacer::new(1000.0, 1.0).with_upstream(global);
-        assert!(tenant.is_limiting());
-        let start = tokio::time::Instant::now();
-        for _ in 0..11 {
-            tenant.acquire().await;
-        }
-        let elapsed = tokio::time::Instant::now() - start;
-        // 1 burst token upstream + 10 at 10/s = 1s of virtual time.
-        assert!(elapsed >= Duration::from_millis(990), "{elapsed:?}");
-
-        // Tight local (10/s), generous upstream (1000/s): same bound.
-        let global = SharedPacer::new(1000.0, 1.0);
-        let tenant = SharedPacer::new(10.0, 1.0).with_upstream(global);
-        let start = tokio::time::Instant::now();
-        for _ in 0..11 {
-            tenant.acquire().await;
-        }
-        let elapsed = tokio::time::Instant::now() - start;
-        assert!(elapsed >= Duration::from_millis(990), "{elapsed:?}");
-    }
-
-    /// Two tenants chained under one shared global bucket: their
-    /// combined draw rate is bounded by the global ceiling even when
-    /// each tenant's own quota would allow more.
-    #[tokio::test(start_paused = true)]
-    async fn shared_upstream_bounds_the_sum_of_tenants() {
-        let global = SharedPacer::new(20.0, 1.0);
-        let a = SharedPacer::new(1000.0, 1.0).with_upstream(global.clone());
-        let b = SharedPacer::new(1000.0, 1.0).with_upstream(global);
-        let start = tokio::time::Instant::now();
-        let ta = tokio::spawn(async move {
-            for _ in 0..10 {
-                a.acquire().await;
-            }
-        });
-        let tb = tokio::spawn(async move {
-            for _ in 0..11 {
-                b.acquire().await;
-            }
-        });
-        ta.await.expect("tenant a");
-        tb.await.expect("tenant b");
-        let elapsed = tokio::time::Instant::now() - start;
-        // 21 tokens through a 20/s global bucket with 1 stored: 1s.
-        assert!(elapsed >= Duration::from_millis(990), "{elapsed:?}");
-    }
-
-    /// Bulk draws charge every level with the same telescoping
-    /// arithmetic as the single-level pacer.
-    #[tokio::test(start_paused = true)]
-    async fn chained_acquire_many_charges_every_level() {
-        let global = SharedPacer::new(64.0, 64.0);
-        let tenant = SharedPacer::passthrough().with_upstream(global.clone());
-        let start = tokio::time::Instant::now();
-        tenant.acquire_many(128).await;
-        let elapsed = tokio::time::Instant::now() - start;
-        // (128 - 64) / 64 = 1s, paid entirely upstream.
-        assert!(elapsed >= Duration::from_millis(990), "{elapsed:?}");
-
-        // The global bucket is drained: a sibling draw now pays full price.
-        let start = tokio::time::Instant::now();
-        global.acquire().await;
-        let next = tokio::time::Instant::now() - start;
-        assert!(next >= Duration::from_millis(10), "{next:?}");
     }
 }

@@ -16,4 +16,3 @@ pub use nokeys_netsim as netsim;
 pub use nokeys_scanner as scanner;
 
 pub mod repro;
-pub mod worker;
