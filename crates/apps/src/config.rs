@@ -7,12 +7,11 @@
 
 use crate::catalog::AppId;
 use crate::version::{insecure_by_default, Version};
-use serde::{Deserialize, Serialize};
 
 /// Instance configuration. Not every field is meaningful for every
 /// application; [`AppConfig::default_for`] produces factory settings and
 /// the per-app `is_vulnerable` logic consults only its own switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppConfig {
     /// Generic authentication switch: admin password, ACLs, Kerberos,
     /// token auth — whatever the product's primary mechanism is.

@@ -7,10 +7,9 @@
 //! functionality*; [`AppEvent::as_execution`] encodes that definition.
 
 use nokeys_http::Response;
-use serde::{Deserialize, Serialize};
 
 /// A security-relevant state transition inside an application model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppEvent {
     /// A system command was executed (terminal, build step, script check,
     /// template code, ...).

@@ -12,12 +12,11 @@
 //! * Adminer 4.6.3 (June 2018) — empty passwords rejected.
 
 use crate::catalog::AppId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Year + month of a release. Months are enough resolution for the
 /// paper's half-year binning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReleaseDate {
     pub year: u16,
     /// 1-12.
@@ -47,7 +46,7 @@ impl fmt::Display for ReleaseDate {
 }
 
 /// A released version of an application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Version {
     pub major: u16,
     pub minor: u16,

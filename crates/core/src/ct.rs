@@ -14,12 +14,11 @@
 use crate::plugin::detect_mav;
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Request, Scheme, Transport, Url};
-use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// A CT log entry as consumed by the scanner (mirrors
 /// `nokeys_netsim::CtEntry` without depending on the simulation crate).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DomainTarget {
     pub domain: String,
     pub ip: Ipv4Addr,
@@ -28,7 +27,7 @@ pub struct DomainTarget {
 }
 
 /// Result of probing one freshly logged domain.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CtFinding {
     pub domain: String,
     pub ip: Ipv4Addr,
@@ -43,7 +42,7 @@ pub struct CtFinding {
 /// Fetch a path from a *named* virtual host: request goes to the IP, the
 /// `Host` header carries the domain, and redirects are followed with the
 /// header preserved.
-pub async fn fetch_vhost<T: Transport>(
+pub fn fetch_vhost<T: Transport>(
     client: &Client<T>,
     ip: Ipv4Addr,
     domain: &str,
@@ -53,7 +52,7 @@ pub async fn fetch_vhost<T: Transport>(
     for _ in 0..client.config().max_redirects {
         let url = Url::for_ip(Scheme::Http, ip, 80, &current);
         let req = Request::get(current.clone()).with_header("Host", domain);
-        let resp = client.execute(&url, req).await.ok()?;
+        let resp = client.execute(&url, req).ok()?;
         if let Some(location) = resp.location() {
             if resp.status.is_redirect() && location.starts_with('/') {
                 current = location.to_string();
@@ -67,13 +66,13 @@ pub async fn fetch_vhost<T: Transport>(
 
 /// The four installation-hijack detection probes, addressed by name.
 /// Returns `(app, vulnerable)` for the first CMS that answers.
-pub async fn probe_domain<T: Transport>(
+pub fn probe_domain<T: Transport>(
     client: &Client<T>,
     ip: Ipv4Addr,
     domain: &str,
 ) -> (Option<AppId>, bool) {
     // Identify the CMS from its root page signatures first.
-    let Some(root) = fetch_vhost(client, ip, domain, "/").await else {
+    let Some(root) = fetch_vhost(client, ip, domain, "/") else {
         return (None, false);
     };
     let body = crate::pattern::PreparedBody::new(root.body_str());
@@ -96,7 +95,7 @@ pub async fn probe_domain<T: Transport>(
         domain: domain.to_string(),
     };
     let pinned_client = Client::with_config(pinned, client.config().clone());
-    let vulnerable = detect_mav(&pinned_client, app, Endpoint::new(ip, 80), Scheme::Http).await;
+    let vulnerable = detect_mav(&pinned_client, app, Endpoint::new(ip, 80), Scheme::Http);
     (Some(app), vulnerable)
 }
 
@@ -114,17 +113,17 @@ pub struct HostPinned<'a, T> {
 impl<'a, T: Transport> Transport for HostPinned<'a, T> {
     type Conn = PinnedConn<T::Conn>;
 
-    async fn probe(&self, ep: Endpoint) -> nokeys_http::ProbeOutcome {
-        self.inner.probe(ep).await
+    fn probe(&self, ep: Endpoint) -> nokeys_http::ProbeOutcome {
+        self.inner.probe(ep)
     }
 
-    async fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<Self::Conn> {
-        let conn = self.inner.connect(ep, scheme).await?;
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<Self::Conn> {
+        let conn = self.inner.connect(ep, scheme)?;
         Ok(Self::pin(conn, self.domain.clone()))
     }
 
-    async fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<Self::Conn> {
-        let conn = self.inner.connect_fresh(ep, scheme).await?;
+    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<Self::Conn> {
+        let conn = self.inner.connect_fresh(ep, scheme)?;
         Ok(Self::pin(conn, self.domain.clone()))
     }
 
@@ -139,7 +138,6 @@ impl<'a, T: Transport> HostPinned<'a, T> {
             conn,
             domain,
             head_buf: Vec::new(),
-            out_queue: Vec::new(),
             header_done: false,
         }
     }
@@ -147,96 +145,49 @@ impl<'a, T: Transport> HostPinned<'a, T> {
 
 /// Connection wrapper rewriting the `Host:` header of each request head
 /// that passes through. Bytes are buffered until the head is complete,
-/// rewritten, then drained to the inner connection (tolerating partial
-/// downstream writes).
+/// rewritten, then written to the inner connection in one piece.
 pub struct PinnedConn<C> {
     conn: C,
     domain: String,
     head_buf: Vec<u8>,
-    out_queue: Vec<u8>,
     header_done: bool,
 }
 
-impl<C: nokeys_http::transport::Connection> PinnedConn<C> {
-    fn try_drain(&mut self, cx: &mut std::task::Context<'_>) -> std::io::Result<()> {
-        while !self.out_queue.is_empty() {
-            match std::pin::Pin::new(&mut self.conn).poll_write(cx, &self.out_queue) {
-                std::task::Poll::Ready(Ok(n)) => {
-                    self.out_queue.drain(..n);
-                }
-                std::task::Poll::Ready(Err(e)) => return Err(e),
-                std::task::Poll::Pending => break,
-            }
+impl<C: nokeys_http::transport::Connection> std::io::Write for PinnedConn<C> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.header_done {
+            return self.conn.write(buf);
         }
-        Ok(())
-    }
-}
-
-impl<C: nokeys_http::transport::Connection> tokio::io::AsyncWrite for PinnedConn<C> {
-    fn poll_write(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        buf: &[u8],
-    ) -> std::task::Poll<std::io::Result<usize>> {
-        let this = &mut *self;
-        if this.header_done {
-            if this.out_queue.is_empty() {
-                return std::pin::Pin::new(&mut this.conn).poll_write(cx, buf);
-            }
-            this.out_queue.extend_from_slice(buf);
-            this.try_drain(cx)?;
-            return std::task::Poll::Ready(Ok(buf.len()));
-        }
-        this.head_buf.extend_from_slice(buf);
-        if let Some(end) = this.head_buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head = String::from_utf8_lossy(&this.head_buf[..end]).into_owned();
-            let rest = this.head_buf[end..].to_vec();
-            let mut rewritten = String::new();
+        self.head_buf.extend_from_slice(buf);
+        if let Some(end) = self.head_buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&self.head_buf[..end]).into_owned();
+            let mut wire = Vec::with_capacity(self.head_buf.len() + self.domain.len());
             for (i, line) in head.split("\r\n").enumerate() {
-                if i > 0 && line.to_ascii_lowercase().starts_with("host:") {
-                    rewritten.push_str(&format!("Host: {}", this.domain));
-                } else {
-                    rewritten.push_str(line);
+                if i > 0 {
+                    wire.extend_from_slice(b"\r\n");
                 }
-                rewritten.push_str("\r\n");
+                if i > 0 && line.to_ascii_lowercase().starts_with("host:") {
+                    wire.extend_from_slice(format!("Host: {}", self.domain).as_bytes());
+                } else {
+                    wire.extend_from_slice(line.as_bytes());
+                }
             }
-            let mut wire = rewritten.trim_end_matches("\r\n").as_bytes().to_vec();
-            wire.extend_from_slice(&rest);
-            this.header_done = true;
-            this.head_buf.clear();
-            this.out_queue = wire;
-            this.try_drain(cx)?;
+            wire.extend_from_slice(&self.head_buf[end..]);
+            self.header_done = true;
+            self.head_buf.clear();
+            self.conn.write_all(&wire)?;
         }
-        std::task::Poll::Ready(Ok(buf.len()))
+        Ok(buf.len())
     }
 
-    fn poll_flush(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        let this = &mut *self;
-        this.try_drain(cx)?;
-        if !this.out_queue.is_empty() {
-            return std::task::Poll::Pending;
-        }
-        std::pin::Pin::new(&mut this.conn).poll_flush(cx)
-    }
-
-    fn poll_shutdown(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.conn).poll_shutdown(cx)
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.conn.flush()
     }
 }
 
-impl<C: nokeys_http::transport::Connection> tokio::io::AsyncRead for PinnedConn<C> {
-    fn poll_read(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        buf: &mut tokio::io::ReadBuf<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.conn).poll_read(cx, buf)
+impl<C: nokeys_http::transport::Connection> std::io::Read for PinnedConn<C> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.conn.read(buf)
     }
 }
 
@@ -257,12 +208,24 @@ impl<C: nokeys_http::transport::Connection> nokeys_http::transport::Connection f
         }
         self.conn.set_reusable(reusable);
     }
+
+    fn take_recycled_buf(&mut self) -> Option<Vec<u8>> {
+        self.conn.take_recycled_buf()
+    }
+
+    fn store_recycled_buf(&mut self, buf: Vec<u8>) {
+        self.conn.store_recycled_buf(buf);
+    }
+
+    fn set_io_timeout(&mut self, timeout: std::time::Duration) -> std::io::Result<()> {
+        self.conn.set_io_timeout(timeout)
+    }
 }
 
 /// Scan every logged domain `delay_secs` after it appears (the CT
 /// watcher's reaction time), invoking `advance_clock` with the probe
 /// time.
-pub async fn ct_scan<T, F>(
+pub fn ct_scan<T, F>(
     client: &Client<T>,
     entries: &[DomainTarget],
     delay_secs: i64,
@@ -278,7 +241,7 @@ where
     for entry in sorted {
         let probe_at = entry.logged_at_secs + delay_secs;
         advance_clock(probe_at);
-        let (app, vulnerable) = probe_domain(client, entry.ip, &entry.domain).await;
+        let (app, vulnerable) = probe_domain(client, entry.ip, &entry.domain);
         findings.push(CtFinding {
             domain: entry.domain.clone(),
             ip: entry.ip,
@@ -305,8 +268,8 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn host_pinned_transport_rewrites_the_header() {
+    #[test]
+    fn host_pinned_transport_rewrites_the_header() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 20), 80);
         let inner = HandlerTransport::new().with(ep, Arc::new(HostEcho));
         let inner_client = Client::new(inner);
@@ -317,12 +280,12 @@ mod tests {
         let client = Client::new(pinned);
         // The client writes `Host: 10.20.20.20`; the pinned connection
         // rewrites it on the wire.
-        let fetched = client.get_path(ep, Scheme::Http, "/").await.unwrap();
+        let fetched = client.get_path(ep, Scheme::Http, "/").unwrap();
         assert_eq!(fetched.response.body_text(), "pinned.example");
     }
 
-    #[tokio::test]
-    async fn host_pinned_handles_requests_with_bodies() {
+    #[test]
+    fn host_pinned_handles_requests_with_bodies() {
         struct BodyEcho;
         impl nokeys_http::server::Handler for BodyEcho {
             fn handle(&self, req: &Request, _peer: Ipv4Addr) -> Response {
@@ -344,13 +307,12 @@ mod tests {
         let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/x");
         let resp = client
             .execute(&url, Request::post("/x", "payload-body"))
-            .await
             .unwrap();
         assert_eq!(resp.body_text(), "d.example|payload-body");
     }
 
-    #[tokio::test]
-    async fn fetch_vhost_follows_relative_redirects_with_host() {
+    #[test]
+    fn fetch_vhost_follows_relative_redirects_with_host() {
         struct Redirecting;
         impl nokeys_http::server::Handler for Redirecting {
             fn handle(&self, req: &Request, _peer: Ipv4Addr) -> Response {
@@ -368,17 +330,16 @@ mod tests {
         let transport = HandlerTransport::new().with(ep, Arc::new(Redirecting));
         let client = Client::new(transport);
         let resp = fetch_vhost(&client, ep.ip, "fresh.example", "/")
-            .await
             .unwrap();
         assert_eq!(resp.body_text(), "installer for fresh.example");
     }
 
-    #[tokio::test]
-    async fn probe_domain_handles_unknown_sites() {
+    #[test]
+    fn probe_domain_handles_unknown_sites() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 23), 80);
         let transport = HandlerTransport::new().with(ep, Arc::new(HostEcho));
         let client = Client::new(transport);
-        let (app, vulnerable) = probe_domain(&client, ep.ip, "whatever.example").await;
+        let (app, vulnerable) = probe_domain(&client, ep.ip, "whatever.example");
         assert_eq!(app, None);
         assert!(!vulnerable);
     }

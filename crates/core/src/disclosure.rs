@@ -11,12 +11,11 @@
 use crate::report::HostFinding;
 use nokeys_http::transport::Connection;
 use nokeys_http::{Scheme, Transport};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// How one vulnerable host will be notified.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Contact {
     /// Reported to the hosting/cloud provider with the affected asset.
     Provider(String),
@@ -27,7 +26,7 @@ pub enum Contact {
 }
 
 /// The complete notification plan.
-#[derive(Debug, Default, Serialize)]
+#[derive(Debug, Default)]
 pub struct ContactPlan {
     /// Provider name → affected addresses (bulk reports).
     pub by_provider: BTreeMap<String, Vec<Ipv4Addr>>,
@@ -63,7 +62,7 @@ impl ContactPlan {
 ///
 /// `provider_of` is the IP-metadata lookup: `Some(provider_name)` when
 /// the address belongs to a dedicated hosting/cloud provider.
-pub async fn plan_notifications<T, F>(
+pub fn plan_notifications<T, F>(
     transport: &T,
     findings: &[HostFinding],
     provider_of: F,
@@ -84,7 +83,7 @@ where
         let mut domain = None;
         for port in [finding.endpoint.port, 443] {
             let ep = nokeys_http::Endpoint::new(ip, port);
-            if let Ok(conn) = transport.connect(ep, Scheme::Https).await {
+            if let Ok(conn) = transport.connect(ep, Scheme::Https) {
                 if let Some(cert) = conn.certificate() {
                     if let Some(subject) = cert.subject {
                         domain = Some(subject);
@@ -139,12 +138,12 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn providers_take_precedence_and_secure_hosts_are_skipped() {
+    #[test]
+    fn providers_take_precedence_and_secure_hosts_are_skipped() {
         let transport = nokeys_http::memory::HandlerTransport::new();
         let findings = vec![finding([10, 0, 0, 1], true), finding([10, 0, 0, 2], false)];
         let plan =
-            plan_notifications(&transport, &findings, |_| Some("ExampleCloud".to_string())).await;
+            plan_notifications(&transport, &findings, |_| Some("ExampleCloud".to_string()));
         assert_eq!(
             plan.by_provider["ExampleCloud"],
             vec![Ipv4Addr::new(10, 0, 0, 1)]
@@ -157,12 +156,12 @@ mod tests {
         assert_eq!(plan.contact_of(Ipv4Addr::new(10, 0, 0, 2)), None);
     }
 
-    #[tokio::test]
-    async fn hosts_without_provider_or_cert_are_unreachable() {
+    #[test]
+    fn hosts_without_provider_or_cert_are_unreachable() {
         // HandlerTransport has no mounted endpoints: HTTPS connects fail.
         let transport = nokeys_http::memory::HandlerTransport::new();
         let findings = vec![finding([10, 0, 0, 3], true)];
-        let plan = plan_notifications(&transport, &findings, |_| None).await;
+        let plan = plan_notifications(&transport, &findings, |_| None);
         assert_eq!(plan.unreachable, vec![Ipv4Addr::new(10, 0, 0, 3)]);
         assert_eq!(plan.notifiable(), 0);
         let text = render(&plan);

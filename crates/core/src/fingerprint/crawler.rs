@@ -10,7 +10,7 @@ use nokeys_http::{Client, Endpoint, Scheme, Transport};
 /// for every file that exists. Clears and refills `out`, reusing its
 /// capacity: the crawl paths are `'static`, so the steady state
 /// allocates nothing.
-pub async fn crawl_into<T: Transport>(
+pub fn crawl_into<T: Transport>(
     client: &Client<T>,
     kb: &KnowledgeBase,
     ep: Endpoint,
@@ -19,7 +19,7 @@ pub async fn crawl_into<T: Transport>(
 ) {
     out.clear();
     for path in kb.crawl_paths() {
-        let Ok(fetched) = client.get_path(ep, scheme, path).await else {
+        let Ok(fetched) = client.get_path(ep, scheme, path) else {
             continue;
         };
         if !fetched.response.status.is_success() {
@@ -33,35 +33,35 @@ pub async fn crawl_into<T: Transport>(
 /// every file that exists. Allocating convenience wrapper around
 /// [`crawl_into`] for callers without a scratch arena (the longevity
 /// observer keeps the owned paths in its host state).
-pub async fn crawl<T: Transport>(
+pub fn crawl<T: Transport>(
     client: &Client<T>,
     kb: &KnowledgeBase,
     ep: Endpoint,
     scheme: Scheme,
 ) -> Vec<(String, u64)> {
     let mut obs = Vec::new();
-    crawl_into(client, kb, ep, scheme, &mut obs).await;
+    crawl_into(client, kb, ep, scheme, &mut obs);
     obs.into_iter()
         .map(|(path, hash)| (path.to_string(), hash))
         .collect()
 }
 
 /// Crawl and identify in one step.
-pub async fn identify<T: Transport>(
+pub fn identify<T: Transport>(
     client: &Client<T>,
     kb: &KnowledgeBase,
     ep: Endpoint,
     scheme: Scheme,
 ) -> Option<(AppId, Version)> {
     let mut observations = Vec::new();
-    crawl_into(client, kb, ep, scheme, &mut observations).await;
+    crawl_into(client, kb, ep, scheme, &mut observations);
     kb.identify(&observations)
 }
 
 /// Crawl and identify, borrowing the observation buffer from the
 /// caller's [`Scratch`](crate::scratch::Scratch) — the stage-III
 /// steady-state path.
-pub async fn identify_scratch<T: Transport>(
+pub fn identify_scratch<T: Transport>(
     client: &Client<T>,
     kb: &KnowledgeBase,
     ep: Endpoint,
@@ -69,7 +69,7 @@ pub async fn identify_scratch<T: Transport>(
     scratch: &mut crate::scratch::Scratch,
 ) -> Option<(AppId, Version)> {
     let observations = scratch.crawl_buf();
-    crawl_into(client, kb, ep, scheme, observations).await;
+    crawl_into(client, kb, ep, scheme, observations);
     kb.identify(observations)
 }
 
@@ -82,8 +82,8 @@ mod tests {
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
-    #[tokio::test]
-    async fn crawler_identifies_a_version_stripped_app() {
+    #[test]
+    fn crawler_identifies_a_version_stripped_app() {
         // GoCD discloses no version string; the crawler must identify it.
         let app = AppId::Gocd;
         let history = release_history(app);
@@ -98,14 +98,13 @@ mod tests {
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::build();
         let (found_app, found_version) = identify(&client, &kb, ep, Scheme::Http)
-            .await
             .expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
     }
 
-    #[tokio::test]
-    async fn crawl_collects_only_existing_files() {
+    #[test]
+    fn crawl_collects_only_existing_files() {
         let app = AppId::Zeppelin;
         let version = release_history(app)[0];
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 4), 8080);
@@ -116,7 +115,7 @@ mod tests {
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::build();
-        let obs = crawl(&client, &kb, ep, Scheme::Http).await;
+        let obs = crawl(&client, &kb, ep, Scheme::Http);
         assert_eq!(
             obs.len(),
             kb.crawl_paths().len(),
@@ -124,12 +123,12 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn unreachable_target_crawls_nothing() {
+    #[test]
+    fn unreachable_target_crawls_nothing() {
         let client = Client::new(HandlerTransport::new());
         let kb = KnowledgeBase::build();
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 5), 80);
-        assert!(crawl(&client, &kb, ep, Scheme::Http).await.is_empty());
-        assert!(identify(&client, &kb, ep, Scheme::Http).await.is_none());
+        assert!(crawl(&client, &kb, ep, Scheme::Http).is_empty());
+        assert!(identify(&client, &kb, ep, Scheme::Http).is_none());
     }
 }

@@ -76,7 +76,7 @@ impl Fingerprinter {
     /// disclosure first, knowledge-base crawl as fallback. One-off
     /// entry point over a throwaway scratch arena; the stage-III
     /// worker loops call [`fingerprint_with`](Self::fingerprint_with).
-    pub async fn fingerprint<T: Transport>(
+    pub fn fingerprint<T: Transport>(
         &self,
         client: &Client<T>,
         app: AppId,
@@ -85,13 +85,12 @@ impl Fingerprinter {
     ) -> Option<(Version, FingerprintMethod)> {
         let mut scratch = crate::scratch::Scratch::new();
         self.fingerprint_with(client, app, ep, scheme, &mut scratch)
-            .await
     }
 
     /// Like [`fingerprint`](Self::fingerprint), borrowing the crawl
     /// observation buffer from the caller's scratch arena so the
     /// steady-state fingerprint path allocates nothing.
-    pub async fn fingerprint_with<T: Transport>(
+    pub fn fingerprint_with<T: Transport>(
         &self,
         client: &Client<T>,
         app: AppId,
@@ -100,12 +99,11 @@ impl Fingerprinter {
         scratch: &mut crate::scratch::Scratch,
     ) -> Option<(Version, FingerprintMethod)> {
         self.metrics.time.record(1);
-        if let Some(version) = voluntary::extract(client, app, ep, scheme).await {
+        if let Some(version) = voluntary::extract(client, app, ep, scheme) {
             self.metrics.voluntary.incr();
             return Some((version, FingerprintMethod::Voluntary));
         }
         let identified = crawler::identify_scratch(client, &self.kb, ep, scheme, scratch)
-            .await
             .filter(|(found_app, _)| *found_app == app)
             .map(|(_, version)| (version, FingerprintMethod::KnowledgeBase));
         match &identified {
@@ -136,14 +134,14 @@ mod tests {
         (Client::new(HandlerTransport::new().with(ep, handler)), ep)
     }
 
-    #[tokio::test]
-    async fn fingerprints_every_in_scope_app() {
+    #[test]
+    fn fingerprints_every_in_scope_app() {
         let fp = Fingerprinter::new();
         for app in AppId::in_scope() {
             let history = release_history(app);
             let idx = history.len() / 2;
             let (client, ep) = client_for(app, idx);
-            let result = fp.fingerprint(&client, app, ep, Scheme::Http).await;
+            let result = fp.fingerprint(&client, app, ep, Scheme::Http);
             let Some((version, method)) = result else {
                 panic!("{app}: no fingerprint");
             };
@@ -155,33 +153,30 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn unreachable_host_yields_none() {
+    #[test]
+    fn unreachable_host_yields_none() {
         let fp = Fingerprinter::new();
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 3), 80);
         assert!(fp
             .fingerprint(&client, AppId::WordPress, ep, Scheme::Http)
-            .await
             .is_none());
     }
 
-    #[tokio::test]
-    async fn telemetry_records_method_mix() {
+    #[test]
+    fn telemetry_records_method_mix() {
         let telemetry = Telemetry::new();
         let fp = Fingerprinter::with_telemetry(&telemetry);
         // One successful fingerprint...
         let (client, ep) = client_for(AppId::Jenkins, 0);
         assert!(fp
             .fingerprint(&client, AppId::Jenkins, ep, Scheme::Http)
-            .await
             .is_some());
         // ...and one miss against an unreachable host.
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 4), 80);
         assert!(fp
             .fingerprint(&client, AppId::Jenkins, ep, Scheme::Http)
-            .await
             .is_none());
         let snap = telemetry.snapshot();
         let hits =

@@ -52,17 +52,17 @@ fn after<'a>(body: &'a str, marker: &str, terminator: char) -> Option<&'a str> {
 /// Fetch a page and hand back the whole response: the extraction arms
 /// borrow its body in place with [`Response::body_str`] and parse the
 /// version out of the borrowed slice — no body copy per probe.
-async fn fetch_response<T: Transport>(
+fn fetch_response<T: Transport>(
     client: &Client<T>,
     ep: Endpoint,
     scheme: Scheme,
     path: &str,
 ) -> Option<Response> {
-    Some(client.get_path(ep, scheme, path).await.ok()?.response)
+    Some(client.get_path(ep, scheme, path).ok()?.response)
 }
 
 /// Attempt voluntary version extraction for `app` at `ep`.
-pub async fn extract<T: Transport>(
+pub fn extract<T: Transport>(
     client: &Client<T>,
     app: AppId,
     ep: Endpoint,
@@ -72,69 +72,69 @@ pub async fn extract<T: Transport>(
         AppId::Jenkins => {
             // `X-Jenkins` response header on every page, parsed out of
             // the borrowed header slice — no copy.
-            let fetched = client.get_path(ep, scheme, "/").await.ok()?;
+            let fetched = client.get_path(ep, scheme, "/").ok()?;
             parse_version_number(fetched.response.headers.get("x-jenkins")?)?
         }
         AppId::Kubernetes => {
-            let resp = fetch_response(client, ep, scheme, "/version").await?;
+            let resp = fetch_response(client, ep, scheme, "/version")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "\"gitVersion\":\"v", '"')?)?
         }
         AppId::Consul => {
-            let resp = fetch_response(client, ep, scheme, "/ui/").await?;
+            let resp = fetch_response(client, ep, scheme, "/ui/")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "CONSUL_VERSION: ", ' ')?)?
         }
         AppId::WordPress => {
-            let resp = fetch_response(client, ep, scheme, "/").await?;
+            let resp = fetch_response(client, ep, scheme, "/")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "content=\"WordPress ", '"')?)?
         }
         AppId::Grav => {
-            let resp = fetch_response(client, ep, scheme, "/").await?;
+            let resp = fetch_response(client, ep, scheme, "/")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "content=\"GravCMS ", '"')?)?
         }
         AppId::Zeppelin => {
-            let resp = fetch_response(client, ep, scheme, "/api/version").await?;
+            let resp = fetch_response(client, ep, scheme, "/api/version")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "\"version\":\"", '"')?)?
         }
         AppId::Nomad => {
             // The UI shell's version meta works even with ACLs on.
-            let resp = fetch_response(client, ep, scheme, "/ui/").await?;
+            let resp = fetch_response(client, ep, scheme, "/ui/")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "name=\"nomad-version\" content=\"", '"')?)?
         }
         AppId::Docker => {
             // Only open daemons answer /version.
-            let resp = fetch_response(client, ep, scheme, "/version").await?;
+            let resp = fetch_response(client, ep, scheme, "/version")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "\"Version\":\"", '"')?)?
         }
         AppId::Hadoop => {
-            let resp = fetch_response(client, ep, scheme, "/ws/v1/cluster/info").await?;
+            let resp = fetch_response(client, ep, scheme, "/ws/v1/cluster/info")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "\"hadoopVersion\":\"", '"')?)?
         }
         AppId::JupyterLab | AppId::JupyterNotebook => {
             // /api/status answers only without auth.
-            let resp = fetch_response(client, ep, scheme, "/api/status").await?;
+            let resp = fetch_response(client, ep, scheme, "/api/status")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "\"version\":\"", '"')?)?
         }
         AppId::Polynote => {
-            let resp = fetch_response(client, ep, scheme, "/").await?;
+            let resp = fetch_response(client, ep, scheme, "/")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "name=\"polynote-config\" content=\"", '"')?)?
         }
         AppId::PhpMyAdmin => {
-            let resp = fetch_response(client, ep, scheme, "/").await?;
+            let resp = fetch_response(client, ep, scheme, "/")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "phpMyAdmin ", '<')?)?
         }
         AppId::Adminer => {
-            let resp = fetch_response(client, ep, scheme, "/adminer.php").await?;
+            let resp = fetch_response(client, ep, scheme, "/adminer.php")?;
             let body = resp.body_str();
             parse_version_number(after(&body, "- Adminer ", '<')?)?
         }
@@ -197,8 +197,8 @@ mod tests {
         (Client::new(HandlerTransport::new().with(ep, handler)), ep)
     }
 
-    #[tokio::test]
-    async fn voluntary_apps_disclose_versions() {
+    #[test]
+    fn voluntary_apps_disclose_versions() {
         for app in [
             AppId::Jenkins,
             AppId::Kubernetes,
@@ -216,7 +216,7 @@ mod tests {
             // configs where disclosure needs it.
             let vulnerable = matches!(app, AppId::Hadoop | AppId::Polynote);
             let (client, ep) = serve(app, idx, vulnerable);
-            let v = extract(&client, app, ep, Scheme::Http).await;
+            let v = extract(&client, app, ep, Scheme::Http);
             assert_eq!(
                 v.map(|v| v.triple()),
                 Some(release_history(app)[idx].triple()),
@@ -225,24 +225,21 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn docker_disclosure_requires_open_daemon() {
+    #[test]
+    fn docker_disclosure_requires_open_daemon() {
         let idx = release_history(AppId::Docker).len() - 1;
         let (client, ep) = serve(AppId::Docker, idx, true);
         assert!(extract(&client, AppId::Docker, ep, Scheme::Http)
-            .await
             .is_some());
         let (client, ep) = serve(AppId::Docker, idx, false);
         assert!(extract(&client, AppId::Docker, ep, Scheme::Http)
-            .await
             .is_none());
     }
 
-    #[tokio::test]
-    async fn gocd_has_no_voluntary_disclosure() {
+    #[test]
+    fn gocd_has_no_voluntary_disclosure() {
         let (client, ep) = serve(AppId::Gocd, 0, false);
         assert!(extract(&client, AppId::Gocd, ep, Scheme::Http)
-            .await
             .is_none());
     }
 }

@@ -17,6 +17,12 @@
 //! * **Telemetry** ([`telemetry`]): a lock-cheap metrics registry
 //!   threaded through every stage — counters, fixed-bucket histograms
 //!   and virtual-clock stage timings, snapshot as deterministic JSON.
+//! * **Execution** ([`shard`], [`checkpoint`]): the one scan engine —
+//!   work-stealing shard workers on OS threads, with crash-safe
+//!   per-worker checkpoints in the one on-disk format.
+//!
+//! Everything is synchronous and std-only; [`json`] is the workspace's
+//! JSON reader/writer.
 //!
 //! The pipeline is generic over the [`Transport`](nokeys_http::Transport)
 //! abstraction: the same code scans the simulated universe
@@ -27,6 +33,7 @@ pub mod ct;
 pub mod disclosure;
 pub mod fingerprint;
 pub mod htmlcheck;
+pub mod json;
 pub mod multipattern;
 pub mod observer;
 pub mod pattern;
@@ -44,7 +51,7 @@ pub mod shard;
 pub mod signatures;
 pub mod telemetry;
 
-pub use checkpoint::{CheckpointError, ConfigFingerprint};
+pub use checkpoint::{CheckpointError, ConfigFingerprint, ShardCheckpoint, ShardSegment};
 pub use multipattern::{MultiPattern, ViewUse};
 pub use pattern::{MatchMode, Pattern, PreparedBody};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineError};
@@ -55,5 +62,5 @@ pub use rate::SharedPacer;
 pub use report::{FingerprintMethod, HostFinding, ScanReport};
 pub use retry::{RetryPolicy, RetryTransport};
 pub use scratch::Scratch;
-pub use shard::{ShardCheckpoint, ShardSegment, ShardStats};
+pub use shard::ShardStats;
 pub use telemetry::{Telemetry, TelemetrySnapshot};

@@ -261,7 +261,7 @@ impl MultiPattern {
 mod tests {
     use super::*;
     use crate::signatures::{all_signatures, match_candidates, match_counts};
-    use proptest::prelude::*;
+    use nokeys_http::cases::check;
 
     #[test]
     fn automaton_finds_overlapping_patterns() {
@@ -311,59 +311,77 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// On arbitrary bodies (including needle fragments spliced into
-        /// noise), the automaton agrees with the linear reference scan.
-        #[test]
-        fn agrees_with_linear_scan_on_random_bodies(
-            noise in ".{0,80}",
-            fragment in prop::sample::select(vec![
-                "Dashboard [Jenkins]", "wp-content", "minapiversion",
-                "MinAPIVersion", "\"kind\": \"Status\"", "k8s.io",
-                "phpMyAdmin", "logged in as: dr.who", "Apache Hadoop",
-            ]),
-            split in 0usize..80,
-        ) {
-            let sigs = all_signatures();
-            let mp = MultiPattern::new(&sigs);
-            let cut = noise.char_indices().map(|(i, _)| i)
-                .chain([noise.len()])
-                .nth(split.min(noise.chars().count()))
-                .unwrap_or(noise.len());
-            let body = format!("{}{}{}", &noise[..cut], fragment, &noise[cut..]);
-            let prepared = PreparedBody::new(body);
-            prop_assert_eq!(mp.match_counts(&prepared), match_counts(&sigs, &prepared));
-        }
+    /// Noise alphabet for random bodies: mixed case, whitespace (incl.
+    /// the Unicode kinds the squash view strips), multi-byte characters
+    /// and the punctuation the needles are made of.
+    const NOISE: &str =
+        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0189 \t\n\u{a0}\u{2028}éβ.:-_/<>=[]\"{}";
+    const FRAGMENTS: [&str; 9] = [
+        "Dashboard [Jenkins]",
+        "wp-content",
+        "minapiversion",
+        "MinAPIVersion",
+        "\"kind\": \"Status\"",
+        "k8s.io",
+        "phpMyAdmin",
+        "logged in as: dr.who",
+        "Apache Hadoop",
+    ];
 
-        /// The scratch-based pass leaves exactly the bits the
-        /// allocating pass returns, reports the same views as
-        /// materialized, and a single reused arena carries no state
-        /// between bodies.
-        #[test]
-        fn scratch_pass_is_byte_equivalent(
-            bodies in proptest::collection::vec(
-                "[a-zA-Z \t\nk8s\\.iowp\\-content\\[\\]\"{}:]{0,100}", 1..6
-            ),
-        ) {
-            let sigs = all_signatures();
-            let mp = MultiPattern::new(&sigs);
+    /// On arbitrary bodies (needle fragments spliced into noise at a
+    /// character boundary), the three ways to classify a body agree:
+    /// the scratch path (production), the allocating `PreparedBody`
+    /// path, and the 90-pattern linear scan. One reused arena carries
+    /// no state between bodies, and reports the same views as
+    /// materialized as the allocating path does.
+    #[test]
+    fn scratch_allocating_and_linear_paths_agree_on_random_bodies() {
+        let sigs = all_signatures();
+        let mp = MultiPattern::new(&sigs);
+        check(256, |g| {
             let mut scratch = crate::scratch::Scratch::new();
-            for body in &bodies {
+            for _ in 0..g.index(1..6) {
+                let mut body = g.string(NOISE, 0..100);
+                for _ in 0..g.index(0..3) {
+                    let cuts: Vec<usize> = body
+                        .char_indices()
+                        .map(|(i, _)| i)
+                        .chain([body.len()])
+                        .collect();
+                    body.insert_str(*g.pick(&cuts), *g.pick(&FRAGMENTS));
+                }
                 let prepared = PreparedBody::new(body.as_str());
+                // Allocating path = linear scan.
+                assert_eq!(
+                    mp.match_counts(&prepared),
+                    match_counts(&sigs, &prepared),
+                    "{body:?}"
+                );
+                assert_eq!(
+                    mp.match_candidates(&prepared),
+                    match_candidates(&sigs, &prepared),
+                    "{body:?}"
+                );
+                // Scratch path = allocating path, bit for bit.
                 let reference = mp.matched_signatures(&prepared);
                 // Force both views so materialization flags are final.
                 let _ = (prepared.lower(), prepared.squashed());
-                let used = mp.matched_signatures_scratch(body, &mut scratch);
-                prop_assert_eq!(scratch.matched(), &reference[..]);
-                prop_assert_eq!(used.lower.is_some(), prepared.lower_materialized());
-                prop_assert_eq!(used.squashed.is_some(), prepared.squashed_materialized());
+                let used = mp.matched_signatures_scratch(&body, &mut scratch);
+                assert_eq!(scratch.matched(), &reference[..], "{body:?}");
+                assert_eq!(
+                    rank_candidates(mp.counts_from_matched(scratch.matched())),
+                    match_candidates(&sigs, &prepared),
+                    "{body:?}"
+                );
+                assert_eq!(used.lower.is_some(), prepared.lower_materialized());
+                assert_eq!(used.squashed.is_some(), prepared.squashed_materialized());
                 if let Some(bytes) = used.lower {
-                    prop_assert_eq!(bytes, body.len());
+                    assert_eq!(bytes, body.len());
                 }
                 if let Some(bytes) = used.squashed {
-                    prop_assert_eq!(bytes, prepared.squashed().len());
+                    assert_eq!(bytes, prepared.squashed().len());
                 }
             }
-        }
+        });
     }
 }

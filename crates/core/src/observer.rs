@@ -25,10 +25,9 @@ use crate::plugin::detect_mav;
 use crate::report::HostFinding;
 use crate::telemetry::Telemetry;
 use nokeys_http::{Client, Endpoint, ProbeOutcome, Transport};
-use serde::{Deserialize, Serialize};
 
 /// Status of one host at one observation point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservedStatus {
     Vulnerable,
     Fixed,
@@ -47,7 +46,7 @@ impl ObservedStatus {
 }
 
 /// Host counts per status at one observation point.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatusCounts {
     /// Hosts still confirmed vulnerable.
     pub vulnerable: u64,
@@ -65,10 +64,7 @@ impl StatusCounts {
 }
 
 /// Timeline of one host across all observation points.
-///
-/// `Deserialize` exists so a serialized [`LongevityStudy`] can be fed
-/// back into [`observe_incremental`] as a checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostTimeline {
     pub finding: HostFinding,
     /// Whether the deployment is insecure *by default* (versus explicitly
@@ -83,9 +79,7 @@ pub struct HostTimeline {
     pub updated: bool,
     /// `(path, hash)` pairs from the last asset crawl, used by
     /// incremental rescans to skip re-fingerprinting hosts whose static
-    /// files have not changed. Empty for never-crawled hosts (and for
-    /// studies serialized before this field existed).
-    #[serde(default)]
+    /// files have not changed. Empty for never-crawled hosts.
     pub asset_hashes: Vec<(String, u64)>,
 }
 
@@ -103,10 +97,7 @@ impl HostTimeline {
 }
 
 /// Full longevity study output.
-///
-/// `Clone` lets the job engine hand each observation round's study out
-/// through job events while retaining the accumulating original.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LongevityStudy {
     /// Observation offsets in seconds from the study start.
     pub times_secs: Vec<i64>,
@@ -168,7 +159,7 @@ impl Default for ObserverConfig {
 }
 
 /// One host status change seen during an incremental rescan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatusTransition {
     pub endpoint: Endpoint,
     /// Observation offset (seconds from study start) of the new status.
@@ -179,7 +170,7 @@ pub struct StatusTransition {
 
 /// What an incremental rescan did, reconciling with the
 /// `observer.rescan.*` counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RescanDelta {
     /// Rescan rounds appended to the study.
     pub rounds: u64,
@@ -203,7 +194,7 @@ pub struct RescanDelta {
 /// `advance_clock(secs)` is called before each round with the offset from
 /// the study start; with the simulated transport this maps to
 /// `SimTransport::set_time`.
-pub async fn observe<T, F>(
+pub fn observe<T, F>(
     client: &Client<T>,
     findings: &[HostFinding],
     config: &ObserverConfig,
@@ -220,7 +211,6 @@ where
         config,
         advance_clock,
     )
-    .await
 }
 
 /// [`observe`] with telemetry: per-round status counts
@@ -229,7 +219,7 @@ where
 /// (`observer.version_updates`), rounds (`observer.rounds`) and a
 /// virtual-clock timer charging one unit per host re-check
 /// (`observer.recheck`).
-pub async fn observe_instrumented<T, F>(
+pub fn observe_instrumented<T, F>(
     telemetry: &Telemetry,
     client: &Client<T>,
     findings: &[HostFinding],
@@ -283,9 +273,9 @@ where
             // host can still disappear, an offline host could return.
             // Re-check every round.
             let ep = timeline.finding.endpoint;
-            let status = match client.transport().probe(ep).await {
+            let status = match client.transport().probe(ep) {
                 ProbeOutcome::Open => {
-                    if detect_mav(client, timeline.finding.app, ep, timeline.finding.scheme).await {
+                    if detect_mav(client, timeline.finding.app, ep, timeline.finding.scheme) {
                         ObservedStatus::Vulnerable
                     } else {
                         ObservedStatus::Fixed
@@ -304,7 +294,6 @@ where
                 if let Some(before) = timeline.finding.version {
                     if let Some((now, _)) = fingerprinter
                         .fingerprint(client, timeline.finding.app, ep, timeline.finding.scheme)
-                        .await
                     {
                         if now.triple() != before.triple() {
                             timeline.updated = true;
@@ -344,7 +333,7 @@ where
 ///
 /// If the prior study already covers `config.window_secs`, no rounds run
 /// and the study is returned unchanged (empty delta).
-pub async fn observe_incremental<T, F>(
+pub fn observe_incremental<T, F>(
     telemetry: &Telemetry,
     client: &Client<T>,
     prior: LongevityStudy,
@@ -404,9 +393,9 @@ where
             reprobed_this_round += 1;
 
             let ep = timeline.finding.endpoint;
-            let status = match client.transport().probe(ep).await {
+            let status = match client.transport().probe(ep) {
                 ProbeOutcome::Open => {
-                    if detect_mav(client, timeline.finding.app, ep, timeline.finding.scheme).await {
+                    if detect_mav(client, timeline.finding.app, ep, timeline.finding.scheme) {
                         ObservedStatus::Vulnerable
                     } else {
                         ObservedStatus::Fixed
@@ -439,8 +428,7 @@ where
                         fingerprinter.knowledge_base(),
                         ep,
                         timeline.finding.scheme,
-                    )
-                    .await;
+                    );
                     if !timeline.asset_hashes.is_empty() && hashes == timeline.asset_hashes {
                         rescan_reused.incr();
                         delta.fingerprints_reused += 1;
@@ -450,7 +438,6 @@ where
                         timeline.asset_hashes = hashes;
                         if let Some((now, _)) = fingerprinter
                             .fingerprint(client, timeline.finding.app, ep, timeline.finding.scheme)
-                            .await
                         {
                             if now.triple() != before.triple() {
                                 timeline.updated = true;
@@ -475,12 +462,12 @@ mod tests {
     use nokeys_netsim::{SimTime, SimTransport, Universe, UniverseConfig};
     use std::sync::Arc;
 
-    async fn study_with_telemetry(telemetry: &Telemetry) -> LongevityStudy {
+    fn study_with_telemetry(telemetry: &Telemetry) -> LongevityStudy {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))));
         let client = nokeys_http::Client::new(t.clone());
         let pipeline =
             Pipeline::new(PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build());
-        let report = pipeline.run(&client).await.expect("pipeline failed");
+        let report = pipeline.run(&client).expect("pipeline failed");
         let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
         assert!(!vulnerable.is_empty());
         // Daily rescans keep the test fast; the repro harness uses the
@@ -493,16 +480,15 @@ mod tests {
         observe_instrumented(telemetry, &client, &vulnerable, &config, |secs| {
             t.set_time(SimTime(secs))
         })
-        .await
     }
 
-    async fn study() -> LongevityStudy {
-        study_with_telemetry(&Telemetry::default()).await
+    fn study() -> LongevityStudy {
+        study_with_telemetry(&Telemetry::default())
     }
 
-    #[tokio::test]
-    async fn everything_starts_vulnerable_and_decays() {
-        let s = study().await;
+    #[test]
+    fn everything_starts_vulnerable_and_decays() {
+        let s = study();
         assert_eq!(s.times_secs.len(), 29);
         let start = s.counts_at(0);
         assert_eq!(start.fixed, 0, "nothing fixed at t=0");
@@ -527,10 +513,10 @@ mod tests {
 
     /// Observer counters reconcile with the study they were recorded
     /// alongside.
-    #[tokio::test]
-    async fn telemetry_reconciles_with_study() {
+    #[test]
+    fn telemetry_reconciles_with_study() {
         let telemetry = Telemetry::new();
-        let s = study_with_telemetry(&telemetry).await;
+        let s = study_with_telemetry(&telemetry);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("observer.rounds"), s.times_secs.len() as u64);
         let mut expected = StatusCounts::default();
@@ -561,17 +547,17 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn statuses_align_with_times() {
-        let s = study().await;
+    #[test]
+    fn statuses_align_with_times() {
+        let s = study();
         for t in &s.timelines {
             assert_eq!(t.statuses.len(), s.times_secs.len());
         }
     }
 
-    #[tokio::test]
-    async fn insecure_by_default_classification_present() {
-        let s = study().await;
+    #[test]
+    fn insecure_by_default_classification_present() {
+        let s = study();
         let by_default = s.timelines.iter().filter(|t| t.insecure_by_default).count();
         let modified = s.timelines.len() - by_default;
         // Both groups exist in a calibrated universe (GoCD/Hadoop/... are
@@ -644,40 +630,68 @@ mod tests {
         assert!(!live.terminally_offline(2));
     }
 
-    /// A serialized study (including one predating `asset_hashes`) loads
-    /// back as an incremental-rescan checkpoint.
+    /// The paper's recurring rescan ("every three hours over a time
+    /// span of four weeks") may run as one observation or be extended
+    /// round by round: a study observed to round N and then extended is
+    /// the study a one-shot observation over the whole window produces.
+    /// Host for host with the terminal-offline skip disabled; count for
+    /// count with it enabled (a skipped host reads as offline, which in
+    /// this universe it stays).
     #[test]
-    fn study_round_trips_through_json() {
-        use ObservedStatus::*;
-        let s = LongevityStudy {
-            times_secs: vec![0, 100],
-            timelines: vec![toy_timeline(vec![Vulnerable, Fixed])],
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        let back: LongevityStudy = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.times_secs, s.times_secs);
-        assert_eq!(back.timelines[0].statuses, s.timelines[0].statuses);
+    fn incremental_rescan_equals_one_shot_observation() {
+        let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))));
+        let client = nokeys_http::Client::new(t.clone());
+        let pipeline =
+            Pipeline::new(PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build());
+        let report = pipeline.run(&client).expect("pipeline failed");
+        let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
+        let advance = |secs| t.set_time(SimTime(secs));
 
-        // Older serializations carry no asset_hashes field.
-        let mut value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        value["timelines"][0]
-            .as_object_mut()
-            .unwrap()
-            .remove("asset_hashes");
-        let old: LongevityStudy = serde_json::from_value(value).unwrap();
-        assert!(old.timelines[0].asset_hashes.is_empty());
+        for terminal_offline_after in [0, 2] {
+            let full = ObserverConfig {
+                interval_secs: 86_400,
+                window_secs: 28 * 86_400,
+                terminal_offline_after,
+            };
+            let one_shot = observe(&client, &vulnerable, &full, advance);
+
+            let half = ObserverConfig {
+                window_secs: 14 * 86_400,
+                ..full.clone()
+            };
+            let prior = observe(&client, &vulnerable, &half, advance);
+            let (extended, delta) =
+                observe_incremental(&Telemetry::new(), &client, prior, &full, advance);
+
+            assert_eq!(extended.times_secs, one_shot.times_secs);
+            assert_eq!(extended.timelines.len(), one_shot.timelines.len());
+            for i in 0..one_shot.times_secs.len() {
+                assert_eq!(extended.counts_at(i), one_shot.counts_at(i), "round {i}");
+            }
+            assert_eq!(extended.updated_count(), one_shot.updated_count());
+            if terminal_offline_after == 0 {
+                assert_eq!(delta.skipped, 0);
+                for (a, b) in extended.timelines.iter().zip(&one_shot.timelines) {
+                    assert_eq!(a.finding, b.finding);
+                    assert_eq!(a.statuses, b.statuses, "{}", a.finding.endpoint);
+                    assert_eq!(a.updated, b.updated, "{}", a.finding.endpoint);
+                }
+            } else {
+                assert!(delta.skipped > 0, "the skip never engaged");
+            }
+        }
     }
 
     /// Extending a study re-probes strictly fewer host-rounds than a
     /// from-scratch pass, and the `observer.rescan.*` counters reconcile
     /// with the returned delta.
-    #[tokio::test]
-    async fn incremental_rescan_reconciles() {
+    #[test]
+    fn incremental_rescan_reconciles() {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))));
         let client = nokeys_http::Client::new(t.clone());
         let pipeline =
             Pipeline::new(PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build());
-        let report = pipeline.run(&client).await.expect("pipeline failed");
+        let report = pipeline.run(&client).expect("pipeline failed");
         let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
 
         // Initial pass: two weeks at daily cadence.
@@ -688,8 +702,7 @@ mod tests {
         };
         let prior = observe(&client, &vulnerable, &config, |secs| {
             t.set_time(SimTime(secs))
-        })
-        .await;
+        });
         let prior_rounds = prior.times_secs.len();
         let n_hosts = prior.timelines.len();
 
@@ -702,8 +715,7 @@ mod tests {
         let (study, delta) =
             observe_incremental(&telemetry, &client, prior, &extended_config, |secs| {
                 t.set_time(SimTime(secs))
-            })
-            .await;
+            });
 
         assert_eq!(study.times_secs.len(), 29, "extended to the full window");
         assert_eq!(delta.rounds as usize, 29 - prior_rounds);

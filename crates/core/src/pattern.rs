@@ -9,10 +9,8 @@
 //! views once so that running 90 signatures against a body costs 90
 //! substring searches, not 90 transformations.
 
-use serde::Serialize;
-
 /// How a pattern is compared against a body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchMode {
     /// Byte-exact substring.
     Exact,
@@ -23,7 +21,7 @@ pub enum MatchMode {
 }
 
 /// A search pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern {
     pub needle: &'static str,
     pub mode: MatchMode,
@@ -222,7 +220,7 @@ impl<'a> From<&'a str> for PreparedBody<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use nokeys_http::cases::{check, PRINTABLE};
 
     #[test]
     fn exact_matching() {
@@ -291,31 +289,48 @@ mod tests {
         assert!(tight.lower_materialized());
     }
 
-    proptest! {
-        /// Exact mode agrees with `str::contains`.
-        #[test]
-        fn exact_agrees_with_reference(haystack in ".{0,100}") {
-            let needle = "Jenkins";
-            let p = Pattern::exact(needle);
-            prop_assert_eq!(p.matches_str(&haystack), haystack.contains(needle));
-        }
+    /// Bodies with mixed case, every whitespace kind the squash view
+    /// must strip, multi-byte characters and needle fragments.
+    const BODY: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ \t\n\u{a0}\u{2028}éβ.:\"{}";
 
-        /// Case-insensitive mode agrees with lowercase reference.
-        #[test]
-        fn nocase_agrees_with_reference(haystack in "[a-zA-Z0-9 ]{0,100}") {
+    /// Exact mode agrees with `str::contains`.
+    #[test]
+    fn exact_agrees_with_reference() {
+        check(256, |g| {
+            let needle = "Jenkins";
+            let mut haystack = g.string(PRINTABLE, 0..100);
+            if g.bool() {
+                haystack.insert_str(g.index(0..haystack.len() + 1), needle);
+            }
+            let p = Pattern::exact(needle);
+            assert_eq!(p.matches_str(&haystack), haystack.contains(needle));
+        });
+    }
+
+    /// Case-insensitive mode agrees with lowercase reference.
+    #[test]
+    fn nocase_agrees_with_reference() {
+        check(256, |g| {
             let needle = "hadoop";
+            let mut haystack = g.string(PRINTABLE, 0..100);
+            if g.bool() {
+                haystack.insert_str(g.index(0..haystack.len() + 1), "HaDoOp");
+            }
             let p = Pattern::nocase(needle);
-            prop_assert_eq!(
+            assert_eq!(
                 p.matches_str(&haystack),
                 haystack.to_ascii_lowercase().contains(needle)
             );
-        }
+        });
+    }
 
-        /// The allocation-free `matches_str` agrees with the
-        /// `PreparedBody`-based matcher in every mode, including on
-        /// non-ASCII haystacks with exotic whitespace.
-        #[test]
-        fn matches_str_agrees_with_prepared(haystack in "[a-zA-Z \t\n\u{a0}\u{2028}éβ.:\"{}]{0,120}") {
+    /// The allocation-free `matches_str` agrees with the
+    /// `PreparedBody`-based matcher in every mode, including on
+    /// non-ASCII haystacks with exotic whitespace.
+    #[test]
+    fn matches_str_agrees_with_prepared() {
+        check(256, |g| {
+            let haystack = g.string(BODY, 0..120);
             for p in [
                 Pattern::exact("Jenkins"),
                 Pattern::nocase("hadoop"),
@@ -323,48 +338,50 @@ mod tests {
                 Pattern::nospace("\"kind\":\"Status\""),
             ] {
                 let prepared = PreparedBody::new(haystack.clone());
-                prop_assert_eq!(
+                assert_eq!(
                     p.matches_str(&haystack),
                     p.matches(&prepared),
-                    "{:?} on {:?}", p, haystack
+                    "{p:?} on {haystack:?}"
                 );
             }
-        }
+        });
+    }
 
-        /// The borrow-when-canonical and byte-wise-squash micro-fixes
-        /// change representation, never content: both views equal the
-        /// old `to_ascii_lowercase` / `chars().filter().collect()`
-        /// reference on arbitrary bodies.
-        #[test]
-        fn views_equal_allocating_reference(haystack in "[a-zA-Z \t\n\u{a0}\u{2028}éβ.:\"{}]{0,120}") {
+    /// The borrow-when-canonical and byte-wise-squash micro-fixes
+    /// change representation, never content: both views equal the
+    /// old `to_ascii_lowercase` / `chars().filter().collect()`
+    /// reference on arbitrary bodies.
+    #[test]
+    fn views_equal_allocating_reference() {
+        check(256, |g| {
+            let haystack = g.string(BODY, 0..120);
             let body = PreparedBody::new(haystack.clone());
-            prop_assert_eq!(body.lower(), haystack.to_ascii_lowercase());
+            assert_eq!(body.lower(), haystack.to_ascii_lowercase());
             let squash_ref: String = haystack.chars().filter(|c| !c.is_whitespace()).collect();
-            prop_assert_eq!(body.squashed(), squash_ref);
+            assert_eq!(body.squashed(), squash_ref);
             // A view materializes iff the body is not already canonical.
-            prop_assert_eq!(
+            assert_eq!(
                 body.lower_materialized(),
                 crate::scratch::needs_lower(&haystack)
             );
-            prop_assert_eq!(
+            assert_eq!(
                 body.squashed_materialized(),
                 crate::scratch::needs_squash(&haystack)
             );
-        }
+        });
+    }
 
-        /// Whitespace mode is invariant under whitespace insertion.
-        #[test]
-        fn nospace_invariant_under_whitespace(
-            prefix in "[a-z]{0,10}",
-            ws in proptest::collection::vec(prop_oneof![Just(' '), Just('\n'), Just('\t')], 0..5),
-        ) {
+    /// Whitespace mode is invariant under whitespace insertion.
+    #[test]
+    fn nospace_invariant_under_whitespace() {
+        check(256, |g| {
             // Insert whitespace into the middle of the marker.
             let marker = "certificates.k8s.io";
             let mid = 5;
-            let ws_str: String = ws.iter().collect();
-            let body = format!("{prefix}{}{}{}", &marker[..mid], ws_str, &marker[mid..]);
-            let p = Pattern::nospace(marker);
-            prop_assert!(p.matches_str(&body));
-        }
+            let prefix = g.string("abcdefghijklmnopqrstuvwxyz", 0..11);
+            let ws = g.string(" \n\t", 0..5);
+            let body = format!("{prefix}{}{ws}{}", &marker[..mid], &marker[mid..]);
+            assert!(Pattern::nospace(marker).matches_str(&body));
+        });
     }
 }

@@ -5,47 +5,52 @@
 //! II (prefilter), stage III (MAV plugins) and version fingerprinting
 //! into a single [`ScanReport`].
 //!
-//! # Concurrency model
+//! # Execution model
 //!
-//! The stages are *overlapped*: stage I streams each completed
-//! /24-batch through a bounded channel while the sweep continues, and
-//! the consumer runs stages II/III on it with up to
-//! [`PipelineConfig::parallelism`] probes (stage II) or host
-//! verifications (stage III + fingerprinting) in flight at once, each
-//! fan-out a `JoinSet` bounded by a semaphore.
+//! A scan has exactly one way to run: the [`shard`](crate::shard)
+//! engine. The seeded /24 shuffle is chunked into batches, the batch
+//! sequence is split across [`PipelineConfig::shards`] worker threads
+//! with work-stealing, and each worker takes one batch at a time
+//! through all three stages — sweep it, prefilter its open endpoints,
+//! verify and fingerprint its hits — as a plain sequential loop
+//! ([`BatchProcessor`]). `shards = 1` is the same engine with one
+//! worker. Batches stay small ("we always selected and scanned a
+//! fraction of all hosts with our full pipeline before we continued"),
+//! which is the paper's answer to scan-vs-verify staleness.
 //!
 //! # Determinism
 //!
-//! Concurrency never changes the report. Batches are tagged with
-//! sequence indices and processed in order; within a batch, stage-II
-//! probes are merged in endpoint order and stage-III verifications in
-//! host order, so a fixed seed yields a bit-for-bit identical
-//! [`ScanReport`] at any `parallelism` (Tables 2–4 and Figure 2 depend
-//! on this). This holds with fault injection enabled too: the simulated
-//! transport keys its fault stream per `(endpoint, lane, attempt
-//! ordinal)`, never on global execution order, so fault-injected
-//! replays are exact at any parallelism — which is why the default
-//! `parallelism` is 8 rather than 1.
+//! Concurrency never changes the report. Every batch is processed whole
+//! by one worker, in endpoint and host order, and the per-worker
+//! partial results are reduced in batch-sequence order, so a fixed seed
+//! yields a bit-for-bit identical [`ScanReport`] and telemetry snapshot
+//! at any shard count (Tables 2–4 and Figure 2 depend on this). This
+//! holds with fault injection enabled too: the simulated transport keys
+//! its fault stream per `(endpoint, lane, attempt ordinal)`, never on
+//! global execution order.
 //!
 //! # Fault tolerance
 //!
-//! Transient network failures are retried at the transport layer:
-//! [`Pipeline::run`] wraps the caller's transport in a
-//! [`RetryTransport`] driven by [`PipelineConfig::retry`], giving
-//! stage-I probes, stage-II fetches, stage-III plugin requests and the
-//! fingerprinter a shared seeded retry/backoff budget (the analogue of
-//! masscan's SYN retransmits and the paper's §3.5 rescans). A host task
-//! that dies is absorbed into [`ScanReport::task_failures`] instead of
-//! aborting an internet-scale sweep; only the loss of stage I itself
+//! Transient network failures are retried at the transport layer: each
+//! worker wraps the caller's transport in a [`RetryTransport`] driven
+//! by [`PipelineConfig::retry`], giving stage-I probes, stage-II
+//! fetches, stage-III plugin requests and the fingerprinter a shared
+//! seeded retry/backoff budget (the analogue of masscan's SYN
+//! retransmits and the paper's §3.5 rescans). A host that stays
+//! unreachable after the budget simply goes missing from the findings,
+//! like one lost to the network; only the loss of a whole worker
 //! surfaces as a [`PipelineError`].
+//!
+//! [`RetryTransport`]: crate::retry::RetryTransport
 
-use crate::checkpoint::{CheckpointError, ConfigFingerprint, ScanCheckpoint, CHECKPOINT_FORMAT};
+use crate::checkpoint::CheckpointError;
 use crate::fingerprint::Fingerprinter;
 use crate::plugin::detect_mav_instrumented;
-use crate::portscan::{Cidr, PortScanConfig, PortScanResult, PortScanner, SweepMsg};
+use crate::portscan::{Cidr, PortScanConfig, PortScanResult};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
-use crate::retry::{RetryPolicy, RetryTransport};
+use crate::retry::RetryPolicy;
+use crate::scratch::Scratch;
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Transport};
@@ -53,21 +58,20 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// A whole-pipeline failure.
 ///
-/// Per-host and per-endpoint problems never surface here — they are
-/// retried, then absorbed into [`ScanReport::task_failures`] — so a
-/// single poisoned host cannot abort an internet-scale sweep. Only
-/// losing stage I itself (no batches, no totals, nothing to report) is
-/// an error.
+/// Per-host and per-endpoint network problems never surface here —
+/// they are retried, then the host simply goes missing from the
+/// findings — so a flaky host cannot abort an internet-scale sweep.
+/// Only losing a whole worker, or the checkpoint files, is an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PipelineError {
-    /// The stage-I sweep task died before delivering its totals.
+    /// A shard worker died, or the workers' segments do not cover the
+    /// batch sequence.
     SweepFailed(String),
-    /// Reading, writing or validating a [`ScanCheckpoint`] failed.
+    /// Reading, writing or validating a checkpoint file failed.
     /// Surfaced as a whole-pipeline error because a run that cannot
     /// checkpoint does not deliver the crash-safety it was asked for.
     Checkpoint(CheckpointError),
@@ -76,7 +80,7 @@ pub enum PipelineError {
 impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PipelineError::SweepFailed(e) => write!(f, "stage-I sweep task failed: {e}"),
+            PipelineError::SweepFailed(e) => write!(f, "scan failed: {e}"),
             PipelineError::Checkpoint(e) => write!(f, "{e}"),
         }
     }
@@ -111,44 +115,30 @@ pub struct PipelineConfig {
     /// Run stage III plugins (disabling this is only useful for the
     /// prefilter ablation bench).
     pub verify: bool,
-    /// Maximum in-flight stage-II probes / stage-III host verifications
-    /// (default 8; `1` runs the stages strictly sequentially). Any
-    /// value produces the identical report, fault injection included.
-    /// The builder rejects `0`.
-    pub parallelism: usize,
-    /// Number of shard workers the target space is split across
-    /// (default 1: the single streaming pipeline). With `shards > 1`,
-    /// [`Pipeline::run`] partitions the batch sequence into contiguous
-    /// shards scanned by independent worker tasks with work-stealing,
-    /// and reduces their partial reports in address order — the report
-    /// and telemetry snapshot are byte-identical at any shard count,
-    /// like `parallelism` (see the [`shard`](crate::shard) module).
-    /// The builder rejects `0`.
+    /// Number of shard workers — the scan's one concurrency setting
+    /// (default 1). [`Pipeline::run`] partitions the batch sequence
+    /// into contiguous shards scanned by independent worker threads
+    /// with work-stealing, and reduces their partial reports in batch
+    /// order — the report and telemetry snapshot are byte-identical at
+    /// any shard count, fault injection included (see the
+    /// [`shard`](crate::shard) module). The builder rejects `0`.
     pub shards: usize,
     /// Transport-level retry/backoff applied to every probe and connect
     /// during [`Pipeline::run`] (default: 3 attempts, deterministic
     /// capped-exponential backoff on the virtual clock). Use
     /// [`RetryPolicy::disabled`] to scan without retries.
     pub retry: RetryPolicy,
-    /// Reuse one per-worker [`Scratch`](crate::scratch::Scratch) arena
-    /// across each stage II/III worker loop (default `true`); `false`
-    /// allocates a fresh arena per probe/host. Both settings produce
-    /// byte-identical reports and telemetry — the knob exists for the
-    /// equivalence suite and for A/B benching, and is deliberately
-    /// *not* part of the checkpoint
-    /// [`ConfigFingerprint`](crate::checkpoint::ConfigFingerprint):
-    /// toggling a pure performance setting must not invalidate a
-    /// resumable scan.
-    pub scratch_reuse: bool,
     /// Telemetry registry the pipeline records into. `None` gives the
     /// pipeline a private registry, still reachable through
     /// [`Pipeline::telemetry`]; pass a shared one to aggregate several
     /// pipelines (or external components) into a single snapshot.
     pub telemetry: Option<Telemetry>,
-    /// When set, [`Pipeline::run`] persists a [`ScanCheckpoint`] to this
-    /// path every [`checkpoint_every`](Self::checkpoint_every) batches
-    /// (and once more at the end, marked finished), so a killed scan can
-    /// continue via [`Pipeline::resume`].
+    /// When set, every worker of [`Pipeline::run`] persists its
+    /// finished batches next to this path every
+    /// [`checkpoint_every`](Self::checkpoint_every) batches, and the
+    /// finished scan is written to the path itself, so a killed scan
+    /// can continue via [`Pipeline::resume`] (see
+    /// [`checkpoint`](crate::checkpoint)).
     pub checkpoint_path: Option<PathBuf>,
     /// Batches between checkpoint writes (default 8). Only meaningful
     /// with [`checkpoint_path`](Self::checkpoint_path) set.
@@ -157,9 +147,9 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// Start building a configuration over `targets` with the paper's
-    /// defaults (12 ports, batches of 64 blocks, 8-way stage II/III
-    /// concurrency, 3 attempts per network operation, fingerprinting
-    /// and verification on).
+    /// defaults (12 ports, batches of 64 blocks, one shard worker,
+    /// 3 attempts per network operation, fingerprinting and
+    /// verification on).
     pub fn builder(targets: Vec<Cidr>) -> PipelineConfigBuilder {
         PipelineConfigBuilder {
             portscan: PortScanConfig::new(targets),
@@ -167,10 +157,8 @@ impl PipelineConfig {
             tarpit_port_threshold: None,
             fingerprint: true,
             verify: true,
-            parallelism: 8,
             shards: 1,
             retry: RetryPolicy::default(),
-            scratch_reuse: true,
             telemetry: None,
             checkpoint_path: None,
             checkpoint_every: 8,
@@ -185,9 +173,9 @@ impl PipelineConfig {
 ///
 /// let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
 ///     .blocks_per_batch(64)
-///     .parallelism(8)
+///     .shards(4)
 ///     .build();
-/// assert_eq!(config.parallelism, 8);
+/// assert_eq!(config.shards, 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PipelineConfigBuilder {
@@ -196,10 +184,8 @@ pub struct PipelineConfigBuilder {
     tarpit_port_threshold: Option<usize>,
     fingerprint: bool,
     verify: bool,
-    parallelism: usize,
     shards: usize,
     retry: RetryPolicy,
-    scratch_reuse: bool,
     telemetry: Option<Telemetry>,
     checkpoint_path: Option<PathBuf>,
     checkpoint_every: u64,
@@ -260,10 +246,8 @@ impl PipelineConfigBuilder {
         self.verify = enabled;
         self
     }
-    /// Shard workers the batch sequence is split across. `1` (the
-    /// default) keeps the single streaming pipeline; higher values run
-    /// the [`shard`](crate::shard) orchestrator. Any value produces the
-    /// identical report and telemetry snapshot.
+    /// Shard workers the batch sequence is split across (default 1).
+    /// Any value produces the identical report and telemetry snapshot.
     ///
     /// # Panics
     ///
@@ -294,7 +278,7 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Persist a [`ScanCheckpoint`] to `path` during [`Pipeline::run`].
+    /// Persist checkpoints at `path` during [`Pipeline::run`].
     pub fn checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
         self
@@ -332,10 +316,8 @@ impl PipelineConfigBuilder {
             tarpit_port_threshold,
             fingerprint: self.fingerprint,
             verify: self.verify,
-            parallelism: self.parallelism,
             shards: self.shards,
             retry: self.retry,
-            scratch_reuse: self.scratch_reuse,
             telemetry: self.telemetry,
             checkpoint_path: self.checkpoint_path,
             checkpoint_every: self.checkpoint_every,
@@ -379,9 +361,6 @@ struct PipelineMetrics {
     /// `pipeline.open_ports_per_host` — open scan ports on responsive
     /// hosts (tarpits included, so the top bucket exposes them).
     open_ports_per_host: Histogram,
-    /// `pipeline.task_failures` — stage-III host tasks that died and
-    /// were absorbed instead of aborting the sweep.
-    task_failures: Counter,
 }
 
 impl PipelineMetrics {
@@ -392,7 +371,6 @@ impl PipelineMetrics {
             findings: telemetry.counter("pipeline.findings"),
             mavs: telemetry.counter("pipeline.mavs"),
             open_ports_per_host: telemetry.histogram("pipeline.open_ports_per_host", &[1, 2, 4, 8]),
-            task_failures: telemetry.counter("pipeline.task_failures"),
         }
     }
 
@@ -404,43 +382,31 @@ impl PipelineMetrics {
 }
 
 /// Stages II + III for one batch of stage-I results, bound to one
-/// telemetry registry.
-///
-/// Extracted from [`Pipeline`] so the [`shard`](crate::shard) layer can
-/// run one processor per worker against a private staging registry; the
-/// pipeline itself owns one bound to its main registry.
+/// telemetry registry: the [`shard`](crate::shard) engine runs one
+/// processor per worker against that worker's private staging registry.
 pub(crate) struct BatchProcessor {
     telemetry: Telemetry,
-    prefilter: Arc<Prefilter>,
-    fingerprinter: Arc<Fingerprinter>,
+    prefilter: Prefilter,
+    fingerprinter: Fingerprinter,
     metrics: PipelineMetrics,
     tarpit_port_threshold: usize,
     verify: bool,
     fingerprint: bool,
-    parallelism: usize,
-    scratch_reuse: bool,
+    /// Matching and crawl buffers, reused across every endpoint and
+    /// host this processor ever sees.
+    scratch: Scratch,
 }
-
 
 /// The pipeline.
 pub struct Pipeline {
     config: PipelineConfig,
     telemetry: Telemetry,
-    scanner: PortScanner,
-    processor: BatchProcessor,
 }
 
 impl Pipeline {
     pub fn new(config: PipelineConfig) -> Self {
         let telemetry = config.telemetry.clone().unwrap_or_default();
-        let scanner = PortScanner::with_telemetry(config.portscan.clone(), &telemetry);
-        let processor = BatchProcessor::new(&config, &telemetry);
-        Pipeline {
-            config,
-            telemetry,
-            scanner,
-            processor,
-        }
+        Pipeline { config, telemetry }
     }
 
     /// The telemetry registry this pipeline records into (the one passed
@@ -449,60 +415,36 @@ impl Pipeline {
         &self.telemetry
     }
 
-    /// Run the full pipeline over the configured target space.
+    /// Run the full pipeline over the configured target space on
+    /// [`PipelineConfig::shards`] worker threads; returns when every
+    /// worker has finished. Each worker wraps the caller's transport in
+    /// a [`RetryTransport`](crate::retry::RetryTransport), so every
+    /// network operation of every stage shares [`PipelineConfig::retry`].
     ///
-    /// Stage I runs in its own task and hands each /24-batch through a
-    /// bounded channel as soon as it completes; stages II/III process
-    /// the batches (concurrently, up to `config.parallelism`) while the
-    /// sweep continues. The caller's transport is wrapped in a
-    /// [`RetryTransport`] for the duration of the run, so every network
-    /// operation of every stage shares [`PipelineConfig::retry`].
     /// With [`PipelineConfig::checkpoint_path`] set, the run starts from
-    /// scratch (ignoring any file already at that path) and persists a
-    /// [`ScanCheckpoint`] every [`PipelineConfig::checkpoint_every`]
-    /// batches; use [`Pipeline::resume`] to continue from such a file.
-    ///
-    /// With [`PipelineConfig::shards`] above 1, the batch sequence is
-    /// instead partitioned across that many shard workers with
-    /// work-stealing (see the [`shard`](crate::shard) module); the
-    /// report and telemetry snapshot are byte-identical either way.
-    pub async fn run<T>(&self, client: &Client<T>) -> Result<ScanReport, PipelineError>
+    /// scratch (removing any checkpoint files already at that path) and
+    /// persists its progress every
+    /// [`PipelineConfig::checkpoint_every`] batches; use
+    /// [`Pipeline::resume`] to continue from such files.
+    pub fn run<T>(&self, client: &Client<T>) -> Result<ScanReport, PipelineError>
     where
-        T: Transport + Clone + 'static,
+        T: Transport + Clone,
     {
-        if self.config.shards > 1 {
-            return self.run_with_shard_stats(client).await.map(|(r, _)| r);
-        }
-        if let Some(path) = self.config.checkpoint_path.clone() {
-            // A fresh run starts from scratch: per-shard files left by
-            // an earlier sharded run at this path must not bleed into a
-            // later resume of *this* run's checkpoint.
-            for stale in crate::shard::existing_shard_files(&path) {
-                let _ = std::fs::remove_file(stale);
-            }
-            return self.run_checkpointed(client, &path, None).await;
-        }
-        let retrying = client.with_transport(RetryTransport::new(
-            client.transport().clone(),
-            self.config.retry.clone(),
-            &self.telemetry,
-        ));
-        self.run_inner(&retrying).await
+        self.run_with_shard_stats(client).map(|(report, _)| report)
     }
 
-    /// [`run`](Self::run) through the [`shard`](crate::shard)
-    /// orchestrator (even at `shards = 1`), additionally returning the
-    /// per-run [`ShardStats`](crate::shard::ShardStats) — work-stealing
+    /// [`run`](Self::run), additionally returning the per-run
+    /// [`ShardStats`](crate::shard::ShardStats) — work-stealing
     /// observability that deliberately lives *outside* the telemetry
     /// registry, because which worker ran which batch is
     /// timing-dependent and the registry must stay byte-identical
     /// across runs.
-    pub async fn run_with_shard_stats<T>(
+    pub fn run_with_shard_stats<T>(
         &self,
         client: &Client<T>,
     ) -> Result<(ScanReport, crate::shard::ShardStats), PipelineError>
     where
-        T: Transport + Clone + 'static,
+        T: Transport + Clone,
     {
         crate::shard::run_sharded(
             &self.config,
@@ -510,61 +452,43 @@ impl Pipeline {
             client,
             self.config.checkpoint_path.as_deref(),
             false,
-            None,
         )
-        .await
     }
 
-    /// Continue a checkpointed scan from the [`ScanCheckpoint`] at
-    /// `path`, producing a [`ScanReport`] byte-identical to what the
-    /// uninterrupted run would have produced (telemetry snapshot
-    /// included), at any `parallelism`.
+    /// Continue a checkpointed scan from the files at `path`, producing
+    /// a [`ScanReport`] byte-identical to what the uninterrupted run
+    /// would have produced (telemetry snapshot included), at any shard
+    /// count.
     ///
     /// The checkpoint's recorded configuration fingerprint must match
     /// this pipeline's report-affecting knobs (targets, ports, seeds,
     /// retry budget, …) — resuming under a different configuration
-    /// returns [`CheckpointError::ConfigMismatch`]. Parallelism and
+    /// returns [`CheckpointError::ConfigMismatch`]. Shard count and
     /// wall-clock pacing may differ freely; they never change the
-    /// report. Subsequent checkpoints are written back to `path`. A
-    /// checkpoint marked finished warm-resumes: the stored report is
-    /// returned (and its telemetry replayed into the registry) without
-    /// touching the network.
+    /// report, so a checkpoint taken at `--shards 4` resumes at
+    /// `--shards 8` (or 1). Only batches no file covers are rescanned;
+    /// resuming a finished scan rescans nothing and returns the stored
+    /// report.
     ///
-    /// The pipeline must use a **fresh (or otherwise pipeline-private)
-    /// telemetry registry** when resuming: the checkpointed snapshot is
-    /// replayed into [`Pipeline::telemetry`], so pre-existing pipeline
-    /// counts would be double-counted.
-    ///
-    /// Shard count is deliberately *not* fingerprinted: a checkpoint
-    /// taken at `--shards 4` resumes at `--shards 8` (or 1). Resume
-    /// routes through the [`shard`](crate::shard) orchestrator whenever
-    /// this pipeline is sharded **or** per-shard checkpoint files
-    /// (`<path>.shard-*`) exist next to `path`, whichever generation
-    /// wrote them.
-    pub async fn resume<T>(
+    /// The stored telemetry is replayed into [`Pipeline::telemetry`],
+    /// so resume with a **fresh (or otherwise pipeline-private)
+    /// registry**: pre-existing pipeline counts would be double-counted.
+    pub fn resume<T>(
         &self,
         client: &Client<T>,
         path: impl AsRef<Path>,
     ) -> Result<ScanReport, PipelineError>
     where
-        T: Transport + Clone + 'static,
+        T: Transport + Clone,
     {
-        let path = path.as_ref();
-        if self.config.shards > 1 || !crate::shard::existing_shard_files(path).is_empty() {
-            return crate::shard::run_sharded(
-                &self.config,
-                &self.telemetry,
-                client,
-                Some(path),
-                true,
-                None,
-            )
-            .await
-            .map(|(report, _)| report);
-        }
-        let checkpoint = ScanCheckpoint::load(path)?;
-        checkpoint.validate(&ConfigFingerprint::of(&self.config))?;
-        self.run_checkpointed(client, path, Some(checkpoint)).await
+        crate::shard::run_sharded(
+            &self.config,
+            &self.telemetry,
+            client,
+            Some(path.as_ref()),
+            true,
+        )
+        .map(|(report, _)| report)
     }
 }
 
@@ -574,17 +498,13 @@ impl BatchProcessor {
     pub(crate) fn new(config: &PipelineConfig, telemetry: &Telemetry) -> Self {
         BatchProcessor {
             telemetry: telemetry.clone(),
-            prefilter: Arc::new(
-                Prefilter::with_telemetry_and_retry(telemetry, config.retry.clone())
-                    .with_scratch_reuse(config.scratch_reuse),
-            ),
-            fingerprinter: Arc::new(Fingerprinter::with_telemetry(telemetry)),
+            prefilter: Prefilter::with_telemetry_and_retry(telemetry, config.retry.clone()),
+            fingerprinter: Fingerprinter::with_telemetry(telemetry),
             metrics: PipelineMetrics::new(telemetry),
             tarpit_port_threshold: config.tarpit_port_threshold,
             verify: config.verify,
             fingerprint: config.fingerprint,
-            parallelism: config.parallelism.max(1),
-            scratch_reuse: config.scratch_reuse,
+            scratch: Scratch::new(),
         }
     }
 
@@ -598,15 +518,12 @@ impl BatchProcessor {
     }
 
     /// Stages II + III for one batch of stage-I results.
-    pub(crate) async fn process_batch<T>(
-        &self,
+    pub(crate) fn process_batch<T: Transport>(
+        &mut self,
         client: &Client<T>,
         batch: PortScanResult,
         report: &mut ScanReport,
-    ) where
-        T: Transport + Clone + 'static,
-    {
-        let parallelism = self.parallelism;
+    ) {
         self.metrics.batches.incr();
 
         // Exclude all-ports-open artifacts.
@@ -624,15 +541,11 @@ impl BatchProcessor {
             }
         }
 
-        // Stage II: bounded-concurrency probes, merged in endpoint order.
-        let prefilter_result = self
-            .prefilter
-            .run_bounded(client, &endpoints, parallelism)
-            .await;
+        // Stage II, in endpoint order.
+        let prefilter_result = self.prefilter.run(client, &endpoints, &mut self.scratch);
         report.prefilter_discarded += prefilter_result.discarded;
         report.prefilter_silent += prefilter_result.silent;
         report.prefilter_hits += prefilter_result.hits.len() as u64;
-        report.task_failures += prefilter_result.task_failures;
         for (port, stats) in &prefilter_result.per_port {
             let entry = report.port_stats.entry(*port).or_default();
             entry.http += stats.http;
@@ -645,109 +558,11 @@ impl BatchProcessor {
             per_host.entry(hit.endpoint.ip).or_default().push(hit);
         }
 
-        // Stage III + fingerprinting: persistent worker loops pull host
-        // indices from a shared cursor (one task per concurrency slot
-        // instead of one per host), and results merge in host order so
-        // the findings list is identical to a sequential run.
-        let verify = self.verify;
-        let fingerprint = self.fingerprint;
-        let scratch_reuse = self.scratch_reuse;
-        if parallelism <= 1 || per_host.len() <= 1 {
-            let mut scratch = crate::scratch::Scratch::new();
-            for (_ip, hits) in per_host {
-                if !scratch_reuse {
-                    scratch = crate::scratch::Scratch::new();
-                }
-                let findings = Self::verify_host(
-                    client.clone(),
-                    self.telemetry.clone(),
-                    Arc::clone(&self.fingerprinter),
-                    verify,
-                    fingerprint,
-                    hits,
-                    &mut scratch,
-                )
-                .await;
-                self.metrics.note_findings(&findings);
-                report.findings.extend(findings);
-            }
-            return;
-        }
-
-        let n_hosts = per_host.len();
-        let queue = Arc::new(VerifyQueue {
-            hosts: per_host
-                .into_values()
-                .map(|hits| std::sync::Mutex::new(Some(hits)))
-                .collect(),
-            cursor: std::sync::atomic::AtomicUsize::new(0),
-            results: (0..n_hosts).map(|_| std::sync::OnceLock::new()).collect(),
-        });
-        let mut join_set = tokio::task::JoinSet::new();
-        for _ in 0..parallelism.min(n_hosts) {
-            let queue = Arc::clone(&queue);
-            let client = client.clone();
-            let telemetry = self.telemetry.clone();
-            let fingerprinter = Arc::clone(&self.fingerprinter);
-            join_set.spawn(async move {
-                // One scratch arena per persistent verify worker: every
-                // host this worker claims fingerprints through the same
-                // reusable buffers.
-                let mut scratch = crate::scratch::Scratch::new();
-                loop {
-                    let i = queue
-                        .cursor
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= queue.hosts.len() {
-                        break;
-                    }
-                    let hits = queue.hosts[i]
-                        .lock()
-                        .expect("verify slot lock never poisoned")
-                        .take()
-                        .expect("each host index is claimed exactly once");
-                    if !scratch_reuse {
-                        scratch = crate::scratch::Scratch::new();
-                    }
-                    let findings = Self::verify_host(
-                        client.clone(),
-                        telemetry.clone(),
-                        Arc::clone(&fingerprinter),
-                        verify,
-                        fingerprint,
-                        hits,
-                        &mut scratch,
-                    )
-                    .await;
-                    let _ = queue.results[i].set(findings);
-                }
-            });
-        }
-        // A worker that panics mid-host leaves that host's slot empty;
-        // survivors keep claiming the remaining indices from the cursor.
-        while join_set.join_next().await.is_some() {}
-        let results: Vec<Option<Vec<HostFinding>>> = match Arc::try_unwrap(queue) {
-            Ok(queue) => queue
-                .results
-                .into_iter()
-                .map(std::sync::OnceLock::into_inner)
-                .collect(),
-            Err(queue) => queue.results.iter().map(|r| r.get().cloned()).collect(),
-        };
-        for slot in results {
-            match slot {
-                Some(findings) => {
-                    self.metrics.note_findings(&findings);
-                    report.findings.extend(findings);
-                }
-                // A poisoned host must not abort the sweep: absorb the
-                // loss (the host simply goes missing from the report,
-                // like one lost to the network) and account for it.
-                None => {
-                    self.metrics.task_failures.incr();
-                    report.task_failures += 1;
-                }
-            }
+        // Stage III + fingerprinting, in host order.
+        for hits in per_host.into_values() {
+            let findings = self.verify_host(client, hits);
+            self.metrics.note_findings(&findings);
+            report.findings.extend(findings);
         }
     }
 
@@ -755,14 +570,10 @@ impl BatchProcessor {
     /// runs. An application running on several ports of the host is
     /// counted once (the paper's counting rule); distinct applications on
     /// distinct ports each count.
-    async fn verify_host<T: Transport>(
-        client: Client<T>,
-        telemetry: Telemetry,
-        fingerprinter: Arc<Fingerprinter>,
-        verify: bool,
-        fingerprint: bool,
+    fn verify_host<T: Transport>(
+        &mut self,
+        client: &Client<T>,
         hits: Vec<PrefilterHit>,
-        scratch: &mut crate::scratch::Scratch,
     ) -> Vec<HostFinding> {
         // Which endpoints does each candidate application appear on, and
         // which application is each endpoint's *strongest* match?
@@ -781,11 +592,15 @@ impl BatchProcessor {
         for (app, app_hits) in endpoints_of {
             // Stage III: a MAV on any of the app's endpoints confirms it.
             let mut confirmed: Option<&PrefilterHit> = None;
-            if verify {
+            if self.verify {
                 for hit in &app_hits {
-                    if detect_mav_instrumented(&telemetry, &client, app, hit.endpoint, hit.scheme)
-                        .await
-                    {
+                    if detect_mav_instrumented(
+                        &self.telemetry,
+                        client,
+                        app,
+                        hit.endpoint,
+                        hit.scheme,
+                    ) {
                         confirmed = Some(hit);
                         break;
                     }
@@ -808,10 +623,10 @@ impl BatchProcessor {
                 version: None,
                 fingerprint_method: None,
             };
-            if fingerprint {
-                if let Some((version, method)) = fingerprinter
-                    .fingerprint_with(&client, app, hit.endpoint, hit.scheme, scratch)
-                    .await
+            if self.fingerprint {
+                if let Some((version, method)) = self
+                    .fingerprinter
+                    .fingerprint_with(client, app, hit.endpoint, hit.scheme, &mut self.scratch)
                 {
                     finding.version = Some(version);
                     finding.fingerprint_method = Some(method);
@@ -827,26 +642,15 @@ impl BatchProcessor {
 mod tests {
     use super::*;
     use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
+    use std::sync::Arc;
 
-    async fn run_tiny() -> (Client<SimTransport>, ScanReport) {
+    fn run_tiny() -> (Client<SimTransport>, ScanReport) {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
         let client = Client::new(t);
         let pipeline =
             Pipeline::new(PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build());
-        let report = pipeline.run(&client).await.expect("pipeline failed");
+        let report = pipeline.run(&client).expect("pipeline failed");
         (client, report)
-    }
-
-    async fn run_tiny_parallel(seed: u64, parallelism: usize) -> ScanReport {
-        let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(seed))));
-        let client = Client::new(t);
-        let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .parallelism(parallelism)
-            .build();
-        Pipeline::new(config)
-            .run(&client)
-            .await
-            .expect("pipeline failed")
     }
 
     #[test]
@@ -857,14 +661,12 @@ mod tests {
             .seed(7)
             .exclude_reserved(false)
             .max_probes_per_sec(Some(100.0))
-            .dense_sweep(true)
             .blocks_per_batch(16)
             .tarpit_port_threshold(5)
             .fingerprint(false)
             .verify(false)
-            .parallelism(4)
+            .shards(4)
             .retries(5)
-            .scratch_reuse(false)
             .telemetry(telemetry)
             .checkpoint_path("/tmp/nokeys-checkpoint.json")
             .checkpoint_every(3)
@@ -873,20 +675,24 @@ mod tests {
         assert_eq!(config.portscan.seed, 7);
         assert!(!config.portscan.exclude_reserved);
         assert_eq!(config.portscan.max_probes_per_sec, Some(100.0));
-        assert!(config.portscan.dense_sweep);
         assert_eq!(config.blocks_per_batch, 16);
         assert_eq!(config.tarpit_port_threshold, 5);
         assert!(!config.fingerprint);
         assert!(!config.verify);
-        assert_eq!(config.parallelism, 4);
+        assert_eq!(config.shards, 4);
         assert_eq!(config.retry.max_attempts, 5);
-        assert!(!config.scratch_reuse);
         assert!(config.telemetry.is_some());
         assert_eq!(
             config.checkpoint_path.as_deref(),
             Some(Path::new("/tmp/nokeys-checkpoint.json"))
         );
         assert_eq!(config.checkpoint_every, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "shards must be at least 1")]
+    fn builder_rejects_zero_shards() {
+        let _ = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).shards(0);
     }
 
     #[test]
@@ -920,23 +726,22 @@ mod tests {
 
     /// Overlapping targets produce the very report their union would —
     /// no address is swept or verified twice.
-    #[tokio::test]
-    async fn overlapping_targets_report_equals_their_union() {
-        async fn run_with(targets: Vec<Cidr>) -> String {
+    #[test]
+    fn overlapping_targets_report_equals_their_union() {
+        fn run_with(targets: Vec<Cidr>) -> String {
             let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
             let client = Client::new(t);
             let pipeline = Pipeline::new(PipelineConfig::builder(targets).build());
-            let report = pipeline.run(&client).await.expect("pipeline failed");
-            serde_json::to_string(&report).unwrap()
+            let report = pipeline.run(&client).expect("pipeline failed");
+            report.to_json_string()
         }
-        let union = run_with(vec!["20.0.0.0/16".parse().unwrap()]).await;
+        let union = run_with(vec!["20.0.0.0/16".parse().unwrap()]);
         let overlapping = run_with(
             ["20.0.0.0/17", "20.0.0.0/16", "20.0.128.0/17", "20.0.77.0/24"]
                 .iter()
                 .map(|s| s.parse().unwrap())
                 .collect(),
-        )
-        .await;
+        );
         assert_eq!(overlapping, union);
         // Adjacent halves with no explicit union behave the same: their
         // /24 decomposition (and thus the shuffled sweep order) matches
@@ -946,8 +751,7 @@ mod tests {
                 .iter()
                 .map(|s| s.parse().unwrap())
                 .collect(),
-        )
-        .await;
+        );
         assert_eq!(halves, union);
     }
 
@@ -981,16 +785,14 @@ mod tests {
         assert_eq!(built.tarpit_port_threshold, built.portscan.ports.len());
         assert!(built.fingerprint);
         assert!(built.verify);
-        assert_eq!(built.parallelism, 8);
         assert_eq!(built.shards, 1);
         assert_eq!(built.portscan.ports.len(), 12);
         assert_eq!(built.retry.attempts(), 3);
-        assert!(built.scratch_reuse, "arena reuse is on by default");
     }
 
-    #[tokio::test]
-    async fn pipeline_matches_ground_truth_per_app() {
-        let (client, report) = run_tiny().await;
+    #[test]
+    fn pipeline_matches_ground_truth_per_app() {
+        let (client, report) = run_tiny();
         let universe = client.transport().universe();
 
         for app in AppId::in_scope() {
@@ -1011,9 +813,9 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn pipeline_excludes_tarpits() {
-        let (client, report) = run_tiny().await;
+    #[test]
+    fn pipeline_excludes_tarpits() {
+        let (client, report) = run_tiny();
         let tarpits = client
             .transport()
             .universe()
@@ -1023,9 +825,9 @@ mod tests {
         assert_eq!(report.excluded_all_ports_open, tarpits);
     }
 
-    #[tokio::test]
-    async fn pipeline_discards_background_noise() {
-        let (_, report) = run_tiny().await;
+    #[test]
+    fn pipeline_discards_background_noise() {
+        let (_, report) = run_tiny();
         assert!(report.prefilter_discarded > 0);
         // Nothing in the findings is a background host.
         for f in &report.findings {
@@ -1033,9 +835,9 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn fingerprints_cover_most_findings() {
-        let (_, report) = run_tiny().await;
+    #[test]
+    fn fingerprints_cover_most_findings() {
+        let (_, report) = run_tiny();
         assert!(
             report.fingerprint_coverage() > 0.9,
             "coverage = {}",
@@ -1043,9 +845,9 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn port_stats_have_open_counts() {
-        let (_, report) = run_tiny().await;
+    #[test]
+    fn port_stats_have_open_counts() {
+        let (_, report) = run_tiny();
         assert!(report.port_stats.get(&80).map(|s| s.open).unwrap_or(0) > 0);
         // Port 80 never records HTTPS.
         assert_eq!(report.port_stats.get(&80).map(|s| s.https).unwrap_or(0), 0);
@@ -1053,8 +855,8 @@ mod tests {
 
     /// Pipeline-level counters agree with the report they were recorded
     /// alongside.
-    #[tokio::test]
-    async fn telemetry_reconciles_with_report() {
+    #[test]
+    fn telemetry_reconciles_with_report() {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
         let client = Client::new(t);
         let telemetry = Telemetry::new();
@@ -1063,7 +865,7 @@ mod tests {
                 .telemetry(telemetry.clone())
                 .build(),
         );
-        let report = pipeline.run(&client).await.expect("pipeline failed");
+        let report = pipeline.run(&client).expect("pipeline failed");
         let snap = pipeline.telemetry().snapshot();
         // The external registry and the pipeline's view are the same.
         assert_eq!(snap.to_json(), telemetry.snapshot().to_json());

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 /// client's transport is a [`RetryTransport`](crate::retry::RetryTransport)
 /// that retries timeouts and dropped connections before the plugin ever
 /// sees them.
-pub async fn detect_mav<T: Transport>(
+pub fn detect_mav<T: Transport>(
     client: &Client<T>,
     app: AppId,
     ep: Endpoint,
@@ -29,24 +29,24 @@ pub async fn detect_mav<T: Transport>(
 ) -> bool {
     use crate::plugins::*;
     match app {
-        AppId::Jenkins => jenkins::detect(client, ep, scheme).await,
-        AppId::Gocd => gocd::detect(client, ep, scheme).await,
-        AppId::WordPress => wordpress::detect(client, ep, scheme).await,
-        AppId::Grav => grav::detect(client, ep, scheme).await,
-        AppId::Joomla => joomla::detect(client, ep, scheme).await,
-        AppId::Drupal => drupal::detect(client, ep, scheme).await,
-        AppId::Kubernetes => kubernetes::detect(client, ep, scheme).await,
-        AppId::Docker => docker::detect(client, ep, scheme).await,
-        AppId::Consul => consul::detect(client, ep, scheme).await,
-        AppId::Hadoop => hadoop::detect(client, ep, scheme).await,
-        AppId::Nomad => nomad::detect(client, ep, scheme).await,
-        AppId::JupyterLab => jupyter_lab::detect(client, ep, scheme).await,
-        AppId::JupyterNotebook => jupyter_notebook::detect(client, ep, scheme).await,
-        AppId::Zeppelin => zeppelin::detect(client, ep, scheme).await,
-        AppId::Polynote => polynote::detect(client, ep, scheme).await,
-        AppId::Ajenti => ajenti::detect(client, ep, scheme).await,
-        AppId::PhpMyAdmin => phpmyadmin::detect(client, ep, scheme).await,
-        AppId::Adminer => adminer::detect(client, ep, scheme).await,
+        AppId::Jenkins => jenkins::detect(client, ep, scheme),
+        AppId::Gocd => gocd::detect(client, ep, scheme),
+        AppId::WordPress => wordpress::detect(client, ep, scheme),
+        AppId::Grav => grav::detect(client, ep, scheme),
+        AppId::Joomla => joomla::detect(client, ep, scheme),
+        AppId::Drupal => drupal::detect(client, ep, scheme),
+        AppId::Kubernetes => kubernetes::detect(client, ep, scheme),
+        AppId::Docker => docker::detect(client, ep, scheme),
+        AppId::Consul => consul::detect(client, ep, scheme),
+        AppId::Hadoop => hadoop::detect(client, ep, scheme),
+        AppId::Nomad => nomad::detect(client, ep, scheme),
+        AppId::JupyterLab => jupyter_lab::detect(client, ep, scheme),
+        AppId::JupyterNotebook => jupyter_notebook::detect(client, ep, scheme),
+        AppId::Zeppelin => zeppelin::detect(client, ep, scheme),
+        AppId::Polynote => polynote::detect(client, ep, scheme),
+        AppId::Ajenti => ajenti::detect(client, ep, scheme),
+        AppId::PhpMyAdmin => phpmyadmin::detect(client, ep, scheme),
+        AppId::Adminer => adminer::detect(client, ep, scheme),
         // Out-of-scope applications have no MAV plugin.
         _ => false,
     }
@@ -55,14 +55,14 @@ pub async fn detect_mav<T: Transport>(
 /// [`detect_mav`] with per-application telemetry: each run records one
 /// virtual unit on the `stage3.verify` timer and increments
 /// `stage3.verify.<app>.confirmed` or `stage3.verify.<app>.rejected`.
-pub async fn detect_mav_instrumented<T: Transport>(
+pub fn detect_mav_instrumented<T: Transport>(
     telemetry: &Telemetry,
     client: &Client<T>,
     app: AppId,
     ep: Endpoint,
     scheme: Scheme,
 ) -> bool {
-    let confirmed = detect_mav(client, app, ep, scheme).await;
+    let confirmed = detect_mav(client, app, ep, scheme);
     telemetry.timer("stage3.verify").record(1);
     let outcome = if confirmed { "confirmed" } else { "rejected" };
     telemetry
@@ -155,8 +155,8 @@ mod tests {
 
     /// Every plugin must confirm a vulnerable instance and pass on a
     /// secured one — the core correctness property of stage III.
-    #[tokio::test]
-    async fn plugins_match_ground_truth_for_all_apps() {
+    #[test]
+    fn plugins_match_ground_truth_for_all_apps() {
         for app in AppId::in_scope() {
             // Changed-over-time apps need old versions to be vulnerable.
             let old = matches!(
@@ -165,7 +165,7 @@ mod tests {
             );
             let (client, ep) = client_for(app, true, old);
             assert!(
-                detect_mav(&client, app, ep, Scheme::Http).await,
+                detect_mav(&client, app, ep, Scheme::Http),
                 "{app}: vulnerable instance not detected"
             );
             if app == AppId::Polynote {
@@ -174,33 +174,33 @@ mod tests {
             }
             let (client, ep) = client_for(app, false, false);
             assert!(
-                !detect_mav(&client, app, ep, Scheme::Http).await,
+                !detect_mav(&client, app, ep, Scheme::Http),
                 "{app}: secure instance falsely flagged"
             );
         }
     }
 
-    #[tokio::test]
-    async fn instrumented_detection_records_outcomes() {
+    #[test]
+    fn instrumented_detection_records_outcomes() {
         let telemetry = Telemetry::new();
         let app = AppId::Hadoop;
         let (client, ep) = client_for(app, true, false);
-        assert!(detect_mav_instrumented(&telemetry, &client, app, ep, Scheme::Http).await);
+        assert!(detect_mav_instrumented(&telemetry, &client, app, ep, Scheme::Http));
         let (client, ep) = client_for(app, false, false);
-        assert!(!detect_mav_instrumented(&telemetry, &client, app, ep, Scheme::Http).await);
+        assert!(!detect_mav_instrumented(&telemetry, &client, app, ep, Scheme::Http));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("stage3.verify.Hadoop.confirmed"), 1);
         assert_eq!(snap.counter("stage3.verify.Hadoop.rejected"), 1);
         assert_eq!(snap.timings["stage3.verify"].units, 2);
     }
 
-    #[tokio::test]
-    async fn unreachable_targets_are_not_flagged() {
+    #[test]
+    fn unreachable_targets_are_not_flagged() {
         let t = HandlerTransport::new();
         let client = Client::new(t);
         let ep = Endpoint::new(Ipv4Addr::new(10, 1, 1, 1), 8080);
         for app in AppId::in_scope() {
-            assert!(!detect_mav(&client, app, ep, Scheme::Http).await, "{app}");
+            assert!(!detect_mav(&client, app, ep, Scheme::Http), "{app}");
         }
     }
 
@@ -212,8 +212,8 @@ mod tests {
         assert!(plugin_steps(AppId::Gitlab).is_empty());
     }
 
-    #[tokio::test]
-    async fn out_of_scope_apps_never_detect() {
+    #[test]
+    fn out_of_scope_apps_never_detect() {
         let (client, ep) = {
             let app = AppId::Gitlab;
             let history = release_history(app);
@@ -226,6 +226,6 @@ mod tests {
             )));
             (Client::new(HandlerTransport::new().with(ep, handler)), ep)
         };
-        assert!(!detect_mav(&client, AppId::Gitlab, ep, Scheme::Http).await);
+        assert!(!detect_mav(&client, AppId::Gitlab, ep, Scheme::Http));
     }
 }

@@ -14,12 +14,12 @@ fn markers(body: &str) -> bool {
     body.contains("through PHP extension") && body.contains("Logged as")
 }
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
     for path in [
         "/adminer.php?username=root",
         "/adminer/adminer.php?username=root",
     ] {
-        if let Some(body) = ok_body_of(client, ep, scheme, path).await {
+        if let Some(body) = ok_body_of(client, ep, scheme, path) {
             if markers(&body) {
                 return true;
             }

@@ -9,8 +9,8 @@ pub const STEPS: &[&str] = &[
      and 'ajentiPlatformUnmapped'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    match ok_body_of(client, ep, scheme, "/view/").await {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    match ok_body_of(client, ep, scheme, "/view/") {
         Some(body) => {
             body.contains("customization.plugins.core.title || 'Ajenti'")
                 && body.contains("ajentiPlatformUnmapped")

@@ -10,11 +10,11 @@ pub const STEPS: &[&str] = &[
      'DebugConfig.EnableRemoteScriptChecks' is enabled",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(body) = ok_body_of(client, ep, scheme, "/v1/agent/self").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(body) = ok_body_of(client, ep, scheme, "/v1/agent/self") else {
         return false;
     };
-    let Ok(json) = serde_json::from_str::<serde_json::Value>(&body) else {
+    let Ok(json) = crate::json::parse(body.as_bytes()) else {
         return false;
     };
     let Some(debug) = json.get("DebugConfig") else {

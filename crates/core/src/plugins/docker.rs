@@ -9,14 +9,14 @@ pub const STEPS: &[&str] = &[
      'minapiversion' and 'kernelversion'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(root) = body_of(client, ep, scheme, "/").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(root) = body_of(client, ep, scheme, "/") else {
         return false;
     };
     if !root.contains("{\"message\":\"page not found\"}") {
         return false;
     }
-    let Some(version) = body_of(client, ep, scheme, "/version").await else {
+    let Some(version) = body_of(client, ep, scheme, "/version") else {
         return false;
     };
     let lower = version.to_ascii_lowercase();

@@ -9,14 +9,13 @@ pub const STEPS: &[&str] = &[
     "Check that body contains '<li class=\"is-active\">Set up database' (whitespace-free)",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
     let Some(body) = ok_body_of(
         client,
         ep,
         scheme,
         "/core/install.php?langcode=en&profile=standard&continue=1",
     )
-    .await
     else {
         return false;
     };

@@ -10,8 +10,8 @@ pub const STEPS: &[&str] = &[
      or 'Pipelines - Go' and '/go/admin/pipelines'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(body) = body_of(client, ep, scheme, "/go/home").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(body) = body_of(client, ep, scheme, "/go/home") else {
         return false;
     };
     let pairs: [(&str, &str); 4] = [

@@ -10,13 +10,13 @@ pub const STEPS: &[&str] = &[
      'No user accounts found' and 'create one'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    if let Some(body) = body_of(client, ep, scheme, "/").await {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    if let Some(body) = body_of(client, ep, scheme, "/") {
         if body.contains("The Admin plugin has been installed") && body.contains("Create User") {
             return true;
         }
     }
-    if let Some(body) = body_of(client, ep, scheme, "/admin").await {
+    if let Some(body) = body_of(client, ep, scheme, "/admin") {
         return body.contains("No user accounts found") && body.contains("create one");
     }
     false

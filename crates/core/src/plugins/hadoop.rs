@@ -10,8 +10,8 @@ pub const STEPS: &[&str] = &[
     "Parse the JSON response and check that it contains the 'application-id' object",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(cluster) = ok_body_of(client, ep, scheme, "/cluster/cluster").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(cluster) = ok_body_of(client, ep, scheme, "/cluster/cluster") else {
         return false;
     };
     let lower = cluster.to_ascii_lowercase();
@@ -21,11 +21,11 @@ pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Sche
     {
         return false;
     }
-    let Some(new_app) = ok_body_of(client, ep, scheme, "/ws/v1/cluster/apps/new-application").await
+    let Some(new_app) = ok_body_of(client, ep, scheme, "/ws/v1/cluster/apps/new-application")
     else {
         return false;
     };
-    let Ok(json) = serde_json::from_str::<serde_json::Value>(&new_app) else {
+    let Ok(json) = crate::json::parse(new_app.as_bytes()) else {
         return false;
     };
     json.get("application-id").is_some()

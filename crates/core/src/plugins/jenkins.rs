@@ -10,8 +10,8 @@ pub const STEPS: &[&str] = &[
     "Parse HTML response and verify that element 'form#createItem' exists",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(body) = body_of(client, ep, scheme, "/view/all/newJob").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(body) = body_of(client, ep, scheme, "/view/all/newJob") else {
         return false;
     };
     body.contains("Jenkins") && is_valid_html(&body) && has_element(&body, "form#createItem")

@@ -9,8 +9,8 @@ pub const STEPS: &[&str] = &[
      'Enter the name of your Joomla! site'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(body) = ok_body_of(client, ep, scheme, "/installation/index.php").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(body) = ok_body_of(client, ep, scheme, "/installation/index.php") else {
         return false;
     };
     body.contains("Joomla! Web Installer") || body.contains("Enter the name of your Joomla! site")

@@ -8,8 +8,8 @@ pub const STEPS: &[&str] = &[
     "Check that response contains 'Jupyter Notebook'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    match ok_body_of(client, ep, scheme, "/api/terminals").await {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    match ok_body_of(client, ep, scheme, "/api/terminals") {
         Some(body) => body.contains("Jupyter Notebook"),
         None => false,
     }

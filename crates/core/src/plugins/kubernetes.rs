@@ -10,20 +10,20 @@ pub const STEPS: &[&str] = &[
     "Parse the response as JSON and check that the 'items' array exists and is not empty",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(root) = ok_body_of(client, ep, scheme, "/").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(root) = ok_body_of(client, ep, scheme, "/") else {
         return false;
     };
     if !(root.contains("certificates.k8s.io") && root.contains("healthz/ping")) {
         return false;
     }
-    let Some(pods) = ok_body_of(client, ep, scheme, "/api/v1/pods").await else {
+    let Some(pods) = ok_body_of(client, ep, scheme, "/api/v1/pods") else {
         return false;
     };
     if !squash(&pods).contains("\"phase\":\"Running\"") {
         return false;
     }
-    let Ok(json) = serde_json::from_str::<serde_json::Value>(&pods) else {
+    let Ok(json) = crate::json::parse(pods.as_bytes()) else {
         return false;
     };
     json.get("items")

@@ -1,6 +1,6 @@
 //! The 18 MAV detection plugins (paper Appendix Table 10).
 //!
-//! Each module exposes `detect` (the async verification routine) and
+//! Each module exposes `detect` (the verification routine) and
 //! `STEPS` (the documented pseudo-code steps). Unless noted otherwise, a
 //! MAV is only reported when *all* steps succeed.
 
@@ -27,7 +27,7 @@ use nokeys_http::{Client, Endpoint, Scheme, Transport};
 
 /// Fetch `path` from the target (following redirects, as the client is
 /// configured) and return the final body, or `None` on any error.
-pub(crate) async fn body_of<T: Transport>(
+pub(crate) fn body_of<T: Transport>(
     client: &Client<T>,
     ep: Endpoint,
     scheme: Scheme,
@@ -35,20 +35,19 @@ pub(crate) async fn body_of<T: Transport>(
 ) -> Option<String> {
     client
         .get_path(ep, scheme, path)
-        .await
         .ok()
         .map(|fetched| fetched.response.body_text())
 }
 
 /// Like [`body_of`], but only for 2xx responses (several plugins treat
 /// error pages as "step failed" even when a body exists).
-pub(crate) async fn ok_body_of<T: Transport>(
+pub(crate) fn ok_body_of<T: Transport>(
     client: &Client<T>,
     ep: Endpoint,
     scheme: Scheme,
     path: &str,
 ) -> Option<String> {
-    let fetched = client.get_path(ep, scheme, path).await.ok()?;
+    let fetched = client.get_path(ep, scheme, path).ok()?;
     if !fetched.response.status.is_success() {
         return None;
     }

@@ -8,8 +8,8 @@ pub const STEPS: &[&str] = &[
     "Check that response contains '<title>Nomad</title>'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    match ok_body_of(client, ep, scheme, "/v1/jobs").await {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    match ok_body_of(client, ep, scheme, "/v1/jobs") {
         Some(body) => body.contains("<title>Nomad</title>"),
         None => false,
     }

@@ -14,13 +14,13 @@ fn markers(body: &str) -> bool {
     body.contains("Server connection collation") && body.contains("phpMyAdmin documentation")
 }
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    if let Some(body) = ok_body_of(client, ep, scheme, "/").await {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    if let Some(body) = ok_body_of(client, ep, scheme, "/") {
         if markers(&body) {
             return true;
         }
     }
-    match ok_body_of(client, ep, scheme, "/phpmyadmin").await {
+    match ok_body_of(client, ep, scheme, "/phpmyadmin") {
         Some(body) => markers(&body),
         None => false,
     }

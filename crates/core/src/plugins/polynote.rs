@@ -8,8 +8,8 @@ pub const STEPS: &[&str] = &[
     "Check that response contains '<title>Polynote</title>'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    match ok_body_of(client, ep, scheme, "/").await {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    match ok_body_of(client, ep, scheme, "/") {
         Some(body) => body.contains("<title>Polynote</title>"),
         None => false,
     }

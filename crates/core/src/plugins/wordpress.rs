@@ -11,8 +11,8 @@ pub const STEPS: &[&str] = &[
      'form#setup input#pass1' exist",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    let Some(body) = body_of(client, ep, scheme, "/wp-admin/install.php?step=1").await else {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    let Some(body) = body_of(client, ep, scheme, "/wp-admin/install.php?step=1") else {
         return false;
     };
     body.contains("WordPress")

@@ -8,8 +8,8 @@ pub const STEPS: &[&str] = &[
     "Check that response contains '{\"status\":\"OK\",'",
 ];
 
-pub async fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
-    match ok_body_of(client, ep, scheme, "/api/notebook").await {
+pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) -> bool {
+    match ok_body_of(client, ep, scheme, "/api/notebook") {
         Some(body) => body.contains("{\"status\":\"OK\","),
         None => false,
     }

@@ -8,10 +8,10 @@
 //! continues — the paper's answer to scan-vs-verify staleness.
 
 use crate::rate::SharedPacer;
-use crate::telemetry::{Counter, Telemetry, TelemetrySnapshot, Timer};
+use crate::telemetry::{Counter, Telemetry, Timer};
 use nokeys_apps::SCAN_PORTS;
 use nokeys_http::ip::BlockCoverage;
-use nokeys_http::{Endpoint, ProbeOutcome, Transport};
+use nokeys_http::{Endpoint, Transport};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -31,15 +31,13 @@ pub struct PortScanConfig {
     /// Probe-rate ceiling in probes/second (token bucket); `None` scans
     /// at full speed. The paper paced its sweep to stay polite.
     ///
-    /// With the sparse sweep (the default), tokens are drawn
-    /// block-at-a-time ([`crate::rate::SharedPacer::acquire_many`]), so
-    /// the cap holds as an average at block granularity rather than
-    /// smoothing every probe: a transport without a sparse index emits
-    /// a /24's probes back-to-back after the block's wait. Set
-    /// [`dense_sweep`](Self::dense_sweep) to restore per-probe
-    /// smoothing. A sharded pipeline threads one [`SharedPacer`] through
-    /// every shard worker, so the ceiling bounds the whole scan, not
-    /// each shard.
+    /// Tokens are drawn block-at-a-time
+    /// ([`crate::rate::SharedPacer::acquire_many`]), so the cap holds
+    /// as an average at block granularity rather than smoothing every
+    /// probe: a transport without a sparse index emits a /24's probes
+    /// back-to-back after the block's wait. The scan engine threads one
+    /// [`SharedPacer`] through every shard worker, so the ceiling
+    /// bounds the whole scan, not each shard.
     ///
     /// [`SharedPacer`]: crate::rate::SharedPacer
     pub max_probes_per_sec: Option<f64>,
@@ -143,10 +141,10 @@ impl PortScanner {
 
     /// A fresh [`SharedPacer`] enforcing this scanner's configured rate
     /// ceiling (`None` when unpaced). Sweeps that must share one token
-    /// budget — the batches of a streamed sweep, or every worker of a
-    /// sharded pipeline — construct this once and thread the clone-cheap
-    /// handle through; constructing one per block would grant a fresh
-    /// burst allowance each time and overshoot the ceiling.
+    /// budget — every worker of a scan — construct this once and thread
+    /// the clone-cheap handle through; constructing one per block would
+    /// grant a fresh burst allowance each time and overshoot the
+    /// ceiling.
     pub fn pacer(&self) -> Option<SharedPacer> {
         self.config
             .max_probes_per_sec
@@ -162,8 +160,8 @@ impl PortScanner {
             .iter()
             .flat_map(|t| t.slash24_blocks())
             .collect();
-        // Fisher–Yates with a splitmix-style PRNG; deterministic in the
-        // seed and independent of the `rand` crate's version.
+        // Fisher–Yates over an xorshift64 stream; deterministic in the
+        // seed.
         let mut state = self.config.seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -179,16 +177,16 @@ impl PortScanner {
     }
 
     /// Sweep one /24 block.
-    pub async fn scan_block<T: Transport>(&self, transport: &T, block: Cidr) -> PortScanResult {
+    pub fn scan_block<T: Transport>(&self, transport: &T, block: Cidr) -> PortScanResult {
         let pacer = self.pacer();
-        self.scan_block_paced(transport, block, &pacer).await
+        self.scan_block_paced(transport, block, &pacer)
     }
 
     /// Sweep the given /24 blocks in order, drawing probe tokens from
     /// `pacer` if present. This is the shard-worker entry point: each
     /// worker sweeps the block slice of one batch at a time, all
     /// drawing from the one shared pacer.
-    pub async fn scan_blocks<T: Transport>(
+    pub fn scan_blocks<T: Transport>(
         &self,
         transport: &T,
         blocks: &[Cidr],
@@ -196,67 +194,40 @@ impl PortScanner {
     ) -> PortScanResult {
         let mut total = PortScanResult::default();
         for &block in blocks {
-            total.absorb(self.scan_block_paced(transport, block, pacer).await);
+            total.absorb(self.scan_block_paced(transport, block, pacer));
         }
         total
     }
 
     /// Sweep one /24 block, drawing probe tokens from `pacer` if present.
-    pub async fn scan_block_paced<T: Transport>(
+    pub fn scan_block_paced<T: Transport>(
         &self,
         transport: &T,
         block: Cidr,
         pacer: &Option<SharedPacer>,
     ) -> PortScanResult {
-        let result = if self.config.dense_sweep {
-            self.scan_block_dense(transport, block, pacer).await
-        } else {
-            self.scan_block_sparse(transport, block, pacer).await
-        };
+        let result = self.sweep(transport, block, pacer);
+        self.record(&result);
+        result
+    }
+
+    /// Account one swept block in the stage-I instruments.
+    fn record(&self, result: &PortScanResult) {
         self.metrics.blocks_swept.incr();
         self.metrics.addresses_probed.add(result.addresses_probed);
         self.metrics.probes_sent.add(result.probes_sent);
         self.metrics.ports_open.add(result.open.len() as u64);
         // One virtual unit per probe: the block's share of sweep time.
         self.metrics.sweep.record(result.probes_sent);
-        result
     }
 
-    /// The dense per-endpoint loop: one `probe` call and one pacer
-    /// token per (address, port) pair. The oracle the sparse path must
-    /// reproduce byte for byte.
-    async fn scan_block_dense<T: Transport>(
-        &self,
-        transport: &T,
-        block: Cidr,
-        pacer: &Option<SharedPacer>,
-    ) -> PortScanResult {
-        let mut result = PortScanResult::default();
-        for ip in block.addresses() {
-            if self.config.exclude_reserved && self.reserved.contains(ip) {
-                continue;
-            }
-            result.addresses_probed += 1;
-            for &port in &self.config.ports {
-                if let Some(p) = pacer {
-                    p.acquire().await;
-                }
-                result.probes_sent += 1;
-                let ep = Endpoint::new(ip, port);
-                if transport.probe(ep).await == ProbeOutcome::Open {
-                    result.open.push(ep);
-                    *result.open_per_port.entry(port).or_default() += 1;
-                }
-            }
-        }
-        result
-    }
-
-    /// The sparse fast path: classify the block against the exclusion
-    /// list once, draw the whole block's pacer tokens in one step, and
-    /// hand the block to [`Transport::sweep_block`] so a transport with
-    /// an endpoint index visits only populated addresses.
-    async fn scan_block_sparse<T: Transport>(
+    /// The sparse sweep: classify the block against the exclusion list
+    /// once, draw the whole block's pacer tokens in one step, and hand
+    /// the block to [`Transport::sweep_block`] so a transport with an
+    /// endpoint index visits only populated addresses. Indistinguishable
+    /// from probing every (address, port) pair one at a time — the
+    /// test-only `scan_block_dense` reference pins that.
+    fn sweep<T: Transport>(
         &self,
         transport: &T,
         block: Cidr,
@@ -264,22 +235,26 @@ impl PortScanner {
     ) -> PortScanResult {
         if self.config.exclude_reserved {
             match self.reserved.coverage(block) {
-                // The dense loop would have skipped every address.
+                // Every address of the block is excluded.
                 BlockCoverage::Full => return PortScanResult::default(),
-                // A /24-or-smaller scan block never straddles an IANA
-                // range (all prefixes are ≤ 24), but stay correct for
-                // any exclusion list by falling back to the loop.
+                // Every IANA range is a /24 or larger, so only a block
+                // larger than /24 can straddle one: sweep its /24s,
+                // none of which can.
                 BlockCoverage::Partial => {
-                    return self.scan_block_dense(transport, block, pacer).await
+                    assert!(block.prefix < 24, "{block} straddles a reserved range");
+                    let mut total = PortScanResult::default();
+                    for sub in block.slash24_blocks() {
+                        total.absorb(self.sweep(transport, sub, pacer));
+                    }
+                    return total;
                 }
                 BlockCoverage::None => {}
             }
         }
         if let Some(p) = pacer {
-            p.acquire_many(block.size() * self.config.ports.len() as u64)
-                .await;
+            p.acquire_many(block.size() * self.config.ports.len() as u64);
         }
-        let sweep = transport.sweep_block(block, &self.config.ports).await;
+        let sweep = transport.sweep_block(block, &self.config.ports);
         let mut result = PortScanResult {
             addresses_probed: sweep.addresses_probed,
             probes_sent: sweep.probes_sent(),
@@ -292,13 +267,37 @@ impl PortScanner {
         result
     }
 
+    /// The dense per-endpoint loop the sparse sweep must reproduce byte
+    /// for byte: one `probe` call per (address, port) pair, reserved
+    /// addresses skipped one at a time.
+    #[cfg(test)]
+    fn scan_block_dense<T: Transport>(&self, transport: &T, block: Cidr) -> PortScanResult {
+        let mut result = PortScanResult::default();
+        for ip in block.addresses() {
+            if self.config.exclude_reserved && self.reserved.contains(ip) {
+                continue;
+            }
+            result.addresses_probed += 1;
+            for &port in &self.config.ports {
+                result.probes_sent += 1;
+                let ep = Endpoint::new(ip, port);
+                if transport.probe(ep) == nokeys_http::ProbeOutcome::Open {
+                    result.open.push(ep);
+                    *result.open_per_port.entry(port).or_default() += 1;
+                }
+            }
+        }
+        self.record(&result);
+        result
+    }
+
     /// Sweep the whole target space sequentially (deterministic; used
     /// with the simulated transport where probes are immediate).
-    pub async fn scan<T: Transport>(&self, transport: &T) -> PortScanResult {
+    pub fn scan<T: Transport>(&self, transport: &T) -> PortScanResult {
         let pacer = self.pacer();
         let mut total = PortScanResult::default();
         for block in self.shuffled_blocks() {
-            total.absorb(self.scan_block_paced(transport, block, &pacer).await);
+            total.absorb(self.scan_block_paced(transport, block, &pacer));
         }
         total
     }
@@ -337,11 +336,11 @@ mod tests {
         assert_eq!(sorted, natural);
     }
 
-    #[tokio::test]
-    async fn finds_every_populated_endpoint() {
+    #[test]
+    fn finds_every_populated_endpoint() {
         let t = sim();
         let scanner = PortScanner::new(config_for_tiny());
-        let result = scanner.scan(&t).await;
+        let result = scanner.scan(&t);
         // Every non-tarpit host's service ports must be discovered.
         let expected: u64 = t
             .universe()
@@ -355,67 +354,127 @@ mod tests {
         assert_eq!(result.probes_sent, result.addresses_probed * 12);
     }
 
-    #[tokio::test]
-    async fn reserved_ranges_are_skipped() {
+    #[test]
+    fn reserved_ranges_are_skipped() {
         let t = sim();
         let mut cfg = PortScanConfig::new(vec!["10.0.0.0/24".parse().unwrap()]);
         cfg.exclude_reserved = true;
-        let result = PortScanner::new(cfg).scan(&t).await;
+        let result = PortScanner::new(cfg).scan(&t);
         assert_eq!(result.addresses_probed, 0, "10/8 is reserved");
         assert_eq!(t.stats().probes(), 0);
     }
 
-    #[tokio::test(start_paused = true)]
-    async fn rate_limit_paces_the_sweep() {
+    #[test]
+    fn rate_limit_paces_the_sweep() {
         let t = sim();
         let mut cfg = PortScanConfig::new(vec!["20.0.0.0/26".parse().unwrap()]);
         cfg.ports = vec![80];
-        cfg.max_probes_per_sec = Some(32.0);
         let scanner = PortScanner::new(cfg);
-        let start = tokio::time::Instant::now();
-        let result = scanner.scan(&t).await;
-        // 64 probes at 32/s with a 32-token burst: at least ~1s of
-        // (virtual) pacing time.
+        let clock = Arc::new(crate::rate::VirtualClock::default());
+        let pacer = Some(SharedPacer::with_clock(32.0, 32.0, clock.clone()));
+        let result = scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
+        // 64 probes at 32/s with a 32-token burst: ~1s of (virtual)
+        // pacing time.
         assert_eq!(result.probes_sent, 64);
-        let elapsed = tokio::time::Instant::now() - start;
+        let elapsed = crate::rate::Clock::now(clock.as_ref());
         assert!(
             elapsed >= std::time::Duration::from_millis(900),
             "{elapsed:?}"
         );
     }
 
-    /// The dense per-endpoint loop and the sparse block sweep produce
-    /// identical reports; the sparse path asks the transport for
-    /// O(populated endpoints) probes instead of O(address space).
-    #[tokio::test]
-    async fn dense_sweep_switch_reproduces_the_sparse_report() {
-        let sparse_t = sim();
-        let sparse = PortScanner::new(config_for_tiny()).scan(&sparse_t).await;
-
-        let dense_t = sim();
-        let mut cfg = config_for_tiny();
-        cfg.dense_sweep = true;
-        let dense = PortScanner::new(cfg).scan(&dense_t).await;
-
-        assert_eq!(sparse.open, dense.open, "same endpoints, same order");
-        assert_eq!(sparse.open_per_port, dense.open_per_port);
-        assert_eq!(sparse.addresses_probed, dense.addresses_probed);
-        assert_eq!(sparse.probes_sent, dense.probes_sent);
-
-        // Dense evaluated every (address, port) pair; sparse touched
-        // only the populated hosts.
-        assert_eq!(dense_t.stats().probes(), dense.probes_sent);
-        let populated = sparse_t.universe().host_count() as u64 * SCAN_PORTS.len() as u64;
-        assert_eq!(sparse_t.stats().probes(), populated);
-        assert!(sparse_t.stats().probes() < dense_t.stats().probes());
+    /// One pacer is shared across all blocks of a sweep: the burst
+    /// allowance is granted once, not once per block.
+    #[test]
+    fn blocks_of_one_sweep_share_one_pacer() {
+        let t = sim();
+        let mut cfg = PortScanConfig::new(vec![
+            "20.0.0.0/24".parse().unwrap(),
+            "20.0.1.0/24".parse().unwrap(),
+        ]);
+        cfg.ports = vec![80];
+        let scanner = PortScanner::new(cfg);
+        let clock = Arc::new(crate::rate::VirtualClock::default());
+        let pacer = Some(SharedPacer::with_clock(256.0, 256.0, clock.clone()));
+        let result = scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
+        assert_eq!(result.probes_sent, 512);
+        // 512 probes at 256/s with a single 256-token burst: ~1s of
+        // virtual pacing. A fresh burst per block would finish in ~0s.
+        let elapsed = crate::rate::Clock::now(clock.as_ref());
+        assert!(
+            elapsed >= std::time::Duration::from_millis(900),
+            "{elapsed:?}"
+        );
     }
 
-    #[tokio::test]
-    async fn sweep_telemetry_matches_results() {
+    /// The sparse block sweep equals the dense per-endpoint reference —
+    /// results *and* stage-I telemetry — with and without injected
+    /// faults under the retry layer; it just asks the transport for
+    /// O(populated endpoints) probes instead of O(address space).
+    #[test]
+    fn sparse_sweep_equals_the_dense_reference() {
+        use crate::retry::{RetryPolicy, RetryTransport};
+        for fault_rate in [0.0, 0.05] {
+            let sweep = |dense: bool| {
+                let sim = sim().with_fault_injection(fault_rate);
+                let telemetry = Telemetry::new();
+                let t = RetryTransport::new(sim.clone(), RetryPolicy::with_attempts(3), &telemetry);
+                let scanner = PortScanner::with_telemetry(config_for_tiny(), &telemetry);
+                let mut total = PortScanResult::default();
+                for block in scanner.shuffled_blocks() {
+                    total.absorb(if dense {
+                        scanner.scan_block_dense(&t, block)
+                    } else {
+                        scanner.scan_block_paced(&t, block, &None)
+                    });
+                }
+                (total, telemetry.snapshot().to_json(), sim)
+            };
+            let (sparse, sparse_telemetry, sparse_t) = sweep(false);
+            let (dense, dense_telemetry, dense_t) = sweep(true);
+
+            assert_eq!(sparse.open, dense.open, "same endpoints, same order");
+            assert_eq!(sparse.open_per_port, dense.open_per_port);
+            assert_eq!(sparse.addresses_probed, dense.addresses_probed);
+            assert_eq!(sparse.probes_sent, dense.probes_sent);
+            assert_eq!(sparse_telemetry, dense_telemetry, "fault rate {fault_rate}");
+            assert_eq!(
+                sparse_t.fault_stats().probe_injected(),
+                dense_t.fault_stats().probe_injected(),
+                "both sweeps consume the same fault schedule"
+            );
+            // Dense evaluated every (address, port) pair at least once;
+            // sparse touched only the populated hosts.
+            assert!(dense_t.stats().probes() >= dense.probes_sent);
+            assert!(sparse_t.stats().probes() < dense_t.stats().probes() / 10);
+            if fault_rate == 0.0 {
+                let populated =
+                    sparse_t.universe().host_count() as u64 * SCAN_PORTS.len() as u64;
+                assert_eq!(sparse_t.stats().probes(), populated);
+            }
+        }
+    }
+
+    /// A block larger than /24 that straddles a reserved range is swept
+    /// /24 by /24, like the dense loop skipping reserved addresses.
+    #[test]
+    fn oversized_blocks_straddling_reserved_space_match_the_dense_reference() {
+        let block: Cidr = "192.0.0.0/22".parse().unwrap(); // holds 192.0.0.0/24 and 192.0.2.0/24
+        let scanner = PortScanner::new(PortScanConfig::new(vec![block]));
+        let sparse = scanner.scan_block_paced(&sim(), block, &None);
+        let dense = scanner.scan_block_dense(&sim(), block);
+        assert_eq!(sparse.addresses_probed, 512);
+        assert_eq!(sparse.addresses_probed, dense.addresses_probed);
+        assert_eq!(sparse.probes_sent, dense.probes_sent);
+        assert_eq!(sparse.open, dense.open);
+    }
+
+    #[test]
+    fn sweep_telemetry_matches_results() {
         let t = sim();
         let telemetry = Telemetry::new();
         let scanner = PortScanner::with_telemetry(config_for_tiny(), &telemetry);
-        let result = scanner.scan(&t).await;
+        let result = scanner.scan(&t);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("stage1.blocks_swept"), 256);
         assert_eq!(
@@ -427,11 +486,11 @@ mod tests {
         assert_eq!(snap.timings["stage1.sweep"].units, result.probes_sent);
     }
 
-    #[tokio::test]
-    async fn by_host_groups_ports() {
+    #[test]
+    fn by_host_groups_ports() {
         let t = sim();
         let scanner = PortScanner::new(config_for_tiny());
-        let result = scanner.scan(&t).await;
+        let result = scanner.scan(&t);
         let by_host = result.by_host();
         // Tarpit hosts have all 12 ports open.
         let tarpits = by_host.values().filter(|ports| ports.len() == 12).count();

@@ -13,13 +13,11 @@ use crate::signatures::{all_signatures, rank_candidates, Signature};
 use crate::telemetry::{AllocMetrics, Counter, Histogram, Telemetry, Timer};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
-use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A stage-II hit: an endpoint that speaks HTTP(S) and looks like one or
 /// more of the studied applications.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefilterHit {
     pub endpoint: Endpoint,
     /// Scheme the body was obtained over.
@@ -31,7 +29,7 @@ pub struct PrefilterHit {
 }
 
 /// Per-port protocol statistics (Table 2's "# HTTP" / "# HTTPS").
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PortProtocolStats {
     pub http: u64,
     pub https: u64,
@@ -45,9 +43,6 @@ pub struct PrefilterResult {
     pub discarded: u64,
     /// Endpoints that spoke neither protocol.
     pub silent: u64,
-    /// Probe tasks that died (panic/cancellation) and were absorbed
-    /// instead of aborting the batch; their endpoints are unclassified.
-    pub task_failures: u64,
     /// Protocol stats per port.
     pub per_port: BTreeMap<u16, PortProtocolStats>,
 }
@@ -65,7 +60,6 @@ struct PrefilterMetrics {
     view_squashed: Counter,
     /// One hit counter per signature, catalog order.
     signature_hits: Vec<Counter>,
-    task_failures: Counter,
     redirects: Histogram,
     body_bytes: Histogram,
     probe: Timer,
@@ -88,7 +82,6 @@ impl PrefilterMetrics {
                 .enumerate()
                 .map(|(i, s)| telemetry.counter(&format!("stage2.signature.{i:02}.{}", s.app)))
                 .collect(),
-            task_failures: telemetry.counter("stage2.task_failures"),
             redirects: telemetry.histogram("stage2.redirects", &[0, 1, 2, 4, 8]),
             body_bytes: telemetry.histogram("stage2.body_bytes", &[256, 1024, 4096, 16384, 65536]),
             probe: telemetry.timer("stage2.prefilter"),
@@ -111,12 +104,6 @@ pub struct Prefilter {
     fetch_retry: RetryMetrics,
     /// Deterministic `alloc.*` accounting for the scratch hot path.
     alloc: AllocMetrics,
-    /// When true (the default) each worker loop reuses one [`Scratch`]
-    /// across its whole probe stream; when false every probe gets a
-    /// fresh arena. Both run the identical code path and record the
-    /// identical counters — the toggle exists so the equivalence suite
-    /// can prove reuse changes nothing observable.
-    scratch_reuse: bool,
 }
 
 impl Default for Prefilter {
@@ -152,16 +139,7 @@ impl Prefilter {
             retry,
             fetch_retry,
             alloc,
-            scratch_reuse: true,
         }
-    }
-
-    /// Toggle per-worker scratch-arena reuse (on by default). Off means
-    /// a fresh arena per probe; results and telemetry are byte-identical
-    /// either way.
-    pub fn with_scratch_reuse(mut self, enabled: bool) -> Self {
-        self.scratch_reuse = enabled;
-        self
     }
 
     /// Schemes to try on `port` ("we checked if they speak HTTP or
@@ -177,16 +155,16 @@ impl Prefilter {
 
     /// Probe a single endpoint; returns the hit (if any signature
     /// matched) plus which schemes answered. One-off entry point: uses
-    /// a throwaway scratch arena. The worker loops call
+    /// a throwaway scratch arena. [`run`](Self::run) calls
     /// [`probe_endpoint_scratch`](Self::probe_endpoint_scratch) with a
     /// long-lived one instead.
-    pub async fn probe_endpoint<T: Transport>(
+    pub fn probe_endpoint<T: Transport>(
         &self,
         client: &Client<T>,
         ep: Endpoint,
     ) -> (Option<PrefilterHit>, PortProtocolStats) {
         let mut scratch = Scratch::new();
-        self.probe_endpoint_scratch(client, ep, &mut scratch).await
+        self.probe_endpoint_scratch(client, ep, &mut scratch)
     }
 
     /// Probe a single endpoint, borrowing all matching buffers from
@@ -196,9 +174,8 @@ impl Prefilter {
     ///
     /// The `alloc.*` counters recorded here are pure functions of the
     /// response stream (never of the arena's actual capacity history),
-    /// so they are byte-identical at any parallelism and with reuse on
-    /// or off.
-    pub async fn probe_endpoint_scratch<T: Transport>(
+    /// so they are byte-identical at any shard count.
+    pub fn probe_endpoint_scratch<T: Transport>(
         &self,
         client: &Client<T>,
         ep: Endpoint,
@@ -213,7 +190,6 @@ impl Prefilter {
             let fetched = match self
                 .retry
                 .run(ep, &self.fetch_retry, || client.get_path(ep, scheme, "/"))
-                .await
             {
                 Ok(fetched) => fetched,
                 Err(_) => continue,
@@ -265,9 +241,7 @@ impl Prefilter {
     }
 
     /// Merge one endpoint's probe outcome into `result`, recording the
-    /// hit / discarded / silent classification. Shared by the
-    /// sequential and bounded-concurrency paths so both count
-    /// identically.
+    /// hit / discarded / silent classification.
     fn absorb_probe(
         &self,
         result: &mut PrefilterResult,
@@ -295,110 +269,19 @@ impl Prefilter {
         }
     }
 
-    /// Prefilter a batch of endpoints.
-    pub async fn run<T: Transport>(
+    /// Prefilter a batch of endpoints, one after another, borrowing all
+    /// matching buffers from `scratch` (a shard worker passes the arena
+    /// it keeps for its whole life).
+    pub fn run<T: Transport>(
         &self,
         client: &Client<T>,
         endpoints: &[Endpoint],
+        scratch: &mut Scratch,
     ) -> PrefilterResult {
         let mut result = PrefilterResult::default();
-        let mut scratch = Scratch::new();
         for &ep in endpoints {
-            if !self.scratch_reuse {
-                scratch = Scratch::new();
-            }
-            let (hit, stats) = self.probe_endpoint_scratch(client, ep, &mut scratch).await;
+            let (hit, stats) = self.probe_endpoint_scratch(client, ep, scratch);
             self.absorb_probe(&mut result, ep, hit, stats);
-        }
-        result
-    }
-
-    /// Prefilter a batch of endpoints with up to `parallelism` probes in
-    /// flight at once: `parallelism` persistent worker loops pull
-    /// endpoint indices from a shared atomic cursor (one task per
-    /// concurrency slot rather than one per endpoint — per-task spawn
-    /// overhead dominated the profile at batch sizes in the thousands).
-    ///
-    /// Deterministic: each result is written to its endpoint's index
-    /// slot and the slots are merged in index order, so the returned
-    /// [`PrefilterResult`] is identical to the sequential [`run`] no
-    /// matter how the workers interleave.
-    ///
-    /// [`run`]: Prefilter::run
-    pub async fn run_bounded<T>(
-        self: &Arc<Self>,
-        client: &Client<T>,
-        endpoints: &[Endpoint],
-        parallelism: usize,
-    ) -> PrefilterResult
-    where
-        T: Transport + Clone + 'static,
-    {
-        if parallelism <= 1 || endpoints.len() <= 1 {
-            return self.run(client, endpoints).await;
-        }
-        struct ProbeQueue {
-            endpoints: Vec<Endpoint>,
-            cursor: std::sync::atomic::AtomicUsize,
-            results: Vec<std::sync::OnceLock<(Option<PrefilterHit>, PortProtocolStats)>>,
-        }
-        let queue = Arc::new(ProbeQueue {
-            endpoints: endpoints.to_vec(),
-            cursor: std::sync::atomic::AtomicUsize::new(0),
-            results: (0..endpoints.len())
-                .map(|_| std::sync::OnceLock::new())
-                .collect(),
-        });
-        let mut join_set = tokio::task::JoinSet::new();
-        for _ in 0..parallelism.min(endpoints.len()) {
-            let prefilter = Arc::clone(self);
-            let client = client.clone();
-            let queue = Arc::clone(&queue);
-            join_set.spawn(async move {
-                // One arena per persistent worker loop: every probe
-                // this worker claims borrows the same buffers.
-                let mut scratch = Scratch::new();
-                loop {
-                    let i = queue
-                        .cursor
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= queue.endpoints.len() {
-                        break;
-                    }
-                    if !prefilter.scratch_reuse {
-                        scratch = Scratch::new();
-                    }
-                    let (hit, stats) = prefilter
-                        .probe_endpoint_scratch(&client, queue.endpoints[i], &mut scratch)
-                        .await;
-                    let _ = queue.results[i].set((hit, stats));
-                }
-            });
-        }
-        // A worker that dies mid-probe must not abort the batch: its
-        // in-flight endpoint's slot stays empty (counted below) while
-        // the surviving workers keep claiming the remaining indices.
-        while join_set.join_next().await.is_some() {}
-        let probed: Vec<Option<(Option<PrefilterHit>, PortProtocolStats)>> =
-            match Arc::try_unwrap(queue) {
-                Ok(queue) => queue
-                    .results
-                    .into_iter()
-                    .map(std::sync::OnceLock::into_inner)
-                    .collect(),
-                Err(queue) => queue.results.iter().map(|r| r.get().cloned()).collect(),
-            };
-
-        // Merge in endpoint order — byte-identical to the sequential run.
-        let mut result = PrefilterResult::default();
-        for (&ep, slot) in endpoints.iter().zip(probed) {
-            match slot {
-                Some((hit, stats)) => self.absorb_probe(&mut result, ep, hit, stats),
-                None => {
-                    self.metrics.task_failures.incr();
-                    result.task_failures += 1;
-                }
-            }
         }
         result
     }
@@ -432,13 +315,13 @@ mod tests {
         assert_eq!(Prefilter::new().signature_count(), 90);
     }
 
-    #[tokio::test]
-    async fn classifies_awe_noise_and_silence() {
+    #[test]
+    fn classifies_awe_noise_and_silence() {
         let client = client();
         let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let scan = scanner.scan(client.transport()).await;
+        let scan = scanner.scan(client.transport());
         let prefilter = Prefilter::new();
-        let result = prefilter.run(&client, &scan.open).await;
+        let result = prefilter.run(&client, &scan.open, &mut Scratch::new());
 
         // Every non-tarpit AWE endpoint that speaks HTTP or HTTPS must be
         // identified as a candidate.
@@ -473,39 +356,14 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn bounded_run_is_identical_to_sequential() {
+    #[test]
+    fn prefilter_telemetry_reconciles_with_result() {
         let client = client();
         let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let scan = scanner.scan(client.transport()).await;
-        let prefilter = Arc::new(Prefilter::new());
-        let seq = prefilter.run(&client, &scan.open).await;
-        for parallelism in [2, 8, 64] {
-            let conc = prefilter
-                .run_bounded(&client, &scan.open, parallelism)
-                .await;
-            assert_eq!(conc.discarded, seq.discarded);
-            assert_eq!(conc.silent, seq.silent);
-            assert_eq!(
-                serde_json::to_string(&conc.hits).unwrap(),
-                serde_json::to_string(&seq.hits).unwrap(),
-                "hits diverge at parallelism {parallelism}"
-            );
-            assert_eq!(
-                serde_json::to_string(&conc.per_port).unwrap(),
-                serde_json::to_string(&seq.per_port).unwrap(),
-            );
-        }
-    }
-
-    #[tokio::test]
-    async fn prefilter_telemetry_reconciles_with_result() {
-        let client = client();
-        let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let scan = scanner.scan(client.transport()).await;
+        let scan = scanner.scan(client.transport());
         let telemetry = Telemetry::new();
         let prefilter = Prefilter::with_telemetry(&telemetry);
-        let result = prefilter.run(&client, &scan.open).await;
+        let result = prefilter.run(&client, &scan.open, &mut Scratch::new());
         let snap = telemetry.snapshot();
         assert_eq!(
             snap.counter("stage2.endpoints_probed"),
@@ -531,12 +389,12 @@ mod tests {
         assert_eq!(snap.histograms["stage2.redirects"].count, http + https);
     }
 
-    #[tokio::test]
-    async fn per_port_stats_accumulate() {
+    #[test]
+    fn per_port_stats_accumulate() {
         let client = client();
         let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let scan = scanner.scan(client.transport()).await;
-        let result = Prefilter::new().run(&client, &scan.open).await;
+        let scan = scanner.scan(client.transport());
+        let result = Prefilter::new().run(&client, &scan.open, &mut Scratch::new());
         // Port 80 must have zero HTTPS responses, port 443 zero HTTP.
         if let Some(p80) = result.per_port.get(&80) {
             assert_eq!(p80.https, 0);

@@ -2,9 +2,11 @@
 //!
 //! The paper's scan was paced to finish the whole IPv4 space within a day
 //! across 64 machines; the live (real-socket) scanner uses this limiter
-//! to stay polite. The limiter is clock-agnostic: callers feed it elapsed
-//! time, so it works with both real and virtual time.
+//! to stay polite. The bucket is clock-agnostic (callers feed it elapsed
+//! time); the pacer around it takes its [`Clock`] as a parameter, so the
+//! live path waits on the wall clock and tests on a virtual one.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A token bucket: `rate` tokens per second, up to `burst` stored.
@@ -57,19 +59,57 @@ impl TokenBucket {
     }
 }
 
-/// Async pacing wrapper using tokio's clock: awaits until a token is
-/// available, then takes it.
+/// The time source a [`Pacer`] reads and waits on. The live scanner
+/// paces on the [`WallClock`]; tests substitute a virtual clock whose
+/// `sleep` merely advances `now`, so pacing arithmetic is checked
+/// exactly and instantly.
+pub trait Clock: Send + Sync + std::fmt::Debug {
+    /// Time since an arbitrary fixed origin.
+    fn now(&self) -> Duration;
+    /// Block the calling thread for `d`.
+    fn sleep(&self, d: Duration);
+}
+
+/// Real time: `Instant` and `thread::sleep`.
+#[derive(Debug)]
+pub struct WallClock {
+    origin: std::time::Instant,
+}
+
+impl Default for WallClock {
+    fn default() -> Self {
+        WallClock {
+            origin: std::time::Instant::now(),
+        }
+    }
+}
+
+impl Clock for WallClock {
+    fn now(&self) -> Duration {
+        self.origin.elapsed()
+    }
+
+    fn sleep(&self, d: Duration) {
+        std::thread::sleep(d);
+    }
+}
+
+/// Pacing wrapper: waits on its clock until a token is available, then
+/// takes it.
 #[derive(Debug)]
 pub struct Pacer {
     bucket: TokenBucket,
-    last: tokio::time::Instant,
+    clock: Arc<dyn Clock>,
+    last: Duration,
 }
 
 impl Pacer {
-    pub fn new(rate: f64, burst: f64) -> Self {
+    pub fn new(rate: f64, burst: f64, clock: Arc<dyn Clock>) -> Self {
+        let last = clock.now();
         Pacer {
             bucket: TokenBucket::new(rate, burst),
-            last: tokio::time::Instant::now(),
+            clock,
+            last,
         }
     }
 
@@ -81,15 +121,15 @@ impl Pacer {
     /// (which would overfeed the bucket and break the rate ceiling) and
     /// none is skipped (the next iteration credits exactly the time
     /// slept); the tests below pin both directions.
-    pub async fn acquire(&mut self) {
+    pub fn acquire(&mut self) {
         loop {
-            let now = tokio::time::Instant::now();
-            self.bucket.refill(now - self.last);
+            let now = self.clock.now();
+            self.bucket.refill(now.saturating_sub(self.last));
             self.last = now;
             if self.bucket.try_take() {
                 return;
             }
-            tokio::time::sleep(self.bucket.time_until_available()).await;
+            self.clock.sleep(self.bucket.time_until_available());
         }
     }
 
@@ -102,12 +142,12 @@ impl Pacer {
     /// single deficit wait of `(n - t) / rate` and leave the bucket
     /// empty, so `n` may exceed the burst capacity: the excess is paid
     /// for in waiting time, exactly as the one-by-one loop would.
-    pub async fn acquire_many(&mut self, n: u64) {
+    pub fn acquire_many(&mut self, n: u64) {
         if n == 0 {
             return;
         }
-        let now = tokio::time::Instant::now();
-        self.bucket.refill(now - self.last);
+        let now = self.clock.now();
+        self.bucket.refill(now.saturating_sub(self.last));
         self.last = now;
         let n = n as f64;
         if self.bucket.tokens >= n {
@@ -119,76 +159,90 @@ impl Pacer {
         // empty the bucket now and move `last` past the sleep so the
         // interval is never credited again.
         self.bucket.tokens = 0.0;
-        tokio::time::sleep(wait).await;
-        self.last = tokio::time::Instant::now();
+        self.clock.sleep(wait);
+        self.last = self.clock.now();
     }
 }
 
-/// A clone-cheap shared handle to one [`Pacer`], so several concurrent
-/// consumers (the shard workers of
-/// [`Pipeline::run`](crate::pipeline::Pipeline::run), for instance) draw
-/// from a single token budget: `--max-probes-per-sec` stays a
-/// whole-scan bound no matter how many workers are sweeping.
+/// A clone-cheap shared handle to one [`Pacer`], so the shard workers
+/// of one scan draw from a single token budget:
+/// `--max-probes-per-sec` stays a whole-scan bound no matter how many
+/// workers are sweeping.
 ///
-/// The inner pacer is guarded by an async mutex that is held **across
-/// the deficit sleep**. That makes concurrent draws serialize exactly
-/// like sequential ones: each draw refills for the interval since the
+/// The inner pacer is guarded by a mutex that is held **across the
+/// deficit sleep**. That makes concurrent draws serialize exactly like
+/// sequential ones: each draw refills for the interval since the
 /// previous draw finished, then sleeps for its own deficit, so the
-/// total virtual wait of K workers drawing N tokens telescopes to the
-/// same `(N·K − burst) / rate` a single pipeline would pay (the
+/// total wait of K workers drawing N tokens telescopes to the same
+/// `(N·K − burst) / rate` a single worker would pay (the
 /// `shared_pacer_*` tests pin this). Handing out the lock during the
 /// sleep instead would let every waiter observe the same refill
 /// interval and overfeed the bucket.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SharedPacer {
-    inner: Option<std::sync::Arc<tokio::sync::Mutex<Pacer>>>,
-    upstream: Option<std::sync::Arc<SharedPacer>>,
+    inner: Arc<Mutex<Pacer>>,
 }
 
 impl SharedPacer {
     /// A shared pacer producing `rate` tokens/second with capacity
-    /// `burst`.
+    /// `burst`, on the wall clock.
     pub fn new(rate: f64, burst: f64) -> Self {
+        Self::with_clock(rate, burst, Arc::new(WallClock::default()))
+    }
+
+    /// Like [`new`](Self::new), reading and waiting on `clock`.
+    pub fn with_clock(rate: f64, burst: f64, clock: Arc<dyn Clock>) -> Self {
         SharedPacer {
-            inner: Some(std::sync::Arc::new(tokio::sync::Mutex::new(Pacer::new(
-                rate, burst,
-            )))),
-            upstream: None,
+            inner: Arc::new(Mutex::new(Pacer::new(rate, burst, clock))),
         }
     }
 
-    /// Wait for and consume one token from every level of the chain.
-    pub async fn acquire(&self) {
-        let mut level = Some(self);
-        while let Some(p) = level {
-            if let Some(inner) = &p.inner {
-                inner.lock().await.acquire().await;
-            }
-            level = p.upstream.as_deref();
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, Pacer> {
+        // The bucket is a few numbers, valid after every statement; a
+        // worker that died mid-draw must not wedge the others.
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Wait for and consume `n` tokens in one arithmetic step from
-    /// every level of the chain — telescoping-equal to `n` sequential
-    /// [`acquire`](Self::acquire) calls at each level, exactly like
-    /// [`Pacer::acquire_many`].
-    pub async fn acquire_many(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let mut level = Some(self);
-        while let Some(p) = level {
-            if let Some(inner) = &p.inner {
-                inner.lock().await.acquire_many(n).await;
-            }
-            level = p.upstream.as_deref();
-        }
+    /// Wait for and consume one token.
+    pub fn acquire(&self) {
+        self.lock().acquire();
+    }
+
+    /// Wait for and consume `n` tokens in one arithmetic step —
+    /// telescoping-equal to `n` sequential [`acquire`](Self::acquire)
+    /// calls, exactly like [`Pacer::acquire_many`].
+    pub fn acquire_many(&self, n: u64) {
+        self.lock().acquire_many(n);
+    }
+}
+
+/// A virtual [`Clock`] for pacing tests: `sleep` advances `now` and
+/// returns at once.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct VirtualClock {
+    nanos: std::sync::atomic::AtomicU64,
+}
+
+#[cfg(test)]
+impl Clock for VirtualClock {
+    fn now(&self) -> Duration {
+        Duration::from_nanos(self.nanos.load(std::sync::atomic::Ordering::SeqCst))
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.nanos
+            .fetch_add(d.as_nanos() as u64, std::sync::atomic::Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn virtual_clock() -> Arc<VirtualClock> {
+        Arc::new(VirtualClock::default())
+    }
 
     #[test]
     fn starts_full_and_drains() {
@@ -220,16 +274,15 @@ mod tests {
         assert!((wait.as_secs_f64() - 0.5).abs() < 1e-9, "{wait:?}");
     }
 
-    #[tokio::test(start_paused = true)]
-    async fn pacer_enforces_rate_under_paused_time() {
-        let mut p = Pacer::new(100.0, 1.0);
-        let start = tokio::time::Instant::now();
+    #[test]
+    fn pacer_enforces_rate_on_the_virtual_clock() {
+        let clock = virtual_clock();
+        let mut p = Pacer::new(100.0, 1.0, clock.clone());
         for _ in 0..11 {
-            p.acquire().await;
+            p.acquire();
         }
-        let elapsed = tokio::time::Instant::now() - start;
         // 1 burst token + 10 at 100/s = at least 100ms of virtual time.
-        assert!(elapsed >= Duration::from_millis(95), "{elapsed:?}");
+        assert!(clock.now() >= Duration::from_millis(95), "{:?}", clock.now());
     }
 
     /// Pins the refill arithmetic under repeated `acquire` calls: if an
@@ -237,14 +290,14 @@ mod tests {
     /// advancing with the refill), extra tokens would appear and the
     /// loop would finish early; if an interval were dropped, it would
     /// finish late.
-    #[tokio::test(start_paused = true)]
-    async fn pacer_never_double_credits_elapsed_time() {
-        let mut p = Pacer::new(10.0, 1.0);
-        let start = tokio::time::Instant::now();
+    #[test]
+    fn pacer_never_double_credits_elapsed_time() {
+        let clock = virtual_clock();
+        let mut p = Pacer::new(10.0, 1.0, clock.clone());
         for _ in 0..21 {
-            p.acquire().await;
+            p.acquire();
         }
-        let elapsed = tokio::time::Instant::now() - start;
+        let elapsed = clock.now();
         // 1 burst token + 20 refilled at 10/s = 2s of virtual time.
         assert!(elapsed >= Duration::from_millis(1_990), "{elapsed:?}");
         assert!(elapsed <= Duration::from_millis(2_200), "{elapsed:?}");
@@ -252,41 +305,36 @@ mod tests {
 
     /// Burst tokens are consumed without waiting; the first paced
     /// acquire then waits one full period.
-    #[tokio::test(start_paused = true)]
-    async fn pacer_spends_burst_before_pacing() {
-        let mut p = Pacer::new(1.0, 3.0);
-        let start = tokio::time::Instant::now();
+    #[test]
+    fn pacer_spends_burst_before_pacing() {
+        let clock = virtual_clock();
+        let mut p = Pacer::new(1.0, 3.0, clock.clone());
         for _ in 0..3 {
-            p.acquire().await;
+            p.acquire();
         }
-        assert_eq!(
-            tokio::time::Instant::now() - start,
-            Duration::ZERO,
-            "burst is free"
-        );
-        p.acquire().await;
-        let elapsed = tokio::time::Instant::now() - start;
-        assert!(elapsed >= Duration::from_millis(990), "{elapsed:?}");
+        assert_eq!(clock.now(), Duration::ZERO, "burst is free");
+        p.acquire();
+        assert!(clock.now() >= Duration::from_millis(990), "{:?}", clock.now());
     }
 
     /// Bulk acquisition pays the same virtual time as the one-by-one
     /// loop it replaces, and leaves the bucket in the same (empty)
     /// state.
-    #[tokio::test(start_paused = true)]
-    async fn acquire_many_matches_sequential_acquires() {
+    #[test]
+    fn acquire_many_matches_sequential_acquires() {
         // 64 tokens at 32/s with burst 32: half free, half paced.
-        let mut seq = Pacer::new(32.0, 32.0);
-        let start = tokio::time::Instant::now();
+        let seq_clock = virtual_clock();
+        let mut seq = Pacer::new(32.0, 32.0, seq_clock.clone());
         for _ in 0..64 {
-            seq.acquire().await;
+            seq.acquire();
         }
-        let sequential = tokio::time::Instant::now() - start;
+        let sequential = seq_clock.now();
         assert!(sequential >= Duration::from_millis(990), "{sequential:?}");
 
-        let mut bulk = Pacer::new(32.0, 32.0);
-        let start = tokio::time::Instant::now();
-        bulk.acquire_many(64).await;
-        let bulked = tokio::time::Instant::now() - start;
+        let bulk_clock = virtual_clock();
+        let mut bulk = Pacer::new(32.0, 32.0, bulk_clock.clone());
+        bulk.acquire_many(64);
+        let bulked = bulk_clock.now();
         assert!(bulked >= Duration::from_millis(990), "{bulked:?}");
         // The single deficit sleep avoids 32 per-token roundups, so it
         // can only be at or below the sequential loop's total.
@@ -294,26 +342,23 @@ mod tests {
 
         // Both pacers drained to zero: the next token costs a full
         // period either way.
-        let start = tokio::time::Instant::now();
-        seq.acquire().await;
-        let seq_next = tokio::time::Instant::now() - start;
-        let start = tokio::time::Instant::now();
-        bulk.acquire_many(1).await;
-        let bulk_next = tokio::time::Instant::now() - start;
+        seq.acquire();
+        let seq_next = seq_clock.now() - sequential;
+        bulk.acquire_many(1);
+        let bulk_next = bulk_clock.now() - bulked;
         assert!(seq_next >= Duration::from_millis(30), "{seq_next:?}");
         assert!(bulk_next >= Duration::from_millis(30), "{bulk_next:?}");
     }
 
     /// A bulk draw within the stored burst is free, like the loop.
-    #[tokio::test(start_paused = true)]
-    async fn acquire_many_spends_burst_before_pacing() {
-        let mut p = Pacer::new(1.0, 4.0);
-        let start = tokio::time::Instant::now();
-        p.acquire_many(4).await;
-        assert_eq!(tokio::time::Instant::now() - start, Duration::ZERO);
-        p.acquire_many(2).await;
-        let elapsed = tokio::time::Instant::now() - start;
-        assert!(elapsed >= Duration::from_millis(1_990), "{elapsed:?}");
+    #[test]
+    fn acquire_many_spends_burst_before_pacing() {
+        let clock = virtual_clock();
+        let mut p = Pacer::new(1.0, 4.0, clock.clone());
+        p.acquire_many(4);
+        assert_eq!(clock.now(), Duration::ZERO);
+        p.acquire_many(2);
+        assert!(clock.now() >= Duration::from_millis(1_990), "{:?}", clock.now());
     }
 
     #[test]
@@ -322,93 +367,64 @@ mod tests {
         let _ = TokenBucket::new(0.0, 1.0);
     }
 
-    /// A shared pacer drained by one task behaves exactly like an owned
-    /// pacer: same telescoped deficit wait, same empty bucket after.
-    #[tokio::test(start_paused = true)]
-    async fn shared_pacer_matches_owned_pacer() {
-        let mut owned = Pacer::new(32.0, 32.0);
-        let start = tokio::time::Instant::now();
-        owned.acquire_many(64).await;
-        let owned_elapsed = tokio::time::Instant::now() - start;
-
-        let shared = SharedPacer::new(32.0, 32.0);
-        let start = tokio::time::Instant::now();
-        shared.acquire_many(64).await;
-        let shared_elapsed = tokio::time::Instant::now() - start;
-        assert_eq!(shared_elapsed, owned_elapsed, "{shared_elapsed:?}");
-        assert!(shared_elapsed >= Duration::from_millis(990));
-    }
-
-    /// The shard/pacer pinning test: K workers drawing concurrently
-    /// from one [`SharedPacer`] consume the same total virtual wait as
-    /// one pipeline drawing the same tokens sequentially — the
+    /// The shard/pacer pinning test: K worker threads drawing
+    /// concurrently from one [`SharedPacer`] consume the same total
+    /// wait as one worker drawing the same tokens sequentially — the
     /// whole-scan rate bound does not multiply with the shard count.
-    #[tokio::test(start_paused = true)]
-    async fn shared_pacer_concurrent_draws_equal_one_pipeline() {
-        // One pipeline: 8 blocks of 64 tokens at 64/s, burst 64.
+    #[test]
+    fn shared_pacer_concurrent_draws_equal_one_worker() {
+        // One worker: 8 blocks of 64 tokens at 64/s, burst 64.
         // Telescoped: (512 - 64) / 64 = 7s of virtual wait.
-        let mut single = Pacer::new(64.0, 64.0);
-        let start = tokio::time::Instant::now();
+        let clock = virtual_clock();
+        let mut single = Pacer::new(64.0, 64.0, clock.clone());
         for _ in 0..8 {
-            single.acquire_many(64).await;
+            single.acquire_many(64);
         }
-        let sequential = tokio::time::Instant::now() - start;
+        let sequential = clock.now();
         assert!(sequential >= Duration::from_millis(6_990), "{sequential:?}");
 
         // K = 4 shard workers, 2 blocks each, drawing concurrently.
-        let shared = SharedPacer::new(64.0, 64.0);
-        let start = tokio::time::Instant::now();
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let pacer = shared.clone();
-                tokio::spawn(async move {
+        let clock = virtual_clock();
+        let shared = SharedPacer::with_clock(64.0, 64.0, clock.clone());
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
                     for _ in 0..2 {
-                        pacer.acquire_many(64).await;
+                        shared.acquire_many(64);
                     }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.await.expect("worker");
-        }
-        let concurrent = tokio::time::Instant::now() - start;
+                });
+            }
+        });
         assert_eq!(
-            concurrent, sequential,
-            "K concurrent drawers must pay exactly the single-pipeline wait"
+            clock.now(),
+            sequential,
+            "K concurrent drawers must pay exactly the single-worker wait"
         );
 
-        // Both are drained: the next token costs a full period.
-        let start = tokio::time::Instant::now();
-        shared.acquire().await;
-        let next = tokio::time::Instant::now() - start;
+        // Drained: the next token costs a full period.
+        shared.acquire();
+        let next = clock.now() - sequential;
         assert!(next >= Duration::from_millis(10), "{next:?}");
     }
 
-    /// `acquire` on the shared handle serializes with `acquire_many`:
-    /// interleaved single draws never double-credit an interval.
-    #[tokio::test(start_paused = true)]
-    async fn shared_pacer_single_acquires_pace_correctly() {
-        let shared = SharedPacer::new(10.0, 1.0);
-        let start = tokio::time::Instant::now();
-        let a = {
-            let pacer = shared.clone();
-            tokio::spawn(async move {
-                for _ in 0..10 {
-                    pacer.acquire().await;
-                }
-            })
-        };
-        let b = {
-            let pacer = shared.clone();
-            tokio::spawn(async move {
-                for _ in 0..11 {
-                    pacer.acquire().await;
-                }
-            })
-        };
-        a.await.expect("task a");
-        b.await.expect("task b");
-        let elapsed = tokio::time::Instant::now() - start;
+    /// `acquire` on the shared handle serializes with itself across
+    /// threads: interleaved single draws never double-credit an
+    /// interval.
+    #[test]
+    fn shared_pacer_single_acquires_pace_correctly() {
+        let clock = virtual_clock();
+        let shared = SharedPacer::with_clock(10.0, 1.0, clock.clone());
+        std::thread::scope(|scope| {
+            for draws in [10, 11] {
+                let shared = &shared;
+                scope.spawn(move || {
+                    for _ in 0..draws {
+                        shared.acquire();
+                    }
+                });
+            }
+        });
+        let elapsed = clock.now();
         // 1 burst token + 20 refilled at 10/s = 2s of virtual time.
         assert!(elapsed >= Duration::from_millis(1_990), "{elapsed:?}");
         assert!(elapsed <= Duration::from_millis(2_200), "{elapsed:?}");

@@ -1,12 +1,12 @@
 //! Scan report types.
 
+use crate::json::{object, FromJson, JsonError, ToJson, Value};
 use nokeys_apps::{AppId, ReleaseDate, Version};
 use nokeys_http::{Endpoint, Scheme};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a version was determined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FingerprintMethod {
     /// The application voluntarily reveals its version (API endpoint,
     /// header, generator meta, HTML comment).
@@ -16,7 +16,7 @@ pub enum FingerprintMethod {
 }
 
 /// One identified AWE host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostFinding {
     pub endpoint: Endpoint,
     pub scheme: Scheme,
@@ -37,7 +37,7 @@ impl HostFinding {
 }
 
 /// Per-port counters for Table 2.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PortStat {
     pub open: u64,
     pub http: u64,
@@ -46,10 +46,10 @@ pub struct PortStat {
 
 /// The complete output of one pipeline run.
 ///
-/// `Clone` + `Deserialize` exist for the
+/// `Clone` and [`FromJson`] exist for the
 /// [`checkpoint`](crate::checkpoint) subsystem, which persists the
 /// report accumulated so far and restores it on resume.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanReport {
     /// Table 2 data.
     pub port_stats: BTreeMap<u16, PortStat>,
@@ -66,10 +66,6 @@ pub struct ScanReport {
     pub prefilter_silent: u64,
     /// Endpoints whose body matched at least one signature.
     pub prefilter_hits: u64,
-    /// Stage II/III worker tasks that died and were absorbed instead of
-    /// aborting the sweep. Always 0 on a healthy run; a non-zero value
-    /// means some endpoints or hosts are missing from the counts above.
-    pub task_failures: u64,
     /// Identified AWE hosts (one entry per host × application).
     pub findings: Vec<HostFinding>,
 }
@@ -95,7 +91,6 @@ impl ScanReport {
             prefilter_discarded,
             prefilter_silent,
             prefilter_hits,
-            task_failures,
             findings,
         } = other;
         for (port, stat) in port_stats {
@@ -110,7 +105,6 @@ impl ScanReport {
         self.prefilter_discarded += prefilter_discarded;
         self.prefilter_silent += prefilter_silent;
         self.prefilter_hits += prefilter_hits;
-        self.task_failures += task_failures;
         self.findings.extend(findings);
     }
 
@@ -167,6 +161,125 @@ impl ScanReport {
     }
 }
 
+impl ToJson for FingerprintMethod {
+    fn to_json(&self) -> Value {
+        match self {
+            FingerprintMethod::Voluntary => "Voluntary",
+            FingerprintMethod::KnowledgeBase => "KnowledgeBase",
+        }
+        .to_json()
+    }
+}
+
+impl FromJson for FingerprintMethod {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        match value.as_str() {
+            Some("Voluntary") => Ok(FingerprintMethod::Voluntary),
+            Some("KnowledgeBase") => Ok(FingerprintMethod::KnowledgeBase),
+            _ => Err(JsonError::Shape(format!(
+                "unknown fingerprint method {}",
+                value.write()
+            ))),
+        }
+    }
+}
+
+impl ToJson for HostFinding {
+    fn to_json(&self) -> Value {
+        object([
+            ("endpoint", self.endpoint.to_json()),
+            ("scheme", self.scheme.to_json()),
+            ("app", self.app.to_json()),
+            ("vulnerable", self.vulnerable.to_json()),
+            ("version", self.version.to_json()),
+            ("fingerprint_method", self.fingerprint_method.to_json()),
+        ])
+    }
+}
+
+impl FromJson for HostFinding {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        Ok(HostFinding {
+            endpoint: value.field("endpoint")?,
+            scheme: value.field("scheme")?,
+            app: value.field("app")?,
+            vulnerable: value.field("vulnerable")?,
+            version: value.field("version")?,
+            fingerprint_method: value.field("fingerprint_method")?,
+        })
+    }
+}
+
+impl ToJson for PortStat {
+    fn to_json(&self) -> Value {
+        object([
+            ("open", self.open.to_json()),
+            ("http", self.http.to_json()),
+            ("https", self.https.to_json()),
+        ])
+    }
+}
+
+impl FromJson for PortStat {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        Ok(PortStat {
+            open: value.field("open")?,
+            http: value.field("http")?,
+            https: value.field("https")?,
+        })
+    }
+}
+
+impl ToJson for ScanReport {
+    fn to_json(&self) -> Value {
+        // Destructure so a future field cannot be silently dropped from
+        // the checkpoint.
+        let ScanReport {
+            port_stats,
+            excluded_all_ports_open,
+            addresses_probed,
+            probes_sent,
+            prefilter_discarded,
+            prefilter_silent,
+            prefilter_hits,
+            findings,
+        } = self;
+        object([
+            ("port_stats", port_stats.to_json()),
+            ("excluded_all_ports_open", excluded_all_ports_open.to_json()),
+            ("addresses_probed", addresses_probed.to_json()),
+            ("probes_sent", probes_sent.to_json()),
+            ("prefilter_discarded", prefilter_discarded.to_json()),
+            ("prefilter_silent", prefilter_silent.to_json()),
+            ("prefilter_hits", prefilter_hits.to_json()),
+            ("findings", findings.to_json()),
+        ])
+    }
+}
+
+impl FromJson for ScanReport {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        Ok(ScanReport {
+            port_stats: value.field("port_stats")?,
+            excluded_all_ports_open: value.field("excluded_all_ports_open")?,
+            addresses_probed: value.field("addresses_probed")?,
+            probes_sent: value.field("probes_sent")?,
+            prefilter_discarded: value.field("prefilter_discarded")?,
+            prefilter_silent: value.field("prefilter_silent")?,
+            prefilter_hits: value.field("prefilter_hits")?,
+            findings: value.field("findings")?,
+        })
+    }
+}
+
+impl ScanReport {
+    /// Compact deterministic JSON (sorted keys, no whitespace) — what
+    /// the byte-identity tests compare.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().write()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +324,6 @@ mod tests {
             prefilter_discarded: 2,
             prefilter_silent: 3,
             prefilter_hits: 4,
-            task_failures: 0,
             findings: vec![finding(AppId::Docker, true, true)],
             ..Default::default()
         };
@@ -230,7 +342,6 @@ mod tests {
             prefilter_discarded: 1,
             prefilter_silent: 1,
             prefilter_hits: 1,
-            task_failures: 1,
             findings: vec![finding(AppId::Hadoop, false, false)],
             ..Default::default()
         };
@@ -257,7 +368,6 @@ mod tests {
         assert_eq!(a.prefilter_discarded, 3);
         assert_eq!(a.prefilter_silent, 4);
         assert_eq!(a.prefilter_hits, 5);
-        assert_eq!(a.task_failures, 1);
         assert_eq!(a.port_stats[&80].open, 7);
         assert_eq!(a.port_stats[&80].http, 5);
         assert_eq!(a.port_stats[&443].https, 1);
@@ -283,8 +393,10 @@ mod tests {
             findings: vec![finding(AppId::Nomad, true, false)],
             ..Default::default()
         };
-        let json = serde_json::to_string(&report).unwrap();
+        let json = report.to_json_string();
         assert!(json.contains("\"Nomad\""));
         assert!(json.contains("\"vulnerable\":true"));
+        let back = ScanReport::from_json(&crate::json::parse(json.as_bytes()).unwrap()).unwrap();
+        assert_eq!(back, report);
     }
 }

@@ -19,12 +19,11 @@
 //! from a splitmix64 hash over `(seed, endpoint, attempt)`. No
 //! wall-clock sleep happens unless [`RetryPolicy::real_unit`] is
 //! non-zero, so simulated scans stay fast and byte-identical at any
-//! parallelism; the real-socket CLI maps units to milliseconds.
+//! shard count; the real-socket CLI maps units to milliseconds.
 
 use crate::telemetry::{Counter, Telemetry, Timer};
 use nokeys_http::ip::Cidr;
 use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Scheme, Transport};
-use std::future::Future;
 use std::time::Duration;
 
 /// Retry/backoff configuration.
@@ -117,11 +116,11 @@ impl RetryPolicy {
 
     /// Record `units` of backoff on `metrics` and, when `real_unit` is
     /// non-zero, sleep the corresponding wall-clock time.
-    async fn pause(&self, metrics: &RetryMetrics, units: u64) {
+    fn pause(&self, metrics: &RetryMetrics, units: u64) {
         metrics.backoff.record(units);
         if self.real_unit > Duration::ZERO {
             let factor = units.min(u64::from(u32::MAX)) as u32;
-            tokio::time::sleep(self.real_unit.saturating_mul(factor)).await;
+            std::thread::sleep(self.real_unit.saturating_mul(factor));
         }
     }
 
@@ -129,19 +128,15 @@ impl RetryPolicy {
     /// backoff and accounting on `metrics`. Terminal errors return
     /// immediately; a transient error on the final attempt counts as
     /// exhausted.
-    pub async fn run<T, F, Fut>(
+    pub fn run<T>(
         &self,
         ep: Endpoint,
         metrics: &RetryMetrics,
-        mut op: F,
-    ) -> nokeys_http::Result<T>
-    where
-        F: FnMut() -> Fut,
-        Fut: Future<Output = nokeys_http::Result<T>>,
-    {
+        mut op: impl FnMut() -> nokeys_http::Result<T>,
+    ) -> nokeys_http::Result<T> {
         let max = self.attempts();
         for attempt in 0..max {
-            match op().await {
+            match op() {
                 Ok(value) => {
                     if attempt > 0 {
                         metrics.recovered.incr();
@@ -150,7 +145,7 @@ impl RetryPolicy {
                 }
                 Err(e) if e.is_transient() && attempt + 1 < max => {
                     metrics.retries.incr();
-                    self.pause(metrics, self.backoff_units(ep, attempt)).await;
+                    self.pause(metrics, self.backoff_units(ep, attempt));
                 }
                 Err(e) => {
                     if e.is_transient() {
@@ -232,16 +227,15 @@ impl<T: Transport> RetryTransport<T> {
     /// answer. Shared by `probe` and `sweep_block` so a probe first
     /// answered inside a block sweep retries (and meters) exactly like
     /// a standalone one.
-    async fn finish_probe_retries(&self, ep: Endpoint, mut outcome: ProbeOutcome) -> ProbeOutcome {
+    fn finish_probe_retries(&self, ep: Endpoint, mut outcome: ProbeOutcome) -> ProbeOutcome {
         let max = self.policy.attempts();
         let mut attempt = 0;
         while outcome == ProbeOutcome::Filtered && attempt + 1 < max {
             self.probe.retries.incr();
             self.policy
-                .pause(&self.probe, self.policy.backoff_units(ep, attempt))
-                .await;
+                .pause(&self.probe, self.policy.backoff_units(ep, attempt));
             attempt += 1;
-            outcome = self.inner.probe(ep).await;
+            outcome = self.inner.probe(ep);
         }
         if attempt > 0 {
             if outcome == ProbeOutcome::Filtered {
@@ -257,34 +251,34 @@ impl<T: Transport> RetryTransport<T> {
 impl<T: Transport> Transport for RetryTransport<T> {
     type Conn = T::Conn;
 
-    async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        let first = self.inner.probe(ep).await;
-        self.finish_probe_retries(ep, first).await
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        let first = self.inner.probe(ep);
+        self.finish_probe_retries(ep, first)
     }
 
-    async fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        let mut result = self.inner.sweep_block(block, ports).await;
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+        let mut result = self.inner.sweep_block(block, ports);
         // Only probes whose first attempt read `Filtered` owe retries:
         // `Open` succeeded and `Closed` is terminal, so the probes a
         // sparse sweep answered in bulk (all `Closed`) have no retry
         // draws to skip, and the sweep stays sparse.
         for (ep, outcome) in &mut result.probed {
             if *outcome == ProbeOutcome::Filtered {
-                *outcome = self.finish_probe_retries(*ep, ProbeOutcome::Filtered).await;
+                *outcome = self.finish_probe_retries(*ep, ProbeOutcome::Filtered);
             }
         }
         result
     }
 
-    async fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
-        self.connect_with_retries(ep, scheme, false).await
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
+        self.connect_with_retries(ep, scheme, false)
     }
 
-    async fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
+    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
         // The client's stale-connection retry deserves the same
         // transient-error budget as a first connect, but must keep
         // bypassing any pool below this wrapper.
-        self.connect_with_retries(ep, scheme, true).await
+        self.connect_with_retries(ep, scheme, true)
     }
 
     fn supports_reuse(&self) -> bool {
@@ -293,7 +287,7 @@ impl<T: Transport> Transport for RetryTransport<T> {
 }
 
 impl<T: Transport> RetryTransport<T> {
-    async fn connect_with_retries(
+    fn connect_with_retries(
         &self,
         ep: Endpoint,
         scheme: Scheme,
@@ -302,9 +296,9 @@ impl<T: Transport> RetryTransport<T> {
         let max = self.policy.attempts();
         for attempt in 0..max {
             let result = if fresh {
-                self.inner.connect_fresh(ep, scheme).await
+                self.inner.connect_fresh(ep, scheme)
             } else {
-                self.inner.connect(ep, scheme).await
+                self.inner.connect(ep, scheme)
             };
             match result {
                 Ok(conn) => {
@@ -316,8 +310,7 @@ impl<T: Transport> RetryTransport<T> {
                 Err(e) if e.is_transient() && attempt + 1 < max => {
                     self.connect.retries.incr();
                     self.policy
-                        .pause(&self.connect, self.policy.backoff_units(ep, attempt))
-                        .await;
+                        .pause(&self.connect, self.policy.backoff_units(ep, attempt));
                 }
                 Err(e) => {
                     if e.is_transient() {
@@ -372,18 +365,18 @@ mod tests {
     impl<T: Transport> Transport for Flaky<T> {
         type Conn = T::Conn;
 
-        async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        fn probe(&self, ep: Endpoint) -> ProbeOutcome {
             if self.take_failure() {
                 return ProbeOutcome::Filtered;
             }
-            self.inner.probe(ep).await
+            self.inner.probe(ep)
         }
 
-        async fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
+        fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
             if self.take_failure() {
                 return Err(self.err.clone());
             }
-            self.inner.connect(ep, scheme).await
+            self.inner.connect(ep, scheme)
         }
     }
 
@@ -417,14 +410,14 @@ mod tests {
         assert!(RetryPolicy::default().enabled());
     }
 
-    #[tokio::test]
-    async fn probe_retries_through_transient_filtering() {
+    #[test]
+    fn probe_retries_through_transient_filtering() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 2, Error::Timeout);
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
         // HandlerTransport reports unmounted endpoints as Closed; the
         // two scripted Filtered results are retried away first.
-        assert_eq!(t.probe(ep()).await, ProbeOutcome::Closed);
+        assert_eq!(t.probe(ep()), ProbeOutcome::Closed);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.probe.retries"), 2);
         assert_eq!(snap.counter("retry.probe.recovered"), 1);
@@ -432,35 +425,35 @@ mod tests {
         assert!(snap.timings["retry.probe.backoff"].units > 0);
     }
 
-    #[tokio::test]
-    async fn probe_budget_exhausts_on_persistent_filtering() {
+    #[test]
+    fn probe_budget_exhausts_on_persistent_filtering() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), u32::MAX, Error::Timeout);
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
-        assert_eq!(t.probe(ep()).await, ProbeOutcome::Filtered);
+        assert_eq!(t.probe(ep()), ProbeOutcome::Filtered);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.probe.retries"), 2);
         assert_eq!(snap.counter("retry.probe.exhausted"), 1);
     }
 
-    #[tokio::test]
-    async fn connect_does_not_retry_terminal_errors() {
+    #[test]
+    fn connect_does_not_retry_terminal_errors() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Connect("refused".into()));
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
-        assert!(t.connect(ep(), Scheme::Http).await.is_err());
+        assert!(t.connect(ep(), Scheme::Http).is_err());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.connect.retries"), 0);
         assert_eq!(snap.counter("retry.connect.exhausted"), 0);
     }
 
-    #[tokio::test]
-    async fn connect_exhausts_after_persistent_timeouts() {
+    #[test]
+    fn connect_exhausts_after_persistent_timeouts() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Timeout);
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
         assert!(matches!(
-            t.connect(ep(), Scheme::Http).await,
+            t.connect(ep(), Scheme::Http),
             Err(Error::Timeout)
         ));
         let snap = telemetry.snapshot();
@@ -469,8 +462,8 @@ mod tests {
         assert_eq!(snap.counter("retry.connect.recovered"), 0);
     }
 
-    #[tokio::test]
-    async fn run_recovers_transient_failures() {
+    #[test]
+    fn run_recovers_transient_failures() {
         let telemetry = Telemetry::new();
         let metrics = RetryMetrics::new(&telemetry, "fetch");
         let policy = RetryPolicy::with_attempts(3);
@@ -478,28 +471,24 @@ mod tests {
         let result = policy
             .run(ep(), &metrics, || {
                 let n = calls.fetch_add(1, Ordering::Relaxed);
-                async move {
-                    if n < 2 {
-                        Err(Error::UnexpectedEof)
-                    } else {
-                        Ok(n)
-                    }
+                if n < 2 {
+                    Err(Error::UnexpectedEof)
+                } else {
+                    Ok(n)
                 }
-            })
-            .await;
+            });
         assert_eq!(result, Ok(2));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.fetch.retries"), 2);
         assert_eq!(snap.counter("retry.fetch.recovered"), 1);
     }
 
-    #[tokio::test]
-    async fn run_with_single_attempt_counts_exhaustion() {
+    #[test]
+    fn run_with_single_attempt_counts_exhaustion() {
         let telemetry = Telemetry::new();
         let metrics = RetryMetrics::new(&telemetry, "fetch");
         let result: nokeys_http::Result<()> = RetryPolicy::disabled()
-            .run(ep(), &metrics, || async { Err(Error::Timeout) })
-            .await;
+            .run(ep(), &metrics, || Err(Error::Timeout));
         assert_eq!(result, Err(Error::Timeout));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.fetch.retries"), 0);

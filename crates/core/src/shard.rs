@@ -1,16 +1,18 @@
-//! Sharded scan orchestration with work-stealing.
+//! The scan engine: sharded orchestration with work-stealing.
 //!
-//! A single [`Pipeline`](crate::pipeline::Pipeline) streams the whole
-//! target space through one consumer loop, so `parallelism` only helps
-//! *inside* a batch. This module splits the deterministic batch
-//! sequence (the seeded /24 shuffle chunked by
+//! Every scan — [`Pipeline::run`](crate::pipeline::Pipeline::run),
+//! [`resume`](crate::pipeline::Pipeline::resume), at any shard count —
+//! runs through [`run_sharded`]. The deterministic batch sequence (the
+//! seeded /24 shuffle chunked by
 //! [`blocks_per_batch`](crate::pipeline::PipelineConfig::blocks_per_batch))
-//! into [`PipelineConfig::shards`](crate::pipeline::PipelineConfig::shards)
-//! contiguous ranges, scans each range with an independent worker task
-//! running the existing streaming stages over its slice, and reduces
-//! the per-worker partial results into one [`ScanReport`] and one
-//! telemetry snapshot — byte-identical to the single-pipeline run at
-//! any shard count.
+//! is split into
+//! [`PipelineConfig::shards`](crate::pipeline::PipelineConfig::shards)
+//! contiguous ranges; one OS thread per shard (`std::thread::scope`)
+//! sweeps and verifies its batches one after another, and the
+//! per-worker partial results are reduced into one [`ScanReport`] and
+//! one telemetry snapshot — byte-identical at any shard count, one
+//! included. Shard workers *are* the scan's parallelism: inside a
+//! worker everything is a plain sequential loop.
 //!
 //! # Why the merge is order-independent
 //!
@@ -23,15 +25,15 @@
 //! * `findings` are ordered by stage-I batch sequence, and each batch
 //!   is processed entirely by one worker — so sorting the per-worker
 //!   segments by their starting batch index and appending reconstructs
-//!   the single-run findings order exactly.
+//!   the single-worker findings order exactly.
 //! * Telemetry snapshots are sums too (counters add, histogram buckets
 //!   add, timers add events and virtual units), so absorbing the
 //!   workers' private staging registries in *any* order yields the
-//!   single-run registry (see `telemetry_determinism` tests).
+//!   single-worker registry.
 //! * Fault injection keys its draws per `(endpoint, lane, attempt
 //!   ordinal)`, never on global execution order, and every endpoint's
 //!   operations happen inside exactly one worker in the same relative
-//!   order as a sequential run — so fault-injected replays shard
+//!   order as a single-worker run — so fault-injected replays shard
 //!   exactly, too.
 //!
 //! Which worker runs which batch is timing-dependent, so nothing about
@@ -49,24 +51,24 @@
 //! above applies unchanged no matter how aggressively work moves
 //! between workers.
 //!
-//! # Per-shard checkpoints
+//! # Checkpoints
 //!
 //! With a checkpoint path configured, worker *k* persists its finished
 //! segments (plus the in-progress one) to `<path>.shard-k` every
 //! [`checkpoint_every`](crate::pipeline::PipelineConfig::checkpoint_every)
-//! batches, atomically (write-temp-then-rename), synchronously between
-//! awaits — an abort can never tear a file. Resume gathers the legacy
-//! base checkpoint (as the segment `[0, batches_done)`) and every
-//! `<path>.shard-*` file, dedupes, consolidates the inherited segments
-//! into `<path>.shard-base` (so a worker overwriting its numbered file
-//! cannot lose prior-generation work), and plans new ranges over the
-//! *complement* — only unfinished work is rescanned. The shard count
-//! is not part of [`ConfigFingerprint`], so a checkpoint taken at
-//! `--shards 4` resumes at `--shards 8` (or 1). A completed sharded
-//! run writes one finished legacy [`ScanCheckpoint`] at the base path
-//! and removes its shard files.
+//! batches, atomically (write-temp-then-rename) and between batches.
+//! Resume gathers the file at the base path (if an earlier run
+//! finished) and every `<path>.shard-*` file, dedupes, consolidates
+//! the inherited segments into `<path>.shard-base` (so a worker
+//! overwriting its numbered file cannot lose prior-generation work),
+//! and plans new ranges over the *complement* — only unfinished work is
+//! rescanned. The shard count is not part of [`ConfigFingerprint`], so
+//! a checkpoint taken at `--shards 4` resumes at `--shards 8` (or 1).
+//! A completed run writes one [`ShardCheckpoint`] at the base path —
+//! a single segment covering `[0, total_batches)` — and removes its
+//! shard files; resuming from it rescans nothing.
 
-use crate::checkpoint::{CheckpointError, ConfigFingerprint, ScanCheckpoint, CHECKPOINT_FORMAT};
+use crate::checkpoint::{CheckpointError, ConfigFingerprint, ShardCheckpoint, ShardSegment};
 use crate::pipeline::{BatchProcessor, PipelineConfig, PipelineError};
 use crate::portscan::{Cidr, PortScanner};
 use crate::rate::SharedPacer;
@@ -74,95 +76,9 @@ use crate::report::ScanReport;
 use crate::retry::RetryTransport;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use nokeys_http::{Client, Transport};
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// On-disk format version of [`ShardCheckpoint`] files.
-pub const SHARD_CHECKPOINT_FORMAT: u32 = 1;
-
-/// One contiguous run of completed batches: the partial report and the
-/// telemetry recorded while processing exactly those batches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardSegment {
-    /// First batch index covered (inclusive).
-    pub start_batch: u64,
-    /// One past the last batch index covered.
-    pub end_batch: u64,
-    /// Report accumulated over `[start_batch, end_batch)`.
-    pub report: ScanReport,
-    /// Telemetry delta recorded over the same batches.
-    pub telemetry: TelemetrySnapshot,
-}
-
-impl ShardSegment {
-    pub(crate) fn len(&self) -> u64 {
-        self.end_batch.saturating_sub(self.start_batch)
-    }
-}
-
-/// Persistent state of one shard worker (or the consolidated inherited
-/// state, at `<path>.shard-base`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardCheckpoint {
-    /// On-disk format version ([`SHARD_CHECKPOINT_FORMAT`]).
-    pub format: u32,
-    /// Fingerprint of the configuration that produced this checkpoint.
-    pub fingerprint: ConfigFingerprint,
-    /// Batch count of the whole scan under that configuration; a
-    /// cross-check that segment indices mean what we think they mean.
-    pub total_batches: u64,
-    /// Completed segments, in the order the worker finished them.
-    pub segments: Vec<ShardSegment>,
-}
-
-impl ShardCheckpoint {
-    /// Load and parse a per-shard checkpoint file.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
-        let cp: ShardCheckpoint =
-            serde_json::from_slice(&bytes).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        if cp.format != SHARD_CHECKPOINT_FORMAT {
-            return Err(CheckpointError::FormatVersion {
-                found: cp.format,
-                expected: SHARD_CHECKPOINT_FORMAT,
-            });
-        }
-        Ok(cp)
-    }
-
-    /// Write the checkpoint atomically (serialize to `<path>.tmp`, then
-    /// rename), like [`ScanCheckpoint::save`].
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = serde_json::to_vec(self).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &bytes).map_err(|e| CheckpointError::Io(format!("{tmp:?}: {e}")))?;
-        std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))
-    }
-
-    /// Reject the checkpoint unless it was produced under `current`
-    /// over the same batch sequence.
-    pub fn validate(
-        &self,
-        current: &ConfigFingerprint,
-        total_batches: u64,
-    ) -> Result<(), CheckpointError> {
-        if let Some(knob) = self.fingerprint.first_mismatch(current) {
-            return Err(CheckpointError::ConfigMismatch(knob.to_string()));
-        }
-        if self.total_batches != total_batches {
-            return Err(CheckpointError::Corrupt(format!(
-                "shard checkpoint covers a {}-batch scan, this scan has {total_batches}",
-                self.total_batches
-            )));
-        }
-        Ok(())
-    }
-}
+use std::sync::Mutex;
 
 /// Out-of-band observability of one sharded run.
 ///
@@ -183,17 +99,6 @@ pub struct ShardStats {
     /// Stage-I probes sent by each worker; sums to the single-pipeline
     /// probe count on a fresh run.
     pub probes_by_worker: Vec<u64>,
-}
-
-impl ShardStats {
-    pub(crate) fn idle(shards: usize) -> Self {
-        ShardStats {
-            shards,
-            steals: 0,
-            batches_by_worker: vec![0; shards],
-            probes_by_worker: vec![0; shards],
-        }
-    }
 }
 
 /// `<base>.shard-<worker>` — worker `k`'s checkpoint file.
@@ -332,23 +237,23 @@ impl WorkQueue {
 /// One worker's private pipeline: a staged scanner, retry transport and
 /// batch processor all recording into a worker-private telemetry
 /// registry, sweeping slices of the shared shuffled block list.
-struct SegmentRunner<T: Transport + Clone + 'static> {
+struct SegmentRunner<'a, T: Transport + Clone> {
     staging: Telemetry,
     scanner: PortScanner,
     processor: BatchProcessor,
     client: Client<RetryTransport<T>>,
-    blocks: Arc<Vec<Cidr>>,
+    blocks: &'a [Cidr],
     blocks_per_batch: usize,
     /// Shared across all workers so `--max-probes-per-sec` stays a
     /// whole-scan bound, not a per-shard one.
     pacer: Option<SharedPacer>,
 }
 
-impl<T: Transport + Clone + 'static> SegmentRunner<T> {
+impl<'a, T: Transport + Clone> SegmentRunner<'a, T> {
     fn new(
         config: &PipelineConfig,
         client: &Client<T>,
-        blocks: Arc<Vec<Cidr>>,
+        blocks: &'a [Cidr],
         pacer: Option<SharedPacer>,
     ) -> Self {
         let staging = Telemetry::new();
@@ -372,29 +277,15 @@ impl<T: Transport + Clone + 'static> SegmentRunner<T> {
 
     /// Sweep and process batch `seq`, folding its results into
     /// `report`. Returns the stage-I probes sent.
-    ///
-    /// Replicates the streaming sweep's delivery rule exactly: a full
-    /// batch is always processed (even when empty), while the trailing
-    /// short batch is processed only if it swept something — matching
-    /// `scan_stream`, which never emits an all-skipped tail (its sweep
-    /// telemetry still lands in the segment delta, like the legacy
-    /// epilogue message).
-    async fn run_batch(&self, seq: u64, report: &mut ScanReport) -> u64 {
+    fn run_batch(&mut self, seq: u64, report: &mut ScanReport) -> u64 {
         let lo = (seq as usize) * self.blocks_per_batch;
         let hi = self.blocks.len().min(lo + self.blocks_per_batch);
-        let batch = self
-            .scanner
-            .scan_blocks(self.client.transport(), &self.blocks[lo..hi], &self.pacer)
-            .await;
+        let batch =
+            self.scanner
+                .scan_blocks(self.client.transport(), &self.blocks[lo..hi], &self.pacer);
         let probes = batch.probes_sent;
-        let short_tail = hi - lo < self.blocks_per_batch;
-        if short_tail && batch.open.is_empty() && batch.probes_sent == 0 {
-            return probes;
-        }
         BatchProcessor::accumulate_sweep_counts(report, &batch);
-        self.processor
-            .process_batch(&self.client, batch, report)
-            .await;
+        self.processor.process_batch(&self.client, batch, report);
         probes
     }
 }
@@ -418,7 +309,6 @@ struct WorkerCheckpoint {
 impl WorkerCheckpoint {
     fn write(&self, segments: Vec<ShardSegment>) -> Result<(), PipelineError> {
         ShardCheckpoint {
-            format: SHARD_CHECKPOINT_FORMAT,
             fingerprint: self.fingerprint.clone(),
             total_batches: self.total_batches,
             segments,
@@ -430,14 +320,11 @@ impl WorkerCheckpoint {
 
 /// One worker: repeatedly take a range from the queue, drain it into a
 /// segment, and checkpoint along the way.
-async fn drain_queue<T>(
-    runner: SegmentRunner<T>,
-    queue: Arc<WorkQueue>,
+fn drain_queue<T: Transport + Clone>(
+    mut runner: SegmentRunner<'_, T>,
+    queue: &WorkQueue,
     checkpoint: Option<WorkerCheckpoint>,
-) -> Result<WorkerReport, PipelineError>
-where
-    T: Transport + Clone + 'static,
-{
+) -> Result<WorkerReport, PipelineError> {
     let mut out = WorkerReport {
         segments: Vec::new(),
         batches_done: 0,
@@ -449,7 +336,7 @@ where
         let seg_base = runner.staging.snapshot();
         let mut seg_range: Option<(u64, u64)> = None;
         while let Some(seq) = queue.claim(rid) {
-            out.probes_sent += runner.run_batch(seq, &mut seg_report).await;
+            out.probes_sent += runner.run_batch(seq, &mut seg_report);
             out.batches_done += 1;
             since_start += 1;
             seg_range = Some((seg_range.map_or(seq, |(start, _)| start), seq + 1));
@@ -464,8 +351,8 @@ where
                         report: seg_report.clone(),
                         telemetry: runner.staging.snapshot().delta_since(&seg_base),
                     });
-                    // Synchronous atomic write between awaits: an abort
-                    // can never leave a torn shard checkpoint behind.
+                    // Written between batches, atomically: a death at
+                    // any point leaves a whole file of whole batches.
                     ck.write(segments)?;
                 }
             }
@@ -574,23 +461,20 @@ pub(crate) fn plan_initial_ranges(remaining: &[(u64, u64)], shards: u64) -> Vec<
 
 /// Scan one contiguous batch range with a fresh worker over a private
 /// registry, exactly as a shard worker would, returning its
-/// [`ShardSegment`]. Public so tests and benches can build partials to
-/// feed [`merge_segments`] in arbitrary orders.
-pub async fn scan_segment<T>(
+/// [`ShardSegment`]. Public so tests can build partials to feed
+/// [`merge_segments`] in arbitrary orders.
+pub fn scan_segment<T: Transport + Clone>(
     config: &PipelineConfig,
     client: &Client<T>,
     start_batch: u64,
     end_batch: u64,
-) -> ShardSegment
-where
-    T: Transport + Clone + 'static,
-{
+) -> ShardSegment {
     let planner = PortScanner::with_telemetry(config.portscan.clone(), &Telemetry::new());
-    let blocks = Arc::new(planner.shuffled_blocks());
-    let runner = SegmentRunner::new(config, client, blocks, planner.pacer());
+    let blocks = planner.shuffled_blocks();
+    let mut runner = SegmentRunner::new(config, client, &blocks, planner.pacer());
     let mut report = ScanReport::default();
     for seq in start_batch..end_batch {
-        runner.run_batch(seq, &mut report).await;
+        runner.run_batch(seq, &mut report);
     }
     ShardSegment {
         start_batch,
@@ -626,90 +510,54 @@ pub fn merge_segments(
     Ok(report)
 }
 
-/// Number of batches the configured sweep covers. This is the shared
-/// contract between the in-process shard tier, the process-tier
-/// coordinator, and external `nokeys-worker` processes: all three must
-/// agree on the batch count for leased ranges to mean the same thing.
+/// Number of batches the configured sweep covers.
 pub fn total_batches(config: &PipelineConfig) -> u64 {
     let planner = PortScanner::with_telemetry(config.portscan.clone(), &Telemetry::new());
     batch_count(planner.shuffled_blocks().len(), config.blocks_per_batch)
 }
 
 fn batch_count(blocks: usize, blocks_per_batch: usize) -> u64 {
-    (blocks.div_euclid(blocks_per_batch) + usize::from(blocks % blocks_per_batch != 0)) as u64
+    blocks.div_ceil(blocks_per_batch) as u64
 }
 
-/// What a resume found at the base checkpoint path.
-pub(crate) enum ResumeState {
-    /// The stored prefix is the whole run: nothing left to scan.
-    Finished {
-        report: ScanReport,
-        telemetry: TelemetrySnapshot,
-    },
-    /// Consolidated segments inherited from earlier generations.
-    Inherited(Vec<ShardSegment>),
-}
-
-/// Load and consolidate prior-generation state at `path`: the legacy
-/// base checkpoint (a `[0, batches_done)` prefix) plus every numbered
-/// shard file. Shared by the in-process shard tier and the process-tier
-/// coordinator so both resume with identical semantics.
-pub(crate) fn load_resume_state(
+/// Load and consolidate the state earlier runs left at `path`: the
+/// file at the base path (a finished scan) plus every `<path>.shard-*`
+/// file, each validated against this scan's fingerprint and length.
+fn load_resume_state(
     path: &Path,
     fingerprint: &ConfigFingerprint,
     total_batches: u64,
-) -> Result<ResumeState, PipelineError> {
+) -> Result<Vec<ShardSegment>, PipelineError> {
     let shard_files = existing_shard_files(path);
-    let mut inherited: Vec<ShardSegment> = Vec::new();
-    let mut have_state = false;
+    let mut files = shard_files.clone();
     if path.exists() {
-        let cp = ScanCheckpoint::load(path)?;
-        cp.validate(fingerprint)?;
-        if cp.finished {
-            // Warm resume: the stored prefix is the whole run.
-            for f in &shard_files {
-                let _ = std::fs::remove_file(f);
-            }
-            return Ok(ResumeState::Finished {
-                report: cp.report,
-                telemetry: cp.telemetry,
-            });
-        }
-        if cp.batches_done > 0 {
-            inherited.push(ShardSegment {
-                start_batch: 0,
-                end_batch: cp.batches_done,
-                report: cp.report,
-                telemetry: cp.telemetry,
-            });
-        }
-        have_state = true;
+        files.push(path.to_path_buf());
     }
-    for f in &shard_files {
-        let cp = ShardCheckpoint::load(f)?;
-        cp.validate(fingerprint, total_batches)?;
-        inherited.extend(cp.segments);
-        have_state = true;
-    }
-    if !have_state {
+    if files.is_empty() {
         return Err(PipelineError::Checkpoint(CheckpointError::Io(format!(
             "{path:?}: no checkpoint or shard files to resume from"
         ))));
     }
+    let mut inherited: Vec<ShardSegment> = Vec::new();
+    for f in &files {
+        let cp = ShardCheckpoint::load(f)?;
+        cp.validate(fingerprint, total_batches)?;
+        inherited.extend(cp.segments);
+    }
     let inherited = consolidate(inherited)?;
     // Persist the consolidated inheritance *before* any new worker
     // overwrites its numbered file, so a second kill cannot lose
-    // prior-generation segments.
-    if !inherited.is_empty() {
+    // prior-generation segments. (The base-path file is only ever
+    // replaced by the finished scan, so it needs no such copy.)
+    if !shard_files.is_empty() && !inherited.is_empty() {
         ShardCheckpoint {
-            format: SHARD_CHECKPOINT_FORMAT,
             fingerprint: fingerprint.clone(),
             total_batches,
             segments: inherited.clone(),
         }
         .save(&shard_base_path(path))?;
     }
-    Ok(ResumeState::Inherited(inherited))
+    Ok(inherited)
 }
 
 /// Remove every artifact of earlier runs at `path`. A fresh
@@ -739,22 +587,25 @@ pub(crate) fn check_full_coverage(
     Ok(())
 }
 
-/// Write one finished legacy checkpoint replacing the shard files, so a
-/// later resume (sharded or not) warm-starts from the base path.
-pub(crate) fn finalize_checkpoint(
+/// Replace the shard files by the finished scan: one checkpoint at the
+/// base path whose single segment covers the whole batch sequence, so a
+/// later resume finds nothing left to scan.
+fn finalize_checkpoint(
     path: &Path,
     fingerprint: ConfigFingerprint,
     total_batches: u64,
     report: &ScanReport,
-    telemetry: &Telemetry,
+    telemetry: TelemetrySnapshot,
 ) -> Result<(), PipelineError> {
-    ScanCheckpoint {
-        format: CHECKPOINT_FORMAT,
+    ShardCheckpoint {
         fingerprint,
-        batches_done: total_batches,
-        finished: true,
-        report: report.clone(),
-        telemetry: telemetry.snapshot(),
+        total_batches,
+        segments: vec![ShardSegment {
+            start_batch: 0,
+            end_batch: total_batches,
+            report: report.clone(),
+            telemetry,
+        }],
     }
     .save(path)?;
     for f in existing_shard_files(path) {
@@ -763,7 +614,16 @@ pub(crate) fn finalize_checkpoint(
     Ok(())
 }
 
-/// The shard engine behind [`Pipeline::run`] (`shards > 1`),
+/// Why a worker thread ended without returning.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
+}
+
+/// The scan engine behind [`Pipeline::run`],
 /// [`Pipeline::run_with_shard_stats`] and [`Pipeline::resume`].
 ///
 /// `path` is the *base* checkpoint path (worker files hang off it);
@@ -773,73 +633,64 @@ pub(crate) fn finalize_checkpoint(
 /// [`Pipeline::run`]: crate::pipeline::Pipeline::run
 /// [`Pipeline::run_with_shard_stats`]: crate::pipeline::Pipeline::run_with_shard_stats
 /// [`Pipeline::resume`]: crate::pipeline::Pipeline::resume
-pub(crate) async fn run_sharded<T>(
+pub(crate) fn run_sharded<T: Transport + Clone>(
     config: &PipelineConfig,
     telemetry: &Telemetry,
     client: &Client<T>,
     path: Option<&Path>,
     resume: bool,
-    pacer_override: Option<SharedPacer>,
-) -> Result<(ScanReport, ShardStats), PipelineError>
-where
-    T: Transport + Clone + 'static,
-{
+) -> Result<(ScanReport, ShardStats), PipelineError> {
     assert!(config.blocks_per_batch > 0, "batch size must be positive");
     let shards = config.shards.max(1);
     let fingerprint = ConfigFingerprint::of(config);
     // Throwaway registry: this scanner only computes the shuffle and
     // the shared pacer. Workers sweep with their own staged scanners.
     let planner = PortScanner::with_telemetry(config.portscan.clone(), &Telemetry::new());
-    let blocks = Arc::new(planner.shuffled_blocks());
-    // An externally injected pacer (the job engine's chained
-    // job→tenant→global budget) replaces the config-derived one; both
-    // are shared across every worker so the bound stays whole-scan.
-    let pacer = pacer_override.or_else(|| planner.pacer());
+    let blocks = planner.shuffled_blocks();
+    let pacer = planner.pacer();
     let total_batches = batch_count(blocks.len(), config.blocks_per_batch);
 
     let mut inherited: Vec<ShardSegment> = Vec::new();
     if resume {
         let path = path.expect("resume requires a checkpoint path");
-        match load_resume_state(path, &fingerprint, total_batches)? {
-            ResumeState::Finished {
-                report,
-                telemetry: snapshot,
-            } => {
-                telemetry.absorb(&snapshot);
-                return Ok((report, ShardStats::idle(shards)));
-            }
-            ResumeState::Inherited(segments) => inherited = segments,
-        }
+        inherited = load_resume_state(path, &fingerprint, total_batches)?;
     } else if let Some(path) = path {
         clear_checkpoint_files(path);
     }
 
     let remaining = complement(&inherited, total_batches);
-    let queue = Arc::new(WorkQueue::new(plan_initial_ranges(
-        &remaining,
-        shards as u64,
-    )));
-    // Workers live in a JoinSet owned by this future: aborting the
-    // caller aborts every worker with it, so no orphan keeps sweeping
-    // (or writing checkpoint files) after the run is gone.
-    let mut join_set: tokio::task::JoinSet<(usize, Result<WorkerReport, PipelineError>)> =
-        tokio::task::JoinSet::new();
-    for worker in 0..shards {
-        let runner = SegmentRunner::new(config, client, Arc::clone(&blocks), pacer.clone());
-        let checkpoint = path.map(|p| WorkerCheckpoint {
-            path: shard_worker_path(p, worker),
-            every: config.checkpoint_every.max(1),
-            fingerprint: fingerprint.clone(),
-            total_batches,
-        });
-        let queue = Arc::clone(&queue);
-        join_set.spawn(async move { (worker, drain_queue(runner, queue, checkpoint).await) });
-    }
-    let mut outputs: Vec<Option<WorkerReport>> = (0..shards).map(|_| None).collect();
-    while let Some(joined) = join_set.join_next().await {
-        let (worker, result) = joined.map_err(|e| PipelineError::SweepFailed(e.to_string()))?;
-        outputs[worker] = Some(result?);
-    }
+    let queue = WorkQueue::new(plan_initial_ranges(&remaining, shards as u64));
+    // Scoped threads: the scan cannot return (or unwind) past this
+    // block while a worker is still sweeping or writing checkpoint
+    // files. A worker that panics is reported, not propagated: the
+    // other workers finish (and checkpoint) what they hold.
+    let outputs: Vec<Result<WorkerReport, PipelineError>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..shards)
+            .map(|worker| {
+                let runner = SegmentRunner::new(config, client, &blocks, pacer.clone());
+                let checkpoint = path.map(|p| WorkerCheckpoint {
+                    path: shard_worker_path(p, worker),
+                    every: config.checkpoint_every.max(1),
+                    fingerprint: fingerprint.clone(),
+                    total_batches,
+                });
+                let queue = &queue;
+                scope.spawn(move || drain_queue(runner, queue, checkpoint))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .enumerate()
+            .map(|(worker, handle)| {
+                handle.join().unwrap_or_else(|payload| {
+                    Err(PipelineError::SweepFailed(format!(
+                        "shard worker {worker} panicked: {}",
+                        panic_message(payload.as_ref())
+                    )))
+                })
+            })
+            .collect()
+    });
 
     let mut stats = ShardStats {
         shards,
@@ -849,16 +700,22 @@ where
     };
     let mut segments = inherited;
     for output in outputs {
-        let output = output.expect("every worker index joins exactly once");
+        let output = output?;
         stats.batches_by_worker.push(output.batches_done);
         stats.probes_by_worker.push(output.probes_sent);
         segments.extend(output.segments);
     }
     check_full_coverage(&mut segments, total_batches)?;
-    let report = merge_segments(telemetry, segments)?;
+    // Reduce into a private registry first: the finished checkpoint
+    // must hold exactly this scan's telemetry, even when the caller's
+    // registry is shared with other recorders.
+    let merged = Telemetry::new();
+    let report = merge_segments(&merged, segments)?;
+    let snapshot = merged.snapshot();
+    telemetry.absorb(&snapshot);
 
     if let Some(path) = path {
-        finalize_checkpoint(path, fingerprint, total_batches, &report, telemetry)?;
+        finalize_checkpoint(path, fingerprint, total_batches, &report, snapshot)?;
     }
     Ok((report, stats))
 }
@@ -943,9 +800,10 @@ mod tests {
         let b = queue.take().expect("second planned range");
         assert_eq!(queue.claim(a), Some(0));
         assert_eq!(queue.claim(b), Some(8));
+        assert_eq!(queue.claim(b), Some(9));
         assert_eq!(queue.steals.load(Ordering::Relaxed), 0);
-        // Third taker must steal: range a has [1, 8) remaining (7), so
-        // the thief gets the tail [4, 8).
+        // Third taker must steal: range a has [1, 8) remaining (7, the
+        // most), so the thief gets the tail [4, 8).
         let c = queue.take().expect("steals from the largest remainder");
         assert_eq!(queue.steals.load(Ordering::Relaxed), 1);
         assert_eq!(queue.claim(c), Some(4));
@@ -953,7 +811,7 @@ mod tests {
         assert_eq!(queue.claim(a), Some(1));
         // Drain everything; every batch is claimed exactly once.
         let mut seen = vec![0u32; 16];
-        for &(rid, pre) in &[(a, vec![0u64, 1]), (b, vec![8]), (c, vec![4])] {
+        for (rid, pre) in [(a, vec![0u64, 1]), (b, vec![8, 9]), (c, vec![4])] {
             for batch in pre {
                 seen[batch as usize] += 1;
             }
@@ -1019,42 +877,6 @@ mod tests {
             ]
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_checkpoint_round_trip_and_validation() {
-        let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build();
-        let fingerprint = ConfigFingerprint::of(&config);
-        let cp = ShardCheckpoint {
-            format: SHARD_CHECKPOINT_FORMAT,
-            fingerprint: fingerprint.clone(),
-            total_batches: 32,
-            segments: vec![segment(4, 9)],
-        };
-        let path = std::env::temp_dir().join(format!(
-            "nokeys-shard-roundtrip-{}.json.shard-0",
-            std::process::id()
-        ));
-        cp.save(&path).expect("saves");
-        let loaded = ShardCheckpoint::load(&path).expect("loads");
-        assert_eq!(loaded.segments.len(), 1);
-        assert_eq!(loaded.segments[0].start_batch, 4);
-        assert!(loaded.validate(&fingerprint, 32).is_ok());
-        // Wrong scan length is corruption, not a config mismatch.
-        assert!(matches!(
-            loaded.validate(&fingerprint, 64).unwrap_err(),
-            CheckpointError::Corrupt(_)
-        ));
-        let other = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .seed(999)
-            .build();
-        assert!(matches!(
-            loaded
-                .validate(&ConfigFingerprint::of(&other), 32)
-                .unwrap_err(),
-            CheckpointError::ConfigMismatch(_)
-        ));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

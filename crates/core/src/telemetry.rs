@@ -27,14 +27,14 @@
 //!   clock units (one unit ≈ one probe / request / automaton pass),
 //!   never wall-clock time. A fixed seed therefore yields a
 //!   byte-identical [`TelemetrySnapshot`] at any
-//!   [`parallelism`](crate::pipeline::PipelineConfig::parallelism);
-//!   `tests/telemetry_determinism.rs` enforces this.
+//!   [`shards`](crate::pipeline::PipelineConfig::shards) count;
+//!   `tests/scan_identity.rs` enforces this.
 //! * **Sorted serialization.** [`TelemetrySnapshot`] keeps every
 //!   instrument in a `BTreeMap`, so the JSON emitted by
 //!   [`TelemetrySnapshot::to_json`] has sorted keys and is stable across
 //!   runs and platforms.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{object, FromJson, JsonError, ToJson, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -361,7 +361,7 @@ impl Telemetry {
 }
 
 /// Point-in-time state of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Inclusive upper bucket bounds.
     pub bounds: Vec<u64>,
@@ -376,7 +376,7 @@ pub struct HistogramSnapshot {
 }
 
 /// Point-in-time state of one virtual-clock timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingSnapshot {
     /// Number of timed sections.
     pub events: u64,
@@ -389,7 +389,7 @@ pub struct TimingSnapshot {
 /// Keys are sorted (`BTreeMap`) and all values are order-independent
 /// sums over virtual time, so the same seed produces byte-identical
 /// JSON at any concurrency level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Total virtual work units across all timers at snapshot time.
     pub virtual_clock_units: u64,
@@ -401,15 +401,89 @@ pub struct TelemetrySnapshot {
     pub timings: BTreeMap<String, TimingSnapshot>,
 }
 
+impl ToJson for HistogramSnapshot {
+    fn to_json(&self) -> Value {
+        object([
+            ("bounds", self.bounds.to_json()),
+            ("buckets", self.buckets.to_json()),
+            ("overflow", self.overflow.to_json()),
+            ("count", self.count.to_json()),
+            ("sum", self.sum.to_json()),
+        ])
+    }
+}
+
+impl FromJson for HistogramSnapshot {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let snapshot = HistogramSnapshot {
+            bounds: value.field("bounds")?,
+            buckets: value.field("buckets")?,
+            overflow: value.field("overflow")?,
+            count: value.field("count")?,
+            sum: value.field("sum")?,
+        };
+        // Absorbing zips buckets with bounds; a file that disagrees
+        // with itself must not get that far.
+        if snapshot.buckets.len() != snapshot.bounds.len() {
+            return Err(JsonError::Shape(format!(
+                "histogram has {} buckets for {} bounds",
+                snapshot.buckets.len(),
+                snapshot.bounds.len()
+            )));
+        }
+        Ok(snapshot)
+    }
+}
+
+impl ToJson for TimingSnapshot {
+    fn to_json(&self) -> Value {
+        object([
+            ("events", self.events.to_json()),
+            ("units", self.units.to_json()),
+        ])
+    }
+}
+
+impl FromJson for TimingSnapshot {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        Ok(TimingSnapshot {
+            events: value.field("events")?,
+            units: value.field("units")?,
+        })
+    }
+}
+
+impl ToJson for TelemetrySnapshot {
+    fn to_json(&self) -> Value {
+        object([
+            ("virtual_clock_units", self.virtual_clock_units.to_json()),
+            ("counters", self.counters.to_json()),
+            ("histograms", self.histograms.to_json()),
+            ("timings", self.timings.to_json()),
+        ])
+    }
+}
+
+impl FromJson for TelemetrySnapshot {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        Ok(TelemetrySnapshot {
+            virtual_clock_units: value.field("virtual_clock_units")?,
+            counters: value.field("counters")?,
+            histograms: value.field("histograms")?,
+            timings: value.field("timings")?,
+        })
+    }
+}
+
 impl TelemetrySnapshot {
     /// Compact deterministic JSON (sorted keys, no whitespace).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("snapshot serializes")
+        ToJson::to_json(self).write()
     }
 
     /// Pretty-printed deterministic JSON.
     pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
+        ToJson::to_json(self).write_pretty()
     }
 
     /// The work recorded since `prev` (an earlier snapshot of the same
@@ -618,7 +692,7 @@ impl PoolMetrics {
 /// history is not deterministic — but *classified* allocation demand
 /// is: every counter below is a pure function of the probe stream
 /// (body content, body length, header shape), identical at any
-/// parallelism or shard count and with scratch reuse on or off.
+/// shard count.
 ///
 /// - `alloc.views.lower` / `alloc.views.squashed` — bodies whose
 ///   matched content actually required a distinct view (contains
@@ -886,8 +960,8 @@ mod tests {
         t.histogram("h", &[1, 4]).observe(2);
         t.timer("w").record(6);
         let snap = t.snapshot();
-        let back: TelemetrySnapshot = serde_json::from_str(&snap.to_json()).expect("parses");
-        assert_eq!(back, snap);
+        let value = crate::json::parse(snap.to_json().as_bytes()).expect("parses");
+        assert_eq!(TelemetrySnapshot::from_json(&value), Ok(snap));
     }
 
     #[test]

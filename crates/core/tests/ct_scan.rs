@@ -23,8 +23,8 @@ fn targets(universe: &Universe) -> Vec<DomainTarget> {
         .collect()
 }
 
-#[tokio::test]
-async fn ct_watcher_catches_fresh_installations() {
+#[test]
+fn ct_watcher_catches_fresh_installations() {
     let config = UniverseConfig::tiny(21);
     let transport = SimTransport::new(Arc::new(Universe::generate(config)));
     let client = nokeys_http::Client::new(transport.clone());
@@ -33,7 +33,7 @@ async fn ct_watcher_catches_fresh_installations() {
 
     // Probe one hour after each CT entry appears.
     let t = transport.clone();
-    let findings = ct_scan(&client, &entries, 3600, |secs| t.set_time(SimTime(secs))).await;
+    let findings = ct_scan(&client, &entries, 3600, |secs| t.set_time(SimTime(secs)));
 
     // Ground truth: which vhosts were still pre-install one hour after
     // registration (and registered within the window)?
@@ -73,14 +73,13 @@ async fn ct_watcher_catches_fresh_installations() {
     }
 }
 
-#[tokio::test]
-async fn ip_sweep_misses_everything_behind_shared_hosting() {
+#[test]
+fn ip_sweep_misses_everything_behind_shared_hosting() {
     let config = UniverseConfig::tiny(21);
     let transport = SimTransport::new(Arc::new(Universe::generate(config.clone())));
     let client = nokeys_http::Client::new(transport.clone());
     let report = Pipeline::new(PipelineConfig::builder(vec![config.space]).build())
         .run(&client)
-        .await
         .expect("pipeline failed");
 
     // No finding of the IP sweep points at a shared-hosting machine: the
@@ -106,8 +105,8 @@ async fn ip_sweep_misses_everything_behind_shared_hosting() {
     );
 }
 
-#[tokio::test]
-async fn vhost_dispatch_serves_the_named_site() {
+#[test]
+fn vhost_dispatch_serves_the_named_site() {
     let config = UniverseConfig::tiny(21);
     let transport = SimTransport::new(Arc::new(Universe::generate(config)));
     let client = nokeys_http::Client::new(transport.clone());
@@ -119,7 +118,6 @@ async fn vhost_dispatch_serves_the_named_site() {
     // Probe while installed (set time after installed_at).
     transport.set_time(vhost.installed_at + nokeys_netsim::SimDuration::hours(1));
     let resp = nokeys_scanner::ct::fetch_vhost(&client, host, &vhost.domain, "/")
-        .await
         .expect("vhost answers");
     let body = resp.body_text();
     // The named site is a CMS, not the hosting placeholder.
@@ -134,7 +132,6 @@ async fn vhost_dispatch_serves_the_named_site() {
             nokeys_http::Scheme::Http,
             "/",
         )
-        .await
         .expect("default answers");
     assert!(plain.response.body_text().contains("ACME Widgets"));
 }

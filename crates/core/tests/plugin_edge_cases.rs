@@ -28,8 +28,8 @@ fn client_with(pages: Vec<(&'static str, Response)>) -> (Client<HandlerTransport
     (Client::new(HandlerTransport::new().with(ep, handler)), ep)
 }
 
-#[tokio::test]
-async fn grav_fallback_to_admin_page() {
+#[test]
+fn grav_fallback_to_admin_page() {
     // Step 1 fails (plain front page), step 2 matches on /admin.
     let (client, ep) = client_with(vec![
         ("/", Response::html("<html><body>A Grav site</body></html>")),
@@ -40,41 +40,41 @@ async fn grav_fallback_to_admin_page() {
             ),
         ),
     ]);
-    assert!(detect_mav(&client, AppId::Grav, ep, Scheme::Http).await);
+    assert!(detect_mav(&client, AppId::Grav, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn grav_requires_both_markers() {
+#[test]
+fn grav_requires_both_markers() {
     let (client, ep) = client_with(vec![(
         "/admin",
         Response::html("<html><body>No user accounts found.</body></html>"),
     )]);
     assert!(
-        !detect_mav(&client, AppId::Grav, ep, Scheme::Http).await,
+        !detect_mav(&client, AppId::Grav, ep, Scheme::Http),
         "'create one' missing — must not fire"
     );
 }
 
-#[tokio::test]
-async fn phpmyadmin_alias_path_fallback() {
+#[test]
+fn phpmyadmin_alias_path_fallback() {
     let body = "<html><body>Server connection collation \
                 <a>phpMyAdmin documentation</a></body></html>";
     let (client, ep) = client_with(vec![("/phpmyadmin", Response::html(body))]);
-    assert!(detect_mav(&client, AppId::PhpMyAdmin, ep, Scheme::Http).await);
+    assert!(detect_mav(&client, AppId::PhpMyAdmin, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn adminer_alternate_path_fallback() {
+#[test]
+fn adminer_alternate_path_fallback() {
     let body = "<html><body>MySQL through PHP extension — Logged as: root</body></html>";
     let (client, ep) = client_with(vec![(
         "/adminer/adminer.php?username=root",
         Response::html(body),
     )]);
-    assert!(detect_mav(&client, AppId::Adminer, ep, Scheme::Http).await);
+    assert!(detect_mav(&client, AppId::Adminer, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn kubernetes_rejects_empty_pod_list() {
+#[test]
+fn kubernetes_rejects_empty_pod_list() {
     // Markers present but `items` is empty: the paper's plugin requires a
     // non-empty array.
     let (client, ep) = client_with(vec![
@@ -87,11 +87,11 @@ async fn kubernetes_rejects_empty_pod_list() {
             Response::json(r#"{"kind":"PodList","items":[],"note":"\"phase\":\"Running\""}"#),
         ),
     ]);
-    assert!(!detect_mav(&client, AppId::Kubernetes, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Kubernetes, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn kubernetes_rejects_malformed_json() {
+#[test]
+fn kubernetes_rejects_malformed_json() {
     let (client, ep) = client_with(vec![
         (
             "/",
@@ -102,33 +102,33 @@ async fn kubernetes_rejects_malformed_json() {
             Response::json(r#"{"items":[{"phase":"Running""#),
         ),
     ]);
-    assert!(!detect_mav(&client, AppId::Kubernetes, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Kubernetes, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn consul_requires_the_debug_config_property() {
+#[test]
+fn consul_requires_the_debug_config_property() {
     // Valid JSON, script checks "enabled", but no DebugConfig object.
     let (client, ep) = client_with(vec![(
         "/v1/agent/self",
         Response::json(r#"{"Config":{"EnableScriptChecks":true}}"#),
     )]);
-    assert!(!detect_mav(&client, AppId::Consul, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Consul, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn consul_accepts_either_script_flag() {
+#[test]
+fn consul_accepts_either_script_flag() {
     for flag in ["EnableScriptChecks", "EnableRemoteScriptChecks"] {
         let body = format!(r#"{{"DebugConfig":{{"{flag}":true}}}}"#);
         let (client, ep) = client_with(vec![("/v1/agent/self", Response::json(body))]);
         assert!(
-            detect_mav(&client, AppId::Consul, ep, Scheme::Http).await,
+            detect_mav(&client, AppId::Consul, ep, Scheme::Http),
             "{flag} alone should suffice"
         );
     }
 }
 
-#[tokio::test]
-async fn hadoop_requires_application_id_json() {
+#[test]
+fn hadoop_requires_application_id_json() {
     let cluster = Response::html(
         "<html><body>Apache Hadoop ResourceManager — logged in as: dr.who</body></html>",
     );
@@ -140,11 +140,11 @@ async fn hadoop_requires_application_id_json() {
             Response::json(r#"{"maximum-resource-capability":{}}"#),
         ),
     ]);
-    assert!(!detect_mav(&client, AppId::Hadoop, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Hadoop, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn drupal_matches_across_whitespace_styles() {
+#[test]
+fn drupal_matches_across_whitespace_styles() {
     for body in [
         "<html><li class=\"is-active\">Set up database</li></html>",
         "<html><li \n class=\"is-active\"\n>\n  Set up database\n</li></html>",
@@ -155,34 +155,34 @@ async fn drupal_matches_across_whitespace_styles() {
             Response::html(body),
         )]);
         assert!(
-            detect_mav(&client, AppId::Drupal, ep, Scheme::Http).await,
+            detect_mav(&client, AppId::Drupal, ep, Scheme::Http),
             "whitespace variant should match: {body}"
         );
     }
 }
 
-#[tokio::test]
-async fn jenkins_requires_the_form_not_just_branding() {
+#[test]
+fn jenkins_requires_the_form_not_just_branding() {
     // 'Jenkins' + valid HTML but no createItem form (login wall).
     let (client, ep) = client_with(vec![(
         "/view/all/newJob",
         Response::html("<html><body>Jenkins login required</body></html>"),
     )]);
-    assert!(!detect_mav(&client, AppId::Jenkins, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Jenkins, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn jenkins_requires_valid_html() {
+#[test]
+fn jenkins_requires_valid_html() {
     // The form marker inside a non-HTML body must not fire.
     let (client, ep) = client_with(vec![(
         "/view/all/newJob",
         Response::text("Jenkins <form id=\"createItem\">"),
     )]);
-    assert!(!detect_mav(&client, AppId::Jenkins, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Jenkins, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn gocd_matches_every_documented_marker_pair() {
+#[test]
+fn gocd_matches_every_documented_marker_pair() {
     let variants = [
         "<html>Create a pipeline - Go <div class=\"pipelines-page\"></div></html>",
         "<html>Add Pipeline <div id=\"admin_pipelines\"></div></html>",
@@ -192,7 +192,7 @@ async fn gocd_matches_every_documented_marker_pair() {
     for body in variants {
         let (client, ep) = client_with(vec![("/go/home", Response::html(body))]);
         assert!(
-            detect_mav(&client, AppId::Gocd, ep, Scheme::Http).await,
+            detect_mav(&client, AppId::Gocd, ep, Scheme::Http),
             "variant should match: {body}"
         );
     }
@@ -201,26 +201,26 @@ async fn gocd_matches_every_documented_marker_pair() {
         "/go/home",
         Response::html("<html>Pipelines - Go</html>"),
     )]);
-    assert!(!detect_mav(&client, AppId::Gocd, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Gocd, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn zeppelin_requires_the_exact_status_prefix() {
+#[test]
+fn zeppelin_requires_the_exact_status_prefix() {
     let (client, ep) = client_with(vec![(
         "/api/notebook",
         Response::json(r#"{"status": "OK", "body": []}"#),
     )]);
     // Note the space after the colon: the paper's marker has none.
-    assert!(!detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http));
     let (client, ep) = client_with(vec![(
         "/api/notebook",
         Response::json(r#"{"status":"OK","body":[]}"#),
     )]);
-    assert!(detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http).await);
+    assert!(detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn wordpress_install_form_needs_password_field() {
+#[test]
+fn wordpress_install_form_needs_password_field() {
     // form#setup without the pass1 input (e.g. a language-selection step)
     // must not fire.
     let (client, ep) = client_with(vec![(
@@ -229,15 +229,15 @@ async fn wordpress_install_form_needs_password_field() {
             "<html><body>WordPress<form id=\"setup\"><select name=\"lang\"></select></form></body></html>",
         ),
     )]);
-    assert!(!detect_mav(&client, AppId::WordPress, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::WordPress, ep, Scheme::Http));
 }
 
-#[tokio::test]
-async fn error_statuses_do_not_satisfy_marker_checks() {
+#[test]
+fn error_statuses_do_not_satisfy_marker_checks() {
     // A 500 page echoing markers must not fire for plugins that require
     // 2xx responses.
     let mut resp = Response::json(r#"{"status":"OK","body":[]}"#);
     resp.status = nokeys_http::StatusCode::INTERNAL_SERVER_ERROR;
     let (client, ep) = client_with(vec![("/api/notebook", resp)]);
-    assert!(!detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http).await);
+    assert!(!detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http));
 }

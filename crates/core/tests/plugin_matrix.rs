@@ -35,12 +35,12 @@ fn client_for(app: AppId, vulnerable: bool) -> (Client<HandlerTransport>, Endpoi
     (Client::new(HandlerTransport::new().with(ep, handler)), ep)
 }
 
-#[tokio::test]
-async fn plugins_never_fire_on_other_applications() {
+#[test]
+fn plugins_never_fire_on_other_applications() {
     for target in AppId::in_scope() {
         let (client, ep) = client_for(target, true);
         for plugin in AppId::in_scope() {
-            let detected = detect_mav(&client, plugin, ep, Scheme::Http).await;
+            let detected = detect_mav(&client, plugin, ep, Scheme::Http);
             if plugin == target {
                 assert!(detected, "{plugin} plugin missed its own vulnerable app");
             } else {
@@ -53,21 +53,21 @@ async fn plugins_never_fire_on_other_applications() {
     }
 }
 
-#[tokio::test]
-async fn plugins_never_fire_on_secured_applications() {
+#[test]
+fn plugins_never_fire_on_secured_applications() {
     for target in AppId::in_scope().filter(|a| *a != AppId::Polynote) {
         let (client, ep) = client_for(target, false);
         for plugin in AppId::in_scope() {
             assert!(
-                !detect_mav(&client, plugin, ep, Scheme::Http).await,
+                !detect_mav(&client, plugin, ep, Scheme::Http),
                 "{plugin} plugin fired on a secured {target}"
             );
         }
     }
 }
 
-#[tokio::test]
-async fn plugins_never_fire_on_background_noise() {
+#[test]
+fn plugins_never_fire_on_background_noise() {
     use nokeys_apps::background::BackgroundKind;
     struct Noise(BackgroundKind);
     impl nokeys_http::server::Handler for Noise {
@@ -83,7 +83,7 @@ async fn plugins_never_fire_on_background_noise() {
         let client = Client::new(HandlerTransport::new().with(ep, Arc::new(Noise(kind))));
         for plugin in AppId::in_scope() {
             assert!(
-                !detect_mav(&client, plugin, ep, Scheme::Http).await,
+                !detect_mav(&client, plugin, ep, Scheme::Http),
                 "{plugin} plugin fired on {kind:?}"
             );
         }

@@ -26,8 +26,8 @@ fn client_for(
 /// Every vulnerable configuration of every version of every in-scope
 /// application is detected by its plugin — no breaking change anywhere
 /// in any release history.
-#[tokio::test]
-async fn plugins_detect_every_vulnerable_version() {
+#[test]
+fn plugins_detect_every_vulnerable_version() {
     for app in AppId::in_scope() {
         for version in release_history(app) {
             let cfg = AppConfig::vulnerable_for(app, &version);
@@ -38,7 +38,7 @@ async fn plugins_detect_every_vulnerable_version() {
             }
             let (client, ep) = client_for(app, version, cfg);
             assert!(
-                detect_mav(&client, app, ep, Scheme::Http).await,
+                detect_mav(&client, app, ep, Scheme::Http),
                 "{app} {}: vulnerable version not detected",
                 version.number()
             );
@@ -47,14 +47,14 @@ async fn plugins_detect_every_vulnerable_version() {
 }
 
 /// Every secured version is left alone by every plugin.
-#[tokio::test]
-async fn plugins_ignore_every_secured_version() {
+#[test]
+fn plugins_ignore_every_secured_version() {
     for app in AppId::in_scope().filter(|a| *a != AppId::Polynote) {
         for version in release_history(app) {
             let cfg = AppConfig::secure_for(app, &version);
             let (client, ep) = client_for(app, version, cfg);
             assert!(
-                !detect_mav(&client, app, ep, Scheme::Http).await,
+                !detect_mav(&client, app, ep, Scheme::Http),
                 "{app} {}: secured version falsely flagged",
                 version.number()
             );
@@ -65,8 +65,8 @@ async fn plugins_ignore_every_secured_version() {
 /// The prefilter signatures identify every version in both states — the
 /// paper's "looking for strings and endpoints that appeared stable across
 /// all the different versions".
-#[tokio::test]
-async fn signatures_identify_every_version() {
+#[test]
+fn signatures_identify_every_version() {
     let signatures = all_signatures();
     for app in AppId::in_scope() {
         for version in release_history(app) {

@@ -12,10 +12,8 @@ use crate::response::Response;
 use crate::transport::{Connection, Endpoint, Scheme, Transport};
 use crate::url::{Host, Url};
 use crate::version::Version;
-use bytes::BytesMut;
 use std::net::Ipv4Addr;
-use std::time::Duration;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
+use std::time::{Duration, Instant};
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -110,7 +108,7 @@ impl<T: Transport> Client<T> {
     /// bypasses the pool; failures after response bytes arrived are
     /// surfaced, not retried, because the exchange is no longer known
     /// to be unprocessed.
-    pub async fn execute(&self, url: &Url, mut req: Request) -> Result<Response> {
+    pub fn execute(&self, url: &Url, mut req: Request) -> Result<Response> {
         let ep = endpoint_of(url)?;
         if !req.headers.contains("host") {
             req.headers.set("Host", url.host_header());
@@ -125,51 +123,38 @@ impl<T: Transport> Client<T> {
         let head_method = req.method == crate::Method::Head;
         let wire = encode_request(&req);
 
-        let exchange = async {
-            let mut conn = self.transport.connect(ep, url.scheme).await?;
-            match exchange_once(
-                &mut conn,
+        let deadline = Instant::now() + self.config.request_timeout;
+        let exchange = |conn: &mut T::Conn| {
+            exchange_once(
+                conn,
                 &wire,
                 head_method,
                 &self.config.limits,
                 request_close,
+                deadline,
             )
-            .await
-            {
-                Outcome::Done(resp) => Ok(resp),
-                Outcome::Fatal(e) => Err(e),
-                Outcome::Stale(_) => {
-                    drop(conn); // tear the corpse down before redialing
-                    let mut fresh = self.transport.connect_fresh(ep, url.scheme).await?;
-                    match exchange_once(
-                        &mut fresh,
-                        &wire,
-                        head_method,
-                        &self.config.limits,
-                        request_close,
-                    )
-                    .await
-                    {
-                        Outcome::Done(resp) => Ok(resp),
-                        Outcome::Stale(e) | Outcome::Fatal(e) => Err(e),
-                    }
+        };
+        let mut conn = self.transport.connect(ep, url.scheme)?;
+        match exchange(&mut conn) {
+            Outcome::Done(resp) => Ok(resp),
+            Outcome::Fatal(e) => Err(e),
+            Outcome::Stale(_) => {
+                drop(conn); // tear the corpse down before redialing
+                let mut fresh = self.transport.connect_fresh(ep, url.scheme)?;
+                match exchange(&mut fresh) {
+                    Outcome::Done(resp) => Ok(resp),
+                    Outcome::Stale(e) | Outcome::Fatal(e) => Err(e),
                 }
             }
-        };
-        match tokio::time::timeout(self.config.request_timeout, exchange).await {
-            Ok(res) => res,
-            Err(_) => Err(Error::Timeout),
         }
     }
 
     /// `GET` with redirect following. Returns the first response that is
     /// not a followable redirect.
-    pub async fn get(&self, url: &Url) -> Result<Fetched> {
+    pub fn get(&self, url: &Url) -> Result<Fetched> {
         let mut current = url.clone();
         for hop in 0..=self.config.max_redirects {
-            let resp = self
-                .execute(&current, Request::get(current.path.clone()))
-                .await?;
+            let resp = self.execute(&current, Request::get(current.path.clone()))?;
             if resp.is_followable_redirect() {
                 let location = resp.location().expect("checked by is_followable_redirect");
                 current = current.join(location)?;
@@ -185,9 +170,9 @@ impl<T: Transport> Client<T> {
     }
 
     /// `GET` a path on a raw endpoint (scanner convenience).
-    pub async fn get_path(&self, ep: Endpoint, scheme: Scheme, path: &str) -> Result<Fetched> {
+    pub fn get_path(&self, ep: Endpoint, scheme: Scheme, path: &str) -> Result<Fetched> {
         let url = Url::for_ip(scheme, ep.ip, ep.port, path);
-        self.get(&url).await
+        self.get(&url)
     }
 }
 
@@ -222,18 +207,23 @@ enum Outcome {
 /// close, and the server's version/`Connection` headers agree
 /// (HTTP/1.1 defaults to keep-alive, HTTP/1.0 must opt in).
 ///
+/// Every blocking operation is bounded by what is left until
+/// `deadline`, so a stalled or trickling peer costs at most the
+/// configured request timeout.
+///
 /// The read buffer is borrowed from the connection's recycle slot when
 /// one exists, and handed back (cleared, capacity intact) after a
 /// reusable exchange — so the N probes a scan sends down one pooled
 /// keep-alive connection share a single buffer allocation. Parsed
 /// responses copy their bodies out of the buffer ([`Parsed::Complete`]
 /// owns its bytes), which is what makes handing it back sound.
-async fn exchange_once<C: Connection>(
+fn exchange_once<C: Connection>(
     conn: &mut C,
     wire: &[u8],
     head_method: bool,
     limits: &Limits,
     request_close: bool,
+    deadline: Instant,
 ) -> Outcome {
     let reused = conn.is_reused();
     let stale_or_fatal = |e: Error, unprocessed: bool| {
@@ -243,16 +233,24 @@ async fn exchange_once<C: Connection>(
             Outcome::Fatal(e)
         }
     };
-    if let Err(e) = conn.write_all(wire).await {
-        return stale_or_fatal(e.into(), true);
+    let arm = |conn: &mut C| -> Result<()> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(Error::Timeout);
+        }
+        conn.set_io_timeout(left).map_err(Error::from)
+    };
+    if let Err(e) = arm(conn) {
+        return Outcome::Fatal(e);
     }
     // Not all transports propagate flush, but it is correct to ask.
-    if let Err(e) = conn.flush().await {
+    if let Err(e) = conn.write_all(wire).and_then(|()| conn.flush()) {
         return stale_or_fatal(e.into(), true);
     }
     let mut buf = conn
         .take_recycled_buf()
-        .unwrap_or_else(|| BytesMut::with_capacity(4096));
+        .unwrap_or_else(|| Vec::with_capacity(4096));
+    let mut chunk = [0u8; 4096];
     let mut eof = false;
     let mut scanner = HeadScanner::new();
     loop {
@@ -279,9 +277,13 @@ async fn exchange_once<C: Connection>(
             }
             Err(e) => return stale_or_fatal(e, buf.is_empty()),
         }
-        match conn.read_buf(&mut buf).await {
+        if let Err(e) = arm(conn) {
+            return Outcome::Fatal(e);
+        }
+        match conn.read(&mut chunk) {
             Ok(0) => eof = true,
-            Ok(_) => {}
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return stale_or_fatal(e.into(), buf.is_empty()),
         }
     }
@@ -291,63 +293,62 @@ async fn exchange_once<C: Connection>(
 mod tests {
     use super::*;
     use crate::encode::encode_response;
+    use std::io::{Read, Write};
     use crate::status::StatusCode;
 
     /// Spawn a TCP server that answers each connection with a canned
-    /// response produced by `f(path)`.
-    async fn canned_server<F>(f: F) -> u16
+    /// response produced by `f(path)`. The accept thread is detached on
+    /// purpose: it blocks in `accept` until the test process exits.
+    fn canned_server<F>(f: F) -> u16
     where
         F: Fn(&str) -> Response + Send + Sync + 'static,
     {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
-        tokio::spawn(async move {
-            loop {
-                let Ok((mut stream, _)) = listener.accept().await else {
-                    break;
-                };
+        std::thread::spawn(move || {
+            while let Ok((mut stream, _)) = listener.accept() {
                 let mut buf = vec![0u8; 4096];
-                let n = stream.read(&mut buf).await.unwrap_or(0);
+                let n = stream.read(&mut buf).unwrap_or(0);
                 let text = String::from_utf8_lossy(&buf[..n]).into_owned();
                 let path = text.split_whitespace().nth(1).unwrap_or("/").to_string();
                 let resp = f(&path);
-                let _ = stream.write_all(&encode_response(&resp)).await;
+                let _ = stream.write_all(&encode_response(&resp));
             }
         });
         port
     }
 
-    #[tokio::test]
-    async fn get_fetches_body() {
-        let port = canned_server(|_| Response::html("<h1>hello</h1>")).await;
+    #[test]
+    fn get_fetches_body() {
+        let port = canned_server(|_| Response::html("<h1>hello</h1>"));
         let client = Client::new(crate::transport::TcpTransport::default());
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        let fetched = client.get(&url).await.unwrap();
+        let fetched = client.get(&url).unwrap();
         assert_eq!(fetched.response.status, StatusCode::OK);
         assert_eq!(fetched.response.body_text(), "<h1>hello</h1>");
         assert_eq!(fetched.redirects, 0);
     }
 
-    #[tokio::test]
-    async fn follows_redirects_to_final_body() {
+    #[test]
+    fn follows_redirects_to_final_body() {
         let port = canned_server(|path| match path {
             "/" => Response::redirect("/step1"),
             "/step1" => Response::redirect("/step2"),
             "/step2" => Response::html("done"),
             _ => Response::not_found(),
         })
-        .await;
+        ;
         let client = Client::new(crate::transport::TcpTransport::default());
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        let fetched = client.get(&url).await.unwrap();
+        let fetched = client.get(&url).unwrap();
         assert_eq!(fetched.response.body_text(), "done");
         assert_eq!(fetched.redirects, 2);
         assert_eq!(fetched.final_url.path, "/step2");
     }
 
-    #[tokio::test]
-    async fn redirect_loops_are_bounded() {
-        let port = canned_server(|_| Response::redirect("/loop")).await;
+    #[test]
+    fn redirect_loops_are_bounded() {
+        let port = canned_server(|_| Response::redirect("/loop"));
         let config = ClientConfig {
             max_redirects: 3,
             ..Default::default()
@@ -355,31 +356,31 @@ mod tests {
         let client = Client::with_config(crate::transport::TcpTransport::default(), config);
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
         assert_eq!(
-            client.get(&url).await.unwrap_err(),
+            client.get(&url).unwrap_err(),
             Error::TooManyRedirects(3)
         );
     }
 
-    #[tokio::test]
-    async fn connect_refused_is_reported() {
+    #[test]
+    fn connect_refused_is_reported() {
         // Bind then drop to find a (very likely) closed port.
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         drop(listener);
         let client = Client::new(crate::transport::TcpTransport::default());
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
         assert!(matches!(
-            client.get(&url).await.unwrap_err(),
+            client.get(&url).unwrap_err(),
             Error::Connect(_)
         ));
     }
 
-    #[tokio::test]
-    async fn dns_names_are_rejected() {
+    #[test]
+    fn dns_names_are_rejected() {
         let client = Client::new(crate::transport::TcpTransport::default());
         let url = Url::parse("http://example.invalid/").unwrap();
         assert!(matches!(
-            client.get(&url).await.unwrap_err(),
+            client.get(&url).unwrap_err(),
             Error::Connect(_)
         ));
     }
@@ -392,8 +393,8 @@ mod error_path_tests {
     use crate::response::Response;
     use std::sync::Arc;
 
-    #[tokio::test]
-    async fn body_cap_is_enforced_end_to_end() {
+    #[test]
+    fn body_cap_is_enforced_end_to_end() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 9), 80);
         let big = Response::html("x".repeat(64 * 1024));
         let handler = Arc::new(move |_: &Request, _| big.clone());
@@ -409,7 +410,7 @@ mod error_path_tests {
         let client = Client::with_config(transport, config);
         let err = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-            .await
+            
             .unwrap_err();
         assert!(
             matches!(err, Error::TooLarge { what: "body", .. }),
@@ -417,28 +418,24 @@ mod error_path_tests {
         );
     }
 
-    #[tokio::test(start_paused = true)]
-    async fn request_timeout_fires_on_a_stalled_server() {
-        // A real TCP server that accepts but never answers.
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+    #[test]
+    fn request_timeout_fires_on_a_stalled_server() {
+        // A real TCP server that accepts but never answers: the
+        // listener's backlog completes the handshake, and nobody reads.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
-        tokio::spawn(async move {
-            let (_stream, _) = listener.accept().await.unwrap();
-            // Hold the socket open forever.
-            std::future::pending::<()>().await;
-        });
         let config = ClientConfig {
             request_timeout: Duration::from_millis(200),
             ..Default::default()
         };
         let client = Client::with_config(crate::transport::TcpTransport::default(), config);
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        let err = client.get(&url).await.unwrap_err();
+        let err = client.get(&url).unwrap_err();
         assert_eq!(err, Error::Timeout);
     }
 
-    #[tokio::test]
-    async fn caller_host_header_is_preserved() {
+    #[test]
+    fn caller_host_header_is_preserved() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 8), 80);
         let handler = Arc::new(|req: &Request, _| {
             Response::text(req.headers.get("host").unwrap_or("none").to_string())
@@ -447,16 +444,16 @@ mod error_path_tests {
         let client = Client::new(transport);
         let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/");
         // Default: the URL's host.
-        let resp = client.execute(&url, Request::get("/")).await.unwrap();
+        let resp = client.execute(&url, Request::get("/")).unwrap();
         assert_eq!(resp.body_text(), "10.0.0.8");
         // Caller override survives (virtual-host addressing).
         let req = Request::get("/").with_header("Host", "named.example");
-        let resp = client.execute(&url, req).await.unwrap();
+        let resp = client.execute(&url, req).unwrap();
         assert_eq!(resp.body_text(), "named.example");
     }
 
-    #[tokio::test]
-    async fn caller_connection_header_is_preserved() {
+    #[test]
+    fn caller_connection_header_is_preserved() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 7), 80);
         let handler = Arc::new(|req: &Request, _| {
             Response::text(req.headers.get("connection").unwrap_or("none").to_string())
@@ -465,11 +462,11 @@ mod error_path_tests {
         let client = Client::new(transport);
         let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/");
         // Default on a non-pooling transport: the client requests close.
-        let resp = client.execute(&url, Request::get("/")).await.unwrap();
+        let resp = client.execute(&url, Request::get("/")).unwrap();
         assert_eq!(resp.body_text(), "close");
         // A caller-provided value must not be clobbered.
         let req = Request::get("/").with_header("Connection", "keep-alive, close");
-        let resp = client.execute(&url, req).await.unwrap();
+        let resp = client.execute(&url, req).unwrap();
         assert_eq!(resp.body_text(), "keep-alive, close");
     }
 }

@@ -69,7 +69,9 @@ impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         match e.kind() {
             std::io::ErrorKind::UnexpectedEof => Error::UnexpectedEof,
-            std::io::ErrorKind::TimedOut => Error::Timeout,
+            // A socket read/write timeout surfaces as `WouldBlock` on
+            // Unix and `TimedOut` on Windows.
+            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => Error::Timeout,
             _ => Error::Io(e.to_string()),
         }
     }
@@ -112,6 +114,8 @@ mod tests {
         assert_eq!(Error::from(eof), Error::UnexpectedEof);
         let to = std::io::Error::new(std::io::ErrorKind::TimedOut, "slow");
         assert_eq!(Error::from(to), Error::Timeout);
+        let blocked = std::io::Error::new(std::io::ErrorKind::WouldBlock, "read timeout");
+        assert_eq!(Error::from(blocked), Error::Timeout);
         let other = std::io::Error::other("boom");
         assert!(matches!(Error::from(other), Error::Io(_)));
     }

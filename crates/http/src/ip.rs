@@ -1,13 +1,12 @@
 //! IPv4 utilities: CIDR blocks and the IANA reserved ranges the paper
 //! excluded from its scan.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// A CIDR block, e.g. `20.0.0.0/8`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cidr {
     /// Network base address (host bits zeroed).
     pub base: u32,

@@ -1,4 +1,4 @@
-//! Minimal asynchronous HTTP/1.1 stack used by the *No Keys to the Kingdom*
+//! Minimal synchronous HTTP/1.1 stack used by the *No Keys to the Kingdom*
 //! reproduction.
 //!
 //! The scanning pipeline of the paper talks plain HTTP(S) to millions of
@@ -22,6 +22,7 @@
 //! `chunked` bodies, no compression, no TLS (the simulation models TLS at
 //! the transport layer; see `DESIGN.md`).
 
+pub mod cases;
 pub mod client;
 pub mod encode;
 pub mod error;

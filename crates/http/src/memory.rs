@@ -8,13 +8,10 @@ use crate::error::{Error, Result};
 use crate::parse::{parse_request_incremental, HeadScanner, Limits, Parsed};
 use crate::server::Handler;
 use crate::transport::{Connection, Endpoint, ProbeOutcome, Scheme, Transport};
-use bytes::{Buf, BytesMut};
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::Ipv4Addr;
-use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll};
-use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
 
 /// A transport with a static routing table from endpoints to handlers.
 #[derive(Clone)]
@@ -64,7 +61,7 @@ impl HandlerTransport {
 impl Transport for HandlerTransport {
     type Conn = HandlerConn;
 
-    async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
         if self.routes.contains_key(&ep) {
             ProbeOutcome::Open
         } else {
@@ -72,13 +69,13 @@ impl Transport for HandlerTransport {
         }
     }
 
-    async fn connect(&self, ep: Endpoint, _scheme: Scheme) -> Result<HandlerConn> {
+    fn connect(&self, ep: Endpoint, _scheme: Scheme) -> Result<HandlerConn> {
         match self.routes.get(&ep) {
             Some(handler) => Ok(HandlerConn {
                 handler: Arc::clone(handler),
                 peer: self.source_ip,
-                write_buf: BytesMut::new(),
-                read_buf: BytesMut::new(),
+                write_buf: Vec::new(),
+                read_buf: Vec::new(),
                 scanner: HeadScanner::new(),
             }),
             None => Err(Error::Connect("connection refused".into())),
@@ -90,8 +87,8 @@ impl Transport for HandlerTransport {
 pub struct HandlerConn {
     handler: Arc<dyn Handler>,
     peer: Ipv4Addr,
-    write_buf: BytesMut,
-    read_buf: BytesMut,
+    write_buf: Vec<u8>,
+    read_buf: Vec<u8>,
     scanner: HeadScanner,
 }
 
@@ -101,7 +98,7 @@ impl HandlerConn {
             match parse_request_incremental(&self.write_buf, &Limits::default(), &mut self.scanner)
             {
                 Ok(Parsed::Complete(req, used)) => {
-                    self.write_buf.advance(used);
+                    self.write_buf.drain(..used);
                     self.scanner.reset();
                     let resp = self.handler.handle(&req, self.peer);
                     self.read_buf.extend_from_slice(&encode_response(&resp));
@@ -117,39 +114,25 @@ impl HandlerConn {
     }
 }
 
-impl AsyncWrite for HandlerConn {
-    fn poll_write(
-        mut self: Pin<&mut Self>,
-        _cx: &mut Context<'_>,
-        buf: &[u8],
-    ) -> Poll<std::io::Result<usize>> {
+impl Write for HandlerConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.write_buf.extend_from_slice(buf);
         self.pump();
-        Poll::Ready(Ok(buf.len()))
+        Ok(buf.len())
     }
 
-    fn poll_flush(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-        Poll::Ready(Ok(()))
-    }
-
-    fn poll_shutdown(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-        Poll::Ready(Ok(()))
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
-impl AsyncRead for HandlerConn {
-    fn poll_read(
-        mut self: Pin<&mut Self>,
-        _cx: &mut Context<'_>,
-        buf: &mut ReadBuf<'_>,
-    ) -> Poll<std::io::Result<()>> {
-        if self.read_buf.is_empty() {
-            return Poll::Ready(Ok(())); // EOF: server closes when idle.
-        }
-        let n = self.read_buf.len().min(buf.remaining());
-        buf.put_slice(&self.read_buf[..n]);
-        self.read_buf.advance(n);
-        Poll::Ready(Ok(()))
+impl Read for HandlerConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // An empty buffer reads as EOF: the server closes when idle.
+        let n = self.read_buf.len().min(buf.len());
+        buf[..n].copy_from_slice(&self.read_buf[..n]);
+        self.read_buf.drain(..n);
+        Ok(n)
     }
 }
 
@@ -169,15 +152,15 @@ mod tests {
         })
     }
 
-    #[tokio::test]
-    async fn serves_mounted_handler() {
+    #[test]
+    fn serves_mounted_handler() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 9, 8, 7), 8080);
         let t = HandlerTransport::new().with(ep, echo_handler());
-        assert_eq!(t.probe(ep).await, ProbeOutcome::Open);
+        assert_eq!(t.probe(ep), ProbeOutcome::Open);
         let client = Client::new(t);
         let fetched = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/hello"))
-            .await
+            
             .unwrap();
         assert!(fetched
             .response
@@ -185,21 +168,21 @@ mod tests {
             .starts_with("/hello from 198.51.100.50"));
     }
 
-    #[tokio::test]
-    async fn unmounted_endpoints_refuse() {
+    #[test]
+    fn unmounted_endpoints_refuse() {
         let t = HandlerTransport::new();
         let ep = Endpoint::new(Ipv4Addr::LOCALHOST, 80);
-        assert_eq!(t.probe(ep).await, ProbeOutcome::Closed);
+        assert_eq!(t.probe(ep), ProbeOutcome::Closed);
         let client = Client::new(t);
         let err = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-            .await
+            
             .unwrap_err();
         assert!(matches!(err, Error::Connect(_)));
     }
 
-    #[tokio::test]
-    async fn source_ip_is_configurable() {
+    #[test]
+    fn source_ip_is_configurable() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 80);
         let attacker = Ipv4Addr::new(203, 0, 113, 99);
         let t = HandlerTransport::new()
@@ -208,7 +191,7 @@ mod tests {
         let client = Client::new(t);
         let fetched = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/x"))
-            .await
+            
             .unwrap();
         assert!(fetched.response.body_text().contains("203.0.113.99"));
     }

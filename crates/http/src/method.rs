@@ -9,7 +9,7 @@ use std::str::FromStr;
 /// (plus `HEAD` for cheap liveness checks); the honeypot side additionally
 /// observes attacker `POST`/`PUT`/`DELETE` traffic, so the full common set
 /// is modeled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     Get,
     Head,

@@ -12,7 +12,6 @@ use crate::request::Request;
 use crate::response::Response;
 use crate::status::StatusCode;
 use crate::version::Version;
-use bytes::Bytes;
 
 /// Limits applied while parsing; generous defaults match the client's
 /// "behave like a web crawler" posture.
@@ -284,7 +283,7 @@ pub fn parse_response_incremental(
                 status,
                 version,
                 headers,
-                body: Bytes::new(),
+                body: Vec::new(),
             },
             head_end,
         )),
@@ -301,7 +300,7 @@ pub fn parse_response_incremental(
                 }
                 return Ok(Parsed::Partial);
             }
-            let body = Bytes::copy_from_slice(&buf[head_end..head_end + n]);
+            let body = buf[head_end..head_end + n].to_vec();
             Ok(Parsed::Complete(
                 Response {
                     status,
@@ -318,7 +317,7 @@ pub fn parse_response_incremental(
                     status,
                     version,
                     headers,
-                    body: Bytes::from(body),
+                    body,
                 },
                 consumed,
             )),
@@ -352,7 +351,7 @@ pub fn parse_response_incremental(
                     status,
                     version,
                     headers,
-                    body: Bytes::copy_from_slice(body),
+                    body: body.to_vec(),
                 },
                 buf.len(),
             ))
@@ -414,7 +413,7 @@ pub fn parse_request_incremental(
                 target,
                 version,
                 headers,
-                body: Bytes::new(),
+                body: Vec::new(),
             },
             head_end,
         )),
@@ -428,7 +427,7 @@ pub fn parse_request_incremental(
             if buf.len() < head_end + n {
                 return Ok(Parsed::Partial);
             }
-            let body = Bytes::copy_from_slice(&buf[head_end..head_end + n]);
+            let body = buf[head_end..head_end + n].to_vec();
             Ok(Parsed::Complete(
                 Request {
                     method,
@@ -447,7 +446,7 @@ pub fn parse_request_incremental(
                     target,
                     version,
                     headers,
-                    body: Bytes::from(body),
+                    body,
                 },
                 consumed,
             )),

@@ -46,13 +46,11 @@ use crate::ip::Cidr;
 use crate::transport::{
     BlockSweepResult, CertificateInfo, Connection, Endpoint, ProbeOutcome, Scheme, Transport,
 };
-use bytes::BytesMut;
 use std::collections::{HashMap, VecDeque};
-use std::pin::Pin;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::task::{Context, Poll};
-use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
+use std::time::Duration;
 
 /// Sizing knobs for a [`PooledTransport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +166,7 @@ struct IdleEntry<C> {
     checked_in_at: u64,
     /// Read buffer recycled from the last exchange, if the client
     /// handed one back.
-    buf: Option<BytesMut>,
+    buf: Option<Vec<u8>>,
     conn: C,
 }
 
@@ -239,7 +237,7 @@ impl<C> PoolShared<C> {
     /// dial tick and recycled buffer. Expired entries encountered on
     /// the way out are dropped and metered — the lazy half of expiry,
     /// covering clock advances that happened without a sweep.
-    fn check_out(&self, key: PoolKey) -> Option<(C, u64, Option<BytesMut>)> {
+    fn check_out(&self, key: PoolKey) -> Option<(C, u64, Option<Vec<u8>>)> {
         let now = self.now.load(Ordering::Relaxed);
         let mut expired = 0u64;
         let found = {
@@ -273,11 +271,14 @@ impl<C> PoolShared<C> {
 
     /// Return a reusable connection, evicting the oldest idle ones
     /// until both the per-endpoint cap and the global bound hold.
-    fn check_in(&self, key: PoolKey, conn: C, created_at: u64, buf: Option<BytesMut>) {
+    fn check_in(&self, key: PoolKey, conn: C, created_at: u64, buf: Option<Vec<u8>>) {
         let now = self.now.load(Ordering::Relaxed);
         let mut evicted = 0u64;
         {
-            let mut state = self.lock();
+            let mut guard = self.lock();
+            // Reborrow once so the map and the counters borrow as
+            // disjoint fields rather than through the guard.
+            let state = &mut *guard;
             let seq = state.next_seq;
             state.next_seq += 1;
             let entry = IdleEntry {
@@ -450,7 +451,7 @@ impl<T: Transport> PooledTransport<T> {
         key: PoolKey,
         reused: bool,
         created_at: u64,
-        buf: Option<BytesMut>,
+        buf: Option<Vec<u8>>,
     ) -> PooledConn<T::Conn> {
         PooledConn {
             inner: Some(conn),
@@ -467,33 +468,33 @@ impl<T: Transport> PooledTransport<T> {
 impl<T: Transport> Transport for PooledTransport<T> {
     type Conn = PooledConn<T::Conn>;
 
-    async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        self.inner.probe(ep).await
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        self.inner.probe(ep)
     }
 
-    async fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        self.inner.sweep_block(block, ports).await
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+        self.inner.sweep_block(block, ports)
     }
 
-    async fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
         let key = (ep, scheme);
         if let Some((conn, created_at, buf)) = self.shared.check_out(key) {
             self.shared.record(PoolEvent::Hit);
             return Ok(self.wrap(conn, key, true, created_at, buf));
         }
         self.shared.record(PoolEvent::Miss);
-        let conn = self.inner.connect(ep, scheme).await?;
+        let conn = self.inner.connect(ep, scheme)?;
         let now = self.shared.now.load(Ordering::Relaxed);
         Ok(self.wrap(conn, key, false, now, None))
     }
 
-    async fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
+    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
         // Only the client's stale-retry path calls this: a pooled
         // connection died under the first attempt, so the pool is
         // bypassed (another idle one could be a second corpse) and the
         // attempt is metered.
         self.shared.record(PoolEvent::StaleRetry);
-        let conn = self.inner.connect_fresh(ep, scheme).await?;
+        let conn = self.inner.connect_fresh(ep, scheme)?;
         let now = self.shared.now.load(Ordering::Relaxed);
         Ok(self.wrap(conn, (ep, scheme), false, now, None))
     }
@@ -516,7 +517,7 @@ pub struct PooledConn<C: Connection> {
     /// carried across check-ins so lifetime expiry sees the true age.
     created_at: u64,
     /// Recycled read buffer, riding along between exchanges.
-    buf: Option<BytesMut>,
+    buf: Option<Vec<u8>>,
 }
 
 impl<C: Connection> PooledConn<C> {
@@ -547,31 +548,19 @@ impl<C: Connection> Drop for PooledConn<C> {
     }
 }
 
-impl<C: Connection> AsyncRead for PooledConn<C> {
-    fn poll_read(
-        mut self: Pin<&mut Self>,
-        cx: &mut Context<'_>,
-        buf: &mut ReadBuf<'_>,
-    ) -> Poll<std::io::Result<()>> {
-        Pin::new(self.conn()).poll_read(cx, buf)
+impl<C: Connection> Read for PooledConn<C> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.conn().read(buf)
     }
 }
 
-impl<C: Connection> AsyncWrite for PooledConn<C> {
-    fn poll_write(
-        mut self: Pin<&mut Self>,
-        cx: &mut Context<'_>,
-        buf: &[u8],
-    ) -> Poll<std::io::Result<usize>> {
-        Pin::new(self.conn()).poll_write(cx, buf)
+impl<C: Connection> Write for PooledConn<C> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.conn().write(buf)
     }
 
-    fn poll_flush(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-        Pin::new(self.conn()).poll_flush(cx)
-    }
-
-    fn poll_shutdown(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-        Pin::new(self.conn()).poll_shutdown(cx)
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.conn().flush()
     }
 }
 
@@ -588,12 +577,16 @@ impl<C: Connection> Connection for PooledConn<C> {
         self.reusable = reusable;
     }
 
-    fn take_recycled_buf(&mut self) -> Option<BytesMut> {
+    fn take_recycled_buf(&mut self) -> Option<Vec<u8>> {
         self.buf.take()
     }
 
-    fn store_recycled_buf(&mut self, buf: BytesMut) {
+    fn store_recycled_buf(&mut self, buf: Vec<u8>) {
         self.buf = Some(buf);
+    }
+
+    fn set_io_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        self.conn().set_io_timeout(timeout)
     }
 }
 
@@ -620,31 +613,19 @@ mod tests {
         id: u32,
     }
 
-    impl AsyncRead for FakeConn {
-        fn poll_read(
-            self: Pin<&mut Self>,
-            _cx: &mut Context<'_>,
-            _buf: &mut ReadBuf<'_>,
-        ) -> Poll<std::io::Result<()>> {
-            Poll::Ready(Ok(())) // permanent EOF
+    impl Read for FakeConn {
+        fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
+            Ok(0) // permanent EOF
         }
     }
 
-    impl AsyncWrite for FakeConn {
-        fn poll_write(
-            self: Pin<&mut Self>,
-            _cx: &mut Context<'_>,
-            buf: &[u8],
-        ) -> Poll<std::io::Result<usize>> {
-            Poll::Ready(Ok(buf.len()))
+    impl Write for FakeConn {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
         }
 
-        fn poll_flush(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-            Poll::Ready(Ok(()))
-        }
-
-        fn poll_shutdown(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-            Poll::Ready(Ok(()))
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
         }
     }
 
@@ -653,11 +634,11 @@ mod tests {
     impl Transport for FakeTransport {
         type Conn = FakeConn;
 
-        async fn probe(&self, _ep: Endpoint) -> ProbeOutcome {
+        fn probe(&self, _ep: Endpoint) -> ProbeOutcome {
             ProbeOutcome::Open
         }
 
-        async fn connect(&self, _ep: Endpoint, _scheme: Scheme) -> Result<FakeConn> {
+        fn connect(&self, _ep: Endpoint, _scheme: Scheme) -> Result<FakeConn> {
             Ok(FakeConn {
                 id: self.dialed.fetch_add(1, Ordering::Relaxed),
             })
@@ -669,37 +650,37 @@ mod tests {
     }
 
     /// Connect, mark reusable, and drop — i.e. one clean exchange.
-    async fn cycle(pool: &PooledTransport<FakeTransport>, ep: Endpoint) -> u32 {
-        let mut conn = pool.connect(ep, Scheme::Http).await.unwrap();
+    fn cycle(pool: &PooledTransport<FakeTransport>, ep: Endpoint) -> u32 {
+        let mut conn = pool.connect(ep, Scheme::Http).unwrap();
         let id = conn.get_ref().id;
         conn.set_reusable(true);
         id
     }
 
-    #[tokio::test]
-    async fn checkout_is_fifo_and_counts_hits() {
+    #[test]
+    fn checkout_is_fifo_and_counts_hits() {
         let pool = PooledTransport::new(FakeTransport::new());
-        let first = cycle(&pool, ep(1)).await;
+        let first = cycle(&pool, ep(1));
         assert_eq!(pool.idle_count(), 1);
-        let again = cycle(&pool, ep(1)).await;
+        let again = cycle(&pool, ep(1));
         assert_eq!(first, again, "the idle connection is reused");
         assert_eq!(pool.stats().hits(), 1);
         assert_eq!(pool.stats().misses(), 1);
         assert_eq!(pool.stats().checked_in(), 2);
     }
 
-    #[tokio::test]
-    async fn unmarked_connections_are_discarded_not_pooled() {
+    #[test]
+    fn unmarked_connections_are_discarded_not_pooled() {
         let pool = PooledTransport::new(FakeTransport::new());
-        let conn = pool.connect(ep(1), Scheme::Http).await.unwrap();
+        let conn = pool.connect(ep(1), Scheme::Http).unwrap();
         drop(conn); // never set_reusable(true)
         assert_eq!(pool.idle_count(), 0);
         assert_eq!(pool.stats().discarded(), 1);
         assert_eq!(pool.stats().hits() + pool.stats().misses(), 1);
     }
 
-    #[tokio::test]
-    async fn per_endpoint_cap_evicts_the_oldest() {
+    #[test]
+    fn per_endpoint_cap_evicts_the_oldest() {
         let pool = PooledTransport::with_config(
             FakeTransport::new(),
             PoolConfig {
@@ -709,20 +690,20 @@ mod tests {
         );
         // Two concurrent checkouts force two dials; both check in, the
         // cap keeps only the newer one.
-        let a = pool.connect(ep(1), Scheme::Http).await.unwrap();
-        let b = pool.connect(ep(1), Scheme::Http).await.unwrap();
+        let a = pool.connect(ep(1), Scheme::Http).unwrap();
+        let b = pool.connect(ep(1), Scheme::Http).unwrap();
         let (a_id, b_id) = (a.get_ref().id, b.get_ref().id);
         for mut conn in [a, b] {
             conn.set_reusable(true);
         }
         assert_eq!(pool.idle_count(), 1);
         assert_eq!(pool.stats().evicted(), 1);
-        let survivor = cycle(&pool, ep(1)).await;
+        let survivor = cycle(&pool, ep(1));
         assert_eq!(survivor, b_id, "oldest ({a_id}) was evicted");
     }
 
-    #[tokio::test]
-    async fn global_bound_evicts_across_endpoints() {
+    #[test]
+    fn global_bound_evicts_across_endpoints() {
         let pool = PooledTransport::with_config(
             FakeTransport::new(),
             PoolConfig {
@@ -731,13 +712,13 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        let first = cycle(&pool, ep(1)).await;
-        cycle_distinct(&pool, ep(2)).await;
-        cycle_distinct(&pool, ep(3)).await;
+        let first = cycle(&pool, ep(1));
+        cycle_distinct(&pool, ep(2));
+        cycle_distinct(&pool, ep(3));
         assert_eq!(pool.idle_count(), 2, "global bound holds");
         assert_eq!(pool.stats().evicted(), 1);
         // ep(1) held the globally oldest connection; it is gone.
-        let redialed = cycle(&pool, ep(1)).await;
+        let redialed = cycle(&pool, ep(1));
         assert_ne!(redialed, first);
         // Counter reconciliation: every connect is a hit or a miss, and
         // everything checked in was either evicted, reused, or is idle.
@@ -750,15 +731,15 @@ mod tests {
     }
 
     /// Like `cycle` but via a distinct endpoint (no pool hit expected).
-    async fn cycle_distinct(pool: &PooledTransport<FakeTransport>, ep: Endpoint) -> u32 {
-        cycle(pool, ep).await
+    fn cycle_distinct(pool: &PooledTransport<FakeTransport>, ep: Endpoint) -> u32 {
+        cycle(pool, ep)
     }
 
-    #[tokio::test]
-    async fn connect_fresh_bypasses_the_pool_and_meters() {
+    #[test]
+    fn connect_fresh_bypasses_the_pool_and_meters() {
         let pool = PooledTransport::new(FakeTransport::new());
-        let warm = cycle(&pool, ep(1)).await;
-        let mut fresh = pool.connect_fresh(ep(1), Scheme::Http).await.unwrap();
+        let warm = cycle(&pool, ep(1));
+        let mut fresh = pool.connect_fresh(ep(1), Scheme::Http).unwrap();
         assert_ne!(fresh.get_ref().id, warm, "pool must be bypassed");
         assert!(!fresh.is_reused());
         assert_eq!(pool.stats().stale_retries(), 1);
@@ -768,8 +749,8 @@ mod tests {
         assert_eq!(pool.idle_count(), 2, "fresh connections still pool");
     }
 
-    #[tokio::test]
-    async fn observer_sees_every_event() {
+    #[test]
+    fn observer_sees_every_event() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let pool = PooledTransport::with_config(
@@ -780,13 +761,13 @@ mod tests {
             },
         )
         .with_observer(move |event| sink.lock().unwrap().push(event));
-        let a = pool.connect(ep(1), Scheme::Http).await.unwrap();
-        let b = pool.connect(ep(1), Scheme::Http).await.unwrap();
+        let a = pool.connect(ep(1), Scheme::Http).unwrap();
+        let b = pool.connect(ep(1), Scheme::Http).unwrap();
         for mut conn in [a, b] {
             conn.set_reusable(true);
         }
-        cycle(&pool, ep(1)).await;
-        let _ = pool.connect_fresh(ep(1), Scheme::Http).await.unwrap();
+        cycle(&pool, ep(1));
+        let _ = pool.connect_fresh(ep(1), Scheme::Http).unwrap();
         let events = seen.lock().unwrap().clone();
         assert_eq!(
             events,
@@ -800,28 +781,28 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn schemes_pool_separately() {
+    #[test]
+    fn schemes_pool_separately() {
         let pool = PooledTransport::new(FakeTransport::new());
-        cycle(&pool, ep(1)).await;
+        cycle(&pool, ep(1));
         // Same endpoint, different scheme: must not hit the HTTP pool.
-        let conn = pool.connect(ep(1), Scheme::Https).await.unwrap();
+        let conn = pool.connect(ep(1), Scheme::Https).unwrap();
         assert!(!conn.is_reused());
         assert_eq!(pool.stats().misses(), 2);
     }
 
-    #[tokio::test]
-    async fn purge_empties_the_pool() {
+    #[test]
+    fn purge_empties_the_pool() {
         let pool = PooledTransport::new(FakeTransport::new());
-        cycle(&pool, ep(1)).await;
-        cycle_distinct(&pool, ep(2)).await;
+        cycle(&pool, ep(1));
+        cycle_distinct(&pool, ep(2));
         assert_eq!(pool.idle_count(), 2);
         pool.purge();
         assert_eq!(pool.idle_count(), 0);
     }
 
-    #[tokio::test]
-    async fn idle_age_expiry_sweeps_on_clock_advance() {
+    #[test]
+    fn idle_age_expiry_sweeps_on_clock_advance() {
         let pool = PooledTransport::with_config(
             FakeTransport::new(),
             PoolConfig {
@@ -829,7 +810,7 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        let first = cycle(&pool, ep(1)).await;
+        let first = cycle(&pool, ep(1));
         pool.advance_clock(10);
         assert_eq!(pool.idle_count(), 1, "exactly at the allowance stays");
         assert_eq!(pool.clock(), 10);
@@ -837,13 +818,13 @@ mod tests {
         assert_eq!(pool.idle_count(), 0, "one tick past the allowance expires");
         assert_eq!(pool.stats().expired(), 1);
         // The next connect has to dial afresh.
-        let redialed = cycle(&pool, ep(1)).await;
+        let redialed = cycle(&pool, ep(1));
         assert_ne!(redialed, first);
         assert_eq!(pool.stats().misses(), 2);
     }
 
-    #[tokio::test]
-    async fn reuse_resets_the_idle_age() {
+    #[test]
+    fn reuse_resets_the_idle_age() {
         let pool = PooledTransport::with_config(
             FakeTransport::new(),
             PoolConfig {
@@ -851,18 +832,18 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        let first = cycle(&pool, ep(1)).await;
+        let first = cycle(&pool, ep(1));
         pool.advance_clock(6);
         // Reuse at t=6 re-stamps the check-in time...
-        assert_eq!(cycle(&pool, ep(1)).await, first);
+        assert_eq!(cycle(&pool, ep(1)), first);
         pool.advance_clock(6);
         // ...so at t=12 the entry has idled only 6 of its 10 ticks.
         assert_eq!(pool.idle_count(), 1);
         assert_eq!(pool.stats().expired(), 0);
     }
 
-    #[tokio::test]
-    async fn lifetime_expires_despite_steady_reuse() {
+    #[test]
+    fn lifetime_expires_despite_steady_reuse() {
         let pool = PooledTransport::with_config(
             FakeTransport::new(),
             PoolConfig {
@@ -870,18 +851,18 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        let first = cycle(&pool, ep(1)).await;
+        let first = cycle(&pool, ep(1));
         pool.advance_clock(6);
         // Reuse keeps the idle age low, but the dial tick rides along.
-        assert_eq!(cycle(&pool, ep(1)).await, first);
+        assert_eq!(cycle(&pool, ep(1)), first);
         pool.advance_clock(6);
         // t=12 > lifetime 10 counted from the original dial at t=0.
         assert_eq!(pool.idle_count(), 0);
         assert_eq!(pool.stats().expired(), 1);
     }
 
-    #[tokio::test]
-    async fn checkout_expires_lazily_without_a_sweep() {
+    #[test]
+    fn checkout_expires_lazily_without_a_sweep() {
         let pool = PooledTransport::with_config(
             FakeTransport::new(),
             PoolConfig {
@@ -889,21 +870,21 @@ mod tests {
                 ..PoolConfig::default()
             },
         );
-        let first = cycle(&pool, ep(1)).await;
+        let first = cycle(&pool, ep(1));
         // Move time forward behind the sweep's back: the idle entry is
         // now expired but still sitting in the pool.
         pool.shared.now.store(20, Ordering::Relaxed);
         assert_eq!(pool.idle_count(), 1);
         // check_out walks past the corpse, meters it, and dials afresh.
-        let conn = pool.connect(ep(1), Scheme::Http).await.unwrap();
+        let conn = pool.connect(ep(1), Scheme::Http).unwrap();
         assert!(!conn.is_reused());
         assert_ne!(conn.get_ref().id, first);
         assert_eq!(pool.stats().expired(), 1);
         assert_eq!(pool.idle_count(), 0);
     }
 
-    #[tokio::test]
-    async fn expiry_reaches_the_observer() {
+    #[test]
+    fn expiry_reaches_the_observer() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let pool = PooledTransport::with_config(
@@ -914,24 +895,24 @@ mod tests {
             },
         )
         .with_observer(move |event| sink.lock().unwrap().push(event));
-        cycle(&pool, ep(1)).await;
+        cycle(&pool, ep(1));
         pool.advance_clock(6);
         let events = seen.lock().unwrap().clone();
         assert_eq!(events, vec![PoolEvent::Miss, PoolEvent::Expired]);
     }
 
-    #[tokio::test]
-    async fn recycled_buffer_rides_the_pool() {
+    #[test]
+    fn recycled_buffer_rides_the_pool() {
         let pool = PooledTransport::new(FakeTransport::new());
-        let mut conn = pool.connect(ep(1), Scheme::Http).await.unwrap();
+        let mut conn = pool.connect(ep(1), Scheme::Http).unwrap();
         assert!(
             conn.take_recycled_buf().is_none(),
             "fresh connections carry no buffer"
         );
-        conn.store_recycled_buf(BytesMut::with_capacity(4096));
+        conn.store_recycled_buf(Vec::with_capacity(4096));
         conn.set_reusable(true);
         drop(conn);
-        let mut again = pool.connect(ep(1), Scheme::Http).await.unwrap();
+        let mut again = pool.connect(ep(1), Scheme::Http).unwrap();
         assert!(again.is_reused());
         let recycled = again
             .take_recycled_buf()

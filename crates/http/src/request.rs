@@ -3,7 +3,6 @@
 use crate::headers::Headers;
 use crate::method::Method;
 use crate::version::Version;
-use bytes::Bytes;
 
 /// An HTTP/1.x request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,7 +15,7 @@ pub struct Request {
     /// connection persists after the response.
     pub version: Version,
     pub headers: Headers,
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Request {
@@ -27,12 +26,12 @@ impl Request {
             target: normalize_target(target.into()),
             version: Version::default(),
             headers: Headers::new(),
-            body: Bytes::new(),
+            body: Vec::new(),
         }
     }
 
     /// A `POST` carrying `body`.
-    pub fn post(target: impl Into<String>, body: impl Into<Bytes>) -> Self {
+    pub fn post(target: impl Into<String>, body: impl Into<Vec<u8>>) -> Self {
         Request {
             method: Method::Post,
             target: normalize_target(target.into()),

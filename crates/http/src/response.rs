@@ -3,7 +3,6 @@
 use crate::headers::Headers;
 use crate::status::StatusCode;
 use crate::version::Version;
-use bytes::Bytes;
 
 /// An HTTP/1.x response.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,7 +13,7 @@ pub struct Response {
     /// may be reused (HTTP/1.0 defaults to close).
     pub version: Version,
     pub headers: Headers,
-    pub body: Bytes,
+    pub body: Vec<u8>,
 }
 
 impl Response {
@@ -24,26 +23,26 @@ impl Response {
             status,
             version: Version::default(),
             headers: Headers::new(),
-            body: Bytes::new(),
+            body: Vec::new(),
         }
     }
 
     /// `200 OK` with an HTML body.
-    pub fn html(body: impl Into<Bytes>) -> Self {
+    pub fn html(body: impl Into<Vec<u8>>) -> Self {
         Response::new(StatusCode::OK)
             .with_header("Content-Type", "text/html; charset=utf-8")
             .with_body(body)
     }
 
     /// `200 OK` with a plain-text body.
-    pub fn text(body: impl Into<Bytes>) -> Self {
+    pub fn text(body: impl Into<Vec<u8>>) -> Self {
         Response::new(StatusCode::OK)
             .with_header("Content-Type", "text/plain; charset=utf-8")
             .with_body(body)
     }
 
     /// `200 OK` with a JSON body.
-    pub fn json(body: impl Into<Bytes>) -> Self {
+    pub fn json(body: impl Into<Vec<u8>>) -> Self {
         Response::new(StatusCode::OK)
             .with_header("Content-Type", "application/json")
             .with_body(body)
@@ -78,7 +77,7 @@ impl Response {
     }
 
     /// Builder-style body assignment.
-    pub fn with_body(mut self, body: impl Into<Bytes>) -> Self {
+    pub fn with_body(mut self, body: impl Into<Vec<u8>>) -> Self {
         self.body = body.into();
         self
     }
@@ -111,7 +110,7 @@ impl Response {
 
 impl From<&str> for Response {
     fn from(s: &str) -> Self {
-        Response::html(s.as_bytes().to_vec())
+        Response::html(s)
     }
 }
 

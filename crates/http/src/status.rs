@@ -6,9 +6,7 @@ use std::fmt;
 ///
 /// Stored as the raw `u16`; helper constructors exist for the codes the
 /// study actually exercises.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatusCode(pub u16);
 
 impl StatusCode {

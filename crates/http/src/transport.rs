@@ -1,20 +1,21 @@
 //! Byte-stream transport abstraction.
 //!
 //! The scanning pipeline is generic over how bytes reach a host so the same
-//! code can run against the real Internet (tokio TCP) and against the
-//! simulated IPv4 universe from `nokeys-netsim`.
+//! code can run against the real Internet (`std::net` TCP) and against the
+//! simulated IPv4 universe from `nokeys-netsim`. Everything is blocking:
+//! concurrency comes from the scanner's shard worker threads, each of
+//! which drives its own connections.
 
 use crate::error::{Error, Result};
 use crate::ip::Cidr;
-use std::future::Future;
-use std::net::Ipv4Addr;
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::time::Duration;
-use tokio::io::{AsyncRead, AsyncWrite};
 
 /// Connection scheme. TLS is modeled, not implemented: the simulated
 /// transport performs a pretend handshake and can expose a certificate
 /// subject name, which is all the study uses TLS for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     Http,
     Https,
@@ -37,9 +38,7 @@ impl Scheme {
 }
 
 /// A scan target: IPv4 address and TCP port.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Endpoint {
     pub ip: Ipv4Addr,
     pub port: u16,
@@ -58,7 +57,7 @@ impl std::fmt::Display for Endpoint {
 }
 
 /// Result of a half-open (SYN-style) port probe, mirroring masscan's view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeOutcome {
     /// SYN-ACK received: something is listening.
     Open,
@@ -72,14 +71,14 @@ pub enum ProbeOutcome {
 ///
 /// Used by the responsible-disclosure step of the study: the scanner
 /// inspects certificates for contactable domain names.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertificateInfo {
     /// Subject common name / first SAN, if the host presented one.
     pub subject: Option<String>,
 }
 
 /// A byte-stream connection plus connection-level metadata.
-pub trait Connection: AsyncRead + AsyncWrite + Unpin + Send {
+pub trait Connection: Read + Write + Send {
     /// Certificate presented during an HTTPS handshake, if any.
     fn certificate(&self) -> Option<CertificateInfo> {
         None
@@ -108,15 +107,25 @@ pub trait Connection: AsyncRead + AsyncWrite + Unpin + Send {
     /// before allocating its response buffer, so keep-alive exchanges
     /// on a pooled connection reuse one buffer instead of allocating
     /// 4 KiB each. The default (no recycling) returns `None`.
-    fn take_recycled_buf(&mut self) -> Option<bytes::BytesMut> {
+    fn take_recycled_buf(&mut self) -> Option<Vec<u8>> {
         None
     }
 
     /// Store a cleared read buffer for the next exchange on this
     /// connection. Called by the client only when the exchange left the
     /// connection reusable; the default drops the buffer.
-    fn store_recycled_buf(&mut self, buf: bytes::BytesMut) {
+    fn store_recycled_buf(&mut self, buf: Vec<u8>) {
         let _ = buf;
+    }
+
+    /// Bound every later blocking read and write on this connection to
+    /// `timeout`; an operation that exceeds it fails with a timed-out
+    /// I/O error. The client calls this with what is left of its
+    /// per-exchange deadline. In-memory connections never block, so the
+    /// default is a no-op.
+    fn set_io_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        let _ = timeout;
+        Ok(())
     }
 }
 
@@ -159,7 +168,7 @@ impl BlockSweepResult {
     }
 }
 
-/// Async transport used by the scanner, the client and the honeypots.
+/// Blocking transport used by the scanner, the client and the honeypots.
 ///
 /// Implementations: [`TcpTransport`] (real sockets) and
 /// `nokeys_netsim::SimTransport` (simulated universe).
@@ -169,14 +178,10 @@ pub trait Transport: Send + Sync {
 
     /// Half-open probe of a single port. Must be cheap: stage I of the
     /// pipeline issues one probe per (address, port) pair.
-    fn probe(&self, ep: Endpoint) -> impl Future<Output = ProbeOutcome> + Send;
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome;
 
     /// Full connection establishment with the given scheme.
-    fn connect(
-        &self,
-        ep: Endpoint,
-        scheme: Scheme,
-    ) -> impl Future<Output = Result<Self::Conn>> + Send;
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn>;
 
     /// Establish a connection bypassing any idle-connection pool this
     /// transport (or a wrapper layer) maintains. The client calls this
@@ -184,12 +189,8 @@ pub trait Transport: Send + Sync {
     /// under the first attempt, so drawing another idle one would risk
     /// a second corpse. Defaults to [`connect`](Self::connect) —
     /// correct for every transport that does not pool.
-    fn connect_fresh(
-        &self,
-        ep: Endpoint,
-        scheme: Scheme,
-    ) -> impl Future<Output = Result<Self::Conn>> + Send {
-        async move { self.connect(ep, scheme).await }
+    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
+        self.connect(ep, scheme)
     }
 
     /// Whether connections from this transport may be reused across
@@ -209,30 +210,23 @@ pub trait Transport: Send + Sync {
     /// Implementations that know which addresses are populated may
     /// answer for the empty remainder arithmetically, as long as the
     /// result is indistinguishable from the dense loop.
-    fn sweep_block(
-        &self,
-        block: Cidr,
-        ports: &[u16],
-    ) -> impl Future<Output = BlockSweepResult> + Send {
-        async move {
-            let mut probed = Vec::new();
-            for ip in block.addresses() {
-                for &port in ports {
-                    let ep = Endpoint::new(ip, port);
-                    let outcome = self.probe(ep).await;
-                    probed.push((ep, outcome));
-                }
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+        let mut probed = Vec::new();
+        for ip in block.addresses() {
+            for &port in ports {
+                let ep = Endpoint::new(ip, port);
+                probed.push((ep, self.probe(ep)));
             }
-            BlockSweepResult {
-                probed,
-                addresses_probed: block.size(),
-                bulk_closed: 0,
-            }
+        }
+        BlockSweepResult {
+            probed,
+            addresses_probed: block.size(),
+            bulk_closed: 0,
         }
     }
 }
 
-/// Real-socket transport backed by tokio TCP. HTTPS is rejected — the real
+/// Real-socket transport over `std::net`. HTTPS is rejected — the real
 /// transport exists to prove the pipeline runs on actual sockets (see the
 /// `live_scan` example), and the locally served app models speak plain HTTP.
 #[derive(Debug, Clone)]
@@ -249,38 +243,48 @@ impl Default for TcpTransport {
     }
 }
 
-impl Connection for tokio::net::TcpStream {}
+impl Connection for TcpStream {
+    fn set_io_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        // A zero timeout is an error to the socket API; the caller's
+        // deadline has passed, so the next operation should fail at once.
+        let timeout = Some(timeout.max(Duration::from_millis(1)));
+        self.set_read_timeout(timeout)?;
+        self.set_write_timeout(timeout)
+    }
+}
+
+impl TcpTransport {
+    fn dial(&self, ep: Endpoint) -> std::io::Result<TcpStream> {
+        TcpStream::connect_timeout(&SocketAddr::from((ep.ip, ep.port)), self.connect_timeout)
+    }
+}
 
 impl Transport for TcpTransport {
-    type Conn = tokio::net::TcpStream;
+    type Conn = TcpStream;
 
-    async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        let fut = tokio::net::TcpStream::connect((ep.ip, ep.port));
-        match tokio::time::timeout(self.connect_timeout, fut).await {
-            Ok(Ok(_stream)) => ProbeOutcome::Open,
-            Ok(Err(e)) if e.kind() == std::io::ErrorKind::ConnectionRefused => ProbeOutcome::Closed,
-            Ok(Err(_)) => ProbeOutcome::Filtered,
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        match self.dial(ep) {
+            Ok(_stream) => ProbeOutcome::Open,
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => ProbeOutcome::Closed,
             Err(_) => ProbeOutcome::Filtered,
         }
     }
 
-    async fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
         if scheme == Scheme::Https {
             return Err(Error::SchemeUnsupported);
         }
-        let fut = tokio::net::TcpStream::connect((ep.ip, ep.port));
-        match tokio::time::timeout(self.connect_timeout, fut).await {
-            Ok(Ok(stream)) => Ok(stream),
-            Ok(Err(e)) => Err(Error::Connect(e.to_string())),
-            Err(_) => Err(Error::Timeout),
-        }
+        self.dial(ep).map_err(|e| match e.kind() {
+            std::io::ErrorKind::TimedOut => Error::Timeout,
+            _ => Error::Connect(e.to_string()),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tokio::io::{AsyncReadExt, AsyncWriteExt};
+    use std::net::TcpListener;
 
     #[test]
     fn scheme_defaults() {
@@ -295,46 +299,44 @@ mod tests {
         assert_eq!(ep.to_string(), "192.0.2.7:8080");
     }
 
-    #[tokio::test]
-    async fn tcp_probe_open_and_closed() {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+    #[test]
+    fn tcp_probe_open_and_closed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         let t = TcpTransport::default();
-        let open = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port)).await;
+        let open = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port));
         assert_eq!(open, ProbeOutcome::Open);
         drop(listener);
-        let closed = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port)).await;
+        let closed = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port));
         assert_eq!(closed, ProbeOutcome::Closed);
     }
 
-    #[tokio::test]
-    async fn tcp_connect_round_trip() {
-        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+    #[test]
+    fn tcp_connect_round_trip() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
-        let server = tokio::spawn(async move {
-            let (mut s, _) = listener.accept().await.unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
             let mut buf = [0u8; 4];
-            s.read_exact(&mut buf).await.unwrap();
-            s.write_all(&buf).await.unwrap();
+            s.read_exact(&mut buf).unwrap();
+            s.write_all(&buf).unwrap();
         });
         let t = TcpTransport::default();
         let mut conn = t
             .connect(Endpoint::new(Ipv4Addr::LOCALHOST, port), Scheme::Http)
-            .await
             .unwrap();
-        conn.write_all(b"ping").await.unwrap();
+        conn.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
-        conn.read_exact(&mut buf).await.unwrap();
+        conn.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
-        server.await.unwrap();
+        server.join().unwrap();
     }
 
-    #[tokio::test]
-    async fn tcp_rejects_https() {
+    #[test]
+    fn tcp_rejects_https() {
         let t = TcpTransport::default();
         let err = t
             .connect(Endpoint::new(Ipv4Addr::LOCALHOST, 1), Scheme::Https)
-            .await
             .unwrap_err();
         assert_eq!(err, Error::SchemeUnsupported);
     }

@@ -8,7 +8,7 @@ use std::str::FromStr;
 
 /// Host component of a URL: scanning works on raw IPv4 addresses, but
 /// redirects and certificate names can introduce DNS names.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Host {
     Ip(Ipv4Addr),
     Name(String),
@@ -24,7 +24,7 @@ impl fmt::Display for Host {
 }
 
 /// An absolute `http`/`https` URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Url {
     pub scheme: Scheme,
     pub host: Host,

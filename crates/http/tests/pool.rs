@@ -7,7 +7,8 @@ use nokeys_http::{Client, PooledTransport, Request, Response, Url};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
+use std::io::{Read, Write};
+use std::net::TcpListener;
 
 fn pooled_client() -> (
     Client<PooledTransport<TcpTransport>>,
@@ -23,17 +24,17 @@ fn url(port: u16, path: &str) -> Url {
     Url::parse(&format!("http://127.0.0.1:{port}{path}")).unwrap()
 }
 
-#[tokio::test]
-async fn sequential_requests_reuse_one_connection() {
+#[test]
+fn sequential_requests_reuse_one_connection() {
     let handler = Arc::new(|req: &Request, _| Response::text(req.path().to_string()));
-    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).await.unwrap();
+    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).unwrap();
     let (client, pool) = pooled_client();
 
-    let first = client.get(&url(server.port, "/a")).await.unwrap();
+    let first = client.get(&url(server.port, "/a")).unwrap();
     assert_eq!(first.response.body_text(), "/a");
     assert_eq!(pool.idle_count(), 1, "clean exchange pools the connection");
 
-    let second = client.get(&url(server.port, "/b")).await.unwrap();
+    let second = client.get(&url(server.port, "/b")).unwrap();
     assert_eq!(second.response.body_text(), "/b");
     assert_eq!(pool.stats().misses(), 1, "only the first request dialed");
     assert_eq!(
@@ -43,18 +44,18 @@ async fn sequential_requests_reuse_one_connection() {
     );
     assert_eq!(pool.stats().stale_retries(), 0);
 
-    server.shutdown().await;
+    server.shutdown();
 }
 
-#[tokio::test]
-async fn connection_close_responses_are_not_pooled() {
+#[test]
+fn connection_close_responses_are_not_pooled() {
     let handler =
         Arc::new(|_: &Request, _| Response::text("bye").with_header("Connection", "close"));
-    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).await.unwrap();
+    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).unwrap();
     let (client, pool) = pooled_client();
 
     for _ in 0..2 {
-        let fetched = client.get(&url(server.port, "/")).await.unwrap();
+        let fetched = client.get(&url(server.port, "/")).unwrap();
         assert_eq!(fetched.response.body_text(), "bye");
         assert_eq!(pool.idle_count(), 0, "close responses must not pool");
     }
@@ -62,50 +63,45 @@ async fn connection_close_responses_are_not_pooled() {
     assert_eq!(pool.stats().misses(), 2);
     assert_eq!(pool.stats().discarded(), 2);
 
-    server.shutdown().await;
+    server.shutdown();
 }
 
 /// A server whose keep-alive promise is a lie: it answers one request
 /// with a plain HTTP/1.1 response (implicitly keep-alive) and then
 /// closes the connection — the classic stale keep-alive race, as seen
 /// from a client that pooled the connection.
-async fn lying_keepalive_server() -> u16 {
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+///
+/// The accept thread is detached on purpose: it blocks in `accept`
+/// until the test process exits.
+fn lying_keepalive_server() -> u16 {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let port = listener.local_addr().unwrap().port();
-    tokio::spawn(async move {
-        loop {
-            let Ok((mut stream, _)) = listener.accept().await else {
-                break;
-            };
-            tokio::spawn(async move {
-                let mut buf = [0u8; 4096];
-                let n = stream.read(&mut buf).await.unwrap_or(0);
-                if n == 0 {
-                    return;
-                }
-                let _ = stream
-                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
-                    .await;
-                // Dropping the stream closes the "kept-alive" connection.
-            });
+    std::thread::spawn(move || {
+        while let Ok((mut stream, _)) = listener.accept() {
+            let mut buf = [0u8; 4096];
+            if stream.read(&mut buf).unwrap_or(0) == 0 {
+                continue;
+            }
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
+            // Dropping the stream closes the "kept-alive" connection.
         }
     });
     port
 }
 
-#[tokio::test]
-async fn stale_pooled_connection_recovers_with_one_retry() {
-    let port = lying_keepalive_server().await;
+#[test]
+fn stale_pooled_connection_recovers_with_one_retry() {
+    let port = lying_keepalive_server();
     let (client, pool) = pooled_client();
 
-    let first = client.get(&url(port, "/")).await.unwrap();
+    let first = client.get(&url(port, "/")).unwrap();
     assert_eq!(first.response.body_text(), "ok");
     assert_eq!(pool.idle_count(), 1, "the lie was believed");
 
     // Let the server's FIN land so the pooled connection is a corpse.
-    tokio::time::sleep(Duration::from_millis(50)).await;
+    std::thread::sleep(Duration::from_millis(50));
 
-    let second = client.get(&url(port, "/")).await.unwrap();
+    let second = client.get(&url(port, "/")).unwrap();
     assert_eq!(second.response.body_text(), "ok");
     assert_eq!(pool.stats().hits(), 1, "the corpse was checked out");
     assert_eq!(
@@ -122,25 +118,18 @@ async fn stale_pooled_connection_recovers_with_one_retry() {
 
 /// HTTP/1.0 responses without a keep-alive opt-in must not be pooled,
 /// even when the server (wrongly) leaves the connection open.
-#[tokio::test]
-async fn http10_responses_are_not_pooled() {
-    let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+#[test]
+fn http10_responses_are_not_pooled() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let port = listener.local_addr().unwrap().port();
-    tokio::spawn(async move {
-        loop {
-            let Ok((mut stream, _)) = listener.accept().await else {
-                break;
-            };
-            tokio::spawn(async move {
+    // Detached: both threads end when the client side closes or the
+    // test process exits.
+    std::thread::spawn(move || {
+        while let Ok((mut stream, _)) = listener.accept() {
+            std::thread::spawn(move || {
                 let mut buf = [0u8; 4096];
-                loop {
-                    let n = stream.read(&mut buf).await.unwrap_or(0);
-                    if n == 0 {
-                        return;
-                    }
-                    let _ = stream
-                        .write_all(b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok")
-                        .await;
+                while stream.read(&mut buf).unwrap_or(0) > 0 {
+                    let _ = stream.write_all(b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok");
                     // Keep the socket open: a 1.0 server that forgets
                     // to close. The client must still not reuse it.
                 }
@@ -149,7 +138,7 @@ async fn http10_responses_are_not_pooled() {
     });
     let (client, pool) = pooled_client();
     for _ in 0..2 {
-        let fetched = client.get(&url(port, "/")).await.unwrap();
+        let fetched = client.get(&url(port, "/")).unwrap();
         assert_eq!(fetched.response.body_text(), "ok");
     }
     assert_eq!(pool.idle_count(), 0);
@@ -159,19 +148,19 @@ async fn http10_responses_are_not_pooled() {
 
 /// Pooling is a transport-level knob: the response a caller sees must
 /// be semantically identical with and without it.
-#[tokio::test]
-async fn pooled_and_unpooled_responses_agree() {
+#[test]
+fn pooled_and_unpooled_responses_agree() {
     let handler =
         Arc::new(|req: &Request, _| Response::json(format!(r#"{{"path":"{}"}}"#, req.path())));
-    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).await.unwrap();
+    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).unwrap();
     let plain = Client::new(TcpTransport::default());
     let (pooled, _) = pooled_client();
     for path in ["/x", "/y", "/x"] {
-        let a = plain.get(&url(server.port, path)).await.unwrap();
-        let b = pooled.get(&url(server.port, path)).await.unwrap();
+        let a = plain.get(&url(server.port, path)).unwrap();
+        let b = pooled.get(&url(server.port, path)).unwrap();
         assert_eq!(a.response.status, b.response.status);
         assert_eq!(a.response.body, b.response.body);
         assert_eq!(a.redirects, b.redirects);
     }
-    server.shutdown().await;
+    server.shutdown();
 }

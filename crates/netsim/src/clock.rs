@@ -5,12 +5,11 @@
 //! anchored at the start of the Internet-wide scan (June 03, 2021, 00:00
 //! UTC); the honeypot study begins six days later (June 09, 2021).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A span of virtual time, in seconds (may be negative for arithmetic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SimDuration(pub i64);
 
 impl SimDuration {
@@ -84,7 +83,7 @@ impl fmt::Display for SimDuration {
 
 /// An instant of virtual time: seconds since the scan epoch
 /// (2021-06-03 00:00 UTC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SimTime(pub i64);
 
 impl SimTime {

@@ -17,10 +17,10 @@
 
 use crate::ip::Cidr;
 use nokeys_http::{BlockSweepResult, Endpoint, Error, ProbeOutcome, Result, Scheme, Transport};
-use parking_lot::Mutex;
+use crate::rng::{mix64, unit_interval};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which operation a fault decision applies to. Probe and connect
 /// attempts against the same endpoint draw from independent streams.
@@ -142,7 +142,9 @@ impl FaultPlan {
             return false;
         }
         let ordinal = {
-            let mut shard = self.counters[Self::shard_of(ep)].lock();
+            let mut shard = self.counters[Self::shard_of(ep)]
+                .lock()
+                .expect("fault counters are only ever incremented under the lock");
             let n = shard.entry((ep, lane)).or_insert(0);
             let ordinal = *n;
             *n += 1;
@@ -172,23 +174,12 @@ fn mix(seed: u64, ep: Endpoint, lane: FaultLane, ordinal: u64) -> u64 {
         FaultLane::Probe => 0x50,
         FaultLane::Connect => 0x43,
     };
-    let mut x = seed
-        ^ (u64::from(u32::from(ep.ip)) << 16)
-        ^ u64::from(ep.port)
-        ^ (lane_tag << 56)
-        ^ ordinal.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
-/// Map a hash to `[0, 1)` using the top 53 bits.
-fn unit_interval(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
+    mix64(
+        seed ^ (u64::from(u32::from(ep.ip)) << 16)
+            ^ u64::from(ep.port)
+            ^ (lane_tag << 56)
+            ^ ordinal.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    )
 }
 
 /// Wrap any [`Transport`] with an injected-fault schedule.
@@ -231,8 +222,8 @@ impl<T> FaultyTransport<T> {
 impl<T: Transport> Transport for FaultyTransport<T> {
     type Conn = T::Conn;
 
-    async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        let outcome = self.inner.probe(ep).await;
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        let outcome = self.inner.probe(ep);
         if outcome == ProbeOutcome::Closed {
             // An RST is a definite answer — fault lanes only lose
             // answers that were in flight. Skipping the draw keeps the
@@ -246,28 +237,28 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         outcome
     }
 
-    async fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
         if self.plan.fires(FaultLane::Connect, ep) {
             return Err(Error::Timeout);
         }
-        self.inner.connect(ep, scheme).await
+        self.inner.connect(ep, scheme)
     }
 
-    async fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
+    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
         // A stale-retry redial is still a connect: it draws from the
         // same fault lane before reaching the inner transport.
         if self.plan.fires(FaultLane::Connect, ep) {
             return Err(Error::Timeout);
         }
-        self.inner.connect_fresh(ep, scheme).await
+        self.inner.connect_fresh(ep, scheme)
     }
 
     fn supports_reuse(&self) -> bool {
         self.inner.supports_reuse()
     }
 
-    async fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        let mut result = self.inner.sweep_block(block, ports).await;
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+        let mut result = self.inner.sweep_block(block, ports);
         // Apply this layer's probe-lane draws to every individually
         // evaluated probe, in sweep order — exactly the draws the dense
         // loop would have made through `probe`. Bulk-closed probes are

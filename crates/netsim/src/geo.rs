@@ -1,12 +1,11 @@
 //! Country / autonomous-system metadata (the simulation's analog of the
 //! paper's "IP meta data service").
 
-use serde::Serialize;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// ISO-ish country label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryCode(pub &'static str);
 
 impl std::fmt::Display for CountryCode {
@@ -16,7 +15,7 @@ impl std::fmt::Display for CountryCode {
 }
 
 /// An autonomous system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsInfo {
     /// AS number, e.g. 16509.
     pub asn: u32,
@@ -28,7 +27,7 @@ pub struct AsInfo {
 }
 
 /// Geo/AS record of one address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeoRecord {
     pub country: CountryCode,
     pub asys: AsInfo,

@@ -3,11 +3,10 @@
 use crate::lifecycle::LifecyclePlan;
 use nokeys_apps::background::BackgroundKind;
 use nokeys_apps::{AppConfig, AppId};
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Which schemes a service answers on its port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeSupport {
     HttpOnly,
     HttpsOnly,
@@ -25,7 +24,7 @@ impl SchemeSupport {
 }
 
 /// What runs behind an open port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceKind {
     /// One of the 25 studied applications. The behavioural instance is
     /// materialized on demand from `(app, version_index, config)`.
@@ -40,7 +39,7 @@ pub enum ServiceKind {
 }
 
 /// One service on one port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Service {
     pub port: u16,
     pub kind: ServiceKind,
@@ -48,7 +47,7 @@ pub struct Service {
 }
 
 /// A simulated machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Host {
     pub ip: Ipv4Addr,
     pub services: Vec<Service>,

@@ -2,107 +2,81 @@
 //!
 //! [`KillableTransport`] lets a test simulate a scanner process dying
 //! mid-run: after a budget of network operations, every further probe
-//! or connect *hangs forever* instead of erroring. A hang (rather than
-//! an error) is the honest model of `kill -9` — the pipeline cannot
-//! observe its own death, clean up, or write a farewell checkpoint; the
-//! test simply aborts the pipeline task once [`KillSwitch::tripped`]
-//! resolves, then resumes a fresh pipeline from the last checkpoint the
-//! dead one left behind.
+//! or connect *tears its calling thread down* instead of answering. The
+//! teardown is an unwind carrying a [`Killed`] payload (raised with
+//! `resume_unwind`, so no panic message is printed): no pipeline code
+//! runs between the refused operation and the end of the worker thread,
+//! which is the closest a thread can come to `kill -9` — the pipeline
+//! cannot finish its batch, clean up, or write a farewell checkpoint.
+//! Workers that are between network operations when the budget runs out
+//! die at their next one, exactly as threads of a killed process stop
+//! at arbitrary points. The scan surfaces the dead worker as an error;
+//! the test then resumes a fresh pipeline from whatever checkpoint
+//! files the dead one left behind.
 
 use crate::ip::Cidr;
 use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use tokio::sync::watch;
 
-/// Shared operation budget with a trip signal. Clones share the budget.
+/// The unwind payload of an operation refused by a tripped
+/// [`KillSwitch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Killed;
+
+/// Shared operation budget with a trip flag. Clones share the budget.
 #[derive(Debug, Clone)]
 pub struct KillSwitch {
     remaining: Arc<AtomicU64>,
     used: Arc<AtomicU64>,
-    trip_tx: Arc<watch::Sender<bool>>,
-    trip_rx: watch::Receiver<bool>,
+    tripped: Arc<AtomicBool>,
 }
 
 impl KillSwitch {
     /// A switch that admits `ops` operations, then trips.
     pub fn after(ops: u64) -> Self {
-        let (trip_tx, trip_rx) = watch::channel(false);
         KillSwitch {
             remaining: Arc::new(AtomicU64::new(ops)),
             used: Arc::new(AtomicU64::new(0)),
-            trip_tx: Arc::new(trip_tx),
-            trip_rx,
+            tripped: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Operations admitted so far.
     pub fn used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
+        self.used.load(Ordering::SeqCst)
     }
 
-    /// Whether the budget has been exhausted and an operation blocked.
-    pub fn is_tripped(&self) -> bool {
-        *self.trip_rx.borrow()
-    }
-
-    /// Resolve once the switch trips (immediately if it already has).
+    /// Whether the budget has been exhausted and an operation refused.
     /// The budget alone running out does not trip the switch — an
     /// operation must actually be refused, i.e. the wrapped process is
-    /// genuinely wedged.
-    pub async fn tripped(&self) {
-        let mut rx = self.trip_rx.clone();
-        while !*rx.borrow_and_update() {
-            if rx.changed().await.is_err() {
-                return; // sender gone; nothing can trip any more
-            }
-        }
-    }
-
-    /// Consume one unit of budget; `false` means the operation must
-    /// hang. The first refusal fires the trip signal.
-    fn admit(&self) -> bool {
-        self.admit_many(1)
+    /// genuinely dead.
+    pub fn is_tripped(&self) -> bool {
+        self.tripped.load(Ordering::SeqCst)
     }
 
     /// Consume `n` units of budget as one batched operation (a block
-    /// sweep); `false` means the batch must hang. If fewer than `n`
-    /// units remain, whatever is left is consumed before refusing — the
-    /// process died partway through the batch, so [`used`](Self::used)
-    /// totals stay identical to admitting the same work one unit at a
-    /// time.
-    fn admit_many(&self, n: u64) -> bool {
-        let mut current = self.remaining.load(Ordering::Relaxed);
-        loop {
-            let (next, granted) = if current >= n {
-                (current - n, true)
-            } else {
-                (0, false)
-            };
-            match self.remaining.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.used.fetch_add(current - next, Ordering::Relaxed);
-                    if !granted {
-                        self.trip_tx.send_if_modified(|tripped| {
-                            let first = !*tripped;
-                            *tripped = true;
-                            first
-                        });
-                    }
-                    return granted;
-                }
-                Err(actual) => current = actual,
-            }
+    /// sweep, or `n = 1` for a probe or connect), or kill the calling
+    /// thread. If fewer than `n` units remain, whatever is left is
+    /// consumed before dying — the process died partway through the
+    /// batch, so [`used`](Self::used) totals stay identical to
+    /// admitting the same work one unit at a time.
+    fn admit(&self, n: u64) {
+        let before = self
+            .remaining
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                Some(left.saturating_sub(n))
+            })
+            .expect("the update closure never declines");
+        self.used.fetch_add(before.min(n), Ordering::SeqCst);
+        if before < n {
+            self.tripped.store(true, Ordering::SeqCst);
+            std::panic::resume_unwind(Box::new(Killed));
         }
     }
 }
 
-/// Wrap any [`Transport`] so it freezes after the switch's budget.
+/// Wrap any [`Transport`] so its callers die after the switch's budget.
 #[derive(Debug, Clone)]
 pub struct KillableTransport<T> {
     inner: T,
@@ -125,49 +99,36 @@ impl<T> KillableTransport<T> {
     }
 }
 
-/// A future that never resolves, in any return position.
-async fn wedge<R>() -> R {
-    std::future::pending::<R>().await
-}
-
 impl<T: Transport> Transport for KillableTransport<T> {
     type Conn = T::Conn;
 
-    async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        if !self.switch.admit() {
-            return wedge().await;
-        }
-        self.inner.probe(ep).await
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        self.switch.admit(1);
+        self.inner.probe(ep)
     }
 
-    async fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
-        if !self.switch.admit() {
-            return wedge().await;
-        }
-        self.inner.connect(ep, scheme).await
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
+        self.switch.admit(1);
+        self.inner.connect(ep, scheme)
     }
 
-    async fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
+    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
         // Stale-retry redials spend budget like any other connect.
-        if !self.switch.admit() {
-            return wedge().await;
-        }
-        self.inner.connect_fresh(ep, scheme).await
+        self.switch.admit(1);
+        self.inner.connect_fresh(ep, scheme)
     }
 
     fn supports_reuse(&self) -> bool {
         self.inner.supports_reuse()
     }
 
-    async fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        // Charge exactly what the dense path would have: one operation
-        // per (address, port) pair, regardless of how many probes the
-        // inner transport evaluates individually. Checkpoint/killswitch
-        // tests keep their budget arithmetic either way.
-        if !self.switch.admit_many(block.size() * ports.len() as u64) {
-            return wedge().await;
-        }
-        self.inner.sweep_block(block, ports).await
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+        // Charge exactly what a per-endpoint loop would have: one
+        // operation per (address, port) pair, regardless of how many
+        // probes the inner transport evaluates individually, so test
+        // budgets do not depend on how sparse the universe is.
+        self.switch.admit(block.size() * ports.len() as u64);
+        self.inner.sweep_block(block, ports)
     }
 }
 
@@ -176,68 +137,77 @@ mod tests {
     use super::*;
     use crate::{SimTransport, Universe, UniverseConfig};
     use std::net::Ipv4Addr;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn transport() -> SimTransport {
         SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(1))))
     }
 
-    #[tokio::test]
-    async fn operations_within_budget_pass_through() {
+    /// Run `op` and report whether the switch killed it.
+    fn killed<R>(op: impl FnOnce() -> R) -> bool {
+        match catch_unwind(AssertUnwindSafe(op)) {
+            Ok(_) => false,
+            Err(payload) => {
+                assert!(payload.is::<Killed>(), "only the switch may unwind here");
+                true
+            }
+        }
+    }
+
+    #[test]
+    fn operations_within_budget_pass_through() {
         let switch = KillSwitch::after(4);
         let t = KillableTransport::new(transport(), switch.clone());
         for i in 0..4u8 {
-            let _ = t.probe(Endpoint::new(Ipv4Addr::new(20, 0, 0, i), 80)).await;
+            let _ = t.probe(Endpoint::new(Ipv4Addr::new(20, 0, 0, i), 80));
         }
         assert_eq!(switch.used(), 4);
         assert!(!switch.is_tripped(), "budget exhaustion alone must not trip");
     }
 
-    #[tokio::test]
-    async fn exhausted_budget_wedges_and_trips() {
+    #[test]
+    fn exhausted_budget_kills_the_caller_and_trips() {
         let switch = KillSwitch::after(1);
         let t = KillableTransport::new(transport(), switch.clone());
         let ep = Endpoint::new(Ipv4Addr::new(20, 0, 0, 1), 80);
-        let _ = t.probe(ep).await;
-
-        // The over-budget probe hangs forever; abort it like a kill -9.
-        let task = tokio::spawn(async move { t.probe(ep).await });
-        switch.tripped().await;
+        assert!(!killed(|| t.probe(ep)));
+        assert!(killed(|| t.probe(ep)));
         assert!(switch.is_tripped());
-        task.abort();
-        assert!(task.await.unwrap_err().is_cancelled());
         assert_eq!(switch.used(), 1);
+        // Dead stays dead, on every lane.
+        assert!(killed(|| t.connect(ep, Scheme::Http).map(drop)));
     }
 
-    #[tokio::test]
-    async fn sweeps_charge_dense_ops_and_consume_the_remainder_on_death() {
+    #[test]
+    fn sweeps_charge_dense_ops_and_consume_the_remainder_on_death() {
         let block: Cidr = "20.0.1.0/24".parse().unwrap();
         // Budget for one 2-port sweep (512 dense ops) plus 88 spare.
         let switch = KillSwitch::after(600);
         let t = KillableTransport::new(transport(), switch.clone());
-        let _ = t.sweep_block(block, &[80, 443]).await;
+        assert!(!killed(|| t.sweep_block(block, &[80, 443])));
         assert_eq!(switch.used(), 512, "sweeps charge the dense op count");
         assert!(!switch.is_tripped());
 
         // The next sweep needs 512 but only 88 remain: the process dies
-        // mid-batch, so the remainder is consumed and the sweep wedges.
-        let wedged = tokio::spawn(async move { t.sweep_block(block, &[80, 443]).await });
-        switch.tripped().await;
+        // mid-batch, so the remainder is consumed.
+        assert!(killed(|| t.sweep_block(block, &[80, 443])));
         assert_eq!(switch.used(), 600, "partial batch still burns the budget");
-        wedged.abort();
     }
 
-    #[tokio::test]
-    async fn clones_share_one_budget() {
+    #[test]
+    fn clones_share_one_budget_across_threads() {
         let switch = KillSwitch::after(3);
         let a = KillableTransport::new(transport(), switch.clone());
         let b = a.clone();
         let ep = Endpoint::new(Ipv4Addr::new(20, 0, 0, 2), 80);
-        let _ = a.probe(ep).await;
-        let _ = b.probe(ep).await;
-        let _ = a.probe(ep).await;
+        let _ = a.probe(ep);
+        let _ = b.probe(ep);
+        let _ = a.probe(ep);
         assert_eq!(switch.used(), 3);
-        let wedged = tokio::spawn(async move { b.probe(ep).await });
-        switch.tripped().await;
-        wedged.abort();
+        // The fourth operation dies on whichever thread issues it, and
+        // the join surfaces the payload.
+        let died = std::thread::spawn(move || b.probe(ep)).join();
+        assert!(died.unwrap_err().is::<Killed>());
+        assert!(switch.is_tripped());
     }
 }

@@ -21,6 +21,7 @@ pub mod ip;
 pub mod killswitch;
 pub mod lifecycle;
 pub mod observer_clock;
+pub mod rng;
 pub mod transport;
 pub mod universe;
 pub mod vhost;

@@ -8,11 +8,10 @@
 //! half of all hosts even after four weeks.
 
 use crate::clock::{SimDuration, SimTime};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use crate::rng::SplitMix64;
 
 /// Observable state of a host at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostState {
     /// Online; AWE still in its deployed (possibly vulnerable) state.
     Online,
@@ -24,7 +23,7 @@ pub enum HostState {
 }
 
 /// The sampled plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecyclePlan {
     /// When the owner remediates, if ever.
     pub fix_at: Option<SimTime>,
@@ -126,7 +125,7 @@ impl LifecycleParams {
     /// to be taken offline on the first day, and explicitly modified
     /// hosts a bit more likely to be fixed — both observed in Figure 2's
     /// right-hand column.
-    pub fn sample<R: Rng>(&self, rng: &mut R, insecure_by_default: bool) -> LifecyclePlan {
+    pub fn sample(&self, rng: &mut SplitMix64, insecure_by_default: bool) -> LifecyclePlan {
         let window = SimTime::OBSERVATION;
         let fix_prob = if insecure_by_default {
             self.fix_prob * 0.8
@@ -139,26 +138,26 @@ impl LifecycleParams {
             self.early_offline_frac * 0.8
         };
 
-        let fix_at = if rng.random::<f64>() < fix_prob {
+        let fix_at = if rng.unit() < fix_prob {
             // Fixes skew early (installations get completed within days).
-            let frac = rng.random::<f64>().powi(2);
+            let frac = rng.unit().powi(2);
             Some(SimTime::SCAN_START + window.mul_f64(frac))
         } else {
             None
         };
-        let offline_at = if rng.random::<f64>() < self.offline_prob {
-            if rng.random::<f64>() < early_frac {
+        let offline_at = if rng.unit() < self.offline_prob {
+            if rng.unit() < early_frac {
                 // The first-six-hours cliff.
-                Some(SimTime::SCAN_START + SimDuration::hours(6).mul_f64(rng.random::<f64>()))
+                Some(SimTime::SCAN_START + SimDuration::hours(6).mul_f64(rng.unit()))
             } else {
                 // Roughly linear decay over the remaining four weeks.
-                Some(SimTime::SCAN_START + window.mul_f64(rng.random::<f64>()))
+                Some(SimTime::SCAN_START + window.mul_f64(rng.unit()))
             }
         } else {
             None
         };
-        let update_at = if rng.random::<f64>() < self.update_prob {
-            Some(SimTime::SCAN_START + window.mul_f64(rng.random::<f64>()))
+        let update_at = if rng.unit() < self.update_prob {
+            Some(SimTime::SCAN_START + window.mul_f64(rng.unit()))
         } else {
             None
         };
@@ -174,8 +173,6 @@ impl LifecycleParams {
 mod tests {
     use super::*;
     use nokeys_apps::Category;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn state_transitions_in_order() {
@@ -211,7 +208,7 @@ mod tests {
 
     #[test]
     fn sampling_respects_probabilities_roughly() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let params = LifecycleParams::for_category(Category::Cm);
         let n = 20_000;
         let mut offline = 0;
@@ -236,8 +233,8 @@ mod tests {
 
     #[test]
     fn notebooks_outlive_ci() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let count_alive = |params: LifecycleParams, rng: &mut SmallRng| {
+        let mut rng = SplitMix64::new(9);
+        let count_alive = |params: LifecycleParams, rng: &mut SplitMix64| {
             let end = SimTime::SCAN_START + SimTime::OBSERVATION;
             (0..10_000)
                 .filter(|_| params.sample(rng, true).state_at(end) == HostState::Online)

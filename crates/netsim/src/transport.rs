@@ -9,17 +9,13 @@ use crate::clock::SimTime;
 use crate::fault::{FaultLane, FaultPlan, FaultStats};
 use crate::ip::Cidr;
 use crate::universe::{ConnectBehavior, Universe};
-use bytes::{Buf, BytesMut};
 use nokeys_http::parse::{parse_request_incremental, HeadScanner, Limits, Parsed};
 use nokeys_http::transport::{CertificateInfo, Connection};
 use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
-use parking_lot::RwLock;
+use std::io::{Read, Write};
 use std::net::Ipv4Addr;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll};
-use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
 
 /// Operation counters, used by benchmarks and the pipeline-ablation
 /// study.
@@ -47,7 +43,9 @@ impl TransportStats {
 #[derive(Clone)]
 pub struct SimTransport {
     universe: Arc<Universe>,
-    now: Arc<RwLock<SimTime>>,
+    /// Seconds since the scan epoch; one atomic so clones on other
+    /// worker threads read a whole value without a lock.
+    now: Arc<AtomicI64>,
     stats: Arc<TransportStats>,
     /// Source address the universe sees for requests from this transport.
     scanner_ip: Ipv4Addr,
@@ -64,7 +62,7 @@ impl SimTransport {
     pub fn new(universe: Arc<Universe>) -> Self {
         SimTransport {
             universe,
-            now: Arc::new(RwLock::new(SimTime::SCAN_START)),
+            now: Arc::new(AtomicI64::new(SimTime::SCAN_START.as_secs())),
             stats: Arc::new(TransportStats::default()),
             scanner_ip: Ipv4Addr::new(198, 51, 100, 77),
             faults: FaultPlan::disabled(),
@@ -112,12 +110,12 @@ impl SimTransport {
 
     /// Set the virtual time at which the universe is observed.
     pub fn set_time(&self, t: SimTime) {
-        *self.now.write() = t;
+        self.now.store(t.as_secs(), Ordering::SeqCst);
     }
 
     /// Current virtual observation time.
     pub fn time(&self) -> SimTime {
-        *self.now.read()
+        SimTime(self.now.load(Ordering::SeqCst))
     }
 
     /// Set the source address presented to hosts.
@@ -140,7 +138,7 @@ impl SimTransport {
 impl Transport for SimTransport {
     type Conn = SimConn;
 
-    async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
         self.stats.probes.fetch_add(1, Ordering::Relaxed);
         let outcome = self.universe.probe(ep, self.time());
         if outcome == ProbeOutcome::Closed {
@@ -158,13 +156,13 @@ impl Transport for SimTransport {
         outcome
     }
 
-    async fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
         let populated = self.universe.populated_in(block);
         let mut probed = Vec::with_capacity(populated.len() * ports.len());
         for &ip in populated {
             for &port in ports {
                 let ep = Endpoint::new(Ipv4Addr::from(ip), port);
-                probed.push((ep, self.probe(ep).await));
+                probed.push((ep, self.probe(ep)));
             }
         }
         // Every unpopulated address answers `Closed` on every port; see
@@ -177,7 +175,7 @@ impl Transport for SimTransport {
         }
     }
 
-    async fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<SimConn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<SimConn> {
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
         if self.faults.fires(FaultLane::Connect, ep) {
             return Err(nokeys_http::Error::Timeout);
@@ -201,8 +199,8 @@ impl Transport for SimTransport {
             at,
             peer: self.scanner_ip,
             behavior,
-            write_buf: BytesMut::new(),
-            read_buf: BytesMut::new(),
+            write_buf: Vec::new(),
+            read_buf: Vec::new(),
             scanner: HeadScanner::new(),
             banner_sent: false,
             cert,
@@ -220,8 +218,8 @@ pub struct SimConn {
     at: SimTime,
     peer: Ipv4Addr,
     behavior: ConnectBehavior,
-    write_buf: BytesMut,
-    read_buf: BytesMut,
+    write_buf: Vec<u8>,
+    read_buf: Vec<u8>,
     scanner: HeadScanner,
     banner_sent: bool,
     cert: Option<CertificateInfo>,
@@ -238,7 +236,7 @@ impl SimConn {
             match parse_request_incremental(&self.write_buf, &Limits::default(), &mut self.scanner)
             {
                 Ok(Parsed::Complete(req, used)) => {
-                    self.write_buf.advance(used);
+                    self.write_buf.drain(..used);
                     self.scanner.reset();
                     self.stats.requests.fetch_add(1, Ordering::Relaxed);
                     let resp = self.universe.respond(self.ep, &req, self.peer, self.at);
@@ -257,47 +255,32 @@ impl SimConn {
     }
 }
 
-impl AsyncWrite for SimConn {
-    fn poll_write(
-        mut self: Pin<&mut Self>,
-        _cx: &mut Context<'_>,
-        buf: &[u8],
-    ) -> Poll<std::io::Result<usize>> {
+impl Write for SimConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.write_buf.extend_from_slice(buf);
         self.pump();
-        Poll::Ready(Ok(buf.len()))
+        Ok(buf.len())
     }
 
-    fn poll_flush(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-        Poll::Ready(Ok(()))
-    }
-
-    fn poll_shutdown(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<std::io::Result<()>> {
-        Poll::Ready(Ok(()))
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
-impl AsyncRead for SimConn {
-    fn poll_read(
-        mut self: Pin<&mut Self>,
-        _cx: &mut Context<'_>,
-        buf: &mut ReadBuf<'_>,
-    ) -> Poll<std::io::Result<()>> {
+impl Read for SimConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if let ConnectBehavior::Garbage(banner) = self.behavior {
             if !self.banner_sent {
                 self.banner_sent = true;
                 self.read_buf.extend_from_slice(banner);
             }
         }
-        if self.read_buf.is_empty() {
-            // Nothing pending: the simulated server closes. (Silent
-            // services land here immediately.)
-            return Poll::Ready(Ok(()));
-        }
-        let n = self.read_buf.len().min(buf.remaining());
-        buf.put_slice(&self.read_buf[..n]);
-        self.read_buf.advance(n);
-        Poll::Ready(Ok(()))
+        // Nothing pending reads as EOF: the simulated server closes.
+        // (Silent services land here immediately.)
+        let n = self.read_buf.len().min(buf.len());
+        buf[..n].copy_from_slice(&self.read_buf[..n]);
+        self.read_buf.drain(..n);
+        Ok(n)
     }
 }
 
@@ -331,8 +314,8 @@ mod tests {
         Endpoint::new(host.ip, host.services[0].port)
     }
 
-    #[tokio::test]
-    async fn client_fetches_from_simulated_hadoop() {
+    #[test]
+    fn client_fetches_from_simulated_hadoop() {
         let t = transport();
         let ep = find_app_ep(&t, AppId::Hadoop, true);
         let client = Client::new(t.clone());
@@ -343,22 +326,20 @@ mod tests {
                 ep.port,
                 "/cluster/cluster",
             ))
-            .await
             .unwrap();
         assert!(fetched.response.body_text().contains("dr.who"));
         assert!(t.stats().requests() >= 1);
         assert!(t.stats().connects() >= 1);
     }
 
-    #[tokio::test]
-    async fn redirects_work_through_the_simulation() {
+    #[test]
+    fn redirects_work_through_the_simulation() {
         let t = transport();
         let ep = find_app_ep(&t, AppId::WordPress, true);
         let client = Client::new(t.clone());
         // CMS hosts expose port 80 for HTTP.
         let fetched = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, 80, "/"))
-            .await
             .unwrap();
         assert!(
             fetched.redirects >= 1,
@@ -367,20 +348,20 @@ mod tests {
         assert!(fetched.response.body_text().contains("id=\"setup\""));
     }
 
-    #[tokio::test]
-    async fn probe_counts_and_results() {
+    #[test]
+    fn probe_counts_and_results() {
         let t = transport();
         let ep = find_app_ep(&t, AppId::Gocd, true);
-        assert_eq!(t.probe(ep).await, ProbeOutcome::Open);
+        assert_eq!(t.probe(ep), ProbeOutcome::Open);
         assert_eq!(
-            t.probe(Endpoint::new(ep.ip, 9999)).await,
+            t.probe(Endpoint::new(ep.ip, 9999)),
             ProbeOutcome::Closed
         );
         assert_eq!(t.stats().probes(), 2);
     }
 
-    #[tokio::test]
-    async fn garbage_services_fail_http_parsing() {
+    #[test]
+    fn garbage_services_fail_http_parsing() {
         let t = transport();
         let host_ip = t
             .universe()
@@ -398,7 +379,6 @@ mod tests {
         let client = Client::new(t.clone());
         let err = client
             .get(&Url::for_ip(Scheme::Http, ip, port, "/"))
-            .await
             .unwrap_err();
         assert!(
             matches!(
@@ -409,8 +389,8 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn https_exposes_certificates() {
+    #[test]
+    fn https_exposes_certificates() {
         let t = transport();
         let host = t
             .universe()
@@ -420,14 +400,13 @@ mod tests {
         let Some(ip) = host else { return };
         let conn = t
             .connect(Endpoint::new(ip, 443), Scheme::Https)
-            .await
             .unwrap();
         let cert = conn.certificate().expect("cert present");
         assert!(cert.subject.unwrap().contains("example"));
     }
 
-    #[tokio::test]
-    async fn time_travel_changes_responses() {
+    #[test]
+    fn time_travel_changes_responses() {
         let t = transport();
         // Find a host that goes offline during the window.
         let end = SimTime::SCAN_START + SimTime::OBSERVATION;
@@ -437,20 +416,20 @@ mod tests {
             .find(|h| h.lifecycle.state_at(end) == crate::lifecycle::HostState::Offline)
             .map(|h| Endpoint::new(h.ip, h.services[0].port));
         let Some(ep) = gone else { return };
-        assert_eq!(t.probe(ep).await, ProbeOutcome::Open);
+        assert_eq!(t.probe(ep), ProbeOutcome::Open);
         t.set_time(end);
-        assert_eq!(t.probe(ep).await, ProbeOutcome::Filtered);
-        assert!(t.connect(ep, Scheme::Http).await.is_err());
+        assert_eq!(t.probe(ep), ProbeOutcome::Filtered);
+        assert!(t.connect(ep, Scheme::Http).is_err());
     }
 
-    #[tokio::test]
-    async fn probes_can_fault_too() {
+    #[test]
+    fn probes_can_fault_too() {
         let t = transport().with_fault_injection(1.0);
         let ep = find_app_ep(&t, AppId::Hadoop, true);
-        assert_eq!(t.probe(ep).await, ProbeOutcome::Filtered);
+        assert_eq!(t.probe(ep), ProbeOutcome::Filtered);
         assert_eq!(t.fault_stats().probe_injected(), 1);
         // A fault-free transport sees the same endpoint open.
-        assert_eq!(transport().probe(ep).await, ProbeOutcome::Open);
+        assert_eq!(transport().probe(ep), ProbeOutcome::Open);
     }
 
     /// Forwards probes/connects but keeps the trait's dense
@@ -460,12 +439,12 @@ mod tests {
     impl Transport for DenseOnly {
         type Conn = SimConn;
 
-        async fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-            self.0.probe(ep).await
+        fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+            self.0.probe(ep)
         }
 
-        async fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<SimConn> {
-            self.0.connect(ep, scheme).await
+        fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<SimConn> {
+            self.0.connect(ep, scheme)
         }
     }
 
@@ -478,15 +457,15 @@ mod tests {
             .expect("tiny universe has a block with hosts")
     }
 
-    #[tokio::test]
-    async fn sparse_sweep_matches_the_dense_default() {
+    #[test]
+    fn sparse_sweep_matches_the_dense_default() {
         let ports = [80u16, 443, 8080];
         let sparse_t = transport();
         let dense_t = DenseOnly(transport());
         let block = populated_block(&sparse_t);
 
-        let sparse = sparse_t.sweep_block(block, &ports).await;
-        let dense = dense_t.sweep_block(block, &ports).await;
+        let sparse = sparse_t.sweep_block(block, &ports);
+        let dense = dense_t.sweep_block(block, &ports);
 
         assert_eq!(sparse.addresses_probed, dense.addresses_probed);
         assert_eq!(sparse.probes_sent(), dense.probes_sent());
@@ -512,16 +491,16 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn faulty_sweeps_match_the_dense_loop_draw_for_draw() {
+    #[test]
+    fn faulty_sweeps_match_the_dense_loop_draw_for_draw() {
         let mk = || transport().with_fault_injection(0.3).with_fault_seed(11);
         let ports = [80u16, 443];
         let sparse_t = mk();
         let dense_t = DenseOnly(mk());
         let block = populated_block(&sparse_t);
 
-        let sparse = sparse_t.sweep_block(block, &ports).await;
-        let dense = dense_t.sweep_block(block, &ports).await;
+        let sparse = sparse_t.sweep_block(block, &ports);
+        let dense = dense_t.sweep_block(block, &ports);
 
         assert_eq!(sparse.probes_sent(), dense.probes_sent());
         assert_eq!(
@@ -543,8 +522,8 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn empty_addresses_are_closed_under_every_fault_lane() {
+    #[test]
+    fn empty_addresses_are_closed_under_every_fault_lane() {
         let t = transport().with_fault_injection(1.0);
         let empty_ip = t
             .universe()
@@ -556,20 +535,20 @@ mod tests {
         let ep = Endpoint::new(empty_ip, 80);
         // Probe lane at rate 1.0: still a definite RST, no fault drawn.
         for _ in 0..4 {
-            assert_eq!(t.probe(ep).await, ProbeOutcome::Closed);
+            assert_eq!(t.probe(ep), ProbeOutcome::Closed);
         }
         assert_eq!(t.fault_stats().probe_injected(), 0);
         // The standalone wrapper obeys the same invariant.
         let wrapped = crate::fault::FaultyTransport::new(transport(), FaultPlan::new(1.0, 9));
-        assert_eq!(wrapped.probe(ep).await, ProbeOutcome::Closed);
+        assert_eq!(wrapped.probe(ep), ProbeOutcome::Closed);
         assert_eq!(wrapped.plan().stats().probe_injected(), 0);
     }
 
-    #[tokio::test]
-    async fn fault_schedule_is_independent_of_endpoint_interleaving() {
-        async fn timed_out(t: &SimTransport, ep: Endpoint) -> bool {
+    #[test]
+    fn fault_schedule_is_independent_of_endpoint_interleaving() {
+        fn timed_out(t: &SimTransport, ep: Endpoint) -> bool {
             matches!(
-                t.connect(ep, Scheme::Http).await,
+                t.connect(ep, Scheme::Http),
                 Err(nokeys_http::Error::Timeout)
             )
         }
@@ -584,16 +563,16 @@ mod tests {
         let mut a1 = Vec::new();
         let mut b1 = Vec::new();
         for _ in 0..16 {
-            a1.push(timed_out(&t1, a).await);
-            b1.push(timed_out(&t1, b).await);
+            a1.push(timed_out(&t1, a));
+            b1.push(timed_out(&t1, b));
         }
         let mut b2 = Vec::new();
         for _ in 0..16 {
-            b2.push(timed_out(&t2, b).await);
+            b2.push(timed_out(&t2, b));
         }
         let mut a2 = Vec::new();
         for _ in 0..16 {
-            a2.push(timed_out(&t2, a).await);
+            a2.push(timed_out(&t2, a));
         }
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);

@@ -7,20 +7,16 @@ use crate::geo::{pick_weighted, GeoDb, GeoRecord, HOSTING_MIX};
 use crate::host::{Host, SchemeSupport, Service, ServiceKind};
 use crate::ip::Cidr;
 use crate::lifecycle::{HostState, LifecycleParams, LifecyclePlan};
+use crate::rng::SplitMix64;
 use nokeys_apps::background::BackgroundKind;
 use nokeys_apps::catalog::DefaultPosture;
 use nokeys_apps::{build_instance, AppConfig, AppId, Category};
 use nokeys_http::{Endpoint, ProbeOutcome, Request, Response, Scheme};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Universe generation parameters.
-///
-/// Serializable so a coordinator can ship the config to worker processes,
-/// which regenerate the identical universe from the seed.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UniverseConfig {
     /// Master seed; everything derives from it.
     pub seed: u64,
@@ -102,13 +98,13 @@ impl Universe {
     /// Generate the population from `config`. Deterministic in
     /// `config.seed`.
     pub fn generate(config: UniverseConfig) -> Universe {
-        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let mut rng = SplitMix64::new(config.seed);
         let mut hosts: HashMap<u32, Host> = HashMap::new();
         let mut geo = GeoDb::new();
 
-        let alloc_ip = |rng: &mut SmallRng, hosts: &HashMap<u32, Host>| -> Ipv4Addr {
+        let alloc_ip = |rng: &mut SplitMix64, hosts: &HashMap<u32, Host>| -> Ipv4Addr {
             loop {
-                let offset = rng.random_range(0..config.space.size()) as u32;
+                let offset = rng.below(config.space.size()) as u32;
                 let ip = config.space.base + offset;
                 if !hosts.contains_key(&ip) {
                     return Ipv4Addr::from(ip);
@@ -125,7 +121,7 @@ impl Universe {
             {
                 let ip = alloc_ip(&mut rng, &hosts);
                 let host = make_awe_host(&mut rng, ip, pop.app, vulnerable);
-                let draw = rng.random::<u32>();
+                let draw = rng.next_u32();
                 let (country, asys) = pick_weighted(HOSTING_MIX, draw);
                 geo.insert(ip, GeoRecord { country, asys });
                 hosts.insert(u32::from(ip), host);
@@ -160,7 +156,7 @@ impl Universe {
                             schemes,
                         }],
                     );
-                    if schemes.supports_https() && rng.random::<f64>() < 0.5 {
+                    if schemes.supports_https() && rng.unit() < 0.5 {
                         host.cert_domain = Some(format!("host-{}.example.net", u32::from(ip)));
                     }
                     hosts.insert(u32::from(ip), host);
@@ -415,8 +411,8 @@ fn scale(count: u64, divisor: u64) -> usize {
     }
 }
 
-fn background_kind(rng: &mut SmallRng) -> BackgroundKind {
-    match rng.random_range(0..100u32) {
+fn background_kind(rng: &mut SplitMix64) -> BackgroundKind {
+    match rng.below(100) {
         0..=34 => BackgroundKind::NginxDefault,
         35..=59 => BackgroundKind::ApacheDefault,
         60..=79 => BackgroundKind::StaticSite,
@@ -427,19 +423,19 @@ fn background_kind(rng: &mut SmallRng) -> BackgroundKind {
 
 /// Sample a version index skewed by category recency (RQ2: CMSes run the
 /// newest software, control panels the oldest).
-fn sample_version_index(rng: &mut SmallRng, app: AppId, len: usize) -> usize {
+fn sample_version_index(rng: &mut SplitMix64, app: AppId, len: usize) -> usize {
     let alpha = match app.info().category {
         Category::Cms => 8.0,
         Category::Ci | Category::Cm => 3.0,
         Category::Nb => 1.5,
         Category::Cp => 1.0,
     };
-    let u: f64 = rng.random();
+    let u = rng.unit();
     let frac = 1.0 - u.powf(alpha);
     ((frac * len as f64) as usize).min(len - 1)
 }
 
-fn make_awe_host(rng: &mut SmallRng, ip: Ipv4Addr, app: AppId, vulnerable: bool) -> Host {
+fn make_awe_host(rng: &mut SplitMix64, ip: Ipv4Addr, app: AppId, vulnerable: bool) -> Host {
     let history = nokeys_apps::release_history(app);
     let posture = app
         .info()
@@ -451,10 +447,10 @@ fn make_awe_host(rng: &mut SmallRng, ip: Ipv4Addr, app: AppId, vulnerable: bool)
             DefaultPosture::ChangedOverTime { .. } => {
                 let last_insecure =
                     nokeys_apps::version::last_insecure_index(app).expect("changed-over-time app");
-                if rng.random::<f64>() < 0.8 {
+                if rng.unit() < 0.8 {
                     // Old version still running factory defaults (the
                     // "80% of vulnerable notebooks are ancient" finding).
-                    let idx = rng.random_range(0..=last_insecure);
+                    let idx = rng.below(last_insecure as u64 + 1) as usize;
                     (idx, AppConfig::default_for(app, &history[idx]))
                 } else {
                     // Recent version explicitly misconfigured (the
@@ -462,12 +458,12 @@ fn make_awe_host(rng: &mut SmallRng, ip: Ipv4Addr, app: AppId, vulnerable: bool)
                     // whose fix cannot be misconfigured away (Joomla's
                     // ownership proof, Adminer's hard rejection) fall back
                     // to an old version.
-                    let idx = rng.random_range(last_insecure + 1..history.len());
+                    let idx = rng.range(last_insecure as u64 + 1..history.len() as u64) as usize;
                     let cfg = AppConfig::vulnerable_for(app, &history[idx]);
                     if cfg.is_vulnerable(app, &history[idx]) {
                         (idx, cfg)
                     } else {
-                        let idx = rng.random_range(0..=last_insecure);
+                        let idx = rng.below(last_insecure as u64 + 1) as usize;
                         (idx, AppConfig::default_for(app, &history[idx]))
                     }
                 }
@@ -515,7 +511,7 @@ fn make_awe_host(rng: &mut SmallRng, ip: Ipv4Addr, app: AppId, vulnerable: bool)
             schemes: SchemeSupport::HttpsOnly,
         });
     } else {
-        let schemes = match rng.random_range(0..100u32) {
+        let schemes = match rng.below(100) {
             0..=84 => SchemeSupport::HttpOnly,
             85..=94 => SchemeSupport::Both,
             _ => SchemeSupport::HttpsOnly,
@@ -532,7 +528,7 @@ fn make_awe_host(rng: &mut SmallRng, ip: Ipv4Addr, app: AppId, vulnerable: bool)
     }
 
     let mut host = Host::new(ip, services);
-    if rng.random::<f64>() < 0.4 {
+    if rng.unit() < 0.4 {
         host.cert_domain = Some(format!("srv-{}.example.org", u32::from(ip)));
     }
     if vulnerable {
@@ -549,7 +545,7 @@ fn make_awe_host(rng: &mut SmallRng, ip: Ipv4Addr, app: AppId, vulnerable: bool)
 /// `n_vhosts` name-based CMS sites. Roughly a third of the sites are
 /// *freshly registered* during the observation window — the population
 /// the CT-watching attacker races for.
-fn make_shared_host(rng: &mut SmallRng, ip: Ipv4Addr, n_vhosts: u64) -> Host {
+fn make_shared_host(rng: &mut SplitMix64, ip: Ipv4Addr, n_vhosts: u64) -> Host {
     use crate::clock::SimDuration;
     let mut host = Host::new(
         ip,
@@ -569,20 +565,20 @@ fn make_shared_host(rng: &mut SmallRng, ip: Ipv4Addr, n_vhosts: u64) -> Host {
     host.cert_domain = Some(format!("shared-{}.hosting.example", u32::from(ip)));
     let cms = [AppId::WordPress, AppId::Joomla, AppId::Drupal, AppId::Grav];
     for i in 0..n_vhosts {
-        let app = cms[rng.random_range(0..cms.len())];
+        let app = cms[rng.below(cms.len() as u64) as usize];
         let history_len = nokeys_apps::release_history(app).len();
-        let version_index = history_len - 1 - rng.random_range(0..3.min(history_len));
-        let fresh = rng.random::<f64>() < 0.34;
+        let version_index = history_len - 1 - rng.below(3.min(history_len) as u64) as usize;
+        let fresh = rng.unit() < 0.34;
         let (registered_at, install_delay) = if fresh {
             // Registered somewhere inside the four-week window; the owner
             // completes the installation hours to days later.
-            let reg = SimTime::SCAN_START + SimTime::OBSERVATION.mul_f64(rng.random::<f64>() * 0.9);
-            let delay = SimDuration::hours(1 + rng.random_range(0..72));
+            let reg = SimTime::SCAN_START + SimTime::OBSERVATION.mul_f64(rng.unit() * 0.9);
+            let delay = SimDuration::hours(1 + rng.below(72) as i64);
             (reg, delay)
         } else {
             // Long-established site, installed well before the study.
             (
-                SimTime::SCAN_START - SimDuration::days(rng.random_range(30..720)),
+                SimTime::SCAN_START - SimDuration::days(rng.range(30..720) as i64),
                 SimDuration::hours(2),
             )
         };

@@ -13,11 +13,10 @@
 
 use crate::clock::SimTime;
 use nokeys_apps::AppId;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Lifecycle state of a virtual host at a point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VhostState {
     /// Domain not registered yet: the shared host serves its default
     /// page for this name.
@@ -30,7 +29,7 @@ pub enum VhostState {
 }
 
 /// One name-based virtual host on a shared-hosting machine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualHost {
     pub domain: String,
     /// The CMS deployed under this name.
@@ -62,7 +61,7 @@ impl VirtualHost {
 }
 
 /// A Certificate-Transparency log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtEntry {
     pub domain: String,
     /// Where the domain points (the attacker resolves DNS).
