@@ -3,12 +3,11 @@
 use crate::payloads::Payload;
 use nokeys_apps::AppId;
 use nokeys_netsim::geo::GeoRecord;
-use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// Stable attacker identity (ground truth; the honeypot analysis must
 /// *re-derive* actors from payload/IP clustering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttackerId(pub u32);
 
 /// One attacker: a set of source IPs (with geo metadata), a payload

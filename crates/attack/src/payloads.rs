@@ -5,10 +5,9 @@
 //! simulated post-exploitation behaviour (resource usage, persistence)
 //! that drives the resource monitor.
 
-use serde::Serialize;
 
 /// Behavioural class of a payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PayloadKind {
     /// Monero-style cryptominer: pegs the CPU, installs a cronjob,
     /// terminates competing miners.
@@ -45,7 +44,7 @@ impl PayloadKind {
 }
 
 /// A concrete payload.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Payload {
     /// Stable identity, e.g. `kinsing-v2`; clustering keys on this via
     /// the command string.

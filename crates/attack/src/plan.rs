@@ -23,12 +23,11 @@ use crate::payloads::Payload;
 use nokeys_apps::AppId;
 use nokeys_netsim::clock::{SimDuration, SimTime};
 use nokeys_netsim::geo::{GeoRecord, ATTACKER_MIX};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// One scheduled attack.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlannedAttack {
     /// Absolute virtual time (the honeypot study starts at
     /// [`SimTime::HONEYPOT_START`]).

@@ -678,6 +678,13 @@ mod tests {
                 }
             } else {
                 assert!(delta.skipped > 0, "the skip never engaged");
+                // Observed prefixes agree status for status; the skipped
+                // tail of a ragged timeline is offline in the one-shot run.
+                for (a, b) in extended.timelines.iter().zip(&one_shot.timelines) {
+                    let n = a.statuses.len();
+                    assert_eq!(a.statuses[..], b.statuses[..n]);
+                    assert!(b.statuses[n..].iter().all(|&s| s == ObservedStatus::Offline));
+                }
             }
         }
     }

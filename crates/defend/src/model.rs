@@ -6,10 +6,9 @@ use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use nokeys_scanner::pattern::PreparedBody;
 use nokeys_scanner::plugin::detect_mav;
 use nokeys_scanner::signatures::{all_signatures, match_candidates};
-use serde::Serialize;
 
 /// Finding severity as reported by the vendor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Flagged as a vulnerability.
     Vulnerability,
@@ -36,7 +35,7 @@ pub struct CommercialScanner {
 }
 
 /// A finding produced by a vendor scan.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VendorFinding {
     pub endpoint: Endpoint,
     pub app: AppId,
@@ -54,7 +53,7 @@ impl CommercialScanner {
     }
 
     /// Scan a single endpoint suspected to run `app`.
-    pub async fn scan_endpoint<T: Transport>(
+    pub fn scan_endpoint<T: Transport>(
         &self,
         client: &Client<T>,
         app: AppId,
@@ -65,7 +64,7 @@ impl CommercialScanner {
             Severity::Vulnerability => {
                 // The vendor implements an equivalent unauthenticated-
                 // access check; modeled by the study's own plugin logic.
-                if detect_mav(client, app, ep, Scheme::Http).await {
+                if detect_mav(client, app, ep, Scheme::Http) {
                     Some(VendorFinding {
                         endpoint: ep,
                         app,
@@ -77,7 +76,7 @@ impl CommercialScanner {
             }
             Severity::Informational => {
                 // Product presence only: match identification signatures.
-                let fetched = client.get_path(ep, Scheme::Http, "/").await.ok()?;
+                let fetched = client.get_path(ep, Scheme::Http, "/").ok()?;
                 let body = PreparedBody::new(fetched.response.body_str());
                 let candidates = match_candidates(&all_signatures(), &body);
                 candidates.contains(&app).then_some(VendorFinding {
@@ -90,11 +89,11 @@ impl CommercialScanner {
     }
 
     /// Scan the whole honeypot fleet, as the study did.
-    pub async fn scan_fleet(&self, fleet: &Fleet) -> Vec<VendorFinding> {
+    pub fn scan_fleet(&self, fleet: &Fleet) -> Vec<VendorFinding> {
         let client = Client::new(fleet.transport.clone());
         let mut findings = Vec::new();
         for h in &fleet.honeypots {
-            if let Some(f) = self.scan_endpoint(&client, h.app, h.endpoint).await {
+            if let Some(f) = self.scan_endpoint(&client, h.app, h.endpoint) {
                 findings.push(f);
             }
         }
@@ -106,19 +105,19 @@ impl CommercialScanner {
 mod tests {
     use super::*;
 
-    #[tokio::test]
-    async fn empty_capability_list_finds_nothing() {
+    #[test]
+    fn empty_capability_list_finds_nothing() {
         let scanner = CommercialScanner {
             name: "null-scanner",
             capabilities: vec![],
             scan_duration_hours: 1.0,
         };
         let fleet = Fleet::deploy();
-        assert!(scanner.scan_fleet(&fleet).await.is_empty());
+        assert!(scanner.scan_fleet(&fleet).is_empty());
     }
 
-    #[tokio::test]
-    async fn vulnerability_capability_confirms_only_real_mavs() {
+    #[test]
+    fn vulnerability_capability_confirms_only_real_mavs() {
         let scanner = CommercialScanner {
             name: "t",
             capabilities: vec![Capability {
@@ -128,14 +127,14 @@ mod tests {
             scan_duration_hours: 1.0,
         };
         let fleet = Fleet::deploy();
-        let findings = scanner.scan_fleet(&fleet).await;
+        let findings = scanner.scan_fleet(&fleet);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].app, AppId::Docker);
         assert_eq!(findings[0].severity, Severity::Vulnerability);
     }
 
-    #[tokio::test]
-    async fn informational_capability_reports_presence() {
+    #[test]
+    fn informational_capability_reports_presence() {
         let scanner = CommercialScanner {
             name: "t",
             capabilities: vec![Capability {
@@ -145,7 +144,7 @@ mod tests {
             scan_duration_hours: 1.0,
         };
         let fleet = Fleet::deploy();
-        let findings = scanner.scan_fleet(&fleet).await;
+        let findings = scanner.scan_fleet(&fleet);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].severity, Severity::Informational);
     }

@@ -11,10 +11,9 @@ use crate::model::CommercialScanner;
 use nokeys_apps::AppId;
 use nokeys_honeypot::StudyResult;
 use nokeys_netsim::SimTime;
-use serde::Serialize;
 
 /// Outcome of the race for one honeypot.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RaceOutcome {
     pub app: AppId,
     /// Hours after study start when the scanner reaches this honeypot.

@@ -39,10 +39,10 @@ mod tests {
     use super::*;
     use nokeys_honeypot::Fleet;
 
-    #[tokio::test]
-    async fn detects_exactly_the_five_disclosed_apps() {
+    #[test]
+    fn detects_exactly_the_five_disclosed_apps() {
         let fleet = Fleet::deploy();
-        let findings = scanner1().scan_fleet(&fleet).await;
+        let findings = scanner1().scan_fleet(&fleet);
         let mut apps: Vec<AppId> = findings.iter().map(|f| f.app).collect();
         apps.sort();
         let mut expected = vec![

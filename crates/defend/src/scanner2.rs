@@ -51,10 +51,10 @@ mod tests {
     use crate::model::Severity;
     use nokeys_honeypot::Fleet;
 
-    #[tokio::test]
-    async fn detects_three_vulnerabilities_and_four_informational() {
+    #[test]
+    fn detects_three_vulnerabilities_and_four_informational() {
         let fleet = Fleet::deploy();
-        let findings = scanner2().scan_fleet(&fleet).await;
+        let findings = scanner2().scan_fleet(&fleet);
         let vulns: Vec<AppId> = findings
             .iter()
             .filter(|f| f.severity == Severity::Vulnerability)

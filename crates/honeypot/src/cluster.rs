@@ -9,7 +9,6 @@
 
 use crate::detect::Attack;
 use nokeys_apps::AppId;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -40,7 +39,7 @@ pub fn unique_ips(attacks: &[Attack], app: AppId) -> usize {
 
 /// A recovered actor: the attacks, IPs, payloads and applications linked
 /// together by shared payloads / addresses.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ActorCluster {
     pub attack_count: usize,
     pub ips: Vec<Ipv4Addr>,

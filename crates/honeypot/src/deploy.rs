@@ -10,11 +10,11 @@
 
 use crate::logserver::CentralLog;
 use crate::monitor::MonitoredApp;
+use crate::ClockCell;
 use nokeys_apps::{build_instance, release_history, AppConfig, AppId, Version};
 use nokeys_http::memory::HandlerTransport;
 use nokeys_http::Endpoint;
 use nokeys_netsim::SimTime;
-use parking_lot::RwLock;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ pub struct Honeypot {
 pub struct Fleet {
     pub honeypots: Vec<Honeypot>,
     pub log: Arc<CentralLog>,
-    pub clock: Arc<RwLock<SimTime>>,
+    pub clock: Arc<ClockCell>,
     /// Transport with every honeypot mounted.
     pub transport: HandlerTransport,
 }
@@ -39,7 +39,7 @@ impl Fleet {
     /// Deploy the full fleet. Honeypot addresses live in 64.90.1.0/24.
     pub fn deploy() -> Fleet {
         let log = Arc::new(CentralLog::new());
-        let clock = Arc::new(RwLock::new(SimTime::HONEYPOT_START));
+        let clock = Arc::new(ClockCell::new(SimTime::HONEYPOT_START));
         let mut transport = HandlerTransport::new();
         let mut honeypots = Vec::new();
 
@@ -85,7 +85,7 @@ impl Fleet {
 
     /// Set the fleet's virtual time.
     pub fn set_time(&self, t: SimTime) {
-        *self.clock.write() = t;
+        self.clock.set(t);
     }
 }
 
@@ -146,8 +146,8 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn honeypots_are_reachable_through_the_transport() {
+    #[test]
+    fn honeypots_are_reachable_through_the_transport() {
         let fleet = Fleet::deploy();
         let client = nokeys_http::Client::new(fleet.transport.clone());
         let hadoop = fleet.honeypot(AppId::Hadoop).unwrap();
@@ -157,7 +157,6 @@ mod tests {
                 nokeys_http::Scheme::Http,
                 "/cluster/cluster",
             )
-            .await
             .unwrap();
         assert!(fetched.response.body_text().contains("dr.who"));
         assert_eq!(

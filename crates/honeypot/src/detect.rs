@@ -8,7 +8,6 @@
 use crate::logserver::AuditRecord;
 use nokeys_apps::AppId;
 use nokeys_netsim::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -16,7 +15,7 @@ use std::net::Ipv4Addr;
 pub const GROUPING_WINDOW: SimDuration = SimDuration(15 * 60);
 
 /// One detected attack.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Attack {
     pub app: AppId,
     pub source: Ipv4Addr,

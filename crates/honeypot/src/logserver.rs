@@ -7,12 +7,11 @@
 
 use nokeys_apps::{AppEvent, AppId};
 use nokeys_netsim::SimTime;
-use serde::Serialize;
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
 
 /// One audited interaction with a honeypot.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AuditRecord {
     pub time: SimTime,
     /// Which honeypot (application) was contacted.

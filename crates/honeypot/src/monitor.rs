@@ -6,11 +6,11 @@ use crate::resource::ResourceGauge;
 use nokeys_apps::{AppId, WebApp};
 use nokeys_http::server::Handler;
 use nokeys_http::{Request, Response};
-use nokeys_netsim::SimTime;
 use nokeys_scanner::telemetry::{Counter, Telemetry};
-use parking_lot::{Mutex, RwLock};
+use crate::ClockCell;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cached attack-rate telemetry handles, shared across the deployment's
 /// honeypots so counters aggregate over all of them.
@@ -44,12 +44,12 @@ pub struct MonitoredApp {
     app: AppId,
     instance: Mutex<Box<dyn WebApp>>,
     log: Arc<CentralLog>,
-    clock: Arc<RwLock<SimTime>>,
+    clock: Arc<ClockCell>,
     gauge: Arc<ResourceGauge>,
     metrics: MonitorMetrics,
     /// Service availability: a vigilante shutdown takes the app down
     /// until the study's availability monitor restores it.
-    up: RwLock<bool>,
+    up: AtomicBool,
 }
 
 impl MonitoredApp {
@@ -57,7 +57,7 @@ impl MonitoredApp {
         app: AppId,
         instance: Box<dyn WebApp>,
         log: Arc<CentralLog>,
-        clock: Arc<RwLock<SimTime>>,
+        clock: Arc<ClockCell>,
     ) -> Self {
         Self::with_telemetry(app, instance, log, clock, &Telemetry::default())
     }
@@ -70,7 +70,7 @@ impl MonitoredApp {
         app: AppId,
         instance: Box<dyn WebApp>,
         log: Arc<CentralLog>,
-        clock: Arc<RwLock<SimTime>>,
+        clock: Arc<ClockCell>,
         telemetry: &Telemetry,
     ) -> Self {
         MonitoredApp {
@@ -80,8 +80,14 @@ impl MonitoredApp {
             clock,
             gauge: Arc::new(ResourceGauge::new()),
             metrics: MonitorMetrics::new(telemetry),
-            up: RwLock::new(true),
+            up: AtomicBool::new(true),
         }
+    }
+
+    fn instance(&self) -> MutexGuard<'_, Box<dyn WebApp>> {
+        self.instance
+            .lock()
+            .expect("an application model panicked mid-request")
     }
 
     /// The resource gauge of this honeypot.
@@ -91,22 +97,22 @@ impl MonitoredApp {
 
     /// Whether the service is currently up.
     pub fn is_up(&self) -> bool {
-        *self.up.read()
+        self.up.load(Ordering::SeqCst)
     }
 
     /// Ground truth of the wrapped instance.
     pub fn is_vulnerable(&self) -> bool {
-        self.instance.lock().is_vulnerable()
+        self.instance().is_vulnerable()
     }
 
     /// Restore the snapshot: reset application state, clear resource
     /// usage, bring the service back up. Matches the paper's "we shut
     /// down the infected machine and restored the snapshot".
     pub fn restore(&self) {
-        self.instance.lock().restore();
+        self.instance().restore();
         self.gauge.reset();
         self.metrics.restores.incr();
-        *self.up.write() = true;
+        self.up.store(true, Ordering::SeqCst);
     }
 }
 
@@ -117,8 +123,8 @@ impl Handler for MonitoredApp {
             return Response::new(nokeys_http::StatusCode::SERVICE_UNAVAILABLE)
                 .with_body("connection refused");
         }
-        let outcome = self.instance.lock().handle(req, peer);
-        let time = *self.clock.read();
+        let outcome = self.instance().handle(req, peer);
+        let time = self.clock.get();
         self.gauge.note_events(&outcome.events);
         if outcome
             .events
@@ -126,7 +132,7 @@ impl Handler for MonitoredApp {
             .any(|e| matches!(e, nokeys_apps::AppEvent::ShutdownRequested))
         {
             self.metrics.shutdowns.incr();
-            *self.up.write() = false;
+            self.up.store(false, Ordering::SeqCst);
         }
         let mut body_excerpt = req.body_text();
         body_excerpt.truncate(160);
@@ -150,12 +156,13 @@ impl Handler for MonitoredApp {
 mod tests {
     use super::*;
     use nokeys_apps::{build_instance, release_history, AppConfig};
+    use nokeys_netsim::SimTime;
 
-    fn monitored(app: AppId) -> (MonitoredApp, Arc<CentralLog>, Arc<RwLock<SimTime>>) {
+    fn monitored(app: AppId) -> (MonitoredApp, Arc<CentralLog>, Arc<ClockCell>) {
         let v = *release_history(app).last().unwrap();
         let cfg = AppConfig::vulnerable_for(app, &v);
         let log = Arc::new(CentralLog::new());
-        let clock = Arc::new(RwLock::new(SimTime::HONEYPOT_START));
+        let clock = Arc::new(ClockCell::new(SimTime::HONEYPOT_START));
         let m = MonitoredApp::new(
             app,
             build_instance(app, v, cfg),
@@ -168,7 +175,7 @@ mod tests {
     #[test]
     fn requests_are_audited_with_time_and_peer() {
         let (m, log, clock) = monitored(AppId::Hadoop);
-        *clock.write() = SimTime(1000);
+        clock.set(SimTime(1000));
         let attacker = Ipv4Addr::new(81, 2, 0, 5);
         m.handle(&Request::get("/cluster/cluster"), attacker);
         let snap = log.snapshot();
@@ -212,7 +219,7 @@ mod tests {
     fn telemetry_counts_attack_rate_across_honeypots() {
         let telemetry = Telemetry::new();
         let log = Arc::new(CentralLog::new());
-        let clock = Arc::new(RwLock::new(SimTime::HONEYPOT_START));
+        let clock = Arc::new(ClockCell::new(SimTime::HONEYPOT_START));
         let mounted: Vec<MonitoredApp> = [AppId::Hadoop, AppId::JupyterLab]
             .into_iter()
             .map(|app| {
@@ -254,29 +261,40 @@ mod tests {
     /// A scanner (or attacker) pipelining requests must get every
     /// response, and the monitor must audit every request — the serve
     /// loop drains buffered requests before reading more bytes.
-    #[tokio::test]
-    async fn pipelined_requests_are_each_answered_and_audited() {
-        use tokio::io::{AsyncReadExt, AsyncWriteExt};
+    #[test]
+    fn pipelined_requests_are_each_answered_and_audited() {
+        /// Both directions of a connection as plain buffers.
+        struct Duplex {
+            incoming: std::io::Cursor<Vec<u8>>,
+            outgoing: Vec<u8>,
+        }
+        impl std::io::Read for Duplex {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.incoming.read(buf)
+            }
+        }
+        impl std::io::Write for Duplex {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.outgoing.write(buf)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
         let (m, log, _) = monitored(AppId::Hadoop);
         let peer = Ipv4Addr::new(81, 2, 0, 5);
-        let (mut attacker_side, honeypot_side) = tokio::io::duplex(16 * 1024);
-        let serve = nokeys_http::server::serve_connection(honeypot_side, &m, peer);
-        let drive = async {
-            // Both requests land in one write; the second asks to close
-            // so the serve loop terminates and read_to_end returns.
-            attacker_side
-                .write_all(
-                    b"GET /cluster/cluster HTTP/1.1\r\nHost: h\r\n\r\n\
-                      GET /cluster/cluster HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n",
-                )
-                .await
-                .unwrap();
-            let mut out = Vec::new();
-            attacker_side.read_to_end(&mut out).await.unwrap();
-            String::from_utf8_lossy(&out).into_owned()
+        // Both requests land in one read; the second asks to close so
+        // the serve loop terminates.
+        let mut stream = Duplex {
+            incoming: std::io::Cursor::new(
+                b"GET /cluster/cluster HTTP/1.1\r\nHost: h\r\n\r\n\
+                  GET /cluster/cluster HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"
+                    .to_vec(),
+            ),
+            outgoing: Vec::new(),
         };
-        let (served, text) = tokio::join!(serve, drive);
-        served.unwrap();
+        nokeys_http::server::serve_connection(&mut stream, &m, peer).unwrap();
+        let text = String::from_utf8_lossy(&stream.outgoing);
         assert_eq!(text.matches("HTTP/1.1 200").count(), 2, "{text}");
         let records = log.snapshot();
         assert_eq!(records.len(), 2, "every pipelined request is audited");

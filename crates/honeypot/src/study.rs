@@ -15,11 +15,10 @@ use nokeys_attack::plan::{study_plan, StudyPlan};
 use nokeys_attack::script::attack_script;
 use nokeys_http::{Client, Scheme, Url};
 use nokeys_netsim::{SimDuration, SimTime};
-use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// Why a honeypot was restored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreReason {
     /// CPU/bandwidth threshold exceeded (cryptominer running).
     ResourceThreshold,
@@ -30,7 +29,7 @@ pub enum RestoreReason {
 }
 
 /// One restore action.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RestoreEvent {
     pub time: SimTime,
     pub app: AppId,
@@ -73,7 +72,7 @@ impl StudyResult {
 }
 
 /// Run the study.
-pub async fn run_study(config: &StudyConfig) -> StudyResult {
+pub fn run_study(config: &StudyConfig) -> StudyResult {
     let fleet = Fleet::deploy();
     let plan = study_plan(config.seed);
     let mut restores: Vec<RestoreEvent> = Vec::new();
@@ -110,8 +109,7 @@ pub async fn run_study(config: &StudyConfig) -> StudyResult {
                     .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
             );
             let _ = client
-                .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-                .await;
+                .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
         }
 
         fleet.set_time(planned.time);
@@ -141,7 +139,7 @@ pub async fn run_study(config: &StudyConfig) -> StudyResult {
                 honeypot.endpoint.port,
                 &req.target,
             );
-            let _ = client.execute(&url, req).await;
+            let _ = client.execute(&url, req);
         }
 
         // Post-attack procedures.
@@ -184,8 +182,7 @@ pub async fn run_study(config: &StudyConfig) -> StudyResult {
                 .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
         );
         let _ = client
-            .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-            .await;
+            .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
     }
 
     let records = fleet.log.snapshot();
@@ -205,19 +202,18 @@ mod tests {
     use super::*;
     use crate::cluster::{unique_attacks, unique_ips};
 
-    async fn quick_study() -> StudyResult {
+    fn quick_study() -> StudyResult {
         run_study(&StudyConfig {
             seed: 2022,
             background_noise: false,
         })
-        .await
     }
 
     /// The headline integration test: the detected numbers reproduce
     /// Table 5 exactly.
-    #[tokio::test]
-    async fn detected_attacks_reproduce_table5() {
-        let result = quick_study().await;
+    #[test]
+    fn detected_attacks_reproduce_table5() {
+        let result = quick_study();
         let cases = [
             (AppId::Jenkins, 4, 3, 3),
             (AppId::WordPress, 9, 4, 5),
@@ -248,9 +244,9 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn actor_clustering_recovers_the_roster() {
-        let result = quick_study().await;
+    #[test]
+    fn actor_clustering_recovers_the_roster() {
+        let result = quick_study();
         // 131 planted actors; payloads/IPs never cross actors, so the
         // clustering must recover them exactly.
         assert_eq!(result.actors.len(), result.plan.attackers.len());
@@ -265,9 +261,9 @@ mod tests {
         assert_eq!(multi, 10);
     }
 
-    #[tokio::test]
-    async fn restores_keep_tofu_honeypots_attackable() {
-        let result = quick_study().await;
+    #[test]
+    fn restores_keep_tofu_honeypots_attackable() {
+        let result = quick_study();
         // WordPress was attacked 9 times; without restores only the
         // first hijack could ever succeed.
         assert_eq!(result.attacks_on(AppId::WordPress).count(), 9);
@@ -279,9 +275,9 @@ mod tests {
         assert!(wp_restores >= 9, "every hijack triggers a restore");
     }
 
-    #[tokio::test]
-    async fn resource_monitor_catches_miners() {
-        let result = quick_study().await;
+    #[test]
+    fn resource_monitor_catches_miners() {
+        let result = quick_study();
         let threshold_restores = result
             .restores
             .iter()
@@ -296,13 +292,12 @@ mod tests {
         assert!(availability_restores > 0, "the vigilante takes J-Lab down");
     }
 
-    #[tokio::test]
-    async fn background_noise_is_never_counted_as_attacks() {
+    #[test]
+    fn background_noise_is_never_counted_as_attacks() {
         let with_noise = run_study(&StudyConfig {
             seed: 2022,
             background_noise: true,
-        })
-        .await;
+        });
         assert_eq!(
             with_noise.attacks.len(),
             2195,

@@ -11,8 +11,7 @@ use nokeys::netsim::{SimTime, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::ct::{ct_scan, DomainTarget};
 use std::sync::Arc;
 
-#[tokio::main(flavor = "current_thread")]
-async fn main() {
+fn main() {
     let config = UniverseConfig::repro(2022);
     let universe = Arc::new(Universe::generate(config));
     let transport = SimTransport::new(Arc::clone(&universe));
@@ -40,8 +39,7 @@ async fn main() {
         let t = transport.clone();
         let findings = ct_scan(&client, &entries, delay_hours * 3600, |secs| {
             t.set_time(SimTime(secs))
-        })
-        .await;
+        });
         let caught = findings.iter().filter(|f| f.vulnerable).count();
         println!(
             "reaction time {delay_hours:>2} h: {caught:>3} of {} fresh installations still hijackable",
@@ -53,7 +51,7 @@ async fn main() {
         &universe,
         &{
             let t = transport.clone();
-            ct_scan(&client, &entries, 3600, |secs| t.set_time(SimTime(secs))).await
+            ct_scan(&client, &entries, 3600, |secs| t.set_time(SimTime(secs)))
         },
         3600,
     );

@@ -9,11 +9,10 @@
 use nokeys::analysis;
 use nokeys::honeypot::{run_study, Fleet, StudyConfig};
 
-#[tokio::main(flavor = "current_thread")]
-async fn main() {
+fn main() {
     println!("deploying 18 honeypots and replaying four weeks of attacks ...");
     let started = std::time::Instant::now();
-    let result = run_study(&StudyConfig::default()).await;
+    let result = run_study(&StudyConfig::default());
     println!(
         "study complete in {:.1?}: {} audit records, {} attacks, {} recovered actors, {} restores\n",
         started.elapsed(),
@@ -33,8 +32,8 @@ async fn main() {
     // Defender awareness (Section 5): scan a fresh fleet with both
     // commercial-scanner models.
     let fleet = Fleet::deploy();
-    let s1 = nokeys::defend::scanner1().scan_fleet(&fleet).await;
-    let s2 = nokeys::defend::scanner2().scan_fleet(&fleet).await;
+    let s1 = nokeys::defend::scanner1().scan_fleet(&fleet);
+    let s2 = nokeys::defend::scanner2().scan_fleet(&fleet);
     println!(
         "Scanner 1 flags {} of 18 honeypots; Scanner 2 flags {} (+{} informational)",
         s1.len(),

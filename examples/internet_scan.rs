@@ -7,11 +7,11 @@
 
 use nokeys::analysis;
 use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
+use nokeys::scanner::json::ToJson;
 use nokeys::scanner::{Pipeline, PipelineConfig};
 use std::sync::Arc;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let config = UniverseConfig::repro(2022);
     println!(
         "generating universe in {} (MAVs at paper scale, benign 1:{}, background 1:{}) ...",
@@ -25,15 +25,15 @@ async fn main() {
 
     let transport = SimTransport::new(universe);
     let client = nokeys::http::Client::new(transport.clone());
-    // Concurrency is a pure speedup: the simulated transport yields the
-    // same report at any parallelism, faults or no faults.
+    // Concurrency is a pure speedup: the scan yields the same report
+    // at any shard count, faults or no faults.
     let pipeline = Pipeline::new(
         PipelineConfig::builder(vec![config.space])
-            .parallelism(8)
+            .shards(4)
             .build(),
     );
     let started = std::time::Instant::now();
-    let report = pipeline.run(&client).await.expect("pipeline failed");
+    let report = pipeline.run(&client).expect("pipeline failed");
     println!(
         "scan finished in {:.1?}: {} probes, {} HTTP exchanges\n",
         started.elapsed(),
@@ -57,10 +57,6 @@ async fn main() {
 
     // Machine-readable export for downstream analysis.
     let path = std::env::temp_dir().join("nokeys_scan_report.json");
-    std::fs::write(
-        &path,
-        serde_json::to_vec_pretty(&report).expect("report serializes"),
-    )
-    .expect("write report");
+    std::fs::write(&path, report.to_json().write_pretty()).expect("write report");
     println!("full scan report exported to {}", path.display());
 }

@@ -20,8 +20,7 @@ use nokeys::netsim::SimTime;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // Deploy: vulnerable Hadoop + audit log + a wall-clock-driven virtual
     // clock (each attack stamps the current offset).
     let log = Arc::new(CentralLog::new());
@@ -35,7 +34,6 @@ async fn main() {
     ));
 
     let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, Arc::clone(&monitored))
-        .await
         .expect("bind loopback");
     println!(
         "honeypot (Hadoop, vulnerable) listening on 127.0.0.1:{}",
@@ -48,7 +46,7 @@ async fn main() {
     for req in attack_script(AppId::Hadoop, &payload) {
         let url =
             Url::parse(&format!("http://127.0.0.1:{}{}", server.port, req.target)).expect("url");
-        let resp = client.execute(&url, req).await.expect("attack request");
+        let resp = client.execute(&url, req).expect("attack request");
         println!("attacker -> {} {}", url.path, resp.status);
     }
 
@@ -81,5 +79,5 @@ async fn main() {
     );
     monitored.restore();
     println!("\nresource threshold exceeded -> snapshot restored; honeypot armed again");
-    server.shutdown().await;
+    server.shutdown();
 }

@@ -34,8 +34,7 @@ fn instance(app: AppId, vulnerable: bool) -> Arc<AppHandler> {
     Arc::new(AppHandler::new(build_instance(app, version, cfg)))
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // Serve a vulnerable Hadoop, a vulnerable Jupyter Notebook and a
     // *secured* Docker daemon on OS-assigned loopback ports.
     let servers = [
@@ -48,7 +47,6 @@ async fn main() {
     for (app, vulnerable) in servers {
         let handler = instance(app, vulnerable);
         let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler)
-            .await
             .expect("bind loopback");
         println!(
             "serving {} ({}) on 127.0.0.1:{}",
@@ -65,12 +63,12 @@ async fn main() {
         .ports(ports.clone())
         .exclude_reserved(false) // loopback is IANA-reserved
         .tarpit_port_threshold(ports.len() + 1) // tiny port set; no artifact filter
-        .parallelism(4) // bounded concurrent probes over real sockets
+        .shards(4) // four worker threads probing over real sockets
         .build();
     let pipeline = Pipeline::new(config);
     let client = nokeys::http::Client::new(TcpTransport::default());
 
-    let report = pipeline.run(&client).await.expect("pipeline failed");
+    let report = pipeline.run(&client).expect("pipeline failed");
     println!(
         "\nscan over real TCP finished: {} probes, {} findings",
         report.probes_sent,
@@ -92,7 +90,7 @@ async fn main() {
 
     let mavs = report.total_mavs();
     for server in handles {
-        server.shutdown().await;
+        server.shutdown();
     }
     assert_eq!(mavs, 2, "the two vulnerable services must be detected");
     println!("\nlive scan OK: 2 of 3 services correctly flagged as vulnerable");

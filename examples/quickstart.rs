@@ -9,8 +9,7 @@ use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig};
 use std::sync::Arc;
 
-#[tokio::main(flavor = "current_thread")]
-async fn main() {
+fn main() {
     // 1. A deterministic, seeded universe: ~400 hosts in 20.0.0.0/16
     //    running the studied applications plus background noise.
     let config = UniverseConfig::tiny(42);
@@ -27,7 +26,7 @@ async fn main() {
     let transport = SimTransport::new(universe);
     let client = nokeys::http::Client::new(transport.clone());
     let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
-    let report = pipeline.run(&client).await.expect("pipeline failed");
+    let report = pipeline.run(&client).expect("pipeline failed");
 
     // 3. Results.
     println!("funnel: {}", report.funnel());

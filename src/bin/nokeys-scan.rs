@@ -3,48 +3,29 @@
 //!
 //! ```text
 //! nokeys-scan --target 192.0.2.0/28 [--ports 80,443,8080] [--rate 200]
-//!             [--parallelism 16] [--shards N] [--workers N]
-//!             [--worker-bin PATH] [--json out.json]
-//!             [--metrics-out m.json] [--include-reserved] [--retries N]
-//!             [--fault-rate P] [--checkpoint FILE] [--resume]
-//!             [--checkpoint-every N] [--fleet-shard K/N] [--pool]
+//!             [--shards N] [--json out.json] [--metrics-out m.json]
+//!             [--include-reserved] [--retries N] [--fault-rate P]
+//!             [--checkpoint FILE] [--resume] [--checkpoint-every N]
+//!             [--pool]
 //! ```
+//!
+//! `--shards N` is the scan's one concurrency setting: the batch
+//! sequence is split across N worker threads with work-stealing
+//! (default 16 — live scanning is latency-bound, so more workers than
+//! CPUs pays off). The report is byte-identical at any N, and `--rate`
+//! stays a whole-scan bound shared by all workers.
 //!
 //! `--pool` enables keep-alive connection reuse: stage II/III probes of
 //! the same host ride one TCP connection through
 //! [`PooledTransport`](nokeys::http::PooledTransport) instead of paying
 //! a handshake per request. The report is byte-identical either way —
-//! pooling, like parallelism, is excluded from the checkpoint
+//! pooling, like the shard count, is excluded from the checkpoint
 //! fingerprint — and the pool's hit/miss/stale-retry counters are
-//! summarized on stderr after the scan. Not available with `--workers`
-//! (each worker process dials its own connections).
+//! summarized on stderr after the scan.
 //!
-//! The CLI is a thin client of the scan-as-a-service layer: the flags
-//! build a serializable [`JobSpec`] which a local in-process
-//! [`JobEngine`] executes — the same spec, byte for byte, could be
-//! piped to a `nokeys-scand` daemon instead. Reports and metrics are
-//! byte-identical to the pre-engine releases for every existing flag.
-//!
-//! `--shards N` splits the batch sequence across N worker tasks with
-//! work-stealing (default: the number of CPUs); the report is
-//! byte-identical at any N, and `--rate` stays a whole-scan bound
-//! shared by all shards. Distinct from `--fleet-shard K/N`, which
-//! restricts a *fleet member* to its K-th slice of the sweep (the flag
-//! was previously spelled `--shard`, which remains a hidden alias).
-//!
-//! `--workers N` promotes the shard workers to external `nokeys-worker`
-//! *processes* leased contiguous batch ranges over an NDJSON pipe, with
-//! work-stealing, heartbeat-based loss detection and per-worker
-//! checkpoint files (requires `--checkpoint` for crash recovery; the
-//! report stays byte-identical to `--shards` at any worker count).
-//! `--worker-bin PATH` overrides the default worker binary, which is
-//! the `nokeys-worker` installed next to this executable. One caveat:
-//! `--rate` becomes a per-worker bound, because the shared token bucket
-//! cannot span processes.
-//!
-//! `--checkpoint FILE` persists a resumable checkpoint every
+//! `--checkpoint FILE` persists resumable checkpoints every
 //! `--checkpoint-every N` batches (default 8); `--resume` continues an
-//! interrupted scan from that file instead of starting over.
+//! interrupted scan from them instead of starting over.
 //!
 //! Like the paper's scanner, the tool is strictly non-intrusive: it only
 //! issues non-state-changing `GET` requests and infers the presence of a
@@ -59,24 +40,15 @@
 use nokeys::http::transport::{TcpTransport, Transport};
 use nokeys::http::{Client, PooledTransport};
 use nokeys::netsim::{FaultPlan, FaultyTransport};
-use nokeys::scanner::prelude::{
-    CheckpointPolicy, EngineConfig, JobEngine, JobOutcome, JobSpec, PortScanConfig, ScanSpec,
-    Telemetry, WorkerLaunch,
-};
+use nokeys::scanner::json::ToJson;
 use nokeys::scanner::telemetry::PoolMetrics;
-use nokeys::scanner::PortScanner;
-use nokeys::worker::{default_worker_bin, TransportSpec};
-use std::sync::Arc;
+use nokeys::scanner::{Pipeline, PipelineConfig, PipelineError, RetryPolicy, ScanReport, Telemetry};
 
 struct Args {
     targets: Vec<nokeys::scanner::portscan::Cidr>,
     ports: Vec<u16>,
-    parallelism: usize,
     shards: usize,
-    workers: usize,
-    worker_bin: Option<std::path::PathBuf>,
     rate: Option<f64>,
-    fleet_shard: Option<(usize, usize)>,
     include_reserved: bool,
     retries: u32,
     fault_rate: f64,
@@ -91,22 +63,16 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: nokeys-scan --target CIDR [--target CIDR ...]\n\
-         \x20                [--ports p1,p2,...] [--parallelism N] [--rate PROBES_PER_SEC]\n\
-         \x20                [--shards N] [--workers N] [--worker-bin PATH]\n\
-         \x20                [--fleet-shard K/N] [--retries N] [--fault-rate P]\n\
+         \x20                [--ports p1,p2,...] [--shards N] [--rate PROBES_PER_SEC]\n\
+         \x20                [--retries N] [--fault-rate P]\n\
          \x20                [--include-reserved] [--json FILE] [--metrics-out FILE]\n\
          \x20                [--checkpoint FILE] [--resume] [--checkpoint-every N]\n\
          \x20                [--pool]\n\
          \n\
+         --shards N       scan on N work-stealing worker threads\n\
+         \x20                (default 16; byte-identical report at any N)\n\
          --pool           reuse keep-alive connections across probes of\n\
-         \x20                the same host (byte-identical report; not\n\
-         \x20                available with --workers)\n\
-         --shards N       split this scan across N work-stealing workers\n\
-         \x20                (byte-identical report at any N)\n\
-         --workers N      lease batch ranges to N external nokeys-worker\n\
-         \x20                processes over NDJSON (byte-identical to --shards)\n\
-         --fleet-shard K/N  restrict this fleet member to the K-th of N\n\
-         \x20                slices of the stage-I sweep"
+         \x20                the same host (byte-identical report)"
     );
     std::process::exit(2);
 }
@@ -115,14 +81,8 @@ fn parse_args() -> Args {
     let mut args = Args {
         targets: Vec::new(),
         ports: nokeys::apps::SCAN_PORTS.to_vec(),
-        parallelism: 16,
-        shards: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        workers: 0,
-        worker_bin: None,
+        shards: 16,
         rate: None,
-        fleet_shard: None,
         include_reserved: false,
         retries: 3,
         fault_rate: 0.0,
@@ -171,14 +131,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--parallelism" => {
-                i += 1;
-                args.parallelism = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|p| *p > 0)
-                    .unwrap_or_else(|| usage());
-            }
             "--shards" => {
                 i += 1;
                 args.shards = argv
@@ -186,30 +138,6 @@ fn parse_args() -> Args {
                     .and_then(|s| s.parse().ok())
                     .filter(|n| *n > 0)
                     .unwrap_or_else(|| usage());
-            }
-            "--workers" => {
-                i += 1;
-                args.workers = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--worker-bin" => {
-                i += 1;
-                args.worker_bin = Some(argv.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            // "--shard" is the pre-rename spelling, kept as a hidden
-            // alias with the same strict K/N validation.
-            "--fleet-shard" | "--shard" => {
-                i += 1;
-                args.fleet_shard = argv.get(i).and_then(|s| {
-                    let (k, n) = s.split_once('/')?;
-                    Some((k.parse().ok()?, n.parse().ok()?))
-                });
-                if args.fleet_shard.is_none() {
-                    usage();
-                }
             }
             "--retries" => {
                 i += 1;
@@ -260,164 +188,97 @@ fn parse_args() -> Args {
         eprintln!("error: --resume requires --checkpoint FILE");
         usage();
     }
-    if args.pool && args.workers > 0 {
-        eprintln!("error: --pool cannot span --workers processes");
-        usage();
-    }
     args
 }
 
-/// The serializable job this invocation describes — what would go over
-/// the wire to `nokeys-scand`.
-fn job_spec(args: &Args) -> JobSpec {
-    let mut scan = ScanSpec::new(args.targets.clone());
-    scan.ports = Some(args.ports.clone());
-    scan.exclude_reserved = Some(!args.include_reserved);
-    scan.max_probes_per_sec = args.rate;
-    scan.tarpit_port_threshold = Some(args.ports.len().max(2));
-    scan.parallelism = Some(args.parallelism);
-    scan.shards = Some(args.shards);
-    if args.workers > 0 {
-        scan.workers = Some(args.workers);
-    }
-    scan.retries = Some(args.retries);
-    // Over real sockets one backoff unit is a millisecond, so exhausted
-    // budgets actually pace the retries instead of hammering the target.
-    scan.retry_real_unit_ms = Some(1);
-
-    let mut spec = JobSpec::scan("nokeys-scan", scan);
-    spec.checkpoint = match &args.checkpoint {
-        Some(path) => CheckpointPolicy::Explicit {
-            path: path.clone(),
-            every: args.checkpoint_every,
-            resume: args.resume,
-        },
-        None => CheckpointPolicy::Disabled,
-    };
-    spec
-}
-
-/// Submit the job and wait, generic over the client's transport — the
+/// Run (or resume) the scan, generic over the client's transport — the
 /// only thing `--pool` changes.
-async fn run_job<T: Transport + Clone + 'static>(
-    engine: JobEngine<T>,
-    spec: JobSpec,
-) -> JobOutcome {
-    let handle = engine.submit(spec);
-    match handle.wait().await {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+fn scan<T: Transport + Clone>(
+    pipeline: &Pipeline,
+    client: &Client<T>,
+    resume_from: Option<&std::path::Path>,
+) -> Result<ScanReport, PipelineError> {
+    match resume_from {
+        Some(path) => pipeline.resume(client, path),
+        None => pipeline.run(client),
     }
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let args = parse_args();
     let addresses: u64 = args.targets.iter().map(|t| t.size()).sum();
     eprintln!(
-        "scanning {} addresses on {} ports (non-intrusive GET requests only)",
+        "scanning {} addresses on {} ports with {} workers (non-intrusive GET requests only)",
         addresses,
-        args.ports.len()
+        args.ports.len(),
+        args.shards
     );
 
-    let mut portscan = PortScanConfig::new(args.targets.clone());
-    portscan.ports = args.ports.clone();
-    portscan.exclude_reserved = !args.include_reserved;
-    portscan.max_probes_per_sec = args.rate;
+    let telemetry = Telemetry::new();
+    let mut builder = PipelineConfig::builder(args.targets.clone())
+        .ports(args.ports.clone())
+        .exclude_reserved(!args.include_reserved)
+        .max_probes_per_sec(args.rate)
+        .tarpit_port_threshold(args.ports.len().max(2))
+        .shards(args.shards)
+        // Over real sockets one backoff unit is a millisecond, so
+        // exhausted budgets actually pace the retries instead of
+        // hammering the target.
+        .retry_policy(RetryPolicy {
+            real_unit: std::time::Duration::from_millis(1),
+            ..RetryPolicy::with_attempts(args.retries)
+        })
+        .telemetry(telemetry.clone());
+    if let Some(path) = &args.checkpoint {
+        eprintln!(
+            "checkpointing to {} every {} batches",
+            path.display(),
+            args.checkpoint_every
+        );
+        builder = builder
+            .checkpoint_path(path.clone())
+            .checkpoint_every(args.checkpoint_every);
+    }
+    let pipeline = Pipeline::new(builder.build());
 
-    // Stage I concurrently over real sockets, then stages II/III. The
-    // fault-injection wrapper is a passthrough at rate 0 (the default);
-    // clones share one fault schedule, so the sweep and the pipeline
-    // draw from the same per-endpoint attempt ordinals.
-    let fault_plan = FaultPlan::new(args.fault_rate, 0x6e6f_6b65_7973);
+    // Resume when asked to and something is there to resume from;
+    // otherwise a fresh (checkpointed) run.
+    let resume_from = args.checkpoint.as_deref().filter(|path| {
+        args.resume
+            && (path.exists() || !nokeys::scanner::shard::existing_shard_files(path).is_empty())
+    });
+    if let Some(path) = resume_from {
+        eprintln!("resuming from checkpoint {}", path.display());
+    }
+
+    // The fault-injection wrapper is a passthrough at rate 0 (the
+    // default); clones share one fault schedule, so every worker draws
+    // from the same per-endpoint attempt ordinals.
     if args.fault_rate > 0.0 {
         eprintln!(
             "injecting synthetic transport faults at rate {}",
             args.fault_rate
         );
     }
-    let transport = Arc::new(FaultyTransport::new(TcpTransport::default(), fault_plan));
-    if args.workers > 0 {
-        // The process tier streams stage I inside the workers; a local
-        // pre-sweep would probe every target a second time.
-        eprintln!(
-            "leasing batches to {} external worker process(es)",
-            args.workers
-        );
-    } else if args.checkpoint.is_none() {
-        let scanner = PortScanner::new(portscan.clone());
-        let sweep = match args.fleet_shard {
-            Some((k, n)) => {
-                eprintln!("scanning fleet shard {k} of {n}");
-                scanner.scan_shard(transport.as_ref(), k, n).await
-            }
-            None => {
-                scanner
-                    .scan_concurrent(Arc::clone(&transport), args.parallelism)
-                    .await
-            }
-        };
-        eprintln!(
-            "stage I: {} probes, {} open endpoints",
-            sweep.probes_sent,
-            sweep.open.len()
-        );
-    } else {
-        // The checkpointed pipeline streams stage I itself; a standalone
-        // pre-sweep would probe every target a second time.
-        eprintln!(
-            "checkpointing to {} every {} batches",
-            args.checkpoint.as_ref().expect("checked above").display(),
-            args.checkpoint_every
-        );
-    }
-
-    if args.resume {
-        if let Some(path) = args.checkpoint.as_ref().filter(|p| p.exists()) {
-            eprintln!("resuming from checkpoint {}", path.display());
-        }
-    }
-
-    // One-job in-process engine: submit the spec and wait. Everything
-    // the pipeline used to be handed directly (telemetry registry,
-    // checkpoint wiring, retry policy) now travels in the spec. With
-    // --workers the engine turns coordinator: the workers rebuild this
-    // same transport (TCP + fault plan, no observer) from the launch's
-    // transport spec. With --pool the client's transport type changes
-    // (a keep-alive pool around the same faulty TCP transport), nothing
-    // downstream does.
-    let spec = job_spec(&args);
+    let transport = FaultyTransport::new(
+        TcpTransport::default(),
+        FaultPlan::new(args.fault_rate, 0x6e6f_6b65_7973),
+    );
+    // Pool counters depend on connection timing, so they stay out of
+    // the scan's (deterministic) registry.
     let pool_telemetry = Telemetry::new();
-    let outcome = if args.workers > 0 {
-        let worker_transport = TransportSpec::Tcp {
-            fault_rate: args.fault_rate,
-            fault_seed: 0x6e6f_6b65_7973,
-        };
-        let bin = args.worker_bin.clone().unwrap_or_else(default_worker_bin);
-        let engine = JobEngine::with_config(
-            Client::new(transport.as_ref().clone()),
-            EngineConfig {
-                worker_launch: Some(WorkerLaunch::new(bin, worker_transport.to_value())),
-                ..EngineConfig::default()
-            },
-        );
-        run_job(engine, spec).await
-    } else if args.pool {
+    let outcome = if args.pool {
         eprintln!("keep-alive connection pooling enabled");
-        let pooled = PooledTransport::new(transport.as_ref().clone())
-            .with_observer(PoolMetrics::observer(&pool_telemetry));
-        run_job(JobEngine::new(Client::new(pooled)), spec).await
+        let pooled =
+            PooledTransport::new(transport).with_observer(PoolMetrics::observer(&pool_telemetry));
+        scan(&pipeline, &Client::new(pooled), resume_from)
     } else {
-        run_job(
-            JobEngine::new(Client::new(transport.as_ref().clone())),
-            spec,
-        )
-        .await
+        scan(&pipeline, &Client::new(transport), resume_from)
     };
-    let report = outcome.report().expect("scan jobs produce a report");
+    let report = outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 
     for f in &report.findings {
         println!(
@@ -449,11 +310,7 @@ async fn main() {
     }
 
     if let Some(path) = args.json {
-        std::fs::write(
-            &path,
-            serde_json::to_vec_pretty(&report).expect("serializes"),
-        )
-        .unwrap_or_else(|e| {
+        std::fs::write(&path, report.to_json().write_pretty()).unwrap_or_else(|e| {
             eprintln!("error writing {path}: {e}");
             std::process::exit(1);
         });
@@ -461,7 +318,7 @@ async fn main() {
     }
 
     if let Some(path) = args.metrics_out {
-        let snapshot = outcome.telemetry();
+        let snapshot = telemetry.snapshot();
         eprint!("{}", snapshot.render_text());
         std::fs::write(&path, snapshot.to_json_pretty()).unwrap_or_else(|e| {
             eprintln!("error writing {path}: {e}");

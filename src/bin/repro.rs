@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <id>... [--seed N] [--quick] [--out DIR] [--metrics-out FILE]
-//!               [--fault-rate P] [--retries N] [--shards N] [--workers N]
+//!               [--fault-rate P] [--retries N] [--shards N]
 //!               [--checkpoint FILE] [--resume] [--checkpoint-every N]
 //! repro all [--seed N] [--quick]
 //! repro list
@@ -20,15 +20,10 @@
 //! the per-operation transport attempt budget (default 3; 1 disables
 //! retrying).
 //!
-//! `--shards N` splits the scan's batch sequence across N worker tasks
-//! with work-stealing (default: the number of CPUs). Like parallelism
-//! and fault injection, sharding never changes the output: every table
-//! and figure is byte-identical at any N.
-//!
-//! `--workers N` runs the scan through N external `nokeys-worker`
-//! processes (the process tier) instead of in-process shard tasks.
-//! Workers regenerate the same simulated universe from its config, so
-//! the output stays byte-identical to `--shards` at any worker count.
+//! `--shards N` splits the scan's batch sequence across N worker
+//! threads with work-stealing (default: the number of CPUs). Like fault
+//! injection, sharding never changes the output: every table and figure
+//! is byte-identical at any N.
 //!
 //! `--checkpoint FILE` makes the scan crash-safe: a resumable checkpoint
 //! is written to `FILE` every `--checkpoint-every N` batches (default
@@ -41,15 +36,14 @@ use nokeys::repro::{CheckpointOptions, Repro, Scale};
 fn usage() -> ! {
     eprintln!(
         "usage: repro <id>...|all|list [--seed N] [--quick] [--out DIR] [--metrics-out FILE]\n\
-         \x20      [--fault-rate P] [--retries N] [--shards N] [--workers N]\n\
+         \x20      [--fault-rate P] [--retries N] [--shards N]\n\
          \x20      [--checkpoint FILE] [--resume] [--checkpoint-every N]"
     );
     eprintln!("experiment ids: {}", Repro::all_ids().join(", "));
     std::process::exit(2);
 }
 
-#[tokio::main(flavor = "current_thread")]
-async fn main() {
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
@@ -64,7 +58,6 @@ async fn main() {
     let mut shards: usize = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut workers: usize = 0;
     let mut checkpoint: Option<std::path::PathBuf> = None;
     let mut checkpoint_every: u64 = 8;
     let mut resume = false;
@@ -109,14 +102,6 @@ async fn main() {
                     .filter(|n| *n > 0)
                     .unwrap_or_else(|| usage());
             }
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage());
-            }
             "--out" => {
                 i += 1;
                 out_dir = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
@@ -156,8 +141,7 @@ async fn main() {
     let mut harness = Repro::new(seed, scale)
         .with_fault_rate(fault_rate)
         .with_retries(retries)
-        .with_shards(shards)
-        .with_workers(workers);
+        .with_shards(shards);
     if let Some(path) = checkpoint {
         harness = harness.with_checkpoint(CheckpointOptions {
             path,
@@ -172,7 +156,7 @@ async fn main() {
     );
     for id in ids {
         let started = std::time::Instant::now();
-        match harness.run(&id).await {
+        match harness.run(&id) {
             Ok(rendered) => {
                 println!("\n{rendered}");
                 println!("[{id} regenerated in {:.1?}]", started.elapsed());

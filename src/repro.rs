@@ -7,15 +7,10 @@ use nokeys_defend::VendorFinding;
 use nokeys_honeypot::{run_study, StudyConfig, StudyResult};
 use nokeys_netsim::observer_clock::wire_observer_clock;
 use nokeys_netsim::{FaultLane, SimTransport, Universe, UniverseConfig};
-use nokeys_scanner::observer::LongevityStudy;
-use nokeys_scanner::prelude::{
-    CheckpointPolicy, EngineConfig, JobEngine, JobSpec, ObserveSpec, ScanSpec, WorkerLaunch,
-};
-use nokeys_scanner::{ScanReport, Telemetry};
+use nokeys_scanner::observer::{observe_instrumented, LongevityStudy, ObserverConfig};
+use nokeys_scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-use crate::worker::{default_worker_bin, TransportSpec};
 
 /// Scale of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +44,6 @@ pub struct Repro {
     fault_rate: f64,
     retries: u32,
     shards: usize,
-    workers: usize,
-    worker_bin: Option<PathBuf>,
-    worker_args: Vec<String>,
     checkpoint: Option<CheckpointOptions>,
     scan: Option<(SimTransport, ScanReport)>,
     longevity: Option<LongevityStudy>,
@@ -73,9 +65,6 @@ impl Repro {
             fault_rate: 0.0,
             retries: 3,
             shards: 1,
-            workers: 0,
-            worker_bin: None,
-            worker_args: Vec::new(),
             checkpoint: None,
             scan: None,
             longevity: None,
@@ -87,7 +76,7 @@ impl Repro {
     /// Inject transient faults (SYN loss + connect timeouts) into the
     /// simulated transport at this per-attempt probability. The fault
     /// schedule is keyed per (endpoint, lane, attempt ordinal), so the
-    /// report stays byte-identical at any parallelism.
+    /// report stays byte-identical at any shard count.
     pub fn with_fault_rate(mut self, rate: f64) -> Self {
         self.fault_rate = rate;
         self
@@ -99,40 +88,11 @@ impl Repro {
         self
     }
 
-    /// Split the scan across this many shard workers with
-    /// work-stealing. Like parallelism and fault injection, sharding
-    /// never changes the report: it is byte-identical at any count.
+    /// Split the scan across this many shard worker threads with
+    /// work-stealing. Like fault injection, sharding never changes the
+    /// report: it is byte-identical at any count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Run the scan through this many external `nokeys-worker`
-    /// processes instead of in-process shard tasks (0, the default,
-    /// keeps the scan in-process). Each worker regenerates the same
-    /// universe from its config, so the report — like sharding — is
-    /// byte-identical at any worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Explicit path of the worker binary (defaults to the
-    /// `nokeys-worker` next to the current executable). Tests pass
-    /// `env!("CARGO_BIN_EXE_nokeys-worker")` here.
-    pub fn with_worker_bin(mut self, bin: impl Into<PathBuf>) -> Self {
-        self.worker_bin = Some(bin.into());
-        self
-    }
-
-    /// Extra argv for every spawned worker — the crash-injection flags
-    /// of the recovery tests.
-    pub fn with_worker_args<I, S>(mut self, args: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.worker_args = args.into_iter().map(Into::into).collect();
         self
     }
 
@@ -153,7 +113,7 @@ impl Repro {
     }
 
     /// Run (or reuse) the Internet-wide scan.
-    pub async fn scan(&mut self) -> &(SimTransport, ScanReport) {
+    pub fn scan(&mut self) -> &(SimTransport, ScanReport) {
         if self.scan.is_none() {
             let universe = Arc::new(Universe::generate(self.universe_config.clone()));
             let mut transport = SimTransport::new(universe);
@@ -171,132 +131,94 @@ impl Repro {
             }
             let client = nokeys_http::Client::new(transport.clone());
             // Faults or not, the per-(endpoint, lane, ordinal) fault
-            // schedule and the retry layer keep the concurrent pipeline's
-            // report byte-identical to the sequential one. The harness
-            // submits through the job engine — the same serializable
-            // spec path as the CLIs and `nokeys-scand` — and folds the
-            // job's telemetry back into its own registry, so snapshots
-            // are indistinguishable from driving the pipeline directly.
-            let mut scan = ScanSpec::new(vec![self.universe_config.space]);
-            scan.parallelism = Some(8);
-            scan.shards = Some(self.shards);
-            scan.retries = Some(self.retries);
-            if self.workers > 0 {
-                scan.workers = Some(self.workers);
+            // schedule and the retry layer keep the report
+            // byte-identical at any shard count.
+            let mut builder = PipelineConfig::builder(vec![self.universe_config.space])
+                .shards(self.shards)
+                .retries(self.retries)
+                .telemetry(self.telemetry.clone());
+            if let Some(c) = &self.checkpoint {
+                builder = builder
+                    .checkpoint_path(c.path.clone())
+                    .checkpoint_every(c.every);
             }
-            let mut spec = JobSpec::scan("repro", scan);
-            spec.checkpoint = match &self.checkpoint {
-                // The engine resumes when asked to and a checkpoint
-                // exists; otherwise a fresh (checkpointed) run.
-                Some(c) => CheckpointPolicy::Explicit {
-                    path: c.path.clone(),
-                    every: c.every,
-                    resume: c.resume,
-                },
-                None => CheckpointPolicy::Disabled,
-            };
-            let engine = if self.workers > 0 {
-                // Process tier: each worker regenerates this universe
-                // from its config and draws from the same fault
-                // schedule (the `with_fault_injection` default seed),
-                // so worker segments are byte-identical to in-process
-                // shard segments.
-                let worker_transport = TransportSpec::Sim {
-                    universe: self.universe_config.clone(),
-                    fault_rate: self.fault_rate,
-                    fault_seed: nokeys_netsim::FaultPlan::disabled().seed(),
-                };
-                let bin = self
-                    .worker_bin
-                    .clone()
-                    .unwrap_or_else(default_worker_bin);
-                let launch = WorkerLaunch::new(bin, worker_transport.to_value())
-                    .with_args(self.worker_args.clone());
-                JobEngine::with_config(
-                    client,
-                    EngineConfig {
-                        worker_launch: Some(launch),
-                        ..EngineConfig::default()
-                    },
-                )
-            } else {
-                JobEngine::new(client)
-            };
-            let outcome = engine
-                .submit(spec)
-                .wait()
-                .await
-                .unwrap_or_else(|e| panic!("scan pipeline failed: {e}"));
-            self.telemetry.absorb(outcome.telemetry());
-            let report = outcome.report().expect("scan jobs report").clone();
+            let pipeline = Pipeline::new(builder.build());
+            // Resume when asked to and a checkpoint exists; otherwise a
+            // fresh (checkpointed) run.
+            let resume_from = self.checkpoint.as_ref().filter(|c| {
+                c.resume
+                    && (c.path.exists()
+                        || !nokeys_scanner::shard::existing_shard_files(&c.path).is_empty())
+            });
+            let report = match resume_from {
+                Some(c) => pipeline.resume(&client, &c.path),
+                None => pipeline.run(&client),
+            }
+            .unwrap_or_else(|e| panic!("scan pipeline failed: {e}"));
             self.scan = Some((transport, report));
         }
         self.scan.as_ref().expect("just initialized")
     }
 
     /// Run (or reuse) the four-week longevity observation.
-    pub async fn longevity(&mut self) -> &LongevityStudy {
+    pub fn longevity(&mut self) -> &LongevityStudy {
         if self.longevity.is_none() {
             let interval = match self.scale {
                 Scale::Full => 3 * 3600,
                 Scale::Quick => 86_400,
             };
-            let (transport, report) = self.scan().await;
+            let (transport, report) = self.scan();
             let transport = transport.clone();
             let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
             let client = nokeys_http::Client::new(transport.clone());
-            // A one-shot observe job on an engine wired to the simulated
-            // clock — the recurring flavour of the same job is what
-            // `nokeys-scand` schedules (EXPERIMENTS.md).
-            let engine =
-                JobEngine::new(client).with_clock(wire_observer_clock(&transport));
-            let spec = JobSpec::observe(
-                "repro",
-                ObserveSpec::new(vulnerable, interval, 28 * 86_400),
+            let config = ObserverConfig {
+                interval_secs: interval,
+                window_secs: 28 * 86_400,
+                ..ObserverConfig::default()
+            };
+            let study = observe_instrumented(
+                &self.telemetry,
+                &client,
+                &vulnerable,
+                &config,
+                wire_observer_clock(&transport),
             );
-            let outcome = engine
-                .submit(spec)
-                .wait()
-                .await
-                .unwrap_or_else(|e| panic!("longevity observation failed: {e}"));
-            self.telemetry.absorb(outcome.telemetry());
-            let study = outcome.study().expect("observe jobs study").clone();
             self.longevity = Some(study);
         }
         self.longevity.as_ref().expect("just initialized")
     }
 
     /// Run (or reuse) the honeypot study.
-    pub async fn study(&mut self) -> &StudyResult {
+    pub fn study(&mut self) -> &StudyResult {
         if self.study.is_none() {
             let config = StudyConfig {
                 seed: self.seed,
                 background_noise: self.scale == Scale::Full,
             };
-            self.study = Some(run_study(&config).await);
+            self.study = Some(run_study(&config));
         }
         self.study.as_ref().expect("just initialized")
     }
 
     /// Run (or reuse) both commercial-scanner models against a fresh
     /// honeypot fleet.
-    pub async fn defenders(&mut self) -> &(Vec<VendorFinding>, Vec<VendorFinding>) {
+    pub fn defenders(&mut self) -> &(Vec<VendorFinding>, Vec<VendorFinding>) {
         if self.defenders.is_none() {
             let fleet = nokeys_honeypot::Fleet::deploy();
-            let s1 = nokeys_defend::scanner1().scan_fleet(&fleet).await;
-            let s2 = nokeys_defend::scanner2().scan_fleet(&fleet).await;
+            let s1 = nokeys_defend::scanner1().scan_fleet(&fleet);
+            let s2 = nokeys_defend::scanner2().scan_fleet(&fleet);
             self.defenders = Some((s1, s2));
         }
         self.defenders.as_ref().expect("just initialized")
     }
 
     /// Regenerate one experiment by id; returns the rendered artifact.
-    pub async fn run(&mut self, id: &str) -> Result<String, String> {
+    pub fn run(&mut self, id: &str) -> Result<String, String> {
         let out = match id {
             "table1" => analysis::table1::build().render(),
             "table2" => {
                 let divisor = self.universe_config.background_divisor;
-                let (_, report) = self.scan().await;
+                let (_, report) = self.scan();
                 analysis::table2::build(report, divisor).render()
             }
             "table3" => {
@@ -304,28 +226,28 @@ impl Repro {
                     self.universe_config.benign_divisor,
                     self.universe_config.mav_divisor,
                 );
-                let (_, report) = self.scan().await;
+                let (_, report) = self.scan();
                 analysis::table3::build(report, b, m).render()
             }
             "table4" => {
-                let (transport, report) = self.scan().await;
+                let (transport, report) = self.scan();
                 analysis::table4::build(report, transport.universe().geo(), 5).render()
             }
             "fig1" => {
-                let (_, report) = self.scan().await;
+                let (_, report) = self.scan();
                 analysis::fig1::build(report).render()
             }
-            "fig2" => analysis::fig2::build(self.longevity().await).render(),
-            "table5" => analysis::table5::build(self.study().await).render(),
-            "table6" => analysis::table6::build(self.study().await).render(),
-            "table7" => analysis::table7::build(self.study().await).render(),
-            "table8" => analysis::table8::build(self.study().await).render(),
-            "fig3" => analysis::fig3::build(self.study().await).render(),
-            "fig4" => analysis::fig4::build(self.study().await).render(),
+            "fig2" => analysis::fig2::build(self.longevity()).render(),
+            "table5" => analysis::table5::build(self.study()).render(),
+            "table6" => analysis::table6::build(self.study()).render(),
+            "table7" => analysis::table7::build(self.study()).render(),
+            "table8" => analysis::table8::build(self.study()).render(),
+            "fig3" => analysis::fig3::build(self.study()).render(),
+            "fig4" => analysis::fig4::build(self.study()).render(),
             "table9" => {
-                self.scan().await;
-                self.study().await;
-                self.defenders().await;
+                self.scan();
+                self.study();
+                self.defenders();
                 let (_, report) = self.scan.as_ref().expect("scan cached");
                 let study = self.study.as_ref().expect("study cached");
                 let (s1, s2) = self.defenders.as_ref().expect("defenders cached");
@@ -337,21 +259,21 @@ impl Repro {
             }
             "table10" => analysis::table10::build().render(),
             "rq2" => {
-                let (_, report) = self.scan().await;
+                let (_, report) = self.scan();
                 analysis::rq2::build(report).render()
             }
-            "longevity" => analysis::longevity_stats::build(self.longevity().await).render(),
-            "cases" => analysis::case_studies::build(self.study().await).render(),
-            "restores" => analysis::restores::build(self.study().await).render(),
+            "longevity" => analysis::longevity_stats::build(self.longevity()).render(),
+            "cases" => analysis::case_studies::build(self.study()).render(),
+            "restores" => analysis::restores::build(self.study()).render(),
             "race" => {
-                analysis::race_table::build(&nokeys_defend::scanner2(), self.study().await).render()
+                analysis::race_table::build(&nokeys_defend::scanner2(), self.study()).render()
             }
             "scanmodel" => {
-                let (_, report) = self.scan().await;
+                let (_, report) = self.scan();
                 analysis::scan_model::build(report).render()
             }
             "disclosure" => {
-                let (transport, report) = self.scan().await;
+                let (transport, report) = self.scan();
                 let geo = transport.universe().geo().clone();
                 let findings: Vec<_> = report.vulnerable_findings().cloned().collect();
                 let plan = nokeys_scanner::disclosure::plan_notifications(
@@ -362,12 +284,11 @@ impl Repro {
                             .filter(|rec| rec.asys.hosting)
                             .map(|rec| rec.asys.name.to_string())
                     },
-                )
-                .await;
+                );
                 nokeys_scanner::disclosure::render(&plan)
             }
             "ct" => {
-                let (transport, _) = self.scan().await;
+                let (transport, _) = self.scan();
                 let transport = transport.clone();
                 let client = nokeys_http::Client::new(transport.clone());
                 let delay_secs = 3600;
@@ -385,8 +306,7 @@ impl Repro {
                 let t = transport.clone();
                 let findings = nokeys_scanner::ct::ct_scan(&client, &entries, delay_secs, |s| {
                     t.set_time(nokeys_netsim::SimTime(s))
-                })
-                .await;
+                });
                 analysis::ct_compare::build(transport.universe(), &findings, delay_secs).render()
             }
             _ => return Err(format!("unknown experiment id '{id}'")),

@@ -1,354 +1,289 @@
-//! Crash-safe checkpointing: a scan killed mid-run and resumed from its
-//! checkpoint must produce a `ScanReport` and telemetry snapshot
-//! byte-identical to an uninterrupted run — at any parallelism, with or
-//! without injected transport faults. The kill is modeled honestly with
-//! [`KillableTransport`]: after a budget of network operations every
-//! further one hangs forever (a process cannot observe its own
-//! `kill -9`), and the test aborts the wedged pipeline task before
-//! resuming a fresh one from whatever checkpoint the dead run left on
-//! disk.
+//! Crash-safe checkpointing on the one scan engine: a scan killed
+//! mid-run and resumed from the files it left behind must produce a
+//! `ScanReport` and telemetry snapshot byte-identical to an
+//! uninterrupted run — at a different shard count than the one that
+//! died, with or without injected transport faults — and a checkpoint
+//! that does not belong to the scan, or does not add up, is refused by
+//! name.
 //!
-//! Fault-injected runs deliberately skip the `fault.*` observer bridge:
-//! bridged fault counters count injected faults (including those of the
-//! killed run's lost work) rather than processed work, so they sit
-//! outside the byte-identity guarantee.
+//! The kill is modeled with [`KillableTransport`]: after a budget of
+//! network operations every further one tears its worker thread down
+//! (an unwind no pipeline code runs under), so no batch in flight
+//! completes and no farewell checkpoint is written. The scan reports
+//! its dead workers as an error; the test then resumes a fresh pipeline
+//! (fresh transport, fresh registry) from whatever is on disk.
 
 use nokeys::http::Client;
-use nokeys::netsim::observer_clock::wire_observer_clock;
-use nokeys::netsim::{KillSwitch, KillableTransport, SimTransport, Universe, UniverseConfig};
-use nokeys::scanner::observer::{
-    observe_instrumented, observe_incremental, ObservedStatus, ObserverConfig,
+use nokeys::netsim::{Cidr, KillSwitch, KillableTransport, SimTransport, Universe, UniverseConfig};
+use nokeys::scanner::shard::{existing_shard_files, merge_segments, scan_segment};
+use nokeys::scanner::{
+    CheckpointError, ConfigFingerprint, Pipeline, PipelineConfig, PipelineError, ScanReport,
+    ShardCheckpoint, Telemetry, TelemetrySnapshot,
 };
-use nokeys::scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry, TelemetrySnapshot};
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
-fn checkpoint_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "nokeys-checkpoint-{tag}-{}.json",
-        std::process::id()
-    ))
+fn universe() -> &'static Arc<Universe> {
+    static UNIVERSE: OnceLock<Arc<Universe>> = OnceLock::new();
+    UNIVERSE.get_or_init(|| Arc::new(Universe::generate(UniverseConfig::tiny(42))))
 }
 
-fn config(
-    space: nokeys::netsim::Cidr,
-    parallelism: usize,
-    telemetry: &Telemetry,
-    checkpoint: Option<&PathBuf>,
-) -> PipelineConfig {
-    let mut builder = PipelineConfig::builder(vec![space])
-        .parallelism(parallelism)
+fn space() -> Cidr {
+    universe().config().space
+}
+
+/// A checkpoint base path in a directory of its own, so leftover shard
+/// files of one test can never be discovered by another.
+fn checkpoint_path(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("nokeys-ckpt-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir.join("scan.json")
+}
+
+fn cleanup(path: &Path) {
+    let _ = std::fs::remove_dir_all(path.parent().expect("checkpoint dir"));
+}
+
+/// 32 batches of 8 blocks, checkpointed every second batch.
+fn config(shards: usize, telemetry: &Telemetry, checkpoint: Option<&Path>) -> PipelineConfig {
+    let mut builder = PipelineConfig::builder(vec![space()])
+        .blocks_per_batch(8)
+        .shards(shards)
         .retries(3)
         .telemetry(telemetry.clone());
     if let Some(path) = checkpoint {
-        builder = builder.checkpoint_path(path.clone()).checkpoint_every(2);
+        builder = builder.checkpoint_path(path).checkpoint_every(2);
     }
     builder.build()
 }
 
-fn transport(universe: &Arc<Universe>, fault_rate: f64) -> SimTransport {
-    let t = SimTransport::new(Arc::clone(universe));
-    if fault_rate > 0.0 {
-        t.with_fault_injection(fault_rate)
-    } else {
-        t
-    }
+fn transport(fault_rate: f64) -> SimTransport {
+    SimTransport::new(Arc::clone(universe())).with_fault_injection(fault_rate)
 }
 
 /// One uninterrupted run, optionally checkpointed.
-async fn run_plain(
-    universe: &Arc<Universe>,
-    space: nokeys::netsim::Cidr,
-    parallelism: usize,
+fn run_plain(
+    shards: usize,
     fault_rate: f64,
-    checkpoint: Option<&PathBuf>,
+    checkpoint: Option<&Path>,
 ) -> (ScanReport, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(space, parallelism, &telemetry, checkpoint));
-    let client = Client::new(transport(universe, fault_rate));
-    let report = pipeline.run(&client).await.expect("pipeline failed");
+    let pipeline = Pipeline::new(config(shards, &telemetry, checkpoint));
+    let report = pipeline
+        .run(&Client::new(transport(fault_rate)))
+        .expect("scan failed");
     (report, telemetry.snapshot())
 }
 
-/// Start a checkpointed run over a transport that wedges after `budget`
-/// network operations, abort it once it wedges, then resume a fresh
-/// pipeline (fresh transport, fresh telemetry registry) from the
-/// checkpoint — or from scratch if the killed run died before writing
-/// one.
-async fn run_killed_then_resumed(
-    universe: &Arc<Universe>,
-    space: nokeys::netsim::Cidr,
-    parallelism: usize,
-    fault_rate: f64,
-    budget: u64,
-    path: &PathBuf,
-) -> (ScanReport, TelemetrySnapshot) {
-    let _ = std::fs::remove_file(path);
-
+/// Start a checkpointed run at `shards` over a transport that dies
+/// after `budget` network operations. Returns whether it died.
+fn run_until_killed(shards: usize, fault_rate: f64, budget: u64, path: &Path) -> bool {
     let switch = KillSwitch::after(budget);
-    let doomed = KillableTransport::new(transport(universe, fault_rate), switch.clone());
+    let doomed = KillableTransport::new(transport(fault_rate), switch.clone());
+    let pipeline = Pipeline::new(config(shards, &Telemetry::new(), Some(path)));
+    match pipeline.run(&Client::new(doomed)) {
+        Err(PipelineError::SweepFailed(_)) if switch.is_tripped() => true,
+        Ok(_) if !switch.is_tripped() => false,
+        other => panic!("unexpected outcome of the doomed run: {other:?}"),
+    }
+}
+
+fn resume(shards: usize, fault_rate: f64, path: &Path) -> (ScanReport, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(space, parallelism, &telemetry, Some(path)));
-    let client = Client::new(doomed);
-    let mut task = tokio::spawn(async move { pipeline.run(&client).await });
-    tokio::select! {
-        // The usual case: the budget runs out mid-scan and some network
-        // operation hangs. Kill the process model: abort, don't unwind.
-        _ = switch.tripped() => {
-            task.abort();
-            let _ = task.await;
-        }
-        // A generous budget can let the run finish first; the resume
-        // below then exercises the warm path instead.
-        result = &mut task => {
-            result.expect("pipeline task").expect("pipeline failed");
-        }
-    }
-
-    let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(space, parallelism, &telemetry, Some(path)));
-    let client = Client::new(transport(universe, fault_rate));
-    let report = if path.exists() {
-        pipeline.resume(&client, path).await.expect("resume failed")
-    } else {
-        // Killed before the first checkpoint write: nothing to resume.
-        pipeline.run(&client).await.expect("fresh run failed")
-    };
-    let snapshot = telemetry.snapshot();
-    let _ = std::fs::remove_file(path);
-    (report, snapshot)
+    let pipeline = Pipeline::new(config(shards, &telemetry, Some(path)));
+    let report = pipeline
+        .resume(&Client::new(transport(fault_rate)), path)
+        .expect("resume failed");
+    (report, telemetry.snapshot())
 }
 
-fn report_json(report: &ScanReport) -> String {
-    serde_json::to_string(report).expect("report serializes")
-}
+#[test]
+fn checkpointing_does_not_change_an_uninterrupted_run() {
+    let path = checkpoint_path("plain");
+    let (clean, clean_snap) = run_plain(4, 0.05, None);
+    let (checked, checked_snap) = run_plain(4, 0.05, Some(&path));
+    assert_eq!(clean.to_json_string(), checked.to_json_string());
+    assert_eq!(clean_snap.to_json(), checked_snap.to_json());
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn checkpointing_does_not_change_an_uninterrupted_run() {
-    let universe_config = UniverseConfig::tiny(42);
-    let universe = Arc::new(Universe::generate(universe_config.clone()));
-    for (parallelism, fault_rate) in [(1, 0.0), (8, 0.0), (8, 0.05)] {
-        let path = checkpoint_path(&format!("plain-p{parallelism}-f{fault_rate}"));
-        let (clean, clean_snap) =
-            run_plain(&universe, universe_config.space, parallelism, fault_rate, None).await;
-        let (checked, checked_snap) = run_plain(
-            &universe,
-            universe_config.space,
-            parallelism,
-            fault_rate,
-            Some(&path),
-        )
-        .await;
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(
-            report_json(&clean),
-            report_json(&checked),
-            "checkpoint writes changed the report (p{parallelism}, faults {fault_rate})"
-        );
-        assert_eq!(
-            clean_snap.to_json(),
-            checked_snap.to_json(),
-            "checkpoint writes changed the telemetry (p{parallelism}, faults {fault_rate})"
-        );
-    }
-}
+    // The finished scan is one file at the base path, one segment over
+    // the whole batch sequence; the workers' files are gone.
+    assert!(existing_shard_files(&path).is_empty());
+    let finished = ShardCheckpoint::load(&path).expect("finished checkpoint loads");
+    assert_eq!(finished.total_batches, 32);
+    assert_eq!(finished.segments.len(), 1);
+    assert_eq!(
+        (finished.segments[0].start_batch, finished.segments[0].end_batch),
+        (0, 32)
+    );
+    assert_eq!(finished.segments[0].report, checked);
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn killed_and_resumed_scan_is_byte_identical() {
-    let universe_config = UniverseConfig::tiny(42);
-    let universe = Arc::new(Universe::generate(universe_config.clone()));
-    let (baseline, baseline_snap) =
-        run_plain(&universe, universe_config.space, 8, 0.0, None).await;
-
-    // Budgets spanning "died before any checkpoint" through "died deep
-    // into the scan"; parallelism 1 and 8 must converge to the same
-    // bytes either way.
-    for (parallelism, budget) in [(1, 2_000u64), (8, 1u64), (8, 2_000), (8, 20_000)] {
-        let path = checkpoint_path(&format!("kill-p{parallelism}-b{budget}"));
-        let (resumed, resumed_snap) = run_killed_then_resumed(
-            &universe,
-            universe_config.space,
-            parallelism,
-            0.0,
-            budget,
-            &path,
-        )
-        .await;
-        assert_eq!(
-            report_json(&baseline),
-            report_json(&resumed),
-            "resumed report diverged (p{parallelism}, budget {budget})"
-        );
-        assert_eq!(
-            baseline_snap.to_json(),
-            resumed_snap.to_json(),
-            "resumed telemetry diverged (p{parallelism}, budget {budget})"
-        );
-    }
-}
-
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn killed_and_resumed_scan_survives_fault_injection() {
-    let universe_config = UniverseConfig::tiny(7);
-    let universe = Arc::new(Universe::generate(universe_config.clone()));
-    let (baseline, baseline_snap) =
-        run_plain(&universe, universe_config.space, 8, 0.05, None).await;
-
-    for budget in [3_000u64, 15_000] {
-        let path = checkpoint_path(&format!("faulty-kill-b{budget}"));
-        let (resumed, resumed_snap) = run_killed_then_resumed(
-            &universe,
-            universe_config.space,
-            8,
-            0.05,
-            budget,
-            &path,
-        )
-        .await;
-        assert_eq!(
-            report_json(&baseline),
-            report_json(&resumed),
-            "fault-injected resumed report diverged (budget {budget})"
-        );
-        assert_eq!(
-            baseline_snap.to_json(),
-            resumed_snap.to_json(),
-            "fault-injected resumed telemetry diverged (budget {budget})"
-        );
-    }
-}
-
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn warm_resume_of_a_finished_scan_touches_no_network() {
-    let universe_config = UniverseConfig::tiny(42);
-    let universe = Arc::new(Universe::generate(universe_config.clone()));
-    let path = checkpoint_path("warm");
-    let _ = std::fs::remove_file(&path);
-    let (finished, finished_snap) = run_plain(
-        &universe,
-        universe_config.space,
-        8,
-        0.0,
-        Some(&path),
-    )
-    .await;
-
-    // A zero-op budget: any network operation would wedge the resume
-    // forever, so completing at all proves the report came from disk.
+    // Resuming a finished scan rescans nothing: with a zero-operation
+    // budget any network access would kill the resume.
     let switch = KillSwitch::after(0);
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(universe_config.space, 8, &telemetry, Some(&path)));
-    let client = Client::new(KillableTransport::new(
-        transport(&universe, 0.0),
-        switch.clone(),
-    ));
-    let report = tokio::time::timeout(
-        std::time::Duration::from_secs(30),
-        pipeline.resume(&client, &path),
-    )
-    .await
-    .expect("warm resume must not touch the network")
-    .expect("warm resume failed");
-    let _ = std::fs::remove_file(&path);
-
+    let pipeline = Pipeline::new(config(1, &telemetry, Some(&path)));
+    let report = pipeline
+        .resume(
+            &Client::new(KillableTransport::new(transport(0.05), switch.clone())),
+            &path,
+        )
+        .expect("warm resume failed");
     assert_eq!(switch.used(), 0, "warm resume performed network operations");
-    assert_eq!(report_json(&finished), report_json(&report));
-    assert_eq!(finished_snap.to_json(), telemetry.snapshot().to_json());
+    assert_eq!(checked.to_json_string(), report.to_json_string());
+    assert_eq!(checked_snap.to_json(), telemetry.snapshot().to_json());
+    cleanup(&path);
 }
 
-/// Incremental observer reconciliation: observing 14 days and then
-/// extending to 28 via `observe_incremental` must agree everywhere with
-/// a single 28-day observation — terminally-offline hosts are skipped
-/// (their timelines go ragged), but offline is permanent in the
-/// lifecycle model, so the ragged tail reads back as exactly what the
-/// full run recorded.
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn incremental_rescan_reconciles_with_a_full_observation() {
-    let universe_config = UniverseConfig::tiny(42);
-    let universe = Arc::new(Universe::generate(universe_config.clone()));
+/// Kill at 4 shards after a budget that lets each worker finish a few
+/// batches, then resume at 1 shard and — from a second, identical kill —
+/// at 8. The shard count is not fingerprinted, so the dead run's
+/// per-worker files replay under any count.
+#[test]
+fn scan_killed_at_four_shards_resumes_at_one_and_at_eight() {
+    for fault_rate in [0.0, 0.05] {
+        let (baseline, baseline_snap) = run_plain(1, fault_rate, None);
+        for resume_shards in [1, 8] {
+            let path = checkpoint_path(&format!("kill-f{fault_rate}-k{resume_shards}"));
+            // A batch sweeps 8 × 256 × 12 = 24,576 probe operations, so
+            // this budget dies roughly a third of the way in, after
+            // every worker has checkpointed at least once.
+            assert!(
+                run_until_killed(4, fault_rate, 270_000, &path),
+                "the budget outlived the scan"
+            );
+            let left_behind = existing_shard_files(&path);
+            assert!(!left_behind.is_empty(), "the dead run left no checkpoint");
+            assert!(!path.exists(), "a dead run must not look finished");
+            let inherited: u64 = left_behind
+                .iter()
+                .flat_map(|f| ShardCheckpoint::load(f).expect("shard file loads").segments)
+                .map(|s| s.end_batch - s.start_batch)
+                .sum();
+            assert!(
+                (1..32).contains(&inherited),
+                "kill should land mid-scan, inherited {inherited} of 32 batches"
+            );
 
-    // One scan to get the vulnerable population.
-    let transport = SimTransport::new(Arc::clone(&universe));
-    let client = Client::new(transport.clone());
-    let pipeline = Pipeline::new(PipelineConfig::builder(vec![universe_config.space]).build());
-    let report = pipeline.run(&client).await.expect("scan failed");
-    let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
-    assert!(!vulnerable.is_empty());
-
-    let full_config = ObserverConfig {
-        interval_secs: 86_400,
-        window_secs: 28 * 86_400,
-        terminal_offline_after: 2,
-        ..ObserverConfig::default()
-    };
-    let half_config = ObserverConfig {
-        window_secs: 14 * 86_400,
-        ..full_config.clone()
-    };
-
-    let full = observe_instrumented(
-        &Telemetry::new(),
-        &client,
-        &vulnerable,
-        &full_config,
-        wire_observer_clock(&transport),
-    )
-    .await;
-
-    let prior = observe_instrumented(
-        &Telemetry::new(),
-        &client,
-        &vulnerable,
-        &half_config,
-        wire_observer_clock(&transport),
-    )
-    .await;
-    let telemetry = Telemetry::new();
-    let (extended, delta) = observe_incremental(
-        &telemetry,
-        &client,
-        prior,
-        &full_config,
-        wire_observer_clock(&transport),
-    )
-    .await;
-
-    assert_eq!(extended.times_secs, full.times_secs);
-    assert_eq!(delta.rounds, 14);
-    assert_eq!(
-        delta.skipped + delta.reprobed,
-        14 * vulnerable.len() as u64,
-        "every (round, host) pair is either skipped or re-probed"
-    );
-    assert!(delta.skipped > 0, "some host must have gone terminally offline");
-    assert!(
-        delta.fingerprints_reused > 0,
-        "unchanged hosts must reuse their fingerprints"
-    );
-
-    // Observed prefixes agree status for status; the skipped tail of a
-    // ragged timeline is Offline in the full run.
-    for (inc, full_tl) in extended.timelines.iter().zip(&full.timelines) {
-        assert_eq!(inc.finding.endpoint, full_tl.finding.endpoint);
-        let n = inc.statuses.len();
-        assert_eq!(inc.statuses[..], full_tl.statuses[..n]);
-        for &status in &full_tl.statuses[n..] {
-            assert_eq!(status, ObservedStatus::Offline);
+            let (resumed, resumed_snap) = resume(resume_shards, fault_rate, &path);
+            assert_eq!(
+                baseline.to_json_string(),
+                resumed.to_json_string(),
+                "resumed report diverged (faults {fault_rate}, resumed at {resume_shards})"
+            );
+            assert_eq!(
+                baseline_snap.to_json(),
+                resumed_snap.to_json(),
+                "resumed telemetry diverged (faults {fault_rate}, resumed at {resume_shards})"
+            );
+            assert!(existing_shard_files(&path).is_empty());
+            cleanup(&path);
         }
     }
+}
 
-    // Which makes every per-round census identical.
-    for t in 0..full.times_secs.len() {
-        assert_eq!(extended.counts_at(t), full.counts_at(t));
-    }
-
-    // The rescan counters mirror the delta report.
-    let snap = telemetry.snapshot();
-    assert_eq!(snap.counter("observer.rescan.skipped"), delta.skipped);
-    assert_eq!(snap.counter("observer.rescan.reprobed"), delta.reprobed);
-    assert_eq!(
-        snap.counter("observer.rescan.refingerprinted"),
-        delta.refingerprinted
+/// A scan that dies twice still resumes to the same bytes: the second
+/// generation's workers overwrite the numbered files of the first, and
+/// only the consolidated `.shard-base` keeps the first generation's
+/// work alive.
+#[test]
+fn second_kill_loses_no_first_generation_work() {
+    let (baseline, baseline_snap) = run_plain(1, 0.0, None);
+    let path = checkpoint_path("twice");
+    assert!(run_until_killed(4, 0.0, 270_000, &path));
+    // Second generation: resume at 2 shards over another doomed
+    // transport.
+    let switch = KillSwitch::after(200_000);
+    let pipeline = Pipeline::new(config(2, &Telemetry::new(), Some(&path)));
+    let died = pipeline.resume(
+        &Client::new(KillableTransport::new(transport(0.0), switch.clone())),
+        &path,
     );
-    assert_eq!(delta.transitions.len() as u64, snap.counter("observer.transitions"));
+    assert!(matches!(died, Err(PipelineError::SweepFailed(_))), "{died:?}");
+    assert!(switch.is_tripped());
+    assert!(
+        existing_shard_files(&path)
+            .iter()
+            .any(|f| f.to_string_lossy().ends_with(".shard-base")),
+        "the inheritance was not consolidated before workers started"
+    );
+
+    let (resumed, resumed_snap) = resume(4, 0.0, &path);
+    assert_eq!(baseline.to_json_string(), resumed.to_json_string());
+    assert_eq!(baseline_snap.to_json(), resumed_snap.to_json());
+    cleanup(&path);
+}
+
+#[test]
+fn checkpoint_under_a_different_configuration_is_refused_by_name() {
+    let path = checkpoint_path("mismatch");
+    assert!(run_until_killed(4, 0.0, 270_000, &path));
+    let other = PipelineConfig::builder(vec![space()])
+        .blocks_per_batch(8)
+        .retries(3)
+        .seed(999)
+        .build();
+    let err = Pipeline::new(other)
+        .resume(&Client::new(transport(0.0)), &path)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        PipelineError::Checkpoint(CheckpointError::ConfigMismatch("shuffle seed".into()))
+    );
+    // Nothing to resume from at all is an I/O error, not a fresh scan.
+    let nowhere = checkpoint_path("nowhere");
+    let err = Pipeline::new(config(1, &Telemetry::new(), Some(&nowhere)))
+        .resume(&Client::new(transport(0.0)), &nowhere)
+        .unwrap_err();
+    assert!(
+        matches!(err, PipelineError::Checkpoint(CheckpointError::Io(_))),
+        "{err}"
+    );
+    cleanup(&path);
+    cleanup(&nowhere);
+}
+
+#[test]
+fn partially_overlapping_segments_are_refused_by_name() {
+    let path = checkpoint_path("overlap");
+    let config = config(1, &Telemetry::new(), Some(&path));
+    let client = Client::new(transport(0.0));
+    // Two workers' files claiming batches [0, 8) and [4, 12): neither
+    // contains the other, so one of them is lying.
+    for (worker, (start, end)) in [(0u64, 8u64), (4, 12)].into_iter().enumerate() {
+        ShardCheckpoint {
+            fingerprint: ConfigFingerprint::of(&config),
+            total_batches: 32,
+            segments: vec![scan_segment(&config, &client, start, end)],
+        }
+        .save(Path::new(&format!("{}.shard-{worker}", path.display())))
+        .expect("saves");
+    }
+    let err = Pipeline::new(config).resume(&client, &path).unwrap_err();
+    let PipelineError::Checkpoint(CheckpointError::Corrupt(what)) = &err else {
+        panic!("expected a corrupt-checkpoint error, got {err:?}");
+    };
+    assert!(
+        what.contains("[0, 8)") && what.contains("[4, 12)") && what.contains("partially overlap"),
+        "{what}"
+    );
+    cleanup(&path);
+}
+
+#[test]
+fn coverage_gap_is_refused_by_name() {
+    let config = config(1, &Telemetry::new(), None);
+    let client = Client::new(transport(0.0));
+    let segments = vec![
+        scan_segment(&config, &client, 0, 4),
+        scan_segment(&config, &client, 6, 8),
+    ];
+    let err = merge_segments(&Telemetry::new(), segments).unwrap_err();
+    let PipelineError::SweepFailed(what) = &err else {
+        panic!("expected a coverage error, got {err:?}");
+    };
+    assert!(
+        what.contains("coverage gap") && what.contains("expected batch 4, got 6"),
+        "{what}"
+    );
 }

@@ -6,8 +6,8 @@ use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig};
 use std::sync::Arc;
 
-#[tokio::test]
-async fn pipeline_survives_a_flaky_network() {
+#[test]
+fn pipeline_survives_a_flaky_network() {
     let config = UniverseConfig::tiny(42);
     let universe = Arc::new(Universe::generate(config.clone()));
 
@@ -15,11 +15,11 @@ async fn pipeline_survives_a_flaky_network() {
     let flaky = SimTransport::new(Arc::clone(&universe)).with_fault_injection(0.15);
     let client = nokeys::http::Client::new(flaky);
     let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
-    let flaky_report = pipeline.run(&client).await.expect("flaky run failed");
+    let flaky_report = pipeline.run(&client).expect("flaky run failed");
 
     let clean = SimTransport::new(universe);
     let client = nokeys::http::Client::new(clean);
-    let clean_report = pipeline.run(&client).await.expect("clean run failed");
+    let clean_report = pipeline.run(&client).expect("clean run failed");
 
     // No panics, no false positives — every flaky finding also exists in
     // the clean run with the same verdict (faults only *lose* hosts;
@@ -50,25 +50,25 @@ async fn pipeline_survives_a_flaky_network() {
     );
 }
 
-#[tokio::test]
-async fn faults_are_deterministic_per_transport() {
+#[test]
+fn faults_are_deterministic_per_transport() {
     let config = UniverseConfig::tiny(9);
     let universe = Arc::new(Universe::generate(config.clone()));
     let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
 
-    let run = |u: Arc<Universe>| async {
+    let run = |u: Arc<Universe>| {
         let t = SimTransport::new(u).with_fault_injection(0.3);
         let client = nokeys::http::Client::new(t);
-        pipeline.run(&client).await.expect("pipeline failed")
+        pipeline.run(&client).expect("pipeline failed")
     };
-    let a = run(Arc::clone(&universe)).await;
-    let b = run(universe).await;
+    let a = run(Arc::clone(&universe));
+    let b = run(universe);
     assert_eq!(a.total_hosts(), b.total_hosts());
     assert_eq!(a.total_mavs(), b.total_mavs());
 }
 
-#[tokio::test]
-async fn rescanning_recovers_fault_losses() {
+#[test]
+fn rescanning_recovers_fault_losses() {
     // The paper's batching rationale: hosts missed transiently can be
     // found by a later pass. A second scan over the same flaky transport
     // hits a different fault pattern (each endpoint's attempt ordinal
@@ -86,8 +86,8 @@ async fn rescanning_recovers_fault_losses() {
             .build(),
     );
 
-    let first = pipeline.run(&client).await.expect("first pass failed");
-    let second = pipeline.run(&client).await.expect("second pass failed");
+    let first = pipeline.run(&client).expect("first pass failed");
+    let second = pipeline.run(&client).expect("second pass failed");
     let union: std::collections::BTreeSet<(std::net::Ipv4Addr, nokeys::apps::AppId)> = first
         .findings
         .iter()
@@ -97,7 +97,7 @@ async fn rescanning_recovers_fault_losses() {
 
     let clean = SimTransport::new(universe);
     let clean_client = nokeys::http::Client::new(clean);
-    let clean_report = pipeline.run(&clean_client).await.expect("clean run failed");
+    let clean_report = pipeline.run(&clean_client).expect("clean run failed");
 
     assert!(union.len() > first.findings.len().min(second.findings.len()));
     let coverage = union.len() as f64 / clean_report.total_hosts() as f64;

@@ -5,13 +5,12 @@ use nokeys::apps::AppId;
 use nokeys::defend::{scanner1, scanner2, Severity};
 use nokeys::honeypot::{run_study, Fleet, StudyConfig};
 
-#[tokio::test]
-async fn full_study_plus_analysis_tables() {
+#[test]
+fn full_study_plus_analysis_tables() {
     let result = run_study(&StudyConfig {
         seed: 77,
         background_noise: true,
-    })
-    .await;
+    });
 
     // Headline numbers survive a different seed (jitter changes, the
     // calibrated counts do not).
@@ -51,16 +50,15 @@ async fn full_study_plus_analysis_tables() {
     assert!(first_row.contains("Docker + J-Notebook"));
 }
 
-#[tokio::test]
-async fn defender_study_and_table9() {
+#[test]
+fn defender_study_and_table9() {
     let result = run_study(&StudyConfig {
         seed: 5,
         background_noise: false,
-    })
-    .await;
+    });
     let fleet = Fleet::deploy();
-    let s1 = scanner1().scan_fleet(&fleet).await;
-    let s2 = scanner2().scan_fleet(&fleet).await;
+    let s1 = scanner1().scan_fleet(&fleet);
+    let s2 = scanner2().scan_fleet(&fleet);
 
     assert_eq!(s1.len(), 5, "Scanner 1 finds 5 of 18");
     let s2_vulns = s2
@@ -78,7 +76,7 @@ async fn defender_study_and_table9() {
     let pipeline = nokeys::scanner::Pipeline::new(
         nokeys::scanner::PipelineConfig::builder(vec![config.space]).build(),
     );
-    let report = pipeline.run(&client).await.expect("pipeline failed");
+    let report = pipeline.run(&client).expect("pipeline failed");
 
     let t9 = nokeys::analysis::table9::build(&report, &result, &s1, &s2, 20_000, 50).render();
     // Spot-check the paper's qualitative findings.
@@ -103,13 +101,12 @@ async fn defender_study_and_table9() {
     assert!(row(AppId::Nomad).contains("✗"));
 }
 
-#[tokio::test]
-async fn attack_free_honeypots_stay_vulnerable_and_uncompromised() {
+#[test]
+fn attack_free_honeypots_stay_vulnerable_and_uncompromised() {
     let result = run_study(&StudyConfig {
         seed: 3,
         background_noise: true,
-    })
-    .await;
+    });
     // 11 of the 18 applications saw zero attacks in the study.
     let attacked: std::collections::BTreeSet<AppId> =
         result.attacks.iter().map(|a| a.app).collect();

@@ -10,7 +10,7 @@ use nokeys::scanner::{Pipeline, PipelineConfig};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-async fn serve(app: AppId, vulnerable: bool) -> nokeys::http::server::ServerHandle {
+fn serve(app: AppId, vulnerable: bool) -> nokeys::http::server::ServerHandle {
     let history = release_history(app);
     let version = if vulnerable {
         *history
@@ -28,14 +28,13 @@ async fn serve(app: AppId, vulnerable: bool) -> nokeys::http::server::ServerHand
     };
     let handler = Arc::new(AppHandler::new(build_instance(app, version, cfg)));
     serve_tcp(Ipv4Addr::LOCALHOST, 0, handler)
-        .await
         .expect("bind")
 }
 
-#[tokio::test]
-async fn pipeline_detects_mavs_over_real_tcp() {
-    let vulnerable_gocd = serve(AppId::Gocd, true).await;
-    let secure_zeppelin = serve(AppId::Zeppelin, false).await;
+#[test]
+fn pipeline_detects_mavs_over_real_tcp() {
+    let vulnerable_gocd = serve(AppId::Gocd, true);
+    let secure_zeppelin = serve(AppId::Zeppelin, false);
     let ports = vec![vulnerable_gocd.port, secure_zeppelin.port];
 
     let config = PipelineConfig::builder(vec!["127.0.0.1/32".parse().expect("cidr")])
@@ -45,7 +44,7 @@ async fn pipeline_detects_mavs_over_real_tcp() {
         .build();
     let pipeline = Pipeline::new(config);
     let client = nokeys::http::Client::new(TcpTransport::default());
-    let report = pipeline.run(&client).await.expect("pipeline failed");
+    let report = pipeline.run(&client).expect("pipeline failed");
 
     assert_eq!(report.findings.len(), 2, "both apps identified");
     let gocd = report
@@ -63,19 +62,19 @@ async fn pipeline_detects_mavs_over_real_tcp() {
     // Fingerprinting works over real sockets too.
     assert!(zeppelin.version.is_some());
 
-    vulnerable_gocd.shutdown().await;
-    secure_zeppelin.shutdown().await;
+    vulnerable_gocd.shutdown();
+    secure_zeppelin.shutdown();
 }
 
 /// Connection pooling is a transport knob, not a semantic one: the same
 /// scan with and without it must produce a byte-identical ScanReport,
 /// while the pooled run's telemetry shows connections actually reused.
-#[tokio::test]
-async fn pooled_scan_report_is_byte_identical_to_unpooled() {
+#[test]
+fn pooled_scan_report_is_byte_identical_to_unpooled() {
     use nokeys::http::PooledTransport;
     use nokeys::scanner::telemetry::{PoolMetrics, Telemetry};
 
-    let server = serve(AppId::Gocd, true).await;
+    let server = serve(AppId::Gocd, true);
     let ports = vec![server.port];
     let build = || {
         PipelineConfig::builder(vec!["127.0.0.1/32".parse().expect("cidr")])
@@ -86,17 +85,17 @@ async fn pooled_scan_report_is_byte_identical_to_unpooled() {
     };
 
     let plain = nokeys::http::Client::new(TcpTransport::default());
-    let unpooled_report = Pipeline::new(build()).run(&plain).await.expect("unpooled");
+    let unpooled_report = Pipeline::new(build()).run(&plain).expect("unpooled");
 
     let telemetry = Telemetry::new();
     let transport = PooledTransport::new(TcpTransport::default())
         .with_observer(PoolMetrics::observer(&telemetry));
     let pooled = nokeys::http::Client::new(transport);
-    let pooled_report = Pipeline::new(build()).run(&pooled).await.expect("pooled");
+    let pooled_report = Pipeline::new(build()).run(&pooled).expect("pooled");
 
     assert_eq!(
-        serde_json::to_string(&unpooled_report).expect("serializes"),
-        serde_json::to_string(&pooled_report).expect("serializes"),
+        unpooled_report.to_json_string(),
+        pooled_report.to_json_string(),
         "pooling must not change scan results"
     );
     let snap = telemetry.snapshot();
@@ -109,20 +108,18 @@ async fn pooled_scan_report_is_byte_identical_to_unpooled() {
         "stage II/III probes of one host share a connection"
     );
 
-    server.shutdown().await;
+    server.shutdown();
 }
 
-#[tokio::test]
-async fn concurrent_portscan_over_real_tcp() {
-    let server = serve(AppId::Polynote, true).await;
+#[test]
+fn portscan_over_real_tcp() {
+    let server = serve(AppId::Polynote, true);
     let mut config =
         nokeys::scanner::PortScanConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")]);
     config.ports = vec![server.port];
     config.exclude_reserved = false;
     let scanner = nokeys::scanner::PortScanner::new(config);
-    let result = scanner
-        .scan_concurrent(Arc::new(TcpTransport::default()), 4)
-        .await;
+    let result = scanner.scan(&TcpTransport::default());
     assert_eq!(result.open.len(), 1);
-    server.shutdown().await;
+    server.shutdown();
 }

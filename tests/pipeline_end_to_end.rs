@@ -6,18 +6,18 @@ use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig, ScanReport};
 use std::sync::Arc;
 
-async fn run(seed: u64) -> (SimTransport, ScanReport) {
+fn run(seed: u64) -> (SimTransport, ScanReport) {
     let config = UniverseConfig::tiny(seed);
     let transport = SimTransport::new(Arc::new(Universe::generate(config.clone())));
     let client = nokeys::http::Client::new(transport.clone());
     let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
-    let report = pipeline.run(&client).await.expect("pipeline failed");
+    let report = pipeline.run(&client).expect("pipeline failed");
     (transport, report)
 }
 
-#[tokio::test]
-async fn scan_has_no_false_positives_or_negatives() {
-    let (transport, report) = run(99).await;
+#[test]
+fn scan_has_no_false_positives_or_negatives() {
+    let (transport, report) = run(99);
     let universe = transport.universe();
 
     // Every finding corresponds to a real host running that application,
@@ -42,9 +42,9 @@ async fn scan_has_no_false_positives_or_negatives() {
     assert_eq!(report.findings.len(), truth);
 }
 
-#[tokio::test]
-async fn fingerprinted_versions_match_deployments() {
-    let (transport, report) = run(7).await;
+#[test]
+fn fingerprinted_versions_match_deployments() {
+    let (transport, report) = run(7);
     let universe = transport.universe();
     let mut exact = 0u32;
     let mut checked = 0u32;
@@ -81,10 +81,10 @@ async fn fingerprinted_versions_match_deployments() {
     );
 }
 
-#[tokio::test]
-async fn reports_are_deterministic_per_seed() {
-    let (_, a) = run(1234).await;
-    let (_, b) = run(1234).await;
+#[test]
+fn reports_are_deterministic_per_seed() {
+    let (_, a) = run(1234);
+    let (_, b) = run(1234);
     assert_eq!(a.findings.len(), b.findings.len());
     assert_eq!(a.probes_sent, b.probes_sent);
     let key = |r: &ScanReport| {
@@ -105,21 +105,26 @@ async fn reports_are_deterministic_per_seed() {
     assert_eq!(key(&a), key(&b));
 }
 
-#[tokio::test]
-async fn json_export_round_trips_structurally() {
-    let (_, report) = run(5).await;
-    let json = serde_json::to_string(&report).expect("serializes");
-    let value: serde_json::Value = serde_json::from_str(&json).expect("parses back");
+#[test]
+fn json_export_round_trips_structurally() {
+    let (_, report) = run(5);
+    use nokeys::scanner::json::{self, FromJson, Value};
+    let value = json::parse(report.to_json_string().as_bytes()).expect("parses back");
     assert_eq!(
-        value["findings"].as_array().expect("array").len(),
+        value
+            .get("findings")
+            .and_then(Value::as_array)
+            .expect("array")
+            .len(),
         report.findings.len()
     );
-    assert!(value["port_stats"].is_object());
+    assert!(matches!(value.get("port_stats"), Some(Value::Object(_))));
+    assert_eq!(nokeys::scanner::ScanReport::from_json(&value), Ok(report));
 }
 
-#[tokio::test]
-async fn analysis_tables_render_from_a_real_report() {
-    let (transport, report) = run(42).await;
+#[test]
+fn analysis_tables_render_from_a_real_report() {
+    let (transport, report) = run(42);
     let t2 = nokeys::analysis::table2::build(&report, 500_000).render();
     assert!(t2.contains("8888"));
     let t3 = nokeys::analysis::table3::build(&report, 20_000, 50).render();

@@ -3,31 +3,30 @@
 
 use nokeys::repro::{Repro, Scale};
 
-#[tokio::test]
-async fn every_experiment_regenerates_at_quick_scale() {
+#[test]
+fn every_experiment_regenerates_at_quick_scale() {
     let mut harness = Repro::new(11, Scale::Quick);
     for id in Repro::all_ids() {
         let out = harness
             .run(id)
-            .await
             .unwrap_or_else(|e| panic!("{id}: {e}"));
         assert!(out.len() > 100, "{id}: suspiciously short output:\n{out}");
         assert!(out.contains("=="), "{id}: missing table header");
     }
 }
 
-#[tokio::test]
-async fn unknown_ids_are_rejected() {
+#[test]
+fn unknown_ids_are_rejected() {
     let mut harness = Repro::new(1, Scale::Quick);
-    assert!(harness.run("table99").await.is_err());
+    assert!(harness.run("table99").is_err());
 }
 
-#[tokio::test]
-async fn caches_are_reused_across_experiments() {
+#[test]
+fn caches_are_reused_across_experiments() {
     let mut harness = Repro::new(2, Scale::Quick);
-    let _ = harness.run("table3").await.expect("first run");
+    let _ = harness.run("table3").expect("first run");
     let started = std::time::Instant::now();
-    let _ = harness.run("table4").await.expect("reuses the scan");
+    let _ = harness.run("table4").expect("reuses the scan");
     assert!(
         started.elapsed() < std::time::Duration::from_secs(2),
         "table4 should reuse the cached scan"

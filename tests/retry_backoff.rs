@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 /// The first few AWE endpoints of the universe that answer plain HTTP,
 /// discovered behaviourally through a fault-free transport.
-async fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpoint> {
+fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpoint> {
     let clean = SimTransport::new(Arc::clone(universe));
     let mut found = Vec::new();
     for host in universe.hosts() {
@@ -17,8 +17,8 @@ async fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpo
             continue;
         };
         let ep = Endpoint::new(host.ip, service.port);
-        if clean.probe(ep).await == ProbeOutcome::Open
-            && clean.connect(ep, Scheme::Http).await.is_ok()
+        if clean.probe(ep) == ProbeOutcome::Open
+            && clean.connect(ep, Scheme::Http).is_ok()
         {
             found.push(ep);
             if found.len() == want {
@@ -32,15 +32,15 @@ async fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpo
 
 /// SYN loss injected at 25% is invisible behind a generous retry
 /// budget, and every injected fault shows up as exactly one retry.
-#[tokio::test]
-async fn retrying_probe_masks_injected_syn_loss() {
+#[test]
+fn retrying_probe_masks_injected_syn_loss() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(3)));
-    let ep = open_http_endpoints(&universe, 1).await[0];
+    let ep = open_http_endpoints(&universe, 1)[0];
     let telemetry = Telemetry::new();
     let faulty = SimTransport::new(Arc::clone(&universe)).with_fault_injection(0.25);
     let t = RetryTransport::new(faulty, RetryPolicy::with_attempts(8), &telemetry);
     for round in 0..40 {
-        assert_eq!(t.probe(ep).await, ProbeOutcome::Open, "round {round}");
+        assert_eq!(t.probe(ep), ProbeOutcome::Open, "round {round}");
     }
     let snap = telemetry.snapshot();
     let injected = t.inner().fault_stats().probe_injected();
@@ -54,10 +54,10 @@ async fn retrying_probe_masks_injected_syn_loss() {
 
 /// A client stacked on the retry transport completes whole fetches
 /// through injected connect timeouts.
-#[tokio::test]
-async fn retrying_client_fetches_through_connect_timeouts() {
+#[test]
+fn retrying_client_fetches_through_connect_timeouts() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(3)));
-    let ep = open_http_endpoints(&universe, 1).await[0];
+    let ep = open_http_endpoints(&universe, 1)[0];
     let telemetry = Telemetry::new();
     let faulty = SimTransport::new(Arc::clone(&universe)).with_fault_injection(0.25);
     let client = Client::new(RetryTransport::new(
@@ -66,7 +66,7 @@ async fn retrying_client_fetches_through_connect_timeouts() {
         &telemetry,
     ));
     for round in 0..20 {
-        let fetched = client.get_path(ep, Scheme::Http, "/").await;
+        let fetched = client.get_path(ep, Scheme::Http, "/");
         assert!(fetched.is_ok(), "round {round}: {fetched:?}");
     }
     let snap = telemetry.snapshot();
@@ -81,12 +81,12 @@ async fn retrying_client_fetches_through_connect_timeouts() {
 
 /// Two identically-seeded fault stacks draw identical per-endpoint
 /// schedules even when their probe calls interleave differently — the
-/// property the whole retry stack inherits its parallelism-independence
+/// property the whole retry stack inherits its shard-count independence
 /// from, checked here all the way up through the telemetry snapshot.
-#[tokio::test]
-async fn fault_draws_are_order_independent_across_the_retry_stack() {
+#[test]
+fn fault_draws_are_order_independent_across_the_retry_stack() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(5)));
-    let eps = open_http_endpoints(&universe, 2).await;
+    let eps = open_http_endpoints(&universe, 2);
     let (a, b) = (eps[0], eps[1]);
 
     let stack = |u: &Arc<Universe>| {
@@ -102,17 +102,17 @@ async fn fault_draws_are_order_independent_across_the_retry_stack() {
     let mut a1 = Vec::new();
     let mut b1 = Vec::new();
     for _ in 0..16 {
-        a1.push(t1.probe(a).await);
+        a1.push(t1.probe(a));
     }
     for _ in 0..16 {
-        b1.push(t1.probe(b).await);
+        b1.push(t1.probe(b));
     }
     // Stack 2: strictly interleaved, b first.
     let mut a2 = Vec::new();
     let mut b2 = Vec::new();
     for _ in 0..16 {
-        b2.push(t2.probe(b).await);
-        a2.push(t2.probe(a).await);
+        b2.push(t2.probe(b));
+        a2.push(t2.probe(a));
     }
 
     assert_eq!(a1, a2, "endpoint a's schedule depended on interleaving");
@@ -141,24 +141,21 @@ fn transient_classification_drives_the_retry_budget() {
 /// `retries(0)` and `retries(1)` both mean "one attempt, no retries" at
 /// the pipeline config level, and a retry-less fault-free pipeline still
 /// scans clean — the config plumbing does not disturb the report.
-#[tokio::test]
-async fn pipeline_retry_knob_plumbs_through() {
+#[test]
+fn pipeline_retry_knob_plumbs_through() {
     let config = UniverseConfig::tiny(8);
     let universe = Arc::new(Universe::generate(config.clone()));
     let run = |retries: u32, u: Arc<Universe>| {
-        let space = config.space;
-        async move {
-            let client = nokeys::http::Client::new(SimTransport::new(u));
-            let pipeline = Pipeline::new(
-                PipelineConfig::builder(vec![space])
-                    .retries(retries)
-                    .build(),
-            );
-            let report = pipeline.run(&client).await.expect("pipeline failed");
-            serde_json::to_string(&report).expect("serializes")
-        }
+        let client = nokeys::http::Client::new(SimTransport::new(u));
+        let pipeline = Pipeline::new(
+            PipelineConfig::builder(vec![config.space])
+                .retries(retries)
+                .build(),
+        );
+        let report = pipeline.run(&client).expect("pipeline failed");
+        report.to_json_string()
     };
-    let without = run(1, Arc::clone(&universe)).await;
-    let with = run(3, universe).await;
+    let without = run(1, Arc::clone(&universe));
+    let with = run(3, universe);
     assert_eq!(without, with, "retries are a no-op on a clean network");
 }

@@ -1,0 +1,250 @@
+//! The scan engine's identity claims, observed rather than asserted in
+//! prose: a fixed seed yields a byte-identical `ScanReport` *and*
+//! telemetry snapshot at any shard count, with or without injected
+//! transport faults — however the work-stealing queue moves batches
+//! between worker threads, and in whatever order the reducer meets the
+//! workers' segments.
+//!
+//! One small orthogonal set on the one engine: shards ∈ {1, 4} ×
+//! fault rate ∈ {0, 0.05 with three attempts}; the kill/resume half
+//! lives in `checkpoint_resume.rs`, the sparse-vs-dense sweep reference
+//! in `nokeys_scanner::portscan`'s unit tests.
+//!
+//! Fault-injected runs deliberately skip the `fault.*` observer bridge:
+//! bridged counters live in the caller's registry, outside the engine.
+
+use nokeys::http::cases::check;
+use nokeys::http::{BlockSweepResult, Client, Endpoint, ProbeOutcome, Scheme, Transport};
+use nokeys::netsim::{Cidr, SimTransport, Universe, UniverseConfig};
+use nokeys::scanner::shard::{merge_segments, scan_segment};
+use nokeys::scanner::{
+    Pipeline, PipelineConfig, PortScanConfig, PortScanner, ScanReport, Telemetry,
+    TelemetrySnapshot,
+};
+use std::collections::HashSet;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+fn universe() -> &'static Arc<Universe> {
+    static UNIVERSE: OnceLock<Arc<Universe>> = OnceLock::new();
+    UNIVERSE.get_or_init(|| Arc::new(Universe::generate(UniverseConfig::tiny(42))))
+}
+
+fn space() -> Cidr {
+    universe().config().space
+}
+
+/// 20.0.0.0/16 is 256 /24 blocks; 8 per batch makes 32 batches, enough
+/// for four workers to have something to steal.
+fn config(shards: usize, telemetry: &Telemetry) -> PipelineConfig {
+    PipelineConfig::builder(vec![space()])
+        .blocks_per_batch(8)
+        .shards(shards)
+        .retries(3)
+        .telemetry(telemetry.clone())
+        .build()
+}
+
+fn transport(fault_rate: f64) -> SimTransport {
+    SimTransport::new(Arc::clone(universe())).with_fault_injection(fault_rate)
+}
+
+fn run(shards: usize, fault_rate: f64) -> (ScanReport, TelemetrySnapshot) {
+    let telemetry = Telemetry::new();
+    let pipeline = Pipeline::new(config(shards, &telemetry));
+    let report = pipeline
+        .run(&Client::new(transport(fault_rate)))
+        .expect("scan failed");
+    (report, telemetry.snapshot())
+}
+
+#[test]
+fn report_and_telemetry_are_byte_identical_across_shards_and_faults() {
+    let mut clean_retries = 0;
+    for fault_rate in [0.0, 0.05] {
+        let (baseline, baseline_snap) = run(1, fault_rate);
+        let (sharded, sharded_snap) = run(4, fault_rate);
+        assert_eq!(
+            baseline.to_json_string(),
+            sharded.to_json_string(),
+            "report diverged at 4 shards, faults {fault_rate}"
+        );
+        assert_eq!(
+            baseline_snap.to_json(),
+            sharded_snap.to_json(),
+            "telemetry diverged at 4 shards, faults {fault_rate}"
+        );
+        // The comparison means something: the scan found hosts, and the
+        // fault runs really exercised the retry layer.
+        assert!(baseline.total_mavs() > 0);
+        let retries = baseline_snap.prefixed_total("retry.");
+        if fault_rate == 0.0 {
+            clean_retries = retries;
+        } else {
+            assert!(retries > clean_retries, "no fault was ever retried");
+        }
+    }
+}
+
+/// The `alloc.*` family is part of the compared snapshot; here it also
+/// reconciles with the stage-II counters it shadows, and shows the scan
+/// allocation-clean in steady state: every materialized view fits the
+/// arena's reserve (zero grows), so a worker's one arena serves the
+/// whole scan without reallocating.
+#[test]
+fn alloc_counters_reconcile_and_show_zero_steady_state_growth() {
+    let (_, snap) = run(4, 0.0);
+    let lower = snap.counter("alloc.views.lower");
+    let squashed = snap.counter("alloc.views.squashed");
+    assert!(lower > 0 && squashed > 0, "views must materialize");
+    assert_eq!(lower, snap.counter("stage2.multipattern.view_lower"));
+    assert_eq!(squashed, snap.counter("stage2.multipattern.view_squashed"));
+    assert_eq!(
+        snap.counter("alloc.scratch.hit") + snap.counter("alloc.scratch.grow"),
+        lower + squashed,
+        "hit/grow classification must cover every view"
+    );
+    assert_eq!(snap.counter("alloc.scratch.grow"), 0);
+    assert_eq!(
+        snap.counter("alloc.headers.inline") + snap.counter("alloc.headers.spilled"),
+        snap.counter("stage2.http_responses") + snap.counter("stage2.https_responses"),
+        "every response's header storage is classified exactly once"
+    );
+    assert!(snap.counter("alloc.headers.inline") > 0);
+}
+
+/// Stage-I probe work is partitioned exactly: per-worker probe counts
+/// sum to the report's probe count, and per-worker batch counts sum to
+/// the batch sequence length — nothing probed twice, nothing skipped.
+#[test]
+fn shard_probe_work_partitions_exactly() {
+    let telemetry = Telemetry::new();
+    let pipeline = Pipeline::new(config(4, &telemetry));
+    let (report, stats) = pipeline
+        .run_with_shard_stats(&Client::new(transport(0.0)))
+        .expect("scan failed");
+    assert_eq!(stats.shards, 4);
+    assert_eq!(stats.batches_by_worker.len(), 4);
+    assert_eq!(stats.batches_by_worker.iter().sum::<u64>(), 32);
+    assert_eq!(
+        stats.probes_by_worker.iter().sum::<u64>(),
+        report.probes_sent
+    );
+    assert_eq!(report.probes_sent, 65_536 * 12);
+}
+
+/// A transport that blocks the very first block of the shuffled sweep
+/// order until every block of every *other* batch has been swept. The
+/// stalled worker owns batches 0..8 and can finish none of them, so the
+/// run can only complete if idle workers steal the tail of its range —
+/// which is exactly what the work-stealing queue is for. The
+/// interleaving is forced with a condition variable, not a sleep.
+#[derive(Clone)]
+struct StallTransport {
+    inner: SimTransport,
+    /// The block whose sweep stalls (first block of batch 0).
+    target: Cidr,
+    /// Block bases that must be swept before the stall releases: every
+    /// block of batches 1.. (batch 0's own later blocks sit *behind*
+    /// the stalled sweep, so requiring them would deadlock).
+    required: Arc<(Mutex<HashSet<u32>>, Condvar)>,
+}
+
+impl Transport for StallTransport {
+    type Conn = <SimTransport as Transport>::Conn;
+
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        self.inner.probe(ep)
+    }
+
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys::http::Result<Self::Conn> {
+        self.inner.connect(ep, scheme)
+    }
+
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+        let (required, released) = &*self.required;
+        if block == self.target {
+            let guard = required.lock().expect("stall lock");
+            drop(
+                released
+                    .wait_while(guard, |left| !left.is_empty())
+                    .expect("stall lock"),
+            );
+            return self.inner.sweep_block(block, ports);
+        }
+        let result = self.inner.sweep_block(block, ports);
+        let mut left = required.lock().expect("stall lock");
+        left.remove(&block.base);
+        if left.is_empty() {
+            released.notify_all();
+        }
+        result
+    }
+}
+
+#[test]
+fn stalled_shard_tail_is_stolen_and_output_unchanged() {
+    let (baseline, baseline_snap) = run(1, 0.0);
+
+    let telemetry = Telemetry::new();
+    let config = config(4, &telemetry);
+    // The sweep order is the seeded shuffle, identical in every run.
+    let shuffle = PortScanner::new(PortScanConfig::new(vec![space()])).shuffled_blocks();
+    assert_eq!(shuffle.len(), 256);
+    let stalled = StallTransport {
+        inner: transport(0.0),
+        target: shuffle[0],
+        required: Arc::new((
+            Mutex::new(shuffle[8..].iter().map(|b| b.base).collect()),
+            Condvar::new(),
+        )),
+    };
+    let (report, stats) = Pipeline::new(config)
+        .run_with_shard_stats(&Client::new(stalled))
+        .expect("scan failed");
+
+    assert!(
+        stats.steals > 0,
+        "completing around the stall requires stealing the stalled worker's tail"
+    );
+    assert_eq!(stats.batches_by_worker.iter().sum::<u64>(), 32);
+    assert_eq!(
+        baseline.to_json_string(),
+        report.to_json_string(),
+        "work-stealing changed the report"
+    );
+    assert_eq!(
+        baseline_snap.to_json(),
+        telemetry.snapshot().to_json(),
+        "work-stealing changed the telemetry"
+    );
+}
+
+/// The reducer is order-independent: any partition of the batch
+/// sequence, scanned segment by segment and merged in any permutation,
+/// reconstructs the single-worker bytes.
+#[test]
+fn reducer_is_order_independent() {
+    let (baseline, baseline_snap) = run(1, 0.05);
+    let config = config(1, &Telemetry::new());
+    check(4, |g| {
+        // A fresh transport per case: the fault schedule counts attempts
+        // per endpoint, and every case must start it from zero.
+        let client = Client::new(transport(0.05));
+        let mut cuts: Vec<u64> = (0..g.index(0..5)).map(|_| g.range(1..32)).collect();
+        cuts.extend([0, 32]);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut segments: Vec<_> = cuts
+            .windows(2)
+            .map(|w| scan_segment(&config, &client, w[0], w[1]))
+            .collect();
+        // Fisher–Yates on the case's own stream.
+        for i in (1..segments.len()).rev() {
+            segments.swap(i, g.index(0..i + 1));
+        }
+        let telemetry = Telemetry::new();
+        let report = merge_segments(&telemetry, segments).expect("contiguous segments merge");
+        assert_eq!(baseline.to_json_string(), report.to_json_string());
+        assert_eq!(baseline_snap.to_json(), telemetry.snapshot().to_json());
+    });
+}
