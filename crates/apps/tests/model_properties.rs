@@ -74,7 +74,11 @@ fn safe_methods_never_compromise() {
                 "{app}: GET produced a compromise event"
             );
         }
-        assert_eq!(inst.is_vulnerable(), before, "{app} changed state under GET");
+        assert_eq!(
+            inst.is_vulnerable(),
+            before,
+            "{app} changed state under GET"
+        );
     });
 }
 

@@ -5,7 +5,6 @@
 //! simulated post-exploitation behaviour (resource usage, persistence)
 //! that drives the resource monitor.
 
-
 /// Behavioural class of a payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PayloadKind {

@@ -69,8 +69,7 @@ pub fn attack_script(app: AppId, payload: &Payload) -> Vec<Request> {
                 "{{\"Name\":\"health\",\"Script\":\"{}\",\"Interval\":\"10s\"}}",
                 cmd.replace('"', "'")
             )
-            .into_bytes()
-            .into(),
+            .into_bytes(),
         }],
         AppId::Hadoop => vec![
             Request::get("/ws/v1/cluster/apps/new-application"),

@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 
 /// On-disk format version of [`ShardCheckpoint`] files; bumped on
 /// incompatible layout changes.
-pub const SHARD_CHECKPOINT_FORMAT: u32 = 1;
+pub const FORMAT_VERSION: u32 = 1;
 
 /// A checkpoint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,7 +192,10 @@ impl ToJson for ConfigFingerprint {
             ("shuffle_seed", self.shuffle_seed.to_json()),
             ("exclude_reserved", self.exclude_reserved.to_json()),
             ("blocks_per_batch", self.blocks_per_batch.to_json()),
-            ("tarpit_port_threshold", self.tarpit_port_threshold.to_json()),
+            (
+                "tarpit_port_threshold",
+                self.tarpit_port_threshold.to_json(),
+            ),
             ("fingerprint", self.fingerprint.to_json()),
             ("verify", self.verify.to_json()),
             ("retry_max_attempts", self.retry_max_attempts.to_json()),
@@ -292,10 +295,10 @@ impl ShardCheckpoint {
         // The version gates everything else: a future layout need not
         // even have today's fields.
         let format: u32 = value.field("format").map_err(corrupt)?;
-        if format != SHARD_CHECKPOINT_FORMAT {
+        if format != FORMAT_VERSION {
             return Err(CheckpointError::FormatVersion {
                 found: format,
-                expected: SHARD_CHECKPOINT_FORMAT,
+                expected: FORMAT_VERSION,
             });
         }
         Ok(ShardCheckpoint {
@@ -310,7 +313,7 @@ impl ShardCheckpoint {
     /// or the new checkpoint on disk, never a torn file.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let bytes = object([
-            ("format", SHARD_CHECKPOINT_FORMAT.to_json()),
+            ("format", FORMAT_VERSION.to_json()),
             ("fingerprint", self.fingerprint.to_json()),
             ("total_batches", self.total_batches.to_json()),
             ("segments", self.segments.to_json()),
@@ -414,17 +417,13 @@ mod tests {
         let path = temp_path("future.json");
         // Written by hand — `save` always writes the current format. The
         // rest of a future layout is unknown, so only the version is read.
-        std::fs::write(
-            &path,
-            format!("{{\"format\": {}}}", SHARD_CHECKPOINT_FORMAT + 1),
-        )
-        .unwrap();
+        std::fs::write(&path, format!("{{\"format\": {}}}", FORMAT_VERSION + 1)).unwrap();
         let err = ShardCheckpoint::load(&path).unwrap_err();
         assert_eq!(
             err,
             CheckpointError::FormatVersion {
-                found: SHARD_CHECKPOINT_FORMAT + 1,
-                expected: SHARD_CHECKPOINT_FORMAT
+                found: FORMAT_VERSION + 1,
+                expected: FORMAT_VERSION
             }
         );
         let _ = std::fs::remove_file(&path);

@@ -329,8 +329,7 @@ mod tests {
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 22), 80);
         let transport = HandlerTransport::new().with(ep, Arc::new(Redirecting));
         let client = Client::new(transport);
-        let resp = fetch_vhost(&client, ep.ip, "fresh.example", "/")
-            .unwrap();
+        let resp = fetch_vhost(&client, ep.ip, "fresh.example", "/").unwrap();
         assert_eq!(resp.body_text(), "installer for fresh.example");
     }
 

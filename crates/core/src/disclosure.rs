@@ -142,8 +142,7 @@ mod tests {
     fn providers_take_precedence_and_secure_hosts_are_skipped() {
         let transport = nokeys_http::memory::HandlerTransport::new();
         let findings = vec![finding([10, 0, 0, 1], true), finding([10, 0, 0, 2], false)];
-        let plan =
-            plan_notifications(&transport, &findings, |_| Some("ExampleCloud".to_string()));
+        let plan = plan_notifications(&transport, &findings, |_| Some("ExampleCloud".to_string()));
         assert_eq!(
             plan.by_provider["ExampleCloud"],
             vec![Ipv4Addr::new(10, 0, 0, 1)]

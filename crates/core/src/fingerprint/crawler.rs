@@ -97,8 +97,8 @@ mod tests {
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::build();
-        let (found_app, found_version) = identify(&client, &kb, ep, Scheme::Http)
-            .expect("identified");
+        let (found_app, found_version) =
+            identify(&client, &kb, ep, Scheme::Http).expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
     }

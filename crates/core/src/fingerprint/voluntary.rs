@@ -229,17 +229,14 @@ mod tests {
     fn docker_disclosure_requires_open_daemon() {
         let idx = release_history(AppId::Docker).len() - 1;
         let (client, ep) = serve(AppId::Docker, idx, true);
-        assert!(extract(&client, AppId::Docker, ep, Scheme::Http)
-            .is_some());
+        assert!(extract(&client, AppId::Docker, ep, Scheme::Http).is_some());
         let (client, ep) = serve(AppId::Docker, idx, false);
-        assert!(extract(&client, AppId::Docker, ep, Scheme::Http)
-            .is_none());
+        assert!(extract(&client, AppId::Docker, ep, Scheme::Http).is_none());
     }
 
     #[test]
     fn gocd_has_no_voluntary_disclosure() {
         let (client, ep) = serve(AppId::Gocd, 0, false);
-        assert!(extract(&client, AppId::Gocd, ep, Scheme::Http)
-            .is_none());
+        assert!(extract(&client, AppId::Gocd, ep, Scheme::Http).is_none());
     }
 }

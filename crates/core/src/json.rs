@@ -543,16 +543,9 @@ impl ToJson for bool {
 
 impl FromJson for bool {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        value.as_bool().map_or_else(|| shape("a boolean", value), Ok)
-    }
-}
-
-impl ToJson for i64 {
-    fn to_json(&self) -> Value {
-        match u64::try_from(*self) {
-            Ok(n) => Value::UInt(n),
-            Err(_) => Value::Int(*self),
-        }
+        value
+            .as_bool()
+            .map_or_else(|| shape("a boolean", value), Ok)
     }
 }
 
@@ -581,12 +574,6 @@ macro_rules! unsigned_json {
 }
 unsigned_json!(u8, u16, u32, u64, usize);
 
-impl ToJson for f64 {
-    fn to_json(&self) -> Value {
-        Value::Float(*self)
-    }
-}
-
 impl ToJson for str {
     fn to_json(&self) -> Value {
         Value::String(self.to_string())
@@ -596,14 +583,6 @@ impl ToJson for str {
 impl ToJson for String {
     fn to_json(&self) -> Value {
         Value::String(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        value
-            .as_str()
-            .map_or_else(|| shape("a string", value), |s| Ok(s.to_string()))
     }
 }
 
@@ -892,9 +871,15 @@ mod tests {
     fn writer_sorts_keys_and_round_trips_byte_stably() {
         let v = object([
             ("zebra", Value::UInt(1)),
-            ("aardvark", Value::Array(vec![Value::Int(-1), Value::Float(0.5)])),
+            (
+                "aardvark",
+                Value::Array(vec![Value::Int(-1), Value::Float(0.5)]),
+            ),
             ("quote\"and\\slash", "line\nbreak\u{1}".to_json()),
-            ("nested", object([("b", Value::Null), ("a", Value::Bool(true))])),
+            (
+                "nested",
+                object([("b", Value::Null), ("a", Value::Bool(true))]),
+            ),
             ("whole", Value::Float(2.0)),
         ]);
         let once = v.write();
@@ -942,7 +927,10 @@ mod tests {
             assert_eq!(Version::from_json(&version.to_json()), Ok(version));
         }
         assert_eq!(AppId::JupyterLab.to_json().write(), "\"JupyterLab\"");
-        assert_eq!(Scheme::from_json(&Scheme::Https.to_json()), Ok(Scheme::Https));
+        assert_eq!(
+            Scheme::from_json(&Scheme::Https.to_json()),
+            Ok(Scheme::Https)
+        );
         let map: BTreeMap<u16, u64> = [(80, 1), (443, 2)].into_iter().collect();
         assert_eq!(map.to_json().write(), r#"{"443":2,"80":1}"#);
         assert_eq!(BTreeMap::<u16, u64>::from_json(&map.to_json()), Ok(map));

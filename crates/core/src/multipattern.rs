@@ -348,7 +348,7 @@ mod tests {
                         .map(|(i, _)| i)
                         .chain([body.len()])
                         .collect();
-                    body.insert_str(*g.pick(&cuts), *g.pick(&FRAGMENTS));
+                    body.insert_str(*g.pick(&cuts), g.pick::<&str>(&FRAGMENTS));
                 }
                 let prepared = PreparedBody::new(body.as_str());
                 // Allocating path = linear scan.

@@ -292,9 +292,12 @@ where
             // Version-update tracking (2.4% of hosts in the paper).
             if !timeline.updated && status != ObservedStatus::Offline {
                 if let Some(before) = timeline.finding.version {
-                    if let Some((now, _)) = fingerprinter
-                        .fingerprint(client, timeline.finding.app, ep, timeline.finding.scheme)
-                    {
+                    if let Some((now, _)) = fingerprinter.fingerprint(
+                        client,
+                        timeline.finding.app,
+                        ep,
+                        timeline.finding.scheme,
+                    ) {
                         if now.triple() != before.triple() {
                             timeline.updated = true;
                             version_updates.incr();
@@ -436,9 +439,12 @@ where
                         rescan_refingerprinted.incr();
                         delta.refingerprinted += 1;
                         timeline.asset_hashes = hashes;
-                        if let Some((now, _)) = fingerprinter
-                            .fingerprint(client, timeline.finding.app, ep, timeline.finding.scheme)
-                        {
+                        if let Some((now, _)) = fingerprinter.fingerprint(
+                            client,
+                            timeline.finding.app,
+                            ep,
+                            timeline.finding.scheme,
+                        ) {
                             if now.triple() != before.triple() {
                                 timeline.updated = true;
                                 version_updates.incr();
@@ -624,7 +630,10 @@ mod tests {
         let t = toy_timeline(vec![Vulnerable, Offline, Offline]);
         assert!(t.terminally_offline(2));
         assert!(!t.terminally_offline(3), "vulnerable within the window");
-        assert!(!t.terminally_offline(4), "fewer observations than the threshold");
+        assert!(
+            !t.terminally_offline(4),
+            "fewer observations than the threshold"
+        );
         assert!(!t.terminally_offline(0), "0 disables the skip");
         let live = toy_timeline(vec![Offline, Offline, Vulnerable]);
         assert!(!live.terminally_offline(2));
@@ -683,7 +692,9 @@ mod tests {
                 for (a, b) in extended.timelines.iter().zip(&one_shot.timelines) {
                     let n = a.statuses.len();
                     assert_eq!(a.statuses[..], b.statuses[..n]);
-                    assert!(b.statuses[n..].iter().all(|&s| s == ObservedStatus::Offline));
+                    assert!(b.statuses[n..]
+                        .iter()
+                        .all(|&s| s == ObservedStatus::Offline));
                 }
             }
         }
@@ -729,7 +740,10 @@ mod tests {
         // The skip actually engaged, and everything is accounted for.
         assert!(delta.skipped > 0, "no terminally-offline host was skipped");
         assert!(delta.reprobed < delta.rounds * n_hosts as u64);
-        assert_eq!(delta.skipped + delta.reprobed, delta.rounds * n_hosts as u64);
+        assert_eq!(
+            delta.skipped + delta.reprobed,
+            delta.rounds * n_hosts as u64
+        );
         // Counters mirror the delta.
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("observer.rescan.skipped"), delta.skipped);

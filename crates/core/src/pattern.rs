@@ -291,7 +291,8 @@ mod tests {
 
     /// Bodies with mixed case, every whitespace kind the squash view
     /// must strip, multi-byte characters and needle fragments.
-    const BODY: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ \t\n\u{a0}\u{2028}éβ.:\"{}";
+    const BODY: &str =
+        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ \t\n\u{a0}\u{2028}éβ.:\"{}";
 
     /// Exact mode agrees with `str::contains`.
     #[test]

@@ -13,7 +13,7 @@
 //! with work-stealing, and each worker takes one batch at a time
 //! through all three stages — sweep it, prefilter its open endpoints,
 //! verify and fingerprint its hits — as a plain sequential loop
-//! ([`BatchProcessor`]). `shards = 1` is the same engine with one
+//! (`BatchProcessor`). `shards = 1` is the same engine with one
 //! worker. Batches stay small ("we always selected and scanned a
 //! fraction of all hosts with our full pipeline before we continued"),
 //! which is the paper's answer to scan-vs-verify staleness.
@@ -624,10 +624,13 @@ impl BatchProcessor {
                 fingerprint_method: None,
             };
             if self.fingerprint {
-                if let Some((version, method)) = self
-                    .fingerprinter
-                    .fingerprint_with(client, app, hit.endpoint, hit.scheme, &mut self.scratch)
-                {
+                if let Some((version, method)) = self.fingerprinter.fingerprint_with(
+                    client,
+                    app,
+                    hit.endpoint,
+                    hit.scheme,
+                    &mut self.scratch,
+                ) {
                     finding.version = Some(version);
                     finding.fingerprint_method = Some(method);
                 }
@@ -737,10 +740,15 @@ mod tests {
         }
         let union = run_with(vec!["20.0.0.0/16".parse().unwrap()]);
         let overlapping = run_with(
-            ["20.0.0.0/17", "20.0.0.0/16", "20.0.128.0/17", "20.0.77.0/24"]
-                .iter()
-                .map(|s| s.parse().unwrap())
-                .collect(),
+            [
+                "20.0.0.0/17",
+                "20.0.0.0/16",
+                "20.0.128.0/17",
+                "20.0.77.0/24",
+            ]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect(),
         );
         assert_eq!(overlapping, union);
         // Adjacent halves with no explicit union behave the same: their

@@ -185,9 +185,21 @@ mod tests {
         let telemetry = Telemetry::new();
         let app = AppId::Hadoop;
         let (client, ep) = client_for(app, true, false);
-        assert!(detect_mav_instrumented(&telemetry, &client, app, ep, Scheme::Http));
+        assert!(detect_mav_instrumented(
+            &telemetry,
+            &client,
+            app,
+            ep,
+            Scheme::Http
+        ));
         let (client, ep) = client_for(app, false, false);
-        assert!(!detect_mav_instrumented(&telemetry, &client, app, ep, Scheme::Http));
+        assert!(!detect_mav_instrumented(
+            &telemetry,
+            &client,
+            app,
+            ep,
+            Scheme::Http
+        ));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("stage3.verify.Hadoop.confirmed"), 1);
         assert_eq!(snap.counter("stage3.verify.Hadoop.rejected"), 1);

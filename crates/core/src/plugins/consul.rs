@@ -22,5 +22,5 @@ pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) ->
     };
     ["EnableScriptChecks", "EnableRemoteScriptChecks"]
         .iter()
-        .any(|k| debug.get(*k).and_then(|v| v.as_bool()).unwrap_or(false))
+        .any(|k| debug.get(k).and_then(|v| v.as_bool()).unwrap_or(false))
 }

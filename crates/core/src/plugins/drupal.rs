@@ -15,8 +15,7 @@ pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) ->
         ep,
         scheme,
         "/core/install.php?langcode=en&profile=standard&continue=1",
-    )
-    else {
+    ) else {
         return false;
     };
     squash(&body).contains("<liclass=\"is-active\">Setupdatabase")

@@ -176,12 +176,6 @@ impl PortScanner {
         blocks
     }
 
-    /// Sweep one /24 block.
-    pub fn scan_block<T: Transport>(&self, transport: &T, block: Cidr) -> PortScanResult {
-        let pacer = self.pacer();
-        self.scan_block_paced(transport, block, &pacer)
-    }
-
     /// Sweep the given /24 blocks in order, drawing probe tokens from
     /// `pacer` if present. This is the shard-worker entry point: each
     /// worker sweeps the block slice of one batch at a time, all
@@ -448,8 +442,7 @@ mod tests {
             assert!(dense_t.stats().probes() >= dense.probes_sent);
             assert!(sparse_t.stats().probes() < dense_t.stats().probes() / 10);
             if fault_rate == 0.0 {
-                let populated =
-                    sparse_t.universe().host_count() as u64 * SCAN_PORTS.len() as u64;
+                let populated = sparse_t.universe().host_count() as u64 * SCAN_PORTS.len() as u64;
                 assert_eq!(sparse_t.stats().probes(), populated);
             }
         }

@@ -11,8 +11,7 @@
 
 pub use crate::checkpoint::{CheckpointError, ConfigFingerprint};
 pub use crate::observer::{
-    observe, observe_incremental, observe_instrumented, LongevityStudy, ObserverConfig,
-    RescanDelta,
+    observe, observe_incremental, observe_instrumented, LongevityStudy, ObserverConfig, RescanDelta,
 };
 pub use crate::pipeline::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineError};
 pub use crate::portscan::{Cidr, PortScanConfig};

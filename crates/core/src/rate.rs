@@ -34,25 +34,6 @@ impl TokenBucket {
         self.tokens = (self.tokens + elapsed.as_secs_f64() * self.rate).min(self.burst);
     }
 
-    /// Try to take one token.
-    pub fn try_take(&mut self) -> bool {
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Time to wait until one token is available.
-    pub fn time_until_available(&self) -> Duration {
-        if self.tokens >= 1.0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs_f64((1.0 - self.tokens) / self.rate)
-        }
-    }
-
     /// Current token count (for tests and monitoring).
     pub fn tokens(&self) -> f64 {
         self.tokens
@@ -94,8 +75,8 @@ impl Clock for WallClock {
     }
 }
 
-/// Pacing wrapper: waits on its clock until a token is available, then
-/// takes it.
+/// Pacing wrapper: waits on its clock until the requested tokens are
+/// available, then takes them.
 #[derive(Debug)]
 pub struct Pacer {
     bucket: TokenBucket,
@@ -113,35 +94,20 @@ impl Pacer {
         }
     }
 
-    /// Wait for and consume one token.
+    /// Wait for and consume `n` tokens in one arithmetic step (a whole
+    /// block's probes drawn at once by the sweep).
     ///
-    /// Elapsed-time accounting invariant: each loop iteration credits
-    /// the interval since `last` exactly once, then advances `last` to
-    /// the instant that was credited. No interval is ever counted twice
-    /// (which would overfeed the bucket and break the rate ceiling) and
-    /// none is skipped (the next iteration credits exactly the time
-    /// slept); the tests below pin both directions.
-    pub fn acquire(&mut self) {
-        loop {
-            let now = self.clock.now();
-            self.bucket.refill(now.saturating_sub(self.last));
-            self.last = now;
-            if self.bucket.try_take() {
-                return;
-            }
-            self.clock.sleep(self.bucket.time_until_available());
-        }
-    }
-
-    /// Wait for and consume `n` tokens in one arithmetic step — the
-    /// bulk equivalent of `n` sequential [`acquire`](Self::acquire)
-    /// calls (a whole block's probes drawn at once by the sparse
-    /// sweep).
+    /// Drawing `n` tokens one at a time from `t` stored tokens
+    /// telescopes to a single deficit wait of `(n - t) / rate` and
+    /// leaves the bucket empty, so `n` may exceed the burst capacity:
+    /// the excess is paid for in waiting time.
     ///
-    /// `n` sequential acquires from `t` stored tokens telescope to a
-    /// single deficit wait of `(n - t) / rate` and leave the bucket
-    /// empty, so `n` may exceed the burst capacity: the excess is paid
-    /// for in waiting time, exactly as the one-by-one loop would.
+    /// Elapsed-time accounting invariant: each call credits the interval
+    /// since `last` exactly once, then advances `last` to the instant
+    /// that was credited (or past the deficit sleep it just paid). No
+    /// interval is ever counted twice (which would overfeed the bucket
+    /// and break the rate ceiling) and none is skipped; the tests below
+    /// pin both directions.
     pub fn acquire_many(&mut self, n: u64) {
         if n == 0 {
             return;
@@ -203,14 +169,7 @@ impl SharedPacer {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Wait for and consume one token.
-    pub fn acquire(&self) {
-        self.lock().acquire();
-    }
-
-    /// Wait for and consume `n` tokens in one arithmetic step —
-    /// telescoping-equal to `n` sequential [`acquire`](Self::acquire)
-    /// calls, exactly like [`Pacer::acquire_many`].
+    /// Wait for and consume `n` tokens; see [`Pacer::acquire_many`].
     pub fn acquire_many(&self, n: u64) {
         self.lock().acquire_many(n);
     }
@@ -245,20 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn starts_full_and_drains() {
-        let mut b = TokenBucket::new(10.0, 3.0);
-        assert!(b.try_take());
-        assert!(b.try_take());
-        assert!(b.try_take());
-        assert!(!b.try_take(), "burst exhausted");
-    }
-
-    #[test]
-    fn refills_at_rate_and_caps_at_burst() {
+    fn bucket_starts_full_refills_at_rate_and_caps_at_burst() {
         let mut b = TokenBucket::new(2.0, 4.0);
-        for _ in 0..4 {
-            assert!(b.try_take());
-        }
+        assert!((b.tokens() - 4.0).abs() < 1e-9, "starts full");
+        b.tokens = 0.0;
         b.refill(Duration::from_millis(500));
         assert!((b.tokens() - 1.0).abs() < 1e-9);
         b.refill(Duration::from_secs(100));
@@ -266,36 +215,21 @@ mod tests {
     }
 
     #[test]
-    fn wait_time_is_proportional_to_deficit() {
-        let mut b = TokenBucket::new(2.0, 1.0);
-        assert_eq!(b.time_until_available(), Duration::ZERO);
-        assert!(b.try_take());
-        let wait = b.time_until_available();
-        assert!((wait.as_secs_f64() - 0.5).abs() < 1e-9, "{wait:?}");
+    #[should_panic(expected = "positive")]
+    fn zero_rate_is_rejected() {
+        let _ = TokenBucket::new(0.0, 1.0);
     }
 
-    #[test]
-    fn pacer_enforces_rate_on_the_virtual_clock() {
-        let clock = virtual_clock();
-        let mut p = Pacer::new(100.0, 1.0, clock.clone());
-        for _ in 0..11 {
-            p.acquire();
-        }
-        // 1 burst token + 10 at 100/s = at least 100ms of virtual time.
-        assert!(clock.now() >= Duration::from_millis(95), "{:?}", clock.now());
-    }
-
-    /// Pins the refill arithmetic under repeated `acquire` calls: if an
-    /// elapsed interval were ever credited twice (e.g. `last` not
-    /// advancing with the refill), extra tokens would appear and the
-    /// loop would finish early; if an interval were dropped, it would
-    /// finish late.
+    /// Pins the refill arithmetic under repeated draws: if an elapsed
+    /// interval were ever credited twice (e.g. `last` not advancing
+    /// with the refill), extra tokens would appear and the loop would
+    /// finish early; if an interval were dropped, it would finish late.
     #[test]
     fn pacer_never_double_credits_elapsed_time() {
         let clock = virtual_clock();
         let mut p = Pacer::new(10.0, 1.0, clock.clone());
         for _ in 0..21 {
-            p.acquire();
+            p.acquire_many(1);
         }
         let elapsed = clock.now();
         // 1 burst token + 20 refilled at 10/s = 2s of virtual time.
@@ -303,30 +237,33 @@ mod tests {
         assert!(elapsed <= Duration::from_millis(2_200), "{elapsed:?}");
     }
 
-    /// Burst tokens are consumed without waiting; the first paced
-    /// acquire then waits one full period.
+    /// A draw within the stored burst is free; the excess is paid for
+    /// in waiting time, and a drained bucket charges the next token a
+    /// full period.
     #[test]
     fn pacer_spends_burst_before_pacing() {
         let clock = virtual_clock();
-        let mut p = Pacer::new(1.0, 3.0, clock.clone());
-        for _ in 0..3 {
-            p.acquire();
-        }
+        let mut p = Pacer::new(1.0, 4.0, clock.clone());
+        p.acquire_many(4);
         assert_eq!(clock.now(), Duration::ZERO, "burst is free");
-        p.acquire();
-        assert!(clock.now() >= Duration::from_millis(990), "{:?}", clock.now());
+        p.acquire_many(2);
+        assert!(
+            clock.now() >= Duration::from_millis(1_990),
+            "{:?}",
+            clock.now()
+        );
     }
 
-    /// Bulk acquisition pays the same virtual time as the one-by-one
-    /// loop it replaces, and leaves the bucket in the same (empty)
+    /// One bulk draw pays the same virtual time as the token-at-a-time
+    /// loop it stands for, and leaves the bucket in the same (empty)
     /// state.
     #[test]
-    fn acquire_many_matches_sequential_acquires() {
+    fn bulk_draw_matches_token_at_a_time() {
         // 64 tokens at 32/s with burst 32: half free, half paced.
         let seq_clock = virtual_clock();
         let mut seq = Pacer::new(32.0, 32.0, seq_clock.clone());
         for _ in 0..64 {
-            seq.acquire();
+            seq.acquire_many(1);
         }
         let sequential = seq_clock.now();
         assert!(sequential >= Duration::from_millis(990), "{sequential:?}");
@@ -337,34 +274,15 @@ mod tests {
         let bulked = bulk_clock.now();
         assert!(bulked >= Duration::from_millis(990), "{bulked:?}");
         // The single deficit sleep avoids 32 per-token roundups, so it
-        // can only be at or below the sequential loop's total.
+        // can only be at or below the loop's total.
         assert!(bulked <= sequential, "{bulked:?} > {sequential:?}");
 
         // Both pacers drained to zero: the next token costs a full
         // period either way.
-        seq.acquire();
-        let seq_next = seq_clock.now() - sequential;
+        seq.acquire_many(1);
         bulk.acquire_many(1);
-        let bulk_next = bulk_clock.now() - bulked;
-        assert!(seq_next >= Duration::from_millis(30), "{seq_next:?}");
-        assert!(bulk_next >= Duration::from_millis(30), "{bulk_next:?}");
-    }
-
-    /// A bulk draw within the stored burst is free, like the loop.
-    #[test]
-    fn acquire_many_spends_burst_before_pacing() {
-        let clock = virtual_clock();
-        let mut p = Pacer::new(1.0, 4.0, clock.clone());
-        p.acquire_many(4);
-        assert_eq!(clock.now(), Duration::ZERO);
-        p.acquire_many(2);
-        assert!(clock.now() >= Duration::from_millis(1_990), "{:?}", clock.now());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_rate_is_rejected() {
-        let _ = TokenBucket::new(0.0, 1.0);
+        assert!(seq_clock.now() - sequential >= Duration::from_millis(30));
+        assert!(bulk_clock.now() - bulked >= Duration::from_millis(30));
     }
 
     /// The shard/pacer pinning test: K worker threads drawing
@@ -402,31 +320,8 @@ mod tests {
         );
 
         // Drained: the next token costs a full period.
-        shared.acquire();
+        shared.acquire_many(1);
         let next = clock.now() - sequential;
         assert!(next >= Duration::from_millis(10), "{next:?}");
-    }
-
-    /// `acquire` on the shared handle serializes with itself across
-    /// threads: interleaved single draws never double-credit an
-    /// interval.
-    #[test]
-    fn shared_pacer_single_acquires_pace_correctly() {
-        let clock = virtual_clock();
-        let shared = SharedPacer::with_clock(10.0, 1.0, clock.clone());
-        std::thread::scope(|scope| {
-            for draws in [10, 11] {
-                let shared = &shared;
-                scope.spawn(move || {
-                    for _ in 0..draws {
-                        shared.acquire();
-                    }
-                });
-            }
-        });
-        let elapsed = clock.now();
-        // 1 burst token + 20 refilled at 10/s = 2s of virtual time.
-        assert!(elapsed >= Duration::from_millis(1_990), "{elapsed:?}");
-        assert!(elapsed <= Duration::from_millis(2_200), "{elapsed:?}");
     }
 }

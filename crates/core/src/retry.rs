@@ -53,7 +53,7 @@ impl Default for RetryPolicy {
             base_units: 100,
             cap_units: 1_600,
             jitter_units: 50,
-            seed: 0x7265_7472_79, // "retry"
+            seed: 0x0072_6574_7279, // "retry"
             real_unit: Duration::ZERO,
         }
     }
@@ -452,10 +452,7 @@ mod tests {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Timeout);
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
-        assert!(matches!(
-            t.connect(ep(), Scheme::Http),
-            Err(Error::Timeout)
-        ));
+        assert!(matches!(t.connect(ep(), Scheme::Http), Err(Error::Timeout)));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.connect.retries"), 2);
         assert_eq!(snap.counter("retry.connect.exhausted"), 1);
@@ -468,15 +465,14 @@ mod tests {
         let metrics = RetryMetrics::new(&telemetry, "fetch");
         let policy = RetryPolicy::with_attempts(3);
         let calls = AtomicU32::new(0);
-        let result = policy
-            .run(ep(), &metrics, || {
-                let n = calls.fetch_add(1, Ordering::Relaxed);
-                if n < 2 {
-                    Err(Error::UnexpectedEof)
-                } else {
-                    Ok(n)
-                }
-            });
+        let result = policy.run(ep(), &metrics, || {
+            let n = calls.fetch_add(1, Ordering::Relaxed);
+            if n < 2 {
+                Err(Error::UnexpectedEof)
+            } else {
+                Ok(n)
+            }
+        });
         assert_eq!(result, Ok(2));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.fetch.retries"), 2);
@@ -487,8 +483,8 @@ mod tests {
     fn run_with_single_attempt_counts_exhaustion() {
         let telemetry = Telemetry::new();
         let metrics = RetryMetrics::new(&telemetry, "fetch");
-        let result: nokeys_http::Result<()> = RetryPolicy::disabled()
-            .run(ep(), &metrics, || Err(Error::Timeout));
+        let result: nokeys_http::Result<()> =
+            RetryPolicy::disabled().run(ep(), &metrics, || Err(Error::Timeout));
         assert_eq!(result, Err(Error::Timeout));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.fetch.retries"), 0);

@@ -2,7 +2,7 @@
 //!
 //! Every scan — [`Pipeline::run`](crate::pipeline::Pipeline::run),
 //! [`resume`](crate::pipeline::Pipeline::resume), at any shard count —
-//! runs through [`run_sharded`]. The deterministic batch sequence (the
+//! runs through `run_sharded`. The deterministic batch sequence (the
 //! seeded /24 shuffle chunked by
 //! [`blocks_per_batch`](crate::pipeline::PipelineConfig::blocks_per_batch))
 //! is split into
@@ -42,7 +42,7 @@
 //!
 //! # Work-stealing
 //!
-//! The planned ranges live on a shared [`WorkQueue`]. A worker drains
+//! The planned ranges live on a shared `WorkQueue`. A worker drains
 //! one range at a time by advancing its `next` cursor; an idle worker
 //! first takes any not-yet-claimed planned range, then *steals* the
 //! tail half of the largest remainder. Because a range only ever loses
@@ -147,6 +147,14 @@ pub fn existing_shard_files(base: &Path) -> Vec<PathBuf> {
         .collect();
     out.sort();
     out
+}
+
+/// Whether [`Pipeline::resume`] would find anything at `base`: a
+/// finished scan at the path itself, or worker files next to it.
+///
+/// [`Pipeline::resume`]: crate::pipeline::Pipeline::resume
+pub fn has_checkpoint(base: &Path) -> bool {
+    base.exists() || !existing_shard_files(base).is_empty()
 }
 
 /// One planned (or stolen) range of batch indices on the shared queue.
@@ -341,7 +349,7 @@ fn drain_queue<T: Transport + Clone>(
             since_start += 1;
             seg_range = Some((seg_range.map_or(seq, |(start, _)| start), seq + 1));
             if let Some(ck) = &checkpoint {
-                if since_start % ck.every == 0 {
+                if since_start.is_multiple_of(ck.every) {
                     let (start_batch, end_batch) =
                         seg_range.expect("segment has at least one batch");
                     let mut segments = out.segments.clone();
@@ -508,12 +516,6 @@ pub fn merge_segments(
         report.absorb(s.report);
     }
     Ok(report)
-}
-
-/// Number of batches the configured sweep covers.
-pub fn total_batches(config: &PipelineConfig) -> u64 {
-    let planner = PortScanner::with_telemetry(config.portscan.clone(), &Telemetry::new());
-    batch_count(planner.shuffled_blocks().len(), config.blocks_per_batch)
 }
 
 fn batch_count(blocks: usize, blocks_per_batch: usize) -> u64 {

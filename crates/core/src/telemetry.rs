@@ -510,10 +510,7 @@ impl TelemetrySnapshot {
                 .iter()
                 .map(|(k, v)| {
                     let base = prev.counters.get(k).copied().unwrap_or(0);
-                    (
-                        k.clone(),
-                        v.checked_sub(base).unwrap_or_else(|| behind(k)),
-                    )
+                    (k.clone(), v.checked_sub(base).unwrap_or_else(|| behind(k)))
                 })
                 .collect(),
             histograms: self
@@ -925,7 +922,10 @@ mod tests {
         let replica = Telemetry::new();
         replica.absorb(&snap);
         assert_eq!(replica.snapshot().to_json(), snap.to_json());
-        assert!(replica.snapshot().counters.contains_key("never-incremented"));
+        assert!(replica
+            .snapshot()
+            .counters
+            .contains_key("never-incremented"));
     }
 
     #[test]

@@ -117,8 +117,8 @@ fn vhost_dispatch_serves_the_named_site() {
     };
     // Probe while installed (set time after installed_at).
     transport.set_time(vhost.installed_at + nokeys_netsim::SimDuration::hours(1));
-    let resp = nokeys_scanner::ct::fetch_vhost(&client, host, &vhost.domain, "/")
-        .expect("vhost answers");
+    let resp =
+        nokeys_scanner::ct::fetch_vhost(&client, host, &vhost.domain, "/").expect("vhost answers");
     let body = resp.body_text();
     // The named site is a CMS, not the hosting placeholder.
     assert!(

@@ -42,7 +42,8 @@ impl ClockCell {
 
     /// Move the clock to `t`.
     pub fn set(&self, t: nokeys_netsim::SimTime) {
-        self.0.store(t.as_secs(), std::sync::atomic::Ordering::SeqCst);
+        self.0
+            .store(t.as_secs(), std::sync::atomic::Ordering::SeqCst);
     }
 }
 

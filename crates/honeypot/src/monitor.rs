@@ -3,11 +3,11 @@
 
 use crate::logserver::{AuditRecord, CentralLog};
 use crate::resource::ResourceGauge;
+use crate::ClockCell;
 use nokeys_apps::{AppId, WebApp};
 use nokeys_http::server::Handler;
 use nokeys_http::{Request, Response};
 use nokeys_scanner::telemetry::{Counter, Telemetry};
-use crate::ClockCell;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -108,8 +108,7 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
                     .clone()
                     .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
             );
-            let _ = client
-                .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
+            let _ = client.get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
         }
 
         fleet.set_time(planned.time);
@@ -181,8 +180,7 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
                 .clone()
                 .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
         );
-        let _ = client
-            .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
+        let _ = client.get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
     }
 
     let records = fleet.log.snapshot();

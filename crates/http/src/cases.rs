@@ -126,10 +126,7 @@ mod tests {
         for _ in 0..1000 {
             assert!((10..20).contains(&g.range(10..20)));
             assert!(g.bytes(0..5).len() < 5);
-            assert!(g
-                .string("ab", 1..4)
-                .bytes()
-                .all(|c| c == b'a' || c == b'b'));
+            assert!(g.string("ab", 1..4).bytes().all(|c| c == b'a' || c == b'b'));
         }
     }
 

@@ -186,7 +186,10 @@ fn endpoint_of(url: &Url) -> Result<Endpoint> {
     }
 }
 
-/// How one request/response exchange on one connection ended.
+/// How one request/response exchange on one connection ended. A
+/// short-lived return value: boxing the response would cost an
+/// allocation per exchange to shrink a type that is never stored.
+#[allow(clippy::large_enum_variant)]
 enum Outcome {
     /// Response fully parsed; the connection's reusability verdict has
     /// been recorded via [`Connection::set_reusable`].
@@ -293,8 +296,8 @@ fn exchange_once<C: Connection>(
 mod tests {
     use super::*;
     use crate::encode::encode_response;
-    use std::io::{Read, Write};
     use crate::status::StatusCode;
+    use std::io::{Read, Write};
 
     /// Spawn a TCP server that answers each connection with a canned
     /// response produced by `f(path)`. The accept thread is detached on
@@ -336,8 +339,7 @@ mod tests {
             "/step1" => Response::redirect("/step2"),
             "/step2" => Response::html("done"),
             _ => Response::not_found(),
-        })
-        ;
+        });
         let client = Client::new(crate::transport::TcpTransport::default());
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
         let fetched = client.get(&url).unwrap();
@@ -355,10 +357,7 @@ mod tests {
         };
         let client = Client::with_config(crate::transport::TcpTransport::default(), config);
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        assert_eq!(
-            client.get(&url).unwrap_err(),
-            Error::TooManyRedirects(3)
-        );
+        assert_eq!(client.get(&url).unwrap_err(), Error::TooManyRedirects(3));
     }
 
     #[test]
@@ -369,20 +368,14 @@ mod tests {
         drop(listener);
         let client = Client::new(crate::transport::TcpTransport::default());
         let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        assert!(matches!(
-            client.get(&url).unwrap_err(),
-            Error::Connect(_)
-        ));
+        assert!(matches!(client.get(&url).unwrap_err(), Error::Connect(_)));
     }
 
     #[test]
     fn dns_names_are_rejected() {
         let client = Client::new(crate::transport::TcpTransport::default());
         let url = Url::parse("http://example.invalid/").unwrap();
-        assert!(matches!(
-            client.get(&url).unwrap_err(),
-            Error::Connect(_)
-        ));
+        assert!(matches!(client.get(&url).unwrap_err(), Error::Connect(_)));
     }
 }
 
@@ -410,7 +403,6 @@ mod error_path_tests {
         let client = Client::with_config(transport, config);
         let err = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-            
             .unwrap_err();
         assert!(
             matches!(err, Error::TooLarge { what: "body", .. }),

@@ -156,7 +156,7 @@ impl Headers {
     }
 
     /// Whether any part of this map hit the heap: more than
-    /// [`INLINE_ENTRIES`] fields, or header text past [`INLINE_TEXT`]
+    /// `INLINE_ENTRIES` (8) fields, or header text past `INLINE_TEXT` (1024)
     /// bytes. For append-only maps (every parsed message) this is a pure
     /// function of the field list, which is what lets the scanner's
     /// `alloc.headers.{inline,spilled}` counters stay deterministic.
@@ -208,10 +208,7 @@ impl Headers {
     ///
     /// The lookup name has its own lifetime: the yielded values borrow
     /// from the map only, so they may outlive a temporary name.
-    pub fn get_all<'a, 'n>(
-        &'a self,
-        name: &'n str,
-    ) -> impl Iterator<Item = &'a str> + use<'a, 'n> {
+    pub fn get_all<'a, 'n>(&'a self, name: &'n str) -> impl Iterator<Item = &'a str> + use<'a, 'n> {
         self.iter()
             .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v)
@@ -492,7 +489,7 @@ mod tests {
                 "X-{i}"
             );
         }
-        assert!(h.get(&"X-3".to_string()).is_none());
+        assert!(h.get("X-3").is_none());
     }
 
     #[test]

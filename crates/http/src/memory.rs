@@ -160,7 +160,6 @@ mod tests {
         let client = Client::new(t);
         let fetched = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/hello"))
-            
             .unwrap();
         assert!(fetched
             .response
@@ -176,7 +175,6 @@ mod tests {
         let client = Client::new(t);
         let err = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-            
             .unwrap_err();
         assert!(matches!(err, Error::Connect(_)));
     }
@@ -191,7 +189,6 @@ mod tests {
         let client = Client::new(t);
         let fetched = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/x"))
-            
             .unwrap();
         assert!(fetched.response.body_text().contains("203.0.113.99"));
     }

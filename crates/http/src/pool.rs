@@ -35,7 +35,7 @@
 //!
 //! Pooling is a performance knob, not a semantic one: reports from a
 //! pooled scan are byte-identical to an unpooled run, and the knob is
-//! deliberately excluded from `ConfigFingerprint` (like parallelism and
+//! deliberately excluded from `ConfigFingerprint` (like the
 //! shard count). Counters are surfaced both as [`PoolStats`] atomics
 //! and through an optional observer callback, which the scanner bridges
 //! into its telemetry registry (`transport.pool.*`) without this crate

@@ -224,10 +224,7 @@ mod tests {
         let fetched = client.get(&url).unwrap();
         assert!(fetched.response.body_text().contains("MinAPIVersion"));
         let miss = Url::parse(&format!("http://127.0.0.1:{}/other", server.port)).unwrap();
-        assert_eq!(
-            client.get(&miss).unwrap().response.status.as_u16(),
-            404
-        );
+        assert_eq!(client.get(&miss).unwrap().response.status.as_u16(), 404);
         server.shutdown();
     }
 
@@ -298,8 +295,7 @@ mod tests {
         let text = raw_exchange(
             server.port,
             "GET / HTTP/1.1\r\nHost: h\r\nConnection: keep-alive, close\r\n\r\n",
-        )
-        ;
+        );
         assert!(text.contains("ok"), "{text}");
         assert!(text.contains("Connection: close"), "{text}");
         server.shutdown();

@@ -56,7 +56,11 @@ fn response_round_trip() {
         assert_eq!(used, wire.len());
         assert_eq!(back.status.as_u16(), code);
         // The encoder appends its own framing header after the caller's.
-        assert!(back.headers.iter().take(resp.headers.len()).eq(resp.headers.iter()));
+        assert!(back
+            .headers
+            .iter()
+            .take(resp.headers.len())
+            .eq(resp.headers.iter()));
         if code != 204 && code != 304 {
             assert_eq!(back.body, body);
         }
@@ -86,8 +90,7 @@ fn split_point_invariance() {
         let chunked = g.bool();
         let body = g.bytes(0..300);
         let wire = if chunked {
-            let mut wire =
-                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+            let mut wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
             let mut rest = body.as_slice();
             while !rest.is_empty() {
                 let take = g.index(1..64).min(rest.len());
@@ -104,8 +107,7 @@ fn split_point_invariance() {
             encode_response(&resp)
         };
         let limits = Limits::default();
-        let (whole, used) =
-            complete(parse_response(&wire, false, false, &limits).expect("parses"));
+        let (whole, used) = complete(parse_response(&wire, false, false, &limits).expect("parses"));
         assert_eq!(used, wire.len());
         assert_eq!(whole.body, body);
 

@@ -4,11 +4,11 @@
 use nokeys_http::server::serve_tcp;
 use nokeys_http::transport::TcpTransport;
 use nokeys_http::{Client, PooledTransport, Request, Response, Url};
+use std::io::{Read, Write};
 use std::net::Ipv4Addr;
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
-use std::io::{Read, Write};
-use std::net::TcpListener;
 
 fn pooled_client() -> (
     Client<PooledTransport<TcpTransport>>,

@@ -6,7 +6,7 @@
 //! mutable state is a sharded per-endpoint attempt counter, so *which*
 //! attempt faults for an endpoint is independent of how attempts
 //! against different endpoints interleave. That property is what keeps
-//! fault-injected pipeline runs byte-identical at any parallelism: a
+//! fault-injected pipeline runs byte-identical at any shard count: a
 //! concurrent sweep may reorder endpoints freely, but every endpoint
 //! still sees the same fault schedule it would have seen alone.
 //!
@@ -16,8 +16,8 @@
 //! scans.
 
 use crate::ip::Cidr;
-use nokeys_http::{BlockSweepResult, Endpoint, Error, ProbeOutcome, Result, Scheme, Transport};
 use crate::rng::{mix64, unit_interval};
+use nokeys_http::{BlockSweepResult, Endpoint, Error, ProbeOutcome, Result, Scheme, Transport};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,6 +59,9 @@ impl FaultStats {
 }
 
 type Observer = Arc<dyn Fn(FaultLane) + Send + Sync>;
+/// Per-(endpoint, lane) attempt ordinals, sharded to keep worker
+/// threads off one lock.
+type AttemptCounters = [Mutex<HashMap<(Endpoint, FaultLane), u64>>; SHARDS];
 
 const SHARDS: usize = 16;
 const DEFAULT_SEED: u64 = 0xfa17_5eed;
@@ -71,7 +74,7 @@ const DEFAULT_SEED: u64 = 0xfa17_5eed;
 pub struct FaultPlan {
     rate: f64,
     seed: u64,
-    counters: Arc<[Mutex<HashMap<(Endpoint, FaultLane), u64>>; SHARDS]>,
+    counters: Arc<AttemptCounters>,
     stats: Arc<FaultStats>,
     observer: Option<Observer>,
 }
@@ -347,8 +350,9 @@ mod tests {
                 }
             }
         }
-        // 1024 draws at p=0.25: expect ~256; accept a generous band.
-        assert!((160..360).contains(&fired), "fired {fired}/1024");
+        // 1024 draws at p=0.25: expect 256 (σ ≈ 14); this seed measures
+        // 249. The band is the expectation ± 4σ.
+        assert!((200..312).contains(&fired), "fired {fired}/1024");
         assert_eq!(u64::from(fired), plan.stats().connect_injected());
     }
 

@@ -162,7 +162,10 @@ mod tests {
             let _ = t.probe(Endpoint::new(Ipv4Addr::new(20, 0, 0, i), 80));
         }
         assert_eq!(switch.used(), 4);
-        assert!(!switch.is_tripped(), "budget exhaustion alone must not trip");
+        assert!(
+            !switch.is_tripped(),
+            "budget exhaustion alone must not trip"
+        );
     }
 
     #[test]

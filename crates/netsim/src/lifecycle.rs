@@ -224,11 +224,14 @@ mod tests {
         }
         let offline_frac = offline as f64 / n as f64;
         let fixed_frac = fixed as f64 / n as f64;
+        // Measured with the splitmix64 stream at seed 7: 0.42245 offline
+        // (the configured 0.42; σ ≈ 0.0035 at n = 20,000) and 0.0086
+        // fixed-and-still-online. Bands are the measurement ± 4σ.
         assert!(
-            (0.35..0.50).contains(&offline_frac),
+            (0.408..0.437).contains(&offline_frac),
             "offline {offline_frac}"
         );
-        assert!(fixed_frac < 0.03, "fixed {fixed_frac}");
+        assert!((0.006..0.012).contains(&fixed_frac), "fixed {fixed_frac}");
     }
 
     #[test]
@@ -242,9 +245,9 @@ mod tests {
         };
         let nb = count_alive(LifecycleParams::for_category(Category::Nb), &mut rng);
         let ci = count_alive(LifecycleParams::for_category(Category::Ci), &mut rng);
-        assert!(
-            nb > ci,
-            "notebooks should stay vulnerable longer (nb={nb} ci={ci})"
-        );
+        // Measured at seed 9: 6,884 notebooks and 4,417 CI servers of
+        // 10,000 still vulnerable (σ ≈ 50 each); bands are ± 4σ.
+        assert!((6_680..7_090).contains(&nb), "nb={nb}");
+        assert!((4_210..4_620).contains(&ci), "ci={ci}");
     }
 }

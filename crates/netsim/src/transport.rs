@@ -54,7 +54,7 @@ pub struct SimTransport {
     /// keyed per `(endpoint, lane, attempt ordinal)` — see
     /// [`FaultPlan`] — so the schedule one endpoint sees is independent
     /// of cross-endpoint execution order, and fault-injected runs
-    /// replay exactly at any parallelism.
+    /// replay exactly at any shard count.
     faults: FaultPlan,
 }
 
@@ -353,10 +353,7 @@ mod tests {
         let t = transport();
         let ep = find_app_ep(&t, AppId::Gocd, true);
         assert_eq!(t.probe(ep), ProbeOutcome::Open);
-        assert_eq!(
-            t.probe(Endpoint::new(ep.ip, 9999)),
-            ProbeOutcome::Closed
-        );
+        assert_eq!(t.probe(Endpoint::new(ep.ip, 9999)), ProbeOutcome::Closed);
         assert_eq!(t.stats().probes(), 2);
     }
 
@@ -398,9 +395,7 @@ mod tests {
             .find(|h| h.cert_domain.is_some() && h.service_on(443).is_some())
             .map(|h| h.ip);
         let Some(ip) = host else { return };
-        let conn = t
-            .connect(Endpoint::new(ip, 443), Scheme::Https)
-            .unwrap();
+        let conn = t.connect(Endpoint::new(ip, 443), Scheme::Https).unwrap();
         let cert = conn.certificate().expect("cert present");
         assert!(cert.subject.unwrap().contains("example"));
     }

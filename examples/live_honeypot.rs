@@ -33,8 +33,7 @@ fn main() {
         Arc::clone(&clock),
     ));
 
-    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, Arc::clone(&monitored))
-        .expect("bind loopback");
+    let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, Arc::clone(&monitored)).expect("bind loopback");
     println!(
         "honeypot (Hadoop, vulnerable) listening on 127.0.0.1:{}",
         server.port

@@ -46,8 +46,7 @@ fn main() {
     let mut ports = Vec::new();
     for (app, vulnerable) in servers {
         let handler = instance(app, vulnerable);
-        let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler)
-            .expect("bind loopback");
+        let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).expect("bind loopback");
         println!(
             "serving {} ({}) on 127.0.0.1:{}",
             app.name(),

@@ -42,7 +42,9 @@ use nokeys::http::{Client, PooledTransport};
 use nokeys::netsim::{FaultPlan, FaultyTransport};
 use nokeys::scanner::json::ToJson;
 use nokeys::scanner::telemetry::PoolMetrics;
-use nokeys::scanner::{Pipeline, PipelineConfig, PipelineError, RetryPolicy, ScanReport, Telemetry};
+use nokeys::scanner::{
+    Pipeline, PipelineConfig, PipelineError, RetryPolicy, ScanReport, Telemetry,
+};
 
 struct Args {
     targets: Vec<nokeys::scanner::portscan::Cidr>,
@@ -243,10 +245,10 @@ fn main() {
 
     // Resume when asked to and something is there to resume from;
     // otherwise a fresh (checkpointed) run.
-    let resume_from = args.checkpoint.as_deref().filter(|path| {
-        args.resume
-            && (path.exists() || !nokeys::scanner::shard::existing_shard_files(path).is_empty())
-    });
+    let resume_from = args
+        .checkpoint
+        .as_deref()
+        .filter(|path| args.resume && nokeys::scanner::shard::has_checkpoint(path));
     if let Some(path) = resume_from {
         eprintln!("resuming from checkpoint {}", path.display());
     }

@@ -145,11 +145,10 @@ impl Repro {
             let pipeline = Pipeline::new(builder.build());
             // Resume when asked to and a checkpoint exists; otherwise a
             // fresh (checkpointed) run.
-            let resume_from = self.checkpoint.as_ref().filter(|c| {
-                c.resume
-                    && (c.path.exists()
-                        || !nokeys_scanner::shard::existing_shard_files(&c.path).is_empty())
-            });
+            let resume_from = self
+                .checkpoint
+                .as_ref()
+                .filter(|c| c.resume && nokeys_scanner::shard::has_checkpoint(&c.path));
             let report = match resume_from {
                 Some(c) => pipeline.resume(&client, &c.path),
                 None => pipeline.run(&client),

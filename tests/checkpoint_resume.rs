@@ -113,7 +113,10 @@ fn checkpointing_does_not_change_an_uninterrupted_run() {
     assert_eq!(finished.total_batches, 32);
     assert_eq!(finished.segments.len(), 1);
     assert_eq!(
-        (finished.segments[0].start_batch, finished.segments[0].end_batch),
+        (
+            finished.segments[0].start_batch,
+            finished.segments[0].end_batch
+        ),
         (0, 32)
     );
     assert_eq!(finished.segments[0].report, checked);
@@ -199,7 +202,10 @@ fn second_kill_loses_no_first_generation_work() {
         &Client::new(KillableTransport::new(transport(0.0), switch.clone())),
         &path,
     );
-    assert!(matches!(died, Err(PipelineError::SweepFailed(_))), "{died:?}");
+    assert!(
+        matches!(died, Err(PipelineError::SweepFailed(_))),
+        "{died:?}"
+    );
     assert!(switch.is_tripped());
     assert!(
         existing_shard_files(&path)

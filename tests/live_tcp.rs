@@ -27,8 +27,7 @@ fn serve(app: AppId, vulnerable: bool) -> nokeys::http::server::ServerHandle {
         AppConfig::secure_for(app, &version)
     };
     let handler = Arc::new(AppHandler::new(build_instance(app, version, cfg)));
-    serve_tcp(Ipv4Addr::LOCALHOST, 0, handler)
-        .expect("bind")
+    serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).expect("bind")
 }
 
 #[test]

@@ -7,9 +7,7 @@ use nokeys::repro::{Repro, Scale};
 fn every_experiment_regenerates_at_quick_scale() {
     let mut harness = Repro::new(11, Scale::Quick);
     for id in Repro::all_ids() {
-        let out = harness
-            .run(id)
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        let out = harness.run(id).unwrap_or_else(|e| panic!("{id}: {e}"));
         assert!(out.len() > 100, "{id}: suspiciously short output:\n{out}");
         assert!(out.contains("=="), "{id}: missing table header");
     }

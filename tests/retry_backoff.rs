@@ -17,9 +17,7 @@ fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpoint> {
             continue;
         };
         let ep = Endpoint::new(host.ip, service.port);
-        if clean.probe(ep) == ProbeOutcome::Open
-            && clean.connect(ep, Scheme::Http).is_ok()
-        {
+        if clean.probe(ep) == ProbeOutcome::Open && clean.connect(ep, Scheme::Http).is_ok() {
             found.push(ep);
             if found.len() == want {
                 break;

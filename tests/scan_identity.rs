@@ -18,8 +18,7 @@ use nokeys::http::{BlockSweepResult, Client, Endpoint, ProbeOutcome, Scheme, Tra
 use nokeys::netsim::{Cidr, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::shard::{merge_segments, scan_segment};
 use nokeys::scanner::{
-    Pipeline, PipelineConfig, PortScanConfig, PortScanner, ScanReport, Telemetry,
-    TelemetrySnapshot,
+    Pipeline, PipelineConfig, PortScanConfig, PortScanner, ScanReport, Telemetry, TelemetrySnapshot,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
