@@ -644,7 +644,6 @@ pub struct PoolMetrics {
     misses: Counter,
     stale_retries: Counter,
     evicted: Counter,
-    expired: Counter,
 }
 
 impl PoolMetrics {
@@ -655,7 +654,6 @@ impl PoolMetrics {
             misses: telemetry.counter("transport.pool.miss"),
             stale_retries: telemetry.counter("transport.pool.stale_retry"),
             evicted: telemetry.counter("transport.pool.evicted"),
-            expired: telemetry.counter("transport.pool.expired"),
         }
     }
 
@@ -667,7 +665,6 @@ impl PoolMetrics {
             PoolEvent::Miss => self.misses.incr(),
             PoolEvent::StaleRetry => self.stale_retries.incr(),
             PoolEvent::Evicted => self.evicted.incr(),
-            PoolEvent::Expired => self.expired.incr(),
         }
     }
 
@@ -975,7 +972,6 @@ mod tests {
             PoolEvent::Hit,
             PoolEvent::StaleRetry,
             PoolEvent::Evicted,
-            PoolEvent::Expired,
         ] {
             observe(event);
         }
@@ -984,8 +980,7 @@ mod tests {
         assert_eq!(snap.counter("transport.pool.miss"), 1);
         assert_eq!(snap.counter("transport.pool.stale_retry"), 1);
         assert_eq!(snap.counter("transport.pool.evicted"), 1);
-        assert_eq!(snap.counter("transport.pool.expired"), 1);
-        assert_eq!(snap.prefixed_total("transport.pool."), 6);
+        assert_eq!(snap.prefixed_total("transport.pool."), 5);
     }
 
     #[test]

@@ -125,7 +125,12 @@ pub fn cluster_actors(attacks: &[Attack]) -> Vec<ActorCluster> {
             }
         })
         .collect();
-    clusters.sort_by_key(|c| std::cmp::Reverse(c.attack_count));
+    // A total order (IP sets are disjoint across clusters): the groups
+    // come out of a `HashMap` in a different order every run.
+    clusters.sort_by(|a, b| {
+        let by_size = b.attack_count.cmp(&a.attack_count);
+        by_size.then_with(|| a.ips.cmp(&b.ips))
+    });
     clusters
 }
 
@@ -194,6 +199,24 @@ mod tests {
         let actors = cluster_actors(&attacks);
         assert_eq!(actors.len(), 1);
         assert_eq!(actors[0].ips.len(), 2);
+    }
+
+    #[test]
+    fn output_does_not_depend_on_input_or_hash_order() {
+        // Four tied single-attack actors and one larger one.
+        let mut attacks: Vec<Attack> = (1..=4)
+            .map(|n| attack(AppId::Docker, [1, 1, 1, n], &format!("solo{n}")))
+            .collect();
+        attacks.extend([1, 2].map(|n| attack(AppId::Hadoop, [2, 2, 2, n], "pair")));
+        let ips = |attacks: &[Attack]| -> Vec<Vec<Ipv4Addr>> {
+            cluster_actors(attacks).into_iter().map(|c| c.ips).collect()
+        };
+        let reference = ips(&attacks);
+        assert_eq!(reference[0].len(), 2, "largest actor first");
+        for _ in 0..attacks.len() {
+            attacks.rotate_left(1);
+            assert_eq!(ips(&attacks), reference);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::encode::encode_request;
 use crate::error::{Error, Result};
-use crate::parse::{parse_response_incremental, HeadScanner, Limits, Parsed};
+use crate::parse::{Decoder, Limits};
 use crate::request::Request;
 use crate::response::Response;
 use crate::transport::{Connection, Endpoint, Scheme, Transport};
@@ -202,24 +202,24 @@ enum Outcome {
     Fatal(Error),
 }
 
-/// Write `wire` and read one response, growing a buffer and re-running
-/// the incremental parser until it is complete. On success the
-/// connection is marked reusable iff keep-alive semantics allow it:
-/// no EOF was needed to delimit the body, the parser consumed every
-/// buffered byte (no unsynchronized trailing data), we did not request
-/// close, and the server's version/`Connection` headers agree
-/// (HTTP/1.1 defaults to keep-alive, HTTP/1.0 must opt in).
+/// Write `wire` and read one response: read, feed the [`Decoder`], ask
+/// it for the message. On success the connection is marked reusable iff
+/// keep-alive semantics allow it: no EOF was needed to delimit the
+/// body, the decoder is left empty (no unsynchronized trailing data),
+/// we did not request close, and the server's version/`Connection`
+/// headers agree (HTTP/1.1 defaults to keep-alive, HTTP/1.0 must opt
+/// in).
 ///
 /// Every blocking operation is bounded by what is left until
 /// `deadline`, so a stalled or trickling peer costs at most the
 /// configured request timeout.
 ///
-/// The read buffer is borrowed from the connection's recycle slot when
-/// one exists, and handed back (cleared, capacity intact) after a
-/// reusable exchange — so the N probes a scan sends down one pooled
-/// keep-alive connection share a single buffer allocation. Parsed
-/// responses copy their bodies out of the buffer ([`Parsed::Complete`]
-/// owns its bytes), which is what makes handing it back sound.
+/// The decoder's read buffer is borrowed from the connection's recycle
+/// slot when one exists, and handed back (emptied, capacity intact)
+/// after a reusable exchange — so the N probes a scan sends down one
+/// pooled keep-alive connection share a single buffer allocation.
+/// Decoded responses own their bytes, which is what makes handing it
+/// back sound.
 fn exchange_once<C: Connection>(
     conn: &mut C,
     wire: &[u8],
@@ -250,17 +250,17 @@ fn exchange_once<C: Connection>(
     if let Err(e) = conn.write_all(wire).and_then(|()| conn.flush()) {
         return stale_or_fatal(e.into(), true);
     }
-    let mut buf = conn
+    let buf = conn
         .take_recycled_buf()
         .unwrap_or_else(|| Vec::with_capacity(4096));
+    let mut decoder = Decoder::response(head_method, *limits).with_buffer(buf);
     let mut chunk = [0u8; 4096];
     let mut eof = false;
-    let mut scanner = HeadScanner::new();
     loop {
-        match parse_response_incremental(&buf, eof, head_method, limits, &mut scanner) {
-            Ok(Parsed::Complete(resp, used)) => {
+        match decoder.next(eof) {
+            Ok(Some(resp)) => {
                 let keep = !eof
-                    && used == buf.len()
+                    && decoder.is_empty()
                     && !request_close
                     && match resp.version {
                         Version::Http11 => !resp.headers.connection_close(),
@@ -268,26 +268,21 @@ fn exchange_once<C: Connection>(
                     };
                 conn.set_reusable(keep);
                 if keep {
-                    buf.clear();
-                    conn.store_recycled_buf(buf);
+                    conn.store_recycled_buf(decoder.into_buffer());
                 }
                 return Outcome::Done(resp);
             }
-            Ok(Parsed::Partial) => {
-                if eof {
-                    return stale_or_fatal(Error::UnexpectedEof, buf.is_empty());
-                }
-            }
-            Err(e) => return stale_or_fatal(e, buf.is_empty()),
+            Ok(None) => {}
+            Err(e) => return stale_or_fatal(e, decoder.is_empty()),
         }
         if let Err(e) = arm(conn) {
             return Outcome::Fatal(e);
         }
         match conn.read(&mut chunk) {
             Ok(0) => eof = true,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => decoder.feed(&chunk[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return stale_or_fatal(e.into(), buf.is_empty()),
+            Err(e) => return stale_or_fatal(e.into(), decoder.is_empty()),
         }
     }
 }

@@ -5,7 +5,8 @@
 
 use crate::encode::encode_response;
 use crate::error::{Error, Result};
-use crate::parse::{parse_request_incremental, HeadScanner, Limits, Parsed};
+use crate::parse::{Decoder, Limits};
+use crate::request::Request;
 use crate::server::Handler;
 use crate::transport::{Connection, Endpoint, ProbeOutcome, Scheme, Transport};
 use std::collections::HashMap;
@@ -74,9 +75,8 @@ impl Transport for HandlerTransport {
             Some(handler) => Ok(HandlerConn {
                 handler: Arc::clone(handler),
                 peer: self.source_ip,
-                write_buf: Vec::new(),
+                requests: Decoder::request(Limits::default()),
                 read_buf: Vec::new(),
-                scanner: HeadScanner::new(),
             }),
             None => Err(Error::Connect("connection refused".into())),
         }
@@ -87,36 +87,24 @@ impl Transport for HandlerTransport {
 pub struct HandlerConn {
     handler: Arc<dyn Handler>,
     peer: Ipv4Addr,
-    write_buf: Vec<u8>,
+    requests: Decoder<Request>,
     read_buf: Vec<u8>,
-    scanner: HeadScanner,
 }
 
 impl HandlerConn {
     fn pump(&mut self) {
-        loop {
-            match parse_request_incremental(&self.write_buf, &Limits::default(), &mut self.scanner)
-            {
-                Ok(Parsed::Complete(req, used)) => {
-                    self.write_buf.drain(..used);
-                    self.scanner.reset();
-                    let resp = self.handler.handle(&req, self.peer);
-                    self.read_buf.extend_from_slice(&encode_response(&resp));
-                }
-                Ok(Parsed::Partial) => break,
-                Err(_) => {
-                    self.write_buf.clear();
-                    self.scanner.reset();
-                    break;
-                }
-            }
+        // A malformed request ends the connection: the decoder keeps
+        // reporting its error, so nothing after it is answered.
+        while let Ok(Some(req)) = self.requests.next(false) {
+            let resp = self.handler.handle(&req, self.peer);
+            self.read_buf.extend_from_slice(&encode_response(&resp));
         }
     }
 }
 
 impl Write for HandlerConn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.write_buf.extend_from_slice(buf);
+        self.requests.feed(buf);
         self.pump();
         Ok(buf.len())
     }

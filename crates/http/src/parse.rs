@@ -1,9 +1,23 @@
-//! Incremental HTTP/1.1 message parser.
+//! Incremental HTTP/1.1 message decoder.
 //!
-//! The parser consumes bytes from a growable buffer and reports either
-//! "need more bytes" or a complete message. It supports `Content-Length`
-//! bodies, `chunked` transfer encoding and read-to-close responses, which
-//! covers everything encountered by the scanning pipeline.
+//! A [`Decoder`] owns the bytes read off a connection and hands back
+//! complete messages; callers never see a buffer offset. It supports
+//! `Content-Length` bodies, `chunked` transfer encoding and
+//! read-to-close responses, which covers everything encountered by the
+//! scanning pipeline. However the bytes are split across reads, each is
+//! examined once: the head is parsed when its blank line arrives, and
+//! body decoding resumes where the previous read left it.
+//!
+//! ```text
+//!                    blank line found, head parsed
+//!   Head { scanned } ─────────────────────────────▶ Body { msg, at }
+//!          ▲                                               │
+//!          └───── body complete: `next` returns `msg` ─────┘
+//!
+//!   at:  Remaining(n)   Content-Length (n = 0: no body)
+//!        ToEof          until the peer closes
+//!        ChunkSize ─▶ ChunkData(n) ─▶ ChunkSize ─▶ … ─▶ Trailers
+//! ```
 
 use crate::error::{Error, Result};
 use crate::headers::Headers;
@@ -17,7 +31,9 @@ use crate::version::Version;
 /// "behave like a web crawler" posture.
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Maximum size of the head (start line + headers) in bytes.
+    /// Maximum size of the head (start line + headers) in bytes. A
+    /// chunk-size line and a chunked body's trailer section are each
+    /// held to the same bound.
     pub max_head: usize,
     /// Maximum body size in bytes.
     pub max_body: usize,
@@ -32,75 +48,13 @@ impl Default for Limits {
     }
 }
 
-/// Outcome of a parse attempt over a (possibly incomplete) buffer.
+/// Outcome of a one-shot parse over a (possibly incomplete) buffer.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Parsed<T> {
     /// A complete message plus the number of bytes it consumed.
     Complete(T, usize),
     /// More bytes are required before a verdict is possible.
     Partial,
-}
-
-/// Incremental finder for the head terminator (`\r\n\r\n`).
-///
-/// Re-scanning the whole buffer on every feed makes trickled input O(n²);
-/// the scanner instead remembers how far previous calls got and only
-/// examines new bytes. It also rejects an unterminated head the moment the
-/// buffered prefix crosses `Limits::max_head`, instead of buffering an
-/// arbitrarily long head while still reporting `Partial`.
-///
-/// One scanner tracks one message: callers that parse several messages off
-/// the same connection must [`HeadScanner::reset`] after consuming a
-/// message from the front of the buffer (offsets shift).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeadScanner {
-    /// Buffer offset below which `\r\n\r\n` is known not to start.
-    scanned: usize,
-    /// Cached terminator offset (one past `\r\n\r\n`) once found.
-    head_end: Option<usize>,
-}
-
-impl HeadScanner {
-    /// A scanner positioned at the start of a message.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Find the offset one past the head terminator, scanning only bytes
-    /// that previous calls have not examined. Returns `Ok(None)` while the
-    /// head is incomplete and within limits.
-    pub fn find(&mut self, buf: &[u8], limits: &Limits) -> Result<Option<usize>> {
-        if let Some(end) = self.head_end {
-            return Ok(Some(end));
-        }
-        // A terminator spanning the old/new boundary can start at most
-        // three bytes before the previously scanned frontier.
-        let from = self.scanned.saturating_sub(3);
-        if let Some(idx) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
-            let end = from + idx + 4;
-            if end > limits.max_head {
-                return Err(Error::TooLarge {
-                    what: "head",
-                    limit: limits.max_head,
-                });
-            }
-            self.head_end = Some(end);
-            return Ok(Some(end));
-        }
-        self.scanned = buf.len();
-        if buf.len() > limits.max_head {
-            return Err(Error::TooLarge {
-                what: "head",
-                limit: limits.max_head,
-            });
-        }
-        Ok(None)
-    }
-
-    /// Forget all progress, ready for the next message on the connection.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// Parse the header block (everything after the start line).
@@ -120,7 +74,7 @@ fn parse_header_lines(block: &str) -> Result<Headers> {
 
 /// How the body length of a message is determined.
 #[derive(Debug, PartialEq, Eq)]
-enum BodyFraming {
+pub enum BodyFraming {
     None,
     Length(usize),
     Chunked,
@@ -170,55 +124,360 @@ fn request_framing(headers: &Headers) -> Result<BodyFraming> {
     })
 }
 
-/// Decode a chunked body starting at `buf[start..]`.
-///
-/// Returns the decoded body and the offset one past the terminating
-/// zero-chunk, or `Partial` if incomplete.
-fn decode_chunked(buf: &[u8], start: usize, limits: &Limits) -> Result<Parsed<Vec<u8>>> {
-    let mut pos = start;
-    let mut body = Vec::new();
-    loop {
-        let rest = &buf[pos..];
-        let Some(line_end) = rest.windows(2).position(|w| w == b"\r\n") else {
-            return Ok(Parsed::Partial);
+/// A message kind a [`Decoder`] produces: [`Request`] or [`Response`].
+/// The two differ only in their start line and in the rule that picks
+/// the body framing.
+pub trait Message: Sized {
+    /// Parse a complete head (start line and header block, without the
+    /// blank line that ends it) into a message with an empty body, and
+    /// say how the body that follows is framed. `head_method` tells a
+    /// response that it answers a `HEAD` request; requests ignore it.
+    fn parse_head(head: &str, head_method: bool) -> Result<(Self, BodyFraming)>;
+
+    /// The body, for the decoder to fill in.
+    fn body_mut(&mut self) -> &mut Vec<u8>;
+}
+
+impl Message for Response {
+    fn parse_head(head: &str, head_method: bool) -> Result<(Self, BodyFraming)> {
+        let (status_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
+
+        // Status line: HTTP/1.x SP code SP reason.
+        let mut parts = status_line.splitn(3, ' ');
+        let version: Version = parts
+            .next()
+            .unwrap_or("")
+            .parse()
+            .map_err(|()| Error::Malformed("http version"))?;
+        let code: u16 = parts
+            .next()
+            .ok_or(Error::Malformed("status code"))?
+            .parse()
+            .map_err(|_| Error::Malformed("status code"))?;
+        if !(100..600).contains(&code) {
+            return Err(Error::Malformed("status code range"));
+        }
+        let status = StatusCode(code);
+        let headers = parse_header_lines(header_block)?;
+        let framing = response_framing(status, head_method, &headers)?;
+        let response = Response {
+            status,
+            version,
+            headers,
+            body: Vec::new(),
         };
-        let size_line = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| Error::Malformed("chunk size encoding"))?;
-        // Chunk extensions (";ext=...") are permitted and ignored.
-        let size_str = size_line.split(';').next().unwrap_or("").trim();
-        let size =
-            usize::from_str_radix(size_str, 16).map_err(|_| Error::Malformed("chunk size"))?;
-        pos += line_end + 2;
-        if size == 0 {
-            // Trailer section: skip until the blank line.
-            let rest = &buf[pos..];
-            let Some(end) = rest.windows(2).position(|w| w == b"\r\n") else {
-                return Ok(Parsed::Partial);
-            };
-            if end == 0 {
-                return Ok(Parsed::Complete(body, pos + 2));
-            }
-            // There are trailers; find the terminating CRLFCRLF.
-            let Some(tend) = rest.windows(4).position(|w| w == b"\r\n\r\n") else {
-                return Ok(Parsed::Partial);
-            };
-            return Ok(Parsed::Complete(body, pos + tend + 4));
-        }
-        if body.len() + size > limits.max_body {
-            return Err(Error::TooLarge {
-                what: "body",
-                limit: limits.max_body,
-            });
-        }
-        if buf.len() < pos + size + 2 {
-            return Ok(Parsed::Partial);
-        }
-        body.extend_from_slice(&buf[pos..pos + size]);
-        if &buf[pos + size..pos + size + 2] != b"\r\n" {
-            return Err(Error::Malformed("chunk terminator"));
-        }
-        pos += size + 2;
+        Ok((response, framing))
     }
+
+    fn body_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.body
+    }
+}
+
+impl Message for Request {
+    fn parse_head(head: &str, _head_method: bool) -> Result<(Self, BodyFraming)> {
+        let (request_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
+
+        let mut parts = request_line.split(' ');
+        let method: Method = parts
+            .next()
+            .unwrap_or("")
+            .parse()
+            .map_err(|_| Error::Malformed("method"))?;
+        let target = parts
+            .next()
+            .ok_or(Error::Malformed("request target"))?
+            .to_string();
+        if target.is_empty() || (!target.starts_with('/') && target != "*") {
+            return Err(Error::Malformed("request target form"));
+        }
+        let version: Version = parts
+            .next()
+            .ok_or(Error::Malformed("http version"))?
+            .parse()
+            .map_err(|()| Error::Malformed("http version"))?;
+        if parts.next().is_some() {
+            return Err(Error::Malformed("request line"));
+        }
+        let headers = parse_header_lines(header_block)?;
+        let framing = request_framing(&headers)?;
+        let request = Request {
+            method,
+            target,
+            version,
+            headers,
+            body: Vec::new(),
+        };
+        Ok((request, framing))
+    }
+
+    fn body_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.body
+    }
+}
+
+/// Where a [`Decoder`] stands in the message at the front of its buffer.
+#[derive(Debug)]
+enum ParseState<M> {
+    /// Waiting for the blank line that ends the head. The first
+    /// `scanned` unconsumed bytes are known not to hold it, so trickled
+    /// input is searched once, not once per read.
+    Head { scanned: usize },
+    /// The head is parsed into `msg` and consumed; `at` is how far the
+    /// body got.
+    Body { msg: M, at: BodyCursor },
+}
+
+/// Progress through a message body. Every byte before the cursor is
+/// already consumed and, if it was body data, appended to the message.
+#[derive(Debug)]
+enum BodyCursor {
+    /// This many body bytes are still to come (`Content-Length`
+    /// framing; zero for a message without a body).
+    Remaining(usize),
+    /// Everything until the peer closes is body.
+    ToEof,
+    /// At a chunk-size line; `scanned` as in [`ParseState::Head`].
+    ChunkSize { scanned: usize },
+    /// Inside a chunk: this many data bytes to come, then its CRLF.
+    ChunkData(usize),
+    /// Past the last chunk's size: trailer fields, if any (ignored),
+    /// up to a blank line; `scanned` as in [`ParseState::Head`].
+    Trailers { scanned: usize },
+}
+
+/// Offset one past the first `terminator` in `rest`, skipping the
+/// `scanned` bytes earlier calls already searched. Fails as soon as
+/// the terminated part, or an unterminated `rest`, is longer than
+/// `limit` — an endless line is refused while it is still partial,
+/// not buffered.
+fn find_end(
+    rest: &[u8],
+    terminator: &[u8],
+    scanned: &mut usize,
+    limit: usize,
+    what: &'static str,
+) -> Result<Option<usize>> {
+    // A terminator spanning the old/new boundary starts at most
+    // `terminator.len() - 1` bytes before the searched frontier.
+    let from = scanned.saturating_sub(terminator.len() - 1);
+    let end = rest[from..]
+        .windows(terminator.len())
+        .position(|w| w == terminator)
+        .map(|idx| from + idx + terminator.len());
+    if end.unwrap_or(rest.len()) > limit {
+        return Err(Error::TooLarge { what, limit });
+    }
+    if end.is_none() {
+        *scanned = rest.len();
+    }
+    Ok(end)
+}
+
+/// Incremental decoder for the messages arriving on one connection.
+///
+/// The read loop is `read → feed → next`: [`feed`](Decoder::feed) hands
+/// over whatever a read returned, and [`next`](Decoder::next) yields
+/// the message at the front of the buffer once it is complete,
+/// consuming its bytes and re-arming for the one after it (pipelined
+/// messages come out of successive `next` calls without another feed).
+/// An error is final for the connection: every later `next` fails too.
+#[derive(Debug)]
+pub struct Decoder<M> {
+    /// Bytes fed so far; `buf[..pos]` is consumed and dropped by the
+    /// next `feed`.
+    buf: Vec<u8>,
+    pos: usize,
+    state: ParseState<M>,
+    limits: Limits,
+    head_method: bool,
+}
+
+impl Decoder<Request> {
+    /// A decoder for the requests a client sends.
+    pub fn request(limits: Limits) -> Self {
+        Self::new(limits, false)
+    }
+}
+
+impl Decoder<Response> {
+    /// A decoder for the response to one request. `head_method` says
+    /// that request was `HEAD`, whose response has a head and no body.
+    pub fn response(head_method: bool, limits: Limits) -> Self {
+        Self::new(limits, head_method)
+    }
+}
+
+impl<M: Message> Decoder<M> {
+    fn new(limits: Limits, head_method: bool) -> Self {
+        Decoder {
+            buf: Vec::new(),
+            pos: 0,
+            state: ParseState::Head { scanned: 0 },
+            limits,
+            head_method,
+        }
+    }
+
+    /// Use `buf`'s allocation for the read buffer (its contents are
+    /// discarded), so a buffer can be recycled across exchanges.
+    pub fn with_buffer(mut self, mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        self.buf = buf;
+        self
+    }
+
+    /// Give the read buffer back, emptied. Sound at any point: decoded
+    /// messages own their bytes.
+    pub fn into_buffer(mut self) -> Vec<u8> {
+        self.buf.clear();
+        self.buf
+    }
+
+    /// Append bytes read off the connection.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        // Dropping the consumed prefix here, once per read, keeps the
+        // buffer at one read plus an undecided tail, whatever the
+        // message size.
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Whether the decoder sits between messages with nothing
+    /// buffered: no byte of a next message has arrived.
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.buf.len() && matches!(self.state, ParseState::Head { .. })
+    }
+
+    /// The next complete message, or `None` while more bytes are
+    /// needed. `eof` says the peer has closed: it ends a read-to-close
+    /// body, and makes any other incomplete message (an empty buffer
+    /// included) [`Error::UnexpectedEof`].
+    pub fn next(&mut self, eof: bool) -> Result<Option<M>> {
+        let Limits { max_head, max_body } = self.limits;
+        let body_too_large = Error::TooLarge {
+            what: "body",
+            limit: max_body,
+        };
+        loop {
+            let rest = &self.buf[self.pos..];
+            let complete = match &mut self.state {
+                ParseState::Head { scanned } => {
+                    let Some(end) = find_end(rest, b"\r\n\r\n", scanned, max_head, "head")? else {
+                        break;
+                    };
+                    let head = std::str::from_utf8(&rest[..end - 4])
+                        .map_err(|_| Error::Malformed("head encoding"))?;
+                    let (msg, framing) = M::parse_head(head, self.head_method)?;
+                    let at = match framing {
+                        BodyFraming::None => BodyCursor::Remaining(0),
+                        BodyFraming::Length(n) if n > max_body => return Err(body_too_large),
+                        BodyFraming::Length(n) => BodyCursor::Remaining(n),
+                        BodyFraming::Chunked => BodyCursor::ChunkSize { scanned: 0 },
+                        BodyFraming::ToEof => BodyCursor::ToEof,
+                    };
+                    self.pos += end;
+                    self.state = ParseState::Body { msg, at };
+                    false
+                }
+                ParseState::Body { msg, at } => {
+                    let body = msg.body_mut();
+                    // What the body may still grow by. Sizes from the
+                    // wire are compared against this, never added to
+                    // an offset, so no hostile size can overflow.
+                    let room = max_body.saturating_sub(body.len());
+                    match at {
+                        BodyCursor::Remaining(left) | BodyCursor::ChunkData(left) if *left > 0 => {
+                            let take = (*left).min(rest.len());
+                            if take == 0 {
+                                break;
+                            }
+                            body.extend_from_slice(&rest[..take]);
+                            self.pos += take;
+                            *left -= take;
+                            false
+                        }
+                        BodyCursor::Remaining(_) => true,
+                        BodyCursor::ToEof => {
+                            if rest.len() > room {
+                                return Err(body_too_large);
+                            }
+                            body.extend_from_slice(rest);
+                            self.pos += rest.len();
+                            if !eof {
+                                break;
+                            }
+                            true
+                        }
+                        BodyCursor::ChunkSize { scanned } => {
+                            let Some(end) =
+                                find_end(rest, b"\r\n", scanned, max_head, "chunk size line")?
+                            else {
+                                break;
+                            };
+                            let line = std::str::from_utf8(&rest[..end - 2])
+                                .map_err(|_| Error::Malformed("chunk size encoding"))?;
+                            // Chunk extensions (";ext=...") are permitted and ignored.
+                            let size_str = line.split(';').next().unwrap_or("").trim();
+                            let size = usize::from_str_radix(size_str, 16)
+                                .map_err(|_| Error::Malformed("chunk size"))?;
+                            if size > room {
+                                return Err(body_too_large);
+                            }
+                            // The last chunk's line keeps its CRLF, so that
+                            // the trailer section, empty or not, ends at
+                            // the first blank line.
+                            (self.pos, *at) = match size {
+                                0 => (self.pos + end - 2, BodyCursor::Trailers { scanned: 0 }),
+                                _ => (self.pos + end, BodyCursor::ChunkData(size)),
+                            };
+                            false
+                        }
+                        BodyCursor::ChunkData(_) => {
+                            match rest.get(..2) {
+                                None => break,
+                                Some(b"\r\n") => {}
+                                Some(_) => return Err(Error::Malformed("chunk terminator")),
+                            }
+                            self.pos += 2;
+                            *at = BodyCursor::ChunkSize { scanned: 0 };
+                            false
+                        }
+                        BodyCursor::Trailers { scanned } => {
+                            let Some(end) =
+                                find_end(rest, b"\r\n\r\n", scanned, max_head, "trailers")?
+                            else {
+                                break;
+                            };
+                            self.pos += end;
+                            true
+                        }
+                    }
+                }
+            };
+            if complete {
+                let next = ParseState::Head { scanned: 0 };
+                if let ParseState::Body { msg, .. } = std::mem::replace(&mut self.state, next) {
+                    return Ok(Some(msg));
+                }
+            }
+        }
+        if eof {
+            Err(Error::UnexpectedEof)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// Feed all of `buf` to a fresh decoder and report its first message.
+fn parse_one<M: Message>(mut decoder: Decoder<M>, buf: &[u8], eof: bool) -> Result<Parsed<M>> {
+    decoder.feed(buf);
+    Ok(match decoder.next(eof)? {
+        Some(msg) => Parsed::Complete(msg, decoder.pos),
+        None => Parsed::Partial,
+    })
 }
 
 /// Attempt to parse a complete response from `buf`.
@@ -232,227 +491,12 @@ pub fn parse_response(
     head_method: bool,
     limits: &Limits,
 ) -> Result<Parsed<Response>> {
-    parse_response_incremental(buf, eof, head_method, limits, &mut HeadScanner::new())
-}
-
-/// Like [`parse_response`], but resumes head scanning from where the
-/// caller's [`HeadScanner`] left off — feed loops stay O(n) on trickled
-/// input instead of re-scanning the buffer from the start every read.
-pub fn parse_response_incremental(
-    buf: &[u8],
-    eof: bool,
-    head_method: bool,
-    limits: &Limits,
-    scanner: &mut HeadScanner,
-) -> Result<Parsed<Response>> {
-    let Some(head_end) = scanner.find(buf, limits)? else {
-        if eof {
-            return Err(Error::UnexpectedEof);
-        }
-        return Ok(Parsed::Partial);
-    };
-
-    let head =
-        std::str::from_utf8(&buf[..head_end - 4]).map_err(|_| Error::Malformed("head encoding"))?;
-    let (status_line, header_block) = match head.split_once("\r\n") {
-        Some((s, h)) => (s, h),
-        None => (head, ""),
-    };
-
-    // Status line: HTTP/1.x SP code SP reason.
-    let mut parts = status_line.splitn(3, ' ');
-    let version: Version = parts
-        .next()
-        .unwrap_or("")
-        .parse()
-        .map_err(|()| Error::Malformed("http version"))?;
-    let code: u16 = parts
-        .next()
-        .ok_or(Error::Malformed("status code"))?
-        .parse()
-        .map_err(|_| Error::Malformed("status code"))?;
-    if !(100..600).contains(&code) {
-        return Err(Error::Malformed("status code range"));
-    }
-    let status = StatusCode(code);
-    let headers = parse_header_lines(header_block)?;
-
-    match response_framing(status, head_method, &headers)? {
-        BodyFraming::None => Ok(Parsed::Complete(
-            Response {
-                status,
-                version,
-                headers,
-                body: Vec::new(),
-            },
-            head_end,
-        )),
-        BodyFraming::Length(n) => {
-            if n > limits.max_body {
-                return Err(Error::TooLarge {
-                    what: "body",
-                    limit: limits.max_body,
-                });
-            }
-            if buf.len() < head_end + n {
-                if eof {
-                    return Err(Error::UnexpectedEof);
-                }
-                return Ok(Parsed::Partial);
-            }
-            let body = buf[head_end..head_end + n].to_vec();
-            Ok(Parsed::Complete(
-                Response {
-                    status,
-                    version,
-                    headers,
-                    body,
-                },
-                head_end + n,
-            ))
-        }
-        BodyFraming::Chunked => match decode_chunked(buf, head_end, limits)? {
-            Parsed::Complete(body, consumed) => Ok(Parsed::Complete(
-                Response {
-                    status,
-                    version,
-                    headers,
-                    body,
-                },
-                consumed,
-            )),
-            Parsed::Partial => {
-                if eof {
-                    Err(Error::UnexpectedEof)
-                } else {
-                    Ok(Parsed::Partial)
-                }
-            }
-        },
-        BodyFraming::ToEof => {
-            if !eof {
-                if buf.len() - head_end > limits.max_body {
-                    return Err(Error::TooLarge {
-                        what: "body",
-                        limit: limits.max_body,
-                    });
-                }
-                return Ok(Parsed::Partial);
-            }
-            let body = &buf[head_end..];
-            if body.len() > limits.max_body {
-                return Err(Error::TooLarge {
-                    what: "body",
-                    limit: limits.max_body,
-                });
-            }
-            Ok(Parsed::Complete(
-                Response {
-                    status,
-                    version,
-                    headers,
-                    body: body.to_vec(),
-                },
-                buf.len(),
-            ))
-        }
-    }
+    parse_one(Decoder::response(head_method, *limits), buf, eof)
 }
 
 /// Attempt to parse a complete request from `buf`.
 pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Parsed<Request>> {
-    parse_request_incremental(buf, limits, &mut HeadScanner::new())
-}
-
-/// Like [`parse_request`], but resumes head scanning from where the
-/// caller's [`HeadScanner`] left off. Reset the scanner after consuming a
-/// complete request from the front of the buffer.
-pub fn parse_request_incremental(
-    buf: &[u8],
-    limits: &Limits,
-    scanner: &mut HeadScanner,
-) -> Result<Parsed<Request>> {
-    let Some(head_end) = scanner.find(buf, limits)? else {
-        return Ok(Parsed::Partial);
-    };
-
-    let head =
-        std::str::from_utf8(&buf[..head_end - 4]).map_err(|_| Error::Malformed("head encoding"))?;
-    let (request_line, header_block) = match head.split_once("\r\n") {
-        Some((s, h)) => (s, h),
-        None => (head, ""),
-    };
-
-    let mut parts = request_line.split(' ');
-    let method: Method = parts
-        .next()
-        .unwrap_or("")
-        .parse()
-        .map_err(|_| Error::Malformed("method"))?;
-    let target = parts
-        .next()
-        .ok_or(Error::Malformed("request target"))?
-        .to_string();
-    if target.is_empty() || (!target.starts_with('/') && target != "*") {
-        return Err(Error::Malformed("request target form"));
-    }
-    let version: Version = parts
-        .next()
-        .ok_or(Error::Malformed("http version"))?
-        .parse()
-        .map_err(|()| Error::Malformed("http version"))?;
-    if parts.next().is_some() {
-        return Err(Error::Malformed("request line"));
-    }
-    let headers = parse_header_lines(header_block)?;
-
-    match request_framing(&headers)? {
-        BodyFraming::None | BodyFraming::ToEof => Ok(Parsed::Complete(
-            Request {
-                method,
-                target,
-                version,
-                headers,
-                body: Vec::new(),
-            },
-            head_end,
-        )),
-        BodyFraming::Length(n) => {
-            if n > limits.max_body {
-                return Err(Error::TooLarge {
-                    what: "body",
-                    limit: limits.max_body,
-                });
-            }
-            if buf.len() < head_end + n {
-                return Ok(Parsed::Partial);
-            }
-            let body = buf[head_end..head_end + n].to_vec();
-            Ok(Parsed::Complete(
-                Request {
-                    method,
-                    target,
-                    version,
-                    headers,
-                    body,
-                },
-                head_end + n,
-            ))
-        }
-        BodyFraming::Chunked => match decode_chunked(buf, head_end, limits)? {
-            Parsed::Complete(body, consumed) => Ok(Parsed::Complete(
-                Request {
-                    method,
-                    target,
-                    version,
-                    headers,
-                    body,
-                },
-                consumed,
-            )),
-            Parsed::Partial => Ok(Parsed::Partial),
-        },
-    }
+    parse_one(Decoder::request(*limits), buf, false)
 }
 
 #[cfg(test)]
@@ -705,23 +749,16 @@ mod tests {
     #[test]
     fn scanner_resumes_instead_of_rescanning() {
         let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello";
-        let mut scanner = HeadScanner::new();
+        let mut decoder = Decoder::response(false, limits());
         // Feed byte by byte; every step must agree with the stateless parse.
-        for n in 1..raw.len() {
-            assert_eq!(
-                parse_response_incremental(&raw[..n], false, false, &limits(), &mut scanner)
-                    .unwrap(),
-                Parsed::Partial,
-                "at {n}"
-            );
+        for (n, byte) in raw.iter().enumerate().take(raw.len() - 1) {
+            decoder.feed(std::slice::from_ref(byte));
+            assert_eq!(decoder.next(false).unwrap(), None, "at {}", n + 1);
         }
-        let Parsed::Complete(resp, used) =
-            parse_response_incremental(raw, false, false, &limits(), &mut scanner).unwrap()
-        else {
-            panic!();
-        };
+        decoder.feed(&raw[raw.len() - 1..]);
+        let resp = decoder.next(false).unwrap().expect("complete");
         assert_eq!(resp.body_text(), "hello");
-        assert_eq!(used, raw.len());
+        assert!(decoder.is_empty(), "consumed exactly the message");
     }
 
     #[test]
@@ -731,16 +768,17 @@ mod tests {
             max_body: 1024,
         };
         // No terminator anywhere — the old stateless loop only failed once
-        // the *complete* head arrived; the scanner fails as soon as the
+        // the *complete* head arrived; the decoder fails as soon as the
         // buffered prefix crosses the limit.
         let raw = b"HTTP/1.1 200 OK\r\nX-Pad: aaaaaaaaaaaaaaaa";
-        let mut scanner = HeadScanner::new();
+        let mut decoder = Decoder::response(false, small);
         let mut failed_at = None;
-        for n in 1..=raw.len() {
-            match parse_response_incremental(&raw[..n], false, false, &small, &mut scanner) {
-                Ok(Parsed::Partial) => {}
+        for (n, byte) in raw.iter().enumerate() {
+            decoder.feed(std::slice::from_ref(byte));
+            match decoder.next(false) {
+                Ok(None) => {}
                 Err(Error::TooLarge { what: "head", .. }) => {
-                    failed_at = Some(n);
+                    failed_at = Some(n + 1);
                     break;
                 }
                 other => panic!("unexpected: {other:?}"),
@@ -752,20 +790,14 @@ mod tests {
     #[test]
     fn scanner_reset_handles_pipelined_messages() {
         let raw = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
-        let mut scanner = HeadScanner::new();
-        let Parsed::Complete(first, used) =
-            parse_request_incremental(raw, &limits(), &mut scanner).unwrap()
-        else {
-            panic!();
-        };
+        let mut decoder = Decoder::request(limits());
+        decoder.feed(raw);
+        let first = decoder.next(false).unwrap().expect("complete");
         assert_eq!(first.target, "/a");
-        scanner.reset();
-        let Parsed::Complete(second, _) =
-            parse_request_incremental(&raw[used..], &limits(), &mut scanner).unwrap()
-        else {
-            panic!();
-        };
+        assert!(!decoder.is_empty());
+        let second = decoder.next(false).unwrap().expect("complete");
         assert_eq!(second.target, "/b");
+        assert!(decoder.is_empty());
     }
 
     #[test]
@@ -773,17 +805,54 @@ mod tests {
         let raw = b"HTTP/1.1 204 No Content\r\n\r\n";
         // Split inside the terminator so the boundary rescan matters.
         for cut in raw.len() - 3..raw.len() {
-            let mut scanner = HeadScanner::new();
-            assert_eq!(
-                parse_response_incremental(&raw[..cut], false, false, &limits(), &mut scanner)
-                    .unwrap(),
-                Parsed::Partial
-            );
-            assert!(matches!(
-                parse_response_incremental(raw, false, false, &limits(), &mut scanner).unwrap(),
-                Parsed::Complete(_, _)
-            ));
+            let mut decoder = Decoder::response(false, limits());
+            decoder.feed(&raw[..cut]);
+            assert_eq!(decoder.next(false).unwrap(), None);
+            decoder.feed(&raw[cut..]);
+            assert!(decoder.next(false).unwrap().is_some());
         }
+    }
+
+    #[test]
+    fn hostile_chunk_size_is_too_large_not_a_panic() {
+        // `body.len() + size` and `pos + size + 2` used to overflow here.
+        let body = "1\r\na\r\nffffffffffffffff\r\nxxxxxxxx";
+        let raw = format!("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{body}");
+        assert!(matches!(
+            parse_response(raw.as_bytes(), false, false, &limits()),
+            Err(Error::TooLarge { what: "body", .. })
+        ));
+        let raw = format!("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{body}");
+        assert!(matches!(
+            parse_request(raw.as_bytes(), &limits()),
+            Err(Error::TooLarge { what: "body", .. })
+        ));
+    }
+
+    #[test]
+    fn chunk_lines_and_trailers_are_bounded_by_the_head_limit() {
+        let small = Limits {
+            max_head: 64,
+            max_body: 1024,
+        };
+        let head = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+        for (tail, what) in [
+            (format!("1;{}", "e".repeat(80)), "chunk size line"),
+            (format!("0\r\nX-Pad: {}", "t".repeat(80)), "trailers"),
+        ] {
+            let err = parse_response(format!("{head}{tail}").as_bytes(), false, false, &small)
+                .unwrap_err();
+            assert_eq!(err, Error::TooLarge { what, limit: 64 });
+        }
+    }
+
+    #[test]
+    fn a_decoder_is_empty_only_between_messages() {
+        let mut decoder = Decoder::response(false, limits());
+        assert_eq!(decoder.next(true).unwrap_err(), Error::UnexpectedEof);
+        decoder.feed(b"HTTP/1.0 200 OK\r\n\r\n");
+        assert_eq!(decoder.next(false).unwrap(), None);
+        assert!(!decoder.is_empty(), "every byte consumed, yet mid-message");
     }
 
     #[test]

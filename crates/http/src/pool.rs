@@ -16,17 +16,7 @@
 //!   once on [`Transport::connect_fresh`], which bypasses the pool (and
 //!   is metered as a *stale retry*);
 //! * check-ins beyond the per-endpoint cap or the global idle bound
-//!   evict the oldest idle connection (*evicted*);
-//! * idle connections past [`PoolConfig::max_idle_age`] ticks without
-//!   reuse, or past [`PoolConfig::max_lifetime`] ticks since they were
-//!   dialed, are dropped (*expired*) — lazily when a check-out walks
-//!   past them, and eagerly when the embedding scan loop advances the
-//!   pool's virtual clock with
-//!   [`PooledTransport::advance_clock`].
-//!
-//! Time is virtual: the pool never reads a wall clock (which would
-//! break the scanner's determinism guarantees); whoever owns the event
-//! loop decides what a tick means and advances the clock explicitly.
+//!   evict the oldest idle connection (*evicted*).
 //!
 //! Idle entries also carry the read buffer of their last exchange (see
 //! [`Connection::take_recycled_buf`]), so keep-alive probes against one
@@ -61,16 +51,6 @@ pub struct PoolConfig {
     /// Idle connections kept across all endpoints; the oldest idle
     /// connection anywhere is evicted when a check-in crosses this.
     pub max_idle_total: usize,
-    /// Expire an idle connection once it has sat unused for more than
-    /// this many virtual-clock ticks. `None` (the default) disables
-    /// idle-age expiry; reuse resets the age.
-    pub max_idle_age: Option<u64>,
-    /// Expire an idle connection once more than this many ticks have
-    /// passed since it was dialed, regardless of activity — the guard
-    /// against riding one connection forever past server-side
-    /// keep-alive limits. `None` (the default) disables lifetime
-    /// expiry.
-    pub max_lifetime: Option<u64>,
 }
 
 impl Default for PoolConfig {
@@ -78,8 +58,6 @@ impl Default for PoolConfig {
         PoolConfig {
             max_idle_per_endpoint: 2,
             max_idle_total: 256,
-            max_idle_age: None,
-            max_lifetime: None,
         }
     }
 }
@@ -97,9 +75,6 @@ pub enum PoolEvent {
     StaleRetry,
     /// An idle connection was discarded to respect a pool bound.
     Evicted,
-    /// An idle connection outlived [`PoolConfig::max_idle_age`] or
-    /// [`PoolConfig::max_lifetime`] and was dropped.
-    Expired,
 }
 
 /// Monotonic counters shared by all clones of a [`PooledTransport`].
@@ -109,7 +84,6 @@ pub struct PoolStats {
     misses: AtomicU64,
     stale_retries: AtomicU64,
     evicted: AtomicU64,
-    expired: AtomicU64,
     checked_in: AtomicU64,
     discarded: AtomicU64,
 }
@@ -135,11 +109,6 @@ impl PoolStats {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Idle connections dropped by idle-age or lifetime expiry.
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
-    }
-
     /// Connections returned to the pool after a reusable exchange.
     pub fn checked_in(&self) -> u64 {
         self.checked_in.load(Ordering::Relaxed)
@@ -155,15 +124,11 @@ impl PoolStats {
 type Observer = Arc<dyn Fn(PoolEvent) + Send + Sync>;
 type PoolKey = (Endpoint, Scheme);
 
-/// One idle pooled connection with the bookkeeping expiry and buffer
+/// One idle pooled connection with the bookkeeping eviction and buffer
 /// recycling need.
 struct IdleEntry<C> {
     /// Global check-in sequence number, for oldest-first eviction.
     seq: u64,
-    /// Virtual-clock tick the connection was originally dialed at.
-    created_at: u64,
-    /// Virtual-clock tick of this check-in (reuse resets it).
-    checked_in_at: u64,
     /// Read buffer recycled from the last exchange, if the client
     /// handed one back.
     buf: Option<Vec<u8>>,
@@ -193,9 +158,6 @@ struct PoolShared<C> {
     idle: Mutex<IdleState<C>>,
     stats: PoolStats,
     observer: Option<Observer>,
-    /// Virtual clock, in ticks. Advanced only by
-    /// [`PooledTransport::advance_clock`] — never by a wall clock.
-    now: AtomicU64,
 }
 
 impl<C> PoolShared<C> {
@@ -212,7 +174,6 @@ impl<C> PoolShared<C> {
             PoolEvent::Miss => &self.stats.misses,
             PoolEvent::StaleRetry => &self.stats.stale_retries,
             PoolEvent::Evicted => &self.stats.evicted,
-            PoolEvent::Expired => &self.stats.expired,
         };
         counter.fetch_add(1, Ordering::Relaxed);
         if let Some(observer) = &self.observer {
@@ -220,59 +181,22 @@ impl<C> PoolShared<C> {
         }
     }
 
-    /// Whether `entry` is past either expiry allowance at tick `now`.
-    /// Exactly *at* the allowance is still fresh; only strictly past it
-    /// expires.
-    fn is_expired(&self, entry: &IdleEntry<C>, now: u64) -> bool {
-        self.config
-            .max_idle_age
-            .is_some_and(|age| now.saturating_sub(entry.checked_in_at) > age)
-            || self
-                .config
-                .max_lifetime
-                .is_some_and(|life| now.saturating_sub(entry.created_at) > life)
-    }
-
-    /// Oldest live idle connection for `key`, if any, together with its
-    /// dial tick and recycled buffer. Expired entries encountered on
-    /// the way out are dropped and metered — the lazy half of expiry,
-    /// covering clock advances that happened without a sweep.
-    fn check_out(&self, key: PoolKey) -> Option<(C, u64, Option<Vec<u8>>)> {
-        let now = self.now.load(Ordering::Relaxed);
-        let mut expired = 0u64;
-        let found = {
-            let mut state = self.lock();
-            let mut found = None;
-            if let Some(queue) = state.by_endpoint.get_mut(&key) {
-                while let Some(entry) = queue.pop_front() {
-                    if self.is_expired(&entry, now) {
-                        expired += 1;
-                        continue;
-                    }
-                    found = Some((entry.conn, entry.created_at, entry.buf));
-                    break;
-                }
-            }
-            state.total -= expired as usize + found.is_some() as usize;
-            if state
-                .by_endpoint
-                .get(&key)
-                .is_some_and(|queue| queue.is_empty())
-            {
-                state.by_endpoint.remove(&key);
-            }
-            found
-        };
-        for _ in 0..expired {
-            self.record(PoolEvent::Expired);
+    /// Oldest idle connection for `key`, if any, together with its
+    /// recycled buffer.
+    fn check_out(&self, key: PoolKey) -> Option<(C, Option<Vec<u8>>)> {
+        let mut state = self.lock();
+        let queue = state.by_endpoint.get_mut(&key)?;
+        let entry = queue.pop_front()?;
+        if queue.is_empty() {
+            state.by_endpoint.remove(&key);
         }
-        found
+        state.total -= 1;
+        Some((entry.conn, entry.buf))
     }
 
     /// Return a reusable connection, evicting the oldest idle ones
     /// until both the per-endpoint cap and the global bound hold.
-    fn check_in(&self, key: PoolKey, conn: C, created_at: u64, buf: Option<Vec<u8>>) {
-        let now = self.now.load(Ordering::Relaxed);
+    fn check_in(&self, key: PoolKey, conn: C, buf: Option<Vec<u8>>) {
         let mut evicted = 0u64;
         {
             let mut guard = self.lock();
@@ -281,13 +205,7 @@ impl<C> PoolShared<C> {
             let state = &mut *guard;
             let seq = state.next_seq;
             state.next_seq += 1;
-            let entry = IdleEntry {
-                seq,
-                created_at,
-                checked_in_at: now,
-                buf,
-                conn,
-            };
+            let entry = IdleEntry { seq, buf, conn };
             let over_cap = {
                 let queue = state.by_endpoint.entry(key).or_default();
                 queue.push_back(entry);
@@ -370,7 +288,6 @@ impl<T: Transport> PooledTransport<T> {
                 idle: Mutex::new(IdleState::default()),
                 stats: PoolStats::default(),
                 observer: None,
-                now: AtomicU64::new(0),
             }),
         }
     }
@@ -386,7 +303,6 @@ impl<T: Transport> PooledTransport<T> {
                 idle: Mutex::new(IdleState::default()),
                 stats: PoolStats::default(),
                 observer: Some(Arc::new(observer)),
-                now: AtomicU64::new(0),
             }),
         }
     }
@@ -413,44 +329,11 @@ impl<T: Transport> PooledTransport<T> {
         state.total = 0;
     }
 
-    /// Current virtual-clock tick.
-    pub fn clock(&self) -> u64 {
-        self.shared.now.load(Ordering::Relaxed)
-    }
-
-    /// Advance the pool's virtual clock by `ticks` and sweep out every
-    /// idle connection that the new time expires. The pool has no
-    /// notion of wall time — a scan loop (or a test) decides what a
-    /// tick means and calls this at its own cadence; with no expiry
-    /// configured the sweep is a no-op walk.
-    pub fn advance_clock(&self, ticks: u64) {
-        let now = self.shared.now.fetch_add(ticks, Ordering::Relaxed) + ticks;
-        let mut expired = 0u64;
-        {
-            let mut state = self.shared.lock();
-            state.by_endpoint.retain(|_, queue| {
-                queue.retain(|entry| {
-                    let keep = !self.shared.is_expired(entry, now);
-                    if !keep {
-                        expired += 1;
-                    }
-                    keep
-                });
-                !queue.is_empty()
-            });
-            state.total -= expired as usize;
-        }
-        for _ in 0..expired {
-            self.shared.record(PoolEvent::Expired);
-        }
-    }
-
     fn wrap(
         &self,
         conn: T::Conn,
         key: PoolKey,
         reused: bool,
-        created_at: u64,
         buf: Option<Vec<u8>>,
     ) -> PooledConn<T::Conn> {
         PooledConn {
@@ -459,7 +342,6 @@ impl<T: Transport> PooledTransport<T> {
             shared: Arc::clone(&self.shared),
             reused,
             reusable: false,
-            created_at,
             buf,
         }
     }
@@ -478,14 +360,13 @@ impl<T: Transport> Transport for PooledTransport<T> {
 
     fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
         let key = (ep, scheme);
-        if let Some((conn, created_at, buf)) = self.shared.check_out(key) {
+        if let Some((conn, buf)) = self.shared.check_out(key) {
             self.shared.record(PoolEvent::Hit);
-            return Ok(self.wrap(conn, key, true, created_at, buf));
+            return Ok(self.wrap(conn, key, true, buf));
         }
         self.shared.record(PoolEvent::Miss);
         let conn = self.inner.connect(ep, scheme)?;
-        let now = self.shared.now.load(Ordering::Relaxed);
-        Ok(self.wrap(conn, key, false, now, None))
+        Ok(self.wrap(conn, key, false, None))
     }
 
     fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
@@ -495,8 +376,7 @@ impl<T: Transport> Transport for PooledTransport<T> {
         // attempt is metered.
         self.shared.record(PoolEvent::StaleRetry);
         let conn = self.inner.connect_fresh(ep, scheme)?;
-        let now = self.shared.now.load(Ordering::Relaxed);
-        Ok(self.wrap(conn, (ep, scheme), false, now, None))
+        Ok(self.wrap(conn, (ep, scheme), false, None))
     }
 
     fn supports_reuse(&self) -> bool {
@@ -513,9 +393,6 @@ pub struct PooledConn<C: Connection> {
     shared: Arc<PoolShared<C>>,
     reused: bool,
     reusable: bool,
-    /// Virtual-clock tick the underlying connection was dialed at,
-    /// carried across check-ins so lifetime expiry sees the true age.
-    created_at: u64,
     /// Recycled read buffer, riding along between exchanges.
     buf: Option<Vec<u8>>,
 }
@@ -539,8 +416,7 @@ impl<C: Connection> Drop for PooledConn<C> {
     fn drop(&mut self) {
         if let Some(conn) = self.inner.take() {
             if self.reusable {
-                self.shared
-                    .check_in(self.key, conn, self.created_at, self.buf.take());
+                self.shared.check_in(self.key, conn, self.buf.take());
             } else {
                 self.shared.stats.discarded.fetch_add(1, Ordering::Relaxed);
             }
@@ -709,12 +585,11 @@ mod tests {
             PoolConfig {
                 max_idle_per_endpoint: 4,
                 max_idle_total: 2,
-                ..PoolConfig::default()
             },
         );
         let first = cycle(&pool, ep(1));
-        cycle_distinct(&pool, ep(2));
-        cycle_distinct(&pool, ep(3));
+        cycle(&pool, ep(2));
+        cycle(&pool, ep(3));
         assert_eq!(pool.idle_count(), 2, "global bound holds");
         assert_eq!(pool.stats().evicted(), 1);
         // ep(1) held the globally oldest connection; it is gone.
@@ -728,11 +603,6 @@ mod tests {
             s.checked_in(),
             s.evicted() + s.hits() + pool.idle_count() as u64
         );
-    }
-
-    /// Like `cycle` but via a distinct endpoint (no pool hit expected).
-    fn cycle_distinct(pool: &PooledTransport<FakeTransport>, ep: Endpoint) -> u32 {
-        cycle(pool, ep)
     }
 
     #[test]
@@ -795,110 +665,10 @@ mod tests {
     fn purge_empties_the_pool() {
         let pool = PooledTransport::new(FakeTransport::new());
         cycle(&pool, ep(1));
-        cycle_distinct(&pool, ep(2));
+        cycle(&pool, ep(2));
         assert_eq!(pool.idle_count(), 2);
         pool.purge();
         assert_eq!(pool.idle_count(), 0);
-    }
-
-    #[test]
-    fn idle_age_expiry_sweeps_on_clock_advance() {
-        let pool = PooledTransport::with_config(
-            FakeTransport::new(),
-            PoolConfig {
-                max_idle_age: Some(10),
-                ..PoolConfig::default()
-            },
-        );
-        let first = cycle(&pool, ep(1));
-        pool.advance_clock(10);
-        assert_eq!(pool.idle_count(), 1, "exactly at the allowance stays");
-        assert_eq!(pool.clock(), 10);
-        pool.advance_clock(1);
-        assert_eq!(pool.idle_count(), 0, "one tick past the allowance expires");
-        assert_eq!(pool.stats().expired(), 1);
-        // The next connect has to dial afresh.
-        let redialed = cycle(&pool, ep(1));
-        assert_ne!(redialed, first);
-        assert_eq!(pool.stats().misses(), 2);
-    }
-
-    #[test]
-    fn reuse_resets_the_idle_age() {
-        let pool = PooledTransport::with_config(
-            FakeTransport::new(),
-            PoolConfig {
-                max_idle_age: Some(10),
-                ..PoolConfig::default()
-            },
-        );
-        let first = cycle(&pool, ep(1));
-        pool.advance_clock(6);
-        // Reuse at t=6 re-stamps the check-in time...
-        assert_eq!(cycle(&pool, ep(1)), first);
-        pool.advance_clock(6);
-        // ...so at t=12 the entry has idled only 6 of its 10 ticks.
-        assert_eq!(pool.idle_count(), 1);
-        assert_eq!(pool.stats().expired(), 0);
-    }
-
-    #[test]
-    fn lifetime_expires_despite_steady_reuse() {
-        let pool = PooledTransport::with_config(
-            FakeTransport::new(),
-            PoolConfig {
-                max_lifetime: Some(10),
-                ..PoolConfig::default()
-            },
-        );
-        let first = cycle(&pool, ep(1));
-        pool.advance_clock(6);
-        // Reuse keeps the idle age low, but the dial tick rides along.
-        assert_eq!(cycle(&pool, ep(1)), first);
-        pool.advance_clock(6);
-        // t=12 > lifetime 10 counted from the original dial at t=0.
-        assert_eq!(pool.idle_count(), 0);
-        assert_eq!(pool.stats().expired(), 1);
-    }
-
-    #[test]
-    fn checkout_expires_lazily_without_a_sweep() {
-        let pool = PooledTransport::with_config(
-            FakeTransport::new(),
-            PoolConfig {
-                max_idle_age: Some(10),
-                ..PoolConfig::default()
-            },
-        );
-        let first = cycle(&pool, ep(1));
-        // Move time forward behind the sweep's back: the idle entry is
-        // now expired but still sitting in the pool.
-        pool.shared.now.store(20, Ordering::Relaxed);
-        assert_eq!(pool.idle_count(), 1);
-        // check_out walks past the corpse, meters it, and dials afresh.
-        let conn = pool.connect(ep(1), Scheme::Http).unwrap();
-        assert!(!conn.is_reused());
-        assert_ne!(conn.get_ref().id, first);
-        assert_eq!(pool.stats().expired(), 1);
-        assert_eq!(pool.idle_count(), 0);
-    }
-
-    #[test]
-    fn expiry_reaches_the_observer() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let pool = PooledTransport::with_config(
-            FakeTransport::new(),
-            PoolConfig {
-                max_idle_age: Some(5),
-                ..PoolConfig::default()
-            },
-        )
-        .with_observer(move |event| sink.lock().unwrap().push(event));
-        cycle(&pool, ep(1));
-        pool.advance_clock(6);
-        let events = seen.lock().unwrap().clone();
-        assert_eq!(events, vec![PoolEvent::Miss, PoolEvent::Expired]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::encode::encode_response;
 use crate::error::{Error, Result};
-use crate::parse::{parse_request_incremental, HeadScanner, Limits, Parsed};
+use crate::parse::{Decoder, Limits};
 use crate::request::Request;
 use crate::response::Response;
 use crate::version::Version;
@@ -40,7 +40,7 @@ where
 /// Serve a single already-accepted connection: read requests until the
 /// peer closes or an error occurs, answering each via `handler`.
 /// Pipelined requests arriving in one read are answered in order — the
-/// parse loop drains the buffer before reading more bytes.
+/// decoder is drained of messages before more bytes are read.
 ///
 /// Connection lifecycle follows the request's HTTP version: 1.1 keeps
 /// the connection open unless a `close` token appears, 1.0 closes
@@ -54,13 +54,11 @@ where
     S: Read + Write,
     H: Handler + ?Sized,
 {
-    let limits = Limits::default();
-    let mut buf = Vec::with_capacity(4096);
+    let mut decoder = Decoder::request(Limits::default());
     let mut chunk = [0u8; 4096];
-    let mut scanner = HeadScanner::new();
     loop {
-        match parse_request_incremental(&buf, &limits, &mut scanner) {
-            Ok(Parsed::Complete(req, used)) => {
+        match decoder.next(false) {
+            Ok(Some(req)) => {
                 let request_close = req.headers.connection_close()
                     || (req.version == Version::Http10 && !req.headers.connection_keep_alive());
                 let mut resp = handler.handle(&req, peer);
@@ -71,13 +69,11 @@ where
                     resp.headers.set("Connection", "keep-alive");
                 }
                 stream.write_all(&encode_response(&resp))?;
-                buf.drain(..used);
-                scanner.reset();
                 if close {
                     return Ok(());
                 }
             }
-            Ok(Parsed::Partial) => {
+            Ok(None) => {
                 let n = match stream.read(&mut chunk) {
                     Ok(n) => n,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -86,13 +82,13 @@ where
                 if n == 0 {
                     // Clean close between messages is fine; mid-message is
                     // a protocol error from the peer.
-                    return if buf.is_empty() {
+                    return if decoder.is_empty() {
                         Ok(())
                     } else {
                         Err(Error::UnexpectedEof)
                     };
                 }
-                buf.extend_from_slice(&chunk[..n]);
+                decoder.feed(&chunk[..n]);
             }
             Err(e) => {
                 let resp = Response::new(crate::StatusCode::BAD_REQUEST)

@@ -9,9 +9,9 @@ use crate::clock::SimTime;
 use crate::fault::{FaultLane, FaultPlan, FaultStats};
 use crate::ip::Cidr;
 use crate::universe::{ConnectBehavior, Universe};
-use nokeys_http::parse::{parse_request_incremental, HeadScanner, Limits, Parsed};
+use nokeys_http::parse::{Decoder, Limits};
 use nokeys_http::transport::{CertificateInfo, Connection};
-use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
+use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Request, Result, Scheme, Transport};
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -199,9 +199,8 @@ impl Transport for SimTransport {
             at,
             peer: self.scanner_ip,
             behavior,
-            write_buf: Vec::new(),
+            requests: Decoder::request(Limits::default()),
             read_buf: Vec::new(),
-            scanner: HeadScanner::new(),
             banner_sent: false,
             cert,
         })
@@ -218,46 +217,33 @@ pub struct SimConn {
     at: SimTime,
     peer: Ipv4Addr,
     behavior: ConnectBehavior,
-    write_buf: Vec<u8>,
+    requests: Decoder<Request>,
     read_buf: Vec<u8>,
-    scanner: HeadScanner,
     banner_sent: bool,
     cert: Option<CertificateInfo>,
 }
 
 impl SimConn {
-    /// Try to parse complete requests out of the write buffer and produce
-    /// responses into the read buffer.
+    /// Answer every complete request written so far into the read
+    /// buffer.
     fn pump(&mut self) {
         if self.behavior != ConnectBehavior::Http {
             return;
         }
-        loop {
-            match parse_request_incremental(&self.write_buf, &Limits::default(), &mut self.scanner)
-            {
-                Ok(Parsed::Complete(req, used)) => {
-                    self.write_buf.drain(..used);
-                    self.scanner.reset();
-                    self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    let resp = self.universe.respond(self.ep, &req, self.peer, self.at);
-                    self.read_buf
-                        .extend_from_slice(&nokeys_http::encode::encode_response(&resp));
-                }
-                Ok(Parsed::Partial) => break,
-                Err(_) => {
-                    // A malformed request ends the simulated connection.
-                    self.write_buf.clear();
-                    self.scanner.reset();
-                    break;
-                }
-            }
+        // A malformed request ends the simulated connection: the decoder
+        // keeps reporting its error, so nothing after it is answered.
+        while let Ok(Some(req)) = self.requests.next(false) {
+            self.stats.requests.fetch_add(1, Ordering::Relaxed);
+            let resp = self.universe.respond(self.ep, &req, self.peer, self.at);
+            self.read_buf
+                .extend_from_slice(&nokeys_http::encode::encode_response(&resp));
         }
     }
 }
 
 impl Write for SimConn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.write_buf.extend_from_slice(buf);
+        self.requests.feed(buf);
         self.pump();
         Ok(buf.len())
     }
