@@ -1,142 +1,281 @@
 //! Single-pass multi-pattern matching for the prefilter signatures.
 //!
 //! The naive stage-II hot loop runs 90 substring searches per response
-//! body (one per [`Signature`](crate::signatures::Signature)), each of
-//! which rescans the body from the start. [`MultiPattern`] replaces that
-//! with a small in-house Aho–Corasick automaton per *view* of the body
-//! (raw, ASCII-lowered, whitespace-squashed — the three
-//! [`MatchMode`](crate::pattern::MatchMode)s), so every HTTP-speaking
-//! endpoint pays one linear pass per view instead of ninety.
+//! body (one per [`Signature`]), each of which rescans the body from
+//! the start. [`MultiPattern`] compiles the catalog into three small
+//! Aho–Corasick automata, one per [`MatchMode`], and reads each body
+//! **once**: a single loop over the raw bytes advances the three state
+//! registers together, so their lookup chains overlap in the pipeline
+//! and no lowered or whitespace-stripped copy of the body is ever
+//! built.
+//!
+//! The case and whitespace folds live in the automata, not in copies:
+//!
+//! - **ASCII case** is a property of the case-insensitive automaton's
+//!   byte classes: `A`–`Z` share the column of `a`–`z`.
+//! - **ASCII whitespace** is a column of the whitespace-insensitive
+//!   automaton on which every state loops to itself.
+//! - **Multi-byte whitespace** (`U+0085`, `U+00A0`, `U+1680`,
+//!   `U+2000`–`U+200A`, `U+2028`, `U+2029`, `U+202F`, `U+205F`,
+//!   `U+3000`) cannot be decided by one byte, so the loop decodes the
+//!   character at every non-ASCII lead byte and, when it is whitespace,
+//!   hides that many bytes from the third register only.
 //!
 //! The matcher is exactly equivalent to running each signature's
 //! [`Pattern`](crate::pattern::Pattern) individually; the unit tests
 //! below and the `prefilter` tests enforce that equivalence.
 
 use crate::pattern::{MatchMode, PreparedBody};
+use crate::scratch::Scratch;
 use crate::signatures::{rank_candidates, Signature};
 use nokeys_apps::AppId;
 use std::collections::BTreeMap;
 
-/// A dense-table Aho–Corasick automaton over bytes.
+/// Flag on a transition whose target state ends at least one needle.
+/// Row offsets stay below it (checked at build time).
+const MATCH: u32 = 1 << 31;
+
+/// Column of ASCII whitespace in an `IgnoreWhitespace` automaton: every
+/// state loops to itself on it.
+const SKIP: usize = 1;
+
+/// One trie node during construction: children hang off `first_child`
+/// as a `next_sibling` list, 0 (the root, never a child) ending it.
+struct TrieNode {
+    /// Column of the edge leading here.
+    column: u8,
+    first_child: u32,
+    next_sibling: u32,
+}
+
+/// A class-compressed Aho–Corasick automaton over bytes.
 ///
-/// Built once per signature set; ~2K states for the 90-signature
-/// catalog, so the full 256-way transition table stays well under a few
-/// megabytes and every input byte costs exactly one table lookup.
+/// Bytes are first mapped to *columns*: column 0 is every byte no
+/// needle contains, each other needle byte gets its own, and a
+/// [`MatchMode`] may make bytes share one (see [`Automaton::new`]). A
+/// row has one `u32` per column, fail links already resolved into it,
+/// and a state's id is the offset of its row, so a step is
+/// `table[state + classes[byte]]` with no multiply. A transition into a
+/// state that ends a needle carries the `MATCH` bit, so the walk
+/// tests one bit per byte and reads `out` only on a hit. For the
+/// 90-signature catalog the exact automaton has 1,166 rows of 69
+/// columns (322 KB, a quarter of what 256-wide rows would take; the
+/// other two add 6 KB), and the rows a needle-free body visits — the
+/// root and its children — stay in the L1 cache.
 #[derive(Debug, Clone)]
 pub struct Automaton {
-    /// `next[state * 256 + byte]` — complete goto function (fail links
-    /// are pre-resolved into the table during construction).
-    next: Vec<u32>,
-    /// Pattern ids that end at each state (fail-closure already merged).
+    /// Byte → column.
+    classes: [u8; 256],
+    /// Columns per row.
+    columns: usize,
+    /// Complete goto function, `MATCH`-flagged row offsets.
+    table: Vec<u32>,
+    /// Needle ids ending at each row (fail closure already merged).
     out: Vec<Vec<u32>>,
-    /// Number of patterns the automaton was built from.
-    patterns: usize,
 }
 
 impl Automaton {
-    /// Build from `(pattern_id, needle)` pairs. Empty needles are
-    /// rejected — a signature that matches everything is a bug.
-    pub fn new<'a, I>(patterns: I) -> Self
+    /// Build from `(needle_id, needle)` pairs. `mode` folds into the
+    /// byte classes what one byte can decide: `IgnoreCase` gives
+    /// `A`–`Z` the columns of `a`–`z`; `IgnoreWhitespace` gives ASCII
+    /// whitespace a column on which every state loops to itself.
+    /// Whitespace longer than one byte is for the walking loop to hide
+    /// ([`MultiPattern`] does).
+    ///
+    /// Panics on a needle its mode can never match — empty, a nocase
+    /// needle with an uppercase letter, a nospace needle with
+    /// whitespace: a signature like that is a bug in the catalog.
+    pub fn new<'a, I>(mode: MatchMode, needles: I) -> Self
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
-        // Trie construction with sparse child maps.
-        let mut children: Vec<BTreeMap<u8, u32>> = vec![BTreeMap::new()];
-        let mut out: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut n_patterns = 0usize;
-        for (id, needle) in patterns {
-            assert!(!needle.is_empty(), "empty multi-pattern needle");
-            n_patterns += 1;
-            let mut state = 0u32;
-            for &b in needle.as_bytes() {
-                state = match children[state as usize].get(&b) {
-                    Some(&s) => s,
-                    None => {
-                        let s = children.len() as u32;
-                        children.push(BTreeMap::new());
-                        out.push(Vec::new());
-                        children[state as usize].insert(b, s);
-                        s
-                    }
-                };
+        let needles: Vec<(u32, &str)> = needles.into_iter().collect();
+
+        // Byte classes. A needle is UTF-8, which never uses 0xC0, 0xC1
+        // or 0xF5..=0xFF, so the columns fit a `u8`.
+        let mut classes = [0u8; 256];
+        let mut columns = 1usize;
+        let skips_whitespace = mode == MatchMode::IgnoreWhitespace;
+        if skips_whitespace {
+            for b in (0..=0x7f_u8).filter(|&b| char::from(b).is_whitespace()) {
+                classes[usize::from(b)] = SKIP as u8;
             }
-            out[state as usize].push(id);
+            columns = SKIP + 1;
+        }
+        for &(_, needle) in &needles {
+            assert!(!needle.is_empty(), "empty multi-pattern needle");
+            match mode {
+                MatchMode::Exact => {}
+                MatchMode::IgnoreCase => assert!(
+                    !needle.bytes().any(|b| b.is_ascii_uppercase()),
+                    "nocase needles must be lowercase: {needle:?}"
+                ),
+                MatchMode::IgnoreWhitespace => assert!(
+                    !needle.chars().any(char::is_whitespace),
+                    "nospace needles must contain no whitespace: {needle:?}"
+                ),
+            }
+            for &b in needle.as_bytes() {
+                if classes[usize::from(b)] == 0 {
+                    classes[usize::from(b)] = columns as u8;
+                    columns += 1;
+                }
+            }
+        }
+        if mode == MatchMode::IgnoreCase {
+            for b in b'A'..=b'Z' {
+                classes[usize::from(b)] = classes[usize::from(b.to_ascii_lowercase())];
+            }
         }
 
-        // BFS: compute fail links, resolve them into a dense transition
-        // table, and merge output sets along the fail chain.
-        let n_states = children.len();
-        let mut next = vec![0u32; n_states * 256];
-        let mut fail = vec![0u32; n_states];
-        let mut queue = std::collections::VecDeque::new();
-        for (&b, &s) in &children[0] {
-            next[b as usize] = s;
-            queue.push_back(s);
+        // Trie over columns; `out[node]` collects the needles ending there.
+        let mut trie = vec![TrieNode {
+            column: 0,
+            first_child: 0,
+            next_sibling: 0,
+        }];
+        let mut out: Vec<Vec<u32>> = vec![Vec::new()];
+        for &(id, needle) in &needles {
+            let mut node = 0usize;
+            for &b in needle.as_bytes() {
+                let column = classes[usize::from(b)];
+                let mut child = trie[node].first_child as usize;
+                while child != 0 && trie[child].column != column {
+                    child = trie[child].next_sibling as usize;
+                }
+                if child == 0 {
+                    child = trie.len();
+                    trie.push(TrieNode {
+                        column,
+                        first_child: 0,
+                        next_sibling: trie[node].first_child,
+                    });
+                    out.push(Vec::new());
+                    trie[node].first_child = child as u32;
+                }
+                node = child;
+            }
+            out[node].push(id);
         }
-        while let Some(s) = queue.pop_front() {
-            let f = fail[s as usize];
-            // Merge the fail state's outputs so a single lookup at `s`
-            // reports every pattern ending here.
-            let inherited = out[f as usize].clone();
-            out[s as usize].extend(inherited);
-            // Start from the fail state's row (complete — fail states
-            // sit at shallower depths and were processed earlier in the
-            // BFS, though their *indices* may be higher), then overwrite
-            // the transitions this state defines itself.
-            next.copy_within(f as usize * 256..f as usize * 256 + 256, s as usize * 256);
-            for (&b, &child) in &children[s as usize] {
-                fail[child as usize] = next[s as usize * 256 + b as usize];
-                next[s as usize * 256 + b as usize] = child;
-                queue.push_back(child);
+        assert!(
+            trie.len() * columns < MATCH as usize,
+            "automaton too large for flagged u32 row offsets"
+        );
+
+        // BFS from the root. A row starts as a copy of its fail state's
+        // row (complete: fail states are shallower, so they left the
+        // queue earlier) and then takes the node's own children. A
+        // child's fail state is what that copy held in its column, and
+        // it reports iff it ends a needle itself or the copied
+        // transition was already flagged — so flags and merged `out`
+        // lists are final the moment a child is queued.
+        let mut table = vec![0u32; trie.len() * columns];
+        let mut fail = vec![0usize; trie.len()];
+        let mut queue = Vec::with_capacity(trie.len());
+        queue.push(0usize);
+        let mut head = 0;
+        while let Some(&node) = queue.get(head) {
+            head += 1;
+            let row = node * columns;
+            if node != 0 {
+                let fail_row = fail[node] * columns;
+                table.copy_within(fail_row..fail_row + columns, row);
+            }
+            if skips_whitespace {
+                table[row + SKIP] = row as u32;
+            }
+            let mut child = trie[node].first_child as usize;
+            while child != 0 {
+                let slot = row + usize::from(trie[child].column);
+                // The root's row holds its own children, not fail targets.
+                let inherited = if node == 0 { 0 } else { table[slot] };
+                fail[child] = (inherited & !MATCH) as usize / columns;
+                if inherited & MATCH != 0 {
+                    let suffixes = out[fail[child]].clone();
+                    out[child].extend(suffixes);
+                }
+                let flag = if out[child].is_empty() { 0 } else { MATCH };
+                table[slot] = (child * columns) as u32 | flag;
+                queue.push(child);
+                child = trie[child].next_sibling as usize;
             }
         }
 
         Automaton {
-            next,
+            classes,
+            columns,
+            table,
             out,
-            patterns: n_patterns,
         }
     }
 
-    /// Whether any patterns were compiled in.
-    pub fn is_empty(&self) -> bool {
-        self.patterns == 0
+    /// One byte further from `state`; marks the needles that end there.
+    #[inline(always)]
+    fn step(&self, state: u32, byte: u8, matched: &mut [bool]) -> u32 {
+        let next = self.table[state as usize + usize::from(self.classes[usize::from(byte)])];
+        if next & MATCH == 0 {
+            next
+        } else {
+            self.report(next & !MATCH, matched)
+        }
+    }
+
+    #[cold]
+    fn report(&self, state: u32, matched: &mut [bool]) -> u32 {
+        for &id in &self.out[state as usize / self.columns] {
+            matched[id as usize] = true;
+        }
+        state
     }
 
     /// Single pass over `haystack`; sets `matched[id] = true` for every
-    /// pattern occurring as a substring.
+    /// needle occurring in it, under the folds the table holds (ASCII
+    /// only — see [`Automaton::new`]).
     pub fn find_into(&self, haystack: &str, matched: &mut [bool]) {
-        let mut state = 0u32;
-        for &b in haystack.as_bytes() {
-            state = self.next[state as usize * 256 + b as usize];
-            for &id in &self.out[state as usize] {
-                matched[id as usize] = true;
-            }
+        let mut state = 0;
+        for &byte in haystack.as_bytes() {
+            state = self.step(state, byte, matched);
         }
     }
 }
 
-/// Which transformed views a scratch-based matching pass built, with
-/// the byte length each copied. `None` means the raw body was already
-/// in canonical form and the automaton ran over it in place — exactly
-/// the cases where [`PreparedBody`] skips materialization too.
+/// The hide-counter rule, for the non-ASCII byte `raw[at]`: whether it
+/// belongs to a whitespace character, and so must not reach the
+/// whitespace-insensitive register. A lead byte decodes its character
+/// and arms `hide` with the character's length if it is whitespace;
+/// every hidden byte, the lead included, then counts it down.
+#[cold]
+fn hidden(raw: &str, at: usize, hide: &mut usize) -> bool {
+    if raw.is_char_boundary(at) {
+        let c = raw[at..].chars().next().expect("`at` indexes a byte");
+        *hide = if c.is_whitespace() { c.len_utf8() } else { 0 };
+    }
+    if *hide == 0 {
+        return false;
+    }
+    *hide -= 1;
+    true
+}
+
+/// Which transformed views a matching pass built. The fused walk builds
+/// none, so both fields are always `None`; the type stays because the
+/// benchmark (`benchmark/src/program.rs`) reads it to report
+/// `core.scratch.{lower,squash}_share`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewUse {
-    /// Bytes copied into the lowered view, if one was needed.
+    /// Bytes copied into a lowered view: never any.
     pub lower: Option<usize>,
-    /// Bytes copied into the squashed view, if one was needed.
+    /// Bytes copied into a squashed view: never any.
     pub squashed: Option<usize>,
 }
 
-/// The compiled signature set: one automaton per body view.
+/// The compiled signature set: one automaton per [`MatchMode`], walked
+/// together over the raw body.
 #[derive(Debug, Clone)]
 pub struct MultiPattern {
-    /// Exact patterns, searched over the raw body.
-    raw: Automaton,
-    /// Case-insensitive patterns, searched over the lowered view.
-    lower: Automaton,
-    /// Whitespace-insensitive patterns, searched over the squashed view.
-    squashed: Automaton,
+    exact: Automaton,
+    nocase: Automaton,
+    nospace: Automaton,
     /// Signature index → application, in catalog order.
     apps: Vec<AppId>,
 }
@@ -145,17 +284,20 @@ impl MultiPattern {
     /// Compile a signature catalog. Signature order is preserved so the
     /// matcher's output is interchangeable with the linear scan's.
     pub fn new(signatures: &[Signature]) -> Self {
-        let by_mode = |mode: MatchMode| {
-            signatures
-                .iter()
-                .enumerate()
-                .filter(move |(_, s)| s.pattern.mode == mode)
-                .map(|(i, s)| (i as u32, s.pattern.needle))
+        let automaton = |mode: MatchMode| {
+            Automaton::new(
+                mode,
+                signatures
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.pattern.mode == mode)
+                    .map(|(i, s)| (i as u32, s.pattern.needle)),
+            )
         };
         MultiPattern {
-            raw: Automaton::new(by_mode(MatchMode::Exact)),
-            lower: Automaton::new(by_mode(MatchMode::IgnoreCase)),
-            squashed: Automaton::new(by_mode(MatchMode::IgnoreWhitespace)),
+            exact: automaton(MatchMode::Exact),
+            nocase: automaton(MatchMode::IgnoreCase),
+            nospace: automaton(MatchMode::IgnoreWhitespace),
             apps: signatures.iter().map(|s| s.app).collect(),
         }
     }
@@ -170,64 +312,44 @@ impl MultiPattern {
         self.apps.is_empty()
     }
 
+    /// The one matching loop: each byte of `raw` advances the three
+    /// registers, whose table lookups are independent and overlap.
+    /// Only `nospace` ever skips a byte: the bytes of a multi-byte
+    /// whitespace character (its ASCII kin loop in the table).
+    fn walk(&self, raw: &str, matched: &mut [bool]) {
+        let (mut exact, mut nocase, mut nospace) = (0, 0, 0);
+        // Bytes of the current whitespace character still to hide.
+        let mut hide = 0;
+        for (at, &byte) in raw.as_bytes().iter().enumerate() {
+            exact = self.exact.step(exact, byte, matched);
+            nocase = self.nocase.step(nocase, byte, matched);
+            if byte.is_ascii() || !hidden(raw, at, &mut hide) {
+                nospace = self.nospace.step(nospace, byte, matched);
+            }
+        }
+    }
+
     /// Which signatures match `body` (index-aligned with the catalog).
-    /// The lowered / squashed views are only materialized when a pattern
-    /// actually needs them.
+    /// Reads `body.raw` only; neither view is materialized.
     pub fn matched_signatures(&self, body: &PreparedBody) -> Vec<bool> {
         let mut matched = vec![false; self.apps.len()];
-        self.raw.find_into(&body.raw, &mut matched);
-        if !self.lower.is_empty() {
-            self.lower.find_into(body.lower(), &mut matched);
-        }
-        if !self.squashed.is_empty() {
-            self.squashed.find_into(body.squashed(), &mut matched);
-        }
+        self.walk(&body.raw, &mut matched);
         matched
     }
 
     /// Allocation-free variant of
     /// [`matched_signatures`](Self::matched_signatures): the match bits
-    /// and any transformed views live in the caller's [`Scratch`] and
-    /// are left in `scratch.matched()` for the caller to read. Returns
-    /// which views a distinct copy was actually built for — the same
-    /// bodies [`PreparedBody`] would report as materialized, so both
-    /// paths drive the `alloc.*` / `stage2.multipattern.view_*`
-    /// counters identically.
-    ///
-    /// [`Scratch`]: crate::scratch::Scratch
-    pub fn matched_signatures_scratch(
-        &self,
-        raw: &str,
-        scratch: &mut crate::scratch::Scratch,
-    ) -> ViewUse {
-        let (matched, lower_buf, squashed_buf) = scratch.matcher_parts();
+    /// live in the caller's [`Scratch`] and are left in
+    /// `scratch.matched()` for the caller to read.
+    pub fn matched_signatures_scratch(&self, raw: &str, scratch: &mut Scratch) -> ViewUse {
+        let matched = scratch.matched_buf();
         matched.clear();
         matched.resize(self.apps.len(), false);
-        self.raw.find_into(raw, matched);
-        let mut used = ViewUse {
+        self.walk(raw, matched);
+        ViewUse {
             lower: None,
             squashed: None,
-        };
-        if !self.lower.is_empty() {
-            if crate::scratch::needs_lower(raw) {
-                crate::scratch::lower_into(raw, lower_buf);
-                self.lower.find_into(lower_buf, matched);
-                used.lower = Some(lower_buf.len());
-            } else {
-                // Already lowercase: the raw body *is* the lowered view.
-                self.lower.find_into(raw, matched);
-            }
         }
-        if !self.squashed.is_empty() {
-            if crate::scratch::needs_squash(raw) {
-                crate::scratch::squash_into(raw, squashed_buf);
-                self.squashed.find_into(squashed_buf, matched);
-                used.squashed = Some(squashed_buf.len());
-            } else {
-                self.squashed.find_into(raw, matched);
-            }
-        }
-        used
     }
 
     /// Per-application match counts — same contract as
@@ -260,12 +382,17 @@ impl MultiPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::Pattern;
     use crate::signatures::{all_signatures, match_candidates, match_counts};
     use nokeys_http::cases::check;
 
+    fn automaton(mode: MatchMode, needles: &[&'static str]) -> Automaton {
+        Automaton::new(mode, (0u32..).zip(needles.iter().copied()))
+    }
+
     #[test]
     fn automaton_finds_overlapping_patterns() {
-        let a = Automaton::new([(0, "he"), (1, "she"), (2, "his"), (3, "hers")]);
+        let a = automaton(MatchMode::Exact, &["he", "she", "his", "hers"]);
         let mut m = vec![false; 4];
         a.find_into("ushers", &mut m);
         assert_eq!(m, vec![true, true, false, true]);
@@ -273,10 +400,62 @@ mod tests {
 
     #[test]
     fn automaton_handles_repeated_and_nested_needles() {
-        let a = Automaton::new([(0, "aa"), (1, "aaa"), (2, "baa")]);
+        let a = automaton(MatchMode::Exact, &["aa", "aaa", "baa"]);
         let mut m = vec![false; 3];
         a.find_into("abaaa", &mut m);
         assert_eq!(m, vec![true, true, true]);
+    }
+
+    /// Exhaustive: on every string of length ≤ 6 over the needles'
+    /// letters plus one byte no needle contains, `find_into` reports
+    /// exactly the needles `Pattern::matches` finds. Small enough to
+    /// enumerate, and each layout decision has a case that breaks if it
+    /// is wrong: the stray byte must fall back to the root through
+    /// column 0 (byte classes), deep states must land on the right row
+    /// (row-offset ids), and a needle ending inside or at the end of
+    /// another must be reported from the longer one's states (match
+    /// flags inherited along fail links during the BFS). The last two
+    /// sets pin the folds the table itself holds.
+    #[test]
+    fn automaton_agrees_with_contains_on_every_short_string() {
+        use MatchMode::{Exact, IgnoreCase, IgnoreWhitespace};
+        let sets: [(MatchMode, &[&'static str], &str); 7] = [
+            (Exact, &["he", "she", "his", "hers"], "hesx"),
+            (Exact, &["he", "she", "his", "hers"], "hirx"),
+            (Exact, &["aa", "aaa", "baa"], "abcx"),
+            (Exact, &["b"], "abcx"),
+            (Exact, &["cab", "ab", "b", "abca"], "abcx"),
+            (IgnoreCase, &["ab", "bab"], "aAbBx"),
+            (IgnoreWhitespace, &["ab", "bab"], "ab \nx"),
+        ];
+        for (mode, needles, alphabet) in sets {
+            let a = automaton(mode, needles);
+            let mut strings = vec![String::new()];
+            let mut level = 0..1;
+            for _ in 0..6 {
+                for i in level.clone() {
+                    for c in alphabet.chars() {
+                        let longer = format!("{}{c}", strings[i]);
+                        strings.push(longer);
+                    }
+                }
+                level = level.end..strings.len();
+            }
+            assert_eq!(
+                strings.len(),
+                (0..=6).map(|n| alphabet.len().pow(n)).sum::<usize>()
+            );
+            for s in &strings {
+                let mut found = vec![false; needles.len()];
+                a.find_into(s, &mut found);
+                let body = PreparedBody::new(s.as_str());
+                let expected: Vec<bool> = needles
+                    .iter()
+                    .map(|&needle| Pattern { needle, mode }.matches(&body))
+                    .collect();
+                assert_eq!(found, expected, "{mode:?} {needles:?} in {s:?}");
+            }
+        }
     }
 
     #[test]
@@ -311,11 +490,69 @@ mod tests {
         }
     }
 
+    /// The catalog, its compiled form and one reused arena.
+    struct Paths {
+        sigs: Vec<Signature>,
+        mp: MultiPattern,
+        scratch: Scratch,
+    }
+
+    impl Paths {
+        fn new() -> Self {
+            let sigs = all_signatures();
+            let mp = MultiPattern::new(&sigs);
+            Paths {
+                sigs,
+                mp,
+                scratch: Scratch::new(),
+            }
+        }
+
+        /// Catalog index of the signature with this needle.
+        fn index_of(&self, needle: &str) -> usize {
+            self.sigs
+                .iter()
+                .position(|s| s.pattern.needle == needle)
+                .expect("needle is in the catalog")
+        }
+
+        /// The per-signature bits for `body`, after checking that the
+        /// three ways to get them agree bit for bit: the scratch path
+        /// (production), the allocating path, and each signature's own
+        /// `Pattern` over the materialized views (the linear scan) —
+        /// and that neither matcher path built a view.
+        fn matched(&mut self, body: &str) -> Vec<bool> {
+            let prepared = PreparedBody::new(body);
+            let allocating = self.mp.matched_signatures(&prepared);
+            assert!(
+                !prepared.lower_materialized() && !prepared.squashed_materialized(),
+                "the matcher must not build a view: {body:?}"
+            );
+            let used = self.mp.matched_signatures_scratch(body, &mut self.scratch);
+            assert_eq!(
+                used,
+                ViewUse {
+                    lower: None,
+                    squashed: None
+                }
+            );
+            assert_eq!(self.scratch.matched(), &allocating[..], "{body:?}");
+            let linear: Vec<bool> = self
+                .sigs
+                .iter()
+                .map(|s| s.pattern.matches(&prepared))
+                .collect();
+            assert_eq!(allocating, linear, "{body:?}");
+            allocating
+        }
+    }
+
     /// Noise alphabet for random bodies: mixed case, whitespace (incl.
-    /// the Unicode kinds the squash view strips), multi-byte characters
-    /// and the punctuation the needles are made of.
+    /// the Unicode kinds the nospace mode hides, and characters that
+    /// share their lead bytes), multi-byte characters and the
+    /// punctuation the needles are made of.
     const NOISE: &str =
-        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0189 \t\n\u{a0}\u{2028}éβ.:-_/<>=[]\"{}";
+        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0189 \t\n\u{a0}\u{2028}\u{3000}éβ©—、\u{212a}.:-_/<>=[]\"{}";
     const FRAGMENTS: [&str; 9] = [
         "Dashboard [Jenkins]",
         "wp-content",
@@ -328,20 +565,18 @@ mod tests {
         "Apache Hadoop",
     ];
 
-    /// On arbitrary bodies (needle fragments spliced into noise at a
-    /// character boundary), the three ways to classify a body agree:
-    /// the scratch path (production), the allocating `PreparedBody`
-    /// path, and the 90-pattern linear scan. One reused arena carries
-    /// no state between bodies, and reports the same views as
-    /// materialized as the allocating path does.
+    /// On arbitrary bodies up to 4 KiB (needle fragments spliced into
+    /// noise at a character boundary), the three ways to classify a
+    /// body agree: the scratch path (production), the allocating
+    /// `PreparedBody` path, and the 90-pattern linear scan. One reused
+    /// arena carries no state between bodies, and no view is built.
     #[test]
     fn scratch_allocating_and_linear_paths_agree_on_random_bodies() {
-        let sigs = all_signatures();
-        let mp = MultiPattern::new(&sigs);
         check(256, |g| {
-            let mut scratch = crate::scratch::Scratch::new();
+            let mut paths = Paths::new();
             for _ in 0..g.index(1..6) {
-                let mut body = g.string(NOISE, 0..100);
+                let longest = if g.bool() { 100 } else { 4096 };
+                let mut body = g.string(NOISE, 0..longest + 1);
                 for _ in 0..g.index(0..3) {
                     let cuts: Vec<usize> = body
                         .char_indices()
@@ -350,38 +585,160 @@ mod tests {
                         .collect();
                     body.insert_str(*g.pick(&cuts), g.pick::<&str>(&FRAGMENTS));
                 }
+                let matched = paths.matched(&body);
                 let prepared = PreparedBody::new(body.as_str());
-                // Allocating path = linear scan.
+                let counts = paths.mp.counts_from_matched(&matched);
+                assert_eq!(counts, match_counts(&paths.sigs, &prepared), "{body:?}");
                 assert_eq!(
-                    mp.match_counts(&prepared),
-                    match_counts(&sigs, &prepared),
+                    rank_candidates(counts),
+                    match_candidates(&paths.sigs, &prepared),
                     "{body:?}"
                 );
-                assert_eq!(
-                    mp.match_candidates(&prepared),
-                    match_candidates(&sigs, &prepared),
-                    "{body:?}"
-                );
-                // Scratch path = allocating path, bit for bit.
-                let reference = mp.matched_signatures(&prepared);
-                // Force both views so materialization flags are final.
-                let _ = (prepared.lower(), prepared.squashed());
-                let used = mp.matched_signatures_scratch(&body, &mut scratch);
-                assert_eq!(scratch.matched(), &reference[..], "{body:?}");
-                assert_eq!(
-                    rank_candidates(mp.counts_from_matched(scratch.matched())),
-                    match_candidates(&sigs, &prepared),
-                    "{body:?}"
-                );
-                assert_eq!(used.lower.is_some(), prepared.lower_materialized());
-                assert_eq!(used.squashed.is_some(), prepared.squashed_materialized());
-                if let Some(bytes) = used.lower {
-                    assert_eq!(bytes, body.len());
-                }
-                if let Some(bytes) = used.squashed {
-                    assert_eq!(bytes, prepared.squashed().len());
-                }
             }
         });
+    }
+
+    const NOSPACE_NEEDLE: &str = "\"kind\":\"Status\"";
+
+    /// Each of the 25 `char::is_whitespace` code points — one, two and
+    /// three bytes long — is hidden wherever it falls inside a nospace
+    /// needle.
+    #[test]
+    fn every_whitespace_character_is_hidden_inside_a_nospace_needle() {
+        let whitespace: Vec<char> = (0..=u32::from(char::MAX))
+            .filter_map(char::from_u32)
+            .filter(|c| c.is_whitespace())
+            .collect();
+        assert_eq!(whitespace.len(), 25);
+        for len in 1..=3 {
+            assert!(whitespace.iter().any(|c| c.len_utf8() == len));
+        }
+        let mut paths = Paths::new();
+        let index = paths.index_of(NOSPACE_NEEDLE);
+        for ws in whitespace {
+            for cut in 1..NOSPACE_NEEDLE.len() {
+                let (head, tail) = NOSPACE_NEEDLE.split_at(cut);
+                let body = format!("<pre>{head}{ws}{tail}</pre>");
+                assert!(paths.matched(&body)[index], "{ws:?} at {cut}");
+            }
+        }
+    }
+
+    /// Characters that share a lead byte with some whitespace (`©` C2
+    /// A9 with U+00A0, `—` E2 80 94 with U+2003, `、` E3 80 81 with
+    /// U+3000) are not hidden: inside the needle they break it, and a
+    /// needle right after them, itself split by real whitespace, still
+    /// matches.
+    #[test]
+    fn whitespace_lookalike_bytes_neither_match_nor_desynchronise() {
+        let mut paths = Paths::new();
+        let index = paths.index_of(NOSPACE_NEEDLE);
+        for (near_miss, ws) in [('©', '\u{a0}'), ('—', '\u{2003}'), ('、', '\u{3000}')] {
+            assert_eq!(
+                near_miss.to_string().as_bytes()[0],
+                ws.to_string().as_bytes()[0]
+            );
+            for cut in 1..NOSPACE_NEEDLE.len() {
+                let (head, tail) = NOSPACE_NEEDLE.split_at(cut);
+                let broken = format!("{head}{near_miss}{tail}");
+                assert!(!paths.matched(&broken)[index], "{broken:?}");
+                for follower in [
+                    format!("{broken}{NOSPACE_NEEDLE}"),
+                    format!("{broken}{head}{ws}{tail}"),
+                    format!("{near_miss}{head}{ws}{near_miss}"),
+                ] {
+                    let expected = !follower.ends_with(near_miss);
+                    assert_eq!(paths.matched(&follower)[index], expected, "{follower:?}");
+                }
+            }
+        }
+    }
+
+    /// Every nocase needle matches under any ASCII case mask; the
+    /// Unicode characters that *lowercase* to ASCII letters (`K`
+    /// U+212A, `ſ` U+017F) stay what they are, as in
+    /// `to_ascii_lowercase`.
+    #[test]
+    fn nocase_needles_fold_ascii_case_and_nothing_else() {
+        let nocase: Vec<(usize, &'static str)> = all_signatures()
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.pattern.mode == MatchMode::IgnoreCase)
+            .map(|(i, s)| (i, s.pattern.needle))
+            .collect();
+        assert!(!nocase.is_empty());
+        check(64, |g| {
+            let mut paths = Paths::new();
+            for &(index, needle) in &nocase {
+                let masked: String = needle
+                    .chars()
+                    .map(|c| if g.bool() { c.to_ascii_uppercase() } else { c })
+                    .collect();
+                let body = format!(
+                    "{}{masked}{}",
+                    g.string(NOISE, 0..20),
+                    g.string(NOISE, 0..20)
+                );
+                assert!(paths.matched(&body)[index], "{body:?}");
+            }
+        });
+        let mut paths = Paths::new();
+        let mut substitutions = 0;
+        for &(index, needle) in &nocase {
+            for (ascii, lookalike) in [('k', '\u{212a}'), ('s', '\u{17f}')] {
+                for (at, _) in needle.match_indices(ascii) {
+                    let body = format!("{}{lookalike}{}", &needle[..at], &needle[at + 1..]);
+                    assert!(!paths.matched(&body)[index], "{body:?}");
+                    substitutions += 1;
+                }
+            }
+        }
+        assert!(substitutions > 0, "no nocase needle has a `k` or an `s`");
+    }
+
+    /// Needles of all three modes at offset 0, at the very end, back to
+    /// back, and with hidden multi-byte whitespace as the body's first
+    /// and last character and across the seam between two needles.
+    #[test]
+    fn needles_match_at_the_edges_and_back_to_back() {
+        let mut paths = Paths::new();
+        let needles = ["wp-content", "minapiversion", NOSPACE_NEEDLE];
+        let indices = needles.map(|n| paths.index_of(n));
+        let (head, tail) = NOSPACE_NEEDLE.split_at(7);
+        let split = format!("{head}\u{2003}{tail}");
+        for (i, needle) in needles.into_iter().enumerate() {
+            for body in [
+                needle.to_string(),
+                format!("{needle} and a tail"),
+                format!("a head and {needle}"),
+            ] {
+                assert!(paths.matched(&body)[indices[i]], "{body:?}");
+            }
+        }
+        for (body, expected) in [
+            (needles.concat(), [true; 3]),
+            (
+                format!("{0}{0}{1}{1}{2}{2}", needles[2], needles[1], needles[0]),
+                [true; 3],
+            ),
+            (format!("\u{3000}{split}\u{3000}"), [false, false, true]),
+            (format!("{split}{split}"), [false, false, true]),
+            (
+                format!("MinApiVersion\u{2028}{split}\u{a0}wp-content"),
+                [true; 3],
+            ),
+            (
+                format!("wp-content\u{2003}minapiversion{head}\u{85}\n{tail}"),
+                [true; 3],
+            ),
+            // Whitespace breaks an exact and a nocase needle.
+            (
+                format!("wp-con\u{2003}tent minapi\u{a0}version {NOSPACE_NEEDLE}"),
+                [false, false, true],
+            ),
+        ] {
+            let matched = paths.matched(&body);
+            assert_eq!(indices.map(|i| matched[i]), expected, "{body:?}");
+        }
     }
 }

@@ -5,9 +5,12 @@
 //! exact substring, ASCII-case-insensitive substring (Docker, Hadoop),
 //! and whitespace-stripped substring (Drupal, Kubernetes — "remove all
 //! whitespace from response, as their placement differs across
-//! versions"). [`PreparedBody`] precomputes the lowered and squashed
-//! views once so that running 90 signatures against a body costs 90
-//! substring searches, not 90 transformations.
+//! versions"). [`PreparedBody`] computes the lowered and squashed views
+//! lazily and once, so that the plugin checks and the linear signature
+//! scan — the reference [`MultiPattern`](crate::multipattern::MultiPattern)
+//! is tested against — pay substring searches, not one transformation
+//! per pattern. `MultiPattern` itself folds both transformations into
+//! its automata and reads only `raw`.
 
 /// How a pattern is compared against a body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,9 +200,9 @@ impl<'a> PreparedBody<'a> {
         }
     }
 
-    /// Whether a distinct lowered view has been materialized
-    /// (telemetry's "multipattern vs. view" accounting). False when
-    /// `lower()` was answered by the raw body in place.
+    /// Whether a distinct lowered view has been materialized. False
+    /// when `lower()` was never asked for, or was answered by the raw
+    /// body in place.
     pub fn lower_materialized(&self) -> bool {
         self.lower.get().is_some_and(Option::is_some)
     }

@@ -56,8 +56,6 @@ struct PrefilterMetrics {
     discarded: Counter,
     silent: Counter,
     bodies_matched: Counter,
-    view_lower: Counter,
-    view_squashed: Counter,
     /// One hit counter per signature, catalog order.
     signature_hits: Vec<Counter>,
     redirects: Histogram,
@@ -75,8 +73,6 @@ impl PrefilterMetrics {
             discarded: telemetry.counter("stage2.discarded"),
             silent: telemetry.counter("stage2.silent"),
             bodies_matched: telemetry.counter("stage2.multipattern.bodies"),
-            view_lower: telemetry.counter("stage2.multipattern.view_lower"),
-            view_squashed: telemetry.counter("stage2.multipattern.view_squashed"),
             signature_hits: signatures
                 .iter()
                 .enumerate()
@@ -93,7 +89,7 @@ impl PrefilterMetrics {
 pub struct Prefilter {
     signatures: Vec<Signature>,
     /// Single-pass compiled form of `signatures` — the per-body hot
-    /// loop runs one automaton pass per view instead of 90 searches.
+    /// loop reads the body once instead of running 90 searches.
     matcher: MultiPattern,
     metrics: PrefilterMetrics,
     /// Whole-fetch retry budget for transient errors (a connection that
@@ -102,7 +98,7 @@ pub struct Prefilter {
     /// pipeline passes its configured policy.
     retry: RetryPolicy,
     fetch_retry: RetryMetrics,
-    /// Deterministic `alloc.*` accounting for the scratch hot path.
+    /// Deterministic `alloc.*` accounting of response header storage.
     alloc: AllocMetrics,
 }
 
@@ -117,8 +113,8 @@ impl Prefilter {
         Self::with_telemetry(&Telemetry::default())
     }
 
-    /// Build a prefilter that records probe counts, per-signature hit
-    /// counts and multipattern view statistics into `telemetry`.
+    /// Build a prefilter that records probe counts and per-signature
+    /// hit counts into `telemetry`.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
         Self::with_telemetry_and_retry(telemetry, RetryPolicy::disabled())
     }
@@ -169,12 +165,10 @@ impl Prefilter {
 
     /// Probe a single endpoint, borrowing all matching buffers from
     /// `scratch`. The steady-state stage-II hot path: with a reused
-    /// arena, view materialization and the multipattern pass allocate
-    /// nothing.
+    /// arena the multipattern pass allocates nothing.
     ///
     /// The `alloc.*` counters recorded here are pure functions of the
-    /// response stream (never of the arena's actual capacity history),
-    /// so they are byte-identical at any shard count.
+    /// response stream, so they are byte-identical at any shard count.
     pub fn probe_endpoint_scratch<T: Transport>(
         &self,
         client: &Client<T>,
@@ -211,19 +205,11 @@ impl Prefilter {
                 let body = fetched.response.body_str();
                 self.metrics.bodies_matched.incr();
                 self.metrics.body_bytes.observe(body.len() as u64);
-                let used = self.matcher.matched_signatures_scratch(&body, scratch);
+                self.matcher.matched_signatures_scratch(&body, scratch);
                 for (i, fired) in scratch.matched().iter().enumerate() {
                     if *fired {
                         self.metrics.signature_hits[i].incr();
                     }
-                }
-                if let Some(bytes) = used.lower {
-                    self.metrics.view_lower.incr();
-                    self.alloc.record_lower_view(bytes);
-                }
-                if let Some(bytes) = used.squashed {
-                    self.metrics.view_squashed.incr();
-                    self.alloc.record_squashed_view(bytes);
                 }
                 let candidates =
                     rank_candidates(self.matcher.counts_from_matched(scratch.matched()));

@@ -1,11 +1,13 @@
 //! Per-worker scratch arena for the stage II/III hot path.
 //!
-//! Every probe used to allocate fresh lowered/squashed body views, a
-//! fresh per-signature match vector, and (during fingerprinting) a
-//! fresh crawl-observation list. The worker loops are persistent
-//! (cursor-fed since PR 6), so those buffers are trivially reusable:
-//! a [`Scratch`] is owned by exactly one worker, lives for the whole
+//! Every probe used to allocate a fresh per-signature match vector and
+//! (during fingerprinting) a fresh crawl-observation list. The worker
+//! loops are persistent, so those buffers are trivially reusable: a
+//! [`Scratch`] is owned by exactly one worker, lives for the whole
 //! scan, and every probe borrows its buffers instead of allocating.
+//! It holds no copy of any body: the multipattern walk reads the raw
+//! bytes in place (`multipattern.rs`), so nothing in the arena grows
+//! with body size.
 //!
 //! # Ownership rules
 //!
@@ -15,30 +17,20 @@
 //! - Buffer contents are **dead between probes**. Every entry point
 //!   (`MultiPattern::matched_signatures_scratch`,
 //!   `crawler::identify_scratch`) clears what it uses before filling
-//!   it; no probe ever observes a previous probe's bytes.
-//! - Capacity is **monotone**: buffers grow to the high-water mark of
-//!   the stream and stay there. With the default [`Scratch::RESERVE`]
-//!   pre-size, bodies at or under 16 KiB (the stage-II read cap is in
-//!   the same regime) never reallocate at all.
+//!   it; no probe ever observes a previous probe's data.
+//! - Both buffers are pre-sized past what the catalog needs (90 match
+//!   bits, 4 crawl paths), so a warmed or a fresh arena allocates
+//!   nothing in steady state.
 //!
-//! # Why determinism survives reuse
-//!
-//! Buffer *capacity* is scheduling-dependent (which worker saw the
-//! biggest body first), so nothing observable may depend on it. The
-//! `alloc.*` telemetry family therefore never reports live allocator
-//! state: every counter is a pure function of the deterministic probe
-//! stream (body content and length classified against the fixed
-//! `RESERVE` constant), so fixed-seed runs stay byte-identical at any
-//! parallelism, shard count, or scratch on/off setting.
+//! The view builders and their predicates ([`lower_into`],
+//! [`squash_into`], [`needs_lower`], [`needs_squash`]) live here for
+//! [`PreparedBody`](crate::pattern::PreparedBody), the reference the
+//! matcher is tested against and the plugin checks still use.
 
-/// Reusable per-worker buffers for view materialization, multipattern
-/// matching, and fingerprint crawling.
+/// Reusable per-worker buffers for multipattern matching and
+/// fingerprint crawling.
 #[derive(Debug)]
 pub struct Scratch {
-    /// ASCII-lowercased body view (`lower_into`).
-    lower: String,
-    /// Whitespace-stripped body view (`squash_into`).
-    squashed: String,
     /// Per-signature match bits for the multipattern pass.
     matched: Vec<bool>,
     /// Crawl observations `(path, body hash)` for KB fingerprinting.
@@ -46,30 +38,25 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    /// Pre-reserved capacity for each view buffer, and the fixed
-    /// size-class boundary the `alloc.scratch.{hit,grow}` counters
-    /// classify against. A materialized view longer than this *would*
-    /// force a reallocation in a freshly-reserved arena, so the
-    /// classified grow count is a deterministic upper bound on real
-    /// steady-state reallocations: classified grows == 0 proves the
-    /// arena never grew.
+    /// The per-view buffer size of the arena that used to hold lowered
+    /// and squashed body copies. The arena reserves nothing of the kind
+    /// any more; the constant stays `pub` because the benchmark
+    /// (`benchmark/src/program.rs`) reports the share of bodies above
+    /// it as `core.scratch.over_reserve_share`.
     pub const RESERVE: usize = 16 * 1024;
 
-    /// A scratch arena with both view buffers pre-sized to
-    /// [`RESERVE`](Self::RESERVE).
+    /// A scratch arena sized for the 90-signature catalog and the
+    /// four-path crawl.
     pub fn new() -> Self {
         Scratch {
-            lower: String::with_capacity(Self::RESERVE),
-            squashed: String::with_capacity(Self::RESERVE),
             matched: Vec::with_capacity(128),
             crawl: Vec::with_capacity(16),
         }
     }
 
-    /// Split borrow for the multipattern pass: match bits plus the two
-    /// view buffers, all disjoint.
-    pub(crate) fn matcher_parts(&mut self) -> (&mut Vec<bool>, &mut String, &mut String) {
-        (&mut self.matched, &mut self.lower, &mut self.squashed)
+    /// The match-bit buffer for the multipattern pass to fill.
+    pub(crate) fn matched_buf(&mut self) -> &mut Vec<bool> {
+        &mut self.matched
     }
 
     /// The per-signature match bits left by the most recent
@@ -119,16 +106,15 @@ pub fn squash_into(raw: &str, out: &mut String) {
 }
 
 /// True when the body would need a distinct lowercase view: any ASCII
-/// uppercase byte present. Shared by `PreparedBody::lower`, the
-/// scratch matcher, and the `alloc.views.lower` classification so all
-/// three agree byte-for-byte.
+/// uppercase byte present. `PreparedBody::lower` serves the raw body
+/// in place otherwise.
 pub fn needs_lower(raw: &str) -> bool {
     raw.bytes().any(|b| b.is_ascii_uppercase())
 }
 
 /// True when the body would need a distinct squashed view: any
-/// whitespace present. Counterpart of [`needs_lower`] for the
-/// `squashed` view and `alloc.views.squashed`.
+/// whitespace present. Counterpart of [`needs_lower`] for
+/// `PreparedBody::squashed`.
 pub fn needs_squash(raw: &str) -> bool {
     raw.chars().any(char::is_whitespace)
 }
@@ -187,11 +173,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_preallocates_reserve() {
+    fn scratch_preallocates_match_and_crawl_buffers() {
         let mut s = Scratch::new();
-        let (matched, lower, squashed) = s.matcher_parts();
-        assert!(lower.capacity() >= Scratch::RESERVE);
-        assert!(squashed.capacity() >= Scratch::RESERVE);
-        assert!(matched.capacity() >= 90, "fits the 90-signature corpus");
+        assert!(
+            s.matched_buf().capacity() >= 90,
+            "fits the 90-signature corpus"
+        );
+        assert!(
+            s.crawl_buf().capacity() >= nokeys_apps::assets::ASSET_PATHS.len(),
+            "fits one crawl"
+        );
     }
 }

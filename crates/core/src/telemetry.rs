@@ -679,40 +679,21 @@ impl PoolMetrics {
 }
 
 /// The `alloc.*` family: deterministic allocation telemetry for the
-/// scratch-arena hot path.
+/// stage-II hot path.
 ///
-/// Nothing here samples the live allocator. Worker scheduling decides
-/// which worker's arena sees which body, so real buffer-capacity
-/// history is not deterministic — but *classified* allocation demand
-/// is: every counter below is a pure function of the probe stream
-/// (body content, body length, header shape), identical at any
-/// shard count.
+/// Nothing here samples the live allocator: every counter is a pure
+/// function of the probe stream (header shape), identical at any shard
+/// count. The matcher needs no entry — it reads each body in place and
+/// keeps its match bits in a fixed-size arena
+/// ([`Scratch`](crate::scratch::Scratch)), which
+/// `crates/core/tests/alloc_counting.rs` checks against a counting
+/// allocator.
 ///
-/// - `alloc.views.lower` / `alloc.views.squashed` — bodies whose
-///   matched content actually required a distinct view (contains
-///   ASCII uppercase / contains whitespace). Bodies already in
-///   canonical form are matched in place and counted nowhere.
-/// - `alloc.view_bytes.lower` / `alloc.view_bytes.squashed` — bytes
-///   those views copied.
-/// - `alloc.scratch.hit` / `alloc.scratch.grow` — each materialized
-///   view classified against the fixed [`Scratch::RESERVE`] size
-///   class. A "grow" is a view a freshly-reserved arena could not
-///   hold without reallocating, so the grow count is a deterministic
-///   upper bound on real arena reallocations: zero grows proves the
-///   steady state allocated nothing.
 /// - `alloc.headers.inline` / `alloc.headers.spilled` — probe
 ///   responses whose header block fit the inline representation vs.
 ///   spilled to the heap.
-///
-/// [`Scratch::RESERVE`]: crate::scratch::Scratch::RESERVE
 #[derive(Clone, Debug)]
 pub struct AllocMetrics {
-    views_lower: Counter,
-    views_squashed: Counter,
-    view_bytes_lower: Counter,
-    view_bytes_squashed: Counter,
-    scratch_hit: Counter,
-    scratch_grow: Counter,
     headers_inline: Counter,
     headers_spilled: Counter,
 }
@@ -721,29 +702,9 @@ impl AllocMetrics {
     /// Register the `alloc.*` counters in `telemetry`.
     pub fn new(telemetry: &Telemetry) -> Self {
         AllocMetrics {
-            views_lower: telemetry.counter("alloc.views.lower"),
-            views_squashed: telemetry.counter("alloc.views.squashed"),
-            view_bytes_lower: telemetry.counter("alloc.view_bytes.lower"),
-            view_bytes_squashed: telemetry.counter("alloc.view_bytes.squashed"),
-            scratch_hit: telemetry.counter("alloc.scratch.hit"),
-            scratch_grow: telemetry.counter("alloc.scratch.grow"),
             headers_inline: telemetry.counter("alloc.headers.inline"),
             headers_spilled: telemetry.counter("alloc.headers.spilled"),
         }
-    }
-
-    /// Count one materialized `lower` view of `bytes` bytes.
-    pub fn record_lower_view(&self, bytes: usize) {
-        self.views_lower.incr();
-        self.view_bytes_lower.add(bytes as u64);
-        self.classify(bytes);
-    }
-
-    /// Count one materialized `squashed` view of `bytes` bytes.
-    pub fn record_squashed_view(&self, bytes: usize) {
-        self.views_squashed.incr();
-        self.view_bytes_squashed.add(bytes as u64);
-        self.classify(bytes);
     }
 
     /// Count one probe response's header block.
@@ -752,14 +713,6 @@ impl AllocMetrics {
             self.headers_spilled.incr();
         } else {
             self.headers_inline.incr();
-        }
-    }
-
-    fn classify(&self, bytes: usize) {
-        if bytes <= crate::scratch::Scratch::RESERVE {
-            self.scratch_hit.incr();
-        } else {
-            self.scratch_grow.incr();
         }
     }
 }
@@ -984,31 +937,16 @@ mod tests {
     }
 
     #[test]
-    fn alloc_metrics_classify_against_the_fixed_reserve() {
+    fn alloc_metrics_classify_header_storage() {
         let t = Telemetry::new();
         let m = AllocMetrics::new(&t);
-        m.record_lower_view(100);
-        m.record_lower_view(crate::scratch::Scratch::RESERVE);
-        m.record_squashed_view(crate::scratch::Scratch::RESERVE + 1);
         m.record_headers(false);
         m.record_headers(false);
         m.record_headers(true);
         let snap = t.snapshot();
-        assert_eq!(snap.counter("alloc.views.lower"), 2);
-        assert_eq!(snap.counter("alloc.views.squashed"), 1);
-        assert_eq!(
-            snap.counter("alloc.view_bytes.lower"),
-            100 + crate::scratch::Scratch::RESERVE as u64
-        );
-        assert_eq!(
-            snap.counter("alloc.view_bytes.squashed"),
-            crate::scratch::Scratch::RESERVE as u64 + 1
-        );
-        // Boundary: a view exactly at RESERVE still fits the arena.
-        assert_eq!(snap.counter("alloc.scratch.hit"), 2);
-        assert_eq!(snap.counter("alloc.scratch.grow"), 1);
         assert_eq!(snap.counter("alloc.headers.inline"), 2);
         assert_eq!(snap.counter("alloc.headers.spilled"), 1);
+        assert_eq!(snap.prefixed_total("alloc."), 3);
     }
 
     #[test]

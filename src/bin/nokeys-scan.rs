@@ -16,9 +16,8 @@
 //! stays a whole-scan bound shared by all workers.
 //!
 //! `--pool` enables keep-alive connection reuse: stage II/III probes of
-//! the same host ride one TCP connection through
-//! [`PooledTransport`](nokeys::http::PooledTransport) instead of paying
-//! a handshake per request. The report is byte-identical either way —
+//! the same host ride one TCP connection through [`PooledTransport`]
+//! instead of paying a handshake per request. The report is byte-identical either way —
 //! pooling, like the shard count, is excluded from the checkpoint
 //! fingerprint — and the pool's hit/miss/stale-retry counters are
 //! summarized on stderr after the scan.
