@@ -19,9 +19,9 @@ fn series(
     }
     (0..study.times_secs.len())
         .map(|t| {
-            // Ragged timelines (hosts an incremental rescan stopped
-            // probing as terminally offline) have no entry at `t`;
-            // read the gap as offline, like `counts_at` does.
+            // `statuses` is a public field, so a timeline may be shorter
+            // than `times_secs`; read the gap as offline, like
+            // `counts_at` does.
             let hits = selected
                 .iter()
                 .filter(|&&i| {
@@ -145,9 +145,8 @@ mod tests {
                 HostTimeline {
                     finding: finding.clone(),
                     insecure_by_default: true,
-                    // Truncated after two offline rounds, the way an
-                    // incremental rescan leaves terminally-offline
-                    // hosts; the missing tail reads as offline.
+                    // Ragged: shorter than `times_secs`. The missing
+                    // tail reads as offline.
                     statuses: vec![
                         ObservedStatus::Vulnerable,
                         ObservedStatus::Vulnerable,
@@ -155,14 +154,12 @@ mod tests {
                         ObservedStatus::Offline,
                     ],
                     updated: false,
-                    asset_hashes: Vec::new(),
                 },
                 HostTimeline {
                     finding,
                     insecure_by_default: false,
                     statuses: vec![ObservedStatus::Vulnerable; 5],
                     updated: false,
-                    asset_hashes: Vec::new(),
                 },
             ],
         }

@@ -122,7 +122,6 @@ mod tests {
             insecure_by_default: true,
             statuses,
             updated,
-            asset_hashes: Vec::new(),
         };
         use ObservedStatus::*;
         LongevityStudy {

@@ -29,35 +29,6 @@ pub fn crawl_into<T: Transport>(
     }
 }
 
-/// Crawl the target's static files and return `(path, hash)` pairs for
-/// every file that exists. Allocating convenience wrapper around
-/// [`crawl_into`] for callers without a scratch arena (the longevity
-/// observer keeps the owned paths in its host state).
-pub fn crawl<T: Transport>(
-    client: &Client<T>,
-    kb: &KnowledgeBase,
-    ep: Endpoint,
-    scheme: Scheme,
-) -> Vec<(String, u64)> {
-    let mut obs = Vec::new();
-    crawl_into(client, kb, ep, scheme, &mut obs);
-    obs.into_iter()
-        .map(|(path, hash)| (path.to_string(), hash))
-        .collect()
-}
-
-/// Crawl and identify in one step.
-pub fn identify<T: Transport>(
-    client: &Client<T>,
-    kb: &KnowledgeBase,
-    ep: Endpoint,
-    scheme: Scheme,
-) -> Option<(AppId, Version)> {
-    let mut observations = Vec::new();
-    crawl_into(client, kb, ep, scheme, &mut observations);
-    kb.identify(&observations)
-}
-
 /// Crawl and identify, borrowing the observation buffer from the
 /// caller's [`Scratch`](crate::scratch::Scratch) — the stage-III
 /// steady-state path.
@@ -77,6 +48,7 @@ pub fn identify_scratch<T: Transport>(
 mod tests {
     use super::*;
     use crate::plugin::AppHandler;
+    use crate::scratch::Scratch;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
     use std::net::Ipv4Addr;
@@ -98,7 +70,8 @@ mod tests {
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::build();
         let (found_app, found_version) =
-            identify(&client, &kb, ep, Scheme::Http).expect("identified");
+            identify_scratch(&client, &kb, ep, Scheme::Http, &mut Scratch::new())
+                .expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
     }
@@ -115,7 +88,8 @@ mod tests {
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::build();
-        let obs = crawl(&client, &kb, ep, Scheme::Http);
+        let mut obs = Vec::new();
+        crawl_into(&client, &kb, ep, Scheme::Http, &mut obs);
         assert_eq!(
             obs.len(),
             kb.crawl_paths().len(),
@@ -128,7 +102,8 @@ mod tests {
         let client = Client::new(HandlerTransport::new());
         let kb = KnowledgeBase::build();
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 5), 80);
-        assert!(crawl(&client, &kb, ep, Scheme::Http).is_empty());
-        assert!(identify(&client, &kb, ep, Scheme::Http).is_none());
+        let mut scratch = Scratch::new();
+        assert!(identify_scratch(&client, &kb, ep, Scheme::Http, &mut scratch).is_none());
+        assert!(scratch.crawl_buf().is_empty());
     }
 }

@@ -67,29 +67,10 @@ impl Fingerprinter {
         }
     }
 
-    /// Access the knowledge base.
-    pub fn knowledge_base(&self) -> &KnowledgeBase {
-        &self.kb
-    }
-
     /// Determine the deployed version of `app` at `ep`: voluntary
-    /// disclosure first, knowledge-base crawl as fallback. One-off
-    /// entry point over a throwaway scratch arena; the stage-III
-    /// worker loops call [`fingerprint_with`](Self::fingerprint_with).
-    pub fn fingerprint<T: Transport>(
-        &self,
-        client: &Client<T>,
-        app: AppId,
-        ep: Endpoint,
-        scheme: Scheme,
-    ) -> Option<(Version, FingerprintMethod)> {
-        let mut scratch = crate::scratch::Scratch::new();
-        self.fingerprint_with(client, app, ep, scheme, &mut scratch)
-    }
-
-    /// Like [`fingerprint`](Self::fingerprint), borrowing the crawl
-    /// observation buffer from the caller's scratch arena so the
-    /// steady-state fingerprint path allocates nothing.
+    /// disclosure first, knowledge-base crawl as fallback. The crawl
+    /// observation buffer is borrowed from the caller's scratch arena,
+    /// so the steady-state fingerprint path allocates nothing.
     pub fn fingerprint_with<T: Transport>(
         &self,
         client: &Client<T>,
@@ -118,6 +99,7 @@ impl Fingerprinter {
 mod tests {
     use super::*;
     use crate::plugin::AppHandler;
+    use crate::scratch::Scratch;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
     use std::net::Ipv4Addr;
@@ -137,11 +119,12 @@ mod tests {
     #[test]
     fn fingerprints_every_in_scope_app() {
         let fp = Fingerprinter::new();
+        let mut scratch = Scratch::new();
         for app in AppId::in_scope() {
             let history = release_history(app);
             let idx = history.len() / 2;
             let (client, ep) = client_for(app, idx);
-            let result = fp.fingerprint(&client, app, ep, Scheme::Http);
+            let result = fp.fingerprint_with(&client, app, ep, Scheme::Http, &mut scratch);
             let Some((version, method)) = result else {
                 panic!("{app}: no fingerprint");
             };
@@ -159,7 +142,13 @@ mod tests {
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 3), 80);
         assert!(fp
-            .fingerprint(&client, AppId::WordPress, ep, Scheme::Http)
+            .fingerprint_with(
+                &client,
+                AppId::WordPress,
+                ep,
+                Scheme::Http,
+                &mut Scratch::new()
+            )
             .is_none());
     }
 
@@ -167,16 +156,17 @@ mod tests {
     fn telemetry_records_method_mix() {
         let telemetry = Telemetry::new();
         let fp = Fingerprinter::with_telemetry(&telemetry);
+        let mut scratch = Scratch::new();
         // One successful fingerprint...
         let (client, ep) = client_for(AppId::Jenkins, 0);
         assert!(fp
-            .fingerprint(&client, AppId::Jenkins, ep, Scheme::Http)
+            .fingerprint_with(&client, AppId::Jenkins, ep, Scheme::Http, &mut scratch)
             .is_some());
         // ...and one miss against an unreachable host.
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 4), 80);
         assert!(fp
-            .fingerprint(&client, AppId::Jenkins, ep, Scheme::Http)
+            .fingerprint_with(&client, AppId::Jenkins, ep, Scheme::Http, &mut scratch)
             .is_none());
         let snap = telemetry.snapshot();
         let hits =

@@ -10,9 +10,7 @@
 //! tables) stays behind its modules.
 
 pub use crate::checkpoint::{CheckpointError, ConfigFingerprint};
-pub use crate::observer::{
-    observe, observe_incremental, observe_instrumented, LongevityStudy, ObserverConfig, RescanDelta,
-};
+pub use crate::observer::{observe, LongevityStudy, ObserverConfig};
 pub use crate::pipeline::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineError};
 pub use crate::portscan::{Cidr, PortScanConfig};
 pub use crate::rate::SharedPacer;

@@ -10,7 +10,8 @@
 //!
 //! `--quick` uses the small test universe and daily longevity rescans;
 //! without it the harness runs at full reproduction scale (4,221
-//! vulnerable hosts, 3-hourly rescans) — use a release build.
+//! vulnerable hosts, 3-hourly rescans) — under ten seconds in a release
+//! build.
 //! `--metrics-out FILE` writes the harness-wide telemetry snapshot
 //! (deterministic JSON) after all experiments finish.
 //! `--fault-rate P` injects transient faults (SYN loss, connect

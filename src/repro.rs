@@ -7,7 +7,7 @@ use nokeys_defend::VendorFinding;
 use nokeys_honeypot::{run_study, StudyConfig, StudyResult};
 use nokeys_netsim::observer_clock::wire_observer_clock;
 use nokeys_netsim::{FaultLane, SimTransport, Universe, UniverseConfig};
-use nokeys_scanner::observer::{observe_instrumented, LongevityStudy, ObserverConfig};
+use nokeys_scanner::observer::{observe, LongevityStudy, ObserverConfig};
 use nokeys_scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -16,8 +16,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Full-shape reproduction: MAVs at paper scale (4,221 hosts),
-    /// 3-hourly longevity rescans. Takes tens of seconds in release
-    /// mode.
+    /// 3-hourly longevity rescans. Under ten seconds in a release
+    /// build, most of it the longevity study.
     Full,
     /// Small universe and daily rescans — integration-test speed.
     Quick,
@@ -172,10 +172,9 @@ impl Repro {
             let client = nokeys_http::Client::new(transport.clone());
             let config = ObserverConfig {
                 interval_secs: interval,
-                window_secs: 28 * 86_400,
                 ..ObserverConfig::default()
             };
-            let study = observe_instrumented(
+            let study = observe(
                 &self.telemetry,
                 &client,
                 &vulnerable,
