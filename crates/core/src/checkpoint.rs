@@ -1,46 +1,56 @@
-//! Crash-safe scan checkpointing: the one on-disk format.
+//! Crash-safe scan checkpointing: one append-only log.
 //!
 //! An Internet-wide sweep runs for hours; losing it to a crash, a
 //! deploy or an operator mistake means re-probing the whole address
-//! space. The scan engine ([`shard`](crate::shard)) therefore persists
-//! its progress as [`ShardCheckpoint`] files: a configuration
-//! fingerprint, the scan's total batch count, and a list of
-//! [`ShardSegment`]s — each a contiguous run of completed stage-I
-//! batches with the [`ScanReport`] accumulated over exactly those
-//! batches (stage-II/III outcomes included) and the matching
-//! [`TelemetrySnapshot`] delta (retry counters, stage timings, the
-//! virtual clock).
+//! space. With a [`checkpoint_path`] configured, the scan engine
+//! ([`shard`](crate::shard)) therefore logs every batch it finishes to
+//! a [`CheckpointLog`] — the one file at that path, and the only file
+//! checkpointing ever creates:
 //!
-//! There is one format and three places it appears. While a scan runs,
-//! worker *k* rewrites `<path>.shard-k` every [`checkpoint_every`]
-//! batches; a resume consolidates whatever it inherits into
-//! `<path>.shard-base`; and a finished scan leaves a single file at
-//! [`checkpoint_path`] itself whose one segment covers
-//! `[0, total_batches)`. Because batches are the engine's unit of
-//! determinism (the block shuffle is seeded, and every batch is
-//! processed whole by one worker), any set of files whose segments
-//! consolidate resumes to a report and telemetry snapshot
-//! byte-identical to an uninterrupted run — the contract
-//! `tests/checkpoint_resume.rs` enforces.
+//! ```text
+//! {"format":2,"fingerprint":{…},"total_batches":N}\n     header
+//! {"seq":17,"report":{…},"telemetry":{…}}\n              one per finished batch,
+//! {"seq":3,"report":{…},"telemetry":{…}}\n               in completion order
+//! ```
 //!
-//! # Atomicity
+//! A batch line holds the [`ScanReport`] of exactly that batch
+//! (stage-II/III outcomes included) and the [`TelemetrySnapshot`] of
+//! the work it took (retry counters, stage timings, the virtual clock).
+//! Batches are the engine's unit of determinism — the block shuffle is
+//! seeded and every batch is processed whole by one worker — so any set
+//! of logged batches plus a scan of the missing ones adds up to a
+//! report and telemetry snapshot byte-identical to an uninterrupted
+//! run: the contract `tests/checkpoint_resume.rs` enforces. A finished
+//! scan is simply a log that holds every batch.
 //!
-//! [`ShardCheckpoint::save`] writes to a temporary sibling file and
-//! renames it over the target, so a crash mid-write leaves the previous
-//! checkpoint intact: a file on disk is always complete.
+//! # Crash safety
+//!
+//! Nothing is ever rewritten. Each line goes out in a single
+//! `write_all`, newline included, and the compact writer escapes every
+//! newline inside a string, so `\n` only ever ends a record. A process
+//! killed mid-append therefore leaves whole lines followed by at most
+//! one torn tail with no newline: [`CheckpointLog::resume`] drops that
+//! tail from what it returns *and* truncates it from the file before
+//! anything is appended, and the batch it belonged to is rescanned.
+//! Every *complete* line is outside input and must check out — one that
+//! does not parse, a batch index past the end of the scan or logged
+//! twice is [`CheckpointError::Corrupt`], never skipped. (Lines are
+//! handed to the operating system, not fsynced: the log survives the
+//! death of the process, which is the failure a day-long scan actually
+//! meets, not the loss of the machine.)
 //!
 //! # Config fingerprint
 //!
-//! A checkpoint is only meaningful under the configuration that
-//! produced it: the block shuffle (targets, seed), the probed ports,
-//! batch size, tarpit threshold, stage toggles and the retry policy all
-//! shape what "batch k" means. [`ConfigFingerprint`] captures exactly
-//! those knobs and [`ShardCheckpoint::validate`] rejects a resume under
-//! a different configuration. The shard count is deliberately *not*
-//! fingerprinted — any count yields the identical report, so a scan
-//! checkpointed at `--shards 4` may resume at `--shards 8` (or 1).
+//! A log is only meaningful under the configuration that produced it:
+//! the block shuffle (targets, seed), the probed ports, batch size,
+//! tarpit threshold and the retry policy all shape what "batch k"
+//! means. [`ConfigFingerprint`] captures exactly those knobs and
+//! [`CheckpointLog::resume`] refuses a log written under a different
+//! configuration, naming the first knob that differs. The shard count
+//! is deliberately *not* fingerprinted — any count yields the identical
+//! report, so a scan checkpointed at `--shards 4` may resume at
+//! `--shards 8` (or 1).
 //!
-//! [`checkpoint_every`]: crate::pipeline::PipelineConfig::checkpoint_every
 //! [`checkpoint_path`]: crate::pipeline::PipelineConfig::checkpoint_path
 
 use crate::json::{self, object, FromJson, JsonError, ToJson, Value};
@@ -48,12 +58,15 @@ use crate::pipeline::PipelineConfig;
 use crate::report::ScanReport;
 use crate::telemetry::TelemetrySnapshot;
 use nokeys_http::ip::Cidr;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::{Read, Write};
+use std::path::Path;
 
-/// On-disk format version of [`ShardCheckpoint`] files; bumped on
-/// incompatible layout changes.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version of the checkpoint log; bumped on incompatible
+/// layout changes. (1 was the rewritten per-worker segment files.)
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A checkpoint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,7 +109,7 @@ impl std::error::Error for CheckpointError {}
 pub struct ConfigFingerprint {
     /// Normalized target list (the builder dedupes and sorts it).
     pub targets: Vec<Cidr>,
-    /// Probed ports, in order.
+    /// Probed ports, in order (the builder drops repeats).
     pub ports: Vec<u16>,
     /// Seed of the /24 block shuffle.
     pub shuffle_seed: u64,
@@ -106,10 +119,6 @@ pub struct ConfigFingerprint {
     pub blocks_per_batch: usize,
     /// All-ports-open exclusion threshold.
     pub tarpit_port_threshold: usize,
-    /// Whether the fingerprinter runs.
-    pub fingerprint: bool,
-    /// Whether stage-III verification runs.
-    pub verify: bool,
     /// Retry budget (total attempts per network operation).
     pub retry_max_attempts: u32,
     /// Retry backoff shape: (base, cap, jitter) in virtual units.
@@ -132,8 +141,6 @@ impl ConfigFingerprint {
             exclude_reserved: config.portscan.exclude_reserved,
             blocks_per_batch: config.blocks_per_batch,
             tarpit_port_threshold: config.tarpit_port_threshold,
-            fingerprint: config.fingerprint,
-            verify: config.verify,
             retry_max_attempts: config.retry.attempts(),
             retry_backoff_units: (
                 config.retry.base_units,
@@ -145,7 +152,7 @@ impl ConfigFingerprint {
     }
 
     /// The first knob on which `self` and `other` differ, if any.
-    pub(crate) fn first_mismatch(&self, other: &Self) -> Option<&'static str> {
+    fn first_mismatch(&self, other: &Self) -> Option<&'static str> {
         if self.targets != other.targets {
             return Some("targets");
         }
@@ -163,12 +170,6 @@ impl ConfigFingerprint {
         }
         if self.tarpit_port_threshold != other.tarpit_port_threshold {
             return Some("tarpit threshold");
-        }
-        if self.fingerprint != other.fingerprint {
-            return Some("fingerprint toggle");
-        }
-        if self.verify != other.verify {
-            return Some("verify toggle");
         }
         if self.retry_max_attempts != other.retry_max_attempts {
             return Some("retry attempts");
@@ -196,8 +197,6 @@ impl ToJson for ConfigFingerprint {
                 "tarpit_port_threshold",
                 self.tarpit_port_threshold.to_json(),
             ),
-            ("fingerprint", self.fingerprint.to_json()),
-            ("verify", self.verify.to_json()),
             ("retry_max_attempts", self.retry_max_attempts.to_json()),
             ("retry_backoff_units", [base, cap, jitter].to_json()),
             ("retry_seed", self.retry_seed.to_json()),
@@ -220,8 +219,6 @@ impl FromJson for ConfigFingerprint {
             exclude_reserved: value.field("exclude_reserved")?,
             blocks_per_batch: value.field("blocks_per_batch")?,
             tarpit_port_threshold: value.field("tarpit_port_threshold")?,
-            fingerprint: value.field("fingerprint")?,
-            verify: value.field("verify")?,
             retry_max_attempts: value.field("retry_max_attempts")?,
             retry_backoff_units: (base, cap, jitter),
             retry_seed: value.field("retry_seed")?,
@@ -229,239 +226,344 @@ impl FromJson for ConfigFingerprint {
     }
 }
 
-/// One contiguous run of completed batches: the partial report and the
-/// telemetry recorded while processing exactly those batches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSegment {
-    /// First batch index covered (inclusive).
-    pub start_batch: u64,
-    /// One past the last batch index covered.
-    pub end_batch: u64,
-    /// Report accumulated over `[start_batch, end_batch)`.
-    pub report: ScanReport,
-    /// Telemetry delta recorded over the same batches.
-    pub telemetry: TelemetrySnapshot,
+/// The finished batches a log holds, by batch sequence number: each
+/// batch's own report and the telemetry of the work it took.
+pub type LoggedBatches = BTreeMap<u64, (ScanReport, TelemetrySnapshot)>;
+
+/// The checkpoint file, open for appending.
+#[derive(Debug)]
+pub struct CheckpointLog {
+    file: File,
 }
 
-impl ShardSegment {
-    pub(crate) fn len(&self) -> u64 {
-        self.end_batch.saturating_sub(self.start_batch)
+impl CheckpointLog {
+    /// Start a log at `path` — truncating whatever was there — and
+    /// write its header.
+    pub fn create(
+        path: &Path,
+        fingerprint: &ConfigFingerprint,
+        total_batches: u64,
+    ) -> Result<Self, CheckpointError> {
+        let file = File::create(path).map_err(|e| io_error(path, e))?;
+        let mut log = CheckpointLog { file };
+        log.write_line(object([
+            ("format", FORMAT_VERSION.to_json()),
+            ("fingerprint", fingerprint.to_json()),
+            ("total_batches", total_batches.to_json()),
+        ]))?;
+        Ok(log)
     }
-}
 
-impl ToJson for ShardSegment {
-    fn to_json(&self) -> Value {
-        object([
-            ("start_batch", self.start_batch.to_json()),
-            ("end_batch", self.end_batch.to_json()),
-            ("report", self.report.to_json()),
-            ("telemetry", ToJson::to_json(&self.telemetry)),
-        ])
-    }
-}
-
-impl FromJson for ShardSegment {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(ShardSegment {
-            start_batch: value.field("start_batch")?,
-            end_batch: value.field("end_batch")?,
-            report: value.field("report")?,
-            telemetry: value.field("telemetry")?,
-        })
-    }
-}
-
-/// Persistent scan state: one worker's finished segments
-/// (`<path>.shard-k`), the consolidated inheritance of a resume
-/// (`<path>.shard-base`), or — at the base path — a finished scan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCheckpoint {
-    /// Fingerprint of the configuration that produced this checkpoint.
-    pub fingerprint: ConfigFingerprint,
-    /// Batch count of the whole scan under that configuration; a
-    /// cross-check that segment indices mean what we think they mean.
-    pub total_batches: u64,
-    /// Completed segments, in the order the worker finished them.
-    pub segments: Vec<ShardSegment>,
-}
-
-impl ShardCheckpoint {
-    /// Load and parse a checkpoint file.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))?;
+    /// Reopen the log at `path` for a scan of `total_batches` batches
+    /// under `fingerprint`: check the header against both, read every
+    /// whole batch line back, and cut a torn last line off the file so
+    /// the next append starts on a line boundary.
+    pub fn resume(
+        path: &Path,
+        fingerprint: &ConfigFingerprint,
+        total_batches: u64,
+    ) -> Result<(Self, LoggedBatches), CheckpointError> {
+        let mut file = File::options()
+            .read(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| io_error(path, e))?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
+            .map_err(|e| io_error(path, e))?;
+        // Everything after the last newline is a torn tail.
+        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         let corrupt = |e: JsonError| CheckpointError::Corrupt(e.to_string());
-        let value = json::parse(&bytes).map_err(corrupt)?;
+        let mut lines = bytes[..whole].split_inclusive(|&b| b == b'\n');
+        let header = lines
+            .next()
+            .ok_or_else(|| CheckpointError::Corrupt("no header".into()))?;
+        let header = json::parse(header).map_err(corrupt)?;
         // The version gates everything else: a future layout need not
         // even have today's fields.
-        let format: u32 = value.field("format").map_err(corrupt)?;
+        let format: u32 = header.field("format").map_err(corrupt)?;
         if format != FORMAT_VERSION {
             return Err(CheckpointError::FormatVersion {
                 found: format,
                 expected: FORMAT_VERSION,
             });
         }
-        Ok(ShardCheckpoint {
-            fingerprint: value.field("fingerprint").map_err(corrupt)?,
-            total_batches: value.field("total_batches").map_err(corrupt)?,
-            segments: value.field("segments").map_err(corrupt)?,
-        })
-    }
-
-    /// Write the checkpoint atomically: serialize to `<path>.tmp`, then
-    /// rename over `path`. A crash at any point leaves either the old
-    /// or the new checkpoint on disk, never a torn file.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = object([
-            ("format", FORMAT_VERSION.to_json()),
-            ("fingerprint", self.fingerprint.to_json()),
-            ("total_batches", self.total_batches.to_json()),
-            ("segments", self.segments.to_json()),
-        ])
-        .write();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, bytes).map_err(|e| CheckpointError::Io(format!("{tmp:?}: {e}")))?;
-        std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(format!("{path:?}: {e}")))
-    }
-
-    /// Reject the checkpoint unless it was produced under `current`
-    /// over the same batch sequence.
-    pub fn validate(
-        &self,
-        current: &ConfigFingerprint,
-        total_batches: u64,
-    ) -> Result<(), CheckpointError> {
-        if let Some(knob) = self.fingerprint.first_mismatch(current) {
+        let logged: ConfigFingerprint = header.field("fingerprint").map_err(corrupt)?;
+        if let Some(knob) = logged.first_mismatch(fingerprint) {
             return Err(CheckpointError::ConfigMismatch(knob.to_string()));
         }
-        if self.total_batches != total_batches {
+        let logged_total: u64 = header.field("total_batches").map_err(corrupt)?;
+        if logged_total != total_batches {
             return Err(CheckpointError::Corrupt(format!(
-                "checkpoint covers a {}-batch scan, this scan has {total_batches}",
-                self.total_batches
+                "checkpoint covers a {logged_total}-batch scan, this scan has {total_batches}"
             )));
         }
-        Ok(())
+        let mut batches = LoggedBatches::new();
+        for line in lines {
+            let line = json::parse(line).map_err(corrupt)?;
+            let seq: u64 = line.field("seq").map_err(corrupt)?;
+            if seq >= total_batches {
+                return Err(CheckpointError::Corrupt(format!(
+                    "batch {seq} logged in a {total_batches}-batch scan"
+                )));
+            }
+            let batch = (
+                line.field("report").map_err(corrupt)?,
+                line.field("telemetry").map_err(corrupt)?,
+            );
+            if batches.insert(seq, batch).is_some() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "batch {seq} logged twice"
+                )));
+            }
+        }
+        if whole < bytes.len() {
+            file.set_len(whole as u64).map_err(|e| io_error(path, e))?;
+        }
+        Ok((CheckpointLog { file }, batches))
     }
+
+    /// Log one finished batch.
+    pub fn append(
+        &mut self,
+        seq: u64,
+        report: &ScanReport,
+        telemetry: &TelemetrySnapshot,
+    ) -> Result<(), CheckpointError> {
+        self.write_line(object([
+            ("seq", seq.to_json()),
+            ("report", report.to_json()),
+            ("telemetry", ToJson::to_json(telemetry)),
+        ]))
+    }
+
+    /// One record, one `write_all`: the compact form holds no raw
+    /// newline, so the one pushed here is the only one written.
+    fn write_line(&mut self, record: Value) -> Result<(), CheckpointError> {
+        let mut line = record.write();
+        line.push('\n');
+        self.file
+            .write_all(line.as_bytes())
+            .map_err(|e| CheckpointError::Io(e.to_string()))
+    }
+}
+
+fn io_error(path: &Path, e: std::io::Error) -> CheckpointError {
+    CheckpointError::Io(format!("{path:?}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::Telemetry;
+    use std::path::PathBuf;
+
+    const TOTAL: u64 = 32;
 
     fn config() -> PipelineConfig {
         PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build()
     }
 
-    fn checkpoint() -> ShardCheckpoint {
+    fn fingerprint() -> ConfigFingerprint {
+        ConfigFingerprint::of(&config())
+    }
+
+    /// A batch whose report and telemetry both depend on `seq`.
+    fn batch(seq: u64) -> (ScanReport, TelemetrySnapshot) {
+        let report = ScanReport {
+            probes_sent: 100 + seq,
+            ..ScanReport::default()
+        };
         let telemetry = Telemetry::new();
-        telemetry.counter("stage1.probes_sent").add(42);
-        ShardCheckpoint {
-            fingerprint: ConfigFingerprint::of(&config()),
-            total_batches: 32,
-            segments: vec![ShardSegment {
-                start_batch: 4,
-                end_batch: 9,
-                report: ScanReport::default(),
-                telemetry: telemetry.snapshot(),
-            }],
-        }
+        telemetry.counter("stage1.probes_sent").add(100 + seq);
+        (report, telemetry.snapshot())
     }
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("nokeys-checkpoint-{}-{name}", std::process::id()))
     }
 
+    /// A log at `path` holding `seqs`, in that order.
+    fn write_log(path: &Path, seqs: &[u64]) {
+        let mut log = CheckpointLog::create(path, &fingerprint(), TOTAL).expect("creates");
+        for &seq in seqs {
+            let (report, telemetry) = batch(seq);
+            log.append(seq, &report, &telemetry).expect("appends");
+        }
+    }
+
+    fn resume(path: &Path) -> Result<(CheckpointLog, LoggedBatches), CheckpointError> {
+        CheckpointLog::resume(path, &fingerprint(), TOTAL)
+    }
+
+    fn expected(seqs: &[u64]) -> LoggedBatches {
+        seqs.iter().map(|&seq| (seq, batch(seq))).collect()
+    }
+
     #[test]
     fn save_and_load_round_trip() {
-        let path = temp_path("roundtrip.json");
-        let cp = checkpoint();
-        cp.save(&path).expect("saves");
-        let loaded = ShardCheckpoint::load(&path).expect("loads");
-        assert_eq!(loaded, cp);
-        assert_eq!(
-            loaded.segments[0].telemetry.counter("stage1.probes_sent"),
-            42
-        );
-        // No temp file left behind.
-        assert!(!path.with_extension("json.tmp").exists());
+        let path = temp_path("roundtrip.log");
+        // Whatever was at the path is gone once a fresh log starts.
+        std::fs::write(&path, b"left over from an earlier scan\n").unwrap();
+        write_log(&path, &[17, 3]);
+        let (mut log, batches) = resume(&path).expect("resumes");
+        assert_eq!(batches, expected(&[17, 3]));
+        assert_eq!(batches[&17].1.counter("stage1.probes_sent"), 117);
+        // A resumed log keeps appending where the dead run stopped.
+        let (report, telemetry) = batch(9);
+        log.append(9, &report, &telemetry).expect("appends");
+        drop(log);
+        let (_, batches) = resume(&path).expect("resumes again");
+        assert_eq!(batches, expected(&[17, 3, 9]));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 4, "a header and three batches");
+        assert!(text.starts_with("{\"fingerprint\":") && text.ends_with("}\n"));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = ShardCheckpoint::load(&temp_path("does-not-exist.json")).unwrap_err();
+        let err = resume(&temp_path("does-not-exist.log")).unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+    }
+
+    /// A write that died mid-line leaves a tail without a newline. Cut
+    /// the log at every 7th byte after the header (and one byte short of
+    /// whole): the whole lines before the cut come back, and the tail is
+    /// gone from the file once the resumed run appends.
+    #[test]
+    fn torn_last_line_is_cut_off_and_whole_lines_survive() {
+        let path = temp_path("torn.log");
+        write_log(&path, &[20]);
+        let line_20 = std::fs::read(&path).unwrap();
+        let line_20 = line_20.split_inclusive(|&b| b == b'\n').nth(1).unwrap();
+        let seqs = [4, 0, 31, 7, 12];
+        write_log(&path, &seqs);
+        let bytes = std::fs::read(&path).unwrap();
+        let line_ends: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] == b'\n').collect();
+        assert_eq!(line_ends.len(), 6);
+        let header_len = line_ends[0] + 1;
+        let cuts = (header_len..bytes.len())
+            .step_by(7)
+            .chain([bytes.len() - 1]);
+        for cut in cuts {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            // Lines that made it out whole, the header among them.
+            let whole = line_ends.iter().filter(|&&end| end < cut).count();
+            let kept = &bytes[..=line_ends[whole - 1]];
+            let (mut log, batches) = resume(&path).expect("a torn tail is not corruption");
+            assert_eq!(batches, expected(&seqs[..whole - 1]), "cut at {cut}");
+            let (report, telemetry) = batch(20);
+            log.append(20, &report, &telemetry).expect("appends");
+            let after = std::fs::read(&path).unwrap();
+            assert_eq!(after, [kept, line_20].concat(), "cut at {cut}");
+        }
+        // Cut inside the header there is no log to speak of.
+        for cut in [0, 1, header_len / 2, header_len - 1] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let err = resume(&path).unwrap_err();
+            assert_eq!(err, CheckpointError::Corrupt("no header".into()));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn garbage_and_wrong_shapes_are_reported_as_corrupt() {
-        let path = temp_path("garbage.json");
-        for bytes in [
-            &b"not a checkpoint"[..],
-            b"{\"format\": 1}",
-            b"{\"format\": 1, \"fingerprint\": 7, \"total_batches\": 1, \"segments\": []}",
-            b"[]",
+        let path = temp_path("garbage.log");
+        write_log(&path, &[5]);
+        let good = std::fs::read_to_string(&path).unwrap();
+        let (header, batch_line) = good.split_once('\n').unwrap();
+        let batch_line = batch_line.trim_end();
+        let out_of_range = batch_line.replace("\"seq\":5", "\"seq\":32");
+        assert_ne!(out_of_range, batch_line);
+        for (contents, what) in [
+            ("not a checkpoint\n".to_string(), "bad JSON"),
+            ("[]\n".to_string(), "missing field `format`"),
+            (
+                "{\"format\":2}\n".to_string(),
+                "missing field `fingerprint`",
+            ),
+            (
+                "{\"format\":2,\"fingerprint\":7,\"total_batches\":32}\n".to_string(),
+                "fingerprint",
+            ),
+            // Complete lines after a good header are checked, not skipped.
+            (format!("{header}\nnot a batch\n"), "bad JSON"),
+            (format!("{header}\n\n"), "ends inside a value"),
+            (format!("{header}\n{header}\n"), "missing field `seq`"),
+            (
+                format!("{header}\n{{\"seq\":1}}\n"),
+                "missing field `report`",
+            ),
+            (
+                format!("{header}\n{out_of_range}\n"),
+                "batch 32 logged in a 32-batch scan",
+            ),
+            (
+                format!("{header}\n{batch_line}\n{batch_line}\n"),
+                "batch 5 logged twice",
+            ),
+            // ... even when a torn tail follows them.
+            (format!("{header}\nnot a batch\n{{\"seq\":"), "bad JSON"),
         ] {
-            std::fs::write(&path, bytes).unwrap();
-            let err = ShardCheckpoint::load(&path).unwrap_err();
-            assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+            std::fs::write(&path, &contents).unwrap();
+            let err = resume(&path).unwrap_err();
+            let CheckpointError::Corrupt(why) = &err else {
+                panic!("{contents:?}: expected Corrupt, got {err:?}");
+            };
+            assert!(why.contains(what), "{contents:?}: {why}");
+            // A refused log is left exactly as it was found.
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), contents);
         }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn other_format_versions_are_rejected() {
-        let path = temp_path("future.json");
-        // Written by hand — `save` always writes the current format. The
-        // rest of a future layout is unknown, so only the version is read.
-        std::fs::write(&path, format!("{{\"format\": {}}}", FORMAT_VERSION + 1)).unwrap();
-        let err = ShardCheckpoint::load(&path).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::FormatVersion {
-                found: FORMAT_VERSION + 1,
-                expected: FORMAT_VERSION
-            }
-        );
+        let path = temp_path("future.log");
+        // Written by hand — `create` always writes the current format.
+        // The rest of another layout is unknown, so only the version is
+        // read: format 1 was a single pretty-printed document per file.
+        for found in [FORMAT_VERSION + 1, 1] {
+            std::fs::write(&path, format!("{{\"format\": {found}}}\n")).unwrap();
+            assert_eq!(
+                resume(&path).unwrap_err(),
+                CheckpointError::FormatVersion {
+                    found,
+                    expected: FORMAT_VERSION
+                }
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn validate_names_the_mismatching_knob() {
-        let cp = checkpoint();
-        assert!(cp.validate(&ConfigFingerprint::of(&config()), 32).is_ok());
+        let path = temp_path("mismatch.log");
+        write_log(&path, &[1, 2]);
+        assert!(resume(&path).is_ok());
         // Wrong scan length is corruption, not a config mismatch.
         assert!(matches!(
-            cp.validate(&ConfigFingerprint::of(&config()), 64)
-                .unwrap_err(),
+            CheckpointLog::resume(&path, &fingerprint(), 64).unwrap_err(),
             CheckpointError::Corrupt(_)
         ));
 
-        let other = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .seed(999)
-            .build();
-        let err = cp.validate(&ConfigFingerprint::of(&other), 32).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::ConfigMismatch("shuffle seed".to_string())
-        );
-
-        let other = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .retries(9)
-            .build();
-        let err = cp.validate(&ConfigFingerprint::of(&other), 32).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::ConfigMismatch("retry attempts".to_string())
-        );
+        let builder = || PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]);
+        for (other, knob) in [
+            (builder().seed(999), "shuffle seed"),
+            (builder().retries(9), "retry attempts"),
+            (builder().ports(vec![80, 443]), "ports"),
+        ] {
+            let err = CheckpointLog::resume(&path, &ConfigFingerprint::of(&other.build()), TOTAL)
+                .unwrap_err();
+            assert_eq!(err, CheckpointError::ConfigMismatch(knob.to_string()));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A checkpoint taken at `--shards 4` must resume at `--shards 8`
-    /// (or 1): the shard count repartitions the same deterministic
-    /// batch sequence, so it never changes what the scan reports.
+    /// (or 1): the shard count changes which worker runs a batch, never
+    /// what the batch reports.
     #[test]
     fn shards_are_not_fingerprinted() {
         let s4 = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])

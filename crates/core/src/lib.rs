@@ -18,8 +18,9 @@
 //!   threaded through every stage — counters, fixed-bucket histograms
 //!   and virtual-clock stage timings, snapshot as deterministic JSON.
 //! * **Execution** ([`shard`], [`checkpoint`]): the one scan engine —
-//!   work-stealing shard workers on OS threads, with crash-safe
-//!   per-worker checkpoints in the one on-disk format.
+//!   shard workers on OS threads drawing batches from one cursor and
+//!   filing them in one ledger, with a crash-safe append-only
+//!   checkpoint log behind it.
 //!
 //! Everything is synchronous and std-only; [`json`] is the workspace's
 //! JSON reader/writer.
@@ -51,7 +52,7 @@ pub mod shard;
 pub mod signatures;
 pub mod telemetry;
 
-pub use checkpoint::{CheckpointError, ConfigFingerprint, ShardCheckpoint, ShardSegment};
+pub use checkpoint::{CheckpointError, CheckpointLog, ConfigFingerprint};
 pub use multipattern::{MultiPattern, ViewUse};
 pub use pattern::{MatchMode, Pattern, PreparedBody};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineError};
@@ -62,5 +63,4 @@ pub use rate::SharedPacer;
 pub use report::{FingerprintMethod, HostFinding, ScanReport};
 pub use retry::{RetryPolicy, RetryTransport};
 pub use scratch::Scratch;
-pub use shard::ShardStats;
 pub use telemetry::{Telemetry, TelemetrySnapshot};

@@ -8,21 +8,21 @@
 //! # Execution model
 //!
 //! A scan has exactly one way to run: the [`shard`](crate::shard)
-//! engine. The seeded /24 shuffle is chunked into batches, the batch
-//! sequence is split across [`PipelineConfig::shards`] worker threads
-//! with work-stealing, and each worker takes one batch at a time
-//! through all three stages — sweep it, prefilter its open endpoints,
-//! verify and fingerprint its hits — as a plain sequential loop
-//! (`BatchProcessor`). `shards = 1` is the same engine with one
-//! worker. Batches stay small ("we always selected and scanned a
+//! engine. The seeded /24 shuffle is chunked into batches,
+//! [`PipelineConfig::shards`] worker threads draw batch numbers from
+//! one shared cursor, and each worker takes its batch through all
+//! three stages — sweep it, prefilter its open endpoints, verify and
+//! fingerprint its hits — as a plain sequential loop
+//! (`BatchProcessor`) before filing the result in the batch ledger.
+//! `shards = 1` is the same engine with one worker. Batches stay small ("we always selected and scanned a
 //! fraction of all hosts with our full pipeline before we continued"),
 //! which is the paper's answer to scan-vs-verify staleness.
 //!
 //! # Determinism
 //!
 //! Concurrency never changes the report. Every batch is processed whole
-//! by one worker, in endpoint and host order, and the per-worker
-//! partial results are reduced in batch-sequence order, so a fixed seed
+//! by one worker, in endpoint and host order, and the per-batch
+//! results are reduced in batch-sequence order, so a fixed seed
 //! yields a bit-for-bit identical [`ScanReport`] and telemetry snapshot
 //! at any shard count (Tables 2–4 and Figure 2 depend on this). This
 //! holds with fault injection enabled too: the simulated transport keys
@@ -54,7 +54,7 @@ use crate::scratch::Scratch;
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Transport};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
@@ -64,14 +64,13 @@ use std::path::{Path, PathBuf};
 /// Per-host and per-endpoint network problems never surface here —
 /// they are retried, then the host simply goes missing from the
 /// findings — so a flaky host cannot abort an internet-scale sweep.
-/// Only losing a whole worker, or the checkpoint files, is an error.
+/// Only losing a whole worker, or the checkpoint file, is an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PipelineError {
-    /// A shard worker died, or the workers' segments do not cover the
-    /// batch sequence.
+    /// A shard worker died, or a batch was never scanned.
     SweepFailed(String),
-    /// Reading, writing or validating a checkpoint file failed.
+    /// Reading, writing or validating the checkpoint file failed.
     /// Surfaced as a whole-pipeline error because a run that cannot
     /// checkpoint does not deliver the crash-safety it was asked for.
     Checkpoint(CheckpointError),
@@ -110,18 +109,13 @@ pub struct PipelineConfig {
     /// Hosts with at least this many open scan ports are treated as
     /// all-ports-open artifacts and excluded.
     pub tarpit_port_threshold: usize,
-    /// Run the version fingerprinter on identified hosts.
-    pub fingerprint: bool,
-    /// Run stage III plugins (disabling this is only useful for the
-    /// prefilter ablation bench).
-    pub verify: bool,
     /// Number of shard workers — the scan's one concurrency setting
-    /// (default 1). [`Pipeline::run`] partitions the batch sequence
-    /// into contiguous shards scanned by independent worker threads
-    /// with work-stealing, and reduces their partial reports in batch
-    /// order — the report and telemetry snapshot are byte-identical at
-    /// any shard count, fault injection included (see the
-    /// [`shard`](crate::shard) module). The builder rejects `0`.
+    /// (default 1). [`Pipeline::run`] hands the batch sequence out one
+    /// batch at a time to this many worker threads and reduces the
+    /// per-batch reports in batch order — the report and telemetry
+    /// snapshot are byte-identical at any shard count, fault injection
+    /// included (see the [`shard`](crate::shard) module). The builder
+    /// rejects `0`.
     pub shards: usize,
     /// Transport-level retry/backoff applied to every probe and connect
     /// during [`Pipeline::run`] (default: 3 attempts, deterministic
@@ -133,35 +127,26 @@ pub struct PipelineConfig {
     /// [`Pipeline::telemetry`]; pass a shared one to aggregate several
     /// pipelines (or external components) into a single snapshot.
     pub telemetry: Option<Telemetry>,
-    /// When set, every worker of [`Pipeline::run`] persists its
-    /// finished batches next to this path every
-    /// [`checkpoint_every`](Self::checkpoint_every) batches, and the
-    /// finished scan is written to the path itself, so a killed scan
-    /// can continue via [`Pipeline::resume`] (see
-    /// [`checkpoint`](crate::checkpoint)).
+    /// When set, [`Pipeline::run`] appends every finished batch to the
+    /// log at this path — the one file checkpointing creates — so a
+    /// killed scan loses only its in-flight batches and can continue
+    /// via [`Pipeline::resume`] (see [`checkpoint`](crate::checkpoint)).
     pub checkpoint_path: Option<PathBuf>,
-    /// Batches between checkpoint writes (default 8). Only meaningful
-    /// with [`checkpoint_path`](Self::checkpoint_path) set.
-    pub checkpoint_every: u64,
 }
 
 impl PipelineConfig {
     /// Start building a configuration over `targets` with the paper's
     /// defaults (12 ports, batches of 64 blocks, one shard worker,
-    /// 3 attempts per network operation, fingerprinting and
-    /// verification on).
+    /// 3 attempts per network operation).
     pub fn builder(targets: Vec<Cidr>) -> PipelineConfigBuilder {
         PipelineConfigBuilder {
             portscan: PortScanConfig::new(targets),
             blocks_per_batch: 64,
             tarpit_port_threshold: None,
-            fingerprint: true,
-            verify: true,
             shards: 1,
             retry: RetryPolicy::default(),
             telemetry: None,
             checkpoint_path: None,
-            checkpoint_every: 8,
         }
     }
 }
@@ -182,22 +167,13 @@ pub struct PipelineConfigBuilder {
     portscan: PortScanConfig,
     blocks_per_batch: usize,
     tarpit_port_threshold: Option<usize>,
-    fingerprint: bool,
-    verify: bool,
     shards: usize,
     retry: RetryPolicy,
     telemetry: Option<Telemetry>,
     checkpoint_path: Option<PathBuf>,
-    checkpoint_every: u64,
 }
 
 impl PipelineConfigBuilder {
-    /// Replace the entire stage-I configuration (targets included).
-    pub fn portscan(mut self, portscan: PortScanConfig) -> Self {
-        self.portscan = portscan;
-        self
-    }
-
     /// Ports probed by stage I (defaults to the paper's 12).
     pub fn ports(mut self, ports: Vec<u16>) -> Self {
         self.portscan.ports = ports;
@@ -229,24 +205,14 @@ impl PipelineConfigBuilder {
     }
 
     /// Open-port count at which a host is discarded as an all-ports-open
-    /// artifact. Defaults to the number of scan ports.
+    /// artifact. Defaults to the number of scan ports, but never below
+    /// 2: one open port is a host, not a tarpit.
     pub fn tarpit_port_threshold(mut self, threshold: usize) -> Self {
         self.tarpit_port_threshold = Some(threshold);
         self
     }
 
-    /// Run the version fingerprinter on identified hosts.
-    pub fn fingerprint(mut self, enabled: bool) -> Self {
-        self.fingerprint = enabled;
-        self
-    }
-
-    /// Run stage III plugins.
-    pub fn verify(mut self, enabled: bool) -> Self {
-        self.verify = enabled;
-        self
-    }
-    /// Shard workers the batch sequence is split across (default 1).
+    /// Shard workers the batch sequence is handed out to (default 1).
     /// Any value produces the identical report and telemetry snapshot.
     ///
     /// # Panics
@@ -278,22 +244,9 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Persist checkpoints at `path` during [`Pipeline::run`].
+    /// Log every finished batch to `path` during [`Pipeline::run`].
     pub fn checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Batches between checkpoint writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `0` — a checkpoint cadence of zero batches is a
-    /// configuration bug, not a request for no checkpoints (drop
-    /// [`checkpoint_path`](Self::checkpoint_path) for that).
-    pub fn checkpoint_every(mut self, batches: u64) -> Self {
-        assert!(batches > 0, "checkpoint_every must be at least 1");
-        self.checkpoint_every = batches;
         self
     }
 
@@ -304,23 +257,25 @@ impl PipelineConfigBuilder {
     /// sorted by base address. Aligned CIDR blocks either nest or are
     /// disjoint, so this leaves a disjoint cover of the same address
     /// set — listing `10.0.0.0/16` twice, or alongside `10.0.5.0/24`,
-    /// scans each address exactly once.
+    /// scans each address exactly once. Ports are normalized too: a
+    /// repeated port keeps its first position and is probed once, so it
+    /// can neither double the sweep nor count twice towards the tarpit
+    /// threshold.
     pub fn build(mut self) -> PipelineConfig {
         self.portscan.targets = normalize_targets(std::mem::take(&mut self.portscan.targets));
+        let mut seen = BTreeSet::new();
+        self.portscan.ports.retain(|port| seen.insert(*port));
         let tarpit_port_threshold = self
             .tarpit_port_threshold
-            .unwrap_or(self.portscan.ports.len());
+            .unwrap_or(self.portscan.ports.len().max(2));
         PipelineConfig {
             portscan: self.portscan,
             blocks_per_batch: self.blocks_per_batch,
             tarpit_port_threshold,
-            fingerprint: self.fingerprint,
-            verify: self.verify,
             shards: self.shards,
             retry: self.retry,
             telemetry: self.telemetry,
             checkpoint_path: self.checkpoint_path,
-            checkpoint_every: self.checkpoint_every,
         }
     }
 }
@@ -390,8 +345,6 @@ pub(crate) struct BatchProcessor {
     fingerprinter: Fingerprinter,
     metrics: PipelineMetrics,
     tarpit_port_threshold: usize,
-    verify: bool,
-    fingerprint: bool,
     /// Matching and crawl buffers, reused across every endpoint and
     /// host this processor ever sees.
     scratch: Scratch,
@@ -422,27 +375,10 @@ impl Pipeline {
     /// network operation of every stage shares [`PipelineConfig::retry`].
     ///
     /// With [`PipelineConfig::checkpoint_path`] set, the run starts from
-    /// scratch (removing any checkpoint files already at that path) and
-    /// persists its progress every
-    /// [`PipelineConfig::checkpoint_every`] batches; use
-    /// [`Pipeline::resume`] to continue from such files.
+    /// scratch (truncating whatever is at that path) and logs every
+    /// batch as it finishes; use [`Pipeline::resume`] to continue from
+    /// such a log.
     pub fn run<T>(&self, client: &Client<T>) -> Result<ScanReport, PipelineError>
-    where
-        T: Transport + Clone,
-    {
-        self.run_with_shard_stats(client).map(|(report, _)| report)
-    }
-
-    /// [`run`](Self::run), additionally returning the per-run
-    /// [`ShardStats`](crate::shard::ShardStats) — work-stealing
-    /// observability that deliberately lives *outside* the telemetry
-    /// registry, because which worker ran which batch is
-    /// timing-dependent and the registry must stay byte-identical
-    /// across runs.
-    pub fn run_with_shard_stats<T>(
-        &self,
-        client: &Client<T>,
-    ) -> Result<(ScanReport, crate::shard::ShardStats), PipelineError>
     where
         T: Transport + Clone,
     {
@@ -455,7 +391,7 @@ impl Pipeline {
         )
     }
 
-    /// Continue a checkpointed scan from the files at `path`, producing
+    /// Continue a checkpointed scan from the log at `path`, producing
     /// a [`ScanReport`] byte-identical to what the uninterrupted run
     /// would have produced (telemetry snapshot included), at any shard
     /// count.
@@ -466,9 +402,9 @@ impl Pipeline {
     /// returns [`CheckpointError::ConfigMismatch`]. Shard count and
     /// wall-clock pacing may differ freely; they never change the
     /// report, so a checkpoint taken at `--shards 4` resumes at
-    /// `--shards 8` (or 1). Only batches no file covers are rescanned;
-    /// resuming a finished scan rescans nothing and returns the stored
-    /// report.
+    /// `--shards 8` (or 1). Only batches the log lacks are scanned (and
+    /// appended to it); resuming a finished scan scans nothing and
+    /// returns the stored report.
     ///
     /// The stored telemetry is replayed into [`Pipeline::telemetry`],
     /// so resume with a **fresh (or otherwise pipeline-private)
@@ -488,7 +424,6 @@ impl Pipeline {
             Some(path.as_ref()),
             true,
         )
-        .map(|(report, _)| report)
     }
 }
 
@@ -502,8 +437,6 @@ impl BatchProcessor {
             fingerprinter: Fingerprinter::with_telemetry(telemetry),
             metrics: PipelineMetrics::new(telemetry),
             tarpit_port_threshold: config.tarpit_port_threshold,
-            verify: config.verify,
-            fingerprint: config.fingerprint,
             scratch: Scratch::new(),
         }
     }
@@ -591,21 +524,9 @@ impl BatchProcessor {
         let mut findings = Vec::new();
         for (app, app_hits) in endpoints_of {
             // Stage III: a MAV on any of the app's endpoints confirms it.
-            let mut confirmed: Option<&PrefilterHit> = None;
-            if self.verify {
-                for hit in &app_hits {
-                    if detect_mav_instrumented(
-                        &self.telemetry,
-                        client,
-                        app,
-                        hit.endpoint,
-                        hit.scheme,
-                    ) {
-                        confirmed = Some(hit);
-                        break;
-                    }
-                }
-            }
+            let confirmed = app_hits.iter().copied().find(|hit| {
+                detect_mav_instrumented(&self.telemetry, client, app, hit.endpoint, hit.scheme)
+            });
             // Attribute the host to this application if a plugin
             // confirmed it, or if it is the strongest match of one of
             // the host's endpoints (weak secondary matches alone do not
@@ -623,17 +544,15 @@ impl BatchProcessor {
                 version: None,
                 fingerprint_method: None,
             };
-            if self.fingerprint {
-                if let Some((version, method)) = self.fingerprinter.fingerprint_with(
-                    client,
-                    app,
-                    hit.endpoint,
-                    hit.scheme,
-                    &mut self.scratch,
-                ) {
-                    finding.version = Some(version);
-                    finding.fingerprint_method = Some(method);
-                }
+            if let Some((version, method)) = self.fingerprinter.fingerprint_with(
+                client,
+                app,
+                hit.endpoint,
+                hit.scheme,
+                &mut self.scratch,
+            ) {
+                finding.version = Some(version);
+                finding.fingerprint_method = Some(method);
             }
             findings.push(finding);
         }
@@ -666,13 +585,10 @@ mod tests {
             .max_probes_per_sec(Some(100.0))
             .blocks_per_batch(16)
             .tarpit_port_threshold(5)
-            .fingerprint(false)
-            .verify(false)
             .shards(4)
             .retries(5)
             .telemetry(telemetry)
             .checkpoint_path("/tmp/nokeys-checkpoint.json")
-            .checkpoint_every(3)
             .build();
         assert_eq!(config.portscan.ports, vec![80, 443]);
         assert_eq!(config.portscan.seed, 7);
@@ -680,8 +596,6 @@ mod tests {
         assert_eq!(config.portscan.max_probes_per_sec, Some(100.0));
         assert_eq!(config.blocks_per_batch, 16);
         assert_eq!(config.tarpit_port_threshold, 5);
-        assert!(!config.fingerprint);
-        assert!(!config.verify);
         assert_eq!(config.shards, 4);
         assert_eq!(config.retry.max_attempts, 5);
         assert!(config.telemetry.is_some());
@@ -689,19 +603,12 @@ mod tests {
             config.checkpoint_path.as_deref(),
             Some(Path::new("/tmp/nokeys-checkpoint.json"))
         );
-        assert_eq!(config.checkpoint_every, 3);
     }
 
     #[test]
     #[should_panic(expected = "shards must be at least 1")]
     fn builder_rejects_zero_shards() {
         let _ = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).shards(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint_every must be at least 1")]
-    fn builder_rejects_zero_checkpoint_cadence() {
-        let _ = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).checkpoint_every(0);
     }
 
     /// Duplicate, nested and split target blocks collapse to a disjoint
@@ -783,6 +690,49 @@ mod tests {
         assert_eq!(config.tarpit_port_threshold, 3);
     }
 
+    /// A repeated port is probed once and counts once: `[80, 8080, 80]`
+    /// used to send half as many probes again as `[80, 8080]`.
+    #[test]
+    fn repeated_ports_report_equals_distinct_ports() {
+        fn run_with(ports: Vec<u16>) -> (PipelineConfig, ScanReport) {
+            let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
+            let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
+                .ports(ports)
+                .build();
+            let report = Pipeline::new(config.clone())
+                .run(&Client::new(t))
+                .expect("pipeline failed");
+            (config, report)
+        }
+        let (config, repeated) = run_with(vec![80, 8080, 80]);
+        assert_eq!(config.portscan.ports, vec![80, 8080]);
+        let (_, distinct) = run_with(vec![80, 8080]);
+        assert_eq!(repeated.to_json_string(), distinct.to_json_string());
+        assert_eq!(distinct.probes_sent, 65_536 * 2);
+        assert!(distinct.total_hosts() > 0);
+    }
+
+    /// With one scan port the default threshold used to be 1, which
+    /// every host with that port open reaches: 0 findings, every
+    /// responsive host "excluded as all-ports-open".
+    #[test]
+    fn a_single_port_scan_excludes_nothing_and_finds_hosts() {
+        for ports in [vec![80], vec![80, 80]] {
+            let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
+            let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
+                .ports(ports)
+                .build();
+            assert_eq!(config.portscan.ports, vec![80]);
+            assert_eq!(config.tarpit_port_threshold, 2);
+            let report = Pipeline::new(config)
+                .run(&Client::new(t))
+                .expect("pipeline failed");
+            assert_eq!(report.excluded_all_ports_open, 0);
+            assert!(report.total_hosts() > 0);
+            assert!(report.total_mavs() > 0);
+        }
+    }
+
     /// The defaults the removed `PipelineConfig::new` shim used to pin:
     /// a bare `builder(targets).build()` keeps the paper's settings.
     #[test]
@@ -791,8 +741,6 @@ mod tests {
         let built = PipelineConfig::builder(targets).build();
         assert_eq!(built.blocks_per_batch, 64);
         assert_eq!(built.tarpit_port_threshold, built.portscan.ports.len());
-        assert!(built.fingerprint);
-        assert!(built.verify);
         assert_eq!(built.shards, 1);
         assert_eq!(built.portscan.ports.len(), 12);
         assert_eq!(built.retry.attempts(), 3);

@@ -6,7 +6,7 @@
 //!
 //! Re-exports the user-facing surface: pipeline configuration and
 //! execution, reports and telemetry, checkpointing and pacing.
-//! Internal machinery (prefilter internals, shard segments, signature
+//! Internal machinery (prefilter internals, the batch ledger, signature
 //! tables) stays behind its modules.
 
 pub use crate::checkpoint::{CheckpointError, ConfigFingerprint};

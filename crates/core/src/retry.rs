@@ -293,34 +293,13 @@ impl<T: Transport> RetryTransport<T> {
         scheme: Scheme,
         fresh: bool,
     ) -> nokeys_http::Result<T::Conn> {
-        let max = self.policy.attempts();
-        for attempt in 0..max {
-            let result = if fresh {
+        self.policy.run(ep, &self.connect, || {
+            if fresh {
                 self.inner.connect_fresh(ep, scheme)
             } else {
                 self.inner.connect(ep, scheme)
-            };
-            match result {
-                Ok(conn) => {
-                    if attempt > 0 {
-                        self.connect.recovered.incr();
-                    }
-                    return Ok(conn);
-                }
-                Err(e) if e.is_transient() && attempt + 1 < max => {
-                    self.connect.retries.incr();
-                    self.policy
-                        .pause(&self.connect, self.policy.backoff_units(ep, attempt));
-                }
-                Err(e) => {
-                    if e.is_transient() {
-                        self.connect.exhausted.incr();
-                    }
-                    return Err(e);
-                }
             }
-        }
-        unreachable!("connect retry loop returns within its attempt budget")
+        })
     }
 }
 

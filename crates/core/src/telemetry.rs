@@ -62,6 +62,19 @@ impl Counter {
     }
 }
 
+/// How a snapshot reads a cell: [`load`] leaves it alone
+/// ([`Telemetry::snapshot`]), [`drain`] swaps in zero
+/// ([`Telemetry::take`]).
+type ReadCell = fn(&AtomicU64) -> u64;
+
+fn load(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Relaxed)
+}
+
+fn drain(cell: &AtomicU64) -> u64 {
+    cell.swap(0, Ordering::Relaxed)
+}
+
 /// A histogram with fixed, inclusive upper bucket bounds plus an
 /// overflow bucket. Bounds are fixed at registration so two runs always
 /// aggregate into identical buckets.
@@ -123,18 +136,14 @@ impl Histogram {
         c.sum.fetch_add(s.sum, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self, read: ReadCell) -> HistogramSnapshot {
         let c = &self.core;
         HistogramSnapshot {
             bounds: c.bounds.clone(),
-            buckets: c
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            overflow: c.overflow.load(Ordering::Relaxed),
-            count: c.count.load(Ordering::Relaxed),
-            sum: c.sum.load(Ordering::Relaxed),
+            buckets: c.buckets.iter().map(read).collect(),
+            overflow: read(&c.overflow),
+            count: read(&c.count),
+            sum: read(&c.sum),
         }
     }
 }
@@ -181,10 +190,10 @@ impl Timer {
         self.clock.fetch_add(s.units, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> TimingSnapshot {
+    fn snapshot(&self, read: ReadCell) -> TimingSnapshot {
         TimingSnapshot {
-            events: self.core.events.load(Ordering::Relaxed),
-            units: self.core.units.load(Ordering::Relaxed),
+            events: read(&self.core.events),
+            units: read(&self.core.units),
         }
     }
 }
@@ -306,9 +315,10 @@ impl Telemetry {
     /// instrument the registry does not know yet.
     ///
     /// This is the replay half of checkpointing: a checkpointed run
-    /// stores [`TelemetrySnapshot`]s (full prefixes or per-batch
-    /// deltas), and a resuming run absorbs them so its registry ends up
-    /// exactly where an uninterrupted run's would be. Counter values
+    /// logs one [`TelemetrySnapshot`] per batch (what [`take`](Self::take)
+    /// emptied out of the worker's registry), and a resuming run absorbs
+    /// them so its registry ends up exactly where an uninterrupted
+    /// run's would be. Counter values
     /// add, histogram buckets add bucket-wise (bounds must match), and
     /// timers add events/units — advancing the virtual clock by the
     /// absorbed units, which keeps
@@ -330,15 +340,33 @@ impl Telemetry {
     /// taken after a run completes; taking it while writers are active
     /// yields a valid but possibly mid-update view.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.snapshot_with(load)
+    }
+
+    /// Snapshot-and-reset: the work recorded since the last `take` (or
+    /// since creation), with every instrument left registered at zero.
+    ///
+    /// A shard worker empties its private registry with this after each
+    /// batch, so the returned snapshot is that batch's work alone.
+    /// Zero-valued instruments stay in the snapshot — absorbing it
+    /// registers whatever a live run would have registered. Meant for a
+    /// registry with one writer, called between its units of work: an
+    /// increment racing the reset lands in this snapshot or the next,
+    /// never in both and never in neither.
+    pub fn take(&self) -> TelemetrySnapshot {
+        self.snapshot_with(drain)
+    }
+
+    fn snapshot_with(&self, read: ReadCell) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            virtual_clock_units: self.virtual_clock(),
+            virtual_clock_units: read(&self.registry.clock),
             counters: self
                 .registry
                 .counters
                 .read()
                 .expect("not poisoned")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.clone(), read(&v.cell)))
                 .collect(),
             histograms: self
                 .registry
@@ -346,7 +374,7 @@ impl Telemetry {
                 .read()
                 .expect("not poisoned")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| (k.clone(), v.snapshot(read)))
                 .collect(),
             timings: self
                 .registry
@@ -354,7 +382,7 @@ impl Telemetry {
                 .read()
                 .expect("not poisoned")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| (k.clone(), v.snapshot(read)))
                 .collect(),
         }
     }
@@ -484,89 +512,6 @@ impl TelemetrySnapshot {
     /// Pretty-printed deterministic JSON.
     pub fn to_json_pretty(&self) -> String {
         ToJson::to_json(self).write_pretty()
-    }
-
-    /// The work recorded since `prev` (an earlier snapshot of the same
-    /// registry), as a snapshot of differences suitable for
-    /// [`Telemetry::absorb`].
-    ///
-    /// Every instrument of `self` appears in the delta — including ones
-    /// whose difference is zero — so absorbing a delta also registers
-    /// the instruments a live run would have registered. Instruments
-    /// are monotonic, so `prev` must be a genuine prefix; a counter
-    /// that shrank indicates snapshots of two different registries and
-    /// panics.
-    pub fn delta_since(&self, prev: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let behind = |name: &str| -> ! {
-            panic!("delta_since: '{name}' shrank — `prev` is not a prefix of this snapshot")
-        };
-        TelemetrySnapshot {
-            virtual_clock_units: self
-                .virtual_clock_units
-                .checked_sub(prev.virtual_clock_units)
-                .unwrap_or_else(|| behind("virtual_clock_units")),
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| {
-                    let base = prev.counters.get(k).copied().unwrap_or(0);
-                    (k.clone(), v.checked_sub(base).unwrap_or_else(|| behind(k)))
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    let delta = match prev.histograms.get(k) {
-                        None => h.clone(),
-                        Some(base) => {
-                            assert_eq!(
-                                base.bounds, h.bounds,
-                                "delta_since: histogram '{k}' changed bounds"
-                            );
-                            HistogramSnapshot {
-                                bounds: h.bounds.clone(),
-                                buckets: h
-                                    .buckets
-                                    .iter()
-                                    .zip(&base.buckets)
-                                    .map(|(now, was)| {
-                                        now.checked_sub(*was).unwrap_or_else(|| behind(k))
-                                    })
-                                    .collect(),
-                                overflow: h
-                                    .overflow
-                                    .checked_sub(base.overflow)
-                                    .unwrap_or_else(|| behind(k)),
-                                count: h.count.checked_sub(base.count).unwrap_or_else(|| behind(k)),
-                                sum: h.sum.checked_sub(base.sum).unwrap_or_else(|| behind(k)),
-                            }
-                        }
-                    };
-                    (k.clone(), delta)
-                })
-                .collect(),
-            timings: self
-                .timings
-                .iter()
-                .map(|(k, t)| {
-                    let base = prev.timings.get(k).copied().unwrap_or(TimingSnapshot {
-                        events: 0,
-                        units: 0,
-                    });
-                    (
-                        k.clone(),
-                        TimingSnapshot {
-                            events: t
-                                .events
-                                .checked_sub(base.events)
-                                .unwrap_or_else(|| behind(k)),
-                            units: t.units.checked_sub(base.units).unwrap_or_else(|| behind(k)),
-                        },
-                    )
-                })
-                .collect(),
-        }
     }
 
     /// A counter's value, zero if it was never registered.
@@ -838,24 +783,46 @@ mod tests {
         assert_eq!(t.snapshot().prefixed_total("stage3.verify."), 5);
     }
 
-    /// Recording work directly and replaying it through per-batch
-    /// deltas must be indistinguishable — the invariant checkpointed
-    /// scans rely on.
+    /// Recording work directly and replaying it batch by batch through
+    /// snapshot-and-reset must be indistinguishable — the invariant the
+    /// batch ledger relies on. Handles are cached across batches, as
+    /// the stage components cache theirs: a reset must not orphan them.
     #[test]
     fn absorbing_deltas_reconstructs_the_registry() {
         let source = Telemetry::new();
+        let staging = Telemetry::new();
         let replica = Telemetry::new();
-        let mut prev = source.snapshot();
+        let instruments = |t: &Telemetry| {
+            (
+                t.counter("ops"),
+                t.counter("never-incremented"),
+                t.histogram("sizes", &[10, 100]),
+                t.timer("work"),
+            )
+        };
+        let direct = instruments(&source);
+        let staged = instruments(&staging);
         for round in 0..3u64 {
-            source.counter("ops").add(round + 1);
-            source.histogram("sizes", &[10, 100]).observe(round * 60);
-            source.timer("work").record(5 * (round + 1));
-            let cur = source.snapshot();
-            replica.absorb(&cur.delta_since(&prev));
-            prev = cur;
+            for (ops, _, sizes, work) in [&direct, &staged] {
+                ops.add(round + 1);
+                sizes.observe(round * 60);
+                work.record(5 * (round + 1));
+            }
+            let batch = staging.take();
+            assert_eq!(batch.counter("ops"), round + 1, "one batch's work only");
+            assert_eq!(batch.virtual_clock_units, 5 * (round + 1));
+            assert!(batch.counters.contains_key("never-incremented"));
+            replica.absorb(&batch);
         }
         assert_eq!(source.snapshot().to_json(), replica.snapshot().to_json());
         assert_eq!(replica.virtual_clock(), source.virtual_clock());
+        // Everything was handed over; nothing was unregistered.
+        let emptied = staging.snapshot();
+        assert_eq!(emptied.virtual_clock_units, 0);
+        assert_eq!(emptied.counters.keys().len(), 2);
+        assert!(emptied.counters.values().all(|&v| v == 0));
+        assert_eq!(emptied.histograms["sizes"].count, 0);
+        assert_eq!(emptied.timings["work"].units, 0);
     }
 
     /// A full snapshot absorbed into a fresh registry reproduces it,
@@ -876,31 +843,6 @@ mod tests {
             .snapshot()
             .counters
             .contains_key("never-incremented"));
-    }
-
-    #[test]
-    fn delta_since_keeps_every_key_and_subtracts_values() {
-        let t = Telemetry::new();
-        t.counter("a").add(2);
-        let prev = t.snapshot();
-        t.counter("a").add(3);
-        t.counter("b").incr();
-        let delta = t.snapshot().delta_since(&prev);
-        assert_eq!(delta.counter("a"), 3);
-        assert_eq!(delta.counter("b"), 1);
-        // Unchanged keys survive (at zero) so absorption registers them.
-        assert!(delta.counters.contains_key("a"));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a prefix")]
-    fn delta_since_rejects_non_prefix_snapshots() {
-        let a = Telemetry::new();
-        a.counter("x").add(5);
-        let big = a.snapshot();
-        let b = Telemetry::new();
-        b.counter("x").add(1);
-        let _ = b.snapshot().delta_since(&big);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! die at their next one, exactly as threads of a killed process stop
 //! at arbitrary points. The scan surfaces the dead worker as an error;
 //! the test then resumes a fresh pipeline from whatever checkpoint
-//! files the dead one left behind.
+//! log the dead one left behind.
 
 use crate::ip::Cidr;
 use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};

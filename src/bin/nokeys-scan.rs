@@ -5,14 +5,12 @@
 //! nokeys-scan --target 192.0.2.0/28 [--ports 80,443,8080] [--rate 200]
 //!             [--shards N] [--json out.json] [--metrics-out m.json]
 //!             [--include-reserved] [--retries N] [--fault-rate P]
-//!             [--checkpoint FILE] [--resume] [--checkpoint-every N]
-//!             [--pool]
+//!             [--checkpoint FILE] [--resume] [--pool]
 //! ```
 //!
-//! `--shards N` is the scan's one concurrency setting: the batch
-//! sequence is split across N worker threads with work-stealing
-//! (default 16 — live scanning is latency-bound, so more workers than
-//! CPUs pays off). The report is byte-identical at any N, and `--rate`
+//! `--shards N` is the scan's one concurrency setting: N worker threads
+//! each draw the next batch from one shared cursor (default 16 — live
+//! scanning is latency-bound, so more workers than CPUs pays off). The report is byte-identical at any N, and `--rate`
 //! stays a whole-scan bound shared by all workers.
 //!
 //! `--pool` enables keep-alive connection reuse: stage II/III probes of
@@ -22,9 +20,9 @@
 //! fingerprint — and the pool's hit/miss/stale-retry counters are
 //! summarized on stderr after the scan.
 //!
-//! `--checkpoint FILE` persists resumable checkpoints every
-//! `--checkpoint-every N` batches (default 8); `--resume` continues an
-//! interrupted scan from them instead of starting over.
+//! `--checkpoint FILE` appends every finished batch to the log at
+//! `FILE`; `--resume` continues an interrupted scan from that log
+//! instead of starting over, rescanning only the batches it lacks.
 //!
 //! Like the paper's scanner, the tool is strictly non-intrusive: it only
 //! issues non-state-changing `GET` requests and infers the presence of a
@@ -56,7 +54,6 @@ struct Args {
     json: Option<String>,
     metrics_out: Option<String>,
     checkpoint: Option<std::path::PathBuf>,
-    checkpoint_every: u64,
     resume: bool,
     pool: bool,
 }
@@ -67,10 +64,9 @@ fn usage() -> ! {
          \x20                [--ports p1,p2,...] [--shards N] [--rate PROBES_PER_SEC]\n\
          \x20                [--retries N] [--fault-rate P]\n\
          \x20                [--include-reserved] [--json FILE] [--metrics-out FILE]\n\
-         \x20                [--checkpoint FILE] [--resume] [--checkpoint-every N]\n\
-         \x20                [--pool]\n\
+         \x20                [--checkpoint FILE] [--resume] [--pool]\n\
          \n\
-         --shards N       scan on N work-stealing worker threads\n\
+         --shards N       scan on N worker threads\n\
          \x20                (default 16; byte-identical report at any N)\n\
          --pool           reuse keep-alive connections across probes of\n\
          \x20                the same host (byte-identical report)"
@@ -90,7 +86,6 @@ fn parse_args() -> Args {
         json: None,
         metrics_out: None,
         checkpoint: None,
-        checkpoint_every: 8,
         resume: false,
         pool: false,
     };
@@ -162,14 +157,6 @@ fn parse_args() -> Args {
                 i += 1;
                 args.checkpoint = Some(argv.get(i).map(Into::into).unwrap_or_else(|| usage()));
             }
-            "--checkpoint-every" => {
-                i += 1;
-                args.checkpoint_every = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage());
-            }
             "--json" => {
                 i += 1;
                 args.json = Some(argv.get(i).cloned().unwrap_or_else(|| usage()));
@@ -220,7 +207,6 @@ fn main() {
         .ports(args.ports.clone())
         .exclude_reserved(!args.include_reserved)
         .max_probes_per_sec(args.rate)
-        .tarpit_port_threshold(args.ports.len().max(2))
         .shards(args.shards)
         // Over real sockets one backoff unit is a millisecond, so
         // exhausted budgets actually pace the retries instead of
@@ -231,14 +217,8 @@ fn main() {
         })
         .telemetry(telemetry.clone());
     if let Some(path) = &args.checkpoint {
-        eprintln!(
-            "checkpointing to {} every {} batches",
-            path.display(),
-            args.checkpoint_every
-        );
-        builder = builder
-            .checkpoint_path(path.clone())
-            .checkpoint_every(args.checkpoint_every);
+        eprintln!("checkpointing to {}", path.display());
+        builder = builder.checkpoint_path(path.clone());
     }
     let pipeline = Pipeline::new(builder.build());
 
@@ -247,7 +227,7 @@ fn main() {
     let resume_from = args
         .checkpoint
         .as_deref()
-        .filter(|path| args.resume && nokeys::scanner::shard::has_checkpoint(path));
+        .filter(|path| args.resume && path.exists());
     if let Some(path) = resume_from {
         eprintln!("resuming from checkpoint {}", path.display());
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! repro <id>... [--seed N] [--quick] [--out DIR] [--metrics-out FILE]
 //!               [--fault-rate P] [--retries N] [--shards N]
-//!               [--checkpoint FILE] [--resume] [--checkpoint-every N]
+//!               [--checkpoint FILE] [--resume]
 //! repro all [--seed N] [--quick]
 //! repro list
 //! ```
@@ -21,16 +21,17 @@
 //! the per-operation transport attempt budget (default 3; 1 disables
 //! retrying).
 //!
-//! `--shards N` splits the scan's batch sequence across N worker
-//! threads with work-stealing (default: the number of CPUs). Like fault
-//! injection, sharding never changes the output: every table and figure
-//! is byte-identical at any N.
+//! `--shards N` runs the scan on N worker threads, each drawing the
+//! next batch from one shared cursor (default: the number of CPUs).
+//! Like fault injection, sharding never changes the output: every table
+//! and figure is byte-identical at any N.
 //!
-//! `--checkpoint FILE` makes the scan crash-safe: a resumable checkpoint
-//! is written to `FILE` every `--checkpoint-every N` batches (default
-//! 8). With `--resume`, an existing checkpoint at `FILE` is continued
-//! instead of restarting the scan — the final report and telemetry are
-//! byte-identical to an uninterrupted run.
+//! `--checkpoint FILE` makes the scan crash-safe: every finished batch
+//! is appended to the log at `FILE` (the only file this creates), so a
+//! killed scan loses only the batches in flight. With `--resume`, an
+//! existing log at `FILE` is continued instead of restarting the scan —
+//! the final report and telemetry are byte-identical to an
+//! uninterrupted run.
 
 use nokeys::repro::{CheckpointOptions, Repro, Scale};
 
@@ -38,7 +39,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <id>...|all|list [--seed N] [--quick] [--out DIR] [--metrics-out FILE]\n\
          \x20      [--fault-rate P] [--retries N] [--shards N]\n\
-         \x20      [--checkpoint FILE] [--resume] [--checkpoint-every N]"
+         \x20      [--checkpoint FILE] [--resume]"
     );
     eprintln!("experiment ids: {}", Repro::all_ids().join(", "));
     std::process::exit(2);
@@ -60,7 +61,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut checkpoint: Option<std::path::PathBuf> = None;
-    let mut checkpoint_every: u64 = 8;
     let mut resume = false;
     let mut ids: Vec<String> = Vec::new();
     let mut i = 0;
@@ -71,14 +71,6 @@ fn main() {
             "--checkpoint" => {
                 i += 1;
                 checkpoint = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                checkpoint_every = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage());
             }
             "--fault-rate" => {
                 i += 1;
@@ -144,11 +136,7 @@ fn main() {
         .with_retries(retries)
         .with_shards(shards);
     if let Some(path) = checkpoint {
-        harness = harness.with_checkpoint(CheckpointOptions {
-            path,
-            every: checkpoint_every,
-            resume,
-        });
+        harness = harness.with_checkpoint(CheckpointOptions { path, resume });
     }
     println!(
         "# nokeys repro — seed {seed}, scale {:?}, universe {}",

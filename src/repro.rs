@@ -26,10 +26,8 @@ pub enum Scale {
 /// Scan-checkpoint settings for the harness.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
-    /// File the scan checkpoint is written to.
+    /// File the scan logs its finished batches to.
     pub path: PathBuf,
-    /// Batches between checkpoint writes.
-    pub every: u64,
     /// Resume from an existing checkpoint at `path` instead of starting
     /// over (starts fresh if the file does not exist yet).
     pub resume: bool,
@@ -88,9 +86,9 @@ impl Repro {
         self
     }
 
-    /// Split the scan across this many shard worker threads with
-    /// work-stealing. Like fault injection, sharding never changes the
-    /// report: it is byte-identical at any count.
+    /// Run the scan on this many shard worker threads. Like fault
+    /// injection, sharding never changes the report: it is
+    /// byte-identical at any count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -138,9 +136,7 @@ impl Repro {
                 .retries(self.retries)
                 .telemetry(self.telemetry.clone());
             if let Some(c) = &self.checkpoint {
-                builder = builder
-                    .checkpoint_path(c.path.clone())
-                    .checkpoint_every(c.every);
+                builder = builder.checkpoint_path(c.path.clone());
             }
             let pipeline = Pipeline::new(builder.build());
             // Resume when asked to and a checkpoint exists; otherwise a
@@ -148,7 +144,7 @@ impl Repro {
             let resume_from = self
                 .checkpoint
                 .as_ref()
-                .filter(|c| c.resume && nokeys_scanner::shard::has_checkpoint(&c.path));
+                .filter(|c| c.resume && c.path.exists());
             let report = match resume_from {
                 Some(c) => pipeline.resume(&client, &c.path),
                 None => pipeline.run(&client),

@@ -61,8 +61,8 @@ fn repro_rejects_malformed_flag_values() {
         &["table1", "--quick", "--fault-rate", "-0.5"],
         &["table1", "--quick", "--fault-rate", "nan"],
         &["table1", "--quick", "--shards", "0"],
-        &["table1", "--quick", "--checkpoint-every", "0"],
-        &["table1", "--quick", "--checkpoint-every", "three"],
+        // The log has no cadence: the flag is gone, not ignored.
+        &["table1", "--quick", "--checkpoint-every", "3"],
         &["table1", "--quick", "--resume"], // --resume without --checkpoint
     ];
     for case in cases {
@@ -86,7 +86,7 @@ fn nokeys_scan_rejects_malformed_flag_values() {
         &["--target", "192.0.2.0/28", "--rate", "fast"],
         &["--target", "192.0.2.0/28", "--shards", "0"],
         &["--target", "192.0.2.0/28", "--shards", "many"],
-        &["--target", "192.0.2.0/28", "--checkpoint-every", "0"],
+        &["--target", "192.0.2.0/28", "--checkpoint-every", "3"],
         &["--target", "192.0.2.0/28", "--resume"],
         &[], // no targets at all
     ];
@@ -97,6 +97,52 @@ fn nokeys_scan_rejects_malformed_flag_values() {
             "expected usage error for {case:?}, got success"
         );
     }
+}
+
+/// `--checkpoint F`, a log torn mid-line, `--resume` at another shard
+/// count: the same table, and `F` is the only file checkpointing made.
+#[test]
+fn torn_checkpoint_resumes_to_the_same_table() {
+    let dir = std::env::temp_dir().join(format!("nokeys-repro-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("scan.ckpt");
+    let table2 = |extra: &[&str]| {
+        let out = repro()
+            .args(["table2", "--quick", "--checkpoint"])
+            .arg(&log)
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("dir lists")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        assert_eq!(files, [log.as_path()], "the checkpoint is exactly one file");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.contains("regenerated in"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let uninterrupted = table2(&[]);
+    assert!(uninterrupted.contains("Table 2"), "{uninterrupted}");
+    let whole = std::fs::read(&log).expect("log reads");
+    std::fs::write(&log, &whole[..whole.len() - 100]).expect("log tears");
+    let resumed = table2(&["--resume", "--shards", "1"]);
+    assert_eq!(uninterrupted, resumed);
+    let lines = |bytes: &[u8]| bytes.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!(
+        lines(&std::fs::read(&log).expect("log reads")),
+        lines(&whole),
+        "the torn batch is rescanned and logged again"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

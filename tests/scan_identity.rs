@@ -1,9 +1,9 @@
 //! The scan engine's identity claims, observed rather than asserted in
 //! prose: a fixed seed yields a byte-identical `ScanReport` *and*
 //! telemetry snapshot at any shard count, with or without injected
-//! transport faults — however the work-stealing queue moves batches
-//! between worker threads, and in whatever order the reducer meets the
-//! workers' segments.
+//! transport faults — whichever worker thread the cursor hands a batch
+//! to, and in whatever order the batches are scanned and filed in the
+//! ledger.
 //!
 //! One small orthogonal set on the one engine: shards ∈ {1, 4} ×
 //! fault rate ∈ {0, 0.05 with three attempts}; the kill/resume half
@@ -13,10 +13,10 @@
 //! Fault-injected runs deliberately skip the `fault.*` observer bridge:
 //! bridged counters live in the caller's registry, outside the engine.
 
-use nokeys::http::cases::check;
+use nokeys::http::cases::{check, Gen};
 use nokeys::http::{BlockSweepResult, Client, Endpoint, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{Cidr, SimTransport, Universe, UniverseConfig};
-use nokeys::scanner::shard::{merge_segments, scan_segment};
+use nokeys::scanner::shard::{scan_batch, Ledger};
 use nokeys::scanner::{
     Pipeline, PipelineConfig, PortScanConfig, PortScanner, ScanReport, Telemetry, TelemetrySnapshot,
 };
@@ -32,8 +32,8 @@ fn space() -> Cidr {
     universe().config().space
 }
 
-/// 20.0.0.0/16 is 256 /24 blocks; 8 per batch makes 32 batches, enough
-/// for four workers to have something to steal.
+/// 20.0.0.0/16 is 256 /24 blocks; 8 per batch makes 32 batches, eight
+/// or so for each of four workers.
 fn config(shards: usize, telemetry: &Telemetry) -> PipelineConfig {
     PipelineConfig::builder(vec![space()])
         .blocks_per_batch(8)
@@ -72,8 +72,10 @@ fn report_and_telemetry_are_byte_identical_across_shards_and_faults() {
             sharded_snap.to_json(),
             "telemetry diverged at 4 shards, faults {fault_rate}"
         );
-        // The comparison means something: the scan found hosts, and the
-        // fault runs really exercised the retry layer.
+        // The comparison means something: every address was probed on
+        // every port exactly once, the scan found hosts, and the fault
+        // runs really exercised the retry layer.
+        assert_eq!(sharded.probes_sent, 65_536 * 12);
         assert!(baseline.total_mavs() > 0);
         let retries = baseline_snap.prefixed_total("retry.");
         if fault_rate == 0.0 {
@@ -116,32 +118,13 @@ fn alloc_counters_reconcile_and_show_zero_steady_state_growth() {
     );
 }
 
-/// Stage-I probe work is partitioned exactly: per-worker probe counts
-/// sum to the report's probe count, and per-worker batch counts sum to
-/// the batch sequence length — nothing probed twice, nothing skipped.
-#[test]
-fn shard_probe_work_partitions_exactly() {
-    let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(4, &telemetry));
-    let (report, stats) = pipeline
-        .run_with_shard_stats(&Client::new(transport(0.0)))
-        .expect("scan failed");
-    assert_eq!(stats.shards, 4);
-    assert_eq!(stats.batches_by_worker.len(), 4);
-    assert_eq!(stats.batches_by_worker.iter().sum::<u64>(), 32);
-    assert_eq!(
-        stats.probes_by_worker.iter().sum::<u64>(),
-        report.probes_sent
-    );
-    assert_eq!(report.probes_sent, 65_536 * 12);
-}
-
 /// A transport that blocks the very first block of the shuffled sweep
 /// order until every block of every *other* batch has been swept. The
-/// stalled worker owns batches 0..8 and can finish none of them, so the
-/// run can only complete if idle workers steal the tail of its range —
-/// which is exactly what the work-stealing queue is for. The
-/// interleaving is forced with a condition variable, not a sleep.
+/// worker that drew batch 0 is stuck in it, so the run can only
+/// complete if a stalled worker holds back nothing but the batch it is
+/// running — the other three must drain batches 1..32 from the cursor
+/// between them. The interleaving is forced with a condition variable,
+/// not a sleep.
 #[derive(Clone)]
 struct StallTransport {
     inner: SimTransport,
@@ -186,7 +169,7 @@ impl Transport for StallTransport {
 }
 
 #[test]
-fn stalled_shard_tail_is_stolen_and_output_unchanged() {
+fn stalled_worker_holds_back_one_batch_and_output_unchanged() {
     let (baseline, baseline_snap) = run(1, 0.0);
 
     let telemetry = Telemetry::new();
@@ -202,52 +185,53 @@ fn stalled_shard_tail_is_stolen_and_output_unchanged() {
             Condvar::new(),
         )),
     };
-    let (report, stats) = Pipeline::new(config)
-        .run_with_shard_stats(&Client::new(stalled))
+    let report = Pipeline::new(config)
+        .run(&Client::new(stalled))
         .expect("scan failed");
 
-    assert!(
-        stats.steals > 0,
-        "completing around the stall requires stealing the stalled worker's tail"
-    );
-    assert_eq!(stats.batches_by_worker.iter().sum::<u64>(), 32);
     assert_eq!(
         baseline.to_json_string(),
         report.to_json_string(),
-        "work-stealing changed the report"
+        "a stalled worker changed the report"
     );
     assert_eq!(
         baseline_snap.to_json(),
         telemetry.snapshot().to_json(),
-        "work-stealing changed the telemetry"
+        "a stalled worker changed the telemetry"
     );
 }
 
-/// The reducer is order-independent: any partition of the batch
-/// sequence, scanned segment by segment and merged in any permutation,
-/// reconstructs the single-worker bytes.
+/// Fisher–Yates on a property case's own stream.
+fn shuffle<T>(g: &mut Gen, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, g.index(0..i + 1));
+    }
+}
+
+/// The ledger is order-independent: the 32 batches scanned in one
+/// random order and filed in another reconstruct the single-worker
+/// bytes.
 #[test]
-fn reducer_is_order_independent() {
+fn ledger_is_order_independent() {
     let (baseline, baseline_snap) = run(1, 0.05);
     let config = config(1, &Telemetry::new());
     check(4, |g| {
         // A fresh transport per case: the fault schedule counts attempts
         // per endpoint, and every case must start it from zero.
         let client = Client::new(transport(0.05));
-        let mut cuts: Vec<u64> = (0..g.index(0..5)).map(|_| g.range(1..32)).collect();
-        cuts.extend([0, 32]);
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut segments: Vec<_> = cuts
-            .windows(2)
-            .map(|w| scan_segment(&config, &client, w[0], w[1]))
+        let mut order: Vec<u64> = (0..32).collect();
+        shuffle(g, &mut order);
+        let mut batches: Vec<_> = order
+            .iter()
+            .map(|&seq| (seq, scan_batch(&config, &client, seq)))
             .collect();
-        // Fisher–Yates on the case's own stream.
-        for i in (1..segments.len()).rev() {
-            segments.swap(i, g.index(0..i + 1));
+        shuffle(g, &mut batches);
+        let mut ledger = Ledger::new(32);
+        for (seq, (report, work)) in batches {
+            ledger.file(seq, report, &work).expect("no log to fail");
         }
         let telemetry = Telemetry::new();
-        let report = merge_segments(&telemetry, segments).expect("contiguous segments merge");
+        let report = ledger.finish(&telemetry).expect("every batch filed");
         assert_eq!(baseline.to_json_string(), report.to_json_string());
         assert_eq!(baseline_snap.to_json(), telemetry.snapshot().to_json());
     });
