@@ -76,8 +76,7 @@ pub fn probe_domain<T: Transport>(
         return (None, false);
     };
     let body = crate::pattern::PreparedBody::new(root.body_str());
-    let candidates =
-        crate::signatures::match_candidates(&crate::signatures::all_signatures(), &body);
+    let candidates = crate::MultiPattern::catalog().match_candidates(&body);
     let cms = candidates.into_iter().find(|app| {
         matches!(
             app,

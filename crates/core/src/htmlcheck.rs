@@ -28,32 +28,31 @@ pub fn has_element(body: &str, selector: &str) -> bool {
 }
 
 /// Find `<tag ... id="id" ...>` in `body`; returns the offset just past
-/// the opening `<tag`.
+/// the opening `<tag`. Compares in place: nothing is allocated.
 fn find_tag_with_id(body: &str, tag: &str, id: &str) -> Option<usize> {
-    let open = format!("<{tag}");
-    let id_attr_dq = format!("id=\"{id}\"");
-    let id_attr_sq = format!("id='{id}'");
     let mut pos = 0usize;
-    while let Some(found) = body[pos..].find(&open) {
-        let start = pos + found;
+    while let Some(found) = body[pos..].find('<') {
+        pos += found + 1;
+        let Some(rest) = body[pos..].strip_prefix(tag) else {
+            continue;
+        };
         // The character after the tag name must end the name.
-        let after = start + open.len();
-        let boundary_ok = body[after..]
-            .chars()
-            .next()
-            .map(|c| c.is_whitespace() || c == '>' || c == '/')
-            .unwrap_or(false);
-        if boundary_ok {
-            let tag_end = body[start..]
-                .find('>')
-                .map(|i| start + i)
-                .unwrap_or(body.len());
-            let tag_text = &body[start..tag_end];
-            if tag_text.contains(&id_attr_dq) || tag_text.contains(&id_attr_sq) {
-                return Some(after);
-            }
+        if !rest.starts_with(|c: char| c.is_whitespace() || c == '>' || c == '/') {
+            continue;
         }
-        pos = start + open.len();
+        let tag_text = rest.find('>').map_or(rest, |end| &rest[..end]);
+        let has_id = tag_text.match_indices("id=").any(|(at, attr)| {
+            let value = &tag_text[at + attr.len()..];
+            ['"', '\''].into_iter().any(|quote| {
+                value
+                    .strip_prefix(quote)
+                    .and_then(|value| value.strip_prefix(id))
+                    .is_some_and(|rest| rest.starts_with(quote))
+            })
+        });
+        if has_id {
+            return Some(pos + tag.len());
+        }
     }
     None
 }
@@ -103,6 +102,18 @@ mod tests {
     fn single_quoted_ids_match() {
         let page = "<html><form id='x'></form></html>";
         assert!(has_element(page, "form#x"));
+    }
+
+    #[test]
+    fn an_id_is_matched_whole_and_between_quotes_of_one_kind() {
+        let single = "<html><form class='wide' id='login' method=post></form></html>";
+        assert!(has_element(single, "form#login"));
+        // A longer id that starts with the wanted one is another id.
+        let longer = "<html><form id=\"login2\"></form><form id='login2'></form></html>";
+        assert!(!has_element(longer, "form#login"));
+        assert!(has_element(longer, "form#login2"));
+        let mixed = "<html><form id=\"login'></form><form id=login></form></html>";
+        assert!(!has_element(mixed, "form#login"));
     }
 
     #[test]

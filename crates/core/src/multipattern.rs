@@ -2,42 +2,76 @@
 //!
 //! The naive stage-II hot loop runs 90 substring searches per response
 //! body (one per [`Signature`]), each of which rescans the body from
-//! the start. [`MultiPattern`] compiles the catalog into three small
-//! Aho–Corasick automata, one per [`MatchMode`], and reads each body
-//! **once**: a single loop over the raw bytes advances the three state
-//! registers together, so their lookup chains overlap in the pipeline
-//! and no lowered or whitespace-stripped copy of the body is ever
-//! built.
+//! the start. [`MultiPattern`] compiles the catalog into **one**
+//! Aho–Corasick automaton that is blind to ASCII case and to
+//! whitespace, reads each body once over its raw bytes — no lowered or
+//! whitespace-stripped copy is ever built — and settles what the
+//! automaton cannot tell apart where it reports.
 //!
-//! The case and whitespace folds live in the automata, not in copies:
+//! **One loose automaton.** Every needle, whatever its [`MatchMode`],
+//! goes in by its *loose form*: whitespace characters dropped, ASCII
+//! letters lowered. In the table `A`–`Z` share the column of `a`–`z`
+//! and ASCII whitespace is a column every state loops on. Whitespace
+//! longer than one byte (`U+0085`, `U+00A0`, `U+1680`,
+//! `U+2000`–`U+200A`, `U+2028`, `U+2029`, `U+202F`, `U+205F`,
+//! `U+3000`) cannot be decided by one byte, so every transition over
+//! one of its four lead bytes is flagged: behind the flag the walk
+//! decodes the character and, when it is whitespace, leaves the state
+//! where it was and hides the character's other bytes from it.
 //!
-//! - **ASCII case** is a property of the case-insensitive automaton's
-//!   byte classes: `A`–`Z` share the column of `a`–`z`.
-//! - **ASCII whitespace** is a column of the whitespace-insensitive
-//!   automaton on which every state loops to itself.
-//! - **Multi-byte whitespace** (`U+0085`, `U+00A0`, `U+1680`,
-//!   `U+2000`–`U+200A`, `U+2028`, `U+2029`, `U+202F`, `U+205F`,
-//!   `U+3000`) cannot be decided by one byte, so the loop decodes the
-//!   character at every non-ASCII lead byte and, when it is whitespace,
-//!   hides that many bytes from the third register only.
+//! **A hit is a candidate.** The loose automaton reports `wp-content`
+//! on `WP- Content`. Every true occurrence, under any mode, ends at a
+//! byte the automaton consumes (no needle ends in whitespace —
+//! [`MultiPattern::new`] asserts it) with the needle's loose form
+//! behind it, so the automaton reports there; the walk then asks
+//! [`Pattern::ends_at`] whether an occurrence under the signature's own
+//! mode really ends at that byte. A refused candidate latches nothing.
+//!
+//! **Four lanes.** One register is bound by load latency: a step's
+//! `table[state + class]` must retire before the next can issue. So the
+//! body is cut into four chunks whose registers advance together, four
+//! independent chains the core overlaps, and each of the first three
+//! then runs on past its boundary until nothing that began before the
+//! boundary can still be open (see `MultiPattern::walk`). Either half
+//! alone measures no faster than three automata walked together over
+//! one chunk (DESIGN.md §13).
 //!
 //! The matcher is exactly equivalent to running each signature's
-//! [`Pattern`](crate::pattern::Pattern) individually; the unit tests
-//! below and the `prefilter` tests enforce that equivalence.
+//! [`Pattern`] individually; the unit tests below and the `prefilter`
+//! tests enforce that equivalence.
 
-use crate::pattern::{MatchMode, PreparedBody};
+use crate::pattern::{MatchMode, Pattern, PreparedBody};
 use crate::scratch::Scratch;
-use crate::signatures::{rank_candidates, Signature};
+use crate::signatures::{all_signatures, rank_candidates, Signature};
 use nokeys_apps::AppId;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Flag on a transition whose target state ends at least one needle.
-/// Row offsets stay below it (checked at build time).
 const MATCH: u32 = 1 << 31;
 
-/// Column of ASCII whitespace in an `IgnoreWhitespace` automaton: every
-/// state loops to itself on it.
-const SKIP: usize = 1;
+/// Flag on every transition over a byte that may begin a whitespace
+/// character longer than one byte (see [`WIDE_LEADS`]).
+const WIDE: u32 = 1 << 30;
+
+/// Either flag: the transition needs a closer look than the hot loop
+/// takes. Row offsets stay below the flags (checked at build time).
+const LOOK: u32 = MATCH | WIDE;
+
+/// The UTF-8 lead bytes of the multi-byte whitespace characters:
+/// `U+0085` and `U+00A0` (C2), `U+1680` (E1), `U+2000`–`U+200A`,
+/// `U+2028`, `U+2029`, `U+202F` and `U+205F` (E2), `U+3000` (E3). A
+/// test below holds the list to `char::is_whitespace`.
+const WIDE_LEADS: [u8; 4] = [0xC2, 0xE1, 0xE2, 0xE3];
+
+/// Column of ASCII whitespace: every state loops to itself on it.
+const SKIP: u8 = 1;
+
+/// Chunks of a body walked side by side. On the benchmark's `wild_mix`
+/// two measured 118–119 k bodies/s where four measured 163–190 k;
+/// eight, more registers than the machine has, measured 108–158 k
+/// there and 3.1–3.7 M against 4.0 M on `tiny_bodies`.
+const LANES: usize = 4;
 
 /// One trie node during construction: children hang off `first_child`
 /// as a `next_sibling` list, 0 (the root, never a child) ending it.
@@ -48,84 +82,69 @@ struct TrieNode {
     next_sibling: u32,
 }
 
-/// A class-compressed Aho–Corasick automaton over bytes.
+/// A class-compressed Aho–Corasick automaton over the loose forms of
+/// its needles.
 ///
 /// Bytes are first mapped to *columns*: column 0 is every byte no
-/// needle contains, each other needle byte gets its own, and a
-/// [`MatchMode`] may make bytes share one (see [`Automaton::new`]). A
-/// row has one `u32` per column, fail links already resolved into it,
-/// and a state's id is the offset of its row, so a step is
-/// `table[state + classes[byte]]` with no multiply. A transition into a
-/// state that ends a needle carries the `MATCH` bit, so the walk
-/// tests one bit per byte and reads `out` only on a hit. For the
-/// 90-signature catalog the exact automaton has 1,166 rows of 69
-/// columns (322 KB, a quarter of what 256-wide rows would take; the
-/// other two add 6 KB), and the rows a needle-free body visits — the
-/// root and its children — stay in the L1 cache.
+/// needle contains, column [`SKIP`] is ASCII whitespace, each of the
+/// [`WIDE_LEADS`] and each other needle byte gets its own, and `A`–`Z`
+/// share the columns of `a`–`z`. A row has one `u32` per column, fail
+/// links already resolved into it, and a state's id is the offset of
+/// its row, so a step is `table[state + classes[byte]]` with no
+/// multiply. A transition that needs more than that carries a flag —
+/// [`MATCH`] into a state that ends a needle, [`WIDE`] over a byte
+/// that may begin a wide whitespace character — so the walk tests the
+/// two bits together, once per byte, and reads `out` or decodes a
+/// character only behind them. For the 90-signature catalog that is
+/// 1,128 rows of 53 columns (239 KB, a fifth of what 256-wide rows
+/// would take), and the rows a needle-free body visits — the root and
+/// its children — stay in the L1 cache.
 #[derive(Debug, Clone)]
-pub struct Automaton {
+struct Automaton {
     /// Byte → column.
     classes: [u8; 256],
     /// Columns per row.
     columns: usize,
-    /// Complete goto function, `MATCH`-flagged row offsets.
+    /// Complete goto function, flagged row offsets.
     table: Vec<u32>,
     /// Needle ids ending at each row (fail closure already merged).
     out: Vec<Vec<u32>>,
+    /// Bytes in the longest loose form.
+    longest: usize,
 }
 
 impl Automaton {
-    /// Build from `(needle_id, needle)` pairs. `mode` folds into the
-    /// byte classes what one byte can decide: `IgnoreCase` gives
-    /// `A`–`Z` the columns of `a`–`z`; `IgnoreWhitespace` gives ASCII
-    /// whitespace a column on which every state loops to itself.
-    /// Whitespace longer than one byte is for the walking loop to hide
-    /// ([`MultiPattern`] does).
-    ///
-    /// Panics on a needle its mode can never match — empty, a nocase
-    /// needle with an uppercase letter, a nospace needle with
-    /// whitespace: a signature like that is a bug in the catalog.
-    pub fn new<'a, I>(mode: MatchMode, needles: I) -> Self
-    where
-        I: IntoIterator<Item = (u32, &'a str)>,
-    {
-        let needles: Vec<(u32, &str)> = needles.into_iter().collect();
+    /// Build from the needles, numbered as they come; each goes in by
+    /// its loose form — whitespace dropped, ASCII letters lowered —
+    /// which must not be empty.
+    fn new<'a>(needles: impl Iterator<Item = &'a str>) -> Self {
+        // The loose forms, back to back; needle `id`'s stops at `ends[id]`.
+        let mut spelled = Vec::new();
+        let mut ends = Vec::new();
+        for needle in needles {
+            let start = spelled.len();
+            for run in needle.split(char::is_whitespace) {
+                spelled.extend_from_slice(run.as_bytes());
+            }
+            spelled[start..].make_ascii_lowercase();
+            ends.push(spelled.len());
+        }
 
         // Byte classes. A needle is UTF-8, which never uses 0xC0, 0xC1
         // or 0xF5..=0xFF, so the columns fit a `u8`.
         let mut classes = [0u8; 256];
-        let mut columns = 1usize;
-        let skips_whitespace = mode == MatchMode::IgnoreWhitespace;
-        if skips_whitespace {
-            for b in (0..=0x7f_u8).filter(|&b| char::from(b).is_whitespace()) {
-                classes[usize::from(b)] = SKIP as u8;
-            }
-            columns = SKIP + 1;
+        for b in (0..=0x7f_u8).filter(|&b| char::from(b).is_whitespace()) {
+            classes[usize::from(b)] = SKIP;
         }
-        for &(_, needle) in &needles {
-            assert!(!needle.is_empty(), "empty multi-pattern needle");
-            match mode {
-                MatchMode::Exact => {}
-                MatchMode::IgnoreCase => assert!(
-                    !needle.bytes().any(|b| b.is_ascii_uppercase()),
-                    "nocase needles must be lowercase: {needle:?}"
-                ),
-                MatchMode::IgnoreWhitespace => assert!(
-                    !needle.chars().any(char::is_whitespace),
-                    "nospace needles must contain no whitespace: {needle:?}"
-                ),
-            }
-            for &b in needle.as_bytes() {
-                if classes[usize::from(b)] == 0 {
-                    classes[usize::from(b)] = columns as u8;
-                    columns += 1;
-                }
+        let mut columns = usize::from(SKIP) + 1;
+        for &b in WIDE_LEADS.iter().chain(&spelled) {
+            if classes[usize::from(b)] == 0 {
+                classes[usize::from(b)] = columns as u8;
+                columns += 1;
             }
         }
-        if mode == MatchMode::IgnoreCase {
-            for b in b'A'..=b'Z' {
-                classes[usize::from(b)] = classes[usize::from(b.to_ascii_lowercase())];
-            }
+        for b in b'A'..=b'Z' {
+            classes[usize::from(b)] = classes[usize::from(b.to_ascii_lowercase())];
         }
 
         // Trie over columns; `out[node]` collects the needles ending there.
@@ -135,9 +154,11 @@ impl Automaton {
             next_sibling: 0,
         }];
         let mut out: Vec<Vec<u32>> = vec![Vec::new()];
-        for &(id, needle) in &needles {
+        let mut longest = 0;
+        let mut start = 0;
+        for (id, &end) in (0u32..).zip(&ends) {
             let mut node = 0usize;
-            for &b in needle.as_bytes() {
+            for &b in &spelled[start..end] {
                 let column = classes[usize::from(b)];
                 let mut child = trie[node].first_child as usize;
                 while child != 0 && trie[child].column != column {
@@ -155,10 +176,13 @@ impl Automaton {
                 }
                 node = child;
             }
+            assert!(node != 0, "nothing in needle {id} but whitespace");
             out[node].push(id);
+            longest = longest.max(end - start);
+            start = end;
         }
         assert!(
-            trie.len() * columns < MATCH as usize,
+            trie.len() * columns < WIDE as usize,
             "automaton too large for flagged u32 row offsets"
         );
 
@@ -181,9 +205,7 @@ impl Automaton {
                 let fail_row = fail[node] * columns;
                 table.copy_within(fail_row..fail_row + columns, row);
             }
-            if skips_whitespace {
-                table[row + SKIP] = row as u32;
-            }
+            table[row + usize::from(SKIP)] = row as u32;
             let mut child = trie[node].first_child as usize;
             while child != 0 {
                 let slot = row + usize::from(trie[child].column);
@@ -200,65 +222,62 @@ impl Automaton {
                 child = trie[child].next_sibling as usize;
             }
         }
+        // Only now, so that the BFS above reads row offsets and `MATCH`.
+        for row in table.chunks_exact_mut(columns) {
+            for lead in WIDE_LEADS {
+                row[usize::from(classes[usize::from(lead)])] |= WIDE;
+            }
+        }
 
         Automaton {
             classes,
             columns,
             table,
             out,
+            longest,
         }
     }
 
-    /// One byte further from `state`; marks the needles that end there.
-    #[inline(always)]
-    fn step(&self, state: u32, byte: u8, matched: &mut [bool]) -> u32 {
-        let next = self.table[state as usize + usize::from(self.classes[usize::from(byte)])];
-        if next & MATCH == 0 {
-            next
-        } else {
-            self.report(next & !MATCH, matched)
+    /// The hot loop: [`LANES`] registers, one per chunk of `bytes`,
+    /// each a byte further per turn, from turn `offset` until a lane
+    /// meets a flagged transition. Returns that turn and lane — the
+    /// lanes before it have taken the turn's byte, it and those after
+    /// have not — or, with nothing met, the turn past the last one.
+    ///
+    /// Kept out of line: on its own the loop holds every register in a
+    /// machine register, which it does not once it shares a frame with
+    /// the calls of the careful path (about a tenth slower, measured).
+    #[inline(never)]
+    fn abreast(
+        &self,
+        bytes: &[u8],
+        states: &mut [u32; LANES],
+        mut offset: usize,
+    ) -> (usize, usize) {
+        let chunk = bytes.len() / LANES;
+        let chunks: [&[u8]; LANES] = std::array::from_fn(|j| &bytes[j * chunk..][..chunk]);
+        let table = &self.table[..];
+        let mut live = *states;
+        let mut met = 0;
+        'turns: while offset < chunk {
+            for j in 0..LANES {
+                let class = self.classes[usize::from(chunks[j][offset])];
+                let next = table[live[j] as usize + usize::from(class)];
+                if next & LOOK != 0 {
+                    met = j;
+                    break 'turns;
+                }
+                live[j] = next;
+            }
+            offset += 1;
         }
-    }
-
-    #[cold]
-    fn report(&self, state: u32, matched: &mut [bool]) -> u32 {
-        for &id in &self.out[state as usize / self.columns] {
-            matched[id as usize] = true;
-        }
-        state
-    }
-
-    /// Single pass over `haystack`; sets `matched[id] = true` for every
-    /// needle occurring in it, under the folds the table holds (ASCII
-    /// only — see [`Automaton::new`]).
-    pub fn find_into(&self, haystack: &str, matched: &mut [bool]) {
-        let mut state = 0;
-        for &byte in haystack.as_bytes() {
-            state = self.step(state, byte, matched);
-        }
+        *states = live;
+        (offset, met)
     }
 }
 
-/// The hide-counter rule, for the non-ASCII byte `raw[at]`: whether it
-/// belongs to a whitespace character, and so must not reach the
-/// whitespace-insensitive register. A lead byte decodes its character
-/// and arms `hide` with the character's length if it is whitespace;
-/// every hidden byte, the lead included, then counts it down.
-#[cold]
-fn hidden(raw: &str, at: usize, hide: &mut usize) -> bool {
-    if raw.is_char_boundary(at) {
-        let c = raw[at..].chars().next().expect("`at` indexes a byte");
-        *hide = if c.is_whitespace() { c.len_utf8() } else { 0 };
-    }
-    if *hide == 0 {
-        return false;
-    }
-    *hide -= 1;
-    true
-}
-
-/// Which transformed views a matching pass built. The fused walk builds
-/// none, so both fields are always `None`; the type stays because the
+/// Which transformed views a matching pass built. The walk builds none,
+/// so both fields are always `None`; the type stays because the
 /// benchmark (`benchmark/src/program.rs`) reads it to report
 /// `core.scratch.{lower,squash}_share`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,62 +288,175 @@ pub struct ViewUse {
     pub squashed: Option<usize>,
 }
 
-/// The compiled signature set: one automaton per [`MatchMode`], walked
-/// together over the raw body.
+/// The compiled signature set: one loose automaton over every needle,
+/// and the signatures themselves, in catalog order — each one's own
+/// pattern settles its candidates, its application takes the count.
 #[derive(Debug, Clone)]
 pub struct MultiPattern {
-    exact: Automaton,
-    nocase: Automaton,
-    nospace: Automaton,
-    /// Signature index → application, in catalog order.
-    apps: Vec<AppId>,
+    automaton: Automaton,
+    signatures: Vec<Signature>,
 }
 
 impl MultiPattern {
     /// Compile a signature catalog. Signature order is preserved so the
     /// matcher's output is interchangeable with the linear scan's.
+    ///
+    /// Panics on a needle its mode can never match or the walk would
+    /// never report — empty (also once whitespace is dropped), ending
+    /// in whitespace, a nocase needle with an uppercase letter, a
+    /// nospace needle with whitespace: a signature like that is a bug
+    /// in the catalog.
     pub fn new(signatures: &[Signature]) -> Self {
-        let automaton = |mode: MatchMode| {
-            Automaton::new(
-                mode,
-                signatures
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.pattern.mode == mode)
-                    .map(|(i, s)| (i as u32, s.pattern.needle)),
-            )
-        };
-        MultiPattern {
-            exact: automaton(MatchMode::Exact),
-            nocase: automaton(MatchMode::IgnoreCase),
-            nospace: automaton(MatchMode::IgnoreWhitespace),
-            apps: signatures.iter().map(|s| s.app).collect(),
+        for Pattern { needle, mode } in signatures.iter().map(|s| &s.pattern) {
+            assert!(
+                !needle.ends_with(char::is_whitespace),
+                "needles must not end in whitespace: {needle:?}"
+            );
+            match mode {
+                MatchMode::Exact => {}
+                MatchMode::IgnoreCase => assert!(
+                    !needle.bytes().any(|b| b.is_ascii_uppercase()),
+                    "nocase needles must be lowercase: {needle:?}"
+                ),
+                MatchMode::IgnoreWhitespace => assert!(
+                    !needle.chars().any(char::is_whitespace),
+                    "nospace needles must contain no whitespace: {needle:?}"
+                ),
+            }
         }
+        MultiPattern {
+            automaton: Automaton::new(signatures.iter().map(|s| s.pattern.needle)),
+            signatures: signatures.to_vec(),
+        }
+    }
+
+    /// The 90-signature catalog ([`all_signatures`]), compiled once per
+    /// process.
+    pub fn catalog() -> &'static MultiPattern {
+        static CATALOG: OnceLock<MultiPattern> = OnceLock::new();
+        CATALOG.get_or_init(|| MultiPattern::new(&all_signatures()))
     }
 
     /// Number of compiled signatures.
     pub fn len(&self) -> usize {
-        self.apps.len()
+        self.signatures.len()
     }
 
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
+        self.signatures.is_empty()
     }
 
-    /// The one matching loop: each byte of `raw` advances the three
-    /// registers, whose table lookups are independent and overlap.
-    /// Only `nospace` ever skips a byte: the bytes of a multi-byte
-    /// whitespace character (its ASCII kin loop in the table).
+    /// One lane over the byte `raw[at]`, with care: its next state (the
+    /// offset of a row; 0 is the root), and whether it consumed the
+    /// byte — whitespace, one byte or several, is not consumed. `hide`
+    /// counts the bytes of a wide whitespace character the lane has yet
+    /// to pass over.
+    #[inline(always)]
+    fn step(
+        &self,
+        state: u32,
+        hide: &mut usize,
+        raw: &str,
+        at: usize,
+        matched: &mut [bool],
+    ) -> (u32, bool) {
+        if *hide > 0 {
+            *hide -= 1;
+            return (state, false);
+        }
+        let class = self.automaton.classes[usize::from(raw.as_bytes()[at])];
+        let next = self.automaton.table[state as usize + usize::from(class)];
+        if next & LOOK != 0 {
+            return self.look(state, next, hide, raw, at, matched);
+        }
+        (next, class != SKIP)
+    }
+
+    /// What a flagged transition asks for. Behind [`WIDE`], decode the
+    /// character that begins at `at`: whitespace leaves the state where
+    /// it was and hides its remaining bytes. Behind [`MATCH`], the
+    /// loose automaton reports the needles of the next state at `at`:
+    /// set the bit of each whose own pattern ends there too.
+    #[cold]
+    fn look(
+        &self,
+        state: u32,
+        next: u32,
+        hide: &mut usize,
+        raw: &str,
+        at: usize,
+        matched: &mut [bool],
+    ) -> (u32, bool) {
+        if next & WIDE != 0 {
+            // A lead byte is a character boundary.
+            let c = raw[at..].chars().next().expect("`at` indexes a byte");
+            if c.is_whitespace() {
+                *hide = c.len_utf8() - 1;
+                return (state, false);
+            }
+        }
+        let state = next & !LOOK;
+        if next & MATCH != 0 {
+            for &id in &self.automaton.out[state as usize / self.automaton.columns] {
+                let id = id as usize;
+                if !matched[id] {
+                    matched[id] = self.signatures[id].pattern.ends_at(raw, at + 1);
+                }
+            }
+        }
+        (state, true)
+    }
+
+    /// The one matching loop. `raw` is cut into [`LANES`] chunks (the
+    /// last also takes the remainder); lane *j* starts at the root on
+    /// its chunk's first byte and each turn advances every lane a byte:
+    /// independent lookups the core overlaps. The hot loop
+    /// ([`Automaton::abreast`]) takes the turns no lane needs care in;
+    /// [`step`](Self::step) takes the rest.
+    ///
+    /// A lane then runs on past its boundary until its state is the
+    /// root — no needle is open — or it has consumed `longest` bytes
+    /// there, more than any needle that began before the boundary has
+    /// left. Skipped whitespace is not counted: a nospace occurrence
+    /// may hold any amount of it. What begins at or after the boundary
+    /// is the next lane's; what both report is set twice. A lane that
+    /// starts inside a character feeds the root continuation bytes,
+    /// which begin no needle and no character.
     fn walk(&self, raw: &str, matched: &mut [bool]) {
-        let (mut exact, mut nocase, mut nospace) = (0, 0, 0);
-        // Bytes of the current whitespace character still to hide.
-        let mut hide = 0;
-        for (at, &byte) in raw.as_bytes().iter().enumerate() {
-            exact = self.exact.step(exact, byte, matched);
-            nocase = self.nocase.step(nocase, byte, matched);
-            if byte.is_ascii() || !hidden(raw, at, &mut hide) {
-                nospace = self.nospace.step(nospace, byte, matched);
+        let chunk = raw.len() / LANES;
+        let mut states = [0u32; LANES];
+        let mut hides = [0usize; LANES];
+        let mut offset = 0;
+        while offset < chunk {
+            // Lanes before `first` have taken this turn's byte.
+            let mut first = 0;
+            if hides == [0; LANES] {
+                (offset, first) = self.automaton.abreast(raw.as_bytes(), &mut states, offset);
+                if offset == chunk {
+                    break;
+                }
+            }
+            for j in first..LANES {
+                let at = j * chunk + offset;
+                states[j] = self.step(states[j], &mut hides[j], raw, at, matched).0;
+            }
+            offset += 1;
+        }
+        for (j, (mut state, mut hide)) in states.into_iter().zip(hides).enumerate() {
+            // The last lane has no boundary: the remainder is its own.
+            let last = j + 1 == LANES;
+            let mut budget = if last {
+                raw.len()
+            } else {
+                self.automaton.longest
+            };
+            let mut at = (j + 1) * chunk;
+            while at < raw.len() && budget > 0 && (last || state != 0) {
+                let consumed;
+                (state, consumed) = self.step(state, &mut hide, raw, at, matched);
+                budget -= usize::from(consumed);
+                at += 1;
             }
         }
     }
@@ -332,7 +464,7 @@ impl MultiPattern {
     /// Which signatures match `body` (index-aligned with the catalog).
     /// Reads `body.raw` only; neither view is materialized.
     pub fn matched_signatures(&self, body: &PreparedBody) -> Vec<bool> {
-        let mut matched = vec![false; self.apps.len()];
+        let mut matched = vec![false; self.signatures.len()];
         self.walk(&body.raw, &mut matched);
         matched
     }
@@ -344,7 +476,7 @@ impl MultiPattern {
     pub fn matched_signatures_scratch(&self, raw: &str, scratch: &mut Scratch) -> ViewUse {
         let matched = scratch.matched_buf();
         matched.clear();
-        matched.resize(self.apps.len(), false);
+        matched.resize(self.signatures.len(), false);
         self.walk(raw, matched);
         ViewUse {
             lower: None,
@@ -366,7 +498,7 @@ impl MultiPattern {
         let mut counts: BTreeMap<AppId, u32> = BTreeMap::new();
         for (i, hit) in matched.iter().enumerate() {
             if *hit {
-                *counts.entry(self.apps[i]).or_default() += 1;
+                *counts.entry(self.signatures[i].app).or_default() += 1;
             }
         }
         counts.into_iter().collect()
@@ -386,50 +518,71 @@ mod tests {
     use crate::signatures::{all_signatures, match_candidates, match_counts};
     use nokeys_http::cases::check;
 
-    fn automaton(mode: MatchMode, needles: &[&'static str]) -> Automaton {
-        Automaton::new(mode, (0u32..).zip(needles.iter().copied()))
+    /// A matcher over made-up signatures, and its bits for `body`.
+    fn synthetic(patterns: &[Pattern]) -> MultiPattern {
+        let signatures: Vec<Signature> = patterns
+            .iter()
+            .map(|pattern| Signature {
+                app: AppId::Jenkins,
+                pattern: pattern.clone(),
+            })
+            .collect();
+        MultiPattern::new(&signatures)
+    }
+
+    fn found(mp: &MultiPattern, body: &str) -> Vec<bool> {
+        mp.matched_signatures(&PreparedBody::new(body))
     }
 
     #[test]
     fn automaton_finds_overlapping_patterns() {
-        let a = automaton(MatchMode::Exact, &["he", "she", "his", "hers"]);
-        let mut m = vec![false; 4];
-        a.find_into("ushers", &mut m);
-        assert_eq!(m, vec![true, true, false, true]);
+        let mp = synthetic(&["he", "she", "his", "hers"].map(Pattern::exact));
+        assert_eq!(found(&mp, "ushers"), [true, true, false, true]);
     }
 
     #[test]
     fn automaton_handles_repeated_and_nested_needles() {
-        let a = automaton(MatchMode::Exact, &["aa", "aaa", "baa"]);
-        let mut m = vec![false; 3];
-        a.find_into("abaaa", &mut m);
-        assert_eq!(m, vec![true, true, true]);
+        let mp = synthetic(&["aa", "aaa", "baa"].map(Pattern::exact));
+        assert_eq!(found(&mp, "abaaa"), [true, true, true]);
     }
 
     /// Exhaustive: on every string of length ≤ 6 over the needles'
-    /// letters plus one byte no needle contains, `find_into` reports
+    /// letters plus one byte no needle contains, the matcher reports
     /// exactly the needles `Pattern::matches` finds. Small enough to
     /// enumerate, and each layout decision has a case that breaks if it
     /// is wrong: the stray byte must fall back to the root through
     /// column 0 (byte classes), deep states must land on the right row
     /// (row-offset ids), and a needle ending inside or at the end of
     /// another must be reported from the longer one's states (match
-    /// flags inherited along fail links during the BFS). The last two
-    /// sets pin the folds the table itself holds.
+    /// flags inherited along fail links during the BFS). From four
+    /// bytes up every lane has a chunk of its own, one byte long, and
+    /// all the rest is run-on. The last three sets pin the folds: alone,
+    /// and with the three modes sharing one loose spelling, where only
+    /// the confirmation tells them apart.
     #[test]
     fn automaton_agrees_with_contains_on_every_short_string() {
-        use MatchMode::{Exact, IgnoreCase, IgnoreWhitespace};
-        let sets: [(MatchMode, &[&'static str], &str); 7] = [
-            (Exact, &["he", "she", "his", "hers"], "hesx"),
-            (Exact, &["he", "she", "his", "hers"], "hirx"),
-            (Exact, &["aa", "aaa", "baa"], "abcx"),
-            (Exact, &["b"], "abcx"),
-            (Exact, &["cab", "ab", "b", "abca"], "abcx"),
-            (IgnoreCase, &["ab", "bab"], "aAbBx"),
-            (IgnoreWhitespace, &["ab", "bab"], "ab \nx"),
+        use Pattern as P;
+        let sets: [(&[Pattern], &str); 8] = [
+            (&["he", "she", "his", "hers"].map(P::exact), "hesx"),
+            (&["he", "she", "his", "hers"].map(P::exact), "hirx"),
+            (&["aa", "aaa", "baa"].map(P::exact), "abcx"),
+            (&[P::exact("b")], "abcx"),
+            (&["cab", "ab", "b", "abca"].map(P::exact), "abcx"),
+            (&["ab", "bab"].map(P::nocase), "aAbBx"),
+            (&["ab", "bab"].map(P::nospace), "ab \nx"),
+            (
+                &[
+                    P::exact("Ab"),
+                    P::exact("a b"),
+                    P::nocase("ab"),
+                    P::nospace("ab"),
+                    P::nospace("Ab"),
+                ],
+                "aAb x",
+            ),
         ];
-        for (mode, needles, alphabet) in sets {
-            let a = automaton(mode, needles);
+        for (patterns, alphabet) in sets {
+            let mp = synthetic(patterns);
             let mut strings = vec![String::new()];
             let mut level = 0..1;
             for _ in 0..6 {
@@ -446,16 +599,45 @@ mod tests {
                 (0..=6).map(|n| alphabet.len().pow(n)).sum::<usize>()
             );
             for s in &strings {
-                let mut found = vec![false; needles.len()];
-                a.find_into(s, &mut found);
                 let body = PreparedBody::new(s.as_str());
-                let expected: Vec<bool> = needles
-                    .iter()
-                    .map(|&needle| Pattern { needle, mode }.matches(&body))
-                    .collect();
-                assert_eq!(found, expected, "{mode:?} {needles:?} in {s:?}");
+                let expected: Vec<bool> = patterns.iter().map(|p| p.matches(&body)).collect();
+                assert_eq!(found(&mp, s), expected, "{patterns:?} in {s:?}");
             }
         }
+    }
+
+    /// `MultiPattern::new` refuses a needle the walk would never
+    /// report: one that ends in whitespace, one with nothing else.
+    #[test]
+    fn needles_that_end_in_whitespace_or_hold_nothing_else_are_refused() {
+        for needle in ["", " ", "\u{a0}", "abc ", "abc\n", "abc\u{3000}"] {
+            for mode in [
+                MatchMode::Exact,
+                MatchMode::IgnoreCase,
+                MatchMode::IgnoreWhitespace,
+            ] {
+                let built = std::panic::catch_unwind(|| synthetic(&[Pattern { needle, mode }]));
+                assert!(built.is_err(), "{mode:?} {needle:?}");
+            }
+        }
+        // Whitespace anywhere else is an exact or nocase needle's own.
+        let mp = synthetic(&[Pattern::exact(" a b"), Pattern::nocase("\u{a0}a\tb")]);
+        assert_eq!(found(&mp, "x a b"), [true, false]);
+        assert_eq!(found(&mp, "\u{a0}A\tB"), [false, true]);
+        assert_eq!(found(&mp, "ab a\u{a0}b A B"), [false, false]);
+    }
+
+    /// The lead bytes the table flags are those of the whitespace
+    /// characters longer than one byte, all of them and no other.
+    #[test]
+    fn wide_leads_are_the_lead_bytes_of_multibyte_whitespace() {
+        let mut leads: Vec<u8> = (0x80..=u32::from(char::MAX))
+            .filter_map(char::from_u32)
+            .filter(|c| c.is_whitespace())
+            .map(|c| c.to_string().as_bytes()[0])
+            .collect();
+        leads.dedup();
+        assert_eq!(leads, WIDE_LEADS);
     }
 
     #[test]
@@ -739,6 +921,149 @@ mod tests {
         ] {
             let matched = paths.matched(&body);
             assert_eq!(indices.map(|i| matched[i]), expected, "{body:?}");
+        }
+    }
+
+    /// Bodies this long have lanes of `CHUNK` bytes, longer than any
+    /// needle, so a needle meets one boundary at a time.
+    const CHUNK: usize = 256;
+
+    /// `middle` with `before` bytes of `filler` in front, filled up to
+    /// `LANES * CHUNK` bytes behind: lane boundaries at every `CHUNK`.
+    fn laid_out(filler: char, before: usize, middle: &str) -> String {
+        assert!(filler.is_ascii() && before + middle.len() <= LANES * CHUNK);
+        let mut body = filler.to_string().repeat(before);
+        body.push_str(middle);
+        body.extend(std::iter::repeat_n(filler, LANES * CHUNK - body.len()));
+        body
+    }
+
+    /// Every catalog needle — as it is, and in the disguise its mode
+    /// sees through — slid over each lane boundary a byte at a time,
+    /// from wholly before it to wholly after. The filler is the
+    /// needle's own first byte, so a lane is never back at the root
+    /// when it reaches its boundary: it must run on, far enough for the
+    /// longest needle that began one byte before, and the next lane
+    /// must start at the root on the boundary's byte and no other.
+    #[test]
+    fn needles_are_found_wherever_a_lane_boundary_cuts_them() {
+        let mut paths = Paths::new();
+        assert!(paths.mp.automaton.longest < CHUNK);
+        for (index, signature) in paths.sigs.clone().iter().enumerate() {
+            let Pattern { needle, mode } = signature.pattern;
+            let disguised = match mode {
+                MatchMode::Exact => needle.to_string(),
+                MatchMode::IgnoreCase => needle.to_ascii_uppercase(),
+                MatchMode::IgnoreWhitespace => needle.replace(':', "\t:\u{2003}\n"),
+            };
+            let filler = char::from(needle.as_bytes()[0]);
+            for spelled in [needle, disguised.as_str()] {
+                for boundary in (1..LANES).map(|lane| lane * CHUNK) {
+                    for start in boundary - spelled.len()..=boundary + 1 {
+                        let body = laid_out(filler, start, spelled);
+                        paths
+                            .mp
+                            .matched_signatures_scratch(&body, &mut paths.scratch);
+                        let expected = signature.pattern.matches(&PreparedBody::new(&*body));
+                        assert!(expected, "{spelled:?} is planted whole");
+                        assert_eq!(
+                            paths.scratch.matched()[index],
+                            expected,
+                            "{spelled:?} at {start} across {boundary}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A nospace needle split by more whitespace than the run-on budget
+    /// has bytes, one byte and three bytes a character, with each lane
+    /// boundary at every place from the needle's first byte to past the
+    /// end of the whitespace: skipped bytes are not charged to the
+    /// budget, or the lane that began the needle would give up inside
+    /// the run and the next lane only ever sees the tail.
+    #[test]
+    fn whitespace_inside_a_needle_is_not_charged_to_the_run_on() {
+        let mut paths = Paths::new();
+        let index = paths.index_of(NOSPACE_NEEDLE);
+        let (head, tail) = NOSPACE_NEEDLE.split_at(7);
+        for ws in [" ", "\u{2003}"] {
+            let run = ws.repeat(paths.mp.automaton.longest + 3);
+            let split = format!("{head}{run}{tail}");
+            assert!(split.len() < CHUNK);
+            for boundary in (1..LANES).map(|lane| lane * CHUNK) {
+                for inside in 0..head.len() + run.len() + 2 {
+                    let body = laid_out('"', boundary - inside, &split);
+                    assert!(
+                        paths.matched(&body)[index],
+                        "{ws:?} {inside} into {boundary}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A three-byte character with a lane boundary before each of its
+    /// bytes and behind the last. `—` (a whitespace lead byte, no
+    /// whitespace) breaks the needle it sits in and nothing after it;
+    /// U+3000 inside the nospace needle is hidden by the lane that runs
+    /// on over it, while the next lane starts on its continuation bytes
+    /// and stays at the root.
+    #[test]
+    fn a_character_cut_by_a_lane_boundary_is_still_one_character() {
+        let mut paths = Paths::new();
+        let index = paths.index_of(NOSPACE_NEEDLE);
+        let (head, tail) = NOSPACE_NEEDLE.split_at(7);
+        for boundary in (1..LANES).map(|lane| lane * CHUNK) {
+            for cut in 0..=3 {
+                for (middle, expected) in [
+                    (format!("{head}\u{3000}{tail}"), true),
+                    (format!("{head}—{tail}"), false),
+                    (format!("{head}—{NOSPACE_NEEDLE}"), true),
+                    (format!("{head}\u{3000}{tail}—"), true),
+                ] {
+                    let wide = middle.find(['—', '\u{3000}']).expect("it is in there");
+                    let body = laid_out('"', boundary - wide - cut, &middle);
+                    assert_eq!(
+                        paths.matched(&body)[index],
+                        expected,
+                        "{middle:?}, {boundary} cuts at {cut}"
+                    );
+                }
+                // Right behind the character, in the lane that started
+                // inside it.
+                let body = laid_out('x', boundary - cut, &format!("—{NOSPACE_NEEDLE}"));
+                assert!(paths.matched(&body)[index], "{boundary} cuts at {cut}");
+            }
+        }
+    }
+
+    /// What the loose automaton reports and the signature's own mode
+    /// refuses: no bit — and none latched against the true occurrence
+    /// that follows, near by or lanes away, or that came before.
+    #[test]
+    fn candidates_of_the_wrong_case_or_spacing_do_not_report() {
+        let mut paths = Paths::new();
+        for (needle, candidate) in [
+            ("wp-content", "WP-CONTENT"),
+            ("wp-content", "wp- content"),
+            ("minapiversion", "minapi version"),
+            (NOSPACE_NEEDLE, "\"KIND\":\"STATUS\""),
+        ] {
+            let index = paths.index_of(needle);
+            for gap in [1, 3 * CHUNK] {
+                let gap = " ".repeat(gap);
+                let refused = format!("{candidate}{gap}{candidate}");
+                assert!(!paths.matched(&refused)[index], "{refused:?}");
+                for body in [
+                    format!("{refused}{gap}{needle}"),
+                    format!("{needle}{gap}{refused}"),
+                    format!("{candidate}{needle}{candidate}"),
+                ] {
+                    assert!(paths.matched(&body)[index], "{body:?}");
+                }
+            }
         }
     }
 }

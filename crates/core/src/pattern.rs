@@ -9,8 +9,10 @@
 //! lazily and once, so that the plugin checks and the linear signature
 //! scan — the reference [`MultiPattern`](crate::multipattern::MultiPattern)
 //! is tested against — pay substring searches, not one transformation
-//! per pattern. `MultiPattern` itself folds both transformations into
-//! its automata and reads only `raw`.
+//! per pattern. `MultiPattern` itself reads only `raw`: its one
+//! automaton is blind to case and whitespace alike, and each candidate
+//! it reports is settled in place by [`Pattern::ends_at`], the
+//! per-offset form of [`Pattern::matches_str`].
 
 /// How a pattern is compared against a body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,6 +102,37 @@ impl Pattern {
                 );
                 contains_ignore_whitespace(body, self.needle)
             }
+        }
+    }
+
+    /// Whether an occurrence of the pattern ends at byte `end` of
+    /// `raw`, so that [`matches_str`](Self::matches_str) is true
+    /// exactly when some `end` in `0..=raw.len()` is. In place and
+    /// bounded by the occurrence's own length: `MultiPattern` settles
+    /// each candidate its loose automaton reports with one call.
+    ///
+    /// - `Exact`: `raw[..end]` ends with the needle's bytes.
+    /// - `IgnoreCase`: its last `needle.len()` bytes equal the needle's
+    ///   up to ASCII case.
+    /// - `IgnoreWhitespace`: its characters, read backwards with
+    ///   whitespace skipped, spell the needle reversed.
+    ///
+    /// An `end` past the body or inside a character ends nothing.
+    pub fn ends_at(&self, raw: &str, end: usize) -> bool {
+        let needle = self.needle.as_bytes();
+        match self.mode {
+            MatchMode::Exact => raw
+                .as_bytes()
+                .get(..end)
+                .is_some_and(|head| head.ends_with(needle)),
+            MatchMode::IgnoreCase => end
+                .checked_sub(needle.len())
+                .and_then(|start| raw.as_bytes().get(start..end))
+                .is_some_and(|tail| tail.eq_ignore_ascii_case(needle)),
+            MatchMode::IgnoreWhitespace => raw.get(..end).is_some_and(|head| {
+                let mut hay = head.chars().rev().filter(|c| !c.is_whitespace());
+                self.needle.chars().rev().all(|c| hay.next() == Some(c))
+            }),
         }
     }
 }
@@ -349,6 +382,56 @@ mod tests {
                 );
             }
         });
+    }
+
+    /// In every mode a pattern matches a body exactly when an occurrence
+    /// ends at some offset of it, offsets inside a character included
+    /// (nothing ends there). Half the bodies carry a needle disguised
+    /// in a way its mode sees through or, as often, one it does not.
+    #[test]
+    fn ends_at_some_offset_exactly_when_the_pattern_matches() {
+        let matched = std::cell::Cell::new(0);
+        check(256, |g| {
+            let mut haystack = g.string(BODY, 0..120);
+            if g.bool() {
+                let cuts: Vec<usize> = haystack
+                    .char_indices()
+                    .map(|(i, _)| i)
+                    .chain([haystack.len()])
+                    .collect();
+                let disguised = [
+                    "Jenkins",
+                    "JENKINS",
+                    "HaDoOp",
+                    "ha doop",
+                    "k8s\u{a0}.\tio",
+                    "K8S.IO",
+                    "\"kind\" :\u{2028}\"Status\"",
+                ];
+                haystack.insert_str(*g.pick(&cuts), g.pick::<&str>(&disguised));
+            }
+            for p in [
+                Pattern::exact("Jenkins"),
+                Pattern::nocase("hadoop"),
+                Pattern::nospace("k8s.io"),
+                Pattern::nospace("\"kind\":\"Status\""),
+            ] {
+                let ends: Vec<usize> = (0..=haystack.len() + 1)
+                    .filter(|&end| p.ends_at(&haystack, end))
+                    .collect();
+                assert_eq!(
+                    p.matches_str(&haystack),
+                    !ends.is_empty(),
+                    "{p:?} on {haystack:?}"
+                );
+                assert!(
+                    ends.iter().all(|&end| haystack.is_char_boundary(end)),
+                    "{p:?} ends at {ends:?} in {haystack:?}"
+                );
+                matched.set(matched.get() + usize::from(!ends.is_empty()));
+            }
+        });
+        assert!(matched.get() > 50, "only {} matches", matched.get());
     }
 
     /// The borrow-when-canonical and byte-wise-squash micro-fixes

@@ -1,5 +1,6 @@
 //! Docker exposed-daemon detection.
 
+use crate::pattern::Pattern;
 use crate::plugins::body_of;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 
@@ -19,6 +20,7 @@ pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) ->
     let Some(version) = body_of(client, ep, scheme, "/version") else {
         return false;
     };
-    let lower = version.to_ascii_lowercase();
-    lower.contains("minapiversion") && lower.contains("kernelversion")
+    ["minapiversion", "kernelversion"]
+        .into_iter()
+        .all(|marker| Pattern::nocase(marker).matches_str(&version))
 }

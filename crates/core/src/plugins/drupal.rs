@@ -1,6 +1,7 @@
 //! Drupal installer detection.
 
-use crate::plugins::{ok_body_of, squash};
+use crate::pattern::Pattern;
+use crate::plugins::ok_body_of;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 
 pub const STEPS: &[&str] = &[
@@ -18,5 +19,5 @@ pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) ->
     ) else {
         return false;
     };
-    squash(&body).contains("<liclass=\"is-active\">Setupdatabase")
+    Pattern::nospace("<liclass=\"is-active\">Setupdatabase").matches_str(&body)
 }

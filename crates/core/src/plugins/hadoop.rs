@@ -1,5 +1,6 @@
 //! Hadoop YARN ResourceManager detection.
 
+use crate::pattern::Pattern;
 use crate::plugins::ok_body_of;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 
@@ -14,10 +15,9 @@ pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) ->
     let Some(cluster) = ok_body_of(client, ep, scheme, "/cluster/cluster") else {
         return false;
     };
-    let lower = cluster.to_ascii_lowercase();
-    if !(lower.contains("hadoop")
-        && lower.contains("resourcemanager")
-        && lower.contains("logged in as: dr.who"))
+    if !["hadoop", "resourcemanager", "logged in as: dr.who"]
+        .into_iter()
+        .all(|marker| Pattern::nocase(marker).matches_str(&cluster))
     {
         return false;
     }

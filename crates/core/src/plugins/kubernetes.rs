@@ -1,6 +1,7 @@
 //! Kubernetes anonymous-API detection.
 
-use crate::plugins::{ok_body_of, squash};
+use crate::pattern::Pattern;
+use crate::plugins::ok_body_of;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 
 pub const STEPS: &[&str] = &[
@@ -20,7 +21,7 @@ pub fn detect<T: Transport>(client: &Client<T>, ep: Endpoint, scheme: Scheme) ->
     let Some(pods) = ok_body_of(client, ep, scheme, "/api/v1/pods") else {
         return false;
     };
-    if !squash(&pods).contains("\"phase\":\"Running\"") {
+    if !Pattern::nospace("\"phase\":\"Running\"").matches_str(&pods) {
         return false;
     }
     let Ok(json) = crate::json::parse(pods.as_bytes()) else {

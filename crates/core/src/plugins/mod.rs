@@ -53,8 +53,3 @@ pub(crate) fn ok_body_of<T: Transport>(
     }
     Some(fetched.response.body_text())
 }
-
-/// Strip all whitespace (the Drupal/Kubernetes normalization).
-pub(crate) fn squash(s: &str) -> String {
-    s.chars().filter(|c| !c.is_whitespace()).collect()
-}

@@ -87,10 +87,9 @@ impl PrefilterMetrics {
 
 /// The stage-II prefilter.
 pub struct Prefilter {
-    signatures: Vec<Signature>,
-    /// Single-pass compiled form of `signatures` — the per-body hot
-    /// loop reads the body once instead of running 90 searches.
-    matcher: MultiPattern,
+    /// The compiled signature catalog — the per-body hot loop reads
+    /// the body once instead of running 90 searches.
+    matcher: &'static MultiPattern,
     metrics: PrefilterMetrics,
     /// Whole-fetch retry budget for transient errors (a connection that
     /// dies mid-response surfaces `UnexpectedEof`, which a fresh fetch
@@ -123,14 +122,11 @@ impl Prefilter {
     /// budget for transient fetch failures, accounted under
     /// `retry.fetch.*`.
     pub fn with_telemetry_and_retry(telemetry: &Telemetry, retry: RetryPolicy) -> Self {
-        let signatures = all_signatures();
-        let matcher = MultiPattern::new(&signatures);
-        let metrics = PrefilterMetrics::new(telemetry, &signatures);
+        let metrics = PrefilterMetrics::new(telemetry, &all_signatures());
         let fetch_retry = RetryMetrics::new(telemetry, "fetch");
         let alloc = AllocMetrics::new(telemetry);
         Prefilter {
-            signatures,
-            matcher,
+            matcher: MultiPattern::catalog(),
             metrics,
             retry,
             fetch_retry,
@@ -274,7 +270,7 @@ impl Prefilter {
 
     /// Number of loaded signatures (90 in the paper's configuration).
     pub fn signature_count(&self) -> usize {
-        self.signatures.len()
+        self.matcher.len()
     }
 }
 

@@ -25,7 +25,7 @@
 //! The view builders and their predicates ([`lower_into`],
 //! [`squash_into`], [`needs_lower`], [`needs_squash`]) live here for
 //! [`PreparedBody`](crate::pattern::PreparedBody), the reference the
-//! matcher is tested against and the plugin checks still use.
+//! matcher is tested against.
 
 /// Reusable per-worker buffers for multipattern matching and
 /// fingerprint crawling.

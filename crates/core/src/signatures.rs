@@ -216,6 +216,12 @@ pub fn all_signatures() -> Vec<Signature> {
 /// signatures, strongest first; ties in catalog order). The pipeline
 /// attributes an endpoint to `candidates[0]` unless a plugin confirms a
 /// weaker candidate.
+///
+/// The 90-search linear scan: no production path calls it. It stays
+/// `pub` as the reference twin of
+/// [`MultiPattern::match_candidates`](crate::multipattern::MultiPattern::match_candidates),
+/// which the benchmark (`benchmark/src/program.rs`) and the equivalence
+/// tests hold the automaton against.
 pub fn match_candidates(signatures: &[Signature], body: &PreparedBody) -> Vec<AppId> {
     rank_candidates(match_counts(signatures, body))
 }
@@ -229,7 +235,10 @@ pub fn rank_candidates(mut by_strength: Vec<(AppId, u32)>) -> Vec<AppId> {
     by_strength.into_iter().map(|(app, _)| app).collect()
 }
 
-/// The number of matching signatures per candidate application.
+/// The number of matching signatures per candidate application. Like
+/// [`match_candidates`], the reference twin of
+/// [`MultiPattern::match_counts`](crate::multipattern::MultiPattern::match_counts)
+/// and nothing else.
 pub fn match_counts(signatures: &[Signature], body: &PreparedBody) -> Vec<(AppId, u32)> {
     let mut counts: std::collections::BTreeMap<AppId, u32> = Default::default();
     for s in signatures.iter().filter(|s| s.pattern.matches(body)) {

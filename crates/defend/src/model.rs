@@ -5,7 +5,7 @@ use nokeys_honeypot::Fleet;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use nokeys_scanner::pattern::PreparedBody;
 use nokeys_scanner::plugin::detect_mav;
-use nokeys_scanner::signatures::{all_signatures, match_candidates};
+use nokeys_scanner::MultiPattern;
 
 /// Finding severity as reported by the vendor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,7 @@ impl CommercialScanner {
                 // Product presence only: match identification signatures.
                 let fetched = client.get_path(ep, Scheme::Http, "/").ok()?;
                 let body = PreparedBody::new(fetched.response.body_str());
-                let candidates = match_candidates(&all_signatures(), &body);
+                let candidates = MultiPattern::catalog().match_candidates(&body);
                 candidates.contains(&app).then_some(VendorFinding {
                     endpoint: ep,
                     app,
