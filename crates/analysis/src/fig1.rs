@@ -33,12 +33,6 @@ pub struct BinCounts {
     pub vulnerable: [u64; 7],
 }
 
-impl BinCounts {
-    pub fn total_vulnerable(&self) -> u64 {
-        self.vulnerable.iter().sum()
-    }
-}
-
 /// Compute bin counts over findings matching `filter`.
 pub fn bins<'a>(findings: impl Iterator<Item = &'a HostFinding>, app: Option<AppId>) -> BinCounts {
     let mut counts = BinCounts::default();

@@ -59,19 +59,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a GitHub-flavored Markdown table (for embedding
-    /// measured results in EXPERIMENTS.md-style documents).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 /// Render a unit-interval series (e.g. "fraction still vulnerable") as a
@@ -142,15 +129,6 @@ mod tests {
         assert_eq!(chars[2], '█');
         assert_eq!(chars[3], '█', "clamped above");
         assert_eq!(chars[4], ' ', "clamped below");
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let mut t = Table::new("Demo", &["App", "Hosts"]);
-        t.row(&["Grav", "4"]);
-        let md = t.render_markdown();
-        assert!(md.starts_with("### Demo\n\n| App | Hosts |\n|---|---|\n"));
-        assert!(md.contains("| Grav | 4 |"));
     }
 
     #[test]

@@ -86,139 +86,11 @@ pub fn probe_domain<T: Transport>(
     let Some(app) = cms else {
         return (None, false);
     };
-    // Verify the hijackable state with the app's own plugin, addressed by
-    // name. The vhost-aware client wrapper reuses `detect_mav` through a
-    // Host-pinning transport adapter.
-    let pinned = HostPinned {
-        inner: client.transport(),
-        domain: domain.to_string(),
-    };
-    let pinned_client = Client::with_config(pinned, client.config().clone());
-    let vulnerable = detect_mav(&pinned_client, app, Endpoint::new(ip, 80), Scheme::Http);
+    // Verify the hijackable state with the app's own plugin, addressed
+    // by name.
+    let named = client.for_host(domain);
+    let vulnerable = detect_mav(&named, app, Endpoint::new(ip, 80), Scheme::Http);
     (Some(app), vulnerable)
-}
-
-/// Transport adapter that pins every request's `Host` header to a fixed
-/// domain by rewriting the stream at connect time is not possible at the
-/// byte level, so instead the adapter is a thin wrapper whose client
-/// callers set the header; `detect_mav` goes through `Client::execute`,
-/// which preserves caller headers — the pinning happens in
-/// `PinnedConn`'s write path by rewriting the serialized `Host` line.
-pub struct HostPinned<'a, T> {
-    inner: &'a T,
-    domain: String,
-}
-
-impl<'a, T: Transport> Transport for HostPinned<'a, T> {
-    type Conn = PinnedConn<T::Conn>;
-
-    fn probe(&self, ep: Endpoint) -> nokeys_http::ProbeOutcome {
-        self.inner.probe(ep)
-    }
-
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<Self::Conn> {
-        let conn = self.inner.connect(ep, scheme)?;
-        Ok(Self::pin(conn, self.domain.clone()))
-    }
-
-    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<Self::Conn> {
-        let conn = self.inner.connect_fresh(ep, scheme)?;
-        Ok(Self::pin(conn, self.domain.clone()))
-    }
-
-    fn supports_reuse(&self) -> bool {
-        self.inner.supports_reuse()
-    }
-}
-
-impl<'a, T: Transport> HostPinned<'a, T> {
-    fn pin(conn: T::Conn, domain: String) -> PinnedConn<T::Conn> {
-        PinnedConn {
-            conn,
-            domain,
-            head_buf: Vec::new(),
-            header_done: false,
-        }
-    }
-}
-
-/// Connection wrapper rewriting the `Host:` header of each request head
-/// that passes through. Bytes are buffered until the head is complete,
-/// rewritten, then written to the inner connection in one piece.
-pub struct PinnedConn<C> {
-    conn: C,
-    domain: String,
-    head_buf: Vec<u8>,
-    header_done: bool,
-}
-
-impl<C: nokeys_http::transport::Connection> std::io::Write for PinnedConn<C> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.header_done {
-            return self.conn.write(buf);
-        }
-        self.head_buf.extend_from_slice(buf);
-        if let Some(end) = self.head_buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head = String::from_utf8_lossy(&self.head_buf[..end]).into_owned();
-            let mut wire = Vec::with_capacity(self.head_buf.len() + self.domain.len());
-            for (i, line) in head.split("\r\n").enumerate() {
-                if i > 0 {
-                    wire.extend_from_slice(b"\r\n");
-                }
-                if i > 0 && line.to_ascii_lowercase().starts_with("host:") {
-                    wire.extend_from_slice(format!("Host: {}", self.domain).as_bytes());
-                } else {
-                    wire.extend_from_slice(line.as_bytes());
-                }
-            }
-            wire.extend_from_slice(&self.head_buf[end..]);
-            self.header_done = true;
-            self.head_buf.clear();
-            self.conn.write_all(&wire)?;
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.conn.flush()
-    }
-}
-
-impl<C: nokeys_http::transport::Connection> std::io::Read for PinnedConn<C> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.conn.read(buf)
-    }
-}
-
-impl<C: nokeys_http::transport::Connection> nokeys_http::transport::Connection for PinnedConn<C> {
-    fn certificate(&self) -> Option<nokeys_http::transport::CertificateInfo> {
-        self.conn.certificate()
-    }
-
-    fn is_reused(&self) -> bool {
-        self.conn.is_reused()
-    }
-
-    fn set_reusable(&mut self, reusable: bool) {
-        if reusable {
-            // Arm the rewriter for the next request head on this
-            // (kept-alive) connection.
-            self.header_done = false;
-        }
-        self.conn.set_reusable(reusable);
-    }
-
-    fn take_recycled_buf(&mut self) -> Option<Vec<u8>> {
-        self.conn.take_recycled_buf()
-    }
-
-    fn store_recycled_buf(&mut self, buf: Vec<u8>) {
-        self.conn.store_recycled_buf(buf);
-    }
-
-    fn set_io_timeout(&mut self, timeout: std::time::Duration) -> std::io::Result<()> {
-        self.conn.set_io_timeout(timeout)
-    }
 }
 
 /// Scan every logged domain `delay_secs` after it appears (the CT
@@ -270,16 +142,12 @@ mod tests {
     #[test]
     fn host_pinned_transport_rewrites_the_header() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 20), 80);
-        let inner = HandlerTransport::new().with(ep, Arc::new(HostEcho));
-        let inner_client = Client::new(inner);
-        let pinned = HostPinned {
-            inner: inner_client.transport(),
-            domain: "pinned.example".into(),
-        };
-        let client = Client::new(pinned);
-        // The client writes `Host: 10.20.20.20`; the pinned connection
-        // rewrites it on the wire.
+        let client = Client::new(HandlerTransport::new().with(ep, Arc::new(HostEcho)));
+        // Unnamed, the client writes `Host: 10.20.20.20`.
         let fetched = client.get_path(ep, Scheme::Http, "/").unwrap();
+        assert_eq!(fetched.response.body_text(), "10.20.20.20");
+        let named = client.for_host("pinned.example");
+        let fetched = named.get_path(ep, Scheme::Http, "/").unwrap();
         assert_eq!(fetched.response.body_text(), "pinned.example");
     }
 
@@ -296,15 +164,10 @@ mod tests {
             }
         }
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 21), 80);
-        let inner = HandlerTransport::new().with(ep, Arc::new(BodyEcho));
-        let inner_client = Client::new(inner);
-        let pinned = HostPinned {
-            inner: inner_client.transport(),
-            domain: "d.example".into(),
-        };
-        let client = Client::new(pinned);
+        let client = Client::new(HandlerTransport::new().with(ep, Arc::new(BodyEcho)));
         let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/x");
         let resp = client
+            .for_host("d.example")
             .execute(&url, Request::post("/x", "payload-body"))
             .unwrap();
         assert_eq!(resp.body_text(), "d.example|payload-body");

@@ -45,13 +45,13 @@
 
 use crate::checkpoint::CheckpointError;
 use crate::fingerprint::Fingerprinter;
-use crate::plugin::detect_mav_instrumented;
+use crate::plugin::detect_mav;
 use crate::portscan::{Cidr, PortScanConfig, PortScanResult};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
 use crate::retry::RetryPolicy;
 use crate::scratch::Scratch;
-use crate::telemetry::{Counter, Histogram, Telemetry};
+use crate::telemetry::{Counter, Histogram, Telemetry, Timer};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Transport};
 use std::collections::{BTreeMap, BTreeSet};
@@ -316,6 +316,8 @@ struct PipelineMetrics {
     /// `pipeline.open_ports_per_host` — open scan ports on responsive
     /// hosts (tarpits included, so the top bucket exposes them).
     open_ports_per_host: Histogram,
+    /// `stage3.verify` — one virtual unit per plugin run.
+    verify: Timer,
 }
 
 impl PipelineMetrics {
@@ -326,6 +328,7 @@ impl PipelineMetrics {
             findings: telemetry.counter("pipeline.findings"),
             mavs: telemetry.counter("pipeline.mavs"),
             open_ports_per_host: telemetry.histogram("pipeline.open_ports_per_host", &[1, 2, 4, 8]),
+            verify: telemetry.timer("stage3.verify"),
         }
     }
 
@@ -525,7 +528,15 @@ impl BatchProcessor {
         for (app, app_hits) in endpoints_of {
             // Stage III: a MAV on any of the app's endpoints confirms it.
             let confirmed = app_hits.iter().copied().find(|hit| {
-                detect_mav_instrumented(&self.telemetry, client, app, hit.endpoint, hit.scheme)
+                let confirmed = detect_mav(client, app, hit.endpoint, hit.scheme);
+                self.metrics.verify.record(1);
+                // `stage3.verify.<app>.{confirmed,rejected}` register on
+                // first use: a snapshot lists only outcomes that occurred.
+                let outcome = if confirmed { "confirmed" } else { "rejected" };
+                self.telemetry
+                    .counter(&format!("stage3.verify.{app}.{outcome}"))
+                    .incr();
+                confirmed
             });
             // Attribute the host to this application if a plugin
             // confirmed it, or if it is the strongest match of one of
@@ -807,6 +818,49 @@ mod tests {
         assert!(report.port_stats.get(&80).map(|s| s.open).unwrap_or(0) > 0);
         // Port 80 never records HTTPS.
         assert_eq!(report.port_stats.get(&80).map(|s| s.https).unwrap_or(0), 0);
+    }
+
+    /// Each plugin run records one unit on `stage3.verify` and one
+    /// per-application outcome.
+    #[test]
+    fn instrumented_detection_records_outcomes() {
+        use crate::plugin::AppHandler;
+        use nokeys_apps::{build_instance, release_history, AppConfig};
+        use nokeys_http::memory::HandlerTransport;
+        use nokeys_http::{Endpoint, Scheme};
+
+        let app = AppId::Hadoop;
+        let version = *release_history(app).last().unwrap();
+        let mut transport = HandlerTransport::new();
+        let mut hits = Vec::new();
+        for (last, cfg) in [
+            (1, AppConfig::vulnerable_for(app, &version)),
+            (2, AppConfig::secure_for(app, &version)),
+        ] {
+            let endpoint = Endpoint::new(Ipv4Addr::new(10, 1, 1, last), app.scan_ports()[0]);
+            let handler = Arc::new(AppHandler::new(build_instance(app, version, cfg)));
+            transport = transport.with(endpoint, handler);
+            hits.push(PrefilterHit {
+                endpoint,
+                scheme: Scheme::Http,
+                candidates: vec![app],
+                redirects: 0,
+            });
+        }
+        let client = Client::new(transport);
+        let telemetry = Telemetry::new();
+        let config = PipelineConfig::builder(vec!["10.1.1.0/24".parse().unwrap()]).build();
+        let mut processor = BatchProcessor::new(&config, &telemetry);
+        let vulnerable: Vec<bool> = hits
+            .into_iter()
+            .flat_map(|hit| processor.verify_host(&client, vec![hit]))
+            .map(|finding| finding.vulnerable)
+            .collect();
+        assert_eq!(vulnerable, [true, false]);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("stage3.verify.Hadoop.confirmed"), 1);
+        assert_eq!(snap.counter("stage3.verify.Hadoop.rejected"), 1);
+        assert_eq!(snap.timings["stage3.verify"].units, 2);
     }
 
     /// Pipeline-level counters agree with the report they were recorded

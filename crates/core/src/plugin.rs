@@ -6,7 +6,6 @@
 //! requests — the scanner infers the presence of a MAV from the presence
 //! of the vulnerable functionality without exercising it.
 
-use crate::telemetry::Telemetry;
 use nokeys_apps::{AppId, WebApp};
 use nokeys_http::server::Handler;
 use nokeys_http::{Client, Endpoint, Request, Response, Scheme, Transport};
@@ -50,25 +49,6 @@ pub fn detect_mav<T: Transport>(
         // Out-of-scope applications have no MAV plugin.
         _ => false,
     }
-}
-
-/// [`detect_mav`] with per-application telemetry: each run records one
-/// virtual unit on the `stage3.verify` timer and increments
-/// `stage3.verify.<app>.confirmed` or `stage3.verify.<app>.rejected`.
-pub fn detect_mav_instrumented<T: Transport>(
-    telemetry: &Telemetry,
-    client: &Client<T>,
-    app: AppId,
-    ep: Endpoint,
-    scheme: Scheme,
-) -> bool {
-    let confirmed = detect_mav(client, app, ep, scheme);
-    telemetry.timer("stage3.verify").record(1);
-    let outcome = if confirmed { "confirmed" } else { "rejected" };
-    telemetry
-        .counter(&format!("stage3.verify.{app}.{outcome}"))
-        .incr();
-    confirmed
 }
 
 /// Human-readable detection steps (the content of Appendix Table 10),
@@ -178,32 +158,6 @@ mod tests {
                 "{app}: secure instance falsely flagged"
             );
         }
-    }
-
-    #[test]
-    fn instrumented_detection_records_outcomes() {
-        let telemetry = Telemetry::new();
-        let app = AppId::Hadoop;
-        let (client, ep) = client_for(app, true, false);
-        assert!(detect_mav_instrumented(
-            &telemetry,
-            &client,
-            app,
-            ep,
-            Scheme::Http
-        ));
-        let (client, ep) = client_for(app, false, false);
-        assert!(!detect_mav_instrumented(
-            &telemetry,
-            &client,
-            app,
-            ep,
-            Scheme::Http
-        ));
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("stage3.verify.Hadoop.confirmed"), 1);
-        assert_eq!(snap.counter("stage3.verify.Hadoop.rejected"), 1);
-        assert_eq!(snap.timings["stage3.verify"].units, 2);
     }
 
     #[test]

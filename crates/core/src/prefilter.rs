@@ -146,22 +146,9 @@ impl Prefilter {
     }
 
     /// Probe a single endpoint; returns the hit (if any signature
-    /// matched) plus which schemes answered. One-off entry point: uses
-    /// a throwaway scratch arena. [`run`](Self::run) calls
-    /// [`probe_endpoint_scratch`](Self::probe_endpoint_scratch) with a
-    /// long-lived one instead.
-    pub fn probe_endpoint<T: Transport>(
-        &self,
-        client: &Client<T>,
-        ep: Endpoint,
-    ) -> (Option<PrefilterHit>, PortProtocolStats) {
-        let mut scratch = Scratch::new();
-        self.probe_endpoint_scratch(client, ep, &mut scratch)
-    }
-
-    /// Probe a single endpoint, borrowing all matching buffers from
-    /// `scratch`. The steady-state stage-II hot path: with a reused
-    /// arena the multipattern pass allocates nothing.
+    /// matched) plus which schemes answered. All matching buffers are
+    /// borrowed from `scratch`: with a reused arena the multipattern
+    /// pass allocates nothing.
     ///
     /// The `alloc.*` counters recorded here are pure functions of the
     /// response stream, so they are byte-identical at any shard count.

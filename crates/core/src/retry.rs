@@ -271,35 +271,8 @@ impl<T: Transport> Transport for RetryTransport<T> {
     }
 
     fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
-        self.connect_with_retries(ep, scheme, false)
-    }
-
-    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
-        // The client's stale-connection retry deserves the same
-        // transient-error budget as a first connect, but must keep
-        // bypassing any pool below this wrapper.
-        self.connect_with_retries(ep, scheme, true)
-    }
-
-    fn supports_reuse(&self) -> bool {
-        self.inner.supports_reuse()
-    }
-}
-
-impl<T: Transport> RetryTransport<T> {
-    fn connect_with_retries(
-        &self,
-        ep: Endpoint,
-        scheme: Scheme,
-        fresh: bool,
-    ) -> nokeys_http::Result<T::Conn> {
-        self.policy.run(ep, &self.connect, || {
-            if fresh {
-                self.inner.connect_fresh(ep, scheme)
-            } else {
-                self.inner.connect(ep, scheme)
-            }
-        })
+        self.policy
+            .run(ep, &self.connect, || self.inner.connect(ep, scheme))
     }
 }
 

@@ -571,58 +571,6 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Bridge from the HTTP connection pool's observer callback into the
-/// registry's `transport.pool.*` counters.
-///
-/// `nokeys-http` deliberately does not depend on this crate, so the
-/// pool reports lifecycle events through a plain callback
-/// ([`nokeys_http::pool::PooledTransport::with_observer`]); this type
-/// is the scanner-side half that lands those events in telemetry:
-///
-/// ```ignore
-/// let pooled = PooledTransport::new(tcp)
-///     .with_observer(PoolMetrics::observer(&telemetry));
-/// ```
-#[derive(Clone, Debug)]
-pub struct PoolMetrics {
-    hits: Counter,
-    misses: Counter,
-    stale_retries: Counter,
-    evicted: Counter,
-}
-
-impl PoolMetrics {
-    /// Register the `transport.pool.*` counters in `telemetry`.
-    pub fn new(telemetry: &Telemetry) -> Self {
-        PoolMetrics {
-            hits: telemetry.counter("transport.pool.hit"),
-            misses: telemetry.counter("transport.pool.miss"),
-            stale_retries: telemetry.counter("transport.pool.stale_retry"),
-            evicted: telemetry.counter("transport.pool.evicted"),
-        }
-    }
-
-    /// Count one pool event.
-    pub fn record(&self, event: nokeys_http::pool::PoolEvent) {
-        use nokeys_http::pool::PoolEvent;
-        match event {
-            PoolEvent::Hit => self.hits.incr(),
-            PoolEvent::Miss => self.misses.incr(),
-            PoolEvent::StaleRetry => self.stale_retries.incr(),
-            PoolEvent::Evicted => self.evicted.incr(),
-        }
-    }
-
-    /// A ready-made observer closure for
-    /// [`PooledTransport::with_observer`](nokeys_http::pool::PooledTransport::with_observer).
-    pub fn observer(
-        telemetry: &Telemetry,
-    ) -> impl Fn(nokeys_http::pool::PoolEvent) + Send + Sync + 'static {
-        let metrics = PoolMetrics::new(telemetry);
-        move |event| metrics.record(event)
-    }
-}
-
 /// The `alloc.*` family: deterministic allocation telemetry for the
 /// stage-II hot path.
 ///
@@ -854,28 +802,6 @@ mod tests {
         let snap = t.snapshot();
         let value = crate::json::parse(snap.to_json().as_bytes()).expect("parses");
         assert_eq!(TelemetrySnapshot::from_json(&value), Ok(snap));
-    }
-
-    #[test]
-    fn pool_metrics_bridge_lands_events_in_counters() {
-        use nokeys_http::pool::PoolEvent;
-        let t = Telemetry::new();
-        let observe = PoolMetrics::observer(&t);
-        for event in [
-            PoolEvent::Miss,
-            PoolEvent::Hit,
-            PoolEvent::Hit,
-            PoolEvent::StaleRetry,
-            PoolEvent::Evicted,
-        ] {
-            observe(event);
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap.counter("transport.pool.hit"), 2);
-        assert_eq!(snap.counter("transport.pool.miss"), 1);
-        assert_eq!(snap.counter("transport.pool.stale_retry"), 1);
-        assert_eq!(snap.counter("transport.pool.evicted"), 1);
-        assert_eq!(snap.prefixed_total("transport.pool."), 5);
     }
 
     #[test]

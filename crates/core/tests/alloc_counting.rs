@@ -4,34 +4,50 @@
 //!
 //! Exactly one `#[test]` lives in this binary on purpose: the harness
 //! runs tests in the same process, so a sibling test's allocations
-//! would race the counter and turn the zero assertion flaky.
+//! would race the counter and turn the zero assertion flaky. The
+//! harness's own threads allocate too, so only the thread that armed
+//! itself around a measured region is counted.
 
 use nokeys_scanner::signatures::all_signatures;
 use nokeys_scanner::{MultiPattern, Scratch};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// System allocator wrapper counting every allocation and reallocation
-/// (frees are irrelevant: the claim is that the hot loop *acquires* no
-/// heap memory).
+/// an armed thread makes (frees are irrelevant: the claim is that the
+/// hot loop *acquires* no heap memory).
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread is inside a measured region. Const-initialised
+    /// and without a destructor, so reading it never allocates and is
+    /// safe from inside the allocator at any point of a thread's life.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note_allocation() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -43,8 +59,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn allocations() -> usize {
-    ALLOCS.load(Ordering::Relaxed)
+/// Allocations the calling thread makes while `region` runs.
+fn allocations_in(region: impl FnOnce()) -> usize {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    ARMED.with(|armed| armed.set(true));
+    region();
+    ARMED.with(|armed| armed.set(false));
+    ALLOCS.load(Ordering::Relaxed) - before
 }
 
 #[test]
@@ -60,18 +81,23 @@ fn warmed_hot_path_performs_zero_heap_allocations() {
     ];
     let matcher = MultiPattern::new(&all_signatures());
     let mut scratch = Scratch::new();
+    assert_eq!(
+        allocations_in(|| drop(black_box(Vec::<u8>::with_capacity(64)))),
+        1,
+        "an armed thread's allocations are counted"
+    );
 
     // No warm-up: the arena holds match bits only, sized at
     // construction, so the first body is as clean as the hundredth.
-    let before = allocations();
-    for _ in 0..100 {
-        for body in &bodies {
-            let used = matcher.matched_signatures_scratch(body, &mut scratch);
-            black_box(used);
-            black_box(scratch.matched());
+    let matcher_allocs = allocations_in(|| {
+        for _ in 0..100 {
+            for body in &bodies {
+                let used = matcher.matched_signatures_scratch(body, &mut scratch);
+                black_box(used);
+                black_box(scratch.matched());
+            }
         }
-    }
-    let matcher_allocs = allocations() - before;
+    });
     assert_eq!(
         matcher_allocs, 0,
         "multipattern matching must not touch the heap"
@@ -80,19 +106,19 @@ fn warmed_hot_path_performs_zero_heap_allocations() {
     // The inline header arena: building and probing a typical scan
     // response's header map (a handful of short fields) is heap-free
     // even without any warm-up — the storage is inline in the value.
-    let before = allocations();
-    for _ in 0..100 {
-        let mut headers = nokeys_http::Headers::new();
-        headers.append("Content-Type", "text/html; charset=utf-8");
-        headers.append("Content-Length", "1024");
-        headers.append("Connection", "keep-alive");
-        headers.append("Server", "sim");
-        black_box(headers.get("content-type"));
-        black_box(headers.connection_keep_alive());
-        black_box(headers.spilled());
-        black_box(&headers);
-    }
-    let header_allocs = allocations() - before;
+    let header_allocs = allocations_in(|| {
+        for _ in 0..100 {
+            let mut headers = nokeys_http::Headers::new();
+            headers.append("Content-Type", "text/html; charset=utf-8");
+            headers.append("Content-Length", "1024");
+            headers.append("Connection", "keep-alive");
+            headers.append("Server", "sim");
+            black_box(headers.get("content-type"));
+            black_box(headers.connection_keep_alive());
+            black_box(headers.spilled());
+            black_box(&headers);
+        }
+    });
     assert_eq!(
         header_allocs, 0,
         "inline header maps must not touch the heap"

@@ -11,7 +11,6 @@ use crate::request::Request;
 use crate::response::Response;
 use crate::transport::{Connection, Endpoint, Scheme, Transport};
 use crate::url::{Host, Url};
-use crate::version::Version;
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
@@ -54,20 +53,23 @@ pub struct Fetched {
 pub struct Client<T> {
     transport: T,
     config: ClientConfig,
+    /// Name-based virtual host every request is addressed to, if any.
+    host: Option<String>,
 }
 
 impl<T: Transport> Client<T> {
     /// Create a client with default configuration.
     pub fn new(transport: T) -> Self {
-        Client {
-            transport,
-            config: ClientConfig::default(),
-        }
+        Self::with_config(transport, ClientConfig::default())
     }
 
     /// Create a client with explicit configuration.
     pub fn with_config(transport: T, config: ClientConfig) -> Self {
-        Client { transport, config }
+        Client {
+            transport,
+            config,
+            host: None,
+        }
     }
 
     /// Access the underlying transport.
@@ -87,66 +89,52 @@ impl<T: Transport> Client<T> {
         Client {
             transport,
             config: self.config.clone(),
+            host: self.host.clone(),
         }
     }
 
-    /// Issue a single request to `url` without following redirects.
+    /// A client over the same transport and configuration whose
+    /// requests all name the virtual host `name`: `Host: name` goes
+    /// wherever [`execute`](Self::execute) would have written the
+    /// URL's own host. This is how a site behind a shared IP is
+    /// scanned by name (the paper's §6.2 "under counting" discussion).
+    pub fn for_host(&self, name: &str) -> Client<&T> {
+        Client {
+            transport: &self.transport,
+            config: self.config.clone(),
+            host: Some(name.to_string()),
+        }
+    }
+
+    /// Issue a single request to `url` without following redirects:
+    /// dial, one exchange, drop the connection.
     ///
-    /// A caller-provided `Host` header is preserved — that is how
-    /// name-based virtual hosts behind a shared IP are addressed (the
-    /// paper's §6.2 "under counting" discussion). The same holds for a
-    /// caller-provided `Connection` header; absent one, the client
-    /// requests `Connection: close` unless the transport pools
-    /// connections, in which case the HTTP/1.1 keep-alive default is
-    /// left in effect so sequential probes of one host share a
-    /// connection.
-    ///
-    /// A connection checked out of a pool may have been closed by the
-    /// server while idle (the stale keep-alive race). When a reused
-    /// connection fails before yielding a single response byte, the
-    /// exchange is retried exactly once on a fresh connection that
-    /// bypasses the pool; failures after response bytes arrived are
-    /// surfaced, not retried, because the exchange is no longer known
-    /// to be unprocessed.
+    /// A caller-provided `Host` header is preserved; absent one, the
+    /// header names this client's virtual host
+    /// ([`for_host`](Self::for_host)) or else the URL's host. The same
+    /// holds for a caller-provided `Connection` header; absent one, the
+    /// client asks for `Connection: close`, since it never sends a
+    /// second request down a connection.
     pub fn execute(&self, url: &Url, mut req: Request) -> Result<Response> {
         let ep = endpoint_of(url)?;
         if !req.headers.contains("host") {
-            req.headers.set("Host", url.host_header());
+            match &self.host {
+                Some(name) => req.headers.set("Host", name),
+                None => req.headers.set("Host", url.host_header()),
+            }
         }
         if !req.headers.contains("user-agent") {
             req.headers.set("User-Agent", &self.config.user_agent);
         }
-        if !req.headers.contains("connection") && !self.transport.supports_reuse() {
+        if !req.headers.contains("connection") {
             req.headers.set("Connection", "close");
         }
-        let request_close = req.headers.connection_close();
         let head_method = req.method == crate::Method::Head;
         let wire = encode_request(&req);
 
         let deadline = Instant::now() + self.config.request_timeout;
-        let exchange = |conn: &mut T::Conn| {
-            exchange_once(
-                conn,
-                &wire,
-                head_method,
-                &self.config.limits,
-                request_close,
-                deadline,
-            )
-        };
         let mut conn = self.transport.connect(ep, url.scheme)?;
-        match exchange(&mut conn) {
-            Outcome::Done(resp) => Ok(resp),
-            Outcome::Fatal(e) => Err(e),
-            Outcome::Stale(_) => {
-                drop(conn); // tear the corpse down before redialing
-                let mut fresh = self.transport.connect_fresh(ep, url.scheme)?;
-                match exchange(&mut fresh) {
-                    Outcome::Done(resp) => Ok(resp),
-                    Outcome::Stale(e) | Outcome::Fatal(e) => Err(e),
-                }
-            }
-        }
+        exchange_once(&mut conn, &wire, head_method, &self.config.limits, deadline)
     }
 
     /// `GET` with redirect following. Returns the first response that is
@@ -186,56 +174,19 @@ fn endpoint_of(url: &Url) -> Result<Endpoint> {
     }
 }
 
-/// How one request/response exchange on one connection ended. A
-/// short-lived return value: boxing the response would cost an
-/// allocation per exchange to shrink a type that is never stored.
-#[allow(clippy::large_enum_variant)]
-enum Outcome {
-    /// Response fully parsed; the connection's reusability verdict has
-    /// been recorded via [`Connection::set_reusable`].
-    Done(Response),
-    /// The connection was reused and died before yielding any response
-    /// byte — the stale keep-alive race. Safe to retry once on a fresh
-    /// connection: the server provably processed nothing.
-    Stale(Error),
-    /// Any other failure; retrying could duplicate a processed request.
-    Fatal(Error),
-}
-
 /// Write `wire` and read one response: read, feed the [`Decoder`], ask
-/// it for the message. On success the connection is marked reusable iff
-/// keep-alive semantics allow it: no EOF was needed to delimit the
-/// body, the decoder is left empty (no unsynchronized trailing data),
-/// we did not request close, and the server's version/`Connection`
-/// headers agree (HTTP/1.1 defaults to keep-alive, HTTP/1.0 must opt
-/// in).
+/// it for the message.
 ///
 /// Every blocking operation is bounded by what is left until
 /// `deadline`, so a stalled or trickling peer costs at most the
 /// configured request timeout.
-///
-/// The decoder's read buffer is borrowed from the connection's recycle
-/// slot when one exists, and handed back (emptied, capacity intact)
-/// after a reusable exchange — so the N probes a scan sends down one
-/// pooled keep-alive connection share a single buffer allocation.
-/// Decoded responses own their bytes, which is what makes handing it
-/// back sound.
 fn exchange_once<C: Connection>(
     conn: &mut C,
     wire: &[u8],
     head_method: bool,
     limits: &Limits,
-    request_close: bool,
     deadline: Instant,
-) -> Outcome {
-    let reused = conn.is_reused();
-    let stale_or_fatal = |e: Error, unprocessed: bool| {
-        if reused && unprocessed {
-            Outcome::Stale(e)
-        } else {
-            Outcome::Fatal(e)
-        }
-    };
+) -> Result<Response> {
     let arm = |conn: &mut C| -> Result<()> {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
@@ -243,46 +194,23 @@ fn exchange_once<C: Connection>(
         }
         conn.set_io_timeout(left).map_err(Error::from)
     };
-    if let Err(e) = arm(conn) {
-        return Outcome::Fatal(e);
-    }
+    arm(conn)?;
     // Not all transports propagate flush, but it is correct to ask.
-    if let Err(e) = conn.write_all(wire).and_then(|()| conn.flush()) {
-        return stale_or_fatal(e.into(), true);
-    }
-    let buf = conn
-        .take_recycled_buf()
-        .unwrap_or_else(|| Vec::with_capacity(4096));
-    let mut decoder = Decoder::response(head_method, *limits).with_buffer(buf);
+    conn.write_all(wire)?;
+    conn.flush()?;
+    let mut decoder = Decoder::response(head_method, *limits);
     let mut chunk = [0u8; 4096];
     let mut eof = false;
     loop {
-        match decoder.next(eof) {
-            Ok(Some(resp)) => {
-                let keep = !eof
-                    && decoder.is_empty()
-                    && !request_close
-                    && match resp.version {
-                        Version::Http11 => !resp.headers.connection_close(),
-                        Version::Http10 => resp.headers.connection_keep_alive(),
-                    };
-                conn.set_reusable(keep);
-                if keep {
-                    conn.store_recycled_buf(decoder.into_buffer());
-                }
-                return Outcome::Done(resp);
-            }
-            Ok(None) => {}
-            Err(e) => return stale_or_fatal(e, decoder.is_empty()),
+        if let Some(resp) = decoder.next(eof)? {
+            return Ok(resp);
         }
-        if let Err(e) = arm(conn) {
-            return Outcome::Fatal(e);
-        }
+        arm(conn)?;
         match conn.read(&mut chunk) {
             Ok(0) => eof = true,
             Ok(n) => decoder.feed(&chunk[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return stale_or_fatal(e.into(), decoder.is_empty()),
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -437,6 +365,11 @@ mod error_path_tests {
         let req = Request::get("/").with_header("Host", "named.example");
         let resp = client.execute(&url, req).unwrap();
         assert_eq!(resp.body_text(), "named.example");
+        // A client for a named virtual host addresses what it builds
+        // to that name.
+        let named = client.for_host("vhost.example");
+        let fetched = named.get(&url).unwrap();
+        assert_eq!(fetched.response.body_text(), "vhost.example");
     }
 
     #[test]
@@ -448,7 +381,7 @@ mod error_path_tests {
         let transport = HandlerTransport::new().with(ep, handler);
         let client = Client::new(transport);
         let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/");
-        // Default on a non-pooling transport: the client requests close.
+        // Default: the client requests close.
         let resp = client.execute(&url, Request::get("/")).unwrap();
         assert_eq!(resp.body_text(), "close");
         // A caller-provided value must not be clobbered.

@@ -12,9 +12,7 @@
 //!   implementation ([`transport::TcpTransport`]); the simulated Internet in
 //!   `nokeys-netsim` provides an in-memory implementation,
 //! * a [`client::Client`] with redirect following, timeouts and body caps,
-//!   mirroring the constraints of the paper's ethical scanning setup,
-//! * a keep-alive connection pool ([`pool::PooledTransport`]) so the
-//!   client's sequential probes of one host share a connection, and
+//!   mirroring the constraints of the paper's ethical scanning setup, and
 //! * a [`server::serve_connection`] loop used to expose application models
 //!   over real sockets.
 //!
@@ -31,7 +29,6 @@ pub mod ip;
 pub mod memory;
 pub mod method;
 pub mod parse;
-pub mod pool;
 pub mod request;
 pub mod response;
 pub mod server;
@@ -44,7 +41,6 @@ pub use client::{Client, ClientConfig};
 pub use error::{Error, Result};
 pub use headers::Headers;
 pub use method::Method;
-pub use pool::{PoolConfig, PoolEvent, PooledTransport};
 pub use request::Request;
 pub use response::Response;
 pub use status::StatusCode;

@@ -128,6 +128,11 @@ fn request_framing(headers: &Headers) -> Result<BodyFraming> {
 /// The two differ only in their start line and in the rule that picks
 /// the body framing.
 pub trait Message: Sized {
+    /// Bytes every message of this kind begins with. A peer whose
+    /// first bytes differ is not speaking HTTP, which is a definite
+    /// answer as soon as they arrive rather than something to wait out.
+    const START: &'static [u8];
+
     /// Parse a complete head (start line and header block, without the
     /// blank line that ends it) into a message with an empty body, and
     /// say how the body that follows is framed. `head_method` tells a
@@ -139,6 +144,8 @@ pub trait Message: Sized {
 }
 
 impl Message for Response {
+    const START: &'static [u8] = b"HTTP/";
+
     fn parse_head(head: &str, head_method: bool) -> Result<(Self, BodyFraming)> {
         let (status_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
 
@@ -175,6 +182,9 @@ impl Message for Response {
 }
 
 impl Message for Request {
+    /// Requests open with a method, which has no fixed spelling.
+    const START: &'static [u8] = b"";
+
     fn parse_head(head: &str, _head_method: bool) -> Result<(Self, BodyFraming)> {
         let (request_line, header_block) = head.split_once("\r\n").unwrap_or((head, ""));
 
@@ -319,21 +329,6 @@ impl<M: Message> Decoder<M> {
         }
     }
 
-    /// Use `buf`'s allocation for the read buffer (its contents are
-    /// discarded), so a buffer can be recycled across exchanges.
-    pub fn with_buffer(mut self, mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        self.buf = buf;
-        self
-    }
-
-    /// Give the read buffer back, emptied. Sound at any point: decoded
-    /// messages own their bytes.
-    pub fn into_buffer(mut self) -> Vec<u8> {
-        self.buf.clear();
-        self.buf
-    }
-
     /// Append bytes read off the connection.
     pub fn feed(&mut self, bytes: &[u8]) {
         // Dropping the consumed prefix here, once per read, keeps the
@@ -353,7 +348,9 @@ impl<M: Message> Decoder<M> {
     /// The next complete message, or `None` while more bytes are
     /// needed. `eof` says the peer has closed: it ends a read-to-close
     /// body, and makes any other incomplete message (an empty buffer
-    /// included) [`Error::UnexpectedEof`].
+    /// included) [`Error::UnexpectedEof`]. A response that does not
+    /// begin `HTTP/` is [`Error::Malformed`] as soon as that shows,
+    /// closed or not.
     pub fn next(&mut self, eof: bool) -> Result<Option<M>> {
         let Limits { max_head, max_body } = self.limits;
         let body_too_large = Error::TooLarge {
@@ -364,6 +361,10 @@ impl<M: Message> Decoder<M> {
             let rest = &self.buf[self.pos..];
             let complete = match &mut self.state {
                 ParseState::Head { scanned } => {
+                    let known = rest.len().min(M::START.len());
+                    if rest[..known] != M::START[..known] {
+                        return Err(Error::Malformed("not HTTP"));
+                    }
                     let Some(end) = find_end(rest, b"\r\n\r\n", scanned, max_head, "head")? else {
                         break;
                     };
@@ -853,6 +854,27 @@ mod tests {
         decoder.feed(b"HTTP/1.0 200 OK\r\n\r\n");
         assert_eq!(decoder.next(false).unwrap(), None);
         assert!(!decoder.is_empty(), "every byte consumed, yet mid-message");
+    }
+
+    /// A service that answers with its own protocol's banner has given
+    /// a definite answer; one that says nothing has not. (A status line
+    /// trickled a byte per feed passes the same check on every byte in
+    /// `scanner_resumes_instead_of_rescanning`.)
+    #[test]
+    fn a_banner_is_not_http_but_silence_is_only_eof() {
+        let mut banner = Decoder::response(false, limits());
+        banner.feed(b"SSH-2.0-OpenSSH_8.9\r\n");
+        assert_eq!(banner.next(true).unwrap_err(), Error::Malformed("not HTTP"));
+        // Decided on the first differing byte, open connection or not.
+        let mut early = Decoder::response(false, limits());
+        early.feed(b"HTS");
+        assert_eq!(early.next(false).unwrap_err(), Error::Malformed("not HTTP"));
+        assert!(!Error::Malformed("not HTTP").is_transient());
+
+        let mut silent = Decoder::response(false, limits());
+        assert_eq!(silent.next(false).unwrap(), None);
+        assert_eq!(silent.next(true).unwrap_err(), Error::UnexpectedEof);
+        assert!(Error::UnexpectedEof.is_transient());
     }
 
     #[test]

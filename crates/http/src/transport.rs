@@ -84,40 +84,6 @@ pub trait Connection: Read + Write + Send {
         None
     }
 
-    /// Whether this connection already served at least one exchange —
-    /// i.e. it was checked out of a keep-alive pool rather than freshly
-    /// established. A reused connection may be stale (the server closed
-    /// it while idle), so the client allows exactly one retry on a
-    /// fresh connection when a reused one fails before yielding any
-    /// response bytes. Non-pooled connections are never reused.
-    fn is_reused(&self) -> bool {
-        false
-    }
-
-    /// Tell the connection whether the just-completed exchange left it
-    /// reusable (keep-alive negotiated and the response body fully
-    /// delimited). Pooled connections use this to decide between
-    /// check-in and teardown on drop; the default is a no-op.
-    fn set_reusable(&mut self, reusable: bool) {
-        let _ = reusable;
-    }
-
-    /// Hand back a read buffer stored by a previous exchange on this
-    /// connection, if the connection carries one. The client asks
-    /// before allocating its response buffer, so keep-alive exchanges
-    /// on a pooled connection reuse one buffer instead of allocating
-    /// 4 KiB each. The default (no recycling) returns `None`.
-    fn take_recycled_buf(&mut self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Store a cleared read buffer for the next exchange on this
-    /// connection. Called by the client only when the exchange left the
-    /// connection reusable; the default drops the buffer.
-    fn store_recycled_buf(&mut self, buf: Vec<u8>) {
-        let _ = buf;
-    }
-
     /// Bound every later blocking read and write on this connection to
     /// `timeout`; an operation that exceeds it fails with a timed-out
     /// I/O error. The client calls this with what is left of its
@@ -183,25 +149,6 @@ pub trait Transport: Send + Sync {
     /// Full connection establishment with the given scheme.
     fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn>;
 
-    /// Establish a connection bypassing any idle-connection pool this
-    /// transport (or a wrapper layer) maintains. The client calls this
-    /// for its single stale-connection retry: a pooled connection died
-    /// under the first attempt, so drawing another idle one would risk
-    /// a second corpse. Defaults to [`connect`](Self::connect) —
-    /// correct for every transport that does not pool.
-    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
-        self.connect(ep, scheme)
-    }
-
-    /// Whether connections from this transport may be reused across
-    /// exchanges. When false (the default), the client requests
-    /// `Connection: close` and tears every connection down after one
-    /// exchange — the pre-pooling behaviour, and what keeps the
-    /// simulated transport's wire bytes unchanged.
-    fn supports_reuse(&self) -> bool {
-        false
-    }
-
     /// Probe every (address, port) pair of `block` in one call.
     ///
     /// The default implementation loops [`probe`](Self::probe) over the
@@ -223,6 +170,24 @@ pub trait Transport: Send + Sync {
             addresses_probed: block.size(),
             bulk_closed: 0,
         }
+    }
+}
+
+/// A borrowed transport is a transport, so a [`Client`](crate::Client)
+/// can be built around one it does not own.
+impl<T: Transport> Transport for &T {
+    type Conn = T::Conn;
+
+    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        (**self).probe(ep)
+    }
+
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
+        (**self).connect(ep, scheme)
+    }
+
+    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+        (**self).sweep_block(block, ports)
     }
 }
 

@@ -10,10 +10,11 @@
 //! concurrent sweep may reorder endpoints freely, but every endpoint
 //! still sees the same fault schedule it would have seen alone.
 //!
-//! [`FaultyTransport`] applies a plan to any [`Transport`] — the
-//! simulator uses it internally, and the real-socket CLI wraps
-//! `TcpTransport` with it to rehearse flaky-network behaviour on live
-//! scans.
+//! [`FaultyTransport`] applies a plan to any [`Transport`]: the
+//! real-socket CLI wraps `TcpTransport` with it to rehearse
+//! flaky-network behaviour on live scans. The simulator does not go
+//! through it — `SimTransport` holds a plan and calls
+//! [`FaultPlan::fires`] itself.
 
 use crate::ip::Cidr;
 use crate::rng::{mix64, unit_interval};
@@ -245,19 +246,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             return Err(Error::Timeout);
         }
         self.inner.connect(ep, scheme)
-    }
-
-    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
-        // A stale-retry redial is still a connect: it draws from the
-        // same fault lane before reaching the inner transport.
-        if self.plan.fires(FaultLane::Connect, ep) {
-            return Err(Error::Timeout);
-        }
-        self.inner.connect_fresh(ep, scheme)
-    }
-
-    fn supports_reuse(&self) -> bool {
-        self.inner.supports_reuse()
     }
 
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {

@@ -112,16 +112,6 @@ impl<T: Transport> Transport for KillableTransport<T> {
         self.inner.connect(ep, scheme)
     }
 
-    fn connect_fresh(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
-        // Stale-retry redials spend budget like any other connect.
-        self.switch.admit(1);
-        self.inner.connect_fresh(ep, scheme)
-    }
-
-    fn supports_reuse(&self) -> bool {
-        self.inner.supports_reuse()
-    }
-
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
         // Charge exactly what a per-endpoint loop would have: one
         // operation per (address, port) pair, regardless of how many

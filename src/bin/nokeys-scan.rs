@@ -5,20 +5,13 @@
 //! nokeys-scan --target 192.0.2.0/28 [--ports 80,443,8080] [--rate 200]
 //!             [--shards N] [--json out.json] [--metrics-out m.json]
 //!             [--include-reserved] [--retries N] [--fault-rate P]
-//!             [--checkpoint FILE] [--resume] [--pool]
+//!             [--checkpoint FILE] [--resume]
 //! ```
 //!
 //! `--shards N` is the scan's one concurrency setting: N worker threads
 //! each draw the next batch from one shared cursor (default 16 — live
 //! scanning is latency-bound, so more workers than CPUs pays off). The report is byte-identical at any N, and `--rate`
 //! stays a whole-scan bound shared by all workers.
-//!
-//! `--pool` enables keep-alive connection reuse: stage II/III probes of
-//! the same host ride one TCP connection through [`PooledTransport`]
-//! instead of paying a handshake per request. The report is byte-identical either way —
-//! pooling, like the shard count, is excluded from the checkpoint
-//! fingerprint — and the pool's hit/miss/stale-retry counters are
-//! summarized on stderr after the scan.
 //!
 //! `--checkpoint FILE` appends every finished batch to the log at
 //! `FILE`; `--resume` continues an interrupted scan from that log
@@ -34,14 +27,11 @@
 //! synthetic SYN loss and connect timeouts at per-attempt probability
 //! `P` before any packet reaches the network.
 
-use nokeys::http::transport::{TcpTransport, Transport};
-use nokeys::http::{Client, PooledTransport};
+use nokeys::http::transport::TcpTransport;
+use nokeys::http::Client;
 use nokeys::netsim::{FaultPlan, FaultyTransport};
 use nokeys::scanner::json::ToJson;
-use nokeys::scanner::telemetry::PoolMetrics;
-use nokeys::scanner::{
-    Pipeline, PipelineConfig, PipelineError, RetryPolicy, ScanReport, Telemetry,
-};
+use nokeys::scanner::{Pipeline, PipelineConfig, RetryPolicy, Telemetry};
 
 struct Args {
     targets: Vec<nokeys::scanner::portscan::Cidr>,
@@ -55,7 +45,6 @@ struct Args {
     metrics_out: Option<String>,
     checkpoint: Option<std::path::PathBuf>,
     resume: bool,
-    pool: bool,
 }
 
 fn usage() -> ! {
@@ -64,12 +53,10 @@ fn usage() -> ! {
          \x20                [--ports p1,p2,...] [--shards N] [--rate PROBES_PER_SEC]\n\
          \x20                [--retries N] [--fault-rate P]\n\
          \x20                [--include-reserved] [--json FILE] [--metrics-out FILE]\n\
-         \x20                [--checkpoint FILE] [--resume] [--pool]\n\
+         \x20                [--checkpoint FILE] [--resume]\n\
          \n\
          --shards N       scan on N worker threads\n\
-         \x20                (default 16; byte-identical report at any N)\n\
-         --pool           reuse keep-alive connections across probes of\n\
-         \x20                the same host (byte-identical report)"
+         \x20                (default 16; byte-identical report at any N)"
     );
     std::process::exit(2);
 }
@@ -87,7 +74,6 @@ fn parse_args() -> Args {
         metrics_out: None,
         checkpoint: None,
         resume: false,
-        pool: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -151,7 +137,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage());
             }
             "--include-reserved" => args.include_reserved = true,
-            "--pool" => args.pool = true,
             "--resume" => args.resume = true,
             "--checkpoint" => {
                 i += 1;
@@ -177,19 +162,6 @@ fn parse_args() -> Args {
         usage();
     }
     args
-}
-
-/// Run (or resume) the scan, generic over the client's transport — the
-/// only thing `--pool` changes.
-fn scan<T: Transport + Clone>(
-    pipeline: &Pipeline,
-    client: &Client<T>,
-    resume_from: Option<&std::path::Path>,
-) -> Result<ScanReport, PipelineError> {
-    match resume_from {
-        Some(path) => pipeline.resume(client, path),
-        None => pipeline.run(client),
-    }
 }
 
 fn main() {
@@ -241,20 +213,13 @@ fn main() {
             args.fault_rate
         );
     }
-    let transport = FaultyTransport::new(
+    let client = Client::new(FaultyTransport::new(
         TcpTransport::default(),
         FaultPlan::new(args.fault_rate, 0x6e6f_6b65_7973),
-    );
-    // Pool counters depend on connection timing, so they stay out of
-    // the scan's (deterministic) registry.
-    let pool_telemetry = Telemetry::new();
-    let outcome = if args.pool {
-        eprintln!("keep-alive connection pooling enabled");
-        let pooled =
-            PooledTransport::new(transport).with_observer(PoolMetrics::observer(&pool_telemetry));
-        scan(&pipeline, &Client::new(pooled), resume_from)
-    } else {
-        scan(&pipeline, &Client::new(transport), resume_from)
+    ));
+    let outcome = match resume_from {
+        Some(path) => pipeline.resume(&client, path),
+        None => pipeline.run(&client),
     };
     let report = outcome.unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -279,16 +244,6 @@ fn main() {
         report.total_hosts(),
         report.total_mavs()
     );
-    if args.pool {
-        let snap = pool_telemetry.snapshot();
-        eprintln!(
-            "pool: {} hits, {} misses, {} stale retries, {} evicted",
-            snap.counter("transport.pool.hit"),
-            snap.counter("transport.pool.miss"),
-            snap.counter("transport.pool.stale_retry"),
-            snap.counter("transport.pool.evicted"),
-        );
-    }
 
     if let Some(path) = args.json {
         std::fs::write(&path, report.to_json().write_pretty()).unwrap_or_else(|e| {

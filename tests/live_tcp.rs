@@ -65,51 +65,6 @@ fn pipeline_detects_mavs_over_real_tcp() {
     secure_zeppelin.shutdown();
 }
 
-/// Connection pooling is a transport knob, not a semantic one: the same
-/// scan with and without it must produce a byte-identical ScanReport,
-/// while the pooled run's telemetry shows connections actually reused.
-#[test]
-fn pooled_scan_report_is_byte_identical_to_unpooled() {
-    use nokeys::http::PooledTransport;
-    use nokeys::scanner::telemetry::{PoolMetrics, Telemetry};
-
-    let server = serve(AppId::Gocd, true);
-    let ports = vec![server.port];
-    let build = || {
-        PipelineConfig::builder(vec!["127.0.0.1/32".parse().expect("cidr")])
-            .ports(ports.clone())
-            .exclude_reserved(false)
-            .tarpit_port_threshold(3)
-            .build()
-    };
-
-    let plain = nokeys::http::Client::new(TcpTransport::default());
-    let unpooled_report = Pipeline::new(build()).run(&plain).expect("unpooled");
-
-    let telemetry = Telemetry::new();
-    let transport = PooledTransport::new(TcpTransport::default())
-        .with_observer(PoolMetrics::observer(&telemetry));
-    let pooled = nokeys::http::Client::new(transport);
-    let pooled_report = Pipeline::new(build()).run(&pooled).expect("pooled");
-
-    assert_eq!(
-        unpooled_report.to_json_string(),
-        pooled_report.to_json_string(),
-        "pooling must not change scan results"
-    );
-    let snap = telemetry.snapshot();
-    assert!(
-        snap.counter("transport.pool.miss") >= 1,
-        "pooled run dialed at least once"
-    );
-    assert!(
-        snap.counter("transport.pool.hit") >= 1,
-        "stage II/III probes of one host share a connection"
-    );
-
-    server.shutdown();
-}
-
 #[test]
 fn portscan_over_real_tcp() {
     let server = serve(AppId::Polynote, true);

@@ -157,3 +157,46 @@ fn pipeline_retry_knob_plumbs_through() {
     let with = run(3, universe);
     assert_eq!(without, with, "retries are a no-op on a clean network");
 }
+
+/// A service that answers with another protocol's banner has given a
+/// definite answer: the scan takes it once per scheme tried and retries
+/// nothing, whatever the budget.
+#[test]
+fn a_banner_host_is_connected_to_once_per_scheme() {
+    use nokeys::apps::background::BackgroundKind;
+    use nokeys::netsim::ServiceKind;
+    use nokeys::scanner::Prefilter;
+
+    let universe = Arc::new(Universe::generate(UniverseConfig::tiny(42)));
+    let banner = ServiceKind::Background(BackgroundKind::NotHttp);
+    let (ip, port) = universe
+        .hosts()
+        .filter(|h| !h.tarpit && h.services.len() == 1 && h.services[0].kind == banner)
+        .map(|h| (h.ip, h.services[0].port))
+        .min()
+        .expect("tiny universe has a banner-only host");
+
+    let client = Client::new(SimTransport::new(Arc::clone(&universe)));
+    let telemetry = Telemetry::new();
+    let pipeline = Pipeline::new(
+        PipelineConfig::builder(vec![format!("{ip}/32").parse().expect("cidr")])
+            .retries(3)
+            .telemetry(telemetry.clone())
+            .build(),
+    );
+    let report = pipeline.run(&client).expect("pipeline failed");
+    assert_eq!(report.prefilter_silent, 1, "open, but not HTTP");
+    assert!(report.findings.is_empty());
+
+    let schemes = Prefilter::schemes_for_port(port).len() as u64;
+    assert_eq!(client.transport().stats().connects(), schemes);
+    let snap = telemetry.snapshot();
+    for lane in ["probe", "connect", "fetch"] {
+        assert_eq!(snap.counter(&format!("retry.{lane}.retries")), 0, "{lane}");
+        assert_eq!(
+            snap.counter(&format!("retry.{lane}.exhausted")),
+            0,
+            "{lane}"
+        );
+    }
+}
