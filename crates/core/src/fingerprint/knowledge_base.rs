@@ -95,28 +95,6 @@ impl KnowledgeBase {
         Some((app, self.histories[&app][idx]))
     }
 
-    /// Like [`KnowledgeBase::identify`], but returning the full candidate
-    /// *version range* (oldest and newest surviving version) instead of
-    /// just the newest — useful when reporting fingerprint confidence.
-    pub fn identify_range<P>(
-        &self,
-        observations: &[(P, u64)],
-    ) -> Option<(AppId, Version, Version)> {
-        let mut surviving = self.surviving(observations);
-        let (app, first) = surviving.next()?;
-        let (mut min, mut max) = (first, first);
-        for (other, idx) in surviving {
-            if other != app {
-                // Ambiguous across applications: no single range.
-                return None;
-            }
-            min = min.min(idx);
-            max = max.max(idx);
-        }
-        let history = &self.histories[&app];
-        Some((app, history[min], history[max]))
-    }
-
     /// The asset paths the crawler should request.
     pub fn crawl_paths(&self) -> &'static [&'static str] {
         &ASSET_PATHS
@@ -177,6 +155,15 @@ mod tests {
             .unwrap();
         assert_eq!(found_idx / 8, idx / 8, "same asset generation");
         assert!(found_idx >= idx, "newest candidate is returned");
+        // More assets narrow the range: the one file leaves several
+        // versions standing, all four leave the true one alone.
+        let wide: Vec<Candidate> = kb.surviving(&obs).collect();
+        assert!(wide.len() > 1 && wide.contains(&(app, idx)), "{wide:?}");
+        let all: Vec<(&str, u64)> = ASSET_PATHS
+            .iter()
+            .map(|p| (*p, asset_hash(app, &version, p).unwrap()))
+            .collect();
+        assert_eq!(kb.surviving(&all).collect::<Vec<_>>(), [(app, idx)]);
     }
 
     #[test]
@@ -192,40 +179,6 @@ mod tests {
         let (found_app, found_version) = kb.identify(&obs).unwrap();
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
-    }
-
-    #[test]
-    fn identify_range_narrows_with_more_assets() {
-        let kb = KnowledgeBase::build();
-        let app = AppId::Hadoop;
-        let history = release_history(app);
-        let idx = 3;
-        let version = history[idx];
-        // One slow-churn asset: a wide range.
-        let one = vec![(
-            "/static/logo.svg".to_string(),
-            asset_hash(app, &version, "/static/logo.svg").unwrap(),
-        )];
-        let (_, lo1, hi1) = kb.identify_range(&one).unwrap();
-        // All assets: the exact version.
-        let all: Vec<(String, u64)> = ASSET_PATHS
-            .iter()
-            .map(|p| (p.to_string(), asset_hash(app, &version, p).unwrap()))
-            .collect();
-        let (_, lo4, hi4) = kb.identify_range(&all).unwrap();
-        assert_eq!(lo4.triple(), version.triple());
-        assert_eq!(hi4.triple(), version.triple());
-        let width = |lo: Version, hi: Version| {
-            history
-                .iter()
-                .position(|v| v.triple() == hi.triple())
-                .unwrap()
-                - history
-                    .iter()
-                    .position(|v| v.triple() == lo.triple())
-                    .unwrap()
-        };
-        assert!(width(lo1, hi1) >= width(lo4, hi4), "range must narrow");
     }
 
     /// Observations in any order, any subset, some of two applications

@@ -897,6 +897,14 @@ mod tests {
             report.addresses_probed
         );
         assert_eq!(snap.counter("stage2.hits"), report.prefilter_hits);
+        // No stage-II fetch is anonymous: each (endpoint, scheme) try
+        // ends as a response or as one named error.
+        let errors = snap.prefixed_total("stage2.error.");
+        assert!(errors > 0, "the tiny universe has silent ports");
+        assert_eq!(
+            snap.timings["stage2.prefilter"].units,
+            snap.counter("stage2.http_responses") + snap.counter("stage2.https_responses") + errors
+        );
         // Stage III ran: confirmed verifications equal the MAV count.
         let confirmed: u64 = snap
             .counters

@@ -462,6 +462,31 @@ mod tests {
         assert_eq!(sparse.open, dense.open);
     }
 
+    /// 192.0.0.0/22 lies in a first octet that is neither clear nor
+    /// reserved: `192.0.0.0/24` and `192.0.2.0/24` are excluded, the
+    /// other two /24s are not.
+    #[test]
+    fn a_target_inside_a_mixed_octet_sweeps_only_its_unreserved_blocks() {
+        let target: Cidr = "192.0.0.0/22".parse().unwrap();
+        let telemetry = Telemetry::new();
+        let scanner = PortScanner::with_telemetry(PortScanConfig::new(vec![target]), &telemetry);
+        let result = scanner.scan(&sim());
+        assert_eq!(result.addresses_probed, 512);
+        assert_eq!(telemetry.snapshot().counter("stage1.blocks_swept"), 4);
+        for block in target.slash24_blocks() {
+            let sparse = scanner.scan_block_paced(&sim(), block, &None);
+            let dense = scanner.scan_block_dense(&sim(), block);
+            assert_eq!(sparse.addresses_probed, dense.addresses_probed, "{block}");
+            assert_eq!(sparse.probes_sent, dense.probes_sent, "{block}");
+            assert_eq!(sparse.open, dense.open, "{block}");
+        }
+
+        let mut config = PortScanConfig::new(vec![target]);
+        config.exclude_reserved = false;
+        let result = PortScanner::new(config).scan(&sim());
+        assert_eq!(result.addresses_probed, 1024);
+    }
+
     #[test]
     fn sweep_telemetry_matches_results() {
         let t = sim();

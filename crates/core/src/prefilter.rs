@@ -61,6 +61,8 @@ struct PrefilterMetrics {
     redirects: Histogram,
     body_bytes: Histogram,
     probe: Timer,
+    /// For `stage2.error.<class>`, registered on first use.
+    telemetry: Telemetry,
 }
 
 impl PrefilterMetrics {
@@ -81,6 +83,7 @@ impl PrefilterMetrics {
             redirects: telemetry.histogram("stage2.redirects", &[0, 1, 2, 4, 8]),
             body_bytes: telemetry.histogram("stage2.body_bytes", &[256, 1024, 4096, 16384, 65536]),
             probe: telemetry.timer("stage2.prefilter"),
+            telemetry: telemetry.clone(),
         }
     }
 }
@@ -169,7 +172,15 @@ impl Prefilter {
                 .run(ep, &self.fetch_retry, || client.get_path(ep, scheme, "/"))
             {
                 Ok(fetched) => fetched,
-                Err(_) => continue,
+                Err(e) => {
+                    // `stage2.error.<class>` registers on first use: a
+                    // snapshot lists only the classes that occurred.
+                    self.metrics
+                        .telemetry
+                        .counter(&format!("stage2.error.{}", e.class()))
+                        .incr();
+                    continue;
+                }
             };
             match scheme {
                 Scheme::Http => {

@@ -34,6 +34,10 @@ pub enum Error {
     Io(String),
 }
 
+/// What [`Error::Malformed`] says of a peer whose first bytes cannot
+/// begin an HTTP message; [`Error::class`] sets it apart by this text.
+pub(crate) const NOT_HTTP: &str = "not HTTP";
+
 impl Error {
     /// Whether the failure is plausibly transient — a retry with
     /// backoff may succeed. Timeouts, peers dying mid-message and raw
@@ -42,6 +46,25 @@ impl Error {
     /// reproduces the same failure).
     pub fn is_transient(&self) -> bool {
         matches!(self, Error::Timeout | Error::UnexpectedEof | Error::Io(_))
+    }
+
+    /// A name from a small closed set, for counting failures by kind
+    /// (`stage2.error.<class>`): the variant, except that a peer whose
+    /// first bytes cannot begin an HTTP status line is `not_http`
+    /// rather than one more `malformed` response.
+    pub fn class(&self) -> &'static str {
+        match self {
+            Error::Connect(_) => "refused",
+            Error::Malformed(NOT_HTTP) => "not_http",
+            Error::Malformed(_) => "malformed",
+            Error::UnexpectedEof => "eof",
+            Error::Timeout => "timeout",
+            Error::TooLarge { .. } => "too_large",
+            Error::TooManyRedirects(_) => "redirect_loop",
+            Error::SchemeUnsupported => "scheme",
+            Error::InvalidUrl(_) => "url",
+            Error::Io(_) => "io",
+        }
     }
 }
 
@@ -106,6 +129,24 @@ mod tests {
             limit: 1
         }
         .is_transient());
+    }
+
+    #[test]
+    fn class_names_each_failure_and_sets_not_http_apart() {
+        assert_eq!(Error::Connect("refused".into()).class(), "refused");
+        assert_eq!(Error::Malformed("not HTTP").class(), "not_http");
+        assert_eq!(Error::Malformed("bad status line").class(), "malformed");
+        assert_eq!(Error::UnexpectedEof.class(), "eof");
+        assert_eq!(Error::Timeout.class(), "timeout");
+        let too_large = Error::TooLarge {
+            what: "head",
+            limit: 1,
+        };
+        assert_eq!(too_large.class(), "too_large");
+        assert_eq!(Error::TooManyRedirects(5).class(), "redirect_loop");
+        assert_eq!(Error::SchemeUnsupported.class(), "scheme");
+        assert_eq!(Error::InvalidUrl("empty").class(), "url");
+        assert_eq!(Error::Io("reset".into()).class(), "io");
     }
 
     #[test]

@@ -1,5 +1,14 @@
 //! IPv4 utilities: CIDR blocks and the IANA reserved ranges the paper
 //! excluded from its scan.
+//!
+//! The exclusion list is data, not work: `IANA_RANGES` is a table
+//! checked at compile time (ascending, disjoint, host bits zero, no
+//! prefix past /24, 794,035,200 addresses), and from it a `const fn`
+//! derives one class per first octet — no reserved address, wholly
+//! reserved, or mixed. [`ReservedRanges::coverage`] answers a block
+//! inside a clear or reserved octet with one load from that table;
+//! [`ReservedRanges::contains`] deliberately never reads it, so the
+//! by-address answer stays an independent check on the by-block one.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -22,7 +31,7 @@ impl Cidr {
         Cidr { base, prefix }
     }
 
-    fn mask(prefix: u8) -> u32 {
+    const fn mask(prefix: u8) -> u32 {
         if prefix == 0 {
             0
         } else {
@@ -31,7 +40,7 @@ impl Cidr {
     }
 
     /// Number of addresses in the block.
-    pub fn size(&self) -> u64 {
+    pub const fn size(&self) -> u64 {
         1u64 << (32 - self.prefix)
     }
 
@@ -111,12 +120,118 @@ impl FromStr for Cidr {
     }
 }
 
+/// One row of [`IANA_RANGES`].
+const fn range(a: u8, b: u8, c: u8, d: u8, prefix: u8) -> Cidr {
+    Cidr {
+        base: u32::from_be_bytes([a, b, c, d]),
+        prefix,
+    }
+}
+
+/// The standard exclusion list (Section 3.1: multicast, private use,
+/// US DoD, etc.), held to its invariants by [`check_ranges`].
+static IANA_RANGES: [Cidr; 26] = [
+    range(0, 0, 0, 0, 8),       // "this network"
+    range(6, 0, 0, 0, 8),       // US DoD (Army)
+    range(7, 0, 0, 0, 8),       // US DoD
+    range(10, 0, 0, 0, 8),      // private
+    range(11, 0, 0, 0, 8),      // US DoD
+    range(22, 0, 0, 0, 8),      // US DoD
+    range(26, 0, 0, 0, 8),      // US DoD
+    range(28, 0, 0, 0, 8),      // US DoD
+    range(29, 0, 0, 0, 8),      // US DoD
+    range(30, 0, 0, 0, 8),      // US DoD
+    range(33, 0, 0, 0, 8),      // US DoD
+    range(55, 0, 0, 0, 8),      // US DoD
+    range(100, 64, 0, 0, 10),   // CGNAT
+    range(127, 0, 0, 0, 8),     // loopback
+    range(169, 254, 0, 0, 16),  // link local
+    range(172, 16, 0, 0, 12),   // private
+    range(192, 0, 0, 0, 24),    // IETF protocol assignments
+    range(192, 0, 2, 0, 24),    // TEST-NET-1
+    range(192, 168, 0, 0, 16),  // private
+    range(198, 18, 0, 0, 15),   // benchmarking
+    range(198, 51, 100, 0, 24), // TEST-NET-2
+    range(203, 0, 113, 0, 24),  // TEST-NET-3
+    range(214, 0, 0, 0, 8),     // US DoD
+    range(215, 0, 0, 0, 8),     // US DoD
+    range(224, 0, 0, 0, 4),     // multicast
+    range(240, 0, 0, 0, 4),     // reserved / future use
+];
+
+/// What the exclusion list holds of one first octet (`a` in `a.b.c.d`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OctetClass {
+    /// No reserved address.
+    Clear,
+    /// A range of prefix <= 8 covers the whole octet.
+    Reserved,
+    /// The octet holds a range longer than /8, so the answer depends on
+    /// the rest of the address.
+    Mixed,
+}
+
+static IANA_CLASSES: [OctetClass; 256] = octet_classes(&IANA_RANGES);
+
+/// Derive the class of every first octet from `ranges`. Correct for a
+/// list [`check_ranges`] accepts: disjoint ranges cannot put a long
+/// range inside an octet a short one covers.
+const fn octet_classes(ranges: &[Cidr]) -> [OctetClass; 256] {
+    let mut classes = [OctetClass::Clear; 256];
+    let mut i = 0;
+    while i < ranges.len() {
+        let r = ranges[i];
+        let first = (r.base >> 24) as usize;
+        if r.prefix <= 8 {
+            let mut octet = first;
+            while octet < first + (1 << (8 - r.prefix)) {
+                classes[octet] = OctetClass::Reserved;
+                octet += 1;
+            }
+        } else {
+            classes[first] = OctetClass::Mixed;
+        }
+        i += 1;
+    }
+    classes
+}
+
+/// What the code around the list assumes of it, checked when the crate
+/// is compiled.
+const fn check_ranges(ranges: &[Cidr]) {
+    let mut total = 0;
+    let mut i = 0;
+    while i < ranges.len() {
+        let r = ranges[i];
+        // `PortScanner::sweep` never meets a /24 it would have to split.
+        assert!(r.prefix <= 24, "range longer than /24");
+        assert!(r.base & !Cidr::mask(r.prefix) == 0, "host bits set");
+        // Ascending with a gap to the predecessor's last address: every
+        // pair is disjoint, so `excluded_count` may sum the sizes.
+        if i > 0 {
+            let prev = ranges[i - 1];
+            assert!(
+                prev.base | !Cidr::mask(prev.prefix) < r.base,
+                "ranges overlap or are out of order"
+            );
+        }
+        total += r.size();
+        i += 1;
+    }
+    // 2^32 - 794,035,200 = 3,500,932,096: the paper's "3.5 B".
+    assert!(total == 794_035_200, "excluded total moved");
+}
+
+const _: () = check_ranges(&IANA_RANGES);
+
 /// The IANA special-purpose / reserved IPv4 allocations excluded from the
-/// scan (Section 3.1: multicast, private use, US DoD, etc.). Roughly 0.8B
-/// addresses, leaving ~3.5B scannable.
-#[derive(Debug, Clone)]
+/// scan (Section 3.1: multicast, private use, US DoD, etc.): 794,035,200
+/// addresses, leaving 3,500,932,096 scannable. A `Copy` handle on two
+/// static tables; building one costs nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct ReservedRanges {
-    ranges: Vec<Cidr>,
+    ranges: &'static [Cidr],
+    classes: &'static [OctetClass; 256],
 }
 
 impl Default for ReservedRanges {
@@ -127,44 +242,17 @@ impl Default for ReservedRanges {
 
 impl ReservedRanges {
     /// The standard exclusion list.
-    pub fn iana() -> Self {
-        let list = [
-            "0.0.0.0/8",       // "this network"
-            "6.0.0.0/8",       // US DoD (Army)
-            "7.0.0.0/8",       // US DoD
-            "10.0.0.0/8",      // private
-            "11.0.0.0/8",      // US DoD
-            "22.0.0.0/8",      // US DoD
-            "26.0.0.0/8",      // US DoD
-            "28.0.0.0/8",      // US DoD
-            "29.0.0.0/8",      // US DoD
-            "30.0.0.0/8",      // US DoD
-            "33.0.0.0/8",      // US DoD
-            "55.0.0.0/8",      // US DoD
-            "100.64.0.0/10",   // CGNAT
-            "127.0.0.0/8",     // loopback
-            "169.254.0.0/16",  // link local
-            "172.16.0.0/12",   // private
-            "192.0.0.0/24",    // IETF protocol assignments
-            "192.0.2.0/24",    // TEST-NET-1
-            "192.168.0.0/16",  // private
-            "198.18.0.0/15",   // benchmarking
-            "198.51.100.0/24", // TEST-NET-2
-            "203.0.113.0/24",  // TEST-NET-3
-            "214.0.0.0/8",     // US DoD
-            "215.0.0.0/8",     // US DoD
-            "224.0.0.0/4",     // multicast
-            "240.0.0.0/4",     // reserved / future use
-        ];
+    pub const fn iana() -> Self {
         ReservedRanges {
-            ranges: list
-                .iter()
-                .map(|s| s.parse().expect("static list parses"))
-                .collect(),
+            ranges: &IANA_RANGES,
+            classes: &IANA_CLASSES,
         }
     }
 
-    /// Whether `ip` is excluded from scanning.
+    /// Whether `ip` is excluded from scanning. A plain scan of the
+    /// ranges, on purpose: it is the independent answer
+    /// [`coverage`](Self::coverage) is held to, so it must not share
+    /// the class table.
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
         self.ranges.iter().any(|r| r.contains(ip))
     }
@@ -175,20 +263,39 @@ impl ReservedRanges {
     }
 
     /// The exclusion list itself.
-    pub fn ranges(&self) -> &[Cidr] {
-        &self.ranges
+    pub fn ranges(&self) -> &'static [Cidr] {
+        self.ranges
     }
 
-    /// Classify `block` against the exclusion list in one pass, without
-    /// testing its addresses individually. CIDRs nest or are disjoint,
-    /// so a range covers the whole block iff its prefix is no longer
-    /// than the block's and it contains the block's first address; the
-    /// block straddles a boundary only when it strictly contains a
-    /// range. With the IANA list (all prefixes ≤ 24) and /24-or-smaller
-    /// scan blocks, `Partial` is unreachable.
+    /// Classify `block` against the exclusion list without testing its
+    /// addresses individually. A block of prefix >= 8 lies inside one
+    /// first octet, and all but six octets are either free of reserved
+    /// addresses or wholly inside a range of prefix <= 8: one load from
+    /// the class table answers those. The six mixed octets and blocks
+    /// shorter than /8 go to the range pass, which defines the answer
+    /// everywhere. With the IANA list (all prefixes <= 24) and
+    /// /24-or-smaller scan blocks, `Partial` is unreachable.
+    // Callers sit in other crates; without this the load is a call
+    // (`space_plan`: 444 M blocks/s as a call, 730 M inlined).
+    #[inline]
     pub fn coverage(&self, block: Cidr) -> BlockCoverage {
+        if block.prefix >= 8 {
+            match self.classes[(block.base >> 24) as usize] {
+                OctetClass::Clear => return BlockCoverage::None,
+                OctetClass::Reserved => return BlockCoverage::Full,
+                OctetClass::Mixed => {}
+            }
+        }
+        self.range_pass(block)
+    }
+
+    /// `coverage` by the ranges alone. CIDRs nest or are disjoint, so a
+    /// range covers the whole block iff its prefix is no longer than
+    /// the block's and it contains the block's first address; the block
+    /// straddles a boundary only when it strictly contains a range.
+    fn range_pass(&self, block: Cidr) -> BlockCoverage {
         let mut partial = false;
-        for r in &self.ranges {
+        for r in self.ranges {
             if r.prefix <= block.prefix && r.contains(block.first()) {
                 return BlockCoverage::Full;
             }
@@ -260,29 +367,73 @@ mod tests {
     #[test]
     fn coverage_classifies_blocks_without_enumerating() {
         let r = ReservedRanges::iana();
-        // Fully inside a reserved /8.
-        let block: Cidr = "10.9.8.0/24".parse().unwrap();
-        assert_eq!(r.coverage(block), BlockCoverage::Full);
-        // Entirely scannable.
-        let block: Cidr = "20.0.7.0/24".parse().unwrap();
-        assert_eq!(r.coverage(block), BlockCoverage::None);
+        let coverage = |block: &str| r.coverage(block.parse().unwrap());
+        // Fully inside a reserved /8: a reserved octet.
+        assert_eq!(coverage("10.9.8.0/24"), BlockCoverage::Full);
+        // Entirely scannable: a clear octet.
+        assert_eq!(coverage("20.0.7.0/24"), BlockCoverage::None);
         // A /6 strictly containing several reserved /8s straddles them.
-        let block: Cidr = "8.0.0.0/6".parse().unwrap();
-        assert_eq!(r.coverage(block), BlockCoverage::Partial);
-        // Every IANA range has prefix <= 24, so no /24-or-smaller scan
-        // block can be Partial — the sparse sweep relies on this.
-        for range in r.ranges() {
-            assert!(range.prefix <= 24, "range {range} longer than /24");
-        }
+        assert_eq!(coverage("8.0.0.0/6"), BlockCoverage::Partial);
+        // A mixed octet answers by the rest of the address.
+        assert_eq!(coverage("192.0.2.0/24"), BlockCoverage::Full);
+        assert_eq!(coverage("192.0.1.0/24"), BlockCoverage::None);
+        assert_eq!(coverage("192.0.0.0/22"), BlockCoverage::Partial);
     }
 
     #[test]
+    fn octet_classes_follow_the_ranges() {
+        let class = |octet: usize| IANA_CLASSES[octet];
+        let mixed: Vec<usize> = (0..256)
+            .filter(|&o| class(o) == OctetClass::Mixed)
+            .collect();
+        assert_eq!(mixed, [100, 169, 172, 192, 198, 203]);
+        let reserved = (0..256)
+            .filter(|&o| class(o) == OctetClass::Reserved)
+            .count();
+        assert_eq!(reserved, 15 + 16 + 16, "fifteen /8s and two /4s");
+        assert_eq!(class(223), OctetClass::Clear);
+        assert_eq!(class(224), OctetClass::Reserved);
+        assert_eq!(class(255), OctetClass::Reserved);
+    }
+
+    /// `coverage` is the range pass, whatever the class table says; and
+    /// on /24s it agrees with `contains`, which never reads the table.
+    #[test]
+    fn coverage_equals_the_range_pass() {
+        let r = ReservedRanges::iana();
+        let check = |block: Cidr| {
+            assert_eq!(r.coverage(block), r.range_pass(block), "{block}");
+            if block.prefix == 24 {
+                let full = r.coverage(block) == BlockCoverage::Full;
+                assert_eq!(r.contains(block.first()), full, "{block}");
+                assert_eq!(r.contains(block.last()), full, "{block}");
+            }
+        };
+        // Every /24 of the mixed octets, one per /16 of the others.
+        for octet in 0..=255u8 {
+            let whole = Cidr::new(Ipv4Addr::new(octet, 0, 0, 0), 8);
+            let mixed = (r.ranges().iter())
+                .any(|range| range.prefix > 8 && range.first().octets()[0] == octet);
+            let step = if mixed { 1 } else { 256 };
+            whole.slash24_blocks().step_by(step).for_each(check);
+        }
+        // Both sides of every range boundary, at every block size.
+        for range in r.ranges() {
+            let (first, last) = (u32::from(range.first()), u32::from(range.last()));
+            let edges = [first.wrapping_sub(1), first, last, last.wrapping_add(1)];
+            for addr in edges {
+                for prefix in 0..=32 {
+                    check(Cidr::new(Ipv4Addr::from(addr), prefix));
+                }
+            }
+        }
+    }
+
+    /// The paper's "3.5 B", to the address.
+    #[test]
     fn exclusion_leaves_roughly_3_5_billion() {
         let r = ReservedRanges::iana();
-        let scannable = (1u64 << 32) - r.excluded_count();
-        assert!(
-            (3_300_000_000..3_700_000_000).contains(&scannable),
-            "scannable = {scannable}"
-        );
+        assert_eq!(r.excluded_count(), 794_035_200);
+        assert_eq!((1u64 << 32) - r.excluded_count(), 3_500_932_096);
     }
 }

@@ -19,7 +19,7 @@
 //!        ChunkSize ─▶ ChunkData(n) ─▶ ChunkSize ─▶ … ─▶ Trailers
 //! ```
 
-use crate::error::{Error, Result};
+use crate::error::{Error, Result, NOT_HTTP};
 use crate::headers::Headers;
 use crate::method::Method;
 use crate::request::Request;
@@ -363,7 +363,7 @@ impl<M: Message> Decoder<M> {
                 ParseState::Head { scanned } => {
                     let known = rest.len().min(M::START.len());
                     if rest[..known] != M::START[..known] {
-                        return Err(Error::Malformed("not HTTP"));
+                        return Err(Error::Malformed(NOT_HTTP));
                     }
                     let Some(end) = find_end(rest, b"\r\n\r\n", scanned, max_head, "head")? else {
                         break;
