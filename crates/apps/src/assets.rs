@@ -10,7 +10,7 @@
 //! return version *ranges* that narrow with more assets.
 
 use crate::catalog::AppId;
-use crate::version::{release_history, Version};
+use crate::version::{history, Version};
 
 /// Number of releases an asset's content survives before changing.
 /// Different assets use different phases so combinations of assets narrow
@@ -38,11 +38,18 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Index of `version` in its app's release history.
 fn version_index(app: AppId, version: &Version) -> usize {
-    release_history(app)
+    history(app)
         .iter()
         .position(|v| v.triple() == version.triple())
         .expect("version comes from the app's own history")
 }
+
+/// Filler so assets are not trivially tiny: `0123456789abcdef`, 16 times.
+const FILLER: &str = "\
+0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\
+0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\
+0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\
+0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
 
 /// Deterministic content of one asset of `app` at `version`.
 ///
@@ -53,12 +60,10 @@ pub fn asset_content(app: AppId, version: &Version, path: &str) -> Option<String
     let idx = version_index(app, version);
     let generation = idx / CHURN[slot];
     Some(format!(
-        "/* {} asset {} generation {} */\n{}\n",
+        "/* {} asset {} generation {} */\n{FILLER}\n",
         app.name(),
         path,
         generation,
-        // Filler so assets are not trivially tiny.
-        "0123456789abcdef".repeat(16)
     ))
 }
 
@@ -78,6 +83,7 @@ pub fn fingerprint(app: AppId, version: &Version) -> Vec<(&'static str, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::release_history;
 
     #[test]
     fn fnv_matches_known_vectors() {
@@ -93,6 +99,13 @@ mod tests {
         assert_eq!(
             asset_content(AppId::Hadoop, &v, "/static/app.js"),
             asset_content(AppId::Hadoop, &v, "/static/app.js"),
+        );
+        assert_eq!(
+            asset_content(AppId::Hadoop, &v, "/static/app.js").unwrap(),
+            format!(
+                "/* Hadoop asset /static/app.js generation 3 */\n{}\n",
+                "0123456789abcdef".repeat(16)
+            )
         );
     }
 

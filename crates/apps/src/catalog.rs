@@ -440,6 +440,17 @@ pub const CATALOG: [AppInfo; 25] = [
     },
 ];
 
+/// `CATALOG[app as usize]` is `app`'s entry: the table is in `AppId`'s
+/// declaration order. `version::history` and the scanner's
+/// per-application tally index by it.
+const _: () = {
+    let mut i = 0;
+    while i < CATALOG.len() {
+        assert!(CATALOG[i].id as usize == i);
+        i += 1;
+    }
+};
+
 impl AppId {
     /// All 25 applications, paper order.
     pub fn all() -> impl Iterator<Item = AppId> {

@@ -46,8 +46,7 @@ pub fn build_instance(app: AppId, version: Version, config: AppConfig) -> Box<dy
 /// releases (Joomla ≥ 3.7.4, Adminer ≥ 4.6.3) the newest *vulnerable*
 /// release is used instead.
 pub fn vulnerable_instance(app: AppId) -> Box<dyn WebApp> {
-    let history = crate::version::release_history(app);
-    let version = *history
+    let version = *crate::version::history(app)
         .iter()
         .rev()
         .find(|v| AppConfig::vulnerable_for(app, v).is_vulnerable(app, v))
@@ -57,8 +56,9 @@ pub fn vulnerable_instance(app: AppId) -> Box<dyn WebApp> {
 
 /// Build the newest release of `app` in a secured configuration.
 pub fn secure_instance(app: AppId) -> Box<dyn WebApp> {
-    let history = crate::version::release_history(app);
-    let version = *history.last().expect("non-empty history");
+    let version = *crate::version::history(app)
+        .last()
+        .expect("non-empty history");
     build_instance(app, version, AppConfig::secure_for(app, &version))
 }
 

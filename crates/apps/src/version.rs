@@ -13,6 +13,7 @@
 
 use crate::catalog::AppId;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Year + month of a release. Months are enough resolution for the
 /// paper's half-year binning.
@@ -119,8 +120,23 @@ pub const STUDY_HORIZON: ReleaseDate = ReleaseDate::new(2021, 6);
 /// The release history for an application, oldest first.
 ///
 /// Histories are deterministic and stable; indices into this list are used
-/// as compact version identifiers across the simulation.
+/// as compact version identifiers across the simulation. All 25 are
+/// generated on the first call and kept for the life of the process.
+pub fn history(app: AppId) -> &'static [Version] {
+    static HISTORIES: OnceLock<Vec<Vec<Version>>> = OnceLock::new();
+    // `AppId::all` is in declaration order (asserted in `catalog`).
+    &HISTORIES.get_or_init(|| AppId::all().map(generate).collect())[app as usize]
+}
+
+/// [`history`] as an owned copy. Nothing needs the `Vec`: the
+/// signature stays only because `benchmark/src/program.rs` binds
+/// `release_history(app) -> Vec<Version>`. New code calls [`history`].
 pub fn release_history(app: AppId) -> Vec<Version> {
+    history(app).to_vec()
+}
+
+/// Generate `app`'s history; [`history`] calls it once per application.
+fn generate(app: AppId) -> Vec<Version> {
     match app {
         // Jenkins: 1.x era from 2013, 2.0 pinned at 2016-04.
         AppId::Jenkins => {
@@ -240,7 +256,7 @@ pub fn release_history(app: AppId) -> Vec<Version> {
 /// Version at `index` of the app's history (panics on out-of-range —
 /// indices are always produced from the same history).
 pub fn version_at(app: AppId, index: usize) -> Version {
-    release_history(app)[index]
+    history(app)[index]
 }
 
 /// Index of the *newest* version released strictly before the application
@@ -249,8 +265,7 @@ pub fn version_at(app: AppId, index: usize) -> Version {
 /// Returns `None` for apps whose posture never changed.
 pub fn last_insecure_index(app: AppId) -> Option<usize> {
     let fixed = fixed_in_version(app)?;
-    let history = release_history(app);
-    history.iter().rposition(|v| v.triple() < fixed)
+    history(app).iter().rposition(|v| v.triple() < fixed)
 }
 
 /// First secure version triple for apps that changed their defaults.
@@ -366,10 +381,14 @@ mod tests {
         assert!(a < b);
     }
 
+    /// The kept histories are what the generator produces, each under
+    /// its own application, and `release_history` is a copy of them.
     #[test]
     fn histories_are_deterministic() {
         for app in AppId::all() {
-            assert_eq!(release_history(app), release_history(app));
+            assert_eq!(history(app), generate(app));
+            assert_eq!(release_history(app), history(app));
+            assert!(std::ptr::eq(history(app), history(app)));
         }
     }
 }

@@ -6,7 +6,8 @@
 //! asset corpora of the application models.
 
 use nokeys_apps::assets::{fingerprint as asset_fingerprint, ASSET_PATHS};
-use nokeys_apps::{release_history, AppId, Version};
+use nokeys_apps::version::history;
+use nokeys_apps::{AppId, Version};
 use std::collections::HashMap;
 
 /// `(application, version index)` candidate.
@@ -15,8 +16,6 @@ pub type Candidate = (AppId, usize);
 /// Hash → candidates index over every application and version.
 pub struct KnowledgeBase {
     by_hash: HashMap<u64, Vec<Candidate>>,
-    /// The release history a candidate's version index points into.
-    histories: HashMap<AppId, Vec<Version>>,
     entries: usize,
 }
 
@@ -27,25 +26,14 @@ impl KnowledgeBase {
         let mut by_hash: HashMap<u64, Vec<Candidate>> = HashMap::new();
         let mut entries = 0;
         for app in AppId::all() {
-            for (idx, version) in release_history(app).iter().enumerate() {
+            for (idx, version) in history(app).iter().enumerate() {
                 for (_path, hash) in asset_fingerprint(app, version) {
                     by_hash.entry(hash).or_default().push((app, idx));
                     entries += 1;
                 }
             }
         }
-        // Asked for again rather than kept from the walk above: a
-        // history that stays allocated while `asset_fingerprint` churns
-        // through thousands of short-lived ones measured a quarter
-        // slower build (2.1 → 2.6 ms; collected up front, 3.1 ms).
-        let histories = AppId::all()
-            .map(|app| (app, release_history(app)))
-            .collect();
-        KnowledgeBase {
-            by_hash,
-            histories,
-            entries,
-        }
+        KnowledgeBase { by_hash, entries }
     }
 
     /// Candidates whose corpus contains a file with `hash`.
@@ -92,7 +80,7 @@ impl KnowledgeBase {
     /// observer's owned `String` ones share one implementation.
     pub fn identify<P>(&self, observations: &[(P, u64)]) -> Option<(AppId, Version)> {
         let (app, idx) = self.surviving(observations).max_by_key(|(_, idx)| *idx)?;
-        Some((app, self.histories[&app][idx]))
+        Some((app, history(app)[idx]))
     }
 
     /// The asset paths the crawler should request.
@@ -105,6 +93,7 @@ impl KnowledgeBase {
 mod tests {
     use super::*;
     use nokeys_apps::assets::asset_hash;
+    use nokeys_apps::release_history;
 
     #[test]
     fn base_covers_all_apps_and_versions() {

@@ -5,7 +5,8 @@
 //! e.g., Kubernetes has the /version API endpoint while Consul includes a
 //! HTML comment."
 
-use nokeys_apps::{release_history, AppId, Version};
+use nokeys_apps::version::history;
+use nokeys_apps::{AppId, Version};
 use nokeys_http::{Client, Endpoint, Response, Scheme, Transport};
 
 /// Parse a leading `major.minor[.patch]` from `s`. Slices the digit
@@ -36,9 +37,7 @@ pub fn parse_version_number(s: &str) -> Option<(u16, u16, u16)> {
 
 /// Resolve a parsed triple against the app's release history.
 fn resolve(app: AppId, triple: (u16, u16, u16)) -> Option<Version> {
-    release_history(app)
-        .into_iter()
-        .find(|v| v.triple() == triple)
+    history(app).iter().copied().find(|v| v.triple() == triple)
 }
 
 /// Extract the substring following `marker` up to `terminator`.
@@ -150,7 +149,7 @@ pub fn extract<T: Transport>(
 mod tests {
     use super::*;
     use crate::plugin::AppHandler;
-    use nokeys_apps::{build_instance, AppConfig};
+    use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
     use std::net::Ipv4Addr;
     use std::sync::Arc;

@@ -42,9 +42,8 @@
 
 use crate::pattern::{MatchMode, Pattern, PreparedBody};
 use crate::scratch::Scratch;
-use crate::signatures::{all_signatures, rank_candidates, Signature};
+use crate::signatures::{all_signatures, rank_candidates, AppCounts, Hits, Signature};
 use nokeys_apps::AppId;
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Flag on a transition whose target state ends at least one needle.
@@ -359,7 +358,7 @@ impl MultiPattern {
         hide: &mut usize,
         raw: &str,
         at: usize,
-        matched: &mut [bool],
+        matched: &mut Hits,
     ) -> (u32, bool) {
         if *hide > 0 {
             *hide -= 1;
@@ -386,7 +385,7 @@ impl MultiPattern {
         hide: &mut usize,
         raw: &str,
         at: usize,
-        matched: &mut [bool],
+        matched: &mut Hits,
     ) -> (u32, bool) {
         if next & WIDE != 0 {
             // A lead byte is a character boundary.
@@ -400,8 +399,8 @@ impl MultiPattern {
         if next & MATCH != 0 {
             for &id in &self.automaton.out[state as usize / self.automaton.columns] {
                 let id = id as usize;
-                if !matched[id] {
-                    matched[id] = self.signatures[id].pattern.ends_at(raw, at + 1);
+                if !matched.contains(id) && self.signatures[id].pattern.ends_at(raw, at + 1) {
+                    matched.insert(id);
                 }
             }
         }
@@ -423,7 +422,7 @@ impl MultiPattern {
     /// is the next lane's; what both report is set twice. A lane that
     /// starts inside a character feeds the root continuation bytes,
     /// which begin no needle and no character.
-    fn walk(&self, raw: &str, matched: &mut [bool]) {
+    fn walk(&self, raw: &str, matched: &mut Hits) {
         let chunk = raw.len() / LANES;
         let mut states = [0u32; LANES];
         let mut hides = [0usize; LANES];
@@ -461,22 +460,21 @@ impl MultiPattern {
         }
     }
 
-    /// Which signatures match `body` (index-aligned with the catalog).
+    /// Which signatures match `body` (indices are the catalog's).
     /// Reads `body.raw` only; neither view is materialized.
-    pub fn matched_signatures(&self, body: &PreparedBody) -> Vec<bool> {
-        let mut matched = vec![false; self.signatures.len()];
+    pub fn matched_signatures(&self, body: &PreparedBody) -> Hits {
+        let mut matched = Hits::new(self.signatures.len());
         self.walk(&body.raw, &mut matched);
         matched
     }
 
     /// Allocation-free variant of
-    /// [`matched_signatures`](Self::matched_signatures): the match bits
-    /// live in the caller's [`Scratch`] and are left in
+    /// [`matched_signatures`](Self::matched_signatures): the match set
+    /// lives in the caller's [`Scratch`] and is left in
     /// `scratch.matched()` for the caller to read.
     pub fn matched_signatures_scratch(&self, raw: &str, scratch: &mut Scratch) -> ViewUse {
-        let matched = scratch.matched_buf();
-        matched.clear();
-        matched.resize(self.signatures.len(), false);
+        let matched = scratch.hits_mut();
+        matched.reset(self.signatures.len());
         self.walk(raw, matched);
         ViewUse {
             lower: None,
@@ -484,30 +482,22 @@ impl MultiPattern {
         }
     }
 
-    /// Per-application match counts — same contract as
-    /// [`crate::signatures::match_counts`].
-    pub fn match_counts(&self, body: &PreparedBody) -> Vec<(AppId, u32)> {
-        self.counts_from_matched(&self.matched_signatures(body))
-    }
-
-    /// Aggregate a [`matched_signatures`](Self::matched_signatures)
-    /// vector into per-application counts. Split out so callers that
-    /// need the per-signature bits (telemetry's per-signature hit
-    /// counters) pay only one automaton pass.
-    pub fn counts_from_matched(&self, matched: &[bool]) -> Vec<(AppId, u32)> {
-        let mut counts: BTreeMap<AppId, u32> = BTreeMap::new();
-        for (i, hit) in matched.iter().enumerate() {
-            if *hit {
-                *counts.entry(self.signatures[i].app).or_default() += 1;
-            }
+    /// Tally a match set into per-application counts — same contract as
+    /// [`crate::signatures::match_counts`]. Only set bits are visited:
+    /// an empty set is answered from its words alone, and nothing is
+    /// allocated for any.
+    pub fn counts_from_matched(&self, matched: &Hits) -> AppCounts {
+        let mut counts = AppCounts::default();
+        for id in matched.iter() {
+            counts.add(self.signatures[id].app);
         }
-        counts.into_iter().collect()
+        counts
     }
 
     /// Candidate applications ordered by match strength — same contract
     /// as [`crate::signatures::match_candidates`].
     pub fn match_candidates(&self, body: &PreparedBody) -> Vec<AppId> {
-        rank_candidates(self.match_counts(body))
+        rank_candidates(self.counts_from_matched(&self.matched_signatures(body)))
     }
 }
 
@@ -530,8 +520,10 @@ mod tests {
         MultiPattern::new(&signatures)
     }
 
+    /// One flag per signature of `mp`: whether `body` matched it.
     fn found(mp: &MultiPattern, body: &str) -> Vec<bool> {
-        mp.matched_signatures(&PreparedBody::new(body))
+        let hits = mp.matched_signatures(&PreparedBody::new(body));
+        (0..mp.len()).map(|id| hits.contains(id)).collect()
     }
 
     #[test]
@@ -544,6 +536,60 @@ mod tests {
     fn automaton_handles_repeated_and_nested_needles() {
         let mp = synthetic(&["aa", "aaa", "baa"].map(Pattern::exact));
         assert_eq!(found(&mp, "abaaa"), [true, true, true]);
+    }
+
+    /// Catalogs of 1, 63, 64, 65, 128 and 129 made-up signatures, spread
+    /// over all 25 applications, with the last needle planted and those
+    /// on either side of a word boundary (63 and 64, 127 and 128): the
+    /// last bit of a word and the first of the next are set, iterated,
+    /// tallied and ranked as the linear scan has them — the catalog's 90
+    /// is not the only size that works. One arena serves every size and
+    /// keeps no bit for the empty body that follows.
+    #[test]
+    fn hits_hold_at_every_word_boundary_of_any_catalog_size() {
+        let apps: Vec<AppId> = AppId::all().collect();
+        let mut scratch = Scratch::new();
+        for size in [1, 63, 64, 65, 128, 129] {
+            let signatures: Vec<Signature> = (0..size)
+                .map(|i| Signature {
+                    app: apps[i % apps.len()],
+                    pattern: Pattern::exact(Box::leak(format!("needle-{i:03}.").into_boxed_str())),
+                })
+                .collect();
+            let mp = MultiPattern::new(&signatures);
+            let mut planted = vec![63, 64, 127, 128, size - 1];
+            planted.retain(|&i| i < size);
+            planted.sort_unstable();
+            planted.dedup();
+            let body: String = planted
+                .iter()
+                .map(|&i| format!("<p>{}</p>", signatures[i].pattern.needle))
+                .collect();
+            let prepared = PreparedBody::new(body.as_str());
+
+            let hits = mp.matched_signatures(&prepared);
+            assert_eq!(hits.iter().collect::<Vec<_>>(), planted, "{size}");
+            for i in 0..size {
+                assert_eq!(hits.contains(i), planted.contains(&i), "{i} of {size}");
+            }
+            mp.matched_signatures_scratch(&body, &mut scratch);
+            assert_eq!(scratch.matched(), &hits, "{size}");
+
+            let counts = mp.counts_from_matched(&hits);
+            assert!(counts.iter().eq(match_counts(&signatures, &prepared)));
+            assert_eq!(
+                rank_candidates(counts),
+                match_candidates(&signatures, &prepared)
+            );
+
+            mp.matched_signatures_scratch("", &mut scratch);
+            assert_eq!(scratch.matched(), &Hits::new(size), "{size}");
+            assert_eq!(scratch.matched().iter().next(), None);
+            assert_eq!(
+                mp.counts_from_matched(scratch.matched()).iter().next(),
+                None
+            );
+        }
     }
 
     /// Exhaustive: on every string of length ≤ 6 over the needles'
@@ -660,7 +706,9 @@ mod tests {
             };
             let prepared = PreparedBody::new(body);
             assert_eq!(
-                mp.match_counts(&prepared),
+                mp.counts_from_matched(&mp.matched_signatures(&prepared))
+                    .iter()
+                    .collect::<Vec<_>>(),
                 match_counts(&sigs, &prepared),
                 "{app}: multi-pattern counts diverge from the linear scan"
             );
@@ -698,12 +746,13 @@ mod tests {
                 .expect("needle is in the catalog")
         }
 
-        /// The per-signature bits for `body`, after checking that the
-        /// three ways to get them agree bit for bit: the scratch path
-        /// (production), the allocating path, and each signature's own
-        /// `Pattern` over the materialized views (the linear scan) —
-        /// and that neither matcher path built a view.
-        fn matched(&mut self, body: &str) -> Vec<bool> {
+        /// The match set for `body`, after checking that the three ways
+        /// to get it agree: the scratch path (production), the
+        /// allocating path, and each signature's own `Pattern` over the
+        /// materialized views (the linear scan), which the set's
+        /// iteration must name exactly — and that neither matcher path
+        /// built a view.
+        fn matched(&mut self, body: &str) -> Hits {
             let prepared = PreparedBody::new(body);
             let allocating = self.mp.matched_signatures(&prepared);
             assert!(
@@ -718,13 +767,14 @@ mod tests {
                     squashed: None
                 }
             );
-            assert_eq!(self.scratch.matched(), &allocating[..], "{body:?}");
-            let linear: Vec<bool> = self
-                .sigs
-                .iter()
-                .map(|s| s.pattern.matches(&prepared))
+            assert_eq!(self.scratch.matched(), &allocating, "{body:?}");
+            let linear: Vec<usize> = (0..self.sigs.len())
+                .filter(|&id| self.sigs[id].pattern.matches(&prepared))
                 .collect();
-            assert_eq!(allocating, linear, "{body:?}");
+            assert_eq!(allocating.iter().collect::<Vec<_>>(), linear, "{body:?}");
+            for id in 0..self.sigs.len() {
+                assert_eq!(allocating.contains(id), linear.contains(&id));
+            }
             allocating
         }
     }
@@ -770,7 +820,11 @@ mod tests {
                 let matched = paths.matched(&body);
                 let prepared = PreparedBody::new(body.as_str());
                 let counts = paths.mp.counts_from_matched(&matched);
-                assert_eq!(counts, match_counts(&paths.sigs, &prepared), "{body:?}");
+                assert_eq!(
+                    counts.iter().collect::<Vec<_>>(),
+                    match_counts(&paths.sigs, &prepared),
+                    "{body:?}"
+                );
                 assert_eq!(
                     rank_candidates(counts),
                     match_candidates(&paths.sigs, &prepared),
@@ -801,7 +855,7 @@ mod tests {
             for cut in 1..NOSPACE_NEEDLE.len() {
                 let (head, tail) = NOSPACE_NEEDLE.split_at(cut);
                 let body = format!("<pre>{head}{ws}{tail}</pre>");
-                assert!(paths.matched(&body)[index], "{ws:?} at {cut}");
+                assert!(paths.matched(&body).contains(index), "{ws:?} at {cut}");
             }
         }
     }
@@ -823,14 +877,18 @@ mod tests {
             for cut in 1..NOSPACE_NEEDLE.len() {
                 let (head, tail) = NOSPACE_NEEDLE.split_at(cut);
                 let broken = format!("{head}{near_miss}{tail}");
-                assert!(!paths.matched(&broken)[index], "{broken:?}");
+                assert!(!paths.matched(&broken).contains(index), "{broken:?}");
                 for follower in [
                     format!("{broken}{NOSPACE_NEEDLE}"),
                     format!("{broken}{head}{ws}{tail}"),
                     format!("{near_miss}{head}{ws}{near_miss}"),
                 ] {
                     let expected = !follower.ends_with(near_miss);
-                    assert_eq!(paths.matched(&follower)[index], expected, "{follower:?}");
+                    assert_eq!(
+                        paths.matched(&follower).contains(index),
+                        expected,
+                        "{follower:?}"
+                    );
                 }
             }
         }
@@ -861,7 +919,7 @@ mod tests {
                     g.string(NOISE, 0..20),
                     g.string(NOISE, 0..20)
                 );
-                assert!(paths.matched(&body)[index], "{body:?}");
+                assert!(paths.matched(&body).contains(index), "{body:?}");
             }
         });
         let mut paths = Paths::new();
@@ -870,7 +928,7 @@ mod tests {
             for (ascii, lookalike) in [('k', '\u{212a}'), ('s', '\u{17f}')] {
                 for (at, _) in needle.match_indices(ascii) {
                     let body = format!("{}{lookalike}{}", &needle[..at], &needle[at + 1..]);
-                    assert!(!paths.matched(&body)[index], "{body:?}");
+                    assert!(!paths.matched(&body).contains(index), "{body:?}");
                     substitutions += 1;
                 }
             }
@@ -894,7 +952,7 @@ mod tests {
                 format!("{needle} and a tail"),
                 format!("a head and {needle}"),
             ] {
-                assert!(paths.matched(&body)[indices[i]], "{body:?}");
+                assert!(paths.matched(&body).contains(indices[i]), "{body:?}");
             }
         }
         for (body, expected) in [
@@ -920,7 +978,7 @@ mod tests {
             ),
         ] {
             let matched = paths.matched(&body);
-            assert_eq!(indices.map(|i| matched[i]), expected, "{body:?}");
+            assert_eq!(indices.map(|i| matched.contains(i)), expected, "{body:?}");
         }
     }
 
@@ -967,7 +1025,7 @@ mod tests {
                         let expected = signature.pattern.matches(&PreparedBody::new(&*body));
                         assert!(expected, "{spelled:?} is planted whole");
                         assert_eq!(
-                            paths.scratch.matched()[index],
+                            paths.scratch.matched().contains(index),
                             expected,
                             "{spelled:?} at {start} across {boundary}"
                         );
@@ -996,7 +1054,7 @@ mod tests {
                 for inside in 0..head.len() + run.len() + 2 {
                     let body = laid_out('"', boundary - inside, &split);
                     assert!(
-                        paths.matched(&body)[index],
+                        paths.matched(&body).contains(index),
                         "{ws:?} {inside} into {boundary}"
                     );
                 }
@@ -1026,7 +1084,7 @@ mod tests {
                     let wide = middle.find(['—', '\u{3000}']).expect("it is in there");
                     let body = laid_out('"', boundary - wide - cut, &middle);
                     assert_eq!(
-                        paths.matched(&body)[index],
+                        paths.matched(&body).contains(index),
                         expected,
                         "{middle:?}, {boundary} cuts at {cut}"
                     );
@@ -1034,7 +1092,10 @@ mod tests {
                 // Right behind the character, in the lane that started
                 // inside it.
                 let body = laid_out('x', boundary - cut, &format!("—{NOSPACE_NEEDLE}"));
-                assert!(paths.matched(&body)[index], "{boundary} cuts at {cut}");
+                assert!(
+                    paths.matched(&body).contains(index),
+                    "{boundary} cuts at {cut}"
+                );
             }
         }
     }
@@ -1055,13 +1116,13 @@ mod tests {
             for gap in [1, 3 * CHUNK] {
                 let gap = " ".repeat(gap);
                 let refused = format!("{candidate}{gap}{candidate}");
-                assert!(!paths.matched(&refused)[index], "{refused:?}");
+                assert!(!paths.matched(&refused).contains(index), "{refused:?}");
                 for body in [
                     format!("{refused}{gap}{needle}"),
                     format!("{needle}{gap}{refused}"),
                     format!("{candidate}{needle}{candidate}"),
                 ] {
-                    assert!(paths.matched(&body)[index], "{body:?}");
+                    assert!(paths.matched(&body).contains(index), "{body:?}");
                 }
             }
         }

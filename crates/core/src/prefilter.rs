@@ -14,6 +14,7 @@ use crate::telemetry::{AllocMetrics, Counter, Histogram, Telemetry, Timer};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// A stage-II hit: an endpoint that speaks HTTP(S) and looks like one or
 /// more of the studied applications.
@@ -61,7 +62,10 @@ struct PrefilterMetrics {
     redirects: Histogram,
     body_bytes: Histogram,
     probe: Timer,
-    /// For `stage2.error.<class>`, registered on first use.
+    /// `stage2.error.<class>` by [`nokeys_http::Error::class_index`],
+    /// each registered with `telemetry` on first use: a snapshot lists
+    /// only the classes that occurred.
+    errors: [OnceLock<Counter>; nokeys_http::Error::CLASSES.len()],
     telemetry: Telemetry,
 }
 
@@ -83,8 +87,17 @@ impl PrefilterMetrics {
             redirects: telemetry.histogram("stage2.redirects", &[0, 1, 2, 4, 8]),
             body_bytes: telemetry.histogram("stage2.body_bytes", &[256, 1024, 4096, 16384, 65536]),
             probe: telemetry.timer("stage2.prefilter"),
+            errors: Default::default(),
             telemetry: telemetry.clone(),
         }
+    }
+
+    /// The counter of fetches that failed as `error` did.
+    fn error(&self, error: &nokeys_http::Error) -> &Counter {
+        self.errors[error.class_index()].get_or_init(|| {
+            self.telemetry
+                .counter(&format!("stage2.error.{}", error.class()))
+        })
     }
 }
 
@@ -173,12 +186,7 @@ impl Prefilter {
             {
                 Ok(fetched) => fetched,
                 Err(e) => {
-                    // `stage2.error.<class>` registers on first use: a
-                    // snapshot lists only the classes that occurred.
-                    self.metrics
-                        .telemetry
-                        .counter(&format!("stage2.error.{}", e.class()))
-                        .incr();
+                    self.metrics.error(&e).incr();
                     continue;
                 }
             };
@@ -200,10 +208,8 @@ impl Prefilter {
                 self.metrics.bodies_matched.incr();
                 self.metrics.body_bytes.observe(body.len() as u64);
                 self.matcher.matched_signatures_scratch(&body, scratch);
-                for (i, fired) in scratch.matched().iter().enumerate() {
-                    if *fired {
-                        self.metrics.signature_hits[i].incr();
-                    }
+                for id in scratch.matched().iter() {
+                    self.metrics.signature_hits[id].incr();
                 }
                 let candidates =
                     rank_candidates(self.matcher.counts_from_matched(scratch.matched()));

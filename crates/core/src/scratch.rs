@@ -14,25 +14,30 @@
 //! - A `Scratch` is **never shared**: one per worker task (or one per
 //!   sequential loop). Nothing in it is `Sync`-guarded because nothing
 //!   ever needs to be — the borrow checker enforces exclusivity.
-//! - Buffer contents are **dead between probes**. Every entry point
+//! - Contents are **dead between probes**. Every entry point
 //!   (`MultiPattern::matched_signatures_scratch`,
-//!   `crawler::identify_scratch`) clears what it uses before filling
+//!   `crawler::identify_scratch`) empties what it uses before filling
 //!   it; no probe ever observes a previous probe's data.
-//! - Both buffers are pre-sized past what the catalog needs (90 match
-//!   bits, 4 crawl paths), so a warmed or a fresh arena allocates
-//!   nothing in steady state.
+//! - The arena holds the match set — a [`Hits`], one bit per signature
+//!   of the matcher that fills it — and the crawl list. The crawl list
+//!   is sized at construction past one crawl's four paths; the match
+//!   set takes its words (two, for the 90-signature catalog) from the
+//!   first matcher that uses the arena. After that first body nothing
+//!   in the arena allocates.
 //!
 //! The view builders and their predicates ([`lower_into`],
 //! [`squash_into`], [`needs_lower`], [`needs_squash`]) live here for
 //! [`PreparedBody`](crate::pattern::PreparedBody), the reference the
 //! matcher is tested against.
 
+use crate::signatures::Hits;
+
 /// Reusable per-worker buffers for multipattern matching and
 /// fingerprint crawling.
 #[derive(Debug)]
 pub struct Scratch {
-    /// Per-signature match bits for the multipattern pass.
-    matched: Vec<bool>,
+    /// The signatures the most recent multipattern pass matched.
+    hits: Hits,
     /// Crawl observations `(path, body hash)` for KB fingerprinting.
     crawl: Vec<(&'static str, u64)>,
 }
@@ -45,25 +50,25 @@ impl Scratch {
     /// it as `core.scratch.over_reserve_share`.
     pub const RESERVE: usize = 16 * 1024;
 
-    /// A scratch arena sized for the 90-signature catalog and the
-    /// four-path crawl.
+    /// A scratch arena sized for the four-path crawl; the match set is
+    /// sized by the matcher that first fills it.
     pub fn new() -> Self {
         Scratch {
-            matched: Vec::with_capacity(128),
+            hits: Hits::default(),
             crawl: Vec::with_capacity(16),
         }
     }
 
-    /// The match-bit buffer for the multipattern pass to fill.
-    pub(crate) fn matched_buf(&mut self) -> &mut Vec<bool> {
-        &mut self.matched
+    /// The match set for the multipattern pass to fill.
+    pub(crate) fn hits_mut(&mut self) -> &mut Hits {
+        &mut self.hits
     }
 
-    /// The per-signature match bits left by the most recent
+    /// The match set left by the most recent
     /// [`MultiPattern::matched_signatures_scratch`](crate::MultiPattern::matched_signatures_scratch)
     /// call.
-    pub fn matched(&self) -> &[bool] {
-        &self.matched
+    pub fn matched(&self) -> &Hits {
+        &self.hits
     }
 
     /// The crawl-observation buffer for KB fingerprinting.
@@ -173,15 +178,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_preallocates_match_and_crawl_buffers() {
+    fn scratch_preallocates_the_crawl_buffer_and_takes_match_words_from_the_matcher() {
         let mut s = Scratch::new();
-        assert!(
-            s.matched_buf().capacity() >= 90,
-            "fits the 90-signature corpus"
-        );
         assert!(
             s.crawl_buf().capacity() >= nokeys_apps::assets::ASSET_PATHS.len(),
             "fits one crawl"
         );
+        assert_eq!(s.matched(), &Hits::default(), "no words before a matcher");
+        assert!(!s.matched().contains(0), "and nothing in them");
+        let catalog = crate::multipattern::MultiPattern::catalog();
+        catalog.matched_signatures_scratch("wp-content", &mut s);
+        assert_eq!(s.matched().iter().count(), 1);
+        catalog.matched_signatures_scratch("", &mut s);
+        assert_eq!(s.matched(), &Hits::new(catalog.len()), "sized and empty");
     }
 }

@@ -8,7 +8,9 @@
 //! supported version range.
 
 use crate::pattern::{Pattern, PreparedBody};
+use nokeys_apps::catalog::CATALOG;
 use nokeys_apps::AppId;
+use std::cmp::Reverse;
 
 /// A prefilter signature.
 #[derive(Debug, Clone)]
@@ -16,6 +18,95 @@ pub struct Signature {
     pub app: AppId,
     pub pattern: Pattern,
 }
+
+/// The signatures a body matched, as a set of catalog indices: bit
+/// `i % 64` of word `i / 64` is signature `i`. This is the one form a
+/// stage-II result takes from the walk that sets the bits
+/// ([`MultiPattern`](crate::multipattern::MultiPattern)) to the tally
+/// and the telemetry that read them — two words for the 90-signature
+/// catalog, so the body that matches nothing, which is nearly every
+/// body, costs two loads to dismiss.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Hits {
+    words: Vec<u64>,
+}
+
+impl Hits {
+    /// The empty set over a catalog of `signatures`.
+    pub fn new(signatures: usize) -> Self {
+        Hits {
+            words: vec![0; signatures.div_ceil(u64::BITS as usize)],
+        }
+    }
+
+    /// Empty the set and size it for a catalog of `signatures`. A set
+    /// that is reused grows once, under the first catalog it meets.
+    pub(crate) fn reset(&mut self, signatures: usize) {
+        self.words.clear();
+        self.words
+            .resize(signatures.div_ceil(u64::BITS as usize), 0);
+    }
+
+    /// Whether signature `index` matched; an index past the catalog did
+    /// not.
+    pub fn contains(&self, index: usize) -> bool {
+        let word = self.words.get(index / 64);
+        word.is_some_and(|word| word >> (index % 64) & 1 != 0)
+    }
+
+    pub(crate) fn insert(&mut self, index: usize) {
+        self.words[index / 64] |= 1 << (index % 64);
+    }
+
+    /// The matching signatures' indices, ascending. A zero word is
+    /// passed over whole.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    at * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// Matching signatures per application, held inline: one tally for each
+/// of the catalog's applications, at `app as usize`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppCounts {
+    tally: [u32; CATALOG.len()],
+}
+
+impl AppCounts {
+    /// Count one more matching signature of `app`.
+    pub(crate) fn add(&mut self, app: AppId) {
+        self.tally[app as usize] += 1;
+    }
+
+    /// `(application, matching signatures)` for every application that
+    /// matched, ascending by application — what [`match_counts`] returns
+    /// for the same body.
+    pub fn iter(&self) -> impl Iterator<Item = (AppId, u32)> + '_ {
+        let matched = APPS.iter().zip(&self.tally).filter(|(_, &n)| n != 0);
+        matched.map(|(&app, &n)| (app, n))
+    }
+}
+
+/// The application at each index of a tally: `CATALOG`'s ids, packed, so
+/// that reading a tally does not walk the catalog's entries.
+const APPS: [AppId; CATALOG.len()] = {
+    let mut apps = [AppId::Gitlab; CATALOG.len()];
+    let mut i = 0;
+    while i < apps.len() {
+        apps[i] = CATALOG[i].id;
+        i += 1;
+    }
+    apps
+};
 
 /// The full signature set (90 signatures, 5 × 18 applications).
 pub fn all_signatures() -> Vec<Signature> {
@@ -221,23 +312,33 @@ pub fn all_signatures() -> Vec<Signature> {
 /// `pub` as the reference twin of
 /// [`MultiPattern::match_candidates`](crate::multipattern::MultiPattern::match_candidates),
 /// which the benchmark (`benchmark/src/program.rs`) and the equivalence
-/// tests hold the automaton against.
+/// tests hold the automaton against; it shares the ranking rule with
+/// [`rank_candidates`] and nothing else.
 pub fn match_candidates(signatures: &[Signature], body: &PreparedBody) -> Vec<AppId> {
-    rank_candidates(match_counts(signatures, body))
+    let mut counts = match_counts(signatures, body);
+    counts.sort_by_key(by_strength);
+    counts.into_iter().map(|(app, _)| app).collect()
+}
+
+/// The ranking rule: strongest first, ties in catalog order.
+fn by_strength(&(app, count): &(AppId, u32)) -> (Reverse<u32>, AppId) {
+    (Reverse(count), app)
 }
 
 /// Order per-application match counts by strength (strongest first, ties
-/// in catalog order). Shared by the linear scan above and the
-/// single-pass [`MultiPattern`](crate::multipattern::MultiPattern)
-/// matcher so both rank identically.
-pub fn rank_candidates(mut by_strength: Vec<(AppId, u32)>) -> Vec<AppId> {
-    by_strength.sort_by_key(|(app, count)| (std::cmp::Reverse(*count), *app));
-    by_strength.into_iter().map(|(app, _)| app).collect()
+/// in catalog order). A body that matched nothing allocates nothing; one
+/// that matched pays for the list that is sorted and for the returned
+/// one.
+pub fn rank_candidates(counts: AppCounts) -> Vec<AppId> {
+    let mut ranked: Vec<(AppId, u32)> = counts.iter().collect();
+    ranked.sort_by_key(by_strength);
+    ranked.into_iter().map(|(app, _)| app).collect()
 }
 
-/// The number of matching signatures per candidate application. Like
-/// [`match_candidates`], the reference twin of
-/// [`MultiPattern::match_counts`](crate::multipattern::MultiPattern::match_counts)
+/// The number of matching signatures per candidate application,
+/// ascending by application. Like [`match_candidates`], the reference
+/// twin of
+/// [`MultiPattern::counts_from_matched`](crate::multipattern::MultiPattern::counts_from_matched)
 /// and nothing else.
 pub fn match_counts(signatures: &[Signature], body: &PreparedBody) -> Vec<(AppId, u32)> {
     let mut counts: std::collections::BTreeMap<AppId, u32> = Default::default();

@@ -8,7 +8,7 @@
 //! harness's own threads allocate too, so only the thread that armed
 //! itself around a measured region is counted.
 
-use nokeys_scanner::signatures::all_signatures;
+use nokeys_scanner::signatures::{all_signatures, rank_candidates};
 use nokeys_scanner::{MultiPattern, Scratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,8 +87,16 @@ fn warmed_hot_path_performs_zero_heap_allocations() {
         "an armed thread's allocations are counted"
     );
 
-    // No warm-up: the arena holds match bits only, sized at
-    // construction, so the first body is as clean as the hundredth.
+    // The arena's match set takes its two words from the first matcher
+    // that fills it: one allocation in the arena's life, made here.
+    assert_eq!(
+        allocations_in(|| {
+            black_box(matcher.matched_signatures_scratch("", &mut scratch));
+        }),
+        1,
+        "the match set grows once, on first use"
+    );
+
     let matcher_allocs = allocations_in(|| {
         for _ in 0..100 {
             for body in &bodies {
@@ -102,6 +110,29 @@ fn warmed_hot_path_performs_zero_heap_allocations() {
         matcher_allocs, 0,
         "multipattern matching must not touch the heap"
     );
+
+    // Stage II whole — match, tally, rank — as the prefilter runs it. A
+    // body that matches nothing, which is nearly every body of a scan,
+    // costs no allocation; one that matches costs the list that is
+    // sorted and the candidate list made from it.
+    let mut stage_two = |body: &str| {
+        let mut hit = false;
+        let allocs = allocations_in(|| {
+            matcher.matched_signatures_scratch(body, &mut scratch);
+            let counts = matcher.counts_from_matched(scratch.matched());
+            let candidates = rank_candidates(black_box(counts));
+            hit = !candidates.is_empty();
+            black_box(candidates);
+        });
+        (hit, allocs)
+    };
+    for miss in ["", "<html><body>It works!</body></html>", "WP-CONTENT"] {
+        assert_eq!(stage_two(miss), (false, 0), "{miss:?}");
+    }
+    // The fourth body spells `phpMyAdmin` in lowercase: a miss as well.
+    for (body, hit) in bodies.iter().zip([true, true, true, false, true]) {
+        assert_eq!(stage_two(body), (hit, 2 * usize::from(hit)), "{body:?}");
+    }
 
     // The inline header arena: building and probing a typical scan
     // response's header map (a handful of short fields) is heap-free

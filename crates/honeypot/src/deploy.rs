@@ -11,7 +11,8 @@
 use crate::logserver::CentralLog;
 use crate::monitor::MonitoredApp;
 use crate::ClockCell;
-use nokeys_apps::{build_instance, release_history, AppConfig, AppId, Version};
+use nokeys_apps::version::history;
+use nokeys_apps::{build_instance, AppConfig, AppId, Version};
 use nokeys_http::memory::HandlerTransport;
 use nokeys_http::Endpoint;
 use nokeys_netsim::SimTime;
@@ -92,8 +93,7 @@ impl Fleet {
 /// Which version to deploy: the newest one in which a vulnerable
 /// configuration exists.
 fn deploy_version(app: AppId) -> Version {
-    let history = release_history(app);
-    *history
+    *history(app)
         .iter()
         .rev()
         .find(|v| AppConfig::vulnerable_for(app, v).is_vulnerable(app, v))
@@ -142,7 +142,7 @@ mod tests {
         let hadoop = fleet.honeypot(AppId::Hadoop).unwrap();
         assert_eq!(
             hadoop.version.triple(),
-            release_history(AppId::Hadoop).last().unwrap().triple()
+            history(AppId::Hadoop).last().unwrap().triple()
         );
     }
 

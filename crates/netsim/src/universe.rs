@@ -331,7 +331,7 @@ impl Universe {
                 let state = host.lifecycle.state_at(at);
                 let mut version_index = *version_index;
                 if host.lifecycle.updated_by(at) {
-                    version_index = nokeys_apps::release_history(*app).len() - 1;
+                    version_index = nokeys_apps::version::history(*app).len() - 1;
                 }
                 let version = nokeys_apps::version_at(*app, version_index);
                 let config = if state == HostState::Fixed {
@@ -436,7 +436,7 @@ fn sample_version_index(rng: &mut SplitMix64, app: AppId, len: usize) -> usize {
 }
 
 fn make_awe_host(rng: &mut SplitMix64, ip: Ipv4Addr, app: AppId, vulnerable: bool) -> Host {
-    let history = nokeys_apps::release_history(app);
+    let history = nokeys_apps::version::history(app);
     let posture = app
         .info()
         .default_posture
@@ -566,7 +566,7 @@ fn make_shared_host(rng: &mut SplitMix64, ip: Ipv4Addr, n_vhosts: u64) -> Host {
     let cms = [AppId::WordPress, AppId::Joomla, AppId::Drupal, AppId::Grav];
     for i in 0..n_vhosts {
         let app = cms[rng.below(cms.len() as u64) as usize];
-        let history_len = nokeys_apps::release_history(app).len();
+        let history_len = nokeys_apps::version::history(app).len();
         let version_index = history_len - 1 - rng.below(3.min(history_len) as u64) as usize;
         let fresh = rng.unit() < 0.34;
         let (registered_at, install_delay) = if fresh {
