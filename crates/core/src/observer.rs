@@ -313,7 +313,9 @@ mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
     use nokeys_http::Endpoint;
-    use nokeys_netsim::{SimTime, SimTransport, Universe, UniverseConfig};
+    use nokeys_netsim::{
+        FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
+    };
     use std::sync::Arc;
 
     // Daily rescans keep the tests fast; the repro harness uses the
@@ -326,9 +328,11 @@ mod tests {
     /// Scan a fresh tiny universe (so the fault schedule starts from
     /// zero) and observe its vulnerable hosts on `workers` threads.
     fn study_on(workers: usize, fault_rate: f64, telemetry: &Telemetry) -> LongevityStudy {
-        let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))))
-            .with_fault_injection(fault_rate);
-        let client = nokeys_http::Client::new(t.clone());
+        let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))));
+        let client = nokeys_http::Client::new(FaultyTransport::new(
+            t.clone(),
+            FaultPlan::new(fault_rate, 0xfa17_5eed),
+        ));
         let pipeline = Pipeline::new(
             PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
                 .retries(3)

@@ -300,7 +300,7 @@ impl PortScanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
+    use nokeys_netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
     use std::sync::Arc;
 
     fn sim() -> SimTransport {
@@ -410,9 +410,10 @@ mod tests {
         use crate::retry::{RetryPolicy, RetryTransport};
         for fault_rate in [0.0, 0.05] {
             let sweep = |dense: bool| {
-                let sim = sim().with_fault_injection(fault_rate);
+                let faulty = FaultyTransport::new(sim(), FaultPlan::new(fault_rate, 0xfa17_5eed));
                 let telemetry = Telemetry::new();
-                let t = RetryTransport::new(sim.clone(), RetryPolicy::with_attempts(3), &telemetry);
+                let t =
+                    RetryTransport::new(faulty.clone(), RetryPolicy::with_attempts(3), &telemetry);
                 let scanner = PortScanner::with_telemetry(config_for_tiny(), &telemetry);
                 let mut total = PortScanResult::default();
                 for block in scanner.shuffled_blocks() {
@@ -422,7 +423,7 @@ mod tests {
                         scanner.scan_block_paced(&t, block, &None)
                     });
                 }
-                (total, telemetry.snapshot().to_json(), sim)
+                (total, telemetry.snapshot().to_json(), faulty)
             };
             let (sparse, sparse_telemetry, sparse_t) = sweep(false);
             let (dense, dense_telemetry, dense_t) = sweep(true);
@@ -433,12 +434,13 @@ mod tests {
             assert_eq!(sparse.probes_sent, dense.probes_sent);
             assert_eq!(sparse_telemetry, dense_telemetry, "fault rate {fault_rate}");
             assert_eq!(
-                sparse_t.fault_stats().probe_injected(),
-                dense_t.fault_stats().probe_injected(),
+                sparse_t.plan().stats().probe_injected(),
+                dense_t.plan().stats().probe_injected(),
                 "both sweeps consume the same fault schedule"
             );
             // Dense evaluated every (address, port) pair at least once;
             // sparse touched only the populated hosts.
+            let (sparse_t, dense_t) = (sparse_t.inner(), dense_t.inner());
             assert!(dense_t.stats().probes() >= dense.probes_sent);
             assert!(sparse_t.stats().probes() < dense_t.stats().probes() / 10);
             if fault_rate == 0.0 {

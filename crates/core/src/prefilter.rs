@@ -10,7 +10,7 @@ use crate::multipattern::MultiPattern;
 use crate::retry::{RetryMetrics, RetryPolicy};
 use crate::scratch::Scratch;
 use crate::signatures::{all_signatures, rank_candidates, Signature};
-use crate::telemetry::{AllocMetrics, Counter, Histogram, Telemetry, Timer};
+use crate::telemetry::{Counter, Histogram, Telemetry, Timer};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use std::collections::BTreeMap;
@@ -113,8 +113,6 @@ pub struct Prefilter {
     /// pipeline passes its configured policy.
     retry: RetryPolicy,
     fetch_retry: RetryMetrics,
-    /// Deterministic `alloc.*` accounting of response header storage.
-    alloc: AllocMetrics,
 }
 
 impl Default for Prefilter {
@@ -140,13 +138,11 @@ impl Prefilter {
     pub fn with_telemetry_and_retry(telemetry: &Telemetry, retry: RetryPolicy) -> Self {
         let metrics = PrefilterMetrics::new(telemetry, &all_signatures());
         let fetch_retry = RetryMetrics::new(telemetry, "fetch");
-        let alloc = AllocMetrics::new(telemetry);
         Prefilter {
             matcher: MultiPattern::catalog(),
             metrics,
             retry,
             fetch_retry,
-            alloc,
         }
     }
 
@@ -165,9 +161,6 @@ impl Prefilter {
     /// matched) plus which schemes answered. All matching buffers are
     /// borrowed from `scratch`: with a reused arena the multipattern
     /// pass allocates nothing.
-    ///
-    /// The `alloc.*` counters recorded here are pure functions of the
-    /// response stream, so they are byte-identical at any shard count.
     pub fn probe_endpoint_scratch<T: Transport>(
         &self,
         client: &Client<T>,
@@ -201,8 +194,6 @@ impl Prefilter {
                 }
             }
             self.metrics.redirects.observe(fetched.redirects as u64);
-            self.alloc
-                .record_headers(fetched.response.headers.spilled());
             if hit.is_none() {
                 let body = fetched.response.body_str();
                 self.metrics.bodies_matched.incr();

@@ -571,45 +571,6 @@ impl TelemetrySnapshot {
     }
 }
 
-/// The `alloc.*` family: deterministic allocation telemetry for the
-/// stage-II hot path.
-///
-/// Nothing here samples the live allocator: every counter is a pure
-/// function of the probe stream (header shape), identical at any shard
-/// count. The matcher needs no entry — it reads each body in place and
-/// keeps its match bits in a fixed-size arena
-/// ([`Scratch`](crate::scratch::Scratch)), which
-/// `crates/core/tests/alloc_counting.rs` checks against a counting
-/// allocator.
-///
-/// - `alloc.headers.inline` / `alloc.headers.spilled` — probe
-///   responses whose header block fit the inline representation vs.
-///   spilled to the heap.
-#[derive(Clone, Debug)]
-pub struct AllocMetrics {
-    headers_inline: Counter,
-    headers_spilled: Counter,
-}
-
-impl AllocMetrics {
-    /// Register the `alloc.*` counters in `telemetry`.
-    pub fn new(telemetry: &Telemetry) -> Self {
-        AllocMetrics {
-            headers_inline: telemetry.counter("alloc.headers.inline"),
-            headers_spilled: telemetry.counter("alloc.headers.spilled"),
-        }
-    }
-
-    /// Count one probe response's header block.
-    pub fn record_headers(&self, spilled: bool) {
-        if spilled {
-            self.headers_spilled.incr();
-        } else {
-            self.headers_inline.incr();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,19 +763,6 @@ mod tests {
         let snap = t.snapshot();
         let value = crate::json::parse(snap.to_json().as_bytes()).expect("parses");
         assert_eq!(TelemetrySnapshot::from_json(&value), Ok(snap));
-    }
-
-    #[test]
-    fn alloc_metrics_classify_header_storage() {
-        let t = Telemetry::new();
-        let m = AllocMetrics::new(&t);
-        m.record_headers(false);
-        m.record_headers(false);
-        m.record_headers(true);
-        let snap = t.snapshot();
-        assert_eq!(snap.counter("alloc.headers.inline"), 2);
-        assert_eq!(snap.counter("alloc.headers.spilled"), 1);
-        assert_eq!(snap.prefixed_total("alloc."), 3);
     }
 
     #[test]

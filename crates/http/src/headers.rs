@@ -1,47 +1,21 @@
 //! Case-insensitive, order-preserving header map.
 //!
-//! Storage is an inline arena: field names and values are copied into a
-//! fixed byte buffer and addressed by `(offset, length)` spans, with a
-//! fixed-size entry table in front. A typical scan response (≤ 8 fields,
-//! well under 1 KiB of header text) therefore lives entirely inside the
-//! `Headers` value — building one performs **zero heap allocations**.
-//! Larger messages transparently spill the excess entries/text to a
-//! `Vec`/`String`; the `alloc.headers.*` telemetry in the scanner counts
-//! how often that happens via [`Headers::spilled`].
+//! Storage is two buffers: every field's name and value are appended to
+//! one `String`, and a `Vec` of byte offsets says where each field's name
+//! ends and its value starts and ends. A map costs two growable
+//! allocations however many fields it holds, and there is one code path
+//! for every size.
 
 use crate::error::{Error, Result};
 use std::fmt;
 
-/// Bytes of header text stored inline before spilling to the heap.
-const INLINE_TEXT: usize = 1024;
-/// Header fields stored inline before spilling to the heap.
-const INLINE_ENTRIES: usize = 8;
-/// High bit of a span offset: set when the span lives in `spill_text`.
-const SPILL_TAG: u32 = 1 << 31;
-
-/// A byte range in the inline buffer or (when tagged) the spill string.
+/// One header field: its name is `text[start..mid]`, its value
+/// `text[mid..end]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
-    off: u32,
-    len: u32,
-}
-
-impl Span {
-    const EMPTY: Span = Span { off: 0, len: 0 };
-}
-
-/// One header field: spans for its name and value.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    name: Span,
-    value: Span,
-}
-
-impl Entry {
-    const EMPTY: Entry = Entry {
-        name: Span::EMPTY,
-        value: Span::EMPTY,
-    };
+struct Field {
+    start: u32,
+    mid: u32,
+    end: u32,
 }
 
 /// An ordered multimap of HTTP header fields.
@@ -50,37 +24,16 @@ impl Entry {
 /// insertion order are preserved for serialization, which keeps wire output
 /// stable and therefore testable.
 ///
-/// Equality and `Debug` go through the logical `(name, value)`
-/// pair sequence, never the storage representation, so a map that spilled
-/// (or that carries dead arena bytes after a [`remove`](Headers::remove))
-/// compares equal to an inline-only map with the same fields.
-#[derive(Clone)]
+/// `text` always holds exactly the live fields back to back, in order —
+/// [`remove`](Headers::remove) closes the gap it leaves — so two maps
+/// with the same `(name, value)` sequence have the same buffers, and the
+/// derived equality is the logical one.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    /// Inline text arena; names and values are appended back to back.
-    text: [u8; INLINE_TEXT],
-    /// Bytes of `text` in use.
-    text_len: u32,
-    /// Overflow text for spans that did not fit `text`.
-    spill_text: String,
-    /// First [`INLINE_ENTRIES`] fields.
-    inline: [Entry; INLINE_ENTRIES],
-    /// Total number of fields (inline + spilled).
-    len: usize,
-    /// Fields beyond [`INLINE_ENTRIES`].
-    spill: Vec<Entry>,
-}
-
-impl Default for Headers {
-    fn default() -> Self {
-        Headers {
-            text: [0; INLINE_TEXT],
-            text_len: 0,
-            spill_text: String::new(),
-            inline: [Entry::EMPTY; INLINE_ENTRIES],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
+    /// Names and values, appended back to back.
+    text: String,
+    /// Where each field lies in `text`, in insertion order.
+    fields: Vec<Field>,
 }
 
 impl Headers {
@@ -89,86 +42,27 @@ impl Headers {
         Self::default()
     }
 
-    /// Resolve a span to its text. Spans always cover exactly the bytes
-    /// of one pushed `&str`, so the slice is valid UTF-8 by construction.
-    fn text(&self, span: Span) -> &str {
-        let (buf, off) = if span.off & SPILL_TAG != 0 {
-            (self.spill_text.as_bytes(), (span.off & !SPILL_TAG) as usize)
-        } else {
-            (&self.text[..], span.off as usize)
-        };
-        std::str::from_utf8(&buf[off..off + span.len as usize])
-            .expect("header spans cover whole pushed strings")
+    fn name(&self, f: Field) -> &str {
+        &self.text[f.start as usize..f.mid as usize]
     }
 
-    /// Copy `s` into the arena — inline if it fits, spilling otherwise.
-    fn push_text(&mut self, s: &str) -> Span {
-        let len = u32::try_from(s.len()).expect("header field under 4 GiB");
-        let off = self.text_len as usize;
-        if off + s.len() <= INLINE_TEXT {
-            self.text[off..off + s.len()].copy_from_slice(s.as_bytes());
-            self.text_len += len;
-            Span {
-                off: off as u32,
-                len,
-            }
-        } else {
-            let off = self.spill_text.len() as u32;
-            self.spill_text.push_str(s);
-            Span {
-                off: off | SPILL_TAG,
-                len,
-            }
-        }
+    fn value(&self, f: Field) -> &str {
+        &self.text[f.mid as usize..f.end as usize]
     }
 
-    fn entry(&self, i: usize) -> Entry {
-        if i < INLINE_ENTRIES {
-            self.inline[i]
-        } else {
-            self.spill[i - INLINE_ENTRIES]
-        }
-    }
-
-    fn set_entry(&mut self, i: usize, e: Entry) {
-        if i < INLINE_ENTRIES {
-            self.inline[i] = e;
-        } else {
-            self.spill[i - INLINE_ENTRIES] = e;
-        }
-    }
-
-    fn push_entry(&mut self, e: Entry) {
-        if self.len < INLINE_ENTRIES {
-            self.inline[self.len] = e;
-        } else {
-            self.spill.push(e);
-        }
-        self.len += 1;
-    }
-
-    fn truncate_entries(&mut self, n: usize) {
-        if n >= self.len {
-            return;
-        }
-        self.spill.truncate(n.saturating_sub(INLINE_ENTRIES));
-        self.len = n;
-    }
-
-    /// Whether any part of this map hit the heap: more than
-    /// `INLINE_ENTRIES` (8) fields, or header text past `INLINE_TEXT` (1024)
-    /// bytes. For append-only maps (every parsed message) this is a pure
-    /// function of the field list, which is what lets the scanner's
-    /// `alloc.headers.{inline,spilled}` counters stay deterministic.
-    pub fn spilled(&self) -> bool {
-        !self.spill.is_empty() || !self.spill_text.is_empty()
+    /// Where the next appended text will start.
+    fn text_end(&self) -> u32 {
+        u32::try_from(self.text.len()).expect("header text under 4 GiB")
     }
 
     /// Append a header field, keeping any existing fields of the same name.
     pub fn append(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
-        let name = self.push_text(name.as_ref());
-        let value = self.push_text(value.as_ref());
-        self.push_entry(Entry { name, value });
+        let start = self.text_end();
+        self.text.push_str(name.as_ref());
+        let mid = self.text_end();
+        self.text.push_str(value.as_ref());
+        let end = self.text_end();
+        self.fields.push(Field { start, mid, end });
     }
 
     /// Replace all fields of `name` with a single field carrying `value`.
@@ -178,25 +72,25 @@ impl Headers {
     }
 
     /// Remove all fields of `name`, returning how many were removed.
-    ///
-    /// Compacts the entry table only; the removed fields' arena bytes
-    /// stay behind as dead space. Header maps are tiny and short-lived,
-    /// so reclaiming would cost more than it saves.
+    /// The text of each removed field is cut out, and later fields move
+    /// down to fill the gap.
     pub fn remove(&mut self, name: &str) -> usize {
-        let mut kept = 0usize;
-        for i in 0..self.len {
-            let e = self.entry(i);
-            let matches = self.text(e.name).eq_ignore_ascii_case(name);
-            if !matches {
-                if kept != i {
-                    self.set_entry(kept, e);
-                }
-                kept += 1;
+        let before = self.fields.len();
+        let text = &mut self.text;
+        let mut cut = 0;
+        self.fields.retain_mut(|f| {
+            f.start -= cut;
+            f.mid -= cut;
+            f.end -= cut;
+            let (start, mid, end) = (f.start as usize, f.mid as usize, f.end as usize);
+            if !text[start..mid].eq_ignore_ascii_case(name) {
+                return true;
             }
-        }
-        let removed = self.len - kept;
-        self.truncate_entries(kept);
-        removed
+            text.replace_range(start..end, "");
+            cut += f.end - f.start;
+            false
+        });
+        before - self.fields.len()
     }
 
     /// First value of `name`, if present.
@@ -274,20 +168,17 @@ impl Headers {
 
     /// Number of fields (counting duplicates).
     pub fn len(&self) -> usize {
-        self.len
+        self.fields.len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.fields.is_empty()
     }
 
     /// Iterate over `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        (0..self.len).map(move |i| {
-            let e = self.entry(i);
-            (self.text(e.name), self.text(e.value))
-        })
+        self.fields.iter().map(|&f| (self.name(f), self.value(f)))
     }
 }
 
@@ -315,14 +206,6 @@ impl fmt::Display for Headers {
         Ok(())
     }
 }
-
-impl PartialEq for Headers {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for Headers {}
 
 impl<N: AsRef<str>, V: AsRef<str>> FromIterator<(N, V)> for Headers {
     fn from_iter<T: IntoIterator<Item = (N, V)>>(iter: T) -> Self {
@@ -447,29 +330,46 @@ mod tests {
     }
 
     #[test]
-    fn typical_responses_stay_inline() {
-        let mut h = Headers::new();
-        for i in 0..INLINE_ENTRIES {
-            h.append(format!("X-Header-{i}"), "value");
-        }
-        assert_eq!(h.len(), INLINE_ENTRIES);
-        assert!(!h.spilled(), "≤ 8 small fields must not hit the heap");
-        h.append("X-One-More", "spills");
-        assert!(h.spilled());
-        assert_eq!(h.get("x-one-more"), Some("spills"));
+    fn a_header_map_is_two_buffers() {
+        assert!(std::mem::size_of::<Headers>() <= 2 * std::mem::size_of::<Vec<u8>>());
     }
 
     #[test]
-    fn oversized_text_spills_but_reads_back() {
-        let long = "v".repeat(INLINE_TEXT);
+    fn multi_byte_and_long_text_reads_back() {
+        let long = "v".repeat(1500);
         let mut h = Headers::new();
         h.append("X-Big", &long);
-        assert!(h.spilled(), "text past the inline arena spills");
-        assert_eq!(h.get("X-Big"), Some(long.as_str()));
-        // Later small fields still work (and land wherever there's room).
+        h.append("X-Grüße", "naïve — ✓");
         h.append("X-Small", "s");
+        assert_eq!(h.get("X-Big"), Some(long.as_str()));
+        assert_eq!(h.get("x-grüße"), Some("naïve — ✓"));
         assert_eq!(h.get("x-small"), Some("s"));
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.len(), 3);
+        // Removing the multi-byte field shifts the later one by whole
+        // characters, not into the middle of one.
+        assert_eq!(h.remove("X-Grüße"), 1);
+        assert_eq!(h.get("x-small"), Some("s"));
+        assert_eq!(h.get("X-Big"), Some(long.as_str()));
+    }
+
+    #[test]
+    fn set_after_remove_leaves_no_stale_field() {
+        let mut h: Headers = [
+            ("A", "1"),
+            ("Server", "old"),
+            ("B", "2"),
+            ("server", "older"),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(h.remove("SERVER"), 2);
+        h.set("Server", "new");
+        assert_eq!(h.get_all("server").collect::<Vec<_>>(), ["new"]);
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            [("A", "1"), ("B", "2"), ("Server", "new")]
+        );
+        assert_eq!(h.to_string(), "A: 1\nB: 2\nServer: new\n");
     }
 
     #[test]
@@ -480,8 +380,8 @@ mod tests {
         }
         assert_eq!(h.remove("X-3"), 1);
         assert_eq!(h.len(), 11);
-        // Every surviving field is still addressable, across the
-        // inline/spill boundary the compaction shifted entries over.
+        // Every surviving field is still addressable after the fields
+        // behind the removed one moved down.
         for i in (0..12).filter(|&i| i != 3) {
             assert_eq!(
                 h.get(&format!("x-{i}")),
@@ -494,8 +394,8 @@ mod tests {
 
     #[test]
     fn equality_is_logical_not_representational() {
-        // h1: built append-only. h2: same logical fields, but its arena
-        // carries dead bytes from a removed field.
+        // h1: built append-only. h2: same logical fields, reached by
+        // removing one from the middle.
         let h1: Headers = [("A", "1"), ("B", "2")].into_iter().collect();
         let mut h2 = Headers::new();
         h2.append("A", "1");

@@ -1,14 +1,16 @@
-//! In-memory transport serving [`Handler`]s directly — no sockets, no
-//! universe. Used to expose individual application instances (honeypots,
-//! plugin tests, defender scans) to the exact same client code that runs
-//! against real TCP.
+//! In-memory connections and a transport serving [`Handler`]s over them —
+//! no sockets. [`MemConn`] is the one in-memory connection: this module's
+//! [`HandlerTransport`] exposes individual application instances
+//! (honeypots, plugin tests, defender scans) through it, and the
+//! simulator's `SimTransport` serves its whole universe through it, so
+//! both run the exact same client code that runs against real TCP.
 
 use crate::encode::encode_response;
 use crate::error::{Error, Result};
 use crate::parse::{Decoder, Limits};
 use crate::request::Request;
 use crate::server::Handler;
-use crate::transport::{Connection, Endpoint, ProbeOutcome, Scheme, Transport};
+use crate::transport::{CertificateInfo, Connection, Endpoint, ProbeOutcome, Scheme, Transport};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
@@ -60,7 +62,7 @@ impl HandlerTransport {
 }
 
 impl Transport for HandlerTransport {
-    type Conn = HandlerConn;
+    type Conn = MemConn<Arc<dyn Handler>>;
 
     fn probe(&self, ep: Endpoint) -> ProbeOutcome {
         if self.routes.contains_key(&ep) {
@@ -70,42 +72,79 @@ impl Transport for HandlerTransport {
         }
     }
 
-    fn connect(&self, ep: Endpoint, _scheme: Scheme) -> Result<HandlerConn> {
+    fn connect(&self, ep: Endpoint, _scheme: Scheme) -> Result<Self::Conn> {
         match self.routes.get(&ep) {
-            Some(handler) => Ok(HandlerConn {
-                handler: Arc::clone(handler),
-                peer: self.source_ip,
-                requests: Decoder::request(Limits::default()),
-                read_buf: Vec::new(),
-            }),
+            Some(handler) => Ok(MemConn::http(Arc::clone(handler), self.source_ip)),
             None => Err(Error::Connect("connection refused".into())),
         }
     }
 }
 
-/// Connection to a mounted handler: request bytes in, response bytes out.
-pub struct HandlerConn {
-    handler: Arc<dyn Handler>,
+/// An in-memory connection: request bytes in, response bytes out, every
+/// operation complete at once.
+///
+/// The far end is one of three things, fixed at construction: an HTTP
+/// server answering each complete request through a [`Handler`], a
+/// service that sends a fixed banner and never speaks HTTP, or one that
+/// accepts and says nothing. Whatever is pending reads first; once it is
+/// read, reads return EOF, as if the server closed when idle.
+pub struct MemConn<H> {
+    /// Answers requests; `None` for a banner or silent far end.
+    handler: Option<H>,
+    /// Source address the handler sees.
     peer: Ipv4Addr,
     requests: Decoder<Request>,
-    read_buf: Vec<u8>,
+    /// Bytes sent by the far end; `pending[read_at..]` is not read yet.
+    pending: Vec<u8>,
+    read_at: usize,
+    cert: Option<CertificateInfo>,
 }
 
-impl HandlerConn {
-    fn pump(&mut self) {
-        // A malformed request ends the connection: the decoder keeps
-        // reporting its error, so nothing after it is answered.
-        while let Ok(Some(req)) = self.requests.next(false) {
-            let resp = self.handler.handle(&req, self.peer);
-            self.read_buf.extend_from_slice(&encode_response(&resp));
+impl<H: Handler> MemConn<H> {
+    fn new(handler: Option<H>, peer: Ipv4Addr, pending: Vec<u8>) -> Self {
+        MemConn {
+            handler,
+            peer,
+            requests: Decoder::request(Limits::default()),
+            pending,
+            read_at: 0,
+            cert: None,
         }
+    }
+
+    /// An HTTP server answering requests from `peer` through `handler`.
+    pub fn http(handler: H, peer: Ipv4Addr) -> Self {
+        Self::new(Some(handler), peer, Vec::new())
+    }
+
+    /// A service that sends `banner` once, whatever it is sent.
+    pub fn banner(banner: &[u8]) -> Self {
+        Self::new(None, Ipv4Addr::UNSPECIFIED, banner.to_vec())
+    }
+
+    /// A service that accepts and sends nothing.
+    pub fn silent() -> Self {
+        Self::new(None, Ipv4Addr::UNSPECIFIED, Vec::new())
+    }
+
+    /// Present `cert` as the certificate of an HTTPS handshake.
+    pub fn with_certificate(mut self, cert: Option<CertificateInfo>) -> Self {
+        self.cert = cert;
+        self
     }
 }
 
-impl Write for HandlerConn {
+impl<H: Handler> Write for MemConn<H> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.requests.feed(buf);
-        self.pump();
+        if let Some(handler) = &self.handler {
+            self.requests.feed(buf);
+            // A malformed request ends the connection: the decoder keeps
+            // reporting its error, so nothing after it is answered.
+            while let Ok(Some(req)) = self.requests.next(false) {
+                let resp = handler.handle(&req, self.peer);
+                self.pending.extend_from_slice(&encode_response(&resp));
+            }
+        }
         Ok(buf.len())
     }
 
@@ -114,17 +153,25 @@ impl Write for HandlerConn {
     }
 }
 
-impl Read for HandlerConn {
+impl<H: Handler> Read for MemConn<H> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        // An empty buffer reads as EOF: the server closes when idle.
-        let n = self.read_buf.len().min(buf.len());
-        buf[..n].copy_from_slice(&self.read_buf[..n]);
-        self.read_buf.drain(..n);
+        let unread = &self.pending[self.read_at..];
+        let n = unread.len().min(buf.len());
+        buf[..n].copy_from_slice(&unread[..n]);
+        self.read_at += n;
+        if self.read_at == self.pending.len() {
+            self.pending.clear();
+            self.read_at = 0;
+        }
         Ok(n)
     }
 }
 
-impl Connection for HandlerConn {}
+impl<H: Handler> Connection for MemConn<H> {
+    fn certificate(&self) -> Option<CertificateInfo> {
+        self.cert.clone()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -179,5 +226,45 @@ mod tests {
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/x"))
             .unwrap();
         assert!(fetched.response.body_text().contains("203.0.113.99"));
+    }
+
+    fn get(path: &str) -> Vec<u8> {
+        crate::encode::encode_request(&Request::get(path).with_header("Host", "h"))
+    }
+
+    fn read_all(conn: &mut impl Read) -> Vec<u8> {
+        let mut out = Vec::new();
+        conn.read_to_end(&mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_banner_host_answers_once_and_never_speaks_http() {
+        let mut conn = MemConn::<Arc<dyn Handler>>::banner(b"SSH-2.0-OpenSSH_8.9\r\n");
+        conn.write_all(&get("/")).unwrap();
+        assert_eq!(read_all(&mut conn), b"SSH-2.0-OpenSSH_8.9\r\n");
+        conn.write_all(&get("/again")).unwrap();
+        assert!(read_all(&mut conn).is_empty());
+    }
+
+    #[test]
+    fn a_silent_host_reads_eof_at_once() {
+        let mut conn = MemConn::<Arc<dyn Handler>>::silent();
+        assert_eq!(conn.read(&mut [0; 16]).unwrap(), 0);
+        conn.write_all(&get("/")).unwrap();
+        assert_eq!(conn.read(&mut [0; 16]).unwrap(), 0);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let peer = Ipv4Addr::new(10, 0, 0, 9);
+        let mut conn = MemConn::http(echo_handler(), peer);
+        conn.write_all(&[get("/first"), get("/second")].concat())
+            .unwrap();
+        let text = String::from_utf8(read_all(&mut conn)).unwrap();
+        let first = text.find("/first from 10.0.0.9").expect("first answered");
+        let second = text.find("/second from 10.0.0.9").expect("second answered");
+        assert!(first < second, "{text}");
+        assert_eq!(text.matches("HTTP/1.1 200").count(), 2);
     }
 }

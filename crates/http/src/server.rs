@@ -2,8 +2,8 @@
 //!
 //! Application models from `nokeys-apps` implement [`Handler`]; the
 //! `live_scan` example serves them on loopback and scans them with the real
-//! pipeline. The simulated transport in `nokeys-netsim` calls handlers
-//! directly without a socket.
+//! pipeline. In-memory transports, the simulator's included, serve
+//! handlers without a socket through [`MemConn`](crate::memory::MemConn).
 
 use crate::encode::encode_response;
 use crate::error::{Error, Result};
@@ -34,6 +34,14 @@ where
 {
     fn handle(&self, req: &Request, peer: Ipv4Addr) -> Response {
         self(req, peer)
+    }
+}
+
+/// A shared handler is a handler, so one mounted instance can serve
+/// many connections.
+impl<H: Handler + ?Sized> Handler for Arc<H> {
+    fn handle(&self, req: &Request, peer: Ipv4Addr) -> Response {
+        (**self).handle(req, peer)
     }
 }
 

@@ -10,11 +10,10 @@
 //! concurrent sweep may reorder endpoints freely, but every endpoint
 //! still sees the same fault schedule it would have seen alone.
 //!
-//! [`FaultyTransport`] applies a plan to any [`Transport`]: the
-//! real-socket CLI wraps `TcpTransport` with it to rehearse
-//! flaky-network behaviour on live scans. The simulator does not go
-//! through it — `SimTransport` holds a plan and calls
-//! [`FaultPlan::fires`] itself.
+//! [`FaultyTransport`] applies a plan to any [`Transport`], and it is the
+//! one place faults are drawn: the `repro` harness and the tests wrap
+//! `SimTransport` with it, and the real-socket CLI wraps `TcpTransport`
+//! with it to rehearse flaky-network behaviour on live scans.
 
 use crate::ip::Cidr;
 use crate::rng::{mix64, unit_interval};
@@ -65,7 +64,6 @@ type Observer = Arc<dyn Fn(FaultLane) + Send + Sync>;
 type AttemptCounters = [Mutex<HashMap<(Endpoint, FaultLane), u64>>; SHARDS];
 
 const SHARDS: usize = 16;
-const DEFAULT_SEED: u64 = 0xfa17_5eed;
 
 /// Deterministic fault schedule over `(endpoint, lane, attempt ordinal)`.
 ///
@@ -91,11 +89,6 @@ impl std::fmt::Debug for FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that never fires (rate 0).
-    pub fn disabled() -> Self {
-        Self::new(0.0, DEFAULT_SEED)
-    }
-
     /// A plan firing each attempt with probability `rate`, keyed by
     /// `seed`. Panics unless `rate` is a probability in `0.0..=1.0`.
     pub fn new(rate: f64, seed: u64) -> Self {
@@ -118,16 +111,6 @@ impl FaultPlan {
     pub fn with_observer(mut self, observer: impl Fn(FaultLane) + Send + Sync + 'static) -> Self {
         self.observer = Some(Arc::new(observer));
         self
-    }
-
-    /// Per-attempt fault probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Seed of the fault stream.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Shared injected-fault counts.

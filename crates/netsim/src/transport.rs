@@ -1,18 +1,23 @@
 //! In-memory [`Transport`] implementation over the simulated universe.
 //!
-//! Connections are byte-accurate: the client writes a serialized HTTP
-//! request, the connection parses it, dispatches to the universe and
-//! queues the serialized response for reading — so the exact same client
-//! and pipeline code runs against the simulation and against real TCP.
+//! Connections are byte-accurate [`MemConn`]s: the client writes a
+//! serialized HTTP request, the connection parses it, dispatches to the
+//! universe and queues the serialized response for reading — so the
+//! exact same client and pipeline code runs against the simulation and
+//! against real TCP.
+//!
+//! Transient faults are not drawn here: wrap the transport in
+//! [`FaultyTransport`](crate::fault::FaultyTransport).
 
 use crate::clock::SimTime;
-use crate::fault::{FaultLane, FaultPlan, FaultStats};
 use crate::ip::Cidr;
 use crate::universe::{ConnectBehavior, Universe};
-use nokeys_http::parse::{Decoder, Limits};
-use nokeys_http::transport::{CertificateInfo, Connection};
-use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Request, Result, Scheme, Transport};
-use std::io::{Read, Write};
+use nokeys_http::memory::MemConn;
+use nokeys_http::server::Handler;
+use nokeys_http::transport::CertificateInfo;
+use nokeys_http::{
+    BlockSweepResult, Endpoint, ProbeOutcome, Request, Response, Result, Scheme, Transport,
+};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,6 +27,9 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct TransportStats {
     pub probes: AtomicU64,
+    /// Connects that reached the universe. A fault layer in front of
+    /// this transport refuses some before they get here, so only
+    /// fault-free runs can read this as "connects the scan made".
     pub connects: AtomicU64,
     pub requests: AtomicU64,
 }
@@ -49,13 +57,6 @@ pub struct SimTransport {
     stats: Arc<TransportStats>,
     /// Source address the universe sees for requests from this transport.
     scanner_ip: Ipv4Addr,
-    /// Transient-loss schedule: probe faults drop the SYN answer
-    /// (`Filtered`), connect faults time the attempt out. Decisions are
-    /// keyed per `(endpoint, lane, attempt ordinal)` — see
-    /// [`FaultPlan`] — so the schedule one endpoint sees is independent
-    /// of cross-endpoint execution order, and fault-injected runs
-    /// replay exactly at any shard count.
-    faults: FaultPlan,
 }
 
 impl SimTransport {
@@ -65,47 +66,7 @@ impl SimTransport {
             now: Arc::new(AtomicI64::new(SimTime::SCAN_START.as_secs())),
             stats: Arc::new(TransportStats::default()),
             scanner_ip: Ipv4Addr::new(198, 51, 100, 77),
-            faults: FaultPlan::disabled(),
         }
-    }
-
-    /// Enable transient faults with the given per-attempt probability
-    /// (smoltcp-style fault injection; exercises the pipeline's
-    /// resilience to flaky networks). Faults fire on both SYN probes
-    /// (dropped answer → `Filtered`) and connects (timeout). Starts a
-    /// fresh schedule, so call during setup — and before
-    /// [`with_fault_observer`](Self::with_fault_observer).
-    pub fn with_fault_injection(self, rate: f64) -> Self {
-        let seed = self.faults.seed();
-        self.with_fault_plan(FaultPlan::new(rate, seed))
-    }
-
-    /// Re-key the fault stream. Starts a fresh schedule, keeping the
-    /// configured rate.
-    pub fn with_fault_seed(self, seed: u64) -> Self {
-        let rate = self.faults.rate();
-        self.with_fault_plan(FaultPlan::new(rate, seed))
-    }
-
-    /// Replace the whole fault schedule.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Observe every injected fault — used to bridge fault counts into
-    /// a telemetry registry this crate cannot depend on.
-    pub fn with_fault_observer(
-        mut self,
-        observer: impl Fn(FaultLane) + Send + Sync + 'static,
-    ) -> Self {
-        self.faults = self.faults.clone().with_observer(observer);
-        self
-    }
-
-    /// Injected-fault counts (shared across clones).
-    pub fn fault_stats(&self) -> &FaultStats {
-        self.faults.stats()
     }
 
     /// Set the virtual time at which the universe is observed.
@@ -136,24 +97,11 @@ impl SimTransport {
 }
 
 impl Transport for SimTransport {
-    type Conn = SimConn;
+    type Conn = MemConn<SimHandler>;
 
     fn probe(&self, ep: Endpoint) -> ProbeOutcome {
         self.stats.probes.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.universe.probe(ep, self.time());
-        if outcome == ProbeOutcome::Closed {
-            // An RST is a definite answer: fault lanes model *lost*
-            // answers, and a closed port stays closed on every attempt,
-            // so no fault draw happens (and no retry would follow). This
-            // is what lets the sparse sweep answer `Closed` for empty
-            // addresses without consuming any fault ordinals.
-            return outcome;
-        }
-        if self.faults.fires(FaultLane::Probe, ep) {
-            // Injected SYN loss: the probe goes unanswered.
-            return ProbeOutcome::Filtered;
-        }
-        outcome
+        self.universe.probe(ep, self.time())
     }
 
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
@@ -165,8 +113,7 @@ impl Transport for SimTransport {
                 probed.push((ep, self.probe(ep)));
             }
         }
-        // Every unpopulated address answers `Closed` on every port; see
-        // `probe` above for why no fault draws are owed for them.
+        // Every unpopulated address answers `Closed` on every port.
         let empty_addresses = block.size() - populated.len() as u64;
         BlockSweepResult {
             probed,
@@ -175,13 +122,22 @@ impl Transport for SimTransport {
         }
     }
 
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<SimConn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
-        if self.faults.fires(FaultLane::Connect, ep) {
-            return Err(nokeys_http::Error::Timeout);
-        }
         let at = self.time();
-        let behavior = self.universe.connect_behavior(ep, scheme, at)?;
+        let conn = match self.universe.connect_behavior(ep, scheme, at)? {
+            ConnectBehavior::Http => {
+                let handler = SimHandler {
+                    universe: Arc::clone(&self.universe),
+                    stats: Arc::clone(&self.stats),
+                    ep,
+                    at,
+                };
+                MemConn::http(handler, self.scanner_ip)
+            }
+            ConnectBehavior::Garbage(banner) => MemConn::banner(banner),
+            ConnectBehavior::Silent => MemConn::silent(),
+        };
         let cert = if scheme == Scheme::Https {
             self.universe
                 .host(ep.ip)
@@ -192,95 +148,33 @@ impl Transport for SimTransport {
         } else {
             None
         };
-        Ok(SimConn {
-            universe: Arc::clone(&self.universe),
-            stats: Arc::clone(&self.stats),
-            ep,
-            at,
-            peer: self.scanner_ip,
-            behavior,
-            requests: Decoder::request(Limits::default()),
-            read_buf: Vec::new(),
-            banner_sent: false,
-            cert,
-        })
+        Ok(conn.with_certificate(cert))
     }
 }
 
-/// A simulated connection. All operations complete immediately; reads
-/// return EOF once no more simulated bytes are pending (the server always
-/// behaves as `Connection: close`).
-pub struct SimConn {
+/// The far end of one simulated HTTP connection: every request is
+/// answered by the universe as it stood when the connection was made.
+pub struct SimHandler {
     universe: Arc<Universe>,
     stats: Arc<TransportStats>,
     ep: Endpoint,
     at: SimTime,
-    peer: Ipv4Addr,
-    behavior: ConnectBehavior,
-    requests: Decoder<Request>,
-    read_buf: Vec<u8>,
-    banner_sent: bool,
-    cert: Option<CertificateInfo>,
 }
 
-impl SimConn {
-    /// Answer every complete request written so far into the read
-    /// buffer.
-    fn pump(&mut self) {
-        if self.behavior != ConnectBehavior::Http {
-            return;
-        }
-        // A malformed request ends the simulated connection: the decoder
-        // keeps reporting its error, so nothing after it is answered.
-        while let Ok(Some(req)) = self.requests.next(false) {
-            self.stats.requests.fetch_add(1, Ordering::Relaxed);
-            let resp = self.universe.respond(self.ep, &req, self.peer, self.at);
-            self.read_buf
-                .extend_from_slice(&nokeys_http::encode::encode_response(&resp));
-        }
-    }
-}
-
-impl Write for SimConn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.requests.feed(buf);
-        self.pump();
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Read for SimConn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if let ConnectBehavior::Garbage(banner) = self.behavior {
-            if !self.banner_sent {
-                self.banner_sent = true;
-                self.read_buf.extend_from_slice(banner);
-            }
-        }
-        // Nothing pending reads as EOF: the simulated server closes.
-        // (Silent services land here immediately.)
-        let n = self.read_buf.len().min(buf.len());
-        buf[..n].copy_from_slice(&self.read_buf[..n]);
-        self.read_buf.drain(..n);
-        Ok(n)
-    }
-}
-
-impl Connection for SimConn {
-    fn certificate(&self) -> Option<CertificateInfo> {
-        self.cert.clone()
+impl Handler for SimHandler {
+    fn handle(&self, req: &Request, peer: Ipv4Addr) -> Response {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.universe.respond(self.ep, req, peer, self.at)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultyTransport};
     use crate::universe::UniverseConfig;
     use nokeys_apps::AppId;
+    use nokeys_http::transport::Connection;
     use nokeys_http::{Client, Url};
 
     fn transport() -> SimTransport {
@@ -403,28 +297,33 @@ mod tests {
         assert!(t.connect(ep, Scheme::Http).is_err());
     }
 
+    /// The simulator behind the one fault layer, as `repro` stacks it.
+    fn faulty(rate: f64, seed: u64) -> FaultyTransport<SimTransport> {
+        FaultyTransport::new(transport(), FaultPlan::new(rate, seed))
+    }
+
     #[test]
     fn probes_can_fault_too() {
-        let t = transport().with_fault_injection(1.0);
-        let ep = find_app_ep(&t, AppId::Hadoop, true);
+        let t = faulty(1.0, 1);
+        let ep = find_app_ep(t.inner(), AppId::Hadoop, true);
         assert_eq!(t.probe(ep), ProbeOutcome::Filtered);
-        assert_eq!(t.fault_stats().probe_injected(), 1);
+        assert_eq!(t.plan().stats().probe_injected(), 1);
         // A fault-free transport sees the same endpoint open.
         assert_eq!(transport().probe(ep), ProbeOutcome::Open);
     }
 
     /// Forwards probes/connects but keeps the trait's dense
     /// `sweep_block` default, to pit the sparse override against.
-    struct DenseOnly(SimTransport);
+    struct DenseOnly<T>(T);
 
-    impl Transport for DenseOnly {
-        type Conn = SimConn;
+    impl<T: Transport> Transport for DenseOnly<T> {
+        type Conn = T::Conn;
 
         fn probe(&self, ep: Endpoint) -> ProbeOutcome {
             self.0.probe(ep)
         }
 
-        fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<SimConn> {
+        fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
             self.0.connect(ep, scheme)
         }
     }
@@ -474,11 +373,10 @@ mod tests {
 
     #[test]
     fn faulty_sweeps_match_the_dense_loop_draw_for_draw() {
-        let mk = || transport().with_fault_injection(0.3).with_fault_seed(11);
         let ports = [80u16, 443];
-        let sparse_t = mk();
-        let dense_t = DenseOnly(mk());
-        let block = populated_block(&sparse_t);
+        let sparse_t = faulty(0.3, 11);
+        let dense_t = DenseOnly(faulty(0.3, 11));
+        let block = populated_block(sparse_t.inner());
 
         let sparse = sparse_t.sweep_block(block, &ports);
         let dense = dense_t.sweep_block(block, &ports);
@@ -496,48 +394,46 @@ mod tests {
                 None => assert_eq!(*outcome, ProbeOutcome::Closed, "{ep}"),
             }
         }
+        let injected = sparse_t.plan().stats().probe_injected();
+        assert!(injected > 0, "at 30% some probe of the block faults");
         assert_eq!(
-            sparse_t.fault_stats().probe_injected(),
-            dense_t.0.fault_stats().probe_injected(),
+            injected,
+            dense_t.0.plan().stats().probe_injected(),
             "sparse and dense must consume identical fault schedules"
         );
     }
 
     #[test]
     fn empty_addresses_are_closed_under_every_fault_lane() {
-        let t = transport().with_fault_injection(1.0);
-        let empty_ip = t
-            .universe()
+        let t = faulty(1.0, 9);
+        let universe = t.inner().universe();
+        let empty_ip = universe
             .config()
             .space
             .addresses()
-            .find(|ip| t.universe().host(*ip).is_none())
+            .find(|ip| universe.host(*ip).is_none())
             .expect("tiny universe is sparse");
         let ep = Endpoint::new(empty_ip, 80);
         // Probe lane at rate 1.0: still a definite RST, no fault drawn.
         for _ in 0..4 {
             assert_eq!(t.probe(ep), ProbeOutcome::Closed);
         }
-        assert_eq!(t.fault_stats().probe_injected(), 0);
-        // The standalone wrapper obeys the same invariant.
-        let wrapped = crate::fault::FaultyTransport::new(transport(), FaultPlan::new(1.0, 9));
-        assert_eq!(wrapped.probe(ep), ProbeOutcome::Closed);
-        assert_eq!(wrapped.plan().stats().probe_injected(), 0);
+        assert_eq!(t.plan().stats().probe_injected(), 0);
     }
 
     #[test]
     fn fault_schedule_is_independent_of_endpoint_interleaving() {
-        fn timed_out(t: &SimTransport, ep: Endpoint) -> bool {
+        fn timed_out(t: &FaultyTransport<SimTransport>, ep: Endpoint) -> bool {
             matches!(
                 t.connect(ep, Scheme::Http),
                 Err(nokeys_http::Error::Timeout)
             )
         }
 
-        let t1 = transport().with_fault_injection(0.5).with_fault_seed(7);
-        let t2 = transport().with_fault_injection(0.5).with_fault_seed(7);
-        let a = find_app_ep(&t1, AppId::Hadoop, true);
-        let b = find_app_ep(&t1, AppId::WordPress, true);
+        let t1 = faulty(0.5, 7);
+        let t2 = faulty(0.5, 7);
+        let a = find_app_ep(t1.inner(), AppId::Hadoop, true);
+        let b = find_app_ep(t1.inner(), AppId::WordPress, true);
 
         // t1 interleaves a/b; t2 visits b first, then all of a. The
         // per-endpoint timeout sequences must match regardless.

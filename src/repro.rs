@@ -6,11 +6,16 @@ use nokeys_analysis as analysis;
 use nokeys_defend::VendorFinding;
 use nokeys_honeypot::{run_study, StudyConfig, StudyResult};
 use nokeys_netsim::observer_clock::wire_observer_clock;
-use nokeys_netsim::{FaultLane, SimTransport, Universe, UniverseConfig};
+use nokeys_netsim::{
+    FaultLane, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig,
+};
 use nokeys_scanner::observer::{observe, LongevityStudy, ObserverConfig};
 use nokeys_scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Seed of the injected-fault schedule (`--fault-rate`).
+const FAULT_SEED: u64 = 0xfa17_5eed;
 
 /// Scale of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +48,7 @@ pub struct Repro {
     retries: u32,
     shards: usize,
     checkpoint: Option<CheckpointOptions>,
-    scan: Option<(SimTransport, ScanReport)>,
+    scan: Option<(FaultyTransport<SimTransport>, ScanReport)>,
     longevity: Option<LongevityStudy>,
     study: Option<StudyResult>,
     defenders: Option<(Vec<VendorFinding>, Vec<VendorFinding>)>,
@@ -111,22 +116,21 @@ impl Repro {
     }
 
     /// Run (or reuse) the Internet-wide scan.
-    pub fn scan(&mut self) -> &(SimTransport, ScanReport) {
+    pub fn scan(&mut self) -> &(FaultyTransport<SimTransport>, ScanReport) {
         if self.scan.is_none() {
             let universe = Arc::new(Universe::generate(self.universe_config.clone()));
-            let mut transport = SimTransport::new(universe);
+            let mut plan = FaultPlan::new(self.fault_rate, FAULT_SEED);
             if self.fault_rate > 0.0 {
                 // Bridge injected faults into the telemetry registry so a
                 // snapshot can reconcile them against the retry counters.
                 let probe = self.telemetry.counter("fault.probe.injected");
                 let connect = self.telemetry.counter("fault.connect.injected");
-                transport = transport
-                    .with_fault_injection(self.fault_rate)
-                    .with_fault_observer(move |lane| match lane {
-                        FaultLane::Probe => probe.incr(),
-                        FaultLane::Connect => connect.incr(),
-                    });
+                plan = plan.with_observer(move |lane| match lane {
+                    FaultLane::Probe => probe.incr(),
+                    FaultLane::Connect => connect.incr(),
+                });
             }
+            let transport = FaultyTransport::new(SimTransport::new(universe), plan);
             let client = nokeys_http::Client::new(transport.clone());
             // Faults or not, the per-(endpoint, lane, ordinal) fault
             // schedule and the retry layer keep the report
@@ -175,7 +179,7 @@ impl Repro {
                 &client,
                 &vulnerable,
                 &config,
-                wire_observer_clock(&transport),
+                wire_observer_clock(transport.inner()),
             );
             self.longevity = Some(study);
         }
@@ -225,7 +229,7 @@ impl Repro {
             }
             "table4" => {
                 let (transport, report) = self.scan();
-                analysis::table4::build(report, transport.universe().geo(), 5).render()
+                analysis::table4::build(report, transport.inner().universe().geo(), 5).render()
             }
             "fig1" => {
                 let (_, report) = self.scan();
@@ -268,7 +272,7 @@ impl Repro {
             }
             "disclosure" => {
                 let (transport, report) = self.scan();
-                let geo = transport.universe().geo().clone();
+                let geo = transport.inner().universe().geo().clone();
                 let findings: Vec<_> = report.vulnerable_findings().cloned().collect();
                 let plan = nokeys_scanner::disclosure::plan_notifications(
                     transport,
@@ -286,7 +290,8 @@ impl Repro {
                 let transport = transport.clone();
                 let client = nokeys_http::Client::new(transport.clone());
                 let delay_secs = 3600;
-                let entries: Vec<nokeys_scanner::ct::DomainTarget> = transport
+                let sim = transport.inner();
+                let entries: Vec<nokeys_scanner::ct::DomainTarget> = sim
                     .universe()
                     .ct_log()
                     .into_iter()
@@ -297,11 +302,10 @@ impl Repro {
                         logged_at_secs: e.logged_at.as_secs(),
                     })
                     .collect();
-                let t = transport.clone();
                 let findings = nokeys_scanner::ct::ct_scan(&client, &entries, delay_secs, |s| {
-                    t.set_time(nokeys_netsim::SimTime(s))
+                    sim.set_time(nokeys_netsim::SimTime(s))
                 });
-                analysis::ct_compare::build(transport.universe(), &findings, delay_secs).render()
+                analysis::ct_compare::build(sim.universe(), &findings, delay_secs).render()
             }
             _ => return Err(format!("unknown experiment id '{id}'")),
         };

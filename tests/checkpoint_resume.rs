@@ -15,7 +15,10 @@
 //! (fresh transport, fresh registry) from whatever is on disk.
 
 use nokeys::http::Client;
-use nokeys::netsim::{Cidr, KillSwitch, KillableTransport, SimTransport, Universe, UniverseConfig};
+use nokeys::netsim::{
+    Cidr, FaultPlan, FaultyTransport, KillSwitch, KillableTransport, SimTransport, Universe,
+    UniverseConfig,
+};
 use nokeys::scanner::json;
 use nokeys::scanner::{
     CheckpointError, Pipeline, PipelineConfig, PipelineError, ScanReport, Telemetry,
@@ -84,8 +87,11 @@ fn config(shards: usize, telemetry: &Telemetry, checkpoint: Option<&Path>) -> Pi
     builder.build()
 }
 
-fn transport(fault_rate: f64) -> SimTransport {
-    SimTransport::new(Arc::clone(universe())).with_fault_injection(fault_rate)
+fn transport(fault_rate: f64) -> FaultyTransport<SimTransport> {
+    FaultyTransport::new(
+        SimTransport::new(Arc::clone(universe())),
+        FaultPlan::new(fault_rate, 0xfa17_5eed),
+    )
 }
 
 /// One uninterrupted run, optionally checkpointed.

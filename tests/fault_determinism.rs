@@ -9,7 +9,9 @@
 //! reconcile against the `fault.*` counters the transport bridges in.
 
 use nokeys::apps::AppId;
-use nokeys::netsim::{FaultLane, SimTransport, Universe, UniverseConfig};
+use nokeys::netsim::{
+    FaultLane, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig,
+};
 use nokeys::scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry, TelemetrySnapshot};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -28,12 +30,14 @@ fn run_faulty(
     let telemetry = Telemetry::new();
     let probe_faults = telemetry.counter("fault.probe.injected");
     let connect_faults = telemetry.counter("fault.connect.injected");
-    let transport = SimTransport::new(Arc::new(Universe::generate(config.clone())))
-        .with_fault_injection(fault_rate)
-        .with_fault_observer(move |lane| match lane {
-            FaultLane::Probe => probe_faults.incr(),
-            FaultLane::Connect => connect_faults.incr(),
-        });
+    let plan = FaultPlan::new(fault_rate, 0xfa17_5eed).with_observer(move |lane| match lane {
+        FaultLane::Probe => probe_faults.incr(),
+        FaultLane::Connect => connect_faults.incr(),
+    });
+    let transport = FaultyTransport::new(
+        SimTransport::new(Arc::new(Universe::generate(config.clone()))),
+        plan,
+    );
     let client = nokeys::http::Client::new(transport);
     let pipeline = Pipeline::new(
         PipelineConfig::builder(vec![config.space])

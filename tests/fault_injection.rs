@@ -2,9 +2,17 @@
 //! "False negatives" limitation: "we missed hosts that were unresponsive
 //! [or] temporarily unavailable").
 
-use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
+use nokeys::netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig};
 use std::sync::Arc;
+
+/// `universe` behind the fault layer, failing attempts at `rate`.
+fn flaky(universe: &Arc<Universe>, rate: f64) -> FaultyTransport<SimTransport> {
+    FaultyTransport::new(
+        SimTransport::new(Arc::clone(universe)),
+        FaultPlan::new(rate, 0xfa17_5eed),
+    )
+}
 
 #[test]
 fn pipeline_survives_a_flaky_network() {
@@ -12,8 +20,7 @@ fn pipeline_survives_a_flaky_network() {
     let universe = Arc::new(Universe::generate(config.clone()));
 
     // 15% of connect attempts time out.
-    let flaky = SimTransport::new(Arc::clone(&universe)).with_fault_injection(0.15);
-    let client = nokeys::http::Client::new(flaky);
+    let client = nokeys::http::Client::new(flaky(&universe, 0.15));
     let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
     let flaky_report = pipeline.run(&client).expect("flaky run failed");
 
@@ -56,13 +63,12 @@ fn faults_are_deterministic_per_transport() {
     let universe = Arc::new(Universe::generate(config.clone()));
     let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
 
-    let run = |u: Arc<Universe>| {
-        let t = SimTransport::new(u).with_fault_injection(0.3);
-        let client = nokeys::http::Client::new(t);
+    let run = |u: &Arc<Universe>| {
+        let client = nokeys::http::Client::new(flaky(u, 0.3));
         pipeline.run(&client).expect("pipeline failed")
     };
-    let a = run(Arc::clone(&universe));
-    let b = run(universe);
+    let a = run(&universe);
+    let b = run(&universe);
     assert_eq!(a.total_hosts(), b.total_hosts());
     assert_eq!(a.total_mavs(), b.total_mavs());
 }
@@ -78,8 +84,7 @@ fn rescanning_recovers_fault_losses() {
     // recovery mechanism, not the retry layer.
     let config = UniverseConfig::tiny(11);
     let universe = Arc::new(Universe::generate(config.clone()));
-    let flaky = SimTransport::new(Arc::clone(&universe)).with_fault_injection(0.25);
-    let client = nokeys::http::Client::new(flaky);
+    let client = nokeys::http::Client::new(flaky(&universe, 0.25));
     let pipeline = Pipeline::new(
         PipelineConfig::builder(vec![config.space])
             .retries(2)

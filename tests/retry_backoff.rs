@@ -3,7 +3,7 @@
 //! through the public facade the way the pipeline composes them.
 
 use nokeys::http::{Client, Endpoint, Error, ProbeOutcome, Scheme, Transport};
-use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
+use nokeys::netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig, RetryPolicy, RetryTransport, Telemetry};
 use std::sync::Arc;
 
@@ -28,6 +28,14 @@ fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpoint> {
     found
 }
 
+/// `universe` behind the fault layer, failing attempts at `rate`.
+fn faulty(universe: &Arc<Universe>, rate: f64) -> FaultyTransport<SimTransport> {
+    FaultyTransport::new(
+        SimTransport::new(Arc::clone(universe)),
+        FaultPlan::new(rate, 0xfa17_5eed),
+    )
+}
+
 /// SYN loss injected at 25% is invisible behind a generous retry
 /// budget, and every injected fault shows up as exactly one retry.
 #[test]
@@ -35,13 +43,16 @@ fn retrying_probe_masks_injected_syn_loss() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(3)));
     let ep = open_http_endpoints(&universe, 1)[0];
     let telemetry = Telemetry::new();
-    let faulty = SimTransport::new(Arc::clone(&universe)).with_fault_injection(0.25);
-    let t = RetryTransport::new(faulty, RetryPolicy::with_attempts(8), &telemetry);
+    let t = RetryTransport::new(
+        faulty(&universe, 0.25),
+        RetryPolicy::with_attempts(8),
+        &telemetry,
+    );
     for round in 0..40 {
         assert_eq!(t.probe(ep), ProbeOutcome::Open, "round {round}");
     }
     let snap = telemetry.snapshot();
-    let injected = t.inner().fault_stats().probe_injected();
+    let injected = t.inner().plan().stats().probe_injected();
     assert!(injected > 0, "40 probes at 25% must inject something");
     // Every probe above came back Open, so no budget was exhausted:
     // each injected drop corresponds to exactly one retry.
@@ -57,9 +68,8 @@ fn retrying_client_fetches_through_connect_timeouts() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(3)));
     let ep = open_http_endpoints(&universe, 1)[0];
     let telemetry = Telemetry::new();
-    let faulty = SimTransport::new(Arc::clone(&universe)).with_fault_injection(0.25);
     let client = Client::new(RetryTransport::new(
-        faulty,
+        faulty(&universe, 0.25),
         RetryPolicy::with_attempts(8),
         &telemetry,
     ));
@@ -89,8 +99,7 @@ fn fault_draws_are_order_independent_across_the_retry_stack() {
 
     let stack = |u: &Arc<Universe>| {
         let telemetry = Telemetry::new();
-        let faulty = SimTransport::new(Arc::clone(u)).with_fault_injection(0.5);
-        let t = RetryTransport::new(faulty, RetryPolicy::with_attempts(3), &telemetry);
+        let t = RetryTransport::new(faulty(u, 0.5), RetryPolicy::with_attempts(3), &telemetry);
         (t, telemetry)
     };
     let (t1, tel1) = stack(&universe);
@@ -116,8 +125,8 @@ fn fault_draws_are_order_independent_across_the_retry_stack() {
     assert_eq!(a1, a2, "endpoint a's schedule depended on interleaving");
     assert_eq!(b1, b2, "endpoint b's schedule depended on interleaving");
     assert_eq!(
-        t1.inner().fault_stats().probe_injected(),
-        t2.inner().fault_stats().probe_injected()
+        t1.inner().plan().stats().probe_injected(),
+        t2.inner().plan().stats().probe_injected()
     );
     assert_eq!(tel1.snapshot().to_json(), tel2.snapshot().to_json());
 }
