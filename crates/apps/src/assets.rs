@@ -8,9 +8,16 @@
 //! Asset contents change every `CHURN` releases, so consecutive versions
 //! share most assets — exactly the property that makes real fingerprinting
 //! return version *ranges* that narrow with more assets.
+//!
+//! One private function writes every asset's text from `(app, slot,
+//! generation)`. The simulated servers reach it through [`asset_content`],
+//! one version at a time; the knowledge base through [`distinct_files`],
+//! which hashes each distinct file once, as a repository stores it, with
+//! the range of versions that serve it. The two cannot drift apart.
 
 use crate::catalog::AppId;
 use crate::version::{history, Version};
+use std::ops::Range;
 
 /// Number of releases an asset's content survives before changing.
 /// Different assets use different phases so combinations of assets narrow
@@ -51,20 +58,42 @@ const FILLER: &str = "\
 0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\
 0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
 
-/// Deterministic content of one asset of `app` at `version`.
+/// Text of generation `generation` of the asset at `ASSET_PATHS[slot]`.
 ///
-/// The content embeds the app name, the asset path and the asset's content
-/// generation, so two different apps or generations never collide.
-pub fn asset_content(app: AppId, version: &Version, path: &str) -> Option<String> {
-    let slot = ASSET_PATHS.iter().position(|p| *p == path)?;
-    let idx = version_index(app, version);
-    let generation = idx / CHURN[slot];
-    Some(format!(
+/// The text embeds the app name, the asset path and the generation, so two
+/// different apps, paths or generations never share a file.
+fn asset_text(app: AppId, slot: usize, generation: usize) -> String {
+    format!(
         "/* {} asset {} generation {} */\n{FILLER}\n",
         app.name(),
-        path,
+        ASSET_PATHS[slot],
         generation,
-    ))
+    )
+}
+
+/// Deterministic content of one asset of `app` at `version`.
+pub fn asset_content(app: AppId, version: &Version, path: &str) -> Option<String> {
+    let slot = ASSET_PATHS.iter().position(|p| *p == path)?;
+    let generation = version_index(app, version) / CHURN[slot];
+    Some(asset_text(app, slot, generation))
+}
+
+/// Every distinct static file in `app`'s history, hashed once: `(hash,
+/// first..end)`, where the versions at `first..end` of [`history`] serve
+/// that file. Path by path in `ASSET_PATHS` order, oldest generation
+/// first, so the ranges of one path tile the whole history.
+pub fn distinct_files(app: AppId) -> impl Iterator<Item = (u64, Range<usize>)> {
+    let versions = history(app).len();
+    CHURN
+        .into_iter()
+        .enumerate()
+        .flat_map(move |(slot, churn)| {
+            (0..versions.div_ceil(churn)).map(move |generation| {
+                let first = generation * churn;
+                let text = asset_text(app, slot, generation);
+                (fnv1a(text.as_bytes()), first..versions.min(first + churn))
+            })
+        })
 }
 
 /// Hash of one asset of `app` at `version`.
@@ -145,5 +174,49 @@ mod tests {
         let v = *release_history(AppId::Consul).last().unwrap();
         let fp = fingerprint(AppId::Consul, &v);
         assert_eq!(fp.len(), ASSET_PATHS.len());
+    }
+
+    /// What a server sends is a file the knowledge base holds: every
+    /// asset of every version hashes to a distinct file whose range
+    /// covers that version.
+    #[test]
+    fn served_assets_are_distinct_files_covering_their_version() {
+        for app in AppId::all() {
+            let files: Vec<(u64, Range<usize>)> = distinct_files(app).collect();
+            for (idx, version) in history(app).iter().enumerate() {
+                for path in ASSET_PATHS {
+                    let hash = fnv1a(asset_content(app, version, path).unwrap().as_bytes());
+                    assert!(
+                        files
+                            .iter()
+                            .any(|(h, range)| *h == hash && range.contains(&idx)),
+                        "{app} {version} {path}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each path's files tile the history once, oldest first, with
+    /// ranges `CHURN` versions long (the last may be shorter).
+    #[test]
+    fn distinct_files_tile_each_history_per_path() {
+        for app in AppId::all() {
+            let versions = history(app).len();
+            let files: Vec<(u64, Range<usize>)> = distinct_files(app).collect();
+            let mut rest = &files[..];
+            for churn in CHURN {
+                let (path_files, later) = rest.split_at(versions.div_ceil(churn));
+                let mut next = 0;
+                for (_, range) in path_files {
+                    assert_eq!(range.start, next, "{app}");
+                    assert!(!range.is_empty() && range.len() <= churn, "{app}");
+                    next = range.end;
+                }
+                assert_eq!(next, versions, "{app}");
+                rest = later;
+            }
+            assert!(rest.is_empty(), "{app}");
+        }
     }
 }

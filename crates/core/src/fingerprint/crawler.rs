@@ -68,9 +68,9 @@ mod tests {
             AppConfig::secure_for(app, &version),
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
-        let kb = KnowledgeBase::build();
+        let kb = KnowledgeBase::shared();
         let (found_app, found_version) =
-            identify_scratch(&client, &kb, ep, Scheme::Http, &mut Scratch::new())
+            identify_scratch(&client, kb, ep, Scheme::Http, &mut Scratch::new())
                 .expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
@@ -87,9 +87,9 @@ mod tests {
             AppConfig::secure_for(app, &version),
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
-        let kb = KnowledgeBase::build();
+        let kb = KnowledgeBase::shared();
         let mut obs = Vec::new();
-        crawl_into(&client, &kb, ep, Scheme::Http, &mut obs);
+        crawl_into(&client, kb, ep, Scheme::Http, &mut obs);
         assert_eq!(
             obs.len(),
             kb.crawl_paths().len(),
@@ -100,10 +100,10 @@ mod tests {
     #[test]
     fn unreachable_target_crawls_nothing() {
         let client = Client::new(HandlerTransport::new());
-        let kb = KnowledgeBase::build();
+        let kb = KnowledgeBase::shared();
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 5), 80);
         let mut scratch = Scratch::new();
-        assert!(identify_scratch(&client, &kb, ep, Scheme::Http, &mut scratch).is_none());
+        assert!(identify_scratch(&client, kb, ep, Scheme::Http, &mut scratch).is_none());
         assert!(scratch.crawl_buf().is_empty());
     }
 }

@@ -41,7 +41,7 @@ impl FingerprintMetrics {
 
 /// The combined fingerprinter.
 pub struct Fingerprinter {
-    kb: KnowledgeBase,
+    kb: &'static KnowledgeBase,
     metrics: FingerprintMetrics,
 }
 
@@ -52,8 +52,8 @@ impl Default for Fingerprinter {
 }
 
 impl Fingerprinter {
-    /// Build the fingerprinter (constructs the knowledge base over all
-    /// applications and versions).
+    /// Build the fingerprinter over the process's one knowledge base
+    /// ([`KnowledgeBase::shared`], built on first use).
     pub fn new() -> Self {
         Self::with_telemetry(&Telemetry::default())
     }
@@ -62,7 +62,7 @@ impl Fingerprinter {
     /// knowledge-base vs. miss) into `telemetry`.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
         Fingerprinter {
-            kb: KnowledgeBase::build(),
+            kb: KnowledgeBase::shared(),
             metrics: FingerprintMetrics::new(telemetry),
         }
     }
@@ -84,7 +84,7 @@ impl Fingerprinter {
             self.metrics.voluntary.incr();
             return Some((version, FingerprintMethod::Voluntary));
         }
-        let identified = crawler::identify_scratch(client, &self.kb, ep, scheme, scratch)
+        let identified = crawler::identify_scratch(client, self.kb, ep, scheme, scratch)
             .filter(|(found_app, _)| *found_app == app)
             .map(|(_, version)| (version, FingerprintMethod::KnowledgeBase));
         match &identified {
@@ -134,6 +134,13 @@ mod tests {
                 "{app}: wrong version via {method:?}"
             );
         }
+    }
+
+    #[test]
+    fn fingerprinters_share_one_knowledge_base() {
+        let (a, b) = (Fingerprinter::new(), Fingerprinter::new());
+        assert!(std::ptr::eq(a.kb, b.kb));
+        assert!(std::ptr::eq(a.kb, KnowledgeBase::shared()));
     }
 
     #[test]
