@@ -13,7 +13,8 @@
 //! generation)`. The simulated servers reach it through [`asset_content`],
 //! one version at a time; the knowledge base through [`distinct_files`],
 //! which hashes each distinct file once, as a repository stores it, with
-//! the range of versions that serve it. The two cannot drift apart.
+//! the range of versions that serve it. The two cannot drift apart, and
+//! both sides hash with [`file_hash`].
 
 use crate::catalog::AppId;
 use crate::version::{history, Version};
@@ -32,15 +33,53 @@ pub const ASSET_PATHS: [&str; 4] = [
     "/static/logo.svg",
 ];
 
-/// FNV-1a 64-bit — small, dependency-free, good enough for content
-/// equality fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Seed, block and finish constants of [`file_hash`] (wyhash's).
+const K0: u64 = 0xa076_1d64_78bd_642f;
+const K1: u64 = 0xe703_7ed1_a0b4_28db;
+const K2: u64 = 0x8ebc_6af0_9c88_c6e3;
+
+/// The low word xor the high word of the 128-bit product `x · y`.
+fn fold(x: u64, y: u64) -> u64 {
+    let product = x as u128 * y as u128;
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// Mix one 16-byte block, read little-endian into `words`, into `h`.
+fn absorb(h: u64, words: u128) -> u64 {
+    fold(words as u64 ^ h, (words >> 64) as u64 ^ K1)
+}
+
+/// The content hash of a static file: the fingerprinter hashes what a
+/// host serves with it, and the knowledge base what the repositories
+/// hold.
+///
+/// A folded-multiply hash (the wyhash/foldhash construction): the length
+/// seeds the state, each 16-byte block costs one 64 × 64 → 128-bit
+/// multiply, and the tail is zero-padded to a last block, which is safe
+/// because two inputs that pad alike differ in length. The value is the
+/// same on every target. It is a content-equality fingerprint, not a
+/// cryptographic hash: a host that forges a colliding file is not
+/// resisted.
+pub fn file_hash(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    let mut h = blocks.iter().fold(K0 ^ bytes.len() as u64, |h, block| {
+        absorb(h, u128::from_le_bytes(*block))
+    });
+    if !tail.is_empty() {
+        // Shifted in byte by byte: copying the tail into a zeroed block
+        // compiles to memset and memcpy calls that cost as much as all
+        // the blocks of a ~300 B asset.
+        let last = tail.iter().rev().fold(0, |w, &b| w << 8 | u128::from(b));
+        h = absorb(h, last);
     }
-    hash
+    fold(h, K2)
+}
+
+/// No longer FNV-1a: a forward to [`file_hash`], kept only because
+/// `benchmark/src/program.rs` binds `assets::fnv1a` (ROADMAP item 1(a)
+/// deletes it). New code calls [`file_hash`].
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    file_hash(bytes)
 }
 
 /// Index of `version` in its app's release history.
@@ -91,14 +130,17 @@ pub fn distinct_files(app: AppId) -> impl Iterator<Item = (u64, Range<usize>)> {
             (0..versions.div_ceil(churn)).map(move |generation| {
                 let first = generation * churn;
                 let text = asset_text(app, slot, generation);
-                (fnv1a(text.as_bytes()), first..versions.min(first + churn))
+                (
+                    file_hash(text.as_bytes()),
+                    first..versions.min(first + churn),
+                )
             })
         })
 }
 
 /// Hash of one asset of `app` at `version`.
 pub fn asset_hash(app: AppId, version: &Version, path: &str) -> Option<u64> {
-    asset_content(app, version, path).map(|c| fnv1a(c.as_bytes()))
+    asset_content(app, version, path).map(|c| file_hash(c.as_bytes()))
 }
 
 /// The full `(path, hash)` fingerprint of `app` at `version`.
@@ -113,13 +155,61 @@ pub fn fingerprint(app: AppId, version: &Version) -> Vec<(&'static str, u64)> {
 mod tests {
     use super::*;
     use crate::version::release_history;
+    use nokeys_http::cases::check;
+    use std::collections::HashSet;
+
+    /// Pinned values: any edit to [`file_hash`] must change them here,
+    /// on purpose.
+    #[test]
+    fn file_hash_known_answers() {
+        let app_js = asset_content(AppId::Hadoop, &history(AppId::Hadoop)[3], "/static/app.js")
+            .expect("known path");
+        let cases: [(&[u8], u64); 7] = [
+            (b"", 0xe28f_2b20_61a2_b984),
+            (b"a", 0xa21b_3e83_4503_3071),
+            (b"0123456789abcde", 0x54a0_e091_5a53_4529),
+            (b"0123456789abcdef", 0x69c1_64d7_2244_57b9),
+            (b"0123456789abcdefg", 0xc520_4f5f_22d4_041e),
+            (b"0123456789abcdef0123456789abcdef", 0xe1b9_9cd2_d932_f5f9),
+            (app_js.as_bytes(), 0x12b1_4f79_820e_cd41),
+        ];
+        for (input, want) in cases {
+            assert_eq!(
+                file_hash(input),
+                want,
+                "{:?}",
+                String::from_utf8_lossy(input)
+            );
+        }
+    }
 
     #[test]
-    fn fnv_matches_known_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn every_bit_of_a_short_input_reaches_the_hash() {
+        check(8, |g| {
+            for len in 0..=48 {
+                let mut input = g.bytes(len..len + 1);
+                let hash = file_hash(&input);
+                for bit in 0..len * 8 {
+                    input[bit / 8] ^= 1 << (bit % 8);
+                    assert_ne!(file_hash(&input), hash, "length {len}, bit {bit}");
+                    input[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+        });
+    }
+
+    /// Zero-padding a tail to a whole block loses nothing, because the
+    /// length is in the seed: no prefix of a run of zeros, or of
+    /// `FILLER`, hashes like another.
+    #[test]
+    fn padding_and_length_do_not_collide() {
+        let zeros = [0u8; 40];
+        for buffer in [&zeros[..], FILLER.as_bytes()] {
+            let mut seen = HashSet::new();
+            for len in 0..=buffer.len() {
+                assert!(seen.insert(file_hash(&buffer[..len])), "prefix {len}");
+            }
+        }
     }
 
     #[test]
@@ -185,7 +275,7 @@ mod tests {
             let files: Vec<(u64, Range<usize>)> = distinct_files(app).collect();
             for (idx, version) in history(app).iter().enumerate() {
                 for path in ASSET_PATHS {
-                    let hash = fnv1a(asset_content(app, version, path).unwrap().as_bytes());
+                    let hash = file_hash(asset_content(app, version, path).unwrap().as_bytes());
                     assert!(
                         files
                             .iter()

@@ -2,7 +2,7 @@
 //! them, and identify the application/version via the knowledge base.
 
 use super::knowledge_base::KnowledgeBase;
-use nokeys_apps::assets::fnv1a;
+use nokeys_apps::assets::file_hash;
 use nokeys_apps::{AppId, Version};
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 
@@ -25,7 +25,7 @@ pub fn crawl_into<T: Transport>(
         if !fetched.response.status.is_success() {
             continue;
         }
-        out.push((*path, fnv1a(&fetched.response.body)));
+        out.push((*path, file_hash(&fetched.response.body)));
     }
 }
 
@@ -49,6 +49,7 @@ mod tests {
     use super::*;
     use crate::plugin::AppHandler;
     use crate::scratch::Scratch;
+    use nokeys_apps::version::history;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
     use std::net::Ipv4Addr;
@@ -74,6 +75,31 @@ mod tests {
                 .expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
+    }
+
+    /// The bytes a model serves, not just `asset_content`, hash to the
+    /// files the base holds: every application is identified exactly at
+    /// its first, middle and last version.
+    #[test]
+    fn crawler_identifies_every_app_at_first_middle_and_last_version() {
+        let kb = KnowledgeBase::shared();
+        let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 6), 8080);
+        let mut scratch = Scratch::new();
+        for app in AppId::all() {
+            let history = history(app);
+            for idx in [0, history.len() / 2, history.len() - 1] {
+                let version = history[idx];
+                let handler = Arc::new(AppHandler::new(build_instance(
+                    app,
+                    version,
+                    AppConfig::secure_for(app, &version),
+                )));
+                let client = Client::new(HandlerTransport::new().with(ep, handler));
+                let found = identify_scratch(&client, kb, ep, Scheme::Http, &mut scratch)
+                    .map(|(app, version)| (app, version.triple()));
+                assert_eq!(found, Some((app, version.triple())), "{app} {version}");
+            }
+        }
     }
 
     #[test]
