@@ -489,6 +489,47 @@ mod tests {
         assert_eq!(result.addresses_probed, 1024);
     }
 
+    /// The sweep meets every level of the exclusion tree: each mixed
+    /// first octet, swept over empty space, probes exactly the
+    /// addresses its ranges leave, and the /23 and /22 around each /24
+    /// reserved at the third level sweep as the dense reference does.
+    #[test]
+    fn every_mixed_octet_sweeps_exactly_its_unreserved_addresses() {
+        let ranges = ReservedRanges::iana().ranges();
+        let mut mixed: Vec<u8> = (ranges.iter())
+            .filter(|range| range.prefix > 8)
+            .map(|range| range.first().octets()[0])
+            .collect();
+        mixed.dedup();
+        assert_eq!(mixed, [100, 169, 172, 192, 198, 203]);
+        for octet in mixed {
+            let target = Cidr::new(Ipv4Addr::new(octet, 0, 0, 0), 8);
+            let excluded: u64 = (ranges.iter())
+                .filter(|range| target.contains(range.first()))
+                .map(Cidr::size)
+                .sum();
+            let telemetry = Telemetry::new();
+            let scanner =
+                PortScanner::with_telemetry(PortScanConfig::new(vec![target]), &telemetry);
+            scanner.scan(&sim());
+            let probed = telemetry.snapshot().counter("stage1.addresses_probed");
+            assert_eq!(probed, (1 << 24) - excluded, "{target}");
+        }
+
+        for reserved in ["192.0.2.0", "198.51.100.0", "203.0.113.0"] {
+            for prefix in [23, 22] {
+                let block = Cidr::new(reserved.parse().unwrap(), prefix);
+                let scanner = PortScanner::new(PortScanConfig::new(vec![block]));
+                let sparse = scanner.scan_block_paced(&sim(), block, &None);
+                let dense = scanner.scan_block_dense(&sim(), block);
+                assert!(sparse.addresses_probed < block.size(), "{block}");
+                assert_eq!(sparse.addresses_probed, dense.addresses_probed, "{block}");
+                assert_eq!(sparse.probes_sent, dense.probes_sent, "{block}");
+                assert_eq!(sparse.open, dense.open, "{block}");
+            }
+        }
+    }
+
     #[test]
     fn sweep_telemetry_matches_results() {
         let t = sim();
