@@ -1,6 +1,9 @@
 //! Appendix Table 10: the MAV detection steps of every plugin — printed
-//! from the live plugin registry, so the documentation cannot drift from
-//! the implementation.
+//! from the sentences of `nokeys_scanner::plugin::PLUGINS`, the rows the
+//! stage-III interpreter runs. `plugin.rs`'s
+//! `table10_sentences_quote_every_path_marker_and_key` holds each row's
+//! paths, markers, selectors and JSON keys to its sentences, so the
+//! documentation cannot drift from the implementation.
 
 use crate::render::Table;
 use nokeys_apps::AppId;
@@ -13,7 +16,7 @@ pub fn build() -> Table {
         &["Application", "Step", "Description"],
     );
     for app in AppId::in_scope() {
-        for (i, step) in plugin_steps(app).iter().enumerate() {
+        for (i, step) in plugin_steps(app).enumerate() {
             let name = if i == 0 {
                 app.name().to_string()
             } else {

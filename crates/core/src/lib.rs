@@ -7,9 +7,9 @@
 //! * **Stage II** ([`prefilter`]): HTTP(S) probe with redirect following
 //!   and 90 per-application [`signatures`] that discard out-of-scope
 //!   hosts, compiled into a single-pass [`multipattern`] automaton.
-//! * **Stage III** ([`plugin`], [`plugins`]): per-application MAV
-//!   verification following the exact steps of the paper's Appendix
-//!   Table 10, restricted to non-state-changing `GET` requests.
+//! * **Stage III** ([`plugin`]): per-application MAV verification, one
+//!   interpreter over a table whose rows are the paper's Appendix
+//!   Table 10 steps, each with its sentence; a step can only `GET`.
 //! * **Version fingerprinting** ([`fingerprint`]): voluntary version
 //!   disclosure plus a static-file hash knowledge base with a crawler.
 //! * **Longevity observation** ([`observer`]): 3-hourly rescans of
@@ -40,7 +40,6 @@ pub mod observer;
 pub mod pattern;
 pub mod pipeline;
 pub mod plugin;
-pub mod plugins;
 pub mod portscan;
 pub mod prefilter;
 pub mod prelude;

@@ -45,7 +45,7 @@
 
 use crate::checkpoint::CheckpointError;
 use crate::fingerprint::Fingerprinter;
-use crate::plugin::detect_mav;
+use crate::plugin::verify;
 use crate::portscan::{Cidr, PortScanConfig, PortScanResult};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
@@ -58,6 +58,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// A whole-pipeline failure.
 ///
@@ -318,6 +319,10 @@ struct PipelineMetrics {
     open_ports_per_host: Histogram,
     /// `stage3.verify` — one virtual unit per plugin run.
     verify: Timer,
+    /// `stage3.error.<class>` by [`nokeys_http::Error::class_index`]:
+    /// plugin runs a failed `GET` ended, each registered on first use
+    /// as stage II's are.
+    errors: [OnceLock<Counter>; nokeys_http::Error::CLASSES.len()],
 }
 
 impl PipelineMetrics {
@@ -329,6 +334,7 @@ impl PipelineMetrics {
             mavs: telemetry.counter("pipeline.mavs"),
             open_ports_per_host: telemetry.histogram("pipeline.open_ports_per_host", &[1, 2, 4, 8]),
             verify: telemetry.timer("stage3.verify"),
+            errors: Default::default(),
         }
     }
 
@@ -528,8 +534,17 @@ impl BatchProcessor {
         for (app, app_hits) in endpoints_of {
             // Stage III: a MAV on any of the app's endpoints confirms it.
             let confirmed = app_hits.iter().copied().find(|hit| {
-                let confirmed = detect_mav(client, app, hit.endpoint, hit.scheme);
+                let verdict = verify(client, app, hit.endpoint, hit.scheme);
                 self.metrics.verify.record(1);
+                if let Err(error) = &verdict {
+                    self.metrics.errors[error.class_index()]
+                        .get_or_init(|| {
+                            self.telemetry
+                                .counter(&format!("stage3.error.{}", error.class()))
+                        })
+                        .incr();
+                }
+                let confirmed = verdict == Ok(true);
                 // `stage3.verify.<app>.{confirmed,rejected}` register on
                 // first use: a snapshot lists only outcomes that occurred.
                 let outcome = if confirmed { "confirmed" } else { "rejected" };
@@ -906,12 +921,15 @@ mod tests {
             snap.counter("stage2.http_responses") + snap.counter("stage2.https_responses") + errors
         );
         // Stage III ran: confirmed verifications equal the MAV count.
-        let confirmed: u64 = snap
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("stage3.verify.") && k.ends_with(".confirmed"))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(confirmed, snap.counter("pipeline.mavs"));
+        let outcomes = |outcome: &str| -> u64 {
+            snap.counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("stage3.verify.") && k.ends_with(outcome))
+                .map(|(_, v)| v)
+                .sum()
+        };
+        assert_eq!(outcomes(".confirmed"), snap.counter("pipeline.mavs"));
+        // A plugin run a failed GET ended is one of the rejections.
+        assert!(snap.prefixed_total("stage3.error.") <= outcomes(".rejected"));
     }
 }

@@ -80,9 +80,9 @@ impl Error {
     }
 
     /// A name from a small closed set, for counting failures by kind
-    /// (`stage2.error.<class>`): the variant, except that a peer whose
-    /// first bytes cannot begin an HTTP status line is `not_http`
-    /// rather than one more `malformed` response.
+    /// (`stage2.error.<class>`, `stage3.error.<class>`): the variant,
+    /// except that a peer whose first bytes cannot begin an HTTP status
+    /// line is `not_http` rather than one more `malformed` response.
     pub fn class(&self) -> &'static str {
         Self::CLASSES[self.class_index()]
     }

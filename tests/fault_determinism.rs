@@ -156,6 +156,28 @@ fn retry_and_fault_counters_reconcile() {
     );
 }
 
+/// A plugin run that a failed GET ended is counted by its error class,
+/// and is one of stage III's rejections.
+#[test]
+fn stage3_errors_are_counted_among_rejections() {
+    let (_, snap) = run_faulty(11, 8, 0.15, 1);
+    let stage3_errors = snap.prefixed_total("stage3.error.");
+    let rejected: u64 = snap
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("stage3.verify.") && k.ends_with(".rejected"))
+        .map(|(_, v)| v)
+        .sum();
+    assert!(
+        stage3_errors > 0,
+        "some plugin GETs must exhaust the budget"
+    );
+    assert!(
+        stage3_errors <= rejected,
+        "{stage3_errors} errors, {rejected} rejections"
+    );
+}
+
 /// Retries earn their keep: at a harsh fault rate a retry-less scan
 /// visibly loses hosts, and the default budget wins most of them back
 /// without ever inventing one.
