@@ -94,25 +94,19 @@ pub fn probe_domain<T: Transport>(
 }
 
 /// Scan every logged domain `delay_secs` after it appears (the CT
-/// watcher's reaction time), invoking `advance_clock` with the probe
-/// time.
-pub fn ct_scan<T, F>(
-    client: &Client<T>,
+/// watcher's reaction time), through `client_at(secs)`: a client that
+/// sees the network at that offset from the scan start.
+pub fn ct_scan<T: Transport>(
+    client_at: impl Fn(i64) -> Client<T>,
     entries: &[DomainTarget],
     delay_secs: i64,
-    mut advance_clock: F,
-) -> Vec<CtFinding>
-where
-    T: Transport,
-    F: FnMut(i64),
-{
+) -> Vec<CtFinding> {
     let mut sorted: Vec<&DomainTarget> = entries.iter().collect();
     sorted.sort_by_key(|e| (e.logged_at_secs, &e.domain));
     let mut findings = Vec::new();
     for entry in sorted {
         let probe_at = entry.logged_at_secs + delay_secs;
-        advance_clock(probe_at);
-        let (app, vulnerable) = probe_domain(client, entry.ip, &entry.domain);
+        let (app, vulnerable) = probe_domain(&client_at(probe_at), entry.ip, &entry.domain);
         findings.push(CtFinding {
             domain: entry.domain.clone(),
             ip: entry.ip,

@@ -6,16 +6,15 @@
 //! *vulnerable*, *fixed* (reachable, plugin negative) or *offline*
 //! (unreachable). It also re-fingerprints to spot version updates.
 //!
-//! The observer is time-source agnostic: the caller supplies a callback
-//! that advances the (virtual or real) clock to a given offset in seconds
-//! before each rescan round.
+//! The observer is time-source agnostic: the caller supplies
+//! `client_at(secs)`, a client that sees the (virtual or real) network
+//! at that offset from the study start.
 //!
-//! The round is the unit of synchronisation. The clock moves once, on
-//! the calling thread; then the hosts are split into contiguous chunks,
-//! one per worker thread, and each worker re-checks its own hosts and
-//! writes their statuses in place. Nothing is merged afterwards and every
-//! counter is a sum, so the study and its telemetry are the same at any
-//! worker count (DESIGN.md §9).
+//! The hosts are split into contiguous chunks, one per worker thread,
+//! and each worker walks every round over its own chunk, writing the
+//! statuses in place. No worker waits for another between rounds,
+//! nothing is merged afterwards and every counter is a sum, so the study
+//! and its telemetry are the same at any worker count (DESIGN.md §9).
 
 use crate::fingerprint::Fingerprinter;
 use crate::plugin::detect_mav;
@@ -142,12 +141,12 @@ struct HostMetrics {
 
 /// Run the longevity observation.
 ///
-/// `advance_clock(secs)` is called once before each round, on the calling
-/// thread, with the offset from the study start; with the simulated
-/// transport this maps to `SimTransport::set_time`. The round's hosts
-/// are then re-checked on as many threads as the machine offers
-/// ([`std::thread::available_parallelism`]); the result does not depend
-/// on that number.
+/// `client_at(secs)` is the client a round uses, `secs` being the
+/// round's offset from the study start; with the simulated transport it
+/// wraps `SimTransport::at`. Each worker thread asks for one client per
+/// round. The hosts are re-checked on as many threads as the machine
+/// offers ([`std::thread::available_parallelism`]); the result does not
+/// depend on that number.
 ///
 /// Telemetry: per-round status counts (`observer.status.<status>`),
 /// status transitions between consecutive rounds
@@ -160,35 +159,25 @@ struct HostMetrics {
 ///
 /// If `config.interval_secs` is not positive or `config.window_secs` is
 /// negative.
-pub fn observe<T, F>(
+pub fn observe<T: Transport>(
     telemetry: &Telemetry,
-    client: &Client<T>,
+    client_at: impl Fn(i64) -> Client<T> + Sync,
     findings: &[HostFinding],
     config: &ObserverConfig,
-    advance_clock: F,
-) -> LongevityStudy
-where
-    T: Transport,
-    F: FnMut(i64),
-{
+) -> LongevityStudy {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    observe_on(workers, telemetry, client, findings, config, advance_clock)
+    observe_on(workers, telemetry, client_at, findings, config)
 }
 
 /// [`observe`] on at most `workers` threads. Private: the count is not
 /// an option, it exists so a test can compare one worker against several.
-fn observe_on<T, F>(
+fn observe_on<T: Transport>(
     workers: usize,
     telemetry: &Telemetry,
-    client: &Client<T>,
+    client_at: impl Fn(i64) -> Client<T> + Sync,
     findings: &[HostFinding],
     config: &ObserverConfig,
-    mut advance_clock: F,
-) -> LongevityStudy
-where
-    T: Transport,
-    F: FnMut(i64),
-{
+) -> LongevityStudy {
     assert!(
         config.interval_secs > 0,
         "ObserverConfig::interval_secs must be positive, got {}",
@@ -226,32 +215,30 @@ where
         })
         .collect();
 
-    // Within a round a host is re-checked by exactly one worker, so its
-    // requests keep their order: the per-endpoint fault schedule is
-    // keyed on it.
-    let chunk_len = timelines.len().div_ceil(workers.max(1)).max(1);
-    let mut scratches: Vec<Scratch> = timelines
-        .chunks(chunk_len)
-        .map(|_| Scratch::new())
-        .collect();
-
-    for &t in &times {
-        advance_clock(t);
+    for _ in &times {
         rounds.incr();
         recheck_timer.record(timelines.len() as u64);
-        let (fingerprinter, metrics) = (&fingerprinter, &metrics);
-        // The scope joins every worker before the clock moves again and
-        // re-raises a worker's panic on this thread.
-        std::thread::scope(|scope| {
-            for (chunk, scratch) in timelines.chunks_mut(chunk_len).zip(&mut scratches) {
-                scope.spawn(move || {
-                    for timeline in chunk {
-                        recheck(timeline, client, fingerprinter, metrics, scratch);
-                    }
-                });
-            }
-        });
     }
+    // A host belongs to one worker for the whole study and is re-checked
+    // round after round, so its requests keep their order: the
+    // per-endpoint fault schedule is keyed on it. The scope re-raises a
+    // worker's panic on this thread.
+    let chunk_len = timelines.len().div_ceil(workers.max(1)).max(1);
+    let offsets = &times[..];
+    let (client_at, fingerprinter, metrics) = (&client_at, &fingerprinter, &metrics);
+    std::thread::scope(|scope| {
+        for chunk in timelines.chunks_mut(chunk_len) {
+            scope.spawn(move || {
+                let mut scratch = Scratch::new();
+                for &t in offsets {
+                    let client = client_at(t);
+                    for timeline in chunk.iter_mut() {
+                        recheck(timeline, &client, fingerprinter, metrics, &mut scratch);
+                    }
+                }
+            });
+        }
+    });
 
     LongevityStudy {
         times_secs: times,
@@ -312,7 +299,7 @@ fn recheck<T: Transport>(
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
-    use nokeys_http::Endpoint;
+    use nokeys_http::{Client, Endpoint};
     use nokeys_netsim::{
         FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
     };
@@ -329,10 +316,8 @@ mod tests {
     /// zero) and observe its vulnerable hosts on `workers` threads.
     fn study_on(workers: usize, fault_rate: f64, telemetry: &Telemetry) -> LongevityStudy {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))));
-        let client = nokeys_http::Client::new(FaultyTransport::new(
-            t.clone(),
-            FaultPlan::new(fault_rate, 0xfa17_5eed),
-        ));
+        let plan = FaultPlan::new(fault_rate, 0xfa17_5eed);
+        let client = Client::new(FaultyTransport::new(t.clone(), plan.clone()));
         let pipeline = Pipeline::new(
             PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
                 .retries(3)
@@ -341,9 +326,8 @@ mod tests {
         let report = pipeline.run(&client).expect("pipeline failed");
         let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
         assert!(!vulnerable.is_empty());
-        observe_on(workers, telemetry, &client, &vulnerable, &DAILY, |secs| {
-            t.set_time(SimTime(secs))
-        })
+        let client_at = |secs| Client::new(FaultyTransport::new(t.at(SimTime(secs)), plan.clone()));
+        observe_on(workers, telemetry, client_at, &vulnerable, &DAILY)
     }
 
     fn study() -> LongevityStudy {
@@ -506,8 +490,8 @@ mod tests {
     }
 
     fn observe_nothing(config: &ObserverConfig) -> LongevityStudy {
-        let client = nokeys_http::Client::new(nokeys_http::memory::HandlerTransport::new());
-        observe(&Telemetry::default(), &client, &[], config, |_| {})
+        let client_at = |_| Client::new(nokeys_http::memory::HandlerTransport::new());
+        observe(&Telemetry::default(), client_at, &[], config)
     }
 
     #[test]

@@ -27,13 +27,12 @@ fn targets(universe: &Universe) -> Vec<DomainTarget> {
 fn ct_watcher_catches_fresh_installations() {
     let config = UniverseConfig::tiny(21);
     let transport = SimTransport::new(Arc::new(Universe::generate(config)));
-    let client = nokeys_http::Client::new(transport.clone());
     let entries = targets(transport.universe());
     assert!(!entries.is_empty(), "tiny universe has virtual hosts");
 
     // Probe one hour after each CT entry appears.
-    let t = transport.clone();
-    let findings = ct_scan(&client, &entries, 3600, |secs| t.set_time(SimTime(secs)));
+    let client_at = |secs| nokeys_http::Client::new(transport.at(SimTime(secs)));
+    let findings = ct_scan(client_at, &entries, 3600);
 
     // Ground truth: which vhosts were still pre-install one hour after
     // registration (and registered within the window)?
@@ -109,14 +108,14 @@ fn ip_sweep_misses_everything_behind_shared_hosting() {
 fn vhost_dispatch_serves_the_named_site() {
     let config = UniverseConfig::tiny(21);
     let transport = SimTransport::new(Arc::new(Universe::generate(config)));
-    let client = nokeys_http::Client::new(transport.clone());
     let (host, vhost) = {
         let u = transport.universe();
         let (h, v) = u.vhosts().next().expect("has vhosts");
         (h.ip, v.clone())
     };
-    // Probe while installed (set time after installed_at).
-    transport.set_time(vhost.installed_at + nokeys_netsim::SimDuration::hours(1));
+    // Probe while installed (an hour after installed_at).
+    let installed = vhost.installed_at + nokeys_netsim::SimDuration::hours(1);
+    let client = nokeys_http::Client::new(transport.at(installed));
     let resp =
         nokeys_scanner::ct::fetch_vhost(&client, host, &vhost.domain, "/").expect("vhost answers");
     let body = resp.body_text();

@@ -20,7 +20,6 @@ pub mod host;
 pub mod ip;
 pub mod killswitch;
 pub mod lifecycle;
-pub mod observer_clock;
 pub mod rng;
 pub mod transport;
 pub mod universe;

@@ -19,7 +19,7 @@ use nokeys_http::{
     BlockSweepResult, Endpoint, ProbeOutcome, Request, Response, Result, Scheme, Transport,
 };
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Operation counters, used by benchmarks and the pipeline-ablation
@@ -46,14 +46,14 @@ impl TransportStats {
     }
 }
 
-/// Transport over a shared universe snapshot, evaluated at a settable
-/// virtual time (the longevity observer advances it between rescans).
+/// Transport over a shared universe snapshot, evaluated at one fixed
+/// virtual instant; [`SimTransport::at`] is a clone that answers at
+/// another.
 #[derive(Clone)]
 pub struct SimTransport {
     universe: Arc<Universe>,
-    /// Seconds since the scan epoch; one atomic so clones on other
-    /// worker threads read a whole value without a lock.
-    now: Arc<AtomicI64>,
+    /// The instant every probe and connection of this transport sees.
+    now: SimTime,
     stats: Arc<TransportStats>,
     /// Source address the universe sees for requests from this transport.
     scanner_ip: Ipv4Addr,
@@ -63,20 +63,19 @@ impl SimTransport {
     pub fn new(universe: Arc<Universe>) -> Self {
         SimTransport {
             universe,
-            now: Arc::new(AtomicI64::new(SimTime::SCAN_START.as_secs())),
+            now: SimTime::SCAN_START,
             stats: Arc::new(TransportStats::default()),
             scanner_ip: Ipv4Addr::new(198, 51, 100, 77),
         }
     }
 
-    /// Set the virtual time at which the universe is observed.
-    pub fn set_time(&self, t: SimTime) {
-        self.now.store(t.as_secs(), Ordering::SeqCst);
-    }
-
-    /// Current virtual observation time.
-    pub fn time(&self) -> SimTime {
-        SimTime(self.now.load(Ordering::SeqCst))
+    /// This transport as it answers at `t`: same universe, same source
+    /// address, same operation counters.
+    pub fn at(&self, t: SimTime) -> Self {
+        SimTransport {
+            now: t,
+            ..self.clone()
+        }
     }
 
     /// Set the source address presented to hosts.
@@ -101,7 +100,7 @@ impl Transport for SimTransport {
 
     fn probe(&self, ep: Endpoint) -> ProbeOutcome {
         self.stats.probes.fetch_add(1, Ordering::Relaxed);
-        self.universe.probe(ep, self.time())
+        self.universe.probe(ep, self.now)
     }
 
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
@@ -124,7 +123,7 @@ impl Transport for SimTransport {
 
     fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
-        let at = self.time();
+        let at = self.now;
         let conn = match self.universe.connect_behavior(ep, scheme, at)? {
             ConnectBehavior::Http => {
                 let handler = SimHandler {
@@ -283,18 +282,31 @@ mod tests {
     #[test]
     fn time_travel_changes_responses() {
         let t = transport();
-        // Find a host that goes offline during the window.
+        // A plain-HTTP host that goes offline during the window.
         let end = SimTime::SCAN_START + SimTime::OBSERVATION;
-        let gone = t
+        let ep = t
             .universe()
             .vulnerable_hosts()
-            .find(|h| h.lifecycle.state_at(end) == crate::lifecycle::HostState::Offline)
-            .map(|h| Endpoint::new(h.ip, h.services[0].port));
-        let Some(ep) = gone else { return };
+            .find(|h| {
+                h.lifecycle.state_at(end) == crate::lifecycle::HostState::Offline
+                    && h.services[0].schemes.supports_http()
+            })
+            .map(|h| Endpoint::new(h.ip, h.services[0].port))
+            .expect("some tiny-universe host goes offline");
+        let later = t.at(end);
+        // Neither instant moves the other, whichever is asked first.
         assert_eq!(t.probe(ep), ProbeOutcome::Open);
-        t.set_time(end);
-        assert_eq!(t.probe(ep), ProbeOutcome::Filtered);
-        assert!(t.connect(ep, Scheme::Http).is_err());
+        assert_eq!(later.probe(ep), ProbeOutcome::Filtered);
+        assert_eq!(later.probe(ep), ProbeOutcome::Filtered);
+        assert_eq!(t.probe(ep), ProbeOutcome::Open);
+        assert!(matches!(
+            later.connect(ep, Scheme::Http),
+            Err(nokeys_http::Error::Timeout)
+        ));
+        assert!(t.connect(ep, Scheme::Http).is_ok());
+        // Both instants count into the same operation counters.
+        assert_eq!(later.stats().probes(), 4);
+        assert_eq!(t.stats().connects(), 2);
     }
 
     /// The simulator behind the one fault layer, as `repro` stacks it.

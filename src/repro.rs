@@ -5,9 +5,9 @@
 use nokeys_analysis as analysis;
 use nokeys_defend::VendorFinding;
 use nokeys_honeypot::{run_study, StudyConfig, StudyResult};
-use nokeys_netsim::observer_clock::wire_observer_clock;
+use nokeys_http::Client;
 use nokeys_netsim::{
-    FaultLane, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig,
+    FaultLane, FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
 };
 use nokeys_scanner::observer::{observe, LongevityStudy, ObserverConfig};
 use nokeys_scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry};
@@ -16,6 +16,18 @@ use std::sync::Arc;
 
 /// Seed of the injected-fault schedule (`--fault-rate`).
 const FAULT_SEED: u64 = 0xfa17_5eed;
+
+/// The scan's client as it answers `secs` after the scan start: the same
+/// universe and fault schedule, seen at that instant. The scan's own
+/// transport stays at the scan time.
+fn client_at(
+    scan: &FaultyTransport<SimTransport>,
+) -> impl Fn(i64) -> Client<FaultyTransport<SimTransport>> + Sync + '_ {
+    move |secs| {
+        let sim = scan.inner().at(SimTime(secs));
+        Client::new(FaultyTransport::new(sim, scan.plan().clone()))
+    }
+}
 
 /// Scale of a reproduction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +143,7 @@ impl Repro {
                 });
             }
             let transport = FaultyTransport::new(SimTransport::new(universe), plan);
-            let client = nokeys_http::Client::new(transport.clone());
+            let client = Client::new(transport.clone());
             // Faults or not, the per-(endpoint, lane, ordinal) fault
             // schedule and the retry layer keep the report
             // byte-identical at any shard count.
@@ -169,18 +181,11 @@ impl Repro {
             let (transport, report) = self.scan();
             let transport = transport.clone();
             let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
-            let client = nokeys_http::Client::new(transport.clone());
             let config = ObserverConfig {
                 interval_secs: interval,
                 ..ObserverConfig::default()
             };
-            let study = observe(
-                &self.telemetry,
-                &client,
-                &vulnerable,
-                &config,
-                wire_observer_clock(transport.inner()),
-            );
+            let study = observe(&self.telemetry, client_at(&transport), &vulnerable, &config);
             self.longevity = Some(study);
         }
         self.longevity.as_ref().expect("just initialized")
@@ -287,8 +292,6 @@ impl Repro {
             }
             "ct" => {
                 let (transport, _) = self.scan();
-                let transport = transport.clone();
-                let client = nokeys_http::Client::new(transport.clone());
                 let delay_secs = 3600;
                 let sim = transport.inner();
                 let entries: Vec<nokeys_scanner::ct::DomainTarget> = sim
@@ -302,9 +305,8 @@ impl Repro {
                         logged_at_secs: e.logged_at.as_secs(),
                     })
                     .collect();
-                let findings = nokeys_scanner::ct::ct_scan(&client, &entries, delay_secs, |s| {
-                    sim.set_time(nokeys_netsim::SimTime(s))
-                });
+                let findings =
+                    nokeys_scanner::ct::ct_scan(client_at(transport), &entries, delay_secs);
                 analysis::ct_compare::build(sim.universe(), &findings, delay_secs).render()
             }
             _ => return Err(format!("unknown experiment id '{id}'")),

@@ -13,6 +13,22 @@ fn every_experiment_regenerates_at_quick_scale() {
     }
 }
 
+/// Figure 2 rescans for four weeks of virtual time, but every experiment
+/// run after it in the same harness still sees the scan as it stood:
+/// each one equals the same id run alone.
+#[test]
+fn output_does_not_depend_on_experiment_order() {
+    let mut harness = Repro::new(11, Scale::Quick);
+    harness.run("fig2").expect("fig2");
+    for id in ["ct", "table4", "disclosure"] {
+        let after_fig2 = harness.run(id).unwrap_or_else(|e| panic!("{id}: {e}"));
+        let alone = Repro::new(11, Scale::Quick)
+            .run(id)
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(after_fig2, alone, "{id} changed after fig2");
+    }
+}
+
 #[test]
 fn unknown_ids_are_rejected() {
     let mut harness = Repro::new(1, Scale::Quick);
