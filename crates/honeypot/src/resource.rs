@@ -80,6 +80,7 @@ impl ResourceGauge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nokeys_attack::Payload;
 
     #[test]
     fn load_model_ranks_payload_classes() {
@@ -87,6 +88,19 @@ mod tests {
         assert!(load_of("wget http://x/d.sh") < 0.5);
         assert!(load_of("echo hi") < 0.2);
         assert_eq!(load_of(""), 0.0);
+
+        // The commands the attack plan sends.
+        for miner in [Payload::monero_miner(1), Payload::kinsing(1)] {
+            assert!(load_of(&miner.command) > CPU_THRESHOLD, "{}", miner.name);
+        }
+        for quiet in [Payload::downloader(1), Payload::install_hijack(1)] {
+            assert!(load_of(&quiet.command) < CPU_THRESHOLD, "{}", quiet.name);
+        }
+        let g = ResourceGauge::new();
+        g.note_events(&[AppEvent::CommandExecuted {
+            command: Payload::monero_miner(1).command,
+        }]);
+        assert!(g.has_persistence());
     }
 
     #[test]

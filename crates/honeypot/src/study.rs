@@ -245,8 +245,9 @@ mod tests {
     #[test]
     fn actor_clustering_recovers_the_roster() {
         let result = quick_study();
-        // 131 planted actors; payloads/IPs never cross actors, so the
+        // 104 planted actors; payloads/IPs never cross actors, so the
         // clustering must recover them exactly.
+        assert_eq!(result.plan.attackers.len(), 104);
         assert_eq!(result.actors.len(), result.plan.attackers.len());
         // RQ6: concentration of attacks among few actors.
         assert_eq!(result.actors[0].attack_count, 719);
