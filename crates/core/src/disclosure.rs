@@ -10,7 +10,7 @@
 
 use crate::report::HostFinding;
 use nokeys_http::transport::Connection;
-use nokeys_http::{Scheme, Transport};
+use nokeys_http::{Attempt, Scheme, Transport};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -83,7 +83,7 @@ where
         let mut domain = None;
         for port in [finding.endpoint.port, 443] {
             let ep = nokeys_http::Endpoint::new(ip, port);
-            if let Ok(conn) = transport.connect(ep, Scheme::Https) {
+            if let Ok(conn) = transport.connect(ep, Scheme::Https, Attempt::FIRST) {
                 if let Some(cert) = conn.certificate() {
                     if let Some(subject) = cert.subject {
                         domain = Some(subject);

@@ -21,7 +21,7 @@ use crate::plugin::detect_mav;
 use crate::report::HostFinding;
 use crate::scratch::Scratch;
 use crate::telemetry::{Counter, Telemetry};
-use nokeys_http::{Client, ProbeOutcome, Transport};
+use nokeys_http::{Attempt, Client, ProbeOutcome, Transport};
 
 /// Status of one host at one observation point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,7 @@ struct HostMetrics {
 ///
 /// `client_at(secs)` is the client a round uses, `secs` being the
 /// round's offset from the study start; with the simulated transport it
-/// wraps `SimTransport::at`. Each worker thread asks for one client per
+/// wraps `FaultyTransport::at`. Each worker thread asks for one client per
 /// round. The hosts are re-checked on as many threads as the machine
 /// offers ([`std::thread::available_parallelism`]); the result does not
 /// depend on that number.
@@ -219,9 +219,9 @@ fn observe_on<T: Transport>(
         rounds.incr();
         recheck_timer.record(timelines.len() as u64);
     }
-    // A host belongs to one worker for the whole study and is re-checked
-    // round after round, so its requests keep their order: the
-    // per-endpoint fault schedule is keyed on it. The scope re-raises a
+    // A recheck's fault draws are keyed on its host, the round's instant,
+    // each request's target and try, never on what ran before, so which
+    // worker rechecks a host changes nothing. The scope re-raises a
     // worker's panic on this thread.
     let chunk_len = timelines.len().div_ceil(workers.max(1)).max(1);
     let offsets = &times[..];
@@ -260,7 +260,7 @@ fn recheck<T: Transport>(
     // round.
     let finding = &timeline.finding;
     let ep = finding.endpoint;
-    let status = match client.transport().probe(ep) {
+    let status = match client.transport().probe(ep, Attempt::FIRST) {
         ProbeOutcome::Open => {
             if detect_mav(client, finding.app, ep, finding.scheme) {
                 ObservedStatus::Vulnerable
@@ -312,12 +312,13 @@ mod tests {
         window_secs: 28 * 86_400,
     };
 
-    /// Scan a fresh tiny universe (so the fault schedule starts from
-    /// zero) and observe its vulnerable hosts on `workers` threads.
+    /// Scan a tiny universe and observe its vulnerable hosts on
+    /// `workers` threads, with the scan's faults at every round's
+    /// instant.
     fn study_on(workers: usize, fault_rate: f64, telemetry: &Telemetry) -> LongevityStudy {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))));
-        let plan = FaultPlan::new(fault_rate, 0xfa17_5eed);
-        let client = Client::new(FaultyTransport::new(t.clone(), plan.clone()));
+        let faulty = FaultyTransport::new(t, FaultPlan::new(fault_rate, 0xfa17_5eed));
+        let client = Client::new(faulty.clone());
         let pipeline = Pipeline::new(
             PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
                 .retries(3)
@@ -326,7 +327,7 @@ mod tests {
         let report = pipeline.run(&client).expect("pipeline failed");
         let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
         assert!(!vulnerable.is_empty());
-        let client_at = |secs| Client::new(FaultyTransport::new(t.at(SimTime(secs)), plan.clone()));
+        let client_at = |secs| Client::new(faulty.at(SimTime(secs)));
         observe_on(workers, telemetry, client_at, &vulnerable, &DAILY)
     }
 

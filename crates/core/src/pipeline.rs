@@ -25,9 +25,9 @@
 //! results are reduced in batch-sequence order, so a fixed seed
 //! yields a bit-for-bit identical [`ScanReport`] and telemetry snapshot
 //! at any shard count (Tables 2–4 and Figure 2 depend on this). This
-//! holds with fault injection enabled too: the simulated transport keys
-//! its fault stream per `(endpoint, lane, attempt ordinal)`, never on
-//! global execution order.
+//! holds with fault injection enabled too: each fault draw is a pure
+//! function of `(lane, endpoint, instant, request target, try)`, never
+//! of execution order, so a resumed scan draws the same fates as well.
 //!
 //! # Fault tolerance
 //!

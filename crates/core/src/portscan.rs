@@ -275,7 +275,9 @@ impl PortScanner {
             for &port in &self.config.ports {
                 result.probes_sent += 1;
                 let ep = Endpoint::new(ip, port);
-                if transport.probe(ep) == nokeys_http::ProbeOutcome::Open {
+                if transport.probe(ep, nokeys_http::Attempt::FIRST)
+                    == nokeys_http::ProbeOutcome::Open
+                {
                     result.open.push(ep);
                     *result.open_per_port.entry(port).or_default() += 1;
                 }
@@ -436,7 +438,7 @@ mod tests {
             assert_eq!(
                 sparse_t.plan().stats().probe_injected(),
                 dense_t.plan().stats().probe_injected(),
-                "both sweeps consume the same fault schedule"
+                "both sweeps make the same fault draws"
             );
             // Dense evaluated every (address, port) pair at least once;
             // sparse touched only the populated hosts.

@@ -173,10 +173,11 @@ impl Prefilter {
         self.metrics.endpoints.incr();
         self.metrics.probe.record(schemes.len() as u64);
         for &scheme in schemes {
-            let fetched = match self
-                .retry
-                .run(ep, &self.fetch_retry, || client.get_path(ep, scheme, "/"))
-            {
+            // Whole fetch `f` is try `f << 16`: the transport layer's
+            // connect retries add their index below it, so no two tries
+            // share a fault draw.
+            let fetch = |attempt: u32| client.attempt(attempt << 16).get_path(ep, scheme, "/");
+            let fetched = match self.retry.run(ep, &self.fetch_retry, fetch) {
                 Ok(fetched) => fetched,
                 Err(e) => {
                     self.metrics.error(&e).incr();

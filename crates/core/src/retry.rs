@@ -12,7 +12,8 @@
 //! fingerprinter all inherit retries from one choke point. The
 //! prefilter additionally retries whole fetches through
 //! [`RetryPolicy::run`], which recovers connections that die
-//! mid-response.
+//! mid-response. Each retry is a later try ([`Attempt::retry`]) of the
+//! one it repeats, so it draws a fault fate of its own.
 //!
 //! Backoff is deterministic: delays are *virtual* work units recorded
 //! on a telemetry timer (`retry.<lane>.backoff`), with jitter drawn
@@ -23,7 +24,7 @@
 
 use crate::telemetry::{Counter, Telemetry, Timer};
 use nokeys_http::ip::Cidr;
-use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Scheme, Transport};
+use nokeys_http::{Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
 use std::time::Duration;
 
 /// Retry/backoff configuration.
@@ -125,18 +126,19 @@ impl RetryPolicy {
     }
 
     /// Run `op` under this policy, retrying transient errors with
-    /// backoff and accounting on `metrics`. Terminal errors return
-    /// immediately; a transient error on the final attempt counts as
-    /// exhausted.
+    /// backoff and accounting on `metrics`. `op` is handed its attempt
+    /// index (0-based), so each try can draw a fate of its own. Terminal
+    /// errors return immediately; a transient error on the final attempt
+    /// counts as exhausted.
     pub fn run<T>(
         &self,
         ep: Endpoint,
         metrics: &RetryMetrics,
-        mut op: impl FnMut() -> nokeys_http::Result<T>,
-    ) -> nokeys_http::Result<T> {
+        mut op: impl FnMut(u32) -> Result<T>,
+    ) -> Result<T> {
         let max = self.attempts();
         for attempt in 0..max {
-            match op() {
+            match op(attempt) {
                 Ok(value) => {
                     if attempt > 0 {
                         metrics.recovered.incr();
@@ -221,21 +223,22 @@ impl<T> RetryTransport<T> {
 }
 
 impl<T: Transport> RetryTransport<T> {
-    /// Continue a probe's retry schedule given the outcome of its first
-    /// attempt. An unanswered SYN may be transient loss: retransmit,
-    /// masscan-style. `Closed` is terminal — an RST is a definite
-    /// answer. Shared by `probe` and `sweep_block` so a probe first
-    /// answered inside a block sweep retries (and meters) exactly like
-    /// a standalone one.
-    fn finish_probe_retries(&self, ep: Endpoint, mut outcome: ProbeOutcome) -> ProbeOutcome {
+    /// Continue a probe's retry schedule after its first try, `first`,
+    /// read `Filtered`. An unanswered SYN may be transient loss:
+    /// retransmit, masscan-style, each retransmit a later try of
+    /// `first`. `Closed` is terminal — an RST is a definite answer.
+    /// Shared by `probe` and `sweep_block` so a probe first answered
+    /// inside a block sweep retries (and meters) exactly like a
+    /// standalone one.
+    fn finish_probe_retries(&self, ep: Endpoint, first: Attempt<'_>) -> ProbeOutcome {
         let max = self.policy.attempts();
-        let mut attempt = 0;
+        let (mut attempt, mut outcome) = (0, ProbeOutcome::Filtered);
         while outcome == ProbeOutcome::Filtered && attempt + 1 < max {
             self.probe.retries.incr();
             self.policy
                 .pause(&self.probe, self.policy.backoff_units(ep, attempt));
             attempt += 1;
-            outcome = self.inner.probe(ep);
+            outcome = self.inner.probe(ep, first.retry(attempt));
         }
         if attempt > 0 {
             if outcome == ProbeOutcome::Filtered {
@@ -251,9 +254,11 @@ impl<T: Transport> RetryTransport<T> {
 impl<T: Transport> Transport for RetryTransport<T> {
     type Conn = T::Conn;
 
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        let first = self.inner.probe(ep);
-        self.finish_probe_retries(ep, first)
+    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
+        match self.inner.probe(ep, attempt) {
+            ProbeOutcome::Filtered => self.finish_probe_retries(ep, attempt),
+            answered => answered,
+        }
     }
 
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
@@ -264,15 +269,16 @@ impl<T: Transport> Transport for RetryTransport<T> {
         // draws to skip, and the sweep stays sparse.
         for (ep, outcome) in &mut result.probed {
             if *outcome == ProbeOutcome::Filtered {
-                *outcome = self.finish_probe_retries(*ep, ProbeOutcome::Filtered);
+                *outcome = self.finish_probe_retries(*ep, Attempt::FIRST);
             }
         }
         result
     }
 
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
-        self.policy
-            .run(ep, &self.connect, || self.inner.connect(ep, scheme))
+    fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
+        self.policy.run(ep, &self.connect, |k| {
+            self.inner.connect(ep, scheme, attempt.retry(k))
+        })
     }
 }
 
@@ -317,19 +323,60 @@ mod tests {
     impl<T: Transport> Transport for Flaky<T> {
         type Conn = T::Conn;
 
-        fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+        fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
             if self.take_failure() {
                 return ProbeOutcome::Filtered;
             }
-            self.inner.probe(ep)
+            self.inner.probe(ep, attempt)
         }
 
-        fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys_http::Result<T::Conn> {
+        fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
             if self.take_failure() {
                 return Err(self.err.clone());
             }
-            self.inner.connect(ep, scheme)
+            self.inner.connect(ep, scheme, attempt)
         }
+    }
+
+    /// Records the try number of every operation it forwards.
+    struct Tries<T>(T, std::sync::Mutex<Vec<u32>>);
+
+    impl<T: Transport> Transport for Tries<T> {
+        type Conn = T::Conn;
+
+        fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
+            self.1.lock().unwrap().push(attempt.n);
+            self.0.probe(ep, attempt)
+        }
+
+        fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
+            self.1.lock().unwrap().push(attempt.n);
+            self.0.connect(ep, scheme, attempt)
+        }
+    }
+
+    /// Each retry is a later try of the caller's attempt, so a fault
+    /// layer below draws a fresh fate for it.
+    #[test]
+    fn retries_advance_the_callers_try_number() {
+        let telemetry = Telemetry::new();
+        // Three filtered probes, then two connect timeouts before the
+        // unmounted endpoint refuses.
+        let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Timeout);
+        let t = RetryTransport::new(
+            Tries(flaky, Default::default()),
+            RetryPolicy::with_attempts(3),
+            &telemetry,
+        );
+        let base = 7 << 16;
+        let fetch = Attempt {
+            target: "/",
+            n: base,
+        };
+        assert_eq!(t.probe(ep(), fetch), ProbeOutcome::Filtered);
+        assert!(t.connect(ep(), Scheme::Http, fetch).is_err());
+        let seen = t.inner().1.lock().unwrap().clone();
+        assert_eq!(seen, [base, base + 1, base + 2, base, base + 1, base + 2]);
     }
 
     #[test]
@@ -369,7 +416,7 @@ mod tests {
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
         // HandlerTransport reports unmounted endpoints as Closed; the
         // two scripted Filtered results are retried away first.
-        assert_eq!(t.probe(ep()), ProbeOutcome::Closed);
+        assert_eq!(t.probe(ep(), Attempt::FIRST), ProbeOutcome::Closed);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.probe.retries"), 2);
         assert_eq!(snap.counter("retry.probe.recovered"), 1);
@@ -382,7 +429,7 @@ mod tests {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), u32::MAX, Error::Timeout);
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
-        assert_eq!(t.probe(ep()), ProbeOutcome::Filtered);
+        assert_eq!(t.probe(ep(), Attempt::FIRST), ProbeOutcome::Filtered);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.probe.retries"), 2);
         assert_eq!(snap.counter("retry.probe.exhausted"), 1);
@@ -393,7 +440,7 @@ mod tests {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Connect("refused".into()));
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
-        assert!(t.connect(ep(), Scheme::Http).is_err());
+        assert!(t.connect(ep(), Scheme::Http, Attempt::FIRST).is_err());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.connect.retries"), 0);
         assert_eq!(snap.counter("retry.connect.exhausted"), 0);
@@ -404,7 +451,10 @@ mod tests {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Timeout);
         let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
-        assert!(matches!(t.connect(ep(), Scheme::Http), Err(Error::Timeout)));
+        assert!(matches!(
+            t.connect(ep(), Scheme::Http, Attempt::FIRST),
+            Err(Error::Timeout)
+        ));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.connect.retries"), 2);
         assert_eq!(snap.counter("retry.connect.exhausted"), 1);
@@ -416,13 +466,11 @@ mod tests {
         let telemetry = Telemetry::new();
         let metrics = RetryMetrics::new(&telemetry, "fetch");
         let policy = RetryPolicy::with_attempts(3);
-        let calls = AtomicU32::new(0);
-        let result = policy.run(ep(), &metrics, || {
-            let n = calls.fetch_add(1, Ordering::Relaxed);
-            if n < 2 {
+        let result = policy.run(ep(), &metrics, |attempt| {
+            if attempt < 2 {
                 Err(Error::UnexpectedEof)
             } else {
-                Ok(n)
+                Ok(attempt)
             }
         });
         assert_eq!(result, Ok(2));
@@ -435,8 +483,8 @@ mod tests {
     fn run_with_single_attempt_counts_exhaustion() {
         let telemetry = Telemetry::new();
         let metrics = RetryMetrics::new(&telemetry, "fetch");
-        let result: nokeys_http::Result<()> =
-            RetryPolicy::disabled().run(ep(), &metrics, || Err(Error::Timeout));
+        let result: Result<()> =
+            RetryPolicy::disabled().run(ep(), &metrics, |_| Err(Error::Timeout));
         assert_eq!(result, Err(Error::Timeout));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.fetch.retries"), 0);

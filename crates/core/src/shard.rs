@@ -45,11 +45,10 @@
 //!   ([`Telemetry::take`]), so what it files is that batch's work
 //!   alone, and absorbing the batches in *any* order yields the
 //!   single-worker registry.
-//! * Fault injection keys its draws per `(endpoint, lane, attempt
-//!   ordinal)`, never on global execution order, and every endpoint's
-//!   operations happen inside exactly one batch in the same relative
-//!   order as a single-worker run — so fault-injected replays shard
-//!   exactly, too.
+//! * Fault injection draws each fate as a pure function of `(lane,
+//!   endpoint, instant, request target, try)`: no draw depends on which
+//!   worker, batch or process made it, or on what ran before — so
+//!   fault-injected replays shard and resume exactly, too.
 //!
 //! Which worker runs which batch is timing-dependent, so nothing about
 //! scheduling ever enters a report or the telemetry registry.

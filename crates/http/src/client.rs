@@ -9,7 +9,7 @@ use crate::error::{Error, Result};
 use crate::parse::{Decoder, Limits};
 use crate::request::Request;
 use crate::response::Response;
-use crate::transport::{Connection, Endpoint, Scheme, Transport};
+use crate::transport::{Attempt, Connection, Endpoint, Scheme, Transport};
 use crate::url::{Host, Url};
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
@@ -55,6 +55,8 @@ pub struct Client<T> {
     config: ClientConfig,
     /// Name-based virtual host every request is addressed to, if any.
     host: Option<String>,
+    /// Try number every connection of this client is made as.
+    attempt: u32,
 }
 
 impl<T: Transport> Client<T> {
@@ -69,6 +71,7 @@ impl<T: Transport> Client<T> {
             transport,
             config,
             host: None,
+            attempt: 0,
         }
     }
 
@@ -90,6 +93,7 @@ impl<T: Transport> Client<T> {
             transport,
             config: self.config.clone(),
             host: self.host.clone(),
+            attempt: self.attempt,
         }
     }
 
@@ -99,11 +103,17 @@ impl<T: Transport> Client<T> {
     /// URL's own host. This is how a site behind a shared IP is
     /// scanned by name (the paper's §6.2 "under counting" discussion).
     pub fn for_host(&self, name: &str) -> Client<&T> {
-        Client {
-            transport: &self.transport,
-            config: self.config.clone(),
-            host: Some(name.to_string()),
-        }
+        let mut client = self.with_transport(&self.transport);
+        client.host = Some(name.to_string());
+        client
+    }
+
+    /// A client over the same transport whose connections are try `n`
+    /// of a caller's retry loop (the `n` of every [`Attempt`]).
+    pub fn attempt(&self, n: u32) -> Client<&T> {
+        let mut client = self.with_transport(&self.transport);
+        client.attempt = n;
+        client
     }
 
     /// Issue a single request to `url` without following redirects:
@@ -133,7 +143,9 @@ impl<T: Transport> Client<T> {
         let wire = encode_request(&req);
 
         let deadline = Instant::now() + self.config.request_timeout;
-        let mut conn = self.transport.connect(ep, url.scheme)?;
+        let (target, n) = (req.target.as_str(), self.attempt);
+        let attempt = Attempt { target, n };
+        let mut conn = self.transport.connect(ep, url.scheme, attempt)?;
         exchange_once(&mut conn, &wire, head_method, &self.config.limits, deadline)
     }
 

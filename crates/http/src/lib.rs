@@ -44,6 +44,6 @@ pub use method::Method;
 pub use request::Request;
 pub use response::Response;
 pub use status::StatusCode;
-pub use transport::{BlockSweepResult, Endpoint, ProbeOutcome, Scheme, Transport};
+pub use transport::{Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Scheme, Transport};
 pub use url::Url;
 pub use version::Version;

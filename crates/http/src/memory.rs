@@ -10,7 +10,8 @@ use crate::error::{Error, Result};
 use crate::parse::{Decoder, Limits};
 use crate::request::Request;
 use crate::server::Handler;
-use crate::transport::{CertificateInfo, Connection, Endpoint, ProbeOutcome, Scheme, Transport};
+use crate::transport::{Attempt, CertificateInfo, Connection, Endpoint};
+use crate::transport::{ProbeOutcome, Scheme, Transport};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::Ipv4Addr;
@@ -64,7 +65,7 @@ impl HandlerTransport {
 impl Transport for HandlerTransport {
     type Conn = MemConn<Arc<dyn Handler>>;
 
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+    fn probe(&self, ep: Endpoint, _: Attempt<'_>) -> ProbeOutcome {
         if self.routes.contains_key(&ep) {
             ProbeOutcome::Open
         } else {
@@ -72,7 +73,7 @@ impl Transport for HandlerTransport {
         }
     }
 
-    fn connect(&self, ep: Endpoint, _scheme: Scheme) -> Result<Self::Conn> {
+    fn connect(&self, ep: Endpoint, _scheme: Scheme, _: Attempt<'_>) -> Result<Self::Conn> {
         match self.routes.get(&ep) {
             Some(handler) => Ok(MemConn::http(Arc::clone(handler), self.source_ip)),
             None => Err(Error::Connect("connection refused".into())),
@@ -191,7 +192,7 @@ mod tests {
     fn serves_mounted_handler() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 9, 8, 7), 8080);
         let t = HandlerTransport::new().with(ep, echo_handler());
-        assert_eq!(t.probe(ep), ProbeOutcome::Open);
+        assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Open);
         let client = Client::new(t);
         let fetched = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/hello"))
@@ -206,7 +207,7 @@ mod tests {
     fn unmounted_endpoints_refuse() {
         let t = HandlerTransport::new();
         let ep = Endpoint::new(Ipv4Addr::LOCALHOST, 80);
-        assert_eq!(t.probe(ep), ProbeOutcome::Closed);
+        assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Closed);
         let client = Client::new(t);
         let err = client
             .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))

@@ -134,6 +134,27 @@ impl BlockSweepResult {
     }
 }
 
+/// What the caller knows about one try at an endpoint: the request
+/// target (empty for a probe or a bare handshake) and the try number
+/// each retry layer advances. Fault injection keys its draws on it;
+/// every other transport ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attempt<'a> {
+    pub target: &'a str,
+    pub n: u32,
+}
+
+impl Attempt<'_> {
+    /// The first try, with no request target.
+    pub const FIRST: Attempt<'static> = Attempt { target: "", n: 0 };
+
+    /// Try `k` of a retry loop around this one.
+    pub fn retry(mut self, k: u32) -> Self {
+        self.n = self.n.wrapping_add(k);
+        self
+    }
+}
+
 /// Blocking transport used by the scanner, the client and the honeypots.
 ///
 /// Implementations: [`TcpTransport`] (real sockets) and
@@ -144,10 +165,10 @@ pub trait Transport: Send + Sync {
 
     /// Half-open probe of a single port. Must be cheap: stage I of the
     /// pipeline issues one probe per (address, port) pair.
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome;
+    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome;
 
     /// Full connection establishment with the given scheme.
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn>;
+    fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<Self::Conn>;
 
     /// Probe every (address, port) pair of `block` in one call.
     ///
@@ -162,7 +183,7 @@ pub trait Transport: Send + Sync {
         for ip in block.addresses() {
             for &port in ports {
                 let ep = Endpoint::new(ip, port);
-                probed.push((ep, self.probe(ep)));
+                probed.push((ep, self.probe(ep, Attempt::FIRST)));
             }
         }
         BlockSweepResult {
@@ -178,12 +199,12 @@ pub trait Transport: Send + Sync {
 impl<T: Transport> Transport for &T {
     type Conn = T::Conn;
 
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        (**self).probe(ep)
+    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
+        (**self).probe(ep, attempt)
     }
 
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
-        (**self).connect(ep, scheme)
+    fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<Self::Conn> {
+        (**self).connect(ep, scheme, attempt)
     }
 
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
@@ -227,7 +248,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     type Conn = TcpStream;
 
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+    fn probe(&self, ep: Endpoint, _: Attempt<'_>) -> ProbeOutcome {
         match self.dial(ep) {
             Ok(_stream) => ProbeOutcome::Open,
             Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => ProbeOutcome::Closed,
@@ -235,7 +256,7 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme, _: Attempt<'_>) -> Result<Self::Conn> {
         if scheme == Scheme::Https {
             return Err(Error::SchemeUnsupported);
         }
@@ -269,10 +290,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         let t = TcpTransport::default();
-        let open = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port));
+        let open = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port), Attempt::FIRST);
         assert_eq!(open, ProbeOutcome::Open);
         drop(listener);
-        let closed = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port));
+        let closed = t.probe(Endpoint::new(Ipv4Addr::LOCALHOST, port), Attempt::FIRST);
         assert_eq!(closed, ProbeOutcome::Closed);
     }
 
@@ -288,7 +309,11 @@ mod tests {
         });
         let t = TcpTransport::default();
         let mut conn = t
-            .connect(Endpoint::new(Ipv4Addr::LOCALHOST, port), Scheme::Http)
+            .connect(
+                Endpoint::new(Ipv4Addr::LOCALHOST, port),
+                Scheme::Http,
+                Attempt::FIRST,
+            )
             .unwrap();
         conn.write_all(b"ping").unwrap();
         let mut buf = [0u8; 4];
@@ -301,7 +326,11 @@ mod tests {
     fn tcp_rejects_https() {
         let t = TcpTransport::default();
         let err = t
-            .connect(Endpoint::new(Ipv4Addr::LOCALHOST, 1), Scheme::Https)
+            .connect(
+                Endpoint::new(Ipv4Addr::LOCALHOST, 1),
+                Scheme::Https,
+                Attempt::FIRST,
+            )
             .unwrap_err();
         assert_eq!(err, Error::SchemeUnsupported);
     }

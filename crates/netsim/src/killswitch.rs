@@ -15,7 +15,7 @@
 //! log the dead one left behind.
 
 use crate::ip::Cidr;
-use nokeys_http::{BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
+use nokeys_http::{Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,14 +102,14 @@ impl<T> KillableTransport<T> {
 impl<T: Transport> Transport for KillableTransport<T> {
     type Conn = T::Conn;
 
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
         self.switch.admit(1);
-        self.inner.probe(ep)
+        self.inner.probe(ep, attempt)
     }
 
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
         self.switch.admit(1);
-        self.inner.connect(ep, scheme)
+        self.inner.connect(ep, scheme, attempt)
     }
 
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
@@ -149,7 +149,10 @@ mod tests {
         let switch = KillSwitch::after(4);
         let t = KillableTransport::new(transport(), switch.clone());
         for i in 0..4u8 {
-            let _ = t.probe(Endpoint::new(Ipv4Addr::new(20, 0, 0, i), 80));
+            let _ = t.probe(
+                Endpoint::new(Ipv4Addr::new(20, 0, 0, i), 80),
+                Attempt::FIRST,
+            );
         }
         assert_eq!(switch.used(), 4);
         assert!(
@@ -163,12 +166,13 @@ mod tests {
         let switch = KillSwitch::after(1);
         let t = KillableTransport::new(transport(), switch.clone());
         let ep = Endpoint::new(Ipv4Addr::new(20, 0, 0, 1), 80);
-        assert!(!killed(|| t.probe(ep)));
-        assert!(killed(|| t.probe(ep)));
+        let first = Attempt::FIRST;
+        assert!(!killed(|| t.probe(ep, first)));
+        assert!(killed(|| t.probe(ep, first)));
         assert!(switch.is_tripped());
         assert_eq!(switch.used(), 1);
         // Dead stays dead, on every lane.
-        assert!(killed(|| t.connect(ep, Scheme::Http).map(drop)));
+        assert!(killed(|| t.connect(ep, Scheme::Http, first).map(drop)));
     }
 
     #[test]
@@ -193,13 +197,13 @@ mod tests {
         let a = KillableTransport::new(transport(), switch.clone());
         let b = a.clone();
         let ep = Endpoint::new(Ipv4Addr::new(20, 0, 0, 2), 80);
-        let _ = a.probe(ep);
-        let _ = b.probe(ep);
-        let _ = a.probe(ep);
+        let _ = a.probe(ep, Attempt::FIRST);
+        let _ = b.probe(ep, Attempt::FIRST);
+        let _ = a.probe(ep, Attempt::FIRST);
         assert_eq!(switch.used(), 3);
         // The fourth operation dies on whichever thread issues it, and
         // the join surfaces the payload.
-        let died = std::thread::spawn(move || b.probe(ep)).join();
+        let died = std::thread::spawn(move || b.probe(ep, Attempt::FIRST)).join();
         assert!(died.unwrap_err().is::<Killed>());
         assert!(switch.is_tripped());
     }

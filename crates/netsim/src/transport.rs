@@ -16,7 +16,7 @@ use nokeys_http::memory::MemConn;
 use nokeys_http::server::Handler;
 use nokeys_http::transport::CertificateInfo;
 use nokeys_http::{
-    BlockSweepResult, Endpoint, ProbeOutcome, Request, Response, Result, Scheme, Transport,
+    Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Request, Response, Result, Scheme, Transport,
 };
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,7 +98,7 @@ impl SimTransport {
 impl Transport for SimTransport {
     type Conn = MemConn<SimHandler>;
 
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
+    fn probe(&self, ep: Endpoint, _: Attempt<'_>) -> ProbeOutcome {
         self.stats.probes.fetch_add(1, Ordering::Relaxed);
         self.universe.probe(ep, self.now)
     }
@@ -109,7 +109,7 @@ impl Transport for SimTransport {
         for &ip in populated {
             for &port in ports {
                 let ep = Endpoint::new(Ipv4Addr::from(ip), port);
-                probed.push((ep, self.probe(ep)));
+                probed.push((ep, self.probe(ep, Attempt::FIRST)));
             }
         }
         // Every unpopulated address answers `Closed` on every port.
@@ -121,7 +121,7 @@ impl Transport for SimTransport {
         }
     }
 
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<Self::Conn> {
+    fn connect(&self, ep: Endpoint, scheme: Scheme, _: Attempt<'_>) -> Result<Self::Conn> {
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
         let at = self.now;
         let conn = match self.universe.connect_behavior(ep, scheme, at)? {
@@ -231,8 +231,9 @@ mod tests {
     fn probe_counts_and_results() {
         let t = transport();
         let ep = find_app_ep(&t, AppId::Gocd, true);
-        assert_eq!(t.probe(ep), ProbeOutcome::Open);
-        assert_eq!(t.probe(Endpoint::new(ep.ip, 9999)), ProbeOutcome::Closed);
+        assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Open);
+        let closed = Endpoint::new(ep.ip, 9999);
+        assert_eq!(t.probe(closed, Attempt::FIRST), ProbeOutcome::Closed);
         assert_eq!(t.stats().probes(), 2);
     }
 
@@ -274,7 +275,9 @@ mod tests {
             .find(|h| h.cert_domain.is_some() && h.service_on(443).is_some())
             .map(|h| h.ip);
         let Some(ip) = host else { return };
-        let conn = t.connect(Endpoint::new(ip, 443), Scheme::Https).unwrap();
+        let conn = t
+            .connect(Endpoint::new(ip, 443), Scheme::Https, Attempt::FIRST)
+            .unwrap();
         let cert = conn.certificate().expect("cert present");
         assert!(cert.subject.unwrap().contains("example"));
     }
@@ -294,16 +297,17 @@ mod tests {
             .map(|h| Endpoint::new(h.ip, h.services[0].port))
             .expect("some tiny-universe host goes offline");
         let later = t.at(end);
+        let first = Attempt::FIRST;
         // Neither instant moves the other, whichever is asked first.
-        assert_eq!(t.probe(ep), ProbeOutcome::Open);
-        assert_eq!(later.probe(ep), ProbeOutcome::Filtered);
-        assert_eq!(later.probe(ep), ProbeOutcome::Filtered);
-        assert_eq!(t.probe(ep), ProbeOutcome::Open);
+        assert_eq!(t.probe(ep, first), ProbeOutcome::Open);
+        assert_eq!(later.probe(ep, first), ProbeOutcome::Filtered);
+        assert_eq!(later.probe(ep, first), ProbeOutcome::Filtered);
+        assert_eq!(t.probe(ep, first), ProbeOutcome::Open);
         assert!(matches!(
-            later.connect(ep, Scheme::Http),
+            later.connect(ep, Scheme::Http, first),
             Err(nokeys_http::Error::Timeout)
         ));
-        assert!(t.connect(ep, Scheme::Http).is_ok());
+        assert!(t.connect(ep, Scheme::Http, first).is_ok());
         // Both instants count into the same operation counters.
         assert_eq!(later.stats().probes(), 4);
         assert_eq!(t.stats().connects(), 2);
@@ -318,10 +322,10 @@ mod tests {
     fn probes_can_fault_too() {
         let t = faulty(1.0, 1);
         let ep = find_app_ep(t.inner(), AppId::Hadoop, true);
-        assert_eq!(t.probe(ep), ProbeOutcome::Filtered);
+        assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Filtered);
         assert_eq!(t.plan().stats().probe_injected(), 1);
         // A fault-free transport sees the same endpoint open.
-        assert_eq!(transport().probe(ep), ProbeOutcome::Open);
+        assert_eq!(transport().probe(ep, Attempt::FIRST), ProbeOutcome::Open);
     }
 
     /// Forwards probes/connects but keeps the trait's dense
@@ -331,12 +335,12 @@ mod tests {
     impl<T: Transport> Transport for DenseOnly<T> {
         type Conn = T::Conn;
 
-        fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-            self.0.probe(ep)
+        fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
+            self.0.probe(ep, attempt)
         }
 
-        fn connect(&self, ep: Endpoint, scheme: Scheme) -> Result<T::Conn> {
-            self.0.connect(ep, scheme)
+        fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
+            self.0.connect(ep, scheme, attempt)
         }
     }
 
@@ -411,7 +415,7 @@ mod tests {
         assert_eq!(
             injected,
             dense_t.0.plan().stats().probe_injected(),
-            "sparse and dense must consume identical fault schedules"
+            "sparse and dense must make identical fault draws"
         );
     }
 
@@ -427,17 +431,19 @@ mod tests {
             .expect("tiny universe is sparse");
         let ep = Endpoint::new(empty_ip, 80);
         // Probe lane at rate 1.0: still a definite RST, no fault drawn.
-        for _ in 0..4 {
-            assert_eq!(t.probe(ep), ProbeOutcome::Closed);
+        for n in 0..4 {
+            let attempt = Attempt { target: "", n };
+            assert_eq!(t.probe(ep, attempt), ProbeOutcome::Closed);
         }
         assert_eq!(t.plan().stats().probe_injected(), 0);
     }
 
     #[test]
     fn fault_schedule_is_independent_of_endpoint_interleaving() {
-        fn timed_out(t: &FaultyTransport<SimTransport>, ep: Endpoint) -> bool {
+        fn timed_out(t: &FaultyTransport<SimTransport>, ep: Endpoint, n: u32) -> bool {
+            let attempt = Attempt { target: "/", n };
             matches!(
-                t.connect(ep, Scheme::Http),
+                t.connect(ep, Scheme::Http, attempt),
                 Err(nokeys_http::Error::Timeout)
             )
         }
@@ -447,22 +453,14 @@ mod tests {
         let a = find_app_ep(t1.inner(), AppId::Hadoop, true);
         let b = find_app_ep(t1.inner(), AppId::WordPress, true);
 
-        // t1 interleaves a/b; t2 visits b first, then all of a. The
-        // per-endpoint timeout sequences must match regardless.
-        let mut a1 = Vec::new();
-        let mut b1 = Vec::new();
-        for _ in 0..16 {
-            a1.push(timed_out(&t1, a));
-            b1.push(timed_out(&t1, b));
-        }
-        let mut b2 = Vec::new();
-        for _ in 0..16 {
-            b2.push(timed_out(&t2, b));
-        }
-        let mut a2 = Vec::new();
-        for _ in 0..16 {
-            a2.push(timed_out(&t2, a));
-        }
+        // Tries 0..16 of one connect at each endpoint: t1 interleaves
+        // a/b, t2 visits b first, then a. The per-endpoint timeout
+        // sequences must match regardless.
+        let (a1, b1): (Vec<bool>, Vec<bool>) = (0..16)
+            .map(|n| (timed_out(&t1, a, n), timed_out(&t1, b, n)))
+            .unzip();
+        let b2: Vec<bool> = (0..16).map(|n| timed_out(&t2, b, n)).collect();
+        let a2: Vec<bool> = (0..16).map(|n| timed_out(&t2, a, n)).collect();
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
         assert!(a1.contains(&true) && a1.contains(&false), "{a1:?}");

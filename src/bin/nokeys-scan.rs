@@ -25,7 +25,8 @@
 //! deterministic exponential backoff (1 disables retrying). For
 //! rehearsing that path against lab targets, `--fault-rate P` injects
 //! synthetic SYN loss and connect timeouts at per-attempt probability
-//! `P` before any packet reaches the network.
+//! `P`, keyed on (lane, endpoint, request target, try): a live scan has
+//! no virtual instant, so a rescan repeats the last one's fates.
 
 use nokeys::http::transport::TcpTransport;
 use nokeys::http::Client;
@@ -205,8 +206,8 @@ fn main() {
     }
 
     // The fault-injection wrapper is a passthrough at rate 0 (the
-    // default); clones share one fault schedule, so every worker draws
-    // from the same per-endpoint attempt ordinals.
+    // default); its draws are keyed on each try, so every worker draws
+    // the same fates whichever batches it runs.
     if args.fault_rate > 0.0 {
         eprintln!(
             "injecting synthetic transport faults at rate {}",

@@ -16,8 +16,9 @@
 //! (deterministic JSON) after all experiments finish.
 //! `--fault-rate P` injects transient faults (SYN loss, connect
 //! timeouts) into the simulated transport at per-attempt probability
-//! `P`; the schedule is keyed per (endpoint, lane, attempt ordinal), so
-//! the report is still byte-identical run to run. `--retries N` sets
+//! `P`; each fate is a pure function of (lane, endpoint, instant,
+//! request target, try), so every output is still byte-identical run to
+//! run, in any experiment order and after `--resume`. `--retries N` sets
 //! the per-operation transport attempt budget (default 3; 1 disables
 //! retrying).
 //!

@@ -18,15 +18,12 @@ use std::sync::Arc;
 const FAULT_SEED: u64 = 0xfa17_5eed;
 
 /// The scan's client as it answers `secs` after the scan start: the same
-/// universe and fault schedule, seen at that instant. The scan's own
-/// transport stays at the scan time.
+/// universe and fault plan, with the universe and the fault draws both
+/// at that instant. The scan's own transport stays at the scan time.
 fn client_at(
     scan: &FaultyTransport<SimTransport>,
 ) -> impl Fn(i64) -> Client<FaultyTransport<SimTransport>> + Sync + '_ {
-    move |secs| {
-        let sim = scan.inner().at(SimTime(secs));
-        Client::new(FaultyTransport::new(sim, scan.plan().clone()))
-    }
+    move |secs| Client::new(scan.at(SimTime(secs)))
 }
 
 /// Scale of a reproduction run.
@@ -89,9 +86,10 @@ impl Repro {
     }
 
     /// Inject transient faults (SYN loss + connect timeouts) into the
-    /// simulated transport at this per-attempt probability. The fault
-    /// schedule is keyed per (endpoint, lane, attempt ordinal), so the
-    /// report stays byte-identical at any shard count.
+    /// simulated transport at this per-attempt probability. Each fate is
+    /// a pure function of (lane, endpoint, instant, request target,
+    /// try), so every output stays byte-identical at any shard count,
+    /// in any experiment order and across a resume.
     pub fn with_fault_rate(mut self, rate: f64) -> Self {
         self.fault_rate = rate;
         self
@@ -144,9 +142,8 @@ impl Repro {
             }
             let transport = FaultyTransport::new(SimTransport::new(universe), plan);
             let client = Client::new(transport.clone());
-            // Faults or not, the per-(endpoint, lane, ordinal) fault
-            // schedule and the retry layer keep the report
-            // byte-identical at any shard count.
+            // Faults or not, the report is byte-identical at any shard
+            // count: no fault draw depends on what ran before it.
             let mut builder = PipelineConfig::builder(vec![self.universe_config.space])
                 .shards(self.shards)
                 .retries(self.retries)

@@ -1,8 +1,8 @@
 //! Order-independent fault injection + retry recovery.
 //!
-//! The fault schedule is a pure hash over (endpoint, lane, attempt
-//! ordinal), so *which* attempt faults for an endpoint cannot depend on
-//! how worker threads interleave attempts against other endpoints.
+//! Each fault fate is a pure hash over (lane, endpoint, instant, request
+//! target, try), so *which* try faults cannot depend on how worker
+//! threads interleave tries, or on any try made before it.
 //! These tests pin the consequences: fault-injected scans stay
 //! byte-identical at any shard count, retries recover the fault-free
 //! report at realistic fault rates, and the `retry.*` counters

@@ -2,7 +2,7 @@
 //! "False negatives" limitation: "we missed hosts that were unresponsive
 //! [or] temporarily unavailable").
 
-use nokeys::netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
+use nokeys::netsim::{FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig};
 use std::sync::Arc;
 
@@ -76,23 +76,27 @@ fn faults_are_deterministic_per_transport() {
 #[test]
 fn rescanning_recovers_fault_losses() {
     // The paper's batching rationale: hosts missed transiently can be
-    // found by a later pass. A second scan over the same flaky transport
-    // hits a different fault pattern (each endpoint's attempt ordinal
-    // keeps advancing across passes), so the union recovers most hosts.
+    // found by a later pass. The second scan runs an hour later, and
+    // the instant is part of every fault draw's key, so it hits a
+    // different fault pattern and the union recovers most hosts.
     // Retries are capped at 2 so each individual pass still loses a
     // visible slice of hosts — this test exercises *rescanning* as the
     // recovery mechanism, not the retry layer.
     let config = UniverseConfig::tiny(11);
     let universe = Arc::new(Universe::generate(config.clone()));
-    let client = nokeys::http::Client::new(flaky(&universe, 0.25));
+    let transport = flaky(&universe, 0.25);
     let pipeline = Pipeline::new(
         PipelineConfig::builder(vec![config.space])
             .retries(2)
             .build(),
     );
 
-    let first = pipeline.run(&client).expect("first pass failed");
-    let second = pipeline.run(&client).expect("second pass failed");
+    let first = pipeline
+        .run(&nokeys::http::Client::new(transport.clone()))
+        .expect("first pass failed");
+    let second = pipeline
+        .run(&nokeys::http::Client::new(transport.at(SimTime(3600))))
+        .expect("second pass failed");
     let union: std::collections::BTreeSet<(std::net::Ipv4Addr, nokeys::apps::AppId)> = first
         .findings
         .iter()

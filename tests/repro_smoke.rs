@@ -1,7 +1,7 @@
 //! Smoke test for the `repro` harness: every experiment id regenerates at
 //! quick scale and produces non-trivial output.
 
-use nokeys::repro::{Repro, Scale};
+use nokeys::repro::{CheckpointOptions, Repro, Scale};
 
 #[test]
 fn every_experiment_regenerates_at_quick_scale() {
@@ -15,18 +15,65 @@ fn every_experiment_regenerates_at_quick_scale() {
 
 /// Figure 2 rescans for four weeks of virtual time, but every experiment
 /// run after it in the same harness still sees the scan as it stood:
-/// each one equals the same id run alone.
+/// each one equals the same id run alone. With injected faults too: no
+/// fault draw depends on the draws made before it.
 #[test]
 fn output_does_not_depend_on_experiment_order() {
-    let mut harness = Repro::new(11, Scale::Quick);
-    harness.run("fig2").expect("fig2");
-    for id in ["ct", "table4", "disclosure"] {
-        let after_fig2 = harness.run(id).unwrap_or_else(|e| panic!("{id}: {e}"));
-        let alone = Repro::new(11, Scale::Quick)
-            .run(id)
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
-        assert_eq!(after_fig2, alone, "{id} changed after fig2");
+    for (seed, fault_rate) in [(11, 0.0), (13, 0.05)] {
+        let harness = || Repro::new(seed, Scale::Quick).with_fault_rate(fault_rate);
+        let mut after = harness();
+        after.run("fig2").expect("fig2");
+        for id in ["ct", "table4", "disclosure"] {
+            let after_fig2 = after.run(id).unwrap_or_else(|e| panic!("{id}: {e}"));
+            let alone = harness().run(id).unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert_eq!(
+                after_fig2, alone,
+                "{id} changed after fig2, faults {fault_rate}"
+            );
+        }
     }
+}
+
+/// A faulted scan resumed from the finished log it wrote leaves every
+/// later experiment as the writing run had it: the fault draws of
+/// Figure 2's rescans do not depend on the scan's having run in this
+/// process.
+#[test]
+fn resuming_a_faulted_scan_changes_no_later_output() {
+    let dir = std::env::temp_dir().join(format!("nokeys-repro-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("scan.ckpt");
+    let harness = |resume| {
+        Repro::new(13, Scale::Quick)
+            .with_fault_rate(0.05)
+            .with_checkpoint(CheckpointOptions {
+                path: path.clone(),
+                resume,
+            })
+    };
+    let mut written = harness(false);
+    let first = written.run("fig2").expect("fig2");
+    let mut resumed = harness(true);
+    assert_eq!(first, resumed.run("fig2").expect("resumed fig2"));
+    assert_eq!(
+        written.run("longevity").expect("longevity"),
+        resumed.run("longevity").expect("resumed longevity")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whole-fetch retries draw fresh fates: at fault rate 0.5 with two
+/// tries per layer, some stage-II fetches whose connect retries both
+/// time out are won back by a second whole fetch.
+#[test]
+fn whole_fetch_retries_draw_fresh_fates() {
+    let mut harness = Repro::new(2022, Scale::Quick)
+        .with_fault_rate(0.5)
+        .with_retries(2);
+    harness.run("table2").expect("table2");
+    let snap = harness.telemetry().snapshot();
+    assert!(snap.counter("retry.fetch.recovered") > 0);
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! [`RetryTransport`] stacked on netsim's fault injection, exercised
 //! through the public facade the way the pipeline composes them.
 
-use nokeys::http::{Client, Endpoint, Error, ProbeOutcome, Scheme, Transport};
-use nokeys::netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
+use nokeys::http::{Attempt, Client, Endpoint, Error, ProbeOutcome, Scheme, Transport};
+use nokeys::netsim::{FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig, RetryPolicy, RetryTransport, Telemetry};
 use std::sync::Arc;
 
@@ -17,7 +17,10 @@ fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpoint> {
             continue;
         };
         let ep = Endpoint::new(host.ip, service.port);
-        if clean.probe(ep) == ProbeOutcome::Open && clean.connect(ep, Scheme::Http).is_ok() {
+        let first = Attempt::FIRST;
+        if clean.probe(ep, first) == ProbeOutcome::Open
+            && clean.connect(ep, Scheme::Http, first).is_ok()
+        {
             found.push(ep);
             if found.len() == want {
                 break;
@@ -37,22 +40,26 @@ fn faulty(universe: &Arc<Universe>, rate: f64) -> FaultyTransport<SimTransport> 
 }
 
 /// SYN loss injected at 25% is invisible behind a generous retry
-/// budget, and every injected fault shows up as exactly one retry.
+/// budget, and every injected fault shows up as exactly one retry. The
+/// rounds are a minute apart: a repeat at one instant would repeat its
+/// fate.
 #[test]
 fn retrying_probe_masks_injected_syn_loss() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(3)));
     let ep = open_http_endpoints(&universe, 1)[0];
     let telemetry = Telemetry::new();
-    let t = RetryTransport::new(
-        faulty(&universe, 0.25),
-        RetryPolicy::with_attempts(8),
-        &telemetry,
-    );
+    let faulty = faulty(&universe, 0.25);
     for round in 0..40 {
-        assert_eq!(t.probe(ep), ProbeOutcome::Open, "round {round}");
+        let at = faulty.at(SimTime(round * 60));
+        let t = RetryTransport::new(at, RetryPolicy::with_attempts(8), &telemetry);
+        assert_eq!(
+            t.probe(ep, Attempt::FIRST),
+            ProbeOutcome::Open,
+            "round {round}"
+        );
     }
     let snap = telemetry.snapshot();
-    let injected = t.inner().plan().stats().probe_injected();
+    let injected = faulty.plan().stats().probe_injected();
     assert!(injected > 0, "40 probes at 25% must inject something");
     // Every probe above came back Open, so no budget was exhausted:
     // each injected drop corresponds to exactly one retry.
@@ -62,18 +69,20 @@ fn retrying_probe_masks_injected_syn_loss() {
 }
 
 /// A client stacked on the retry transport completes whole fetches
-/// through injected connect timeouts.
+/// through injected connect timeouts, one fetch a minute.
 #[test]
 fn retrying_client_fetches_through_connect_timeouts() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(3)));
     let ep = open_http_endpoints(&universe, 1)[0];
     let telemetry = Telemetry::new();
-    let client = Client::new(RetryTransport::new(
-        faulty(&universe, 0.25),
-        RetryPolicy::with_attempts(8),
-        &telemetry,
-    ));
+    let faulty = faulty(&universe, 0.25);
     for round in 0..20 {
+        let at = faulty.at(SimTime(round * 60));
+        let client = Client::new(RetryTransport::new(
+            at,
+            RetryPolicy::with_attempts(8),
+            &telemetry,
+        ));
         let fetched = client.get_path(ep, Scheme::Http, "/");
         assert!(fetched.is_ok(), "round {round}: {fetched:?}");
     }
@@ -91,6 +100,8 @@ fn retrying_client_fetches_through_connect_timeouts() {
 /// schedules even when their probe calls interleave differently — the
 /// property the whole retry stack inherits its shard-count independence
 /// from, checked here all the way up through the telemetry snapshot.
+/// Each of an endpoint's 16 probes is a later try of a caller's retry
+/// loop, so each draws a fate of its own.
 #[test]
 fn fault_draws_are_order_independent_across_the_retry_stack() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(5)));
@@ -108,18 +119,22 @@ fn fault_draws_are_order_independent_across_the_retry_stack() {
     // Stack 1: all of a's probes, then all of b's.
     let mut a1 = Vec::new();
     let mut b1 = Vec::new();
-    for _ in 0..16 {
-        a1.push(t1.probe(a));
+    let nth = |i: u32| Attempt {
+        target: "",
+        n: i << 16,
+    };
+    for i in 0..16 {
+        a1.push(t1.probe(a, nth(i)));
     }
-    for _ in 0..16 {
-        b1.push(t1.probe(b));
+    for i in 0..16 {
+        b1.push(t1.probe(b, nth(i)));
     }
     // Stack 2: strictly interleaved, b first.
     let mut a2 = Vec::new();
     let mut b2 = Vec::new();
-    for _ in 0..16 {
-        b2.push(t2.probe(b));
-        a2.push(t2.probe(a));
+    for i in 0..16 {
+        b2.push(t2.probe(b, nth(i)));
+        a2.push(t2.probe(a, nth(i)));
     }
 
     assert_eq!(a1, a2, "endpoint a's schedule depended on interleaving");

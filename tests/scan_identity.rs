@@ -14,7 +14,7 @@
 //! bridged counters live in the caller's registry, outside the engine.
 
 use nokeys::http::cases::{check, Gen};
-use nokeys::http::{BlockSweepResult, Client, Endpoint, ProbeOutcome, Scheme, Transport};
+use nokeys::http::{Attempt, BlockSweepResult, Client, Endpoint, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{Cidr, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::shard::{scan_batch, Ledger};
 use nokeys::scanner::{
@@ -132,12 +132,17 @@ struct StallTransport {
 impl Transport for StallTransport {
     type Conn = <SimTransport as Transport>::Conn;
 
-    fn probe(&self, ep: Endpoint) -> ProbeOutcome {
-        self.inner.probe(ep)
+    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
+        self.inner.probe(ep, attempt)
     }
 
-    fn connect(&self, ep: Endpoint, scheme: Scheme) -> nokeys::http::Result<Self::Conn> {
-        self.inner.connect(ep, scheme)
+    fn connect(
+        &self,
+        ep: Endpoint,
+        scheme: Scheme,
+        attempt: Attempt<'_>,
+    ) -> nokeys::http::Result<Self::Conn> {
+        self.inner.connect(ep, scheme, attempt)
     }
 
     fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
@@ -209,8 +214,6 @@ fn ledger_is_order_independent() {
     let (baseline, baseline_snap) = run(1, 0.05);
     let config = config(1, &Telemetry::new());
     check(4, |g| {
-        // A fresh transport per case: the fault schedule counts attempts
-        // per endpoint, and every case must start it from zero.
         let client = Client::new(transport(0.05));
         let mut order: Vec<u64> = (0..32).collect();
         shuffle(g, &mut order);
