@@ -8,14 +8,14 @@
 //! checkpointing ever creates:
 //!
 //! ```text
-//! {"format":2,"fingerprint":{…},"total_batches":N}\n     header
+//! {"format":3,"fingerprint":{…},"total_batches":N}\n     header
 //! {"seq":17,"report":{…},"telemetry":{…}}\n              one per finished batch,
 //! {"seq":3,"report":{…},"telemetry":{…}}\n               in completion order
 //! ```
 //!
 //! A batch line holds the [`ScanReport`] of exactly that batch
 //! (stage-II/III outcomes included) and the [`TelemetrySnapshot`] of
-//! the work it took (retry counters, stage timings, the virtual clock).
+//! the work it took (its stage and retry counters and histograms).
 //! Batches are the engine's unit of determinism — the block shuffle is
 //! seeded and every batch is processed whole by one worker — so any set
 //! of logged batches plus a scan of the missing ones adds up to a
@@ -65,8 +65,9 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 /// On-disk format version of the checkpoint log; bumped on incompatible
-/// layout changes. (1 was the rewritten per-worker segment files.)
-pub const FORMAT_VERSION: u32 = 2;
+/// layout changes. (1 was the rewritten per-worker segment files; 2
+/// logged virtual-clock timings in each batch's telemetry.)
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A checkpoint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -480,11 +481,11 @@ mod tests {
             ("not a checkpoint\n".to_string(), "bad JSON"),
             ("[]\n".to_string(), "missing field `format`"),
             (
-                "{\"format\":2}\n".to_string(),
+                format!("{{\"format\":{FORMAT_VERSION}}}\n"),
                 "missing field `fingerprint`",
             ),
             (
-                "{\"format\":2,\"fingerprint\":7,\"total_batches\":32}\n".to_string(),
+                format!("{{\"format\":{FORMAT_VERSION},\"fingerprint\":7,\"total_batches\":32}}\n"),
                 "fingerprint",
             ),
             // Complete lines after a good header are checked, not skipped.
@@ -523,8 +524,9 @@ mod tests {
         let path = temp_path("future.log");
         // Written by hand — `create` always writes the current format.
         // The rest of another layout is unknown, so only the version is
-        // read: format 1 was a single pretty-printed document per file.
-        for found in [FORMAT_VERSION + 1, 1] {
+        // read: format 1 was a single pretty-printed document per file,
+        // format 2 a log whose batch snapshots carried timings.
+        for found in [FORMAT_VERSION + 1, 2, 1] {
             std::fs::write(&path, format!("{{\"format\": {found}}}\n")).unwrap();
             assert_eq!(
                 resume(&path).unwrap_err(),

@@ -15,7 +15,7 @@ pub mod knowledge_base;
 pub mod voluntary;
 
 use crate::report::FingerprintMethod;
-use crate::telemetry::{Counter, Telemetry, Timer};
+use crate::telemetry::{Counter, Telemetry};
 use knowledge_base::KnowledgeBase;
 use nokeys_apps::{AppId, Version};
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
@@ -25,7 +25,6 @@ struct FingerprintMetrics {
     voluntary: Counter,
     knowledge_base: Counter,
     miss: Counter,
-    time: Timer,
 }
 
 impl FingerprintMetrics {
@@ -34,7 +33,6 @@ impl FingerprintMetrics {
             voluntary: telemetry.counter("fingerprint.voluntary"),
             knowledge_base: telemetry.counter("fingerprint.knowledge_base"),
             miss: telemetry.counter("fingerprint.miss"),
-            time: telemetry.timer("fingerprint.identify"),
         }
     }
 }
@@ -79,7 +77,6 @@ impl Fingerprinter {
         scheme: Scheme,
         scratch: &mut crate::scratch::Scratch,
     ) -> Option<(Version, FingerprintMethod)> {
-        self.metrics.time.record(1);
         if let Some(version) = voluntary::extract(client, app, ep, scheme) {
             self.metrics.voluntary.incr();
             return Some((version, FingerprintMethod::Voluntary));
@@ -180,6 +177,5 @@ mod tests {
             snap.counter("fingerprint.voluntary") + snap.counter("fingerprint.knowledge_base");
         assert_eq!(hits, 1);
         assert_eq!(snap.counter("fingerprint.miss"), 1);
-        assert_eq!(snap.timings["fingerprint.identify"].units, 2);
     }
 }

@@ -15,8 +15,8 @@
 //! * **Longevity observation** ([`observer`]): 3-hourly rescans of
 //!   vulnerable hosts over four weeks (Figure 2).
 //! * **Telemetry** ([`telemetry`]): a lock-cheap metrics registry
-//!   threaded through every stage — counters, fixed-bucket histograms
-//!   and virtual-clock stage timings, snapshot as deterministic JSON.
+//!   threaded through every stage — counters and fixed-bucket
+//!   histograms, snapshot as deterministic JSON.
 //! * **Execution** ([`shard`], [`checkpoint`]): the one scan engine —
 //!   shard workers on OS threads drawing batches from one cursor and
 //!   filing them in one ledger, with a crash-safe append-only

@@ -8,7 +8,7 @@
 //! continues — the paper's answer to scan-vs-verify staleness.
 
 use crate::rate::SharedPacer;
-use crate::telemetry::{Counter, Telemetry, Timer};
+use crate::telemetry::{Counter, Telemetry};
 use nokeys_apps::SCAN_PORTS;
 use nokeys_http::ip::BlockCoverage;
 use nokeys_http::{Endpoint, Transport};
@@ -101,7 +101,6 @@ struct SweepMetrics {
     addresses_probed: Counter,
     probes_sent: Counter,
     ports_open: Counter,
-    sweep: Timer,
 }
 
 impl SweepMetrics {
@@ -111,7 +110,6 @@ impl SweepMetrics {
             addresses_probed: telemetry.counter("stage1.addresses_probed"),
             probes_sent: telemetry.counter("stage1.probes_sent"),
             ports_open: telemetry.counter("stage1.ports_open"),
-            sweep: telemetry.timer("stage1.sweep"),
         }
     }
 }
@@ -130,7 +128,7 @@ impl PortScanner {
     }
 
     /// Build a scanner that records stage-I counters ("blocks swept",
-    /// "probes sent", "ports open") and sweep timings into `telemetry`.
+    /// "addresses probed", "probes sent", "ports open") into `telemetry`.
     pub fn with_telemetry(config: PortScanConfig, telemetry: &Telemetry) -> Self {
         PortScanner {
             config,
@@ -211,8 +209,6 @@ impl PortScanner {
         self.metrics.addresses_probed.add(result.addresses_probed);
         self.metrics.probes_sent.add(result.probes_sent);
         self.metrics.ports_open.add(result.open.len() as u64);
-        // One virtual unit per probe: the block's share of sweep time.
-        self.metrics.sweep.record(result.probes_sent);
     }
 
     /// The sparse sweep: classify the block against the exclusion list
@@ -546,7 +542,6 @@ mod tests {
         );
         assert_eq!(snap.counter("stage1.probes_sent"), result.probes_sent);
         assert_eq!(snap.counter("stage1.ports_open"), result.open.len() as u64);
-        assert_eq!(snap.timings["stage1.sweep"].units, result.probes_sent);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::multipattern::MultiPattern;
 use crate::retry::{RetryMetrics, RetryPolicy};
 use crate::scratch::Scratch;
 use crate::signatures::{all_signatures, rank_candidates, Signature};
-use crate::telemetry::{Counter, Histogram, Telemetry, Timer};
+use crate::telemetry::{Counter, Histogram, Telemetry};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use std::collections::BTreeMap;
@@ -61,7 +61,6 @@ struct PrefilterMetrics {
     signature_hits: Vec<Counter>,
     redirects: Histogram,
     body_bytes: Histogram,
-    probe: Timer,
     /// `stage2.error.<class>` by [`nokeys_http::Error::class_index`],
     /// each registered with `telemetry` on first use: a snapshot lists
     /// only the classes that occurred.
@@ -86,7 +85,6 @@ impl PrefilterMetrics {
                 .collect(),
             redirects: telemetry.histogram("stage2.redirects", &[0, 1, 2, 4, 8]),
             body_bytes: telemetry.histogram("stage2.body_bytes", &[256, 1024, 4096, 16384, 65536]),
-            probe: telemetry.timer("stage2.prefilter"),
             errors: Default::default(),
             telemetry: telemetry.clone(),
         }
@@ -171,7 +169,6 @@ impl Prefilter {
         let mut hit: Option<PrefilterHit> = None;
         let schemes = Self::schemes_for_port(ep.port);
         self.metrics.endpoints.incr();
-        self.metrics.probe.record(schemes.len() as u64);
         for &scheme in schemes {
             // Whole fetch `f` is try `f << 16`: the transport layer's
             // connect retries add their index below it, so no two tries

@@ -15,14 +15,14 @@
 //! mid-response. Each retry is a later try ([`Attempt::retry`]) of the
 //! one it repeats, so it draws a fault fate of its own.
 //!
-//! Backoff is deterministic: delays are *virtual* work units recorded
-//! on a telemetry timer (`retry.<lane>.backoff`), with jitter drawn
+//! Backoff is deterministic: delays are *virtual* units summed on a
+//! telemetry counter (`retry.<lane>.backoff_units`), with jitter drawn
 //! from a splitmix64 hash over `(seed, endpoint, attempt)`. No
 //! wall-clock sleep happens unless [`RetryPolicy::real_unit`] is
 //! non-zero, so simulated scans stay fast and byte-identical at any
 //! shard count; the real-socket CLI maps units to milliseconds.
 
-use crate::telemetry::{Counter, Telemetry, Timer};
+use crate::telemetry::{Counter, Telemetry};
 use nokeys_http::ip::Cidr;
 use nokeys_http::{Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
 use std::time::Duration;
@@ -118,7 +118,7 @@ impl RetryPolicy {
     /// Record `units` of backoff on `metrics` and, when `real_unit` is
     /// non-zero, sleep the corresponding wall-clock time.
     fn pause(&self, metrics: &RetryMetrics, units: u64) {
-        metrics.backoff.record(units);
+        metrics.backoff_units.add(units);
         if self.real_unit > Duration::ZERO {
             let factor = units.min(u64::from(u32::MAX)) as u32;
             std::thread::sleep(self.real_unit.saturating_mul(factor));
@@ -174,8 +174,8 @@ pub struct RetryMetrics {
     /// `retry.<lane>.exhausted` — transient failures with no attempt
     /// budget left.
     pub exhausted: Counter,
-    /// `retry.<lane>.backoff` — virtual backoff units recorded.
-    pub backoff: Timer,
+    /// `retry.<lane>.backoff_units` — virtual backoff units paused.
+    pub backoff_units: Counter,
 }
 
 impl RetryMetrics {
@@ -184,7 +184,7 @@ impl RetryMetrics {
             retries: telemetry.counter(&format!("retry.{lane}.retries")),
             recovered: telemetry.counter(&format!("retry.{lane}.recovered")),
             exhausted: telemetry.counter(&format!("retry.{lane}.exhausted")),
-            backoff: telemetry.timer(&format!("retry.{lane}.backoff")),
+            backoff_units: telemetry.counter(&format!("retry.{lane}.backoff_units")),
         }
     }
 }
@@ -421,7 +421,7 @@ mod tests {
         assert_eq!(snap.counter("retry.probe.retries"), 2);
         assert_eq!(snap.counter("retry.probe.recovered"), 1);
         assert_eq!(snap.counter("retry.probe.exhausted"), 0);
-        assert!(snap.timings["retry.probe.backoff"].units > 0);
+        assert!(snap.counter("retry.probe.backoff_units") > 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!   per-batch reports in key order reconstructs the single-worker
 //!   findings order exactly, whichever worker filed which batch when.
 //! * Telemetry snapshots are sums too (counters add, histogram buckets
-//!   add, timers add events and virtual units). A worker records into a
+//!   add). A worker records into a
 //!   private staging registry and empties it after every batch
 //!   ([`Telemetry::take`]), so what it files is that batch's work
 //!   alone, and absorbing the batches in *any* order yields the

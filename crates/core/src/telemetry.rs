@@ -1,5 +1,4 @@
-//! Pipeline-wide telemetry: counters, histograms and per-stage
-//! virtual-clock timings.
+//! Pipeline-wide telemetry: counters and histograms.
 //!
 //! The paper's measurement claims (Tables 2–4, Figures 1–2) are only as
 //! trustworthy as the pipeline's internal accounting, so every stage
@@ -9,24 +8,23 @@
 //! outcomes, the fingerprinter its method mix, the longevity observer
 //! its per-round status transitions, and the honeypot monitor its
 //! attack-rate counters. The retry layer accounts per-lane under
-//! `retry.{probe,connect,fetch}.{retries,recovered,exhausted}` plus a
-//! `retry.<lane>.backoff` timer of virtual backoff units, and the repro
-//! harness bridges the simulator's injected faults in as
+//! `retry.{probe,connect,fetch}.{retries,recovered,exhausted}` plus the
+//! `retry.<lane>.backoff_units` it paused for, and the repro harness
+//! bridges the simulator's injected faults in as
 //! `fault.{probe,connect}.injected` — which is what lets a snapshot
 //! reconcile "faults injected" against "retries spent".
 //!
 //! # Design
 //!
-//! * **Lock-cheap.** The registry hands out [`Counter`] / [`Histogram`]
-//!   / [`Timer`] handles backed by `Arc<AtomicU64>` cells. Registration
+//! * **Lock-cheap.** The registry hands out [`Counter`] and
+//!   [`Histogram`] handles backed by `Arc<AtomicU64>` cells. Registration
 //!   takes a short registry lock once; every increment afterwards is a
 //!   relaxed atomic add, so instrumented hot loops pay nanoseconds, not
 //!   mutexes. All handles are `Send + Sync` and clone-cheap.
 //! * **Deterministic.** Snapshots contain only order-independent sums —
-//!   monotonic counters, fixed-bound histogram buckets, and *virtual*
-//!   clock units (one unit ≈ one probe / request / automaton pass),
-//!   never wall-clock time. A fixed seed therefore yields a
-//!   byte-identical [`TelemetrySnapshot`] at any
+//!   monotonic counters and fixed-bound histogram buckets, never
+//!   wall-clock time. A fixed seed therefore yields a byte-identical
+//!   [`TelemetrySnapshot`] at any
 //!   [`shards`](crate::pipeline::PipelineConfig::shards) count;
 //!   `tests/scan_identity.rs` enforces this.
 //! * **Sorted serialization.** [`TelemetrySnapshot`] keeps every
@@ -148,62 +146,10 @@ impl Histogram {
     }
 }
 
-/// A per-stage virtual-clock timer.
-///
-/// There is no wall clock anywhere in the registry: a timer accumulates
-/// *virtual work units* declared by the stage itself (one unit ≈ one
-/// probe, HTTP exchange, plugin run, …). Sums of units are independent
-/// of task interleaving, which is what keeps snapshots deterministic
-/// under concurrency. Every recorded unit also advances the registry's
-/// global [virtual clock](Telemetry::virtual_clock).
-#[derive(Clone, Debug)]
-pub struct Timer {
-    core: Arc<TimerCore>,
-    clock: Arc<AtomicU64>,
-}
-
-#[derive(Debug, Default)]
-struct TimerCore {
-    events: AtomicU64,
-    units: AtomicU64,
-}
-
-impl Timer {
-    /// Record one timed section that took `units` of virtual work.
-    pub fn record(&self, units: u64) {
-        self.core.events.fetch_add(1, Ordering::Relaxed);
-        self.core.units.fetch_add(units, Ordering::Relaxed);
-        self.clock.fetch_add(units, Ordering::Relaxed);
-    }
-
-    /// Total recorded virtual units.
-    pub fn units(&self) -> u64 {
-        self.core.units.load(Ordering::Relaxed)
-    }
-
-    /// Add a (delta) snapshot's events and units into this timer,
-    /// advancing the registry's virtual clock by the absorbed units —
-    /// exactly as if the work had been [`record`](Self::record)ed here.
-    fn absorb(&self, s: &TimingSnapshot) {
-        self.core.events.fetch_add(s.events, Ordering::Relaxed);
-        self.core.units.fetch_add(s.units, Ordering::Relaxed);
-        self.clock.fetch_add(s.units, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self, read: ReadCell) -> TimingSnapshot {
-        TimingSnapshot {
-            events: read(&self.core.events),
-            units: read(&self.core.units),
-        }
-    }
-}
-
 #[derive(Default)]
 struct Registry {
     counters: RwLock<BTreeMap<String, Counter>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
-    timers: RwLock<BTreeMap<String, Timer>>,
-    clock: Arc<AtomicU64>,
 }
 
 /// The shared metrics registry. Cloning is cheap (an `Arc` bump) and all
@@ -226,11 +172,6 @@ impl std::fmt::Debug for Telemetry {
                 "histograms",
                 &self.registry.histograms.read().expect("not poisoned").len(),
             )
-            .field(
-                "timers",
-                &self.registry.timers.read().expect("not poisoned").len(),
-            )
-            .field("virtual_clock", &self.virtual_clock())
             .finish()
     }
 }
@@ -289,28 +230,6 @@ impl Telemetry {
             .clone()
     }
 
-    /// The virtual-clock timer named `name`.
-    pub fn timer(&self, name: &str) -> Timer {
-        if let Some(t) = self.registry.timers.read().expect("not poisoned").get(name) {
-            return t.clone();
-        }
-        self.registry
-            .timers
-            .write()
-            .expect("not poisoned")
-            .entry(name.to_string())
-            .or_insert_with(|| Timer {
-                core: Arc::new(TimerCore::default()),
-                clock: Arc::clone(&self.registry.clock),
-            })
-            .clone()
-    }
-
-    /// The global virtual clock: total work units recorded by all timers.
-    pub fn virtual_clock(&self) -> u64 {
-        self.registry.clock.load(Ordering::Relaxed)
-    }
-
     /// Merge a snapshot's values into this registry, registering any
     /// instrument the registry does not know yet.
     ///
@@ -318,21 +237,14 @@ impl Telemetry {
     /// logs one [`TelemetrySnapshot`] per batch (what [`take`](Self::take)
     /// emptied out of the worker's registry), and a resuming run absorbs
     /// them so its registry ends up exactly where an uninterrupted
-    /// run's would be. Counter values
-    /// add, histogram buckets add bucket-wise (bounds must match), and
-    /// timers add events/units — advancing the virtual clock by the
-    /// absorbed units, which keeps
-    /// [`virtual_clock`](Self::virtual_clock) equal to the sum of all
-    /// timer units.
+    /// run's would be. Counter values add, and histogram buckets add
+    /// bucket-wise (bounds must match).
     pub fn absorb(&self, snapshot: &TelemetrySnapshot) {
         for (name, value) in &snapshot.counters {
             self.counter(name).add(*value);
         }
         for (name, h) in &snapshot.histograms {
             self.histogram(name, &h.bounds).absorb(h);
-        }
-        for (name, t) in &snapshot.timings {
-            self.timer(name).absorb(t);
         }
     }
 
@@ -359,7 +271,6 @@ impl Telemetry {
 
     fn snapshot_with(&self, read: ReadCell) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            virtual_clock_units: read(&self.registry.clock),
             counters: self
                 .registry
                 .counters
@@ -371,14 +282,6 @@ impl Telemetry {
             histograms: self
                 .registry
                 .histograms
-                .read()
-                .expect("not poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot(read)))
-                .collect(),
-            timings: self
-                .registry
-                .timers
                 .read()
                 .expect("not poisoned")
                 .iter()
@@ -403,30 +306,17 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-/// Point-in-time state of one virtual-clock timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingSnapshot {
-    /// Number of timed sections.
-    pub events: u64,
-    /// Total virtual work units.
-    pub units: u64,
-}
-
 /// A deterministic, serializable view of the whole registry.
 ///
 /// Keys are sorted (`BTreeMap`) and all values are order-independent
-/// sums over virtual time, so the same seed produces byte-identical
+/// sums, so the same seed produces byte-identical
 /// JSON at any concurrency level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// Total virtual work units across all timers at snapshot time.
-    pub virtual_clock_units: u64,
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Timer states by name.
-    pub timings: BTreeMap<String, TimingSnapshot>,
 }
 
 impl ToJson for HistogramSnapshot {
@@ -463,31 +353,11 @@ impl FromJson for HistogramSnapshot {
     }
 }
 
-impl ToJson for TimingSnapshot {
-    fn to_json(&self) -> Value {
-        object([
-            ("events", self.events.to_json()),
-            ("units", self.units.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TimingSnapshot {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(TimingSnapshot {
-            events: value.field("events")?,
-            units: value.field("units")?,
-        })
-    }
-}
-
 impl ToJson for TelemetrySnapshot {
     fn to_json(&self) -> Value {
         object([
-            ("virtual_clock_units", self.virtual_clock_units.to_json()),
             ("counters", self.counters.to_json()),
             ("histograms", self.histograms.to_json()),
-            ("timings", self.timings.to_json()),
         ])
     }
 }
@@ -495,10 +365,8 @@ impl ToJson for TelemetrySnapshot {
 impl FromJson for TelemetrySnapshot {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         Ok(TelemetrySnapshot {
-            virtual_clock_units: value.field("virtual_clock_units")?,
             counters: value.field("counters")?,
             histograms: value.field("histograms")?,
-            timings: value.field("timings")?,
         })
     }
 }
@@ -533,20 +401,11 @@ impl TelemetrySnapshot {
     /// Human-readable multi-line summary (for terminals and logs).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "telemetry snapshot @ {} virtual units\n",
-            self.virtual_clock_units
-        ));
+        out.push_str("telemetry snapshot\n");
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
             for (name, value) in &self.counters {
                 out.push_str(&format!("  {name:<48} {value}\n"));
-            }
-        }
-        if !self.timings.is_empty() {
-            out.push_str("timings (virtual units / events):\n");
-            for (name, t) in &self.timings {
-                out.push_str(&format!("  {name:<48} {} / {}\n", t.units, t.events));
             }
         }
         if !self.histograms.is_empty() {
@@ -581,7 +440,6 @@ mod tests {
         assert_send_sync::<Telemetry>();
         assert_send_sync::<Counter>();
         assert_send_sync::<Histogram>();
-        assert_send_sync::<Timer>();
     }
 
     #[test]
@@ -619,38 +477,10 @@ mod tests {
     }
 
     #[test]
-    fn timers_advance_the_virtual_clock() {
-        let t = Telemetry::new();
-        let stage1 = t.timer("stage1");
-        let stage2 = t.timer("stage2");
-        stage1.record(10);
-        stage2.record(5);
-        stage2.record(5);
-        assert_eq!(t.virtual_clock(), 20);
-        let snap = t.snapshot();
-        assert_eq!(
-            snap.timings["stage1"],
-            TimingSnapshot {
-                events: 1,
-                units: 10
-            }
-        );
-        assert_eq!(
-            snap.timings["stage2"],
-            TimingSnapshot {
-                events: 2,
-                units: 10
-            }
-        );
-        assert_eq!(snap.virtual_clock_units, 20);
-    }
-
-    #[test]
     fn snapshot_json_is_sorted_and_deterministic() {
         let t = Telemetry::new();
         t.counter("zebra").incr();
         t.counter("aardvark").add(7);
-        t.timer("sweep").record(3);
         let a = t.snapshot().to_json();
         let b = t.snapshot().to_json();
         assert_eq!(a, b);
@@ -663,15 +493,15 @@ mod tests {
     fn concurrent_increments_from_many_threads_sum_exactly() {
         let t = Telemetry::new();
         let c = t.counter("n");
-        let timer = t.timer("work");
+        let h = t.histogram("sizes", &[10]);
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let c = c.clone();
-                let timer = timer.clone();
+                let h = h.clone();
                 std::thread::spawn(move || {
-                    for _ in 0..1000 {
+                    for i in 0..1000 {
                         c.incr();
-                        timer.record(1);
+                        h.observe(i % 20);
                     }
                 })
             })
@@ -680,7 +510,11 @@ mod tests {
             th.join().unwrap();
         }
         assert_eq!(c.get(), 8000);
-        assert_eq!(t.virtual_clock(), 8000);
+        let sizes = &t.snapshot().histograms["sizes"];
+        assert_eq!(
+            (sizes.count, sizes.buckets[0], sizes.overflow),
+            (8000, 4400, 3600)
+        );
     }
 
     #[test]
@@ -706,32 +540,27 @@ mod tests {
                 t.counter("ops"),
                 t.counter("never-incremented"),
                 t.histogram("sizes", &[10, 100]),
-                t.timer("work"),
             )
         };
         let direct = instruments(&source);
         let staged = instruments(&staging);
         for round in 0..3u64 {
-            for (ops, _, sizes, work) in [&direct, &staged] {
+            for (ops, _, sizes) in [&direct, &staged] {
                 ops.add(round + 1);
                 sizes.observe(round * 60);
-                work.record(5 * (round + 1));
             }
             let batch = staging.take();
             assert_eq!(batch.counter("ops"), round + 1, "one batch's work only");
-            assert_eq!(batch.virtual_clock_units, 5 * (round + 1));
+            assert_eq!(batch.histograms["sizes"].sum, round * 60);
             assert!(batch.counters.contains_key("never-incremented"));
             replica.absorb(&batch);
         }
         assert_eq!(source.snapshot().to_json(), replica.snapshot().to_json());
-        assert_eq!(replica.virtual_clock(), source.virtual_clock());
         // Everything was handed over; nothing was unregistered.
         let emptied = staging.snapshot();
-        assert_eq!(emptied.virtual_clock_units, 0);
         assert_eq!(emptied.counters.keys().len(), 2);
         assert!(emptied.counters.values().all(|&v| v == 0));
         assert_eq!(emptied.histograms["sizes"].count, 0);
-        assert_eq!(emptied.timings["work"].units, 0);
     }
 
     /// A full snapshot absorbed into a fresh registry reproduces it,
@@ -742,7 +571,6 @@ mod tests {
         source.counter("hits").add(7);
         source.counter("never-incremented");
         source.histogram("h", &[1, 2]).observe(2);
-        source.timer("t").record(9);
         let snap = source.snapshot();
 
         let replica = Telemetry::new();
@@ -759,7 +587,6 @@ mod tests {
         let t = Telemetry::new();
         t.counter("c").add(3);
         t.histogram("h", &[1, 4]).observe(2);
-        t.timer("w").record(6);
         let snap = t.snapshot();
         let value = crate::json::parse(snap.to_json().as_bytes()).expect("parses");
         assert_eq!(TelemetrySnapshot::from_json(&value), Ok(snap));
@@ -770,11 +597,10 @@ mod tests {
         let t = Telemetry::new();
         t.counter("stage1.probes_sent").add(12);
         t.histogram("stage2.redirects", &[0, 1, 2]).observe(1);
-        t.timer("stage1.sweep").record(12);
         let text = t.snapshot().render_text();
         assert!(text.contains("stage1.probes_sent"));
+        assert!(text.contains(" 12\n"));
         assert!(text.contains("stage2.redirects"));
-        assert!(text.contains("stage1.sweep"));
-        assert!(text.contains("12 virtual units"));
+        assert!(text.contains("≤1:1"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! "All honeypots send their logs to a central, append-only log under our
 //! control" — attackers who gain root on a honeypot cannot rewrite
-//! history. The API enforces append-only access: records can be added
-//! and snapshotted, never modified or removed.
+//! history. The API enforces append-only access: records can be added,
+//! read and snapshotted, never modified or removed.
 
 use nokeys_apps::{AppEvent, AppId};
 use nokeys_netsim::SimTime;
@@ -71,6 +71,16 @@ impl CentralLog {
         self.records.lock().expect("not poisoned").clone()
     }
 
+    /// Whether any record from index `from` on satisfies `pred`. Reads
+    /// in place: nothing is copied, so checking the tail of a long log
+    /// costs only that tail.
+    pub fn any_since(&self, from: usize, pred: impl Fn(&AuditRecord) -> bool) -> bool {
+        let records = self.records.lock().expect("not poisoned");
+        records
+            .get(from..)
+            .is_some_and(|tail| tail.iter().any(pred))
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.lock().expect("not poisoned").len()
@@ -106,6 +116,17 @@ mod tests {
         let snap = log.snapshot();
         assert!(snap[0].events.is_empty());
         assert_eq!(snap[1].events.len(), 1);
+    }
+
+    #[test]
+    fn any_since_reads_only_the_tail() {
+        let log = CentralLog::new();
+        log.append(record(vec![AppEvent::ShutdownRequested]));
+        log.append(record(vec![AppEvent::TerminalOpened]));
+        assert!(log.any_since(0, AuditRecord::is_attack_evidence));
+        assert!(!log.any_since(1, AuditRecord::is_attack_evidence));
+        assert!(!log.any_since(2, |_| true), "an empty tail matches nothing");
+        assert!(!log.any_since(3, |_| true), "past the end is an empty tail");
     }
 
     #[test]

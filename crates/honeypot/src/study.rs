@@ -157,10 +157,10 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
                 reason: RestoreReason::AvailabilityLost,
             });
         } else {
-            let compromised = fleet.log.snapshot()[log_before..]
-                .iter()
-                .any(|r| r.is_attack_evidence());
-            if compromised {
+            if fleet
+                .log
+                .any_since(log_before, AuditRecord::is_attack_evidence)
+            {
                 honeypot.monitored.restore();
                 restores.push(RestoreEvent {
                     time: planned.time,
