@@ -8,14 +8,15 @@
 //! checkpointing ever creates:
 //!
 //! ```text
-//! {"format":3,"fingerprint":{…},"total_batches":N}\n     header
+//! {"format":4,"fingerprint":{…},"total_batches":N}\n     header
 //! {"seq":17,"report":{…},"telemetry":{…}}\n              one per finished batch,
 //! {"seq":3,"report":{…},"telemetry":{…}}\n               in completion order
 //! ```
 //!
 //! A batch line holds the [`ScanReport`] of exactly that batch
 //! (stage-II/III outcomes included) and the [`TelemetrySnapshot`] of
-//! the work it took (its stage and retry counters and histograms).
+//! the work it took (its stage, retry and injected-fault counters and
+//! histograms).
 //! Batches are the engine's unit of determinism — the block shuffle is
 //! seeded and every batch is processed whole by one worker — so any set
 //! of logged batches plus a scan of the missing ones adds up to a
@@ -43,7 +44,7 @@
 //!
 //! A log is only meaningful under the configuration that produced it:
 //! the block shuffle (targets, seed), the probed ports, batch size,
-//! tarpit threshold and the retry policy all shape what "batch k"
+//! tarpit threshold and the retry budget all shape what "batch k"
 //! means. [`ConfigFingerprint`] captures exactly those knobs and
 //! [`CheckpointLog::resume`] refuses a log written under a different
 //! configuration, naming the first knob that differs. The shard count
@@ -66,8 +67,10 @@ use std::path::Path;
 
 /// On-disk format version of the checkpoint log; bumped on incompatible
 /// layout changes. (1 was the rewritten per-worker segment files; 2
-/// logged virtual-clock timings in each batch's telemetry.)
-pub const FORMAT_VERSION: u32 = 3;
+/// logged virtual-clock timings in each batch's telemetry; 3
+/// fingerprinted the retry backoff shape and jitter seed, and its
+/// batches lacked their injected-fault counts.)
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A checkpoint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,10 +125,6 @@ pub struct ConfigFingerprint {
     pub tarpit_port_threshold: usize,
     /// Retry budget (total attempts per network operation).
     pub retry_max_attempts: u32,
-    /// Retry backoff shape: (base, cap, jitter) in virtual units.
-    pub retry_backoff_units: (u64, u64, u64),
-    /// Seed of the retry jitter stream.
-    pub retry_seed: u64,
 }
 
 impl ConfigFingerprint {
@@ -143,12 +142,6 @@ impl ConfigFingerprint {
             blocks_per_batch: config.blocks_per_batch,
             tarpit_port_threshold: config.tarpit_port_threshold,
             retry_max_attempts: config.retry.attempts(),
-            retry_backoff_units: (
-                config.retry.base_units,
-                config.retry.cap_units,
-                config.retry.jitter_units,
-            ),
-            retry_seed: config.retry.seed,
         }
     }
 
@@ -175,19 +168,12 @@ impl ConfigFingerprint {
         if self.retry_max_attempts != other.retry_max_attempts {
             return Some("retry attempts");
         }
-        if self.retry_backoff_units != other.retry_backoff_units {
-            return Some("retry backoff");
-        }
-        if self.retry_seed != other.retry_seed {
-            return Some("retry seed");
-        }
         None
     }
 }
 
 impl ToJson for ConfigFingerprint {
     fn to_json(&self) -> Value {
-        let (base, cap, jitter) = self.retry_backoff_units;
         object([
             ("targets", self.targets.to_json()),
             ("ports", self.ports.to_json()),
@@ -199,20 +185,12 @@ impl ToJson for ConfigFingerprint {
                 self.tarpit_port_threshold.to_json(),
             ),
             ("retry_max_attempts", self.retry_max_attempts.to_json()),
-            ("retry_backoff_units", [base, cap, jitter].to_json()),
-            ("retry_seed", self.retry_seed.to_json()),
         ])
     }
 }
 
 impl FromJson for ConfigFingerprint {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let backoff: Vec<u64> = value.field("retry_backoff_units")?;
-        let &[base, cap, jitter] = backoff.as_slice() else {
-            return Err(JsonError::Shape(
-                "retry_backoff_units: expected [base, cap, jitter]".into(),
-            ));
-        };
         Ok(ConfigFingerprint {
             targets: value.field("targets")?,
             ports: value.field("ports")?,
@@ -221,8 +199,6 @@ impl FromJson for ConfigFingerprint {
             blocks_per_batch: value.field("blocks_per_batch")?,
             tarpit_port_threshold: value.field("tarpit_port_threshold")?,
             retry_max_attempts: value.field("retry_max_attempts")?,
-            retry_backoff_units: (base, cap, jitter),
-            retry_seed: value.field("retry_seed")?,
         })
     }
 }
@@ -525,8 +501,9 @@ mod tests {
         // Written by hand — `create` always writes the current format.
         // The rest of another layout is unknown, so only the version is
         // read: format 1 was a single pretty-printed document per file,
-        // format 2 a log whose batch snapshots carried timings.
-        for found in [FORMAT_VERSION + 1, 2, 1] {
+        // format 2 a log whose batch snapshots carried timings, format 3
+        // one whose batches lacked their injected-fault counts.
+        for found in [FORMAT_VERSION + 1, 3, 2, 1] {
             std::fs::write(&path, format!("{{\"format\": {found}}}\n")).unwrap();
             assert_eq!(
                 resume(&path).unwrap_err(),

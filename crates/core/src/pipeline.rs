@@ -226,7 +226,7 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Total attempts per network operation (probe, connect, fetch).
+    /// Total attempts per network operation (probe or connect).
     /// `0` and `1` both mean "no retries"; the default is 3. Keeps the
     /// rest of the configured [`RetryPolicy`] intact.
     pub fn retries(mut self, attempts: u32) -> Self {
@@ -439,7 +439,7 @@ impl BatchProcessor {
     pub(crate) fn new(config: &PipelineConfig, telemetry: &Telemetry) -> Self {
         BatchProcessor {
             telemetry: telemetry.clone(),
-            prefilter: Prefilter::with_telemetry_and_retry(telemetry, config.retry.clone()),
+            prefilter: Prefilter::with_telemetry(telemetry),
             fingerprinter: Fingerprinter::with_telemetry(telemetry),
             metrics: PipelineMetrics::new(telemetry),
             tarpit_port_threshold: config.tarpit_port_threshold,

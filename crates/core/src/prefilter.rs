@@ -7,7 +7,6 @@
 //! before the expensive stage III.
 
 use crate::multipattern::MultiPattern;
-use crate::retry::{RetryMetrics, RetryPolicy};
 use crate::scratch::Scratch;
 use crate::signatures::{all_signatures, rank_candidates, Signature};
 use crate::telemetry::{Counter, Histogram, Telemetry};
@@ -105,12 +104,6 @@ pub struct Prefilter {
     /// the body once instead of running 90 searches.
     matcher: &'static MultiPattern,
     metrics: PrefilterMetrics,
-    /// Whole-fetch retry budget for transient errors (a connection that
-    /// dies mid-response surfaces `UnexpectedEof`, which a fresh fetch
-    /// can recover from). Disabled for standalone prefilters; the
-    /// pipeline passes its configured policy.
-    retry: RetryPolicy,
-    fetch_retry: RetryMetrics,
 }
 
 impl Default for Prefilter {
@@ -127,20 +120,9 @@ impl Prefilter {
     /// Build a prefilter that records probe counts and per-signature
     /// hit counts into `telemetry`.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
-        Self::with_telemetry_and_retry(telemetry, RetryPolicy::disabled())
-    }
-
-    /// Like [`with_telemetry`](Self::with_telemetry), plus a retry
-    /// budget for transient fetch failures, accounted under
-    /// `retry.fetch.*`.
-    pub fn with_telemetry_and_retry(telemetry: &Telemetry, retry: RetryPolicy) -> Self {
-        let metrics = PrefilterMetrics::new(telemetry, &all_signatures());
-        let fetch_retry = RetryMetrics::new(telemetry, "fetch");
         Prefilter {
             matcher: MultiPattern::catalog(),
-            metrics,
-            retry,
-            fetch_retry,
+            metrics: PrefilterMetrics::new(telemetry, &all_signatures()),
         }
     }
 
@@ -170,11 +152,7 @@ impl Prefilter {
         let schemes = Self::schemes_for_port(ep.port);
         self.metrics.endpoints.incr();
         for &scheme in schemes {
-            // Whole fetch `f` is try `f << 16`: the transport layer's
-            // connect retries add their index below it, so no two tries
-            // share a fault draw.
-            let fetch = |attempt: u32| client.attempt(attempt << 16).get_path(ep, scheme, "/");
-            let fetched = match self.retry.run(ep, &self.fetch_retry, fetch) {
+            let fetched = match client.get_path(ep, scheme, "/") {
                 Ok(fetched) => fetched,
                 Err(e) => {
                     self.metrics.error(&e).incr();

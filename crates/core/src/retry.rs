@@ -2,45 +2,48 @@
 //!
 //! The paper's methodology tolerates transient loss — masscan SYN
 //! retransmits in stage I, rescans in §3.5 — and this module is the
-//! pipeline's equivalent: a [`RetryPolicy`] describing how many
-//! attempts an operation gets and how it backs off, and a
-//! [`RetryTransport`] wrapper that applies the policy at the transport
-//! layer. Stage-I probes retry on [`ProbeOutcome::Filtered`] (an
-//! unanswered SYN may be loss; an RST is a definite answer), connects
-//! retry on transient errors ([`nokeys_http::Error::is_transient`]), so
-//! stage II prefilter fetches, stage III plugin verification and the
-//! fingerprinter all inherit retries from one choke point. The
-//! prefilter additionally retries whole fetches through
-//! [`RetryPolicy::run`], which recovers connections that die
-//! mid-response. Each retry is a later try ([`Attempt::retry`]) of the
-//! one it repeats, so it draws a fault fate of its own.
+//! pipeline's equivalent: a [`RetryPolicy`] saying how many attempts
+//! an operation gets, and a [`RetryTransport`] wrapper that applies it
+//! at the transport layer. Stage-I probes retry on
+//! [`ProbeOutcome::Filtered`] (an unanswered SYN may be loss; an RST is
+//! a definite answer), connects retry on transient errors
+//! ([`nokeys_http::Error::is_transient`]), so stage II prefilter
+//! fetches, stage III plugin verification and the fingerprinter all
+//! inherit retries from one choke point. That choke point is the only
+//! retry loop: every dial of every stage makes at most
+//! [`RetryPolicy::max_attempts`] tries. Each retry is a later try
+//! ([`Attempt::retry`]) of the one it repeats, so it draws a fault fate
+//! of its own.
 //!
 //! Backoff is deterministic: delays are *virtual* units summed on a
-//! telemetry counter (`retry.<lane>.backoff_units`), with jitter drawn
-//! from a splitmix64 hash over `(seed, endpoint, attempt)`. No
-//! wall-clock sleep happens unless [`RetryPolicy::real_unit`] is
+//! telemetry counter (`retry.<lane>.backoff_units`), capped-exponential
+//! plus a jitter drawn from a splitmix64 hash over `(endpoint, try)`.
+//! No wall-clock sleep happens unless [`RetryPolicy::real_unit`] is
 //! non-zero, so simulated scans stay fast and byte-identical at any
 //! shard count; the real-socket CLI maps units to milliseconds.
 
 use crate::telemetry::{Counter, Telemetry};
 use nokeys_http::ip::Cidr;
-use nokeys_http::{Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
+use nokeys_http::{
+    Attempt, BlockSweepResult, Endpoint, FaultObserver, ProbeOutcome, Result, Scheme, Transport,
+};
 use std::time::Duration;
 
-/// Retry/backoff configuration.
+/// Backoff before the first retry, in virtual units.
+const BASE_UNITS: u64 = 100;
+/// Ceiling of the exponential backoff, in virtual units.
+const CAP_UNITS: u64 = 1_600;
+/// Largest jitter added to a backoff, in virtual units.
+const JITTER_MAX: u64 = 50;
+/// Seed of the jitter stream ("retry").
+const JITTER_SEED: u64 = 0x0072_6574_7279;
+
+/// Retry configuration: how many tries, and how long a virtual backoff
+/// unit lasts on the wall clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (1 = no retries).
     pub max_attempts: u32,
-    /// Backoff before the first retry, in virtual units.
-    pub base_units: u64,
-    /// Ceiling for the exponential backoff, in virtual units.
-    pub cap_units: u64,
-    /// Maximum deterministic jitter added to each backoff, in virtual
-    /// units.
-    pub jitter_units: u64,
-    /// Seed of the jitter stream.
-    pub seed: u64,
     /// Wall-clock duration of one virtual unit. `Duration::ZERO` (the
     /// default) records backoff without sleeping — correct for the
     /// simulator, where pacing real time would only slow tests down.
@@ -51,10 +54,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 3,
-            base_units: 100,
-            cap_units: 1_600,
-            jitter_units: 50,
-            seed: 0x0072_6574_7279, // "retry"
             real_unit: Duration::ZERO,
         }
     }
@@ -84,102 +83,56 @@ impl RetryPolicy {
     pub fn attempts(&self) -> u32 {
         self.max_attempts.max(1)
     }
-
-    /// Backoff after failed attempt number `attempt` (0-based): capped
-    /// exponential growth plus deterministic per-endpoint jitter.
-    pub fn backoff_units(&self, ep: Endpoint, attempt: u32) -> u64 {
-        let exp = self
-            .base_units
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.cap_units.max(self.base_units));
-        exp + self.jitter(ep, attempt)
-    }
-
-    /// Deterministic jitter in `0..=jitter_units`: a splitmix64
-    /// finalizer over `(seed, endpoint, attempt)`, so concurrent lanes
-    /// desynchronize without a shared random source.
-    fn jitter(&self, ep: Endpoint, attempt: u32) -> u64 {
-        if self.jitter_units == 0 {
-            return 0;
-        }
-        let mut x = self.seed
-            ^ (u64::from(u32::from(ep.ip)) << 16)
-            ^ u64::from(ep.port)
-            ^ (u64::from(attempt) << 48);
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        x % (self.jitter_units + 1)
-    }
-
-    /// Record `units` of backoff on `metrics` and, when `real_unit` is
-    /// non-zero, sleep the corresponding wall-clock time.
-    fn pause(&self, metrics: &RetryMetrics, units: u64) {
-        metrics.backoff_units.add(units);
-        if self.real_unit > Duration::ZERO {
-            let factor = units.min(u64::from(u32::MAX)) as u32;
-            std::thread::sleep(self.real_unit.saturating_mul(factor));
-        }
-    }
-
-    /// Run `op` under this policy, retrying transient errors with
-    /// backoff and accounting on `metrics`. `op` is handed its attempt
-    /// index (0-based), so each try can draw a fate of its own. Terminal
-    /// errors return immediately; a transient error on the final attempt
-    /// counts as exhausted.
-    pub fn run<T>(
-        &self,
-        ep: Endpoint,
-        metrics: &RetryMetrics,
-        mut op: impl FnMut(u32) -> Result<T>,
-    ) -> Result<T> {
-        let max = self.attempts();
-        for attempt in 0..max {
-            match op(attempt) {
-                Ok(value) => {
-                    if attempt > 0 {
-                        metrics.recovered.incr();
-                    }
-                    return Ok(value);
-                }
-                Err(e) if e.is_transient() && attempt + 1 < max => {
-                    metrics.retries.incr();
-                    self.pause(metrics, self.backoff_units(ep, attempt));
-                }
-                Err(e) => {
-                    if e.is_transient() {
-                        metrics.exhausted.incr();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        unreachable!("retry loop returns within its attempt budget")
-    }
 }
 
-/// Cached telemetry handles for one retry lane (`probe`, `connect`,
-/// `fetch`).
+/// Backoff after failed try `attempt` (0-based) at `ep`: capped
+/// exponential growth plus deterministic per-endpoint jitter.
+fn backoff_units(ep: Endpoint, attempt: u32) -> u64 {
+    exponential(attempt) + jitter(ep, attempt)
+}
+
+/// The capped-exponential part of [`backoff_units`].
+fn exponential(attempt: u32) -> u64 {
+    BASE_UNITS
+        .saturating_mul(1u64 << attempt.min(16))
+        .min(CAP_UNITS)
+}
+
+/// Deterministic jitter in `0..=JITTER_MAX`: a splitmix64 finalizer
+/// over `(seed, endpoint, attempt)`, so concurrent lanes desynchronize
+/// without a shared random source.
+fn jitter(ep: Endpoint, attempt: u32) -> u64 {
+    let mut x = JITTER_SEED
+        ^ (u64::from(u32::from(ep.ip)) << 16)
+        ^ u64::from(ep.port)
+        ^ (u64::from(attempt) << 48);
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    x % (JITTER_MAX + 1)
+}
+
+/// Cached telemetry handles for one retry lane (`probe`, `connect`).
 #[derive(Debug, Clone)]
-pub struct RetryMetrics {
+struct RetryMetrics {
     /// `retry.<lane>.retries` — retries performed (a second or later
     /// attempt was started).
-    pub retries: Counter,
+    retries: Counter,
     /// `retry.<lane>.recovered` — operations that failed at least once
     /// and then succeeded within the budget.
-    pub recovered: Counter,
+    recovered: Counter,
     /// `retry.<lane>.exhausted` — transient failures with no attempt
     /// budget left.
-    pub exhausted: Counter,
+    exhausted: Counter,
     /// `retry.<lane>.backoff_units` — virtual backoff units paused.
-    pub backoff_units: Counter,
+    backoff_units: Counter,
 }
 
 impl RetryMetrics {
-    pub fn new(telemetry: &Telemetry, lane: &str) -> Self {
+    fn new(telemetry: &Telemetry, lane: &str) -> Self {
         RetryMetrics {
             retries: telemetry.counter(&format!("retry.{lane}.retries")),
             recovered: telemetry.counter(&format!("retry.{lane}.recovered")),
@@ -220,6 +173,19 @@ impl<T> RetryTransport<T> {
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy
     }
+
+    /// Meter a retry on `lane` after failed try `attempt` at `ep`, and
+    /// back off before it: record the units and, when
+    /// [`RetryPolicy::real_unit`] is non-zero, sleep them.
+    fn back_off(&self, lane: &RetryMetrics, ep: Endpoint, attempt: u32) {
+        let units = backoff_units(ep, attempt);
+        lane.retries.incr();
+        lane.backoff_units.add(units);
+        if self.policy.real_unit > Duration::ZERO {
+            let factor = units.min(u64::from(u32::MAX)) as u32;
+            std::thread::sleep(self.policy.real_unit.saturating_mul(factor));
+        }
+    }
 }
 
 impl<T: Transport> RetryTransport<T> {
@@ -234,9 +200,7 @@ impl<T: Transport> RetryTransport<T> {
         let max = self.policy.attempts();
         let (mut attempt, mut outcome) = (0, ProbeOutcome::Filtered);
         while outcome == ProbeOutcome::Filtered && attempt + 1 < max {
-            self.probe.retries.incr();
-            self.policy
-                .pause(&self.probe, self.policy.backoff_units(ep, attempt));
+            self.back_off(&self.probe, ep, attempt);
             attempt += 1;
             outcome = self.inner.probe(ep, first.retry(attempt));
         }
@@ -275,10 +239,36 @@ impl<T: Transport> Transport for RetryTransport<T> {
         result
     }
 
+    /// Dial, retrying transient errors with backoff, each retry a later
+    /// try of `attempt`. A terminal error returns at once; a transient
+    /// one on the last try counts as exhausted.
     fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
-        self.policy.run(ep, &self.connect, |k| {
-            self.inner.connect(ep, scheme, attempt.retry(k))
-        })
+        let max = self.policy.attempts();
+        let mut k = 0;
+        loop {
+            match self.inner.connect(ep, scheme, attempt.retry(k)) {
+                Ok(conn) => {
+                    if k > 0 {
+                        self.connect.recovered.incr();
+                    }
+                    return Ok(conn);
+                }
+                Err(e) if e.is_transient() && k + 1 < max => {
+                    self.back_off(&self.connect, ep, k);
+                    k += 1;
+                }
+                Err(e) => {
+                    if e.is_transient() {
+                        self.connect.exhausted.incr();
+                    }
+                    return Err(e);
+                }
+            }
+        }
+    }
+
+    fn report_faults_to(&mut self, observer: FaultObserver) {
+        self.inner.report_faults_to(observer);
     }
 }
 
@@ -368,7 +358,7 @@ mod tests {
             RetryPolicy::with_attempts(3),
             &telemetry,
         );
-        let base = 7 << 16;
+        let base = 7;
         let fetch = Attempt {
             target: "/",
             n: base,
@@ -381,25 +371,26 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            jitter_units: 0,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.backoff_units(ep(), 0), 100);
-        assert_eq!(policy.backoff_units(ep(), 1), 200);
-        assert_eq!(policy.backoff_units(ep(), 2), 400);
-        assert_eq!(policy.backoff_units(ep(), 10), 1_600, "capped");
-        assert_eq!(policy.backoff_units(ep(), 63), 1_600, "shift stays sane");
+        assert_eq!(exponential(0), 100);
+        assert_eq!(exponential(1), 200);
+        assert_eq!(exponential(2), 400);
+        assert_eq!(exponential(10), 1_600, "capped");
+        assert_eq!(exponential(63), 1_600, "shift stays sane");
+        for attempt in [0, 1, 2, 10, 63] {
+            assert_eq!(
+                backoff_units(ep(), attempt),
+                exponential(attempt) + jitter(ep(), attempt)
+            );
+        }
     }
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::default();
-        let a = policy.backoff_units(ep(), 0);
-        assert_eq!(a, policy.backoff_units(ep(), 0), "same key, same jitter");
+        let a = backoff_units(ep(), 0);
+        assert_eq!(a, backoff_units(ep(), 0), "same key, same jitter");
         assert!((100..=150).contains(&a), "{a}");
         let other = Endpoint::new(Ipv4Addr::new(192, 0, 2, 2), 80);
-        assert!((100..=150).contains(&policy.backoff_units(other, 0)));
+        assert!((100..=150).contains(&backoff_units(other, 0)));
     }
 
     #[test]
@@ -461,33 +452,34 @@ mod tests {
         assert_eq!(snap.counter("retry.connect.recovered"), 0);
     }
 
+    /// A connection that dies before the response is transient: the
+    /// next dial may get through, and the lane meters the recovery.
     #[test]
-    fn run_recovers_transient_failures() {
+    fn connect_recovers_transient_failures() {
         let telemetry = Telemetry::new();
-        let metrics = RetryMetrics::new(&telemetry, "fetch");
-        let policy = RetryPolicy::with_attempts(3);
-        let result = policy.run(ep(), &metrics, |attempt| {
-            if attempt < 2 {
-                Err(Error::UnexpectedEof)
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(result, Ok(2));
+        let handler = Arc::new(|_: &nokeys_http::Request, _| nokeys_http::Response::html("up"));
+        let mounted = HandlerTransport::new().with(ep(), handler);
+        let flaky = Flaky::new(mounted, 2, Error::UnexpectedEof);
+        let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
+        assert!(t.connect(ep(), Scheme::Http, Attempt::FIRST).is_ok());
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("retry.fetch.retries"), 2);
-        assert_eq!(snap.counter("retry.fetch.recovered"), 1);
+        assert_eq!(snap.counter("retry.connect.retries"), 2);
+        assert_eq!(snap.counter("retry.connect.recovered"), 1);
+        assert_eq!(snap.counter("retry.connect.exhausted"), 0);
     }
 
     #[test]
-    fn run_with_single_attempt_counts_exhaustion() {
+    fn connect_with_single_attempt_counts_exhaustion() {
         let telemetry = Telemetry::new();
-        let metrics = RetryMetrics::new(&telemetry, "fetch");
-        let result: Result<()> =
-            RetryPolicy::disabled().run(ep(), &metrics, |_| Err(Error::Timeout));
-        assert_eq!(result, Err(Error::Timeout));
+        let flaky = Flaky::new(HandlerTransport::new(), 1, Error::Timeout);
+        let t = RetryTransport::new(flaky, RetryPolicy::disabled(), &telemetry);
+        assert!(matches!(
+            t.connect(ep(), Scheme::Http, Attempt::FIRST),
+            Err(Error::Timeout)
+        ));
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("retry.fetch.retries"), 0);
-        assert_eq!(snap.counter("retry.fetch.exhausted"), 1);
+        assert_eq!(snap.counter("retry.connect.retries"), 0);
+        assert_eq!(snap.counter("retry.connect.exhausted"), 1);
+        assert_eq!(snap.counter("retry.connect.backoff_units"), 0);
     }
 }

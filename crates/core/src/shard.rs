@@ -48,7 +48,10 @@
 //! * Fault injection draws each fate as a pure function of `(lane,
 //!   endpoint, instant, request target, try)`: no draw depends on which
 //!   worker, batch or process made it, or on what ran before — so
-//!   fault-injected replays shard and resume exactly, too.
+//!   fault-injected replays shard and resume exactly, too. Each worker
+//!   has its transport report injected faults
+//!   ([`Transport::report_faults_to`]) to its staging registry as
+//!   `fault.<lane>.injected`, so a logged batch carries its faults.
 //!
 //! Which worker runs which batch is timing-dependent, so nothing about
 //! scheduling ever enters a report or the telemetry registry.
@@ -74,11 +77,11 @@ use crate::rate::SharedPacer;
 use crate::report::ScanReport;
 use crate::retry::RetryTransport;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use nokeys_http::{Client, Transport};
+use nokeys_http::{Client, FaultLane, Transport};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The scan's one piece of shared state: every finished batch's report
 /// by batch sequence number, plus one registry holding the telemetry of
@@ -180,8 +183,19 @@ impl<'a, T: Transport + Clone> BatchRunner<'a, T> {
         let staging = Telemetry::new();
         let scanner = PortScanner::with_telemetry(config.portscan.clone(), &staging);
         let processor = BatchProcessor::new(config, &staging);
+        // A fault counts in the batch that drew it, so a checkpoint logs
+        // it with the batch's other counters.
+        let faults = staging.clone();
+        let mut transport = client.transport().clone();
+        transport.report_faults_to(Arc::new(move |lane| {
+            let name = match lane {
+                FaultLane::Probe => "fault.probe.injected",
+                FaultLane::Connect => "fault.connect.injected",
+            };
+            faults.counter(name).incr();
+        }));
         let client = client.with_transport(RetryTransport::new(
-            client.transport().clone(),
+            transport,
             config.retry.clone(),
             &staging,
         ));

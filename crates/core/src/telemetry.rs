@@ -8,9 +8,9 @@
 //! outcomes, the fingerprinter its method mix, the longevity observer
 //! its per-round status transitions, and the honeypot monitor its
 //! attack-rate counters. The retry layer accounts per-lane under
-//! `retry.{probe,connect,fetch}.{retries,recovered,exhausted}` plus the
-//! `retry.<lane>.backoff_units` it paused for, and the repro harness
-//! bridges the simulator's injected faults in as
+//! `retry.{probe,connect}.{retries,recovered,exhausted}` plus the
+//! `retry.<lane>.backoff_units` it paused for, and each scan worker
+//! counts the faults its transport injects as
 //! `fault.{probe,connect}.injected` — which is what lets a snapshot
 //! reconcile "faults injected" against "retries spent".
 //!

@@ -10,12 +10,10 @@
 
 use crate::logserver::CentralLog;
 use crate::monitor::MonitoredApp;
-use crate::ClockCell;
 use nokeys_apps::version::history;
 use nokeys_apps::{build_instance, AppConfig, AppId, Version};
 use nokeys_http::memory::HandlerTransport;
 use nokeys_http::Endpoint;
-use nokeys_netsim::SimTime;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -31,7 +29,6 @@ pub struct Honeypot {
 pub struct Fleet {
     pub honeypots: Vec<Honeypot>,
     pub log: Arc<CentralLog>,
-    pub clock: Arc<ClockCell>,
     /// Transport with every honeypot mounted.
     pub transport: HandlerTransport,
 }
@@ -40,7 +37,6 @@ impl Fleet {
     /// Deploy the full fleet. Honeypot addresses live in 64.90.1.0/24.
     pub fn deploy() -> Fleet {
         let log = Arc::new(CentralLog::new());
-        let clock = Arc::new(ClockCell::new(SimTime::HONEYPOT_START));
         let mut transport = HandlerTransport::new();
         let mut honeypots = Vec::new();
 
@@ -52,12 +48,7 @@ impl Fleet {
                 "{app} honeypot not vulnerable"
             );
             let instance = build_instance(app, version, config);
-            let monitored = Arc::new(MonitoredApp::new(
-                app,
-                instance,
-                Arc::clone(&log),
-                Arc::clone(&clock),
-            ));
+            let monitored = Arc::new(MonitoredApp::new(app, instance, Arc::clone(&log)));
             let endpoint =
                 Endpoint::new(Ipv4Addr::new(64, 90, 1, (i + 1) as u8), app.scan_ports()[0]);
             transport.mount(
@@ -74,7 +65,6 @@ impl Fleet {
         Fleet {
             honeypots,
             log,
-            clock,
             transport,
         }
     }
@@ -82,11 +72,6 @@ impl Fleet {
     /// The honeypot running `app`.
     pub fn honeypot(&self, app: AppId) -> Option<&Honeypot> {
         self.honeypots.iter().find(|h| h.app == app)
-    }
-
-    /// Set the fleet's virtual time.
-    pub fn set_time(&self, t: SimTime) {
-        self.clock.set(t);
     }
 }
 

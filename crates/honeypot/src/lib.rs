@@ -25,28 +25,6 @@ pub mod monitor;
 pub mod resource;
 pub mod study;
 
-/// Shared virtual-clock cell: the study driver sets the time, every
-/// monitor stamps its audit records with it.
-#[derive(Debug)]
-pub struct ClockCell(std::sync::atomic::AtomicI64);
-
-impl ClockCell {
-    pub fn new(t: nokeys_netsim::SimTime) -> Self {
-        ClockCell(std::sync::atomic::AtomicI64::new(t.as_secs()))
-    }
-
-    /// The current virtual time.
-    pub fn get(&self) -> nokeys_netsim::SimTime {
-        nokeys_netsim::SimTime(self.0.load(std::sync::atomic::Ordering::SeqCst))
-    }
-
-    /// Move the clock to `t`.
-    pub fn set(&self, t: nokeys_netsim::SimTime) {
-        self.0
-            .store(t.as_secs(), std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
 pub use cluster::{cluster_actors, unique_attacks, ActorCluster};
 pub use deploy::{Fleet, Honeypot};
 pub use detect::{detect_attacks, Attack};

@@ -3,7 +3,9 @@
 //! "All honeypots send their logs to a central, append-only log under our
 //! control" — attackers who gain root on a honeypot cannot rewrite
 //! history. The API enforces append-only access: records can be added,
-//! read and snapshotted, never modified or removed.
+//! read and snapshotted, never removed. The one field written after
+//! the append is the time, which the driver that delivered the requests
+//! stamps — the collector's ingest timestamp.
 
 use nokeys_apps::{AppEvent, AppId};
 use nokeys_netsim::SimTime;
@@ -81,6 +83,15 @@ impl CentralLog {
             .is_some_and(|tail| tail.iter().any(pred))
     }
 
+    /// Stamp every record from index `from` on with `time`, the instant
+    /// the driver delivered the requests that produced them.
+    pub fn stamp_since(&self, from: usize, time: SimTime) {
+        let mut records = self.records.lock().expect("not poisoned");
+        for record in records.iter_mut().skip(from) {
+            record.time = time;
+        }
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.lock().expect("not poisoned").len()
@@ -127,6 +138,19 @@ mod tests {
         assert!(!log.any_since(1, AuditRecord::is_attack_evidence));
         assert!(!log.any_since(2, |_| true), "an empty tail matches nothing");
         assert!(!log.any_since(3, |_| true), "past the end is an empty tail");
+    }
+
+    #[test]
+    fn stamp_since_times_only_the_tail() {
+        let log = CentralLog::new();
+        log.append(record(vec![]));
+        log.stamp_since(0, SimTime(60));
+        log.append(record(vec![]));
+        log.append(record(vec![]));
+        log.stamp_since(1, SimTime(120));
+        log.stamp_since(3, SimTime(999));
+        let times: Vec<SimTime> = log.snapshot().iter().map(|r| r.time).collect();
+        assert_eq!(times, [SimTime(60), SimTime(120), SimTime(120)]);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Per-honeypot monitoring: every request and the application events it
-//! triggers are shipped to the central log, stamped with virtual time.
+//! triggers are shipped to the central log. A monitor does not know the
+//! time; whoever delivers the requests stamps their records with the
+//! instant of delivery ([`CentralLog::stamp_since`]).
 
 use crate::logserver::{AuditRecord, CentralLog};
 use crate::resource::ResourceGauge;
-use crate::ClockCell;
 use nokeys_apps::{AppId, WebApp};
 use nokeys_http::server::Handler;
 use nokeys_http::{Request, Response};
+use nokeys_netsim::SimTime;
 use nokeys_scanner::telemetry::{Counter, Telemetry};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,7 +46,6 @@ pub struct MonitoredApp {
     app: AppId,
     instance: Mutex<Box<dyn WebApp>>,
     log: Arc<CentralLog>,
-    clock: Arc<ClockCell>,
     gauge: Arc<ResourceGauge>,
     metrics: MonitorMetrics,
     /// Service availability: a vigilante shutdown takes the app down
@@ -53,13 +54,8 @@ pub struct MonitoredApp {
 }
 
 impl MonitoredApp {
-    pub fn new(
-        app: AppId,
-        instance: Box<dyn WebApp>,
-        log: Arc<CentralLog>,
-        clock: Arc<ClockCell>,
-    ) -> Self {
-        Self::with_telemetry(app, instance, log, clock, &Telemetry::default())
+    pub fn new(app: AppId, instance: Box<dyn WebApp>, log: Arc<CentralLog>) -> Self {
+        Self::with_telemetry(app, instance, log, &Telemetry::default())
     }
 
     /// [`MonitoredApp::new`] recording attack-rate counters
@@ -70,14 +66,12 @@ impl MonitoredApp {
         app: AppId,
         instance: Box<dyn WebApp>,
         log: Arc<CentralLog>,
-        clock: Arc<ClockCell>,
         telemetry: &Telemetry,
     ) -> Self {
         MonitoredApp {
             app,
             instance: Mutex::new(instance),
             log,
-            clock,
             gauge: Arc::new(ResourceGauge::new()),
             metrics: MonitorMetrics::new(telemetry),
             up: AtomicBool::new(true),
@@ -124,7 +118,6 @@ impl Handler for MonitoredApp {
                 .with_body("connection refused");
         }
         let outcome = self.instance().handle(req, peer);
-        let time = self.clock.get();
         self.gauge.note_events(&outcome.events);
         if outcome
             .events
@@ -137,7 +130,8 @@ impl Handler for MonitoredApp {
         let mut body_excerpt = req.body_text();
         body_excerpt.truncate(160);
         let record = AuditRecord {
-            time,
+            // Until the driver stamps the instant of delivery.
+            time: SimTime::HONEYPOT_START,
             honeypot: self.app,
             peer,
             request_line: format!("{} {}", req.method, req.target),
@@ -156,28 +150,23 @@ impl Handler for MonitoredApp {
 mod tests {
     use super::*;
     use nokeys_apps::{build_instance, release_history, AppConfig};
-    use nokeys_netsim::SimTime;
 
-    fn monitored(app: AppId) -> (MonitoredApp, Arc<CentralLog>, Arc<ClockCell>) {
+    fn monitored(app: AppId) -> (MonitoredApp, Arc<CentralLog>) {
         let v = *release_history(app).last().unwrap();
         let cfg = AppConfig::vulnerable_for(app, &v);
         let log = Arc::new(CentralLog::new());
-        let clock = Arc::new(ClockCell::new(SimTime::HONEYPOT_START));
-        let m = MonitoredApp::new(
-            app,
-            build_instance(app, v, cfg),
-            Arc::clone(&log),
-            Arc::clone(&clock),
-        );
-        (m, log, clock)
+        let m = MonitoredApp::new(app, build_instance(app, v, cfg), Arc::clone(&log));
+        (m, log)
     }
 
+    /// The record carries the peer as the monitor saw it and the time
+    /// the delivering driver stamps on it.
     #[test]
     fn requests_are_audited_with_time_and_peer() {
-        let (m, log, clock) = monitored(AppId::Hadoop);
-        clock.set(SimTime(1000));
+        let (m, log) = monitored(AppId::Hadoop);
         let attacker = Ipv4Addr::new(81, 2, 0, 5);
         m.handle(&Request::get("/cluster/cluster"), attacker);
+        log.stamp_since(0, SimTime(1000));
         let snap = log.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].time, SimTime(1000));
@@ -188,7 +177,7 @@ mod tests {
 
     #[test]
     fn executions_raise_the_gauge_and_are_evidence() {
-        let (m, log, _) = monitored(AppId::Hadoop);
+        let (m, log) = monitored(AppId::Hadoop);
         let attacker = Ipv4Addr::new(81, 2, 0, 5);
         m.handle(
             &Request::post(
@@ -203,7 +192,7 @@ mod tests {
 
     #[test]
     fn vigilante_takes_the_service_down_until_restore() {
-        let (m, _, _) = monitored(AppId::JupyterLab);
+        let (m, _) = monitored(AppId::JupyterLab);
         let attacker = Ipv4Addr::new(81, 2, 0, 9);
         m.handle(&Request::post("/api/terminals/1", "shutdown"), attacker);
         assert!(!m.is_up());
@@ -219,7 +208,6 @@ mod tests {
     fn telemetry_counts_attack_rate_across_honeypots() {
         let telemetry = Telemetry::new();
         let log = Arc::new(CentralLog::new());
-        let clock = Arc::new(ClockCell::new(SimTime::HONEYPOT_START));
         let mounted: Vec<MonitoredApp> = [AppId::Hadoop, AppId::JupyterLab]
             .into_iter()
             .map(|app| {
@@ -228,7 +216,6 @@ mod tests {
                     app,
                     build_instance(app, v, AppConfig::vulnerable_for(app, &v)),
                     Arc::clone(&log),
-                    Arc::clone(&clock),
                     &telemetry,
                 )
             })
@@ -281,7 +268,7 @@ mod tests {
                 Ok(())
             }
         }
-        let (m, log, _) = monitored(AppId::Hadoop);
+        let (m, log) = monitored(AppId::Hadoop);
         let peer = Ipv4Addr::new(81, 2, 0, 5);
         // Both requests land in one read; the second asks to close so
         // the serve loop terminates.
@@ -305,7 +292,7 @@ mod tests {
 
     #[test]
     fn restore_reverts_trust_on_first_use_state() {
-        let (m, _, _) = monitored(AppId::WordPress);
+        let (m, _) = monitored(AppId::WordPress);
         let attacker = Ipv4Addr::new(81, 2, 0, 7);
         assert!(m.is_vulnerable());
         m.handle(

@@ -101,17 +101,9 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
             .unwrap_or(false)
         {
             let (t, ep) = noise_iter.next().expect("peeked");
-            fleet.set_time(t);
-            let client = Client::new(
-                fleet
-                    .transport
-                    .clone()
-                    .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
-            );
-            let _ = client.get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
+            crawl(&fleet, t, ep);
         }
 
-        fleet.set_time(planned.time);
         let honeypot = fleet
             .honeypot(planned.app)
             .expect("plan only targets deployed applications");
@@ -140,6 +132,7 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
             );
             let _ = client.execute(&url, req);
         }
+        fleet.log.stamp_since(log_before, planned.time);
 
         // Post-attack procedures.
         if honeypot.monitored.gauge().threshold_exceeded() {
@@ -173,14 +166,7 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
 
     // Drain remaining noise.
     for (t, ep) in noise_iter {
-        fleet.set_time(t);
-        let client = Client::new(
-            fleet
-                .transport
-                .clone()
-                .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
-        );
-        let _ = client.get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
+        crawl(&fleet, t, ep);
     }
 
     let records = fleet.log.snapshot();
@@ -193,6 +179,20 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
         actors,
         restores,
     }
+}
+
+/// The benign crawler fetches `ep`'s root at `t`; its audit records are
+/// stamped with `t`.
+fn crawl(fleet: &Fleet, t: SimTime, ep: nokeys_http::Endpoint) {
+    let before = fleet.log.len();
+    let client = Client::new(
+        fleet
+            .transport
+            .clone()
+            .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
+    );
+    let _ = client.get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
+    fleet.log.stamp_since(before, t);
 }
 
 #[cfg(test)]

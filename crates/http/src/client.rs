@@ -55,8 +55,6 @@ pub struct Client<T> {
     config: ClientConfig,
     /// Name-based virtual host every request is addressed to, if any.
     host: Option<String>,
-    /// Try number every connection of this client is made as.
-    attempt: u32,
 }
 
 impl<T: Transport> Client<T> {
@@ -71,7 +69,6 @@ impl<T: Transport> Client<T> {
             transport,
             config,
             host: None,
-            attempt: 0,
         }
     }
 
@@ -93,7 +90,6 @@ impl<T: Transport> Client<T> {
             transport,
             config: self.config.clone(),
             host: self.host.clone(),
-            attempt: self.attempt,
         }
     }
 
@@ -105,14 +101,6 @@ impl<T: Transport> Client<T> {
     pub fn for_host(&self, name: &str) -> Client<&T> {
         let mut client = self.with_transport(&self.transport);
         client.host = Some(name.to_string());
-        client
-    }
-
-    /// A client over the same transport whose connections are try `n`
-    /// of a caller's retry loop (the `n` of every [`Attempt`]).
-    pub fn attempt(&self, n: u32) -> Client<&T> {
-        let mut client = self.with_transport(&self.transport);
-        client.attempt = n;
         client
     }
 
@@ -143,8 +131,10 @@ impl<T: Transport> Client<T> {
         let wire = encode_request(&req);
 
         let deadline = Instant::now() + self.config.request_timeout;
-        let (target, n) = (req.target.as_str(), self.attempt);
-        let attempt = Attempt { target, n };
+        let attempt = Attempt {
+            target: &req.target,
+            n: 0,
+        };
         let mut conn = self.transport.connect(ep, url.scheme, attempt)?;
         exchange_once(&mut conn, &wire, head_method, &self.config.limits, deadline)
     }

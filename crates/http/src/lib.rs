@@ -44,6 +44,8 @@ pub use method::Method;
 pub use request::Request;
 pub use response::Response;
 pub use status::StatusCode;
-pub use transport::{Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Scheme, Transport};
+pub use transport::{
+    Attempt, BlockSweepResult, Endpoint, FaultLane, FaultObserver, ProbeOutcome, Scheme, Transport,
+};
 pub use url::Url;
 pub use version::Version;

@@ -10,6 +10,7 @@ use crate::error::{Error, Result};
 use crate::ip::Cidr;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Connection scheme. TLS is modeled, not implemented: the simulated
@@ -155,6 +156,22 @@ impl Attempt<'_> {
     }
 }
 
+/// The operation a fault-injecting transport fails on purpose. Each
+/// discriminant is its lane's hash tag, so probe and connect tries with
+/// otherwise equal keys draw independent fates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FaultLane {
+    /// Stage-I SYN probe: an injected fault drops the answer, so the
+    /// endpoint reads as [`ProbeOutcome::Filtered`].
+    Probe = 0x50,
+    /// Connection establishment: an injected fault times the attempt
+    /// out ([`Error::Timeout`]).
+    Connect = 0x43,
+}
+
+/// Told the lane of every fault a transport injects.
+pub type FaultObserver = Arc<dyn Fn(FaultLane) + Send + Sync>;
+
 /// Blocking transport used by the scanner, the client and the honeypots.
 ///
 /// Implementations: [`TcpTransport`] (real sockets) and
@@ -191,6 +208,15 @@ pub trait Transport: Send + Sync {
             addresses_probed: block.size(),
             bulk_closed: 0,
         }
+    }
+
+    /// From now on, report every fault this transport injects to
+    /// `observer`, in place of wherever its faults went before, so a
+    /// caller can count a unit of work's faults with the rest of its
+    /// telemetry. A transport that injects no faults ignores it; a
+    /// wrapper passes it on to the transport it wraps.
+    fn report_faults_to(&mut self, observer: FaultObserver) {
+        let _ = observer;
     }
 }
 

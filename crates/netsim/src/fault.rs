@@ -18,22 +18,11 @@ use crate::ip::Cidr;
 use crate::rng::{mix64, unit_interval};
 use crate::transport::SimTransport;
 use nokeys_http::{
-    Attempt, BlockSweepResult, Endpoint, Error, ProbeOutcome, Result, Scheme, Transport,
+    Attempt, BlockSweepResult, Endpoint, Error, FaultLane, FaultObserver, ProbeOutcome, Result,
+    Scheme, Transport,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Which operation a fault decision applies to. Probe and connect
-/// tries with otherwise equal keys draw independent fates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultLane {
-    /// Stage-I SYN probe: an injected fault drops the answer, so the
-    /// endpoint reads as [`ProbeOutcome::Filtered`].
-    Probe = 0x50,
-    /// Connection establishment: an injected fault times the attempt
-    /// out ([`Error::Timeout`]).
-    Connect = 0x43,
-}
 
 /// Counts of injected faults, shared across clones of a plan.
 #[derive(Debug, Default)]
@@ -59,16 +48,14 @@ impl FaultStats {
     }
 }
 
-type Observer = Arc<dyn Fn(FaultLane) + Send + Sync>;
-
 /// Deterministic fault schedule over `(lane, endpoint, instant, target,
-/// try number)`. Clones share the stats and the observer.
+/// try number)`. Clones share the stats.
 #[derive(Clone)]
 pub struct FaultPlan {
     rate: f64,
     seed: u64,
     stats: Arc<FaultStats>,
-    observer: Option<Observer>,
+    observer: Option<FaultObserver>,
 }
 
 impl std::fmt::Debug for FaultPlan {
@@ -95,14 +82,6 @@ impl FaultPlan {
             stats: Arc::new(FaultStats::default()),
             observer: None,
         }
-    }
-
-    /// Attach a callback invoked on every injected fault — the repro
-    /// harness bridges this into its telemetry registry (`fault.*`
-    /// counters) without netsim depending on the scanner crate.
-    pub fn with_observer(mut self, observer: impl Fn(FaultLane) + Send + Sync + 'static) -> Self {
-        self.observer = Some(Arc::new(observer));
-        self
     }
 
     /// Shared injected-fault counts.
@@ -221,6 +200,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             *outcome = self.answer(*ep, Attempt::FIRST, *outcome);
         }
         result
+    }
+
+    /// Report this transport's faults to `observer` — how the scanner
+    /// and the repro harness count them as `fault.*` without netsim
+    /// depending on the scanner crate.
+    fn report_faults_to(&mut self, observer: FaultObserver) {
+        self.plan.observer = Some(observer);
     }
 }
 
@@ -385,16 +371,32 @@ mod tests {
         assert_eq!(u64::from(fired), plan.stats().connect_injected());
     }
 
+    /// Every injected fault reaches the observer a transport was told
+    /// to report to. A clone told to report elsewhere reports its own
+    /// faults there alone; the original keeps its observer, and both
+    /// count in the shared stats.
     #[test]
     fn observer_sees_every_injected_fault() {
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = Arc::clone(&seen);
-        let plan = FaultPlan::new(1.0, 5).with_observer(move |_| {
-            seen2.fetch_add(1, Ordering::Relaxed);
-        });
+        let (old, new) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let counts = |seen: &Arc<AtomicU64>| -> FaultObserver {
+            let seen = Arc::clone(seen);
+            Arc::new(move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let inner = nokeys_http::memory::HandlerTransport::new();
+        let mut original = FaultyTransport::new(inner, FaultPlan::new(1.0, 5));
+        original.report_faults_to(counts(&old));
+        let mut rerouted = original.clone();
+        rerouted.report_faults_to(counts(&new));
         for n in 0..10 {
-            plan.fires(FaultLane::Connect, ep(4, 22), SimTime(0), nth(n));
+            assert!(original.connect(ep(4, 22), Scheme::Http, nth(n)).is_err());
         }
-        assert_eq!(seen.load(Ordering::Relaxed), 10);
+        for n in 0..3 {
+            assert!(rerouted.connect(ep(4, 22), Scheme::Http, nth(n)).is_err());
+        }
+        assert_eq!(old.load(Ordering::Relaxed), 10);
+        assert_eq!(new.load(Ordering::Relaxed), 3);
+        assert_eq!(original.plan().stats().connect_injected(), 13);
     }
 }

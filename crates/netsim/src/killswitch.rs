@@ -15,7 +15,9 @@
 //! log the dead one left behind.
 
 use crate::ip::Cidr;
-use nokeys_http::{Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Result, Scheme, Transport};
+use nokeys_http::{
+    Attempt, BlockSweepResult, Endpoint, FaultObserver, ProbeOutcome, Result, Scheme, Transport,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -119,6 +121,10 @@ impl<T: Transport> Transport for KillableTransport<T> {
         // budgets do not depend on how sparse the universe is.
         self.switch.admit(block.size() * ports.len() as u64);
         self.inner.sweep_block(block, ports)
+    }
+
+    fn report_faults_to(&mut self, observer: FaultObserver) {
+        self.inner.report_faults_to(observer);
     }
 }
 

@@ -27,12 +27,13 @@ pub mod vhost;
 
 pub use clock::{SimDuration, SimTime};
 pub use events::EventQueue;
-pub use fault::{FaultLane, FaultPlan, FaultStats, FaultyTransport};
+pub use fault::{FaultPlan, FaultStats, FaultyTransport};
 pub use geo::{AsInfo, CountryCode, GeoDb, GeoRecord};
 pub use host::{Host, SchemeSupport, Service, ServiceKind};
 pub use ip::{Cidr, ReservedRanges};
 pub use killswitch::{KillSwitch, KillableTransport};
 pub use lifecycle::LifecyclePlan;
+pub use nokeys_http::FaultLane;
 pub use transport::SimTransport;
 pub use universe::{Universe, UniverseConfig};
 pub use vhost::{CtEntry, VhostState, VirtualHost};

@@ -12,7 +12,6 @@ use nokeys::attack::{attack_script, Payload};
 use nokeys::honeypot::detect_attacks;
 use nokeys::honeypot::logserver::CentralLog;
 use nokeys::honeypot::monitor::MonitoredApp;
-use nokeys::honeypot::ClockCell;
 use nokeys::http::server::serve_tcp;
 use nokeys::http::transport::TcpTransport;
 use nokeys::http::{Client, Url};
@@ -21,17 +20,10 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 fn main() {
-    // Deploy: vulnerable Hadoop + audit log + a wall-clock-driven virtual
-    // clock (each attack stamps the current offset).
+    // Deploy: vulnerable Hadoop + audit log.
     let log = Arc::new(CentralLog::new());
-    let clock = Arc::new(ClockCell::new(SimTime::HONEYPOT_START));
     let instance = nokeys::apps::vulnerable_instance(AppId::Hadoop);
-    let monitored = Arc::new(MonitoredApp::new(
-        AppId::Hadoop,
-        instance,
-        Arc::clone(&log),
-        Arc::clone(&clock),
-    ));
+    let monitored = Arc::new(MonitoredApp::new(AppId::Hadoop, instance, Arc::clone(&log)));
 
     let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, Arc::clone(&monitored)).expect("bind loopback");
     println!(
@@ -48,6 +40,8 @@ fn main() {
         let resp = client.execute(&url, req).expect("attack request");
         println!("attacker -> {} {}", url.path, resp.status);
     }
+    // The attack is one delivery, at the start of the observation.
+    log.stamp_since(0, SimTime::HONEYPOT_START);
 
     // Read the central log and run the detection pipeline on it.
     let records = log.snapshot();

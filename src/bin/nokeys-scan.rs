@@ -27,6 +27,7 @@
 //! synthetic SYN loss and connect timeouts at per-attempt probability
 //! `P`, keyed on (lane, endpoint, request target, try): a live scan has
 //! no virtual instant, so a rescan repeats the last one's fates.
+//! `--metrics-out` counts them as `fault.{probe,connect}.injected`.
 
 use nokeys::http::transport::TcpTransport;
 use nokeys::http::Client;

@@ -5,7 +5,7 @@
 use nokeys_analysis as analysis;
 use nokeys_defend::VendorFinding;
 use nokeys_honeypot::{run_study, StudyConfig, StudyResult};
-use nokeys_http::Client;
+use nokeys_http::{Client, Transport};
 use nokeys_netsim::{
     FaultLane, FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
 };
@@ -129,18 +129,21 @@ impl Repro {
     pub fn scan(&mut self) -> &(FaultyTransport<SimTransport>, ScanReport) {
         if self.scan.is_none() {
             let universe = Arc::new(Universe::generate(self.universe_config.clone()));
-            let mut plan = FaultPlan::new(self.fault_rate, FAULT_SEED);
+            let plan = FaultPlan::new(self.fault_rate, FAULT_SEED);
+            let mut transport = FaultyTransport::new(SimTransport::new(universe), plan);
             if self.fault_rate > 0.0 {
                 // Bridge injected faults into the telemetry registry so a
                 // snapshot can reconcile them against the retry counters.
+                // The scan's workers report theirs batch by batch instead
+                // (and a checkpoint keeps them); this observer sees the
+                // faults of the studies that reuse the scan's transport.
                 let probe = self.telemetry.counter("fault.probe.injected");
                 let connect = self.telemetry.counter("fault.connect.injected");
-                plan = plan.with_observer(move |lane| match lane {
+                transport.report_faults_to(Arc::new(move |lane| match lane {
                     FaultLane::Probe => probe.incr(),
                     FaultLane::Connect => connect.incr(),
-                });
+                }));
             }
-            let transport = FaultyTransport::new(SimTransport::new(universe), plan);
             let client = Client::new(transport.clone());
             // Faults or not, the report is byte-identical at any shard
             // count: no fault draw depends on what ran before it.

@@ -6,47 +6,57 @@
 //! These tests pin the consequences: fault-injected scans stay
 //! byte-identical at any shard count, retries recover the fault-free
 //! report at realistic fault rates, and the `retry.*` counters
-//! reconcile against the `fault.*` counters the transport bridges in.
+//! reconcile against the `fault.*` counters each batch records.
 
 use nokeys::apps::AppId;
-use nokeys::netsim::{
-    FaultLane, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig,
-};
+use nokeys::netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry, TelemetrySnapshot};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
+use std::path::Path;
 use std::sync::Arc;
 
-/// One full pipeline run over a faulty tiny universe. Injected faults
-/// are bridged into the telemetry registry as `fault.<lane>.injected`,
-/// the way the repro harness wires them.
+/// One full pipeline run over a faulty tiny universe. The pipeline
+/// counts injected faults as `fault.<lane>.injected`, in the batch that
+/// drew them.
 fn run_faulty(
     seed: u64,
     shards: usize,
     fault_rate: f64,
     retries: u32,
 ) -> (ScanReport, TelemetrySnapshot) {
+    run_faulty_logged(seed, shards, fault_rate, retries, None)
+}
+
+/// [`run_faulty`], checkpointing to `log`'s path — resuming from it when
+/// `log`'s flag says so.
+fn run_faulty_logged(
+    seed: u64,
+    shards: usize,
+    fault_rate: f64,
+    retries: u32,
+    log: Option<(&Path, bool)>,
+) -> (ScanReport, TelemetrySnapshot) {
     let config = UniverseConfig::tiny(seed);
     let telemetry = Telemetry::new();
-    let probe_faults = telemetry.counter("fault.probe.injected");
-    let connect_faults = telemetry.counter("fault.connect.injected");
-    let plan = FaultPlan::new(fault_rate, 0xfa17_5eed).with_observer(move |lane| match lane {
-        FaultLane::Probe => probe_faults.incr(),
-        FaultLane::Connect => connect_faults.incr(),
-    });
     let transport = FaultyTransport::new(
         SimTransport::new(Arc::new(Universe::generate(config.clone()))),
-        plan,
+        FaultPlan::new(fault_rate, 0xfa17_5eed),
     );
     let client = nokeys::http::Client::new(transport);
-    let pipeline = Pipeline::new(
-        PipelineConfig::builder(vec![config.space])
-            .shards(shards)
-            .retries(retries)
-            .telemetry(telemetry.clone())
-            .build(),
-    );
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let mut builder = PipelineConfig::builder(vec![config.space])
+        .shards(shards)
+        .retries(retries)
+        .telemetry(telemetry.clone());
+    if let Some((path, _)) = log {
+        builder = builder.checkpoint_path(path);
+    }
+    let pipeline = Pipeline::new(builder.build());
+    let report = match log {
+        Some((path, true)) => pipeline.resume(&client, path),
+        _ => pipeline.run(&client),
+    }
+    .expect("pipeline failed");
     (report, telemetry.snapshot())
 }
 
@@ -63,10 +73,10 @@ fn json(report: &ScanReport) -> String {
     report.to_json_string()
 }
 
-/// With faults *enabled* — and bridged into the registry — a one-worker
+/// With faults *enabled* — and counted in the registry — a one-worker
 /// scan and an 8-worker scan produce byte-identical reports and
-/// telemetry: the bridged `fault.*` counts are as order-free as the
-/// schedule that fires them.
+/// telemetry: the `fault.*` counts are as order-free as the schedule
+/// that fires them.
 #[test]
 fn fault_injected_reports_are_identical_at_any_shard_count() {
     let (report_seq, snap_seq) = run_faulty(42, 1, 0.1, 3);
@@ -154,6 +164,47 @@ fn retry_and_fault_counters_reconcile() {
         snap.counter("retry.connect.backoff_units") > 0,
         "recovered retries must have recorded backoff"
     );
+}
+
+/// A resumed faulted scan keeps the `fault.*` counts of the batches it
+/// reads back: each batch logs its injected faults with its other
+/// counters. Resuming the finished log, or one whose last line was torn,
+/// yields the uninterrupted report and snapshot, and in each snapshot
+/// every injected fault met the retry layer exactly once, as a retry or
+/// as an exhausted budget.
+#[test]
+fn a_resumed_faulted_scan_keeps_its_fault_counts() {
+    let dir = std::env::temp_dir().join(format!("nokeys-fault-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("scan.ckpt");
+    let reconciles = |snap: &TelemetrySnapshot| {
+        for lane in ["probe", "connect"] {
+            let injected = snap.counter(&format!("fault.{lane}.injected"));
+            assert!(injected > 0, "{lane} faults fired");
+            assert_eq!(
+                injected,
+                snap.counter(&format!("retry.{lane}.retries"))
+                    + snap.counter(&format!("retry.{lane}.exhausted")),
+                "{lane} lane does not reconcile"
+            );
+        }
+    };
+
+    let (report, snap) = run_faulty_logged(7, 4, 0.05, 3, Some((&path, false)));
+    reconciles(&snap);
+    let (resumed, resumed_snap) = run_faulty_logged(7, 2, 0.05, 3, Some((&path, true)));
+    assert_eq!(json(&report), json(&resumed), "finished log");
+    assert_eq!(snap.to_json(), resumed_snap.to_json(), "finished log");
+
+    let len = std::fs::metadata(&path).expect("log").len();
+    let file = std::fs::OpenOptions::new().write(true).open(&path);
+    file.and_then(|f| f.set_len(len - 100)).expect("tear");
+    let (resumed, resumed_snap) = run_faulty_logged(7, 1, 0.05, 3, Some((&path, true)));
+    assert_eq!(json(&report), json(&resumed), "torn log");
+    assert_eq!(snap.to_json(), resumed_snap.to_json(), "torn log");
+    reconciles(&resumed_snap);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A plugin run that a failed GET ended is counted by its error class,

@@ -63,19 +63,6 @@ fn resuming_a_faulted_scan_changes_no_later_output() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Whole-fetch retries draw fresh fates: at fault rate 0.5 with two
-/// tries per layer, some stage-II fetches whose connect retries both
-/// time out are won back by a second whole fetch.
-#[test]
-fn whole_fetch_retries_draw_fresh_fates() {
-    let mut harness = Repro::new(2022, Scale::Quick)
-        .with_fault_rate(0.5)
-        .with_retries(2);
-    harness.run("table2").expect("table2");
-    let snap = harness.telemetry().snapshot();
-    assert!(snap.counter("retry.fetch.recovered") > 0);
-}
-
 #[test]
 fn unknown_ids_are_rejected() {
     let mut harness = Repro::new(1, Scale::Quick);

@@ -5,14 +5,19 @@
 use nokeys::http::{Attempt, Client, Endpoint, Error, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig, RetryPolicy, RetryTransport, Telemetry};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The first few AWE endpoints of the universe that answer plain HTTP,
-/// discovered behaviourally through a fault-free transport.
+/// The first few AWE endpoints of the universe, in address order, that
+/// answer plain HTTP, discovered behaviourally through a fault-free
+/// transport. (`Universe::hosts` iterates a hash map, whose order
+/// changes from one process to the next.)
 fn open_http_endpoints(universe: &Arc<Universe>, want: usize) -> Vec<Endpoint> {
     let clean = SimTransport::new(Arc::clone(universe));
+    let mut hosts: Vec<_> = universe.hosts().collect();
+    hosts.sort_by_key(|h| h.ip);
     let mut found = Vec::new();
-    for host in universe.hosts() {
+    for host in hosts {
         let Some((service, _)) = host.awe() else {
             continue;
         };
@@ -119,10 +124,7 @@ fn fault_draws_are_order_independent_across_the_retry_stack() {
     // Stack 1: all of a's probes, then all of b's.
     let mut a1 = Vec::new();
     let mut b1 = Vec::new();
-    let nth = |i: u32| Attempt {
-        target: "",
-        n: i << 16,
-    };
+    let nth = |n: u32| Attempt { target: "", n };
     for i in 0..16 {
         a1.push(t1.probe(a, nth(i)));
     }
@@ -215,7 +217,7 @@ fn a_banner_host_is_connected_to_once_per_scheme() {
     let schemes = Prefilter::schemes_for_port(port).len() as u64;
     assert_eq!(client.transport().stats().connects(), schemes);
     let snap = telemetry.snapshot();
-    for lane in ["probe", "connect", "fetch"] {
+    for lane in ["probe", "connect"] {
         assert_eq!(snap.counter(&format!("retry.{lane}.retries")), 0, "{lane}");
         assert_eq!(
             snap.counter(&format!("retry.{lane}.exhausted")),
@@ -223,4 +225,57 @@ fn a_banner_host_is_connected_to_once_per_scheme() {
             "{lane}"
         );
     }
+}
+
+/// Counts every dial and times each one out; probes see the simulator.
+#[derive(Clone)]
+struct Unreachable {
+    inner: SimTransport,
+    dials: Arc<AtomicU64>,
+}
+
+impl Transport for Unreachable {
+    type Conn = <SimTransport as Transport>::Conn;
+
+    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
+        self.inner.probe(ep, attempt)
+    }
+
+    fn connect(&self, _: Endpoint, _: Scheme, _: Attempt<'_>) -> Result<Self::Conn, Error> {
+        self.dials.fetch_add(1, Ordering::Relaxed);
+        Err(Error::Timeout)
+    }
+}
+
+/// One retry loop per dial: a stage-II fetch whose every connect times
+/// out costs `max_attempts` dials per scheme, as every other stage's
+/// operations do, not a retry budget nested inside another.
+#[test]
+fn a_stage_two_fetch_dials_at_most_max_attempts_times() {
+    let universe = Arc::new(Universe::generate(UniverseConfig::tiny(3)));
+    let ep = open_http_endpoints(&universe, 1)[0];
+    let dials = Arc::new(AtomicU64::new(0));
+    let transport = Unreachable {
+        inner: SimTransport::new(Arc::clone(&universe)),
+        dials: Arc::clone(&dials),
+    };
+    let telemetry = Telemetry::new();
+    let pipeline = Pipeline::new(
+        PipelineConfig::builder(vec![format!("{}/32", ep.ip).parse().expect("cidr")])
+            .ports(vec![ep.port])
+            .retries(3)
+            .telemetry(telemetry.clone())
+            .build(),
+    );
+    let report = pipeline
+        .run(&Client::new(transport))
+        .expect("pipeline failed");
+    assert_eq!(report.prefilter_silent, 1, "open, but never answered");
+
+    let schemes = nokeys::scanner::Prefilter::schemes_for_port(ep.port).len() as u64;
+    assert_eq!(dials.load(Ordering::Relaxed), 3 * schemes);
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.counter("retry.connect.retries"), 2 * schemes);
+    assert_eq!(snap.counter("retry.connect.exhausted"), schemes);
+    assert_eq!(snap.counter("stage2.error.timeout"), schemes);
 }
