@@ -8,15 +8,16 @@
 //! checkpointing ever creates:
 //!
 //! ```text
-//! {"format":4,"fingerprint":{…},"total_batches":N}\n     header
-//! {"seq":17,"report":{…},"telemetry":{…}}\n              one per finished batch,
-//! {"seq":3,"report":{…},"telemetry":{…}}\n               in completion order
+//! {"format":5,"fingerprint":{…},"total_batches":N}\n     header
+//! {"seq":17,"findings":[…],"telemetry":{…}}\n            one per finished batch,
+//! {"seq":3,"findings":[…],"telemetry":{…}}\n             in completion order
 //! ```
 //!
-//! A batch line holds the [`ScanReport`] of exactly that batch
-//! (stage-II/III outcomes included) and the [`TelemetrySnapshot`] of
-//! the work it took (its stage, retry and injected-fault counters and
-//! histograms).
+//! A batch line holds the [`HostFinding`]s of exactly that batch and
+//! the [`TelemetrySnapshot`] of the work it took (its stage, retry and
+//! injected-fault counters and histograms). That is the whole batch:
+//! every count of the [`ScanReport`](crate::report::ScanReport) is read
+//! off the telemetry when the scan finishes.
 //! Batches are the engine's unit of determinism — the block shuffle is
 //! seeded and every batch is processed whole by one worker — so any set
 //! of logged batches plus a scan of the missing ones adds up to a
@@ -56,7 +57,7 @@
 
 use crate::json::{self, object, FromJson, JsonError, ToJson, Value};
 use crate::pipeline::PipelineConfig;
-use crate::report::ScanReport;
+use crate::report::HostFinding;
 use crate::telemetry::TelemetrySnapshot;
 use nokeys_http::ip::Cidr;
 use std::collections::BTreeMap;
@@ -69,8 +70,9 @@ use std::path::Path;
 /// layout changes. (1 was the rewritten per-worker segment files; 2
 /// logged virtual-clock timings in each batch's telemetry; 3
 /// fingerprinted the retry backoff shape and jitter seed, and its
-/// batches lacked their injected-fault counts.)
-pub const FORMAT_VERSION: u32 = 4;
+/// batches lacked their injected-fault counts; 4 logged each batch's
+/// report, counts and all, beside its telemetry.)
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A checkpoint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,8 +206,8 @@ impl FromJson for ConfigFingerprint {
 }
 
 /// The finished batches a log holds, by batch sequence number: each
-/// batch's own report and the telemetry of the work it took.
-pub type LoggedBatches = BTreeMap<u64, (ScanReport, TelemetrySnapshot)>;
+/// batch's findings and the telemetry of the work it took.
+pub type LoggedBatches = BTreeMap<u64, (Vec<HostFinding>, TelemetrySnapshot)>;
 
 /// The checkpoint file, open for appending.
 #[derive(Debug)]
@@ -285,7 +287,7 @@ impl CheckpointLog {
                 )));
             }
             let batch = (
-                line.field("report").map_err(corrupt)?,
+                line.field("findings").map_err(corrupt)?,
                 line.field("telemetry").map_err(corrupt)?,
             );
             if batches.insert(seq, batch).is_some() {
@@ -304,12 +306,12 @@ impl CheckpointLog {
     pub fn append(
         &mut self,
         seq: u64,
-        report: &ScanReport,
+        findings: &[HostFinding],
         telemetry: &TelemetrySnapshot,
     ) -> Result<(), CheckpointError> {
         self.write_line(object([
             ("seq", seq.to_json()),
-            ("report", report.to_json()),
+            ("findings", findings.to_json()),
             ("telemetry", ToJson::to_json(telemetry)),
         ]))
     }
@@ -333,6 +335,9 @@ fn io_error(path: &Path, e: std::io::Error) -> CheckpointError {
 mod tests {
     use super::*;
     use crate::telemetry::Telemetry;
+    use nokeys_apps::AppId;
+    use nokeys_http::{Endpoint, Scheme};
+    use std::net::Ipv4Addr;
     use std::path::PathBuf;
 
     const TOTAL: u64 = 32;
@@ -345,15 +350,19 @@ mod tests {
         ConfigFingerprint::of(&config())
     }
 
-    /// A batch whose report and telemetry both depend on `seq`.
-    fn batch(seq: u64) -> (ScanReport, TelemetrySnapshot) {
-        let report = ScanReport {
-            probes_sent: 100 + seq,
-            ..ScanReport::default()
+    /// A batch whose findings and telemetry both depend on `seq`.
+    fn batch(seq: u64) -> (Vec<HostFinding>, TelemetrySnapshot) {
+        let finding = HostFinding {
+            endpoint: Endpoint::new(Ipv4Addr::new(20, 0, seq as u8, 1), 8080),
+            scheme: Scheme::Https,
+            app: AppId::Jenkins,
+            vulnerable: seq.is_multiple_of(2),
+            version: None,
+            fingerprint_method: None,
         };
         let telemetry = Telemetry::new();
         telemetry.counter("stage1.probes_sent").add(100 + seq);
-        (report, telemetry.snapshot())
+        (vec![finding], telemetry.snapshot())
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -364,8 +373,8 @@ mod tests {
     fn write_log(path: &Path, seqs: &[u64]) {
         let mut log = CheckpointLog::create(path, &fingerprint(), TOTAL).expect("creates");
         for &seq in seqs {
-            let (report, telemetry) = batch(seq);
-            log.append(seq, &report, &telemetry).expect("appends");
+            let (findings, telemetry) = batch(seq);
+            log.append(seq, &findings, &telemetry).expect("appends");
         }
     }
 
@@ -387,8 +396,8 @@ mod tests {
         assert_eq!(batches, expected(&[17, 3]));
         assert_eq!(batches[&17].1.counter("stage1.probes_sent"), 117);
         // A resumed log keeps appending where the dead run stopped.
-        let (report, telemetry) = batch(9);
-        log.append(9, &report, &telemetry).expect("appends");
+        let (findings, telemetry) = batch(9);
+        log.append(9, &findings, &telemetry).expect("appends");
         drop(log);
         let (_, batches) = resume(&path).expect("resumes again");
         assert_eq!(batches, expected(&[17, 3, 9]));
@@ -430,8 +439,8 @@ mod tests {
             let kept = &bytes[..=line_ends[whole - 1]];
             let (mut log, batches) = resume(&path).expect("a torn tail is not corruption");
             assert_eq!(batches, expected(&seqs[..whole - 1]), "cut at {cut}");
-            let (report, telemetry) = batch(20);
-            log.append(20, &report, &telemetry).expect("appends");
+            let (findings, telemetry) = batch(20);
+            log.append(20, &findings, &telemetry).expect("appends");
             let after = std::fs::read(&path).unwrap();
             assert_eq!(after, [kept, line_20].concat(), "cut at {cut}");
         }
@@ -470,7 +479,7 @@ mod tests {
             (format!("{header}\n{header}\n"), "missing field `seq`"),
             (
                 format!("{header}\n{{\"seq\":1}}\n"),
-                "missing field `report`",
+                "missing field `findings`",
             ),
             (
                 format!("{header}\n{out_of_range}\n"),
@@ -502,8 +511,9 @@ mod tests {
         // The rest of another layout is unknown, so only the version is
         // read: format 1 was a single pretty-printed document per file,
         // format 2 a log whose batch snapshots carried timings, format 3
-        // one whose batches lacked their injected-fault counts.
-        for found in [FORMAT_VERSION + 1, 3, 2, 1] {
+        // one whose batches lacked their injected-fault counts, format 4
+        // one whose batches logged a report beside their telemetry.
+        for found in [FORMAT_VERSION + 1, 4, 3, 2, 1] {
             std::fs::write(&path, format!("{{\"format\": {found}}}\n")).unwrap();
             assert_eq!(
                 resume(&path).unwrap_err(),

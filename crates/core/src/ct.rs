@@ -13,7 +13,7 @@
 
 use crate::plugin::detect_mav;
 use nokeys_apps::AppId;
-use nokeys_http::{Client, Endpoint, Request, Scheme, Transport, Url};
+use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use std::net::Ipv4Addr;
 
 /// A CT log entry as consumed by the scanner (mirrors
@@ -39,31 +39,6 @@ pub struct CtFinding {
     pub probed_at_secs: i64,
 }
 
-/// Fetch a path from a *named* virtual host: request goes to the IP, the
-/// `Host` header carries the domain, and redirects are followed with the
-/// header preserved.
-pub fn fetch_vhost<T: Transport>(
-    client: &Client<T>,
-    ip: Ipv4Addr,
-    domain: &str,
-    path: &str,
-) -> Option<nokeys_http::Response> {
-    let mut current = path.to_string();
-    for _ in 0..client.config().max_redirects {
-        let url = Url::for_ip(Scheme::Http, ip, 80, &current);
-        let req = Request::get(current.clone()).with_header("Host", domain);
-        let resp = client.execute(&url, req).ok()?;
-        if let Some(location) = resp.location() {
-            if resp.status.is_redirect() && location.starts_with('/') {
-                current = location.to_string();
-                continue;
-            }
-        }
-        return Some(resp);
-    }
-    None
-}
-
 /// The four installation-hijack detection probes, addressed by name.
 /// Returns `(app, vulnerable)` for the first CMS that answers.
 pub fn probe_domain<T: Transport>(
@@ -71,11 +46,15 @@ pub fn probe_domain<T: Transport>(
     ip: Ipv4Addr,
     domain: &str,
 ) -> (Option<AppId>, bool) {
+    // Every request names the domain: `Host: domain` to the shared IP,
+    // redirects followed with the header kept.
+    let named = client.for_host(domain);
+    let ep = Endpoint::new(ip, 80);
     // Identify the CMS from its root page signatures first.
-    let Some(root) = fetch_vhost(client, ip, domain, "/") else {
+    let Ok(root) = named.get_path(ep, Scheme::Http, "/") else {
         return (None, false);
     };
-    let body = crate::pattern::PreparedBody::new(root.body_str());
+    let body = crate::pattern::PreparedBody::new(root.response.body_str());
     let candidates = crate::MultiPattern::catalog().match_candidates(&body);
     let cms = candidates.into_iter().find(|app| {
         matches!(
@@ -88,8 +67,7 @@ pub fn probe_domain<T: Transport>(
     };
     // Verify the hijackable state with the app's own plugin, addressed
     // by name.
-    let named = client.for_host(domain);
-    let vulnerable = detect_mav(&named, app, Endpoint::new(ip, 80), Scheme::Http);
+    let vulnerable = detect_mav(&named, app, ep, Scheme::Http);
     (Some(app), vulnerable)
 }
 
@@ -122,7 +100,7 @@ pub fn ct_scan<T: Transport>(
 mod tests {
     use super::*;
     use nokeys_http::memory::HandlerTransport;
-    use nokeys_http::{Client, Response};
+    use nokeys_http::{Client, Request, Response, Url};
     use std::sync::Arc;
 
     /// Handler that echoes the Host header it received.
@@ -185,8 +163,12 @@ mod tests {
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 22), 80);
         let transport = HandlerTransport::new().with(ep, Arc::new(Redirecting));
         let client = Client::new(transport);
-        let resp = fetch_vhost(&client, ep.ip, "fresh.example", "/").unwrap();
-        assert_eq!(resp.body_text(), "installer for fresh.example");
+        let fetched = client
+            .for_host("fresh.example")
+            .get_path(ep, Scheme::Http, "/")
+            .unwrap();
+        assert_eq!(fetched.redirects, 1);
+        assert_eq!(fetched.response.body_text(), "installer for fresh.example");
     }
 
     #[test]

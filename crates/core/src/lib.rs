@@ -56,7 +56,7 @@ pub use multipattern::{MultiPattern, ViewUse};
 pub use pattern::{MatchMode, Pattern, PreparedBody};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineError};
 pub use plugin::{detect_mav, plugin_steps};
-pub use portscan::{PortScanConfig, PortScanResult, PortScanner};
+pub use portscan::{PortScanConfig, PortScanner};
 pub use prefilter::{Prefilter, PrefilterHit};
 pub use rate::SharedPacer;
 pub use report::{FingerprintMethod, HostFinding, ScanReport};

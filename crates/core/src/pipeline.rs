@@ -21,8 +21,9 @@
 //! # Determinism
 //!
 //! Concurrency never changes the report. Every batch is processed whole
-//! by one worker, in endpoint and host order, and the per-batch
-//! results are reduced in batch-sequence order, so a fixed seed
+//! by one worker, in endpoint and host order, its findings are joined
+//! in batch-sequence order and its telemetry summed, and every report
+//! count is read off that sum once, at the end — so a fixed seed
 //! yields a bit-for-bit identical [`ScanReport`] and telemetry snapshot
 //! at any shard count (Tables 2–4 and Figure 2 depend on this). This
 //! holds with fault injection enabled too: each fault draw is a pure
@@ -46,14 +47,14 @@
 use crate::checkpoint::CheckpointError;
 use crate::fingerprint::Fingerprinter;
 use crate::plugin::verify;
-use crate::portscan::{Cidr, PortScanConfig, PortScanResult};
+use crate::portscan::{by_host, Cidr, PortScanConfig};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
 use crate::retry::RetryPolicy;
 use crate::scratch::Scratch;
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use nokeys_apps::AppId;
-use nokeys_http::{Client, Transport};
+use nokeys_http::{Client, Endpoint, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -112,8 +113,8 @@ pub struct PipelineConfig {
     pub tarpit_port_threshold: usize,
     /// Number of shard workers — the scan's one concurrency setting
     /// (default 1). [`Pipeline::run`] hands the batch sequence out one
-    /// batch at a time to this many worker threads and reduces the
-    /// per-batch reports in batch order — the report and telemetry
+    /// batch at a time to this many worker threads and joins the
+    /// per-batch findings in batch order — the report and telemetry
     /// snapshot are byte-identical at any shard count, fault injection
     /// included (see the [`shard`](crate::shard) module). The builder
     /// rejects `0`.
@@ -447,62 +448,44 @@ impl BatchProcessor {
         }
     }
 
-    /// Fold one batch's stage-I counts into the report.
-    pub(crate) fn accumulate_sweep_counts(report: &mut ScanReport, batch: &PortScanResult) {
-        report.addresses_probed += batch.addresses_probed;
-        report.probes_sent += batch.probes_sent;
-        for (port, n) in &batch.open_per_port {
-            report.port_stats.entry(*port).or_default().open += *n;
-        }
-    }
-
-    /// Stages II + III for one batch of stage-I results.
+    /// Stages II + III for the open endpoints of one stage-I batch;
+    /// returns the batch's findings. Everything counted along the way
+    /// goes to the processor's registry.
     pub(crate) fn process_batch<T: Transport>(
         &mut self,
         client: &Client<T>,
-        batch: PortScanResult,
-        report: &mut ScanReport,
-    ) {
+        open: &[Endpoint],
+    ) -> Vec<HostFinding> {
         self.metrics.batches.incr();
 
         // Exclude all-ports-open artifacts.
-        let by_host = batch.by_host();
         let mut endpoints = Vec::new();
-        for (ip, ports) in &by_host {
+        for (ip, ports) in by_host(open) {
             self.metrics.open_ports_per_host.observe(ports.len() as u64);
             if ports.len() >= self.tarpit_port_threshold {
-                report.excluded_all_ports_open += 1;
                 self.metrics.tarpit_excluded.incr();
                 continue;
             }
-            for port in ports {
-                endpoints.push(nokeys_http::Endpoint::new(*ip, *port));
-            }
+            endpoints.extend(ports.into_iter().map(|port| Endpoint::new(ip, port)));
         }
 
         // Stage II, in endpoint order.
-        let prefilter_result = self.prefilter.run(client, &endpoints, &mut self.scratch);
-        report.prefilter_discarded += prefilter_result.discarded;
-        report.prefilter_silent += prefilter_result.silent;
-        report.prefilter_hits += prefilter_result.hits.len() as u64;
-        for (port, stats) in &prefilter_result.per_port {
-            let entry = report.port_stats.entry(*port).or_default();
-            entry.http += stats.http;
-            entry.https += stats.https;
-        }
+        let hits = self.prefilter.run(client, &endpoints, &mut self.scratch);
 
         // Group hits per host: one finding per (host, application).
         let mut per_host: BTreeMap<Ipv4Addr, Vec<PrefilterHit>> = BTreeMap::new();
-        for hit in prefilter_result.hits {
+        for hit in hits {
             per_host.entry(hit.endpoint.ip).or_default().push(hit);
         }
 
         // Stage III + fingerprinting, in host order.
+        let mut findings = Vec::new();
         for hits in per_host.into_values() {
-            let findings = self.verify_host(client, hits);
-            self.metrics.note_findings(&findings);
-            report.findings.extend(findings);
+            let host = self.verify_host(client, hits);
+            self.metrics.note_findings(&host);
+            findings.extend(host);
         }
+        findings
     }
 
     /// Verify one host, producing one finding per *application* the host
@@ -837,7 +820,7 @@ mod tests {
         use crate::plugin::AppHandler;
         use nokeys_apps::{build_instance, release_history, AppConfig};
         use nokeys_http::memory::HandlerTransport;
-        use nokeys_http::{Endpoint, Scheme};
+        use nokeys_http::Scheme;
 
         let app = AppId::Hadoop;
         let version = *release_history(app).last().unwrap();
@@ -872,8 +855,9 @@ mod tests {
         assert_eq!(snap.counter("stage3.verify.Hadoop.rejected"), 1);
     }
 
-    /// Pipeline-level counters agree with the report they were recorded
-    /// alongside.
+    /// Every report number is read off the telemetry; check each
+    /// against the universe's ground truth, and the snapshot's stage-II
+    /// accounting against itself.
     #[test]
     fn telemetry_reconciles_with_report() {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
@@ -888,9 +872,27 @@ mod tests {
         let snap = pipeline.telemetry().snapshot();
         // The external registry and the pipeline's view are the same.
         assert_eq!(snap.to_json(), telemetry.snapshot().to_json());
+        let universe = client.transport().universe();
+
+        // Stage I swept the whole /16 on all 12 ports.
+        assert_eq!(report.addresses_probed, 65_536);
+        assert_eq!(report.probes_sent, 65_536 * 12);
+        // Every tarpit, and nothing else, was excluded.
+        let tarpits = universe.hosts().filter(|h| h.tarpit).count() as u64;
+        assert_eq!(report.excluded_all_ports_open, tarpits);
+        // Every populated endpoint was found open: each host's services,
+        // and all 12 ports of each tarpit.
+        let services: u64 = (universe.hosts())
+            .filter(|h| !h.tarpit)
+            .map(|h| h.services.len() as u64)
+            .sum();
+        let open: u64 = report.port_stats.values().map(|s| s.open).sum();
+        assert_eq!(open, services + tarpits * 12);
+        assert!(report.port_stats.values().all(|s| s.open > 0));
+        // Every probed endpoint is classified exactly once.
         assert_eq!(
-            snap.counter("pipeline.tarpit_excluded"),
-            report.excluded_all_ports_open
+            report.prefilter_hits + report.prefilter_discarded + report.prefilter_silent,
+            snap.counter("stage2.endpoints_probed")
         );
         assert_eq!(
             snap.counter("pipeline.findings"),
@@ -900,12 +902,6 @@ mod tests {
             snap.counter("pipeline.mavs"),
             report.findings.iter().filter(|f| f.vulnerable).count() as u64
         );
-        assert_eq!(snap.counter("stage1.probes_sent"), report.probes_sent);
-        assert_eq!(
-            snap.counter("stage1.addresses_probed"),
-            report.addresses_probed
-        );
-        assert_eq!(snap.counter("stage2.hits"), report.prefilter_hits);
         // No stage-II fetch is anonymous: each (endpoint, scheme) try
         // ends as a response or as one named error. An excluded host
         // has every scan port open, so a port's probed endpoints are
@@ -920,10 +916,11 @@ mod tests {
                 probed * Prefilter::schemes_for_port(port).len() as u64
             })
             .sum();
-        assert_eq!(
-            tries,
-            snap.counter("stage2.http_responses") + snap.counter("stage2.https_responses") + errors
-        );
+        let responses: u64 = report.port_stats.values().map(|s| s.http + s.https).sum();
+        assert_eq!(tries, responses + errors);
+        // Port 80 is only asked for HTTP, port 443 only for HTTPS.
+        assert!(!snap.counters.contains_key("stage2.https_responses.80"));
+        assert!(!snap.counters.contains_key("stage2.http_responses.443"));
         // Stage III ran: confirmed verifications equal the MAV count.
         let outcomes = |outcome: &str| -> u64 {
             snap.counters

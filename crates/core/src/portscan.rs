@@ -6,6 +6,12 @@
 //! only the 12 study ports are probed. Results are delivered in batches
 //! so later (slower) stages can run on fresh data while the sweep
 //! continues — the paper's answer to scan-vs-verify staleness.
+//!
+//! A sweep returns its open endpoints and nothing else. What it counts
+//! goes to the telemetry registry alone: `stage1.blocks_swept`,
+//! `stage1.addresses_probed`, `stage1.probes_sent` and, per configured
+//! port, `stage1.ports_open.<port>` — the numbers a
+//! [`ScanReport`](crate::report::ScanReport) reads back.
 
 use crate::rate::SharedPacer;
 use crate::telemetry::{Counter, Telemetry};
@@ -55,42 +61,14 @@ impl PortScanConfig {
     }
 }
 
-/// Result of sweeping one batch (or the whole space).
-#[derive(Debug, Clone, Default)]
-pub struct PortScanResult {
-    /// Open endpoints in discovery order.
-    pub open: Vec<Endpoint>,
-    /// Open-port counts per port (Table 2, column "# Open").
-    pub open_per_port: BTreeMap<u16, u64>,
-    /// Number of addresses probed.
-    pub addresses_probed: u64,
-    /// Number of individual (address, port) probes sent. This counts
-    /// *logical* probes — one per (address, port) pair. Transport-level
-    /// retransmits (a [`RetryPolicy`](crate::retry::RetryPolicy)
-    /// re-probing a filtered endpoint) are deliberately not counted, so
-    /// fault-injected runs with retries reconcile with fault-free
-    /// reports.
-    pub probes_sent: u64,
-}
-
-impl PortScanResult {
-    pub(crate) fn absorb(&mut self, other: PortScanResult) {
-        self.open.extend(other.open);
-        for (port, n) in other.open_per_port {
-            *self.open_per_port.entry(port).or_default() += n;
-        }
-        self.addresses_probed += other.addresses_probed;
-        self.probes_sent += other.probes_sent;
+/// Group open endpoints by address, ascending, each host's ports in
+/// discovery order (hosts with several open ports).
+pub(crate) fn by_host(open: &[Endpoint]) -> BTreeMap<Ipv4Addr, Vec<u16>> {
+    let mut map: BTreeMap<Ipv4Addr, Vec<u16>> = BTreeMap::new();
+    for ep in open {
+        map.entry(ep.ip).or_default().push(ep.port);
     }
-
-    /// Group open endpoints by address (hosts with several open ports).
-    pub fn by_host(&self) -> BTreeMap<Ipv4Addr, Vec<u16>> {
-        let mut map: BTreeMap<Ipv4Addr, Vec<u16>> = BTreeMap::new();
-        for ep in &self.open {
-            map.entry(ep.ip).or_default().push(ep.port);
-        }
-        map
-    }
+    map
 }
 
 /// Cached stage-I telemetry handles (clone-cheap; all clones of a
@@ -99,18 +77,35 @@ impl PortScanResult {
 struct SweepMetrics {
     blocks_swept: Counter,
     addresses_probed: Counter,
+    /// `stage1.probes_sent` counts *logical* probes — one per
+    /// (address, port) pair. Transport-level retransmits (a
+    /// [`RetryPolicy`](crate::retry::RetryPolicy) re-probing a filtered
+    /// endpoint) are deliberately not counted, so fault-injected runs
+    /// with retries reconcile with fault-free reports.
     probes_sent: Counter,
-    ports_open: Counter,
+    /// `stage1.ports_open.<port>` (Table 2, column "# Open"), one per
+    /// configured port.
+    ports_open: BTreeMap<u16, Counter>,
 }
 
 impl SweepMetrics {
-    fn new(telemetry: &Telemetry) -> Self {
+    fn new(telemetry: &Telemetry, ports: &[u16]) -> Self {
+        let open = |port| telemetry.counter(&format!("stage1.ports_open.{port}"));
         SweepMetrics {
             blocks_swept: telemetry.counter("stage1.blocks_swept"),
             addresses_probed: telemetry.counter("stage1.addresses_probed"),
             probes_sent: telemetry.counter("stage1.probes_sent"),
-            ports_open: telemetry.counter("stage1.ports_open"),
+            ports_open: ports.iter().map(|&port| (port, open(port))).collect(),
         }
+    }
+
+    /// Count `ep` open and add it to `open`.
+    fn found(&self, ep: Endpoint, open: &mut Vec<Endpoint>) {
+        self.ports_open
+            .get(&ep.port)
+            .expect("a sweep answers only the configured ports")
+            .incr();
+        open.push(ep);
     }
 }
 
@@ -128,12 +123,13 @@ impl PortScanner {
     }
 
     /// Build a scanner that records stage-I counters ("blocks swept",
-    /// "addresses probed", "probes sent", "ports open") into `telemetry`.
+    /// "addresses probed", "probes sent", "ports open" per port) into
+    /// `telemetry`.
     pub fn with_telemetry(config: PortScanConfig, telemetry: &Telemetry) -> Self {
         PortScanner {
+            metrics: SweepMetrics::new(telemetry, &config.ports),
             config,
             reserved: ReservedRanges::iana(),
-            metrics: SweepMetrics::new(telemetry),
         }
     }
 
@@ -174,41 +170,23 @@ impl PortScanner {
         blocks
     }
 
-    /// Sweep the given /24 blocks in order, drawing probe tokens from
-    /// `pacer` if present. This is the shard-worker entry point: each
-    /// worker sweeps the block slice of one batch at a time, all
-    /// drawing from the one shared pacer.
+    /// Sweep the given blocks in order, drawing probe tokens from
+    /// `pacer` if present, and return the open endpoints in discovery
+    /// order. This is the shard-worker entry point: each worker sweeps
+    /// the block slice of one batch at a time, all drawing from the one
+    /// shared pacer.
     pub fn scan_blocks<T: Transport>(
         &self,
         transport: &T,
         blocks: &[Cidr],
         pacer: &Option<SharedPacer>,
-    ) -> PortScanResult {
-        let mut total = PortScanResult::default();
+    ) -> Vec<Endpoint> {
+        let mut open = Vec::new();
         for &block in blocks {
-            total.absorb(self.scan_block_paced(transport, block, pacer));
+            self.metrics.blocks_swept.incr();
+            self.sweep(transport, block, pacer, &mut open);
         }
-        total
-    }
-
-    /// Sweep one /24 block, drawing probe tokens from `pacer` if present.
-    pub fn scan_block_paced<T: Transport>(
-        &self,
-        transport: &T,
-        block: Cidr,
-        pacer: &Option<SharedPacer>,
-    ) -> PortScanResult {
-        let result = self.sweep(transport, block, pacer);
-        self.record(&result);
-        result
-    }
-
-    /// Account one swept block in the stage-I instruments.
-    fn record(&self, result: &PortScanResult) {
-        self.metrics.blocks_swept.incr();
-        self.metrics.addresses_probed.add(result.addresses_probed);
-        self.metrics.probes_sent.add(result.probes_sent);
-        self.metrics.ports_open.add(result.open.len() as u64);
+        open
     }
 
     /// The sparse sweep: classify the block against the exclusion list
@@ -222,21 +200,21 @@ impl PortScanner {
         transport: &T,
         block: Cidr,
         pacer: &Option<SharedPacer>,
-    ) -> PortScanResult {
+        open: &mut Vec<Endpoint>,
+    ) {
         if self.config.exclude_reserved {
             match self.reserved.coverage(block) {
                 // Every address of the block is excluded.
-                BlockCoverage::Full => return PortScanResult::default(),
+                BlockCoverage::Full => return,
                 // Every IANA range is a /24 or larger, so only a block
                 // larger than /24 can straddle one: sweep its /24s,
                 // none of which can.
                 BlockCoverage::Partial => {
                     assert!(block.prefix < 24, "{block} straddles a reserved range");
-                    let mut total = PortScanResult::default();
                     for sub in block.slash24_blocks() {
-                        total.absorb(self.sweep(transport, sub, pacer));
+                        self.sweep(transport, sub, pacer, open);
                     }
-                    return total;
+                    return;
                 }
                 BlockCoverage::None => {}
             }
@@ -245,60 +223,52 @@ impl PortScanner {
             p.acquire_many(block.size() * self.config.ports.len() as u64);
         }
         let sweep = transport.sweep_block(block, &self.config.ports);
-        let mut result = PortScanResult {
-            addresses_probed: sweep.addresses_probed,
-            probes_sent: sweep.probes_sent(),
-            ..PortScanResult::default()
-        };
+        self.metrics.addresses_probed.add(sweep.addresses_probed);
+        self.metrics.probes_sent.add(sweep.probes_sent());
         for ep in sweep.open() {
-            result.open.push(ep);
-            *result.open_per_port.entry(ep.port).or_default() += 1;
+            self.metrics.found(ep, open);
         }
-        result
     }
 
     /// The dense per-endpoint loop the sparse sweep must reproduce byte
     /// for byte: one `probe` call per (address, port) pair, reserved
     /// addresses skipped one at a time.
     #[cfg(test)]
-    fn scan_block_dense<T: Transport>(&self, transport: &T, block: Cidr) -> PortScanResult {
-        let mut result = PortScanResult::default();
+    fn scan_block_dense<T: Transport>(&self, transport: &T, block: Cidr) -> Vec<Endpoint> {
+        self.metrics.blocks_swept.incr();
+        let mut open = Vec::new();
         for ip in block.addresses() {
             if self.config.exclude_reserved && self.reserved.contains(ip) {
                 continue;
             }
-            result.addresses_probed += 1;
+            self.metrics.addresses_probed.incr();
             for &port in &self.config.ports {
-                result.probes_sent += 1;
+                self.metrics.probes_sent.incr();
                 let ep = Endpoint::new(ip, port);
                 if transport.probe(ep, nokeys_http::Attempt::FIRST)
                     == nokeys_http::ProbeOutcome::Open
                 {
-                    result.open.push(ep);
-                    *result.open_per_port.entry(port).or_default() += 1;
+                    self.metrics.found(ep, &mut open);
                 }
             }
         }
-        self.record(&result);
-        result
+        open
     }
 
     /// Sweep the whole target space sequentially (deterministic; used
     /// with the simulated transport where probes are immediate).
-    pub fn scan<T: Transport>(&self, transport: &T) -> PortScanResult {
-        let pacer = self.pacer();
-        let mut total = PortScanResult::default();
-        for block in self.shuffled_blocks() {
-            total.absorb(self.scan_block_paced(transport, block, &pacer));
-        }
-        total
+    pub fn scan<T: Transport>(&self, transport: &T) -> Vec<Endpoint> {
+        self.scan_blocks(transport, &self.shuffled_blocks(), &self.pacer())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetrySnapshot;
+    use nokeys_http::{FaultLane, FaultObserver};
     use nokeys_netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn sim() -> SimTransport {
@@ -307,6 +277,33 @@ mod tests {
 
     fn config_for_tiny() -> PortScanConfig {
         PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()])
+    }
+
+    /// A sweep's open endpoints and its stage-I snapshot.
+    type Swept = (Vec<Endpoint>, TelemetrySnapshot);
+
+    /// Sweep the configured targets whole with a scanner of its own
+    /// registry.
+    fn scan_counted(config: PortScanConfig, t: &SimTransport) -> Swept {
+        let telemetry = Telemetry::new();
+        let open = PortScanner::with_telemetry(config, &telemetry).scan(t);
+        (open, telemetry.snapshot())
+    }
+
+    /// `block` swept sparse and dense by scanners of `config`, each with
+    /// a registry of its own.
+    fn sparse_and_dense(config: &PortScanConfig, block: Cidr) -> (Swept, Swept) {
+        let sweep = |dense: bool| {
+            let telemetry = Telemetry::new();
+            let scanner = PortScanner::with_telemetry(config.clone(), &telemetry);
+            let open = if dense {
+                scanner.scan_block_dense(&sim(), block)
+            } else {
+                scanner.scan_blocks(&sim(), &[block], &None)
+            };
+            (open, telemetry.snapshot())
+        };
+        (sweep(false), sweep(true))
     }
 
     #[test]
@@ -331,8 +328,7 @@ mod tests {
     #[test]
     fn finds_every_populated_endpoint() {
         let t = sim();
-        let scanner = PortScanner::new(config_for_tiny());
-        let result = scanner.scan(&t);
+        let (open, snap) = scan_counted(config_for_tiny(), &t);
         // Every non-tarpit host's service ports must be discovered.
         let expected: u64 = t
             .universe()
@@ -342,8 +338,11 @@ mod tests {
             .sum();
         let tarpit_ports: u64 =
             t.universe().hosts().filter(|h| h.tarpit).count() as u64 * SCAN_PORTS.len() as u64;
-        assert_eq!(result.open.len() as u64, expected + tarpit_ports);
-        assert_eq!(result.probes_sent, result.addresses_probed * 12);
+        assert_eq!(open.len() as u64, expected + tarpit_ports);
+        assert_eq!(
+            snap.counter("stage1.probes_sent"),
+            snap.counter("stage1.addresses_probed") * 12
+        );
     }
 
     #[test]
@@ -351,8 +350,13 @@ mod tests {
         let t = sim();
         let mut cfg = PortScanConfig::new(vec!["10.0.0.0/24".parse().unwrap()]);
         cfg.exclude_reserved = true;
-        let result = PortScanner::new(cfg).scan(&t);
-        assert_eq!(result.addresses_probed, 0, "10/8 is reserved");
+        let (open, snap) = scan_counted(cfg, &t);
+        assert!(open.is_empty());
+        assert_eq!(
+            snap.counter("stage1.addresses_probed"),
+            0,
+            "10/8 is reserved"
+        );
         assert_eq!(t.stats().probes(), 0);
     }
 
@@ -361,13 +365,14 @@ mod tests {
         let t = sim();
         let mut cfg = PortScanConfig::new(vec!["20.0.0.0/26".parse().unwrap()]);
         cfg.ports = vec![80];
-        let scanner = PortScanner::new(cfg);
+        let telemetry = Telemetry::new();
+        let scanner = PortScanner::with_telemetry(cfg, &telemetry);
         let clock = Arc::new(crate::rate::VirtualClock::default());
         let pacer = Some(SharedPacer::with_clock(32.0, 32.0, clock.clone()));
-        let result = scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
+        scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
         // 64 probes at 32/s with a 32-token burst: ~1s of (virtual)
         // pacing time.
-        assert_eq!(result.probes_sent, 64);
+        assert_eq!(telemetry.snapshot().counter("stage1.probes_sent"), 64);
         let elapsed = crate::rate::Clock::now(clock.as_ref());
         assert!(
             elapsed >= std::time::Duration::from_millis(900),
@@ -385,11 +390,12 @@ mod tests {
             "20.0.1.0/24".parse().unwrap(),
         ]);
         cfg.ports = vec![80];
-        let scanner = PortScanner::new(cfg);
+        let telemetry = Telemetry::new();
+        let scanner = PortScanner::with_telemetry(cfg, &telemetry);
         let clock = Arc::new(crate::rate::VirtualClock::default());
         let pacer = Some(SharedPacer::with_clock(256.0, 256.0, clock.clone()));
-        let result = scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
-        assert_eq!(result.probes_sent, 512);
+        scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
+        assert_eq!(telemetry.snapshot().counter("stage1.probes_sent"), 512);
         // 512 probes at 256/s with a single 256-token burst: ~1s of
         // virtual pacing. A fresh burst per block would finish in ~0s.
         let elapsed = crate::rate::Clock::now(clock.as_ref());
@@ -400,46 +406,57 @@ mod tests {
     }
 
     /// The sparse block sweep equals the dense per-endpoint reference —
-    /// results *and* stage-I telemetry — with and without injected
-    /// faults under the retry layer; it just asks the transport for
-    /// O(populated endpoints) probes instead of O(address space).
+    /// open endpoints *and* stage-I telemetry — with and without
+    /// injected faults under the retry layer; it just asks the transport
+    /// for O(populated endpoints) probes instead of O(address space).
     #[test]
     fn sparse_sweep_equals_the_dense_reference() {
         use crate::retry::{RetryPolicy, RetryTransport};
         for fault_rate in [0.0, 0.05] {
             let sweep = |dense: bool| {
-                let faulty = FaultyTransport::new(sim(), FaultPlan::new(fault_rate, 0xfa17_5eed));
+                let mut faulty =
+                    FaultyTransport::new(sim(), FaultPlan::new(fault_rate, 0xfa17_5eed));
+                let injected = Arc::new(AtomicU64::new(0));
+                let seen = Arc::clone(&injected);
+                let observer: FaultObserver = Arc::new(move |lane| {
+                    assert_eq!(lane, FaultLane::Probe, "a sweep only probes");
+                    seen.fetch_add(1, Ordering::Relaxed);
+                });
+                faulty.report_faults_to(observer);
                 let telemetry = Telemetry::new();
                 let t =
                     RetryTransport::new(faulty.clone(), RetryPolicy::with_attempts(3), &telemetry);
                 let scanner = PortScanner::with_telemetry(config_for_tiny(), &telemetry);
-                let mut total = PortScanResult::default();
+                let mut open = Vec::new();
                 for block in scanner.shuffled_blocks() {
-                    total.absorb(if dense {
+                    open.extend(if dense {
                         scanner.scan_block_dense(&t, block)
                     } else {
-                        scanner.scan_block_paced(&t, block, &None)
+                        scanner.scan_blocks(&t, &[block], &None)
                     });
                 }
-                (total, telemetry.snapshot().to_json(), faulty)
+                let injected = injected.load(Ordering::Relaxed);
+                (open, telemetry.snapshot(), faulty, injected)
             };
-            let (sparse, sparse_telemetry, sparse_t) = sweep(false);
-            let (dense, dense_telemetry, dense_t) = sweep(true);
+            let (sparse, sparse_telemetry, sparse_t, sparse_injected) = sweep(false);
+            let (dense, dense_telemetry, dense_t, dense_injected) = sweep(true);
 
-            assert_eq!(sparse.open, dense.open, "same endpoints, same order");
-            assert_eq!(sparse.open_per_port, dense.open_per_port);
-            assert_eq!(sparse.addresses_probed, dense.addresses_probed);
-            assert_eq!(sparse.probes_sent, dense.probes_sent);
-            assert_eq!(sparse_telemetry, dense_telemetry, "fault rate {fault_rate}");
+            assert_eq!(sparse, dense, "same endpoints, same order");
             assert_eq!(
-                sparse_t.plan().stats().probe_injected(),
-                dense_t.plan().stats().probe_injected(),
+                sparse_telemetry.to_json(),
+                dense_telemetry.to_json(),
+                "fault rate {fault_rate}"
+            );
+            assert_eq!(
+                sparse_injected, dense_injected,
                 "both sweeps make the same fault draws"
             );
+            assert_eq!(fault_rate > 0.0, sparse_injected > 0);
             // Dense evaluated every (address, port) pair at least once;
             // sparse touched only the populated hosts.
+            let probes_sent = dense_telemetry.counter("stage1.probes_sent");
             let (sparse_t, dense_t) = (sparse_t.inner(), dense_t.inner());
-            assert!(dense_t.stats().probes() >= dense.probes_sent);
+            assert!(dense_t.stats().probes() >= probes_sent);
             assert!(sparse_t.stats().probes() < dense_t.stats().probes() / 10);
             if fault_rate == 0.0 {
                 let populated = sparse_t.universe().host_count() as u64 * SCAN_PORTS.len() as u64;
@@ -453,13 +470,10 @@ mod tests {
     #[test]
     fn oversized_blocks_straddling_reserved_space_match_the_dense_reference() {
         let block: Cidr = "192.0.0.0/22".parse().unwrap(); // holds 192.0.0.0/24 and 192.0.2.0/24
-        let scanner = PortScanner::new(PortScanConfig::new(vec![block]));
-        let sparse = scanner.scan_block_paced(&sim(), block, &None);
-        let dense = scanner.scan_block_dense(&sim(), block);
-        assert_eq!(sparse.addresses_probed, 512);
-        assert_eq!(sparse.addresses_probed, dense.addresses_probed);
-        assert_eq!(sparse.probes_sent, dense.probes_sent);
-        assert_eq!(sparse.open, dense.open);
+        let (sparse, dense) = sparse_and_dense(&PortScanConfig::new(vec![block]), block);
+        assert_eq!(sparse.1.counter("stage1.addresses_probed"), 512);
+        assert_eq!(sparse.0, dense.0);
+        assert_eq!(sparse.1, dense.1);
     }
 
     /// 192.0.0.0/22 lies in a first octet that is neither clear nor
@@ -468,23 +482,20 @@ mod tests {
     #[test]
     fn a_target_inside_a_mixed_octet_sweeps_only_its_unreserved_blocks() {
         let target: Cidr = "192.0.0.0/22".parse().unwrap();
-        let telemetry = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(PortScanConfig::new(vec![target]), &telemetry);
-        let result = scanner.scan(&sim());
-        assert_eq!(result.addresses_probed, 512);
-        assert_eq!(telemetry.snapshot().counter("stage1.blocks_swept"), 4);
+        let config = PortScanConfig::new(vec![target]);
+        let (_, snap) = scan_counted(config.clone(), &sim());
+        assert_eq!(snap.counter("stage1.addresses_probed"), 512);
+        assert_eq!(snap.counter("stage1.blocks_swept"), 4);
         for block in target.slash24_blocks() {
-            let sparse = scanner.scan_block_paced(&sim(), block, &None);
-            let dense = scanner.scan_block_dense(&sim(), block);
-            assert_eq!(sparse.addresses_probed, dense.addresses_probed, "{block}");
-            assert_eq!(sparse.probes_sent, dense.probes_sent, "{block}");
-            assert_eq!(sparse.open, dense.open, "{block}");
+            let (sparse, dense) = sparse_and_dense(&config, block);
+            assert_eq!(sparse.0, dense.0, "{block}");
+            assert_eq!(sparse.1, dense.1, "{block}");
         }
 
         let mut config = PortScanConfig::new(vec![target]);
         config.exclude_reserved = false;
-        let result = PortScanner::new(config).scan(&sim());
-        assert_eq!(result.addresses_probed, 1024);
+        let (_, snap) = scan_counted(config, &sim());
+        assert_eq!(snap.counter("stage1.addresses_probed"), 1024);
     }
 
     /// The sweep meets every level of the exclusion tree: each mixed
@@ -506,50 +517,53 @@ mod tests {
                 .filter(|range| target.contains(range.first()))
                 .map(Cidr::size)
                 .sum();
-            let telemetry = Telemetry::new();
-            let scanner =
-                PortScanner::with_telemetry(PortScanConfig::new(vec![target]), &telemetry);
-            scanner.scan(&sim());
-            let probed = telemetry.snapshot().counter("stage1.addresses_probed");
+            let (_, snap) = scan_counted(PortScanConfig::new(vec![target]), &sim());
+            let probed = snap.counter("stage1.addresses_probed");
             assert_eq!(probed, (1 << 24) - excluded, "{target}");
         }
 
         for reserved in ["192.0.2.0", "198.51.100.0", "203.0.113.0"] {
             for prefix in [23, 22] {
                 let block = Cidr::new(reserved.parse().unwrap(), prefix);
-                let scanner = PortScanner::new(PortScanConfig::new(vec![block]));
-                let sparse = scanner.scan_block_paced(&sim(), block, &None);
-                let dense = scanner.scan_block_dense(&sim(), block);
-                assert!(sparse.addresses_probed < block.size(), "{block}");
-                assert_eq!(sparse.addresses_probed, dense.addresses_probed, "{block}");
-                assert_eq!(sparse.probes_sent, dense.probes_sent, "{block}");
-                assert_eq!(sparse.open, dense.open, "{block}");
+                let (sparse, dense) = sparse_and_dense(&PortScanConfig::new(vec![block]), block);
+                assert!(
+                    sparse.1.counter("stage1.addresses_probed") < block.size(),
+                    "{block}"
+                );
+                assert_eq!(sparse.0, dense.0, "{block}");
+                assert_eq!(sparse.1, dense.1, "{block}");
             }
         }
     }
 
+    /// Stage I's counters are what the sweep found: one open counter per
+    /// configured port, registered whether or not it fires, summing to
+    /// the endpoints returned.
     #[test]
     fn sweep_telemetry_matches_results() {
         let t = sim();
-        let telemetry = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(config_for_tiny(), &telemetry);
-        let result = scanner.scan(&t);
-        let snap = telemetry.snapshot();
+        let (open, snap) = scan_counted(config_for_tiny(), &t);
         assert_eq!(snap.counter("stage1.blocks_swept"), 256);
-        assert_eq!(
-            snap.counter("stage1.addresses_probed"),
-            result.addresses_probed
-        );
-        assert_eq!(snap.counter("stage1.probes_sent"), result.probes_sent);
-        assert_eq!(snap.counter("stage1.ports_open"), result.open.len() as u64);
+        assert_eq!(snap.counter("stage1.addresses_probed"), 65_536);
+        assert_eq!(snap.counter("stage1.probes_sent"), 65_536 * 12);
+        let family = (snap.counters.keys())
+            .filter(|k| k.starts_with("stage1.ports_open."))
+            .count();
+        assert_eq!(family, SCAN_PORTS.len());
+        for port in SCAN_PORTS {
+            let name = format!("stage1.ports_open.{port}");
+            let found = open.iter().filter(|ep| ep.port == port).count() as u64;
+            assert_eq!(snap.counter(&name), found, "{name}");
+        }
+        assert_eq!(snap.prefixed_total("stage1.ports_open."), open.len() as u64);
+        assert!(!snap.counters.contains_key("stage1.ports_open"));
     }
 
     #[test]
     fn by_host_groups_ports() {
         let t = sim();
-        let scanner = PortScanner::new(config_for_tiny());
-        let result = scanner.scan(&t);
-        let by_host = result.by_host();
+        let open = PortScanner::new(config_for_tiny()).scan(&t);
+        let by_host = by_host(&open);
         // Tarpit hosts have all 12 ports open.
         let tarpits = by_host.values().filter(|ports| ports.len() == 12).count();
         assert_eq!(tarpits as u64, 5, "tiny universe has 5 tarpits");

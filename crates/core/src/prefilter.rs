@@ -5,6 +5,11 @@
 //! redirects until a response body arrives, and matches the body against
 //! the 90 prefilter signatures. Hosts matching no signature are discarded
 //! before the expensive stage III.
+//!
+//! A run returns its hits; every count — endpoints probed, hits,
+//! discarded, silent, responses per scheme and port
+//! (`stage2.{http,https}_responses.<port>`), failed fetches by error
+//! class — goes to the telemetry registry alone.
 
 use crate::multipattern::MultiPattern;
 use crate::scratch::Scratch;
@@ -12,7 +17,6 @@ use crate::signatures::{all_signatures, rank_candidates, Signature};
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// A stage-II hit: an endpoint that speaks HTTP(S) and looks like one or
@@ -28,30 +32,9 @@ pub struct PrefilterHit {
     pub redirects: usize,
 }
 
-/// Per-port protocol statistics (Table 2's "# HTTP" / "# HTTPS").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PortProtocolStats {
-    pub http: u64,
-    pub https: u64,
-}
-
-/// Result of prefiltering a set of endpoints.
-#[derive(Debug, Default)]
-pub struct PrefilterResult {
-    pub hits: Vec<PrefilterHit>,
-    /// Endpoints that spoke HTTP(S) but matched no signature.
-    pub discarded: u64,
-    /// Endpoints that spoke neither protocol.
-    pub silent: u64,
-    /// Protocol stats per port.
-    pub per_port: BTreeMap<u16, PortProtocolStats>,
-}
-
 /// Cached stage-II telemetry handles.
 struct PrefilterMetrics {
     endpoints: Counter,
-    http_responses: Counter,
-    https_responses: Counter,
     hits: Counter,
     discarded: Counter,
     silent: Counter,
@@ -64,6 +47,8 @@ struct PrefilterMetrics {
     /// each registered with `telemetry` on first use: a snapshot lists
     /// only the classes that occurred.
     errors: [OnceLock<Counter>; nokeys_http::Error::CLASSES.len()],
+    /// Registers `stage2.{http,https}_responses.<port>` (Table 2's
+    /// "# HTTP" / "# HTTPS") and the error classes on first use.
     telemetry: Telemetry,
 }
 
@@ -71,8 +56,6 @@ impl PrefilterMetrics {
     fn new(telemetry: &Telemetry, signatures: &[Signature]) -> Self {
         PrefilterMetrics {
             endpoints: telemetry.counter("stage2.endpoints_probed"),
-            http_responses: telemetry.counter("stage2.http_responses"),
-            https_responses: telemetry.counter("stage2.https_responses"),
             hits: telemetry.counter("stage2.hits"),
             discarded: telemetry.counter("stage2.discarded"),
             silent: telemetry.counter("stage2.silent"),
@@ -95,6 +78,14 @@ impl PrefilterMetrics {
             self.telemetry
                 .counter(&format!("stage2.error.{}", error.class()))
         })
+    }
+
+    /// The counter of `scheme` responses on `port`: a port's family
+    /// member exists once that port has answered over that scheme.
+    fn responses(&self, scheme: Scheme, port: u16) -> Counter {
+        let scheme = scheme.as_str();
+        self.telemetry
+            .counter(&format!("stage2.{scheme}_responses.{port}"))
     }
 }
 
@@ -137,21 +128,21 @@ impl Prefilter {
         }
     }
 
-    /// Probe a single endpoint; returns the hit (if any signature
-    /// matched) plus which schemes answered. All matching buffers are
-    /// borrowed from `scratch`: with a reused arena the multipattern
-    /// pass allocates nothing.
+    /// Probe a single endpoint over each of its port's schemes and
+    /// classify it as a hit, discarded (spoke HTTP(S), matched nothing)
+    /// or silent in the stage-II counters; returns the hit, if any. All
+    /// matching buffers are borrowed from `scratch`: with a reused arena
+    /// the multipattern pass allocates nothing.
     pub fn probe_endpoint_scratch<T: Transport>(
         &self,
         client: &Client<T>,
         ep: Endpoint,
         scratch: &mut Scratch,
-    ) -> (Option<PrefilterHit>, PortProtocolStats) {
-        let mut stats = PortProtocolStats::default();
+    ) -> Option<PrefilterHit> {
+        let mut spoke = false;
         let mut hit: Option<PrefilterHit> = None;
-        let schemes = Self::schemes_for_port(ep.port);
         self.metrics.endpoints.incr();
-        for &scheme in schemes {
+        for &scheme in Self::schemes_for_port(ep.port) {
             let fetched = match client.get_path(ep, scheme, "/") {
                 Ok(fetched) => fetched,
                 Err(e) => {
@@ -159,16 +150,8 @@ impl Prefilter {
                     continue;
                 }
             };
-            match scheme {
-                Scheme::Http => {
-                    stats.http += 1;
-                    self.metrics.http_responses.incr();
-                }
-                Scheme::Https => {
-                    stats.https += 1;
-                    self.metrics.https_responses.incr();
-                }
-            }
+            spoke = true;
+            self.metrics.responses(scheme, ep.port).incr();
             self.metrics.redirects.observe(fetched.redirects as u64);
             if hit.is_none() {
                 let body = fetched.response.body_str();
@@ -190,53 +173,26 @@ impl Prefilter {
                 }
             }
         }
-        (hit, stats)
-    }
-
-    /// Merge one endpoint's probe outcome into `result`, recording the
-    /// hit / discarded / silent classification.
-    fn absorb_probe(
-        &self,
-        result: &mut PrefilterResult,
-        ep: Endpoint,
-        hit: Option<PrefilterHit>,
-        stats: PortProtocolStats,
-    ) {
-        let spoke = stats.http + stats.https > 0;
-        let entry = result.per_port.entry(ep.port).or_default();
-        entry.http += stats.http;
-        entry.https += stats.https;
         match hit {
-            Some(h) => {
-                self.metrics.hits.incr();
-                result.hits.push(h);
-            }
-            None if spoke => {
-                self.metrics.discarded.incr();
-                result.discarded += 1;
-            }
-            None => {
-                self.metrics.silent.incr();
-                result.silent += 1;
-            }
+            Some(_) => self.metrics.hits.incr(),
+            None if spoke => self.metrics.discarded.incr(),
+            None => self.metrics.silent.incr(),
         }
+        hit
     }
 
     /// Prefilter a batch of endpoints, one after another, borrowing all
     /// matching buffers from `scratch` (a shard worker passes the arena
-    /// it keeps for its whole life).
+    /// it keeps for its whole life). Returns the hits in endpoint order.
     pub fn run<T: Transport>(
         &self,
         client: &Client<T>,
         endpoints: &[Endpoint],
         scratch: &mut Scratch,
-    ) -> PrefilterResult {
-        let mut result = PrefilterResult::default();
-        for &ep in endpoints {
-            let (hit, stats) = self.probe_endpoint_scratch(client, ep, scratch);
-            self.absorb_probe(&mut result, ep, hit, stats);
-        }
-        result
+    ) -> Vec<PrefilterHit> {
+        (endpoints.iter())
+            .filter_map(|&ep| self.probe_endpoint_scratch(client, ep, scratch))
+            .collect()
     }
 
     /// Number of loaded signatures (90 in the paper's configuration).
@@ -249,12 +205,25 @@ impl Prefilter {
 mod tests {
     use super::*;
     use crate::portscan::{PortScanConfig, PortScanner};
+    use crate::telemetry::TelemetrySnapshot;
     use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
     use std::sync::Arc;
 
     fn client() -> Client<SimTransport> {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
         Client::new(t)
+    }
+
+    /// Sweep the tiny universe and prefilter every open endpoint,
+    /// recording stage II into a registry of its own.
+    fn prefilter_tiny(
+        client: &Client<SimTransport>,
+    ) -> (Vec<Endpoint>, Vec<PrefilterHit>, TelemetrySnapshot) {
+        let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
+        let open = scanner.scan(client.transport());
+        let telemetry = Telemetry::new();
+        let hits = Prefilter::with_telemetry(&telemetry).run(client, &open, &mut Scratch::new());
+        (open, hits, telemetry.snapshot())
     }
 
     #[test]
@@ -271,10 +240,7 @@ mod tests {
     #[test]
     fn classifies_awe_noise_and_silence() {
         let client = client();
-        let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let scan = scanner.scan(client.transport());
-        let prefilter = Prefilter::new();
-        let result = prefilter.run(&client, &scan.open, &mut Scratch::new());
+        let (_, hits, snap) = prefilter_tiny(&client);
 
         // Every non-tarpit AWE endpoint that speaks HTTP or HTTPS must be
         // identified as a candidate.
@@ -285,19 +251,19 @@ mod tests {
             .map(|h| h.services.len() as u64)
             .sum();
         assert!(
-            result.hits.len() as u64 >= awe_services / 2,
+            hits.len() as u64 >= awe_services / 2,
             "most AWE endpoints hit"
         );
 
         // Background noise is discarded, tarpits and NotHttp are silent.
         assert!(
-            result.discarded > 0,
+            snap.counter("stage2.discarded") > 0,
             "background noise present and discarded"
         );
-        assert!(result.silent > 0, "silent services present");
+        assert!(snap.counter("stage2.silent") > 0, "silent services present");
 
         // Candidate attribution is correct for each hit.
-        for hit in &result.hits {
+        for hit in &hits {
             let host = universe.host(hit.endpoint.ip).expect("hit host exists");
             let (_, actual_app) = host.awe().expect("hits are AWE hosts");
             assert!(
@@ -312,23 +278,17 @@ mod tests {
     #[test]
     fn prefilter_telemetry_reconciles_with_result() {
         let client = client();
-        let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let scan = scanner.scan(client.transport());
-        let telemetry = Telemetry::new();
-        let prefilter = Prefilter::with_telemetry(&telemetry);
-        let result = prefilter.run(&client, &scan.open, &mut Scratch::new());
-        let snap = telemetry.snapshot();
+        let (open, hits, snap) = prefilter_tiny(&client);
+        let probed = snap.counter("stage2.endpoints_probed");
+        assert_eq!(probed, open.len() as u64);
+        assert_eq!(snap.counter("stage2.hits"), hits.len() as u64);
+        // Every endpoint is classified exactly once.
         assert_eq!(
-            snap.counter("stage2.endpoints_probed"),
-            scan.open.len() as u64
+            snap.counter("stage2.hits")
+                + snap.counter("stage2.discarded")
+                + snap.counter("stage2.silent"),
+            probed
         );
-        assert_eq!(snap.counter("stage2.hits"), result.hits.len() as u64);
-        assert_eq!(snap.counter("stage2.discarded"), result.discarded);
-        assert_eq!(snap.counter("stage2.silent"), result.silent);
-        let http: u64 = result.per_port.values().map(|s| s.http).sum();
-        let https: u64 = result.per_port.values().map(|s| s.https).sum();
-        assert_eq!(snap.counter("stage2.http_responses"), http);
-        assert_eq!(snap.counter("stage2.https_responses"), https);
         // All 90 per-signature counters are registered, some fired.
         assert_eq!(
             snap.counters
@@ -339,22 +299,36 @@ mod tests {
         );
         assert!(snap.prefixed_total("stage2.signature.") > 0);
         // Redirect observations: one per HTTP(S) response.
-        assert_eq!(snap.histograms["stage2.redirects"].count, http + https);
+        let responses = snap.prefixed_total("stage2.http_responses.")
+            + snap.prefixed_total("stage2.https_responses.");
+        assert!(responses > 0);
+        assert_eq!(snap.histograms["stage2.redirects"].count, responses);
     }
 
     #[test]
     fn per_port_stats_accumulate() {
         let client = client();
-        let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let scan = scanner.scan(client.transport());
-        let result = Prefilter::new().run(&client, &scan.open, &mut Scratch::new());
-        // Port 80 must have zero HTTPS responses, port 443 zero HTTP.
-        if let Some(p80) = result.per_port.get(&80) {
-            assert_eq!(p80.https, 0);
-            assert!(p80.http > 0);
-        }
-        if let Some(p443) = result.per_port.get(&443) {
-            assert_eq!(p443.http, 0);
+        let (open, _, snap) = prefilter_tiny(&client);
+        // Port 80 is only asked for HTTP, port 443 only for HTTPS: the
+        // other scheme's counter never registers.
+        assert!(snap.counter("stage2.http_responses.80") > 0);
+        assert!(!snap.counters.contains_key("stage2.https_responses.80"));
+        assert!(!snap.counters.contains_key("stage2.http_responses.443"));
+        // Only ports that answered have a counter, and no port answers
+        // a scheme more often than it has open endpoints.
+        for (name, &n) in &snap.counters {
+            let Some(port) = (name.strip_prefix("stage2.http_responses."))
+                .or_else(|| name.strip_prefix("stage2.https_responses."))
+            else {
+                continue;
+            };
+            let port: u16 = port.parse().expect("a port number");
+            assert!(n > 0, "{name} registered without a response");
+            let open = open.iter().filter(|ep| ep.port == port).count() as u64;
+            assert!(
+                n <= open,
+                "{name}: {n} responses from {open} open endpoints"
+            );
         }
     }
 }

@@ -1,6 +1,13 @@
 //! Scan report types.
+//!
+//! A [`ScanReport`] is built once, when a scan finishes, from two
+//! things: the findings in batch order and the snapshot of the
+//! telemetry the scan's batches recorded. Every number in it — Table
+//! 2's per-port rows, the exclusion count, the stage funnel — is read
+//! off that snapshot; no stage keeps a second count of its own.
 
 use crate::json::{object, FromJson, JsonError, ToJson, Value};
+use crate::telemetry::TelemetrySnapshot;
 use nokeys_apps::{AppId, ReleaseDate, Version};
 use nokeys_http::{Endpoint, Scheme};
 use std::collections::BTreeMap;
@@ -36,7 +43,8 @@ impl HostFinding {
     }
 }
 
-/// Per-port counters for Table 2.
+/// Per-port counters for Table 2: `stage1.ports_open.<port>`,
+/// `stage2.http_responses.<port>` and `stage2.https_responses.<port>`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PortStat {
     pub open: u64,
@@ -45,67 +53,63 @@ pub struct PortStat {
 }
 
 /// The complete output of one pipeline run.
-///
-/// `Clone` and [`FromJson`] exist for the
-/// [`checkpoint`](crate::checkpoint) subsystem, which persists the
-/// report accumulated so far and restores it on resume.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanReport {
     /// Table 2 data.
     pub port_stats: BTreeMap<u16, PortStat>,
     /// Hosts excluded because every scanned port appeared open
-    /// (the paper's 3.0M network artifacts).
+    /// (the paper's 3.0M network artifacts; `pipeline.tarpit_excluded`).
     pub excluded_all_ports_open: u64,
-    /// Addresses probed in stage I.
+    /// Addresses probed in stage I (`stage1.addresses_probed`).
     pub addresses_probed: u64,
-    /// Individual SYN probes sent.
+    /// Logical SYN probes sent, one per (address, port) pair
+    /// (`stage1.probes_sent`).
     pub probes_sent: u64,
-    /// Endpoints that spoke HTTP(S) but matched no signature.
+    /// Endpoints that spoke HTTP(S) but matched no signature
+    /// (`stage2.discarded`).
     pub prefilter_discarded: u64,
-    /// Endpoints that answered neither HTTP nor HTTPS.
+    /// Endpoints that answered neither HTTP nor HTTPS (`stage2.silent`).
     pub prefilter_silent: u64,
-    /// Endpoints whose body matched at least one signature.
+    /// Endpoints whose body matched at least one signature
+    /// (`stage2.hits`).
     pub prefilter_hits: u64,
     /// Identified AWE hosts (one entry per host × application).
     pub findings: Vec<HostFinding>,
 }
 
 impl ScanReport {
-    /// Fold another report into this one: counters add, per-port stats
-    /// add field-wise, and `other`'s findings are appended after ours.
-    ///
-    /// This is the whole report reducer of the
-    /// [`shard`](crate::shard) layer: every field except `findings` is
-    /// an order-independent sum, and `findings` is ordered by stage-I
-    /// batch sequence — so absorbing per-shard partial reports in
-    /// ascending batch order reconstructs the single-pipeline report
-    /// byte for byte.
-    pub fn absorb(&mut self, other: ScanReport) {
-        // Destructure so a future field cannot be silently dropped from
-        // the merge.
-        let ScanReport {
+    /// The report of a scan whose batches found `findings` (in batch
+    /// order) and recorded `telemetry`. A port gets a Table 2 row iff
+    /// its `stage1.ports_open.<port>` counter is above zero; a counter
+    /// the snapshot lacks reads as zero.
+    pub(crate) fn from_telemetry(
+        findings: Vec<HostFinding>,
+        telemetry: &TelemetrySnapshot,
+    ) -> Self {
+        let port_stats = (telemetry.counters.iter())
+            .filter(|&(_, &open)| open > 0)
+            .filter_map(|(name, &open)| {
+                let port: u16 = name.strip_prefix("stage1.ports_open.")?.parse().ok()?;
+                let responses =
+                    |scheme: &str| telemetry.counter(&format!("stage2.{scheme}_responses.{port}"));
+                let stat = PortStat {
+                    open,
+                    http: responses("http"),
+                    https: responses("https"),
+                };
+                Some((port, stat))
+            })
+            .collect();
+        ScanReport {
             port_stats,
-            excluded_all_ports_open,
-            addresses_probed,
-            probes_sent,
-            prefilter_discarded,
-            prefilter_silent,
-            prefilter_hits,
+            excluded_all_ports_open: telemetry.counter("pipeline.tarpit_excluded"),
+            addresses_probed: telemetry.counter("stage1.addresses_probed"),
+            probes_sent: telemetry.counter("stage1.probes_sent"),
+            prefilter_discarded: telemetry.counter("stage2.discarded"),
+            prefilter_silent: telemetry.counter("stage2.silent"),
+            prefilter_hits: telemetry.counter("stage2.hits"),
             findings,
-        } = other;
-        for (port, stat) in port_stats {
-            let entry = self.port_stats.entry(port).or_default();
-            entry.open += stat.open;
-            entry.http += stat.http;
-            entry.https += stat.https;
         }
-        self.excluded_all_ports_open += excluded_all_ports_open;
-        self.addresses_probed += addresses_probed;
-        self.probes_sent += probes_sent;
-        self.prefilter_discarded += prefilter_discarded;
-        self.prefilter_silent += prefilter_silent;
-        self.prefilter_hits += prefilter_hits;
-        self.findings.extend(findings);
     }
 
     /// Hosts running `app` (Table 3, "# Hosts" at simulation scale).
@@ -220,20 +224,10 @@ impl ToJson for PortStat {
     }
 }
 
-impl FromJson for PortStat {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(PortStat {
-            open: value.field("open")?,
-            http: value.field("http")?,
-            https: value.field("https")?,
-        })
-    }
-}
-
 impl ToJson for ScanReport {
     fn to_json(&self) -> Value {
         // Destructure so a future field cannot be silently dropped from
-        // the checkpoint.
+        // the JSON export.
         let ScanReport {
             port_stats,
             excluded_all_ports_open,
@@ -257,21 +251,6 @@ impl ToJson for ScanReport {
     }
 }
 
-impl FromJson for ScanReport {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(ScanReport {
-            port_stats: value.field("port_stats")?,
-            excluded_all_ports_open: value.field("excluded_all_ports_open")?,
-            addresses_probed: value.field("addresses_probed")?,
-            probes_sent: value.field("probes_sent")?,
-            prefilter_discarded: value.field("prefilter_discarded")?,
-            prefilter_silent: value.field("prefilter_silent")?,
-            prefilter_hits: value.field("prefilter_hits")?,
-            findings: value.field("findings")?,
-        })
-    }
-}
-
 impl ScanReport {
     /// Compact deterministic JSON (sorted keys, no whitespace) — what
     /// the byte-identity tests compare.
@@ -283,6 +262,7 @@ impl ScanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Telemetry;
     use nokeys_apps::release_history;
     use std::net::Ipv4Addr;
 
@@ -315,65 +295,51 @@ mod tests {
         assert!((report.fingerprint_coverage() - 2.0 / 3.0).abs() < 1e-9);
     }
 
+    /// Every count is read off the snapshot; a port gets a row iff it
+    /// has open endpoints, and a missing counter reads as zero.
     #[test]
-    fn absorb_sums_counters_and_appends_findings() {
-        let mut a = ScanReport {
-            excluded_all_ports_open: 1,
-            addresses_probed: 10,
-            probes_sent: 120,
-            prefilter_discarded: 2,
-            prefilter_silent: 3,
-            prefilter_hits: 4,
-            findings: vec![finding(AppId::Docker, true, true)],
-            ..Default::default()
-        };
-        a.port_stats.insert(
-            80,
-            PortStat {
-                open: 5,
-                http: 4,
-                https: 0,
-            },
+    fn counts_are_read_off_the_telemetry() {
+        assert_eq!(
+            ScanReport::from_telemetry(Vec::new(), &Telemetry::new().snapshot()),
+            ScanReport::default()
         );
-        let mut b = ScanReport {
-            excluded_all_ports_open: 2,
-            addresses_probed: 20,
-            probes_sent: 240,
-            prefilter_discarded: 1,
-            prefilter_silent: 1,
-            prefilter_hits: 1,
-            findings: vec![finding(AppId::Hadoop, false, false)],
-            ..Default::default()
-        };
-        b.port_stats.insert(
-            80,
-            PortStat {
-                open: 2,
-                http: 1,
-                https: 0,
-            },
+
+        let telemetry = Telemetry::new();
+        for (name, n) in [
+            ("stage1.addresses_probed", 10),
+            ("stage1.probes_sent", 120),
+            ("stage1.ports_open.80", 7),
+            ("stage1.ports_open.443", 1),
+            ("stage1.ports_open.8080", 0),
+            ("stage2.http_responses.80", 5),
+            ("stage2.https_responses.443", 1),
+            ("stage2.discarded", 3),
+            ("stage2.silent", 4),
+            ("stage2.hits", 5),
+            ("pipeline.tarpit_excluded", 2),
+        ] {
+            telemetry.counter(name).add(n);
+        }
+        let findings = vec![
+            finding(AppId::Docker, true, true),
+            finding(AppId::Hadoop, false, false),
+        ];
+        let report = ScanReport::from_telemetry(findings.clone(), &telemetry.snapshot());
+        let port = |open, http, https| PortStat { open, http, https };
+        assert_eq!(
+            report,
+            ScanReport {
+                port_stats: [(80, port(7, 5, 0)), (443, port(1, 0, 1))].into(),
+                excluded_all_ports_open: 2,
+                addresses_probed: 10,
+                probes_sent: 120,
+                prefilter_discarded: 3,
+                prefilter_silent: 4,
+                prefilter_hits: 5,
+                findings,
+            }
         );
-        b.port_stats.insert(
-            443,
-            PortStat {
-                open: 1,
-                http: 0,
-                https: 1,
-            },
-        );
-        a.absorb(b);
-        assert_eq!(a.excluded_all_ports_open, 3);
-        assert_eq!(a.addresses_probed, 30);
-        assert_eq!(a.probes_sent, 360);
-        assert_eq!(a.prefilter_discarded, 3);
-        assert_eq!(a.prefilter_silent, 4);
-        assert_eq!(a.prefilter_hits, 5);
-        assert_eq!(a.port_stats[&80].open, 7);
-        assert_eq!(a.port_stats[&80].http, 5);
-        assert_eq!(a.port_stats[&443].https, 1);
-        assert_eq!(a.findings.len(), 2);
-        assert_eq!(a.findings[0].app, AppId::Docker);
-        assert_eq!(a.findings[1].app, AppId::Hadoop);
+        assert!(!report.port_stats.contains_key(&8080), "0 open, no row");
     }
 
     #[test]
@@ -396,7 +362,8 @@ mod tests {
         let json = report.to_json_string();
         assert!(json.contains("\"Nomad\""));
         assert!(json.contains("\"vulnerable\":true"));
-        let back = ScanReport::from_json(&crate::json::parse(json.as_bytes()).unwrap()).unwrap();
-        assert_eq!(back, report);
+        let value = crate::json::parse(json.as_bytes()).unwrap();
+        let findings: Vec<HostFinding> = value.field("findings").unwrap();
+        assert_eq!(findings, report.findings);
     }
 }

@@ -11,10 +11,12 @@
 //! OS threads (`std::thread::scope`) each take the next unscanned batch
 //! number from a shared atomic cursor, sweep and verify that batch, and
 //! file its result in the [`Ledger`] — until the cursor runs off the
-//! end. The finished ledger, read in batch order, is the
-//! [`ScanReport`] and the telemetry snapshot — byte-identical at any
-//! shard count, one included. Shard workers *are* the scan's
-//! parallelism: inside a worker everything is a plain sequential loop.
+//! end. The finished ledger — its findings in batch order and one
+//! snapshot of its batches' telemetry, which every report number is
+//! read off — is the [`ScanReport`] and the telemetry snapshot,
+//! byte-identical at any shard count, one included. Shard workers *are*
+//! the scan's parallelism: inside a worker everything is a plain
+//! sequential loop.
 //!
 //! # The cursor
 //!
@@ -29,22 +31,22 @@
 //!
 //! # Why the ledger is order-independent
 //!
-//! Every piece of scan state is either an **order-free sum** or
-//! **keyed by batch sequence**:
+//! A batch is its findings and its telemetry, and each is either
+//! **keyed by batch sequence** or an **order-free sum**:
 //!
-//! * All [`ScanReport`] fields except `findings` are counters (or
-//!   per-port counter maps); [`ScanReport::absorb`] adds them, and
-//!   addition commutes.
-//! * `findings` are ordered by stage-I batch sequence, and each batch
-//!   is processed entirely by one worker — so absorbing the ledger's
-//!   per-batch reports in key order reconstructs the single-worker
+//! * Findings are ordered by stage-I batch sequence, and each batch is
+//!   processed entirely by one worker — so concatenating the ledger's
+//!   per-batch findings in key order reconstructs the single-worker
 //!   findings order exactly, whichever worker filed which batch when.
-//! * Telemetry snapshots are sums too (counters add, histogram buckets
-//!   add). A worker records into a
-//!   private staging registry and empties it after every batch
-//!   ([`Telemetry::take`]), so what it files is that batch's work
-//!   alone, and absorbing the batches in *any* order yields the
-//!   single-worker registry.
+//! * Telemetry snapshots are sums (counters add, histogram buckets
+//!   add). A worker records into a private staging registry and
+//!   empties it after every batch ([`Telemetry::take`]), so what it
+//!   files is that batch's work alone, and absorbing the batches in
+//!   *any* order yields the single-worker registry. Every count in the
+//!   [`ScanReport`] — Table 2's per-port rows, the exclusions, the
+//!   stage funnel — is read off that registry once, when the ledger
+//!   finishes (`ScanReport::from_telemetry`), so no count is kept
+//!   twice.
 //! * Fault injection draws each fate as a pure function of `(lane,
 //!   endpoint, instant, request target, try)`: no draw depends on which
 //!   worker, batch or process made it, or on what ran before — so
@@ -74,7 +76,7 @@ use crate::checkpoint::{CheckpointLog, ConfigFingerprint};
 use crate::pipeline::{BatchProcessor, PipelineConfig, PipelineError};
 use crate::portscan::{Cidr, PortScanner};
 use crate::rate::SharedPacer;
-use crate::report::ScanReport;
+use crate::report::{HostFinding, ScanReport};
 use crate::retry::RetryTransport;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use nokeys_http::{Client, FaultLane, Transport};
@@ -83,13 +85,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The scan's one piece of shared state: every finished batch's report
-/// by batch sequence number, plus one registry holding the telemetry of
-/// exactly those batches.
+/// The scan's one piece of shared state: every finished batch's
+/// findings by batch sequence number, plus one registry holding the
+/// telemetry of exactly those batches.
 #[derive(Debug)]
 pub struct Ledger {
     total_batches: u64,
-    reports: BTreeMap<u64, ScanReport>,
+    findings: BTreeMap<u64, Vec<HostFinding>>,
     telemetry: Telemetry,
     /// Where filed batches are persisted first, when checkpointing.
     log: Option<CheckpointLog>,
@@ -100,14 +102,14 @@ impl Ledger {
     pub fn new(total_batches: u64) -> Self {
         Ledger {
             total_batches,
-            reports: BTreeMap::new(),
+            findings: BTreeMap::new(),
             telemetry: Telemetry::new(),
             log: None,
         }
     }
 
-    /// File finished batch `seq`: its own report and the telemetry of
-    /// the work it took. Batches may arrive in any order. With a log
+    /// File finished batch `seq`: its findings and the telemetry of the
+    /// work it took. Batches may arrive in any order. With a log
     /// attached the batch is appended there before it counts as filed.
     ///
     /// # Panics
@@ -117,31 +119,33 @@ impl Ledger {
     pub fn file(
         &mut self,
         seq: u64,
-        report: ScanReport,
+        findings: Vec<HostFinding>,
         telemetry: &TelemetrySnapshot,
     ) -> Result<(), PipelineError> {
         assert!(seq < self.total_batches, "batch {seq} is out of range");
-        assert!(!self.reports.contains_key(&seq), "batch {seq} filed twice");
+        assert!(!self.findings.contains_key(&seq), "batch {seq} filed twice");
         if let Some(log) = &mut self.log {
-            log.append(seq, &report, telemetry)?;
+            log.append(seq, &findings, telemetry)?;
         }
-        self.record(seq, report, telemetry);
+        self.record(seq, findings, telemetry);
         Ok(())
     }
 
-    fn record(&mut self, seq: u64, report: ScanReport, telemetry: &TelemetrySnapshot) {
+    fn record(&mut self, seq: u64, findings: Vec<HostFinding>, telemetry: &TelemetrySnapshot) {
         self.telemetry.absorb(telemetry);
-        self.reports.insert(seq, report);
+        self.findings.insert(seq, findings);
     }
 
     /// The batches not filed yet, ascending.
     fn missing(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.total_batches).filter(|seq| !self.reports.contains_key(seq))
+        (0..self.total_batches).filter(|seq| !self.findings.contains_key(seq))
     }
 
-    /// The whole reducer: absorb the per-batch reports in batch order
-    /// and hand the batches' telemetry to `telemetry`. Fails, naming
-    /// the first gap, unless every batch has been filed.
+    /// The whole reducer: the findings in batch order and the counts
+    /// of the ledger's own registry make the report, and that registry
+    /// is handed to `telemetry`. The report reads nothing from
+    /// `telemetry`, which may hold other work too. Fails, naming the
+    /// first gap, unless every batch has been filed.
     pub fn finish(self, telemetry: &Telemetry) -> Result<ScanReport, PipelineError> {
         if let Some(seq) = self.missing().next() {
             return Err(PipelineError::SweepFailed(format!(
@@ -149,12 +153,10 @@ impl Ledger {
                 self.total_batches
             )));
         }
-        let mut report = ScanReport::default();
-        for batch in self.reports.into_values() {
-            report.absorb(batch);
-        }
-        telemetry.absorb(&self.telemetry.snapshot());
-        Ok(report)
+        let work = self.telemetry.snapshot();
+        telemetry.absorb(&work);
+        let findings = self.findings.into_values().flatten().collect();
+        Ok(ScanReport::from_telemetry(findings, &work))
     }
 }
 
@@ -210,23 +212,20 @@ impl<'a, T: Transport + Clone> BatchRunner<'a, T> {
         }
     }
 
-    /// Sweep and process batch `seq`; returns its report and the
+    /// Sweep and process batch `seq`; returns its findings and the
     /// telemetry it recorded, leaving the staging registry empty for
     /// the next batch.
-    fn run_batch(&mut self, seq: u64) -> (ScanReport, TelemetrySnapshot) {
+    fn run_batch(&mut self, seq: u64) -> (Vec<HostFinding>, TelemetrySnapshot) {
         let blocks = self
             .blocks
             .chunks(self.blocks_per_batch)
             .nth(seq as usize)
             .expect("batch sequence number in range");
-        let batch = self
+        let open = self
             .scanner
             .scan_blocks(self.client.transport(), blocks, &self.pacer);
-        let mut report = ScanReport::default();
-        BatchProcessor::accumulate_sweep_counts(&mut report, &batch);
-        self.processor
-            .process_batch(&self.client, batch, &mut report);
-        (report, self.staging.take())
+        let findings = self.processor.process_batch(&self.client, &open);
+        (findings, self.staging.take())
     }
 }
 
@@ -246,7 +245,7 @@ pub fn scan_batch<T: Transport + Clone>(
     config: &PipelineConfig,
     client: &Client<T>,
     seq: u64,
-) -> (ScanReport, TelemetrySnapshot) {
+) -> (Vec<HostFinding>, TelemetrySnapshot) {
     let (blocks, pacer) = plan(config);
     BatchRunner::new(config, client, &blocks, pacer).run_batch(seq)
 }
@@ -282,8 +281,8 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
         let fingerprint = ConfigFingerprint::of(config);
         ledger.log = Some(if resume {
             let (log, batches) = CheckpointLog::resume(path, &fingerprint, total_batches)?;
-            for (seq, (report, work)) in batches {
-                ledger.record(seq, report, &work);
+            for (seq, (findings, work)) in batches {
+                ledger.record(seq, findings, &work);
             }
             log
         } else {
@@ -305,11 +304,11 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
                 let (todo, cursor, ledger) = (&todo, &cursor, &ledger);
                 scope.spawn(move || {
                     while let Some(&seq) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                        let (report, work) = runner.run_batch(seq);
+                        let (findings, work) = runner.run_batch(seq);
                         ledger
                             .lock()
                             .expect("no worker panics while filing")
-                            .file(seq, report, &work)?;
+                            .file(seq, findings, &work)?;
                     }
                     Ok(())
                 })
@@ -338,15 +337,24 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nokeys_apps::AppId;
+    use nokeys_http::{Endpoint, Scheme};
+    use std::net::Ipv4Addr;
 
-    fn batch(probes: u64) -> (ScanReport, TelemetrySnapshot) {
-        let report = ScanReport {
-            probes_sent: probes,
-            ..ScanReport::default()
+    /// Batch `seq`: one finding at an address ending in `seq`, and
+    /// `probes` probes sent.
+    fn batch(seq: u64, probes: u64) -> (Vec<HostFinding>, TelemetrySnapshot) {
+        let finding = HostFinding {
+            endpoint: Endpoint::new(Ipv4Addr::new(20, 0, 0, seq as u8), 80),
+            scheme: Scheme::Http,
+            app: AppId::Docker,
+            vulnerable: false,
+            version: None,
+            fingerprint_method: None,
         };
         let telemetry = Telemetry::new();
         telemetry.counter("stage1.probes_sent").add(probes);
-        (report, telemetry.snapshot())
+        (vec![finding], telemetry.snapshot())
     }
 
     #[test]
@@ -354,25 +362,32 @@ mod tests {
         let mut ledger = Ledger::new(3);
         assert_eq!(ledger.missing().collect::<Vec<_>>(), [0, 1, 2]);
         for seq in [2, 0, 1] {
-            let (report, telemetry) = batch(10 + seq);
+            let (findings, telemetry) = batch(seq, 10 + seq);
             ledger
-                .file(seq, report, &telemetry)
+                .file(seq, findings, &telemetry)
                 .expect("no log to fail");
         }
         assert_eq!(ledger.missing().next(), None);
+        // The caller's registry may already hold other work: the report
+        // counts only the ledger's batches, the registry gets them added.
         let telemetry = Telemetry::new();
+        telemetry.counter("stage1.probes_sent").add(1000);
         let report = ledger.finish(&telemetry).expect("every batch filed");
         assert_eq!(report.probes_sent, 33);
-        assert_eq!(telemetry.snapshot().counter("stage1.probes_sent"), 33);
+        assert_eq!(telemetry.snapshot().counter("stage1.probes_sent"), 1033);
+        let order: Vec<u8> = (report.findings.iter())
+            .map(|f| f.endpoint.ip.octets()[3])
+            .collect();
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]
     fn finish_names_the_batch_never_scanned() {
         let mut ledger = Ledger::new(4);
         for seq in [0, 1, 3] {
-            let (report, telemetry) = batch(1);
+            let (findings, telemetry) = batch(seq, 1);
             ledger
-                .file(seq, report, &telemetry)
+                .file(seq, findings, &telemetry)
                 .expect("no log to fail");
         }
         let err = ledger.finish(&Telemetry::new()).unwrap_err();
@@ -387,8 +402,8 @@ mod tests {
     fn filing_a_batch_twice_is_a_bug() {
         let mut ledger = Ledger::new(2);
         for _ in 0..2 {
-            let (report, telemetry) = batch(1);
-            let _ = ledger.file(1, report, &telemetry);
+            let (findings, telemetry) = batch(1, 1);
+            let _ = ledger.file(1, findings, &telemetry);
         }
     }
 }

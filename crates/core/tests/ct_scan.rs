@@ -116,9 +116,12 @@ fn vhost_dispatch_serves_the_named_site() {
     // Probe while installed (an hour after installed_at).
     let installed = vhost.installed_at + nokeys_netsim::SimDuration::hours(1);
     let client = nokeys_http::Client::new(transport.at(installed));
-    let resp =
-        nokeys_scanner::ct::fetch_vhost(&client, host, &vhost.domain, "/").expect("vhost answers");
-    let body = resp.body_text();
+    let ep = nokeys_http::Endpoint::new(host, 80);
+    let fetched = client
+        .for_host(&vhost.domain)
+        .get_path(ep, nokeys_http::Scheme::Http, "/")
+        .expect("vhost answers");
+    let body = fetched.response.body_text();
     // The named site is a CMS, not the hosting placeholder.
     assert!(
         !body.contains("ACME Widgets"),
@@ -126,11 +129,7 @@ fn vhost_dispatch_serves_the_named_site() {
     );
     // Without the Host header, the placeholder is served.
     let plain = client
-        .get_path(
-            nokeys_http::Endpoint::new(host, 80),
-            nokeys_http::Scheme::Http,
-            "/",
-        )
+        .get_path(ep, nokeys_http::Scheme::Http, "/")
         .expect("default answers");
     assert!(plain.response.body_text().contains("ACME Widgets"));
 }

@@ -21,40 +21,14 @@ use nokeys_http::{
     Attempt, BlockSweepResult, Endpoint, Error, FaultLane, FaultObserver, ProbeOutcome, Result,
     Scheme, Transport,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Counts of injected faults, shared across clones of a plan.
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    probe: AtomicU64,
-    connect: AtomicU64,
-}
-
-impl FaultStats {
-    /// Probe attempts answered with an injected drop.
-    pub fn probe_injected(&self) -> u64 {
-        self.probe.load(Ordering::Relaxed)
-    }
-
-    /// Connect attempts answered with an injected timeout.
-    pub fn connect_injected(&self) -> u64 {
-        self.connect.load(Ordering::Relaxed)
-    }
-
-    /// Total injected faults across both lanes.
-    pub fn total(&self) -> u64 {
-        self.probe_injected() + self.connect_injected()
-    }
-}
 
 /// Deterministic fault schedule over `(lane, endpoint, instant, target,
-/// try number)`. Clones share the stats.
+/// try number)`. Injected faults are counted only by whoever the
+/// transport reports them to ([`Transport::report_faults_to`]).
 #[derive(Clone)]
 pub struct FaultPlan {
     rate: f64,
     seed: u64,
-    stats: Arc<FaultStats>,
     observer: Option<FaultObserver>,
 }
 
@@ -79,20 +53,14 @@ impl FaultPlan {
         FaultPlan {
             rate,
             seed,
-            stats: Arc::new(FaultStats::default()),
             observer: None,
         }
     }
 
-    /// Shared injected-fault counts.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
     /// The fate of try `attempt` in `lane` against `ep` at `at`: a pure
     /// function of the key, so any order of calls draws the same fates.
-    /// Writes nothing but the stats (and calls the observer) when the
-    /// fault fires.
+    /// Writes nothing; a fault that fires is reported to the observer,
+    /// if one is set.
     pub fn fires(&self, lane: FaultLane, ep: Endpoint, at: SimTime, attempt: Attempt<'_>) -> bool {
         if self.rate <= 0.0 {
             return false;
@@ -106,10 +74,6 @@ impl FaultPlan {
         }
         let fired = unit_interval(key) < self.rate;
         if fired {
-            match lane {
-                FaultLane::Probe => self.stats.probe.fetch_add(1, Ordering::Relaxed),
-                FaultLane::Connect => self.stats.connect.fetch_add(1, Ordering::Relaxed),
-            };
             if let Some(observer) = &self.observer {
                 observer(lane);
             }
@@ -214,6 +178,23 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// An observer adding each fault it hears of to `seen`.
+    fn counting(seen: &Arc<AtomicU64>) -> FaultObserver {
+        let seen = Arc::clone(seen);
+        Arc::new(move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    /// `plan` reporting its faults to a count of their own.
+    fn counted(mut plan: FaultPlan) -> (FaultPlan, Arc<AtomicU64>) {
+        let seen = Arc::new(AtomicU64::new(0));
+        plan.observer = Some(counting(&seen));
+        (plan, seen)
+    }
 
     fn ep(last: u8, port: u16) -> Endpoint {
         Endpoint {
@@ -228,15 +209,15 @@ mod tests {
 
     #[test]
     fn rate_zero_never_fires_and_rate_one_always_fires() {
-        let never = FaultPlan::new(0.0, 1);
-        let always = FaultPlan::new(1.0, 1);
+        let (never, never_seen) = counted(FaultPlan::new(0.0, 1));
+        let (always, always_seen) = counted(FaultPlan::new(1.0, 1));
         for n in 0..64 {
             let t = SimTime::SCAN_START;
             assert!(!never.fires(FaultLane::Connect, ep(1, 80), t, nth(n)));
             assert!(always.fires(FaultLane::Connect, ep(1, 80), t, nth(n)));
         }
-        assert_eq!(never.stats().total(), 0);
-        assert_eq!(always.stats().connect_injected(), 64);
+        assert_eq!(never_seen.load(Ordering::Relaxed), 0);
+        assert_eq!(always_seen.load(Ordering::Relaxed), 64);
     }
 
     /// Every key of a small grid: 8 endpoints × 4 instants × 3 targets ×
@@ -292,11 +273,11 @@ mod tests {
     }
 
     /// A clone holds no schedule of its own: it draws the original's
-    /// fates for every key, and its injected faults count in the
-    /// original's stats.
+    /// fates for every key, and reports its injected faults to the
+    /// original's observer.
     #[test]
     fn clones_share_one_schedule() {
-        let plan = FaultPlan::new(0.5, 2022);
+        let (plan, seen) = counted(FaultPlan::new(0.5, 2022));
         let clone = plan.clone();
         let keys = keys();
         let original: Vec<bool> = keys.iter().map(|k| draw(&plan, k)).collect();
@@ -304,8 +285,11 @@ mod tests {
         assert_eq!(original, cloned);
         let fired = original.iter().filter(|&&f| f).count() as u64;
         assert!(fired > 0);
-        assert_eq!(plan.stats().total(), 2 * fired, "clones share the stats");
-        assert_eq!(clone.stats().total(), 2 * fired);
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            2 * fired,
+            "clones share the observer"
+        );
     }
 
     /// Lane, target, try number and instant each take part in the key:
@@ -356,7 +340,7 @@ mod tests {
 
     #[test]
     fn firing_rate_tracks_the_configured_probability() {
-        let plan = FaultPlan::new(0.25, 99);
+        let (plan, seen) = counted(FaultPlan::new(0.25, 99));
         let mut fired = 0u32;
         for host in 0..64u8 {
             for n in 0..16 {
@@ -368,27 +352,20 @@ mod tests {
         // 1024 draws at p=0.25: expect 256 (σ ≈ 14). The band is the
         // expectation ± 4σ.
         assert!((200..312).contains(&fired), "fired {fired}/1024");
-        assert_eq!(u64::from(fired), plan.stats().connect_injected());
+        assert_eq!(u64::from(fired), seen.load(Ordering::Relaxed));
     }
 
     /// Every injected fault reaches the observer a transport was told
     /// to report to. A clone told to report elsewhere reports its own
-    /// faults there alone; the original keeps its observer, and both
-    /// count in the shared stats.
+    /// faults there alone; the original keeps its observer.
     #[test]
     fn observer_sees_every_injected_fault() {
         let (old, new) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-        let counts = |seen: &Arc<AtomicU64>| -> FaultObserver {
-            let seen = Arc::clone(seen);
-            Arc::new(move |_| {
-                seen.fetch_add(1, Ordering::Relaxed);
-            })
-        };
         let inner = nokeys_http::memory::HandlerTransport::new();
         let mut original = FaultyTransport::new(inner, FaultPlan::new(1.0, 5));
-        original.report_faults_to(counts(&old));
+        original.report_faults_to(counting(&old));
         let mut rerouted = original.clone();
-        rerouted.report_faults_to(counts(&new));
+        rerouted.report_faults_to(counting(&new));
         for n in 0..10 {
             assert!(original.connect(ep(4, 22), Scheme::Http, nth(n)).is_err());
         }
@@ -397,6 +374,5 @@ mod tests {
         }
         assert_eq!(old.load(Ordering::Relaxed), 10);
         assert_eq!(new.load(Ordering::Relaxed), 3);
-        assert_eq!(original.plan().stats().connect_injected(), 13);
     }
 }

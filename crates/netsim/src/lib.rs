@@ -13,7 +13,6 @@
 
 pub mod calibration;
 pub mod clock;
-pub mod events;
 pub mod fault;
 pub mod geo;
 pub mod host;
@@ -26,8 +25,7 @@ pub mod universe;
 pub mod vhost;
 
 pub use clock::{SimDuration, SimTime};
-pub use events::EventQueue;
-pub use fault::{FaultPlan, FaultStats, FaultyTransport};
+pub use fault::{FaultPlan, FaultyTransport};
 pub use geo::{AsInfo, CountryCode, GeoDb, GeoRecord};
 pub use host::{Host, SchemeSupport, Service, ServiceKind};
 pub use ip::{Cidr, ReservedRanges};

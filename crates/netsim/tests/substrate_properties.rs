@@ -1,13 +1,12 @@
 //! Property tests for the simulation substrate, driven by the seeded
-//! case generator in `nokeys_http::cases`: CIDR algebra, event
-//! ordering, lifecycle monotonicity and universe determinism. A failure
-//! prints `seed=<n>`.
+//! case generator in `nokeys_http::cases`: CIDR algebra, lifecycle
+//! monotonicity and universe determinism. A failure prints `seed=<n>`.
 
 use nokeys_http::cases::check;
 use nokeys_netsim::ip::{Cidr, ReservedRanges};
 use nokeys_netsim::lifecycle::{HostState, LifecycleParams};
 use nokeys_netsim::rng::SplitMix64;
-use nokeys_netsim::{EventQueue, SimTime, Universe, UniverseConfig};
+use nokeys_netsim::{SimTime, Universe, UniverseConfig};
 use std::net::Ipv4Addr;
 
 /// A CIDR contains exactly its own addresses.
@@ -46,26 +45,6 @@ fn cidr_display_round_trip() {
         let cidr = Cidr::new(Ipv4Addr::from(g.u64() as u32), g.range(0..33) as u8);
         let back: Cidr = cidr.to_string().parse().expect("display parses");
         assert_eq!(cidr, back);
-    });
-}
-
-/// The event queue pops in exactly sorted-stable order.
-#[test]
-fn event_queue_is_a_stable_sort() {
-    check(128, |g| {
-        let times = g.vec(0..200, |g| g.range(0..1000) as i64);
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime(*t), i);
-        }
-        let mut reference: Vec<(i64, usize)> =
-            times.iter().enumerate().map(|(i, t)| (*t, i)).collect();
-        reference.sort(); // stable by (time, insertion index)
-        let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t.as_secs(), i));
-        }
-        assert_eq!(popped, reference);
     });
 }
 

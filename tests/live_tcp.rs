@@ -73,7 +73,7 @@ fn portscan_over_real_tcp() {
     config.ports = vec![server.port];
     config.exclude_reserved = false;
     let scanner = nokeys::scanner::PortScanner::new(config);
-    let result = scanner.scan(&TcpTransport::default());
-    assert_eq!(result.open.len(), 1);
+    let open = scanner.scan(&TcpTransport::default());
+    assert_eq!(open.len(), 1);
     server.shutdown();
 }

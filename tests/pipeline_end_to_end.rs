@@ -108,7 +108,7 @@ fn reports_are_deterministic_per_seed() {
 #[test]
 fn json_export_round_trips_structurally() {
     let (_, report) = run(5);
-    use nokeys::scanner::json::{self, FromJson, Value};
+    use nokeys::scanner::json::{self, Value};
     let value = json::parse(report.to_json_string().as_bytes()).expect("parses back");
     assert_eq!(
         value
@@ -119,7 +119,6 @@ fn json_export_round_trips_structurally() {
         report.findings.len()
     );
     assert!(matches!(value.get("port_stats"), Some(Value::Object(_))));
-    assert_eq!(nokeys::scanner::ScanReport::from_json(&value), Ok(report));
 }
 
 #[test]

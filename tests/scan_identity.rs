@@ -223,8 +223,8 @@ fn ledger_is_order_independent() {
             .collect();
         shuffle(g, &mut batches);
         let mut ledger = Ledger::new(32);
-        for (seq, (report, work)) in batches {
-            ledger.file(seq, report, &work).expect("no log to fail");
+        for (seq, (findings, work)) in batches {
+            ledger.file(seq, findings, &work).expect("no log to fail");
         }
         let telemetry = Telemetry::new();
         let report = ledger.finish(&telemetry).expect("every batch filed");
