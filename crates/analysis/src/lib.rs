@@ -6,6 +6,8 @@
 //! rendering that shows the measured values side by side with the
 //! paper's published numbers, so `EXPERIMENTS.md` can record both.
 
+#![forbid(unsafe_code)]
+
 pub mod case_studies;
 pub mod ct_compare;
 pub mod fig1;

@@ -17,6 +17,8 @@
 //! The models are *behavioural equivalents*, not reimplementations, of the
 //! real products; `DESIGN.md` documents the modeling decisions.
 
+#![forbid(unsafe_code)]
+
 pub mod assets;
 pub mod background;
 pub(crate) mod base;

@@ -14,6 +14,8 @@
 //!   per-application totals, payload diversity, IP diversity and timing
 //!   reproduce Tables 5–8 and Figures 3–4.
 
+#![forbid(unsafe_code)]
+
 pub mod actor;
 pub mod payloads;
 pub mod plan;

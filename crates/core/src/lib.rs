@@ -29,6 +29,8 @@
 //! abstraction: the same code scans the simulated universe
 //! (`nokeys-netsim`) and real sockets (`live_scan` example).
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod ct;
 pub mod disclosure;

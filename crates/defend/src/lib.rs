@@ -8,6 +8,8 @@
 //! Hadoop). Both models run real HTTP checks against targets — only the
 //! set of checks differs from the study's own pipeline.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod race;
 pub mod scanner1;

@@ -17,6 +17,8 @@
 //! * [`cluster`] — unique-attack and actor clustering by payload/IP,
 //! * [`study`] — the four-week study driver.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod deploy;
 pub mod detect;

@@ -20,6 +20,8 @@
 //! `chunked` bodies, no compression, no TLS (the simulation models TLS at
 //! the transport layer; see `DESIGN.md`).
 
+#![forbid(unsafe_code)]
+
 pub mod cases;
 pub mod client;
 pub mod encode;

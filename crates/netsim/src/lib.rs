@@ -11,6 +11,8 @@
 //!
 //! Everything is deterministic given `UniverseConfig::seed`.
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod clock;
 pub mod fault;

@@ -6,6 +6,8 @@
 //! experiment-regeneration harness used by the `repro` binary, the
 //! examples and the integration tests.
 
+#![forbid(unsafe_code)]
+
 pub use nokeys_analysis as analysis;
 pub use nokeys_apps as apps;
 pub use nokeys_attack as attack;
