@@ -46,20 +46,21 @@
 //! A log is only meaningful under the configuration that produced it:
 //! the block shuffle (targets, seed), the probed ports, batch size,
 //! tarpit threshold and the retry budget all shape what "batch k"
-//! means. [`ConfigFingerprint`] captures exactly those knobs and
+//! means. [`PipelineConfig::fingerprint`] writes exactly those fields
+//! as one JSON object, the header stores it, and
 //! [`CheckpointLog::resume`] refuses a log written under a different
-//! configuration, naming the first knob that differs. The shard count
-//! is deliberately *not* fingerprinted — any count yields the identical
-//! report, so a scan checkpointed at `--shards 4` may resume at
-//! `--shards 8` (or 1).
+//! fingerprint, naming the first key whose value differs. The run-only
+//! fields — shard count, probe rate, backoff unit, checkpoint path —
+//! are deliberately *not* fingerprinted: they never change the report,
+//! so a scan checkpointed at `--shards 4` may resume at `--shards 8`
+//! (or 1).
 //!
 //! [`checkpoint_path`]: crate::pipeline::PipelineConfig::checkpoint_path
+//! [`PipelineConfig::fingerprint`]: crate::pipeline::PipelineConfig::fingerprint
 
-use crate::json::{self, object, FromJson, JsonError, ToJson, Value};
-use crate::pipeline::PipelineConfig;
+use crate::json::{self, object, JsonError, ToJson, Value};
 use crate::report::HostFinding;
 use crate::telemetry::TelemetrySnapshot;
-use nokeys_http::ip::Cidr;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
@@ -85,7 +86,7 @@ pub enum CheckpointError {
     /// The checkpoint was written by an incompatible format version.
     FormatVersion { found: u32, expected: u32 },
     /// The checkpoint belongs to a different scan configuration; the
-    /// string names the first mismatching knob.
+    /// string names the first fingerprint key whose value differs.
     ConfigMismatch(String),
 }
 
@@ -108,103 +109,6 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// The configuration knobs that define what a batch sequence number
-/// means. Two runs with equal fingerprints sweep the same blocks in
-/// the same order with the same per-endpoint behaviour.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConfigFingerprint {
-    /// Normalized target list (the builder dedupes and sorts it).
-    pub targets: Vec<Cidr>,
-    /// Probed ports, in order (the builder drops repeats).
-    pub ports: Vec<u16>,
-    /// Seed of the /24 block shuffle.
-    pub shuffle_seed: u64,
-    /// Whether IANA-reserved ranges are skipped.
-    pub exclude_reserved: bool,
-    /// /24 blocks per stage-I batch.
-    pub blocks_per_batch: usize,
-    /// All-ports-open exclusion threshold.
-    pub tarpit_port_threshold: usize,
-    /// Retry budget (total attempts per network operation).
-    pub retry_max_attempts: u32,
-}
-
-impl ConfigFingerprint {
-    /// The fingerprint of a pipeline configuration. `shards` and the
-    /// wall-clock pacing knobs (`max_probes_per_sec`,
-    /// `retry.real_unit`) are excluded: they change how fast the scan
-    /// runs, never what it reports — so a run interrupted at one shard
-    /// count may resume at another.
-    pub fn of(config: &PipelineConfig) -> Self {
-        ConfigFingerprint {
-            targets: config.portscan.targets.clone(),
-            ports: config.portscan.ports.clone(),
-            shuffle_seed: config.portscan.seed,
-            exclude_reserved: config.portscan.exclude_reserved,
-            blocks_per_batch: config.blocks_per_batch,
-            tarpit_port_threshold: config.tarpit_port_threshold,
-            retry_max_attempts: config.retry.attempts(),
-        }
-    }
-
-    /// The first knob on which `self` and `other` differ, if any.
-    fn first_mismatch(&self, other: &Self) -> Option<&'static str> {
-        if self.targets != other.targets {
-            return Some("targets");
-        }
-        if self.ports != other.ports {
-            return Some("ports");
-        }
-        if self.shuffle_seed != other.shuffle_seed {
-            return Some("shuffle seed");
-        }
-        if self.exclude_reserved != other.exclude_reserved {
-            return Some("exclude_reserved");
-        }
-        if self.blocks_per_batch != other.blocks_per_batch {
-            return Some("blocks_per_batch");
-        }
-        if self.tarpit_port_threshold != other.tarpit_port_threshold {
-            return Some("tarpit threshold");
-        }
-        if self.retry_max_attempts != other.retry_max_attempts {
-            return Some("retry attempts");
-        }
-        None
-    }
-}
-
-impl ToJson for ConfigFingerprint {
-    fn to_json(&self) -> Value {
-        object([
-            ("targets", self.targets.to_json()),
-            ("ports", self.ports.to_json()),
-            ("shuffle_seed", self.shuffle_seed.to_json()),
-            ("exclude_reserved", self.exclude_reserved.to_json()),
-            ("blocks_per_batch", self.blocks_per_batch.to_json()),
-            (
-                "tarpit_port_threshold",
-                self.tarpit_port_threshold.to_json(),
-            ),
-            ("retry_max_attempts", self.retry_max_attempts.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ConfigFingerprint {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(ConfigFingerprint {
-            targets: value.field("targets")?,
-            ports: value.field("ports")?,
-            shuffle_seed: value.field("shuffle_seed")?,
-            exclude_reserved: value.field("exclude_reserved")?,
-            blocks_per_batch: value.field("blocks_per_batch")?,
-            tarpit_port_threshold: value.field("tarpit_port_threshold")?,
-            retry_max_attempts: value.field("retry_max_attempts")?,
-        })
-    }
-}
-
 /// The finished batches a log holds, by batch sequence number: each
 /// batch's findings and the telemetry of the work it took.
 pub type LoggedBatches = BTreeMap<u64, (Vec<HostFinding>, TelemetrySnapshot)>;
@@ -220,14 +124,14 @@ impl CheckpointLog {
     /// write its header.
     pub fn create(
         path: &Path,
-        fingerprint: &ConfigFingerprint,
+        fingerprint: &Value,
         total_batches: u64,
     ) -> Result<Self, CheckpointError> {
         let file = File::create(path).map_err(|e| io_error(path, e))?;
         let mut log = CheckpointLog { file };
         log.write_line(object([
             ("format", FORMAT_VERSION.to_json()),
-            ("fingerprint", fingerprint.to_json()),
+            ("fingerprint", fingerprint.clone()),
             ("total_batches", total_batches.to_json()),
         ]))?;
         Ok(log)
@@ -239,7 +143,7 @@ impl CheckpointLog {
     /// the next append starts on a line boundary.
     pub fn resume(
         path: &Path,
-        fingerprint: &ConfigFingerprint,
+        fingerprint: &Value,
         total_batches: u64,
     ) -> Result<(Self, LoggedBatches), CheckpointError> {
         let mut file = File::options()
@@ -267,9 +171,9 @@ impl CheckpointLog {
                 expected: FORMAT_VERSION,
             });
         }
-        let logged: ConfigFingerprint = header.field("fingerprint").map_err(corrupt)?;
-        if let Some(knob) = logged.first_mismatch(fingerprint) {
-            return Err(CheckpointError::ConfigMismatch(knob.to_string()));
+        let logged = Value::Object(header.field("fingerprint").map_err(corrupt)?);
+        if let Some(key) = first_mismatch(&logged, fingerprint) {
+            return Err(CheckpointError::ConfigMismatch(key.to_string()));
         }
         let logged_total: u64 = header.field("total_batches").map_err(corrupt)?;
         if logged_total != total_batches {
@@ -327,6 +231,18 @@ impl CheckpointLog {
     }
 }
 
+/// The first key, in key order, whose value differs between two
+/// fingerprint objects; a key only one of them holds differs too.
+fn first_mismatch<'a>(a: &'a Value, b: &'a Value) -> Option<&'a str> {
+    let (Value::Object(a), Value::Object(b)) = (a, b) else {
+        return (a != b).then_some("fingerprint");
+    };
+    (a.keys().chain(b.keys()))
+        .filter(|key| a.get(*key) != b.get(*key))
+        .min()
+        .map(String::as_str)
+}
+
 fn io_error(path: &Path, e: std::io::Error) -> CheckpointError {
     CheckpointError::Io(format!("{path:?}: {e}"))
 }
@@ -334,6 +250,7 @@ fn io_error(path: &Path, e: std::io::Error) -> CheckpointError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PipelineConfig;
     use crate::telemetry::Telemetry;
     use nokeys_apps::AppId;
     use nokeys_http::{Endpoint, Scheme};
@@ -343,11 +260,11 @@ mod tests {
     const TOTAL: u64 = 32;
 
     fn config() -> PipelineConfig {
-        PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build()
+        PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()])
     }
 
-    fn fingerprint() -> ConfigFingerprint {
-        ConfigFingerprint::of(&config())
+    fn fingerprint() -> Value {
+        config().fingerprint()
     }
 
     /// A batch whose findings and telemetry both depend on `seq`.
@@ -537,30 +454,129 @@ mod tests {
             CheckpointError::Corrupt(_)
         ));
 
-        let builder = || PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]);
-        for (other, knob) in [
-            (builder().seed(999), "shuffle seed"),
-            (builder().retries(9), "retry attempts"),
-            (builder().ports(vec![80, 443]), "ports"),
+        let base = fingerprint();
+        // The same twelve ports in another order: the threshold they
+        // resolve is unchanged, the sweep order is not.
+        let mut reordered = config().ports;
+        reordered.reverse();
+        for (other, key) in [
+            (
+                PipelineConfig {
+                    targets: vec!["20.1.0.0/16".parse().unwrap()],
+                    ..config()
+                },
+                "targets",
+            ),
+            (
+                PipelineConfig {
+                    ports: reordered,
+                    ..config()
+                },
+                "ports",
+            ),
+            (
+                PipelineConfig {
+                    seed: 999,
+                    ..config()
+                },
+                "shuffle_seed",
+            ),
+            (
+                PipelineConfig {
+                    exclude_reserved: false,
+                    ..config()
+                },
+                "exclude_reserved",
+            ),
+            (
+                PipelineConfig {
+                    blocks_per_batch: 8,
+                    ..config()
+                },
+                "blocks_per_batch",
+            ),
+            (
+                PipelineConfig {
+                    tarpit_port_threshold: Some(5),
+                    ..config()
+                },
+                "tarpit_port_threshold",
+            ),
+            (
+                PipelineConfig {
+                    max_attempts: 9,
+                    ..config()
+                },
+                "retry_max_attempts",
+            ),
         ] {
-            let err = CheckpointLog::resume(&path, &ConfigFingerprint::of(&other.build()), TOTAL)
-                .unwrap_err();
-            assert_eq!(err, CheckpointError::ConfigMismatch(knob.to_string()));
+            let Value::Object(fields) = other.fingerprint() else {
+                panic!("a fingerprint is an object");
+            };
+            let changed: Vec<&String> = (fields.iter())
+                .filter(|(k, v)| base.get(k) != Some(*v))
+                .map(|(k, _)| k)
+                .collect();
+            assert_eq!(changed, [key], "each case changes exactly one field");
+            let err = CheckpointLog::resume(&path, &other.fingerprint(), TOTAL).unwrap_err();
+            assert_eq!(err, CheckpointError::ConfigMismatch(key.to_string()));
         }
+        // The threshold is logged as resolved: an explicit value equal
+        // to the default is the same scan.
+        let explicit = PipelineConfig {
+            tarpit_port_threshold: Some(12),
+            ..config()
+        };
+        assert_eq!(explicit.fingerprint(), fingerprint());
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A checkpoint taken at `--shards 4` must resume at `--shards 8`
-    /// (or 1): the shard count changes which worker runs a batch, never
-    /// what the batch reports.
+    /// The run-only fields change how fast a scan runs, never what it
+    /// reports: a checkpoint taken at `--shards 4` must resume at
+    /// `--shards 8` (or 1), at another rate, backoff or path.
     #[test]
-    fn shards_are_not_fingerprinted() {
-        let s4 = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .shards(4)
-            .build();
-        let s8 = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .shards(8)
-            .build();
-        assert_eq!(ConfigFingerprint::of(&s4), ConfigFingerprint::of(&s8));
+    fn run_only_fields_are_not_fingerprinted() {
+        for other in [
+            PipelineConfig {
+                shards: 8,
+                ..config()
+            },
+            PipelineConfig {
+                max_probes_per_sec: Some(100.0),
+                ..config()
+            },
+            PipelineConfig {
+                backoff_unit: std::time::Duration::from_millis(1),
+                ..config()
+            },
+            PipelineConfig {
+                checkpoint_path: Some(temp_path("elsewhere.log")),
+                ..config()
+            },
+        ] {
+            assert_ne!(other, config());
+            assert_eq!(other.fingerprint(), fingerprint(), "{other:?}");
+        }
+    }
+
+    /// The header's bytes are the on-disk format: this is the line a
+    /// `repro table2 --quick` checkpoint starts with. A change here
+    /// must bump `FORMAT_VERSION`.
+    #[test]
+    fn header_bytes_are_pinned() {
+        let path = temp_path("header.log");
+        CheckpointLog::create(&path, &fingerprint(), 4).expect("creates");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            concat!(
+                r#"{"fingerprint":{"blocks_per_batch":64,"exclude_reserved":true,"#,
+                r#""ports":[80,443,2375,4646,6443,8000,8080,8088,8153,8192,8500,8888],"#,
+                r#""retry_max_attempts":3,"shuffle_seed":121424822237555,"#,
+                r#""targets":["20.0.0.0/16"],"tarpit_port_threshold":12},"#,
+                r#""format":5,"total_batches":4}"#,
+                "\n"
+            )
+        );
+        let _ = std::fs::remove_file(&path);
     }
 }

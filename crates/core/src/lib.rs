@@ -44,7 +44,6 @@ pub mod pipeline;
 pub mod plugin;
 pub mod portscan;
 pub mod prefilter;
-pub mod prelude;
 pub mod rate;
 pub mod report;
 pub mod retry;
@@ -53,15 +52,15 @@ pub mod shard;
 pub mod signatures;
 pub mod telemetry;
 
-pub use checkpoint::{CheckpointError, CheckpointLog, ConfigFingerprint};
+pub use checkpoint::{CheckpointError, CheckpointLog};
 pub use multipattern::{MultiPattern, ViewUse};
 pub use pattern::{MatchMode, Pattern, PreparedBody};
-pub use pipeline::{Pipeline, PipelineConfig, PipelineConfigBuilder, PipelineError};
+pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
 pub use plugin::{detect_mav, plugin_steps};
-pub use portscan::{PortScanConfig, PortScanner};
+pub use portscan::PortScanner;
 pub use prefilter::{Prefilter, PrefilterHit};
 pub use rate::SharedPacer;
 pub use report::{FingerprintMethod, HostFinding, ScanReport};
-pub use retry::{RetryPolicy, RetryTransport};
+pub use retry::RetryTransport;
 pub use scratch::Scratch;
 pub use telemetry::{Telemetry, TelemetrySnapshot};

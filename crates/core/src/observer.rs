@@ -314,9 +314,8 @@ mod tests {
         let faulty = FaultyTransport::new(t, FaultPlan::new(fault_rate, 0xfa17_5eed));
         let client = Client::new(faulty.clone());
         let pipeline = Pipeline::new(
-            PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-                .retries(3)
-                .build(),
+            PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()]),
+            &Telemetry::new(),
         );
         let report = pipeline.run(&client).expect("pipeline failed");
         let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();

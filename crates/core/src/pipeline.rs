@@ -5,6 +5,14 @@
 //! II (prefilter), stage III (MAV plugins) and version fingerprinting
 //! into a single [`ScanReport`].
 //!
+//! # Configuration
+//!
+//! A scan is configured one way: a [`PipelineConfig`] with public
+//! fields, [`PipelineConfig::new`] for the paper's settings and
+//! struct-update syntax for the rest. [`PipelineConfig::fingerprint`]
+//! is the one list of the fields that define a batch, and is what a
+//! checkpoint records; [`Pipeline::new`] normalizes the struct once.
+//!
 //! # Execution model
 //!
 //! A scan has exactly one way to run: the [`shard`](crate::shard)
@@ -33,8 +41,8 @@
 //! # Fault tolerance
 //!
 //! Transient network failures are retried at the transport layer: each
-//! worker wraps the caller's transport in a [`RetryTransport`] driven
-//! by [`PipelineConfig::retry`], giving stage-I probes, stage-II
+//! worker wraps the caller's transport in a [`RetryTransport`] allowed
+//! [`PipelineConfig::max_attempts`] tries, giving stage-I probes, stage-II
 //! fetches, stage-III plugin requests and the fingerprinter a shared
 //! seeded retry/backoff budget (the analogue of masscan's SYN
 //! retransmits and the paper's §3.5 rescans). A host that stays
@@ -46,20 +54,21 @@
 
 use crate::checkpoint::CheckpointError;
 use crate::fingerprint::Fingerprinter;
+use crate::json::{object, ToJson, Value};
 use crate::plugin::verify;
-use crate::portscan::{by_host, Cidr, PortScanConfig};
+use crate::portscan::{by_host, Cidr};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
-use crate::retry::RetryPolicy;
 use crate::scratch::Scratch;
 use crate::telemetry::{Counter, Histogram, Telemetry};
-use nokeys_apps::AppId;
+use nokeys_apps::{AppId, SCAN_PORTS};
 use nokeys_http::{Client, Endpoint, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// A whole-pipeline failure.
 ///
@@ -95,190 +104,124 @@ impl From<CheckpointError> for PipelineError {
     }
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration: one plain struct, filled in with
+/// struct-update syntax over [`PipelineConfig::new`].
 ///
-/// Construct via [`PipelineConfig::builder`]; the struct is
-/// `#[non_exhaustive]` so new knobs (like [`telemetry`](Self::telemetry))
-/// can be added without breaking downstream construction sites.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
+/// The first seven fields define what batch `seq` means — which blocks
+/// it sweeps, on which ports, how its hosts are judged and how often a
+/// dial is tried — and are exactly what [`fingerprint`](Self::fingerprint)
+/// records in a checkpoint. The last four say how the scan runs and
+/// never change a report.
+///
+/// ```
+/// use nokeys_scanner::pipeline::PipelineConfig;
+///
+/// let config = PipelineConfig {
+///     blocks_per_batch: 16,
+///     shards: 4,
+///     ..PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()])
+/// };
+/// assert_eq!(config.ports.len(), 12);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
-    /// Stage-I configuration.
-    pub portscan: PortScanConfig,
+    /// Target blocks to sweep. [`Pipeline::new`] drops exact duplicates
+    /// and blocks contained in another target and sorts the survivors
+    /// by base address: aligned CIDR blocks either nest or are
+    /// disjoint, so listing `10.0.0.0/16` twice, or alongside
+    /// `10.0.5.0/24`, scans each address exactly once.
+    pub targets: Vec<Cidr>,
+    /// Ports probed by stage I (default: the paper's 12).
+    /// [`Pipeline::new`] keeps a repeated port's first position only, so
+    /// it can neither double the sweep nor count twice towards the
+    /// tarpit threshold.
+    pub ports: Vec<u16>,
+    /// Seed of the stage-I /24 shuffle.
+    pub seed: u64,
+    /// Whether stage I skips IANA-reserved ranges (default `true`).
+    pub exclude_reserved: bool,
     /// /24 blocks per batch ("we always selected and scanned a fraction
     /// of all hosts with our full pipeline before we continued").
+    /// [`Pipeline::new`] rejects `0`.
     pub blocks_per_batch: usize,
     /// Hosts with at least this many open scan ports are treated as
-    /// all-ports-open artifacts and excluded.
-    pub tarpit_port_threshold: usize,
+    /// all-ports-open artifacts and excluded. `None` (the default) means
+    /// every configured port, but never below 2: one open port is a
+    /// host, not a tarpit.
+    pub tarpit_port_threshold: Option<usize>,
+    /// Total tries per network operation — probe or dial — of every
+    /// stage (default 3). `0` and `1` both mean "no retries".
+    pub max_attempts: u32,
     /// Number of shard workers — the scan's one concurrency setting
     /// (default 1). [`Pipeline::run`] hands the batch sequence out one
     /// batch at a time to this many worker threads and joins the
     /// per-batch findings in batch order — the report and telemetry
     /// snapshot are byte-identical at any shard count, fault injection
-    /// included (see the [`shard`](crate::shard) module). The builder
-    /// rejects `0`.
+    /// included (see the [`shard`](crate::shard) module).
+    /// [`Pipeline::new`] rejects `0`.
     pub shards: usize,
-    /// Transport-level retry/backoff applied to every probe and connect
-    /// during [`Pipeline::run`] (default: 3 attempts, deterministic
-    /// capped-exponential backoff in virtual units). Use
-    /// [`RetryPolicy::disabled`] to scan without retries.
-    pub retry: RetryPolicy,
-    /// Telemetry registry the pipeline records into. `None` gives the
-    /// pipeline a private registry, still reachable through
-    /// [`Pipeline::telemetry`]; pass a shared one to aggregate several
-    /// pipelines (or external components) into a single snapshot.
-    pub telemetry: Option<Telemetry>,
+    /// Probe-rate ceiling in probes/second (token bucket); `None` scans
+    /// at full speed. The paper paced its sweep to stay polite. One
+    /// [`SharedPacer`](crate::rate::SharedPacer) serves every shard
+    /// worker, so the ceiling bounds the whole scan, not each shard.
+    pub max_probes_per_sec: Option<f64>,
+    /// Wall-clock length of one virtual retry-backoff unit.
+    /// `Duration::ZERO` (the default) records backoff without sleeping
+    /// — right for the simulator; the real-socket CLI uses 1 ms.
+    pub backoff_unit: Duration,
     /// When set, [`Pipeline::run`] appends every finished batch to the
-    /// log at this path — the one file checkpointing creates — so a
-    /// killed scan loses only its in-flight batches and can continue
-    /// via [`Pipeline::resume`] (see [`checkpoint`](crate::checkpoint)).
+    /// log at this path — the one file checkpointing creates — and
+    /// [`Pipeline::resume`] continues from it (see
+    /// [`checkpoint`](crate::checkpoint)).
     pub checkpoint_path: Option<PathBuf>,
 }
 
 impl PipelineConfig {
-    /// Start building a configuration over `targets` with the paper's
-    /// defaults (12 ports, batches of 64 blocks, one shard worker,
-    /// 3 attempts per network operation).
-    pub fn builder(targets: Vec<Cidr>) -> PipelineConfigBuilder {
-        PipelineConfigBuilder {
-            portscan: PortScanConfig::new(targets),
+    /// The paper's settings over `targets`: 12 ports, the seeded
+    /// shuffle, IANA exclusions, batches of 64 blocks, 3 attempts per
+    /// network operation, one shard worker, no pacing.
+    pub fn new(targets: Vec<Cidr>) -> Self {
+        PipelineConfig {
+            targets,
+            ports: SCAN_PORTS.to_vec(),
+            seed: 0x6e6f6b657973, // "nokeys"
+            exclude_reserved: true,
             blocks_per_batch: 64,
             tarpit_port_threshold: None,
+            max_attempts: 3,
             shards: 1,
-            retry: RetryPolicy::default(),
-            telemetry: None,
+            max_probes_per_sec: None,
+            backoff_unit: Duration::ZERO,
             checkpoint_path: None,
         }
     }
-}
 
-/// Fluent builder for [`PipelineConfig`].
-///
-/// ```
-/// use nokeys_scanner::pipeline::PipelineConfig;
-///
-/// let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-///     .blocks_per_batch(64)
-///     .shards(4)
-///     .build();
-/// assert_eq!(config.shards, 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PipelineConfigBuilder {
-    portscan: PortScanConfig,
-    blocks_per_batch: usize,
-    tarpit_port_threshold: Option<usize>,
-    shards: usize,
-    retry: RetryPolicy,
-    telemetry: Option<Telemetry>,
-    checkpoint_path: Option<PathBuf>,
-}
-
-impl PipelineConfigBuilder {
-    /// Ports probed by stage I (defaults to the paper's 12).
-    pub fn ports(mut self, ports: Vec<u16>) -> Self {
-        self.portscan.ports = ports;
-        self
+    /// The fields that define what batch `seq` means, under the keys a
+    /// checkpoint header records them: two runs with equal fingerprints
+    /// sweep the same blocks in the same order with the same
+    /// per-endpoint behaviour. The tarpit threshold and the attempt
+    /// budget are written as resolved; the run-only fields are left
+    /// out, so a scan interrupted at one shard count or rate may resume
+    /// at another. Targets and ports are written as they stand: a
+    /// pipeline fingerprints its config after [`Pipeline::new`] has
+    /// normalized them.
+    pub fn fingerprint(&self) -> Value {
+        object([
+            ("targets", self.targets.to_json()),
+            ("ports", self.ports.to_json()),
+            ("shuffle_seed", self.seed.to_json()),
+            ("exclude_reserved", self.exclude_reserved.to_json()),
+            ("blocks_per_batch", self.blocks_per_batch.to_json()),
+            ("tarpit_port_threshold", self.tarpit_threshold().to_json()),
+            ("retry_max_attempts", self.max_attempts.max(1).to_json()),
+        ])
     }
 
-    /// Seed for the stage-I /24 shuffle.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.portscan.seed = seed;
-        self
-    }
-
-    /// Whether stage I skips IANA-reserved ranges.
-    pub fn exclude_reserved(mut self, exclude: bool) -> Self {
-        self.portscan.exclude_reserved = exclude;
-        self
-    }
-
-    /// Probe-rate ceiling in probes/second (`None` scans at full speed).
-    pub fn max_probes_per_sec(mut self, rate: Option<f64>) -> Self {
-        self.portscan.max_probes_per_sec = rate;
-        self
-    }
-
-    /// /24 blocks handed to stages II/III per batch.
-    pub fn blocks_per_batch(mut self, blocks: usize) -> Self {
-        self.blocks_per_batch = blocks;
-        self
-    }
-
-    /// Open-port count at which a host is discarded as an all-ports-open
-    /// artifact. Defaults to the number of scan ports, but never below
-    /// 2: one open port is a host, not a tarpit.
-    pub fn tarpit_port_threshold(mut self, threshold: usize) -> Self {
-        self.tarpit_port_threshold = Some(threshold);
-        self
-    }
-
-    /// Shard workers the batch sequence is handed out to (default 1).
-    /// Any value produces the identical report and telemetry snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `0` — zero shard workers can never make progress, and
-    /// silently clamping would hide a configuration bug.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "pipeline shards must be at least 1");
-        self.shards = shards;
-        self
-    }
-
-    /// Total attempts per network operation (probe or connect).
-    /// `0` and `1` both mean "no retries"; the default is 3. Keeps the
-    /// rest of the configured [`RetryPolicy`] intact.
-    pub fn retries(mut self, attempts: u32) -> Self {
-        self.retry.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Replace the whole transport retry/backoff policy.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-    /// Record pipeline metrics into a shared telemetry registry.
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Log every finished batch to `path` during [`Pipeline::run`].
-    pub fn checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Finalize the configuration.
-    ///
-    /// Target CIDRs are normalized here: exact duplicates and blocks
-    /// contained in another target are dropped, and the survivors are
-    /// sorted by base address. Aligned CIDR blocks either nest or are
-    /// disjoint, so this leaves a disjoint cover of the same address
-    /// set — listing `10.0.0.0/16` twice, or alongside `10.0.5.0/24`,
-    /// scans each address exactly once. Ports are normalized too: a
-    /// repeated port keeps its first position and is probed once, so it
-    /// can neither double the sweep nor count twice towards the tarpit
-    /// threshold.
-    pub fn build(mut self) -> PipelineConfig {
-        self.portscan.targets = normalize_targets(std::mem::take(&mut self.portscan.targets));
-        let mut seen = BTreeSet::new();
-        self.portscan.ports.retain(|port| seen.insert(*port));
-        let tarpit_port_threshold = self
-            .tarpit_port_threshold
-            .unwrap_or(self.portscan.ports.len().max(2));
-        PipelineConfig {
-            portscan: self.portscan,
-            blocks_per_batch: self.blocks_per_batch,
-            tarpit_port_threshold,
-            shards: self.shards,
-            retry: self.retry,
-            telemetry: self.telemetry,
-            checkpoint_path: self.checkpoint_path,
-        }
+    /// The open-port count at which a host is an all-ports-open
+    /// artifact.
+    fn tarpit_threshold(&self) -> usize {
+        self.tarpit_port_threshold
+            .unwrap_or(self.ports.len().max(2))
     }
 }
 
@@ -364,22 +307,35 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    pub fn new(config: PipelineConfig) -> Self {
-        let telemetry = config.telemetry.clone().unwrap_or_default();
-        Pipeline { config, telemetry }
-    }
-
-    /// The telemetry registry this pipeline records into (the one passed
-    /// via [`PipelineConfigBuilder::telemetry`], or a private default).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// A pipeline over `config`, recording into `telemetry`.
+    ///
+    /// Normalizes the configuration once, here: targets are deduped and
+    /// sorted, repeated ports dropped, and a `max_attempts` of 0 read as
+    /// 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics on 0 shards or 0 blocks per batch — neither can make
+    /// progress, and silently clamping would hide a configuration bug.
+    pub fn new(mut config: PipelineConfig, telemetry: &Telemetry) -> Self {
+        assert!(config.shards > 0, "pipeline shards must be at least 1");
+        assert!(config.blocks_per_batch > 0, "batch size must be positive");
+        config.targets = normalize_targets(std::mem::take(&mut config.targets));
+        let mut seen = BTreeSet::new();
+        config.ports.retain(|port| seen.insert(*port));
+        config.max_attempts = config.max_attempts.max(1);
+        Pipeline {
+            config,
+            telemetry: telemetry.clone(),
+        }
     }
 
     /// Run the full pipeline over the configured target space on
     /// [`PipelineConfig::shards`] worker threads; returns when every
     /// worker has finished. Each worker wraps the caller's transport in
     /// a [`RetryTransport`](crate::retry::RetryTransport), so every
-    /// network operation of every stage shares [`PipelineConfig::retry`].
+    /// network operation of every stage shares
+    /// [`PipelineConfig::max_attempts`].
     ///
     /// With [`PipelineConfig::checkpoint_path`] set, the run starts from
     /// scratch (truncating whatever is at that path) and logs every
@@ -389,48 +345,35 @@ impl Pipeline {
     where
         T: Transport + Clone,
     {
-        crate::shard::run_sharded(
-            &self.config,
-            &self.telemetry,
-            client,
-            self.config.checkpoint_path.as_deref(),
-            false,
-        )
+        crate::shard::run_sharded(&self.config, &self.telemetry, client, false)
     }
 
-    /// Continue a checkpointed scan from the log at `path`, producing
-    /// a [`ScanReport`] byte-identical to what the uninterrupted run
-    /// would have produced (telemetry snapshot included), at any shard
-    /// count.
+    /// Continue a checkpointed scan from the log at
+    /// [`PipelineConfig::checkpoint_path`], producing a [`ScanReport`]
+    /// byte-identical to what the uninterrupted run would have produced
+    /// (telemetry snapshot included), at any shard count. With no path
+    /// configured, or no log at it, this is [`CheckpointError::Io`].
     ///
-    /// The checkpoint's recorded configuration fingerprint must match
-    /// this pipeline's report-affecting knobs (targets, ports, seeds,
-    /// retry budget, …) — resuming under a different configuration
-    /// returns [`CheckpointError::ConfigMismatch`]. Shard count and
-    /// wall-clock pacing may differ freely; they never change the
-    /// report, so a checkpoint taken at `--shards 4` resumes at
-    /// `--shards 8` (or 1). Only batches the log lacks are scanned (and
-    /// appended to it); resuming a finished scan scans nothing and
-    /// returns the stored report.
+    /// The checkpoint's recorded [`fingerprint`](PipelineConfig::fingerprint)
+    /// must match this pipeline's — resuming under a different
+    /// configuration returns [`CheckpointError::ConfigMismatch`]. The
+    /// run-only fields may differ freely; they never change the report,
+    /// so a checkpoint taken at `--shards 4` resumes at `--shards 8`
+    /// (or 1). Only batches the log lacks are scanned (and appended to
+    /// it); resuming a finished scan scans nothing and returns the
+    /// stored report.
     ///
-    /// The stored telemetry is replayed into [`Pipeline::telemetry`],
+    /// The stored telemetry is replayed into the pipeline's registry,
     /// so resume with a **fresh (or otherwise pipeline-private)
     /// registry**: pre-existing pipeline counts would be double-counted.
-    pub fn resume<T>(
-        &self,
-        client: &Client<T>,
-        path: impl AsRef<Path>,
-    ) -> Result<ScanReport, PipelineError>
+    pub fn resume<T>(&self, client: &Client<T>) -> Result<ScanReport, PipelineError>
     where
         T: Transport + Clone,
     {
-        crate::shard::run_sharded(
-            &self.config,
-            &self.telemetry,
-            client,
-            Some(path.as_ref()),
-            true,
-        )
+        if self.config.checkpoint_path.is_none() {
+            return Err(CheckpointError::Io("no checkpoint path is configured".into()).into());
+        }
+        crate::shard::run_sharded(&self.config, &self.telemetry, client, true)
     }
 }
 
@@ -443,7 +386,7 @@ impl BatchProcessor {
             prefilter: Prefilter::with_telemetry(telemetry),
             fingerprinter: Fingerprinter::with_telemetry(telemetry),
             metrics: PipelineMetrics::new(telemetry),
-            tarpit_port_threshold: config.tarpit_port_threshold,
+            tarpit_port_threshold: config.tarpit_threshold(),
             scratch: Scratch::new(),
         }
     }
@@ -571,49 +514,58 @@ mod tests {
     use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
     use std::sync::Arc;
 
+    fn tiny() -> Vec<Cidr> {
+        vec!["20.0.0.0/16".parse().unwrap()]
+    }
+
     fn run_tiny() -> (Client<SimTransport>, ScanReport) {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
         let client = Client::new(t);
-        let pipeline =
-            Pipeline::new(PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).build());
+        let pipeline = Pipeline::new(PipelineConfig::new(tiny()), &Telemetry::new());
         let report = pipeline.run(&client).expect("pipeline failed");
         (client, report)
     }
 
+    /// `Pipeline::new` keeps every field as set, normalizing nothing
+    /// that is already normal.
     #[test]
     fn builder_applies_every_knob() {
-        let telemetry = Telemetry::new();
-        let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .ports(vec![80, 443])
-            .seed(7)
-            .exclude_reserved(false)
-            .max_probes_per_sec(Some(100.0))
-            .blocks_per_batch(16)
-            .tarpit_port_threshold(5)
-            .shards(4)
-            .retries(5)
-            .telemetry(telemetry)
-            .checkpoint_path("/tmp/nokeys-checkpoint.json")
-            .build();
-        assert_eq!(config.portscan.ports, vec![80, 443]);
-        assert_eq!(config.portscan.seed, 7);
-        assert!(!config.portscan.exclude_reserved);
-        assert_eq!(config.portscan.max_probes_per_sec, Some(100.0));
-        assert_eq!(config.blocks_per_batch, 16);
-        assert_eq!(config.tarpit_port_threshold, 5);
-        assert_eq!(config.shards, 4);
-        assert_eq!(config.retry.max_attempts, 5);
-        assert!(config.telemetry.is_some());
-        assert_eq!(
-            config.checkpoint_path.as_deref(),
-            Some(Path::new("/tmp/nokeys-checkpoint.json"))
-        );
+        let config = PipelineConfig {
+            ports: vec![80, 443],
+            seed: 7,
+            exclude_reserved: false,
+            blocks_per_batch: 16,
+            tarpit_port_threshold: Some(5),
+            max_attempts: 5,
+            shards: 4,
+            max_probes_per_sec: Some(100.0),
+            backoff_unit: Duration::from_millis(1),
+            checkpoint_path: Some("/tmp/nokeys-checkpoint.json".into()),
+            ..PipelineConfig::new(tiny())
+        };
+        let kept = Pipeline::new(config.clone(), &Telemetry::new()).config;
+        assert_eq!(kept, config);
+        assert_eq!(kept.tarpit_threshold(), 5);
     }
 
     #[test]
     #[should_panic(expected = "shards must be at least 1")]
     fn builder_rejects_zero_shards() {
-        let _ = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()]).shards(0);
+        let config = PipelineConfig {
+            shards: 0,
+            ..PipelineConfig::new(tiny())
+        };
+        let _ = Pipeline::new(config, &Telemetry::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn zero_blocks_per_batch_is_rejected() {
+        let config = PipelineConfig {
+            blocks_per_batch: 0,
+            ..PipelineConfig::new(tiny())
+        };
+        let _ = Pipeline::new(config, &Telemetry::new());
     }
 
     /// Duplicate, nested and split target blocks collapse to a disjoint
@@ -631,12 +583,12 @@ mod tests {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-        let config = PipelineConfig::builder(targets).build();
+        let pipeline = Pipeline::new(PipelineConfig::new(targets), &Telemetry::new());
         let expect: Vec<Cidr> = ["10.9.0.0/24", "20.0.0.0/16"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        assert_eq!(config.portscan.targets, expect);
+        assert_eq!(pipeline.config.targets, expect);
     }
 
     /// Overlapping targets produce the very report their union would —
@@ -646,11 +598,11 @@ mod tests {
         fn run_with(targets: Vec<Cidr>) -> String {
             let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
             let client = Client::new(t);
-            let pipeline = Pipeline::new(PipelineConfig::builder(targets).build());
+            let pipeline = Pipeline::new(PipelineConfig::new(targets), &Telemetry::new());
             let report = pipeline.run(&client).expect("pipeline failed");
             report.to_json_string()
         }
-        let union = run_with(vec!["20.0.0.0/16".parse().unwrap()]);
+        let union = run_with(tiny());
         let overlapping = run_with(
             [
                 "20.0.0.0/17",
@@ -677,22 +629,28 @@ mod tests {
 
     #[test]
     fn retries_zero_and_one_both_disable_retrying() {
-        let targets: Vec<Cidr> = vec!["20.0.0.0/16".parse().unwrap()];
-        let zero = PipelineConfig::builder(targets.clone()).retries(0).build();
-        let one = PipelineConfig::builder(targets).retries(1).build();
-        assert_eq!(zero.retry.max_attempts, 1);
-        assert!(!zero.retry.enabled());
-        assert!(!one.retry.enabled());
+        let with = |max_attempts| {
+            let config = PipelineConfig {
+                max_attempts,
+                ..PipelineConfig::new(tiny())
+            };
+            Pipeline::new(config, &Telemetry::new()).config
+        };
+        let (zero, one) = (with(0), with(1));
+        assert_eq!(zero.max_attempts, 1);
+        assert_eq!(one.max_attempts, 1);
+        assert_eq!(zero.fingerprint(), one.fingerprint());
     }
 
     #[test]
     fn tarpit_threshold_defaults_to_port_count() {
         // The default threshold tracks the *configured* ports, including
-        // when they are overridden through the builder.
-        let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-            .ports(vec![80, 443, 8080])
-            .build();
-        assert_eq!(config.tarpit_port_threshold, 3);
+        // when they are overridden.
+        let config = PipelineConfig {
+            ports: vec![80, 443, 8080],
+            ..PipelineConfig::new(tiny())
+        };
+        assert_eq!(config.tarpit_threshold(), 3);
     }
 
     /// A repeated port is probed once and counts once: `[80, 8080, 80]`
@@ -701,16 +659,16 @@ mod tests {
     fn repeated_ports_report_equals_distinct_ports() {
         fn run_with(ports: Vec<u16>) -> (PipelineConfig, ScanReport) {
             let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
-            let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-                .ports(ports)
-                .build();
-            let report = Pipeline::new(config.clone())
-                .run(&Client::new(t))
-                .expect("pipeline failed");
-            (config, report)
+            let config = PipelineConfig {
+                ports,
+                ..PipelineConfig::new(tiny())
+            };
+            let pipeline = Pipeline::new(config, &Telemetry::new());
+            let report = pipeline.run(&Client::new(t)).expect("pipeline failed");
+            (pipeline.config, report)
         }
         let (config, repeated) = run_with(vec![80, 8080, 80]);
-        assert_eq!(config.portscan.ports, vec![80, 8080]);
+        assert_eq!(config.ports, vec![80, 8080]);
         let (_, distinct) = run_with(vec![80, 8080]);
         assert_eq!(repeated.to_json_string(), distinct.to_json_string());
         assert_eq!(distinct.probes_sent, 65_536 * 2);
@@ -724,31 +682,45 @@ mod tests {
     fn a_single_port_scan_excludes_nothing_and_finds_hosts() {
         for ports in [vec![80], vec![80, 80]] {
             let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
-            let config = PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-                .ports(ports)
-                .build();
-            assert_eq!(config.portscan.ports, vec![80]);
-            assert_eq!(config.tarpit_port_threshold, 2);
-            let report = Pipeline::new(config)
-                .run(&Client::new(t))
-                .expect("pipeline failed");
+            let config = PipelineConfig {
+                ports,
+                ..PipelineConfig::new(tiny())
+            };
+            let pipeline = Pipeline::new(config, &Telemetry::new());
+            assert_eq!(pipeline.config.ports, vec![80]);
+            assert_eq!(pipeline.config.tarpit_threshold(), 2);
+            let report = pipeline.run(&Client::new(t)).expect("pipeline failed");
             assert_eq!(report.excluded_all_ports_open, 0);
             assert!(report.total_hosts() > 0);
             assert!(report.total_mavs() > 0);
         }
     }
 
-    /// The defaults the removed `PipelineConfig::new` shim used to pin:
-    /// a bare `builder(targets).build()` keeps the paper's settings.
+    /// `PipelineConfig::new` is the paper's settings.
     #[test]
     fn builder_defaults_are_the_papers_settings() {
-        let targets: Vec<Cidr> = vec!["20.0.0.0/16".parse().unwrap()];
-        let built = PipelineConfig::builder(targets).build();
-        assert_eq!(built.blocks_per_batch, 64);
-        assert_eq!(built.tarpit_port_threshold, built.portscan.ports.len());
-        assert_eq!(built.shards, 1);
-        assert_eq!(built.portscan.ports.len(), 12);
-        assert_eq!(built.retry.attempts(), 3);
+        let config = PipelineConfig::new(tiny());
+        assert_eq!(config.blocks_per_batch, 64);
+        assert_eq!(config.tarpit_threshold(), config.ports.len());
+        assert_eq!(config.shards, 1);
+        assert_eq!(config.ports.len(), 12);
+        assert_eq!(config.max_attempts, 3);
+        assert_eq!(config.backoff_unit, Duration::ZERO);
+    }
+
+    /// Resuming needs a log to resume from: without a checkpoint path
+    /// there is none, and that is an I/O error, not a fresh scan.
+    #[test]
+    fn resume_without_a_checkpoint_path_is_an_io_error() {
+        let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
+        let pipeline = Pipeline::new(PipelineConfig::new(tiny()), &Telemetry::new());
+        let err = pipeline.resume(&Client::new(t)).unwrap_err();
+        assert_eq!(
+            err,
+            PipelineError::Checkpoint(CheckpointError::Io(
+                "no checkpoint path is configured".into()
+            ))
+        );
     }
 
     #[test]
@@ -842,7 +814,7 @@ mod tests {
         }
         let client = Client::new(transport);
         let telemetry = Telemetry::new();
-        let config = PipelineConfig::builder(vec!["10.1.1.0/24".parse().unwrap()]).build();
+        let config = PipelineConfig::new(vec!["10.1.1.0/24".parse().unwrap()]);
         let mut processor = BatchProcessor::new(&config, &telemetry);
         let vulnerable: Vec<bool> = hits
             .into_iter()
@@ -863,15 +835,9 @@ mod tests {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
         let client = Client::new(t);
         let telemetry = Telemetry::new();
-        let pipeline = Pipeline::new(
-            PipelineConfig::builder(vec!["20.0.0.0/16".parse().unwrap()])
-                .telemetry(telemetry.clone())
-                .build(),
-        );
+        let pipeline = Pipeline::new(PipelineConfig::new(tiny()), &telemetry);
         let report = pipeline.run(&client).expect("pipeline failed");
-        let snap = pipeline.telemetry().snapshot();
-        // The external registry and the pipeline's view are the same.
-        assert_eq!(snap.to_json(), telemetry.snapshot().to_json());
+        let snap = telemetry.snapshot();
         let universe = client.transport().universe();
 
         // Stage I swept the whole /16 on all 12 ports.

@@ -5,7 +5,9 @@
 //! flooding any single network), IANA reserved ranges are excluded, and
 //! only the 12 study ports are probed. Results are delivered in batches
 //! so later (slower) stages can run on fresh data while the sweep
-//! continues — the paper's answer to scan-vs-verify staleness.
+//! continues — the paper's answer to scan-vs-verify staleness. The
+//! scanner reads its targets, ports, shuffle seed, exclusion flag and
+//! rate ceiling from a [`PipelineConfig`].
 //!
 //! A sweep returns its open endpoints and nothing else. What it counts
 //! goes to the telemetry registry alone: `stage1.blocks_swept`,
@@ -13,53 +15,15 @@
 //! port, `stage1.ports_open.<port>` — the numbers a
 //! [`ScanReport`](crate::report::ScanReport) reads back.
 
+use crate::pipeline::PipelineConfig;
 use crate::rate::SharedPacer;
 use crate::telemetry::{Counter, Telemetry};
-use nokeys_apps::SCAN_PORTS;
 use nokeys_http::ip::BlockCoverage;
 use nokeys_http::{Endpoint, Transport};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 pub use nokeys_http::ip::{Cidr, ReservedRanges};
-
-/// Port-scan configuration.
-#[derive(Debug, Clone)]
-pub struct PortScanConfig {
-    /// Target blocks to sweep.
-    pub targets: Vec<Cidr>,
-    /// Ports to probe (defaults to the paper's 12).
-    pub ports: Vec<u16>,
-    /// Seed for the /24 shuffle.
-    pub seed: u64,
-    /// Exclude IANA reserved ranges.
-    pub exclude_reserved: bool,
-    /// Probe-rate ceiling in probes/second (token bucket); `None` scans
-    /// at full speed. The paper paced its sweep to stay polite.
-    ///
-    /// Tokens are drawn block-at-a-time
-    /// ([`crate::rate::SharedPacer::acquire_many`]), so the cap holds
-    /// as an average at block granularity rather than smoothing every
-    /// probe: a transport without a sparse index emits a /24's probes
-    /// back-to-back after the block's wait. The scan engine threads one
-    /// [`SharedPacer`] through every shard worker, so the ceiling
-    /// bounds the whole scan, not each shard.
-    ///
-    /// [`SharedPacer`]: crate::rate::SharedPacer
-    pub max_probes_per_sec: Option<f64>,
-}
-
-impl PortScanConfig {
-    pub fn new(targets: Vec<Cidr>) -> Self {
-        PortScanConfig {
-            targets,
-            ports: SCAN_PORTS.to_vec(),
-            seed: 0x6e6f6b657973, // "nokeys"
-            exclude_reserved: true,
-            max_probes_per_sec: None,
-        }
-    }
-}
 
 /// Group open endpoints by address, ascending, each host's ports in
 /// discovery order (hosts with several open ports).
@@ -79,8 +43,8 @@ struct SweepMetrics {
     addresses_probed: Counter,
     /// `stage1.probes_sent` counts *logical* probes — one per
     /// (address, port) pair. Transport-level retransmits (a
-    /// [`RetryPolicy`](crate::retry::RetryPolicy) re-probing a filtered
-    /// endpoint) are deliberately not counted, so fault-injected runs
+    /// [`RetryTransport`](crate::retry::RetryTransport) re-probing a
+    /// filtered endpoint) are deliberately not counted, so fault-injected runs
     /// with retries reconcile with fault-free reports.
     probes_sent: Counter,
     /// `stage1.ports_open.<port>` (Table 2, column "# Open"), one per
@@ -109,35 +73,41 @@ impl SweepMetrics {
     }
 }
 
-/// The stage-I scanner.
+/// The stage-I scanner: sweeps a [`PipelineConfig`]'s targets on its
+/// ports, in its seeded shuffle, skipping reserved space if it says so.
 #[derive(Debug, Clone)]
 pub struct PortScanner {
-    config: PortScanConfig,
+    config: PipelineConfig,
     reserved: ReservedRanges,
     metrics: SweepMetrics,
 }
 
 impl PortScanner {
-    pub fn new(config: PortScanConfig) -> Self {
+    pub fn new(config: &PipelineConfig) -> Self {
         Self::with_telemetry(config, &Telemetry::default())
     }
 
     /// Build a scanner that records stage-I counters ("blocks swept",
     /// "addresses probed", "probes sent", "ports open" per port) into
     /// `telemetry`.
-    pub fn with_telemetry(config: PortScanConfig, telemetry: &Telemetry) -> Self {
+    pub fn with_telemetry(config: &PipelineConfig, telemetry: &Telemetry) -> Self {
         PortScanner {
             metrics: SweepMetrics::new(telemetry, &config.ports),
-            config,
+            config: config.clone(),
             reserved: ReservedRanges::iana(),
         }
     }
 
-    /// A fresh [`SharedPacer`] enforcing this scanner's configured rate
-    /// ceiling (`None` when unpaced). Sweeps that must share one token
-    /// budget — every worker of a scan — construct this once and thread
-    /// the clone-cheap handle through; constructing one per block would
-    /// grant a fresh burst allowance each time and overshoot the
+    /// A fresh [`SharedPacer`] enforcing the configured
+    /// [`max_probes_per_sec`](PipelineConfig::max_probes_per_sec)
+    /// (`None` when unpaced). Tokens are drawn block-at-a-time
+    /// ([`SharedPacer::acquire_many`]), so the cap holds as an average
+    /// at block granularity rather than smoothing every probe: a
+    /// transport without a sparse index emits a /24's probes
+    /// back-to-back after the block's wait. Sweeps that must share one
+    /// token budget — every worker of a scan — construct this once and
+    /// thread the clone-cheap handle through; constructing one per block
+    /// would grant a fresh burst allowance each time and overshoot the
     /// ceiling.
     pub fn pacer(&self) -> Option<SharedPacer> {
         self.config
@@ -266,17 +236,19 @@ impl PortScanner {
 mod tests {
     use super::*;
     use crate::telemetry::TelemetrySnapshot;
+    use nokeys_apps::SCAN_PORTS;
     use nokeys_http::{FaultLane, FaultObserver};
     use nokeys_netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn sim() -> SimTransport {
         SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))))
     }
 
-    fn config_for_tiny() -> PortScanConfig {
-        PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()])
+    fn config_for_tiny() -> PipelineConfig {
+        PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()])
     }
 
     /// A sweep's open endpoints and its stage-I snapshot.
@@ -284,18 +256,18 @@ mod tests {
 
     /// Sweep the configured targets whole with a scanner of its own
     /// registry.
-    fn scan_counted(config: PortScanConfig, t: &SimTransport) -> Swept {
+    fn scan_counted(config: PipelineConfig, t: &SimTransport) -> Swept {
         let telemetry = Telemetry::new();
-        let open = PortScanner::with_telemetry(config, &telemetry).scan(t);
+        let open = PortScanner::with_telemetry(&config, &telemetry).scan(t);
         (open, telemetry.snapshot())
     }
 
     /// `block` swept sparse and dense by scanners of `config`, each with
     /// a registry of its own.
-    fn sparse_and_dense(config: &PortScanConfig, block: Cidr) -> (Swept, Swept) {
+    fn sparse_and_dense(config: &PipelineConfig, block: Cidr) -> (Swept, Swept) {
         let sweep = |dense: bool| {
             let telemetry = Telemetry::new();
-            let scanner = PortScanner::with_telemetry(config.clone(), &telemetry);
+            let scanner = PortScanner::with_telemetry(config, &telemetry);
             let open = if dense {
                 scanner.scan_block_dense(&sim(), block)
             } else {
@@ -308,7 +280,7 @@ mod tests {
 
     #[test]
     fn shuffle_is_deterministic_and_complete() {
-        let s = PortScanner::new(config_for_tiny());
+        let s = PortScanner::new(&config_for_tiny());
         let a = s.shuffled_blocks();
         let b = s.shuffled_blocks();
         assert_eq!(a, b);
@@ -348,8 +320,8 @@ mod tests {
     #[test]
     fn reserved_ranges_are_skipped() {
         let t = sim();
-        let mut cfg = PortScanConfig::new(vec!["10.0.0.0/24".parse().unwrap()]);
-        cfg.exclude_reserved = true;
+        let cfg = PipelineConfig::new(vec!["10.0.0.0/24".parse().unwrap()]);
+        assert!(cfg.exclude_reserved);
         let (open, snap) = scan_counted(cfg, &t);
         assert!(open.is_empty());
         assert_eq!(
@@ -363,10 +335,12 @@ mod tests {
     #[test]
     fn rate_limit_paces_the_sweep() {
         let t = sim();
-        let mut cfg = PortScanConfig::new(vec!["20.0.0.0/26".parse().unwrap()]);
-        cfg.ports = vec![80];
+        let cfg = PipelineConfig {
+            ports: vec![80],
+            ..PipelineConfig::new(vec!["20.0.0.0/26".parse().unwrap()])
+        };
         let telemetry = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(cfg, &telemetry);
+        let scanner = PortScanner::with_telemetry(&cfg, &telemetry);
         let clock = Arc::new(crate::rate::VirtualClock::default());
         let pacer = Some(SharedPacer::with_clock(32.0, 32.0, clock.clone()));
         scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
@@ -385,13 +359,15 @@ mod tests {
     #[test]
     fn blocks_of_one_sweep_share_one_pacer() {
         let t = sim();
-        let mut cfg = PortScanConfig::new(vec![
-            "20.0.0.0/24".parse().unwrap(),
-            "20.0.1.0/24".parse().unwrap(),
-        ]);
-        cfg.ports = vec![80];
+        let cfg = PipelineConfig {
+            ports: vec![80],
+            ..PipelineConfig::new(vec![
+                "20.0.0.0/24".parse().unwrap(),
+                "20.0.1.0/24".parse().unwrap(),
+            ])
+        };
         let telemetry = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(cfg, &telemetry);
+        let scanner = PortScanner::with_telemetry(&cfg, &telemetry);
         let clock = Arc::new(crate::rate::VirtualClock::default());
         let pacer = Some(SharedPacer::with_clock(256.0, 256.0, clock.clone()));
         scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
@@ -411,7 +387,7 @@ mod tests {
     /// for O(populated endpoints) probes instead of O(address space).
     #[test]
     fn sparse_sweep_equals_the_dense_reference() {
-        use crate::retry::{RetryPolicy, RetryTransport};
+        use crate::retry::RetryTransport;
         for fault_rate in [0.0, 0.05] {
             let sweep = |dense: bool| {
                 let mut faulty =
@@ -424,9 +400,8 @@ mod tests {
                 });
                 faulty.report_faults_to(observer);
                 let telemetry = Telemetry::new();
-                let t =
-                    RetryTransport::new(faulty.clone(), RetryPolicy::with_attempts(3), &telemetry);
-                let scanner = PortScanner::with_telemetry(config_for_tiny(), &telemetry);
+                let t = RetryTransport::new(faulty.clone(), 3, Duration::ZERO, &telemetry);
+                let scanner = PortScanner::with_telemetry(&config_for_tiny(), &telemetry);
                 let mut open = Vec::new();
                 for block in scanner.shuffled_blocks() {
                     open.extend(if dense {
@@ -470,7 +445,7 @@ mod tests {
     #[test]
     fn oversized_blocks_straddling_reserved_space_match_the_dense_reference() {
         let block: Cidr = "192.0.0.0/22".parse().unwrap(); // holds 192.0.0.0/24 and 192.0.2.0/24
-        let (sparse, dense) = sparse_and_dense(&PortScanConfig::new(vec![block]), block);
+        let (sparse, dense) = sparse_and_dense(&PipelineConfig::new(vec![block]), block);
         assert_eq!(sparse.1.counter("stage1.addresses_probed"), 512);
         assert_eq!(sparse.0, dense.0);
         assert_eq!(sparse.1, dense.1);
@@ -482,7 +457,7 @@ mod tests {
     #[test]
     fn a_target_inside_a_mixed_octet_sweeps_only_its_unreserved_blocks() {
         let target: Cidr = "192.0.0.0/22".parse().unwrap();
-        let config = PortScanConfig::new(vec![target]);
+        let config = PipelineConfig::new(vec![target]);
         let (_, snap) = scan_counted(config.clone(), &sim());
         assert_eq!(snap.counter("stage1.addresses_probed"), 512);
         assert_eq!(snap.counter("stage1.blocks_swept"), 4);
@@ -492,8 +467,10 @@ mod tests {
             assert_eq!(sparse.1, dense.1, "{block}");
         }
 
-        let mut config = PortScanConfig::new(vec![target]);
-        config.exclude_reserved = false;
+        let config = PipelineConfig {
+            exclude_reserved: false,
+            ..PipelineConfig::new(vec![target])
+        };
         let (_, snap) = scan_counted(config, &sim());
         assert_eq!(snap.counter("stage1.addresses_probed"), 1024);
     }
@@ -517,7 +494,7 @@ mod tests {
                 .filter(|range| target.contains(range.first()))
                 .map(Cidr::size)
                 .sum();
-            let (_, snap) = scan_counted(PortScanConfig::new(vec![target]), &sim());
+            let (_, snap) = scan_counted(PipelineConfig::new(vec![target]), &sim());
             let probed = snap.counter("stage1.addresses_probed");
             assert_eq!(probed, (1 << 24) - excluded, "{target}");
         }
@@ -525,7 +502,7 @@ mod tests {
         for reserved in ["192.0.2.0", "198.51.100.0", "203.0.113.0"] {
             for prefix in [23, 22] {
                 let block = Cidr::new(reserved.parse().unwrap(), prefix);
-                let (sparse, dense) = sparse_and_dense(&PortScanConfig::new(vec![block]), block);
+                let (sparse, dense) = sparse_and_dense(&PipelineConfig::new(vec![block]), block);
                 assert!(
                     sparse.1.counter("stage1.addresses_probed") < block.size(),
                     "{block}"
@@ -562,7 +539,7 @@ mod tests {
     #[test]
     fn by_host_groups_ports() {
         let t = sim();
-        let open = PortScanner::new(config_for_tiny()).scan(&t);
+        let open = PortScanner::new(&config_for_tiny()).scan(&t);
         let by_host = by_host(&open);
         // Tarpit hosts have all 12 ports open.
         let tarpits = by_host.values().filter(|ports| ports.len() == 12).count();

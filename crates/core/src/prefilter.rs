@@ -204,7 +204,8 @@ impl Prefilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::portscan::{PortScanConfig, PortScanner};
+    use crate::pipeline::PipelineConfig;
+    use crate::portscan::PortScanner;
     use crate::telemetry::TelemetrySnapshot;
     use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
     use std::sync::Arc;
@@ -219,7 +220,7 @@ mod tests {
     fn prefilter_tiny(
         client: &Client<SimTransport>,
     ) -> (Vec<Endpoint>, Vec<PrefilterHit>, TelemetrySnapshot) {
-        let scanner = PortScanner::new(PortScanConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
+        let scanner = PortScanner::new(&PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
         let open = scanner.scan(client.transport());
         let telemetry = Telemetry::new();
         let hits = Prefilter::with_telemetry(&telemetry).run(client, &open, &mut Scratch::new());

@@ -120,7 +120,10 @@ impl Pacer {
             self.bucket.tokens -= n;
             return;
         }
-        let wait = Duration::from_secs_f64((n - self.bucket.tokens) / self.bucket.rate);
+        // A tiny positive rate can owe a wait longer than any
+        // `Duration`: wait the longest one there is.
+        let wait = Duration::try_from_secs_f64((n - self.bucket.tokens) / self.bucket.rate)
+            .unwrap_or(Duration::MAX);
         // The deficit interval is spent in advance on these n tokens:
         // empty the bucket now and move `last` past the sleep so the
         // interval is never credited again.
@@ -176,7 +179,7 @@ impl SharedPacer {
 }
 
 /// A virtual [`Clock`] for pacing tests: `sleep` advances `now` and
-/// returns at once.
+/// returns at once, saturating at the largest instant it can hold.
 #[cfg(test)]
 #[derive(Debug, Default)]
 pub(crate) struct VirtualClock {
@@ -190,8 +193,11 @@ impl Clock for VirtualClock {
     }
 
     fn sleep(&self, d: Duration) {
-        self.nanos
-            .fetch_add(d.as_nanos() as u64, std::sync::atomic::Ordering::SeqCst);
+        use std::sync::atomic::Ordering::SeqCst;
+        let d = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let _ = self
+            .nanos
+            .fetch_update(SeqCst, SeqCst, |t| Some(t.saturating_add(d)));
     }
 }
 
@@ -252,6 +258,17 @@ mod tests {
             "{:?}",
             clock.now()
         );
+    }
+
+    /// At 1e-20 tokens/s a block's deficit wait is ~1.9e22 s, past
+    /// `Duration::MAX`: the draw waits the longest `Duration` instead of
+    /// panicking, and returns.
+    #[test]
+    fn a_wait_longer_than_any_duration_saturates() {
+        let clock = virtual_clock();
+        let mut p = Pacer::new(1e-20, 1.0, clock.clone());
+        p.acquire_many(192);
+        assert!(clock.now() > Duration::ZERO, "the clock moved forward");
     }
 
     /// One bulk draw pays the same virtual time as the token-at-a-time

@@ -2,23 +2,25 @@
 //!
 //! The paper's methodology tolerates transient loss — masscan SYN
 //! retransmits in stage I, rescans in §3.5 — and this module is the
-//! pipeline's equivalent: a [`RetryPolicy`] saying how many attempts
-//! an operation gets, and a [`RetryTransport`] wrapper that applies it
-//! at the transport layer. Stage-I probes retry on
+//! pipeline's equivalent: a [`RetryTransport`] wrapper that gives every
+//! operation at the transport layer a budget of
+//! [`max_attempts`](crate::pipeline::PipelineConfig::max_attempts)
+//! tries. Stage-I probes retry on
 //! [`ProbeOutcome::Filtered`] (an unanswered SYN may be loss; an RST is
 //! a definite answer), connects retry on transient errors
 //! ([`nokeys_http::Error::is_transient`]), so stage II prefilter
 //! fetches, stage III plugin verification and the fingerprinter all
 //! inherit retries from one choke point. That choke point is the only
-//! retry loop: every dial of every stage makes at most
-//! [`RetryPolicy::max_attempts`] tries. Each retry is a later try
+//! retry loop: every dial of every stage makes at most that many
+//! tries. Each retry is a later try
 //! ([`Attempt::retry`]) of the one it repeats, so it draws a fault fate
 //! of its own.
 //!
 //! Backoff is deterministic: delays are *virtual* units summed on a
 //! telemetry counter (`retry.<lane>.backoff_units`), capped-exponential
 //! plus a jitter drawn from a splitmix64 hash over `(endpoint, try)`.
-//! No wall-clock sleep happens unless [`RetryPolicy::real_unit`] is
+//! No wall-clock sleep happens unless the
+//! [`backoff_unit`](crate::pipeline::PipelineConfig::backoff_unit) is
 //! non-zero, so simulated scans stay fast and byte-identical at any
 //! shard count; the real-socket CLI maps units to milliseconds.
 
@@ -37,53 +39,6 @@ const CAP_UNITS: u64 = 1_600;
 const JITTER_MAX: u64 = 50;
 /// Seed of the jitter stream ("retry").
 const JITTER_SEED: u64 = 0x0072_6574_7279;
-
-/// Retry configuration: how many tries, and how long a virtual backoff
-/// unit lasts on the wall clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per operation (1 = no retries).
-    pub max_attempts: u32,
-    /// Wall-clock duration of one virtual unit. `Duration::ZERO` (the
-    /// default) records backoff without sleeping — correct for the
-    /// simulator, where pacing real time would only slow tests down.
-    pub real_unit: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            real_unit: Duration::ZERO,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Single-attempt policy: no retries, no backoff.
-    pub fn disabled() -> Self {
-        Self::with_attempts(1)
-    }
-
-    /// Default policy with a different total attempt budget. `attempts`
-    /// is clamped to at least 1 — one attempt always runs.
-    pub fn with_attempts(attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts: attempts.max(1),
-            ..Default::default()
-        }
-    }
-
-    /// Whether the policy ever retries.
-    pub fn enabled(&self) -> bool {
-        self.attempts() > 1
-    }
-
-    /// Total attempts, never below 1 (guards direct field mutation).
-    pub fn attempts(&self) -> u32 {
-        self.max_attempts.max(1)
-    }
-}
 
 /// Backoff after failed try `attempt` (0-based) at `ep`: capped
 /// exponential growth plus deterministic per-endpoint jitter.
@@ -142,23 +97,30 @@ impl RetryMetrics {
     }
 }
 
-/// Transport wrapper applying a [`RetryPolicy`] to every probe and
-/// connect. [`Pipeline::run`](crate::pipeline::Pipeline::run) wraps the
-/// caller's transport in one of these, which is how all three stages
-/// (and the fingerprinter) retry without stage-specific plumbing.
+/// Transport wrapper retrying every probe and connect.
+/// [`Pipeline::run`](crate::pipeline::Pipeline::run) wraps the caller's
+/// transport in one of these, which is how all three stages (and the
+/// fingerprinter) retry without stage-specific plumbing.
 #[derive(Debug, Clone)]
 pub struct RetryTransport<T> {
     inner: T,
-    policy: RetryPolicy,
+    /// Total tries per operation, never below 1 (1 = no retries).
+    max_attempts: u32,
+    /// Wall-clock duration of one virtual backoff unit; `ZERO` records
+    /// backoff without sleeping.
+    backoff_unit: Duration,
     probe: RetryMetrics,
     connect: RetryMetrics,
 }
 
 impl<T> RetryTransport<T> {
-    pub fn new(inner: T, policy: RetryPolicy, telemetry: &Telemetry) -> Self {
+    /// Wrap `inner`, giving each operation `max_attempts` tries (0 reads
+    /// as 1) and sleeping `backoff_unit` per virtual backoff unit.
+    pub fn new(inner: T, max_attempts: u32, backoff_unit: Duration, telemetry: &Telemetry) -> Self {
         RetryTransport {
             inner,
-            policy,
+            max_attempts: max_attempts.max(1),
+            backoff_unit,
             probe: RetryMetrics::new(telemetry, "probe"),
             connect: RetryMetrics::new(telemetry, "connect"),
         }
@@ -169,21 +131,16 @@ impl<T> RetryTransport<T> {
         &self.inner
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Meter a retry on `lane` after failed try `attempt` at `ep`, and
-    /// back off before it: record the units and, when
-    /// [`RetryPolicy::real_unit`] is non-zero, sleep them.
+    /// back off before it: record the units and, when the backoff unit
+    /// is non-zero, sleep them.
     fn back_off(&self, lane: &RetryMetrics, ep: Endpoint, attempt: u32) {
         let units = backoff_units(ep, attempt);
         lane.retries.incr();
         lane.backoff_units.add(units);
-        if self.policy.real_unit > Duration::ZERO {
+        if self.backoff_unit > Duration::ZERO {
             let factor = units.min(u64::from(u32::MAX)) as u32;
-            std::thread::sleep(self.policy.real_unit.saturating_mul(factor));
+            std::thread::sleep(self.backoff_unit.saturating_mul(factor));
         }
     }
 }
@@ -197,7 +154,7 @@ impl<T: Transport> RetryTransport<T> {
     /// inside a block sweep retries (and meters) exactly like a
     /// standalone one.
     fn finish_probe_retries(&self, ep: Endpoint, first: Attempt<'_>) -> ProbeOutcome {
-        let max = self.policy.attempts();
+        let max = self.max_attempts;
         let (mut attempt, mut outcome) = (0, ProbeOutcome::Filtered);
         while outcome == ProbeOutcome::Filtered && attempt + 1 < max {
             self.back_off(&self.probe, ep, attempt);
@@ -243,7 +200,7 @@ impl<T: Transport> Transport for RetryTransport<T> {
     /// try of `attempt`. A terminal error returns at once; a transient
     /// one on the last try counts as exhausted.
     fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
-        let max = self.policy.attempts();
+        let max = self.max_attempts;
         let mut k = 0;
         loop {
             match self.inner.connect(ep, scheme, attempt.retry(k)) {
@@ -355,7 +312,8 @@ mod tests {
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Timeout);
         let t = RetryTransport::new(
             Tries(flaky, Default::default()),
-            RetryPolicy::with_attempts(3),
+            3,
+            Duration::ZERO,
             &telemetry,
         );
         let base = 7;
@@ -393,18 +351,25 @@ mod tests {
         assert!((100..=150).contains(&backoff_units(other, 0)));
     }
 
+    /// A budget of 0 still makes the one try: it reads as 1.
     #[test]
     fn attempts_never_drop_below_one() {
-        assert_eq!(RetryPolicy::with_attempts(0).attempts(), 1);
-        assert!(!RetryPolicy::disabled().enabled());
-        assert!(RetryPolicy::default().enabled());
+        let telemetry = Telemetry::new();
+        let flaky = Flaky::new(HandlerTransport::new(), u32::MAX, Error::Timeout);
+        let t = RetryTransport::new(flaky, 0, Duration::ZERO, &telemetry);
+        assert_eq!(t.probe(ep(), Attempt::FIRST), ProbeOutcome::Filtered);
+        assert!(t.connect(ep(), Scheme::Http, Attempt::FIRST).is_err());
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("retry.probe.retries"), 0);
+        assert_eq!(snap.counter("retry.connect.retries"), 0);
+        assert_eq!(snap.counter("retry.connect.exhausted"), 1);
     }
 
     #[test]
     fn probe_retries_through_transient_filtering() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 2, Error::Timeout);
-        let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
+        let t = RetryTransport::new(flaky, 3, Duration::ZERO, &telemetry);
         // HandlerTransport reports unmounted endpoints as Closed; the
         // two scripted Filtered results are retried away first.
         assert_eq!(t.probe(ep(), Attempt::FIRST), ProbeOutcome::Closed);
@@ -419,7 +384,7 @@ mod tests {
     fn probe_budget_exhausts_on_persistent_filtering() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), u32::MAX, Error::Timeout);
-        let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
+        let t = RetryTransport::new(flaky, 3, Duration::ZERO, &telemetry);
         assert_eq!(t.probe(ep(), Attempt::FIRST), ProbeOutcome::Filtered);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.probe.retries"), 2);
@@ -430,7 +395,7 @@ mod tests {
     fn connect_does_not_retry_terminal_errors() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Connect("refused".into()));
-        let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
+        let t = RetryTransport::new(flaky, 3, Duration::ZERO, &telemetry);
         assert!(t.connect(ep(), Scheme::Http, Attempt::FIRST).is_err());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.connect.retries"), 0);
@@ -441,7 +406,7 @@ mod tests {
     fn connect_exhausts_after_persistent_timeouts() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 5, Error::Timeout);
-        let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
+        let t = RetryTransport::new(flaky, 3, Duration::ZERO, &telemetry);
         assert!(matches!(
             t.connect(ep(), Scheme::Http, Attempt::FIRST),
             Err(Error::Timeout)
@@ -460,7 +425,7 @@ mod tests {
         let handler = Arc::new(|_: &nokeys_http::Request, _| nokeys_http::Response::html("up"));
         let mounted = HandlerTransport::new().with(ep(), handler);
         let flaky = Flaky::new(mounted, 2, Error::UnexpectedEof);
-        let t = RetryTransport::new(flaky, RetryPolicy::with_attempts(3), &telemetry);
+        let t = RetryTransport::new(flaky, 3, Duration::ZERO, &telemetry);
         assert!(t.connect(ep(), Scheme::Http, Attempt::FIRST).is_ok());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("retry.connect.retries"), 2);
@@ -472,7 +437,7 @@ mod tests {
     fn connect_with_single_attempt_counts_exhaustion() {
         let telemetry = Telemetry::new();
         let flaky = Flaky::new(HandlerTransport::new(), 1, Error::Timeout);
-        let t = RetryTransport::new(flaky, RetryPolicy::disabled(), &telemetry);
+        let t = RetryTransport::new(flaky, 1, Duration::ZERO, &telemetry);
         assert!(matches!(
             t.connect(ep(), Scheme::Http, Attempt::FIRST),
             Err(Error::Timeout)

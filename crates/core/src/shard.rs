@@ -69,10 +69,10 @@
 //! the ledger and scans what is missing, appending to the same file;
 //! a finished scan is a log that holds every batch, so resuming it
 //! scans nothing. The shard count is not part of
-//! [`ConfigFingerprint`], so a log written at `--shards 4` resumes at
-//! `--shards 8` (or 1).
+//! [`PipelineConfig::fingerprint`], so a log written at `--shards 4`
+//! resumes at `--shards 8` (or 1).
 
-use crate::checkpoint::{CheckpointLog, ConfigFingerprint};
+use crate::checkpoint::CheckpointLog;
 use crate::pipeline::{BatchProcessor, PipelineConfig, PipelineError};
 use crate::portscan::{Cidr, PortScanner};
 use crate::rate::SharedPacer;
@@ -81,7 +81,6 @@ use crate::retry::RetryTransport;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use nokeys_http::{Client, FaultLane, Transport};
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -183,7 +182,7 @@ impl<'a, T: Transport + Clone> BatchRunner<'a, T> {
         pacer: Option<SharedPacer>,
     ) -> Self {
         let staging = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(config.portscan.clone(), &staging);
+        let scanner = PortScanner::with_telemetry(config, &staging);
         let processor = BatchProcessor::new(config, &staging);
         // A fault counts in the batch that drew it, so a checkpoint logs
         // it with the batch's other counters.
@@ -198,7 +197,8 @@ impl<'a, T: Transport + Clone> BatchRunner<'a, T> {
         }));
         let client = client.with_transport(RetryTransport::new(
             transport,
-            config.retry.clone(),
+            config.max_attempts,
+            config.backoff_unit,
             &staging,
         ));
         BatchRunner {
@@ -231,10 +231,9 @@ impl<'a, T: Transport + Clone> BatchRunner<'a, T> {
 
 /// The seeded /24 shuffle and the whole-scan pacer of `config`.
 fn plan(config: &PipelineConfig) -> (Vec<Cidr>, Option<SharedPacer>) {
-    assert!(config.blocks_per_batch > 0, "batch size must be positive");
     // Throwaway registry: this scanner only computes the shuffle and
     // the shared pacer. Workers sweep with their own staged scanners.
-    let planner = PortScanner::with_telemetry(config.portscan.clone(), &Telemetry::new());
+    let planner = PortScanner::new(config);
     (planner.shuffled_blocks(), planner.pacer())
 }
 
@@ -261,8 +260,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// The scan engine behind [`Pipeline::run`] and [`Pipeline::resume`].
 ///
-/// `path` is the checkpoint log, if any; `resume` selects whether the
-/// log already there is read back or truncated.
+/// With a checkpoint path configured, `resume` selects whether the log
+/// already there is read back or truncated.
 ///
 /// [`Pipeline::run`]: crate::pipeline::Pipeline::run
 /// [`Pipeline::resume`]: crate::pipeline::Pipeline::resume
@@ -270,15 +269,14 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
     config: &PipelineConfig,
     telemetry: &Telemetry,
     client: &Client<T>,
-    path: Option<&Path>,
     resume: bool,
 ) -> Result<ScanReport, PipelineError> {
     let (blocks, pacer) = plan(config);
     let total_batches = blocks.chunks(config.blocks_per_batch).len() as u64;
 
     let mut ledger = Ledger::new(total_batches);
-    if let Some(path) = path {
-        let fingerprint = ConfigFingerprint::of(config);
+    if let Some(path) = &config.checkpoint_path {
+        let fingerprint = config.fingerprint();
         ledger.log = Some(if resume {
             let (log, batches) = CheckpointLog::resume(path, &fingerprint, total_batches)?;
             for (seq, (findings, work)) in batches {
@@ -298,7 +296,7 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
     // A worker that panics is reported, not propagated: the others
     // finish (and log) every batch it had not started.
     let outcomes: Vec<Result<(), PipelineError>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.shards.max(1).min(todo.len()))
+        let workers: Vec<_> = (0..config.shards.min(todo.len()))
             .map(|_| {
                 let mut runner = BatchRunner::new(config, client, &blocks, pacer.clone());
                 let (todo, cursor, ledger) = (&todo, &cursor, &ledger);

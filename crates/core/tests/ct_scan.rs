@@ -5,7 +5,7 @@
 use nokeys_netsim::vhost::VhostState;
 use nokeys_netsim::{SimTime, SimTransport, Universe, UniverseConfig};
 use nokeys_scanner::ct::{ct_scan, DomainTarget};
-use nokeys_scanner::{Pipeline, PipelineConfig};
+use nokeys_scanner::{Pipeline, PipelineConfig, Telemetry};
 use std::sync::Arc;
 
 /// Entries appearing during the study window — a CT watcher starting at
@@ -77,7 +77,7 @@ fn ip_sweep_misses_everything_behind_shared_hosting() {
     let config = UniverseConfig::tiny(21);
     let transport = SimTransport::new(Arc::new(Universe::generate(config.clone())));
     let client = nokeys_http::Client::new(transport.clone());
-    let report = Pipeline::new(PipelineConfig::builder(vec![config.space]).build())
+    let report = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new())
         .run(&client)
         .expect("pipeline failed");
 

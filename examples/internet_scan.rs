@@ -8,7 +8,7 @@
 use nokeys::analysis;
 use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::json::ToJson;
-use nokeys::scanner::{Pipeline, PipelineConfig};
+use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 use std::sync::Arc;
 
 fn main() {
@@ -28,9 +28,11 @@ fn main() {
     // Concurrency is a pure speedup: the scan yields the same report
     // at any shard count, faults or no faults.
     let pipeline = Pipeline::new(
-        PipelineConfig::builder(vec![config.space])
-            .shards(4)
-            .build(),
+        PipelineConfig {
+            shards: 4,
+            ..PipelineConfig::new(vec![config.space])
+        },
+        &Telemetry::new(),
     );
     let started = std::time::Instant::now();
     let report = pipeline.run(&client).expect("pipeline failed");

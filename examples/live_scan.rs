@@ -11,7 +11,7 @@ use nokeys::apps::{build_instance, release_history, AppConfig, AppId};
 use nokeys::http::server::serve_tcp;
 use nokeys::http::transport::TcpTransport;
 use nokeys::scanner::plugin::AppHandler;
-use nokeys::scanner::{Pipeline, PipelineConfig};
+use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -58,13 +58,14 @@ fn main() {
     }
 
     // Scan 127.0.0.1 on exactly those ports with the real-TCP transport.
-    let config = PipelineConfig::builder(vec!["127.0.0.1/32".parse().expect("cidr")])
-        .ports(ports.clone())
-        .exclude_reserved(false) // loopback is IANA-reserved
-        .tarpit_port_threshold(ports.len() + 1) // tiny port set; no artifact filter
-        .shards(4) // four worker threads probing over real sockets
-        .build();
-    let pipeline = Pipeline::new(config);
+    let config = PipelineConfig {
+        ports: ports.clone(),
+        exclude_reserved: false, // loopback is IANA-reserved
+        tarpit_port_threshold: Some(ports.len() + 1), // tiny port set; no artifact filter
+        shards: 4,               // four worker threads probing over real sockets
+        ..PipelineConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")])
+    };
+    let pipeline = Pipeline::new(config, &Telemetry::new());
     let client = nokeys::http::Client::new(TcpTransport::default());
 
     let report = pipeline.run(&client).expect("pipeline failed");

@@ -6,7 +6,7 @@
 //! ```
 
 use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
-use nokeys::scanner::{Pipeline, PipelineConfig};
+use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 use std::sync::Arc;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     //    -> version fingerprinting.
     let transport = SimTransport::new(universe);
     let client = nokeys::http::Client::new(transport.clone());
-    let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
+    let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
     let report = pipeline.run(&client).expect("pipeline failed");
 
     // 3. Results.

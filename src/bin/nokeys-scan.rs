@@ -33,19 +33,14 @@ use nokeys::http::transport::TcpTransport;
 use nokeys::http::Client;
 use nokeys::netsim::{FaultPlan, FaultyTransport};
 use nokeys::scanner::json::ToJson;
-use nokeys::scanner::{Pipeline, PipelineConfig, RetryPolicy, Telemetry};
+use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 
 struct Args {
-    targets: Vec<nokeys::scanner::portscan::Cidr>,
-    ports: Vec<u16>,
-    shards: usize,
-    rate: Option<f64>,
-    include_reserved: bool,
-    retries: u32,
+    /// The scan the flags describe.
+    config: PipelineConfig,
     fault_rate: f64,
     json: Option<String>,
     metrics_out: Option<String>,
-    checkpoint: Option<std::path::PathBuf>,
     resume: bool,
 }
 
@@ -65,16 +60,17 @@ fn usage() -> ! {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        targets: Vec::new(),
-        ports: nokeys::apps::SCAN_PORTS.to_vec(),
-        shards: 16,
-        rate: None,
-        include_reserved: false,
-        retries: 3,
+        config: PipelineConfig {
+            shards: 16,
+            // Over real sockets one backoff unit is a millisecond, so
+            // exhausted budgets actually pace the retries instead of
+            // hammering the target.
+            backoff_unit: std::time::Duration::from_millis(1),
+            ..PipelineConfig::new(Vec::new())
+        },
         fault_rate: 0.0,
         json: None,
         metrics_out: None,
-        checkpoint: None,
         resume: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -87,14 +83,14 @@ fn parse_args() -> Args {
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
-                args.targets.push(cidr);
+                args.config.targets.push(cidr);
             }
             "--ports" => {
                 i += 1;
                 // Every element must parse: "80,abc,443" is an error,
                 // not a two-port list (filter_map used to silently drop
                 // the bad entries).
-                args.ports = argv
+                args.config.ports = argv
                     .get(i)
                     .and_then(|s| {
                         s.split(',')
@@ -102,22 +98,22 @@ fn parse_args() -> Args {
                             .collect::<Option<Vec<u16>>>()
                     })
                     .unwrap_or_else(|| usage());
-                if args.ports.is_empty() {
+                if args.config.ports.is_empty() {
                     usage();
                 }
             }
             "--rate" => {
                 i += 1;
-                args.rate = Some(
+                args.config.max_probes_per_sec = Some(
                     argv.get(i)
                         .and_then(|s| s.parse().ok())
-                        .filter(|r| *r > 0.0)
+                        .filter(|r: &f64| r.is_finite() && *r > 0.0)
                         .unwrap_or_else(|| usage()),
                 );
             }
             "--shards" => {
                 i += 1;
-                args.shards = argv
+                args.config.shards = argv
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .filter(|n| *n > 0)
@@ -125,7 +121,7 @@ fn parse_args() -> Args {
             }
             "--retries" => {
                 i += 1;
-                args.retries = argv
+                args.config.max_attempts = argv
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
@@ -138,11 +134,12 @@ fn parse_args() -> Args {
                     .filter(|r| (0.0..=1.0).contains(r))
                     .unwrap_or_else(|| usage());
             }
-            "--include-reserved" => args.include_reserved = true,
+            "--include-reserved" => args.config.exclude_reserved = false,
             "--resume" => args.resume = true,
             "--checkpoint" => {
                 i += 1;
-                args.checkpoint = Some(argv.get(i).map(Into::into).unwrap_or_else(|| usage()));
+                args.config.checkpoint_path =
+                    Some(argv.get(i).map(Into::into).unwrap_or_else(|| usage()));
             }
             "--json" => {
                 i += 1;
@@ -156,10 +153,10 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    if args.targets.is_empty() {
+    if args.config.targets.is_empty() {
         usage();
     }
-    if args.resume && args.checkpoint.is_none() {
+    if args.resume && args.config.checkpoint_path.is_none() {
         eprintln!("error: --resume requires --checkpoint FILE");
         usage();
     }
@@ -168,43 +165,28 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let addresses: u64 = args.targets.iter().map(|t| t.size()).sum();
+    let config = &args.config;
+    let addresses: u64 = config.targets.iter().map(|t| t.size()).sum();
     eprintln!(
         "scanning {} addresses on {} ports with {} workers (non-intrusive GET requests only)",
         addresses,
-        args.ports.len(),
-        args.shards
+        config.ports.len(),
+        config.shards
     );
-
-    let telemetry = Telemetry::new();
-    let mut builder = PipelineConfig::builder(args.targets.clone())
-        .ports(args.ports.clone())
-        .exclude_reserved(!args.include_reserved)
-        .max_probes_per_sec(args.rate)
-        .shards(args.shards)
-        // Over real sockets one backoff unit is a millisecond, so
-        // exhausted budgets actually pace the retries instead of
-        // hammering the target.
-        .retry_policy(RetryPolicy {
-            real_unit: std::time::Duration::from_millis(1),
-            ..RetryPolicy::with_attempts(args.retries)
-        })
-        .telemetry(telemetry.clone());
-    if let Some(path) = &args.checkpoint {
+    if let Some(path) = &config.checkpoint_path {
         eprintln!("checkpointing to {}", path.display());
-        builder = builder.checkpoint_path(path.clone());
     }
-    let pipeline = Pipeline::new(builder.build());
 
     // Resume when asked to and something is there to resume from;
     // otherwise a fresh (checkpointed) run.
-    let resume_from = args
-        .checkpoint
-        .as_deref()
-        .filter(|path| args.resume && path.exists());
+    let resume_from =
+        (config.checkpoint_path.as_deref()).filter(|path| args.resume && path.exists());
     if let Some(path) = resume_from {
         eprintln!("resuming from checkpoint {}", path.display());
     }
+    let resume = resume_from.is_some();
+    let telemetry = Telemetry::new();
+    let pipeline = Pipeline::new(args.config, &telemetry);
 
     // The fault-injection wrapper is a passthrough at rate 0 (the
     // default); its draws are keyed on each try, so every worker draws
@@ -219,9 +201,10 @@ fn main() {
         TcpTransport::default(),
         FaultPlan::new(args.fault_rate, 0x6e6f_6b65_7973),
     ));
-    let outcome = match resume_from {
-        Some(path) => pipeline.resume(&client, path),
-        None => pipeline.run(&client),
+    let outcome = if resume {
+        pipeline.resume(&client)
+    } else {
+        pipeline.run(&client)
     };
     let report = outcome.unwrap_or_else(|e| {
         eprintln!("error: {e}");

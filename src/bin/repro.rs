@@ -34,7 +34,7 @@
 //! the final report and telemetry are byte-identical to an
 //! uninterrupted run.
 
-use nokeys::repro::{CheckpointOptions, Repro, Scale};
+use nokeys::repro::{Repro, Scale};
 
 fn usage() -> ! {
     eprintln!(
@@ -132,13 +132,11 @@ fn main() {
         usage();
     }
 
-    let mut harness = Repro::new(seed, scale)
-        .with_fault_rate(fault_rate)
-        .with_retries(retries)
-        .with_shards(shards);
-    if let Some(path) = checkpoint {
-        harness = harness.with_checkpoint(CheckpointOptions { path, resume });
-    }
+    let mut harness = Repro::new(seed, scale).with_fault_rate(fault_rate);
+    harness.config.max_attempts = retries;
+    harness.config.shards = shards;
+    harness.config.checkpoint_path = checkpoint;
+    harness.resume = resume;
     println!(
         "# nokeys repro — seed {seed}, scale {:?}, universe {}",
         scale,

@@ -11,7 +11,6 @@ use nokeys_netsim::{
 };
 use nokeys_scanner::observer::{observe, LongevityStudy, ObserverConfig};
 use nokeys_scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Seed of the injected-fault schedule (`--fault-rate`).
@@ -37,26 +36,21 @@ pub enum Scale {
     Quick,
 }
 
-/// Scan-checkpoint settings for the harness.
-#[derive(Debug, Clone)]
-pub struct CheckpointOptions {
-    /// File the scan logs its finished batches to.
-    pub path: PathBuf,
-    /// Resume from an existing checkpoint at `path` instead of starting
-    /// over (starts fresh if the file does not exist yet).
-    pub resume: bool,
-}
-
 /// The harness: lazily runs and caches the expensive studies.
 pub struct Repro {
     pub seed: u64,
     pub scale: Scale,
+    /// The scan's configuration, over the universe's address space with
+    /// the paper's settings. Set its fields — shards, attempts, a
+    /// checkpoint path — before the first experiment runs the scan.
+    /// Like fault injection, the shard count never changes an output.
+    pub config: PipelineConfig,
+    /// Continue the log at [`PipelineConfig::checkpoint_path`] instead of
+    /// starting over (a fresh scan if there is no file there yet).
+    pub resume: bool,
     universe_config: UniverseConfig,
     telemetry: Telemetry,
     fault_rate: f64,
-    retries: u32,
-    shards: usize,
-    checkpoint: Option<CheckpointOptions>,
     scan: Option<(FaultyTransport<SimTransport>, ScanReport)>,
     longevity: Option<LongevityStudy>,
     study: Option<StudyResult>,
@@ -72,12 +66,11 @@ impl Repro {
         Repro {
             seed,
             scale,
+            config: PipelineConfig::new(vec![universe_config.space]),
+            resume: false,
             universe_config,
             telemetry: Telemetry::new(),
             fault_rate: 0.0,
-            retries: 3,
-            shards: 1,
-            checkpoint: None,
             scan: None,
             longevity: None,
             study: None,
@@ -92,26 +85,6 @@ impl Repro {
     /// in any experiment order and across a resume.
     pub fn with_fault_rate(mut self, rate: f64) -> Self {
         self.fault_rate = rate;
-        self
-    }
-
-    /// Per-operation transport attempt budget (1 disables retrying).
-    pub fn with_retries(mut self, attempts: u32) -> Self {
-        self.retries = attempts.max(1);
-        self
-    }
-
-    /// Run the scan on this many shard worker threads. Like fault
-    /// injection, sharding never changes the report: it is
-    /// byte-identical at any count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Persist (and optionally resume from) a scan checkpoint.
-    pub fn with_checkpoint(mut self, options: CheckpointOptions) -> Self {
-        self.checkpoint = Some(options);
         self
     }
 
@@ -147,23 +120,19 @@ impl Repro {
             let client = Client::new(transport.clone());
             // Faults or not, the report is byte-identical at any shard
             // count: no fault draw depends on what ran before it.
-            let mut builder = PipelineConfig::builder(vec![self.universe_config.space])
-                .shards(self.shards)
-                .retries(self.retries)
-                .telemetry(self.telemetry.clone());
-            if let Some(c) = &self.checkpoint {
-                builder = builder.checkpoint_path(c.path.clone());
-            }
-            let pipeline = Pipeline::new(builder.build());
+            let pipeline = Pipeline::new(self.config.clone(), &self.telemetry);
             // Resume when asked to and a checkpoint exists; otherwise a
             // fresh (checkpointed) run.
-            let resume_from = self
-                .checkpoint
-                .as_ref()
-                .filter(|c| c.resume && c.path.exists());
-            let report = match resume_from {
-                Some(c) => pipeline.resume(&client, &c.path),
-                None => pipeline.run(&client),
+            let resume = self.resume
+                && self
+                    .config
+                    .checkpoint_path
+                    .as_ref()
+                    .is_some_and(|p| p.exists());
+            let report = if resume {
+                pipeline.resume(&client)
+            } else {
+                pipeline.run(&client)
             }
             .unwrap_or_else(|e| panic!("scan pipeline failed: {e}"));
             self.scan = Some((transport, report));

@@ -74,17 +74,16 @@ fn logged(path: &Path) -> BTreeSet<u64> {
     distinct
 }
 
-/// 32 batches of 8 blocks.
-fn config(shards: usize, telemetry: &Telemetry, checkpoint: Option<&Path>) -> PipelineConfig {
-    let mut builder = PipelineConfig::builder(vec![space()])
-        .blocks_per_batch(8)
-        .shards(shards)
-        .retries(3)
-        .telemetry(telemetry.clone());
-    if let Some(path) = checkpoint {
-        builder = builder.checkpoint_path(path);
-    }
-    builder.build()
+/// 32 batches of 8 blocks, recording into `telemetry`.
+fn tiny_pipeline(shards: usize, telemetry: &Telemetry, checkpoint: Option<&Path>) -> Pipeline {
+    let config = PipelineConfig {
+        blocks_per_batch: 8,
+        shards,
+        max_attempts: 3,
+        checkpoint_path: checkpoint.map(Path::to_path_buf),
+        ..PipelineConfig::new(vec![space()])
+    };
+    Pipeline::new(config, telemetry)
 }
 
 fn transport(fault_rate: f64) -> FaultyTransport<SimTransport> {
@@ -101,7 +100,7 @@ fn run_plain(
     checkpoint: Option<&Path>,
 ) -> (ScanReport, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(shards, &telemetry, checkpoint));
+    let pipeline = tiny_pipeline(shards, &telemetry, checkpoint);
     let report = pipeline
         .run(&Client::new(transport(fault_rate)))
         .expect("scan failed");
@@ -117,7 +116,7 @@ fn run_plain(
 fn run_until_killed(shards: usize, fault_rate: f64, budget: u64, path: &Path) -> BTreeSet<u64> {
     let switch = KillSwitch::after(budget);
     let doomed = KillableTransport::new(transport(fault_rate), switch.clone());
-    let pipeline = Pipeline::new(config(shards, &Telemetry::new(), Some(path)));
+    let pipeline = tiny_pipeline(shards, &Telemetry::new(), Some(path));
     match pipeline.run(&Client::new(doomed)) {
         Err(PipelineError::SweepFailed(_)) if switch.is_tripped() => {}
         other => panic!("the doomed run should have died: {other:?}"),
@@ -133,9 +132,9 @@ fn run_until_killed(shards: usize, fault_rate: f64, budget: u64, path: &Path) ->
 
 fn resume(shards: usize, fault_rate: f64, path: &Path) -> (ScanReport, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(shards, &telemetry, Some(path)));
+    let pipeline = tiny_pipeline(shards, &telemetry, Some(path));
     let report = pipeline
-        .resume(&Client::new(transport(fault_rate)), path)
+        .resume(&Client::new(transport(fault_rate)))
         .expect("resume failed");
     assert_eq!(logged(path).len(), 32, "a finished scan logs every batch");
     (report, telemetry.snapshot())
@@ -159,12 +158,12 @@ fn checkpointing_does_not_change_an_uninterrupted_run() {
     // budget any network access would kill the resume.
     let switch = KillSwitch::after(0);
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(1, &telemetry, Some(&path)));
+    let pipeline = tiny_pipeline(1, &telemetry, Some(&path));
     let report = pipeline
-        .resume(
-            &Client::new(KillableTransport::new(transport(0.05), switch.clone())),
-            &path,
-        )
+        .resume(&Client::new(KillableTransport::new(
+            transport(0.05),
+            switch.clone(),
+        )))
         .expect("warm resume failed");
     assert_eq!(switch.used(), 0, "warm resume performed network operations");
     assert_eq!(checked.to_json_string(), report.to_json_string());
@@ -212,11 +211,11 @@ fn second_kill_loses_no_first_generation_work() {
     // Second generation: resume at 2 shards over another doomed
     // transport.
     let switch = KillSwitch::after(200_000);
-    let pipeline = Pipeline::new(config(2, &Telemetry::new(), Some(&path)));
-    let died = pipeline.resume(
-        &Client::new(KillableTransport::new(transport(0.0), switch.clone())),
-        &path,
-    );
+    let pipeline = tiny_pipeline(2, &Telemetry::new(), Some(&path));
+    let died = pipeline.resume(&Client::new(KillableTransport::new(
+        transport(0.0),
+        switch.clone(),
+    )));
     assert!(
         matches!(died, Err(PipelineError::SweepFailed(_))),
         "{died:?}"
@@ -277,17 +276,18 @@ fn checkpoint_under_a_different_configuration_is_refused_by_name() {
     let path = checkpoint_path("mismatch");
     run_until_killed(4, 0.0, 270_000, &path);
     let before = std::fs::read(&path).unwrap();
-    let other = PipelineConfig::builder(vec![space()])
-        .blocks_per_batch(8)
-        .retries(3)
-        .seed(999)
-        .build();
-    let err = Pipeline::new(other)
-        .resume(&Client::new(transport(0.0)), &path)
+    let other = PipelineConfig {
+        blocks_per_batch: 8,
+        seed: 999,
+        checkpoint_path: Some(path.clone()),
+        ..PipelineConfig::new(vec![space()])
+    };
+    let err = Pipeline::new(other, &Telemetry::new())
+        .resume(&Client::new(transport(0.0)))
         .unwrap_err();
     assert_eq!(
         err,
-        PipelineError::Checkpoint(CheckpointError::ConfigMismatch("shuffle seed".into()))
+        PipelineError::Checkpoint(CheckpointError::ConfigMismatch("shuffle_seed".into()))
     );
     assert_eq!(
         std::fs::read(&path).unwrap(),
@@ -296,8 +296,8 @@ fn checkpoint_under_a_different_configuration_is_refused_by_name() {
     );
     // Nothing to resume from at all is an I/O error, not a fresh scan.
     let nowhere = checkpoint_path("nowhere");
-    let err = Pipeline::new(config(1, &Telemetry::new(), Some(&nowhere)))
-        .resume(&Client::new(transport(0.0)), &nowhere)
+    let err = tiny_pipeline(1, &Telemetry::new(), Some(&nowhere))
+        .resume(&Client::new(transport(0.0)))
         .unwrap_err();
     assert!(
         matches!(err, PipelineError::Checkpoint(CheckpointError::Io(_))),
@@ -320,8 +320,8 @@ fn batch_logged_twice_is_refused_by_name() {
         .and_then(|line| line.field("seq"))
         .expect("batch line has a seq");
     std::fs::write(&path, format!("{log}{last}\n")).unwrap();
-    let err = Pipeline::new(config(1, &Telemetry::new(), Some(&path)))
-        .resume(&Client::new(transport(0.0)), &path)
+    let err = tiny_pipeline(1, &Telemetry::new(), Some(&path))
+        .resume(&Client::new(transport(0.0)))
         .unwrap_err();
     assert_eq!(
         err,

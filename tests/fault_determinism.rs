@@ -44,16 +44,15 @@ fn run_faulty_logged(
         FaultPlan::new(fault_rate, 0xfa17_5eed),
     );
     let client = nokeys::http::Client::new(transport);
-    let mut builder = PipelineConfig::builder(vec![config.space])
-        .shards(shards)
-        .retries(retries)
-        .telemetry(telemetry.clone());
-    if let Some((path, _)) = log {
-        builder = builder.checkpoint_path(path);
-    }
-    let pipeline = Pipeline::new(builder.build());
+    let config = PipelineConfig {
+        shards,
+        max_attempts: retries,
+        checkpoint_path: log.map(|(path, _)| path.to_path_buf()),
+        ..PipelineConfig::new(vec![config.space])
+    };
+    let pipeline = Pipeline::new(config, &telemetry);
     let report = match log {
-        Some((path, true)) => pipeline.resume(&client, path),
+        Some((_, true)) => pipeline.resume(&client),
         _ => pipeline.run(&client),
     }
     .expect("pipeline failed");

@@ -3,7 +3,7 @@
 //! [or] temporarily unavailable").
 
 use nokeys::netsim::{FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig};
-use nokeys::scanner::{Pipeline, PipelineConfig};
+use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 use std::sync::Arc;
 
 /// `universe` behind the fault layer, failing attempts at `rate`.
@@ -21,7 +21,7 @@ fn pipeline_survives_a_flaky_network() {
 
     // 15% of connect attempts time out.
     let client = nokeys::http::Client::new(flaky(&universe, 0.15));
-    let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
+    let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
     let flaky_report = pipeline.run(&client).expect("flaky run failed");
 
     let clean = SimTransport::new(universe);
@@ -61,7 +61,7 @@ fn pipeline_survives_a_flaky_network() {
 fn faults_are_deterministic_per_transport() {
     let config = UniverseConfig::tiny(9);
     let universe = Arc::new(Universe::generate(config.clone()));
-    let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
+    let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
 
     let run = |u: &Arc<Universe>| {
         let client = nokeys::http::Client::new(flaky(u, 0.3));
@@ -85,11 +85,11 @@ fn rescanning_recovers_fault_losses() {
     let config = UniverseConfig::tiny(11);
     let universe = Arc::new(Universe::generate(config.clone()));
     let transport = flaky(&universe, 0.25);
-    let pipeline = Pipeline::new(
-        PipelineConfig::builder(vec![config.space])
-            .retries(2)
-            .build(),
-    );
+    let config = PipelineConfig {
+        max_attempts: 2,
+        ..PipelineConfig::new(vec![config.space])
+    };
+    let pipeline = Pipeline::new(config, &Telemetry::new());
 
     let first = pipeline
         .run(&nokeys::http::Client::new(transport.clone()))

@@ -74,7 +74,8 @@ fn defender_study_and_table9() {
     ));
     let client = nokeys::http::Client::new(transport);
     let pipeline = nokeys::scanner::Pipeline::new(
-        nokeys::scanner::PipelineConfig::builder(vec![config.space]).build(),
+        nokeys::scanner::PipelineConfig::new(vec![config.space]),
+        &nokeys::scanner::Telemetry::new(),
     );
     let report = pipeline.run(&client).expect("pipeline failed");
 

@@ -6,7 +6,7 @@ use nokeys::apps::{build_instance, release_history, AppConfig, AppId};
 use nokeys::http::server::serve_tcp;
 use nokeys::http::transport::TcpTransport;
 use nokeys::scanner::plugin::AppHandler;
-use nokeys::scanner::{Pipeline, PipelineConfig};
+use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -36,12 +36,13 @@ fn pipeline_detects_mavs_over_real_tcp() {
     let secure_zeppelin = serve(AppId::Zeppelin, false);
     let ports = vec![vulnerable_gocd.port, secure_zeppelin.port];
 
-    let config = PipelineConfig::builder(vec!["127.0.0.1/32".parse().expect("cidr")])
-        .ports(ports)
-        .exclude_reserved(false)
-        .tarpit_port_threshold(3)
-        .build();
-    let pipeline = Pipeline::new(config);
+    let config = PipelineConfig {
+        ports,
+        exclude_reserved: false,
+        tarpit_port_threshold: Some(3),
+        ..PipelineConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")])
+    };
+    let pipeline = Pipeline::new(config, &Telemetry::new());
     let client = nokeys::http::Client::new(TcpTransport::default());
     let report = pipeline.run(&client).expect("pipeline failed");
 
@@ -68,11 +69,12 @@ fn pipeline_detects_mavs_over_real_tcp() {
 #[test]
 fn portscan_over_real_tcp() {
     let server = serve(AppId::Polynote, true);
-    let mut config =
-        nokeys::scanner::PortScanConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")]);
-    config.ports = vec![server.port];
-    config.exclude_reserved = false;
-    let scanner = nokeys::scanner::PortScanner::new(config);
+    let config = PipelineConfig {
+        ports: vec![server.port],
+        exclude_reserved: false,
+        ..PipelineConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")])
+    };
+    let scanner = nokeys::scanner::PortScanner::new(&config);
     let open = scanner.scan(&TcpTransport::default());
     assert_eq!(open.len(), 1);
     server.shutdown();

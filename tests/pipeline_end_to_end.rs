@@ -3,14 +3,14 @@
 
 use nokeys::apps::AppId;
 use nokeys::netsim::{SimTransport, Universe, UniverseConfig};
-use nokeys::scanner::{Pipeline, PipelineConfig, ScanReport};
+use nokeys::scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry};
 use std::sync::Arc;
 
 fn run(seed: u64) -> (SimTransport, ScanReport) {
     let config = UniverseConfig::tiny(seed);
     let transport = SimTransport::new(Arc::new(Universe::generate(config.clone())));
     let client = nokeys::http::Client::new(transport.clone());
-    let pipeline = Pipeline::new(PipelineConfig::builder(vec![config.space]).build());
+    let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
     let report = pipeline.run(&client).expect("pipeline failed");
     (transport, report)
 }

@@ -84,6 +84,7 @@ fn nokeys_scan_rejects_malformed_flag_values() {
         &["--target", "192.0.2.0/28", "--fault-rate", "7"],
         &["--target", "192.0.2.0/28", "--fault-rate", "-1"],
         &["--target", "192.0.2.0/28", "--rate", "fast"],
+        &["--target", "192.0.2.0/28", "--rate", "inf"],
         &["--target", "192.0.2.0/28", "--shards", "0"],
         &["--target", "192.0.2.0/28", "--shards", "many"],
         &["--target", "192.0.2.0/28", "--checkpoint-every", "3"],

@@ -1,7 +1,7 @@
 //! Smoke test for the `repro` harness: every experiment id regenerates at
 //! quick scale and produces non-trivial output.
 
-use nokeys::repro::{CheckpointOptions, Repro, Scale};
+use nokeys::repro::{Repro, Scale};
 
 #[test]
 fn every_experiment_regenerates_at_quick_scale() {
@@ -45,12 +45,10 @@ fn resuming_a_faulted_scan_changes_no_later_output() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("scan.ckpt");
     let harness = |resume| {
-        Repro::new(13, Scale::Quick)
-            .with_fault_rate(0.05)
-            .with_checkpoint(CheckpointOptions {
-                path: path.clone(),
-                resume,
-            })
+        let mut harness = Repro::new(13, Scale::Quick).with_fault_rate(0.05);
+        harness.config.checkpoint_path = Some(path.clone());
+        harness.resume = resume;
+        harness
     };
     let mut written = harness(false);
     let first = written.run("fig2").expect("fig2");

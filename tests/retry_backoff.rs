@@ -4,9 +4,10 @@
 
 use nokeys::http::{Attempt, Client, Endpoint, Error, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig};
-use nokeys::scanner::{Pipeline, PipelineConfig, RetryPolicy, RetryTransport, Telemetry};
+use nokeys::scanner::{Pipeline, PipelineConfig, RetryTransport, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The first few AWE endpoints of the universe, in address order, that
 /// answer plain HTTP, discovered behaviourally through a fault-free
@@ -69,7 +70,7 @@ fn retrying_probe_masks_injected_syn_loss() {
     let (faulty, injected) = counted(faulty(&universe, 0.25));
     for round in 0..40 {
         let at = faulty.at(SimTime(round * 60));
-        let t = RetryTransport::new(at, RetryPolicy::with_attempts(8), &telemetry);
+        let t = RetryTransport::new(at, 8, Duration::ZERO, &telemetry);
         assert_eq!(
             t.probe(ep, Attempt::FIRST),
             ProbeOutcome::Open,
@@ -96,11 +97,7 @@ fn retrying_client_fetches_through_connect_timeouts() {
     let faulty = faulty(&universe, 0.25);
     for round in 0..20 {
         let at = faulty.at(SimTime(round * 60));
-        let client = Client::new(RetryTransport::new(
-            at,
-            RetryPolicy::with_attempts(8),
-            &telemetry,
-        ));
+        let client = Client::new(RetryTransport::new(at, 8, Duration::ZERO, &telemetry));
         let fetched = client.get_path(ep, Scheme::Http, "/");
         assert!(fetched.is_ok(), "round {round}: {fetched:?}");
     }
@@ -129,7 +126,7 @@ fn fault_draws_are_order_independent_across_the_retry_stack() {
     let stack = |u: &Arc<Universe>| {
         let telemetry = Telemetry::new();
         let (faulty, injected) = counted(faulty(u, 0.5));
-        let t = RetryTransport::new(faulty, RetryPolicy::with_attempts(3), &telemetry);
+        let t = RetryTransport::new(faulty, 3, Duration::ZERO, &telemetry);
         (t, telemetry, injected)
     };
     let (t1, tel1, injected1) = stack(&universe);
@@ -163,7 +160,7 @@ fn fault_draws_are_order_independent_across_the_retry_stack() {
 }
 
 /// The facade-level contract the retry layer is built on: which errors
-/// are worth retrying, and how the policy clamps its budget.
+/// are worth retrying, and how the configuration clamps its budget.
 #[test]
 fn transient_classification_drives_the_retry_budget() {
     assert!(Error::Timeout.is_transient());
@@ -171,13 +168,20 @@ fn transient_classification_drives_the_retry_budget() {
     assert!(Error::Io("reset".into()).is_transient());
     assert!(!Error::Connect("refused".into()).is_transient());
     assert!(!Error::Malformed("bad status line").is_transient());
-    assert!(RetryPolicy::default().enabled());
-    assert!(!RetryPolicy::disabled().enabled());
-    assert_eq!(RetryPolicy::with_attempts(0).attempts(), 1);
+    // A budget of 0 is the one try a budget of 1 is.
+    let budget = |max_attempts| {
+        let config = PipelineConfig {
+            max_attempts,
+            ..PipelineConfig::new(Vec::new())
+        };
+        config.fingerprint()
+    };
+    assert_eq!(budget(0), budget(1));
+    assert_ne!(budget(1), PipelineConfig::new(Vec::new()).fingerprint());
 }
 
-/// `retries(0)` and `retries(1)` both mean "one attempt, no retries" at
-/// the pipeline config level, and a retry-less fault-free pipeline still
+/// `max_attempts` 1 means "one attempt, no retries" at the pipeline
+/// config level, and a retry-less fault-free pipeline still
 /// scans clean — the config plumbing does not disturb the report.
 #[test]
 fn pipeline_retry_knob_plumbs_through() {
@@ -185,11 +189,11 @@ fn pipeline_retry_knob_plumbs_through() {
     let universe = Arc::new(Universe::generate(config.clone()));
     let run = |retries: u32, u: Arc<Universe>| {
         let client = nokeys::http::Client::new(SimTransport::new(u));
-        let pipeline = Pipeline::new(
-            PipelineConfig::builder(vec![config.space])
-                .retries(retries)
-                .build(),
-        );
+        let config = PipelineConfig {
+            max_attempts: retries,
+            ..PipelineConfig::new(vec![config.space])
+        };
+        let pipeline = Pipeline::new(config, &Telemetry::new());
         let report = pipeline.run(&client).expect("pipeline failed");
         report.to_json_string()
     };
@@ -219,10 +223,8 @@ fn a_banner_host_is_connected_to_once_per_scheme() {
     let client = Client::new(SimTransport::new(Arc::clone(&universe)));
     let telemetry = Telemetry::new();
     let pipeline = Pipeline::new(
-        PipelineConfig::builder(vec![format!("{ip}/32").parse().expect("cidr")])
-            .retries(3)
-            .telemetry(telemetry.clone())
-            .build(),
+        PipelineConfig::new(vec![format!("{ip}/32").parse().expect("cidr")]),
+        &telemetry,
     );
     let report = pipeline.run(&client).expect("pipeline failed");
     assert_eq!(report.prefilter_silent, 1, "open, but not HTTP");
@@ -274,13 +276,12 @@ fn a_stage_two_fetch_dials_at_most_max_attempts_times() {
         dials: Arc::clone(&dials),
     };
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(
-        PipelineConfig::builder(vec![format!("{}/32", ep.ip).parse().expect("cidr")])
-            .ports(vec![ep.port])
-            .retries(3)
-            .telemetry(telemetry.clone())
-            .build(),
-    );
+    let config = PipelineConfig {
+        ports: vec![ep.port],
+        max_attempts: 3,
+        ..PipelineConfig::new(vec![format!("{}/32", ep.ip).parse().expect("cidr")])
+    };
+    let pipeline = Pipeline::new(config, &telemetry);
     let report = pipeline
         .run(&Client::new(transport))
         .expect("pipeline failed");

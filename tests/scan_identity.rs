@@ -18,7 +18,7 @@ use nokeys::http::{Attempt, BlockSweepResult, Client, Endpoint, ProbeOutcome, Sc
 use nokeys::netsim::{Cidr, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::shard::{scan_batch, Ledger};
 use nokeys::scanner::{
-    Pipeline, PipelineConfig, PortScanConfig, PortScanner, ScanReport, Telemetry, TelemetrySnapshot,
+    Pipeline, PipelineConfig, PortScanner, ScanReport, Telemetry, TelemetrySnapshot,
 };
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -34,13 +34,13 @@ fn space() -> Cidr {
 
 /// 20.0.0.0/16 is 256 /24 blocks; 8 per batch makes 32 batches, eight
 /// or so for each of four workers.
-fn config(shards: usize, telemetry: &Telemetry) -> PipelineConfig {
-    PipelineConfig::builder(vec![space()])
-        .blocks_per_batch(8)
-        .shards(shards)
-        .retries(3)
-        .telemetry(telemetry.clone())
-        .build()
+fn config(shards: usize) -> PipelineConfig {
+    PipelineConfig {
+        blocks_per_batch: 8,
+        shards,
+        max_attempts: 3,
+        ..PipelineConfig::new(vec![space()])
+    }
 }
 
 fn transport(fault_rate: f64) -> FaultyTransport<SimTransport> {
@@ -52,7 +52,7 @@ fn transport(fault_rate: f64) -> FaultyTransport<SimTransport> {
 
 fn run(shards: usize, fault_rate: f64) -> (ScanReport, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
-    let pipeline = Pipeline::new(config(shards, &telemetry));
+    let pipeline = Pipeline::new(config(shards), &telemetry);
     let report = pipeline
         .run(&Client::new(transport(fault_rate)))
         .expect("scan failed");
@@ -171,9 +171,8 @@ fn stalled_worker_holds_back_one_batch_and_output_unchanged() {
     let (baseline, baseline_snap) = run(1, 0.0);
 
     let telemetry = Telemetry::new();
-    let config = config(4, &telemetry);
     // The sweep order is the seeded shuffle, identical in every run.
-    let shuffle = PortScanner::new(PortScanConfig::new(vec![space()])).shuffled_blocks();
+    let shuffle = PortScanner::new(&config(4)).shuffled_blocks();
     assert_eq!(shuffle.len(), 256);
     let stalled = StallTransport {
         inner: SimTransport::new(Arc::clone(universe())),
@@ -183,7 +182,7 @@ fn stalled_worker_holds_back_one_batch_and_output_unchanged() {
             Condvar::new(),
         )),
     };
-    let report = Pipeline::new(config)
+    let report = Pipeline::new(config(4), &telemetry)
         .run(&Client::new(stalled))
         .expect("scan failed");
 
@@ -212,7 +211,7 @@ fn shuffle<T>(g: &mut Gen, items: &mut [T]) {
 #[test]
 fn ledger_is_order_independent() {
     let (baseline, baseline_snap) = run(1, 0.05);
-    let config = config(1, &Telemetry::new());
+    let config = config(1);
     check(4, |g| {
         let client = Client::new(transport(0.05));
         let mut order: Vec<u64> = (0..32).collect();
