@@ -25,16 +25,7 @@ pub struct LoginWalled {
 impl LoginWalled {
     pub fn new(id: AppId, version: Version, config: AppConfig) -> Self {
         debug_assert!(
-            matches!(
-                id,
-                AppId::Gitlab
-                    | AppId::Drone
-                    | AppId::Travis
-                    | AppId::Ghost
-                    | AppId::SparkNotebook
-                    | AppId::VestaCp
-                    | AppId::OmniDb
-            ),
+            !id.info().in_scope(),
             "LoginWalled models only the out-of-scope applications"
         );
         LoginWalled {

@@ -12,7 +12,7 @@
 //! quantifies the paper's "our results are a lower bound" claim.
 
 use crate::plugin::detect_mav;
-use nokeys_apps::AppId;
+use nokeys_apps::{AppId, AttackVector};
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use std::net::Ipv4Addr;
 
@@ -56,12 +56,9 @@ pub fn probe_domain<T: Transport>(
     };
     let body = crate::pattern::PreparedBody::new(root.response.body_str());
     let candidates = crate::MultiPattern::catalog().match_candidates(&body);
-    let cms = candidates.into_iter().find(|app| {
-        matches!(
-            app,
-            AppId::WordPress | AppId::Joomla | AppId::Drupal | AppId::Grav
-        )
-    });
+    let cms = candidates
+        .into_iter()
+        .find(|app| app.info().vector == Some(AttackVector::Install));
     let Some(app) = cms else {
         return (None, false);
     };

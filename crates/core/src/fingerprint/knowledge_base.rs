@@ -162,9 +162,9 @@ impl KnowledgeBase {
     /// and return the newest surviving version; of two applications
     /// whose newest survivors tie, the later in catalog order.
     ///
-    /// Generic over the path type — only the hashes matter — so the
-    /// scratch path's borrowed `&'static str` observations and the
-    /// observer's owned `String` ones share one implementation.
+    /// Generic over the path type, since only the hashes are read: the
+    /// crawler passes its scratch buffer of `&'static str` paths, and the
+    /// benchmark and the tests pass arrays of shorter-lived `&str`.
     pub fn identify<P>(&self, observations: &[(P, u64)]) -> Option<(AppId, Version)> {
         let (app, idx) = self.surviving(observations).max_by_key(|(_, idx)| *idx)?;
         Some((app, history(app)[idx]))

@@ -2,9 +2,9 @@
 //!
 //! Two mechanisms, mirroring Section 3.1 "Version fingerprinting":
 //!
-//! 1. [`voluntary`]: extract versions the applications disclose
+//! 1. `voluntary`: extract versions the applications disclose
 //!    themselves (API endpoints, headers, generator metas, HTML
-//!    comments).
+//!    comments), one table row per application.
 //! 2. [`knowledge_base`] + [`crawler`]: for the remaining applications
 //!    (or stripped version strings), hash crawled static files and match
 //!    them against a knowledge base built from the applications'
@@ -12,7 +12,7 @@
 
 pub mod crawler;
 pub mod knowledge_base;
-pub mod voluntary;
+mod voluntary;
 
 use crate::report::FingerprintMethod;
 use crate::telemetry::{Counter, Telemetry};
@@ -43,21 +43,11 @@ pub struct Fingerprinter {
     metrics: FingerprintMetrics,
 }
 
-impl Default for Fingerprinter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Fingerprinter {
-    /// Build the fingerprinter over the process's one knowledge base
-    /// ([`KnowledgeBase::shared`], built on first use).
-    pub fn new() -> Self {
-        Self::with_telemetry(&Telemetry::default())
-    }
-
-    /// Build a fingerprinter that records its method mix (voluntary vs.
-    /// knowledge-base vs. miss) into `telemetry`.
+    /// Build a fingerprinter over the process's one knowledge base
+    /// ([`KnowledgeBase::shared`], built on first use) that records its
+    /// method mix (voluntary vs. knowledge-base vs. miss) into
+    /// `telemetry`.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
         Fingerprinter {
             kb: KnowledgeBase::shared(),
@@ -113,9 +103,13 @@ mod tests {
         (Client::new(HandlerTransport::new().with(ep, handler)), ep)
     }
 
+    fn fingerprinter() -> Fingerprinter {
+        Fingerprinter::with_telemetry(&Telemetry::new())
+    }
+
     #[test]
     fn fingerprints_every_in_scope_app() {
-        let fp = Fingerprinter::new();
+        let fp = fingerprinter();
         let mut scratch = Scratch::new();
         for app in AppId::in_scope() {
             let history = release_history(app);
@@ -135,14 +129,14 @@ mod tests {
 
     #[test]
     fn fingerprinters_share_one_knowledge_base() {
-        let (a, b) = (Fingerprinter::new(), Fingerprinter::new());
+        let (a, b) = (fingerprinter(), fingerprinter());
         assert!(std::ptr::eq(a.kb, b.kb));
         assert!(std::ptr::eq(a.kb, KnowledgeBase::shared()));
     }
 
     #[test]
     fn unreachable_host_yields_none() {
-        let fp = Fingerprinter::new();
+        let fp = fingerprinter();
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 3), 80);
         assert!(fp

@@ -1,19 +1,66 @@
-//! Voluntary version disclosure.
+//! Stage IV, voluntary version disclosure.
 //!
 //! "We first try to extract the exact version number from the 13
 //! applications where this information is usually voluntarily revealed,
 //! e.g., Kubernetes has the /version API endpoint while Consul includes a
 //! HTML comment."
+//!
+//! `DISCLOSURES` has one row per application that reveals its version:
+//! the one page to `GET` and where the version sits in the answer.
+//! `extract` is the table's one reader and the only code that issues
+//! stage-IV disclosure requests. GoCD, Joomla, Drupal (major only),
+//! Ajenti and the out-of-scope applications have no row: they do not
+//! reveal a full version, so the knowledge-base crawl identifies them.
+//! The table has 14 rows where the quote says 13; DESIGN.md §15 records
+//! the gap.
 
 use nokeys_apps::version::history;
 use nokeys_apps::{AppId, Version};
-use nokeys_http::{Client, Endpoint, Response, Scheme, Transport};
+use nokeys_http::{Client, Endpoint, Scheme, Transport};
+use Read::{After, Header};
+
+/// Where a disclosed version string sits in the answer.
+enum Read {
+    /// The value of a response header.
+    Header(&'static str),
+    /// The body text after a marker, up to a terminator or the end.
+    After(&'static str, char),
+}
+
+/// One application's disclosure: a `GET` of `path`, then `read`.
+struct Disclosure {
+    app: AppId,
+    path: &'static str,
+    read: Read,
+}
+
+/// Stage IV's voluntary disclosures, one row per application.
+#[rustfmt::skip]
+static DISCLOSURES: [Disclosure; 14] = [
+    // The `X-Jenkins` response header is on every page.
+    Disclosure { app: AppId::Jenkins, path: "/", read: Header("x-jenkins") },
+    Disclosure { app: AppId::Kubernetes, path: "/version", read: After("\"gitVersion\":\"v", '"') },
+    Disclosure { app: AppId::Consul, path: "/ui/", read: After("CONSUL_VERSION: ", ' ') },
+    Disclosure { app: AppId::WordPress, path: "/", read: After("content=\"WordPress ", '"') },
+    Disclosure { app: AppId::Grav, path: "/", read: After("content=\"GravCMS ", '"') },
+    Disclosure { app: AppId::Zeppelin, path: "/api/version", read: After("\"version\":\"", '"') },
+    // The UI shell's version meta works even with ACLs on.
+    Disclosure { app: AppId::Nomad, path: "/ui/", read: After("name=\"nomad-version\" content=\"", '"') },
+    // Only open daemons answer /version.
+    Disclosure { app: AppId::Docker, path: "/version", read: After("\"Version\":\"", '"') },
+    Disclosure { app: AppId::Hadoop, path: "/ws/v1/cluster/info", read: After("\"hadoopVersion\":\"", '"') },
+    // /api/status answers only without auth.
+    Disclosure { app: AppId::JupyterLab, path: "/api/status", read: After("\"version\":\"", '"') },
+    Disclosure { app: AppId::JupyterNotebook, path: "/api/status", read: After("\"version\":\"", '"') },
+    Disclosure { app: AppId::Polynote, path: "/", read: After("name=\"polynote-config\" content=\"", '"') },
+    Disclosure { app: AppId::PhpMyAdmin, path: "/", read: After("phpMyAdmin ", '<') },
+    Disclosure { app: AppId::Adminer, path: "/adminer.php", read: After("- Adminer ", '<') },
+];
 
 /// Parse a leading `major.minor[.patch]` from `s`. Slices the digit
 /// prefix in place — `[0-9.]` is single-byte, so the byte position of
-/// the first non-digit-non-dot is a char boundary — instead of the
-/// `chars().take_while().collect()` copy this used to make per call.
-pub fn parse_version_number(s: &str) -> Option<(u16, u16, u16)> {
+/// the first non-digit-non-dot is a char boundary.
+fn parse_version_number(s: &str) -> Option<(u16, u16, u16)> {
     let s = s.trim_start();
     let end = s
         .find(|c: char| !(c.is_ascii_digit() || c == '.'))
@@ -35,11 +82,6 @@ pub fn parse_version_number(s: &str) -> Option<(u16, u16, u16)> {
     Some((major, minor, patch))
 }
 
-/// Resolve a parsed triple against the app's release history.
-fn resolve(app: AppId, triple: (u16, u16, u16)) -> Option<Version> {
-    history(app).iter().copied().find(|v| v.triple() == triple)
-}
-
 /// Extract the substring following `marker` up to `terminator`.
 fn after<'a>(body: &'a str, marker: &str, terminator: char) -> Option<&'a str> {
     let start = body.find(marker)? + marker.len();
@@ -48,107 +90,33 @@ fn after<'a>(body: &'a str, marker: &str, terminator: char) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
-/// Fetch a page and hand back the whole response: the extraction arms
-/// borrow its body in place with [`Response::body_str`] and parse the
-/// version out of the borrowed slice — no body copy per probe.
-fn fetch_response<T: Transport>(
-    client: &Client<T>,
-    ep: Endpoint,
-    scheme: Scheme,
-    path: &str,
-) -> Option<Response> {
-    Some(client.get_path(ep, scheme, path).ok()?.response)
-}
-
-/// Attempt voluntary version extraction for `app` at `ep`.
-pub fn extract<T: Transport>(
+/// The version `app` discloses at `ep`, if it has a `DISCLOSURES` row
+/// and the answer carries a release of its history.
+pub(super) fn extract<T: Transport>(
     client: &Client<T>,
     app: AppId,
     ep: Endpoint,
     scheme: Scheme,
 ) -> Option<Version> {
-    let triple = match app {
-        AppId::Jenkins => {
-            // `X-Jenkins` response header on every page, parsed out of
-            // the borrowed header slice — no copy.
-            let fetched = client.get_path(ep, scheme, "/").ok()?;
-            parse_version_number(fetched.response.headers.get("x-jenkins")?)?
+    let row = DISCLOSURES.iter().find(|row| row.app == app)?;
+    let response = client.get_path(ep, scheme, row.path).ok()?.response;
+    let triple = match row.read {
+        Header(name) => parse_version_number(response.headers.get(name)?)?,
+        After(marker, terminator) => {
+            parse_version_number(after(&response.body_str(), marker, terminator)?)?
         }
-        AppId::Kubernetes => {
-            let resp = fetch_response(client, ep, scheme, "/version")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "\"gitVersion\":\"v", '"')?)?
-        }
-        AppId::Consul => {
-            let resp = fetch_response(client, ep, scheme, "/ui/")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "CONSUL_VERSION: ", ' ')?)?
-        }
-        AppId::WordPress => {
-            let resp = fetch_response(client, ep, scheme, "/")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "content=\"WordPress ", '"')?)?
-        }
-        AppId::Grav => {
-            let resp = fetch_response(client, ep, scheme, "/")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "content=\"GravCMS ", '"')?)?
-        }
-        AppId::Zeppelin => {
-            let resp = fetch_response(client, ep, scheme, "/api/version")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "\"version\":\"", '"')?)?
-        }
-        AppId::Nomad => {
-            // The UI shell's version meta works even with ACLs on.
-            let resp = fetch_response(client, ep, scheme, "/ui/")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "name=\"nomad-version\" content=\"", '"')?)?
-        }
-        AppId::Docker => {
-            // Only open daemons answer /version.
-            let resp = fetch_response(client, ep, scheme, "/version")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "\"Version\":\"", '"')?)?
-        }
-        AppId::Hadoop => {
-            let resp = fetch_response(client, ep, scheme, "/ws/v1/cluster/info")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "\"hadoopVersion\":\"", '"')?)?
-        }
-        AppId::JupyterLab | AppId::JupyterNotebook => {
-            // /api/status answers only without auth.
-            let resp = fetch_response(client, ep, scheme, "/api/status")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "\"version\":\"", '"')?)?
-        }
-        AppId::Polynote => {
-            let resp = fetch_response(client, ep, scheme, "/")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "name=\"polynote-config\" content=\"", '"')?)?
-        }
-        AppId::PhpMyAdmin => {
-            let resp = fetch_response(client, ep, scheme, "/")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "phpMyAdmin ", '<')?)?
-        }
-        AppId::Adminer => {
-            let resp = fetch_response(client, ep, scheme, "/adminer.php")?;
-            let body = resp.body_str();
-            parse_version_number(after(&body, "- Adminer ", '<')?)?
-        }
-        // GoCD, Joomla, Drupal (major only), Ajenti and the out-of-scope
-        // applications do not reveal a full version — knowledge base
-        // territory.
-        _ => return None,
     };
-    resolve(app, triple)
+    history(app).iter().copied().find(|v| v.triple() == triple)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::Fingerprinter;
     use crate::plugin::AppHandler;
+    use crate::report::FingerprintMethod;
+    use crate::scratch::Scratch;
+    use crate::telemetry::Telemetry;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
     use std::net::Ipv4Addr;
@@ -194,6 +162,57 @@ mod tests {
         let ep = Endpoint::new(Ipv4Addr::new(10, 4, 4, 4), app.scan_ports()[0]);
         let handler = Arc::new(AppHandler::new(build_instance(app, version, cfg)));
         (Client::new(HandlerTransport::new().with(ep, handler)), ep)
+    }
+
+    /// Applications that disclose their version only when the instance
+    /// is open.
+    const OPEN_ONLY: [AppId; 5] = [
+        AppId::Docker,
+        AppId::Hadoop,
+        AppId::JupyterLab,
+        AppId::JupyterNotebook,
+        AppId::PhpMyAdmin,
+    ];
+
+    /// Every `DISCLOSURES` row, held to its application model at every
+    /// release: an open instance discloses exactly that release, and so
+    /// does a secured one unless only open instances answer. GoCD,
+    /// Joomla, Drupal and Ajenti have no row and disclose nothing.
+    #[test]
+    fn every_row_discloses_every_release() {
+        let silent = [AppId::Gocd, AppId::Joomla, AppId::Drupal, AppId::Ajenti];
+        assert_eq!(DISCLOSURES.len() + silent.len(), AppId::in_scope().count());
+        let fingerprinter = Fingerprinter::with_telemetry(&Telemetry::new());
+        let mut scratch = Scratch::new();
+        for app in AppId::in_scope() {
+            let has_row = DISCLOSURES.iter().any(|row| row.app == app);
+            assert_ne!(has_row, silent.contains(&app), "{app}");
+            for (idx, &release) in release_history(app).iter().enumerate() {
+                let (client, ep) = serve(app, idx, true);
+                if has_row {
+                    assert_eq!(
+                        fingerprinter.fingerprint_with(
+                            &client,
+                            app,
+                            ep,
+                            Scheme::Http,
+                            &mut scratch
+                        ),
+                        Some((release, FingerprintMethod::Voluntary)),
+                        "{app} {release}"
+                    );
+                } else {
+                    assert_eq!(extract(&client, app, ep, Scheme::Http), None, "{app}");
+                }
+                let (client, ep) = serve(app, idx, false);
+                let secured = has_row && !OPEN_ONLY.contains(&app);
+                assert_eq!(
+                    extract(&client, app, ep, Scheme::Http),
+                    secured.then_some(release),
+                    "{app} {release}, secured"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,6 @@
 
 pub mod model;
 pub mod race;
-pub mod scanner1;
-pub mod scanner2;
 
-pub use model::{CommercialScanner, Severity, VendorFinding};
+pub use model::{CommercialScanner, Severity, VendorFinding, SCANNER1, SCANNER2};
 pub use race::{lost_races, race, RaceOutcome};
-pub use scanner1::scanner1;
-pub use scanner2::scanner2;

@@ -1,4 +1,6 @@
-//! Generic commercial-scanner model.
+//! The commercial-scanner model and the two scanners of the study,
+//! each one row: a name, what it can say about which application, and
+//! how long its scan takes.
 
 use nokeys_apps::AppId;
 use nokeys_honeypot::Fleet;
@@ -17,22 +19,49 @@ pub enum Severity {
     Informational,
 }
 
-/// One capability: what the product can say about one application.
-#[derive(Debug, Clone, Copy)]
-pub struct Capability {
-    pub app: AppId,
-    pub severity: Severity,
-}
-
 /// A commercial scanner: a name, a capability list and a speed model.
 pub struct CommercialScanner {
     pub name: &'static str,
-    pub capabilities: Vec<Capability>,
+    /// What the product can say about each application it knows.
+    pub capabilities: &'static [(AppId, Severity)],
     /// Modeled wall-clock duration of a full scan in hours ("the entire
     /// scan took several hours to complete. During the time of the scan,
     /// multiple instances got compromised").
     pub scan_duration_hours: f64,
 }
+
+/// Scanner 1: "identified 5 out of 18 vulnerabilities: Consul, Docker,
+/// Jupyter Notebook, WordPress, and Hadoop."
+pub static SCANNER1: CommercialScanner = CommercialScanner {
+    name: "Scanner 1",
+    capabilities: &[
+        (AppId::Consul, Severity::Vulnerability),
+        (AppId::Docker, Severity::Vulnerability),
+        (AppId::JupyterNotebook, Severity::Vulnerability),
+        (AppId::WordPress, Severity::Vulnerability),
+        (AppId::Hadoop, Severity::Vulnerability),
+    ],
+    scan_duration_hours: 2.0,
+};
+
+/// Scanner 2: "detected and flagged 3 out of 18 vulnerabilities: Consul,
+/// Docker, and Jenkins. Additionally, the scanner flagged installations
+/// of Joomla, PhpMyAdmin, Kubernetes, and Hadoop as an informational
+/// finding." Its scan takes several hours — honeypots get compromised
+/// while it runs.
+pub static SCANNER2: CommercialScanner = CommercialScanner {
+    name: "Scanner 2",
+    capabilities: &[
+        (AppId::Consul, Severity::Vulnerability),
+        (AppId::Docker, Severity::Vulnerability),
+        (AppId::Jenkins, Severity::Vulnerability),
+        (AppId::Joomla, Severity::Informational),
+        (AppId::PhpMyAdmin, Severity::Informational),
+        (AppId::Kubernetes, Severity::Informational),
+        (AppId::Hadoop, Severity::Informational),
+    ],
+    scan_duration_hours: 6.0,
+};
 
 /// A finding produced by a vendor scan.
 #[derive(Debug, Clone)]
@@ -47,8 +76,8 @@ impl CommercialScanner {
     pub fn vulnerability_coverage(&self) -> Vec<AppId> {
         self.capabilities
             .iter()
-            .filter(|c| c.severity == Severity::Vulnerability)
-            .map(|c| c.app)
+            .filter(|(_, severity)| *severity == Severity::Vulnerability)
+            .map(|&(app, _)| app)
             .collect()
     }
 
@@ -59,8 +88,8 @@ impl CommercialScanner {
         app: AppId,
         ep: Endpoint,
     ) -> Option<VendorFinding> {
-        let capability = self.capabilities.iter().find(|c| c.app == app)?;
-        match capability.severity {
+        let &(_, severity) = self.capabilities.iter().find(|(known, _)| *known == app)?;
+        match severity {
             Severity::Vulnerability => {
                 // The vendor implements an equivalent unauthenticated-
                 // access check; modeled by the study's own plugin logic.
@@ -109,7 +138,7 @@ mod tests {
     fn empty_capability_list_finds_nothing() {
         let scanner = CommercialScanner {
             name: "null-scanner",
-            capabilities: vec![],
+            capabilities: &[],
             scan_duration_hours: 1.0,
         };
         let fleet = Fleet::deploy();
@@ -120,10 +149,7 @@ mod tests {
     fn vulnerability_capability_confirms_only_real_mavs() {
         let scanner = CommercialScanner {
             name: "t",
-            capabilities: vec![Capability {
-                app: AppId::Docker,
-                severity: Severity::Vulnerability,
-            }],
+            capabilities: &[(AppId::Docker, Severity::Vulnerability)],
             scan_duration_hours: 1.0,
         };
         let fleet = Fleet::deploy();
@@ -137,15 +163,87 @@ mod tests {
     fn informational_capability_reports_presence() {
         let scanner = CommercialScanner {
             name: "t",
-            capabilities: vec![Capability {
-                app: AppId::Kubernetes,
-                severity: Severity::Informational,
-            }],
+            capabilities: &[(AppId::Kubernetes, Severity::Informational)],
             scan_duration_hours: 1.0,
         };
         let fleet = Fleet::deploy();
         let findings = scanner.scan_fleet(&fleet);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].severity, Severity::Informational);
+    }
+
+    #[test]
+    fn scanner_1_detects_exactly_the_five_disclosed_apps() {
+        let fleet = Fleet::deploy();
+        let findings = SCANNER1.scan_fleet(&fleet);
+        let mut apps: Vec<AppId> = findings.iter().map(|f| f.app).collect();
+        apps.sort();
+        let mut expected = vec![
+            AppId::WordPress,
+            AppId::Docker,
+            AppId::Consul,
+            AppId::Hadoop,
+            AppId::JupyterNotebook,
+        ];
+        expected.sort();
+        assert_eq!(apps, expected);
+        assert!(findings
+            .iter()
+            .all(|f| f.severity == Severity::Vulnerability));
+    }
+
+    #[test]
+    fn scanner_1_misses_actively_exploited_apps() {
+        // "the scanner did not identify issues in actively exploited
+        // applications, such as Jenkins, GravCMS, and Jupyter Lab".
+        let coverage = SCANNER1.vulnerability_coverage();
+        for app in [AppId::Jenkins, AppId::Grav, AppId::JupyterLab] {
+            assert!(!coverage.contains(&app), "{app} should be a blind spot");
+        }
+    }
+
+    #[test]
+    fn scanner_2_detects_three_vulnerabilities_and_four_informational() {
+        let fleet = Fleet::deploy();
+        let findings = SCANNER2.scan_fleet(&fleet);
+        let vulns: Vec<AppId> = findings
+            .iter()
+            .filter(|f| f.severity == Severity::Vulnerability)
+            .map(|f| f.app)
+            .collect();
+        let infos: Vec<AppId> = findings
+            .iter()
+            .filter(|f| f.severity == Severity::Informational)
+            .map(|f| f.app)
+            .collect();
+        assert_eq!(vulns.len(), 3);
+        assert!(vulns.contains(&AppId::Consul));
+        assert!(vulns.contains(&AppId::Docker));
+        assert!(vulns.contains(&AppId::Jenkins));
+        assert_eq!(infos.len(), 4);
+        assert!(
+            infos.contains(&AppId::Hadoop),
+            "Hadoop is informational only"
+        );
+    }
+
+    #[test]
+    fn scanners_overlap_on_docker_and_consul_only() {
+        // "only Docker and Consul detected by both" — the lack of
+        // consensus on MAVs.
+        let s1 = SCANNER1.vulnerability_coverage();
+        let s2 = SCANNER2.vulnerability_coverage();
+        let mut both: Vec<AppId> = s1.iter().filter(|a| s2.contains(a)).copied().collect();
+        both.sort();
+        let mut expected = vec![AppId::Docker, AppId::Consul];
+        expected.sort();
+        assert_eq!(both, expected);
+    }
+
+    #[test]
+    fn scanner_2_is_slow_enough_to_lose_the_race() {
+        // Hadoop honeypots get compromised within the hour; a six-hour
+        // scan cannot beat that.
+        assert!(SCANNER2.scan_duration_hours > 0.8);
     }
 }

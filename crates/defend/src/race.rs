@@ -61,7 +61,7 @@ pub fn lost_races(outcomes: &[RaceOutcome]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner2;
+    use crate::SCANNER2;
     use nokeys_honeypot::detect::Attack;
     use std::net::Ipv4Addr;
 
@@ -90,7 +90,7 @@ mod tests {
         // Hadoop compromised at 0.8h; a 6-hour scan reaches it much
         // later (position 10 of 18 → 3.3h in).
         let study = study_with(vec![(AppId::Hadoop, 0.8), (AppId::Jenkins, 172.4)]);
-        let outcomes = race(&scanner2(), &study);
+        let outcomes = race(&SCANNER2, &study);
         let hadoop = outcomes.iter().find(|o| o.app == AppId::Hadoop).unwrap();
         assert!(hadoop.compromised_before_scan, "{hadoop:?}");
         // Jenkins's first attack came a week in: the scanner wins there.
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn unattacked_honeypots_never_lose() {
         let study = study_with(vec![]);
-        let outcomes = race(&scanner2(), &study);
+        let outcomes = race(&SCANNER2, &study);
         assert_eq!(lost_races(&outcomes), 0);
         assert_eq!(outcomes.len(), 18);
     }

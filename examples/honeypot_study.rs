@@ -32,8 +32,8 @@ fn main() {
     // Defender awareness (Section 5): scan a fresh fleet with both
     // commercial-scanner models.
     let fleet = Fleet::deploy();
-    let s1 = nokeys::defend::scanner1().scan_fleet(&fleet);
-    let s2 = nokeys::defend::scanner2().scan_fleet(&fleet);
+    let s1 = nokeys::defend::SCANNER1.scan_fleet(&fleet);
+    let s2 = nokeys::defend::SCANNER2.scan_fleet(&fleet);
     println!(
         "Scanner 1 flags {} of 18 honeypots; Scanner 2 flags {} (+{} informational)",
         s1.len(),

@@ -177,8 +177,8 @@ impl Repro {
     pub fn defenders(&mut self) -> &(Vec<VendorFinding>, Vec<VendorFinding>) {
         if self.defenders.is_none() {
             let fleet = nokeys_honeypot::Fleet::deploy();
-            let s1 = nokeys_defend::scanner1().scan_fleet(&fleet);
-            let s2 = nokeys_defend::scanner2().scan_fleet(&fleet);
+            let s1 = nokeys_defend::SCANNER1.scan_fleet(&fleet);
+            let s2 = nokeys_defend::SCANNER2.scan_fleet(&fleet);
             self.defenders = Some((s1, s2));
         }
         self.defenders.as_ref().expect("just initialized")
@@ -237,9 +237,7 @@ impl Repro {
             "longevity" => analysis::longevity_stats::build(self.longevity()).render(),
             "cases" => analysis::case_studies::build(self.study()).render(),
             "restores" => analysis::restores::build(self.study()).render(),
-            "race" => {
-                analysis::race_table::build(&nokeys_defend::scanner2(), self.study()).render()
-            }
+            "race" => analysis::race_table::build(&nokeys_defend::SCANNER2, self.study()).render(),
             "scanmodel" => {
                 let (_, report) = self.scan();
                 analysis::scan_model::build(report).render()

@@ -2,7 +2,7 @@
 //! scans and the analysis tables built on top of them.
 
 use nokeys::apps::AppId;
-use nokeys::defend::{scanner1, scanner2, Severity};
+use nokeys::defend::{Severity, SCANNER1, SCANNER2};
 use nokeys::honeypot::{run_study, Fleet, StudyConfig};
 
 #[test]
@@ -57,8 +57,8 @@ fn defender_study_and_table9() {
         background_noise: false,
     });
     let fleet = Fleet::deploy();
-    let s1 = scanner1().scan_fleet(&fleet);
-    let s2 = scanner2().scan_fleet(&fleet);
+    let s1 = SCANNER1.scan_fleet(&fleet);
+    let s2 = SCANNER2.scan_fleet(&fleet);
 
     assert_eq!(s1.len(), 5, "Scanner 1 finds 5 of 18");
     let s2_vulns = s2
