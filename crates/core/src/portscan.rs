@@ -9,6 +9,13 @@
 //! scanner reads its targets, ports, shuffle seed, exclusion flag and
 //! rate ceiling from a [`PipelineConfig`].
 //!
+//! There is one sweep loop. For each block the transport names the
+//! addresses that can answer ([`Transport::live_addresses`]; `None`
+//! means all of them), and the scanner probes each of those on every
+//! port through the ordinary wrapper stack. Every other address is a
+//! definite RST, so it is counted, not probed: over the simulator a
+//! sweep calls the transport only for populated hosts.
+//!
 //! A sweep returns its open endpoints and nothing else. What it counts
 //! goes to the telemetry registry alone: `stage1.blocks_swept`,
 //! `stage1.addresses_probed`, `stage1.probes_sent` and, per configured
@@ -19,7 +26,7 @@ use crate::pipeline::PipelineConfig;
 use crate::rate::SharedPacer;
 use crate::telemetry::{Counter, Telemetry};
 use nokeys_http::ip::BlockCoverage;
-use nokeys_http::{Endpoint, Transport};
+use nokeys_http::{Attempt, Endpoint, ProbeOutcome, Transport};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -103,7 +110,7 @@ impl PortScanner {
     /// (`None` when unpaced). Tokens are drawn block-at-a-time
     /// ([`SharedPacer::acquire_many`]), so the cap holds as an average
     /// at block granularity rather than smoothing every probe: a
-    /// transport without a sparse index emits a /24's probes
+    /// transport that names no live addresses sends a /24's probes
     /// back-to-back after the block's wait. Sweeps that must share one
     /// token budget — every worker of a scan — construct this once and
     /// thread the clone-cheap handle through; constructing one per block
@@ -159,11 +166,11 @@ impl PortScanner {
         open
     }
 
-    /// The sparse sweep: classify the block against the exclusion list
-    /// once, draw the whole block's pacer tokens in one step, and hand
-    /// the block to [`Transport::sweep_block`] so a transport with an
-    /// endpoint index visits only populated addresses. Indistinguishable
-    /// from probing every (address, port) pair one at a time — the
+    /// Sweep one block: classify it against the exclusion list once,
+    /// draw the whole block's pacer tokens in one step, and probe each
+    /// of its addresses on each port — only the ones the transport
+    /// names live ([`Transport::live_addresses`]), since every other
+    /// one answers `Closed`. The counts are the dense loop's, and the
     /// test-only `scan_block_dense` reference pins that.
     fn sweep<T: Transport>(
         &self,
@@ -189,20 +196,30 @@ impl PortScanner {
                 BlockCoverage::None => {}
             }
         }
+        let probes = block.size() * self.config.ports.len() as u64;
         if let Some(p) = pacer {
-            p.acquire_many(block.size() * self.config.ports.len() as u64);
+            p.acquire_many(probes);
         }
-        let sweep = transport.sweep_block(block, &self.config.ports);
-        self.metrics.addresses_probed.add(sweep.addresses_probed);
-        self.metrics.probes_sent.add(sweep.probes_sent());
-        for ep in sweep.open() {
-            self.metrics.found(ep, open);
+        self.metrics.addresses_probed.add(block.size());
+        self.metrics.probes_sent.add(probes);
+        let mut probe = |ip: Ipv4Addr| {
+            for &port in &self.config.ports {
+                let ep = Endpoint::new(ip, port);
+                if transport.probe(ep, Attempt::FIRST) == ProbeOutcome::Open {
+                    self.metrics.found(ep, open);
+                }
+            }
+        };
+        match transport.live_addresses(block) {
+            Some(live) => live.iter().for_each(|&ip| probe(Ipv4Addr::from(ip))),
+            None => block.addresses().for_each(probe),
         }
     }
 
-    /// The dense per-endpoint loop the sparse sweep must reproduce byte
-    /// for byte: one `probe` call per (address, port) pair, reserved
-    /// addresses skipped one at a time.
+    /// The dense per-endpoint loop the sweep must reproduce byte for
+    /// byte: one `probe` call per (address, port) pair, whatever the
+    /// transport's live addresses, reserved addresses skipped one at a
+    /// time.
     #[cfg(test)]
     fn scan_block_dense<T: Transport>(&self, transport: &T, block: Cidr) -> Vec<Endpoint> {
         self.metrics.blocks_swept.incr();
@@ -215,9 +232,7 @@ impl PortScanner {
             for &port in &self.config.ports {
                 self.metrics.probes_sent.incr();
                 let ep = Endpoint::new(ip, port);
-                if transport.probe(ep, nokeys_http::Attempt::FIRST)
-                    == nokeys_http::ProbeOutcome::Open
-                {
+                if transport.probe(ep, Attempt::FIRST) == ProbeOutcome::Open {
                     self.metrics.found(ep, &mut open);
                 }
             }
@@ -238,7 +253,11 @@ mod tests {
     use crate::telemetry::TelemetrySnapshot;
     use nokeys_apps::SCAN_PORTS;
     use nokeys_http::{FaultLane, FaultObserver};
-    use nokeys_netsim::{FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
+    use nokeys_netsim::killswitch::Killed;
+    use nokeys_netsim::{
+        FaultPlan, FaultyTransport, KillSwitch, KillableTransport, SimTransport, Universe,
+        UniverseConfig,
+    };
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -438,6 +457,30 @@ mod tests {
                 assert_eq!(sparse_t.stats().probes(), populated);
             }
         }
+    }
+
+    /// A kill switch's transport names no live addresses, so a sweep
+    /// through it is the dense loop: one operation per (address, port)
+    /// pair, however sparse the universe — the count the kill-and-resume
+    /// budgets assume. A sweep the budget cannot cover dies partway,
+    /// having spent what was left.
+    #[test]
+    fn sweeps_through_a_kill_switch_charge_dense_ops() {
+        let switch = KillSwitch::after(600);
+        let t = KillableTransport::new(sim(), switch.clone());
+        let cfg = PipelineConfig {
+            ports: vec![80, 443],
+            ..PipelineConfig::new(vec!["20.0.1.0/24".parse().unwrap()])
+        };
+        let scanner = PortScanner::new(&cfg);
+        scanner.scan(&t);
+        assert_eq!(switch.used(), 512, "256 addresses on 2 ports");
+        assert!(!switch.is_tripped());
+
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scanner.scan(&t)));
+        assert!(died.unwrap_err().is::<Killed>());
+        assert_eq!(switch.used(), 600, "the last 88 ops were spent first");
+        assert!(switch.is_tripped());
     }
 
     /// A block larger than /24 that straddles a reserved range is swept

@@ -26,9 +26,8 @@
 
 use crate::telemetry::{Counter, Telemetry};
 use nokeys_http::ip::Cidr;
-use nokeys_http::{
-    Attempt, BlockSweepResult, Endpoint, FaultObserver, ProbeOutcome, Result, Scheme, Transport,
-};
+use nokeys_http::rng::mix64;
+use nokeys_http::{Attempt, Endpoint, FaultObserver, ProbeOutcome, Result, Scheme, Transport};
 use std::time::Duration;
 
 /// Backoff before the first retry, in virtual units.
@@ -53,21 +52,15 @@ fn exponential(attempt: u32) -> u64 {
         .min(CAP_UNITS)
 }
 
-/// Deterministic jitter in `0..=JITTER_MAX`: a splitmix64 finalizer
+/// Deterministic jitter in `0..=JITTER_MAX`: the splitmix64 finalizer
 /// over `(seed, endpoint, attempt)`, so concurrent lanes desynchronize
 /// without a shared random source.
 fn jitter(ep: Endpoint, attempt: u32) -> u64 {
-    let mut x = JITTER_SEED
+    let key = JITTER_SEED
         ^ (u64::from(u32::from(ep.ip)) << 16)
         ^ u64::from(ep.port)
         ^ (u64::from(attempt) << 48);
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x % (JITTER_MAX + 1)
+    mix64(key) % (JITTER_MAX + 1)
 }
 
 /// Cached telemetry handles for one retry lane (`probe`, `connect`).
@@ -145,23 +138,22 @@ impl<T> RetryTransport<T> {
     }
 }
 
-impl<T: Transport> RetryTransport<T> {
-    /// Continue a probe's retry schedule after its first try, `first`,
-    /// read `Filtered`. An unanswered SYN may be transient loss:
-    /// retransmit, masscan-style, each retransmit a later try of
-    /// `first`. `Closed` is terminal — an RST is a definite answer.
-    /// Shared by `probe` and `sweep_block` so a probe first answered
-    /// inside a block sweep retries (and meters) exactly like a
-    /// standalone one.
-    fn finish_probe_retries(&self, ep: Endpoint, first: Attempt<'_>) -> ProbeOutcome {
-        let max = self.max_attempts;
-        let (mut attempt, mut outcome) = (0, ProbeOutcome::Filtered);
-        while outcome == ProbeOutcome::Filtered && attempt + 1 < max {
-            self.back_off(&self.probe, ep, attempt);
-            attempt += 1;
-            outcome = self.inner.probe(ep, first.retry(attempt));
+impl<T: Transport> Transport for RetryTransport<T> {
+    type Conn = T::Conn;
+
+    /// Probe, retransmitting while the answer is `Filtered`: an
+    /// unanswered SYN may be transient loss, each retransmit a later
+    /// try of `attempt`. `Closed` is terminal — an RST is a definite
+    /// answer.
+    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
+        let mut outcome = self.inner.probe(ep, attempt);
+        let mut k = 0;
+        while outcome == ProbeOutcome::Filtered && k + 1 < self.max_attempts {
+            self.back_off(&self.probe, ep, k);
+            k += 1;
+            outcome = self.inner.probe(ep, attempt.retry(k));
         }
-        if attempt > 0 {
+        if k > 0 {
             if outcome == ProbeOutcome::Filtered {
                 self.probe.exhausted.incr();
             } else {
@@ -170,30 +162,11 @@ impl<T: Transport> RetryTransport<T> {
         }
         outcome
     }
-}
 
-impl<T: Transport> Transport for RetryTransport<T> {
-    type Conn = T::Conn;
-
-    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
-        match self.inner.probe(ep, attempt) {
-            ProbeOutcome::Filtered => self.finish_probe_retries(ep, attempt),
-            answered => answered,
-        }
-    }
-
-    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        let mut result = self.inner.sweep_block(block, ports);
-        // Only probes whose first attempt read `Filtered` owe retries:
-        // `Open` succeeded and `Closed` is terminal, so the probes a
-        // sparse sweep answered in bulk (all `Closed`) have no retry
-        // draws to skip, and the sweep stays sparse.
-        for (ep, outcome) in &mut result.probed {
-            if *outcome == ProbeOutcome::Filtered {
-                *outcome = self.finish_probe_retries(*ep, Attempt::FIRST);
-            }
-        }
-        result
+    /// `Closed` is never retried, so the inner transport's silent
+    /// addresses stay silent.
+    fn live_addresses(&self, block: Cidr) -> Option<&[u32]> {
+        self.inner.live_addresses(block)
     }
 
     /// Dial, retrying transient errors with backoff, each retry a later

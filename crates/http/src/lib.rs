@@ -33,6 +33,7 @@ pub mod method;
 pub mod parse;
 pub mod request;
 pub mod response;
+pub mod rng;
 pub mod server;
 pub mod status;
 pub mod transport;
@@ -46,8 +47,6 @@ pub use method::Method;
 pub use request::Request;
 pub use response::Response;
 pub use status::StatusCode;
-pub use transport::{
-    Attempt, BlockSweepResult, Endpoint, FaultLane, FaultObserver, ProbeOutcome, Scheme, Transport,
-};
+pub use transport::{Attempt, Endpoint, FaultLane, FaultObserver, ProbeOutcome, Scheme, Transport};
 pub use url::Url;
 pub use version::Version;

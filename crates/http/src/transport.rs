@@ -96,45 +96,6 @@ pub trait Connection: Read + Write + Send {
     }
 }
 
-/// Outcome of sweeping one block with [`Transport::sweep_block`].
-///
-/// A sweep is semantically identical to probing every (address, port)
-/// pair of the block in ascending address order with ports in the given
-/// order, but lets a transport answer for many endpoints at once. Probes
-/// that a sparse implementation can prove `Closed` without evaluating
-/// them individually (empty addresses in a simulated universe) are
-/// accounted arithmetically in [`bulk_closed`](Self::bulk_closed)
-/// instead of appearing in [`probed`](Self::probed).
-#[derive(Debug, Clone, Default)]
-pub struct BlockSweepResult {
-    /// Outcome of every probe that was individually evaluated, in dense
-    /// scan order: addresses ascending, ports in the order given to
-    /// [`Transport::sweep_block`].
-    pub probed: Vec<(Endpoint, ProbeOutcome)>,
-    /// Number of addresses the sweep covered (the block size).
-    pub addresses_probed: u64,
-    /// Probes answered `Closed` in bulk without an individual
-    /// evaluation. Zero for the dense default implementation.
-    pub bulk_closed: u64,
-}
-
-impl BlockSweepResult {
-    /// Total probes the sweep accounts for: individually evaluated ones
-    /// plus the arithmetically closed remainder. Matches what a dense
-    /// per-endpoint loop would have issued.
-    pub fn probes_sent(&self) -> u64 {
-        self.probed.len() as u64 + self.bulk_closed
-    }
-
-    /// Endpoints that answered `Open`, in discovery order.
-    pub fn open(&self) -> impl Iterator<Item = Endpoint> + '_ {
-        self.probed
-            .iter()
-            .filter(|(_, outcome)| *outcome == ProbeOutcome::Open)
-            .map(|(ep, _)| *ep)
-    }
-}
-
 /// What the caller knows about one try at an endpoint: the request
 /// target (empty for a probe or a bare handshake) and the try number
 /// each retry layer advances. Fault injection keys its draws on it;
@@ -187,27 +148,13 @@ pub trait Transport: Send + Sync {
     /// Full connection establishment with the given scheme.
     fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<Self::Conn>;
 
-    /// Probe every (address, port) pair of `block` in one call.
-    ///
-    /// The default implementation loops [`probe`](Self::probe) over the
-    /// block in dense scan order (addresses ascending, then `ports` in
-    /// the given order), so any transport gets correct sweeps for free.
-    /// Implementations that know which addresses are populated may
-    /// answer for the empty remainder arithmetically, as long as the
-    /// result is indistinguishable from the dense loop.
-    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        let mut probed = Vec::new();
-        for ip in block.addresses() {
-            for &port in ports {
-                let ep = Endpoint::new(ip, port);
-                probed.push((ep, self.probe(ep, Attempt::FIRST)));
-            }
-        }
-        BlockSweepResult {
-            probed,
-            addresses_probed: block.size(),
-            bulk_closed: 0,
-        }
+    /// The addresses of `block` that may answer a probe, ascending, as
+    /// `u32`s; `None` (the default) means any of them may. Every
+    /// address left out must answer [`ProbeOutcome::Closed`] on every
+    /// port, to every try, so a sweep may skip it.
+    fn live_addresses(&self, block: Cidr) -> Option<&[u32]> {
+        let _ = block;
+        None
     }
 
     /// From now on, report every fault this transport injects to
@@ -233,8 +180,8 @@ impl<T: Transport> Transport for &T {
         (**self).connect(ep, scheme, attempt)
     }
 
-    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        (**self).sweep_block(block, ports)
+    fn live_addresses(&self, block: Cidr) -> Option<&[u32]> {
+        (**self).live_addresses(block)
     }
 }
 

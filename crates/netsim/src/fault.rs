@@ -18,8 +18,7 @@ use crate::ip::Cidr;
 use crate::rng::{mix64, unit_interval};
 use crate::transport::SimTransport;
 use nokeys_http::{
-    Attempt, BlockSweepResult, Endpoint, Error, FaultLane, FaultObserver, ProbeOutcome, Result,
-    Scheme, Transport,
+    Attempt, Endpoint, Error, FaultLane, FaultObserver, ProbeOutcome, Result, Scheme, Transport,
 };
 
 /// Deterministic fault schedule over `(lane, endpoint, instant, target,
@@ -120,8 +119,7 @@ impl<T> FaultyTransport<T> {
     }
 
     /// A probe's `outcome`, unless its fate drops the answer. `Closed` (an
-    /// RST is a definite answer) is never faulted, so a sparse sweep may
-    /// answer empty addresses in bulk and still equal the dense loop.
+    /// RST is a definite answer) is never faulted.
     fn answer(&self, ep: Endpoint, attempt: Attempt<'_>, outcome: ProbeOutcome) -> ProbeOutcome {
         match outcome {
             ProbeOutcome::Closed => outcome,
@@ -157,13 +155,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.connect(ep, scheme, attempt)
     }
 
-    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        let mut result = self.inner.sweep_block(block, ports);
-        // Exactly the draws the dense loop makes through `probe`.
-        for (ep, outcome) in &mut result.probed {
-            *outcome = self.answer(*ep, Attempt::FIRST, *outcome);
-        }
-        result
+    /// `Closed` is never faulted, so the inner transport's silent
+    /// addresses stay silent.
+    fn live_addresses(&self, block: Cidr) -> Option<&[u32]> {
+        self.inner.live_addresses(block)
     }
 
     /// Report this transport's faults to `observer` — how the scanner

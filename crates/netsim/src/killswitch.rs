@@ -13,11 +13,13 @@
 //! at arbitrary points. The scan surfaces the dead worker as an error;
 //! the test then resumes a fresh pipeline from whatever checkpoint
 //! log the dead one left behind.
+//!
+//! The wrapper does not pass on its inner transport's
+//! [`live_addresses`](Transport::live_addresses), so a stage-I sweep
+//! through it probes every address of every block: a budget counts one
+//! operation per (address, port) pair, however sparse the universe.
 
-use crate::ip::Cidr;
-use nokeys_http::{
-    Attempt, BlockSweepResult, Endpoint, FaultObserver, ProbeOutcome, Result, Scheme, Transport,
-};
+use nokeys_http::{Attempt, Endpoint, FaultObserver, ProbeOutcome, Result, Scheme, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,8 +31,8 @@ pub struct Killed;
 /// Shared operation budget with a trip flag. Clones share the budget.
 #[derive(Debug, Clone)]
 pub struct KillSwitch {
+    budget: u64,
     remaining: Arc<AtomicU64>,
-    used: Arc<AtomicU64>,
     tripped: Arc<AtomicBool>,
 }
 
@@ -38,15 +40,15 @@ impl KillSwitch {
     /// A switch that admits `ops` operations, then trips.
     pub fn after(ops: u64) -> Self {
         KillSwitch {
+            budget: ops,
             remaining: Arc::new(AtomicU64::new(ops)),
-            used: Arc::new(AtomicU64::new(0)),
             tripped: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Operations admitted so far.
     pub fn used(&self) -> u64 {
-        self.used.load(Ordering::SeqCst)
+        self.budget - self.remaining.load(Ordering::SeqCst)
     }
 
     /// Whether the budget has been exhausted and an operation refused.
@@ -57,21 +59,15 @@ impl KillSwitch {
         self.tripped.load(Ordering::SeqCst)
     }
 
-    /// Consume `n` units of budget as one batched operation (a block
-    /// sweep, or `n = 1` for a probe or connect), or kill the calling
-    /// thread. If fewer than `n` units remain, whatever is left is
-    /// consumed before dying — the process died partway through the
-    /// batch, so [`used`](Self::used) totals stay identical to
-    /// admitting the same work one unit at a time.
-    fn admit(&self, n: u64) {
-        let before = self
+    /// Consume one unit of budget for a probe or connect, or kill the
+    /// calling thread.
+    fn admit(&self) {
+        let spent = self
             .remaining
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
-                Some(left.saturating_sub(n))
-            })
-            .expect("the update closure never declines");
-        self.used.fetch_add(before.min(n), Ordering::SeqCst);
-        if before < n {
+                left.checked_sub(1)
+            });
+        if spent.is_err() {
             self.tripped.store(true, Ordering::SeqCst);
             std::panic::resume_unwind(Box::new(Killed));
         }
@@ -105,22 +101,13 @@ impl<T: Transport> Transport for KillableTransport<T> {
     type Conn = T::Conn;
 
     fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
-        self.switch.admit(1);
+        self.switch.admit();
         self.inner.probe(ep, attempt)
     }
 
     fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
-        self.switch.admit(1);
+        self.switch.admit();
         self.inner.connect(ep, scheme, attempt)
-    }
-
-    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        // Charge exactly what a per-endpoint loop would have: one
-        // operation per (address, port) pair, regardless of how many
-        // probes the inner transport evaluates individually, so test
-        // budgets do not depend on how sparse the universe is.
-        self.switch.admit(block.size() * ports.len() as u64);
-        self.inner.sweep_block(block, ports)
     }
 
     fn report_faults_to(&mut self, observer: FaultObserver) {
@@ -179,22 +166,6 @@ mod tests {
         assert_eq!(switch.used(), 1);
         // Dead stays dead, on every lane.
         assert!(killed(|| t.connect(ep, Scheme::Http, first).map(drop)));
-    }
-
-    #[test]
-    fn sweeps_charge_dense_ops_and_consume_the_remainder_on_death() {
-        let block: Cidr = "20.0.1.0/24".parse().unwrap();
-        // Budget for one 2-port sweep (512 dense ops) plus 88 spare.
-        let switch = KillSwitch::after(600);
-        let t = KillableTransport::new(transport(), switch.clone());
-        assert!(!killed(|| t.sweep_block(block, &[80, 443])));
-        assert_eq!(switch.used(), 512, "sweeps charge the dense op count");
-        assert!(!switch.is_tripped());
-
-        // The next sweep needs 512 but only 88 remain: the process dies
-        // mid-batch, so the remainder is consumed.
-        assert!(killed(|| t.sweep_block(block, &[80, 443])));
-        assert_eq!(switch.used(), 600, "partial batch still burns the budget");
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub mod host;
 pub mod ip;
 pub mod killswitch;
 pub mod lifecycle;
-pub mod rng;
 pub mod transport;
 pub mod universe;
 pub mod vhost;
@@ -33,7 +32,7 @@ pub use host::{Host, SchemeSupport, Service, ServiceKind};
 pub use ip::{Cidr, ReservedRanges};
 pub use killswitch::{KillSwitch, KillableTransport};
 pub use lifecycle::LifecyclePlan;
-pub use nokeys_http::FaultLane;
+pub use nokeys_http::{rng, FaultLane};
 pub use transport::SimTransport;
 pub use universe::{Universe, UniverseConfig};
 pub use vhost::{CtEntry, VhostState, VirtualHost};

@@ -15,9 +15,7 @@ use crate::universe::{ConnectBehavior, Universe};
 use nokeys_http::memory::MemConn;
 use nokeys_http::server::Handler;
 use nokeys_http::transport::CertificateInfo;
-use nokeys_http::{
-    Attempt, BlockSweepResult, Endpoint, ProbeOutcome, Request, Response, Result, Scheme, Transport,
-};
+use nokeys_http::{Attempt, Endpoint, ProbeOutcome, Request, Response, Result, Scheme, Transport};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,22 +101,9 @@ impl Transport for SimTransport {
         self.universe.probe(ep, self.now)
     }
 
-    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
-        let populated = self.universe.populated_in(block);
-        let mut probed = Vec::with_capacity(populated.len() * ports.len());
-        for &ip in populated {
-            for &port in ports {
-                let ep = Endpoint::new(Ipv4Addr::from(ip), port);
-                probed.push((ep, self.probe(ep, Attempt::FIRST)));
-            }
-        }
-        // Every unpopulated address answers `Closed` on every port.
-        let empty_addresses = block.size() - populated.len() as u64;
-        BlockSweepResult {
-            probed,
-            addresses_probed: block.size(),
-            bulk_closed: empty_addresses * ports.len() as u64,
-        }
+    /// The populated addresses: an empty one is a definite RST.
+    fn live_addresses(&self, block: Cidr) -> Option<&[u32]> {
+        Some(self.universe.populated_in(block))
     }
 
     fn connect(&self, ep: Endpoint, scheme: Scheme, _: Attempt<'_>) -> Result<Self::Conn> {
@@ -173,6 +158,7 @@ mod tests {
     use crate::fault::{FaultPlan, FaultyTransport};
     use crate::universe::UniverseConfig;
     use nokeys_apps::AppId;
+    use nokeys_http::cases::check;
     use nokeys_http::transport::Connection;
     use nokeys_http::{Client, Url};
 
@@ -340,98 +326,6 @@ mod tests {
         assert_eq!(transport().probe(ep, Attempt::FIRST), ProbeOutcome::Open);
     }
 
-    /// Forwards probes/connects but keeps the trait's dense
-    /// `sweep_block` default, to pit the sparse override against.
-    struct DenseOnly<T>(T);
-
-    impl<T: Transport> Transport for DenseOnly<T> {
-        type Conn = T::Conn;
-
-        fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
-            self.0.probe(ep, attempt)
-        }
-
-        fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<T::Conn> {
-            self.0.connect(ep, scheme, attempt)
-        }
-    }
-
-    fn populated_block(t: &SimTransport) -> Cidr {
-        t.universe()
-            .config()
-            .space
-            .slash24_blocks()
-            .find(|b| t.universe().populated_in(*b).len() >= 2)
-            .expect("tiny universe has a block with hosts")
-    }
-
-    #[test]
-    fn sparse_sweep_matches_the_dense_default() {
-        let ports = [80u16, 443, 8080];
-        let sparse_t = transport();
-        let dense_t = DenseOnly(transport());
-        let block = populated_block(&sparse_t);
-
-        let sparse = sparse_t.sweep_block(block, &ports);
-        let dense = dense_t.sweep_block(block, &ports);
-
-        assert_eq!(sparse.addresses_probed, dense.addresses_probed);
-        assert_eq!(sparse.probes_sent(), dense.probes_sent());
-        assert_eq!(
-            sparse.open().collect::<Vec<_>>(),
-            dense.open().collect::<Vec<_>>(),
-            "discovery order must match the dense loop"
-        );
-        // Sparse evaluated only populated endpoints...
-        let populated = sparse_t.universe().populated_in(block).len();
-        assert_eq!(sparse.probed.len(), populated * ports.len());
-        assert_eq!(sparse_t.stats().probes(), (populated * ports.len()) as u64);
-        // ...while dense paid for the whole block.
-        assert_eq!(dense.probed.len() as u64, block.size() * ports.len() as u64);
-        // Every probe sparse skipped was Closed in the dense sweep.
-        let evaluated: std::collections::HashMap<Endpoint, ProbeOutcome> =
-            sparse.probed.iter().copied().collect();
-        for (ep, outcome) in &dense.probed {
-            match evaluated.get(ep) {
-                Some(sparse_outcome) => assert_eq!(sparse_outcome, outcome, "{ep}"),
-                None => assert_eq!(*outcome, ProbeOutcome::Closed, "{ep}"),
-            }
-        }
-    }
-
-    #[test]
-    fn faulty_sweeps_match_the_dense_loop_draw_for_draw() {
-        let ports = [80u16, 443];
-        let (sparse_t, sparse_injected) = counted(faulty(0.3, 11));
-        let (dense_t, dense_injected) = counted(faulty(0.3, 11));
-        let dense_t = DenseOnly(dense_t);
-        let block = populated_block(sparse_t.inner());
-
-        let sparse = sparse_t.sweep_block(block, &ports);
-        let dense = dense_t.sweep_block(block, &ports);
-
-        assert_eq!(sparse.probes_sent(), dense.probes_sent());
-        assert_eq!(
-            sparse.open().collect::<Vec<_>>(),
-            dense.open().collect::<Vec<_>>()
-        );
-        let evaluated: std::collections::HashMap<Endpoint, ProbeOutcome> =
-            sparse.probed.iter().copied().collect();
-        for (ep, outcome) in &dense.probed {
-            match evaluated.get(ep) {
-                Some(sparse_outcome) => assert_eq!(sparse_outcome, outcome, "{ep}"),
-                None => assert_eq!(*outcome, ProbeOutcome::Closed, "{ep}"),
-            }
-        }
-        let injected = sparse_injected.load(Ordering::Relaxed);
-        assert!(injected > 0, "at 30% some probe of the block faults");
-        assert_eq!(
-            injected,
-            dense_injected.load(Ordering::Relaxed),
-            "sparse and dense must make identical fault draws"
-        );
-    }
-
     #[test]
     fn empty_addresses_are_closed_under_every_fault_lane() {
         let (t, injected) = counted(faulty(1.0, 9));
@@ -449,6 +343,49 @@ mod tests {
             assert_eq!(t.probe(ep, attempt), ProbeOutcome::Closed);
         }
         assert_eq!(injected.load(Ordering::Relaxed), 0);
+    }
+
+    /// `live_addresses`' contract over seeded /24s of the tiny universe:
+    /// it lists exactly the populated addresses, and every address it
+    /// leaves out answers `Closed` on every study port, at every try,
+    /// through a fault layer that faults everything it may, at the
+    /// scan's start and at the end of the observation window.
+    #[test]
+    fn every_address_live_addresses_omits_answers_closed() {
+        let (faulty, injected) = counted(faulty(1.0, 5));
+        let universe = Arc::clone(faulty.inner().universe());
+        let space = universe.config().space;
+        let end = SimTime::SCAN_START + SimTime::OBSERVATION;
+        let blocks: Vec<Cidr> = space.slash24_blocks().collect();
+        let hosts: Vec<Ipv4Addr> = universe.hosts().map(|h| h.ip).collect();
+        check(8, |g| {
+            // Half the cases sweep a block around a host.
+            let block = match g.bool() {
+                true => Cidr::new(*g.pick(&hosts), 24),
+                false => *g.pick(&blocks),
+            };
+            let live = faulty.live_addresses(block).expect("the simulator knows");
+            let populated: Vec<u32> = (block.addresses())
+                .filter(|ip| universe.host(*ip).is_some())
+                .map(u32::from)
+                .collect();
+            assert_eq!(live, populated, "{block}");
+            for t in [faulty.clone(), faulty.at(end)] {
+                for ip in block
+                    .addresses()
+                    .filter(|ip| !live.contains(&u32::from(*ip)))
+                {
+                    for port in nokeys_apps::SCAN_PORTS {
+                        for n in 0..4 {
+                            let attempt = Attempt { target: "", n };
+                            let ep = Endpoint::new(ip, port);
+                            assert_eq!(t.probe(ep, attempt), ProbeOutcome::Closed, "{ep}");
+                        }
+                    }
+                }
+            }
+        });
+        assert_eq!(injected.load(Ordering::Relaxed), 0, "no RST is faulted");
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub enum ConnectBehavior {
 pub struct Universe {
     config: UniverseConfig,
     hosts: HashMap<u32, Host>,
-    /// Populated addresses in ascending order — the sparse sweep's range
-    /// index. Built once at generation time; the host map never changes
+    /// Populated addresses in ascending order — the index behind
+    /// `SimTransport`'s live addresses. Built once at generation time; the host map never changes
     /// afterwards (lifecycle events mutate hosts in place).
     sorted_ips: Vec<u32>,
     geo: GeoDb,
@@ -228,9 +228,9 @@ impl Universe {
     }
 
     /// Populated addresses inside `block`, ascending. A binary-search
-    /// range query over the sorted index — the sparse sweep uses this to
-    /// visit only real hosts and answer for the empty remainder
-    /// arithmetically.
+    /// range query over the sorted index; `SimTransport` hands it to the
+    /// stage-I sweep as the block's live addresses, so only real hosts
+    /// are probed and the empty remainder is counted, not visited.
     pub fn populated_in(&self, block: Cidr) -> &[u32] {
         let first = block.base;
         let last = u32::from(block.last());

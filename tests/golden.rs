@@ -6,18 +6,40 @@
 //! prints once its `[... regenerated in ...]` timing lines are dropped,
 //! and each `.json` file is what `--metrics-out` writes for the same run.
 //!
-//! `NOKEYS_BLESS=1 cargo test --test golden` rewrites the files.
+//! The same goldens also pin runs that must not differ from them: the
+//! seed-2022 run at four shards, the faulted run resumed at four shards
+//! from a checkpoint log torn mid-write, and `disclosure` run alone.
+//!
+//! `NOKEYS_BLESS=1 cargo test --test golden` rewrites the files; the
+//! identity cases check nothing while it does, and hold the new files
+//! on the next plain run.
 
 use nokeys::repro::{Repro, Scale};
 use std::path::PathBuf;
 
+/// The faulted golden: its name, seed, fault rate and experiments.
+const FAULTED: &str = "table2_fig2_disclosure_quick_seed13_fault0.05";
+const FAULTED_IDS: &[&str] = &["table2", "fig2", "disclosure"];
+
+fn faulted_harness() -> Repro {
+    Repro::new(13, Scale::Quick).with_fault_rate(0.05)
+}
+
+fn blessing() -> bool {
+    std::env::var_os("NOKEYS_BLESS").is_some()
+}
+
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("docs/golden")
+        .join(file)
+}
+
 /// Hold `actual` to the golden file `file`, or rewrite the file when
 /// blessing. `owner` names the experiment a (0-based) line belongs to.
 fn check<'a>(file: &str, actual: &str, owner: impl Fn(usize) -> &'a str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("docs/golden")
-        .join(file);
-    if std::env::var_os("NOKEYS_BLESS").is_some() {
+    let path = golden_path(file);
+    if blessing() {
         std::fs::create_dir_all(path.parent().expect("docs/golden")).expect("golden dir");
         std::fs::write(&path, actual).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         return;
@@ -47,14 +69,14 @@ fn check<'a>(file: &str, actual: &str, owner: impl Fn(usize) -> &'a str) {
     }
 }
 
-/// Run `ids` at quick scale with this seed and fault rate, and hold
-/// the printed text (the `repro` binary's stdout without its timing
-/// lines) and the telemetry snapshot to the goldens named `name`.
-fn check_run(name: &str, seed: u64, fault_rate: f64, ids: &[&'static str]) {
-    let mut harness = Repro::new(seed, Scale::Quick).with_fault_rate(fault_rate);
+/// Run `ids` on `harness`, and hold the printed text (the `repro`
+/// binary's stdout without its timing lines) and the telemetry
+/// snapshot to the goldens named `name`.
+fn check_run(name: &str, mut harness: Repro, ids: &[&'static str]) {
     let mut text = format!(
-        "# nokeys repro — seed {seed}, scale {:?}, universe {}\n",
-        Scale::Quick,
+        "# nokeys repro — seed {}, scale {:?}, universe {}\n",
+        harness.seed,
+        harness.scale,
         harness.universe_config().space
     );
     // The experiment each line of `text` belongs to.
@@ -80,20 +102,92 @@ fn check_run(name: &str, seed: u64, fault_rate: f64, ids: &[&'static str]) {
 
 #[test]
 fn all_quick_seed2022() {
-    check_run("all_quick_seed2022", 2022, 0.0, Repro::all_ids());
+    check_run(
+        "all_quick_seed2022",
+        Repro::new(2022, Scale::Quick),
+        Repro::all_ids(),
+    );
 }
 
 #[test]
 fn all_quick_seed7() {
-    check_run("all_quick_seed7", 7, 0.0, Repro::all_ids());
+    check_run(
+        "all_quick_seed7",
+        Repro::new(7, Scale::Quick),
+        Repro::all_ids(),
+    );
 }
 
 #[test]
 fn table2_fig2_disclosure_quick_seed13_faulted() {
-    check_run(
-        "table2_fig2_disclosure_quick_seed13_fault0.05",
-        13,
-        0.05,
-        &["table2", "fig2", "disclosure"],
+    check_run(FAULTED, faulted_harness(), FAULTED_IDS);
+}
+
+/// Four shards sweep and file the batches of one; nothing moves.
+#[test]
+fn all_quick_seed2022_at_four_shards() {
+    if blessing() {
+        return;
+    }
+    let mut harness = Repro::new(2022, Scale::Quick);
+    harness.config.shards = 4;
+    check_run("all_quick_seed2022", harness, Repro::all_ids());
+}
+
+/// The faulted scan, logged by one shard, its log torn by 100 bytes
+/// as a crash mid-write leaves it, and resumed at four shards: the
+/// torn batch is scanned again and every output is the uninterrupted
+/// run's.
+#[test]
+fn faulted_run_resumed_from_a_torn_log_at_four_shards() {
+    if blessing() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("nokeys-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("scan.ckpt");
+    let _ = std::fs::remove_file(&log);
+
+    let mut first = faulted_harness();
+    first.config.checkpoint_path = Some(log.clone());
+    first.scan();
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&log)
+        .expect("the scan wrote its log");
+    let lines = || {
+        std::fs::read_to_string(&log)
+            .expect("the log")
+            .lines()
+            .count()
+    };
+    let logged = lines();
+    let len = file.metadata().expect("log metadata").len();
+    file.set_len(len - 100).expect("tear the log");
+
+    let mut resumed = faulted_harness();
+    resumed.config.checkpoint_path = Some(log.clone());
+    resumed.config.shards = 4;
+    resumed.resume = true;
+    check_run(FAULTED, resumed, FAULTED_IDS);
+    assert_eq!(lines(), logged, "the resume logged the torn batch again");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `disclosure` alone prints the block it prints after `table2` and
+/// `fig2`: no experiment moves the scan's transport or its fault draws.
+#[test]
+fn faulted_disclosure_alone_prints_its_golden_block() {
+    if blessing() {
+        return;
+    }
+    let alone = faulted_harness()
+        .run("disclosure")
+        .unwrap_or_else(|e| panic!("disclosure: {e}"));
+    let golden = std::fs::read_to_string(golden_path(&format!("{FAULTED}.txt")))
+        .expect("the faulted golden");
+    assert!(
+        golden.ends_with(&format!("\n\n{alone}\n")),
+        "disclosure alone differs from its block in {FAULTED}.txt:\n{alone}"
     );
 }

@@ -7,14 +7,14 @@
 //!
 //! One small orthogonal set on the one engine: shards ∈ {1, 4} ×
 //! fault rate ∈ {0, 0.05 with three attempts}; the kill/resume half
-//! lives in `checkpoint_resume.rs`, the sparse-vs-dense sweep reference
+//! lives in `checkpoint_resume.rs`, the sweep's dense reference
 //! in `nokeys_scanner::portscan`'s unit tests.
 //!
 //! Fault-injected runs deliberately skip the `fault.*` observer bridge:
 //! bridged counters live in the caller's registry, outside the engine.
 
 use nokeys::http::cases::{check, Gen};
-use nokeys::http::{Attempt, BlockSweepResult, Client, Endpoint, ProbeOutcome, Scheme, Transport};
+use nokeys::http::{Attempt, Client, Endpoint, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{Cidr, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::shard::{scan_batch, Ledger};
 use nokeys::scanner::{
@@ -112,7 +112,8 @@ fn multipattern_counts_only_the_bodies_it_reads() {
 }
 
 /// A transport that blocks the very first block of the shuffled sweep
-/// order until every block of every *other* batch has been swept. The
+/// order until every block of every *other* batch has begun its sweep
+/// (the scanner asks for a block's live addresses as it starts it). The
 /// worker that drew batch 0 is stuck in it, so the run can only
 /// complete if a stalled worker holds back nothing but the batch it is
 /// running — the other three must drain batches 1..32 from the cursor
@@ -123,7 +124,7 @@ struct StallTransport {
     inner: SimTransport,
     /// The block whose sweep stalls (first block of batch 0).
     target: Cidr,
-    /// Block bases that must be swept before the stall releases: every
+    /// Block bases whose sweep must begin before the stall releases: every
     /// block of batches 1.. (batch 0's own later blocks sit *behind*
     /// the stalled sweep, so requiring them would deadlock).
     required: Arc<(Mutex<HashSet<u32>>, Condvar)>,
@@ -145,24 +146,23 @@ impl Transport for StallTransport {
         self.inner.connect(ep, scheme, attempt)
     }
 
-    fn sweep_block(&self, block: Cidr, ports: &[u16]) -> BlockSweepResult {
+    /// Called once per block, as its sweep starts.
+    fn live_addresses(&self, block: Cidr) -> Option<&[u32]> {
         let (required, released) = &*self.required;
+        let mut left = required.lock().expect("stall lock");
         if block == self.target {
-            let guard = required.lock().expect("stall lock");
             drop(
                 released
-                    .wait_while(guard, |left| !left.is_empty())
+                    .wait_while(left, |left| !left.is_empty())
                     .expect("stall lock"),
             );
-            return self.inner.sweep_block(block, ports);
+        } else {
+            left.remove(&block.base);
+            if left.is_empty() {
+                released.notify_all();
+            }
         }
-        let result = self.inner.sweep_block(block, ports);
-        let mut left = required.lock().expect("stall lock");
-        left.remove(&block.base);
-        if left.is_empty() {
-            released.notify_all();
-        }
-        result
+        self.inner.live_addresses(block)
     }
 }
 
