@@ -10,11 +10,14 @@
 //! return version *ranges* that narrow with more assets.
 //!
 //! One private function writes every asset's text from `(app, slot,
-//! generation)`. The simulated servers reach it through [`asset_content`],
-//! one version at a time; the knowledge base through [`distinct_files`],
-//! which hashes each distinct file once, as a repository stores it, with
-//! the range of versions that serve it. The two cannot drift apart, and
-//! both sides hash with [`file_hash`].
+//! generation)`, copying its fixed pieces into one string of their summed
+//! length rather than formatting it. The simulated servers reach it
+//! through [`asset_content`], one version at a time; the knowledge base
+//! through [`distinct_files`], which hashes each distinct file once, as a
+//! repository stores it, with the range of versions that serve it. The
+//! two cannot drift apart, and both sides hash with [`file_hash`]. No asset
+//! is cached: the knowledge base's build, which the benchmark times,
+//! writes every file afresh.
 
 use crate::catalog::AppId;
 use crate::version::{history, Version};
@@ -82,11 +85,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     file_hash(bytes)
 }
 
-/// Index of `version` in its app's release history.
+/// Index of `version` in its app's release history, by bisection: a
+/// history is strictly increasing by `triple()`.
 fn version_index(app: AppId, version: &Version) -> usize {
     history(app)
-        .iter()
-        .position(|v| v.triple() == version.triple())
+        .binary_search_by_key(&version.triple(), Version::triple)
         .expect("version comes from the app's own history")
 }
 
@@ -97,17 +100,41 @@ const FILLER: &str = "\
 0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\
 0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
 
-/// Text of generation `generation` of the asset at `ASSET_PATHS[slot]`.
+/// Text of generation `generation` of the asset at `ASSET_PATHS[slot]`:
+/// `/* <app> asset <path> generation <n> */`, a newline, [`FILLER`] and
+/// a newline.
 ///
 /// The text embeds the app name, the asset path and the generation, so two
-/// different apps, paths or generations never share a file.
+/// different apps, paths or generations never share a file. Its nine
+/// pieces are copied into one string of their summed length: through
+/// `format!` the same text took most of the knowledge base's build
+/// (DESIGN.md §14).
 fn asset_text(app: AppId, slot: usize, generation: usize) -> String {
-    format!(
-        "/* {} asset {} generation {} */\n{FILLER}\n",
+    // Decimal digits of `generation`, written from the right.
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    let mut rest = generation;
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let generation = std::str::from_utf8(&digits[first..]).expect("ASCII digits");
+    [
+        "/* ",
         app.name(),
+        " asset ",
         ASSET_PATHS[slot],
+        " generation ",
         generation,
-    )
+        " */\n",
+        FILLER,
+        "\n",
+    ]
+    .concat()
 }
 
 /// Deterministic content of one asset of `app` at `version`.
@@ -115,6 +142,13 @@ pub fn asset_content(app: AppId, version: &Version, path: &str) -> Option<String
     let slot = ASSET_PATHS.iter().position(|p| *p == path)?;
     let generation = version_index(app, version) / CHURN[slot];
     Some(asset_text(app, slot, generation))
+}
+
+/// How many files [`distinct_files`] yields for `app`: over the
+/// `CHURN` slots, ⌈versions / churn⌉ each.
+pub fn distinct_file_count(app: AppId) -> usize {
+    let versions = history(app).len();
+    CHURN.iter().map(|churn| versions.div_ceil(*churn)).sum()
 }
 
 /// Every distinct static file in `app`'s history, hashed once: `(hash,
@@ -212,6 +246,44 @@ mod tests {
         }
     }
 
+    /// The template [`asset_text`] writes piece by piece, as `format!`
+    /// wrote it.
+    fn formatted(app: AppId, slot: usize, generation: usize) -> String {
+        format!(
+            "/* {} asset {} generation {} */\n{FILLER}\n",
+            app.name(),
+            ASSET_PATHS[slot],
+            generation,
+        )
+    }
+
+    /// Every file of every slot of every application is the template's
+    /// text, in a string of exactly its length. Jenkins's 34 versions
+    /// take slot 0 to generation 33, so two-digit generations are
+    /// among them; longer ones are checked beyond the histories.
+    #[test]
+    fn asset_text_is_the_template_for_every_file() {
+        let mut newest = 0;
+        for app in AppId::all() {
+            let versions = history(app).len();
+            for (slot, churn) in CHURN.into_iter().enumerate() {
+                for generation in 0..versions.div_ceil(churn) {
+                    let text = asset_text(app, slot, generation);
+                    assert_eq!(text, formatted(app, slot, generation));
+                    assert_eq!(text.capacity(), text.len());
+                    newest = newest.max(generation);
+                }
+            }
+        }
+        assert_eq!(newest, 33);
+        for generation in [99, 100, 1_000_007, usize::MAX] {
+            assert_eq!(
+                asset_text(AppId::Grav, 3, generation),
+                formatted(AppId::Grav, 3, generation)
+            );
+        }
+    }
+
     #[test]
     fn assets_are_deterministic() {
         let v = release_history(AppId::Hadoop)[3];
@@ -294,6 +366,7 @@ mod tests {
         for app in AppId::all() {
             let versions = history(app).len();
             let files: Vec<(u64, Range<usize>)> = distinct_files(app).collect();
+            assert_eq!(files.len(), distinct_file_count(app), "{app}");
             let mut rest = &files[..];
             for churn in CHURN {
                 let (path_files, later) = rest.split_at(versions.div_ceil(churn));

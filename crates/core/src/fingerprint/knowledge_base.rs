@@ -16,7 +16,7 @@
 //! built per process ([`KnowledgeBase::shared`]). DESIGN.md §14 has the
 //! layout and its measurements.
 
-use nokeys_apps::assets::{distinct_files, ASSET_PATHS};
+use nokeys_apps::assets::{distinct_file_count, distinct_files, ASSET_PATHS};
 use nokeys_apps::version::history;
 use nokeys_apps::{AppId, Version};
 use std::ops::Range;
@@ -71,17 +71,15 @@ impl KnowledgeBase {
     /// Build the base over all 25 applications and their full release
     /// histories, hashing each distinct static file once.
     pub fn build() -> Self {
-        Self::from_files(
-            AppId::all()
-                .flat_map(|app| {
-                    distinct_files(app).map(move |(hash, versions)| File {
-                        hash,
-                        app,
-                        versions,
-                    })
-                })
-                .collect(),
-        )
+        let mut files = Vec::with_capacity(AppId::all().map(distinct_file_count).sum());
+        for app in AppId::all() {
+            files.extend(distinct_files(app).map(|(hash, versions)| File {
+                hash,
+                app,
+                versions,
+            }));
+        }
+        Self::from_files(files)
     }
 
     /// The base [`build`](Self::build) makes, built once per process and
@@ -314,6 +312,7 @@ mod tests {
         assert_eq!(lists.values().map(Vec::len).sum::<usize>(), kb.len());
         assert_eq!(kb.len(), 2036);
         assert_eq!(kb.files.len(), 982);
+        assert_eq!(kb.files.capacity(), 982);
         assert_eq!(kb.starts.len(), 1024 + 1);
         for (b, window) in kb.starts.windows(2).enumerate() {
             for file in &kb.files[window[0]..window[1]] {

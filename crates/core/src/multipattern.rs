@@ -72,15 +72,6 @@ const SKIP: u8 = 1;
 /// there and 3.1–3.7 M against 4.0 M on `tiny_bodies`.
 const LANES: usize = 4;
 
-/// One trie node during construction: children hang off `first_child`
-/// as a `next_sibling` list, 0 (the root, never a child) ending it.
-struct TrieNode {
-    /// Column of the edge leading here.
-    column: u8,
-    first_child: u32,
-    next_sibling: u32,
-}
-
 /// A class-compressed Aho–Corasick automaton over the loose forms of
 /// its needles.
 ///
@@ -93,7 +84,7 @@ struct TrieNode {
 /// multiply. A transition that needs more than that carries a flag —
 /// [`MATCH`] into a state that ends a needle, [`WIDE`] over a byte
 /// that may begin a wide whitespace character — so the walk tests the
-/// two bits together, once per byte, and reads `out` or decodes a
+/// two bits together, once per byte, and reads `outputs` or decodes a
 /// character only behind them. For the 90-signature catalog that is
 /// 1,128 rows of 53 columns (239 KB, a fifth of what 256-wide rows
 /// would take), and the rows a needle-free body visits — the root and
@@ -106,8 +97,10 @@ struct Automaton {
     columns: usize,
     /// Complete goto function, flagged row offsets.
     table: Vec<u32>,
-    /// Needle ids ending at each row (fail closure already merged).
-    out: Vec<Vec<u32>>,
+    /// Row `r` reports the needle ids `outputs[spans[r].0..spans[r].1]`
+    /// (fail closure already merged).
+    spans: Vec<(u32, u32)>,
+    outputs: Vec<u32>,
     /// Bytes in the longest loose form.
     longest: usize,
 }
@@ -116,10 +109,10 @@ impl Automaton {
     /// Build from the needles, numbered as they come; each goes in by
     /// its loose form — whitespace dropped, ASCII letters lowered —
     /// which must not be empty.
-    fn new<'a>(needles: impl Iterator<Item = &'a str>) -> Self {
+    fn new<'a>(needles: impl Iterator<Item = &'a str> + Clone) -> Self {
         // The loose forms, back to back; needle `id`'s stops at `ends[id]`.
-        let mut spelled = Vec::new();
-        let mut ends = Vec::new();
+        let mut spelled = Vec::with_capacity(needles.clone().map(str::len).sum());
+        let mut ends = Vec::with_capacity(needles.clone().count());
         for needle in needles {
             let start = spelled.len();
             for run in needle.split(char::is_whitespace) {
@@ -146,85 +139,102 @@ impl Automaton {
             classes[usize::from(b)] = classes[usize::from(b.to_ascii_lowercase())];
         }
 
-        // Trie over columns; `out[node]` collects the needles ending there.
-        let mut trie = vec![TrieNode {
-            column: 0,
-            first_child: 0,
-            next_sibling: 0,
-        }];
-        let mut out: Vec<Vec<u32>> = vec![Vec::new()];
+        // Trie over columns, nodes numbered as they are made, at most
+        // one per loose byte: `edge[node]` is the column leading to it,
+        // and its children hang off `first_child[node]` as a
+        // `next_sibling` list that 0 (the root, never a child) ends.
+        let most = spelled.len() + 1;
+        let mut edge = Vec::with_capacity(most);
+        let mut first_child = Vec::with_capacity(most);
+        let mut next_sibling = Vec::with_capacity(most);
+        edge.push(0u8);
+        first_child.push(0u32);
+        next_sibling.push(0u32);
+        // `ending[id]`: the node needle `id` ends at.
+        let mut ending = Vec::with_capacity(ends.len());
         let mut longest = 0;
         let mut start = 0;
-        for (id, &end) in (0u32..).zip(&ends) {
+        for (id, &end) in ends.iter().enumerate() {
             let mut node = 0usize;
             for &b in &spelled[start..end] {
                 let column = classes[usize::from(b)];
-                let mut child = trie[node].first_child as usize;
-                while child != 0 && trie[child].column != column {
-                    child = trie[child].next_sibling as usize;
+                let mut child = first_child[node] as usize;
+                while child != 0 && edge[child] != column {
+                    child = next_sibling[child] as usize;
                 }
                 if child == 0 {
-                    child = trie.len();
-                    trie.push(TrieNode {
-                        column,
-                        first_child: 0,
-                        next_sibling: trie[node].first_child,
-                    });
-                    out.push(Vec::new());
-                    trie[node].first_child = child as u32;
+                    child = edge.len();
+                    edge.push(column);
+                    first_child.push(0);
+                    next_sibling.push(first_child[node]);
+                    first_child[node] = child as u32;
                 }
                 node = child;
             }
             assert!(node != 0, "nothing in needle {id} but whitespace");
-            out[node].push(id);
+            ending.push(node);
             longest = longest.max(end - start);
             start = end;
         }
+        let rows = edge.len();
         assert!(
-            trie.len() * columns < WIDE as usize,
+            rows * columns < WIDE as usize,
             "automaton too large for flagged u32 row offsets"
         );
+        // The needles ending at each node, smallest id first:
+        // `first_end[node]`, then `next_end[id]`, `u32::MAX` ending both.
+        let mut first_end = vec![u32::MAX; rows];
+        let mut next_end = vec![u32::MAX; ending.len()];
+        for (id, &node) in ending.iter().enumerate().rev() {
+            next_end[id] = first_end[node];
+            first_end[node] = id as u32;
+        }
 
-        // BFS from the root. A row starts as a copy of its fail state's
-        // row (complete: fail states are shallower, so they left the
-        // queue earlier) and then takes the node's own children. A
-        // child's fail state is what that copy held in its column, and
-        // it reports iff it ends a needle itself or the copied
-        // transition was already flagged — so flags and merged `out`
-        // lists are final the moment a child is queued.
-        let mut table = vec![0u32; trie.len() * columns];
-        let mut fail = vec![0usize; trie.len()];
-        let mut queue = Vec::with_capacity(trie.len());
+        // BFS from the root, whose row starts with its wide leads
+        // flagged. A row starts as a copy of its fail state's row (the
+        // root is its own; the others are shallower, so they left the
+        // queue complete) and then takes the node's own children, each
+        // keeping the slot's `WIDE`. A child's fail state is what the
+        // slot held before — at the root, no child, so the root — and
+        // it reports its own needles, then, if that transition was
+        // flagged, its fail state's: so flags and output spans are
+        // final the moment a child is queued.
+        let mut table = vec![0u32; rows * columns];
+        for lead in WIDE_LEADS {
+            table[usize::from(classes[usize::from(lead)])] = WIDE;
+        }
+        // `fail[node]`: the row offset of the node's fail state.
+        let mut fail = vec![0usize; rows];
+        let mut spans = vec![(0u32, 0u32); rows];
+        let mut outputs = Vec::with_capacity(ending.len());
+        let mut queue = Vec::with_capacity(rows);
         queue.push(0usize);
         let mut head = 0;
         while let Some(&node) = queue.get(head) {
             head += 1;
             let row = node * columns;
-            if node != 0 {
-                let fail_row = fail[node] * columns;
-                table.copy_within(fail_row..fail_row + columns, row);
-            }
+            table.copy_within(fail[node]..fail[node] + columns, row);
             table[row + usize::from(SKIP)] = row as u32;
-            let mut child = trie[node].first_child as usize;
+            let mut child = first_child[node] as usize;
             while child != 0 {
-                let slot = row + usize::from(trie[child].column);
-                // The root's row holds its own children, not fail targets.
-                let inherited = if node == 0 { 0 } else { table[slot] };
-                fail[child] = (inherited & !MATCH) as usize / columns;
-                if inherited & MATCH != 0 {
-                    let suffixes = out[fail[child]].clone();
-                    out[child].extend(suffixes);
+                let slot = row + usize::from(edge[child]);
+                let inherited = table[slot];
+                fail[child] = (inherited & !LOOK) as usize;
+                let first = outputs.len();
+                let mut id = first_end[child];
+                while id != u32::MAX {
+                    outputs.push(id);
+                    id = next_end[id as usize];
                 }
-                let flag = if out[child].is_empty() { 0 } else { MATCH };
-                table[slot] = (child * columns) as u32 | flag;
+                if inherited & MATCH != 0 {
+                    let (from, to) = spans[fail[child] / columns];
+                    outputs.extend_from_within(from as usize..to as usize);
+                }
+                spans[child] = (first as u32, outputs.len() as u32);
+                let flag = if outputs.len() == first { 0 } else { MATCH };
+                table[slot] = (child * columns) as u32 | flag | inherited & WIDE;
                 queue.push(child);
-                child = trie[child].next_sibling as usize;
-            }
-        }
-        // Only now, so that the BFS above reads row offsets and `MATCH`.
-        for row in table.chunks_exact_mut(columns) {
-            for lead in WIDE_LEADS {
-                row[usize::from(classes[usize::from(lead)])] |= WIDE;
+                child = next_sibling[child] as usize;
             }
         }
 
@@ -232,7 +242,8 @@ impl Automaton {
             classes,
             columns,
             table,
-            out,
+            spans,
+            outputs,
             longest,
         }
     }
@@ -397,7 +408,8 @@ impl MultiPattern {
         }
         let state = next & !LOOK;
         if next & MATCH != 0 {
-            for &id in &self.automaton.out[state as usize / self.automaton.columns] {
+            let (from, to) = self.automaton.spans[state as usize / self.automaton.columns];
+            for &id in &self.automaton.outputs[from as usize..to as usize] {
                 let id = id as usize;
                 if !matched.contains(id) && self.signatures[id].pattern.ends_at(raw, at + 1) {
                     matched.insert(id);
@@ -506,6 +518,7 @@ mod tests {
     use super::*;
     use crate::pattern::Pattern;
     use crate::signatures::{all_signatures, match_candidates, match_counts};
+    use nokeys_apps::assets::file_hash;
     use nokeys_http::cases::check;
 
     /// A matcher over made-up signatures, and its bits for `body`.
@@ -524,6 +537,27 @@ mod tests {
     fn found(mp: &MultiPattern, body: &str) -> Vec<bool> {
         let hits = mp.matched_signatures(&PreparedBody::new(body));
         (0..mp.len()).map(|id| hits.contains(id)).collect()
+    }
+
+    /// The catalog's automaton, pinned (DESIGN.md §13): its shape, and a
+    /// digest of what the walk reads — the byte classes, the table's
+    /// entries little-endian, and each row's reported needle ids after
+    /// their count. Any edit that changes an entry must change the
+    /// values here, on purpose.
+    #[test]
+    fn catalog_automaton_known_answer() {
+        let automaton = &MultiPattern::new(&all_signatures()).automaton;
+        let rows = automaton.table.len() / automaton.columns;
+        assert_eq!((rows, automaton.columns, automaton.longest), (1128, 53, 38));
+        let mut bytes = automaton.classes.to_vec();
+        bytes.extend(automaton.table.iter().flat_map(|entry| entry.to_le_bytes()));
+        for row in 0..rows {
+            let (from, to) = automaton.spans[row];
+            let out = &automaton.outputs[from as usize..to as usize];
+            bytes.extend((out.len() as u32).to_le_bytes());
+            bytes.extend(out.iter().flat_map(|id| id.to_le_bytes()));
+        }
+        assert_eq!(file_hash(&bytes), 0x1379_197f_b5dd_828e);
     }
 
     #[test]
