@@ -10,14 +10,15 @@
 //! return version *ranges* that narrow with more assets.
 //!
 //! One private function writes every asset's text from `(app, slot,
-//! generation)`, copying its fixed pieces into one string of their summed
-//! length rather than formatting it. The simulated servers reach it
-//! through [`asset_content`], one version at a time; the knowledge base
-//! through [`distinct_files`], which hashes each distinct file once, as a
-//! repository stores it, with the range of versions that serve it. The
-//! two cannot drift apart, and both sides hash with [`file_hash`]. No asset
-//! is cached: the knowledge base's build, which the benchmark times,
-//! writes every file afresh.
+//! generation)` into a caller's string, copying its fixed pieces rather
+//! than formatting them. The simulated servers reach it through
+//! [`asset_content`], one version at a time, each text in a string of
+//! exactly its length; the knowledge base through [`distinct_files`],
+//! which hashes each distinct file once, as a repository stores it, with
+//! the range of versions that serve it, writing all of an application's
+//! files into one reused buffer. The two cannot drift apart, and both
+//! sides hash with [`file_hash`]. No asset is cached: the knowledge
+//! base's build, which the benchmark times, writes every file afresh.
 
 use crate::catalog::AppId;
 use crate::version::{history, Version};
@@ -100,16 +101,17 @@ const FILLER: &str = "\
 0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef\
 0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef";
 
-/// Text of generation `generation` of the asset at `ASSET_PATHS[slot]`:
-/// `/* <app> asset <path> generation <n> */`, a newline, [`FILLER`] and
-/// a newline.
+/// Write generation `generation` of the asset at `ASSET_PATHS[slot]`
+/// into `out`, in place of what it held: `/* <app> asset <path>
+/// generation <n> */`, a newline, [`FILLER`] and a newline.
 ///
 /// The text embeds the app name, the asset path and the generation, so two
 /// different apps, paths or generations never share a file. Its nine
-/// pieces are copied into one string of their summed length: through
-/// `format!` the same text took most of the knowledge base's build
-/// (DESIGN.md §14).
-fn asset_text(app: AppId, slot: usize, generation: usize) -> String {
+/// pieces are copied in after one reservation of their summed length:
+/// through `format!` the same text took most of the knowledge base's
+/// build (DESIGN.md §14). A buffer that already holds as much is not
+/// reallocated, so a caller that writes many files reuses one.
+fn write_asset_text(out: &mut String, app: AppId, slot: usize, generation: usize) {
     // Decimal digits of `generation`, written from the right.
     let mut digits = [0u8; 20];
     let mut first = digits.len();
@@ -123,7 +125,7 @@ fn asset_text(app: AppId, slot: usize, generation: usize) -> String {
         }
     }
     let generation = std::str::from_utf8(&digits[first..]).expect("ASCII digits");
-    [
+    let pieces = [
         "/* ",
         app.name(),
         " asset ",
@@ -133,8 +135,21 @@ fn asset_text(app: AppId, slot: usize, generation: usize) -> String {
         " */\n",
         FILLER,
         "\n",
-    ]
-    .concat()
+    ];
+    out.clear();
+    out.reserve(pieces.iter().map(|piece| piece.len()).sum());
+    for piece in pieces {
+        out.push_str(piece);
+    }
+}
+
+/// The text [`write_asset_text`] writes, in a string of exactly its
+/// length: on an empty string the writer's one reservation is the
+/// allocation (a test below holds capacity to length).
+fn asset_text(app: AppId, slot: usize, generation: usize) -> String {
+    let mut text = String::new();
+    write_asset_text(&mut text, app, slot, generation);
+    text
 }
 
 /// Deterministic content of one asset of `app` at `version`.
@@ -154,21 +169,24 @@ pub fn distinct_file_count(app: AppId) -> usize {
 /// Every distinct static file in `app`'s history, hashed once: `(hash,
 /// first..end)`, where the versions at `first..end` of [`history`] serve
 /// that file. Path by path in `ASSET_PATHS` order, oldest generation
-/// first, so the ranges of one path tile the whole history.
+/// first, so the ranges of one path tile the whole history. Each file
+/// is written into the one buffer the iterator owns.
 pub fn distinct_files(app: AppId) -> impl Iterator<Item = (u64, Range<usize>)> {
     let versions = history(app).len();
+    let mut text = String::new();
     CHURN
         .into_iter()
         .enumerate()
         .flat_map(move |(slot, churn)| {
-            (0..versions.div_ceil(churn)).map(move |generation| {
-                let first = generation * churn;
-                let text = asset_text(app, slot, generation);
-                (
-                    file_hash(text.as_bytes()),
-                    first..versions.min(first + churn),
-                )
-            })
+            (0..versions.div_ceil(churn)).map(move |generation| (slot, churn, generation))
+        })
+        .map(move |(slot, churn, generation)| {
+            write_asset_text(&mut text, app, slot, generation);
+            let first = generation * churn;
+            (
+                file_hash(text.as_bytes()),
+                first..versions.min(first + churn),
+            )
         })
 }
 
@@ -246,8 +264,8 @@ mod tests {
         }
     }
 
-    /// The template [`asset_text`] writes piece by piece, as `format!`
-    /// wrote it.
+    /// The template [`write_asset_text`] writes piece by piece, as
+    /// `format!` wrote it.
     fn formatted(app: AppId, slot: usize, generation: usize) -> String {
         format!(
             "/* {} asset {} generation {} */\n{FILLER}\n",

@@ -10,11 +10,13 @@
 //! application and the range of versions that serve it — hashed once at
 //! build time ([`distinct_files`]). A version is a candidate for an
 //! observed hash when a record of that hash covers it. The records are
-//! sorted by `(hash, app, first)` and found through a start index on the
-//! hash's top bits, 2^⌈log₂ files⌉ buckets derived from the data, so a
-//! lookup is one index load and a scan of about one record. One base is
-//! built per process ([`KnowledgeBase::shared`]). DESIGN.md §14 has the
-//! layout and its measurements.
+//! found through a start index on the hash's top bits, 2^⌈log₂ files⌉
+//! buckets derived from the data, so a lookup is one index load and a
+//! scan of about one record. The build counts each bucket's files, puts
+//! every file straight into its bucket, and sorts by `(hash, app,
+//! first)` only the buckets that hold more than one. One base is built
+//! per process ([`KnowledgeBase::shared`]). DESIGN.md §14 has the layout
+//! and its measurements.
 
 use nokeys_apps::assets::{distinct_file_count, distinct_files, ASSET_PATHS};
 use nokeys_apps::version::history;
@@ -89,9 +91,10 @@ impl KnowledgeBase {
         SHARED.get_or_init(KnowledgeBase::build)
     }
 
-    /// Sort `files` and index them by the top bits of their hashes.
-    fn from_files(mut files: Vec<File>) -> Self {
-        files.sort_unstable_by_key(|file| (file.hash, file.app, file.versions.start));
+    /// Index `files` by the top bits of their hashes and put them in
+    /// `(hash, app, first)` order: count each bucket's files, place every
+    /// file in its bucket, then sort the buckets that hold more than one.
+    fn from_files(files: Vec<File>) -> Self {
         let bits = files.len().next_power_of_two().trailing_zeros();
         // Count each bucket's files one slot to its right, then sum.
         let mut starts = vec![0; (1 << bits) + 1];
@@ -102,6 +105,22 @@ impl KnowledgeBase {
         for start in &mut starts {
             total += *start;
             *start = total;
+        }
+        // `order[place]`: the file that goes there. Each file, in the
+        // order given, takes its bucket's next free place.
+        let mut next = starts.clone();
+        let mut order = vec![0; files.len()];
+        for (i, file) in files.iter().enumerate() {
+            let b = bucket(file.hash, bits);
+            order[next[b]] = i;
+            next[b] += 1;
+        }
+        let mut files: Vec<File> = order.iter().map(|&i| files[i].clone()).collect();
+        for window in starts.windows(2) {
+            if window[1] - window[0] > 1 {
+                files[window[0]..window[1]]
+                    .sort_unstable_by_key(|file| (file.hash, file.app, file.versions.start));
+            }
         }
         let entries = files.iter().map(|file| file.versions.len()).sum();
         KnowledgeBase {
@@ -180,7 +199,7 @@ mod tests {
     use nokeys_apps::assets::{self, asset_hash};
     use nokeys_apps::release_history;
     use nokeys_http::cases::{check, Gen};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashSet};
 
     /// The per-version build the file table replaced: every asset of
     /// every version of every application hashed, and each hash's
@@ -461,6 +480,56 @@ mod tests {
                 "{observations:?}"
             );
         });
+    }
+
+    /// Counting placement orders `files` and `starts` as sorting every
+    /// file does — the sort is kept here as the oracle — on random sets
+    /// of up to 300 files whose hashes repeat, share their top bits and
+    /// so crowd one bucket, sit at both ends of the index or are
+    /// anything, and on the forced collisions. A set's keys are unique,
+    /// as a real base's are (a file's text names its application, path
+    /// and generation), so the sorted order is the only one.
+    #[test]
+    fn bucket_placement_orders_files_as_the_sort_does() {
+        fn assert_placed_as_sorted(files: Vec<File>) {
+            let mut sorted = files.clone();
+            sorted.sort_unstable_by_key(|f| (f.hash, f.app, f.versions.start));
+            let bits = sorted.len().next_power_of_two().trailing_zeros();
+            let starts: Vec<usize> = (0..=1 << bits)
+                .map(|b| sorted.partition_point(|f| bucket(f.hash, bits) < b))
+                .collect();
+            let fields = |files: &[File]| -> Vec<(u64, AppId, Range<usize>)> {
+                files
+                    .iter()
+                    .map(|f| (f.hash, f.app, f.versions.clone()))
+                    .collect()
+            };
+            let kb = KnowledgeBase::from_files(files);
+            assert_eq!(fields(&kb.files), fields(&sorted));
+            assert_eq!((kb.bits, &kb.starts), (bits, &starts));
+        }
+        let apps: Vec<AppId> = AppId::all().collect();
+        check(256, |g| {
+            let crowded = g.u64();
+            let mut files = g.vec(0..301, |g| {
+                let hash = match g.index(0..4) {
+                    0 => g.range(0..4),
+                    1 => crowded ^ g.range(0..1 << 20),
+                    2 => u64::MAX - g.range(0..4),
+                    _ => g.u64(),
+                };
+                let first = g.index(0..40);
+                File {
+                    hash,
+                    app: *g.pick(&apps),
+                    versions: first..first + g.index(1..9),
+                }
+            });
+            let mut keys = HashSet::new();
+            files.retain(|f| keys.insert((f.hash, f.app, f.versions.start)));
+            assert_placed_as_sorted(files);
+        });
+        assert_placed_as_sorted(forced_collisions());
     }
 
     /// Hashes at both ends of the index, an empty base (one bucket, no

@@ -28,7 +28,7 @@
 //! mode really ends at that byte. A refused candidate latches nothing.
 //!
 //! **Four lanes.** One register is bound by load latency: a step's
-//! `table[state + class]` must retire before the next can issue. So the
+//! `table[state * 8 + class]` must retire before the next can issue. So the
 //! body is cut into four chunks whose registers advance together, four
 //! independent chains the core overlaps, and each of the first three
 //! then runs on past its boundary until nothing that began before the
@@ -47,15 +47,19 @@ use nokeys_apps::AppId;
 use std::sync::OnceLock;
 
 /// Flag on a transition whose target state ends at least one needle.
-const MATCH: u32 = 1 << 31;
+const MATCH: u16 = 1 << 15;
 
 /// Flag on every transition over a byte that may begin a whitespace
 /// character longer than one byte (see [`WIDE_LEADS`]).
-const WIDE: u32 = 1 << 30;
+const WIDE: u16 = 1 << 14;
 
 /// Either flag: the transition needs a closer look than the hot loop
-/// takes. Row offsets stay below the flags (checked at build time).
-const LOOK: u32 = MATCH | WIDE;
+/// takes. States stay below the flags (checked at build time).
+const LOOK: u16 = MATCH | WIDE;
+
+/// Entries per unit of a row offset: a row is a whole number of units,
+/// and a state is its row's offset in units.
+const UNIT: usize = 8;
 
 /// The UTF-8 lead bytes of the multi-byte whitespace characters:
 /// `U+0085` and `U+00A0` (C2), `U+1680` (E1), `U+2000`–`U+200A`,
@@ -78,25 +82,29 @@ const LANES: usize = 4;
 /// Bytes are first mapped to *columns*: column 0 is every byte no
 /// needle contains, column [`SKIP`] is ASCII whitespace, each of the
 /// [`WIDE_LEADS`] and each other needle byte gets its own, and `A`–`Z`
-/// share the columns of `a`–`z`. A row has one `u32` per column, fail
-/// links already resolved into it, and a state's id is the offset of
-/// its row, so a step is `table[state + classes[byte]]` with no
-/// multiply. A transition that needs more than that carries a flag —
-/// [`MATCH`] into a state that ends a needle, [`WIDE`] over a byte
-/// that may begin a wide whitespace character — so the walk tests the
-/// two bits together, once per byte, and reads `outputs` or decodes a
-/// character only behind them. For the 90-signature catalog that is
-/// 1,128 rows of 53 columns (239 KB, a fifth of what 256-wide rows
+/// share the columns of `a`–`z`. A row has one `u16` per column, fail
+/// links already resolved into it, padded to a multiple of [`UNIT`]
+/// entries, and a state's id is the offset of its row in units, so a
+/// step is `table[state * 8 + classes[byte]]`, one address computation.
+/// A transition that needs more than that carries a flag — [`MATCH`]
+/// into a state that ends a needle, [`WIDE`] over a byte that may
+/// begin a wide whitespace character — so the walk tests the two bits
+/// together, once per byte, and reads `outputs` or decodes a character
+/// only behind them. Rows are numbered in BFS order and each is
+/// written once. For the 90-signature catalog that is 1,128 rows of 53
+/// columns padded to 56 (126 KB, a ninth of what 256-wide `u32` rows
 /// would take), and the rows a needle-free body visits — the root and
 /// its children — stay in the L1 cache.
 #[derive(Debug, Clone)]
 struct Automaton {
     /// Byte → column.
     classes: [u8; 256],
-    /// Columns per row.
-    columns: usize,
-    /// Complete goto function, flagged row offsets.
-    table: Vec<u32>,
+    /// Entries per row: the columns rounded up to a multiple of
+    /// [`UNIT`].
+    stride: usize,
+    /// Complete goto function, flagged states; row `r` is
+    /// `table[r * stride..][..stride]`.
+    table: Vec<u16>,
     /// Row `r` reports the needle ids `outputs[spans[r].0..spans[r].1]`
     /// (fail closure already merged).
     spans: Vec<(u32, u32)>,
@@ -177,9 +185,11 @@ impl Automaton {
             start = end;
         }
         let rows = edge.len();
+        let stride = columns.next_multiple_of(UNIT);
+        let units = stride / UNIT;
         assert!(
-            rows * columns < WIDE as usize,
-            "automaton too large for flagged u32 row offsets"
+            rows * units < usize::from(WIDE),
+            "automaton too large: {rows} rows of {units} units pass the 2^14-unit limit of a u16 state"
         );
         // The needles ending at each node, smallest id first:
         // `first_end[node]`, then `next_end[id]`, `u32::MAX` ending both.
@@ -190,36 +200,39 @@ impl Automaton {
             first_end[node] = id as u32;
         }
 
-        // BFS from the root, whose row starts with its wide leads
-        // flagged. A row starts as a copy of its fail state's row (the
-        // root is its own; the others are shallower, so they left the
-        // queue complete) and then takes the node's own children, each
-        // keeping the slot's `WIDE`. A child's fail state is what the
-        // slot held before — at the root, no child, so the root — and
-        // it reports its own needles, then, if that transition was
-        // flagged, its fail state's: so flags and output spans are
-        // final the moment a child is queued.
-        let mut table = vec![0u32; rows * columns];
+        // BFS from the root, each row appended as its node leaves the
+        // queue: a node's row is its place in the queue. The root's row
+        // leads every column back to the root, its wide leads flagged.
+        // Any other row starts as a copy of its fail state's row (which
+        // is shallower, so already written) and then takes the node's
+        // own children, each keeping the slot's `WIDE`. A child's fail
+        // state is what the slot held before — at the root, no child, so
+        // the root — and it reports its own needles, then, if that
+        // transition was flagged, its fail state's: so flags and output
+        // spans are final the moment a child is queued.
+        let mut table = Vec::with_capacity(rows * stride);
+        table.resize(stride, 0);
         for lead in WIDE_LEADS {
             table[usize::from(classes[usize::from(lead)])] = WIDE;
         }
-        // `fail[node]`: the row offset of the node's fail state.
-        let mut fail = vec![0usize; rows];
-        let mut spans = vec![(0u32, 0u32); rows];
+        let mut spans = Vec::with_capacity(rows);
+        spans.push((0u32, 0u32));
         let mut outputs = Vec::with_capacity(ending.len());
+        // Each row's trie node and the state its fail link leads to.
         let mut queue = Vec::with_capacity(rows);
-        queue.push(0usize);
-        let mut head = 0;
-        while let Some(&node) = queue.get(head) {
-            head += 1;
-            let row = node * columns;
-            table.copy_within(fail[node]..fail[node] + columns, row);
-            table[row + usize::from(SKIP)] = row as u32;
+        queue.push((0usize, 0usize));
+        for row in 0..rows {
+            let (node, fail) = queue[row];
+            let at = row * stride;
+            if row > 0 {
+                table.extend_from_within(fail * UNIT..fail * UNIT + stride);
+            }
+            table[at + usize::from(SKIP)] = (row * units) as u16;
             let mut child = first_child[node] as usize;
             while child != 0 {
-                let slot = row + usize::from(edge[child]);
+                let slot = at + usize::from(edge[child]);
                 let inherited = table[slot];
-                fail[child] = (inherited & !LOOK) as usize;
+                let fail = usize::from(inherited & !LOOK);
                 let first = outputs.len();
                 let mut id = first_end[child];
                 while id != u32::MAX {
@@ -227,20 +240,20 @@ impl Automaton {
                     id = next_end[id as usize];
                 }
                 if inherited & MATCH != 0 {
-                    let (from, to) = spans[fail[child] / columns];
+                    let (from, to) = spans[fail / units];
                     outputs.extend_from_within(from as usize..to as usize);
                 }
-                spans[child] = (first as u32, outputs.len() as u32);
+                spans.push((first as u32, outputs.len() as u32));
                 let flag = if outputs.len() == first { 0 } else { MATCH };
-                table[slot] = (child * columns) as u32 | flag | inherited & WIDE;
-                queue.push(child);
+                table[slot] = (queue.len() * units) as u16 | flag | inherited & WIDE;
+                queue.push((child, fail));
                 child = next_sibling[child] as usize;
             }
         }
 
         Automaton {
             classes,
-            columns,
+            stride,
             table,
             spans,
             outputs,
@@ -272,8 +285,10 @@ impl Automaton {
         'turns: while offset < chunk {
             for j in 0..LANES {
                 let class = self.classes[usize::from(chunks[j][offset])];
-                let next = table[live[j] as usize + usize::from(class)];
-                if next & LOOK != 0 {
+                // Widened as it is loaded: a register the next index
+                // takes as it is, with no zero extension in the chain.
+                let next = u32::from(table[live[j] as usize * UNIT + usize::from(class)]);
+                if next & u32::from(LOOK) != 0 {
                     met = j;
                     break 'turns;
                 }
@@ -357,8 +372,8 @@ impl MultiPattern {
         self.signatures.is_empty()
     }
 
-    /// One lane over the byte `raw[at]`, with care: its next state (the
-    /// offset of a row; 0 is the root), and whether it consumed the
+    /// One lane over the byte `raw[at]`, with care: its next state (a
+    /// row's offset in units; 0 is the root), and whether it consumed the
     /// byte — whitespace, one byte or several, is not consumed. `hide`
     /// counts the bytes of a wide whitespace character the lane has yet
     /// to pass over.
@@ -376,11 +391,11 @@ impl MultiPattern {
             return (state, false);
         }
         let class = self.automaton.classes[usize::from(raw.as_bytes()[at])];
-        let next = self.automaton.table[state as usize + usize::from(class)];
+        let next = self.automaton.table[state as usize * UNIT + usize::from(class)];
         if next & LOOK != 0 {
             return self.look(state, next, hide, raw, at, matched);
         }
-        (next, class != SKIP)
+        (u32::from(next), class != SKIP)
     }
 
     /// What a flagged transition asks for. Behind [`WIDE`], decode the
@@ -392,7 +407,7 @@ impl MultiPattern {
     fn look(
         &self,
         state: u32,
-        next: u32,
+        next: u16,
         hide: &mut usize,
         raw: &str,
         at: usize,
@@ -406,9 +421,10 @@ impl MultiPattern {
                 return (state, false);
             }
         }
-        let state = next & !LOOK;
+        let state = u32::from(next & !LOOK);
         if next & MATCH != 0 {
-            let (from, to) = self.automaton.spans[state as usize / self.automaton.columns];
+            let row = state as usize * UNIT / self.automaton.stride;
+            let (from, to) = self.automaton.spans[row];
             for &id in &self.automaton.outputs[from as usize..to as usize] {
                 let id = id as usize;
                 if !matched.contains(id) && self.signatures[id].pattern.ends_at(raw, at + 1) {
@@ -520,6 +536,7 @@ mod tests {
     use crate::signatures::{all_signatures, match_candidates, match_counts};
     use nokeys_apps::assets::file_hash;
     use nokeys_http::cases::check;
+    use std::collections::HashMap;
 
     /// A matcher over made-up signatures, and its bits for `body`.
     fn synthetic(patterns: &[Pattern]) -> MultiPattern {
@@ -539,16 +556,73 @@ mod tests {
         (0..mp.len()).map(|id| hits.contains(id)).collect()
     }
 
-    /// The catalog's automaton, pinned (DESIGN.md §13): its shape, and a
+    /// The columns a byte can map to: every column number is some
+    /// byte's.
+    fn columns(automaton: &Automaton) -> usize {
+        usize::from(automaton.classes.iter().copied().max().unwrap_or(0)) + 1
+    }
+
+    /// A digest of the automaton as a transition function, blind to how
+    /// the table lays out and numbers its rows: the states numbered by
+    /// BFS over the complete transition function from the root, columns
+    /// in order; then the byte classes and, for each state in that order
+    /// and each column, the target's number and the `MATCH` and `WIDE`
+    /// bits, and the state's reported needle ids after their count.
+    fn canonical_digest(automaton: &Automaton) -> u64 {
+        let columns = columns(automaton);
+        let entry = |state: usize, column: usize| automaton.table[state * UNIT + column];
+        let mut number = HashMap::from([(0, 0u32)]);
+        let mut order = vec![0];
+        let mut head = 0;
+        while let Some(&state) = order.get(head) {
+            head += 1;
+            for column in 0..columns {
+                let target = usize::from(entry(state, column) & !LOOK);
+                number.entry(target).or_insert_with(|| {
+                    order.push(target);
+                    order.len() as u32 - 1
+                });
+            }
+        }
+        assert_eq!(order.len() * automaton.stride, automaton.table.len());
+        let mut bytes = automaton.classes.to_vec();
+        for &state in &order {
+            for column in 0..columns {
+                let next = entry(state, column);
+                bytes.extend(number[&usize::from(next & !LOOK)].to_le_bytes());
+                bytes.push(u8::from(next & MATCH != 0));
+                bytes.push(u8::from(next & WIDE != 0));
+            }
+            let (from, to) = automaton.spans[state * UNIT / automaton.stride];
+            let out = &automaton.outputs[from as usize..to as usize];
+            bytes.extend((out.len() as u32).to_le_bytes());
+            bytes.extend(out.iter().flat_map(|id| id.to_le_bytes()));
+        }
+        file_hash(&bytes)
+    }
+
+    /// The catalog's automaton, pinned (DESIGN.md §13): its shape; a
     /// digest of what the walk reads — the byte classes, the table's
     /// entries little-endian, and each row's reported needle ids after
-    /// their count. Any edit that changes an entry must change the
-    /// values here, on purpose.
+    /// their count — which any edit that changes an entry must change
+    /// here, on purpose; and the canonical digest, which only a change
+    /// to what the automaton does may move. The canonical value was
+    /// taken from the `u32` table whose rows kept their trie-insertion
+    /// order: the 16-bit BFS-numbered table is the same automaton.
     #[test]
     fn catalog_automaton_known_answer() {
         let automaton = &MultiPattern::new(&all_signatures()).automaton;
-        let rows = automaton.table.len() / automaton.columns;
-        assert_eq!((rows, automaton.columns, automaton.longest), (1128, 53, 38));
+        let rows = automaton.table.len() / automaton.stride;
+        assert_eq!(
+            (
+                rows,
+                columns(automaton),
+                automaton.stride,
+                automaton.table.len(),
+                automaton.longest
+            ),
+            (1128, 53, 56, 63_168, 38)
+        );
         let mut bytes = automaton.classes.to_vec();
         bytes.extend(automaton.table.iter().flat_map(|entry| entry.to_le_bytes()));
         for row in 0..rows {
@@ -557,7 +631,35 @@ mod tests {
             bytes.extend((out.len() as u32).to_le_bytes());
             bytes.extend(out.iter().flat_map(|id| id.to_le_bytes()));
         }
-        assert_eq!(file_hash(&bytes), 0x1379_197f_b5dd_828e);
+        assert_eq!(file_hash(&bytes), 0x795b_d245_2aaa_caa8);
+        assert_eq!(canonical_digest(automaton), 0xf391_a03c_d94b_6f5f);
+    }
+
+    /// A state is a `u16` below the flags, so the table must hold fewer
+    /// than 2^14 units. Over one letter the columns are 7 (no needle
+    /// byte, ASCII whitespace, the four wide leads and `a`), so a row is
+    /// one unit of 8 entries and a needle of n `a`s makes n + 1 rows:
+    /// 16,382 `a`s build, 16,383 do not, and the longest needle that
+    /// fits is found.
+    #[test]
+    fn states_fill_the_u16_up_to_the_2_14_unit_limit() {
+        let longest = "a".repeat(16_382);
+        let mp = synthetic(&[Pattern::exact(longest.clone().leak())]);
+        let automaton = &mp.automaton;
+        assert_eq!((columns(automaton), automaton.stride), (7, 8));
+        assert_eq!(automaton.table.len(), 16_383 * 8);
+        assert_eq!(found(&mp, &format!("x{longest}y")), [true]);
+        assert_eq!(found(&mp, &format!("x{longest}")[2..]), [false]);
+
+        let too_long = "a".repeat(16_383).leak();
+        let built = std::panic::catch_unwind(|| synthetic(&[Pattern::exact(too_long)]));
+        let message = built
+            .expect_err("16,384 rows do not fit")
+            .downcast::<String>();
+        assert!(
+            message.is_ok_and(|m| m.contains("2^14-unit limit")),
+            "the panic names the limit"
+        );
     }
 
     #[test]
