@@ -88,7 +88,7 @@ impl Gocd {
     }
 }
 
-impl_webapp!(Gocd);
+impl_webapp!(Gocd, Gocd::reset_state);
 
 #[cfg(test)]
 mod tests {

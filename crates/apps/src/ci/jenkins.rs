@@ -118,7 +118,7 @@ impl Jenkins {
     }
 }
 
-impl_webapp!(Jenkins);
+impl_webapp!(Jenkins, Jenkins::reset_state);
 
 #[cfg(test)]
 mod tests {

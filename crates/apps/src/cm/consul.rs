@@ -8,7 +8,7 @@
 //! * The UI includes an HTML comment with the version (voluntary
 //!   disclosure used by the fingerprinter).
 
-use crate::base::{impl_webapp, BaseApp};
+use crate::base::{impl_webapp, json_field, BaseApp};
 use crate::catalog::AppId;
 use crate::config::AppConfig;
 use crate::events::{AppEvent, HandleOutcome};
@@ -55,15 +55,15 @@ impl Consul {
                 "<div data-consul=\"ui\" id=\"consul-ui\">Loading Consul...</div>",
             ))
             .into(),
-            (nokeys_http::Method::Get, "/v1/agent/self") => {
-                Response::json(self_json_pretty(&self.self_json())).into()
-            }
+            (nokeys_http::Method::Get, "/v1/agent/self") => Response::json(self.self_json()).into(),
             (nokeys_http::Method::Put, "/v1/agent/check/register")
             | (nokeys_http::Method::Post, "/v1/agent/check/register") => {
                 let body = req.body_text();
                 // The Script/Args field only executes when script checks
                 // are enabled; otherwise Consul rejects the registration.
-                if let Some(script) = extract_script(&body) {
+                // The first of the names present decides.
+                let names = ["Script", "Args", "script", "args"];
+                if let Some(script) = json_field(&body, &names) {
                     if self.base.config.script_checks {
                         self.registered_checks.push(script.to_string());
                         HandleOutcome::with_event(
@@ -94,26 +94,7 @@ impl Consul {
     }
 }
 
-impl_webapp!(Consul);
-
-/// Pull the script/args payload out of a check-registration body.
-fn extract_script(body: &str) -> Option<&str> {
-    for field in ["\"Script\"", "\"Args\"", "\"script\"", "\"args\""] {
-        if let Some(start) = body.find(field) {
-            let rest = &body[start + field.len()..];
-            let open = rest.find('"')? + 1;
-            let rest = &rest[open..];
-            let close = rest.find('"')?;
-            return Some(&rest[..close]);
-        }
-    }
-    None
-}
-
-/// Consul pretty-prints `/v1/agent/self`; keep it single-line but valid.
-fn self_json_pretty(s: &str) -> String {
-    s.to_string()
-}
+impl_webapp!(Consul, Consul::reset_state);
 
 #[cfg(test)]
 mod tests {

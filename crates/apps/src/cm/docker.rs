@@ -9,7 +9,7 @@
 //! * Abuse surface: create + start a container (the Kinsing campaign's
 //!   entry point).
 
-use crate::base::{impl_webapp, BaseApp};
+use crate::base::{impl_webapp, json_field, BaseApp};
 use crate::catalog::AppId;
 use crate::config::AppConfig;
 use crate::events::{AppEvent, HandleOutcome};
@@ -65,8 +65,10 @@ impl Docker {
             (nokeys_http::Method::Get, "/containers/json") => Response::json("[]").into(),
             (nokeys_http::Method::Post, "/containers/create") => {
                 let body = req.body_text();
-                let image = json_str(&body, "Image").unwrap_or("alpine").to_string();
-                let cmd = json_str(&body, "Cmd").unwrap_or("").to_string();
+                let image = json_field(&body, &["Image"])
+                    .unwrap_or("alpine")
+                    .to_string();
+                let cmd = json_field(&body, &["Cmd"]).unwrap_or("").to_string();
                 let id = format!("c{:08x}", self.next_id);
                 self.next_id += 1;
                 self.created.push((id.clone(), image, cmd));
@@ -111,17 +113,7 @@ impl Docker {
     }
 }
 
-impl_webapp!(Docker);
-
-fn json_str<'a>(body: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\"");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let open = rest.find('"')? + 1;
-    let rest = &rest[open..];
-    let close = rest.find('"')?;
-    Some(&rest[..close])
-}
+impl_webapp!(Docker, Docker::reset_state);
 
 #[cfg(test)]
 mod tests {

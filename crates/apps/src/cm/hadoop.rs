@@ -8,7 +8,7 @@
 //!   `GET /ws/v1/cluster/apps/new-application` returns JSON with an
 //!   `application-id`.
 
-use crate::base::{impl_webapp, BaseApp};
+use crate::base::{impl_webapp, json_field, BaseApp};
 use crate::catalog::AppId;
 use crate::config::AppConfig;
 use crate::events::{AppEvent, HandleOutcome};
@@ -90,7 +90,7 @@ impl Hadoop {
             }
             (nokeys_http::Method::Post, "/ws/v1/cluster/apps") => {
                 let body = req.body_text();
-                let command = extract_command(&body).unwrap_or(&body).to_string();
+                let command = json_field(&body, &["command"]).unwrap_or(&body).to_string();
                 self.submitted.push(command.clone());
                 HandleOutcome::with_event(
                     Response::new(StatusCode(202))
@@ -109,17 +109,7 @@ impl Hadoop {
     }
 }
 
-impl_webapp!(Hadoop);
-
-fn extract_command(body: &str) -> Option<&str> {
-    let needle = "\"command\"";
-    let start = body.find(needle)? + needle.len();
-    let rest = &body[start..];
-    let open = rest.find('"')? + 1;
-    let rest = &rest[open..];
-    let close = rest.find('"')?;
-    Some(&rest[..close])
-}
+impl_webapp!(Hadoop, Hadoop::reset_state);
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! * Abuse surface: creating a pod runs arbitrary containers on the
 //!   cluster.
 
-use crate::base::{impl_webapp, BaseApp};
+use crate::base::{impl_webapp, json_field, BaseApp};
 use crate::catalog::AppId;
 use crate::config::AppConfig;
 use crate::events::{AppEvent, HandleOutcome};
@@ -102,13 +102,10 @@ impl Kubernetes {
             {
                 if open {
                     let body = req.body_text();
-                    let image = extract_json_field(&body, "image").unwrap_or("unknown");
-                    let command = extract_json_field(&body, "command").unwrap_or("");
-                    self.extra_pods.push(
-                        extract_json_field(&body, "name")
-                            .unwrap_or("attacker-pod")
-                            .to_string(),
-                    );
+                    let image = json_field(&body, &["image"]).unwrap_or("unknown");
+                    let command = json_field(&body, &["command"]).unwrap_or("");
+                    let name = json_field(&body, &["name"]).unwrap_or("attacker-pod");
+                    self.extra_pods.push(name.to_string());
                     HandleOutcome::with_event(
                         Response::new(StatusCode::CREATED)
                             .with_header("Content-Type", "application/json")
@@ -140,19 +137,7 @@ impl Kubernetes {
     }
 }
 
-impl_webapp!(Kubernetes);
-
-/// Extract a `"field":"value"` string from a JSON-ish body without a full
-/// parser (attacker payloads in the simulation are well-formed enough).
-fn extract_json_field<'a>(body: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\"");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let open = rest.find('"')? + 1;
-    let rest = &rest[open..];
-    let close = rest.find('"')?;
-    Some(&rest[..close])
-}
+impl_webapp!(Kubernetes, Kubernetes::reset_state);
 
 #[cfg(test)]
 mod tests {
@@ -228,9 +213,9 @@ mod tests {
     #[test]
     fn json_field_extraction() {
         assert_eq!(
-            extract_json_field(r#"{"image":"alpine:3"}"#, "image"),
+            json_field(r#"{"image":"alpine:3"}"#, &["image"]),
             Some("alpine:3")
         );
-        assert_eq!(extract_json_field(r#"{}"#, "image"), None);
+        assert_eq!(json_field(r#"{}"#, &["image"]), None);
     }
 }

@@ -99,7 +99,7 @@ impl Nomad {
     }
 }
 
-impl_webapp!(Nomad);
+impl_webapp!(Nomad, Nomad::reset_state);
 
 #[cfg(test)]
 mod tests {

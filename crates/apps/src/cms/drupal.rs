@@ -18,14 +18,12 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone)]
 pub struct Drupal {
     pub(crate) base: BaseApp,
-    admin_ip: Option<Ipv4Addr>,
 }
 
 impl Drupal {
     pub fn new(version: Version, config: AppConfig) -> Self {
         Drupal {
             base: BaseApp::new(AppId::Drupal, version, config),
-            admin_ip: None,
         }
     }
 
@@ -88,19 +86,16 @@ impl Drupal {
                     return Response::not_found().into();
                 }
                 let user = req
-                    .body_text()
-                    .split('&')
-                    .find_map(|kv| kv.strip_prefix("account_name=").map(str::to_string))
+                    .form_param("account_name")
                     .unwrap_or_else(|| "admin".to_string());
-                self.base.config.installed = true;
-                self.admin_ip = Some(peer);
+                self.base.install(peer);
                 HandleOutcome::with_event(
                     Response::html(html::page("Congratulations", "Drupal installed.")),
                     AppEvent::InstallCompleted { admin_user: user },
                 )
             }
             (nokeys_http::Method::Post, "/admin/modules/install") => {
-                if installed && self.admin_ip == Some(peer) {
+                if self.base.is_admin(peer) {
                     HandleOutcome::with_event(
                         Response::html(html::page("Module installed", "Enabled.")),
                         AppEvent::CommandExecuted {
@@ -116,10 +111,6 @@ impl Drupal {
             }
             _ => Response::not_found().into(),
         }
-    }
-
-    fn reset_state(&mut self) {
-        self.admin_ip = None;
     }
 }
 

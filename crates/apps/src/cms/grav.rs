@@ -19,14 +19,12 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone)]
 pub struct Grav {
     pub(crate) base: BaseApp,
-    admin_ip: Option<Ipv4Addr>,
 }
 
 impl Grav {
     pub fn new(version: Version, config: AppConfig) -> Self {
         Grav {
             base: BaseApp::new(AppId::Grav, version, config),
-            admin_ip: None,
         }
     }
 
@@ -80,12 +78,9 @@ impl Grav {
                     return Response::unauthorized("Grav").into();
                 }
                 let user = req
-                    .body_text()
-                    .split('&')
-                    .find_map(|kv| kv.strip_prefix("username=").map(str::to_string))
+                    .form_param("username")
                     .unwrap_or_else(|| "admin".to_string());
-                self.base.config.installed = true;
-                self.admin_ip = Some(peer);
+                self.base.install(peer);
                 HandleOutcome::with_event(
                     Response::redirect("/admin"),
                     AppEvent::InstallCompleted { admin_user: user },
@@ -93,7 +88,7 @@ impl Grav {
             }
             (nokeys_http::Method::Post, "/admin/tools/direct-install")
             | (nokeys_http::Method::Post, "/admin/config/system") => {
-                if installed && self.admin_ip == Some(peer) {
+                if self.base.is_admin(peer) {
                     HandleOutcome::with_event(
                         Response::json("{\"status\":\"success\"}"),
                         AppEvent::CommandExecuted {
@@ -106,10 +101,6 @@ impl Grav {
             }
             _ => Response::not_found().into(),
         }
-    }
-
-    fn reset_state(&mut self) {
-        self.admin_ip = None;
     }
 }
 

@@ -19,14 +19,12 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone)]
 pub struct Joomla {
     pub(crate) base: BaseApp,
-    admin_ip: Option<Ipv4Addr>,
 }
 
 impl Joomla {
     pub fn new(version: Version, config: AppConfig) -> Self {
         Joomla {
             base: BaseApp::new(AppId::Joomla, version, config),
-            admin_ip: None,
         }
     }
 
@@ -93,19 +91,16 @@ impl Joomla {
                         .into();
                 }
                 let user = req
-                    .body_text()
-                    .split('&')
-                    .find_map(|kv| kv.strip_prefix("admin_user=").map(str::to_string))
+                    .form_param("admin_user")
                     .unwrap_or_else(|| "admin".to_string());
-                self.base.config.installed = true;
-                self.admin_ip = Some(peer);
+                self.base.install(peer);
                 HandleOutcome::with_event(
                     Response::html(html::page("Congratulations!", "Joomla! is now installed.")),
                     AppEvent::InstallCompleted { admin_user: user },
                 )
             }
             (nokeys_http::Method::Post, "/administrator/index.php") => {
-                if installed && self.admin_ip == Some(peer) {
+                if self.base.is_admin(peer) {
                     HandleOutcome::with_event(
                         Response::html(html::page("Template edited", "Saved.")),
                         AppEvent::CommandExecuted {
@@ -118,10 +113,6 @@ impl Joomla {
             }
             _ => Response::not_found().into(),
         }
-    }
-
-    fn reset_state(&mut self) {
-        self.admin_ip = None;
     }
 }
 

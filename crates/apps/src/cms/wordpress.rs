@@ -18,15 +18,12 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone)]
 pub struct WordPress {
     pub(crate) base: BaseApp,
-    /// IP that completed the installation (holds the admin credentials).
-    admin_ip: Option<Ipv4Addr>,
 }
 
 impl WordPress {
     pub fn new(version: Version, config: AppConfig) -> Self {
         WordPress {
             base: BaseApp::new(AppId::WordPress, version, config),
-            admin_ip: None,
         }
     }
 
@@ -86,13 +83,8 @@ impl WordPress {
                 if installed {
                     return Response::html(html::page("Installed", "Already installed.")).into();
                 }
-                let user = req
-                    .body_text()
-                    .split('&')
-                    .find_map(|kv| kv.strip_prefix("user_name=").map(str::to_string))
-                    .unwrap_or_else(|| "admin".to_string());
-                self.base.config.installed = true;
-                self.admin_ip = Some(peer);
+                let user = req.form_param("user_name").unwrap_or_else(|| "admin".to_string());
+                self.base.install(peer);
                 HandleOutcome::with_event(
                     Response::html(html::page("Success!", "<h1>Success!</h1>")),
                     AppEvent::InstallCompleted { admin_user: user },
@@ -105,7 +97,7 @@ impl WordPress {
                 // Editing PHP templates is code execution; only the admin
                 // (in the hijack scenario: the attacker who completed the
                 // installation) can do it.
-                if installed && self.admin_ip == Some(peer) {
+                if self.base.is_admin(peer) {
                     HandleOutcome::with_event(
                         Response::html(html::page("Edit Themes", "File edited successfully.")),
                         AppEvent::CommandExecuted {
@@ -125,10 +117,6 @@ impl WordPress {
             }
             _ => Response::not_found().into(),
         }
-    }
-
-    fn reset_state(&mut self) {
-        self.admin_ip = None;
     }
 }
 

@@ -85,11 +85,7 @@ impl Adminer {
             (nokeys_http::Method::Get, "/") => Response::redirect("/adminer.php").into(),
             (nokeys_http::Method::Post, p) if Self::is_adminer_path(p) => {
                 if self.open() {
-                    let sql = req
-                        .body_text()
-                        .split('&')
-                        .find_map(|kv| kv.strip_prefix("query=").map(str::to_string))
-                        .unwrap_or_else(|| req.body_text());
+                    let sql = req.form_param("query").unwrap_or_else(|| req.body_text());
                     HandleOutcome::with_event(
                         Response::html(html::page("Query", "<table></table>")),
                         AppEvent::SqlExecuted { query: sql },
@@ -105,8 +101,6 @@ impl Adminer {
             _ => Response::not_found().into(),
         }
     }
-
-    fn reset_state(&mut self) {}
 }
 
 impl_webapp!(Adminer);

@@ -72,8 +72,6 @@ impl Ajenti {
             _ => Response::not_found().into(),
         }
     }
-
-    fn reset_state(&mut self) {}
 }
 
 impl_webapp!(Ajenti);

@@ -75,9 +75,7 @@ impl PhpMyAdmin {
             (nokeys_http::Method::Post, "/import.php") => {
                 if self.open() {
                     let sql = req
-                        .body_text()
-                        .split('&')
-                        .find_map(|kv| kv.strip_prefix("sql_query=").map(str::to_string))
+                        .form_param("sql_query")
                         .unwrap_or_else(|| req.body_text());
                     HandleOutcome::with_event(
                         Response::html(html::page("Query results", "<table></table>")),
@@ -92,8 +90,6 @@ impl PhpMyAdmin {
             _ => Response::not_found().into(),
         }
     }
-
-    fn reset_state(&mut self) {}
 }
 
 impl_webapp!(PhpMyAdmin);

@@ -54,8 +54,6 @@ impl LoginWalled {
             _ => Response::not_found().into(),
         }
     }
-
-    fn reset_state(&mut self) {}
 }
 
 impl_webapp!(LoginWalled);

@@ -175,7 +175,7 @@ impl Jupyter {
     }
 }
 
-impl_webapp!(Jupyter);
+impl_webapp!(Jupyter, Jupyter::reset_state);
 
 #[cfg(test)]
 mod tests {

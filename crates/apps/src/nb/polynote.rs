@@ -58,8 +58,6 @@ impl Polynote {
             _ => Response::not_found().into(),
         }
     }
-
-    fn reset_state(&mut self) {}
 }
 
 impl_webapp!(Polynote);

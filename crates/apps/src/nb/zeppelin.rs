@@ -87,7 +87,7 @@ impl Zeppelin {
     }
 }
 
-impl_webapp!(Zeppelin);
+impl_webapp!(Zeppelin, Zeppelin::reset_state);
 
 #[cfg(test)]
 mod tests {

@@ -12,6 +12,8 @@
 //! quantifies the paper's "our results are a lower bound" claim.
 
 use crate::plugin::detect_mav;
+use crate::prefilter::candidates;
+use crate::scratch::Scratch;
 use nokeys_apps::{AppId, AttackVector};
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use std::net::Ipv4Addr;
@@ -54,9 +56,7 @@ pub fn probe_domain<T: Transport>(
     let Ok(root) = named.get_path(ep, Scheme::Http, "/") else {
         return (None, false);
     };
-    let body = crate::pattern::PreparedBody::new(root.response.body_str());
-    let candidates = crate::MultiPattern::catalog().match_candidates(&body);
-    let cms = candidates
+    let cms = candidates(&root.response.body_str(), &mut Scratch::new())
         .into_iter()
         .find(|app| app.info().vector == Some(AttackVector::Install));
     let Some(app) = cms else {

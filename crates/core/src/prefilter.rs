@@ -89,11 +89,18 @@ impl PrefilterMetrics {
     }
 }
 
+/// The candidate applications of `body`, strongest first: the catalog
+/// automaton walks the body once into `scratch` (not 90 searches), and
+/// the matched signatures are tallied per application and ranked.
+/// `scratch.matched()` holds the matched signatures until its next use.
+pub fn candidates(body: &str, scratch: &mut Scratch) -> Vec<AppId> {
+    let matcher = MultiPattern::catalog();
+    matcher.matched_signatures_scratch(body, scratch);
+    rank_candidates(matcher.counts_from_matched(scratch.matched()))
+}
+
 /// The stage-II prefilter.
 pub struct Prefilter {
-    /// The compiled signature catalog — the per-body hot loop reads
-    /// the body once instead of running 90 searches.
-    matcher: &'static MultiPattern,
     metrics: PrefilterMetrics,
 }
 
@@ -112,7 +119,6 @@ impl Prefilter {
     /// hit counts into `telemetry`.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
         Prefilter {
-            matcher: MultiPattern::catalog(),
             metrics: PrefilterMetrics::new(telemetry, &all_signatures()),
         }
     }
@@ -157,12 +163,10 @@ impl Prefilter {
                 let body = fetched.response.body_str();
                 self.metrics.bodies_matched.incr();
                 self.metrics.body_bytes.observe(body.len() as u64);
-                self.matcher.matched_signatures_scratch(&body, scratch);
+                let candidates = candidates(&body, scratch);
                 for id in scratch.matched().iter() {
                     self.metrics.signature_hits[id].incr();
                 }
-                let candidates =
-                    rank_candidates(self.matcher.counts_from_matched(scratch.matched()));
                 if !candidates.is_empty() {
                     hit = Some(PrefilterHit {
                         endpoint: ep,
@@ -193,11 +197,6 @@ impl Prefilter {
         (endpoints.iter())
             .filter_map(|&ep| self.probe_endpoint_scratch(client, ep, scratch))
             .collect()
-    }
-
-    /// Number of loaded signatures (90 in the paper's configuration).
-    pub fn signature_count(&self) -> usize {
-        self.matcher.len()
     }
 }
 
@@ -235,7 +234,6 @@ mod tests {
             Prefilter::schemes_for_port(8080),
             &[Scheme::Http, Scheme::Https]
         );
-        assert_eq!(Prefilter::new().signature_count(), 90);
     }
 
     #[test]

@@ -51,9 +51,8 @@
 //!   endpoint, instant, request target, try)`: no draw depends on which
 //!   worker, batch or process made it, or on what ran before — so
 //!   fault-injected replays shard and resume exactly, too. Each worker
-//!   has its transport report injected faults
-//!   ([`Transport::report_faults_to`]) to its staging registry as
-//!   `fault.<lane>.injected`, so a logged batch carries its faults.
+//!   counts its transport's injected faults in its staging registry
+//!   ([`Telemetry::count_faults`]), so a logged batch carries its faults.
 //!
 //! Which worker runs which batch is timing-dependent, so nothing about
 //! scheduling ever enters a report or the telemetry registry.
@@ -79,10 +78,10 @@ use crate::rate::SharedPacer;
 use crate::report::{HostFinding, ScanReport};
 use crate::retry::RetryTransport;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use nokeys_http::{Client, FaultLane, Transport};
+use nokeys_http::{Client, Transport};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The scan's one piece of shared state: every finished batch's
 /// findings by batch sequence number, plus one registry holding the
@@ -186,15 +185,8 @@ impl<'a, T: Transport + Clone> BatchRunner<'a, T> {
         let processor = BatchProcessor::new(config, &staging);
         // A fault counts in the batch that drew it, so a checkpoint logs
         // it with the batch's other counters.
-        let faults = staging.clone();
         let mut transport = client.transport().clone();
-        transport.report_faults_to(Arc::new(move |lane| {
-            let name = match lane {
-                FaultLane::Probe => "fault.probe.injected",
-                FaultLane::Connect => "fault.connect.injected",
-            };
-            faults.counter(name).incr();
-        }));
+        staging.count_faults(&mut transport);
         let client = client.with_transport(RetryTransport::new(
             transport,
             config.max_attempts,

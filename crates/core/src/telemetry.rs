@@ -33,6 +33,7 @@
 //!   runs and platforms.
 
 use crate::json::{object, FromJson, JsonError, ToJson, Value};
+use nokeys_http::{FaultLane, Transport};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -228,6 +229,23 @@ impl Telemetry {
             .entry(name.to_string())
             .or_insert_with(|| Histogram::new(bounds))
             .clone()
+    }
+
+    /// The counter of faults injected on `lane`,
+    /// `fault.{probe,connect}.injected`.
+    pub fn fault_counter(&self, lane: FaultLane) -> Counter {
+        self.counter(match lane {
+            FaultLane::Probe => "fault.probe.injected",
+            FaultLane::Connect => "fault.connect.injected",
+        })
+    }
+
+    /// From now on, count every fault `transport` injects on its lane's
+    /// [`fault_counter`](Self::fault_counter), which registers at the
+    /// lane's first fault.
+    pub fn count_faults(&self, transport: &mut impl Transport) {
+        let telemetry = self.clone();
+        transport.report_faults_to(Arc::new(move |lane| telemetry.fault_counter(lane).incr()));
     }
 
     /// Merge a snapshot's values into this registry, registering any

@@ -5,9 +5,9 @@
 use nokeys_apps::AppId;
 use nokeys_honeypot::Fleet;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
-use nokeys_scanner::pattern::PreparedBody;
 use nokeys_scanner::plugin::detect_mav;
-use nokeys_scanner::MultiPattern;
+use nokeys_scanner::prefilter::candidates;
+use nokeys_scanner::Scratch;
 
 /// Finding severity as reported by the vendor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,13 +106,14 @@ impl CommercialScanner {
             Severity::Informational => {
                 // Product presence only: match identification signatures.
                 let fetched = client.get_path(ep, Scheme::Http, "/").ok()?;
-                let body = PreparedBody::new(fetched.response.body_str());
-                let candidates = MultiPattern::catalog().match_candidates(&body);
-                candidates.contains(&app).then_some(VendorFinding {
-                    endpoint: ep,
-                    app,
-                    severity: Severity::Informational,
-                })
+                let body = fetched.response.body_str();
+                candidates(&body, &mut Scratch::new())
+                    .contains(&app)
+                    .then_some(VendorFinding {
+                        endpoint: ep,
+                        app,
+                        severity: Severity::Informational,
+                    })
             }
         }
     }

@@ -78,19 +78,6 @@ pub fn detect_attacks(records: &[AuditRecord]) -> Vec<Attack> {
     closed
 }
 
-/// Time from `study_start` to the first attack on each application
-/// (Table 6, "First" column).
-pub fn first_attack_hours(attacks: &[Attack], study_start: SimTime) -> HashMap<AppId, f64> {
-    let mut out: HashMap<AppId, f64> = HashMap::new();
-    for a in attacks {
-        let hours = a.start.since(study_start).as_hours_f64();
-        out.entry(a.app)
-            .and_modify(|h| *h = h.min(hours))
-            .or_insert(hours);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,18 +139,5 @@ mod tests {
             rec(AppId::Hadoop, [81, 2, 0, 1], 30, None),
         ];
         assert!(detect_attacks(&records).is_empty());
-    }
-
-    #[test]
-    fn first_attack_times() {
-        let records = vec![
-            rec(AppId::Hadoop, [81, 2, 0, 1], 3600, Some("a")),
-            rec(AppId::Hadoop, [81, 2, 0, 2], 7200, Some("b")),
-            rec(AppId::Docker, [81, 2, 0, 3], 7200, Some("c")),
-        ];
-        let attacks = detect_attacks(&records);
-        let firsts = first_attack_hours(&attacks, SimTime(0));
-        assert_eq!(firsts[&AppId::Hadoop], 1.0);
-        assert_eq!(firsts[&AppId::Docker], 2.0);
     }
 }

@@ -107,17 +107,20 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
         let honeypot = fleet
             .honeypot(planned.app)
             .expect("plan only targets deployed applications");
+        let mut restore = |reason: Option<RestoreReason>| {
+            if let Some(reason) = reason {
+                honeypot.monitored.restore();
+                restores.push(RestoreEvent {
+                    time: planned.time,
+                    app: planned.app,
+                    reason,
+                });
+            }
+        };
 
         // Availability monitor: if a previous attacker (the vigilante)
         // took the service down, the monitor has restored it by now.
-        if !honeypot.monitored.is_up() {
-            honeypot.monitored.restore();
-            restores.push(RestoreEvent {
-                time: planned.time,
-                app: planned.app,
-                reason: RestoreReason::AvailabilityLost,
-            });
-        }
+        restore((!honeypot.monitored.is_up()).then_some(RestoreReason::AvailabilityLost));
 
         // Execute the attack script through the normal HTTP stack, from
         // the attacker's source address.
@@ -134,34 +137,16 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
         }
         fleet.log.stamp_since(log_before, planned.time);
 
-        // Post-attack procedures.
-        if honeypot.monitored.gauge().threshold_exceeded() {
-            honeypot.monitored.restore();
-            restores.push(RestoreEvent {
-                time: planned.time,
-                app: planned.app,
-                reason: RestoreReason::ResourceThreshold,
-            });
+        // Post-attack procedures, the first that applies.
+        restore(if honeypot.monitored.gauge().threshold_exceeded() {
+            Some(RestoreReason::ResourceThreshold)
         } else if !honeypot.monitored.is_up() {
-            honeypot.monitored.restore();
-            restores.push(RestoreEvent {
-                time: planned.time,
-                app: planned.app,
-                reason: RestoreReason::AvailabilityLost,
-            });
+            Some(RestoreReason::AvailabilityLost)
+        } else if (fleet.log).any_since(log_before, AuditRecord::is_attack_evidence) {
+            Some(RestoreReason::CompromiseDetected)
         } else {
-            if fleet
-                .log
-                .any_since(log_before, AuditRecord::is_attack_evidence)
-            {
-                honeypot.monitored.restore();
-                restores.push(RestoreEvent {
-                    time: planned.time,
-                    app: planned.app,
-                    reason: RestoreReason::CompromiseDetected,
-                });
-            }
-        }
+            None
+        });
     }
 
     // Drain remaining noise.

@@ -63,17 +63,29 @@ impl Request {
     /// Value of a single query parameter, percent-decoding not applied
     /// (scan targets never need it).
     pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query()?
-            .split('&')
-            .filter_map(|kv| kv.split_once('='))
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
+        param(self.query()?, key)
+    }
+
+    /// Value of a single field of a form-encoded body (lossy UTF-8),
+    /// read like [`query_param`](Self::query_param).
+    pub fn form_param(&self, key: &str) -> Option<String> {
+        param(&String::from_utf8_lossy(&self.body), key).map(str::to_string)
     }
 
     /// Body interpreted as UTF-8 (lossy).
     pub fn body_text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
     }
+}
+
+/// The value of `key` in `a=1&b=2` pairs: each pair is split at its
+/// first `=`, and a pair without one is skipped.
+fn param<'a>(pairs: &'a str, key: &str) -> Option<&'a str> {
+    pairs
+        .split('&')
+        .filter_map(|kv| kv.split_once('='))
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v)
 }
 
 fn normalize_target(t: String) -> String {
@@ -105,6 +117,30 @@ mod tests {
         assert_eq!(r.query_param("step"), Some("1"));
         assert_eq!(r.query_param("lang"), Some("en"));
         assert_eq!(r.query_param("missing"), None);
+    }
+
+    /// The rows are the bodies the models' form readers have to handle.
+    #[test]
+    fn form_param_reads_one_field() {
+        let rows: &[(&str, &str, Option<&str>)] = &[
+            ("user_name=evil&admin_password=x", "user_name", Some("evil")),
+            ("admin_password=x&user_name=evil", "user_name", Some("evil")),
+            ("admin_password=x", "user_name", None),
+            ("", "user_name", None),
+            ("{}", "query", None),
+            ("query", "query", None),
+            ("query=", "query", Some("")),
+            ("query=a=b&c", "query", Some("a=b")),
+            ("sql_query=SELECT 1", "query", None),
+            ("query=1&query=2", "query", Some("1")),
+            ("SELECT * FROM users", "sql_query", None),
+        ];
+        for &(body, key, want) in rows {
+            let req = Request::post("/", body);
+            assert_eq!(req.form_param(key).as_deref(), want, "{body:?} {key}");
+        }
+        let req = Request::post("/", b"user=a\xffb".to_vec());
+        assert_eq!(req.form_param("user").as_deref(), Some("a\u{fffd}b"));
     }
 
     #[test]

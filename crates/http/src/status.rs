@@ -42,16 +42,6 @@ impl StatusCode {
         matches!(self.0, 301 | 302 | 303 | 307 | 308)
     }
 
-    /// `4xx`.
-    pub fn is_client_error(self) -> bool {
-        (400..500).contains(&self.0)
-    }
-
-    /// `5xx`.
-    pub fn is_server_error(self) -> bool {
-        (500..600).contains(&self.0)
-    }
-
     /// Canonical reason phrase; unknown codes get an empty phrase, which is
     /// valid on the wire.
     pub fn reason(self) -> &'static str {
@@ -100,8 +90,6 @@ mod tests {
             !StatusCode(304).is_redirect(),
             "304 has no Location to follow"
         );
-        assert!(StatusCode::NOT_FOUND.is_client_error());
-        assert!(StatusCode::BAD_GATEWAY.is_server_error());
     }
 
     #[test]

@@ -29,13 +29,6 @@ impl Version {
             Version::Http11 => "HTTP/1.1",
         }
     }
-
-    /// Whether the connection persists after a message of this version,
-    /// before any `Connection` header is considered: true for HTTP/1.1,
-    /// false for HTTP/1.0 (RFC 9112 §9.3).
-    pub fn keep_alive_by_default(self) -> bool {
-        matches!(self, Version::Http11)
-    }
 }
 
 impl std::fmt::Display for Version {
@@ -63,8 +56,6 @@ mod tests {
     #[test]
     fn default_is_http11() {
         assert_eq!(Version::default(), Version::Http11);
-        assert!(Version::Http11.keep_alive_by_default());
-        assert!(!Version::Http10.keep_alive_by_default());
     }
 
     #[test]

@@ -549,11 +549,6 @@ pub fn pick_weighted(mix: &[(CountryCode, AsInfo, u32)], draw: u32) -> (CountryC
     unreachable!("draw is reduced modulo the total weight")
 }
 
-/// Total weight of a mix (for sampling).
-pub fn mix_total(mix: &[(CountryCode, AsInfo, u32)]) -> u32 {
-    mix.iter().map(|(_, _, w)| *w).sum()
-}
-
 /// The simulation's IP metadata service: a populated map from address to
 /// record, filled in during universe generation.
 #[derive(Debug, Default, Clone)]
@@ -592,7 +587,7 @@ mod tests {
 
     #[test]
     fn weighted_pick_is_exhaustive_and_proportional() {
-        let total = mix_total(HOSTING_MIX);
+        let total: u32 = HOSTING_MIX.iter().map(|(_, _, w)| w).sum();
         let mut counts: HashMap<&str, u32> = HashMap::new();
         for draw in 0..total {
             let (c, _) = pick_weighted(HOSTING_MIX, draw);
@@ -667,7 +662,7 @@ mod attacker_mix_tests {
 
     #[test]
     fn attacker_mix_sums_to_total_attacks() {
-        assert_eq!(mix_total(ATTACKER_MIX), 2_195);
+        assert_eq!(by_country().values().sum::<u32>(), 2_195);
     }
 
     #[test]

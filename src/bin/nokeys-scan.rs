@@ -29,6 +29,7 @@
 //! no virtual instant, so a rescan repeats the last one's fates.
 //! `--metrics-out` counts them as `fault.{probe,connect}.injected`.
 
+use nokeys::cli::{resume_from, value, write_metrics, ScanFlags};
 use nokeys::http::transport::TcpTransport;
 use nokeys::http::Client;
 use nokeys::netsim::{FaultPlan, FaultyTransport};
@@ -38,10 +39,8 @@ use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 struct Args {
     /// The scan the flags describe.
     config: PipelineConfig,
-    fault_rate: f64,
+    flags: ScanFlags,
     json: Option<String>,
-    metrics_out: Option<String>,
-    resume: bool,
 }
 
 fn usage() -> ! {
@@ -68,30 +67,22 @@ fn parse_args() -> Args {
             backoff_unit: std::time::Duration::from_millis(1),
             ..PipelineConfig::new(Vec::new())
         },
-        fault_rate: 0.0,
+        flags: ScanFlags::default(),
         json: None,
-        metrics_out: None,
-        resume: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
             "--target" => {
-                i += 1;
-                let cidr = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
+                let cidr = value(&mut argv).unwrap_or_else(|| usage());
                 args.config.targets.push(cidr);
             }
             "--ports" => {
-                i += 1;
                 // Every element must parse: "80,abc,443" is an error,
                 // not a two-port list (filter_map used to silently drop
                 // the bad entries).
                 args.config.ports = argv
-                    .get(i)
+                    .next()
                     .and_then(|s| {
                         s.split(',')
                             .map(|p| p.parse().ok())
@@ -103,61 +94,22 @@ fn parse_args() -> Args {
                 }
             }
             "--rate" => {
-                i += 1;
                 args.config.max_probes_per_sec = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
+                    value(&mut argv)
                         .filter(|r: &f64| r.is_finite() && *r > 0.0)
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--shards" => {
-                i += 1;
-                args.config.shards = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--retries" => {
-                i += 1;
-                args.config.max_attempts = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--fault-rate" => {
-                i += 1;
-                args.fault_rate = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .unwrap_or_else(|| usage());
-            }
             "--include-reserved" => args.config.exclude_reserved = false,
-            "--resume" => args.resume = true,
-            "--checkpoint" => {
-                i += 1;
-                args.config.checkpoint_path =
-                    Some(argv.get(i).map(Into::into).unwrap_or_else(|| usage()));
+            "--json" => args.json = Some(argv.next().unwrap_or_else(|| usage())),
+            flag => {
+                if args.flags.read(flag, &mut argv, &mut args.config) != Some(true) {
+                    usage();
+                }
             }
-            "--json" => {
-                i += 1;
-                args.json = Some(argv.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--metrics-out" => {
-                i += 1;
-                args.metrics_out = Some(argv.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
         }
-        i += 1;
     }
-    if args.config.targets.is_empty() {
-        usage();
-    }
-    if args.resume && args.config.checkpoint_path.is_none() {
-        eprintln!("error: --resume requires --checkpoint FILE");
+    if args.config.targets.is_empty() || !args.flags.fit(&args.config) {
         usage();
     }
     args
@@ -177,29 +129,22 @@ fn main() {
         eprintln!("checkpointing to {}", path.display());
     }
 
-    // Resume when asked to and something is there to resume from;
-    // otherwise a fresh (checkpointed) run.
-    let resume_from =
-        (config.checkpoint_path.as_deref()).filter(|path| args.resume && path.exists());
-    if let Some(path) = resume_from {
-        eprintln!("resuming from checkpoint {}", path.display());
-    }
-    let resume = resume_from.is_some();
+    let resume = resume_from(config, args.flags.resume)
+        .inspect(|path| eprintln!("resuming from checkpoint {}", path.display()))
+        .is_some();
     let telemetry = Telemetry::new();
     let pipeline = Pipeline::new(args.config, &telemetry);
 
     // The fault-injection wrapper is a passthrough at rate 0 (the
     // default); its draws are keyed on each try, so every worker draws
     // the same fates whichever batches it runs.
-    if args.fault_rate > 0.0 {
-        eprintln!(
-            "injecting synthetic transport faults at rate {}",
-            args.fault_rate
-        );
+    let fault_rate = args.flags.fault_rate;
+    if fault_rate > 0.0 {
+        eprintln!("injecting synthetic transport faults at rate {fault_rate}");
     }
     let client = Client::new(FaultyTransport::new(
         TcpTransport::default(),
-        FaultPlan::new(args.fault_rate, 0x6e6f_6b65_7973),
+        FaultPlan::new(fault_rate, 0x6e6f_6b65_7973),
     ));
     let outcome = if resume {
         pipeline.resume(&client)
@@ -238,13 +183,7 @@ fn main() {
         eprintln!("report written to {path}");
     }
 
-    if let Some(path) = args.metrics_out {
-        let snapshot = telemetry.snapshot();
-        eprint!("{}", snapshot.render_text());
-        std::fs::write(&path, snapshot.to_json_pretty()).unwrap_or_else(|e| {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("metrics written to {path}");
+    if let Some(path) = &args.flags.metrics_out {
+        write_metrics(&telemetry, path);
     }
 }

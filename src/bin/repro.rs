@@ -34,7 +34,9 @@
 //! the final report and telemetry are byte-identical to an
 //! uninterrupted run.
 
+use nokeys::cli::{value, write_metrics, ScanFlags};
 use nokeys::repro::{Repro, Scale};
+use nokeys::scanner::PipelineConfig;
 
 fn usage() -> ! {
     eprintln!(
@@ -47,70 +49,21 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-
+    let mut args = std::env::args().skip(1);
     let mut seed: u64 = 2022;
     let mut scale = Scale::Full;
     let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut fault_rate: f64 = 0.0;
-    let mut retries: u32 = 3;
-    let mut shards: usize = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut checkpoint: Option<std::path::PathBuf> = None;
-    let mut resume = false;
+    let mut scan = PipelineConfig {
+        shards: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ..PipelineConfig::new(Vec::new())
+    };
+    let mut flags = ScanFlags::default();
     let mut ids: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => scale = Scale::Quick,
-            "--resume" => resume = true,
-            "--checkpoint" => {
-                i += 1;
-                checkpoint = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--fault-rate" => {
-                i += 1;
-                fault_rate = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .unwrap_or_else(|| usage());
-            }
-            "--retries" => {
-                i += 1;
-                retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                out_dir = Some(args.get(i).map(Into::into).unwrap_or_else(|| usage()));
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--out" => out_dir = Some(args.next().unwrap_or_else(|| usage()).into()),
+            "--seed" => seed = value(&mut args).unwrap_or_else(|| usage()),
             "list" => {
                 for id in Repro::all_ids() {
                     println!("{id}");
@@ -118,25 +71,22 @@ fn main() {
                 return;
             }
             "all" => ids.extend(Repro::all_ids().iter().map(|s| s.to_string())),
-            other if other.starts_with('-') => usage(),
-            other => ids.push(other.to_string()),
+            other => match flags.read(other, &mut args, &mut scan) {
+                Some(true) => {}
+                Some(false) if !other.starts_with('-') => ids.push(other.to_string()),
+                _ => usage(),
+            },
         }
-        i += 1;
     }
-    if ids.is_empty() {
+    if ids.is_empty() || !flags.fit(&scan) {
         usage();
     }
 
-    if resume && checkpoint.is_none() {
-        eprintln!("error: --resume requires --checkpoint FILE");
-        usage();
-    }
-
-    let mut harness = Repro::new(seed, scale).with_fault_rate(fault_rate);
-    harness.config.max_attempts = retries;
-    harness.config.shards = shards;
-    harness.config.checkpoint_path = checkpoint;
-    harness.resume = resume;
+    let mut harness = Repro::new(seed, scale).with_fault_rate(flags.fault_rate);
+    harness.config.max_attempts = scan.max_attempts;
+    harness.config.shards = scan.shards;
+    harness.config.checkpoint_path = scan.checkpoint_path;
+    harness.resume = flags.resume;
     println!(
         "# nokeys repro — seed {seed}, scale {:?}, universe {}",
         scale,
@@ -161,13 +111,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = metrics_out {
-        let snapshot = harness.telemetry().snapshot();
-        eprint!("{}", snapshot.render_text());
-        std::fs::write(&path, snapshot.to_json_pretty()).unwrap_or_else(|e| {
-            eprintln!("error writing {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("metrics written to {path}");
+    if let Some(path) = &flags.metrics_out {
+        write_metrics(harness.telemetry(), path);
     }
 }

@@ -17,4 +17,5 @@ pub use nokeys_http as http;
 pub use nokeys_netsim as netsim;
 pub use nokeys_scanner as scanner;
 
+pub mod cli;
 pub mod repro;

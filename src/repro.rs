@@ -5,7 +5,7 @@
 use nokeys_analysis as analysis;
 use nokeys_defend::VendorFinding;
 use nokeys_honeypot::{run_study, StudyConfig, StudyResult};
-use nokeys_http::{Client, Transport};
+use nokeys_http::Client;
 use nokeys_netsim::{
     FaultLane, FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
 };
@@ -110,26 +110,17 @@ impl Repro {
                 // The scan's workers report theirs batch by batch instead
                 // (and a checkpoint keeps them); this observer sees the
                 // faults of the studies that reuse the scan's transport.
-                let probe = self.telemetry.counter("fault.probe.injected");
-                let connect = self.telemetry.counter("fault.connect.injected");
-                transport.report_faults_to(Arc::new(move |lane| match lane {
-                    FaultLane::Probe => probe.incr(),
-                    FaultLane::Connect => connect.incr(),
-                }));
+                // A faulted run lists both counters, even at zero.
+                for lane in [FaultLane::Probe, FaultLane::Connect] {
+                    self.telemetry.fault_counter(lane);
+                }
+                self.telemetry.count_faults(&mut transport);
             }
             let client = Client::new(transport.clone());
             // Faults or not, the report is byte-identical at any shard
             // count: no fault draw depends on what ran before it.
             let pipeline = Pipeline::new(self.config.clone(), &self.telemetry);
-            // Resume when asked to and a checkpoint exists; otherwise a
-            // fresh (checkpointed) run.
-            let resume = self.resume
-                && self
-                    .config
-                    .checkpoint_path
-                    .as_ref()
-                    .is_some_and(|p| p.exists());
-            let report = if resume {
+            let report = if crate::cli::resume_from(&self.config, self.resume).is_some() {
                 pipeline.resume(&client)
             } else {
                 pipeline.run(&client)

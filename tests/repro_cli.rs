@@ -100,6 +100,22 @@ fn nokeys_scan_rejects_malformed_flag_values() {
     }
 }
 
+/// The shared scan flags that take a value are usage errors (exit 2)
+/// without one, in both binaries.
+#[test]
+fn scan_flags_without_a_value_exit_2() {
+    let cases = [
+        (repro(), ["table1", "--quick", "--checkpoint"]),
+        (repro(), ["table1", "--quick", "--metrics-out"]),
+        (nokeys_scan(), ["--target", "192.0.2.0/28", "--checkpoint"]),
+        (nokeys_scan(), ["--target", "192.0.2.0/28", "--metrics-out"]),
+    ];
+    for (mut binary, case) in cases {
+        let out = binary.args(case).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{case:?}");
+    }
+}
+
 /// `--checkpoint F`, a log torn mid-line, `--resume` at another shard
 /// count: the same table, and `F` is the only file checkpointing made.
 #[test]
