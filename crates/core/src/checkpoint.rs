@@ -17,7 +17,10 @@
 //! the [`TelemetrySnapshot`] of the work it took (its stage, retry and
 //! injected-fault counters and histograms). That is the whole batch:
 //! every count of the [`ScanReport`](crate::report::ScanReport) is read
-//! off the telemetry when the scan finishes.
+//! off the telemetry when the scan finishes. A batch records into its
+//! own registry, so its line is a function of the batch alone: the same
+//! bytes whichever worker, process or shard count produced it. Only the
+//! order of the lines depends on the run.
 //! Batches are the engine's unit of determinism — the block shuffle is
 //! seeded and every batch is processed whole by one worker — so any set
 //! of logged batches plus a scan of the missing ones adds up to a
@@ -36,10 +39,11 @@
 //! anything is appended, and the batch it belonged to is rescanned.
 //! Every *complete* line is outside input and must check out — one that
 //! does not parse, a batch index past the end of the scan or logged
-//! twice is [`CheckpointError::Corrupt`], never skipped. (Lines are
-//! handed to the operating system, not fsynced: the log survives the
-//! death of the process, which is the failure a day-long scan actually
-//! meets, not the loss of the machine.)
+//! twice, a histogram whose bounds do not strictly increase or differ
+//! from an earlier line's is [`CheckpointError::Corrupt`], never
+//! skipped. (Lines are handed to the operating system, not fsynced: the
+//! log survives the death of the process, which is the failure a
+//! day-long scan actually meets, not the loss of the machine.)
 //!
 //! # Config fingerprint
 //!
@@ -182,6 +186,8 @@ impl CheckpointLog {
             )));
         }
         let mut batches = LoggedBatches::new();
+        // Each histogram's bounds as the first line holding it logged them.
+        let mut bounds = BTreeMap::new();
         for line in lines {
             let line = json::parse(line).map_err(corrupt)?;
             let seq: u64 = line.field("seq").map_err(corrupt)?;
@@ -190,11 +196,19 @@ impl CheckpointLog {
                     "batch {seq} logged in a {total_batches}-batch scan"
                 )));
             }
-            let batch = (
-                line.field("findings").map_err(corrupt)?,
-                line.field("telemetry").map_err(corrupt)?,
-            );
-            if batches.insert(seq, batch).is_some() {
+            let findings = line.field("findings").map_err(corrupt)?;
+            let telemetry: TelemetrySnapshot = line.field("telemetry").map_err(corrupt)?;
+            for (name, h) in &telemetry.histograms {
+                let first = bounds
+                    .entry(name.clone())
+                    .or_insert_with(|| h.bounds.clone());
+                if *first != h.bounds {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "batch {seq} logs histogram {name} with other bounds"
+                    )));
+                }
+            }
+            if batches.insert(seq, (findings, telemetry)).is_some() {
                 return Err(CheckpointError::Corrupt(format!(
                     "batch {seq} logged twice"
                 )));
@@ -379,6 +393,17 @@ mod tests {
         let batch_line = batch_line.trim_end();
         let out_of_range = batch_line.replace("\"seq\":5", "\"seq\":32");
         assert_ne!(out_of_range, batch_line);
+        let with_bounds = |bounds: &str| {
+            let histogram = format!(
+                r#""stage2.redirects":{{"bounds":{bounds},"buckets":[0,0],"count":0,"overflow":0,"sum":0}}"#
+            );
+            let line = batch_line.replace(
+                r#""histograms":{}"#,
+                &format!(r#""histograms":{{{histogram}}}"#),
+            );
+            assert_ne!(line, batch_line);
+            line
+        };
         for (contents, what) in [
             ("not a checkpoint\n".to_string(), "bad JSON"),
             ("[]\n".to_string(), "missing field `format`"),
@@ -405,6 +430,20 @@ mod tests {
             (
                 format!("{header}\n{batch_line}\n{batch_line}\n"),
                 "batch 5 logged twice",
+            ),
+            // A histogram's bounds must be usable, and one histogram's
+            // bounds the same on every line.
+            (
+                format!("{header}\n{}\n", with_bounds("[4,1]")),
+                "histograms: stage2.redirects: histogram bounds [4, 1] are not strictly increasing",
+            ),
+            (
+                format!(
+                    "{header}\n{}\n{}\n",
+                    with_bounds("[1,4]"),
+                    with_bounds("[1,8]").replace("\"seq\":5", "\"seq\":6")
+                ),
+                "batch 6 logs histogram stage2.redirects with other bounds",
             ),
             // ... even when a torn tail follows them.
             (format!("{header}\nnot a batch\n{{\"seq\":"), "bad JSON"),

@@ -493,12 +493,17 @@ impl Value {
     /// Required field `key` of an object, converted.
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
         match self.get(key) {
-            Some(v) => T::from_json(v).map_err(|e| match e {
-                JsonError::Shape(what) => JsonError::Shape(format!("{key}: {what}")),
-                other => other,
-            }),
+            Some(v) => T::from_json(v).map_err(|e| within(key, e)),
             None => Err(JsonError::Shape(format!("missing field `{key}`"))),
         }
+    }
+}
+
+/// `e`, found inside the value at `key`: a shape error names the path.
+fn within(key: &str, e: JsonError) -> JsonError {
+    match e {
+        JsonError::Shape(what) => JsonError::Shape(format!("{key}: {what}")),
+        other => other,
     }
 }
 
@@ -653,7 +658,7 @@ impl<K: std::str::FromStr + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
                 let key = k
                     .parse()
                     .map_err(|_| JsonError::Shape(format!("bad map key `{k}`")))?;
-                Ok((key, V::from_json(v)?))
+                Ok((key, V::from_json(v).map_err(|e| within(k, e))?))
             })
             .collect()
     }

@@ -60,14 +60,13 @@ use crate::portscan::{by_host, Cidr};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
 use crate::scratch::Scratch;
-use crate::telemetry::{Counter, Histogram, Telemetry};
+use crate::telemetry::{Counter, ErrorCounters, Histogram, Telemetry};
 use nokeys_apps::{AppId, SCAN_PORTS};
 use nokeys_http::{Client, Endpoint, Transport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// A whole-pipeline failure.
@@ -261,10 +260,8 @@ struct PipelineMetrics {
     /// `pipeline.open_ports_per_host` — open scan ports on responsive
     /// hosts (tarpits included, so the top bucket exposes them).
     open_ports_per_host: Histogram,
-    /// `stage3.error.<class>` by [`nokeys_http::Error::class_index`]:
-    /// plugin runs a failed `GET` ended, each registered on first use
-    /// as stage II's are.
-    errors: [OnceLock<Counter>; nokeys_http::Error::CLASSES.len()],
+    /// `stage3.error.<class>`: plugin runs a failed `GET` ended.
+    errors: ErrorCounters,
 }
 
 impl PipelineMetrics {
@@ -275,7 +272,7 @@ impl PipelineMetrics {
             findings: telemetry.counter("pipeline.findings"),
             mavs: telemetry.counter("pipeline.mavs"),
             open_ports_per_host: telemetry.histogram("pipeline.open_ports_per_host", &[1, 2, 4, 8]),
-            errors: Default::default(),
+            errors: ErrorCounters::new(telemetry, "stage3"),
         }
     }
 
@@ -287,8 +284,8 @@ impl PipelineMetrics {
 }
 
 /// Stages II + III for one batch of stage-I results, bound to one
-/// telemetry registry: the [`shard`](crate::shard) engine runs one
-/// processor per worker against that worker's private staging registry.
+/// telemetry registry: the [`shard`](crate::shard) engine makes one
+/// processor per batch, on that batch's own registry.
 pub(crate) struct BatchProcessor {
     telemetry: Telemetry,
     prefilter: Prefilter,
@@ -296,7 +293,7 @@ pub(crate) struct BatchProcessor {
     metrics: PipelineMetrics,
     tarpit_port_threshold: usize,
     /// Matching and crawl buffers, reused across every endpoint and
-    /// host this processor ever sees.
+    /// host of the batch.
     scratch: Scratch,
 }
 
@@ -332,7 +329,7 @@ impl Pipeline {
 
     /// Run the full pipeline over the configured target space on
     /// [`PipelineConfig::shards`] worker threads; returns when every
-    /// worker has finished. Each worker wraps the caller's transport in
+    /// worker has finished. Each batch wraps the caller's transport in
     /// a [`RetryTransport`](crate::retry::RetryTransport), so every
     /// network operation of every stage shares
     /// [`PipelineConfig::max_attempts`].
@@ -459,12 +456,7 @@ impl BatchProcessor {
             let confirmed = app_hits.iter().copied().find(|hit| {
                 let verdict = verify(client, app, hit.endpoint, hit.scheme);
                 if let Err(error) = &verdict {
-                    self.metrics.errors[error.class_index()]
-                        .get_or_init(|| {
-                            self.telemetry
-                                .counter(&format!("stage3.error.{}", error.class()))
-                        })
-                        .incr();
+                    self.metrics.errors.count(error);
                 }
                 let confirmed = verdict == Ok(true);
                 // `stage3.verify.<app>.{confirmed,rejected}` register on

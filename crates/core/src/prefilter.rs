@@ -14,10 +14,9 @@
 use crate::multipattern::MultiPattern;
 use crate::scratch::Scratch;
 use crate::signatures::{all_signatures, rank_candidates, Signature};
-use crate::telemetry::{Counter, Histogram, Telemetry};
+use crate::telemetry::{Counter, ErrorCounters, Histogram, Telemetry};
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
-use std::sync::OnceLock;
 
 /// A stage-II hit: an endpoint that speaks HTTP(S) and looks like one or
 /// more of the studied applications.
@@ -43,12 +42,10 @@ struct PrefilterMetrics {
     signature_hits: Vec<Counter>,
     redirects: Histogram,
     body_bytes: Histogram,
-    /// `stage2.error.<class>` by [`nokeys_http::Error::class_index`],
-    /// each registered with `telemetry` on first use: a snapshot lists
-    /// only the classes that occurred.
-    errors: [OnceLock<Counter>; nokeys_http::Error::CLASSES.len()],
+    /// `stage2.error.<class>`: failed fetches.
+    errors: ErrorCounters,
     /// Registers `stage2.{http,https}_responses.<port>` (Table 2's
-    /// "# HTTP" / "# HTTPS") and the error classes on first use.
+    /// "# HTTP" / "# HTTPS") on first use.
     telemetry: Telemetry,
 }
 
@@ -67,17 +64,9 @@ impl PrefilterMetrics {
                 .collect(),
             redirects: telemetry.histogram("stage2.redirects", &[0, 1, 2, 4, 8]),
             body_bytes: telemetry.histogram("stage2.body_bytes", &[256, 1024, 4096, 16384, 65536]),
-            errors: Default::default(),
+            errors: ErrorCounters::new(telemetry, "stage2"),
             telemetry: telemetry.clone(),
         }
-    }
-
-    /// The counter of fetches that failed as `error` did.
-    fn error(&self, error: &nokeys_http::Error) -> &Counter {
-        self.errors[error.class_index()].get_or_init(|| {
-            self.telemetry
-                .counter(&format!("stage2.error.{}", error.class()))
-        })
     }
 
     /// The counter of `scheme` responses on `port`: a port's family
@@ -152,7 +141,7 @@ impl Prefilter {
             let fetched = match client.get_path(ep, scheme, "/") {
                 Ok(fetched) => fetched,
                 Err(e) => {
-                    self.metrics.error(&e).incr();
+                    self.metrics.errors.count(&e);
                     continue;
                 }
             };
@@ -186,8 +175,8 @@ impl Prefilter {
     }
 
     /// Prefilter a batch of endpoints, one after another, borrowing all
-    /// matching buffers from `scratch` (a shard worker passes the arena
-    /// it keeps for its whole life). Returns the hits in endpoint order.
+    /// matching buffers from `scratch` (a scan passes the arena it keeps
+    /// for the whole batch). Returns the hits in endpoint order.
     pub fn run<T: Transport>(
         &self,
         client: &Client<T>,

@@ -9,14 +9,15 @@
 //! is numbered `0..total_batches`;
 //! [`PipelineConfig::shards`](crate::pipeline::PipelineConfig::shards)
 //! OS threads (`std::thread::scope`) each take the next unscanned batch
-//! number from a shared atomic cursor, sweep and verify that batch, and
-//! file its result in the [`Ledger`] — until the cursor runs off the
-//! end. The finished ledger — its findings in batch order and one
-//! snapshot of its batches' telemetry, which every report number is
-//! read off — is the [`ScanReport`] and the telemetry snapshot,
-//! byte-identical at any shard count, one included. Shard workers *are*
-//! the scan's parallelism: inside a worker everything is a plain
-//! sequential loop.
+//! number from a shared atomic cursor, run that batch, and file its
+//! result in the [`Ledger`] — until the cursor runs off the end. A
+//! worker is a loop around one function, `run_batch`, which builds
+//! everything a batch needs afresh and keeps nothing afterwards. The
+//! finished ledger — its findings in batch order and one snapshot of
+//! its batches' telemetry, which every report number is read off — is
+//! the [`ScanReport`] and the telemetry snapshot, byte-identical at any
+//! shard count, one included. Shard workers *are* the scan's
+//! parallelism: inside a worker everything is a plain sequential loop.
 //!
 //! # The cursor
 //!
@@ -39,23 +40,24 @@
 //!   per-batch findings in key order reconstructs the single-worker
 //!   findings order exactly, whichever worker filed which batch when.
 //! * Telemetry snapshots are sums (counters add, histogram buckets
-//!   add). A worker records into a private staging registry and
-//!   empties it after every batch ([`Telemetry::take`]), so what it
+//!   add). A batch records into its own registry, so what a worker
 //!   files is that batch's work alone, and absorbing the batches in
-//!   *any* order yields the single-worker registry. Every count in the
-//!   [`ScanReport`] — Table 2's per-port rows, the exclusions, the
-//!   stage funnel — is read off that registry once, when the ledger
-//!   finishes (`ScanReport::from_telemetry`), so no count is kept
-//!   twice.
+//!   *any* order yields the single-worker registry. An instrument
+//!   registered on first use appears in the batches that used it.
+//!   Every count in the [`ScanReport`] — Table 2's per-port rows, the
+//!   exclusions, the stage funnel — is read off that registry once,
+//!   when the ledger finishes (`ScanReport::from_telemetry`), so no
+//!   count is kept twice.
 //! * Fault injection draws each fate as a pure function of `(lane,
 //!   endpoint, instant, request target, try)`: no draw depends on which
 //!   worker, batch or process made it, or on what ran before — so
-//!   fault-injected replays shard and resume exactly, too. Each worker
-//!   counts its transport's injected faults in its staging registry
+//!   fault-injected replays shard and resume exactly, too. Each batch
+//!   counts its transport's injected faults in its own registry
 //!   ([`Telemetry::count_faults`]), so a logged batch carries its faults.
 //!
 //! Which worker runs which batch is timing-dependent, so nothing about
-//! scheduling ever enters a report or the telemetry registry.
+//! scheduling ever enters a report, the telemetry registry or a batch's
+//! line in the checkpoint log: a batch is a function of its number.
 //!
 //! # Checkpoints
 //!
@@ -158,87 +160,60 @@ impl Ledger {
     }
 }
 
-/// One worker's private pipeline: a staged scanner, retry transport and
-/// batch processor all recording into a worker-private telemetry
-/// registry, sweeping slices of the shared shuffled block list.
-struct BatchRunner<'a, T: Transport + Clone> {
-    staging: Telemetry,
-    scanner: PortScanner,
-    processor: BatchProcessor,
-    client: Client<RetryTransport<T>>,
-    blocks: &'a [Cidr],
-    blocks_per_batch: usize,
-    /// Shared across all workers so `--max-probes-per-sec` stays a
-    /// whole-scan bound, not a per-shard one.
-    pacer: Option<SharedPacer>,
-}
-
-impl<'a, T: Transport + Clone> BatchRunner<'a, T> {
-    fn new(
-        config: &PipelineConfig,
-        client: &Client<T>,
-        blocks: &'a [Cidr],
-        pacer: Option<SharedPacer>,
-    ) -> Self {
-        let staging = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(config, &staging);
-        let processor = BatchProcessor::new(config, &staging);
-        // A fault counts in the batch that drew it, so a checkpoint logs
-        // it with the batch's other counters.
-        let mut transport = client.transport().clone();
-        staging.count_faults(&mut transport);
-        let client = client.with_transport(RetryTransport::new(
-            transport,
-            config.max_attempts,
-            config.backoff_unit,
-            &staging,
-        ));
-        BatchRunner {
-            staging,
-            scanner,
-            processor,
-            client,
-            blocks,
-            blocks_per_batch: config.blocks_per_batch,
-            pacer,
-        }
-    }
-
-    /// Sweep and process batch `seq`; returns its findings and the
-    /// telemetry it recorded, leaving the staging registry empty for
-    /// the next batch.
-    fn run_batch(&mut self, seq: u64) -> (Vec<HostFinding>, TelemetrySnapshot) {
-        let blocks = self
-            .blocks
-            .chunks(self.blocks_per_batch)
-            .nth(seq as usize)
-            .expect("batch sequence number in range");
-        let open = self
-            .scanner
-            .scan_blocks(self.client.transport(), blocks, &self.pacer);
-        let findings = self.processor.process_batch(&self.client, &open);
-        (findings, self.staging.take())
-    }
+/// Sweep and process batch `seq` of the scan planned as `blocks` and
+/// `pacer`, with state of its own: a fresh registry, scanner, batch
+/// processor and retry client. Returns the batch's findings and the
+/// snapshot of that registry, which is then exactly the work the batch
+/// took — nothing a worker did before can reach it.
+fn run_batch<T: Transport + Clone>(
+    config: &PipelineConfig,
+    client: &Client<T>,
+    blocks: &[Cidr],
+    pacer: &Option<SharedPacer>,
+    seq: u64,
+) -> (Vec<HostFinding>, TelemetrySnapshot) {
+    let telemetry = Telemetry::new();
+    // A fault counts in the batch that drew it, so a checkpoint logs it
+    // with the batch's other counters.
+    let mut transport = client.transport().clone();
+    telemetry.count_faults(&mut transport);
+    let client = client.with_transport(RetryTransport::new(
+        transport,
+        config.max_attempts,
+        config.backoff_unit,
+        &telemetry,
+    ));
+    let blocks = blocks
+        .chunks(config.blocks_per_batch)
+        .nth(seq as usize)
+        .expect("batch sequence number in range");
+    let open = PortScanner::with_telemetry(config, &telemetry).scan_blocks(
+        client.transport(),
+        blocks,
+        pacer,
+    );
+    let findings = BatchProcessor::new(config, &telemetry).process_batch(&client, &open);
+    (findings, telemetry.snapshot())
 }
 
 /// The seeded /24 shuffle and the whole-scan pacer of `config`.
 fn plan(config: &PipelineConfig) -> (Vec<Cidr>, Option<SharedPacer>) {
     // Throwaway registry: this scanner only computes the shuffle and
-    // the shared pacer. Workers sweep with their own staged scanners.
+    // the shared pacer. Each batch sweeps with a scanner of its own.
     let planner = PortScanner::new(config);
     (planner.shuffled_blocks(), planner.pacer())
 }
 
-/// Scan batch `seq` of `config`'s batch sequence with a fresh worker,
-/// exactly as a shard worker would. Public so tests can scan batches
-/// and [`Ledger::file`] them in arbitrary orders.
+/// Scan batch `seq` of `config`'s batch sequence, exactly as a shard
+/// worker would. Public so tests can scan batches and [`Ledger::file`]
+/// them in arbitrary orders.
 pub fn scan_batch<T: Transport + Clone>(
     config: &PipelineConfig,
     client: &Client<T>,
     seq: u64,
 ) -> (Vec<HostFinding>, TelemetrySnapshot) {
     let (blocks, pacer) = plan(config);
-    BatchRunner::new(config, client, &blocks, pacer).run_batch(seq)
+    run_batch(config, client, &blocks, &pacer, seq)
 }
 
 /// Why a worker thread ended without returning.
@@ -290,11 +265,11 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
     let outcomes: Vec<Result<(), PipelineError>> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..config.shards.min(todo.len()))
             .map(|_| {
-                let mut runner = BatchRunner::new(config, client, &blocks, pacer.clone());
                 let (todo, cursor, ledger) = (&todo, &cursor, &ledger);
+                let (blocks, pacer) = (&blocks, &pacer);
                 scope.spawn(move || {
                     while let Some(&seq) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                        let (findings, work) = runner.run_batch(seq);
+                        let (findings, work) = run_batch(config, client, blocks, pacer, seq);
                         ledger
                             .lock()
                             .expect("no worker panics while filing")

@@ -9,10 +9,18 @@
 //! its per-round status transitions, and the honeypot monitor its
 //! attack-rate counters. The retry layer accounts per-lane under
 //! `retry.{probe,connect}.{retries,recovered,exhausted}` plus the
-//! `retry.<lane>.backoff_units` it paused for, and each scan worker
+//! `retry.<lane>.backoff_units` it paused for, and each scan batch
 //! counts the faults its transport injects as
 //! `fault.{probe,connect}.injected` — which is what lets a snapshot
 //! reconcile "faults injected" against "retries spent".
+//!
+//! A scan batch records into a registry of its own, made for it and
+//! dropped after it; the scan's registry absorbs each batch's
+//! [`TelemetrySnapshot`]. So a batch's snapshot — its line in a
+//! checkpoint log — is a function of the batch alone: it lists the
+//! instruments registered at construction, zero or not, and those
+//! registered on first use (per-port responses, error classes, verify
+//! outcomes, faults) only where the batch used them.
 //!
 //! # Design
 //!
@@ -61,17 +69,29 @@ impl Counter {
     }
 }
 
-/// How a snapshot reads a cell: [`load`] leaves it alone
-/// ([`Telemetry::snapshot`]), [`drain`] swaps in zero
-/// ([`Telemetry::take`]).
-type ReadCell = fn(&AtomicU64) -> u64;
-
-fn load(cell: &AtomicU64) -> u64 {
-    cell.load(Ordering::Relaxed)
+/// One stage's `<stage>.error.<class>` counters, one per
+/// [`nokeys_http::Error::class`]. Each registers at its class's first
+/// failure, so a snapshot lists only the classes that occurred. A count
+/// looks its counter up by name, as the other first-use families do: a
+/// scan batch's registry is its own, so the lookup waits on no other
+/// worker.
+#[derive(Clone, Debug)]
+pub(crate) struct ErrorCounters {
+    telemetry: Telemetry,
+    stage: &'static str,
 }
 
-fn drain(cell: &AtomicU64) -> u64 {
-    cell.swap(0, Ordering::Relaxed)
+impl ErrorCounters {
+    pub(crate) fn new(telemetry: &Telemetry, stage: &'static str) -> Self {
+        let telemetry = telemetry.clone();
+        ErrorCounters { telemetry, stage }
+    }
+
+    /// Count one operation that failed as `error` did.
+    pub(crate) fn count(&self, error: &nokeys_http::Error) {
+        let name = format!("{}.error.{}", self.stage, error.class());
+        self.telemetry.counter(&name).incr();
+    }
 }
 
 /// A histogram with fixed, inclusive upper bucket bounds plus an
@@ -135,8 +155,9 @@ impl Histogram {
         c.sum.fetch_add(s.sum, Ordering::Relaxed);
     }
 
-    fn snapshot(&self, read: ReadCell) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         let c = &self.core;
+        let read = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         HistogramSnapshot {
             bounds: c.bounds.clone(),
             buckets: c.buckets.iter().map(read).collect(),
@@ -251,12 +272,13 @@ impl Telemetry {
     /// Merge a snapshot's values into this registry, registering any
     /// instrument the registry does not know yet.
     ///
-    /// This is the replay half of checkpointing: a checkpointed run
-    /// logs one [`TelemetrySnapshot`] per batch (what [`take`](Self::take)
-    /// emptied out of the worker's registry), and a resuming run absorbs
-    /// them so its registry ends up exactly where an uninterrupted
-    /// run's would be. Counter values add, and histogram buckets add
-    /// bucket-wise (bounds must match).
+    /// This is how a scan reduces its batches: each batch records into
+    /// a registry of its own, its [`TelemetrySnapshot`] is filed (and
+    /// logged, when checkpointing), and the scan's registry absorbs
+    /// every filed batch — from this run or from a log it resumes — so
+    /// it ends up exactly where an uninterrupted run's would be.
+    /// Counter values add, and histogram buckets add bucket-wise
+    /// (bounds must match).
     pub fn absorb(&self, snapshot: &TelemetrySnapshot) {
         for (name, value) in &snapshot.counters {
             self.counter(name).add(*value);
@@ -270,24 +292,6 @@ impl Telemetry {
     /// taken after a run completes; taking it while writers are active
     /// yields a valid but possibly mid-update view.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.snapshot_with(load)
-    }
-
-    /// Snapshot-and-reset: the work recorded since the last `take` (or
-    /// since creation), with every instrument left registered at zero.
-    ///
-    /// A shard worker empties its private registry with this after each
-    /// batch, so the returned snapshot is that batch's work alone.
-    /// Zero-valued instruments stay in the snapshot — absorbing it
-    /// registers whatever a live run would have registered. Meant for a
-    /// registry with one writer, called between its units of work: an
-    /// increment racing the reset lands in this snapshot or the next,
-    /// never in both and never in neither.
-    pub fn take(&self) -> TelemetrySnapshot {
-        self.snapshot_with(drain)
-    }
-
-    fn snapshot_with(&self, read: ReadCell) -> TelemetrySnapshot {
         TelemetrySnapshot {
             counters: self
                 .registry
@@ -295,7 +299,7 @@ impl Telemetry {
                 .read()
                 .expect("not poisoned")
                 .iter()
-                .map(|(k, v)| (k.clone(), read(&v.cell)))
+                .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
             histograms: self
                 .registry
@@ -303,7 +307,7 @@ impl Telemetry {
                 .read()
                 .expect("not poisoned")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot(read)))
+                .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
         }
     }
@@ -358,13 +362,19 @@ impl FromJson for HistogramSnapshot {
             count: value.field("count")?,
             sum: value.field("sum")?,
         };
-        // Absorbing zips buckets with bounds; a file that disagrees
-        // with itself must not get that far.
+        // Absorbing zips buckets with bounds and registers the bounds;
+        // a file that disagrees with itself must not get that far.
         if snapshot.buckets.len() != snapshot.bounds.len() {
             return Err(JsonError::Shape(format!(
                 "histogram has {} buckets for {} bounds",
                 snapshot.buckets.len(),
                 snapshot.bounds.len()
+            )));
+        }
+        if !snapshot.bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err(JsonError::Shape(format!(
+                "histogram bounds {:?} are not strictly increasing",
+                snapshot.bounds
             )));
         }
         Ok(snapshot)
@@ -544,41 +554,32 @@ mod tests {
         assert_eq!(t.snapshot().prefixed_total("stage3.verify."), 5);
     }
 
-    /// Recording work directly and replaying it batch by batch through
-    /// snapshot-and-reset must be indistinguishable — the invariant the
-    /// batch ledger relies on. Handles are cached across batches, as
-    /// the stage components cache theirs: a reset must not orphan them.
+    /// Recording work directly and recording each batch into a registry
+    /// of its own, then absorbing the batches, must be indistinguishable
+    /// — the invariant the batch ledger relies on. An instrument a batch
+    /// registers lazily is in that batch's snapshot alone.
     #[test]
     fn absorbing_deltas_reconstructs_the_registry() {
         let source = Telemetry::new();
-        let staging = Telemetry::new();
         let replica = Telemetry::new();
-        let instruments = |t: &Telemetry| {
-            (
-                t.counter("ops"),
-                t.counter("never-incremented"),
-                t.histogram("sizes", &[10, 100]),
-            )
-        };
-        let direct = instruments(&source);
-        let staged = instruments(&staging);
         for round in 0..3u64 {
-            for (ops, _, sizes) in [&direct, &staged] {
-                ops.add(round + 1);
-                sizes.observe(round * 60);
+            let staging = Telemetry::new();
+            for t in [&source, &staging] {
+                t.counter("ops").add(round + 1);
+                t.counter("never-incremented");
+                t.histogram("sizes", &[10, 100]).observe(round * 60);
+                if round == 1 {
+                    t.counter("lazy").incr();
+                }
             }
-            let batch = staging.take();
+            let batch = staging.snapshot();
             assert_eq!(batch.counter("ops"), round + 1, "one batch's work only");
             assert_eq!(batch.histograms["sizes"].sum, round * 60);
             assert!(batch.counters.contains_key("never-incremented"));
+            assert_eq!(batch.counters.contains_key("lazy"), round == 1);
             replica.absorb(&batch);
         }
         assert_eq!(source.snapshot().to_json(), replica.snapshot().to_json());
-        // Everything was handed over; nothing was unregistered.
-        let emptied = staging.snapshot();
-        assert_eq!(emptied.counters.keys().len(), 2);
-        assert!(emptied.counters.values().all(|&v| v == 0));
-        assert_eq!(emptied.histograms["sizes"].count, 0);
     }
 
     /// A full snapshot absorbed into a fresh registry reproduces it,

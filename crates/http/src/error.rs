@@ -48,43 +48,23 @@ impl Error {
         matches!(self, Error::Timeout | Error::UnexpectedEof | Error::Io(_))
     }
 
-    /// The closed set of names [`class`](Self::class) draws from.
-    pub const CLASSES: [&'static str; 10] = [
-        "refused",
-        "not_http",
-        "malformed",
-        "eof",
-        "timeout",
-        "too_large",
-        "redirect_loop",
-        "scheme",
-        "url",
-        "io",
-    ];
-
-    /// Where this failure's class stands in [`CLASSES`](Self::CLASSES),
-    /// for a caller that keeps one counter per class.
-    pub fn class_index(&self) -> usize {
-        match self {
-            Error::Connect(_) => 0,
-            Error::Malformed(NOT_HTTP) => 1,
-            Error::Malformed(_) => 2,
-            Error::UnexpectedEof => 3,
-            Error::Timeout => 4,
-            Error::TooLarge { .. } => 5,
-            Error::TooManyRedirects(_) => 6,
-            Error::SchemeUnsupported => 7,
-            Error::InvalidUrl(_) => 8,
-            Error::Io(_) => 9,
-        }
-    }
-
     /// A name from a small closed set, for counting failures by kind
     /// (`stage2.error.<class>`, `stage3.error.<class>`): the variant,
     /// except that a peer whose first bytes cannot begin an HTTP status
     /// line is `not_http` rather than one more `malformed` response.
     pub fn class(&self) -> &'static str {
-        Self::CLASSES[self.class_index()]
+        match self {
+            Error::Connect(_) => "refused",
+            Error::Malformed(NOT_HTTP) => "not_http",
+            Error::Malformed(_) => "malformed",
+            Error::UnexpectedEof => "eof",
+            Error::Timeout => "timeout",
+            Error::TooLarge { .. } => "too_large",
+            Error::TooManyRedirects(_) => "redirect_loop",
+            Error::SchemeUnsupported => "scheme",
+            Error::InvalidUrl(_) => "url",
+            Error::Io(_) => "io",
+        }
     }
 }
 

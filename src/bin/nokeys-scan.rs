@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `--shards N` is the scan's one concurrency setting: N worker threads
-//! each draw the next batch from one shared cursor (default 16 — live
-//! scanning is latency-bound, so more workers than CPUs pays off). The report is byte-identical at any N, and `--rate`
+//! (at most 1,024) each draw the next batch from one shared cursor
+//! (default 16 — live scanning is latency-bound, so more workers than
+//! CPUs pays off). The report is byte-identical at any N, and `--rate`
 //! stays a whole-scan bound shared by all workers.
 //!
 //! `--checkpoint FILE` appends every finished batch to the log at
@@ -51,7 +52,7 @@ fn usage() -> ! {
          \x20                [--include-reserved] [--json FILE] [--metrics-out FILE]\n\
          \x20                [--checkpoint FILE] [--resume]\n\
          \n\
-         --shards N       scan on N worker threads\n\
+         --shards N       scan on N worker threads, 1 to 1024\n\
          \x20                (default 16; byte-identical report at any N)"
     );
     std::process::exit(2);

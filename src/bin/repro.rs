@@ -22,8 +22,9 @@
 //! the per-operation transport attempt budget (default 3; 1 disables
 //! retrying).
 //!
-//! `--shards N` runs the scan on N worker threads, each drawing the
-//! next batch from one shared cursor (default: the number of CPUs).
+//! `--shards N` runs the scan on N worker threads (at most 1,024), each
+//! drawing the next batch from one shared cursor (default: the number
+//! of CPUs).
 //! Like fault injection, sharding never changes the output: every table
 //! and figure is byte-identical at any N.
 //!

@@ -6,6 +6,12 @@ use nokeys_scanner::{PipelineConfig, Telemetry};
 use std::path::Path;
 use std::str::FromStr;
 
+/// The most `--shards` takes. Each shard is an OS thread, and a scan
+/// starts one per batch up to the count asked for (0.0.0.0/0 has
+/// 262,144 batches), so the flag is bounded where it is read. 1,024 is
+/// ample next to the binaries' defaults: 16, or the CPU count.
+pub const MAX_SHARDS: usize = 1024;
+
 /// The shared scan flags that are not [`PipelineConfig`] fields.
 #[derive(Debug, Default)]
 pub struct ScanFlags {
@@ -19,9 +25,9 @@ pub struct ScanFlags {
 
 impl ScanFlags {
     /// Read `flag` if it is a shared scan flag, taking its value from
-    /// `args`: `--shards N` (N ≥ 1), `--retries N` and `--checkpoint
-    /// FILE` into `config`; `--fault-rate P` (0 ≤ P ≤ 1), `--resume` and
-    /// `--metrics-out FILE` into `self`. `Some(false)` if `flag` is none
+    /// `args`: `--shards N` (1 ≤ N ≤ [`MAX_SHARDS`]), `--retries N` and
+    /// `--checkpoint FILE` into `config`; `--fault-rate P` (0 ≤ P ≤ 1),
+    /// `--resume` and `--metrics-out FILE` into `self`. `Some(false)` if `flag` is none
     /// of them, `None` if its value is missing or malformed.
     pub fn read(
         &mut self,
@@ -30,7 +36,9 @@ impl ScanFlags {
         config: &mut PipelineConfig,
     ) -> Option<bool> {
         match flag {
-            "--shards" => config.shards = value(args).filter(|n| *n > 0)?,
+            "--shards" => {
+                config.shards = value(args).filter(|n| (1..=MAX_SHARDS).contains(n))?;
+            }
             "--retries" => config.max_attempts = value(args)?,
             "--fault-rate" => {
                 self.fault_rate = value(args).filter(|r| (0.0..=1.0).contains(r))?;

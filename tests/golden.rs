@@ -174,20 +174,27 @@ fn faulted_run_resumed_from_a_torn_log_at_four_shards() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `disclosure` alone prints the block it prints after `table2` and
-/// `fig2`: no experiment moves the scan's transport or its fault draws.
+/// `disclosure` alone prints the block it prints after `fig2`, with and
+/// without faults: no experiment moves the scan's transport or its
+/// fault draws.
 #[test]
 fn faulted_disclosure_alone_prints_its_golden_block() {
     if blessing() {
         return;
     }
-    let alone = faulted_harness()
-        .run("disclosure")
-        .unwrap_or_else(|e| panic!("disclosure: {e}"));
-    let golden = std::fs::read_to_string(golden_path(&format!("{FAULTED}.txt")))
-        .expect("the faulted golden");
-    assert!(
-        golden.ends_with(&format!("\n\n{alone}\n")),
-        "disclosure alone differs from its block in {FAULTED}.txt:\n{alone}"
-    );
+    let clean = Repro::new(2022, Scale::Quick);
+    for (name, mut harness) in [(FAULTED, faulted_harness()), ("all_quick_seed2022", clean)] {
+        let alone = harness
+            .run("disclosure")
+            .unwrap_or_else(|e| panic!("disclosure: {e}"));
+        let golden =
+            std::fs::read_to_string(golden_path(&format!("{name}.txt"))).expect("the golden");
+        // A block starts after a blank line and ends the file or a line
+        // before the next block's blank line.
+        let block = format!("\n\n{alone}\n");
+        assert!(
+            golden.ends_with(&block) || golden.contains(&format!("{block}\n")),
+            "disclosure alone differs from its block in {name}.txt:\n{alone}"
+        );
+    }
 }

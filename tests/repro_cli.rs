@@ -52,8 +52,8 @@ fn out_dir_receives_artifacts() {
 
 #[test]
 fn repro_rejects_malformed_flag_values() {
-    // Every malformed value must exit with a usage error, not silently
-    // fall back to a default.
+    // Every malformed value must exit with a usage error (exit 2), not
+    // silently fall back to a default.
     let cases: &[&[&str]] = &[
         &["table1", "--quick", "--retries", "abc"],
         &["table1", "--quick", "--seed", "x"],
@@ -61,15 +61,19 @@ fn repro_rejects_malformed_flag_values() {
         &["table1", "--quick", "--fault-rate", "-0.5"],
         &["table1", "--quick", "--fault-rate", "nan"],
         &["table1", "--quick", "--shards", "0"],
+        // One OS thread per shard: the count is capped before any scan.
+        &["table1", "--quick", "--shards", "1025"],
+        &["table1", "--quick", "--shards", "200000"],
         // The log has no cadence: the flag is gone, not ignored.
         &["table1", "--quick", "--checkpoint-every", "3"],
         &["table1", "--quick", "--resume"], // --resume without --checkpoint
     ];
     for case in cases {
         let out = repro().args(*case).output().expect("runs");
-        assert!(
-            !out.status.success(),
-            "expected usage error for {case:?}, got success"
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "expected usage error for {case:?}"
         );
     }
 }
@@ -87,15 +91,20 @@ fn nokeys_scan_rejects_malformed_flag_values() {
         &["--target", "192.0.2.0/28", "--rate", "inf"],
         &["--target", "192.0.2.0/28", "--shards", "0"],
         &["--target", "192.0.2.0/28", "--shards", "many"],
+        // Reserved space: had the cap failed, there would be nothing
+        // to probe and one batch to start a thread for.
+        &["--target", "192.0.2.0/28", "--shards", "1025"],
+        &["--target", "192.0.2.0/28", "--shards", "200000"],
         &["--target", "192.0.2.0/28", "--checkpoint-every", "3"],
         &["--target", "192.0.2.0/28", "--resume"],
         &[], // no targets at all
     ];
     for case in cases {
         let out = nokeys_scan().args(*case).output().expect("runs");
-        assert!(
-            !out.status.success(),
-            "expected usage error for {case:?}, got success"
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "expected usage error for {case:?}"
         );
     }
 }

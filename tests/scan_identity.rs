@@ -6,9 +6,10 @@
 //! ledger.
 //!
 //! One small orthogonal set on the one engine: shards ∈ {1, 4} ×
-//! fault rate ∈ {0, 0.05 with three attempts}; the kill/resume half
-//! lives in `checkpoint_resume.rs`, the sweep's dense reference
-//! in `nokeys_scanner::portscan`'s unit tests.
+//! fault rate ∈ {0, 0.05 with three attempts}, and the checkpoint log
+//! line by line at shards 1, 2 and 4; the kill/resume half lives in
+//! `checkpoint_resume.rs`, the sweep's dense reference in
+//! `nokeys_scanner::portscan`'s unit tests.
 //!
 //! Fault-injected runs deliberately skip the `fault.*` observer bridge:
 //! bridged counters live in the caller's registry, outside the engine.
@@ -16,11 +17,13 @@
 use nokeys::http::cases::{check, Gen};
 use nokeys::http::{Attempt, Client, Endpoint, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{Cidr, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
+use nokeys::scanner::json;
 use nokeys::scanner::shard::{scan_batch, Ledger};
 use nokeys::scanner::{
-    Pipeline, PipelineConfig, PortScanner, ScanReport, Telemetry, TelemetrySnapshot,
+    CheckpointLog, Pipeline, PipelineConfig, PortScanner, ScanReport, Telemetry, TelemetrySnapshot,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 fn universe() -> &'static Arc<Universe> {
@@ -230,4 +233,109 @@ fn ledger_is_order_independent() {
         assert_eq!(baseline.to_json_string(), report.to_json_string());
         assert_eq!(baseline_snap.to_json(), telemetry.snapshot().to_json());
     });
+}
+
+/// A checkpoint log as the identity reads it: its header, then each
+/// batch line by its `seq`. Append order is completion order, so the
+/// file's bytes are not compared, only its lines.
+type Log = (String, BTreeMap<u64, String>);
+
+fn log_lines(path: &Path) -> Log {
+    let text = std::fs::read_to_string(path).expect("the scan wrote its log");
+    let mut lines = text.lines().map(str::to_string);
+    let header = lines.next().expect("a header");
+    let batches = lines
+        .map(|line| {
+            let seq = json::parse(line.as_bytes())
+                .and_then(|batch| batch.field("seq"))
+                .expect("a batch line");
+            (seq, line)
+        })
+        .collect();
+    (header, batches)
+}
+
+/// Hold log `b` to log `a`, naming the first batch whose line differs.
+fn assert_same_log(a: &Log, b: &Log, what: &str) {
+    assert_eq!(a.0, b.0, "{what}: headers differ");
+    assert_eq!(
+        a.1.keys().collect::<Vec<_>>(),
+        b.1.keys().collect::<Vec<_>>(),
+        "{what}: logged batches differ"
+    );
+    for (seq, line) in &a.1 {
+        assert_eq!(line, &b.1[seq], "{what}: batch {seq} differs");
+    }
+}
+
+/// Scan at `shards` with a checkpoint log at `log`, starting it afresh
+/// or resuming it.
+fn scan_logged(shards: usize, fault_rate: f64, log: &Path, resume: bool) {
+    let config = PipelineConfig {
+        checkpoint_path: Some(log.to_path_buf()),
+        ..config(shards)
+    };
+    let pipeline = Pipeline::new(config, &Telemetry::new());
+    let client = Client::new(transport(fault_rate));
+    let scanned = if resume {
+        pipeline.resume(&client)
+    } else {
+        pipeline.run(&client)
+    };
+    scanned.expect("scan failed");
+}
+
+/// A batch line is a function of the batch alone: the logs written at
+/// 1, 2 and 4 shards hold the same lines, a log torn mid-write and
+/// resumed at another shard count ends with them too, and each is the
+/// line batch `k` makes when it is scanned by itself — with and without
+/// injected faults.
+#[test]
+fn checkpoint_logs_are_a_function_of_their_batches() {
+    let dir = std::env::temp_dir().join(format!("nokeys-log-identity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for fault_rate in [0.0, 0.05] {
+        let logs: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|shards| {
+                let path = dir.join(format!("shards{shards}.ckpt"));
+                scan_logged(shards, fault_rate, &path, false);
+                (shards, path)
+            })
+            .collect();
+        let baseline = log_lines(&logs[0].1);
+        assert_eq!(baseline.1.len(), 32);
+        for (shards, path) in &logs[1..] {
+            let what = format!("{shards} shards, faults {fault_rate}");
+            assert_same_log(&baseline, &log_lines(path), &what);
+        }
+
+        let torn = &logs[2].1;
+        let len = std::fs::metadata(torn).expect("log metadata").len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(torn)
+            .and_then(|file| file.set_len(len - 100))
+            .expect("tear the log");
+        scan_logged(1, fault_rate, torn, true);
+        let what = format!("torn at 4 shards, resumed at 1, faults {fault_rate}");
+        assert_same_log(&baseline, &log_lines(torn), &what);
+
+        let config = config(1);
+        let client = Client::new(transport(fault_rate));
+        let alone = dir.join("alone.ckpt");
+        for seq in 0..32 {
+            let (findings, work) = scan_batch(&config, &client, seq);
+            let mut log =
+                CheckpointLog::create(&alone, &config.fingerprint(), 32).expect("creates");
+            log.append(seq, &findings, &work).expect("appends");
+            let (header, batches) = log_lines(&alone);
+            assert_eq!(header, baseline.0);
+            assert_eq!(
+                batches[&seq], baseline.1[&seq],
+                "batch {seq} scanned alone, faults {fault_rate}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
