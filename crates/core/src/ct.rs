@@ -14,6 +14,7 @@
 use crate::plugin::detect_mav;
 use crate::prefilter::candidates;
 use crate::scratch::Scratch;
+use crate::visit::Visit;
 use nokeys_apps::{AppId, AttackVector};
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use std::net::Ipv4Addr;
@@ -51,9 +52,9 @@ pub fn probe_domain<T: Transport>(
     // Every request names the domain: `Host: domain` to the shared IP,
     // redirects followed with the header kept.
     let named = client.for_host(domain);
-    let ep = Endpoint::new(ip, 80);
+    let visit = Visit::new(&named, Endpoint::new(ip, 80), Scheme::Http);
     // Identify the CMS from its root page signatures first.
-    let Ok(root) = named.get_path(ep, Scheme::Http, "/") else {
+    let Ok(root) = visit.get("/") else {
         return (None, false);
     };
     let cms = candidates(&root.response.body_str(), &mut Scratch::new())
@@ -64,7 +65,7 @@ pub fn probe_domain<T: Transport>(
     };
     // Verify the hijackable state with the app's own plugin, addressed
     // by name.
-    let vulnerable = detect_mav(&named, app, ep, Scheme::Http);
+    let vulnerable = detect_mav(&visit, app);
     (Some(app), vulnerable)
 }
 

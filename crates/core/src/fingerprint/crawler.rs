@@ -2,24 +2,23 @@
 //! them, and identify the application/version via the knowledge base.
 
 use super::knowledge_base::KnowledgeBase;
+use crate::visit::Visit;
 use nokeys_apps::assets::file_hash;
 use nokeys_apps::{AppId, Version};
-use nokeys_http::{Client, Endpoint, Scheme, Transport};
+use nokeys_http::Transport;
 
-/// Crawl the target's static files into `out` as `(path, hash)` pairs
-/// for every file that exists. Clears and refills `out`, reusing its
-/// capacity: the crawl paths are `'static`, so the steady state
+/// Crawl the visited target's static files into `out` as `(path, hash)`
+/// pairs for every file that exists. Clears and refills `out`, reusing
+/// its capacity: the crawl paths are `'static`, so the steady state
 /// allocates nothing.
 pub fn crawl_into<T: Transport>(
-    client: &Client<T>,
+    visit: &Visit<T>,
     kb: &KnowledgeBase,
-    ep: Endpoint,
-    scheme: Scheme,
     out: &mut Vec<(&'static str, u64)>,
 ) {
     out.clear();
     for path in kb.crawl_paths() {
-        let Ok(fetched) = client.get_path(ep, scheme, path) else {
+        let Ok(fetched) = visit.get(path) else {
             continue;
         };
         if !fetched.response.status.is_success() {
@@ -33,14 +32,12 @@ pub fn crawl_into<T: Transport>(
 /// caller's [`Scratch`](crate::scratch::Scratch) — the stage-III
 /// steady-state path.
 pub fn identify_scratch<T: Transport>(
-    client: &Client<T>,
+    visit: &Visit<T>,
     kb: &KnowledgeBase,
-    ep: Endpoint,
-    scheme: Scheme,
     scratch: &mut crate::scratch::Scratch,
 ) -> Option<(AppId, Version)> {
     let observations = scratch.crawl_buf();
-    crawl_into(client, kb, ep, scheme, observations);
+    crawl_into(visit, kb, observations);
     kb.identify(observations)
 }
 
@@ -52,6 +49,7 @@ mod tests {
     use nokeys_apps::version::history;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
+    use nokeys_http::{Client, Endpoint, Scheme};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -70,9 +68,12 @@ mod tests {
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::shared();
-        let (found_app, found_version) =
-            identify_scratch(&client, kb, ep, Scheme::Http, &mut Scratch::new())
-                .expect("identified");
+        let (found_app, found_version) = identify_scratch(
+            &Visit::new(&client, ep, Scheme::Http),
+            kb,
+            &mut Scratch::new(),
+        )
+        .expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
     }
@@ -95,8 +96,9 @@ mod tests {
                     AppConfig::secure_for(app, &version),
                 )));
                 let client = Client::new(HandlerTransport::new().with(ep, handler));
-                let found = identify_scratch(&client, kb, ep, Scheme::Http, &mut scratch)
-                    .map(|(app, version)| (app, version.triple()));
+                let found =
+                    identify_scratch(&Visit::new(&client, ep, Scheme::Http), kb, &mut scratch)
+                        .map(|(app, version)| (app, version.triple()));
                 assert_eq!(found, Some((app, version.triple())), "{app} {version}");
             }
         }
@@ -115,7 +117,7 @@ mod tests {
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::shared();
         let mut obs = Vec::new();
-        crawl_into(&client, kb, ep, Scheme::Http, &mut obs);
+        crawl_into(&Visit::new(&client, ep, Scheme::Http), kb, &mut obs);
         assert_eq!(
             obs.len(),
             kb.crawl_paths().len(),
@@ -129,7 +131,9 @@ mod tests {
         let kb = KnowledgeBase::shared();
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 5), 80);
         let mut scratch = Scratch::new();
-        assert!(identify_scratch(&client, kb, ep, Scheme::Http, &mut scratch).is_none());
+        assert!(
+            identify_scratch(&Visit::new(&client, ep, Scheme::Http), kb, &mut scratch).is_none()
+        );
         assert!(scratch.crawl_buf().is_empty());
     }
 }

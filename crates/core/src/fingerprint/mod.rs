@@ -16,9 +16,10 @@ mod voluntary;
 
 use crate::report::FingerprintMethod;
 use crate::telemetry::{Counter, Telemetry};
+use crate::visit::Visit;
 use knowledge_base::KnowledgeBase;
 use nokeys_apps::{AppId, Version};
-use nokeys_http::{Client, Endpoint, Scheme, Transport};
+use nokeys_http::Transport;
 
 /// Cached fingerprinting telemetry handles.
 struct FingerprintMetrics {
@@ -55,23 +56,21 @@ impl Fingerprinter {
         }
     }
 
-    /// Determine the deployed version of `app` at `ep`: voluntary
+    /// Determine the deployed version of `app` on `visit`: voluntary
     /// disclosure first, knowledge-base crawl as fallback. The crawl
     /// observation buffer is borrowed from the caller's scratch arena,
     /// so the steady-state fingerprint path allocates nothing.
     pub fn fingerprint_with<T: Transport>(
         &self,
-        client: &Client<T>,
+        visit: &Visit<T>,
         app: AppId,
-        ep: Endpoint,
-        scheme: Scheme,
         scratch: &mut crate::scratch::Scratch,
     ) -> Option<(Version, FingerprintMethod)> {
-        if let Some(version) = voluntary::extract(client, app, ep, scheme) {
+        if let Some(version) = voluntary::extract(visit, app) {
             self.metrics.voluntary.incr();
             return Some((version, FingerprintMethod::Voluntary));
         }
-        let identified = crawler::identify_scratch(client, self.kb, ep, scheme, scratch)
+        let identified = crawler::identify_scratch(visit, self.kb, scratch)
             .filter(|(found_app, _)| *found_app == app)
             .map(|(_, version)| (version, FingerprintMethod::KnowledgeBase));
         match &identified {
@@ -89,6 +88,7 @@ mod tests {
     use crate::scratch::Scratch;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
+    use nokeys_http::{Client, Endpoint, Scheme};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -115,7 +115,8 @@ mod tests {
             let history = release_history(app);
             let idx = history.len() / 2;
             let (client, ep) = client_for(app, idx);
-            let result = fp.fingerprint_with(&client, app, ep, Scheme::Http, &mut scratch);
+            let result =
+                fp.fingerprint_with(&Visit::new(&client, ep, Scheme::Http), app, &mut scratch);
             let Some((version, method)) = result else {
                 panic!("{app}: no fingerprint");
             };
@@ -141,10 +142,8 @@ mod tests {
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 3), 80);
         assert!(fp
             .fingerprint_with(
-                &client,
+                &Visit::new(&client, ep, Scheme::Http),
                 AppId::WordPress,
-                ep,
-                Scheme::Http,
                 &mut Scratch::new()
             )
             .is_none());
@@ -158,13 +157,21 @@ mod tests {
         // One successful fingerprint...
         let (client, ep) = client_for(AppId::Jenkins, 0);
         assert!(fp
-            .fingerprint_with(&client, AppId::Jenkins, ep, Scheme::Http, &mut scratch)
+            .fingerprint_with(
+                &Visit::new(&client, ep, Scheme::Http),
+                AppId::Jenkins,
+                &mut scratch
+            )
             .is_some());
         // ...and one miss against an unreachable host.
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 4), 80);
         assert!(fp
-            .fingerprint_with(&client, AppId::Jenkins, ep, Scheme::Http, &mut scratch)
+            .fingerprint_with(
+                &Visit::new(&client, ep, Scheme::Http),
+                AppId::Jenkins,
+                &mut scratch
+            )
             .is_none());
         let snap = telemetry.snapshot();
         let hits =

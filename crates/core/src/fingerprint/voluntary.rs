@@ -14,9 +14,10 @@
 //! The table has 14 rows where the quote says 13; DESIGN.md §15 records
 //! the gap.
 
+use crate::visit::Visit;
 use nokeys_apps::version::history;
 use nokeys_apps::{AppId, Version};
-use nokeys_http::{Client, Endpoint, Scheme, Transport};
+use nokeys_http::Transport;
 use Read::{After, Header};
 
 /// Where a disclosed version string sits in the answer.
@@ -90,16 +91,11 @@ fn after<'a>(body: &'a str, marker: &str, terminator: char) -> Option<&'a str> {
     Some(&rest[..end])
 }
 
-/// The version `app` discloses at `ep`, if it has a `DISCLOSURES` row
-/// and the answer carries a release of its history.
-pub(super) fn extract<T: Transport>(
-    client: &Client<T>,
-    app: AppId,
-    ep: Endpoint,
-    scheme: Scheme,
-) -> Option<Version> {
+/// The version `app` discloses on `visit`, if it has a `DISCLOSURES`
+/// row and the answer carries a release of its history.
+pub(super) fn extract<T: Transport>(visit: &Visit<T>, app: AppId) -> Option<Version> {
     let row = DISCLOSURES.iter().find(|row| row.app == app)?;
-    let response = client.get_path(ep, scheme, row.path).ok()?.response;
+    let response = visit.get(row.path).ok()?.response;
     let triple = match row.read {
         Header(name) => parse_version_number(response.headers.get(name)?)?,
         After(marker, terminator) => {
@@ -119,6 +115,7 @@ mod tests {
     use crate::telemetry::Telemetry;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
+    use nokeys_http::{Client, Endpoint, Scheme};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -192,22 +189,24 @@ mod tests {
                 if has_row {
                     assert_eq!(
                         fingerprinter.fingerprint_with(
-                            &client,
+                            &Visit::new(&client, ep, Scheme::Http),
                             app,
-                            ep,
-                            Scheme::Http,
                             &mut scratch
                         ),
                         Some((release, FingerprintMethod::Voluntary)),
                         "{app} {release}"
                     );
                 } else {
-                    assert_eq!(extract(&client, app, ep, Scheme::Http), None, "{app}");
+                    assert_eq!(
+                        extract(&Visit::new(&client, ep, Scheme::Http), app),
+                        None,
+                        "{app}"
+                    );
                 }
                 let (client, ep) = serve(app, idx, false);
                 let secured = has_row && !OPEN_ONLY.contains(&app);
                 assert_eq!(
-                    extract(&client, app, ep, Scheme::Http),
+                    extract(&Visit::new(&client, ep, Scheme::Http), app),
                     secured.then_some(release),
                     "{app} {release}, secured"
                 );
@@ -234,7 +233,7 @@ mod tests {
             // configs where disclosure needs it.
             let vulnerable = matches!(app, AppId::Hadoop | AppId::Polynote);
             let (client, ep) = serve(app, idx, vulnerable);
-            let v = extract(&client, app, ep, Scheme::Http);
+            let v = extract(&Visit::new(&client, ep, Scheme::Http), app);
             assert_eq!(
                 v.map(|v| v.triple()),
                 Some(release_history(app)[idx].triple()),
@@ -247,14 +246,14 @@ mod tests {
     fn docker_disclosure_requires_open_daemon() {
         let idx = release_history(AppId::Docker).len() - 1;
         let (client, ep) = serve(AppId::Docker, idx, true);
-        assert!(extract(&client, AppId::Docker, ep, Scheme::Http).is_some());
+        assert!(extract(&Visit::new(&client, ep, Scheme::Http), AppId::Docker).is_some());
         let (client, ep) = serve(AppId::Docker, idx, false);
-        assert!(extract(&client, AppId::Docker, ep, Scheme::Http).is_none());
+        assert!(extract(&Visit::new(&client, ep, Scheme::Http), AppId::Docker).is_none());
     }
 
     #[test]
     fn gocd_has_no_voluntary_disclosure() {
         let (client, ep) = serve(AppId::Gocd, 0, false);
-        assert!(extract(&client, AppId::Gocd, ep, Scheme::Http).is_none());
+        assert!(extract(&Visit::new(&client, ep, Scheme::Http), AppId::Gocd).is_none());
     }
 }

@@ -14,6 +14,8 @@
 //!   disclosure plus a static-file hash knowledge base with a crawler.
 //! * **Longevity observation** ([`observer`]): 3-hourly rescans of
 //!   vulnerable hosts over four weeks (Figure 2).
+//! * **Host visits** ([`visit`]): one endpoint over one scheme through
+//!   one client, the one place stages II–IV and the rescans fetch.
 //! * **Telemetry** ([`telemetry`]): a lock-cheap metrics registry
 //!   threaded through every stage — counters and fixed-bucket
 //!   histograms, snapshot as deterministic JSON.
@@ -51,6 +53,7 @@ pub mod scratch;
 pub mod shard;
 pub mod signatures;
 pub mod telemetry;
+pub mod visit;
 
 pub use checkpoint::{CheckpointError, CheckpointLog};
 pub use multipattern::{MultiPattern, ViewUse};
@@ -64,3 +67,4 @@ pub use report::{FingerprintMethod, HostFinding, ScanReport};
 pub use retry::RetryTransport;
 pub use scratch::Scratch;
 pub use telemetry::{Telemetry, TelemetrySnapshot};
+pub use visit::Visit;

@@ -21,6 +21,7 @@ use crate::plugin::detect_mav;
 use crate::report::HostFinding;
 use crate::scratch::Scratch;
 use crate::telemetry::{Counter, Telemetry};
+use crate::visit::Visit;
 use nokeys_http::{Attempt, Client, ProbeOutcome, Transport};
 
 /// Status of one host at one observation point.
@@ -254,9 +255,10 @@ fn recheck<T: Transport>(
     // round.
     let finding = &timeline.finding;
     let ep = finding.endpoint;
+    let visit = Visit::new(client, ep, finding.scheme);
     let status = match client.transport().probe(ep, Attempt::FIRST) {
         ProbeOutcome::Open => {
-            if detect_mav(client, finding.app, ep, finding.scheme) {
+            if detect_mav(&visit, finding.app) {
                 ObservedStatus::Vulnerable
             } else {
                 ObservedStatus::Fixed
@@ -277,9 +279,7 @@ fn recheck<T: Transport>(
     // Version-update tracking (2.4% of hosts in the paper).
     if !timeline.updated && status != ObservedStatus::Offline {
         if let Some(before) = finding.version {
-            if let Some((now, _)) =
-                fingerprinter.fingerprint_with(client, finding.app, ep, finding.scheme, scratch)
-            {
+            if let Some((now, _)) = fingerprinter.fingerprint_with(&visit, finding.app, scratch) {
                 if now.triple() != before.triple() {
                     timeline.updated = true;
                     metrics.version_updates.incr();

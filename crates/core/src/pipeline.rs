@@ -61,6 +61,7 @@ use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
 use crate::scratch::Scratch;
 use crate::telemetry::{Counter, ErrorCounters, Histogram, Telemetry};
+use crate::visit::Visit;
 use nokeys_apps::{AppId, SCAN_PORTS};
 use nokeys_http::{Client, Endpoint, Transport};
 use std::collections::{BTreeMap, BTreeSet};
@@ -454,7 +455,7 @@ impl BatchProcessor {
         for (app, app_hits) in endpoints_of {
             // Stage III: a MAV on any of the app's endpoints confirms it.
             let confirmed = app_hits.iter().copied().find(|hit| {
-                let verdict = verify(client, app, hit.endpoint, hit.scheme);
+                let verdict = verify(&Visit::new(client, hit.endpoint, hit.scheme), app);
                 if let Err(error) = &verdict {
                     self.metrics.errors.count(error);
                 }
@@ -476,25 +477,18 @@ impl BatchProcessor {
                 (None, Some(hit)) => hit,
                 (None, None) => continue,
             };
-            let mut finding = HostFinding {
+            let visit = Visit::new(client, hit.endpoint, hit.scheme);
+            let fingerprint = self
+                .fingerprinter
+                .fingerprint_with(&visit, app, &mut self.scratch);
+            findings.push(HostFinding {
                 endpoint: hit.endpoint,
                 scheme: hit.scheme,
                 app,
                 vulnerable: confirmed.is_some(),
-                version: None,
-                fingerprint_method: None,
-            };
-            if let Some((version, method)) = self.fingerprinter.fingerprint_with(
-                client,
-                app,
-                hit.endpoint,
-                hit.scheme,
-                &mut self.scratch,
-            ) {
-                finding.version = Some(version);
-                finding.fingerprint_method = Some(method);
-            }
-            findings.push(finding);
+                version: fingerprint.map(|(version, _)| version),
+                fingerprint_method: fingerprint.map(|(_, method)| method),
+            });
         }
         findings
     }

@@ -15,9 +15,10 @@
 use crate::htmlcheck::{has_element, is_valid_html};
 use crate::json::Value;
 use crate::pattern::Pattern;
+use crate::visit::Visit;
 use nokeys_apps::{AppId, WebApp};
 use nokeys_http::server::Handler;
-use nokeys_http::{Client, Endpoint, Error, Request, Response, Scheme, Transport};
+use nokeys_http::{Error, Request, Response, Transport};
 use std::cell::OnceCell;
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
@@ -303,8 +304,8 @@ fn plugin(app: AppId) -> Option<&'static Plugin> {
     PLUGINS.iter().find(|plugin| plugin.app == app)
 }
 
-/// Run `app`'s plugin against `ep`: its alternatives in order, until
-/// one confirms.
+/// Run `app`'s plugin on `visit`: its alternatives in order, until one
+/// confirms.
 ///
 /// `Ok(true)`: a MAV is confirmed. `Ok(false)`: a check failed (or the
 /// application has no plugin). `Err`: a `GET` failed and ended the last
@@ -312,15 +313,10 @@ fn plugin(app: AppId) -> Option<&'static Plugin> {
 /// pipeline: its client's transport is a
 /// [`RetryTransport`](crate::retry::RetryTransport) that retries
 /// timeouts and dropped connections first.
-pub(crate) fn verify<T: Transport>(
-    client: &Client<T>,
-    app: AppId,
-    ep: Endpoint,
-    scheme: Scheme,
-) -> Result<bool, Error> {
+pub(crate) fn verify<T: Transport>(visit: &Visit<T>, app: AppId) -> Result<bool, Error> {
     let mut verdict = Ok(false);
     for steps in plugin(app).map_or(&[][..], |plugin| plugin.alternatives) {
-        verdict = run(client, ep, scheme, steps);
+        verdict = run(visit, steps);
         if verdict == Ok(true) {
             break;
         }
@@ -328,14 +324,9 @@ pub(crate) fn verify<T: Transport>(
     verdict
 }
 
-/// Whether `app`'s plugin confirms a MAV on `ep`; an error is "no".
-pub fn detect_mav<T: Transport>(
-    client: &Client<T>,
-    app: AppId,
-    ep: Endpoint,
-    scheme: Scheme,
-) -> bool {
-    verify(client, app, ep, scheme) == Ok(true)
+/// Whether `app`'s plugin confirms a MAV on `visit`; an error is "no".
+pub fn detect_mav<T: Transport>(visit: &Visit<T>, app: AppId) -> bool {
+    verify(visit, app) == Ok(true)
 }
 
 /// `app`'s Table 10 sentences, in step order across its alternatives
@@ -348,16 +339,11 @@ pub fn plugin_steps(app: AppId) -> impl Iterator<Item = &'static str> {
 }
 
 /// One alternative: every step in order, until a check fails.
-fn run<T: Transport>(
-    client: &Client<T>,
-    ep: Endpoint,
-    scheme: Scheme,
-    steps: &[Step],
-) -> Result<bool, Error> {
+fn run<T: Transport>(visit: &Visit<T>, steps: &[Step]) -> Result<bool, Error> {
     let mut page = Page::default();
     for step in steps {
         if let Some(get) = step.get {
-            let response = client.get_path(ep, scheme, get.path)?.response;
+            let response = visit.get(get.path)?.response;
             if !get.any_status && !response.status.is_success() {
                 return Ok(false);
             }
@@ -451,6 +437,7 @@ mod tests {
     use crate::pattern::MatchMode;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
+    use nokeys_http::{Client, Endpoint, Scheme};
     use std::sync::Arc;
 
     fn client_for(app: AppId, vulnerable: bool, old: bool) -> (Client<HandlerTransport>, Endpoint) {
@@ -483,7 +470,7 @@ mod tests {
             );
             let (client, ep) = client_for(app, true, old);
             assert!(
-                detect_mav(&client, app, ep, Scheme::Http),
+                detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
                 "{app}: vulnerable instance not detected"
             );
             if app == AppId::Polynote {
@@ -492,7 +479,7 @@ mod tests {
             }
             let (client, ep) = client_for(app, false, false);
             assert!(
-                !detect_mav(&client, app, ep, Scheme::Http),
+                !detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
                 "{app}: secure instance falsely flagged"
             );
         }
@@ -505,9 +492,10 @@ mod tests {
         let t = HandlerTransport::new();
         let client = Client::new(t);
         let ep = Endpoint::new(Ipv4Addr::new(10, 1, 1, 1), 8080);
+        let visit = Visit::new(&client, ep, Scheme::Http);
         for app in AppId::in_scope() {
-            assert!(!detect_mav(&client, app, ep, Scheme::Http), "{app}");
-            assert!(verify(&client, app, ep, Scheme::Http).is_err(), "{app}");
+            assert!(!detect_mav(&visit, app), "{app}");
+            assert!(verify(&visit, app).is_err(), "{app}");
         }
     }
 
@@ -572,6 +560,9 @@ mod tests {
             )));
             (Client::new(HandlerTransport::new().with(ep, handler)), ep)
         };
-        assert!(!detect_mav(&client, AppId::Gitlab, ep, Scheme::Http));
+        assert!(!detect_mav(
+            &Visit::new(&client, ep, Scheme::Http),
+            AppId::Gitlab
+        ));
     }
 }

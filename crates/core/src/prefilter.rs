@@ -15,6 +15,7 @@ use crate::multipattern::MultiPattern;
 use crate::scratch::Scratch;
 use crate::signatures::{all_signatures, rank_candidates, Signature};
 use crate::telemetry::{Counter, ErrorCounters, Histogram, Telemetry};
+use crate::visit::Visit;
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 
@@ -138,7 +139,7 @@ impl Prefilter {
         let mut hit: Option<PrefilterHit> = None;
         self.metrics.endpoints.incr();
         for &scheme in Self::schemes_for_port(ep.port) {
-            let fetched = match client.get_path(ep, scheme, "/") {
+            let fetched = match Visit::new(client, ep, scheme).get("/") {
                 Ok(fetched) => fetched,
                 Err(e) => {
                     self.metrics.errors.count(&e);

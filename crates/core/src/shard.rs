@@ -62,9 +62,9 @@
 //! # Checkpoints
 //!
 //! With a checkpoint path configured the ledger has a
-//! [`CheckpointLog`] behind it: filing a batch first appends it to the
-//! log — one line, one write — and only then records it in memory, both
-//! under the ledger's lock. No network operation ever happens under
+//! [`CheckpointLog`] behind it: filing a batch appends it to the log —
+//! one line, one write — before its findings count as filed, both under
+//! the ledger's lock. No network operation ever happens under
 //! that lock, so a worker dying mid-batch cannot poison it, and a kill
 //! loses exactly the batches in flight. Resume reads the log back into
 //! the ledger and scans what is missing, appending to the same file;
@@ -73,7 +73,7 @@
 //! [`PipelineConfig::fingerprint`], so a log written at `--shards 4`
 //! resumes at `--shards 8` (or 1).
 
-use crate::checkpoint::CheckpointLog;
+use crate::checkpoint::{CheckpointError, CheckpointLog};
 use crate::pipeline::{BatchProcessor, PipelineConfig, PipelineError};
 use crate::portscan::{Cidr, PortScanner};
 use crate::rate::SharedPacer;
@@ -111,6 +111,9 @@ impl Ledger {
     /// File finished batch `seq`: its findings and the telemetry of the
     /// work it took. Batches may arrive in any order. With a log
     /// attached the batch is appended there before it counts as filed.
+    /// A batch holding a histogram with other bounds than the batches
+    /// filed before it is [`CheckpointError::Corrupt`], and is not
+    /// logged: it or they came from a log this code did not write.
     ///
     /// # Panics
     ///
@@ -124,16 +127,13 @@ impl Ledger {
     ) -> Result<(), PipelineError> {
         assert!(seq < self.total_batches, "batch {seq} is out of range");
         assert!(!self.findings.contains_key(&seq), "batch {seq} filed twice");
+        (self.telemetry.absorb(telemetry))
+            .map_err(|e| CheckpointError::Corrupt(format!("batch {seq}: {e}")))?;
         if let Some(log) = &mut self.log {
             log.append(seq, &findings, telemetry)?;
         }
-        self.record(seq, findings, telemetry);
-        Ok(())
-    }
-
-    fn record(&mut self, seq: u64, findings: Vec<HostFinding>, telemetry: &TelemetrySnapshot) {
-        self.telemetry.absorb(telemetry);
         self.findings.insert(seq, findings);
+        Ok(())
     }
 
     /// The batches not filed yet, ascending.
@@ -145,7 +145,9 @@ impl Ledger {
     /// of the ledger's own registry make the report, and that registry
     /// is handed to `telemetry`. The report reads nothing from
     /// `telemetry`, which may hold other work too. Fails, naming the
-    /// first gap, unless every batch has been filed.
+    /// first gap, unless every batch has been filed, and is
+    /// [`CheckpointError::Corrupt`] if `telemetry` holds one of the
+    /// scan's histograms with other bounds.
     pub fn finish(self, telemetry: &Telemetry) -> Result<ScanReport, PipelineError> {
         if let Some(seq) = self.missing().next() {
             return Err(PipelineError::SweepFailed(format!(
@@ -154,7 +156,7 @@ impl Ledger {
             )));
         }
         let work = self.telemetry.snapshot();
-        telemetry.absorb(&work);
+        (telemetry.absorb(&work)).map_err(CheckpointError::Corrupt)?;
         let findings = self.findings.into_values().flatten().collect();
         Ok(ScanReport::from_telemetry(findings, &work))
     }
@@ -246,8 +248,9 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
         let fingerprint = config.fingerprint();
         ledger.log = Some(if resume {
             let (log, batches) = CheckpointLog::resume(path, &fingerprint, total_batches)?;
+            // The log is attached after: a logged batch is not logged again.
             for (seq, (findings, work)) in batches {
-                ledger.record(seq, findings, &work);
+                ledger.file(seq, findings, &work)?;
             }
             log
         } else {

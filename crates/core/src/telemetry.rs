@@ -230,6 +230,13 @@ impl Telemetry {
     /// `bounds` (plus an implicit overflow bucket). Re-registering with
     /// different bounds is a bug and panics.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
+        self.histogram_with(name, bounds)
+            .unwrap_or_else(|_| panic!("histogram '{name}' re-registered with different bounds"))
+    }
+
+    /// [`histogram`](Self::histogram), or the bounds `name` is already
+    /// registered with when they differ from `bounds`.
+    fn histogram_with(&self, name: &str, bounds: &[u64]) -> Result<Histogram, Vec<u64>> {
         if let Some(h) = self
             .registry
             .histograms
@@ -237,19 +244,17 @@ impl Telemetry {
             .expect("not poisoned")
             .get(name)
         {
-            assert_eq!(
-                h.core.bounds, bounds,
-                "histogram '{name}' re-registered with different bounds"
-            );
-            return h.clone();
+            let same = h.core.bounds == bounds;
+            return same.then(|| h.clone()).ok_or_else(|| h.core.bounds.clone());
         }
-        self.registry
+        Ok(self
+            .registry
             .histograms
             .write()
             .expect("not poisoned")
             .entry(name.to_string())
             .or_insert_with(|| Histogram::new(bounds))
-            .clone()
+            .clone())
     }
 
     /// The counter of faults injected on `lane`,
@@ -277,15 +282,22 @@ impl Telemetry {
     /// logged, when checkpointing), and the scan's registry absorbs
     /// every filed batch — from this run or from a log it resumes — so
     /// it ends up exactly where an uninterrupted run's would be.
-    /// Counter values add, and histogram buckets add bucket-wise
-    /// (bounds must match).
-    pub fn absorb(&self, snapshot: &TelemetrySnapshot) {
+    /// Counter values add, and histogram buckets add bucket-wise.
+    ///
+    /// A histogram whose bounds differ from the ones this registry holds
+    /// for it — a logged batch the code did not write — is an error
+    /// naming it, and the registry is left part-merged.
+    pub fn absorb(&self, snapshot: &TelemetrySnapshot) -> Result<(), String> {
         for (name, value) in &snapshot.counters {
             self.counter(name).add(*value);
         }
         for (name, h) in &snapshot.histograms {
-            self.histogram(name, &h.bounds).absorb(h);
+            let bounds = &h.bounds;
+            self.histogram_with(name, bounds)
+                .map_err(|ours| format!("histogram {name}: bounds {bounds:?}, not {ours:?}"))?
+                .absorb(h);
         }
+        Ok(())
     }
 
     /// A consistent point-in-time view of every instrument. Meant to be
@@ -577,7 +589,7 @@ mod tests {
             assert_eq!(batch.histograms["sizes"].sum, round * 60);
             assert!(batch.counters.contains_key("never-incremented"));
             assert_eq!(batch.counters.contains_key("lazy"), round == 1);
-            replica.absorb(&batch);
+            replica.absorb(&batch).expect("the bounds agree");
         }
         assert_eq!(source.snapshot().to_json(), replica.snapshot().to_json());
     }
@@ -593,7 +605,7 @@ mod tests {
         let snap = source.snapshot();
 
         let replica = Telemetry::new();
-        replica.absorb(&snap);
+        replica.absorb(&snap).expect("the bounds agree");
         assert_eq!(replica.snapshot().to_json(), snap.to_json());
         assert!(replica
             .snapshot()

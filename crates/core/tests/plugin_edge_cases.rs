@@ -6,6 +6,7 @@ use nokeys_apps::AppId;
 use nokeys_http::memory::HandlerTransport;
 use nokeys_http::{Client, Endpoint, Request, Response, Scheme};
 use nokeys_scanner::plugin::detect_mav;
+use nokeys_scanner::Visit;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -40,7 +41,10 @@ fn grav_fallback_to_admin_page() {
             ),
         ),
     ]);
-    assert!(detect_mav(&client, AppId::Grav, ep, Scheme::Http));
+    assert!(detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Grav
+    ));
 }
 
 #[test]
@@ -50,7 +54,7 @@ fn grav_requires_both_markers() {
         Response::html("<html><body>No user accounts found.</body></html>"),
     )]);
     assert!(
-        !detect_mav(&client, AppId::Grav, ep, Scheme::Http),
+        !detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Grav),
         "'create one' missing — must not fire"
     );
 }
@@ -60,7 +64,10 @@ fn phpmyadmin_alias_path_fallback() {
     let body = "<html><body>Server connection collation \
                 <a>phpMyAdmin documentation</a></body></html>";
     let (client, ep) = client_with(vec![("/phpmyadmin", Response::html(body))]);
-    assert!(detect_mav(&client, AppId::PhpMyAdmin, ep, Scheme::Http));
+    assert!(detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::PhpMyAdmin
+    ));
 }
 
 #[test]
@@ -70,7 +77,10 @@ fn adminer_alternate_path_fallback() {
         "/adminer/adminer.php?username=root",
         Response::html(body),
     )]);
-    assert!(detect_mav(&client, AppId::Adminer, ep, Scheme::Http));
+    assert!(detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Adminer
+    ));
 }
 
 #[test]
@@ -87,7 +97,10 @@ fn kubernetes_rejects_empty_pod_list() {
             Response::json(r#"{"kind":"PodList","items":[],"note":"\"phase\":\"Running\""}"#),
         ),
     ]);
-    assert!(!detect_mav(&client, AppId::Kubernetes, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Kubernetes
+    ));
 }
 
 #[test]
@@ -102,7 +115,10 @@ fn kubernetes_rejects_malformed_json() {
             Response::json(r#"{"items":[{"phase":"Running""#),
         ),
     ]);
-    assert!(!detect_mav(&client, AppId::Kubernetes, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Kubernetes
+    ));
 }
 
 #[test]
@@ -112,7 +128,10 @@ fn consul_requires_the_debug_config_property() {
         "/v1/agent/self",
         Response::json(r#"{"Config":{"EnableScriptChecks":true}}"#),
     )]);
-    assert!(!detect_mav(&client, AppId::Consul, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Consul
+    ));
 }
 
 #[test]
@@ -121,7 +140,7 @@ fn consul_accepts_either_script_flag() {
         let body = format!(r#"{{"DebugConfig":{{"{flag}":true}}}}"#);
         let (client, ep) = client_with(vec![("/v1/agent/self", Response::json(body))]);
         assert!(
-            detect_mav(&client, AppId::Consul, ep, Scheme::Http),
+            detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Consul),
             "{flag} alone should suffice"
         );
     }
@@ -140,7 +159,10 @@ fn hadoop_requires_application_id_json() {
             Response::json(r#"{"maximum-resource-capability":{}}"#),
         ),
     ]);
-    assert!(!detect_mav(&client, AppId::Hadoop, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Hadoop
+    ));
 }
 
 #[test]
@@ -155,7 +177,7 @@ fn drupal_matches_across_whitespace_styles() {
             Response::html(body),
         )]);
         assert!(
-            detect_mav(&client, AppId::Drupal, ep, Scheme::Http),
+            detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Drupal),
             "whitespace variant should match: {body}"
         );
     }
@@ -168,7 +190,10 @@ fn jenkins_requires_the_form_not_just_branding() {
         "/view/all/newJob",
         Response::html("<html><body>Jenkins login required</body></html>"),
     )]);
-    assert!(!detect_mav(&client, AppId::Jenkins, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Jenkins
+    ));
 }
 
 #[test]
@@ -178,7 +203,10 @@ fn jenkins_requires_valid_html() {
         "/view/all/newJob",
         Response::text("Jenkins <form id=\"createItem\">"),
     )]);
-    assert!(!detect_mav(&client, AppId::Jenkins, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Jenkins
+    ));
 }
 
 #[test]
@@ -192,7 +220,7 @@ fn gocd_matches_every_documented_marker_pair() {
     for body in variants {
         let (client, ep) = client_with(vec![("/go/home", Response::html(body))]);
         assert!(
-            detect_mav(&client, AppId::Gocd, ep, Scheme::Http),
+            detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Gocd),
             "variant should match: {body}"
         );
     }
@@ -201,7 +229,10 @@ fn gocd_matches_every_documented_marker_pair() {
         "/go/home",
         Response::html("<html>Pipelines - Go</html>"),
     )]);
-    assert!(!detect_mav(&client, AppId::Gocd, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Gocd
+    ));
 }
 
 #[test]
@@ -211,12 +242,18 @@ fn zeppelin_requires_the_exact_status_prefix() {
         Response::json(r#"{"status": "OK", "body": []}"#),
     )]);
     // Note the space after the colon: the paper's marker has none.
-    assert!(!detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Zeppelin
+    ));
     let (client, ep) = client_with(vec![(
         "/api/notebook",
         Response::json(r#"{"status":"OK","body":[]}"#),
     )]);
-    assert!(detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http));
+    assert!(detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Zeppelin
+    ));
 }
 
 #[test]
@@ -229,7 +266,10 @@ fn wordpress_install_form_needs_password_field() {
             "<html><body>WordPress<form id=\"setup\"><select name=\"lang\"></select></form></body></html>",
         ),
     )]);
-    assert!(!detect_mav(&client, AppId::WordPress, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::WordPress
+    ));
 }
 
 #[test]
@@ -239,5 +279,8 @@ fn error_statuses_do_not_satisfy_marker_checks() {
     let mut resp = Response::json(r#"{"status":"OK","body":[]}"#);
     resp.status = nokeys_http::StatusCode::INTERNAL_SERVER_ERROR;
     let (client, ep) = client_with(vec![("/api/notebook", resp)]);
-    assert!(!detect_mav(&client, AppId::Zeppelin, ep, Scheme::Http));
+    assert!(!detect_mav(
+        &Visit::new(&client, ep, Scheme::Http),
+        AppId::Zeppelin
+    ));
 }

@@ -10,6 +10,7 @@ use nokeys_http::memory::HandlerTransport;
 use nokeys_http::server::Handler;
 use nokeys_http::{Client, Endpoint, Method, Request, Response, Scheme, StatusCode};
 use nokeys_scanner::plugin::{detect_mav, AppHandler};
+use nokeys_scanner::Visit;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -66,7 +67,7 @@ fn plugins_never_fire_on_other_applications() {
     for target in AppId::in_scope() {
         let (client, ep) = client_for(target, true);
         for plugin in AppId::in_scope() {
-            let detected = detect_mav(&client, plugin, ep, Scheme::Http);
+            let detected = detect_mav(&Visit::new(&client, ep, Scheme::Http), plugin);
             if plugin == target {
                 assert!(detected, "{plugin} plugin missed its own vulnerable app");
             } else {
@@ -85,7 +86,7 @@ fn plugins_never_fire_on_secured_applications() {
         let (client, ep) = client_for(target, false);
         for plugin in AppId::in_scope() {
             assert!(
-                !detect_mav(&client, plugin, ep, Scheme::Http),
+                !detect_mav(&Visit::new(&client, ep, Scheme::Http), plugin),
                 "{plugin} plugin fired on a secured {target}"
             );
         }
@@ -113,7 +114,7 @@ fn plugins_never_fire_on_background_noise() {
         let client = Client::new(HandlerTransport::new().with(ep, Arc::new(handler)));
         for plugin in AppId::in_scope() {
             assert!(
-                !detect_mav(&client, plugin, ep, Scheme::Http),
+                !detect_mav(&Visit::new(&client, ep, Scheme::Http), plugin),
                 "{plugin} plugin fired on {kind:?}"
             );
         }
@@ -132,7 +133,7 @@ fn only_five_plugins_read_an_error_page() {
             AppId::Docker | AppId::Gocd | AppId::Grav | AppId::Jenkins | AppId::WordPress
         );
         assert_eq!(
-            detect_mav(&client, app, ep, Scheme::Http),
+            detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
             expected,
             "{app} served as status 500"
         );

@@ -10,6 +10,7 @@ use nokeys_http::{Client, Endpoint, Scheme};
 use nokeys_scanner::pattern::PreparedBody;
 use nokeys_scanner::plugin::{detect_mav, AppHandler};
 use nokeys_scanner::signatures::{all_signatures, match_candidates};
+use nokeys_scanner::Visit;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -38,7 +39,7 @@ fn plugins_detect_every_vulnerable_version() {
             }
             let (client, ep) = client_for(app, version, cfg);
             assert!(
-                detect_mav(&client, app, ep, Scheme::Http),
+                detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
                 "{app} {}: vulnerable version not detected",
                 version.number()
             );
@@ -54,7 +55,7 @@ fn plugins_ignore_every_secured_version() {
             let cfg = AppConfig::secure_for(app, &version);
             let (client, ep) = client_for(app, version, cfg);
             assert!(
-                !detect_mav(&client, app, ep, Scheme::Http),
+                !detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
                 "{app} {}: secured version falsely flagged",
                 version.number()
             );

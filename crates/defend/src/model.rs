@@ -7,7 +7,7 @@ use nokeys_honeypot::Fleet;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
 use nokeys_scanner::plugin::detect_mav;
 use nokeys_scanner::prefilter::candidates;
-use nokeys_scanner::Scratch;
+use nokeys_scanner::{Scratch, Visit};
 
 /// Finding severity as reported by the vendor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,33 +89,21 @@ impl CommercialScanner {
         ep: Endpoint,
     ) -> Option<VendorFinding> {
         let &(_, severity) = self.capabilities.iter().find(|(known, _)| *known == app)?;
-        match severity {
-            Severity::Vulnerability => {
-                // The vendor implements an equivalent unauthenticated-
-                // access check; modeled by the study's own plugin logic.
-                if detect_mav(client, app, ep, Scheme::Http) {
-                    Some(VendorFinding {
-                        endpoint: ep,
-                        app,
-                        severity: Severity::Vulnerability,
-                    })
-                } else {
-                    None
-                }
-            }
-            Severity::Informational => {
-                // Product presence only: match identification signatures.
-                let fetched = client.get_path(ep, Scheme::Http, "/").ok()?;
-                let body = fetched.response.body_str();
-                candidates(&body, &mut Scratch::new())
-                    .contains(&app)
-                    .then_some(VendorFinding {
-                        endpoint: ep,
-                        app,
-                        severity: Severity::Informational,
-                    })
-            }
-        }
+        let visit = Visit::new(client, ep, Scheme::Http);
+        let found = match severity {
+            // The vendor implements an equivalent unauthenticated-access
+            // check; modeled by the study's own plugin logic.
+            Severity::Vulnerability => detect_mav(&visit, app),
+            // Product presence only: match identification signatures.
+            Severity::Informational => visit.get("/").is_ok_and(|fetched| {
+                candidates(&fetched.response.body_str(), &mut Scratch::new()).contains(&app)
+            }),
+        };
+        found.then_some(VendorFinding {
+            endpoint: ep,
+            app,
+            severity,
+        })
     }
 
     /// Scan the whole honeypot fleet, as the study did.

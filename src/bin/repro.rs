@@ -34,6 +34,10 @@
 //! existing log at `FILE` is continued instead of restarting the scan —
 //! the final report and telemetry are byte-identical to an
 //! uninterrupted run.
+//!
+//! A usage error, an unknown id included, exits 2 before anything runs.
+//! A scan that fails — a corrupt or foreign checkpoint log, an I/O
+//! error — prints `error: …` and exits 1.
 
 use nokeys::cli::{value, write_metrics, ScanFlags};
 use nokeys::repro::{Repro, Scale};
@@ -74,7 +78,11 @@ fn main() {
             "all" => ids.extend(Repro::all_ids().iter().map(|s| s.to_string())),
             other => match flags.read(other, &mut args, &mut scan) {
                 Some(true) => {}
-                Some(false) if !other.starts_with('-') => ids.push(other.to_string()),
+                Some(false) if Repro::all_ids().contains(&other) => ids.push(other.to_string()),
+                Some(false) if !other.starts_with('-') => {
+                    eprintln!("error: unknown experiment id '{other}'");
+                    usage()
+                }
                 _ => usage(),
             },
         }
@@ -107,7 +115,7 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("error: {e}");
-                std::process::exit(2);
+                std::process::exit(1);
             }
         }
     }

@@ -10,7 +10,8 @@ use nokeys_netsim::{
     FaultLane, FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
 };
 use nokeys_scanner::observer::{observe, LongevityStudy, ObserverConfig};
-use nokeys_scanner::{Pipeline, PipelineConfig, ScanReport, Telemetry};
+use nokeys_scanner::{Pipeline, PipelineConfig, PipelineError, ScanReport, Telemetry};
+use std::error::Error;
 use std::sync::Arc;
 
 /// Seed of the injected-fault schedule (`--fault-rate`).
@@ -98,8 +99,10 @@ impl Repro {
         &self.telemetry
     }
 
-    /// Run (or reuse) the Internet-wide scan.
-    pub fn scan(&mut self) -> &(FaultyTransport<SimTransport>, ScanReport) {
+    /// Run (or reuse) the Internet-wide scan. A scan that fails — a
+    /// corrupt or foreign checkpoint log, an I/O error — returns its
+    /// error and caches nothing.
+    pub fn scan(&mut self) -> Result<&(FaultyTransport<SimTransport>, ScanReport), PipelineError> {
         if self.scan.is_none() {
             let universe = Arc::new(Universe::generate(self.universe_config.clone()));
             let plan = FaultPlan::new(self.fault_rate, FAULT_SEED);
@@ -124,21 +127,20 @@ impl Repro {
                 pipeline.resume(&client)
             } else {
                 pipeline.run(&client)
-            }
-            .unwrap_or_else(|e| panic!("scan pipeline failed: {e}"));
+            }?;
             self.scan = Some((transport, report));
         }
-        self.scan.as_ref().expect("just initialized")
+        Ok(self.scan.as_ref().expect("just initialized"))
     }
 
     /// Run (or reuse) the four-week longevity observation.
-    pub fn longevity(&mut self) -> &LongevityStudy {
+    pub fn longevity(&mut self) -> Result<&LongevityStudy, PipelineError> {
         if self.longevity.is_none() {
             let interval = match self.scale {
                 Scale::Full => 3 * 3600,
                 Scale::Quick => 86_400,
             };
-            let (transport, report) = self.scan();
+            let (transport, report) = self.scan()?;
             let transport = transport.clone();
             let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
             let config = ObserverConfig {
@@ -148,7 +150,7 @@ impl Repro {
             let study = observe(&self.telemetry, client_at(&transport), &vulnerable, &config);
             self.longevity = Some(study);
         }
-        self.longevity.as_ref().expect("just initialized")
+        Ok(self.longevity.as_ref().expect("just initialized"))
     }
 
     /// Run (or reuse) the honeypot study.
@@ -176,12 +178,13 @@ impl Repro {
     }
 
     /// Regenerate one experiment by id; returns the rendered artifact.
-    pub fn run(&mut self, id: &str) -> Result<String, String> {
+    /// Fails on an unknown id or a failed scan.
+    pub fn run(&mut self, id: &str) -> Result<String, Box<dyn Error>> {
         let out = match id {
             "table1" => analysis::table1::build().render(),
             "table2" => {
                 let divisor = self.universe_config.background_divisor;
-                let (_, report) = self.scan();
+                let (_, report) = self.scan()?;
                 analysis::table2::build(report, divisor).render()
             }
             "table3" => {
@@ -189,18 +192,18 @@ impl Repro {
                     self.universe_config.benign_divisor,
                     self.universe_config.mav_divisor,
                 );
-                let (_, report) = self.scan();
+                let (_, report) = self.scan()?;
                 analysis::table3::build(report, b, m).render()
             }
             "table4" => {
-                let (transport, report) = self.scan();
+                let (transport, report) = self.scan()?;
                 analysis::table4::build(report, transport.inner().universe().geo(), 5).render()
             }
             "fig1" => {
-                let (_, report) = self.scan();
+                let (_, report) = self.scan()?;
                 analysis::fig1::build(report).render()
             }
-            "fig2" => analysis::fig2::build(self.longevity()).render(),
+            "fig2" => analysis::fig2::build(self.longevity()?).render(),
             "table5" => analysis::table5::build(self.study()).render(),
             "table6" => analysis::table6::build(self.study()).render(),
             "table7" => analysis::table7::build(self.study()).render(),
@@ -208,7 +211,7 @@ impl Repro {
             "fig3" => analysis::fig3::build(self.study()).render(),
             "fig4" => analysis::fig4::build(self.study()).render(),
             "table9" => {
-                self.scan();
+                self.scan()?;
                 self.study();
                 self.defenders();
                 let (_, report) = self.scan.as_ref().expect("scan cached");
@@ -222,19 +225,19 @@ impl Repro {
             }
             "table10" => analysis::table10::build().render(),
             "rq2" => {
-                let (_, report) = self.scan();
+                let (_, report) = self.scan()?;
                 analysis::rq2::build(report).render()
             }
-            "longevity" => analysis::longevity_stats::build(self.longevity()).render(),
+            "longevity" => analysis::longevity_stats::build(self.longevity()?).render(),
             "cases" => analysis::case_studies::build(self.study()).render(),
             "restores" => analysis::restores::build(self.study()).render(),
             "race" => analysis::race_table::build(&nokeys_defend::SCANNER2, self.study()).render(),
             "scanmodel" => {
-                let (_, report) = self.scan();
+                let (_, report) = self.scan()?;
                 analysis::scan_model::build(report).render()
             }
             "disclosure" => {
-                let (transport, report) = self.scan();
+                let (transport, report) = self.scan()?;
                 let geo = transport.inner().universe().geo().clone();
                 let findings: Vec<_> = report.vulnerable_findings().cloned().collect();
                 let plan = nokeys_scanner::disclosure::plan_notifications(
@@ -249,7 +252,7 @@ impl Repro {
                 nokeys_scanner::disclosure::render(&plan)
             }
             "ct" => {
-                let (transport, _) = self.scan();
+                let (transport, _) = self.scan()?;
                 let delay_secs = 3600;
                 let sim = transport.inner();
                 let entries: Vec<nokeys_scanner::ct::DomainTarget> = sim
@@ -267,7 +270,7 @@ impl Repro {
                     nokeys_scanner::ct::ct_scan(client_at(transport), &entries, delay_secs);
                 analysis::ct_compare::build(sim.universe(), &findings, delay_secs).render()
             }
-            _ => return Err(format!("unknown experiment id '{id}'")),
+            _ => return Err(format!("unknown experiment id '{id}'").into()),
         };
         Ok(out)
     }

@@ -150,7 +150,7 @@ fn faulted_run_resumed_from_a_torn_log_at_four_shards() {
 
     let mut first = faulted_harness();
     first.config.checkpoint_path = Some(log.clone());
-    first.scan();
+    first.scan().expect("the scan");
     let file = std::fs::OpenOptions::new()
         .write(true)
         .open(&log)

@@ -171,6 +171,44 @@ fn torn_checkpoint_resumes_to_the_same_table() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A log the scan cannot use is an error, not a crash: resuming from a
+/// line whose `stage2.redirects` bounds run backwards prints `error: …`
+/// and exits 1.
+#[test]
+fn corrupt_checkpoint_exits_1_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("nokeys-repro-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("scan.ckpt");
+    let table2 = |extra: &[&str]| {
+        repro()
+            .args(["table2", "--quick", "--checkpoint"])
+            .arg(&log)
+            .args(extra)
+            .output()
+            .expect("runs")
+    };
+    assert!(table2(&[]).status.success());
+    let text = std::fs::read_to_string(&log).expect("log reads");
+    let bounds = r#""stage2.redirects":{"bounds":"#;
+    let corrupt = text.replacen(
+        &format!("{bounds}[0,1,2,4,8]"),
+        &format!("{bounds}[8,4,2,1,0]"),
+        1,
+    );
+    assert_ne!(corrupt, text, "a batch line logs stage2.redirects");
+    std::fs::write(&log, corrupt).expect("log writes");
+    let out = table2(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: checkpoint file is corrupt"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn seed_changes_jittered_outputs_only() {
     let run = |seed: &str| {
