@@ -31,7 +31,7 @@
 //! abstraction: the same code scans the simulated universe
 //! (`nokeys-netsim`) and real sockets (`live_scan` example).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod checkpoint;
 pub mod ct;

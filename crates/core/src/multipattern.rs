@@ -34,7 +34,9 @@
 //! then runs on past its boundary until nothing that began before the
 //! boundary can still be open (see `MultiPattern::walk`). Either half
 //! alone measures no faster than three automata walked together over
-//! one chunk (DESIGN.md §13).
+//! one chunk (DESIGN.md §13). With four chains in flight the loop is
+//! bound by the instructions it issues, so `Automaton::abreast` proves
+//! its indices once, outside the loop, and checks none per step.
 //!
 //! The matcher is exactly equivalent to running each signature's
 //! [`Pattern`] individually; the unit tests below and the `prefilter`
@@ -251,6 +253,17 @@ impl Automaton {
             }
         }
 
+        // What `abreast` reads unchecked rests on: every entry, flags
+        // cleared, is the offset of a whole row, and every class is a
+        // column of one.
+        debug_assert!(
+            table.iter().all(|&entry| {
+                let state = usize::from(entry & !LOOK);
+                state % units == 0 && state < rows * units
+            }) && classes.iter().all(|&class| usize::from(class) < stride),
+            "an entry names no row, or a class no column"
+        );
+
         Automaton {
             classes,
             stride,
@@ -270,7 +283,11 @@ impl Automaton {
     /// Kept out of line: on its own the loop holds every register in a
     /// machine register, which it does not once it shares a frame with
     /// the calls of the careful path (about a tenth slower, measured).
+    /// Its indices are proved once, here and in [`new`](Self::new), not
+    /// checked per step: a lane-step is a byte load, a class load, one
+    /// `lea`, a table load and a flag test (DESIGN.md §13).
     #[inline(never)]
+    #[allow(unsafe_code)]
     fn abreast(
         &self,
         bytes: &[u8],
@@ -278,25 +295,47 @@ impl Automaton {
         mut offset: usize,
     ) -> (usize, usize) {
         let chunk = bytes.len() / LANES;
-        let chunks: [&[u8]; LANES] = std::array::from_fn(|j| &bytes[j * chunk..][..chunk]);
         let table = &self.table[..];
-        let mut live = *states;
+        // Every unflagged entry `new` writes is the start of a whole row
+        // and every class is below the stride: with the states handed in
+        // held to the same bound, every index the loop forms is in bounds.
+        assert!(
+            states
+                .iter()
+                .all(|&state| state as usize * UNIT + self.stride <= table.len()),
+            "a lane state names no row of the table"
+        );
+        // Widened once: a register the next index takes as it is, with
+        // no zero extension in the chain.
+        let mut live = states.map(|state| state as usize);
         let mut met = 0;
         'turns: while offset < chunk {
-            for j in 0..LANES {
-                let class = self.classes[usize::from(chunks[j][offset])];
-                // Widened as it is loaded: a register the next index
-                // takes as it is, with no zero extension in the chain.
-                let next = u32::from(table[live[j] as usize * UNIT + usize::from(class)]);
-                if next & u32::from(LOOK) != 0 {
+            for (j, state) in live.iter_mut().enumerate() {
+                let at = j * chunk + offset;
+                debug_assert!(at < bytes.len());
+                // SAFETY: `offset < chunk` and `j < LANES`, so `at <
+                // LANES * chunk <= bytes.len()`.
+                let byte = unsafe { *bytes.get_unchecked(at) };
+                let entry = *state * UNIT + usize::from(self.classes[usize::from(byte)]);
+                debug_assert!(entry < table.len());
+                // SAFETY: `*state` passed the `assert!` above or is an
+                // unflagged entry of `table`, which `new` writes only as a
+                // row's offset in units (held there by a debug pass and by
+                // `every_entry_names_a_row`) and nothing writes after it;
+                // so `*state * UNIT + stride <= table.len()`, and every
+                // class is below the stride.
+                let next = usize::from(unsafe { *table.get_unchecked(entry) });
+                if next & usize::from(LOOK) != 0 {
                     met = j;
                     break 'turns;
                 }
-                live[j] = next;
+                *state = next;
             }
             offset += 1;
         }
-        *states = live;
+        // Narrowed once, losing nothing: each is a `u32` handed in or a
+        // 14-bit entry.
+        *states = live.map(|state| state as u32);
         (offset, met)
     }
 }
@@ -662,6 +701,34 @@ mod tests {
         );
     }
 
+    /// What `Automaton::abreast` reads unchecked rests on this: every
+    /// entry, flags cleared, is a multiple of `units` below `rows *
+    /// units` — the offset of a whole row — and every class is below
+    /// the stride. Held on the catalog, on every exhaustive short-string
+    /// set and on the automaton at the 2^14-unit limit.
+    #[test]
+    fn every_entry_names_a_row() {
+        let limit = synthetic(&[Pattern::exact("a".repeat(16_382).leak())]);
+        let sets = short_string_sets().map(|(patterns, _)| synthetic(&patterns));
+        for mp in [MultiPattern::catalog(), &limit].into_iter().chain(&sets) {
+            let automaton = &mp.automaton;
+            let units = automaton.stride / UNIT;
+            let rows = automaton.table.len() / automaton.stride;
+            assert_eq!(rows * automaton.stride, automaton.table.len());
+            for (at, &entry) in automaton.table.iter().enumerate() {
+                let state = usize::from(entry & !LOOK);
+                assert!(
+                    state % units == 0 && state < rows * units,
+                    "entry {at} is {state}, not one of {rows} rows of {units} units"
+                );
+            }
+            assert!(automaton
+                .classes
+                .iter()
+                .all(|&class| usize::from(class) < automaton.stride));
+        }
+    }
+
     #[test]
     fn automaton_finds_overlapping_patterns() {
         let mp = synthetic(&["he", "she", "his", "hers"].map(Pattern::exact));
@@ -728,6 +795,31 @@ mod tests {
         }
     }
 
+    /// The needle sets of the exhaustive short-string test, each with
+    /// its alphabet.
+    fn short_string_sets() -> [(Vec<Pattern>, &'static str); 8] {
+        use Pattern as P;
+        [
+            (["he", "she", "his", "hers"].map(P::exact).to_vec(), "hesx"),
+            (["he", "she", "his", "hers"].map(P::exact).to_vec(), "hirx"),
+            (["aa", "aaa", "baa"].map(P::exact).to_vec(), "abcx"),
+            (vec![P::exact("b")], "abcx"),
+            (["cab", "ab", "b", "abca"].map(P::exact).to_vec(), "abcx"),
+            (["ab", "bab"].map(P::nocase).to_vec(), "aAbBx"),
+            (["ab", "bab"].map(P::nospace).to_vec(), "ab \nx"),
+            (
+                vec![
+                    P::exact("Ab"),
+                    P::exact("a b"),
+                    P::nocase("ab"),
+                    P::nospace("ab"),
+                    P::nospace("Ab"),
+                ],
+                "aAb x",
+            ),
+        ]
+    }
+
     /// Exhaustive: on every string of length ≤ 6 over the needles'
     /// letters plus one byte no needle contains, the matcher reports
     /// exactly the needles `Pattern::matches` finds. Small enough to
@@ -743,28 +835,8 @@ mod tests {
     /// the confirmation tells them apart.
     #[test]
     fn automaton_agrees_with_contains_on_every_short_string() {
-        use Pattern as P;
-        let sets: [(&[Pattern], &str); 8] = [
-            (&["he", "she", "his", "hers"].map(P::exact), "hesx"),
-            (&["he", "she", "his", "hers"].map(P::exact), "hirx"),
-            (&["aa", "aaa", "baa"].map(P::exact), "abcx"),
-            (&[P::exact("b")], "abcx"),
-            (&["cab", "ab", "b", "abca"].map(P::exact), "abcx"),
-            (&["ab", "bab"].map(P::nocase), "aAbBx"),
-            (&["ab", "bab"].map(P::nospace), "ab \nx"),
-            (
-                &[
-                    P::exact("Ab"),
-                    P::exact("a b"),
-                    P::nocase("ab"),
-                    P::nospace("ab"),
-                    P::nospace("Ab"),
-                ],
-                "aAb x",
-            ),
-        ];
-        for (patterns, alphabet) in sets {
-            let mp = synthetic(patterns);
+        for (patterns, alphabet) in short_string_sets() {
+            let mp = synthetic(&patterns);
             let mut strings = vec![String::new()];
             let mut level = 0..1;
             for _ in 0..6 {

@@ -88,8 +88,9 @@ pub struct Universe {
     config: UniverseConfig,
     hosts: HashMap<u32, Host>,
     /// Populated addresses in ascending order — the index behind
-    /// `SimTransport`'s live addresses. Built once at generation time; the host map never changes
-    /// afterwards (lifecycle events mutate hosts in place).
+    /// `SimTransport`'s live addresses and the order of `hosts()`. Built
+    /// once at generation time; the host map never changes afterwards
+    /// (lifecycle events mutate hosts in place).
     sorted_ips: Vec<u32>,
     geo: GeoDb,
 }
@@ -212,9 +213,9 @@ impl Universe {
         &self.geo
     }
 
-    /// All hosts (iteration order is unspecified).
+    /// All hosts, in address order: the same order in every process.
     pub fn hosts(&self) -> impl Iterator<Item = &Host> {
-        self.hosts.values()
+        self.sorted_ips.iter().map(|ip| &self.hosts[ip])
     }
 
     /// Number of hosts.
@@ -389,10 +390,9 @@ impl Universe {
     }
 
     /// All virtual hosts with their machines (ground truth for the CT
-    /// study).
+    /// study), machines in address order.
     pub fn vhosts(&self) -> impl Iterator<Item = (&Host, &crate::vhost::VirtualHost)> {
-        self.hosts
-            .values()
+        self.hosts()
             .flat_map(|h| h.vhosts.iter().map(move |v| (h, v)))
     }
 }

@@ -86,12 +86,10 @@ fn one_exchange_allocates_at_most_todays_count() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(2022)));
     let client = Client::new(SimTransport::new(Arc::clone(&universe)));
     // The first HTTP endpoint of each kind, by address, whose `/`
-    // follows `redirects` redirects. (`hosts()` iterates in no fixed
-    // order, and hosts differ in what their answers cost.)
-    let mut hosts: Vec<_> = universe.hosts().collect();
-    hosts.sort_by_key(|host| host.ip);
+    // follows `redirects` redirects: hosts differ in what their answers
+    // cost.
     let first = |awe: bool, redirects: usize| {
-        (hosts.iter())
+        (universe.hosts())
             .filter(|host| host.awe().is_some() == awe)
             .flat_map(|host| {
                 (host.services.iter())
