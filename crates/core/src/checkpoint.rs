@@ -8,14 +8,14 @@
 //! checkpointing ever creates:
 //!
 //! ```text
-//! {"format":5,"fingerprint":{…},"total_batches":N}\n     header
+//! {"format":6,"fingerprint":{…},"total_batches":N}\n     header
 //! {"seq":17,"findings":[…],"telemetry":{…}}\n            one per finished batch,
 //! {"seq":3,"findings":[…],"telemetry":{…}}\n             in completion order
 //! ```
 //!
 //! A batch line holds the [`HostFinding`]s of exactly that batch and
 //! the [`TelemetrySnapshot`] of the work it took (its stage, retry and
-//! injected-fault counters and histograms). That is the whole batch:
+//! injected-fault counters). That is the whole batch:
 //! every count of the [`ScanReport`](crate::report::ScanReport) is read
 //! off the telemetry when the scan finishes. A batch records into its
 //! own registry, so its line is a function of the batch alone: the same
@@ -38,10 +38,8 @@
 //! tail from what it returns *and* truncates it from the file before
 //! anything is appended, and the batch it belonged to is rescanned.
 //! Every *complete* line is outside input and must check out — one that
-//! does not parse, a batch index past the end of the scan or logged
-//! twice, a histogram whose bounds do not strictly increase or differ
-//! from an earlier line's is [`CheckpointError::Corrupt`], never
-//! skipped. (Lines are handed to the operating system, not fsynced: the
+//! does not parse, or a batch index past the end of the scan or logged
+//! twice, is [`CheckpointError::Corrupt`], never skipped. (Lines are handed to the operating system, not fsynced: the
 //! log survives the death of the process, which is the failure a
 //! day-long scan actually meets, not the loss of the machine.)
 //!
@@ -76,8 +74,9 @@ use std::path::Path;
 /// logged virtual-clock timings in each batch's telemetry; 3
 /// fingerprinted the retry backoff shape and jitter seed, and its
 /// batches lacked their injected-fault counts; 4 logged each batch's
-/// report, counts and all, beside its telemetry.)
-pub const FORMAT_VERSION: u32 = 5;
+/// report, counts and all, beside its telemetry; 5 logged histograms
+/// beside the counters.)
+pub const FORMAT_VERSION: u32 = 6;
 
 /// A checkpoint failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,8 +185,6 @@ impl CheckpointLog {
             )));
         }
         let mut batches = LoggedBatches::new();
-        // Each histogram's bounds as the first line holding it logged them.
-        let mut bounds = BTreeMap::new();
         for line in lines {
             let line = json::parse(line).map_err(corrupt)?;
             let seq: u64 = line.field("seq").map_err(corrupt)?;
@@ -198,16 +195,6 @@ impl CheckpointLog {
             }
             let findings = line.field("findings").map_err(corrupt)?;
             let telemetry: TelemetrySnapshot = line.field("telemetry").map_err(corrupt)?;
-            for (name, h) in &telemetry.histograms {
-                let first = bounds
-                    .entry(name.clone())
-                    .or_insert_with(|| h.bounds.clone());
-                if *first != h.bounds {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "batch {seq} logs histogram {name} with other bounds"
-                    )));
-                }
-            }
             if batches.insert(seq, (findings, telemetry)).is_some() {
                 return Err(CheckpointError::Corrupt(format!(
                     "batch {seq} logged twice"
@@ -393,17 +380,6 @@ mod tests {
         let batch_line = batch_line.trim_end();
         let out_of_range = batch_line.replace("\"seq\":5", "\"seq\":32");
         assert_ne!(out_of_range, batch_line);
-        let with_bounds = |bounds: &str| {
-            let histogram = format!(
-                r#""stage2.redirects":{{"bounds":{bounds},"buckets":[0,0],"count":0,"overflow":0,"sum":0}}"#
-            );
-            let line = batch_line.replace(
-                r#""histograms":{}"#,
-                &format!(r#""histograms":{{{histogram}}}"#),
-            );
-            assert_ne!(line, batch_line);
-            line
-        };
         for (contents, what) in [
             ("not a checkpoint\n".to_string(), "bad JSON"),
             ("[]\n".to_string(), "missing field `format`"),
@@ -431,20 +407,6 @@ mod tests {
                 format!("{header}\n{batch_line}\n{batch_line}\n"),
                 "batch 5 logged twice",
             ),
-            // A histogram's bounds must be usable, and one histogram's
-            // bounds the same on every line.
-            (
-                format!("{header}\n{}\n", with_bounds("[4,1]")),
-                "histograms: stage2.redirects: histogram bounds [4, 1] are not strictly increasing",
-            ),
-            (
-                format!(
-                    "{header}\n{}\n{}\n",
-                    with_bounds("[1,4]"),
-                    with_bounds("[1,8]").replace("\"seq\":5", "\"seq\":6")
-                ),
-                "batch 6 logs histogram stage2.redirects with other bounds",
-            ),
             // ... even when a torn tail follows them.
             (format!("{header}\nnot a batch\n{{\"seq\":"), "bad JSON"),
         ] {
@@ -468,8 +430,9 @@ mod tests {
         // read: format 1 was a single pretty-printed document per file,
         // format 2 a log whose batch snapshots carried timings, format 3
         // one whose batches lacked their injected-fault counts, format 4
-        // one whose batches logged a report beside their telemetry.
-        for found in [FORMAT_VERSION + 1, 4, 3, 2, 1] {
+        // one whose batches logged a report beside their telemetry,
+        // format 5 one whose batches logged histograms.
+        for found in [FORMAT_VERSION + 1, 5, 4, 3, 2, 1] {
             std::fs::write(&path, format!("{{\"format\": {found}}}\n")).unwrap();
             assert_eq!(
                 resume(&path).unwrap_err(),
@@ -612,7 +575,7 @@ mod tests {
                 r#""ports":[80,443,2375,4646,6443,8000,8080,8088,8153,8192,8500,8888],"#,
                 r#""retry_max_attempts":3,"shuffle_seed":121424822237555,"#,
                 r#""targets":["20.0.0.0/16"],"tarpit_port_threshold":12},"#,
-                r#""format":5,"total_batches":4}"#,
+                r#""format":6,"total_batches":4}"#,
                 "\n"
             )
         );

@@ -17,8 +17,8 @@
 //! * **Host visits** ([`visit`]): one endpoint over one scheme through
 //!   one client, the one place stages II–IV and the rescans fetch.
 //! * **Telemetry** ([`telemetry`]): a lock-cheap metrics registry
-//!   threaded through every stage — counters and fixed-bucket
-//!   histograms, snapshot as deterministic JSON.
+//!   threaded through every stage — counters, a distribution being a
+//!   fixed set of bucket counters — snapshot as deterministic JSON.
 //! * **Execution** ([`shard`], [`checkpoint`]): the one scan engine —
 //!   shard workers on OS threads drawing batches from one cursor and
 //!   filing them in one ledger, with a crash-safe append-only

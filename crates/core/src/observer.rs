@@ -113,23 +113,8 @@ impl LongevityStudy {
     }
 }
 
-/// Observer configuration.
-#[derive(Debug, Clone)]
-pub struct ObserverConfig {
-    /// Seconds between rescans (paper: 3 hours). Must be positive.
-    pub interval_secs: i64,
-    /// Total observation window (paper: 28 days). Must not be negative.
-    pub window_secs: i64,
-}
-
-impl Default for ObserverConfig {
-    fn default() -> Self {
-        ObserverConfig {
-            interval_secs: 3 * 3600,
-            window_secs: 28 * 86_400,
-        }
-    }
-}
+/// The observation window: the paper's four weeks.
+const WINDOW_SECS: i64 = 28 * 86_400;
 
 /// Telemetry handles the per-host re-check records into.
 struct HostMetrics {
@@ -140,7 +125,8 @@ struct HostMetrics {
     version_updates: Counter,
 }
 
-/// Run the longevity observation.
+/// Run the longevity observation: a round every `interval_secs` (the
+/// paper rescans every 3 hours) over the four-week window.
 ///
 /// `client_at(secs)` is the client a round uses, `secs` being the
 /// round's offset from the study start; with the simulated transport it
@@ -156,16 +142,15 @@ struct HostMetrics {
 ///
 /// # Panics
 ///
-/// If `config.interval_secs` is not positive or `config.window_secs` is
-/// negative.
+/// If `interval_secs` is not positive.
 pub fn observe<T: Transport>(
     telemetry: &Telemetry,
     client_at: impl Fn(i64) -> Client<T> + Sync,
     findings: &[HostFinding],
-    config: &ObserverConfig,
+    interval_secs: i64,
 ) -> LongevityStudy {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    observe_on(workers, telemetry, client_at, findings, config)
+    observe_on(workers, telemetry, client_at, findings, interval_secs)
 }
 
 /// [`observe`] on at most `workers` threads. Private: the count is not
@@ -175,17 +160,11 @@ fn observe_on<T: Transport>(
     telemetry: &Telemetry,
     client_at: impl Fn(i64) -> Client<T> + Sync,
     findings: &[HostFinding],
-    config: &ObserverConfig,
+    interval_secs: i64,
 ) -> LongevityStudy {
     assert!(
-        config.interval_secs > 0,
-        "ObserverConfig::interval_secs must be positive, got {}",
-        config.interval_secs
-    );
-    assert!(
-        config.window_secs >= 0,
-        "ObserverConfig::window_secs must not be negative, got {}",
-        config.window_secs
+        interval_secs > 0,
+        "the rescan interval must be positive, got {interval_secs}"
     );
     let rounds = telemetry.counter("observer.rounds");
     let metrics = HostMetrics {
@@ -196,8 +175,8 @@ fn observe_on<T: Transport>(
         version_updates: telemetry.counter("observer.version_updates"),
     };
     let fingerprinter = Fingerprinter::with_telemetry(telemetry);
-    let times: Vec<i64> = (0..=config.window_secs / config.interval_secs)
-        .map(|i| i * config.interval_secs)
+    let times: Vec<i64> = (0..=WINDOW_SECS / interval_secs)
+        .map(|i| i * interval_secs)
         .collect();
 
     let mut timelines: Vec<HostTimeline> = findings
@@ -301,10 +280,7 @@ mod tests {
 
     // Daily rescans keep the tests fast; the repro harness uses the
     // paper's 3-hour cadence.
-    const DAILY: ObserverConfig = ObserverConfig {
-        interval_secs: 86_400,
-        window_secs: 28 * 86_400,
-    };
+    const DAILY: i64 = 86_400;
 
     /// Scan a tiny universe and observe its vulnerable hosts on
     /// `workers` threads, with the scan's faults at every round's
@@ -321,7 +297,7 @@ mod tests {
         let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
         assert!(!vulnerable.is_empty());
         let client_at = |secs| Client::new(faulty.at(SimTime(secs)));
-        observe_on(workers, telemetry, client_at, &vulnerable, &DAILY)
+        observe_on(workers, telemetry, client_at, &vulnerable, DAILY)
     }
 
     fn study() -> LongevityStudy {
@@ -484,26 +460,10 @@ mod tests {
         }
     }
 
-    fn observe_nothing(config: &ObserverConfig) -> LongevityStudy {
-        let client_at = |_| Client::new(nokeys_http::memory::HandlerTransport::new());
-        observe(&Telemetry::default(), client_at, &[], config)
-    }
-
     #[test]
-    #[should_panic(expected = "ObserverConfig::interval_secs must be positive")]
+    #[should_panic(expected = "the rescan interval must be positive")]
     fn zero_interval_is_rejected() {
-        observe_nothing(&ObserverConfig {
-            interval_secs: 0,
-            ..DAILY
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "ObserverConfig::window_secs must not be negative")]
-    fn negative_window_is_rejected() {
-        observe_nothing(&ObserverConfig {
-            window_secs: -1,
-            ..DAILY
-        });
+        let client_at = |_| Client::new(nokeys_http::memory::HandlerTransport::new());
+        observe(&Telemetry::default(), client_at, &[], 0);
     }
 }

@@ -60,7 +60,7 @@ use crate::portscan::{by_host, Cidr};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
 use crate::scratch::Scratch;
-use crate::telemetry::{Counter, ErrorCounters, Histogram, Telemetry};
+use crate::telemetry::{Buckets, Counter, ErrorCounters, Telemetry};
 use crate::visit::Visit;
 use nokeys_apps::{AppId, SCAN_PORTS};
 use nokeys_http::{Client, Endpoint, Transport};
@@ -260,7 +260,7 @@ struct PipelineMetrics {
     mavs: Counter,
     /// `pipeline.open_ports_per_host` — open scan ports on responsive
     /// hosts (tarpits included, so the top bucket exposes them).
-    open_ports_per_host: Histogram,
+    open_ports_per_host: Buckets,
     /// `stage3.error.<class>`: plugin runs a failed `GET` ended.
     errors: ErrorCounters,
 }
@@ -272,7 +272,7 @@ impl PipelineMetrics {
             tarpit_excluded: telemetry.counter("pipeline.tarpit_excluded"),
             findings: telemetry.counter("pipeline.findings"),
             mavs: telemetry.counter("pipeline.mavs"),
-            open_ports_per_host: telemetry.histogram("pipeline.open_ports_per_host", &[1, 2, 4, 8]),
+            open_ports_per_host: telemetry.buckets("pipeline.open_ports_per_host", &[1, 2, 4, 8]),
             errors: ErrorCounters::new(telemetry, "stage3"),
         }
     }
@@ -870,6 +870,22 @@ mod tests {
             .sum();
         let responses: u64 = report.port_stats.values().map(|s| s.http + s.https).sum();
         assert_eq!(tries, responses + errors);
+        // Each bucket family counts one observation per thing it
+        // describes, and its sum adds up what was measured.
+        let observations = |name: &str| {
+            snap.prefixed_total(&format!("{name}.")) - snap.counter(&format!("{name}.sum"))
+        };
+        assert_eq!(observations("stage2.redirects"), responses);
+        assert_eq!(
+            observations("stage2.body_bytes"),
+            snap.counter("stage2.multipattern.bodies")
+        );
+        assert_eq!(
+            snap.counter("pipeline.open_ports_per_host.sum"),
+            snap.prefixed_total("stage1.ports_open.")
+        );
+        // Only a tarpit has more than 8 of the 12 scan ports open.
+        assert_eq!(snap.counter("pipeline.open_ports_per_host.gt_8"), tarpits);
         // Port 80 is only asked for HTTP, port 443 only for HTTPS.
         assert!(!snap.counters.contains_key("stage2.https_responses.80"));
         assert!(!snap.counters.contains_key("stage2.http_responses.443"));

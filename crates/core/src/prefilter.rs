@@ -14,7 +14,7 @@
 use crate::multipattern::MultiPattern;
 use crate::scratch::Scratch;
 use crate::signatures::{all_signatures, rank_candidates, Signature};
-use crate::telemetry::{Counter, ErrorCounters, Histogram, Telemetry};
+use crate::telemetry::{Buckets, Counter, ErrorCounters, Telemetry};
 use crate::visit::Visit;
 use nokeys_apps::AppId;
 use nokeys_http::{Client, Endpoint, Scheme, Transport};
@@ -41,8 +41,8 @@ struct PrefilterMetrics {
     bodies_matched: Counter,
     /// One hit counter per signature, catalog order.
     signature_hits: Vec<Counter>,
-    redirects: Histogram,
-    body_bytes: Histogram,
+    redirects: Buckets,
+    body_bytes: Buckets,
     /// `stage2.error.<class>`: failed fetches.
     errors: ErrorCounters,
     /// Registers `stage2.{http,https}_responses.<port>` (Table 2's
@@ -63,8 +63,8 @@ impl PrefilterMetrics {
                 .enumerate()
                 .map(|(i, s)| telemetry.counter(&format!("stage2.signature.{i:02}.{}", s.app)))
                 .collect(),
-            redirects: telemetry.histogram("stage2.redirects", &[0, 1, 2, 4, 8]),
-            body_bytes: telemetry.histogram("stage2.body_bytes", &[256, 1024, 4096, 16384, 65536]),
+            redirects: telemetry.buckets("stage2.redirects", &[0, 1, 2, 4, 8]),
+            body_bytes: telemetry.buckets("stage2.body_bytes", &[256, 1024, 4096, 16384, 65536]),
             errors: ErrorCounters::new(telemetry, "stage2"),
             telemetry: telemetry.clone(),
         }
@@ -291,7 +291,9 @@ mod tests {
         let responses = snap.prefixed_total("stage2.http_responses.")
             + snap.prefixed_total("stage2.https_responses.");
         assert!(responses > 0);
-        assert_eq!(snap.histograms["stage2.redirects"].count, responses);
+        let redirects =
+            snap.prefixed_total("stage2.redirects.") - snap.counter("stage2.redirects.sum");
+        assert_eq!(redirects, responses);
     }
 
     #[test]

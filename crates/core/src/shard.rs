@@ -39,11 +39,11 @@
 //!   processed entirely by one worker — so concatenating the ledger's
 //!   per-batch findings in key order reconstructs the single-worker
 //!   findings order exactly, whichever worker filed which batch when.
-//! * Telemetry snapshots are sums (counters add, histogram buckets
-//!   add). A batch records into its own registry, so what a worker
-//!   files is that batch's work alone, and absorbing the batches in
-//!   *any* order yields the single-worker registry. An instrument
-//!   registered on first use appears in the batches that used it.
+//! * Telemetry snapshots are counters, and counters add. A batch
+//!   records into its own registry, so what a worker files is that
+//!   batch's work alone, and absorbing the batches in *any* order
+//!   yields the single-worker registry. A counter registered on first
+//!   use appears in the batches that used it.
 //!   Every count in the [`ScanReport`] — Table 2's per-port rows, the
 //!   exclusions, the stage funnel — is read off that registry once,
 //!   when the ledger finishes (`ScanReport::from_telemetry`), so no
@@ -73,7 +73,7 @@
 //! [`PipelineConfig::fingerprint`], so a log written at `--shards 4`
 //! resumes at `--shards 8` (or 1).
 
-use crate::checkpoint::{CheckpointError, CheckpointLog};
+use crate::checkpoint::CheckpointLog;
 use crate::pipeline::{BatchProcessor, PipelineConfig, PipelineError};
 use crate::portscan::{Cidr, PortScanner};
 use crate::rate::SharedPacer;
@@ -111,9 +111,6 @@ impl Ledger {
     /// File finished batch `seq`: its findings and the telemetry of the
     /// work it took. Batches may arrive in any order. With a log
     /// attached the batch is appended there before it counts as filed.
-    /// A batch holding a histogram with other bounds than the batches
-    /// filed before it is [`CheckpointError::Corrupt`], and is not
-    /// logged: it or they came from a log this code did not write.
     ///
     /// # Panics
     ///
@@ -127,8 +124,7 @@ impl Ledger {
     ) -> Result<(), PipelineError> {
         assert!(seq < self.total_batches, "batch {seq} is out of range");
         assert!(!self.findings.contains_key(&seq), "batch {seq} filed twice");
-        (self.telemetry.absorb(telemetry))
-            .map_err(|e| CheckpointError::Corrupt(format!("batch {seq}: {e}")))?;
+        self.telemetry.absorb(telemetry);
         if let Some(log) = &mut self.log {
             log.append(seq, &findings, telemetry)?;
         }
@@ -145,9 +141,7 @@ impl Ledger {
     /// of the ledger's own registry make the report, and that registry
     /// is handed to `telemetry`. The report reads nothing from
     /// `telemetry`, which may hold other work too. Fails, naming the
-    /// first gap, unless every batch has been filed, and is
-    /// [`CheckpointError::Corrupt`] if `telemetry` holds one of the
-    /// scan's histograms with other bounds.
+    /// first gap, unless every batch has been filed.
     pub fn finish(self, telemetry: &Telemetry) -> Result<ScanReport, PipelineError> {
         if let Some(seq) = self.missing().next() {
             return Err(PipelineError::SweepFailed(format!(
@@ -156,7 +150,7 @@ impl Ledger {
             )));
         }
         let work = self.telemetry.snapshot();
-        (telemetry.absorb(&work)).map_err(CheckpointError::Corrupt)?;
+        telemetry.absorb(&work);
         let findings = self.findings.into_values().flatten().collect();
         Ok(ScanReport::from_telemetry(findings, &work))
     }

@@ -1,16 +1,15 @@
-//! Pipeline-wide telemetry: counters and histograms.
+//! Pipeline-wide telemetry: counters.
 //!
 //! The paper's measurement claims (Tables 2–4, Figures 1–2) are only as
 //! trustworthy as the pipeline's internal accounting, so every stage
 //! records what it did into a shared [`Telemetry`] registry: stage I the
 //! blocks it swept and ports it found open, stage II the probes it sent
 //! and which signatures fired, stage III the per-application verify
-//! outcomes, the fingerprinter its method mix, the longevity observer
-//! its per-round status transitions, and the honeypot monitor its
-//! attack-rate counters. The retry layer accounts per-lane under
-//! `retry.{probe,connect}.{retries,recovered,exhausted}` plus the
-//! `retry.<lane>.backoff_units` it paused for, and each scan batch
-//! counts the faults its transport injects as
+//! outcomes, the fingerprinter its method mix, and the longevity
+//! observer its per-round status transitions. The retry layer accounts
+//! per-lane under `retry.{probe,connect}.{retries,recovered,exhausted}`
+//! plus the `retry.<lane>.backoff_units` it paused for, and each scan
+//! batch counts the faults its transport injects as
 //! `fault.{probe,connect}.injected` — which is what lets a snapshot
 //! reconcile "faults injected" against "retries spent".
 //!
@@ -18,25 +17,27 @@
 //! dropped after it; the scan's registry absorbs each batch's
 //! [`TelemetrySnapshot`]. So a batch's snapshot — its line in a
 //! checkpoint log — is a function of the batch alone: it lists the
-//! instruments registered at construction, zero or not, and those
+//! counters registered at construction, zero or not, and those
 //! registered on first use (per-port responses, error classes, verify
 //! outcomes, faults) only where the batch used them.
 //!
 //! # Design
 //!
-//! * **Lock-cheap.** The registry hands out [`Counter`] and
-//!   [`Histogram`] handles backed by `Arc<AtomicU64>` cells. Registration
-//!   takes a short registry lock once; every increment afterwards is a
-//!   relaxed atomic add, so instrumented hot loops pay nanoseconds, not
-//!   mutexes. All handles are `Send + Sync` and clone-cheap.
+//! * **One kind.** Every instrument is a [`Counter`]; a distribution is
+//!   a [`Buckets`] family of them, so the registry, a batch's snapshot
+//!   and a checkpoint line carry counters alone.
+//! * **Lock-cheap.** A [`Counter`] is an `Arc<AtomicU64>` cell.
+//!   Registration takes a short registry lock once; every increment
+//!   afterwards is a relaxed atomic add, so instrumented hot loops pay
+//!   nanoseconds, not mutexes. All handles are `Send + Sync` and
+//!   clone-cheap.
 //! * **Deterministic.** Snapshots contain only order-independent sums —
-//!   monotonic counters and fixed-bound histogram buckets, never
-//!   wall-clock time. A fixed seed therefore yields a byte-identical
+//!   monotonic counters, never wall-clock time. A fixed seed therefore yields a byte-identical
 //!   [`TelemetrySnapshot`] at any
 //!   [`shards`](crate::pipeline::PipelineConfig::shards) count;
 //!   `tests/scan_identity.rs` enforces this.
 //! * **Sorted serialization.** [`TelemetrySnapshot`] keeps every
-//!   instrument in a `BTreeMap`, so the JSON emitted by
+//!   counter in a `BTreeMap`, so the JSON emitted by
 //!   [`TelemetrySnapshot::to_json`] has sorted keys and is stable across
 //!   runs and platforms.
 
@@ -94,93 +95,33 @@ impl ErrorCounters {
     }
 }
 
-/// A histogram with fixed, inclusive upper bucket bounds plus an
-/// overflow bucket. Bounds are fixed at registration so two runs always
-/// aggregate into identical buckets.
+/// A value's distribution as counters: one per inclusive upper bound,
+/// `<name>.le_<b>`, one for values above the last bound,
+/// `<name>.gt_<last>`, and `<name>.sum` of every value observed. The
+/// bounds are fixed in code, so two runs count into the same buckets.
 #[derive(Clone, Debug)]
-pub struct Histogram {
-    core: Arc<HistogramCore>,
+pub struct Buckets {
+    bounds: &'static [u64],
+    /// One counter per bound, then the one above the last.
+    counts: Vec<Counter>,
+    sum: Counter,
 }
 
-#[derive(Debug)]
-struct HistogramCore {
-    bounds: Vec<u64>,
-    buckets: Vec<AtomicU64>,
-    overflow: AtomicU64,
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram {
-            core: Arc::new(HistogramCore {
-                bounds: bounds.to_vec(),
-                buckets: bounds.iter().map(|_| AtomicU64::new(0)).collect(),
-                overflow: AtomicU64::new(0),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Record one observation.
+impl Buckets {
+    /// Count one observation of `value`.
     pub fn observe(&self, value: u64) {
-        let c = &self.core;
-        match c.bounds.iter().position(|&b| value <= b) {
-            Some(i) => c.buckets[i].fetch_add(1, Ordering::Relaxed),
-            None => c.overflow.fetch_add(1, Ordering::Relaxed),
-        };
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(value, Ordering::Relaxed);
+        self.counts[self.bounds.partition_point(|&b| b < value)].incr();
+        self.sum.add(value);
     }
-
-    /// Add a (delta) snapshot's buckets into this histogram. Used when
-    /// replaying checkpointed telemetry; bounds must match.
-    fn absorb(&self, s: &HistogramSnapshot) {
-        let c = &self.core;
-        assert_eq!(
-            c.bounds, s.bounds,
-            "cannot absorb a histogram snapshot with different bounds"
-        );
-        for (bucket, n) in c.buckets.iter().zip(&s.buckets) {
-            bucket.fetch_add(*n, Ordering::Relaxed);
-        }
-        c.overflow.fetch_add(s.overflow, Ordering::Relaxed);
-        c.count.fetch_add(s.count, Ordering::Relaxed);
-        c.sum.fetch_add(s.sum, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let c = &self.core;
-        let read = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            bounds: c.bounds.clone(),
-            buckets: c.buckets.iter().map(read).collect(),
-            overflow: read(&c.overflow),
-            count: read(&c.count),
-            sum: read(&c.sum),
-        }
-    }
-}
-
-#[derive(Default)]
-struct Registry {
-    counters: RwLock<BTreeMap<String, Counter>>,
-    histograms: RwLock<BTreeMap<String, Histogram>>,
 }
 
 /// The shared metrics registry. Cloning is cheap (an `Arc` bump) and all
-/// clones record into the same instruments; the registry is `Send +
-/// Sync` so one instance can be threaded through every pipeline stage
-/// and every spawned task.
+/// clones record into the same counters; the registry is `Send + Sync`
+/// so one instance can be threaded through every pipeline stage and
+/// every spawned task.
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    registry: Arc<Registry>,
+    counters: Arc<RwLock<BTreeMap<String, Counter>>>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -188,11 +129,7 @@ impl std::fmt::Debug for Telemetry {
         f.debug_struct("Telemetry")
             .field(
                 "counters",
-                &self.registry.counters.read().expect("not poisoned").len(),
-            )
-            .field(
-                "histograms",
-                &self.registry.histograms.read().expect("not poisoned").len(),
+                &self.counters.read().expect("not poisoned").len(),
             )
             .finish()
     }
@@ -208,17 +145,10 @@ impl Telemetry {
     /// Callers should hold on to the returned handle: the lookup takes a
     /// registry lock, increments on the handle do not.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self
-            .registry
-            .counters
-            .read()
-            .expect("not poisoned")
-            .get(name)
-        {
+        if let Some(c) = self.counters.read().expect("not poisoned").get(name) {
             return c.clone();
         }
-        self.registry
-            .counters
+        self.counters
             .write()
             .expect("not poisoned")
             .entry(name.to_string())
@@ -226,35 +156,28 @@ impl Telemetry {
             .clone()
     }
 
-    /// The histogram named `name` with the given inclusive upper bucket
-    /// `bounds` (plus an implicit overflow bucket). Re-registering with
-    /// different bounds is a bug and panics.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        self.histogram_with(name, bounds)
-            .unwrap_or_else(|_| panic!("histogram '{name}' re-registered with different bounds"))
-    }
-
-    /// [`histogram`](Self::histogram), or the bounds `name` is already
-    /// registered with when they differ from `bounds`.
-    fn histogram_with(&self, name: &str, bounds: &[u64]) -> Result<Histogram, Vec<u64>> {
-        if let Some(h) = self
-            .registry
-            .histograms
-            .read()
-            .expect("not poisoned")
-            .get(name)
-        {
-            let same = h.core.bounds == bounds;
-            return same.then(|| h.clone()).ok_or_else(|| h.core.bounds.clone());
+    /// The [`Buckets`] named `name` with the given inclusive upper
+    /// `bounds`, registering every one of its counters at zero.
+    ///
+    /// # Panics
+    ///
+    /// If `bounds` is empty or does not strictly increase.
+    pub fn buckets(&self, name: &str, bounds: &'static [u64]) -> Buckets {
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "bucket bounds {bounds:?} of {name} must strictly increase"
+        );
+        let last = bounds.last().expect("at least one bucket bound");
+        let counts = (bounds.iter())
+            .map(|b| self.counter(&format!("{name}.le_{b}")))
+            .chain([self.counter(&format!("{name}.gt_{last}"))])
+            .collect();
+        let sum = self.counter(&format!("{name}.sum"));
+        Buckets {
+            bounds,
+            counts,
+            sum,
         }
-        Ok(self
-            .registry
-            .histograms
-            .write()
-            .expect("not poisoned")
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .clone())
     }
 
     /// The counter of faults injected on `lane`,
@@ -274,70 +197,31 @@ impl Telemetry {
         transport.report_faults_to(Arc::new(move |lane| telemetry.fault_counter(lane).incr()));
     }
 
-    /// Merge a snapshot's values into this registry, registering any
-    /// instrument the registry does not know yet.
+    /// Add a snapshot's counters into this registry, registering any
+    /// counter the registry does not know yet.
     ///
     /// This is how a scan reduces its batches: each batch records into
     /// a registry of its own, its [`TelemetrySnapshot`] is filed (and
     /// logged, when checkpointing), and the scan's registry absorbs
     /// every filed batch — from this run or from a log it resumes — so
     /// it ends up exactly where an uninterrupted run's would be.
-    /// Counter values add, and histogram buckets add bucket-wise.
-    ///
-    /// A histogram whose bounds differ from the ones this registry holds
-    /// for it — a logged batch the code did not write — is an error
-    /// naming it, and the registry is left part-merged.
-    pub fn absorb(&self, snapshot: &TelemetrySnapshot) -> Result<(), String> {
+    pub fn absorb(&self, snapshot: &TelemetrySnapshot) {
         for (name, value) in &snapshot.counters {
             self.counter(name).add(*value);
         }
-        for (name, h) in &snapshot.histograms {
-            let bounds = &h.bounds;
-            self.histogram_with(name, bounds)
-                .map_err(|ours| format!("histogram {name}: bounds {bounds:?}, not {ours:?}"))?
-                .absorb(h);
-        }
-        Ok(())
     }
 
-    /// A consistent point-in-time view of every instrument. Meant to be
+    /// A consistent point-in-time view of every counter. Meant to be
     /// taken after a run completes; taking it while writers are active
     /// yields a valid but possibly mid-update view.
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        let counters = self.counters.read().expect("not poisoned");
         TelemetrySnapshot {
-            counters: self
-                .registry
-                .counters
-                .read()
-                .expect("not poisoned")
-                .iter()
+            counters: (counters.iter())
                 .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .registry
-                .histograms
-                .read()
-                .expect("not poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
         }
     }
-}
-
-/// Point-in-time state of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Inclusive upper bucket bounds.
-    pub bounds: Vec<u64>,
-    /// Observation counts per bound.
-    pub buckets: Vec<u64>,
-    /// Observations above the last bound.
-    pub overflow: u64,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: u64,
 }
 
 /// A deterministic, serializable view of the whole registry.
@@ -349,56 +233,11 @@ pub struct HistogramSnapshot {
 pub struct TelemetrySnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram states by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl ToJson for HistogramSnapshot {
-    fn to_json(&self) -> Value {
-        object([
-            ("bounds", self.bounds.to_json()),
-            ("buckets", self.buckets.to_json()),
-            ("overflow", self.overflow.to_json()),
-            ("count", self.count.to_json()),
-            ("sum", self.sum.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HistogramSnapshot {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let snapshot = HistogramSnapshot {
-            bounds: value.field("bounds")?,
-            buckets: value.field("buckets")?,
-            overflow: value.field("overflow")?,
-            count: value.field("count")?,
-            sum: value.field("sum")?,
-        };
-        // Absorbing zips buckets with bounds and registers the bounds;
-        // a file that disagrees with itself must not get that far.
-        if snapshot.buckets.len() != snapshot.bounds.len() {
-            return Err(JsonError::Shape(format!(
-                "histogram has {} buckets for {} bounds",
-                snapshot.buckets.len(),
-                snapshot.bounds.len()
-            )));
-        }
-        if !snapshot.bounds.windows(2).all(|w| w[0] < w[1]) {
-            return Err(JsonError::Shape(format!(
-                "histogram bounds {:?} are not strictly increasing",
-                snapshot.bounds
-            )));
-        }
-        Ok(snapshot)
-    }
 }
 
 impl ToJson for TelemetrySnapshot {
     fn to_json(&self) -> Value {
-        object([
-            ("counters", self.counters.to_json()),
-            ("histograms", self.histograms.to_json()),
-        ])
+        object([("counters", self.counters.to_json())])
     }
 }
 
@@ -406,7 +245,6 @@ impl FromJson for TelemetrySnapshot {
     fn from_json(value: &Value) -> Result<Self, JsonError> {
         Ok(TelemetrySnapshot {
             counters: value.field("counters")?,
-            histograms: value.field("histograms")?,
         })
     }
 }
@@ -448,24 +286,6 @@ impl TelemetrySnapshot {
                 out.push_str(&format!("  {name:<48} {value}\n"));
             }
         }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &self.histograms {
-                let buckets: Vec<String> = h
-                    .bounds
-                    .iter()
-                    .zip(&h.buckets)
-                    .map(|(b, n)| format!("≤{b}:{n}"))
-                    .collect();
-                out.push_str(&format!(
-                    "  {name:<48} n={} sum={} [{} >:{}]\n",
-                    h.count,
-                    h.sum,
-                    buckets.join(" "),
-                    h.overflow
-                ));
-            }
-        }
         out
     }
 }
@@ -479,7 +299,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Telemetry>();
         assert_send_sync::<Counter>();
-        assert_send_sync::<Histogram>();
+        assert_send_sync::<Buckets>();
     }
 
     #[test]
@@ -494,26 +314,27 @@ mod tests {
         assert_eq!(t.snapshot().counter("never-registered"), 0);
     }
 
+    /// A bound is inclusive, a value above the last one counts in
+    /// `gt_<last>`, and every counter is registered before any value.
     #[test]
-    fn histogram_buckets_are_inclusive_with_overflow() {
+    fn buckets_are_inclusive_with_overflow_and_sum() {
         let t = Telemetry::new();
-        let h = t.histogram("h", &[1, 4, 16]);
+        let h = t.buckets("h", &[1, 4, 16]);
+        let names = ["h.gt_16", "h.le_1", "h.le_16", "h.le_4", "h.sum"];
+        assert!(t.snapshot().counters.keys().eq(names), "sorted as strings");
+        assert!(t.snapshot().counters.values().all(|&n| n == 0));
         for v in [0, 1, 2, 4, 5, 100] {
             h.observe(v);
         }
-        let s = &t.snapshot().histograms["h"];
-        assert_eq!(s.buckets, vec![2, 2, 1]);
-        assert_eq!(s.overflow, 1);
-        assert_eq!(s.count, 6);
-        assert_eq!(s.sum, 112);
+        let s = t.snapshot();
+        let counts = names.map(|name| s.counter(name));
+        assert_eq!(counts, [1, 2, 1, 2, 112]);
     }
 
     #[test]
-    #[should_panic(expected = "different bounds")]
-    fn histogram_bounds_are_fixed() {
-        let t = Telemetry::new();
-        t.histogram("h", &[1, 2]);
-        t.histogram("h", &[1, 3]);
+    #[should_panic(expected = "must strictly increase")]
+    fn bucket_bounds_must_increase() {
+        Telemetry::new().buckets("h", &[1, 1, 2]);
     }
 
     #[test]
@@ -533,7 +354,7 @@ mod tests {
     fn concurrent_increments_from_many_threads_sum_exactly() {
         let t = Telemetry::new();
         let c = t.counter("n");
-        let h = t.histogram("sizes", &[10]);
+        let h = t.buckets("sizes", &[10]);
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let c = c.clone();
@@ -550,11 +371,9 @@ mod tests {
             th.join().unwrap();
         }
         assert_eq!(c.get(), 8000);
-        let sizes = &t.snapshot().histograms["sizes"];
-        assert_eq!(
-            (sizes.count, sizes.buckets[0], sizes.overflow),
-            (8000, 4400, 3600)
-        );
+        let s = t.snapshot();
+        let counts = ["sizes.le_10", "sizes.gt_10", "sizes.sum"].map(|name| s.counter(name));
+        assert_eq!(counts, [4400, 3600, 8 * 50 * 190]);
     }
 
     #[test]
@@ -568,7 +387,7 @@ mod tests {
 
     /// Recording work directly and recording each batch into a registry
     /// of its own, then absorbing the batches, must be indistinguishable
-    /// — the invariant the batch ledger relies on. An instrument a batch
+    /// — the invariant the batch ledger relies on. A counter a batch
     /// registers lazily is in that batch's snapshot alone.
     #[test]
     fn absorbing_deltas_reconstructs_the_registry() {
@@ -579,47 +398,50 @@ mod tests {
             for t in [&source, &staging] {
                 t.counter("ops").add(round + 1);
                 t.counter("never-incremented");
-                t.histogram("sizes", &[10, 100]).observe(round * 60);
+                t.buckets("sizes", &[10, 100]).observe(round * 60);
                 if round == 1 {
                     t.counter("lazy").incr();
                 }
             }
             let batch = staging.snapshot();
             assert_eq!(batch.counter("ops"), round + 1, "one batch's work only");
-            assert_eq!(batch.histograms["sizes"].sum, round * 60);
+            assert_eq!(batch.counter("sizes.sum"), round * 60);
+            assert_eq!(batch.prefixed_total("sizes.") - round * 60, 1);
             assert!(batch.counters.contains_key("never-incremented"));
             assert_eq!(batch.counters.contains_key("lazy"), round == 1);
-            replica.absorb(&batch).expect("the bounds agree");
+            replica.absorb(&batch);
         }
         assert_eq!(source.snapshot().to_json(), replica.snapshot().to_json());
     }
 
     /// A full snapshot absorbed into a fresh registry reproduces it,
-    /// and zero-valued instruments still get registered.
+    /// and zero-valued counters still get registered.
     #[test]
     fn absorbing_a_full_snapshot_reproduces_it() {
         let source = Telemetry::new();
         source.counter("hits").add(7);
         source.counter("never-incremented");
-        source.histogram("h", &[1, 2]).observe(2);
+        source.buckets("h", &[1, 2]).observe(2);
         let snap = source.snapshot();
 
         let replica = Telemetry::new();
-        replica.absorb(&snap).expect("the bounds agree");
+        replica.absorb(&snap);
         assert_eq!(replica.snapshot().to_json(), snap.to_json());
-        assert!(replica
-            .snapshot()
-            .counters
-            .contains_key("never-incremented"));
+        assert!(replica.snapshot().counters.contains_key("h.gt_2"));
     }
 
     #[test]
     fn snapshot_round_trips_through_json() {
         let t = Telemetry::new();
         t.counter("c").add(3);
-        t.histogram("h", &[1, 4]).observe(2);
+        t.buckets("h", &[1, 4]).observe(2);
         let snap = t.snapshot();
-        let value = crate::json::parse(snap.to_json().as_bytes()).expect("parses");
+        let json = snap.to_json();
+        assert_eq!(
+            json,
+            r#"{"counters":{"c":3,"h.gt_4":0,"h.le_1":0,"h.le_4":1,"h.sum":2}}"#
+        );
+        let value = crate::json::parse(json.as_bytes()).expect("parses");
         assert_eq!(TelemetrySnapshot::from_json(&value), Ok(snap));
     }
 
@@ -627,11 +449,11 @@ mod tests {
     fn text_rendering_lists_every_instrument() {
         let t = Telemetry::new();
         t.counter("stage1.probes_sent").add(12);
-        t.histogram("stage2.redirects", &[0, 1, 2]).observe(1);
+        t.buckets("stage2.redirects", &[0, 1, 2]).observe(1);
         let text = t.snapshot().render_text();
         assert!(text.contains("stage1.probes_sent"));
         assert!(text.contains(" 12\n"));
-        assert!(text.contains("stage2.redirects"));
-        assert!(text.contains("≤1:1"));
+        assert!(text.contains("stage2.redirects.le_1"));
+        assert!(text.contains("stage2.redirects.gt_2"));
     }
 }

@@ -10,8 +10,7 @@
 
 use crate::logserver::CentralLog;
 use crate::monitor::MonitoredApp;
-use nokeys_apps::version::history;
-use nokeys_apps::{build_instance, AppConfig, AppId, Version};
+use nokeys_apps::{vulnerable_instance, AppId, Version};
 use nokeys_http::memory::HandlerTransport;
 use nokeys_http::Endpoint;
 use std::net::Ipv4Addr;
@@ -41,13 +40,8 @@ impl Fleet {
         let mut honeypots = Vec::new();
 
         for (i, app) in AppId::in_scope().enumerate() {
-            let version = deploy_version(app);
-            let config = AppConfig::vulnerable_for(app, &version);
-            debug_assert!(
-                config.is_vulnerable(app, &version),
-                "{app} honeypot not vulnerable"
-            );
-            let instance = build_instance(app, version, config);
+            let instance = vulnerable_instance(app);
+            let version = instance.version();
             let monitored = Arc::new(MonitoredApp::new(app, instance, Arc::clone(&log)));
             let endpoint =
                 Endpoint::new(Ipv4Addr::new(64, 90, 1, (i + 1) as u8), app.scan_ports()[0]);
@@ -75,19 +69,10 @@ impl Fleet {
     }
 }
 
-/// Which version to deploy: the newest one in which a vulnerable
-/// configuration exists.
-fn deploy_version(app: AppId) -> Version {
-    *history(app)
-        .iter()
-        .rev()
-        .find(|v| AppConfig::vulnerable_for(app, v).is_vulnerable(app, v))
-        .unwrap_or_else(|| panic!("{app} has no deployable vulnerable version"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nokeys_apps::version::history;
 
     #[test]
     fn fleet_has_18_vulnerable_honeypots() {

@@ -9,35 +9,9 @@ use nokeys_apps::{AppId, WebApp};
 use nokeys_http::server::Handler;
 use nokeys_http::{Request, Response};
 use nokeys_netsim::SimTime;
-use nokeys_scanner::telemetry::{Counter, Telemetry};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Cached attack-rate telemetry handles, shared across the deployment's
-/// honeypots so counters aggregate over all of them.
-#[derive(Debug, Clone)]
-struct MonitorMetrics {
-    /// `honeypot.requests` — every request received, up or down.
-    requests: Counter,
-    /// `honeypot.attack_evidence` — audit records classified as attacks.
-    attack_evidence: Counter,
-    /// `honeypot.shutdowns` — vigilante shutdowns taking a service down.
-    shutdowns: Counter,
-    /// `honeypot.restores` — snapshot restores.
-    restores: Counter,
-}
-
-impl MonitorMetrics {
-    fn new(telemetry: &Telemetry) -> Self {
-        MonitorMetrics {
-            requests: telemetry.counter("honeypot.requests"),
-            attack_evidence: telemetry.counter("honeypot.attack_evidence"),
-            shutdowns: telemetry.counter("honeypot.shutdowns"),
-            restores: telemetry.counter("honeypot.restores"),
-        }
-    }
-}
 
 /// A monitored application instance: implements [`Handler`] so it can be
 /// mounted on any transport; records everything to the central log and
@@ -47,7 +21,6 @@ pub struct MonitoredApp {
     instance: Mutex<Box<dyn WebApp>>,
     log: Arc<CentralLog>,
     gauge: Arc<ResourceGauge>,
-    metrics: MonitorMetrics,
     /// Service availability: a vigilante shutdown takes the app down
     /// until the study's availability monitor restores it.
     up: AtomicBool,
@@ -55,25 +28,11 @@ pub struct MonitoredApp {
 
 impl MonitoredApp {
     pub fn new(app: AppId, instance: Box<dyn WebApp>, log: Arc<CentralLog>) -> Self {
-        Self::with_telemetry(app, instance, log, &Telemetry::default())
-    }
-
-    /// [`MonitoredApp::new`] recording attack-rate counters
-    /// (`honeypot.requests`, `honeypot.attack_evidence`,
-    /// `honeypot.shutdowns`, `honeypot.restores`) into `telemetry`. Pass
-    /// the same registry to every honeypot to aggregate the deployment.
-    pub fn with_telemetry(
-        app: AppId,
-        instance: Box<dyn WebApp>,
-        log: Arc<CentralLog>,
-        telemetry: &Telemetry,
-    ) -> Self {
         MonitoredApp {
             app,
             instance: Mutex::new(instance),
             log,
             gauge: Arc::new(ResourceGauge::new()),
-            metrics: MonitorMetrics::new(telemetry),
             up: AtomicBool::new(true),
         }
     }
@@ -105,14 +64,12 @@ impl MonitoredApp {
     pub fn restore(&self) {
         self.instance().restore();
         self.gauge.reset();
-        self.metrics.restores.incr();
         self.up.store(true, Ordering::SeqCst);
     }
 }
 
 impl Handler for MonitoredApp {
     fn handle(&self, req: &Request, peer: Ipv4Addr) -> Response {
-        self.metrics.requests.incr();
         if !self.is_up() {
             return Response::new(nokeys_http::StatusCode::SERVICE_UNAVAILABLE)
                 .with_body("connection refused");
@@ -124,7 +81,6 @@ impl Handler for MonitoredApp {
             .iter()
             .any(|e| matches!(e, nokeys_apps::AppEvent::ShutdownRequested))
         {
-            self.metrics.shutdowns.incr();
             self.up.store(false, Ordering::SeqCst);
         }
         let mut body_excerpt = req.body_text();
@@ -138,9 +94,6 @@ impl Handler for MonitoredApp {
             body_excerpt,
             events: outcome.events.clone(),
         };
-        if record.is_attack_evidence() {
-            self.metrics.attack_evidence.incr();
-        }
         self.log.append(record);
         outcome.response
     }
@@ -202,47 +155,6 @@ mod tests {
         assert!(m.is_up());
         let resp = m.handle(&Request::get("/api/terminals"), attacker);
         assert!(resp.body_text().contains("JupyterLab"));
-    }
-
-    #[test]
-    fn telemetry_counts_attack_rate_across_honeypots() {
-        let telemetry = Telemetry::new();
-        let log = Arc::new(CentralLog::new());
-        let mounted: Vec<MonitoredApp> = [AppId::Hadoop, AppId::JupyterLab]
-            .into_iter()
-            .map(|app| {
-                let v = *release_history(app).last().unwrap();
-                MonitoredApp::with_telemetry(
-                    app,
-                    build_instance(app, v, AppConfig::vulnerable_for(app, &v)),
-                    Arc::clone(&log),
-                    &telemetry,
-                )
-            })
-            .collect();
-        let attacker = Ipv4Addr::new(81, 2, 0, 5);
-        // A benign request, an attack, and a vigilante shutdown.
-        mounted[0].handle(&Request::get("/cluster/cluster"), attacker);
-        mounted[0].handle(
-            &Request::post(
-                "/ws/v1/cluster/apps",
-                r#"{"am-container-spec":{"commands":{"command":"/tmp/xmrig -o pool"}}}"#,
-            ),
-            attacker,
-        );
-        mounted[1].handle(&Request::post("/api/terminals/1", "shutdown"), attacker);
-        mounted[1].restore();
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("honeypot.requests"), 3);
-        let evidence: u64 = log
-            .snapshot()
-            .iter()
-            .filter(|r| r.is_attack_evidence())
-            .count() as u64;
-        assert_eq!(snap.counter("honeypot.attack_evidence"), evidence);
-        assert!(evidence >= 1);
-        assert_eq!(snap.counter("honeypot.shutdowns"), 1);
-        assert_eq!(snap.counter("honeypot.restores"), 1);
     }
 
     /// A scanner (or attacker) pipelining requests must get every

@@ -9,7 +9,7 @@ use nokeys_http::Client;
 use nokeys_netsim::{
     FaultLane, FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
 };
-use nokeys_scanner::observer::{observe, LongevityStudy, ObserverConfig};
+use nokeys_scanner::observer::{observe, LongevityStudy};
 use nokeys_scanner::{Pipeline, PipelineConfig, PipelineError, ScanReport, Telemetry};
 use std::error::Error;
 use std::sync::Arc;
@@ -143,11 +143,12 @@ impl Repro {
             let (transport, report) = self.scan()?;
             let transport = transport.clone();
             let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
-            let config = ObserverConfig {
-                interval_secs: interval,
-                ..ObserverConfig::default()
-            };
-            let study = observe(&self.telemetry, client_at(&transport), &vulnerable, &config);
+            let study = observe(
+                &self.telemetry,
+                client_at(&transport),
+                &vulnerable,
+                interval,
+            );
             self.longevity = Some(study);
         }
         Ok(self.longevity.as_ref().expect("just initialized"))

@@ -172,8 +172,8 @@ fn torn_checkpoint_resumes_to_the_same_table() {
 }
 
 /// A log the scan cannot use is an error, not a crash: resuming from a
-/// line whose `stage2.redirects` bounds run backwards prints `error: …`
-/// and exits 1.
+/// line whose `stage2.redirects.sum` counter holds a string prints
+/// `error: …` and exits 1.
 #[test]
 fn corrupt_checkpoint_exits_1_without_a_panic() {
     let dir = std::env::temp_dir().join(format!("nokeys-repro-corrupt-{}", std::process::id()));
@@ -190,13 +190,16 @@ fn corrupt_checkpoint_exits_1_without_a_panic() {
     };
     assert!(table2(&[]).status.success());
     let text = std::fs::read_to_string(&log).expect("log reads");
-    let bounds = r#""stage2.redirects":{"bounds":"#;
-    let corrupt = text.replacen(
-        &format!("{bounds}[0,1,2,4,8]"),
-        &format!("{bounds}[8,4,2,1,0]"),
-        1,
-    );
-    assert_ne!(corrupt, text, "a batch line logs stage2.redirects");
+    let key = r#""stage2.redirects.sum":"#;
+    let at = text
+        .find(key)
+        .expect("a batch line logs stage2.redirects.sum")
+        + key.len();
+    let end = at
+        + text[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("a value");
+    let corrupt = format!("{}\"{}\"{}", &text[..at], &text[at..end], &text[end..]);
     std::fs::write(&log, corrupt).expect("log writes");
     let out = table2(&["--resume"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
