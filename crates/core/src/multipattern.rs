@@ -14,10 +14,12 @@
 //! and ASCII whitespace is a column every state loops on. Whitespace
 //! longer than one byte (`U+0085`, `U+00A0`, `U+1680`,
 //! `U+2000`–`U+200A`, `U+2028`, `U+2029`, `U+202F`, `U+205F`,
-//! `U+3000`) cannot be decided by one byte, so every transition over
-//! one of its four lead bytes is flagged: behind the flag the walk
-//! decodes the character and, when it is whitespace, leaves the state
-//! where it was and hides the character's other bytes from it.
+//! `U+3000`) cannot be decided by one byte, so the four lead bytes it
+//! can begin with share a column whose entry in every row is that row
+//! itself, flagged: behind the flag the walk decodes the character
+//! and, when it is whitespace, leaves the state where it was and hides
+//! the character's other bytes from it; when it is not, it takes the
+//! real transition, which the row keeps in a slot past its columns.
 //!
 //! **A hit is a candidate.** The loose automaton reports `wp-content`
 //! on `WP- Content`. Every true occurrence, under any mode, ends at a
@@ -27,16 +29,18 @@
 //! [`Pattern::ends_at`] whether an occurrence under the signature's own
 //! mode really ends at that byte. A refused candidate latches nothing.
 //!
-//! **Four lanes.** One register is bound by load latency: a step's
+//! **Five lanes.** One register is bound by load latency: a step's
 //! `table[state * 8 + class]` must retire before the next can issue. So the
-//! body is cut into four chunks whose registers advance together, four
-//! independent chains the core overlaps, and each of the first three
+//! body is cut into five chunks whose registers advance together, five
+//! independent chains the core overlaps, and each of the first four
 //! then runs on past its boundary until nothing that began before the
 //! boundary can still be open (see `MultiPattern::walk`). Either half
 //! alone measures no faster than three automata walked together over
-//! one chunk (DESIGN.md §13). With four chains in flight the loop is
+//! one chunk (DESIGN.md §13). With the chains in flight the loop is
 //! bound by the instructions it issues, so `Automaton::abreast` proves
-//! its indices once, outside the loop, and checks none per step.
+//! its indices once, outside the loop, and checks none per step, and
+//! each entry it loads is the lane's next state, flags and all: it
+//! goes straight into the lane's register and is tested there.
 //!
 //! The matcher is exactly equivalent to running each signature's
 //! [`Pattern`] individually; the unit tests below and the `prefilter`
@@ -51,8 +55,8 @@ use std::sync::OnceLock;
 /// Flag on a transition whose target state ends at least one needle.
 const MATCH: u16 = 1 << 15;
 
-/// Flag on every transition over a byte that may begin a whitespace
-/// character longer than one byte (see [`WIDE_LEADS`]).
+/// Flag on every row's entry in the [`LEAD`] column, over a byte that
+/// may begin a whitespace character longer than one byte.
 const WIDE: u16 = 1 << 14;
 
 /// Either flag: the transition needs a closer look than the hot loop
@@ -72,40 +76,51 @@ const WIDE_LEADS: [u8; 4] = [0xC2, 0xE1, 0xE2, 0xE3];
 /// Column of ASCII whitespace: every state loops to itself on it.
 const SKIP: u8 = 1;
 
+/// Column of the [`WIDE_LEADS`]: every state loops to itself on it,
+/// flagged [`WIDE`]. Each row keeps its real transitions over the four
+/// bytes in four *slots*, its last entries, which no byte maps to.
+const LEAD: u8 = SKIP + 1;
+
 /// Chunks of a body walked side by side. On the benchmark's `wild_mix`
-/// two measured 118–119 k bodies/s where four measured 163–190 k;
-/// eight, more registers than the machine has, measured 108–158 k
-/// there and 3.1–3.7 M against 4.0 M on `tiny_bodies`.
-const LANES: usize = 4;
+/// two measured 118–119 k bodies/s where four measured 163–190 k, and
+/// five, once a lane needs no register but its state, 1.14× four.
+/// Six read 0.94–0.99× five on `wild_mix` and `tiny_bodies`; eight,
+/// more registers than the machine has, measured 108–158 k on
+/// `wild_mix` and 3.1–3.7 M against 4.0 M on `tiny_bodies`.
+const LANES: usize = 5;
 
 /// A class-compressed Aho–Corasick automaton over the loose forms of
 /// its needles.
 ///
 /// Bytes are first mapped to *columns*: column 0 is every byte no
-/// needle contains, column [`SKIP`] is ASCII whitespace, each of the
-/// [`WIDE_LEADS`] and each other needle byte gets its own, and `A`–`Z`
-/// share the columns of `a`–`z`. A row has one `u16` per column, fail
-/// links already resolved into it, padded to a multiple of [`UNIT`]
-/// entries, and a state's id is the offset of its row in units, so a
-/// step is `table[state * 8 + classes[byte]]`, one address computation.
-/// A transition that needs more than that carries a flag — [`MATCH`]
-/// into a state that ends a needle, [`WIDE`] over a byte that may
-/// begin a wide whitespace character — so the walk tests the two bits
-/// together, once per byte, and reads `outputs` or decodes a character
-/// only behind them. Rows are numbered in BFS order and each is
-/// written once. For the 90-signature catalog that is 1,128 rows of 53
-/// columns padded to 56 (126 KB, a ninth of what 256-wide `u32` rows
-/// would take), and the rows a needle-free body visits — the root and
-/// its children — stay in the L1 cache.
+/// needle contains, column [`SKIP`] is ASCII whitespace, column
+/// [`LEAD`] the four [`WIDE_LEADS`], each other needle byte gets its
+/// own, and `A`–`Z` share the columns of `a`–`z`. A row has one `u16`
+/// per column, fail links already resolved into it, then one *slot*
+/// per wide lead, padded to a multiple of [`UNIT`] entries with the
+/// slots last, and a state's id is the offset of its row in units, so
+/// a step is `table[state * 8 + classes[byte]]`, one address
+/// computation, and the entry it loads is the next state. An entry
+/// that needs more than that carries a flag — [`MATCH`] on a state
+/// that ends a needle, [`WIDE`] on the row's own state in its `LEAD`
+/// column, whose real transition is in the lead's slot — so the walk
+/// tests the two bits together, once per byte, and reads `outputs` or
+/// decodes a character only behind them. Rows are numbered in BFS
+/// order and each is written once. For the 90-signature catalog that
+/// is 1,128 rows of 50 columns and 4 slots padded to 56 (126 KB, a
+/// ninth of what 256-wide `u32` rows would take), and the rows a
+/// needle-free body visits — the root and its children — stay in the
+/// L1 cache.
 #[derive(Debug, Clone)]
 struct Automaton {
     /// Byte → column.
     classes: [u8; 256],
-    /// Entries per row: the columns rounded up to a multiple of
-    /// [`UNIT`].
+    /// Entries per row: the columns and the slots rounded up to a
+    /// multiple of [`UNIT`].
     stride: usize,
     /// Complete goto function, flagged states; row `r` is
-    /// `table[r * stride..][..stride]`.
+    /// `table[r * stride..][..stride]`, its slots the last
+    /// `WIDE_LEADS.len()` entries.
     table: Vec<u16>,
     /// Row `r` reports the needle ids `outputs[spans[r].0..spans[r].1]`
     /// (fail closure already merged).
@@ -133,13 +148,16 @@ impl Automaton {
         }
 
         // Byte classes. A needle is UTF-8, which never uses 0xC0, 0xC1
-        // or 0xF5..=0xFF, so the columns fit a `u8`.
+        // or 0xF5..=0xFF, so the columns and the slots fit a `u8`.
         let mut classes = [0u8; 256];
         for b in (0..=0x7f_u8).filter(|&b| char::from(b).is_whitespace()) {
             classes[usize::from(b)] = SKIP;
         }
-        let mut columns = usize::from(SKIP) + 1;
-        for &b in WIDE_LEADS.iter().chain(&spelled) {
+        for lead in WIDE_LEADS {
+            classes[usize::from(lead)] = LEAD;
+        }
+        let mut columns = usize::from(LEAD) + 1;
+        for &b in &spelled {
             if classes[usize::from(b)] == 0 {
                 classes[usize::from(b)] = columns as u8;
                 columns += 1;
@@ -148,9 +166,16 @@ impl Automaton {
         for b in b'A'..=b'Z' {
             classes[usize::from(b)] = classes[usize::from(b.to_ascii_lowercase())];
         }
+        let stride = (columns + WIDE_LEADS.len()).next_multiple_of(UNIT);
+        // A trie edge's entry in its row: the byte's column, or a wide
+        // lead's slot.
+        let mut cells = classes;
+        for (k, lead) in WIDE_LEADS.into_iter().enumerate() {
+            cells[usize::from(lead)] = (stride - WIDE_LEADS.len() + k) as u8;
+        }
 
-        // Trie over columns, nodes numbered as they are made, at most
-        // one per loose byte: `edge[node]` is the column leading to it,
+        // Trie over cells, nodes numbered as they are made, at most one
+        // per loose byte: `edge[node]` is the cell leading to it,
         // and its children hang off `first_child[node]` as a
         // `next_sibling` list that 0 (the root, never a child) ends.
         let most = spelled.len() + 1;
@@ -167,14 +192,14 @@ impl Automaton {
         for (id, &end) in ends.iter().enumerate() {
             let mut node = 0usize;
             for &b in &spelled[start..end] {
-                let column = classes[usize::from(b)];
+                let cell = cells[usize::from(b)];
                 let mut child = first_child[node] as usize;
-                while child != 0 && edge[child] != column {
+                while child != 0 && edge[child] != cell {
                     child = next_sibling[child] as usize;
                 }
                 if child == 0 {
                     child = edge.len();
-                    edge.push(column);
+                    edge.push(cell);
                     first_child.push(0);
                     next_sibling.push(first_child[node]);
                     first_child[node] = child as u32;
@@ -187,7 +212,6 @@ impl Automaton {
             start = end;
         }
         let rows = edge.len();
-        let stride = columns.next_multiple_of(UNIT);
         let units = stride / UNIT;
         assert!(
             rows * units < usize::from(WIDE),
@@ -204,19 +228,17 @@ impl Automaton {
 
         // BFS from the root, each row appended as its node leaves the
         // queue: a node's row is its place in the queue. The root's row
-        // leads every column back to the root, its wide leads flagged.
-        // Any other row starts as a copy of its fail state's row (which
-        // is shallower, so already written) and then takes the node's
-        // own children, each keeping the slot's `WIDE`. A child's fail
-        // state is what the slot held before — at the root, no child, so
-        // the root — and it reports its own needles, then, if that
-        // transition was flagged, its fail state's: so flags and output
-        // spans are final the moment a child is queued.
+        // leads every column and slot back to the root. Any other row
+        // starts as a copy of its fail state's row (which is shallower,
+        // so already written) and then takes the node's own children.
+        // Every row's `SKIP` entry is its own state, and so is its
+        // `LEAD` entry, flagged `WIDE`. A child's fail state is what its
+        // cell held before — at the root, no child, so the root — and
+        // it reports its own needles, then, if that transition was
+        // flagged, its fail state's: so flags and output spans are final
+        // the moment a child is queued.
         let mut table = Vec::with_capacity(rows * stride);
         table.resize(stride, 0);
-        for lead in WIDE_LEADS {
-            table[usize::from(classes[usize::from(lead)])] = WIDE;
-        }
         let mut spans = Vec::with_capacity(rows);
         spans.push((0u32, 0u32));
         let mut outputs = Vec::with_capacity(ending.len());
@@ -229,12 +251,14 @@ impl Automaton {
             if row > 0 {
                 table.extend_from_within(fail * UNIT..fail * UNIT + stride);
             }
-            table[at + usize::from(SKIP)] = (row * units) as u16;
+            let state = (row * units) as u16;
+            table[at + usize::from(SKIP)] = state;
+            table[at + usize::from(LEAD)] = state | WIDE;
             let mut child = first_child[node] as usize;
             while child != 0 {
-                let slot = at + usize::from(edge[child]);
-                let inherited = table[slot];
-                let fail = usize::from(inherited & !LOOK);
+                let cell = at + usize::from(edge[child]);
+                let inherited = table[cell];
+                let fail = usize::from(inherited & !MATCH);
                 let first = outputs.len();
                 let mut id = first_end[child];
                 while id != u32::MAX {
@@ -247,7 +271,7 @@ impl Automaton {
                 }
                 spans.push((first as u32, outputs.len() as u32));
                 let flag = if outputs.len() == first { 0 } else { MATCH };
-                table[slot] = (queue.len() * units) as u16 | flag | inherited & WIDE;
+                table[cell] = (queue.len() * units) as u16 | flag;
                 queue.push((child, fail));
                 child = next_sibling[child] as usize;
             }
@@ -260,7 +284,7 @@ impl Automaton {
             table.iter().all(|&entry| {
                 let state = usize::from(entry & !LOOK);
                 state % units == 0 && state < rows * units
-            }) && classes.iter().all(|&class| usize::from(class) < stride),
+            }) && classes.iter().all(|&class| usize::from(class) < columns),
             "an entry names no row, or a class no column"
         );
 
@@ -274,24 +298,36 @@ impl Automaton {
         }
     }
 
+    /// The entry of `state`'s row in the slot of `lead`, one of the
+    /// [`WIDE_LEADS`]: the real transition over it.
+    fn over_lead(&self, state: u16, lead: u8) -> u16 {
+        let k = WIDE_LEADS
+            .iter()
+            .position(|&b| b == lead)
+            .expect("a wide lead");
+        self.table[usize::from(state) * UNIT + self.stride - WIDE_LEADS.len() + k]
+    }
+
     /// The hot loop: [`LANES`] registers, one per chunk of `bytes`,
     /// each a byte further per turn, from turn `offset` until a lane
-    /// meets a flagged transition. Returns that turn and lane — the
-    /// lanes before it have taken the turn's byte, it and those after
-    /// have not — or, with nothing met, the turn past the last one.
+    /// loads a flagged entry. Returns that turn and lane — the lanes
+    /// before it have taken the turn's byte and so has it, its state
+    /// now the flagged entry itself; those after have not — or, with
+    /// nothing met, the turn past the last one.
     ///
     /// Kept out of line: on its own the loop holds every register in a
     /// machine register, which it does not once it shares a frame with
     /// the calls of the careful path (about a tenth slower, measured).
     /// Its indices are proved once, here and in [`new`](Self::new), not
     /// checked per step: a lane-step is a byte load, a class load, one
-    /// `lea`, a table load and a flag test (DESIGN.md §13).
+    /// `lea`, a table load into the lane's own register and a flag test
+    /// there (DESIGN.md §13).
     #[inline(never)]
     #[allow(unsafe_code)]
     fn abreast(
         &self,
         bytes: &[u8],
-        states: &mut [u32; LANES],
+        states: &mut [u16; LANES],
         mut offset: usize,
     ) -> (usize, usize) {
         let chunk = bytes.len() / LANES;
@@ -302,12 +338,12 @@ impl Automaton {
         assert!(
             states
                 .iter()
-                .all(|&state| state as usize * UNIT + self.stride <= table.len()),
+                .all(|&state| usize::from(state) * UNIT + self.stride <= table.len()),
             "a lane state names no row of the table"
         );
         // Widened once: a register the next index takes as it is, with
         // no zero extension in the chain.
-        let mut live = states.map(|state| state as usize);
+        let mut live = states.map(usize::from);
         let mut met = 0;
         'turns: while offset < chunk {
             for (j, state) in live.iter_mut().enumerate() {
@@ -316,26 +352,26 @@ impl Automaton {
                 // SAFETY: `offset < chunk` and `j < LANES`, so `at <
                 // LANES * chunk <= bytes.len()`.
                 let byte = unsafe { *bytes.get_unchecked(at) };
-                let entry = *state * UNIT + usize::from(self.classes[usize::from(byte)]);
-                debug_assert!(entry < table.len());
+                let index = *state * UNIT + usize::from(self.classes[usize::from(byte)]);
+                debug_assert!(index < table.len());
                 // SAFETY: `*state` passed the `assert!` above or is an
-                // unflagged entry of `table`, which `new` writes only as a
-                // row's offset in units (held there by a debug pass and by
-                // `every_entry_names_a_row`) and nothing writes after it;
-                // so `*state * UNIT + stride <= table.len()`, and every
-                // class is below the stride.
-                let next = usize::from(unsafe { *table.get_unchecked(entry) });
-                if next & usize::from(LOOK) != 0 {
+                // entry of `table` this loop loaded and found unflagged (a
+                // flagged one leaves the loop before it is used), which
+                // `new` writes only as a row's offset in units (held there
+                // by a debug pass and by `every_entry_names_a_row`) and
+                // nothing writes after it; so `*state * UNIT + stride <=
+                // table.len()`, and every class is below the stride.
+                *state = usize::from(unsafe { *table.get_unchecked(index) });
+                if *state & usize::from(LOOK) != 0 {
                     met = j;
                     break 'turns;
                 }
-                *state = next;
             }
             offset += 1;
         }
-        // Narrowed once, losing nothing: each is a `u32` handed in or a
-        // 14-bit entry.
-        *states = live.map(|state| state as u32);
+        // Narrowed once, losing nothing: each is a `u16` handed in or
+        // an entry.
+        *states = live.map(|state| state as u16);
         (offset, met)
     }
 }
@@ -419,50 +455,54 @@ impl MultiPattern {
     #[inline(always)]
     fn step(
         &self,
-        state: u32,
+        state: u16,
         hide: &mut usize,
         raw: &str,
         at: usize,
         matched: &mut Hits,
-    ) -> (u32, bool) {
+    ) -> (u16, bool) {
         if *hide > 0 {
             *hide -= 1;
             return (state, false);
         }
         let class = self.automaton.classes[usize::from(raw.as_bytes()[at])];
-        let next = self.automaton.table[state as usize * UNIT + usize::from(class)];
-        if next & LOOK != 0 {
-            return self.look(state, next, hide, raw, at, matched);
+        let entry = self.automaton.table[usize::from(state) * UNIT + usize::from(class)];
+        if entry & LOOK != 0 {
+            return self.look(entry, hide, raw, at, matched);
         }
-        (u32::from(next), class != SKIP)
+        (entry, class != SKIP)
     }
 
-    /// What a flagged transition asks for. Behind [`WIDE`], decode the
-    /// character that begins at `at`: whitespace leaves the state where
-    /// it was and hides its remaining bytes. Behind [`MATCH`], the
-    /// loose automaton reports the needles of the next state at `at`:
-    /// set the bit of each whose own pattern ends there too.
+    /// What a flagged entry, loaded over the byte `raw[at]`, asks for;
+    /// the lane's state and whether it consumed the byte, as from
+    /// [`step`](Self::step). Behind [`WIDE`] the entry is the lane's own
+    /// state: decode the character that begins at `at` — whitespace
+    /// leaves the state where it was and hides its remaining bytes,
+    /// anything else takes the transition in the lead's slot. Behind
+    /// [`MATCH`], the loose automaton reports the needles of the state
+    /// at `at`: set the bit of each whose own pattern ends there too.
     #[cold]
     fn look(
         &self,
-        state: u32,
-        next: u16,
+        mut entry: u16,
         hide: &mut usize,
         raw: &str,
         at: usize,
         matched: &mut Hits,
-    ) -> (u32, bool) {
-        if next & WIDE != 0 {
+    ) -> (u16, bool) {
+        if entry & WIDE != 0 {
+            let state = entry & !WIDE;
             // A lead byte is a character boundary.
             let c = raw[at..].chars().next().expect("`at` indexes a byte");
             if c.is_whitespace() {
                 *hide = c.len_utf8() - 1;
                 return (state, false);
             }
+            entry = self.automaton.over_lead(state, raw.as_bytes()[at]);
         }
-        let state = u32::from(next & !LOOK);
-        if next & MATCH != 0 {
-            let row = state as usize * UNIT / self.automaton.stride;
+        let state = entry & !LOOK;
+        if entry & MATCH != 0 {
+            let row = usize::from(state) * UNIT / self.automaton.stride;
             let (from, to) = self.automaton.spans[row];
             for &id in &self.automaton.outputs[from as usize..to as usize] {
                 let id = id as usize;
@@ -479,7 +519,9 @@ impl MultiPattern {
     /// its chunk's first byte and each turn advances every lane a byte:
     /// independent lookups the core overlaps. The hot loop
     /// ([`Automaton::abreast`]) takes the turns no lane needs care in;
-    /// [`step`](Self::step) takes the rest.
+    /// where it stops, [`look`](Self::look) resolves the flagged entry
+    /// the lane that stopped it loaded, and [`step`](Self::step) takes
+    /// the lanes after it and every lane of a turn some lane hides in.
     ///
     /// A lane then runs on past its boundary until its state is the
     /// root — no needle is open — or it has consumed `longest` bytes
@@ -491,17 +533,21 @@ impl MultiPattern {
     /// which begin no needle and no character.
     fn walk(&self, raw: &str, matched: &mut Hits) {
         let chunk = raw.len() / LANES;
-        let mut states = [0u32; LANES];
+        let mut states = [0u16; LANES];
         let mut hides = [0usize; LANES];
         let mut offset = 0;
         while offset < chunk {
             // Lanes before `first` have taken this turn's byte.
             let mut first = 0;
             if hides == [0; LANES] {
-                (offset, first) = self.automaton.abreast(raw.as_bytes(), &mut states, offset);
+                let met;
+                (offset, met) = self.automaton.abreast(raw.as_bytes(), &mut states, offset);
                 if offset == chunk {
                     break;
                 }
+                let at = met * chunk + offset;
+                states[met] = self.look(states[met], &mut hides[met], raw, at, matched).0;
+                first = met + 1;
             }
             for j in first..LANES {
                 let at = j * chunk + offset;
@@ -607,9 +653,25 @@ mod tests {
     /// in order; then the byte classes and, for each state in that order
     /// and each column, the target's number and the `MATCH` and `WIDE`
     /// bits, and the state's reported needle ids after their count.
+    ///
+    /// Columns are numbered as when each wide lead had a column of its
+    /// own, flagged `WIDE` in every row over the lead's real
+    /// transition: the `LEAD` column stands for the four, resolved
+    /// through the slots, and every needle column after it is three
+    /// further on.
     fn canonical_digest(automaton: &Automaton) -> u64 {
-        let columns = columns(automaton);
-        let entry = |state: usize, column: usize| automaton.table[state * UNIT + column];
+        let leads = WIDE_LEADS.len();
+        let shift = leads - 1;
+        let lead = usize::from(LEAD);
+        let columns = columns(automaton) + shift;
+        let entry = |state: usize, column: usize| {
+            let row = &automaton.table[state * UNIT..][..automaton.stride];
+            match column.checked_sub(lead) {
+                Some(k) if k < leads => row[automaton.stride - leads + k] | WIDE,
+                Some(_) => row[column - shift],
+                None => row[column],
+            }
+        };
         let mut number = HashMap::from([(0, 0u32)]);
         let mut order = vec![0];
         let mut head = 0;
@@ -624,7 +686,16 @@ mod tests {
             }
         }
         assert_eq!(order.len() * automaton.stride, automaton.table.len());
-        let mut bytes = automaton.classes.to_vec();
+        let mut bytes: Vec<u8> = (0..=u8::MAX)
+            .map(|b| match automaton.classes[usize::from(b)] {
+                class if class < LEAD => class,
+                class if class > LEAD => class + shift as u8,
+                _ => {
+                    let k = WIDE_LEADS.iter().position(|&l| l == b).expect("a lead");
+                    LEAD + k as u8
+                }
+            })
+            .collect();
         for &state in &order {
             for column in 0..columns {
                 let next = entry(state, column);
@@ -647,7 +718,8 @@ mod tests {
     /// here, on purpose; and the canonical digest, which only a change
     /// to what the automaton does may move. The canonical value was
     /// taken from the `u32` table whose rows kept their trie-insertion
-    /// order: the 16-bit BFS-numbered table is the same automaton.
+    /// order and each wide lead its own column: the 16-bit
+    /// BFS-numbered table with lead slots is the same automaton.
     #[test]
     fn catalog_automaton_known_answer() {
         let automaton = &MultiPattern::new(&all_signatures()).automaton;
@@ -660,7 +732,7 @@ mod tests {
                 automaton.table.len(),
                 automaton.longest
             ),
-            (1128, 53, 56, 63_168, 38)
+            (1128, 50, 56, 63_168, 38)
         );
         let mut bytes = automaton.classes.to_vec();
         bytes.extend(automaton.table.iter().flat_map(|entry| entry.to_le_bytes()));
@@ -670,14 +742,15 @@ mod tests {
             bytes.extend((out.len() as u32).to_le_bytes());
             bytes.extend(out.iter().flat_map(|id| id.to_le_bytes()));
         }
-        assert_eq!(file_hash(&bytes), 0x795b_d245_2aaa_caa8);
+        assert_eq!(file_hash(&bytes), 0x73ed_3e2b_9336_3f36);
         assert_eq!(canonical_digest(automaton), 0xf391_a03c_d94b_6f5f);
     }
 
     /// A state is a `u16` below the flags, so the table must hold fewer
-    /// than 2^14 units. Over one letter the columns are 7 (no needle
-    /// byte, ASCII whitespace, the four wide leads and `a`), so a row is
-    /// one unit of 8 entries and a needle of n `a`s makes n + 1 rows:
+    /// than 2^14 units. Over one letter the columns are 4 (no needle
+    /// byte, ASCII whitespace, the wide leads and `a`), which with the
+    /// four lead slots make a row of one unit of 8 entries, and a
+    /// needle of n `a`s makes n + 1 rows:
     /// 16,382 `a`s build, 16,383 do not, and the longest needle that
     /// fits is found.
     #[test]
@@ -685,7 +758,7 @@ mod tests {
         let longest = "a".repeat(16_382);
         let mp = synthetic(&[Pattern::exact(longest.clone().leak())]);
         let automaton = &mp.automaton;
-        assert_eq!((columns(automaton), automaton.stride), (7, 8));
+        assert_eq!((columns(automaton), automaton.stride), (4, 8));
         assert_eq!(automaton.table.len(), 16_383 * 8);
         assert_eq!(found(&mp, &format!("x{longest}y")), [true]);
         assert_eq!(found(&mp, &format!("x{longest}")[2..]), [false]);
@@ -704,28 +777,38 @@ mod tests {
     /// What `Automaton::abreast` reads unchecked rests on this: every
     /// entry, flags cleared, is a multiple of `units` below `rows *
     /// units` — the offset of a whole row — and every class is below
-    /// the stride. Held on the catalog, on every exhaustive short-string
-    /// set and on the automaton at the 2^14-unit limit.
+    /// the stride. What `look` reads behind `WIDE` rests on the rest:
+    /// every row's `LEAD` entry is that row, flagged `WIDE`, no other
+    /// entry is flagged `WIDE`, and no byte maps to a slot. Held on the
+    /// catalog, on every exhaustive short-string set and on the
+    /// automaton at the 2^14-unit limit.
     #[test]
     fn every_entry_names_a_row() {
         let limit = synthetic(&[Pattern::exact("a".repeat(16_382).leak())]);
         let sets = short_string_sets().map(|(patterns, _)| synthetic(&patterns));
         for mp in [MultiPattern::catalog(), &limit].into_iter().chain(&sets) {
             let automaton = &mp.automaton;
-            let units = automaton.stride / UNIT;
-            let rows = automaton.table.len() / automaton.stride;
-            assert_eq!(rows * automaton.stride, automaton.table.len());
+            let stride = automaton.stride;
+            let units = stride / UNIT;
+            let rows = automaton.table.len() / stride;
+            assert_eq!(rows * stride, automaton.table.len());
             for (at, &entry) in automaton.table.iter().enumerate() {
                 let state = usize::from(entry & !LOOK);
                 assert!(
                     state % units == 0 && state < rows * units,
                     "entry {at} is {state}, not one of {rows} rows of {units} units"
                 );
+                let own = (at / stride * units) as u16 | WIDE;
+                if at % stride == usize::from(LEAD) {
+                    assert_eq!(entry, own, "entry {at} is not its row, flagged");
+                } else {
+                    assert_eq!(entry & WIDE, 0, "entry {at} is flagged WIDE");
+                }
             }
             assert!(automaton
                 .classes
                 .iter()
-                .all(|&class| usize::from(class) < automaton.stride));
+                .all(|&class| usize::from(class) + WIDE_LEADS.len() < stride));
         }
     }
 
@@ -797,7 +880,7 @@ mod tests {
 
     /// The needle sets of the exhaustive short-string test, each with
     /// its alphabet.
-    fn short_string_sets() -> [(Vec<Pattern>, &'static str); 8] {
+    fn short_string_sets() -> [(Vec<Pattern>, &'static str); 9] {
         use Pattern as P;
         [
             (["he", "she", "his", "hers"].map(P::exact).to_vec(), "hesx"),
@@ -817,6 +900,10 @@ mod tests {
                 ],
                 "aAb x",
             ),
+            (
+                vec![P::exact("a©"), P::exact("©b"), P::nocase("x—y")],
+                "a©\u{a0}—bxy",
+            ),
         ]
     }
 
@@ -828,11 +915,14 @@ mod tests {
     /// column 0 (byte classes), deep states must land on the right row
     /// (row-offset ids), and a needle ending inside or at the end of
     /// another must be reported from the longer one's states (match
-    /// flags inherited along fail links during the BFS). From four
-    /// bytes up every lane has a chunk of its own, one byte long, and
-    /// all the rest is run-on. The last three sets pin the folds: alone,
-    /// and with the three modes sharing one loose spelling, where only
-    /// the confirmation tells them apart.
+    /// flags inherited along fail links during the BFS). From five
+    /// bytes up every lane has a chunk of its own, and all the rest is
+    /// run-on. Three sets pin the folds: alone, and with the three
+    /// modes sharing one loose spelling, where only the confirmation
+    /// tells them apart. The last puts wide leads inside needles: a
+    /// needle edge over a lead lives in its slot, U+00A0 shares its
+    /// lead with `©` and `—` with three-byte whitespace, and the lanes
+    /// cut characters of up to three bytes.
     #[test]
     fn automaton_agrees_with_contains_on_every_short_string() {
         for (patterns, alphabet) in short_string_sets() {
@@ -850,7 +940,9 @@ mod tests {
             }
             assert_eq!(
                 strings.len(),
-                (0..=6).map(|n| alphabet.len().pow(n)).sum::<usize>()
+                (0..=6)
+                    .map(|n| alphabet.chars().count().pow(n))
+                    .sum::<usize>()
             );
             for s in &strings {
                 let body = PreparedBody::new(s.as_str());
