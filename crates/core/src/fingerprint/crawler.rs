@@ -3,20 +3,18 @@
 
 use super::knowledge_base::KnowledgeBase;
 use crate::visit::Visit;
-use nokeys_apps::assets::file_hash;
+use nokeys_apps::assets::{file_hash, ASSET_PATHS};
 use nokeys_apps::{AppId, Version};
 use nokeys_http::Transport;
 
 /// Crawl the visited target's static files into `out` as `(path, hash)`
-/// pairs for every file that exists. Clears and refills `out`, reusing
-/// its capacity: the crawl paths are `'static`, so the steady state
-/// allocates nothing.
-pub fn crawl_into<T: Transport>(
+/// pairs for every file that exists, and return the filled prefix.
+pub fn crawl<'a, T: Transport>(
     visit: &Visit<T>,
     kb: &KnowledgeBase,
-    out: &mut Vec<(&'static str, u64)>,
-) {
-    out.clear();
+    out: &'a mut [(&'static str, u64); ASSET_PATHS.len()],
+) -> &'a [(&'static str, u64)] {
+    let mut filled = 0;
     for path in kb.crawl_paths() {
         let Ok(fetched) = visit.get(path) else {
             continue;
@@ -24,28 +22,23 @@ pub fn crawl_into<T: Transport>(
         if !fetched.response.status.is_success() {
             continue;
         }
-        out.push((*path, file_hash(&fetched.response.body)));
+        out[filled] = (*path, file_hash(&fetched.response.body));
+        filled += 1;
     }
+    &out[..filled]
 }
 
-/// Crawl and identify, borrowing the observation buffer from the
-/// caller's [`Scratch`](crate::scratch::Scratch) — the stage-III
-/// steady-state path.
-pub fn identify_scratch<T: Transport>(
-    visit: &Visit<T>,
-    kb: &KnowledgeBase,
-    scratch: &mut crate::scratch::Scratch,
-) -> Option<(AppId, Version)> {
-    let observations = scratch.crawl_buf();
-    crawl_into(visit, kb, observations);
-    kb.identify(observations)
+/// Crawl and identify. The observations live in an array on the stack,
+/// so the crawl allocates nothing beyond its exchanges.
+pub fn identify<T: Transport>(visit: &Visit<T>, kb: &KnowledgeBase) -> Option<(AppId, Version)> {
+    let mut observations = [("", 0); ASSET_PATHS.len()];
+    kb.identify(crawl(visit, kb, &mut observations))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plugin::AppHandler;
-    use crate::scratch::Scratch;
     use nokeys_apps::version::history;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
@@ -68,12 +61,8 @@ mod tests {
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::shared();
-        let (found_app, found_version) = identify_scratch(
-            &Visit::new(&client, ep, Scheme::Http),
-            kb,
-            &mut Scratch::new(),
-        )
-        .expect("identified");
+        let (found_app, found_version) =
+            identify(&Visit::new(&client, ep, Scheme::Http), kb).expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
     }
@@ -85,7 +74,6 @@ mod tests {
     fn crawler_identifies_every_app_at_first_middle_and_last_version() {
         let kb = KnowledgeBase::shared();
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 6), 8080);
-        let mut scratch = Scratch::new();
         for app in AppId::all() {
             let history = history(app);
             for idx in [0, history.len() / 2, history.len() - 1] {
@@ -96,9 +84,8 @@ mod tests {
                     AppConfig::secure_for(app, &version),
                 )));
                 let client = Client::new(HandlerTransport::new().with(ep, handler));
-                let found =
-                    identify_scratch(&Visit::new(&client, ep, Scheme::Http), kb, &mut scratch)
-                        .map(|(app, version)| (app, version.triple()));
+                let found = identify(&Visit::new(&client, ep, Scheme::Http), kb)
+                    .map(|(app, version)| (app, version.triple()));
                 assert_eq!(found, Some((app, version.triple())), "{app} {version}");
             }
         }
@@ -116,8 +103,8 @@ mod tests {
         )));
         let client = Client::new(HandlerTransport::new().with(ep, handler));
         let kb = KnowledgeBase::shared();
-        let mut obs = Vec::new();
-        crawl_into(&Visit::new(&client, ep, Scheme::Http), kb, &mut obs);
+        let mut out = [("", 0); ASSET_PATHS.len()];
+        let obs = crawl(&Visit::new(&client, ep, Scheme::Http), kb, &mut out);
         assert_eq!(
             obs.len(),
             kb.crawl_paths().len(),
@@ -130,10 +117,9 @@ mod tests {
         let client = Client::new(HandlerTransport::new());
         let kb = KnowledgeBase::shared();
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 5), 80);
-        let mut scratch = Scratch::new();
-        assert!(
-            identify_scratch(&Visit::new(&client, ep, Scheme::Http), kb, &mut scratch).is_none()
-        );
-        assert!(scratch.crawl_buf().is_empty());
+        let visit = Visit::new(&client, ep, Scheme::Http);
+        let mut out = [("", 0); ASSET_PATHS.len()];
+        assert!(crawl(&visit, kb, &mut out).is_empty());
+        assert!(identify(&visit, kb).is_none());
     }
 }

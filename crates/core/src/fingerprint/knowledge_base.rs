@@ -180,8 +180,9 @@ impl KnowledgeBase {
     /// whose newest survivors tie, the later in catalog order.
     ///
     /// Generic over the path type, since only the hashes are read: the
-    /// crawler passes its scratch buffer of `&'static str` paths, and the
-    /// benchmark and the tests pass arrays of shorter-lived `&str`.
+    /// crawler passes the filled prefix of its stack array of
+    /// `&'static str` paths, and the benchmark and the tests pass arrays
+    /// of shorter-lived `&str`.
     pub fn identify<P>(&self, observations: &[(P, u64)]) -> Option<(AppId, Version)> {
         let (app, idx) = self.surviving(observations).max_by_key(|(_, idx)| *idx)?;
         Some((app, history(app)[idx]))

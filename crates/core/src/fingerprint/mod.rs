@@ -57,20 +57,17 @@ impl Fingerprinter {
     }
 
     /// Determine the deployed version of `app` on `visit`: voluntary
-    /// disclosure first, knowledge-base crawl as fallback. The crawl
-    /// observation buffer is borrowed from the caller's scratch arena,
-    /// so the steady-state fingerprint path allocates nothing.
-    pub fn fingerprint_with<T: Transport>(
+    /// disclosure first, knowledge-base crawl as fallback.
+    pub fn fingerprint<T: Transport>(
         &self,
         visit: &Visit<T>,
         app: AppId,
-        scratch: &mut crate::scratch::Scratch,
     ) -> Option<(Version, FingerprintMethod)> {
         if let Some(version) = voluntary::extract(visit, app) {
             self.metrics.voluntary.incr();
             return Some((version, FingerprintMethod::Voluntary));
         }
-        let identified = crawler::identify_scratch(visit, self.kb, scratch)
+        let identified = crawler::identify(visit, self.kb)
             .filter(|(found_app, _)| *found_app == app)
             .map(|(_, version)| (version, FingerprintMethod::KnowledgeBase));
         match &identified {
@@ -85,7 +82,6 @@ impl Fingerprinter {
 mod tests {
     use super::*;
     use crate::plugin::AppHandler;
-    use crate::scratch::Scratch;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
     use nokeys_http::{Client, Endpoint, Scheme};
@@ -110,13 +106,11 @@ mod tests {
     #[test]
     fn fingerprints_every_in_scope_app() {
         let fp = fingerprinter();
-        let mut scratch = Scratch::new();
         for app in AppId::in_scope() {
             let history = release_history(app);
             let idx = history.len() / 2;
             let (client, ep) = client_for(app, idx);
-            let result =
-                fp.fingerprint_with(&Visit::new(&client, ep, Scheme::Http), app, &mut scratch);
+            let result = fp.fingerprint(&Visit::new(&client, ep, Scheme::Http), app);
             let Some((version, method)) = result else {
                 panic!("{app}: no fingerprint");
             };
@@ -141,11 +135,7 @@ mod tests {
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 3), 80);
         assert!(fp
-            .fingerprint_with(
-                &Visit::new(&client, ep, Scheme::Http),
-                AppId::WordPress,
-                &mut Scratch::new()
-            )
+            .fingerprint(&Visit::new(&client, ep, Scheme::Http), AppId::WordPress)
             .is_none());
     }
 
@@ -153,25 +143,16 @@ mod tests {
     fn telemetry_records_method_mix() {
         let telemetry = Telemetry::new();
         let fp = Fingerprinter::with_telemetry(&telemetry);
-        let mut scratch = Scratch::new();
         // One successful fingerprint...
         let (client, ep) = client_for(AppId::Jenkins, 0);
         assert!(fp
-            .fingerprint_with(
-                &Visit::new(&client, ep, Scheme::Http),
-                AppId::Jenkins,
-                &mut scratch
-            )
+            .fingerprint(&Visit::new(&client, ep, Scheme::Http), AppId::Jenkins)
             .is_some());
         // ...and one miss against an unreachable host.
         let client = Client::new(HandlerTransport::new());
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 4), 80);
         assert!(fp
-            .fingerprint_with(
-                &Visit::new(&client, ep, Scheme::Http),
-                AppId::Jenkins,
-                &mut scratch
-            )
+            .fingerprint(&Visit::new(&client, ep, Scheme::Http), AppId::Jenkins)
             .is_none());
         let snap = telemetry.snapshot();
         let hits =

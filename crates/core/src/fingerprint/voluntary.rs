@@ -111,7 +111,6 @@ mod tests {
     use crate::fingerprint::Fingerprinter;
     use crate::plugin::AppHandler;
     use crate::report::FingerprintMethod;
-    use crate::scratch::Scratch;
     use crate::telemetry::Telemetry;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
@@ -180,7 +179,6 @@ mod tests {
         let silent = [AppId::Gocd, AppId::Joomla, AppId::Drupal, AppId::Ajenti];
         assert_eq!(DISCLOSURES.len() + silent.len(), AppId::in_scope().count());
         let fingerprinter = Fingerprinter::with_telemetry(&Telemetry::new());
-        let mut scratch = Scratch::new();
         for app in AppId::in_scope() {
             let has_row = DISCLOSURES.iter().any(|row| row.app == app);
             assert_ne!(has_row, silent.contains(&app), "{app}");
@@ -188,11 +186,7 @@ mod tests {
                 let (client, ep) = serve(app, idx, true);
                 if has_row {
                     assert_eq!(
-                        fingerprinter.fingerprint_with(
-                            &Visit::new(&client, ep, Scheme::Http),
-                            app,
-                            &mut scratch
-                        ),
+                        fingerprinter.fingerprint(&Visit::new(&client, ep, Scheme::Http), app),
                         Some((release, FingerprintMethod::Voluntary)),
                         "{app} {release}"
                     );

@@ -19,7 +19,6 @@
 use crate::fingerprint::Fingerprinter;
 use crate::plugin::detect_mav;
 use crate::report::HostFinding;
-use crate::scratch::Scratch;
 use crate::telemetry::{Counter, Telemetry};
 use crate::visit::Visit;
 use nokeys_http::{Attempt, Client, ProbeOutcome, Transport};
@@ -203,11 +202,10 @@ fn observe_on<T: Transport>(
     std::thread::scope(|scope| {
         for chunk in timelines.chunks_mut(chunk_len) {
             scope.spawn(move || {
-                let mut scratch = Scratch::new();
                 for &t in offsets {
                     let client = client_at(t);
                     for timeline in chunk.iter_mut() {
-                        recheck(timeline, &client, fingerprinter, metrics, &mut scratch);
+                        recheck(timeline, &client, fingerprinter, metrics);
                     }
                 }
             });
@@ -227,7 +225,6 @@ fn recheck<T: Transport>(
     client: &Client<T>,
     fingerprinter: &Fingerprinter,
     metrics: &HostMetrics,
-    scratch: &mut Scratch,
 ) {
     // Once offline or fixed, the paper keeps tracking: a fixed host can
     // still disappear, an offline host could return. Re-check every
@@ -258,7 +255,7 @@ fn recheck<T: Transport>(
     // Version-update tracking (2.4% of hosts in the paper).
     if !timeline.updated && status != ObservedStatus::Offline {
         if let Some(before) = finding.version {
-            if let Some((now, _)) = fingerprinter.fingerprint_with(&visit, finding.app, scratch) {
+            if let Some((now, _)) = fingerprinter.fingerprint(&visit, finding.app) {
                 if now.triple() != before.triple() {
                     timeline.updated = true;
                     metrics.version_updates.incr();

@@ -59,7 +59,6 @@ use crate::plugin::verify;
 use crate::portscan::{by_host, Cidr};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
-use crate::scratch::Scratch;
 use crate::telemetry::{Buckets, Counter, ErrorCounters, Telemetry};
 use crate::visit::Visit;
 use nokeys_apps::{AppId, SCAN_PORTS};
@@ -293,9 +292,6 @@ pub(crate) struct BatchProcessor {
     fingerprinter: Fingerprinter,
     metrics: PipelineMetrics,
     tarpit_port_threshold: usize,
-    /// Matching and crawl buffers, reused across every endpoint and
-    /// host of the batch.
-    scratch: Scratch,
 }
 
 /// The pipeline.
@@ -385,7 +381,6 @@ impl BatchProcessor {
             fingerprinter: Fingerprinter::with_telemetry(telemetry),
             metrics: PipelineMetrics::new(telemetry),
             tarpit_port_threshold: config.tarpit_threshold(),
-            scratch: Scratch::new(),
         }
     }
 
@@ -411,7 +406,7 @@ impl BatchProcessor {
         }
 
         // Stage II, in endpoint order.
-        let hits = self.prefilter.run(client, &endpoints, &mut self.scratch);
+        let hits = self.prefilter.run(client, &endpoints);
 
         // Group hits per host: one finding per (host, application).
         let mut per_host: BTreeMap<Ipv4Addr, Vec<PrefilterHit>> = BTreeMap::new();
@@ -434,7 +429,7 @@ impl BatchProcessor {
     /// counted once (the paper's counting rule); distinct applications on
     /// distinct ports each count.
     fn verify_host<T: Transport>(
-        &mut self,
+        &self,
         client: &Client<T>,
         hits: Vec<PrefilterHit>,
     ) -> Vec<HostFinding> {
@@ -478,9 +473,7 @@ impl BatchProcessor {
                 (None, None) => continue,
             };
             let visit = Visit::new(client, hit.endpoint, hit.scheme);
-            let fingerprint = self
-                .fingerprinter
-                .fingerprint_with(&visit, app, &mut self.scratch);
+            let fingerprint = self.fingerprinter.fingerprint(&visit, app);
             findings.push(HostFinding {
                 endpoint: hit.endpoint,
                 scheme: hit.scheme,
@@ -801,7 +794,7 @@ mod tests {
         let client = Client::new(transport);
         let telemetry = Telemetry::new();
         let config = PipelineConfig::new(vec!["10.1.1.0/24".parse().unwrap()]);
-        let mut processor = BatchProcessor::new(&config, &telemetry);
+        let processor = BatchProcessor::new(&config, &telemetry);
         let vulnerable: Vec<bool> = hits
             .into_iter()
             .flat_map(|hit| processor.verify_host(&client, vec![hit]))

@@ -92,24 +92,18 @@ pub fn candidates(body: &str, scratch: &mut Scratch) -> Vec<AppId> {
 /// The stage-II prefilter.
 pub struct Prefilter {
     metrics: PrefilterMetrics,
-}
-
-impl Default for Prefilter {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The match set of the body being classified, reused across every
+    /// endpoint the prefilter probes.
+    scratch: Scratch,
 }
 
 impl Prefilter {
-    pub fn new() -> Self {
-        Self::with_telemetry(&Telemetry::default())
-    }
-
     /// Build a prefilter that records probe counts and per-signature
     /// hit counts into `telemetry`.
     pub fn with_telemetry(telemetry: &Telemetry) -> Self {
         Prefilter {
             metrics: PrefilterMetrics::new(telemetry, &all_signatures()),
+            scratch: Scratch::new(),
         }
     }
 
@@ -126,14 +120,12 @@ impl Prefilter {
 
     /// Probe a single endpoint over each of its port's schemes and
     /// classify it as a hit, discarded (spoke HTTP(S), matched nothing)
-    /// or silent in the stage-II counters; returns the hit, if any. All
-    /// matching buffers are borrowed from `scratch`: with a reused arena
-    /// the multipattern pass allocates nothing.
-    pub fn probe_endpoint_scratch<T: Transport>(
-        &self,
+    /// or silent in the stage-II counters; returns the hit, if any. After
+    /// the first body the multipattern pass allocates nothing.
+    pub fn probe_endpoint<T: Transport>(
+        &mut self,
         client: &Client<T>,
         ep: Endpoint,
-        scratch: &mut Scratch,
     ) -> Option<PrefilterHit> {
         let mut spoke = false;
         let mut hit: Option<PrefilterHit> = None;
@@ -153,8 +145,8 @@ impl Prefilter {
                 let body = fetched.response.body_str();
                 self.metrics.bodies_matched.incr();
                 self.metrics.body_bytes.observe(body.len() as u64);
-                let candidates = candidates(&body, scratch);
-                for id in scratch.matched().iter() {
+                let candidates = candidates(&body, &mut self.scratch);
+                for id in self.scratch.matched().iter() {
                     self.metrics.signature_hits[id].incr();
                 }
                 if !candidates.is_empty() {
@@ -175,17 +167,15 @@ impl Prefilter {
         hit
     }
 
-    /// Prefilter a batch of endpoints, one after another, borrowing all
-    /// matching buffers from `scratch` (a scan passes the arena it keeps
-    /// for the whole batch). Returns the hits in endpoint order.
+    /// Prefilter a batch of endpoints, one after another. Returns the
+    /// hits in endpoint order.
     pub fn run<T: Transport>(
-        &self,
+        &mut self,
         client: &Client<T>,
         endpoints: &[Endpoint],
-        scratch: &mut Scratch,
     ) -> Vec<PrefilterHit> {
         (endpoints.iter())
-            .filter_map(|&ep| self.probe_endpoint_scratch(client, ep, scratch))
+            .filter_map(|&ep| self.probe_endpoint(client, ep))
             .collect()
     }
 }
@@ -212,7 +202,7 @@ mod tests {
         let scanner = PortScanner::new(&PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
         let open = scanner.scan(client.transport());
         let telemetry = Telemetry::new();
-        let hits = Prefilter::with_telemetry(&telemetry).run(client, &open, &mut Scratch::new());
+        let hits = Prefilter::with_telemetry(&telemetry).run(client, &open);
         (open, hits, telemetry.snapshot())
     }
 

@@ -1,29 +1,20 @@
-//! Per-worker scratch arena for the stage II/III hot path.
+//! Per-prefilter scratch arena for the stage-II hot path.
 //!
-//! Every probe used to allocate a fresh per-signature match vector and
-//! (during fingerprinting) a fresh crawl-observation list. The worker
-//! loops are persistent, so those buffers are trivially reusable: a
-//! [`Scratch`] is owned by exactly one worker, lives for the whole
-//! scan, and every probe borrows its buffers instead of allocating.
-//! It holds no copy of any body: the multipattern walk reads the raw
-//! bytes in place (`multipattern.rs`), so nothing in the arena grows
-//! with body size.
+//! The arena holds the match set: a [`Hits`], one bit per signature of
+//! the matcher that fills it. It takes its words (two, for the
+//! 90-signature catalog) from the first matcher that uses it; after
+//! that first body nothing in it allocates. It holds no copy of any
+//! body: the multipattern walk reads the raw bytes in place
+//! (`multipattern.rs`), so nothing in the arena grows with body size.
 //!
 //! # Ownership rules
 //!
-//! - A `Scratch` is **never shared**: one per worker task (or one per
-//!   sequential loop). Nothing in it is `Sync`-guarded because nothing
-//!   ever needs to be — the borrow checker enforces exclusivity.
-//! - Contents are **dead between probes**. Every entry point
-//!   (`MultiPattern::matched_signatures_scratch`,
-//!   `crawler::identify_scratch`) empties what it uses before filling
-//!   it; no probe ever observes a previous probe's data.
-//! - The arena holds the match set — a [`Hits`], one bit per signature
-//!   of the matcher that fills it — and the crawl list. The crawl list
-//!   is sized at construction past one crawl's four paths; the match
-//!   set takes its words (two, for the 90-signature catalog) from the
-//!   first matcher that uses the arena. After that first body nothing
-//!   in the arena allocates.
+//! - Each [`Prefilter`](crate::Prefilter) owns one `Scratch`, and a
+//!   batch builds one prefilter, so there is one arena per batch. The
+//!   borrow checker enforces exclusivity; nothing in it is shared.
+//! - Contents are **dead between bodies**:
+//!   `MultiPattern::matched_signatures_scratch` empties the match set
+//!   before filling it, so no body ever observes a previous one's data.
 //!
 //! The view builders and their predicates ([`lower_into`],
 //! [`squash_into`], [`needs_lower`], [`needs_squash`]) live here for
@@ -32,14 +23,11 @@
 
 use crate::signatures::Hits;
 
-/// Reusable per-worker buffers for multipattern matching and
-/// fingerprint crawling.
-#[derive(Debug)]
+/// The reusable match set of multipattern matching.
+#[derive(Debug, Default)]
 pub struct Scratch {
     /// The signatures the most recent multipattern pass matched.
     hits: Hits,
-    /// Crawl observations `(path, body hash)` for KB fingerprinting.
-    crawl: Vec<(&'static str, u64)>,
 }
 
 impl Scratch {
@@ -50,13 +38,10 @@ impl Scratch {
     /// it as `core.scratch.over_reserve_share`.
     pub const RESERVE: usize = 16 * 1024;
 
-    /// A scratch arena sized for the four-path crawl; the match set is
-    /// sized by the matcher that first fills it.
+    /// An empty arena: it allocates nothing until a matcher sizes its
+    /// match set.
     pub fn new() -> Self {
-        Scratch {
-            hits: Hits::default(),
-            crawl: Vec::with_capacity(16),
-        }
+        Self::default()
     }
 
     /// The match set for the multipattern pass to fill.
@@ -69,17 +54,6 @@ impl Scratch {
     /// call.
     pub fn matched(&self) -> &Hits {
         &self.hits
-    }
-
-    /// The crawl-observation buffer for KB fingerprinting.
-    pub(crate) fn crawl_buf(&mut self) -> &mut Vec<(&'static str, u64)> {
-        &mut self.crawl
-    }
-}
-
-impl Default for Scratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -178,12 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn scratch_preallocates_the_crawl_buffer_and_takes_match_words_from_the_matcher() {
+    fn scratch_takes_match_words_from_the_matcher() {
         let mut s = Scratch::new();
-        assert!(
-            s.crawl_buf().capacity() >= nokeys_apps::assets::ASSET_PATHS.len(),
-            "fits one crawl"
-        );
         assert_eq!(s.matched(), &Hits::default(), "no words before a matcher");
         assert!(!s.matched().contains(0), "and nothing in them");
         let catalog = crate::multipattern::MultiPattern::catalog();

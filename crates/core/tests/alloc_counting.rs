@@ -1,5 +1,6 @@
 //! Ground-truth check for the zero-allocation hot path: a counting
-//! global allocator observes the stage-II matching loop directly.
+//! global allocator observes the stage-II matching loop and the
+//! stage-IV crawl directly.
 //!
 //! Exactly one `#[test]` lives in this binary on purpose: the harness
 //! runs tests in the same process, so a sibling test's allocations
@@ -7,12 +8,21 @@
 //! harness's own threads allocate too, so only the thread that armed
 //! itself around a measured region is counted.
 
+use nokeys_apps::assets::ASSET_PATHS;
+use nokeys_apps::{build_instance, release_history, AppConfig, AppId};
+use nokeys_http::memory::HandlerTransport;
+use nokeys_http::{Client, Endpoint, Scheme};
+use nokeys_scanner::fingerprint::crawler;
+use nokeys_scanner::fingerprint::knowledge_base::KnowledgeBase;
+use nokeys_scanner::plugin::AppHandler;
 use nokeys_scanner::signatures::{all_signatures, rank_candidates};
-use nokeys_scanner::{MultiPattern, Scratch};
+use nokeys_scanner::{MultiPattern, Scratch, Visit};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// System allocator wrapper counting every allocation and reallocation
 /// an armed thread makes (frees are irrelevant: the claim is that the
@@ -132,4 +142,32 @@ fn warmed_hot_path_performs_zero_heap_allocations() {
     for (body, hit) in bodies.iter().zip([true, true, true, false, true]) {
         assert_eq!(stage_two(body), (hit, 2 * usize::from(hit)), "{body:?}");
     }
+
+    // Stage IV's crawl keeps its observations in an array on the stack:
+    // one identification allocates what its four exchanges do, and not
+    // one allocation more.
+    let app = AppId::Gocd;
+    let version = release_history(app)[1];
+    let ep = Endpoint::new(Ipv4Addr::new(10, 7, 7, 7), 8153);
+    let handler = Arc::new(AppHandler::new(build_instance(
+        app,
+        version,
+        AppConfig::secure_for(app, &version),
+    )));
+    let client = Client::new(HandlerTransport::new().with(ep, handler));
+    let visit = Visit::new(&client, ep, Scheme::Http);
+    let kb = KnowledgeBase::shared();
+    for _ in 0..3 {
+        assert!(crawler::identify(&visit, kb).is_some(), "GoCD identified");
+    }
+    let crawl = allocations_in(|| {
+        black_box(crawler::identify(&visit, kb));
+    });
+    let exchanges = allocations_in(|| {
+        for path in ASSET_PATHS {
+            black_box(visit.get(path).ok());
+        }
+    });
+    assert!(exchanges > 0, "an exchange allocates");
+    assert_eq!(crawl, exchanges, "the crawl allocates only its exchanges");
 }
