@@ -98,7 +98,7 @@ pub fn ct_scan<T: Transport>(
 mod tests {
     use super::*;
     use nokeys_http::memory::HandlerTransport;
-    use nokeys_http::{Client, Request, Response, Url};
+    use nokeys_http::{Client, Request, Response};
     use std::sync::Arc;
 
     /// Handler that echoes the Host header it received.
@@ -135,10 +135,9 @@ mod tests {
         }
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 21), 80);
         let client = Client::new(HandlerTransport::new().with(ep, Arc::new(BodyEcho)));
-        let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/x");
         let resp = client
             .for_host("d.example")
-            .execute(&url, Request::post("/x", "payload-body"))
+            .execute(ep, Scheme::Http, Request::post("/x", "payload-body"))
             .unwrap();
         assert_eq!(resp.body_text(), "d.example|payload-body");
     }

@@ -13,7 +13,7 @@ use crate::logserver::AuditRecord;
 use nokeys_apps::AppId;
 use nokeys_attack::plan::{study_plan, StudyPlan};
 use nokeys_attack::script::attack_script;
-use nokeys_http::{Client, Scheme, Url};
+use nokeys_http::{Client, Scheme};
 use nokeys_netsim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
@@ -127,13 +127,7 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
         let client = Client::new(fleet.transport.clone().with_source_ip(planned.ip));
         let log_before = fleet.log.len();
         for req in attack_script(planned.app, &planned.payload) {
-            let url = Url::for_ip(
-                Scheme::Http,
-                honeypot.endpoint.ip,
-                honeypot.endpoint.port,
-                &req.target,
-            );
-            let _ = client.execute(&url, req);
+            let _ = client.execute(honeypot.endpoint, Scheme::Http, req);
         }
         fleet.log.stamp_since(log_before, planned.time);
 
@@ -176,7 +170,7 @@ fn crawl(fleet: &Fleet, t: SimTime, ep: nokeys_http::Endpoint) {
             .clone()
             .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
     );
-    let _ = client.get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"));
+    let _ = client.get_path(ep, Scheme::Http, "/");
     fleet.log.stamp_since(before, t);
 }
 

@@ -2,7 +2,10 @@
 //!
 //! Mirrors the paper's scanning constraints: bounded redirects ("we
 //! followed redirects until we received a response body"), bounded body
-//! sizes, per-request timeouts, and a crawler-style `User-Agent`.
+//! sizes and a crawler-style `User-Agent`. A request goes to an
+//! `(endpoint, scheme, path)`: the scanner addresses IPv4 endpoints
+//! only. The transport that can block bounds each exchange in time
+//! ([`TcpTransport`](crate::transport::TcpTransport)).
 
 use crate::encode::encode_request;
 use crate::error::{Error, Result};
@@ -10,41 +13,18 @@ use crate::parse::{Decoder, Limits};
 use crate::request::Request;
 use crate::response::Response;
 use crate::transport::{Attempt, Connection, Endpoint, Scheme, Transport};
-use crate::url::{Host, Url};
 use std::net::Ipv4Addr;
-use std::time::{Duration, Instant};
 
-/// Client configuration.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Maximum number of redirects to follow before giving up.
-    pub max_redirects: usize,
-    /// Overall deadline per individual exchange (connect + request +
-    /// response).
-    pub request_timeout: Duration,
-    /// Parser limits.
-    pub limits: Limits,
-    /// `User-Agent` header value.
-    pub user_agent: String,
-}
+/// Redirects a `GET` follows before it gives up.
+pub const MAX_REDIRECTS: usize = 5;
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            max_redirects: 5,
-            request_timeout: Duration::from_secs(10),
-            limits: Limits::default(),
-            user_agent: "nokeys-scanner/0.1 (research; non-intrusive)".to_string(),
-        }
-    }
-}
+/// `User-Agent` header value.
+const USER_AGENT: &str = "nokeys-scanner/0.1 (research; non-intrusive)";
 
-/// The response together with the URL it was finally served from (after
-/// redirects) and the redirect-chain length.
+/// The response a `GET` finally received and the redirect-chain length.
 #[derive(Debug, Clone)]
 pub struct Fetched {
     pub response: Response,
-    pub final_url: Url,
     pub redirects: usize,
 }
 
@@ -52,22 +32,15 @@ pub struct Fetched {
 #[derive(Debug, Clone)]
 pub struct Client<T> {
     transport: T,
-    config: ClientConfig,
     /// Name-based virtual host every request is addressed to, if any.
     host: Option<String>,
 }
 
 impl<T: Transport> Client<T> {
-    /// Create a client with default configuration.
+    /// Create a client over `transport`.
     pub fn new(transport: T) -> Self {
-        Self::with_config(transport, ClientConfig::default())
-    }
-
-    /// Create a client with explicit configuration.
-    pub fn with_config(transport: T, config: ClientConfig) -> Self {
         Client {
             transport,
-            config,
             host: None,
         }
     }
@@ -77,137 +50,161 @@ impl<T: Transport> Client<T> {
         &self.transport
     }
 
-    /// Access the configuration.
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
-    }
-
-    /// Rebuild this client around a different transport, keeping the
-    /// configuration — e.g. to wrap the current transport with retry or
+    /// Rebuild this client around a different transport, keeping its
+    /// virtual host — e.g. to wrap the current transport with retry or
     /// fault-injection behaviour.
     pub fn with_transport<U: Transport>(&self, transport: U) -> Client<U> {
         Client {
             transport,
-            config: self.config.clone(),
             host: self.host.clone(),
         }
     }
 
-    /// A client over the same transport and configuration whose
-    /// requests all name the virtual host `name`: `Host: name` goes
-    /// wherever [`execute`](Self::execute) would have written the
-    /// URL's own host. This is how a site behind a shared IP is
-    /// scanned by name (the paper's §6.2 "under counting" discussion).
+    /// A client over the same transport whose requests all name the
+    /// virtual host `name`: `Host: name` goes wherever
+    /// [`execute`](Self::execute) would have written the endpoint. This
+    /// is how a site behind a shared IP is scanned by name (the paper's
+    /// §6.2 "under counting" discussion).
     pub fn for_host(&self, name: &str) -> Client<&T> {
         let mut client = self.with_transport(&self.transport);
         client.host = Some(name.to_string());
         client
     }
 
-    /// Issue a single request to `url` without following redirects:
-    /// dial, one exchange, drop the connection.
+    /// Issue a single request to `ep` over `scheme` without following
+    /// redirects: dial, one exchange, drop the connection.
     ///
     /// A caller-provided `Host` header is preserved; absent one, the
     /// header names this client's virtual host
-    /// ([`for_host`](Self::for_host)) or else the URL's host. The same
+    /// ([`for_host`](Self::for_host)) or else the endpoint: its address,
+    /// with the port when it is not the scheme's default. The same
     /// holds for a caller-provided `Connection` header; absent one, the
     /// client asks for `Connection: close`, since it never sends a
     /// second request down a connection.
-    pub fn execute(&self, url: &Url, mut req: Request) -> Result<Response> {
-        let ep = endpoint_of(url)?;
+    pub fn execute(&self, ep: Endpoint, scheme: Scheme, mut req: Request) -> Result<Response> {
+        self.exchange(ep, scheme, &mut req)
+    }
+
+    /// `GET` `path` on `ep` with redirect following; an empty path is
+    /// `/`. Returns the first response that is not a followable
+    /// redirect.
+    pub fn get_path(&self, ep: Endpoint, scheme: Scheme, path: &str) -> Result<Fetched> {
+        let (mut ep, mut scheme) = (ep, scheme);
+        let mut req = Request::get(path);
+        for hop in 0..=MAX_REDIRECTS {
+            let response = self.exchange(ep, scheme, &mut req)?;
+            if !response.is_followable_redirect() {
+                return Ok(Fetched {
+                    response,
+                    redirects: hop,
+                });
+            }
+            let location = response
+                .location()
+                .expect("checked by is_followable_redirect");
+            let path;
+            (ep, scheme, path) = resolve(ep, scheme, &req.target, location)?;
+            req = Request::get(path);
+        }
+        Err(Error::TooManyRedirects(MAX_REDIRECTS))
+    }
+
+    /// [`execute`](Self::execute) on a request the caller keeps, so a
+    /// redirect can be resolved against its target.
+    fn exchange(&self, ep: Endpoint, scheme: Scheme, req: &mut Request) -> Result<Response> {
         if !req.headers.contains("host") {
             match &self.host {
                 Some(name) => req.headers.set("Host", name),
-                None => req.headers.set("Host", url.host_header()),
+                None if ep.port == scheme.default_port() => {
+                    req.headers.set("Host", ep.ip.to_string())
+                }
+                None => req.headers.set("Host", ep.to_string()),
             }
         }
         if !req.headers.contains("user-agent") {
-            req.headers.set("User-Agent", &self.config.user_agent);
+            req.headers.set("User-Agent", USER_AGENT);
         }
         if !req.headers.contains("connection") {
             req.headers.set("Connection", "close");
         }
-        let head_method = req.method == crate::Method::Head;
-        let wire = encode_request(&req);
-
-        let deadline = Instant::now() + self.config.request_timeout;
+        let wire = encode_request(req);
         let attempt = Attempt {
             target: &req.target,
             n: 0,
         };
-        let mut conn = self.transport.connect(ep, url.scheme, attempt)?;
-        exchange_once(&mut conn, &wire, head_method, &self.config.limits, deadline)
-    }
-
-    /// `GET` with redirect following. Returns the first response that is
-    /// not a followable redirect.
-    pub fn get(&self, url: &Url) -> Result<Fetched> {
-        let mut current = url.clone();
-        for hop in 0..=self.config.max_redirects {
-            let resp = self.execute(&current, Request::get(current.path.clone()))?;
-            if resp.is_followable_redirect() {
-                let location = resp.location().expect("checked by is_followable_redirect");
-                current = current.join(location)?;
-                continue;
-            }
-            return Ok(Fetched {
-                response: resp,
-                final_url: current,
-                redirects: hop,
-            });
-        }
-        Err(Error::TooManyRedirects(self.config.max_redirects))
-    }
-
-    /// `GET` a path on a raw endpoint (scanner convenience).
-    pub fn get_path(&self, ep: Endpoint, scheme: Scheme, path: &str) -> Result<Fetched> {
-        let url = Url::for_ip(scheme, ep.ip, ep.port, path);
-        self.get(&url)
+        let mut conn = self.transport.connect(ep, scheme, attempt)?;
+        exchange_once(&mut conn, &wire, req.method == crate::Method::Head)
     }
 }
 
-fn endpoint_of(url: &Url) -> Result<Endpoint> {
-    match &url.host {
-        Host::Ip(ip) => Ok(Endpoint::new(*ip, url.port)),
-        // The scanner operates on IPs; DNS would be an external dependency.
-        // Loopback names are mapped for the live examples' convenience.
-        Host::Name(n) if n == "localhost" => Ok(Endpoint::new(Ipv4Addr::LOCALHOST, url.port)),
-        Host::Name(_) => Err(Error::Connect("DNS resolution not supported".into())),
+/// Where a redirect to `location` from `path` on `(ep, scheme)` leads.
+///
+/// Handles absolute URLs, scheme-relative (`//host/..`), absolute paths
+/// and relative paths — all four appear in real redirect chains. A
+/// relative path replaces what follows the last `/` of `path`, whose
+/// query is ignored. The scanner addresses IPv4 endpoints only, so a
+/// host name is refused: DNS would be an external dependency.
+fn resolve(
+    ep: Endpoint,
+    scheme: Scheme,
+    path: &str,
+    location: &str,
+) -> Result<(Endpoint, Scheme, String)> {
+    let (scheme, rest) = if let Some(rest) = location.strip_prefix("http://") {
+        (Scheme::Http, rest)
+    } else if let Some(rest) = location.strip_prefix("https://") {
+        (Scheme::Https, rest)
+    } else if let Some(rest) = location.strip_prefix("//") {
+        (scheme, rest)
+    } else if location.starts_with('/') {
+        return Ok((ep, scheme, location.to_string()));
+    } else {
+        let path = path.split_once('?').map_or(path, |(path, _)| path);
+        let base = path.rfind('/').map_or("/", |idx| &path[..=idx]);
+        return Ok((ep, scheme, format!("{base}{location}")));
+    };
+    let (authority, path) = match rest.find('/') {
+        Some(idx) => rest.split_at(idx),
+        None => (rest, "/"),
+    };
+    if authority.is_empty() {
+        return Err(Error::InvalidUrl("empty authority"));
     }
+    let (host, port) = match authority.rsplit_once(':') {
+        Some((host, port)) => (
+            host,
+            port.parse().map_err(|_| Error::InvalidUrl("bad port"))?,
+        ),
+        None => (authority, scheme.default_port()),
+    };
+    if host.is_empty() {
+        return Err(Error::InvalidUrl("empty host"));
+    }
+    if let Ok(ip) = host.parse::<Ipv4Addr>() {
+        return Ok((Endpoint::new(ip, port), scheme, path.to_string()));
+    }
+    if !host
+        .chars()
+        .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '.' | '_'))
+    {
+        return Err(Error::InvalidUrl("invalid host characters"));
+    }
+    Err(Error::Connect("DNS resolution not supported".into()))
 }
 
 /// Write `wire` and read one response: read, feed the [`Decoder`], ask
 /// it for the message.
-///
-/// Every blocking operation is bounded by what is left until
-/// `deadline`, so a stalled or trickling peer costs at most the
-/// configured request timeout.
-fn exchange_once<C: Connection>(
-    conn: &mut C,
-    wire: &[u8],
-    head_method: bool,
-    limits: &Limits,
-    deadline: Instant,
-) -> Result<Response> {
-    let arm = |conn: &mut C| -> Result<()> {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(Error::Timeout);
-        }
-        conn.set_io_timeout(left).map_err(Error::from)
-    };
-    arm(conn)?;
+fn exchange_once<C: Connection>(conn: &mut C, wire: &[u8], head_method: bool) -> Result<Response> {
     // Not all transports propagate flush, but it is correct to ask.
     conn.write_all(wire)?;
     conn.flush()?;
-    let mut decoder = Decoder::response(head_method, *limits);
+    let mut decoder = Decoder::response(head_method, Limits::default());
     let mut chunk = [0u8; 4096];
     let mut eof = false;
     loop {
         if let Some(resp) = decoder.next(eof)? {
             return Ok(resp);
         }
-        arm(conn)?;
         match conn.read(&mut chunk) {
             Ok(0) => eof = true,
             Ok(n) => decoder.feed(&chunk[..n]),
@@ -222,12 +219,13 @@ mod tests {
     use super::*;
     use crate::encode::encode_response;
     use crate::status::StatusCode;
+    use crate::transport::TcpTransport;
     use std::io::{Read, Write};
 
     /// Spawn a TCP server that answers each connection with a canned
     /// response produced by `f(path)`. The accept thread is detached on
     /// purpose: it blocks in `accept` until the test process exits.
-    fn canned_server<F>(f: F) -> u16
+    fn canned_server<F>(f: F) -> Endpoint
     where
         F: Fn(&str) -> Response + Send + Sync + 'static,
     {
@@ -243,15 +241,14 @@ mod tests {
                 let _ = stream.write_all(&encode_response(&resp));
             }
         });
-        port
+        Endpoint::new(Ipv4Addr::LOCALHOST, port)
     }
 
     #[test]
     fn get_fetches_body() {
-        let port = canned_server(|_| Response::html("<h1>hello</h1>"));
-        let client = Client::new(crate::transport::TcpTransport::default());
-        let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        let fetched = client.get(&url).unwrap();
+        let ep = canned_server(|_| Response::html("<h1>hello</h1>"));
+        let client = Client::new(TcpTransport::default());
+        let fetched = client.get_path(ep, Scheme::Http, "/").unwrap();
         assert_eq!(fetched.response.status, StatusCode::OK);
         assert_eq!(fetched.response.body_text(), "<h1>hello</h1>");
         assert_eq!(fetched.redirects, 0);
@@ -259,30 +256,24 @@ mod tests {
 
     #[test]
     fn follows_redirects_to_final_body() {
-        let port = canned_server(|path| match path {
+        let ep = canned_server(|path| match path {
             "/" => Response::redirect("/step1"),
             "/step1" => Response::redirect("/step2"),
-            "/step2" => Response::html("done"),
+            "/step2" => Response::html(format!("done at {path}")),
             _ => Response::not_found(),
         });
-        let client = Client::new(crate::transport::TcpTransport::default());
-        let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        let fetched = client.get(&url).unwrap();
-        assert_eq!(fetched.response.body_text(), "done");
+        let client = Client::new(TcpTransport::default());
+        let fetched = client.get_path(ep, Scheme::Http, "/").unwrap();
+        assert_eq!(fetched.response.body_text(), "done at /step2");
         assert_eq!(fetched.redirects, 2);
-        assert_eq!(fetched.final_url.path, "/step2");
     }
 
     #[test]
     fn redirect_loops_are_bounded() {
-        let port = canned_server(|_| Response::redirect("/loop"));
-        let config = ClientConfig {
-            max_redirects: 3,
-            ..Default::default()
-        };
-        let client = Client::with_config(crate::transport::TcpTransport::default(), config);
-        let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        assert_eq!(client.get(&url).unwrap_err(), Error::TooManyRedirects(3));
+        let ep = canned_server(|_| Response::redirect("/loop"));
+        let client = Client::new(TcpTransport::default());
+        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        assert_eq!(err, Error::TooManyRedirects(MAX_REDIRECTS));
     }
 
     #[test]
@@ -291,16 +282,87 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         drop(listener);
-        let client = Client::new(crate::transport::TcpTransport::default());
-        let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        assert!(matches!(client.get(&url).unwrap_err(), Error::Connect(_)));
+        let client = Client::new(TcpTransport::default());
+        let ep = Endpoint::new(Ipv4Addr::LOCALHOST, port);
+        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        assert!(matches!(err, Error::Connect(_)));
+    }
+
+    const EP: Endpoint = Endpoint {
+        ip: Ipv4Addr::new(1, 2, 3, 4),
+        port: 8080,
+    };
+
+    fn resolved(scheme: Scheme, path: &str, location: &str) -> (Endpoint, Scheme, String) {
+        resolve(EP, scheme, path, location).unwrap()
     }
 
     #[test]
-    fn dns_names_are_rejected() {
-        let client = Client::new(crate::transport::TcpTransport::default());
-        let url = Url::parse("http://example.invalid/").unwrap();
-        assert!(matches!(client.get(&url).unwrap_err(), Error::Connect(_)));
+    fn resolve_handles_each_location_form() {
+        let at = |ip: [u8; 4], port| Endpoint::new(Ipv4Addr::from(ip), port);
+        // Absolute: scheme, address, port and path all from the location.
+        assert_eq!(
+            resolved(Scheme::Http, "/a/b?q=1", "https://5.6.7.8:8443/login?x"),
+            (at([5, 6, 7, 8], 8443), Scheme::Https, "/login?x".into())
+        );
+        // Scheme-relative: the scheme stays.
+        assert_eq!(
+            resolved(Scheme::Https, "/a/b", "//5.6.7.8/x"),
+            (at([5, 6, 7, 8], 443), Scheme::Https, "/x".into())
+        );
+        // Absolute path: the endpoint and scheme stay.
+        assert_eq!(
+            resolved(Scheme::Http, "/a/b?q=1", "/root"),
+            (EP, Scheme::Http, "/root".into())
+        );
+        // Relative: replaces what follows the last `/`, query ignored.
+        assert_eq!(
+            resolved(Scheme::Http, "/a/b?q=1/z", "c.html").2,
+            "/a/c.html"
+        );
+        assert_eq!(resolved(Scheme::Http, "/", "c.html").2, "/c.html");
+    }
+
+    #[test]
+    fn resolve_fills_in_default_ports_and_path() {
+        assert_eq!(
+            resolved(Scheme::Https, "/", "http://5.6.7.8"),
+            (
+                Endpoint::new(Ipv4Addr::new(5, 6, 7, 8), 80),
+                Scheme::Http,
+                "/".into()
+            )
+        );
+        assert_eq!(resolved(Scheme::Http, "/", "https://5.6.7.8/x").0.port, 443);
+    }
+
+    #[test]
+    fn resolve_rejects_bad_authorities() {
+        let fails = |location| resolve(EP, Scheme::Http, "/", location).unwrap_err();
+        assert_eq!(fails("http://"), Error::InvalidUrl("empty authority"));
+        assert_eq!(fails("http:///x"), Error::InvalidUrl("empty authority"));
+        assert_eq!(fails("http://:80/"), Error::InvalidUrl("empty host"));
+        assert_eq!(
+            fails("http://1.2.3.4:70000/"),
+            Error::InvalidUrl("bad port")
+        );
+        assert_eq!(fails("//h:/"), Error::InvalidUrl("bad port"));
+        assert_eq!(
+            fails("http://ex ample/"),
+            Error::InvalidUrl("invalid host characters")
+        );
+    }
+
+    #[test]
+    fn resolve_refuses_host_names() {
+        for location in [
+            "https://example-cdn.invalid/",
+            "//localhost:8080/",
+            "http://example.org",
+        ] {
+            let err = resolve(EP, Scheme::Http, "/", location).unwrap_err();
+            assert_eq!(err, Error::Connect("DNS resolution not supported".into()));
+        }
     }
 }
 
@@ -309,29 +371,25 @@ mod error_path_tests {
     use super::*;
     use crate::memory::HandlerTransport;
     use crate::response::Response;
+    use crate::transport::TcpTransport;
+    use std::io::{Read, Write};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn body_cap_is_enforced_end_to_end() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 9), 80);
-        let big = Response::html("x".repeat(64 * 1024));
+        let max_body = Limits::default().max_body;
+        let big = Response::html("x".repeat(max_body + 1));
         let handler = Arc::new(move |_: &Request, _| big.clone());
-        let transport = HandlerTransport::new().with(ep, handler);
-        let limits = crate::parse::Limits {
-            max_body: 1024,
-            ..Default::default()
-        };
-        let config = ClientConfig {
-            limits,
-            ..Default::default()
-        };
-        let client = Client::with_config(transport, config);
-        let err = client
-            .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-            .unwrap_err();
-        assert!(
-            matches!(err, Error::TooLarge { what: "body", .. }),
-            "{err:?}"
+        let client = Client::new(HandlerTransport::new().with(ep, handler));
+        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        assert_eq!(
+            err,
+            Error::TooLarge {
+                what: "body",
+                limit: max_body
+            }
         );
     }
 
@@ -340,55 +398,101 @@ mod error_path_tests {
         // A real TCP server that accepts but never answers: the
         // listener's backlog completes the handshake, and nobody reads.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let config = ClientConfig {
+        let ep = Endpoint::new(Ipv4Addr::LOCALHOST, listener.local_addr().unwrap().port());
+        let client = Client::new(TcpTransport {
             request_timeout: Duration::from_millis(200),
-            ..Default::default()
-        };
-        let client = Client::with_config(crate::transport::TcpTransport::default(), config);
-        let url = Url::parse(&format!("http://127.0.0.1:{port}/")).unwrap();
-        let err = client.get(&url).unwrap_err();
+            ..TcpTransport::default()
+        });
+        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
         assert_eq!(err, Error::Timeout);
+    }
+
+    #[test]
+    fn request_timeout_bounds_a_trickling_server() {
+        // Every byte arrives well within the timeout, but the whole
+        // response would take about 2.9 s: one deadline for the
+        // exchange, not one per read, ends it after 300 ms.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let ep = Endpoint::new(Ipv4Addr::LOCALHOST, listener.local_addr().unwrap().port());
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = stream.read(&mut [0u8; 4096]);
+            let response = b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n01234567890123456789";
+            for byte in response.chunks(1) {
+                std::thread::sleep(Duration::from_millis(50));
+                if stream.write_all(byte).is_err() {
+                    break;
+                }
+            }
+        });
+        let client = Client::new(TcpTransport {
+            request_timeout: Duration::from_millis(300),
+            ..TcpTransport::default()
+        });
+        let start = Instant::now();
+        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        let elapsed = start.elapsed();
+        assert_eq!(err, Error::Timeout);
+        assert!(elapsed < Duration::from_secs(2), "{elapsed:?}");
+        // The client has closed its end, so the server's next writes fail.
+        server.join().unwrap();
+    }
+
+    /// A client whose endpoints answer with the request line and the
+    /// header `name`.
+    fn echo_client(name: &'static str, eps: &[Endpoint]) -> Client<HandlerTransport> {
+        let handler = Arc::new(move |req: &Request, _| {
+            let value = req.headers.get(name).unwrap_or("none");
+            Response::text(format!("{} {} {value}", req.method, req.target))
+        });
+        let transport = eps.iter().fold(HandlerTransport::new(), |t, &ep| {
+            t.with(ep, handler.clone())
+        });
+        Client::new(transport)
+    }
+
+    #[test]
+    fn an_empty_path_gets_the_root() {
+        let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 6), 80);
+        let client = echo_client("host", &[ep]);
+        let fetched = client.get_path(ep, Scheme::Http, "").unwrap();
+        assert_eq!(fetched.response.body_text(), "GET / 10.0.0.6");
     }
 
     #[test]
     fn caller_host_header_is_preserved() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 8), 80);
-        let handler = Arc::new(|req: &Request, _| {
-            Response::text(req.headers.get("host").unwrap_or("none").to_string())
-        });
-        let transport = HandlerTransport::new().with(ep, handler);
-        let client = Client::new(transport);
-        let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/");
-        // Default: the URL's host.
-        let resp = client.execute(&url, Request::get("/")).unwrap();
-        assert_eq!(resp.body_text(), "10.0.0.8");
+        let alt = Endpoint::new(ep.ip, 8080);
+        let client = echo_client("host", &[ep, alt]);
+        // Default: the endpoint's address, with a port that is not the
+        // scheme's default.
+        let resp = client.execute(ep, Scheme::Http, Request::get("/")).unwrap();
+        assert_eq!(resp.body_text(), "GET / 10.0.0.8");
+        let resp = client
+            .execute(alt, Scheme::Http, Request::get("/"))
+            .unwrap();
+        assert_eq!(resp.body_text(), "GET / 10.0.0.8:8080");
         // Caller override survives (virtual-host addressing).
         let req = Request::get("/").with_header("Host", "named.example");
-        let resp = client.execute(&url, req).unwrap();
-        assert_eq!(resp.body_text(), "named.example");
+        let resp = client.execute(ep, Scheme::Http, req).unwrap();
+        assert_eq!(resp.body_text(), "GET / named.example");
         // A client for a named virtual host addresses what it builds
         // to that name.
         let named = client.for_host("vhost.example");
-        let fetched = named.get(&url).unwrap();
-        assert_eq!(fetched.response.body_text(), "vhost.example");
+        let fetched = named.get_path(ep, Scheme::Http, "/").unwrap();
+        assert_eq!(fetched.response.body_text(), "GET / vhost.example");
     }
 
     #[test]
     fn caller_connection_header_is_preserved() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 7), 80);
-        let handler = Arc::new(|req: &Request, _| {
-            Response::text(req.headers.get("connection").unwrap_or("none").to_string())
-        });
-        let transport = HandlerTransport::new().with(ep, handler);
-        let client = Client::new(transport);
-        let url = Url::for_ip(Scheme::Http, ep.ip, ep.port, "/");
+        let client = echo_client("connection", &[ep]);
         // Default: the client requests close.
-        let resp = client.execute(&url, Request::get("/")).unwrap();
-        assert_eq!(resp.body_text(), "close");
+        let resp = client.execute(ep, Scheme::Http, Request::get("/")).unwrap();
+        assert_eq!(resp.body_text(), "GET / close");
         // A caller-provided value must not be clobbered.
         let req = Request::get("/").with_header("Connection", "keep-alive, close");
-        let resp = client.execute(&url, req).unwrap();
-        assert_eq!(resp.body_text(), "keep-alive, close");
+        let resp = client.execute(ep, Scheme::Http, req).unwrap();
+        assert_eq!(resp.body_text(), "GET / keep-alive, close");
     }
 }

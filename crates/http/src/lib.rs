@@ -6,12 +6,13 @@
 //! more:
 //!
 //! * message types ([`Request`], [`Response`], [`Headers`], [`Method`],
-//!   [`StatusCode`], [`Url`]),
+//!   [`StatusCode`]),
 //! * an incremental HTTP/1.1 parser ([`parse`]) and serializer ([`encode`]),
 //! * a byte-stream [`transport::Transport`] abstraction with a real TCP
-//!   implementation ([`transport::TcpTransport`]); the simulated Internet in
-//!   `nokeys-netsim` provides an in-memory implementation,
-//! * a [`client::Client`] with redirect following, timeouts and body caps,
+//!   implementation ([`transport::TcpTransport`], which bounds each
+//!   exchange in time); the simulated Internet in `nokeys-netsim`
+//!   provides an in-memory implementation,
+//! * a [`client::Client`] with redirect following and body caps,
 //!   mirroring the constraints of the paper's ethical scanning setup, and
 //! * a [`server::serve_connection`] loop used to expose application models
 //!   over real sockets.
@@ -37,10 +38,9 @@ pub mod rng;
 pub mod server;
 pub mod status;
 pub mod transport;
-pub mod url;
 pub mod version;
 
-pub use client::{Client, ClientConfig};
+pub use client::Client;
 pub use error::{Error, Result};
 pub use headers::Headers;
 pub use method::Method;
@@ -48,5 +48,4 @@ pub use request::Request;
 pub use response::Response;
 pub use status::StatusCode;
 pub use transport::{Attempt, Endpoint, FaultLane, FaultObserver, ProbeOutcome, Scheme, Transport};
-pub use url::Url;
 pub use version::Version;

@@ -55,11 +55,6 @@ impl HandlerTransport {
         self.source_ip = ip;
         self
     }
-
-    /// Mounted endpoints.
-    pub fn endpoints(&self) -> impl Iterator<Item = Endpoint> + '_ {
-        self.routes.keys().copied()
-    }
 }
 
 impl Transport for HandlerTransport {
@@ -180,7 +175,6 @@ mod tests {
     use crate::client::Client;
     use crate::request::Request;
     use crate::response::Response;
-    use crate::url::Url;
 
     fn echo_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request, peer: Ipv4Addr| {
@@ -194,9 +188,7 @@ mod tests {
         let t = HandlerTransport::new().with(ep, echo_handler());
         assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Open);
         let client = Client::new(t);
-        let fetched = client
-            .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/hello"))
-            .unwrap();
+        let fetched = client.get_path(ep, Scheme::Http, "/hello").unwrap();
         assert!(fetched
             .response
             .body_text()
@@ -209,9 +201,7 @@ mod tests {
         let ep = Endpoint::new(Ipv4Addr::LOCALHOST, 80);
         assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Closed);
         let client = Client::new(t);
-        let err = client
-            .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/"))
-            .unwrap_err();
+        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
         assert!(matches!(err, Error::Connect(_)));
     }
 
@@ -223,9 +213,7 @@ mod tests {
             .with(ep, echo_handler())
             .with_source_ip(attacker);
         let client = Client::new(t);
-        let fetched = client
-            .get(&Url::for_ip(Scheme::Http, ep.ip, ep.port, "/x"))
-            .unwrap();
+        let fetched = client.get_path(ep, Scheme::Http, "/x").unwrap();
         assert!(fetched.response.body_text().contains("203.0.113.99"));
     }
 

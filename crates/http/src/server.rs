@@ -210,8 +210,7 @@ where
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::transport::TcpTransport;
-    use crate::url::Url;
+    use crate::transport::{Endpoint, Scheme, TcpTransport};
 
     #[test]
     fn serves_handler_over_tcp() {
@@ -224,11 +223,11 @@ mod tests {
         });
         let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).unwrap();
         let client = Client::new(TcpTransport::default());
-        let url = Url::parse(&format!("http://127.0.0.1:{}/version", server.port)).unwrap();
-        let fetched = client.get(&url).unwrap();
+        let ep = Endpoint::new(Ipv4Addr::LOCALHOST, server.port);
+        let fetched = client.get_path(ep, Scheme::Http, "/version").unwrap();
         assert!(fetched.response.body_text().contains("MinAPIVersion"));
-        let miss = Url::parse(&format!("http://127.0.0.1:{}/other", server.port)).unwrap();
-        assert_eq!(client.get(&miss).unwrap().response.status.as_u16(), 404);
+        let miss = client.get_path(ep, Scheme::Http, "/other").unwrap();
+        assert_eq!(miss.response.status.as_u16(), 404);
         server.shutdown();
     }
 

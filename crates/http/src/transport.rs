@@ -11,7 +11,7 @@ use crate::ip::Cidr;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Connection scheme. TLS is modeled, not implemented: the simulated
 /// transport performs a pretend handshake and can expose a certificate
@@ -83,16 +83,6 @@ pub trait Connection: Read + Write + Send {
     /// Certificate presented during an HTTPS handshake, if any.
     fn certificate(&self) -> Option<CertificateInfo> {
         None
-    }
-
-    /// Bound every later blocking read and write on this connection to
-    /// `timeout`; an operation that exceeds it fails with a timed-out
-    /// I/O error. The client calls this with what is left of its
-    /// per-exchange deadline. In-memory connections never block, so the
-    /// default is a no-op.
-    fn set_io_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
-        let _ = timeout;
-        Ok(())
     }
 }
 
@@ -192,25 +182,59 @@ impl<T: Transport> Transport for &T {
 pub struct TcpTransport {
     /// Deadline for both probes and connects.
     pub connect_timeout: Duration,
+    /// Deadline for a whole exchange on a connection: connect, request
+    /// and response, so a stalled or trickling peer costs at most this.
+    pub request_timeout: Duration,
 }
 
 impl Default for TcpTransport {
     fn default() -> Self {
         TcpTransport {
             connect_timeout: Duration::from_secs(3),
+            request_timeout: Duration::from_secs(10),
         }
     }
 }
 
-impl Connection for TcpStream {
-    fn set_io_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
-        // A zero timeout is an error to the socket API; the caller's
-        // deadline has passed, so the next operation should fail at once.
-        let timeout = Some(timeout.max(Duration::from_millis(1)));
-        self.set_read_timeout(timeout)?;
-        self.set_write_timeout(timeout)
+/// A TCP connection whose every read and write is bounded by what is
+/// left of one deadline, taken before the dial.
+#[derive(Debug)]
+pub struct TcpConn {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl TcpConn {
+    /// What is left until the deadline; a timed-out error once it has
+    /// passed.
+    fn left(&self) -> std::io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        Ok(left)
     }
 }
+
+impl Read for TcpConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for TcpConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+impl Connection for TcpConn {}
 
 impl TcpTransport {
     fn dial(&self, ep: Endpoint) -> std::io::Result<TcpStream> {
@@ -219,7 +243,7 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    type Conn = TcpStream;
+    type Conn = TcpConn;
 
     fn probe(&self, ep: Endpoint, _: Attempt<'_>) -> ProbeOutcome {
         match self.dial(ep) {
@@ -233,10 +257,12 @@ impl Transport for TcpTransport {
         if scheme == Scheme::Https {
             return Err(Error::SchemeUnsupported);
         }
-        self.dial(ep).map_err(|e| match e.kind() {
+        let deadline = Instant::now() + self.request_timeout;
+        let stream = self.dial(ep).map_err(|e| match e.kind() {
             std::io::ErrorKind::TimedOut => Error::Timeout,
             _ => Error::Connect(e.to_string()),
-        })
+        })?;
+        Ok(TcpConn { stream, deadline })
     }
 }
 

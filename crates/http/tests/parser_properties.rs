@@ -345,22 +345,3 @@ fn trickled_chunked_body_costs_linear_time() {
         "4 KiB feeds took {trickled:?}, one shot {one_shot:?}"
     );
 }
-
-/// URL parse/display round trip for IPv4 URLs.
-#[test]
-fn url_round_trip() {
-    check(256, |g| {
-        let text = format!(
-            "http://{}.{}.{}.{}:{}/{}",
-            g.range(1..224),
-            g.byte(),
-            g.byte(),
-            g.byte(),
-            g.range(1..65536),
-            g.string(PATH, 0..31)
-        );
-        let url = nokeys_http::Url::parse(&text).expect("valid url");
-        let back = nokeys_http::Url::parse(&url.to_string()).expect("reparses");
-        assert_eq!(url, back);
-    });
-}

@@ -160,7 +160,7 @@ mod tests {
     use nokeys_apps::AppId;
     use nokeys_http::cases::check;
     use nokeys_http::transport::Connection;
-    use nokeys_http::{Client, Url};
+    use nokeys_http::Client;
 
     fn transport() -> SimTransport {
         SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))))
@@ -185,12 +185,7 @@ mod tests {
         let ep = find_app_ep(&t, AppId::Hadoop, true);
         let client = Client::new(t.clone());
         let fetched = client
-            .get(&Url::for_ip(
-                Scheme::Http,
-                ep.ip,
-                ep.port,
-                "/cluster/cluster",
-            ))
+            .get_path(ep, Scheme::Http, "/cluster/cluster")
             .unwrap();
         assert!(fetched.response.body_text().contains("dr.who"));
         assert!(t.stats().requests() >= 1);
@@ -204,7 +199,7 @@ mod tests {
         let client = Client::new(t.clone());
         // CMS hosts expose port 80 for HTTP.
         let fetched = client
-            .get(&Url::for_ip(Scheme::Http, ep.ip, 80, "/"))
+            .get_path(Endpoint::new(ep.ip, 80), Scheme::Http, "/")
             .unwrap();
         assert!(
             fetched.redirects >= 1,
@@ -241,7 +236,7 @@ mod tests {
         let Some((ip, port)) = host_ip else { return };
         let client = Client::new(t.clone());
         let err = client
-            .get(&Url::for_ip(Scheme::Http, ip, port, "/"))
+            .get_path(Endpoint::new(ip, port), Scheme::Http, "/")
             .unwrap_err();
         assert!(
             matches!(

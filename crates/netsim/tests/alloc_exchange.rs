@@ -105,9 +105,9 @@ fn one_exchange_allocates_at_most_todays_count() {
     let plain = warmed_get(&client, first(false, 0));
     let redirected = warmed_get(&client, first(true, 1));
     println!("allocations per GET /: {plain} without a redirect, {redirected} with one");
-    assert!(plain <= 34, "{plain} allocations without a redirect");
+    assert!(plain <= 32, "{plain} allocations without a redirect");
     assert!(
-        redirected <= 73,
+        redirected <= 69,
         "{redirected} allocations with one redirect"
     );
 }

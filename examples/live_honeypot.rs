@@ -14,7 +14,7 @@ use nokeys::honeypot::logserver::CentralLog;
 use nokeys::honeypot::monitor::MonitoredApp;
 use nokeys::http::server::serve_tcp;
 use nokeys::http::transport::TcpTransport;
-use nokeys::http::{Client, Url};
+use nokeys::http::{Client, Endpoint, Scheme};
 use nokeys::netsim::SimTime;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -33,12 +33,14 @@ fn main() {
 
     // Attack over the real socket, exactly as the campaign would.
     let client = Client::new(TcpTransport::default());
+    let ep = Endpoint::new(Ipv4Addr::LOCALHOST, server.port);
     let payload = Payload::kinsing(1);
     for req in attack_script(AppId::Hadoop, &payload) {
-        let url =
-            Url::parse(&format!("http://127.0.0.1:{}{}", server.port, req.target)).expect("url");
-        let resp = client.execute(&url, req).expect("attack request");
-        println!("attacker -> {} {}", url.path, resp.status);
+        let target = req.target.clone();
+        let resp = client
+            .execute(ep, Scheme::Http, req)
+            .expect("attack request");
+        println!("attacker -> {target} {}", resp.status);
     }
     // The attack is one delivery, at the start of the observation.
     log.stamp_since(0, SimTime::HONEYPOT_START);
