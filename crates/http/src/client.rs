@@ -460,18 +460,27 @@ mod error_path_tests {
     }
 
     #[test]
-    fn caller_host_header_is_preserved() {
-        let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 8), 80);
+    fn host_header_omits_default_port() {
+        let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 9), 80);
         let alt = Endpoint::new(ep.ip, 8080);
         let client = echo_client("host", &[ep, alt]);
-        // Default: the endpoint's address, with a port that is not the
+        // The endpoint's address, with a port only when it is not the
         // scheme's default.
         let resp = client.execute(ep, Scheme::Http, Request::get("/")).unwrap();
-        assert_eq!(resp.body_text(), "GET / 10.0.0.8");
+        assert_eq!(resp.body_text(), "GET / 10.0.0.9");
         let resp = client
             .execute(alt, Scheme::Http, Request::get("/"))
             .unwrap();
-        assert_eq!(resp.body_text(), "GET / 10.0.0.8:8080");
+        assert_eq!(resp.body_text(), "GET / 10.0.0.9:8080");
+    }
+
+    #[test]
+    fn caller_host_header_is_preserved() {
+        let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 8), 80);
+        let client = echo_client("host", &[ep]);
+        // Default: the endpoint's address.
+        let resp = client.execute(ep, Scheme::Http, Request::get("/")).unwrap();
+        assert_eq!(resp.body_text(), "GET / 10.0.0.8");
         // Caller override survives (virtual-host addressing).
         let req = Request::get("/").with_header("Host", "named.example");
         let resp = client.execute(ep, Scheme::Http, req).unwrap();
