@@ -21,6 +21,7 @@ use crate::payloads::Payload;
 use nokeys_apps::AppId::{
     self, Docker, Grav, Hadoop, Jenkins, JupyterLab, JupyterNotebook, WordPress,
 };
+use nokeys_http::rng::XorShift64;
 use nokeys_netsim::clock::{SimDuration, SimTime};
 use nokeys_netsim::geo::{AsInfo, CountryCode, GeoRecord, ATTACKER_MIX};
 use std::collections::HashMap;
@@ -375,27 +376,9 @@ const _: () = {
 
 const STUDY_HOURS: f64 = 671.0;
 
-/// xorshift64* — deterministic, version-stable PRNG for the planner.
-struct Prng(u64);
-
-impl Prng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 impl Schedule {
     /// The hours after study start of `n` attacks, ascending.
-    fn hours(&self, n: usize, rng: &mut Prng) -> Vec<f64> {
+    fn hours(&self, n: usize, rng: &mut XorShift64) -> Vec<f64> {
         let accelerating = match self.shape {
             At(hours) => return hours.to_vec(),
             Even => false,
@@ -476,7 +459,7 @@ pub fn study_plan(seed: u64) -> StudyPlan {
         });
     }
 
-    let mut rng = Prng(seed | 1);
+    let mut rng = XorShift64::new(seed);
     let mut attacks: Vec<PlannedAttack> = Vec::new();
     // Attacks dealt so far, per campaign.
     let mut seq = vec![0; campaigns.len()];
@@ -490,10 +473,7 @@ pub fn study_plan(seed: u64) -> StudyPlan {
             }
         }
         let times = schedule.hours(slots.len(), &mut rng);
-        for i in (1..slots.len()).rev() {
-            let j = (rng.next() % (i as u64 + 1)) as usize;
-            slots.swap(i, j);
-        }
+        rng.shuffle(&mut slots);
         // The very first attack should come from the app's largest
         // campaign (the campaigns are the ones continuously scanning).
         if let Some(largest) = campaigns

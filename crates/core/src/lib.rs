@@ -60,9 +60,8 @@ pub use multipattern::{MultiPattern, ViewUse};
 pub use pattern::{MatchMode, Pattern, PreparedBody};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError};
 pub use plugin::{detect_mav, plugin_steps};
-pub use portscan::PortScanner;
 pub use prefilter::{Prefilter, PrefilterHit};
-pub use rate::SharedPacer;
+pub use rate::Pacer;
 pub use report::{FingerprintMethod, HostFinding, ScanReport};
 pub use retry::RetryTransport;
 pub use scratch::Scratch;

@@ -19,12 +19,12 @@
 //! engine. The seeded /24 shuffle is chunked into batches,
 //! [`PipelineConfig::shards`] worker threads draw batch numbers from
 //! one shared cursor, and each worker takes its batch through all
-//! three stages — sweep it, prefilter its open endpoints, verify and
-//! fingerprint its hits — as a plain sequential loop
-//! (`BatchProcessor`) before filing the result in the batch ledger.
-//! `shards = 1` is the same engine with one worker. Batches stay small ("we always selected and scanned a
-//! fraction of all hosts with our full pipeline before we continued"),
-//! which is the paper's answer to scan-vs-verify staleness.
+//! three stages in two sequential calls — [`sweep`](crate::portscan::sweep)
+//! its blocks, then `process_batch`: prefilter, verify and fingerprint
+//! — before filing the result in the batch ledger. `shards = 1` is the
+//! same engine with one worker. Batches stay small ("we always selected
+//! and scanned a fraction of all hosts with our full pipeline before we
+//! continued"), the paper's answer to scan-vs-verify staleness.
 //!
 //! # Determinism
 //!
@@ -161,8 +161,8 @@ pub struct PipelineConfig {
     pub shards: usize,
     /// Probe-rate ceiling in probes/second (token bucket); `None` scans
     /// at full speed. The paper paced its sweep to stay polite. One
-    /// [`SharedPacer`](crate::rate::SharedPacer) serves every shard
-    /// worker, so the ceiling bounds the whole scan, not each shard.
+    /// [`Pacer`](crate::rate::Pacer) serves every shard worker, so the
+    /// ceiling bounds the whole scan, not each shard.
     pub max_probes_per_sec: Option<f64>,
     /// Wall-clock length of one virtual retry-backoff unit.
     /// `Duration::ZERO` (the default) records backoff without sleeping
@@ -245,9 +245,8 @@ fn normalize_targets(mut targets: Vec<Cidr>) -> Vec<Cidr> {
     out
 }
 
-/// Cached pipeline-level telemetry handles (stage-level instruments live
-/// in the stage components themselves).
-#[derive(Debug, Clone)]
+/// Pipeline-level telemetry handles (stage-level instruments live in
+/// the stage components themselves).
 struct PipelineMetrics {
     /// `pipeline.batches` — stage-I batches processed by stages II/III.
     batches: Counter,
@@ -281,17 +280,6 @@ impl PipelineMetrics {
         self.mavs
             .add(findings.iter().filter(|f| f.vulnerable).count() as u64);
     }
-}
-
-/// Stages II + III for one batch of stage-I results, bound to one
-/// telemetry registry: the [`shard`](crate::shard) engine makes one
-/// processor per batch, on that batch's own registry.
-pub(crate) struct BatchProcessor {
-    telemetry: Telemetry,
-    prefilter: Prefilter,
-    fingerprinter: Fingerprinter,
-    metrics: PipelineMetrics,
-    tarpit_port_threshold: usize,
 }
 
 /// The pipeline.
@@ -371,120 +359,114 @@ impl Pipeline {
     }
 }
 
-impl BatchProcessor {
-    /// Build a processor for `config`, registering the stage II/III
-    /// instruments into `telemetry`.
-    pub(crate) fn new(config: &PipelineConfig, telemetry: &Telemetry) -> Self {
-        BatchProcessor {
-            telemetry: telemetry.clone(),
-            prefilter: Prefilter::with_telemetry(telemetry),
-            fingerprinter: Fingerprinter::with_telemetry(telemetry),
-            metrics: PipelineMetrics::new(telemetry),
-            tarpit_port_threshold: config.tarpit_threshold(),
+/// Stages II + III for the open endpoints of one stage-I batch;
+/// returns the batch's findings. Everything counted along the way goes
+/// to `telemetry`, the batch's own registry. The stage instruments are
+/// registered before the first endpoint, so a batch's snapshot lists
+/// each of them, zeros included, even when `open` is empty.
+pub(crate) fn process_batch<T: Transport>(
+    config: &PipelineConfig,
+    telemetry: &Telemetry,
+    client: &Client<T>,
+    open: &[Endpoint],
+) -> Vec<HostFinding> {
+    let mut prefilter = Prefilter::with_telemetry(telemetry);
+    let fingerprinter = Fingerprinter::with_telemetry(telemetry);
+    let metrics = PipelineMetrics::new(telemetry);
+    metrics.batches.incr();
+
+    // Exclude all-ports-open artifacts.
+    let mut endpoints = Vec::new();
+    for (ip, ports) in by_host(open) {
+        metrics.open_ports_per_host.observe(ports.len() as u64);
+        if ports.len() >= config.tarpit_threshold() {
+            metrics.tarpit_excluded.incr();
+            continue;
+        }
+        endpoints.extend(ports.into_iter().map(|port| Endpoint::new(ip, port)));
+    }
+
+    // Stage II, in endpoint order.
+    let hits = prefilter.run(client, &endpoints);
+
+    // Group hits per host: one finding per (host, application).
+    let mut per_host: BTreeMap<Ipv4Addr, Vec<PrefilterHit>> = BTreeMap::new();
+    for hit in hits {
+        per_host.entry(hit.endpoint.ip).or_default().push(hit);
+    }
+
+    // Stage III + fingerprinting, in host order.
+    let mut findings = Vec::new();
+    for hits in per_host.into_values() {
+        let host = verify_host(telemetry, &fingerprinter, &metrics, client, hits);
+        metrics.note_findings(&host);
+        findings.extend(host);
+    }
+    findings
+}
+
+/// Verify one host, producing one finding per *application* the host
+/// runs. An application running on several ports of the host is
+/// counted once (the paper's counting rule); distinct applications on
+/// distinct ports each count.
+fn verify_host<T: Transport>(
+    telemetry: &Telemetry,
+    fingerprinter: &Fingerprinter,
+    metrics: &PipelineMetrics,
+    client: &Client<T>,
+    hits: Vec<PrefilterHit>,
+) -> Vec<HostFinding> {
+    // Which endpoints does each candidate application appear on, and
+    // which application is each endpoint's *strongest* match?
+    let mut endpoints_of: BTreeMap<AppId, Vec<&PrefilterHit>> = BTreeMap::new();
+    let mut primary_of: BTreeMap<AppId, &PrefilterHit> = BTreeMap::new();
+    for hit in &hits {
+        for &app in &hit.candidates {
+            endpoints_of.entry(app).or_default().push(hit);
+        }
+        if let Some(&best) = hit.candidates.first() {
+            primary_of.entry(best).or_insert(hit);
         }
     }
 
-    /// Stages II + III for the open endpoints of one stage-I batch;
-    /// returns the batch's findings. Everything counted along the way
-    /// goes to the processor's registry.
-    pub(crate) fn process_batch<T: Transport>(
-        &mut self,
-        client: &Client<T>,
-        open: &[Endpoint],
-    ) -> Vec<HostFinding> {
-        self.metrics.batches.incr();
-
-        // Exclude all-ports-open artifacts.
-        let mut endpoints = Vec::new();
-        for (ip, ports) in by_host(open) {
-            self.metrics.open_ports_per_host.observe(ports.len() as u64);
-            if ports.len() >= self.tarpit_port_threshold {
-                self.metrics.tarpit_excluded.incr();
-                continue;
+    let mut findings = Vec::new();
+    for (app, app_hits) in endpoints_of {
+        // Stage III: a MAV on any of the app's endpoints confirms it.
+        let confirmed = app_hits.iter().copied().find(|hit| {
+            let verdict = verify(&Visit::new(client, hit.endpoint, hit.scheme), app);
+            if let Err(error) = &verdict {
+                metrics.errors.count(error);
             }
-            endpoints.extend(ports.into_iter().map(|port| Endpoint::new(ip, port)));
-        }
-
-        // Stage II, in endpoint order.
-        let hits = self.prefilter.run(client, &endpoints);
-
-        // Group hits per host: one finding per (host, application).
-        let mut per_host: BTreeMap<Ipv4Addr, Vec<PrefilterHit>> = BTreeMap::new();
-        for hit in hits {
-            per_host.entry(hit.endpoint.ip).or_default().push(hit);
-        }
-
-        // Stage III + fingerprinting, in host order.
-        let mut findings = Vec::new();
-        for hits in per_host.into_values() {
-            let host = self.verify_host(client, hits);
-            self.metrics.note_findings(&host);
-            findings.extend(host);
-        }
-        findings
+            let confirmed = verdict == Ok(true);
+            // `stage3.verify.<app>.{confirmed,rejected}` register on
+            // first use: a snapshot lists only outcomes that occurred.
+            let outcome = if confirmed { "confirmed" } else { "rejected" };
+            telemetry
+                .counter(&format!("stage3.verify.{app}.{outcome}"))
+                .incr();
+            confirmed
+        });
+        // Attribute the host to this application if a plugin confirmed
+        // it, or if it is the strongest match of one of the host's
+        // endpoints (weak secondary matches alone do not create
+        // findings).
+        let hit = match (confirmed, primary_of.get(&app)) {
+            (Some(hit), _) => hit,
+            (None, Some(hit)) => hit,
+            (None, None) => continue,
+        };
+        let visit = Visit::new(client, hit.endpoint, hit.scheme);
+        let fingerprint = fingerprinter.fingerprint(&visit, app);
+        findings.push(HostFinding {
+            endpoint: hit.endpoint,
+            scheme: hit.scheme,
+            app,
+            vulnerable: confirmed.is_some(),
+            version: fingerprint.map(|(version, _)| version),
+            fingerprint_method: fingerprint.map(|(_, method)| method),
+        });
     }
-
-    /// Verify one host, producing one finding per *application* the host
-    /// runs. An application running on several ports of the host is
-    /// counted once (the paper's counting rule); distinct applications on
-    /// distinct ports each count.
-    fn verify_host<T: Transport>(
-        &self,
-        client: &Client<T>,
-        hits: Vec<PrefilterHit>,
-    ) -> Vec<HostFinding> {
-        // Which endpoints does each candidate application appear on, and
-        // which application is each endpoint's *strongest* match?
-        let mut endpoints_of: BTreeMap<AppId, Vec<&PrefilterHit>> = BTreeMap::new();
-        let mut primary_of: BTreeMap<AppId, &PrefilterHit> = BTreeMap::new();
-        for hit in &hits {
-            for &app in &hit.candidates {
-                endpoints_of.entry(app).or_default().push(hit);
-            }
-            if let Some(&best) = hit.candidates.first() {
-                primary_of.entry(best).or_insert(hit);
-            }
-        }
-
-        let mut findings = Vec::new();
-        for (app, app_hits) in endpoints_of {
-            // Stage III: a MAV on any of the app's endpoints confirms it.
-            let confirmed = app_hits.iter().copied().find(|hit| {
-                let verdict = verify(&Visit::new(client, hit.endpoint, hit.scheme), app);
-                if let Err(error) = &verdict {
-                    self.metrics.errors.count(error);
-                }
-                let confirmed = verdict == Ok(true);
-                // `stage3.verify.<app>.{confirmed,rejected}` register on
-                // first use: a snapshot lists only outcomes that occurred.
-                let outcome = if confirmed { "confirmed" } else { "rejected" };
-                self.telemetry
-                    .counter(&format!("stage3.verify.{app}.{outcome}"))
-                    .incr();
-                confirmed
-            });
-            // Attribute the host to this application if a plugin
-            // confirmed it, or if it is the strongest match of one of
-            // the host's endpoints (weak secondary matches alone do not
-            // create findings).
-            let hit = match (confirmed, primary_of.get(&app)) {
-                (Some(hit), _) => hit,
-                (None, Some(hit)) => hit,
-                (None, None) => continue,
-            };
-            let visit = Visit::new(client, hit.endpoint, hit.scheme);
-            let fingerprint = self.fingerprinter.fingerprint(&visit, app);
-            findings.push(HostFinding {
-                endpoint: hit.endpoint,
-                scheme: hit.scheme,
-                app,
-                vulnerable: confirmed.is_some(),
-                version: fingerprint.map(|(version, _)| version),
-                fingerprint_method: fingerprint.map(|(_, method)| method),
-            });
-        }
-        findings
-    }
+    findings
 }
 
 #[cfg(test)]
@@ -788,16 +770,15 @@ mod tests {
                 endpoint,
                 scheme: Scheme::Http,
                 candidates: vec![app],
-                redirects: 0,
             });
         }
         let client = Client::new(transport);
         let telemetry = Telemetry::new();
-        let config = PipelineConfig::new(vec!["10.1.1.0/24".parse().unwrap()]);
-        let processor = BatchProcessor::new(&config, &telemetry);
+        let fingerprinter = Fingerprinter::with_telemetry(&telemetry);
+        let metrics = PipelineMetrics::new(&telemetry);
         let vulnerable: Vec<bool> = hits
             .into_iter()
-            .flat_map(|hit| processor.verify_host(&client, vec![hit]))
+            .flat_map(|hit| verify_host(&telemetry, &fingerprinter, &metrics, &client, vec![hit]))
             .map(|finding| finding.vulnerable)
             .collect();
         assert_eq!(vulnerable, [true, false]);

@@ -5,13 +5,14 @@
 //! flooding any single network), IANA reserved ranges are excluded, and
 //! only the 12 study ports are probed. Results are delivered in batches
 //! so later (slower) stages can run on fresh data while the sweep
-//! continues — the paper's answer to scan-vs-verify staleness. The
-//! scanner reads its targets, ports, shuffle seed, exclusion flag and
-//! rate ceiling from a [`PipelineConfig`].
+//! continues — the paper's answer to scan-vs-verify staleness.
 //!
-//! There is one sweep loop. For each block the transport names the
-//! addresses that can answer ([`Transport::live_addresses`]; `None`
-//! means all of them), and the scanner probes each of those on every
+//! Stage I is two functions of a [`PipelineConfig`]: [`shuffled_blocks`]
+//! orders its targets' /24s by its seed, and [`sweep`] probes a slice of
+//! them on its ports, skipping reserved space if it says so, drawing
+//! tokens from an optional [`Pacer`]. For each block the transport names
+//! the addresses that can answer ([`Transport::live_addresses`]; `None`
+//! means all of them), and the sweep probes each of those on every
 //! port through the ordinary wrapper stack. Every other address is a
 //! definite RST, so it is counted, not probed: over the simulator a
 //! sweep calls the transport only for populated hosts.
@@ -23,9 +24,10 @@
 //! [`ScanReport`](crate::report::ScanReport) reads back.
 
 use crate::pipeline::PipelineConfig;
-use crate::rate::SharedPacer;
+use crate::rate::Pacer;
 use crate::telemetry::{Counter, Telemetry};
 use nokeys_http::ip::BlockCoverage;
+use nokeys_http::rng::XorShift64;
 use nokeys_http::{Attempt, Endpoint, ProbeOutcome, Transport};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -42,9 +44,7 @@ pub(crate) fn by_host(open: &[Endpoint]) -> BTreeMap<Ipv4Addr, Vec<u16>> {
     map
 }
 
-/// Cached stage-I telemetry handles (clone-cheap; all clones of a
-/// scanner record into the same instruments).
-#[derive(Debug, Clone)]
+/// Stage-I telemetry handles.
 struct SweepMetrics {
     blocks_swept: Counter,
     addresses_probed: Counter,
@@ -80,90 +80,58 @@ impl SweepMetrics {
     }
 }
 
-/// The stage-I scanner: sweeps a [`PipelineConfig`]'s targets on its
-/// ports, in its seeded shuffle, skipping reserved space if it says so.
-#[derive(Debug, Clone)]
-pub struct PortScanner {
-    config: PipelineConfig,
+/// The /24 blocks of `config`'s targets in its deterministic shuffled
+/// scan order: a Fisher–Yates shuffle over the xorshift64 stream of
+/// its seed.
+pub fn shuffled_blocks(config: &PipelineConfig) -> Vec<Cidr> {
+    let mut blocks: Vec<Cidr> = (config.targets.iter())
+        .flat_map(|t| t.slash24_blocks())
+        .collect();
+    XorShift64::new(config.seed).shuffle(&mut blocks);
+    blocks
+}
+
+/// Sweep `blocks` in order on `config`'s ports, skipping reserved space
+/// if it says so, and return the open endpoints in discovery order.
+/// Each block's probe tokens are drawn from `pacer` in one step
+/// ([`Pacer::acquire_many`]), so the cap holds as an average at block
+/// granularity: a transport that names no live addresses sends a /24's
+/// probes back-to-back after the block's wait. Every worker of a scan
+/// draws from the one pacer its plan made; a pacer per block would
+/// grant a fresh burst each time and overshoot the ceiling.
+///
+/// Every stage-I counter is registered in `telemetry` before the first
+/// block, so a batch's snapshot lists each of them, zeros included.
+pub fn sweep<T: Transport>(
+    config: &PipelineConfig,
+    telemetry: &Telemetry,
+    transport: &T,
+    blocks: &[Cidr],
+    pacer: Option<&Pacer>,
+) -> Vec<Endpoint> {
+    let sweep = Sweep::new(config, telemetry);
+    let mut open = Vec::new();
+    for &block in blocks {
+        sweep.metrics.blocks_swept.incr();
+        sweep.block(transport, block, pacer, &mut open);
+    }
+    open
+}
+
+/// One sweep's view of its configuration, exclusion list and counters.
+struct Sweep<'a> {
+    config: &'a PipelineConfig,
     reserved: ReservedRanges,
     metrics: SweepMetrics,
 }
 
-impl PortScanner {
-    pub fn new(config: &PipelineConfig) -> Self {
-        Self::with_telemetry(config, &Telemetry::default())
-    }
-
-    /// Build a scanner that records stage-I counters ("blocks swept",
-    /// "addresses probed", "probes sent", "ports open" per port) into
-    /// `telemetry`.
-    pub fn with_telemetry(config: &PipelineConfig, telemetry: &Telemetry) -> Self {
-        PortScanner {
-            metrics: SweepMetrics::new(telemetry, &config.ports),
-            config: config.clone(),
+impl<'a> Sweep<'a> {
+    fn new(config: &'a PipelineConfig, telemetry: &Telemetry) -> Self {
+        Sweep {
+            config,
             reserved: ReservedRanges::iana(),
+            metrics: SweepMetrics::new(telemetry, &config.ports),
         }
-    }
-
-    /// A fresh [`SharedPacer`] enforcing the configured
-    /// [`max_probes_per_sec`](PipelineConfig::max_probes_per_sec)
-    /// (`None` when unpaced). Tokens are drawn block-at-a-time
-    /// ([`SharedPacer::acquire_many`]), so the cap holds as an average
-    /// at block granularity rather than smoothing every probe: a
-    /// transport that names no live addresses sends a /24's probes
-    /// back-to-back after the block's wait. Sweeps that must share one
-    /// token budget — every worker of a scan — construct this once and
-    /// thread the clone-cheap handle through; constructing one per block
-    /// would grant a fresh burst allowance each time and overshoot the
-    /// ceiling.
-    pub fn pacer(&self) -> Option<SharedPacer> {
-        self.config
-            .max_probes_per_sec
-            .map(|rate| SharedPacer::new(rate, rate.max(1.0)))
-    }
-
-    /// The /24 blocks of all targets in the deterministic shuffled scan
-    /// order.
-    pub fn shuffled_blocks(&self) -> Vec<Cidr> {
-        let mut blocks: Vec<Cidr> = self
-            .config
-            .targets
-            .iter()
-            .flat_map(|t| t.slash24_blocks())
-            .collect();
-        // Fisher–Yates over an xorshift64 stream; deterministic in the
-        // seed.
-        let mut state = self.config.seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in (1..blocks.len()).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            blocks.swap(i, j);
-        }
-        blocks
-    }
-
-    /// Sweep the given blocks in order, drawing probe tokens from
-    /// `pacer` if present, and return the open endpoints in discovery
-    /// order. This is the shard-worker entry point: each worker sweeps
-    /// the block slice of one batch at a time, all drawing from the one
-    /// shared pacer.
-    pub fn scan_blocks<T: Transport>(
-        &self,
-        transport: &T,
-        blocks: &[Cidr],
-        pacer: &Option<SharedPacer>,
-    ) -> Vec<Endpoint> {
-        let mut open = Vec::new();
-        for &block in blocks {
-            self.metrics.blocks_swept.incr();
-            self.sweep(transport, block, pacer, &mut open);
-        }
-        open
     }
 
     /// Sweep one block: classify it against the exclusion list once,
@@ -171,12 +139,12 @@ impl PortScanner {
     /// of its addresses on each port — only the ones the transport
     /// names live ([`Transport::live_addresses`]), since every other
     /// one answers `Closed`. The counts are the dense loop's, and the
-    /// test-only `scan_block_dense` reference pins that.
-    fn sweep<T: Transport>(
+    /// test-only `block_dense` reference pins that.
+    fn block<T: Transport>(
         &self,
         transport: &T,
         block: Cidr,
-        pacer: &Option<SharedPacer>,
+        pacer: Option<&Pacer>,
         open: &mut Vec<Endpoint>,
     ) {
         if self.config.exclude_reserved {
@@ -189,7 +157,7 @@ impl PortScanner {
                 BlockCoverage::Partial => {
                     assert!(block.prefix < 24, "{block} straddles a reserved range");
                     for sub in block.slash24_blocks() {
-                        self.sweep(transport, sub, pacer, open);
+                        self.block(transport, sub, pacer, open);
                     }
                     return;
                 }
@@ -221,7 +189,7 @@ impl PortScanner {
     /// transport's live addresses, reserved addresses skipped one at a
     /// time.
     #[cfg(test)]
-    fn scan_block_dense<T: Transport>(&self, transport: &T, block: Cidr) -> Vec<Endpoint> {
+    fn block_dense<T: Transport>(&self, transport: &T, block: Cidr) -> Vec<Endpoint> {
         self.metrics.blocks_swept.incr();
         let mut open = Vec::new();
         for ip in block.addresses() {
@@ -238,12 +206,6 @@ impl PortScanner {
             }
         }
         open
-    }
-
-    /// Sweep the whole target space sequentially (deterministic; used
-    /// with the simulated transport where probes are immediate).
-    pub fn scan<T: Transport>(&self, transport: &T) -> Vec<Endpoint> {
-        self.scan_blocks(transport, &self.shuffled_blocks(), &self.pacer())
     }
 }
 
@@ -273,35 +235,33 @@ mod tests {
     /// A sweep's open endpoints and its stage-I snapshot.
     type Swept = (Vec<Endpoint>, TelemetrySnapshot);
 
-    /// Sweep the configured targets whole with a scanner of its own
-    /// registry.
+    /// Sweep the configured targets whole, in their shuffled order,
+    /// into a registry of its own.
     fn scan_counted(config: PipelineConfig, t: &SimTransport) -> Swept {
         let telemetry = Telemetry::new();
-        let open = PortScanner::with_telemetry(&config, &telemetry).scan(t);
+        let open = sweep(&config, &telemetry, t, &shuffled_blocks(&config), None);
         (open, telemetry.snapshot())
     }
 
-    /// `block` swept sparse and dense by scanners of `config`, each with
-    /// a registry of its own.
+    /// `block` swept sparse and dense under `config`, each into a
+    /// registry of its own.
     fn sparse_and_dense(config: &PipelineConfig, block: Cidr) -> (Swept, Swept) {
-        let sweep = |dense: bool| {
+        let run = |dense: bool| {
             let telemetry = Telemetry::new();
-            let scanner = PortScanner::with_telemetry(config, &telemetry);
             let open = if dense {
-                scanner.scan_block_dense(&sim(), block)
+                Sweep::new(config, &telemetry).block_dense(&sim(), block)
             } else {
-                scanner.scan_blocks(&sim(), &[block], &None)
+                sweep(config, &telemetry, &sim(), &[block], None)
             };
             (open, telemetry.snapshot())
         };
-        (sweep(false), sweep(true))
+        (run(false), run(true))
     }
 
     #[test]
     fn shuffle_is_deterministic_and_complete() {
-        let s = PortScanner::new(&config_for_tiny());
-        let a = s.shuffled_blocks();
-        let b = s.shuffled_blocks();
+        let a = shuffled_blocks(&config_for_tiny());
+        let b = shuffled_blocks(&config_for_tiny());
         assert_eq!(a, b);
         assert_eq!(a.len(), 256, "a /16 has 256 /24 blocks");
         // It is actually shuffled (first few blocks not in natural order).
@@ -359,10 +319,9 @@ mod tests {
             ..PipelineConfig::new(vec!["20.0.0.0/26".parse().unwrap()])
         };
         let telemetry = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(&cfg, &telemetry);
         let clock = Arc::new(crate::rate::VirtualClock::default());
-        let pacer = Some(SharedPacer::with_clock(32.0, 32.0, clock.clone()));
-        scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
+        let pacer = Pacer::with_clock(32.0, clock.clone());
+        sweep(&cfg, &telemetry, &t, &shuffled_blocks(&cfg), Some(&pacer));
         // 64 probes at 32/s with a 32-token burst: ~1s of (virtual)
         // pacing time.
         assert_eq!(telemetry.snapshot().counter("stage1.probes_sent"), 64);
@@ -386,10 +345,9 @@ mod tests {
             ])
         };
         let telemetry = Telemetry::new();
-        let scanner = PortScanner::with_telemetry(&cfg, &telemetry);
         let clock = Arc::new(crate::rate::VirtualClock::default());
-        let pacer = Some(SharedPacer::with_clock(256.0, 256.0, clock.clone()));
-        scanner.scan_blocks(&t, &scanner.shuffled_blocks(), &pacer);
+        let pacer = Pacer::with_clock(256.0, clock.clone());
+        sweep(&cfg, &telemetry, &t, &shuffled_blocks(&cfg), Some(&pacer));
         assert_eq!(telemetry.snapshot().counter("stage1.probes_sent"), 512);
         // 512 probes at 256/s with a single 256-token burst: ~1s of
         // virtual pacing. A fresh burst per block would finish in ~0s.
@@ -408,7 +366,7 @@ mod tests {
     fn sparse_sweep_equals_the_dense_reference() {
         use crate::retry::RetryTransport;
         for fault_rate in [0.0, 0.05] {
-            let sweep = |dense: bool| {
+            let run = |dense: bool| {
                 let mut faulty =
                     FaultyTransport::new(sim(), FaultPlan::new(fault_rate, 0xfa17_5eed));
                 let injected = Arc::new(AtomicU64::new(0));
@@ -420,20 +378,20 @@ mod tests {
                 faulty.report_faults_to(observer);
                 let telemetry = Telemetry::new();
                 let t = RetryTransport::new(faulty.clone(), 3, Duration::ZERO, &telemetry);
-                let scanner = PortScanner::with_telemetry(&config_for_tiny(), &telemetry);
+                let config = config_for_tiny();
                 let mut open = Vec::new();
-                for block in scanner.shuffled_blocks() {
+                for block in shuffled_blocks(&config) {
                     open.extend(if dense {
-                        scanner.scan_block_dense(&t, block)
+                        Sweep::new(&config, &telemetry).block_dense(&t, block)
                     } else {
-                        scanner.scan_blocks(&t, &[block], &None)
+                        sweep(&config, &telemetry, &t, &[block], None)
                     });
                 }
                 let injected = injected.load(Ordering::Relaxed);
                 (open, telemetry.snapshot(), faulty, injected)
             };
-            let (sparse, sparse_telemetry, sparse_t, sparse_injected) = sweep(false);
-            let (dense, dense_telemetry, dense_t, dense_injected) = sweep(true);
+            let (sparse, sparse_telemetry, sparse_t, sparse_injected) = run(false);
+            let (dense, dense_telemetry, dense_t, dense_injected) = run(true);
 
             assert_eq!(sparse, dense, "same endpoints, same order");
             assert_eq!(
@@ -472,12 +430,12 @@ mod tests {
             ports: vec![80, 443],
             ..PipelineConfig::new(vec!["20.0.1.0/24".parse().unwrap()])
         };
-        let scanner = PortScanner::new(&cfg);
-        scanner.scan(&t);
+        let scan = || sweep(&cfg, &Telemetry::new(), &t, &shuffled_blocks(&cfg), None);
+        scan();
         assert_eq!(switch.used(), 512, "256 addresses on 2 ports");
         assert!(!switch.is_tripped());
 
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scanner.scan(&t)));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan));
         assert!(died.unwrap_err().is::<Killed>());
         assert_eq!(switch.used(), 600, "the last 88 ops were spent first");
         assert!(switch.is_tripped());
@@ -582,7 +540,7 @@ mod tests {
     #[test]
     fn by_host_groups_ports() {
         let t = sim();
-        let open = PortScanner::new(&config_for_tiny()).scan(&t);
+        let (open, _) = scan_counted(config_for_tiny(), &t);
         let by_host = by_host(&open);
         // Tarpit hosts have all 12 ports open.
         let tarpits = by_host.values().filter(|ports| ports.len() == 12).count();

@@ -28,8 +28,6 @@ pub struct PrefilterHit {
     pub scheme: Scheme,
     /// Candidate applications (signature matches), catalog order.
     pub candidates: Vec<AppId>,
-    /// Number of redirects followed before the body arrived.
-    pub redirects: usize,
 }
 
 /// Cached stage-II telemetry handles.
@@ -154,7 +152,6 @@ impl Prefilter {
                         endpoint: ep,
                         scheme,
                         candidates,
-                        redirects: fetched.redirects,
                     });
                 }
             }
@@ -184,7 +181,7 @@ impl Prefilter {
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
-    use crate::portscan::PortScanner;
+    use crate::portscan::{shuffled_blocks, sweep};
     use crate::telemetry::TelemetrySnapshot;
     use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
     use std::sync::Arc;
@@ -199,8 +196,15 @@ mod tests {
     fn prefilter_tiny(
         client: &Client<SimTransport>,
     ) -> (Vec<Endpoint>, Vec<PrefilterHit>, TelemetrySnapshot) {
-        let scanner = PortScanner::new(&PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()]));
-        let open = scanner.scan(client.transport());
+        let config = PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()]);
+        let blocks = shuffled_blocks(&config);
+        let open = sweep(
+            &config,
+            &Telemetry::new(),
+            client.transport(),
+            &blocks,
+            None,
+        );
         let telemetry = Telemetry::new();
         let hits = Prefilter::with_telemetry(&telemetry).run(client, &open);
         (open, hits, telemetry.snapshot())

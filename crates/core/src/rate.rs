@@ -1,44 +1,14 @@
-//! Token-bucket rate limiter for probe pacing.
+//! Token-bucket probe pacing.
 //!
 //! The paper's scan was paced to finish the whole IPv4 space within a day
 //! across 64 machines; the live (real-socket) scanner uses this limiter
-//! to stay polite. The bucket is clock-agnostic (callers feed it elapsed
-//! time); the pacer around it takes its [`Clock`] as a parameter, so the
-//! live path waits on the wall clock and tests on a virtual one.
+//! to stay polite. One [`Pacer`] serves one `--rate`: it produces `rate`
+//! tokens per second, stores up to `rate.max(1.0)` of them, and waits on
+//! its [`Clock`], so the live path waits on the wall clock and tests on
+//! a virtual one.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// A token bucket: `rate` tokens per second, up to `burst` stored.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-}
-
-impl TokenBucket {
-    /// A bucket producing `rate` tokens/second with capacity `burst`.
-    /// Starts full.
-    pub fn new(rate: f64, burst: f64) -> Self {
-        assert!(rate > 0.0 && burst > 0.0, "rate and burst must be positive");
-        TokenBucket {
-            rate,
-            burst,
-            tokens: burst,
-        }
-    }
-
-    /// Credit `elapsed` time worth of tokens.
-    pub fn refill(&mut self, elapsed: Duration) {
-        self.tokens = (self.tokens + elapsed.as_secs_f64() * self.rate).min(self.burst);
-    }
-
-    /// Current token count (for tests and monitoring).
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-}
 
 /// The time source a [`Pacer`] reads and waits on. The live scanner
 /// paces on the [`WallClock`]; tests substitute a virtual clock whose
@@ -75,22 +45,60 @@ impl Clock for WallClock {
     }
 }
 
-/// Pacing wrapper: waits on its clock until the requested tokens are
-/// available, then takes them.
+/// The bucket behind a [`Pacer`]: `rate` tokens per second, up to
+/// `burst` stored, `tokens` of them as of `last` on `clock`.
 #[derive(Debug)]
-pub struct Pacer {
-    bucket: TokenBucket,
+struct Bucket {
+    rate: f64,
+    burst: f64,
+    tokens: f64,
     clock: Arc<dyn Clock>,
     last: Duration,
 }
 
+/// A clone-cheap handle to one token bucket, so the shard workers of
+/// one scan draw from a single budget: `--rate` stays a whole-scan
+/// bound no matter how many workers are sweeping.
+///
+/// The bucket starts full. It is guarded by a mutex that is held
+/// **across the deficit sleep**. That makes concurrent draws serialize
+/// exactly like sequential ones: each draw refills for the interval
+/// since the previous draw finished, then sleeps for its own deficit,
+/// so the total wait of K workers drawing N tokens telescopes to the
+/// same `(N·K − burst) / rate` a single worker would pay (the
+/// `shared_pacer_*` test pins this). Handing out the lock during the
+/// sleep instead would let every waiter observe the same refill
+/// interval and overfeed the bucket.
+#[derive(Debug, Clone)]
+pub struct Pacer {
+    bucket: Arc<Mutex<Bucket>>,
+}
+
 impl Pacer {
-    pub fn new(rate: f64, burst: f64, clock: Arc<dyn Clock>) -> Self {
+    /// A pacer producing `rate` tokens/second, storing up to
+    /// `rate.max(1.0)`, on the wall clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rate` is positive.
+    pub fn new(rate: f64) -> Self {
+        Self::with_clock(rate, Arc::new(WallClock::default()))
+    }
+
+    /// Like [`new`](Self::new), reading and waiting on `clock`.
+    pub fn with_clock(rate: f64, clock: Arc<dyn Clock>) -> Self {
+        assert!(rate > 0.0, "rate must be positive");
+        let burst = rate.max(1.0);
         let last = clock.now();
-        Pacer {
-            bucket: TokenBucket::new(rate, burst),
+        let bucket = Bucket {
+            rate,
+            burst,
+            tokens: burst,
             clock,
             last,
+        };
+        Pacer {
+            bucket: Arc::new(Mutex::new(bucket)),
         }
     }
 
@@ -103,78 +111,36 @@ impl Pacer {
     /// the excess is paid for in waiting time.
     ///
     /// Elapsed-time accounting invariant: each call credits the interval
-    /// since `last` exactly once, then advances `last` to the instant
+    /// since the last draw exactly once, then moves past the instant
     /// that was credited (or past the deficit sleep it just paid). No
     /// interval is ever counted twice (which would overfeed the bucket
     /// and break the rate ceiling) and none is skipped; the tests below
     /// pin both directions.
-    pub fn acquire_many(&mut self, n: u64) {
+    pub fn acquire_many(&self, n: u64) {
         if n == 0 {
             return;
         }
-        let now = self.clock.now();
-        self.bucket.refill(now.saturating_sub(self.last));
-        self.last = now;
+        // The bucket is a few numbers, valid after every statement; a
+        // worker that died mid-draw must not wedge the others.
+        let mut guard = self.bucket.lock().unwrap_or_else(|e| e.into_inner());
+        let b = &mut *guard;
+        let now = b.clock.now();
+        b.tokens = (b.tokens + now.saturating_sub(b.last).as_secs_f64() * b.rate).min(b.burst);
+        b.last = now;
         let n = n as f64;
-        if self.bucket.tokens >= n {
-            self.bucket.tokens -= n;
+        if b.tokens >= n {
+            b.tokens -= n;
             return;
         }
         // A tiny positive rate can owe a wait longer than any
         // `Duration`: wait the longest one there is.
-        let wait = Duration::try_from_secs_f64((n - self.bucket.tokens) / self.bucket.rate)
-            .unwrap_or(Duration::MAX);
+        let wait = Duration::try_from_secs_f64((n - b.tokens) / b.rate).unwrap_or(Duration::MAX);
         // The deficit interval is spent in advance on these n tokens:
         // empty the bucket now and move `last` past the sleep so the
         // interval is never credited again.
-        self.bucket.tokens = 0.0;
-        self.clock.sleep(wait);
-        self.last = self.clock.now();
-    }
-}
-
-/// A clone-cheap shared handle to one [`Pacer`], so the shard workers
-/// of one scan draw from a single token budget:
-/// `--max-probes-per-sec` stays a whole-scan bound no matter how many
-/// workers are sweeping.
-///
-/// The inner pacer is guarded by a mutex that is held **across the
-/// deficit sleep**. That makes concurrent draws serialize exactly like
-/// sequential ones: each draw refills for the interval since the
-/// previous draw finished, then sleeps for its own deficit, so the
-/// total wait of K workers drawing N tokens telescopes to the same
-/// `(N·K − burst) / rate` a single worker would pay (the
-/// `shared_pacer_*` tests pin this). Handing out the lock during the
-/// sleep instead would let every waiter observe the same refill
-/// interval and overfeed the bucket.
-#[derive(Debug, Clone)]
-pub struct SharedPacer {
-    inner: Arc<Mutex<Pacer>>,
-}
-
-impl SharedPacer {
-    /// A shared pacer producing `rate` tokens/second with capacity
-    /// `burst`, on the wall clock.
-    pub fn new(rate: f64, burst: f64) -> Self {
-        Self::with_clock(rate, burst, Arc::new(WallClock::default()))
-    }
-
-    /// Like [`new`](Self::new), reading and waiting on `clock`.
-    pub fn with_clock(rate: f64, burst: f64, clock: Arc<dyn Clock>) -> Self {
-        SharedPacer {
-            inner: Arc::new(Mutex::new(Pacer::new(rate, burst, clock))),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Pacer> {
-        // The bucket is a few numbers, valid after every statement; a
-        // worker that died mid-draw must not wedge the others.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Wait for and consume `n` tokens; see [`Pacer::acquire_many`].
-    pub fn acquire_many(&self, n: u64) {
-        self.lock().acquire_many(n);
+        b.tokens = 0.0;
+        b.clock.sleep(wait);
+        b.last = b.clock.now();
     }
 }
 
@@ -205,25 +171,31 @@ impl Clock for VirtualClock {
 mod tests {
     use super::*;
 
-    fn virtual_clock() -> Arc<VirtualClock> {
-        Arc::new(VirtualClock::default())
+    /// A pacer of `rate` on a virtual clock of its own.
+    fn paced(rate: f64) -> (Pacer, Arc<VirtualClock>) {
+        let clock = Arc::new(VirtualClock::default());
+        (Pacer::with_clock(rate, clock.clone()), clock)
     }
 
     #[test]
     fn bucket_starts_full_refills_at_rate_and_caps_at_burst() {
-        let mut b = TokenBucket::new(2.0, 4.0);
-        assert!((b.tokens() - 4.0).abs() < 1e-9, "starts full");
-        b.tokens = 0.0;
-        b.refill(Duration::from_millis(500));
-        assert!((b.tokens() - 1.0).abs() < 1e-9);
-        b.refill(Duration::from_secs(100));
-        assert!((b.tokens() - 4.0).abs() < 1e-9, "capped at burst");
+        let (p, clock) = paced(2.0);
+        p.acquire_many(2);
+        assert_eq!(clock.now(), Duration::ZERO, "starts full");
+        clock.sleep(Duration::from_millis(500));
+        p.acquire_many(1);
+        assert_eq!(clock.now(), Duration::from_millis(500), "refilled at rate");
+        clock.sleep(Duration::from_secs(100));
+        let rested = clock.now();
+        p.acquire_many(3);
+        // Two stored tokens, not 200: the third is waited for.
+        assert_eq!(clock.now() - rested, Duration::from_millis(500), "capped");
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_is_rejected() {
-        let _ = TokenBucket::new(0.0, 1.0);
+        let _ = Pacer::new(0.0);
     }
 
     /// Pins the refill arithmetic under repeated draws: if an elapsed
@@ -232,13 +204,12 @@ mod tests {
     /// finish early; if an interval were dropped, it would finish late.
     #[test]
     fn pacer_never_double_credits_elapsed_time() {
-        let clock = virtual_clock();
-        let mut p = Pacer::new(10.0, 1.0, clock.clone());
-        for _ in 0..21 {
+        let (p, clock) = paced(10.0);
+        for _ in 0..30 {
             p.acquire_many(1);
         }
         let elapsed = clock.now();
-        // 1 burst token + 20 refilled at 10/s = 2s of virtual time.
+        // 10 burst tokens + 20 refilled at 10/s = 2s of virtual time.
         assert!(elapsed >= Duration::from_millis(1_990), "{elapsed:?}");
         assert!(elapsed <= Duration::from_millis(2_200), "{elapsed:?}");
     }
@@ -248,11 +219,10 @@ mod tests {
     /// full period.
     #[test]
     fn pacer_spends_burst_before_pacing() {
-        let clock = virtual_clock();
-        let mut p = Pacer::new(1.0, 4.0, clock.clone());
+        let (p, clock) = paced(4.0);
         p.acquire_many(4);
         assert_eq!(clock.now(), Duration::ZERO, "burst is free");
-        p.acquire_many(2);
+        p.acquire_many(8);
         assert!(
             clock.now() >= Duration::from_millis(1_990),
             "{:?}",
@@ -265,8 +235,7 @@ mod tests {
     /// panicking, and returns.
     #[test]
     fn a_wait_longer_than_any_duration_saturates() {
-        let clock = virtual_clock();
-        let mut p = Pacer::new(1e-20, 1.0, clock.clone());
+        let (p, clock) = paced(1e-20);
         p.acquire_many(192);
         assert!(clock.now() > Duration::ZERO, "the clock moved forward");
     }
@@ -277,16 +246,14 @@ mod tests {
     #[test]
     fn bulk_draw_matches_token_at_a_time() {
         // 64 tokens at 32/s with burst 32: half free, half paced.
-        let seq_clock = virtual_clock();
-        let mut seq = Pacer::new(32.0, 32.0, seq_clock.clone());
+        let (seq, seq_clock) = paced(32.0);
         for _ in 0..64 {
             seq.acquire_many(1);
         }
         let sequential = seq_clock.now();
         assert!(sequential >= Duration::from_millis(990), "{sequential:?}");
 
-        let bulk_clock = virtual_clock();
-        let mut bulk = Pacer::new(32.0, 32.0, bulk_clock.clone());
+        let (bulk, bulk_clock) = paced(32.0);
         bulk.acquire_many(64);
         let bulked = bulk_clock.now();
         assert!(bulked >= Duration::from_millis(990), "{bulked:?}");
@@ -303,15 +270,14 @@ mod tests {
     }
 
     /// The shard/pacer pinning test: K worker threads drawing
-    /// concurrently from one [`SharedPacer`] consume the same total
-    /// wait as one worker drawing the same tokens sequentially — the
-    /// whole-scan rate bound does not multiply with the shard count.
+    /// concurrently from one [`Pacer`] consume the same total wait as
+    /// one worker drawing the same tokens sequentially — the whole-scan
+    /// rate bound does not multiply with the shard count.
     #[test]
     fn shared_pacer_concurrent_draws_equal_one_worker() {
         // One worker: 8 blocks of 64 tokens at 64/s, burst 64.
         // Telescoped: (512 - 64) / 64 = 7s of virtual wait.
-        let clock = virtual_clock();
-        let mut single = Pacer::new(64.0, 64.0, clock.clone());
+        let (single, clock) = paced(64.0);
         for _ in 0..8 {
             single.acquire_many(64);
         }
@@ -319,8 +285,7 @@ mod tests {
         assert!(sequential >= Duration::from_millis(6_990), "{sequential:?}");
 
         // K = 4 shard workers, 2 blocks each, drawing concurrently.
-        let clock = virtual_clock();
-        let shared = SharedPacer::with_clock(64.0, 64.0, clock.clone());
+        let (shared, clock) = paced(64.0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

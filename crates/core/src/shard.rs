@@ -74,9 +74,9 @@
 //! resumes at `--shards 8` (or 1).
 
 use crate::checkpoint::CheckpointLog;
-use crate::pipeline::{BatchProcessor, PipelineConfig, PipelineError};
-use crate::portscan::{Cidr, PortScanner};
-use crate::rate::SharedPacer;
+use crate::pipeline::{process_batch, PipelineConfig, PipelineError};
+use crate::portscan::{shuffled_blocks, sweep, Cidr};
+use crate::rate::Pacer;
 use crate::report::{HostFinding, ScanReport};
 use crate::retry::RetryTransport;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
@@ -157,15 +157,15 @@ impl Ledger {
 }
 
 /// Sweep and process batch `seq` of the scan planned as `blocks` and
-/// `pacer`, with state of its own: a fresh registry, scanner, batch
-/// processor and retry client. Returns the batch's findings and the
-/// snapshot of that registry, which is then exactly the work the batch
-/// took — nothing a worker did before can reach it.
+/// `pacer`, with state of its own: a fresh registry and retry client.
+/// Returns the batch's findings and the snapshot of that registry,
+/// which is then exactly the work the batch took — nothing a worker did
+/// before can reach it.
 fn run_batch<T: Transport + Clone>(
     config: &PipelineConfig,
     client: &Client<T>,
     blocks: &[Cidr],
-    pacer: &Option<SharedPacer>,
+    pacer: Option<&Pacer>,
     seq: u64,
 ) -> (Vec<HostFinding>, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
@@ -183,21 +183,17 @@ fn run_batch<T: Transport + Clone>(
         .chunks(config.blocks_per_batch)
         .nth(seq as usize)
         .expect("batch sequence number in range");
-    let open = PortScanner::with_telemetry(config, &telemetry).scan_blocks(
-        client.transport(),
-        blocks,
-        pacer,
-    );
-    let findings = BatchProcessor::new(config, &telemetry).process_batch(&client, &open);
+    let open = sweep(config, &telemetry, client.transport(), blocks, pacer);
+    let findings = process_batch(config, &telemetry, &client, &open);
     (findings, telemetry.snapshot())
 }
 
 /// The seeded /24 shuffle and the whole-scan pacer of `config`.
-fn plan(config: &PipelineConfig) -> (Vec<Cidr>, Option<SharedPacer>) {
-    // Throwaway registry: this scanner only computes the shuffle and
-    // the shared pacer. Each batch sweeps with a scanner of its own.
-    let planner = PortScanner::new(config);
-    (planner.shuffled_blocks(), planner.pacer())
+fn plan(config: &PipelineConfig) -> (Vec<Cidr>, Option<Pacer>) {
+    (
+        shuffled_blocks(config),
+        config.max_probes_per_sec.map(Pacer::new),
+    )
 }
 
 /// Scan batch `seq` of `config`'s batch sequence, exactly as a shard
@@ -209,7 +205,7 @@ pub fn scan_batch<T: Transport + Clone>(
     seq: u64,
 ) -> (Vec<HostFinding>, TelemetrySnapshot) {
     let (blocks, pacer) = plan(config);
-    run_batch(config, client, &blocks, &pacer, seq)
+    run_batch(config, client, &blocks, pacer.as_ref(), seq)
 }
 
 /// Why a worker thread ended without returning.
@@ -266,7 +262,8 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
                 let (blocks, pacer) = (&blocks, &pacer);
                 scope.spawn(move || {
                     while let Some(&seq) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                        let (findings, work) = run_batch(config, client, blocks, pacer, seq);
+                        let (findings, work) =
+                            run_batch(config, client, blocks, pacer.as_ref(), seq);
                         ledger
                             .lock()
                             .expect("no worker panics while filing")

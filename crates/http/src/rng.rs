@@ -1,4 +1,5 @@
-//! The workspace's splitmix64: one seeded stream and its finalizer.
+//! The workspace's two seeded generators: splitmix64 with its
+//! finalizer, and xorshift64.
 //!
 //! Population generation and the property-test cases ([`crate::cases`])
 //! need a seeded stream; fault injection and retry jitter need a
@@ -9,10 +10,10 @@
 //! than this, and owning the generator keeps every draw stable across
 //! toolchains.
 //!
-//! Two xorshift64 streams stay outside it: stage I's block shuffle
-//! (`PortScanner::shuffled_blocks`) and the attack planner
-//! (`nokeys_attack::plan`). Moving either onto splitmix64 would reseed
-//! every scan order or every attack plan, and so every output.
+//! [`XorShift64`] drives stage I's block shuffle and the attack
+//! planner (`nokeys_attack::plan`). Moving either onto splitmix64
+//! would reseed every scan order or every attack plan, and so every
+//! output.
 
 /// The splitmix64 output function applied to `x + γ`.
 pub fn mix64(x: u64) -> u64 {
@@ -71,6 +72,39 @@ impl SplitMix64 {
     }
 }
 
+/// A seeded xorshift64 stream (shifts 13, 7, 17).
+#[derive(Debug, Clone)]
+pub struct XorShift64(u64);
+
+impl XorShift64 {
+    /// The stream of `seed` with its low bit set: a zero state stays zero.
+    pub fn new(seed: u64) -> Self {
+        XorShift64(seed | 1)
+    }
+
+    /// Next 64 bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        unit_interval(self.next_u64())
+    }
+
+    /// Fisher–Yates: from the last index down, swap `items[i]` with
+    /// `items[next_u64() % (i + 1)]`.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = (self.next_u64() % (i as u64 + 1)) as usize;
+            items.swap(i, j);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +116,26 @@ mod tests {
         assert_eq!(rng.next_u64(), 6457827717110365317);
         assert_eq!(rng.next_u64(), 3203168211198807973);
         assert_eq!(rng.next_u64(), 9817491932198370423);
+    }
+
+    /// State 1 worked by hand: `<< 13` gives 0x2001, `>> 7` 0x2041 and
+    /// `<< 17` 0x4082_2041.
+    #[test]
+    fn xorshift_matches_its_worked_first_draw() {
+        let mut rng = XorShift64::new(0);
+        assert_eq!(rng.next_u64(), 0x4082_2041);
+        let mut same = XorShift64::new(1);
+        same.next_u64();
+        assert_eq!(
+            rng.next_u64(),
+            same.next_u64(),
+            "seeds 0 and 1 are one stream"
+        );
+        let mut items: Vec<u32> = (0..100).collect();
+        XorShift64::new(7).shuffle(&mut items);
+        assert_ne!(items, (0..100).collect::<Vec<_>>());
+        items.sort_unstable();
+        assert_eq!(items, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

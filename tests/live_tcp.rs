@@ -6,6 +6,7 @@ use nokeys::apps::{build_instance, release_history, AppConfig, AppId};
 use nokeys::http::server::serve_tcp;
 use nokeys::http::transport::TcpTransport;
 use nokeys::scanner::plugin::AppHandler;
+use nokeys::scanner::portscan::{shuffled_blocks, sweep};
 use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -74,8 +75,14 @@ fn portscan_over_real_tcp() {
         exclude_reserved: false,
         ..PipelineConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")])
     };
-    let scanner = nokeys::scanner::PortScanner::new(&config);
-    let open = scanner.scan(&TcpTransport::default());
+    let blocks = shuffled_blocks(&config);
+    let open = sweep(
+        &config,
+        &Telemetry::new(),
+        &TcpTransport::default(),
+        &blocks,
+        None,
+    );
     assert_eq!(open.len(), 1);
     server.shutdown();
 }

@@ -18,9 +18,10 @@ use nokeys::http::cases::{check, Gen};
 use nokeys::http::{Attempt, Client, Endpoint, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{Cidr, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::json;
+use nokeys::scanner::portscan::shuffled_blocks;
 use nokeys::scanner::shard::{scan_batch, Ledger};
 use nokeys::scanner::{
-    CheckpointLog, Pipeline, PipelineConfig, PortScanner, ScanReport, Telemetry, TelemetrySnapshot,
+    CheckpointLog, Pipeline, PipelineConfig, ScanReport, Telemetry, TelemetrySnapshot,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
@@ -175,7 +176,7 @@ fn stalled_worker_holds_back_one_batch_and_output_unchanged() {
 
     let telemetry = Telemetry::new();
     // The sweep order is the seeded shuffle, identical in every run.
-    let shuffle = PortScanner::new(&config(4)).shuffled_blocks();
+    let shuffle = shuffled_blocks(&config(4));
     assert_eq!(shuffle.len(), 256);
     let stalled = StallTransport {
         inner: SimTransport::new(Arc::clone(universe())),
