@@ -183,8 +183,11 @@ mod tests {
         p.acquire_many(2);
         assert_eq!(clock.now(), Duration::ZERO, "starts full");
         clock.sleep(Duration::from_millis(500));
-        p.acquire_many(1);
-        assert_eq!(clock.now(), Duration::from_millis(500), "refilled at rate");
+        // 500 ms at 2/s refill exactly one token; the second is waited
+        // for. A faster refill would end at 500 ms, a slower one later
+        // than 1000 ms.
+        p.acquire_many(2);
+        assert_eq!(clock.now(), Duration::from_secs(1), "refilled at rate");
         clock.sleep(Duration::from_secs(100));
         let rested = clock.now();
         p.acquire_many(3);

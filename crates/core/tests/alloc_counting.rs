@@ -8,6 +8,9 @@
 //! harness's own threads allocate too, so only the thread that armed
 //! itself around a measured region is counted.
 
+mod common;
+
+use common::alloc::{allocations_in, CountingAlloc};
 use nokeys_apps::assets::ASSET_PATHS;
 use nokeys_apps::{build_instance, release_history, AppConfig, AppId};
 use nokeys_http::memory::HandlerTransport;
@@ -17,65 +20,12 @@ use nokeys_scanner::fingerprint::knowledge_base::KnowledgeBase;
 use nokeys_scanner::plugin::AppHandler;
 use nokeys_scanner::signatures::{all_signatures, rank_candidates};
 use nokeys_scanner::{MultiPattern, Scratch, Visit};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// System allocator wrapper counting every allocation and reallocation
-/// an armed thread makes (frees are irrelevant: the claim is that the
-/// hot loop *acquires* no heap memory).
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Whether this thread is inside a measured region. Const-initialised
-    /// and without a destructor, so reading it never allocates and is
-    /// safe from inside the allocator at any point of a thread's life.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn note_allocation() {
-    if ARMED.with(Cell::get) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations the calling thread makes while `region` runs.
-fn allocations_in(region: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    ARMED.with(|armed| armed.set(true));
-    region();
-    ARMED.with(|armed| armed.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn warmed_hot_path_performs_zero_heap_allocations() {

@@ -7,6 +7,12 @@
 //! test fails if a recheck gets dearer; a change that cuts one lowers
 //! its bound.
 //!
+//! The replay always fingerprints an online host, so its budget is
+//! that of a recheck that still tracks a version update: one whose
+//! finding has a version and whose host has not updated yet.
+//! `observer::recheck` skips the fingerprint otherwise, and such a
+//! recheck costs less.
+//!
 //! The recheck is replayed here on the test thread because `observe`
 //! runs its rechecks on worker threads, which an armed counter cannot
 //! see.
@@ -17,67 +23,19 @@
 //! only the thread that armed itself around a measured region is
 //! counted.
 
+mod common;
+
+use common::alloc::{allocations_in, CountingAlloc};
 use nokeys_http::{Attempt, Client, Endpoint, ProbeOutcome, Scheme, Transport};
 use nokeys_netsim::lifecycle::HostState;
 use nokeys_netsim::{SimTime, SimTransport, Universe, UniverseConfig};
 use nokeys_scanner::fingerprint::Fingerprinter;
 use nokeys_scanner::{detect_mav, Telemetry, Visit};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// System allocator wrapper counting every allocation and reallocation
-/// an armed thread makes.
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Whether this thread is inside a measured region. Const-initialised
-    /// and without a destructor, so reading it never allocates.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn note_allocation() {
-    if ARMED.with(Cell::get) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations the calling thread makes while `region` runs.
-fn allocations_in(region: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    ARMED.with(|armed| armed.set(true));
-    region();
-    ARMED.with(|armed| armed.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn one_recheck_allocates_at_most_todays_count() {
@@ -86,10 +44,10 @@ fn one_recheck_allocates_at_most_todays_count() {
     let client = Client::new(SimTransport::new(Arc::clone(&universe)).at(t));
     let fingerprinter = Fingerprinter::with_telemetry(&Telemetry::new());
 
-    // One recheck of the first host, by address, vulnerable at the scan
-    // whose lifecycle is in `state` at `t`, as `observer::recheck`
-    // makes it: the status it found and the allocations of the last of
-    // three runs.
+    // One recheck of the lowest-addressed host that was vulnerable at
+    // the scan and whose lifecycle is in `state` at `t`. It returns the
+    // status the recheck found and the allocations of the last of three
+    // runs.
     let recheck = |state: HostState| {
         let host = (universe.vulnerable_hosts())
             .filter(|host| host.lifecycle.state_at(t) == state)
