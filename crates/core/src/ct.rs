@@ -14,9 +14,8 @@
 use crate::plugin::detect_mav;
 use crate::prefilter::candidates;
 use crate::scratch::Scratch;
-use crate::visit::Visit;
 use nokeys_apps::{AppId, AttackVector};
-use nokeys_http::{Client, Endpoint, Scheme, Transport};
+use nokeys_http::{Endpoint, Scheme, Transport, Visit};
 use std::net::Ipv4Addr;
 
 /// A CT log entry as consumed by the scanner (mirrors
@@ -45,14 +44,13 @@ pub struct CtFinding {
 /// The four installation-hijack detection probes, addressed by name.
 /// Returns `(app, vulnerable)` for the first CMS that answers.
 pub fn probe_domain<T: Transport>(
-    client: &Client<T>,
+    transport: &T,
     ip: Ipv4Addr,
     domain: &str,
 ) -> (Option<AppId>, bool) {
     // Every request names the domain: `Host: domain` to the shared IP,
     // redirects followed with the header kept.
-    let named = client.for_host(domain);
-    let visit = Visit::new(&named, Endpoint::new(ip, 80), Scheme::Http);
+    let visit = Visit::new(transport, Endpoint::new(ip, 80), Scheme::Http).named(domain);
     // Identify the CMS from its root page signatures first.
     let Ok(root) = visit.get("/") else {
         return (None, false);
@@ -70,10 +68,10 @@ pub fn probe_domain<T: Transport>(
 }
 
 /// Scan every logged domain `delay_secs` after it appears (the CT
-/// watcher's reaction time), through `client_at(secs)`: a client that
-/// sees the network at that offset from the scan start.
+/// watcher's reaction time), through `transport_at(secs)`: a transport
+/// that sees the network at that offset from the scan start.
 pub fn ct_scan<T: Transport>(
-    client_at: impl Fn(i64) -> Client<T>,
+    transport_at: impl Fn(i64) -> T,
     entries: &[DomainTarget],
     delay_secs: i64,
 ) -> Vec<CtFinding> {
@@ -82,7 +80,7 @@ pub fn ct_scan<T: Transport>(
     let mut findings = Vec::new();
     for entry in sorted {
         let probe_at = entry.logged_at_secs + delay_secs;
-        let (app, vulnerable) = probe_domain(&client_at(probe_at), entry.ip, &entry.domain);
+        let (app, vulnerable) = probe_domain(&transport_at(probe_at), entry.ip, &entry.domain);
         findings.push(CtFinding {
             domain: entry.domain.clone(),
             ip: entry.ip,
@@ -98,7 +96,7 @@ pub fn ct_scan<T: Transport>(
 mod tests {
     use super::*;
     use nokeys_http::memory::HandlerTransport;
-    use nokeys_http::{Client, Request, Response};
+    use nokeys_http::{Request, Response};
     use std::sync::Arc;
 
     /// Handler that echoes the Host header it received.
@@ -112,12 +110,12 @@ mod tests {
     #[test]
     fn host_pinned_transport_rewrites_the_header() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 20), 80);
-        let client = Client::new(HandlerTransport::new().with(ep, Arc::new(HostEcho)));
-        // Unnamed, the client writes `Host: 10.20.20.20`.
-        let fetched = client.get_path(ep, Scheme::Http, "/").unwrap();
+        let transport = HandlerTransport::new().with(ep, Arc::new(HostEcho));
+        let visit = Visit::new(&transport, ep, Scheme::Http);
+        // Unnamed, the visit writes `Host: 10.20.20.20`.
+        let fetched = visit.get("/").unwrap();
         assert_eq!(fetched.response.body_text(), "10.20.20.20");
-        let named = client.for_host("pinned.example");
-        let fetched = named.get_path(ep, Scheme::Http, "/").unwrap();
+        let fetched = visit.named("pinned.example").get("/").unwrap();
         assert_eq!(fetched.response.body_text(), "pinned.example");
     }
 
@@ -134,10 +132,10 @@ mod tests {
             }
         }
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 21), 80);
-        let client = Client::new(HandlerTransport::new().with(ep, Arc::new(BodyEcho)));
-        let resp = client
-            .for_host("d.example")
-            .execute(ep, Scheme::Http, Request::post("/x", "payload-body"))
+        let transport = HandlerTransport::new().with(ep, Arc::new(BodyEcho));
+        let resp = Visit::new(&transport, ep, Scheme::Http)
+            .named("d.example")
+            .execute(Request::post("/x", "payload-body"))
             .unwrap();
         assert_eq!(resp.body_text(), "d.example|payload-body");
     }
@@ -159,10 +157,9 @@ mod tests {
         }
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 22), 80);
         let transport = HandlerTransport::new().with(ep, Arc::new(Redirecting));
-        let client = Client::new(transport);
-        let fetched = client
-            .for_host("fresh.example")
-            .get_path(ep, Scheme::Http, "/")
+        let fetched = Visit::new(&transport, ep, Scheme::Http)
+            .named("fresh.example")
+            .get("/")
             .unwrap();
         assert_eq!(fetched.redirects, 1);
         assert_eq!(fetched.response.body_text(), "installer for fresh.example");
@@ -172,8 +169,7 @@ mod tests {
     fn probe_domain_handles_unknown_sites() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 20, 20, 23), 80);
         let transport = HandlerTransport::new().with(ep, Arc::new(HostEcho));
-        let client = Client::new(transport);
-        let (app, vulnerable) = probe_domain(&client, ep.ip, "whatever.example");
+        let (app, vulnerable) = probe_domain(&transport, ep.ip, "whatever.example");
         assert_eq!(app, None);
         assert!(!vulnerable);
     }

@@ -84,11 +84,9 @@ where
         for port in [finding.endpoint.port, 443] {
             let ep = nokeys_http::Endpoint::new(ip, port);
             if let Ok(conn) = transport.connect(ep, Scheme::Https, Attempt::FIRST) {
-                if let Some(cert) = conn.certificate() {
-                    if let Some(subject) = cert.subject {
-                        domain = Some(subject);
-                        break;
-                    }
+                if let Some(subject) = conn.certificate() {
+                    domain = Some(subject.to_string());
+                    break;
                 }
             }
         }

@@ -2,10 +2,9 @@
 //! them, and identify the application/version via the knowledge base.
 
 use super::knowledge_base::KnowledgeBase;
-use crate::visit::Visit;
 use nokeys_apps::assets::{file_hash, ASSET_PATHS};
 use nokeys_apps::{AppId, Version};
-use nokeys_http::Transport;
+use nokeys_http::{Transport, Visit};
 
 /// Crawl the visited target's static files into `out` as `(path, hash)`
 /// pairs for every file that exists, and return the filled prefix.
@@ -42,7 +41,7 @@ mod tests {
     use nokeys_apps::version::history;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
-    use nokeys_http::{Client, Endpoint, Scheme};
+    use nokeys_http::{Endpoint, Scheme};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -59,10 +58,10 @@ mod tests {
             version,
             AppConfig::secure_for(app, &version),
         )));
-        let client = Client::new(HandlerTransport::new().with(ep, handler));
+        let t = HandlerTransport::new().with(ep, handler);
         let kb = KnowledgeBase::shared();
         let (found_app, found_version) =
-            identify(&Visit::new(&client, ep, Scheme::Http), kb).expect("identified");
+            identify(&Visit::new(&t, ep, Scheme::Http), kb).expect("identified");
         assert_eq!(found_app, app);
         assert_eq!(found_version.triple(), version.triple());
     }
@@ -83,8 +82,8 @@ mod tests {
                     version,
                     AppConfig::secure_for(app, &version),
                 )));
-                let client = Client::new(HandlerTransport::new().with(ep, handler));
-                let found = identify(&Visit::new(&client, ep, Scheme::Http), kb)
+                let t = HandlerTransport::new().with(ep, handler);
+                let found = identify(&Visit::new(&t, ep, Scheme::Http), kb)
                     .map(|(app, version)| (app, version.triple()));
                 assert_eq!(found, Some((app, version.triple())), "{app} {version}");
             }
@@ -101,10 +100,10 @@ mod tests {
             version,
             AppConfig::secure_for(app, &version),
         )));
-        let client = Client::new(HandlerTransport::new().with(ep, handler));
+        let t = HandlerTransport::new().with(ep, handler);
         let kb = KnowledgeBase::shared();
         let mut out = [("", 0); ASSET_PATHS.len()];
-        let obs = crawl(&Visit::new(&client, ep, Scheme::Http), kb, &mut out);
+        let obs = crawl(&Visit::new(&t, ep, Scheme::Http), kb, &mut out);
         assert_eq!(
             obs.len(),
             kb.crawl_paths().len(),
@@ -114,10 +113,10 @@ mod tests {
 
     #[test]
     fn unreachable_target_crawls_nothing() {
-        let client = Client::new(HandlerTransport::new());
+        let t = HandlerTransport::new();
         let kb = KnowledgeBase::shared();
         let ep = Endpoint::new(Ipv4Addr::new(10, 3, 3, 5), 80);
-        let visit = Visit::new(&client, ep, Scheme::Http);
+        let visit = Visit::new(&t, ep, Scheme::Http);
         let mut out = [("", 0); ASSET_PATHS.len()];
         assert!(crawl(&visit, kb, &mut out).is_empty());
         assert!(identify(&visit, kb).is_none());

@@ -16,10 +16,9 @@ mod voluntary;
 
 use crate::report::FingerprintMethod;
 use crate::telemetry::{Counter, Telemetry};
-use crate::visit::Visit;
 use knowledge_base::KnowledgeBase;
 use nokeys_apps::{AppId, Version};
-use nokeys_http::Transport;
+use nokeys_http::{Transport, Visit};
 
 /// Cached fingerprinting telemetry handles.
 struct FingerprintMetrics {
@@ -84,11 +83,11 @@ mod tests {
     use crate::plugin::AppHandler;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
-    use nokeys_http::{Client, Endpoint, Scheme};
+    use nokeys_http::{Endpoint, Scheme};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
-    fn client_for(app: AppId, version_index: usize) -> (Client<HandlerTransport>, Endpoint) {
+    fn serve(app: AppId, version_index: usize) -> (HandlerTransport, Endpoint) {
         let version = release_history(app)[version_index];
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 2), app.scan_ports()[0]);
         let handler = Arc::new(AppHandler::new(build_instance(
@@ -96,7 +95,7 @@ mod tests {
             version,
             AppConfig::secure_for(app, &version),
         )));
-        (Client::new(HandlerTransport::new().with(ep, handler)), ep)
+        (HandlerTransport::new().with(ep, handler), ep)
     }
 
     fn fingerprinter() -> Fingerprinter {
@@ -109,8 +108,8 @@ mod tests {
         for app in AppId::in_scope() {
             let history = release_history(app);
             let idx = history.len() / 2;
-            let (client, ep) = client_for(app, idx);
-            let result = fp.fingerprint(&Visit::new(&client, ep, Scheme::Http), app);
+            let (t, ep) = serve(app, idx);
+            let result = fp.fingerprint(&Visit::new(&t, ep, Scheme::Http), app);
             let Some((version, method)) = result else {
                 panic!("{app}: no fingerprint");
             };
@@ -132,10 +131,10 @@ mod tests {
     #[test]
     fn unreachable_host_yields_none() {
         let fp = fingerprinter();
-        let client = Client::new(HandlerTransport::new());
+        let t = HandlerTransport::new();
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 3), 80);
         assert!(fp
-            .fingerprint(&Visit::new(&client, ep, Scheme::Http), AppId::WordPress)
+            .fingerprint(&Visit::new(&t, ep, Scheme::Http), AppId::WordPress)
             .is_none());
     }
 
@@ -144,15 +143,15 @@ mod tests {
         let telemetry = Telemetry::new();
         let fp = Fingerprinter::with_telemetry(&telemetry);
         // One successful fingerprint...
-        let (client, ep) = client_for(AppId::Jenkins, 0);
+        let (t, ep) = serve(AppId::Jenkins, 0);
         assert!(fp
-            .fingerprint(&Visit::new(&client, ep, Scheme::Http), AppId::Jenkins)
+            .fingerprint(&Visit::new(&t, ep, Scheme::Http), AppId::Jenkins)
             .is_some());
         // ...and one miss against an unreachable host.
-        let client = Client::new(HandlerTransport::new());
+        let t = HandlerTransport::new();
         let ep = Endpoint::new(Ipv4Addr::new(10, 2, 2, 4), 80);
         assert!(fp
-            .fingerprint(&Visit::new(&client, ep, Scheme::Http), AppId::Jenkins)
+            .fingerprint(&Visit::new(&t, ep, Scheme::Http), AppId::Jenkins)
             .is_none());
         let snap = telemetry.snapshot();
         let hits =

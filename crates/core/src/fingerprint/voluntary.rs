@@ -14,10 +14,9 @@
 //! The table has 14 rows where the quote says 13; DESIGN.md §15 records
 //! the gap.
 
-use crate::visit::Visit;
 use nokeys_apps::version::history;
 use nokeys_apps::{AppId, Version};
-use nokeys_http::Transport;
+use nokeys_http::{Transport, Visit};
 use Read::{After, Header};
 
 /// Where a disclosed version string sits in the answer.
@@ -114,7 +113,7 @@ mod tests {
     use crate::telemetry::Telemetry;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
-    use nokeys_http::{Client, Endpoint, Scheme};
+    use nokeys_http::{Endpoint, Scheme};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
@@ -148,7 +147,7 @@ mod tests {
         assert_eq!(parse_version_number("1.2.3-beta."), Some((1, 2, 3)));
     }
 
-    fn serve(app: AppId, idx: usize, vulnerable: bool) -> (Client<HandlerTransport>, Endpoint) {
+    fn serve(app: AppId, idx: usize, vulnerable: bool) -> (HandlerTransport, Endpoint) {
         let version = release_history(app)[idx];
         let cfg = if vulnerable {
             AppConfig::vulnerable_for(app, &version)
@@ -157,7 +156,7 @@ mod tests {
         };
         let ep = Endpoint::new(Ipv4Addr::new(10, 4, 4, 4), app.scan_ports()[0]);
         let handler = Arc::new(AppHandler::new(build_instance(app, version, cfg)));
-        (Client::new(HandlerTransport::new().with(ep, handler)), ep)
+        (HandlerTransport::new().with(ep, handler), ep)
     }
 
     /// Applications that disclose their version only when the instance
@@ -183,24 +182,24 @@ mod tests {
             let has_row = DISCLOSURES.iter().any(|row| row.app == app);
             assert_ne!(has_row, silent.contains(&app), "{app}");
             for (idx, &release) in release_history(app).iter().enumerate() {
-                let (client, ep) = serve(app, idx, true);
+                let (t, ep) = serve(app, idx, true);
                 if has_row {
                     assert_eq!(
-                        fingerprinter.fingerprint(&Visit::new(&client, ep, Scheme::Http), app),
+                        fingerprinter.fingerprint(&Visit::new(&t, ep, Scheme::Http), app),
                         Some((release, FingerprintMethod::Voluntary)),
                         "{app} {release}"
                     );
                 } else {
                     assert_eq!(
-                        extract(&Visit::new(&client, ep, Scheme::Http), app),
+                        extract(&Visit::new(&t, ep, Scheme::Http), app),
                         None,
                         "{app}"
                     );
                 }
-                let (client, ep) = serve(app, idx, false);
+                let (t, ep) = serve(app, idx, false);
                 let secured = has_row && !OPEN_ONLY.contains(&app);
                 assert_eq!(
-                    extract(&Visit::new(&client, ep, Scheme::Http), app),
+                    extract(&Visit::new(&t, ep, Scheme::Http), app),
                     secured.then_some(release),
                     "{app} {release}, secured"
                 );
@@ -226,8 +225,8 @@ mod tests {
             // Hadoop/Docker/etc. disclose when open; use vulnerable
             // configs where disclosure needs it.
             let vulnerable = matches!(app, AppId::Hadoop | AppId::Polynote);
-            let (client, ep) = serve(app, idx, vulnerable);
-            let v = extract(&Visit::new(&client, ep, Scheme::Http), app);
+            let (t, ep) = serve(app, idx, vulnerable);
+            let v = extract(&Visit::new(&t, ep, Scheme::Http), app);
             assert_eq!(
                 v.map(|v| v.triple()),
                 Some(release_history(app)[idx].triple()),
@@ -239,15 +238,15 @@ mod tests {
     #[test]
     fn docker_disclosure_requires_open_daemon() {
         let idx = release_history(AppId::Docker).len() - 1;
-        let (client, ep) = serve(AppId::Docker, idx, true);
-        assert!(extract(&Visit::new(&client, ep, Scheme::Http), AppId::Docker).is_some());
-        let (client, ep) = serve(AppId::Docker, idx, false);
-        assert!(extract(&Visit::new(&client, ep, Scheme::Http), AppId::Docker).is_none());
+        let (t, ep) = serve(AppId::Docker, idx, true);
+        assert!(extract(&Visit::new(&t, ep, Scheme::Http), AppId::Docker).is_some());
+        let (t, ep) = serve(AppId::Docker, idx, false);
+        assert!(extract(&Visit::new(&t, ep, Scheme::Http), AppId::Docker).is_none());
     }
 
     #[test]
     fn gocd_has_no_voluntary_disclosure() {
-        let (client, ep) = serve(AppId::Gocd, 0, false);
-        assert!(extract(&Visit::new(&client, ep, Scheme::Http), AppId::Gocd).is_none());
+        let (t, ep) = serve(AppId::Gocd, 0, false);
+        assert!(extract(&Visit::new(&t, ep, Scheme::Http), AppId::Gocd).is_none());
     }
 }

@@ -14,8 +14,8 @@
 //!   disclosure plus a static-file hash knowledge base with a crawler.
 //! * **Longevity observation** ([`observer`]): 3-hourly rescans of
 //!   vulnerable hosts over four weeks (Figure 2).
-//! * **Host visits** ([`visit`]): one endpoint over one scheme through
-//!   one client, the one place stages II–IV and the rescans fetch.
+//! * **Host visits** ([`Visit`](nokeys_http::Visit)): one endpoint over
+//!   one scheme through one transport, what stages II–IV and rescans fetch by.
 //! * **Telemetry** ([`telemetry`]): a lock-cheap metrics registry
 //!   threaded through every stage — counters, a distribution being a
 //!   fixed set of bucket counters — snapshot as deterministic JSON.
@@ -53,7 +53,6 @@ pub mod scratch;
 pub mod shard;
 pub mod signatures;
 pub mod telemetry;
-pub mod visit;
 
 pub use checkpoint::{CheckpointError, CheckpointLog};
 pub use multipattern::{MultiPattern, ViewUse};
@@ -66,4 +65,3 @@ pub use report::{FingerprintMethod, HostFinding, ScanReport};
 pub use retry::RetryTransport;
 pub use scratch::Scratch;
 pub use telemetry::{Telemetry, TelemetrySnapshot};
-pub use visit::Visit;

@@ -7,8 +7,8 @@
 //! (unreachable). It also re-fingerprints to spot version updates.
 //!
 //! The observer is time-source agnostic: the caller supplies
-//! `client_at(secs)`, a client that sees the (virtual or real) network
-//! at that offset from the study start.
+//! `transport_at(secs)`, a transport that sees the (virtual or real)
+//! network at that offset from the study start.
 //!
 //! The hosts are split into contiguous chunks, one per worker thread,
 //! and each worker walks every round over its own chunk, writing the
@@ -20,8 +20,7 @@ use crate::fingerprint::Fingerprinter;
 use crate::plugin::detect_mav;
 use crate::report::HostFinding;
 use crate::telemetry::{Counter, Telemetry};
-use crate::visit::Visit;
-use nokeys_http::{Attempt, Client, ProbeOutcome, Transport};
+use nokeys_http::{Attempt, ProbeOutcome, Transport, Visit};
 
 /// Status of one host at one observation point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,10 +126,10 @@ struct HostMetrics {
 /// Run the longevity observation: a round every `interval_secs` (the
 /// paper rescans every 3 hours) over the four-week window.
 ///
-/// `client_at(secs)` is the client a round uses, `secs` being the
+/// `transport_at(secs)` is the transport a round uses, `secs` being the
 /// round's offset from the study start; with the simulated transport it
-/// wraps `FaultyTransport::at`. Each worker thread asks for one client per
-/// round. The hosts are re-checked on as many threads as the machine
+/// is `FaultyTransport::at`. Each worker thread asks for one transport
+/// per round. The hosts are re-checked on as many threads as the machine
 /// offers ([`std::thread::available_parallelism`]); the result does not
 /// depend on that number.
 ///
@@ -144,12 +143,12 @@ struct HostMetrics {
 /// If `interval_secs` is not positive.
 pub fn observe<T: Transport>(
     telemetry: &Telemetry,
-    client_at: impl Fn(i64) -> Client<T> + Sync,
+    transport_at: impl Fn(i64) -> T + Sync,
     findings: &[HostFinding],
     interval_secs: i64,
 ) -> LongevityStudy {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    observe_on(workers, telemetry, client_at, findings, interval_secs)
+    observe_on(workers, telemetry, transport_at, findings, interval_secs)
 }
 
 /// [`observe`] on at most `workers` threads. Private: the count is not
@@ -157,7 +156,7 @@ pub fn observe<T: Transport>(
 fn observe_on<T: Transport>(
     workers: usize,
     telemetry: &Telemetry,
-    client_at: impl Fn(i64) -> Client<T> + Sync,
+    transport_at: impl Fn(i64) -> T + Sync,
     findings: &[HostFinding],
     interval_secs: i64,
 ) -> LongevityStudy {
@@ -198,14 +197,14 @@ fn observe_on<T: Transport>(
     // worker's panic on this thread.
     let chunk_len = timelines.len().div_ceil(workers.max(1)).max(1);
     let offsets = &times[..];
-    let (client_at, fingerprinter, metrics) = (&client_at, &fingerprinter, &metrics);
+    let (transport_at, fingerprinter, metrics) = (&transport_at, &fingerprinter, &metrics);
     std::thread::scope(|scope| {
         for chunk in timelines.chunks_mut(chunk_len) {
             scope.spawn(move || {
                 for &t in offsets {
-                    let client = client_at(t);
+                    let transport = transport_at(t);
                     for timeline in chunk.iter_mut() {
-                        recheck(timeline, &client, fingerprinter, metrics);
+                        recheck(timeline, &transport, fingerprinter, metrics);
                     }
                 }
             });
@@ -222,7 +221,7 @@ fn observe_on<T: Transport>(
 /// it until a version update has been seen.
 fn recheck<T: Transport>(
     timeline: &mut HostTimeline,
-    client: &Client<T>,
+    transport: &T,
     fingerprinter: &Fingerprinter,
     metrics: &HostMetrics,
 ) {
@@ -231,8 +230,8 @@ fn recheck<T: Transport>(
     // round.
     let finding = &timeline.finding;
     let ep = finding.endpoint;
-    let visit = Visit::new(client, ep, finding.scheme);
-    let status = match client.transport().probe(ep, Attempt::FIRST) {
+    let visit = Visit::new(transport, ep, finding.scheme);
+    let status = match transport.probe(ep, Attempt::FIRST) {
         ProbeOutcome::Open => {
             if detect_mav(&visit, finding.app) {
                 ObservedStatus::Vulnerable
@@ -269,7 +268,7 @@ fn recheck<T: Transport>(
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, PipelineConfig};
-    use nokeys_http::{Client, Endpoint};
+    use nokeys_http::Endpoint;
     use nokeys_netsim::{
         FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
     };
@@ -285,16 +284,15 @@ mod tests {
     fn study_on(workers: usize, fault_rate: f64, telemetry: &Telemetry) -> LongevityStudy {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(7))));
         let faulty = FaultyTransport::new(t, FaultPlan::new(fault_rate, 0xfa17_5eed));
-        let client = Client::new(faulty.clone());
         let pipeline = Pipeline::new(
             PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()]),
             &Telemetry::new(),
         );
-        let report = pipeline.run(&client).expect("pipeline failed");
+        let report = pipeline.run(&faulty).expect("pipeline failed");
         let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
         assert!(!vulnerable.is_empty());
-        let client_at = |secs| Client::new(faulty.at(SimTime(secs)));
-        observe_on(workers, telemetry, client_at, &vulnerable, DAILY)
+        let transport_at = |secs| faulty.at(SimTime(secs));
+        observe_on(workers, telemetry, transport_at, &vulnerable, DAILY)
     }
 
     fn study() -> LongevityStudy {
@@ -460,7 +458,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the rescan interval must be positive")]
     fn zero_interval_is_rejected() {
-        let client_at = |_| Client::new(nokeys_http::memory::HandlerTransport::new());
-        observe(&Telemetry::default(), client_at, &[], 0);
+        let transport_at = |_| nokeys_http::memory::HandlerTransport::new();
+        observe(&Telemetry::default(), transport_at, &[], 0);
     }
 }

@@ -60,9 +60,8 @@ use crate::portscan::{by_host, Cidr};
 use crate::prefilter::{Prefilter, PrefilterHit};
 use crate::report::{HostFinding, ScanReport};
 use crate::telemetry::{Buckets, Counter, ErrorCounters, Telemetry};
-use crate::visit::Visit;
 use nokeys_apps::{AppId, SCAN_PORTS};
-use nokeys_http::{Client, Endpoint, Transport};
+use nokeys_http::{Endpoint, Transport, Visit};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -323,11 +322,11 @@ impl Pipeline {
     /// scratch (truncating whatever is at that path) and logs every
     /// batch as it finishes; use [`Pipeline::resume`] to continue from
     /// such a log.
-    pub fn run<T>(&self, client: &Client<T>) -> Result<ScanReport, PipelineError>
+    pub fn run<T>(&self, transport: &T) -> Result<ScanReport, PipelineError>
     where
         T: Transport + Clone,
     {
-        crate::shard::run_sharded(&self.config, &self.telemetry, client, false)
+        crate::shard::run_sharded(&self.config, &self.telemetry, transport, false)
     }
 
     /// Continue a checkpointed scan from the log at
@@ -348,14 +347,14 @@ impl Pipeline {
     /// The stored telemetry is replayed into the pipeline's registry,
     /// so resume with a **fresh (or otherwise pipeline-private)
     /// registry**: pre-existing pipeline counts would be double-counted.
-    pub fn resume<T>(&self, client: &Client<T>) -> Result<ScanReport, PipelineError>
+    pub fn resume<T>(&self, transport: &T) -> Result<ScanReport, PipelineError>
     where
         T: Transport + Clone,
     {
         if self.config.checkpoint_path.is_none() {
             return Err(CheckpointError::Io("no checkpoint path is configured".into()).into());
         }
-        crate::shard::run_sharded(&self.config, &self.telemetry, client, true)
+        crate::shard::run_sharded(&self.config, &self.telemetry, transport, true)
     }
 }
 
@@ -367,7 +366,7 @@ impl Pipeline {
 pub(crate) fn process_batch<T: Transport>(
     config: &PipelineConfig,
     telemetry: &Telemetry,
-    client: &Client<T>,
+    transport: &T,
     open: &[Endpoint],
 ) -> Vec<HostFinding> {
     let mut prefilter = Prefilter::with_telemetry(telemetry);
@@ -387,7 +386,7 @@ pub(crate) fn process_batch<T: Transport>(
     }
 
     // Stage II, in endpoint order.
-    let hits = prefilter.run(client, &endpoints);
+    let hits = prefilter.run(transport, &endpoints);
 
     // Group hits per host: one finding per (host, application).
     let mut per_host: BTreeMap<Ipv4Addr, Vec<PrefilterHit>> = BTreeMap::new();
@@ -398,7 +397,7 @@ pub(crate) fn process_batch<T: Transport>(
     // Stage III + fingerprinting, in host order.
     let mut findings = Vec::new();
     for hits in per_host.into_values() {
-        let host = verify_host(telemetry, &fingerprinter, &metrics, client, hits);
+        let host = verify_host(telemetry, &fingerprinter, &metrics, transport, hits);
         metrics.note_findings(&host);
         findings.extend(host);
     }
@@ -413,7 +412,7 @@ fn verify_host<T: Transport>(
     telemetry: &Telemetry,
     fingerprinter: &Fingerprinter,
     metrics: &PipelineMetrics,
-    client: &Client<T>,
+    transport: &T,
     hits: Vec<PrefilterHit>,
 ) -> Vec<HostFinding> {
     // Which endpoints does each candidate application appear on, and
@@ -433,7 +432,7 @@ fn verify_host<T: Transport>(
     for (app, app_hits) in endpoints_of {
         // Stage III: a MAV on any of the app's endpoints confirms it.
         let confirmed = app_hits.iter().copied().find(|hit| {
-            let verdict = verify(&Visit::new(client, hit.endpoint, hit.scheme), app);
+            let verdict = verify(&Visit::new(transport, hit.endpoint, hit.scheme), app);
             if let Err(error) = &verdict {
                 metrics.errors.count(error);
             }
@@ -455,7 +454,7 @@ fn verify_host<T: Transport>(
             (None, Some(hit)) => hit,
             (None, None) => continue,
         };
-        let visit = Visit::new(client, hit.endpoint, hit.scheme);
+        let visit = Visit::new(transport, hit.endpoint, hit.scheme);
         let fingerprint = fingerprinter.fingerprint(&visit, app);
         findings.push(HostFinding {
             endpoint: hit.endpoint,
@@ -479,12 +478,11 @@ mod tests {
         vec!["20.0.0.0/16".parse().unwrap()]
     }
 
-    fn run_tiny() -> (Client<SimTransport>, ScanReport) {
+    fn run_tiny() -> (SimTransport, ScanReport) {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
-        let client = Client::new(t);
         let pipeline = Pipeline::new(PipelineConfig::new(tiny()), &Telemetry::new());
-        let report = pipeline.run(&client).expect("pipeline failed");
-        (client, report)
+        let report = pipeline.run(&t).expect("pipeline failed");
+        (t, report)
     }
 
     /// `Pipeline::new` keeps every field as set, normalizing nothing
@@ -558,9 +556,8 @@ mod tests {
     fn overlapping_targets_report_equals_their_union() {
         fn run_with(targets: Vec<Cidr>) -> String {
             let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
-            let client = Client::new(t);
             let pipeline = Pipeline::new(PipelineConfig::new(targets), &Telemetry::new());
-            let report = pipeline.run(&client).expect("pipeline failed");
+            let report = pipeline.run(&t).expect("pipeline failed");
             report.to_json_string()
         }
         let union = run_with(tiny());
@@ -625,7 +622,7 @@ mod tests {
                 ..PipelineConfig::new(tiny())
             };
             let pipeline = Pipeline::new(config, &Telemetry::new());
-            let report = pipeline.run(&Client::new(t)).expect("pipeline failed");
+            let report = pipeline.run(&t).expect("pipeline failed");
             (pipeline.config, report)
         }
         let (config, repeated) = run_with(vec![80, 8080, 80]);
@@ -650,7 +647,7 @@ mod tests {
             let pipeline = Pipeline::new(config, &Telemetry::new());
             assert_eq!(pipeline.config.ports, vec![80]);
             assert_eq!(pipeline.config.tarpit_threshold(), 2);
-            let report = pipeline.run(&Client::new(t)).expect("pipeline failed");
+            let report = pipeline.run(&t).expect("pipeline failed");
             assert_eq!(report.excluded_all_ports_open, 0);
             assert!(report.total_hosts() > 0);
             assert!(report.total_mavs() > 0);
@@ -675,7 +672,7 @@ mod tests {
     fn resume_without_a_checkpoint_path_is_an_io_error() {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
         let pipeline = Pipeline::new(PipelineConfig::new(tiny()), &Telemetry::new());
-        let err = pipeline.resume(&Client::new(t)).unwrap_err();
+        let err = pipeline.resume(&t).unwrap_err();
         assert_eq!(
             err,
             PipelineError::Checkpoint(CheckpointError::Io(
@@ -686,8 +683,8 @@ mod tests {
 
     #[test]
     fn pipeline_matches_ground_truth_per_app() {
-        let (client, report) = run_tiny();
-        let universe = client.transport().universe();
+        let (t, report) = run_tiny();
+        let universe = t.universe();
 
         for app in AppId::in_scope() {
             let truth_hosts = universe
@@ -709,13 +706,8 @@ mod tests {
 
     #[test]
     fn pipeline_excludes_tarpits() {
-        let (client, report) = run_tiny();
-        let tarpits = client
-            .transport()
-            .universe()
-            .hosts()
-            .filter(|h| h.tarpit)
-            .count() as u64;
+        let (t, report) = run_tiny();
+        let tarpits = t.universe().hosts().filter(|h| h.tarpit).count() as u64;
         assert_eq!(report.excluded_all_ports_open, tarpits);
     }
 
@@ -772,13 +764,14 @@ mod tests {
                 candidates: vec![app],
             });
         }
-        let client = Client::new(transport);
         let telemetry = Telemetry::new();
         let fingerprinter = Fingerprinter::with_telemetry(&telemetry);
         let metrics = PipelineMetrics::new(&telemetry);
         let vulnerable: Vec<bool> = hits
             .into_iter()
-            .flat_map(|hit| verify_host(&telemetry, &fingerprinter, &metrics, &client, vec![hit]))
+            .flat_map(|hit| {
+                verify_host(&telemetry, &fingerprinter, &metrics, &transport, vec![hit])
+            })
             .map(|finding| finding.vulnerable)
             .collect();
         assert_eq!(vulnerable, [true, false]);
@@ -793,12 +786,11 @@ mod tests {
     #[test]
     fn telemetry_reconciles_with_report() {
         let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
-        let client = Client::new(t);
         let telemetry = Telemetry::new();
         let pipeline = Pipeline::new(PipelineConfig::new(tiny()), &telemetry);
-        let report = pipeline.run(&client).expect("pipeline failed");
+        let report = pipeline.run(&t).expect("pipeline failed");
         let snap = telemetry.snapshot();
-        let universe = client.transport().universe();
+        let universe = t.universe();
 
         // Stage I swept the whole /16 on all 12 ports.
         assert_eq!(report.addresses_probed, 65_536);

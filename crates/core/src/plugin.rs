@@ -15,10 +15,9 @@
 use crate::htmlcheck::{has_element, is_valid_html};
 use crate::json::Value;
 use crate::pattern::Pattern;
-use crate::visit::Visit;
 use nokeys_apps::{AppId, WebApp};
 use nokeys_http::server::Handler;
-use nokeys_http::{Error, Request, Response, Transport};
+use nokeys_http::{Error, Request, Response, Transport, Visit};
 use std::cell::OnceCell;
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
@@ -310,7 +309,7 @@ fn plugin(app: AppId) -> Option<&'static Plugin> {
 /// `Ok(true)`: a MAV is confirmed. `Ok(false)`: a check failed (or the
 /// application has no plugin). `Err`: a `GET` failed and ended the last
 /// alternative tried. Transient faults rarely get this far under the
-/// pipeline: its client's transport is a
+/// pipeline: its transport is a
 /// [`RetryTransport`](crate::retry::RetryTransport) that retries
 /// timeouts and dropped connections first.
 pub(crate) fn verify<T: Transport>(visit: &Visit<T>, app: AppId) -> Result<bool, Error> {
@@ -347,8 +346,12 @@ fn run<T: Transport>(visit: &Visit<T>, steps: &[Step]) -> Result<bool, Error> {
             if !get.any_status && !response.status.is_success() {
                 return Ok(false);
             }
+            // The page keeps the fetched body; only invalid UTF-8 is
+            // copied, to repair it.
+            let text = String::from_utf8(response.body)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
             page = Page {
-                text: response.body_text(),
+                text,
                 json: OnceCell::new(),
             };
         }
@@ -437,10 +440,10 @@ mod tests {
     use crate::pattern::MatchMode;
     use nokeys_apps::{build_instance, release_history, AppConfig};
     use nokeys_http::memory::HandlerTransport;
-    use nokeys_http::{Client, Endpoint, Scheme};
+    use nokeys_http::{Endpoint, Scheme};
     use std::sync::Arc;
 
-    fn client_for(app: AppId, vulnerable: bool, old: bool) -> (Client<HandlerTransport>, Endpoint) {
+    fn serve(app: AppId, vulnerable: bool, old: bool) -> (HandlerTransport, Endpoint) {
         let history = release_history(app);
         let version = if old {
             history[0]
@@ -454,8 +457,7 @@ mod tests {
         };
         let ep = Endpoint::new(Ipv4Addr::new(10, 1, 1, 1), app.scan_ports()[0]);
         let handler = Arc::new(AppHandler::new(build_instance(app, version, cfg)));
-        let t = HandlerTransport::new().with(ep, handler);
-        (Client::new(t), ep)
+        (HandlerTransport::new().with(ep, handler), ep)
     }
 
     /// Every plugin must confirm a vulnerable instance and pass on a
@@ -468,18 +470,18 @@ mod tests {
                 app,
                 AppId::Jenkins | AppId::JupyterNotebook | AppId::Joomla | AppId::Adminer
             );
-            let (client, ep) = client_for(app, true, old);
+            let (t, ep) = serve(app, true, old);
             assert!(
-                detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
+                detect_mav(&Visit::new(&t, ep, Scheme::Http), app),
                 "{app}: vulnerable instance not detected"
             );
             if app == AppId::Polynote {
                 // Polynote cannot be secured; skip the negative case.
                 continue;
             }
-            let (client, ep) = client_for(app, false, false);
+            let (t, ep) = serve(app, false, false);
             assert!(
-                !detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
+                !detect_mav(&Visit::new(&t, ep, Scheme::Http), app),
                 "{app}: secure instance falsely flagged"
             );
         }
@@ -490,9 +492,8 @@ mod tests {
     #[test]
     fn unreachable_targets_are_not_flagged() {
         let t = HandlerTransport::new();
-        let client = Client::new(t);
         let ep = Endpoint::new(Ipv4Addr::new(10, 1, 1, 1), 8080);
-        let visit = Visit::new(&client, ep, Scheme::Http);
+        let visit = Visit::new(&t, ep, Scheme::Http);
         for app in AppId::in_scope() {
             assert!(!detect_mav(&visit, app), "{app}");
             assert!(verify(&visit, app).is_err(), "{app}");
@@ -548,7 +549,7 @@ mod tests {
 
     #[test]
     fn out_of_scope_apps_never_detect() {
-        let (client, ep) = {
+        let (t, ep) = {
             let app = AppId::Gitlab;
             let history = release_history(app);
             let version = *history.last().unwrap();
@@ -558,10 +559,10 @@ mod tests {
                 version,
                 AppConfig::default_for(app, &version),
             )));
-            (Client::new(HandlerTransport::new().with(ep, handler)), ep)
+            (HandlerTransport::new().with(ep, handler), ep)
         };
         assert!(!detect_mav(
-            &Visit::new(&client, ep, Scheme::Http),
+            &Visit::new(&t, ep, Scheme::Http),
             AppId::Gitlab
         ));
     }

@@ -15,9 +15,8 @@ use crate::multipattern::MultiPattern;
 use crate::scratch::Scratch;
 use crate::signatures::{all_signatures, rank_candidates, Signature};
 use crate::telemetry::{Buckets, Counter, ErrorCounters, Telemetry};
-use crate::visit::Visit;
 use nokeys_apps::AppId;
-use nokeys_http::{Client, Endpoint, Scheme, Transport};
+use nokeys_http::{Endpoint, Scheme, Transport, Visit};
 
 /// A stage-II hit: an endpoint that speaks HTTP(S) and looks like one or
 /// more of the studied applications.
@@ -122,14 +121,14 @@ impl Prefilter {
     /// the first body the multipattern pass allocates nothing.
     pub fn probe_endpoint<T: Transport>(
         &mut self,
-        client: &Client<T>,
+        transport: &T,
         ep: Endpoint,
     ) -> Option<PrefilterHit> {
         let mut spoke = false;
         let mut hit: Option<PrefilterHit> = None;
         self.metrics.endpoints.incr();
         for &scheme in Self::schemes_for_port(ep.port) {
-            let fetched = match Visit::new(client, ep, scheme).get("/") {
+            let fetched = match Visit::new(transport, ep, scheme).get("/") {
                 Ok(fetched) => fetched,
                 Err(e) => {
                     self.metrics.errors.count(&e);
@@ -168,11 +167,11 @@ impl Prefilter {
     /// hits in endpoint order.
     pub fn run<T: Transport>(
         &mut self,
-        client: &Client<T>,
+        transport: &T,
         endpoints: &[Endpoint],
     ) -> Vec<PrefilterHit> {
         (endpoints.iter())
-            .filter_map(|&ep| self.probe_endpoint(client, ep))
+            .filter_map(|&ep| self.probe_endpoint(transport, ep))
             .collect()
     }
 }
@@ -186,27 +185,20 @@ mod tests {
     use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
     use std::sync::Arc;
 
-    fn client() -> Client<SimTransport> {
-        let t = SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))));
-        Client::new(t)
+    fn transport() -> SimTransport {
+        SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))))
     }
 
     /// Sweep the tiny universe and prefilter every open endpoint,
     /// recording stage II into a registry of its own.
     fn prefilter_tiny(
-        client: &Client<SimTransport>,
+        transport: &SimTransport,
     ) -> (Vec<Endpoint>, Vec<PrefilterHit>, TelemetrySnapshot) {
         let config = PipelineConfig::new(vec!["20.0.0.0/16".parse().unwrap()]);
         let blocks = shuffled_blocks(&config);
-        let open = sweep(
-            &config,
-            &Telemetry::new(),
-            client.transport(),
-            &blocks,
-            None,
-        );
+        let open = sweep(&config, &Telemetry::new(), transport, &blocks, None);
         let telemetry = Telemetry::new();
-        let hits = Prefilter::with_telemetry(&telemetry).run(client, &open);
+        let hits = Prefilter::with_telemetry(&telemetry).run(transport, &open);
         (open, hits, telemetry.snapshot())
     }
 
@@ -222,12 +214,12 @@ mod tests {
 
     #[test]
     fn classifies_awe_noise_and_silence() {
-        let client = client();
-        let (_, hits, snap) = prefilter_tiny(&client);
+        let t = transport();
+        let (_, hits, snap) = prefilter_tiny(&t);
 
         // Every non-tarpit AWE endpoint that speaks HTTP or HTTPS must be
         // identified as a candidate.
-        let universe = client.transport().universe();
+        let universe = t.universe();
         let awe_services: u64 = universe
             .hosts()
             .filter(|h| h.awe().is_some())
@@ -260,8 +252,7 @@ mod tests {
 
     #[test]
     fn prefilter_telemetry_reconciles_with_result() {
-        let client = client();
-        let (open, hits, snap) = prefilter_tiny(&client);
+        let (open, hits, snap) = prefilter_tiny(&transport());
         let probed = snap.counter("stage2.endpoints_probed");
         assert_eq!(probed, open.len() as u64);
         assert_eq!(snap.counter("stage2.hits"), hits.len() as u64);
@@ -292,8 +283,7 @@ mod tests {
 
     #[test]
     fn per_port_stats_accumulate() {
-        let client = client();
-        let (open, _, snap) = prefilter_tiny(&client);
+        let (open, _, snap) = prefilter_tiny(&transport());
         // Port 80 is only asked for HTTP, port 443 only for HTTPS: the
         // other scheme's counter never registers.
         assert!(snap.counter("stage2.http_responses.80") > 0);

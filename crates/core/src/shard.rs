@@ -80,7 +80,7 @@ use crate::rate::Pacer;
 use crate::report::{HostFinding, ScanReport};
 use crate::retry::RetryTransport;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use nokeys_http::{Client, Transport};
+use nokeys_http::Transport;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -157,13 +157,13 @@ impl Ledger {
 }
 
 /// Sweep and process batch `seq` of the scan planned as `blocks` and
-/// `pacer`, with state of its own: a fresh registry and retry client.
+/// `pacer`, with state of its own: a fresh registry and retry transport.
 /// Returns the batch's findings and the snapshot of that registry,
 /// which is then exactly the work the batch took — nothing a worker did
 /// before can reach it.
 fn run_batch<T: Transport + Clone>(
     config: &PipelineConfig,
-    client: &Client<T>,
+    transport: &T,
     blocks: &[Cidr],
     pacer: Option<&Pacer>,
     seq: u64,
@@ -171,20 +171,20 @@ fn run_batch<T: Transport + Clone>(
     let telemetry = Telemetry::new();
     // A fault counts in the batch that drew it, so a checkpoint logs it
     // with the batch's other counters.
-    let mut transport = client.transport().clone();
+    let mut transport = transport.clone();
     telemetry.count_faults(&mut transport);
-    let client = client.with_transport(RetryTransport::new(
+    let transport = RetryTransport::new(
         transport,
         config.max_attempts,
         config.backoff_unit,
         &telemetry,
-    ));
+    );
     let blocks = blocks
         .chunks(config.blocks_per_batch)
         .nth(seq as usize)
         .expect("batch sequence number in range");
-    let open = sweep(config, &telemetry, client.transport(), blocks, pacer);
-    let findings = process_batch(config, &telemetry, &client, &open);
+    let open = sweep(config, &telemetry, &transport, blocks, pacer);
+    let findings = process_batch(config, &telemetry, &transport, &open);
     (findings, telemetry.snapshot())
 }
 
@@ -201,11 +201,11 @@ fn plan(config: &PipelineConfig) -> (Vec<Cidr>, Option<Pacer>) {
 /// them in arbitrary orders.
 pub fn scan_batch<T: Transport + Clone>(
     config: &PipelineConfig,
-    client: &Client<T>,
+    transport: &T,
     seq: u64,
 ) -> (Vec<HostFinding>, TelemetrySnapshot) {
     let (blocks, pacer) = plan(config);
-    run_batch(config, client, &blocks, pacer.as_ref(), seq)
+    run_batch(config, transport, &blocks, pacer.as_ref(), seq)
 }
 
 /// Why a worker thread ended without returning.
@@ -227,7 +227,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 pub(crate) fn run_sharded<T: Transport + Clone>(
     config: &PipelineConfig,
     telemetry: &Telemetry,
-    client: &Client<T>,
+    transport: &T,
     resume: bool,
 ) -> Result<ScanReport, PipelineError> {
     let (blocks, pacer) = plan(config);
@@ -263,7 +263,7 @@ pub(crate) fn run_sharded<T: Transport + Clone>(
                 scope.spawn(move || {
                     while let Some(&seq) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                         let (findings, work) =
-                            run_batch(config, client, blocks, pacer.as_ref(), seq);
+                            run_batch(config, transport, blocks, pacer.as_ref(), seq);
                         ledger
                             .lock()
                             .expect("no worker panics while filing")

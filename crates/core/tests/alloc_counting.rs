@@ -14,12 +14,12 @@ use common::alloc::{allocations_in, CountingAlloc};
 use nokeys_apps::assets::ASSET_PATHS;
 use nokeys_apps::{build_instance, release_history, AppConfig, AppId};
 use nokeys_http::memory::HandlerTransport;
-use nokeys_http::{Client, Endpoint, Scheme};
+use nokeys_http::{Endpoint, Scheme, Visit};
 use nokeys_scanner::fingerprint::crawler;
 use nokeys_scanner::fingerprint::knowledge_base::KnowledgeBase;
 use nokeys_scanner::plugin::AppHandler;
 use nokeys_scanner::signatures::{all_signatures, rank_candidates};
-use nokeys_scanner::{MultiPattern, Scratch, Visit};
+use nokeys_scanner::{MultiPattern, Scratch};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -104,8 +104,8 @@ fn warmed_hot_path_performs_zero_heap_allocations() {
         version,
         AppConfig::secure_for(app, &version),
     )));
-    let client = Client::new(HandlerTransport::new().with(ep, handler));
-    let visit = Visit::new(&client, ep, Scheme::Http);
+    let t = HandlerTransport::new().with(ep, handler);
+    let visit = Visit::new(&t, ep, Scheme::Http);
     let kb = KnowledgeBase::shared();
     for _ in 0..3 {
         assert!(crawler::identify(&visit, kb).is_some(), "GoCD identified");

@@ -31,8 +31,7 @@ fn ct_watcher_catches_fresh_installations() {
     assert!(!entries.is_empty(), "tiny universe has virtual hosts");
 
     // Probe one hour after each CT entry appears.
-    let client_at = |secs| nokeys_http::Client::new(transport.at(SimTime(secs)));
-    let findings = ct_scan(client_at, &entries, 3600);
+    let findings = ct_scan(|secs| transport.at(SimTime(secs)), &entries, 3600);
 
     // Ground truth: which vhosts were still pre-install one hour after
     // registration (and registered within the window)?
@@ -76,9 +75,8 @@ fn ct_watcher_catches_fresh_installations() {
 fn ip_sweep_misses_everything_behind_shared_hosting() {
     let config = UniverseConfig::tiny(21);
     let transport = SimTransport::new(Arc::new(Universe::generate(config.clone())));
-    let client = nokeys_http::Client::new(transport.clone());
     let report = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new())
-        .run(&client)
+        .run(&transport)
         .expect("pipeline failed");
 
     // No finding of the IP sweep points at a shared-hosting machine: the
@@ -115,12 +113,10 @@ fn vhost_dispatch_serves_the_named_site() {
     };
     // Probe while installed (an hour after installed_at).
     let installed = vhost.installed_at + nokeys_netsim::SimDuration::hours(1);
-    let client = nokeys_http::Client::new(transport.at(installed));
+    let then = transport.at(installed);
     let ep = nokeys_http::Endpoint::new(host, 80);
-    let fetched = client
-        .for_host(&vhost.domain)
-        .get_path(ep, nokeys_http::Scheme::Http, "/")
-        .expect("vhost answers");
+    let visit = nokeys_http::Visit::new(&then, ep, nokeys_http::Scheme::Http);
+    let fetched = (visit.named(&vhost.domain).get("/")).expect("vhost answers");
     let body = fetched.response.body_text();
     // The named site is a CMS, not the hosting placeholder.
     assert!(
@@ -128,8 +124,6 @@ fn vhost_dispatch_serves_the_named_site() {
         "placeholder served instead of vhost: {body}"
     );
     // Without the Host header, the placeholder is served.
-    let plain = client
-        .get_path(ep, nokeys_http::Scheme::Http, "/")
-        .expect("default answers");
+    let plain = visit.get("/").expect("default answers");
     assert!(plain.response.body_text().contains("ACME Widgets"));
 }

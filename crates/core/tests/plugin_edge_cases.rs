@@ -4,9 +4,8 @@
 
 use nokeys_apps::AppId;
 use nokeys_http::memory::HandlerTransport;
-use nokeys_http::{Client, Endpoint, Request, Response, Scheme};
+use nokeys_http::{Endpoint, Request, Response, Scheme, Visit};
 use nokeys_scanner::plugin::detect_mav;
-use nokeys_scanner::Visit;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -23,16 +22,16 @@ impl nokeys_http::server::Handler for Scripted {
     }
 }
 
-fn client_with(pages: Vec<(&'static str, Response)>) -> (Client<HandlerTransport>, Endpoint) {
+fn serve_pages(pages: Vec<(&'static str, Response)>) -> (HandlerTransport, Endpoint) {
     let ep = Endpoint::new(Ipv4Addr::new(10, 9, 9, 9), 8080);
     let handler = Arc::new(Scripted(pages.into_iter().collect()));
-    (Client::new(HandlerTransport::new().with(ep, handler)), ep)
+    (HandlerTransport::new().with(ep, handler), ep)
 }
 
 #[test]
 fn grav_fallback_to_admin_page() {
     // Step 1 fails (plain front page), step 2 matches on /admin.
-    let (client, ep) = client_with(vec![
+    let (t, ep) = serve_pages(vec![
         ("/", Response::html("<html><body>A Grav site</body></html>")),
         (
             "/admin",
@@ -41,20 +40,17 @@ fn grav_fallback_to_admin_page() {
             ),
         ),
     ]);
-    assert!(detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
-        AppId::Grav
-    ));
+    assert!(detect_mav(&Visit::new(&t, ep, Scheme::Http), AppId::Grav));
 }
 
 #[test]
 fn grav_requires_both_markers() {
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/admin",
         Response::html("<html><body>No user accounts found.</body></html>"),
     )]);
     assert!(
-        !detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Grav),
+        !detect_mav(&Visit::new(&t, ep, Scheme::Http), AppId::Grav),
         "'create one' missing — must not fire"
     );
 }
@@ -63,9 +59,9 @@ fn grav_requires_both_markers() {
 fn phpmyadmin_alias_path_fallback() {
     let body = "<html><body>Server connection collation \
                 <a>phpMyAdmin documentation</a></body></html>";
-    let (client, ep) = client_with(vec![("/phpmyadmin", Response::html(body))]);
+    let (t, ep) = serve_pages(vec![("/phpmyadmin", Response::html(body))]);
     assert!(detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::PhpMyAdmin
     ));
 }
@@ -73,12 +69,12 @@ fn phpmyadmin_alias_path_fallback() {
 #[test]
 fn adminer_alternate_path_fallback() {
     let body = "<html><body>MySQL through PHP extension — Logged as: root</body></html>";
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/adminer/adminer.php?username=root",
         Response::html(body),
     )]);
     assert!(detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Adminer
     ));
 }
@@ -87,7 +83,7 @@ fn adminer_alternate_path_fallback() {
 fn kubernetes_rejects_empty_pod_list() {
     // Markers present but `items` is empty: the paper's plugin requires a
     // non-empty array.
-    let (client, ep) = client_with(vec![
+    let (t, ep) = serve_pages(vec![
         (
             "/",
             Response::json(r#"{"paths":["certificates.k8s.io","healthz/ping"]}"#),
@@ -98,14 +94,14 @@ fn kubernetes_rejects_empty_pod_list() {
         ),
     ]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Kubernetes
     ));
 }
 
 #[test]
 fn kubernetes_rejects_malformed_json() {
-    let (client, ep) = client_with(vec![
+    let (t, ep) = serve_pages(vec![
         (
             "/",
             Response::json(r#"{"paths":["certificates.k8s.io","healthz/ping"]}"#),
@@ -116,7 +112,7 @@ fn kubernetes_rejects_malformed_json() {
         ),
     ]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Kubernetes
     ));
 }
@@ -124,12 +120,12 @@ fn kubernetes_rejects_malformed_json() {
 #[test]
 fn consul_requires_the_debug_config_property() {
     // Valid JSON, script checks "enabled", but no DebugConfig object.
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/v1/agent/self",
         Response::json(r#"{"Config":{"EnableScriptChecks":true}}"#),
     )]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Consul
     ));
 }
@@ -138,9 +134,9 @@ fn consul_requires_the_debug_config_property() {
 fn consul_accepts_either_script_flag() {
     for flag in ["EnableScriptChecks", "EnableRemoteScriptChecks"] {
         let body = format!(r#"{{"DebugConfig":{{"{flag}":true}}}}"#);
-        let (client, ep) = client_with(vec![("/v1/agent/self", Response::json(body))]);
+        let (t, ep) = serve_pages(vec![("/v1/agent/self", Response::json(body))]);
         assert!(
-            detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Consul),
+            detect_mav(&Visit::new(&t, ep, Scheme::Http), AppId::Consul),
             "{flag} alone should suffice"
         );
     }
@@ -152,7 +148,7 @@ fn hadoop_requires_application_id_json() {
         "<html><body>Apache Hadoop ResourceManager — logged in as: dr.who</body></html>",
     );
     // new-application answers, but without the application-id object.
-    let (client, ep) = client_with(vec![
+    let (t, ep) = serve_pages(vec![
         ("/cluster/cluster", cluster.clone()),
         (
             "/ws/v1/cluster/apps/new-application",
@@ -160,7 +156,7 @@ fn hadoop_requires_application_id_json() {
         ),
     ]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Hadoop
     ));
 }
@@ -172,12 +168,12 @@ fn drupal_matches_across_whitespace_styles() {
         "<html><li \n class=\"is-active\"\n>\n  Set up database\n</li></html>",
         "<html><li class=\"is-active\">Set\tup\tdatabase</li></html>",
     ] {
-        let (client, ep) = client_with(vec![(
+        let (t, ep) = serve_pages(vec![(
             "/core/install.php?langcode=en&profile=standard&continue=1",
             Response::html(body),
         )]);
         assert!(
-            detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Drupal),
+            detect_mav(&Visit::new(&t, ep, Scheme::Http), AppId::Drupal),
             "whitespace variant should match: {body}"
         );
     }
@@ -186,12 +182,12 @@ fn drupal_matches_across_whitespace_styles() {
 #[test]
 fn jenkins_requires_the_form_not_just_branding() {
     // 'Jenkins' + valid HTML but no createItem form (login wall).
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/view/all/newJob",
         Response::html("<html><body>Jenkins login required</body></html>"),
     )]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Jenkins
     ));
 }
@@ -199,12 +195,12 @@ fn jenkins_requires_the_form_not_just_branding() {
 #[test]
 fn jenkins_requires_valid_html() {
     // The form marker inside a non-HTML body must not fire.
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/view/all/newJob",
         Response::text("Jenkins <form id=\"createItem\">"),
     )]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Jenkins
     ));
 }
@@ -218,40 +214,37 @@ fn gocd_matches_every_documented_marker_pair() {
         "<html>Pipelines - Go <a href=\"/go/admin/pipelines\">x</a></html>",
     ];
     for body in variants {
-        let (client, ep) = client_with(vec![("/go/home", Response::html(body))]);
+        let (t, ep) = serve_pages(vec![("/go/home", Response::html(body))]);
         assert!(
-            detect_mav(&Visit::new(&client, ep, Scheme::Http), AppId::Gocd),
+            detect_mav(&Visit::new(&t, ep, Scheme::Http), AppId::Gocd),
             "variant should match: {body}"
         );
     }
     // Title without the admin link must not fire.
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/go/home",
         Response::html("<html>Pipelines - Go</html>"),
     )]);
-    assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
-        AppId::Gocd
-    ));
+    assert!(!detect_mav(&Visit::new(&t, ep, Scheme::Http), AppId::Gocd));
 }
 
 #[test]
 fn zeppelin_requires_the_exact_status_prefix() {
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/api/notebook",
         Response::json(r#"{"status": "OK", "body": []}"#),
     )]);
     // Note the space after the colon: the paper's marker has none.
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Zeppelin
     ));
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/api/notebook",
         Response::json(r#"{"status":"OK","body":[]}"#),
     )]);
     assert!(detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Zeppelin
     ));
 }
@@ -260,14 +253,14 @@ fn zeppelin_requires_the_exact_status_prefix() {
 fn wordpress_install_form_needs_password_field() {
     // form#setup without the pass1 input (e.g. a language-selection step)
     // must not fire.
-    let (client, ep) = client_with(vec![(
+    let (t, ep) = serve_pages(vec![(
         "/wp-admin/install.php?step=1",
         Response::html(
             "<html><body>WordPress<form id=\"setup\"><select name=\"lang\"></select></form></body></html>",
         ),
     )]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::WordPress
     ));
 }
@@ -278,9 +271,9 @@ fn error_statuses_do_not_satisfy_marker_checks() {
     // 2xx responses.
     let mut resp = Response::json(r#"{"status":"OK","body":[]}"#);
     resp.status = nokeys_http::StatusCode::INTERNAL_SERVER_ERROR;
-    let (client, ep) = client_with(vec![("/api/notebook", resp)]);
+    let (t, ep) = serve_pages(vec![("/api/notebook", resp)]);
     assert!(!detect_mav(
-        &Visit::new(&client, ep, Scheme::Http),
+        &Visit::new(&t, ep, Scheme::Http),
         AppId::Zeppelin
     ));
 }

@@ -8,9 +8,8 @@
 use nokeys_apps::{build_instance, release_history, AppConfig, AppId};
 use nokeys_http::memory::HandlerTransport;
 use nokeys_http::server::Handler;
-use nokeys_http::{Client, Endpoint, Method, Request, Response, Scheme, StatusCode};
+use nokeys_http::{Endpoint, Method, Request, Response, Scheme, StatusCode, Visit};
 use nokeys_scanner::plugin::{detect_mav, AppHandler};
-use nokeys_scanner::Visit;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -41,7 +40,7 @@ fn vulnerable_version(app: AppId) -> nokeys_apps::Version {
         .expect("vulnerable version exists")
 }
 
-fn serve(app: AppId, vulnerable: bool, as_error: bool) -> (Client<HandlerTransport>, Endpoint) {
+fn serve(app: AppId, vulnerable: bool, as_error: bool) -> (HandlerTransport, Endpoint) {
     let version = if vulnerable {
         vulnerable_version(app)
     } else {
@@ -55,19 +54,15 @@ fn serve(app: AppId, vulnerable: bool, as_error: bool) -> (Client<HandlerTranspo
     let ep = Endpoint::new(Ipv4Addr::new(10, 7, 7, 7), app.scan_ports()[0]);
     let inner = AppHandler::new(build_instance(app, version, cfg));
     let handler = Arc::new(GetOnly { inner, as_error });
-    (Client::new(HandlerTransport::new().with(ep, handler)), ep)
-}
-
-fn client_for(app: AppId, vulnerable: bool) -> (Client<HandlerTransport>, Endpoint) {
-    serve(app, vulnerable, false)
+    (HandlerTransport::new().with(ep, handler), ep)
 }
 
 #[test]
 fn plugins_never_fire_on_other_applications() {
     for target in AppId::in_scope() {
-        let (client, ep) = client_for(target, true);
+        let (t, ep) = serve(target, true, false);
         for plugin in AppId::in_scope() {
-            let detected = detect_mav(&Visit::new(&client, ep, Scheme::Http), plugin);
+            let detected = detect_mav(&Visit::new(&t, ep, Scheme::Http), plugin);
             if plugin == target {
                 assert!(detected, "{plugin} plugin missed its own vulnerable app");
             } else {
@@ -83,10 +78,10 @@ fn plugins_never_fire_on_other_applications() {
 #[test]
 fn plugins_never_fire_on_secured_applications() {
     for target in AppId::in_scope().filter(|a| *a != AppId::Polynote) {
-        let (client, ep) = client_for(target, false);
+        let (t, ep) = serve(target, false, false);
         for plugin in AppId::in_scope() {
             assert!(
-                !detect_mav(&Visit::new(&client, ep, Scheme::Http), plugin),
+                !detect_mav(&Visit::new(&t, ep, Scheme::Http), plugin),
                 "{plugin} plugin fired on a secured {target}"
             );
         }
@@ -111,10 +106,10 @@ fn plugins_never_fire_on_background_noise() {
             inner: Noise(kind),
             as_error: false,
         };
-        let client = Client::new(HandlerTransport::new().with(ep, Arc::new(handler)));
+        let t = HandlerTransport::new().with(ep, Arc::new(handler));
         for plugin in AppId::in_scope() {
             assert!(
-                !detect_mav(&Visit::new(&client, ep, Scheme::Http), plugin),
+                !detect_mav(&Visit::new(&t, ep, Scheme::Http), plugin),
                 "{plugin} plugin fired on {kind:?}"
             );
         }
@@ -127,13 +122,13 @@ fn plugins_never_fire_on_background_noise() {
 #[test]
 fn only_five_plugins_read_an_error_page() {
     for app in AppId::in_scope() {
-        let (client, ep) = serve(app, true, true);
+        let (t, ep) = serve(app, true, true);
         let expected = matches!(
             app,
             AppId::Docker | AppId::Gocd | AppId::Grav | AppId::Jenkins | AppId::WordPress
         );
         assert_eq!(
-            detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
+            detect_mav(&Visit::new(&t, ep, Scheme::Http), app),
             expected,
             "{app} served as status 500"
         );

@@ -6,22 +6,21 @@
 
 use nokeys_apps::{build_instance, release_history, AppConfig, AppId};
 use nokeys_http::memory::HandlerTransport;
-use nokeys_http::{Client, Endpoint, Scheme};
+use nokeys_http::{Endpoint, Scheme, Visit};
 use nokeys_scanner::pattern::PreparedBody;
 use nokeys_scanner::plugin::{detect_mav, AppHandler};
 use nokeys_scanner::signatures::{all_signatures, match_candidates};
-use nokeys_scanner::Visit;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-fn client_for(
+fn serve(
     app: AppId,
     version: nokeys_apps::Version,
     cfg: AppConfig,
-) -> (Client<HandlerTransport>, Endpoint) {
+) -> (HandlerTransport, Endpoint) {
     let ep = Endpoint::new(Ipv4Addr::new(10, 11, 11, 11), app.scan_ports()[0]);
     let handler = Arc::new(AppHandler::new(build_instance(app, version, cfg)));
-    (Client::new(HandlerTransport::new().with(ep, handler)), ep)
+    (HandlerTransport::new().with(ep, handler), ep)
 }
 
 /// Every vulnerable configuration of every version of every in-scope
@@ -37,9 +36,9 @@ fn plugins_detect_every_vulnerable_version() {
                 // vulnerable at all — nothing to detect.
                 continue;
             }
-            let (client, ep) = client_for(app, version, cfg);
+            let (t, ep) = serve(app, version, cfg);
             assert!(
-                detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
+                detect_mav(&Visit::new(&t, ep, Scheme::Http), app),
                 "{app} {}: vulnerable version not detected",
                 version.number()
             );
@@ -53,9 +52,9 @@ fn plugins_ignore_every_secured_version() {
     for app in AppId::in_scope().filter(|a| *a != AppId::Polynote) {
         for version in release_history(app) {
             let cfg = AppConfig::secure_for(app, &version);
-            let (client, ep) = client_for(app, version, cfg);
+            let (t, ep) = serve(app, version, cfg);
             assert!(
-                !detect_mav(&Visit::new(&client, ep, Scheme::Http), app),
+                !detect_mav(&Visit::new(&t, ep, Scheme::Http), app),
                 "{app} {}: secured version falsely flagged",
                 version.number()
             );

@@ -4,10 +4,10 @@
 
 use nokeys_apps::AppId;
 use nokeys_honeypot::Fleet;
-use nokeys_http::{Client, Endpoint, Scheme, Transport};
+use nokeys_http::{Endpoint, Scheme, Transport, Visit};
 use nokeys_scanner::plugin::detect_mav;
 use nokeys_scanner::prefilter::candidates;
-use nokeys_scanner::{Scratch, Visit};
+use nokeys_scanner::Scratch;
 
 /// Finding severity as reported by the vendor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,12 +84,12 @@ impl CommercialScanner {
     /// Scan a single endpoint suspected to run `app`.
     pub fn scan_endpoint<T: Transport>(
         &self,
-        client: &Client<T>,
+        transport: &T,
         app: AppId,
         ep: Endpoint,
     ) -> Option<VendorFinding> {
         let &(_, severity) = self.capabilities.iter().find(|(known, _)| *known == app)?;
-        let visit = Visit::new(client, ep, Scheme::Http);
+        let visit = Visit::new(transport, ep, Scheme::Http);
         let found = match severity {
             // The vendor implements an equivalent unauthenticated-access
             // check; modeled by the study's own plugin logic.
@@ -108,10 +108,9 @@ impl CommercialScanner {
 
     /// Scan the whole honeypot fleet, as the study did.
     pub fn scan_fleet(&self, fleet: &Fleet) -> Vec<VendorFinding> {
-        let client = Client::new(fleet.transport.clone());
         let mut findings = Vec::new();
         for h in &fleet.honeypots {
-            if let Some(f) = self.scan_endpoint(&client, h.app, h.endpoint) {
+            if let Some(f) = self.scan_endpoint(&fleet.transport, h.app, h.endpoint) {
                 findings.push(f);
             }
         }

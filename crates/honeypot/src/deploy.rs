@@ -73,6 +73,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use nokeys_apps::version::history;
+    use nokeys_http::{Scheme, Visit};
 
     #[test]
     fn fleet_has_18_vulnerable_honeypots() {
@@ -119,15 +120,9 @@ mod tests {
     #[test]
     fn honeypots_are_reachable_through_the_transport() {
         let fleet = Fleet::deploy();
-        let client = nokeys_http::Client::new(fleet.transport.clone());
         let hadoop = fleet.honeypot(AppId::Hadoop).unwrap();
-        let fetched = client
-            .get_path(
-                hadoop.endpoint,
-                nokeys_http::Scheme::Http,
-                "/cluster/cluster",
-            )
-            .unwrap();
+        let visit = Visit::new(&fleet.transport, hadoop.endpoint, Scheme::Http);
+        let fetched = visit.get("/cluster/cluster").unwrap();
         assert!(fetched.response.body_text().contains("dr.who"));
         assert_eq!(
             fleet.log.len(),

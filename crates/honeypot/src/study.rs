@@ -13,7 +13,7 @@ use crate::logserver::AuditRecord;
 use nokeys_apps::AppId;
 use nokeys_attack::plan::{study_plan, StudyPlan};
 use nokeys_attack::script::attack_script;
-use nokeys_http::{Client, Scheme};
+use nokeys_http::{Scheme, Visit};
 use nokeys_netsim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
@@ -124,10 +124,11 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
 
         // Execute the attack script through the normal HTTP stack, from
         // the attacker's source address.
-        let client = Client::new(fleet.transport.clone().with_source_ip(planned.ip));
+        let attacker = fleet.transport.clone().with_source_ip(planned.ip);
+        let visit = Visit::new(&attacker, honeypot.endpoint, Scheme::Http);
         let log_before = fleet.log.len();
         for req in attack_script(planned.app, &planned.payload) {
-            let _ = client.execute(honeypot.endpoint, Scheme::Http, req);
+            let _ = visit.execute(req);
         }
         fleet.log.stamp_since(log_before, planned.time);
 
@@ -164,13 +165,11 @@ pub fn run_study(config: &StudyConfig) -> StudyResult {
 /// stamped with `t`.
 fn crawl(fleet: &Fleet, t: SimTime, ep: nokeys_http::Endpoint) {
     let before = fleet.log.len();
-    let client = Client::new(
-        fleet
-            .transport
-            .clone()
-            .with_source_ip(Ipv4Addr::new(198, 51, 100, 200)),
-    );
-    let _ = client.get_path(ep, Scheme::Http, "/");
+    let crawler = fleet
+        .transport
+        .clone()
+        .with_source_ip(Ipv4Addr::new(198, 51, 100, 200));
+    let _ = Visit::new(&crawler, ep, Scheme::Http).get("/");
     fleet.log.stamp_since(before, t);
 }
 

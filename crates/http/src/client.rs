@@ -1,4 +1,5 @@
-//! HTTP client generic over a [`Transport`].
+//! The one fetch type: a [`Visit`] is one endpoint over one scheme
+//! through one [`Transport`], optionally under a virtual-host name.
 //!
 //! Mirrors the paper's scanning constraints: bounded redirects ("we
 //! followed redirects until we received a response body"), bounded body
@@ -28,68 +29,66 @@ pub struct Fetched {
     pub redirects: usize,
 }
 
-/// An HTTP client bound to a transport.
-#[derive(Debug, Clone)]
-pub struct Client<T> {
-    transport: T,
+/// One endpoint over one scheme through one transport, and so at one
+/// instant. Stage II's `/`, a stage-III plugin, stage IV's crawl, the
+/// Figure 2 recheck, CT, the defender model and the honeypot attackers
+/// all fetch through a visit.
+pub struct Visit<'a, T> {
+    transport: &'a T,
+    ep: Endpoint,
+    scheme: Scheme,
     /// Name-based virtual host every request is addressed to, if any.
-    host: Option<String>,
+    host: Option<&'a str>,
 }
 
-impl<T: Transport> Client<T> {
-    /// Create a client over `transport`.
-    pub fn new(transport: T) -> Self {
-        Client {
+impl<T> Clone for Visit<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Visit<'_, T> {}
+
+impl<'a, T: Transport> Visit<'a, T> {
+    pub fn new(transport: &'a T, ep: Endpoint, scheme: Scheme) -> Self {
+        Visit {
             transport,
+            ep,
+            scheme,
             host: None,
         }
     }
 
-    /// Access the underlying transport.
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Rebuild this client around a different transport, keeping its
-    /// virtual host — e.g. to wrap the current transport with retry or
-    /// fault-injection behaviour.
-    pub fn with_transport<U: Transport>(&self, transport: U) -> Client<U> {
-        Client {
-            transport,
-            host: self.host.clone(),
+    /// The same visit with every request naming the virtual host
+    /// `name`: `Host: name` goes wherever [`execute`](Self::execute)
+    /// would have written the endpoint. This is how a site behind a
+    /// shared IP is scanned by name (the paper's §6.2 "under counting"
+    /// discussion).
+    pub fn named(self, name: &'a str) -> Self {
+        Visit {
+            host: Some(name),
+            ..self
         }
     }
 
-    /// A client over the same transport whose requests all name the
-    /// virtual host `name`: `Host: name` goes wherever
-    /// [`execute`](Self::execute) would have written the endpoint. This
-    /// is how a site behind a shared IP is scanned by name (the paper's
-    /// §6.2 "under counting" discussion).
-    pub fn for_host(&self, name: &str) -> Client<&T> {
-        let mut client = self.with_transport(&self.transport);
-        client.host = Some(name.to_string());
-        client
-    }
-
-    /// Issue a single request to `ep` over `scheme` without following
-    /// redirects: dial, one exchange, drop the connection.
+    /// Issue a single request without following redirects: dial, one
+    /// exchange, drop the connection.
     ///
     /// A caller-provided `Host` header is preserved; absent one, the
-    /// header names this client's virtual host
-    /// ([`for_host`](Self::for_host)) or else the endpoint: its address,
-    /// with the port when it is not the scheme's default. The same
-    /// holds for a caller-provided `Connection` header; absent one, the
-    /// client asks for `Connection: close`, since it never sends a
-    /// second request down a connection.
-    pub fn execute(&self, ep: Endpoint, scheme: Scheme, mut req: Request) -> Result<Response> {
-        self.exchange(ep, scheme, &mut req)
+    /// header names the visit's virtual host ([`named`](Self::named))
+    /// or else the endpoint: its address, with the port when it is not
+    /// the scheme's default. The same holds for a caller-provided
+    /// `Connection` header; absent one, the visit asks for
+    /// `Connection: close`, since it never sends a second request down
+    /// a connection.
+    pub fn execute(&self, mut req: Request) -> Result<Response> {
+        self.exchange(self.ep, self.scheme, &mut req)
     }
 
-    /// `GET` `path` on `ep` with redirect following; an empty path is
-    /// `/`. Returns the first response that is not a followable
-    /// redirect.
-    pub fn get_path(&self, ep: Endpoint, scheme: Scheme, path: &str) -> Result<Fetched> {
-        let (mut ep, mut scheme) = (ep, scheme);
+    /// `GET path` with redirect following; an empty path is `/`.
+    /// Returns the first response that is not a followable redirect.
+    pub fn get(&self, path: &str) -> Result<Fetched> {
+        let (mut ep, mut scheme) = (self.ep, self.scheme);
         let mut req = Request::get(path);
         for hop in 0..=MAX_REDIRECTS {
             let response = self.exchange(ep, scheme, &mut req)?;
@@ -109,11 +108,11 @@ impl<T: Transport> Client<T> {
         Err(Error::TooManyRedirects(MAX_REDIRECTS))
     }
 
-    /// [`execute`](Self::execute) on a request the caller keeps, so a
-    /// redirect can be resolved against its target.
+    /// [`execute`](Self::execute) at `(ep, scheme)` on a request the
+    /// caller keeps, so a redirect can be resolved against its target.
     fn exchange(&self, ep: Endpoint, scheme: Scheme, req: &mut Request) -> Result<Response> {
         if !req.headers.contains("host") {
-            match &self.host {
+            match self.host {
                 Some(name) => req.headers.set("Host", name),
                 None if ep.port == scheme.default_port() => {
                     req.headers.set("Host", ep.ip.to_string())
@@ -247,8 +246,8 @@ mod tests {
     #[test]
     fn get_fetches_body() {
         let ep = canned_server(|_| Response::html("<h1>hello</h1>"));
-        let client = Client::new(TcpTransport::default());
-        let fetched = client.get_path(ep, Scheme::Http, "/").unwrap();
+        let transport = TcpTransport::default();
+        let fetched = Visit::new(&transport, ep, Scheme::Http).get("/").unwrap();
         assert_eq!(fetched.response.status, StatusCode::OK);
         assert_eq!(fetched.response.body_text(), "<h1>hello</h1>");
         assert_eq!(fetched.redirects, 0);
@@ -262,8 +261,8 @@ mod tests {
             "/step2" => Response::html(format!("done at {path}")),
             _ => Response::not_found(),
         });
-        let client = Client::new(TcpTransport::default());
-        let fetched = client.get_path(ep, Scheme::Http, "/").unwrap();
+        let transport = TcpTransport::default();
+        let fetched = Visit::new(&transport, ep, Scheme::Http).get("/").unwrap();
         assert_eq!(fetched.response.body_text(), "done at /step2");
         assert_eq!(fetched.redirects, 2);
     }
@@ -271,8 +270,10 @@ mod tests {
     #[test]
     fn redirect_loops_are_bounded() {
         let ep = canned_server(|_| Response::redirect("/loop"));
-        let client = Client::new(TcpTransport::default());
-        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        let transport = TcpTransport::default();
+        let err = Visit::new(&transport, ep, Scheme::Http)
+            .get("/")
+            .unwrap_err();
         assert_eq!(err, Error::TooManyRedirects(MAX_REDIRECTS));
     }
 
@@ -282,9 +283,11 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         drop(listener);
-        let client = Client::new(TcpTransport::default());
+        let transport = TcpTransport::default();
         let ep = Endpoint::new(Ipv4Addr::LOCALHOST, port);
-        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        let err = Visit::new(&transport, ep, Scheme::Http)
+            .get("/")
+            .unwrap_err();
         assert!(matches!(err, Error::Connect(_)));
     }
 
@@ -382,8 +385,10 @@ mod error_path_tests {
         let max_body = Limits::default().max_body;
         let big = Response::html("x".repeat(max_body + 1));
         let handler = Arc::new(move |_: &Request, _| big.clone());
-        let client = Client::new(HandlerTransport::new().with(ep, handler));
-        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        let transport = HandlerTransport::new().with(ep, handler);
+        let err = Visit::new(&transport, ep, Scheme::Http)
+            .get("/")
+            .unwrap_err();
         assert_eq!(
             err,
             Error::TooLarge {
@@ -399,11 +404,13 @@ mod error_path_tests {
         // listener's backlog completes the handshake, and nobody reads.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let ep = Endpoint::new(Ipv4Addr::LOCALHOST, listener.local_addr().unwrap().port());
-        let client = Client::new(TcpTransport {
+        let transport = TcpTransport {
             request_timeout: Duration::from_millis(200),
             ..TcpTransport::default()
-        });
-        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        };
+        let err = Visit::new(&transport, ep, Scheme::Http)
+            .get("/")
+            .unwrap_err();
         assert_eq!(err, Error::Timeout);
     }
 
@@ -425,12 +432,14 @@ mod error_path_tests {
                 }
             }
         });
-        let client = Client::new(TcpTransport {
+        let transport = TcpTransport {
             request_timeout: Duration::from_millis(300),
             ..TcpTransport::default()
-        });
+        };
         let start = Instant::now();
-        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        let err = Visit::new(&transport, ep, Scheme::Http)
+            .get("/")
+            .unwrap_err();
         let elapsed = start.elapsed();
         assert_eq!(err, Error::Timeout);
         assert!(elapsed < Duration::from_secs(2), "{elapsed:?}");
@@ -438,24 +447,23 @@ mod error_path_tests {
         server.join().unwrap();
     }
 
-    /// A client whose endpoints answer with the request line and the
-    /// header `name`.
-    fn echo_client(name: &'static str, eps: &[Endpoint]) -> Client<HandlerTransport> {
+    /// A transport whose endpoints answer with the request line and
+    /// the header `name`.
+    fn echo(name: &'static str, eps: &[Endpoint]) -> HandlerTransport {
         let handler = Arc::new(move |req: &Request, _| {
             let value = req.headers.get(name).unwrap_or("none");
             Response::text(format!("{} {} {value}", req.method, req.target))
         });
-        let transport = eps.iter().fold(HandlerTransport::new(), |t, &ep| {
+        eps.iter().fold(HandlerTransport::new(), |t, &ep| {
             t.with(ep, handler.clone())
-        });
-        Client::new(transport)
+        })
     }
 
     #[test]
     fn an_empty_path_gets_the_root() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 6), 80);
-        let client = echo_client("host", &[ep]);
-        let fetched = client.get_path(ep, Scheme::Http, "").unwrap();
+        let transport = echo("host", &[ep]);
+        let fetched = Visit::new(&transport, ep, Scheme::Http).get("").unwrap();
         assert_eq!(fetched.response.body_text(), "GET / 10.0.0.6");
     }
 
@@ -463,45 +471,46 @@ mod error_path_tests {
     fn host_header_omits_default_port() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 9), 80);
         let alt = Endpoint::new(ep.ip, 8080);
-        let client = echo_client("host", &[ep, alt]);
+        let transport = echo("host", &[ep, alt]);
         // The endpoint's address, with a port only when it is not the
         // scheme's default.
-        let resp = client.execute(ep, Scheme::Http, Request::get("/")).unwrap();
+        let visit = Visit::new(&transport, ep, Scheme::Http);
+        let resp = visit.execute(Request::get("/")).unwrap();
         assert_eq!(resp.body_text(), "GET / 10.0.0.9");
-        let resp = client
-            .execute(alt, Scheme::Http, Request::get("/"))
-            .unwrap();
+        let visit = Visit::new(&transport, alt, Scheme::Http);
+        let resp = visit.execute(Request::get("/")).unwrap();
         assert_eq!(resp.body_text(), "GET / 10.0.0.9:8080");
     }
 
     #[test]
     fn caller_host_header_is_preserved() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 8), 80);
-        let client = echo_client("host", &[ep]);
+        let transport = echo("host", &[ep]);
+        let visit = Visit::new(&transport, ep, Scheme::Http);
         // Default: the endpoint's address.
-        let resp = client.execute(ep, Scheme::Http, Request::get("/")).unwrap();
+        let resp = visit.execute(Request::get("/")).unwrap();
         assert_eq!(resp.body_text(), "GET / 10.0.0.8");
         // Caller override survives (virtual-host addressing).
         let req = Request::get("/").with_header("Host", "named.example");
-        let resp = client.execute(ep, Scheme::Http, req).unwrap();
+        let resp = visit.execute(req).unwrap();
         assert_eq!(resp.body_text(), "GET / named.example");
-        // A client for a named virtual host addresses what it builds
-        // to that name.
-        let named = client.for_host("vhost.example");
-        let fetched = named.get_path(ep, Scheme::Http, "/").unwrap();
+        // A visit to a named virtual host addresses what it builds to
+        // that name.
+        let fetched = visit.named("vhost.example").get("/").unwrap();
         assert_eq!(fetched.response.body_text(), "GET / vhost.example");
     }
 
     #[test]
     fn caller_connection_header_is_preserved() {
         let ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 7), 80);
-        let client = echo_client("connection", &[ep]);
-        // Default: the client requests close.
-        let resp = client.execute(ep, Scheme::Http, Request::get("/")).unwrap();
+        let transport = echo("connection", &[ep]);
+        let visit = Visit::new(&transport, ep, Scheme::Http);
+        // Default: the visit requests close.
+        let resp = visit.execute(Request::get("/")).unwrap();
         assert_eq!(resp.body_text(), "GET / close");
         // A caller-provided value must not be clobbered.
         let req = Request::get("/").with_header("Connection", "keep-alive, close");
-        let resp = client.execute(ep, Scheme::Http, req).unwrap();
+        let resp = visit.execute(req).unwrap();
         assert_eq!(resp.body_text(), "GET / keep-alive, close");
     }
 }

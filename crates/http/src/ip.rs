@@ -228,7 +228,7 @@ const fn check_ranges(ranges: &[Cidr]) {
     let mut i = 0;
     while i < ranges.len() {
         let r = ranges[i];
-        // `PortScanner::sweep` never meets a /24 it would have to split.
+        // `portscan::sweep` never meets a /24 it would have to split.
         assert!(r.prefix <= 24, "range longer than /24");
         assert!(r.base & !Cidr::mask(r.prefix) == 0, "host bits set");
         // Ascending with a gap to the predecessor's last address: every

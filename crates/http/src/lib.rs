@@ -12,8 +12,10 @@
 //!   implementation ([`transport::TcpTransport`], which bounds each
 //!   exchange in time); the simulated Internet in `nokeys-netsim`
 //!   provides an in-memory implementation,
-//! * a [`client::Client`] with redirect following and body caps,
-//!   mirroring the constraints of the paper's ethical scanning setup, and
+//! * [`client::Visit`], the one fetch type: one endpoint over one
+//!   scheme through a transport, optionally under a virtual-host name,
+//!   with redirect following and body caps mirroring the constraints of
+//!   the paper's ethical scanning setup, and
 //! * a [`server::serve_connection`] loop used to expose application models
 //!   over real sockets.
 //!
@@ -40,7 +42,7 @@ pub mod status;
 pub mod transport;
 pub mod version;
 
-pub use client::Client;
+pub use client::Visit;
 pub use error::{Error, Result};
 pub use headers::Headers;
 pub use method::Method;

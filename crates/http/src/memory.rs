@@ -10,7 +10,7 @@ use crate::error::{Error, Result};
 use crate::parse::{Decoder, Limits};
 use crate::request::Request;
 use crate::server::Handler;
-use crate::transport::{Attempt, CertificateInfo, Connection, Endpoint};
+use crate::transport::{Attempt, Connection, Endpoint};
 use crate::transport::{ProbeOutcome, Scheme, Transport};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -93,7 +93,8 @@ pub struct MemConn<H> {
     /// Bytes sent by the far end; `pending[read_at..]` is not read yet.
     pending: Vec<u8>,
     read_at: usize,
-    cert: Option<CertificateInfo>,
+    /// Certificate subject name an HTTPS handshake presents.
+    cert: Option<String>,
 }
 
 impl<H: Handler> MemConn<H> {
@@ -123,8 +124,8 @@ impl<H: Handler> MemConn<H> {
         Self::new(None, Ipv4Addr::UNSPECIFIED, Vec::new())
     }
 
-    /// Present `cert` as the certificate of an HTTPS handshake.
-    pub fn with_certificate(mut self, cert: Option<CertificateInfo>) -> Self {
+    /// Present a certificate for subject `cert` in an HTTPS handshake.
+    pub fn with_certificate(mut self, cert: Option<String>) -> Self {
         self.cert = cert;
         self
     }
@@ -164,15 +165,15 @@ impl<H: Handler> Read for MemConn<H> {
 }
 
 impl<H: Handler> Connection for MemConn<H> {
-    fn certificate(&self) -> Option<CertificateInfo> {
-        self.cert.clone()
+    fn certificate(&self) -> Option<&str> {
+        self.cert.as_deref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::Visit;
     use crate::request::Request;
     use crate::response::Response;
 
@@ -187,8 +188,7 @@ mod tests {
         let ep = Endpoint::new(Ipv4Addr::new(10, 9, 8, 7), 8080);
         let t = HandlerTransport::new().with(ep, echo_handler());
         assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Open);
-        let client = Client::new(t);
-        let fetched = client.get_path(ep, Scheme::Http, "/hello").unwrap();
+        let fetched = Visit::new(&t, ep, Scheme::Http).get("/hello").unwrap();
         assert!(fetched
             .response
             .body_text()
@@ -200,8 +200,7 @@ mod tests {
         let t = HandlerTransport::new();
         let ep = Endpoint::new(Ipv4Addr::LOCALHOST, 80);
         assert_eq!(t.probe(ep, Attempt::FIRST), ProbeOutcome::Closed);
-        let client = Client::new(t);
-        let err = client.get_path(ep, Scheme::Http, "/").unwrap_err();
+        let err = Visit::new(&t, ep, Scheme::Http).get("/").unwrap_err();
         assert!(matches!(err, Error::Connect(_)));
     }
 
@@ -212,8 +211,7 @@ mod tests {
         let t = HandlerTransport::new()
             .with(ep, echo_handler())
             .with_source_ip(attacker);
-        let client = Client::new(t);
-        let fetched = client.get_path(ep, Scheme::Http, "/x").unwrap();
+        let fetched = Visit::new(&t, ep, Scheme::Http).get("/x").unwrap();
         assert!(fetched.response.body_text().contains("203.0.113.99"));
     }
 

@@ -209,7 +209,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::Visit;
     use crate::transport::{Endpoint, Scheme, TcpTransport};
 
     #[test]
@@ -222,11 +222,12 @@ mod tests {
             }
         });
         let server = serve_tcp(Ipv4Addr::LOCALHOST, 0, handler).unwrap();
-        let client = Client::new(TcpTransport::default());
+        let transport = TcpTransport::default();
         let ep = Endpoint::new(Ipv4Addr::LOCALHOST, server.port);
-        let fetched = client.get_path(ep, Scheme::Http, "/version").unwrap();
+        let visit = Visit::new(&transport, ep, Scheme::Http);
+        let fetched = visit.get("/version").unwrap();
         assert!(fetched.response.body_text().contains("MinAPIVersion"));
-        let miss = client.get_path(ep, Scheme::Http, "/other").unwrap();
+        let miss = visit.get("/other").unwrap();
         assert_eq!(miss.response.status.as_u16(), 404);
         server.shutdown();
     }

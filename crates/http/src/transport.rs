@@ -68,20 +68,12 @@ pub enum ProbeOutcome {
     Filtered,
 }
 
-/// Certificate information surfaced by an HTTPS connection.
-///
-/// Used by the responsible-disclosure step of the study: the scanner
-/// inspects certificates for contactable domain names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertificateInfo {
-    /// Subject common name / first SAN, if the host presented one.
-    pub subject: Option<String>,
-}
-
 /// A byte-stream connection plus connection-level metadata.
 pub trait Connection: Read + Write + Send {
-    /// Certificate presented during an HTTPS handshake, if any.
-    fn certificate(&self) -> Option<CertificateInfo> {
+    /// Subject name of the certificate presented during an HTTPS
+    /// handshake, if any. The responsible-disclosure step of the study
+    /// mines it for a contactable domain.
+    fn certificate(&self) -> Option<&str> {
         None
     }
 }
@@ -154,24 +146,6 @@ pub trait Transport: Send + Sync {
     /// wrapper passes it on to the transport it wraps.
     fn report_faults_to(&mut self, observer: FaultObserver) {
         let _ = observer;
-    }
-}
-
-/// A borrowed transport is a transport, so a [`Client`](crate::Client)
-/// can be built around one it does not own.
-impl<T: Transport> Transport for &T {
-    type Conn = T::Conn;
-
-    fn probe(&self, ep: Endpoint, attempt: Attempt<'_>) -> ProbeOutcome {
-        (**self).probe(ep, attempt)
-    }
-
-    fn connect(&self, ep: Endpoint, scheme: Scheme, attempt: Attempt<'_>) -> Result<Self::Conn> {
-        (**self).connect(ep, scheme, attempt)
-    }
-
-    fn live_addresses(&self, block: Cidr) -> Option<&[u32]> {
-        (**self).live_addresses(block)
     }
 }
 

@@ -14,7 +14,6 @@ use crate::ip::Cidr;
 use crate::universe::{ConnectBehavior, Universe};
 use nokeys_http::memory::MemConn;
 use nokeys_http::server::Handler;
-use nokeys_http::transport::CertificateInfo;
 use nokeys_http::{Attempt, Endpoint, ProbeOutcome, Request, Response, Result, Scheme, Transport};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,9 +52,10 @@ pub struct SimTransport {
     /// The instant every probe and connection of this transport sees.
     now: SimTime,
     stats: Arc<TransportStats>,
-    /// Source address the universe sees for requests from this transport.
-    scanner_ip: Ipv4Addr,
 }
+
+/// Source address the universe sees for requests from the scanner.
+const SCANNER_IP: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 77);
 
 impl SimTransport {
     pub fn new(universe: Arc<Universe>) -> Self {
@@ -63,23 +63,16 @@ impl SimTransport {
             universe,
             now: SimTime::SCAN_START,
             stats: Arc::new(TransportStats::default()),
-            scanner_ip: Ipv4Addr::new(198, 51, 100, 77),
         }
     }
 
-    /// This transport as it answers at `t`: same universe, same source
-    /// address, same operation counters.
+    /// This transport as it answers at `t`: same universe, same
+    /// operation counters.
     pub fn at(&self, t: SimTime) -> Self {
         SimTransport {
             now: t,
             ..self.clone()
         }
-    }
-
-    /// Set the source address presented to hosts.
-    pub fn with_source_ip(mut self, ip: Ipv4Addr) -> Self {
-        self.scanner_ip = ip;
-        self
     }
 
     /// Operation counters.
@@ -117,7 +110,7 @@ impl Transport for SimTransport {
                     ep,
                     at,
                 };
-                MemConn::http(handler, self.scanner_ip)
+                MemConn::http(handler, SCANNER_IP)
             }
             ConnectBehavior::Garbage(banner) => MemConn::banner(banner),
             ConnectBehavior::Silent => MemConn::silent(),
@@ -126,9 +119,6 @@ impl Transport for SimTransport {
             self.universe
                 .host(ep.ip)
                 .and_then(|h| h.cert_domain.clone())
-                .map(|subject| CertificateInfo {
-                    subject: Some(subject),
-                })
         } else {
             None
         };
@@ -160,7 +150,7 @@ mod tests {
     use nokeys_apps::AppId;
     use nokeys_http::cases::check;
     use nokeys_http::transport::Connection;
-    use nokeys_http::Client;
+    use nokeys_http::Visit;
 
     fn transport() -> SimTransport {
         SimTransport::new(Arc::new(Universe::generate(UniverseConfig::tiny(42))))
@@ -183,10 +173,8 @@ mod tests {
     fn client_fetches_from_simulated_hadoop() {
         let t = transport();
         let ep = find_app_ep(&t, AppId::Hadoop, true);
-        let client = Client::new(t.clone());
-        let fetched = client
-            .get_path(ep, Scheme::Http, "/cluster/cluster")
-            .unwrap();
+        let visit = Visit::new(&t, ep, Scheme::Http);
+        let fetched = visit.get("/cluster/cluster").unwrap();
         assert!(fetched.response.body_text().contains("dr.who"));
         assert!(t.stats().requests() >= 1);
         assert!(t.stats().connects() >= 1);
@@ -196,11 +184,9 @@ mod tests {
     fn redirects_work_through_the_simulation() {
         let t = transport();
         let ep = find_app_ep(&t, AppId::WordPress, true);
-        let client = Client::new(t.clone());
         // CMS hosts expose port 80 for HTTP.
-        let fetched = client
-            .get_path(Endpoint::new(ep.ip, 80), Scheme::Http, "/")
-            .unwrap();
+        let visit = Visit::new(&t, Endpoint::new(ep.ip, 80), Scheme::Http);
+        let fetched = visit.get("/").unwrap();
         assert!(
             fetched.redirects >= 1,
             "fresh WordPress redirects to the installer"
@@ -234,10 +220,8 @@ mod tests {
             })
             .map(|h| (h.ip, h.services[0].port));
         let Some((ip, port)) = host_ip else { return };
-        let client = Client::new(t.clone());
-        let err = client
-            .get_path(Endpoint::new(ip, port), Scheme::Http, "/")
-            .unwrap_err();
+        let visit = Visit::new(&t, Endpoint::new(ip, port), Scheme::Http);
+        let err = visit.get("/").unwrap_err();
         assert!(
             matches!(
                 err,
@@ -259,8 +243,8 @@ mod tests {
         let conn = t
             .connect(Endpoint::new(ip, 443), Scheme::Https, Attempt::FIRST)
             .unwrap();
-        let cert = conn.certificate().expect("cert present");
-        assert!(cert.subject.unwrap().contains("example"));
+        let subject = conn.certificate().expect("cert present");
+        assert!(subject.contains("example"));
     }
 
     #[test]

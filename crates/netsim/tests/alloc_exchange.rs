@@ -1,8 +1,8 @@
 //! What one HTTP exchange with a simulated host costs in heap
 //! allocations: a counting global allocator observes a warmed
-//! `Client::get_path(ep, Http, "/")` on two hosts of the tiny universe,
-//! a background host that answers at once and an AWE host that
-//! redirects once. The bounds are the counts the client makes today, so
+//! `Visit::new(&transport, ep, Http).get("/")` on two hosts of the tiny
+//! universe, a background host that answers at once and an AWE host that
+//! redirects once. The bounds are the counts a visit makes today, so
 //! the test fails if an exchange gets dearer; cutting the fixed cost per
 //! request (ROADMAP item 2, target ≤ 8 per exchange) lowers them.
 //!
@@ -12,7 +12,7 @@
 //! only the thread that armed itself around a measured region is
 //! counted.
 
-use nokeys_http::{Client, Endpoint, Scheme};
+use nokeys_http::{Endpoint, Scheme, Visit};
 use nokeys_netsim::{SimTransport, Universe, UniverseConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,19 +72,20 @@ fn allocations_in(region: impl FnOnce()) -> usize {
 }
 
 /// Allocations made by the last of three `GET /` on `ep` over HTTP.
-fn warmed_get(client: &Client<SimTransport>, ep: Endpoint) -> usize {
+fn warmed_get(transport: &SimTransport, ep: Endpoint) -> usize {
+    let visit = Visit::new(transport, ep, Scheme::Http);
     for _ in 0..2 {
-        black_box(client.get_path(ep, Scheme::Http, "/").expect("answers"));
+        black_box(visit.get("/").expect("answers"));
     }
     allocations_in(|| {
-        black_box(client.get_path(ep, Scheme::Http, "/").expect("answers"));
+        black_box(visit.get("/").expect("answers"));
     })
 }
 
 #[test]
 fn one_exchange_allocates_at_most_todays_count() {
     let universe = Arc::new(Universe::generate(UniverseConfig::tiny(2022)));
-    let client = Client::new(SimTransport::new(Arc::clone(&universe)));
+    let transport = SimTransport::new(Arc::clone(&universe));
     // The first HTTP endpoint of each kind, by address, whose `/`
     // follows `redirects` redirects: hosts differ in what their answers
     // cost.
@@ -97,13 +98,13 @@ fn one_exchange_allocates_at_most_todays_count() {
                     .map(|service| Endpoint::new(host.ip, service.port))
             })
             .find(|&ep| {
-                let fetched = client.get_path(ep, Scheme::Http, "/");
+                let fetched = Visit::new(&transport, ep, Scheme::Http).get("/");
                 fetched.is_ok_and(|fetched| fetched.redirects == redirects)
             })
             .expect("the tiny universe has one")
     };
-    let plain = warmed_get(&client, first(false, 0));
-    let redirected = warmed_get(&client, first(true, 1));
+    let plain = warmed_get(&transport, first(false, 0));
+    let redirected = warmed_get(&transport, first(true, 1));
     println!("allocations per GET /: {plain} without a redirect, {redirected} with one");
     assert!(plain <= 32, "{plain} allocations without a redirect");
     assert!(

@@ -15,7 +15,7 @@ fn main() {
     let config = UniverseConfig::repro(2022);
     let universe = Arc::new(Universe::generate(config));
     let transport = SimTransport::new(Arc::clone(&universe));
-    let client_at = |secs| nokeys::http::Client::new(transport.at(SimTime(secs)));
+    let transport_at = |secs| transport.at(SimTime(secs));
 
     // The CT log as the attacker sees it: only entries appearing from the
     // study start onward.
@@ -36,7 +36,7 @@ fn main() {
 
     // Probe each domain at several reaction delays and show the race.
     for delay_hours in [1i64, 12, 48] {
-        let findings = ct_scan(client_at, &entries, delay_hours * 3600);
+        let findings = ct_scan(transport_at, &entries, delay_hours * 3600);
         let caught = findings.iter().filter(|f| f.vulnerable).count();
         println!(
             "reaction time {delay_hours:>2} h: {caught:>3} of {} fresh installations still hijackable",
@@ -44,8 +44,11 @@ fn main() {
         );
     }
 
-    let table =
-        nokeys::analysis::ct_compare::build(&universe, &ct_scan(client_at, &entries, 3600), 3600);
+    let table = nokeys::analysis::ct_compare::build(
+        &universe,
+        &ct_scan(transport_at, &entries, 3600),
+        3600,
+    );
     println!("\n{}", table.render());
     println!(
         "The IP-wide sweep counts zero of these — the paper's scanning results \

@@ -24,7 +24,6 @@ fn main() {
     );
 
     let transport = SimTransport::new(universe);
-    let client = nokeys::http::Client::new(transport.clone());
     // Concurrency is a pure speedup: the scan yields the same report
     // at any shard count, faults or no faults.
     let pipeline = Pipeline::new(
@@ -35,7 +34,7 @@ fn main() {
         &Telemetry::new(),
     );
     let started = std::time::Instant::now();
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let report = pipeline.run(&transport).expect("pipeline failed");
     println!(
         "scan finished in {:.1?}: {} probes, {} HTTP exchanges\n",
         started.elapsed(),

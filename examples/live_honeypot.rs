@@ -14,7 +14,7 @@ use nokeys::honeypot::logserver::CentralLog;
 use nokeys::honeypot::monitor::MonitoredApp;
 use nokeys::http::server::serve_tcp;
 use nokeys::http::transport::TcpTransport;
-use nokeys::http::{Client, Endpoint, Scheme};
+use nokeys::http::{Endpoint, Scheme, Visit};
 use nokeys::netsim::SimTime;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -32,14 +32,16 @@ fn main() {
     );
 
     // Attack over the real socket, exactly as the campaign would.
-    let client = Client::new(TcpTransport::default());
-    let ep = Endpoint::new(Ipv4Addr::LOCALHOST, server.port);
+    let transport = TcpTransport::default();
+    let visit = Visit::new(
+        &transport,
+        Endpoint::new(Ipv4Addr::LOCALHOST, server.port),
+        Scheme::Http,
+    );
     let payload = Payload::kinsing(1);
     for req in attack_script(AppId::Hadoop, &payload) {
         let target = req.target.clone();
-        let resp = client
-            .execute(ep, Scheme::Http, req)
-            .expect("attack request");
+        let resp = visit.execute(req).expect("attack request");
         println!("attacker -> {target} {}", resp.status);
     }
     // The attack is one delivery, at the start of the observation.

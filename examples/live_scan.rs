@@ -66,9 +66,10 @@ fn main() {
         ..PipelineConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")])
     };
     let pipeline = Pipeline::new(config, &Telemetry::new());
-    let client = nokeys::http::Client::new(TcpTransport::default());
 
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let report = pipeline
+        .run(&TcpTransport::default())
+        .expect("pipeline failed");
     println!(
         "\nscan over real TCP finished: {} probes, {} findings",
         report.probes_sent,

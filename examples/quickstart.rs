@@ -24,9 +24,8 @@ fn main() {
     //    masscan-style port sweep -> signature prefilter -> MAV plugins
     //    -> version fingerprinting.
     let transport = SimTransport::new(universe);
-    let client = nokeys::http::Client::new(transport.clone());
     let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let report = pipeline.run(&transport).expect("pipeline failed");
 
     // 3. Results.
     println!("funnel: {}", report.funnel());

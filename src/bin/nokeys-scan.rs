@@ -32,7 +32,6 @@
 
 use nokeys::cli::{resume_from, value, write_metrics, ScanFlags};
 use nokeys::http::transport::TcpTransport;
-use nokeys::http::Client;
 use nokeys::netsim::{FaultPlan, FaultyTransport};
 use nokeys::scanner::json::ToJson;
 use nokeys::scanner::{Pipeline, PipelineConfig, Telemetry};
@@ -143,14 +142,14 @@ fn main() {
     if fault_rate > 0.0 {
         eprintln!("injecting synthetic transport faults at rate {fault_rate}");
     }
-    let client = Client::new(FaultyTransport::new(
+    let transport = FaultyTransport::new(
         TcpTransport::default(),
         FaultPlan::new(fault_rate, 0x6e6f_6b65_7973),
-    ));
+    );
     let outcome = if resume {
-        pipeline.resume(&client)
+        pipeline.resume(&transport)
     } else {
-        pipeline.run(&client)
+        pipeline.run(&transport)
     };
     let report = outcome.unwrap_or_else(|e| {
         eprintln!("error: {e}");

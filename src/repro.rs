@@ -5,7 +5,6 @@
 use nokeys_analysis as analysis;
 use nokeys_defend::VendorFinding;
 use nokeys_honeypot::{run_study, StudyConfig, StudyResult};
-use nokeys_http::Client;
 use nokeys_netsim::{
     FaultLane, FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig,
 };
@@ -17,13 +16,13 @@ use std::sync::Arc;
 /// Seed of the injected-fault schedule (`--fault-rate`).
 const FAULT_SEED: u64 = 0xfa17_5eed;
 
-/// The scan's client as it answers `secs` after the scan start: the same
-/// universe and fault plan, with the universe and the fault draws both
-/// at that instant. The scan's own transport stays at the scan time.
-fn client_at(
+/// The scan's transport as it answers `secs` after the scan start: the
+/// same universe and fault plan, with the universe and the fault draws
+/// both at that instant. The scan's own transport stays at the scan time.
+fn transport_at(
     scan: &FaultyTransport<SimTransport>,
-) -> impl Fn(i64) -> Client<FaultyTransport<SimTransport>> + Sync + '_ {
-    move |secs| Client::new(scan.at(SimTime(secs)))
+) -> impl Fn(i64) -> FaultyTransport<SimTransport> + Sync + '_ {
+    move |secs| scan.at(SimTime(secs))
 }
 
 /// Scale of a reproduction run.
@@ -119,14 +118,13 @@ impl Repro {
                 }
                 self.telemetry.count_faults(&mut transport);
             }
-            let client = Client::new(transport.clone());
             // Faults or not, the report is byte-identical at any shard
             // count: no fault draw depends on what ran before it.
             let pipeline = Pipeline::new(self.config.clone(), &self.telemetry);
             let report = if crate::cli::resume_from(&self.config, self.resume).is_some() {
-                pipeline.resume(&client)
+                pipeline.resume(&transport)
             } else {
-                pipeline.run(&client)
+                pipeline.run(&transport)
             }?;
             self.scan = Some((transport, report));
         }
@@ -145,7 +143,7 @@ impl Repro {
             let vulnerable: Vec<_> = report.vulnerable_findings().cloned().collect();
             let study = observe(
                 &self.telemetry,
-                client_at(&transport),
+                transport_at(&transport),
                 &vulnerable,
                 interval,
             );
@@ -268,7 +266,7 @@ impl Repro {
                     })
                     .collect();
                 let findings =
-                    nokeys_scanner::ct::ct_scan(client_at(transport), &entries, delay_secs);
+                    nokeys_scanner::ct::ct_scan(transport_at(transport), &entries, delay_secs);
                 analysis::ct_compare::build(sim.universe(), &findings, delay_secs).render()
             }
             _ => return Err(format!("unknown experiment id '{id}'").into()),

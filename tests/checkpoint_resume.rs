@@ -14,7 +14,6 @@
 //! dead workers as an error; the test then resumes a fresh pipeline
 //! (fresh transport, fresh registry) from whatever is on disk.
 
-use nokeys::http::Client;
 use nokeys::netsim::{
     Cidr, FaultPlan, FaultyTransport, KillSwitch, KillableTransport, SimTransport, Universe,
     UniverseConfig,
@@ -101,9 +100,7 @@ fn run_plain(
 ) -> (ScanReport, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
     let pipeline = tiny_pipeline(shards, &telemetry, checkpoint);
-    let report = pipeline
-        .run(&Client::new(transport(fault_rate)))
-        .expect("scan failed");
+    let report = pipeline.run(&transport(fault_rate)).expect("scan failed");
     (report, telemetry.snapshot())
 }
 
@@ -117,7 +114,7 @@ fn run_until_killed(shards: usize, fault_rate: f64, budget: u64, path: &Path) ->
     let switch = KillSwitch::after(budget);
     let doomed = KillableTransport::new(transport(fault_rate), switch.clone());
     let pipeline = tiny_pipeline(shards, &Telemetry::new(), Some(path));
-    match pipeline.run(&Client::new(doomed)) {
+    match pipeline.run(&doomed) {
         Err(PipelineError::SweepFailed(_)) if switch.is_tripped() => {}
         other => panic!("the doomed run should have died: {other:?}"),
     }
@@ -134,7 +131,7 @@ fn resume(shards: usize, fault_rate: f64, path: &Path) -> (ScanReport, Telemetry
     let telemetry = Telemetry::new();
     let pipeline = tiny_pipeline(shards, &telemetry, Some(path));
     let report = pipeline
-        .resume(&Client::new(transport(fault_rate)))
+        .resume(&transport(fault_rate))
         .expect("resume failed");
     assert_eq!(logged(path).len(), 32, "a finished scan logs every batch");
     (report, telemetry.snapshot())
@@ -160,10 +157,7 @@ fn checkpointing_does_not_change_an_uninterrupted_run() {
     let telemetry = Telemetry::new();
     let pipeline = tiny_pipeline(1, &telemetry, Some(&path));
     let report = pipeline
-        .resume(&Client::new(KillableTransport::new(
-            transport(0.05),
-            switch.clone(),
-        )))
+        .resume(&KillableTransport::new(transport(0.05), switch.clone()))
         .expect("warm resume failed");
     assert_eq!(switch.used(), 0, "warm resume performed network operations");
     assert_eq!(checked.to_json_string(), report.to_json_string());
@@ -212,10 +206,7 @@ fn second_kill_loses_no_first_generation_work() {
     // transport.
     let switch = KillSwitch::after(200_000);
     let pipeline = tiny_pipeline(2, &Telemetry::new(), Some(&path));
-    let died = pipeline.resume(&Client::new(KillableTransport::new(
-        transport(0.0),
-        switch.clone(),
-    )));
+    let died = pipeline.resume(&KillableTransport::new(transport(0.0), switch.clone()));
     assert!(
         matches!(died, Err(PipelineError::SweepFailed(_))),
         "{died:?}"
@@ -283,7 +274,7 @@ fn checkpoint_under_a_different_configuration_is_refused_by_name() {
         ..PipelineConfig::new(vec![space()])
     };
     let err = Pipeline::new(other, &Telemetry::new())
-        .resume(&Client::new(transport(0.0)))
+        .resume(&transport(0.0))
         .unwrap_err();
     assert_eq!(
         err,
@@ -297,7 +288,7 @@ fn checkpoint_under_a_different_configuration_is_refused_by_name() {
     // Nothing to resume from at all is an I/O error, not a fresh scan.
     let nowhere = checkpoint_path("nowhere");
     let err = tiny_pipeline(1, &Telemetry::new(), Some(&nowhere))
-        .resume(&Client::new(transport(0.0)))
+        .resume(&transport(0.0))
         .unwrap_err();
     assert!(
         matches!(err, PipelineError::Checkpoint(CheckpointError::Io(_))),
@@ -321,7 +312,7 @@ fn batch_logged_twice_is_refused_by_name() {
         .expect("batch line has a seq");
     std::fs::write(&path, format!("{log}{last}\n")).unwrap();
     let err = tiny_pipeline(1, &Telemetry::new(), Some(&path))
-        .resume(&Client::new(transport(0.0)))
+        .resume(&transport(0.0))
         .unwrap_err();
     assert_eq!(
         err,

@@ -43,7 +43,6 @@ fn run_faulty_logged(
         SimTransport::new(Arc::new(Universe::generate(config.clone()))),
         FaultPlan::new(fault_rate, 0xfa17_5eed),
     );
-    let client = nokeys::http::Client::new(transport);
     let config = PipelineConfig {
         shards,
         max_attempts: retries,
@@ -52,8 +51,8 @@ fn run_faulty_logged(
     };
     let pipeline = Pipeline::new(config, &telemetry);
     let report = match log {
-        Some((_, true)) => pipeline.resume(&client),
-        _ => pipeline.run(&client),
+        Some((_, true)) => pipeline.resume(&transport),
+        _ => pipeline.run(&transport),
     }
     .expect("pipeline failed");
     (report, telemetry.snapshot())

@@ -20,13 +20,13 @@ fn pipeline_survives_a_flaky_network() {
     let universe = Arc::new(Universe::generate(config.clone()));
 
     // 15% of connect attempts time out.
-    let client = nokeys::http::Client::new(flaky(&universe, 0.15));
     let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
-    let flaky_report = pipeline.run(&client).expect("flaky run failed");
+    let flaky_report = pipeline
+        .run(&flaky(&universe, 0.15))
+        .expect("flaky run failed");
 
     let clean = SimTransport::new(universe);
-    let client = nokeys::http::Client::new(clean);
-    let clean_report = pipeline.run(&client).expect("clean run failed");
+    let clean_report = pipeline.run(&clean).expect("clean run failed");
 
     // No panics, no false positives — every flaky finding also exists in
     // the clean run with the same verdict (faults only *lose* hosts;
@@ -63,10 +63,7 @@ fn faults_are_deterministic_per_transport() {
     let universe = Arc::new(Universe::generate(config.clone()));
     let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
 
-    let run = |u: &Arc<Universe>| {
-        let client = nokeys::http::Client::new(flaky(u, 0.3));
-        pipeline.run(&client).expect("pipeline failed")
-    };
+    let run = |u: &Arc<Universe>| pipeline.run(&flaky(u, 0.3)).expect("pipeline failed");
     let a = run(&universe);
     let b = run(&universe);
     assert_eq!(a.total_hosts(), b.total_hosts());
@@ -91,11 +88,9 @@ fn rescanning_recovers_fault_losses() {
     };
     let pipeline = Pipeline::new(config, &Telemetry::new());
 
-    let first = pipeline
-        .run(&nokeys::http::Client::new(transport.clone()))
-        .expect("first pass failed");
+    let first = pipeline.run(&transport).expect("first pass failed");
     let second = pipeline
-        .run(&nokeys::http::Client::new(transport.at(SimTime(3600))))
+        .run(&transport.at(SimTime(3600)))
         .expect("second pass failed");
     let union: std::collections::BTreeSet<(std::net::Ipv4Addr, nokeys::apps::AppId)> = first
         .findings
@@ -105,8 +100,7 @@ fn rescanning_recovers_fault_losses() {
         .collect();
 
     let clean = SimTransport::new(universe);
-    let clean_client = nokeys::http::Client::new(clean);
-    let clean_report = pipeline.run(&clean_client).expect("clean run failed");
+    let clean_report = pipeline.run(&clean).expect("clean run failed");
 
     assert!(union.len() > first.findings.len().min(second.findings.len()));
     let coverage = union.len() as f64 / clean_report.total_hosts() as f64;

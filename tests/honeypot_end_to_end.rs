@@ -72,12 +72,11 @@ fn defender_study_and_table9() {
     let transport = nokeys::netsim::SimTransport::new(std::sync::Arc::new(
         nokeys::netsim::Universe::generate(config.clone()),
     ));
-    let client = nokeys::http::Client::new(transport);
     let pipeline = nokeys::scanner::Pipeline::new(
         nokeys::scanner::PipelineConfig::new(vec![config.space]),
         &nokeys::scanner::Telemetry::new(),
     );
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let report = pipeline.run(&transport).expect("pipeline failed");
 
     let t9 = nokeys::analysis::table9::build(&report, &result, &s1, &s2, 20_000, 50).render();
     // Spot-check the paper's qualitative findings.

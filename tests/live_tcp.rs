@@ -44,8 +44,9 @@ fn pipeline_detects_mavs_over_real_tcp() {
         ..PipelineConfig::new(vec!["127.0.0.1/32".parse().expect("cidr")])
     };
     let pipeline = Pipeline::new(config, &Telemetry::new());
-    let client = nokeys::http::Client::new(TcpTransport::default());
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let report = pipeline
+        .run(&TcpTransport::default())
+        .expect("pipeline failed");
 
     assert_eq!(report.findings.len(), 2, "both apps identified");
     let gocd = report

@@ -9,9 +9,8 @@ use std::sync::Arc;
 fn run(seed: u64) -> (SimTransport, ScanReport) {
     let config = UniverseConfig::tiny(seed);
     let transport = SimTransport::new(Arc::new(Universe::generate(config.clone())));
-    let client = nokeys::http::Client::new(transport.clone());
     let pipeline = Pipeline::new(PipelineConfig::new(vec![config.space]), &Telemetry::new());
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let report = pipeline.run(&transport).expect("pipeline failed");
     (transport, report)
 }
 

@@ -2,7 +2,7 @@
 //! [`RetryTransport`] stacked on netsim's fault injection, exercised
 //! through the public facade the way the pipeline composes them.
 
-use nokeys::http::{Attempt, Client, Endpoint, Error, ProbeOutcome, Scheme, Transport};
+use nokeys::http::{Attempt, Endpoint, Error, ProbeOutcome, Scheme, Transport, Visit};
 use nokeys::netsim::{FaultPlan, FaultyTransport, SimTime, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::{Pipeline, PipelineConfig, RetryTransport, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +87,7 @@ fn retrying_probe_masks_injected_syn_loss() {
     assert!(snap.counter("retry.probe.recovered") > 0);
 }
 
-/// A client stacked on the retry transport completes whole fetches
+/// A visit through the retry transport completes whole fetches
 /// through injected connect timeouts, one fetch a minute.
 #[test]
 fn retrying_client_fetches_through_connect_timeouts() {
@@ -97,8 +97,8 @@ fn retrying_client_fetches_through_connect_timeouts() {
     let faulty = faulty(&universe, 0.25);
     for round in 0..20 {
         let at = faulty.at(SimTime(round * 60));
-        let client = Client::new(RetryTransport::new(at, 8, Duration::ZERO, &telemetry));
-        let fetched = client.get_path(ep, Scheme::Http, "/");
+        let retrying = RetryTransport::new(at, 8, Duration::ZERO, &telemetry);
+        let fetched = Visit::new(&retrying, ep, Scheme::Http).get("/");
         assert!(fetched.is_ok(), "round {round}: {fetched:?}");
     }
     let snap = telemetry.snapshot();
@@ -188,13 +188,14 @@ fn pipeline_retry_knob_plumbs_through() {
     let config = UniverseConfig::tiny(8);
     let universe = Arc::new(Universe::generate(config.clone()));
     let run = |retries: u32, u: Arc<Universe>| {
-        let client = nokeys::http::Client::new(SimTransport::new(u));
         let config = PipelineConfig {
             max_attempts: retries,
             ..PipelineConfig::new(vec![config.space])
         };
         let pipeline = Pipeline::new(config, &Telemetry::new());
-        let report = pipeline.run(&client).expect("pipeline failed");
+        let report = pipeline
+            .run(&SimTransport::new(u))
+            .expect("pipeline failed");
         report.to_json_string()
     };
     let without = run(1, Arc::clone(&universe));
@@ -220,18 +221,18 @@ fn a_banner_host_is_connected_to_once_per_scheme() {
         .min()
         .expect("tiny universe has a banner-only host");
 
-    let client = Client::new(SimTransport::new(Arc::clone(&universe)));
+    let transport = SimTransport::new(Arc::clone(&universe));
     let telemetry = Telemetry::new();
     let pipeline = Pipeline::new(
         PipelineConfig::new(vec![format!("{ip}/32").parse().expect("cidr")]),
         &telemetry,
     );
-    let report = pipeline.run(&client).expect("pipeline failed");
+    let report = pipeline.run(&transport).expect("pipeline failed");
     assert_eq!(report.prefilter_silent, 1, "open, but not HTTP");
     assert!(report.findings.is_empty());
 
     let schemes = Prefilter::schemes_for_port(port).len() as u64;
-    assert_eq!(client.transport().stats().connects(), schemes);
+    assert_eq!(transport.stats().connects(), schemes);
     let snap = telemetry.snapshot();
     for lane in ["probe", "connect"] {
         assert_eq!(snap.counter(&format!("retry.{lane}.retries")), 0, "{lane}");
@@ -282,9 +283,7 @@ fn a_stage_two_fetch_dials_at_most_max_attempts_times() {
         ..PipelineConfig::new(vec![format!("{}/32", ep.ip).parse().expect("cidr")])
     };
     let pipeline = Pipeline::new(config, &telemetry);
-    let report = pipeline
-        .run(&Client::new(transport))
-        .expect("pipeline failed");
+    let report = pipeline.run(&transport).expect("pipeline failed");
     assert_eq!(report.prefilter_silent, 1, "open, but never answered");
 
     let schemes = nokeys::scanner::Prefilter::schemes_for_port(ep.port).len() as u64;

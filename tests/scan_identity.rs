@@ -15,7 +15,7 @@
 //! bridged counters live in the caller's registry, outside the engine.
 
 use nokeys::http::cases::{check, Gen};
-use nokeys::http::{Attempt, Client, Endpoint, ProbeOutcome, Scheme, Transport};
+use nokeys::http::{Attempt, Endpoint, ProbeOutcome, Scheme, Transport};
 use nokeys::netsim::{Cidr, FaultPlan, FaultyTransport, SimTransport, Universe, UniverseConfig};
 use nokeys::scanner::json;
 use nokeys::scanner::portscan::shuffled_blocks;
@@ -57,9 +57,7 @@ fn transport(fault_rate: f64) -> FaultyTransport<SimTransport> {
 fn run(shards: usize, fault_rate: f64) -> (ScanReport, TelemetrySnapshot) {
     let telemetry = Telemetry::new();
     let pipeline = Pipeline::new(config(shards), &telemetry);
-    let report = pipeline
-        .run(&Client::new(transport(fault_rate)))
-        .expect("scan failed");
+    let report = pipeline.run(&transport(fault_rate)).expect("scan failed");
     (report, telemetry.snapshot())
 }
 
@@ -187,7 +185,7 @@ fn stalled_worker_holds_back_one_batch_and_output_unchanged() {
         )),
     };
     let report = Pipeline::new(config(4), &telemetry)
-        .run(&Client::new(stalled))
+        .run(&stalled)
         .expect("scan failed");
 
     assert_eq!(
@@ -217,12 +215,12 @@ fn ledger_is_order_independent() {
     let (baseline, baseline_snap) = run(1, 0.05);
     let config = config(1);
     check(4, |g| {
-        let client = Client::new(transport(0.05));
+        let faulty = transport(0.05);
         let mut order: Vec<u64> = (0..32).collect();
         shuffle(g, &mut order);
         let mut batches: Vec<_> = order
             .iter()
-            .map(|&seq| (seq, scan_batch(&config, &client, seq)))
+            .map(|&seq| (seq, scan_batch(&config, &faulty, seq)))
             .collect();
         shuffle(g, &mut batches);
         let mut ledger = Ledger::new(32);
@@ -277,11 +275,11 @@ fn scan_logged(shards: usize, fault_rate: f64, log: &Path, resume: bool) {
         ..config(shards)
     };
     let pipeline = Pipeline::new(config, &Telemetry::new());
-    let client = Client::new(transport(fault_rate));
+    let faulty = transport(fault_rate);
     let scanned = if resume {
-        pipeline.resume(&client)
+        pipeline.resume(&faulty)
     } else {
-        pipeline.run(&client)
+        pipeline.run(&faulty)
     };
     scanned.expect("scan failed");
 }
@@ -323,10 +321,10 @@ fn checkpoint_logs_are_a_function_of_their_batches() {
         assert_same_log(&baseline, &log_lines(torn), &what);
 
         let config = config(1);
-        let client = Client::new(transport(fault_rate));
+        let faulty = transport(fault_rate);
         let alone = dir.join("alone.ckpt");
         for seq in 0..32 {
-            let (findings, work) = scan_batch(&config, &client, seq);
+            let (findings, work) = scan_batch(&config, &faulty, seq);
             let mut log =
                 CheckpointLog::create(&alone, &config.fingerprint(), 32).expect("creates");
             log.append(seq, &findings, &work).expect("appends");
